@@ -7,7 +7,7 @@
 //	middled -role cloud -addr :7000 -edges 2 -rounds 50 -tc 10
 //	middled -role edge  -id 0 -cloud host:7000 -addr :7100 -strategy MIDDLE
 //	middled -role edge  -id 1 -cloud host:7000 -addr :7101 -strategy MIDDLE
-//	middled -role devices -edges host:7100,host:7101 -from 0 -to 9 -p 0.5
+//	middled -role devices -edgeaddrs host:7100,host:7101 -from 0 -to 9 -p 0.5 -strategy MIDDLE
 //
 // The -role devices process hosts a contiguous range of device ids and
 // migrates them between the listed edges with a ring-Markov mobility of
@@ -49,7 +49,7 @@ func main() {
 		tc        = flag.Int("tc", 10, "cloud interval T_c (cloud role)")
 		id        = flag.Int("id", 0, "edge id (edge role)")
 		cloud     = flag.String("cloud", "", "cloud address (edge role)")
-		strategy  = flag.String("strategy", "MIDDLE", "strategy (edge role)")
+		strategy  = flag.String("strategy", "MIDDLE", "strategy (edge and devices roles; both must name the same one)")
 		k         = flag.Int("k", 5, "devices selected per round (edge role)")
 		edgeList  = flag.String("edgeaddrs", "", "comma-separated edge addresses (devices role)")
 		from      = flag.Int("from", 0, "first device id (devices role)")
@@ -175,7 +175,7 @@ func main() {
 			},
 			Obs: m.Registry(),
 		})
-		runDevices(setup, m, trace, *edgeList, *from, *to, *p, *moveMs, *seed, *mux, faults, *liveMig, *failover)
+		runDevices(setup, m, trace, *edgeList, *strategy, *from, *to, *p, *moveMs, *seed, *mux, faults, *liveMig, *failover)
 	default:
 		fmt.Fprintln(os.Stderr, "middled: -role must be cloud, edge or devices")
 		flag.Usage()
@@ -342,16 +342,35 @@ func runEdge(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Tr
 	log.Printf("middled: edge %d done", id)
 }
 
-func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, edgeList string, from, to int, p float64, moveMs int, seed int64, mux int, faults *fednet.FaultInjector, liveMig, failover bool) {
+// checkDevicesArgs validates the devices role's arguments against a
+// partition of numDevices devices, returning the edge address list and
+// the strategy the devices build their start models with.
+func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, failover bool) ([]string, middle.Strategy, error) {
 	addrs := strings.Split(edgeList, ",")
-	if len(addrs) == 0 || addrs[0] == "" {
-		fatal("middled: devices role requires -edgeaddrs")
+	if addrs[0] == "" {
+		return nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
+	}
+	strat, err := middle.StrategyByName(strategy)
+	if err != nil {
+		return nil, nil, err
 	}
 	if mux < 1 {
-		fatalf("middled: -mux must be ≥ 1, got %d", mux)
+		return nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", mux)
 	}
 	if failover && mux > 1 {
-		fatal("middled: -failover requires dedicated device clients (-mux 1)")
+		return nil, nil, fmt.Errorf("-failover requires dedicated device clients (-mux 1)")
+	}
+	if to >= numDevices || from < 0 || from > to {
+		return nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", from, to, numDevices)
+	}
+	return addrs, strat, nil
+}
+
+func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, edgeList, strategy string, from, to int, p float64, moveMs int, seed int64, mux int, faults *fednet.FaultInjector, liveMig, failover bool) {
+	part := setup.Partition(seed)
+	addrs, strat, err := checkDevicesArgs(edgeList, strategy, from, to, part.NumDevices(), mux, failover)
+	if err != nil {
+		fatalf("middled: %v", err)
 	}
 	// With -failover every listed edge is a re-home candidate: a device
 	// whose edge stops answering re-registers at a survivor on its own,
@@ -362,11 +381,6 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 			candidates = append(candidates, fednet.EdgeAddr{ID: e, Addr: a})
 		}
 	}
-	part := setup.Partition(seed)
-	if to >= part.NumDevices() || from < 0 || from > to {
-		fatalf("middled: device range %d..%d outside partition of %d", from, to, part.NumDevices())
-	}
-	mode := fednet.AggModeForStrategy("MIDDLE")
 	n := to - from + 1
 	// connect[i] moves device from+i to an edge: either a dedicated
 	// Device client's Connect, or the virtual-device move of the
@@ -388,7 +402,7 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 				Devices: group, Dataset: part.Dataset, Factory: setup.Factory,
 				Optimizer:  setup.Optimizer.New(),
 				LocalSteps: setup.I, BatchSize: setup.BatchSize,
-				Mode: mode, Seed: seed, Faults: faults, Obs: m.Registry(),
+				Strategy: strat, Seed: seed, Faults: faults, Obs: m.Registry(),
 			})
 			if err != nil {
 				fatal(err)
@@ -410,7 +424,7 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 				Factory:    setup.Factory,
 				Optimizer:  setup.Optimizer.New(),
 				LocalSteps: setup.I, BatchSize: setup.BatchSize,
-				Mode: mode, Seed: seed, Faults: faults,
+				Strategy: strat, Seed: seed, Faults: faults,
 				Failover: candidates, Logf: log.Printf,
 				Obs: m.Registry(), Trace: trace,
 			})

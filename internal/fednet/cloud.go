@@ -2,7 +2,6 @@ package fednet
 
 import (
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"time"
@@ -66,12 +65,12 @@ type CloudConfig struct {
 	// Validate screens received edge models before Eq. 7, mirroring the
 	// edge-side update validation.
 	Validate robust.ValidatorConfig
-	// Membership enables the self-healing membership layer: a persistent
-	// accept loop, per-edge heartbeat leases driving a miss-count failure
-	// detector, mid-run edge rejoin at a bumped epoch, and epoch fencing
-	// of frames from stale incarnations. Disabled (the zero value) the
-	// cloud behaves exactly as before: a fixed edge set whose failures
-	// surface only when an RPC happens to fail.
+	// Membership enables the self-healing membership layer: per-edge
+	// heartbeat leases driving a miss-count failure detector, mid-run edge
+	// rejoin at a bumped epoch, and epoch fencing of frames from stale
+	// incarnations. Disabled (the zero value) the edge set is fixed:
+	// membership with a static set at epoch 0, no welcome frame and no
+	// detector, whose failures surface only when an RPC happens to fail.
 	Membership MembershipConfig
 	// OnEdgeDown, when set, is invoked on its own goroutine after the
 	// membership layer declares an edge dead. The in-process cluster uses
@@ -99,11 +98,10 @@ type CloudConfig struct {
 // Cloud coordinates rounds across edge servers. It is the lockstep
 // driver: edges act only on RoundStart messages.
 type Cloud struct {
-	cfg       CloudConfig
-	ln        net.Listener
-	m         cloudMetrics
-	validator *robust.Validator
-	agg       robust.Aggregator
+	cfg CloudConfig
+	ln  net.Listener
+	m   cloudMetrics
+	agg *robust.Point // the Eq. 7 aggregate step
 
 	mu     sync.Mutex
 	global []float64
@@ -111,11 +109,17 @@ type Cloud struct {
 	startRound  int             // rounds ≤ startRound were already completed (resume)
 	edgeWeights map[int]float64 // last sync's per-edge weights (checkpointed)
 
-	// Self-healing membership state (nil / unused when disabled).
+	// ms is the edge set: epoch counter, member table and join queue. The
+	// epoch starts at the checkpointed one and only moves in membership
+	// mode.
 	ms         *membership
-	startEpoch int         // epoch restored from the checkpoint
 	assignment map[int]int // device → edge, reported on sync rounds
 	lastSync   int         // round of the most recent cloud sync
+
+	// gate, when set before Run, holds the first RoundStart until it is
+	// closed: StartCluster attaches its devices behind it so a short run
+	// cannot burn its rounds on edges with nobody to select.
+	gate chan struct{}
 
 	// stop requests a graceful drain: the round loop finishes the round
 	// in flight, persists a final checkpoint and returns nil.
@@ -160,15 +164,16 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if cfg.Edges < 1 || cfg.Rounds < 1 || cfg.CloudInterval < 1 {
 		return nil, fmt.Errorf("fednet: implausible cloud config %+v", cfg)
 	}
+	agg := robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
 	if cfg.Shards > 1 {
 		// Partial weighted sums cannot express coordinate-wise medians,
 		// trimming, clipping or per-update screening — those need every
 		// edge model materialized at once, which is what sharding exists
 		// to avoid.
-		if agg := (robust.Aggregator{Kind: cfg.Aggregator}); !agg.IsMean() {
+		if !agg.IsMean() {
 			return nil, fmt.Errorf("fednet: %d-shard cloud requires the mean aggregator, got %q", cfg.Shards, cfg.Aggregator)
 		}
-		if robust.NewValidator(cfg.Validate) != nil {
+		if agg.Validating() {
 			return nil, fmt.Errorf("fednet: %d-shard cloud cannot screen edge models; disable validation", cfg.Shards)
 		}
 	}
@@ -191,10 +196,10 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		cfg:         cfg,
 		ln:          ln,
 		m:           newCloudMetrics(cfg.Obs),
-		validator:   robust.NewValidator(cfg.Validate),
-		agg:         robust.Aggregator{Kind: cfg.Aggregator, TrimFrac: cfg.TrimFrac},
+		agg:         agg,
 		global:      append([]float64(nil), cfg.InitModel...),
 		edgeWeights: map[int]float64{},
+		ms:          newMembership(0),
 		assignment:  map[int]int{},
 		stop:        make(chan struct{}),
 	}
@@ -208,7 +213,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		if ok {
 			c.global = st.Model
 			c.startRound = st.Round
-			c.startEpoch = st.Epoch
+			c.ms.epoch = st.Epoch
 			for id, e := range st.Assignment {
 				c.assignment[id] = e
 			}
@@ -252,60 +257,48 @@ type edgeConn struct {
 	conn net.Conn
 }
 
-// Run accepts the configured number of edges, drives all rounds, and
+// Run admits the configured number of edges, drives all rounds, and
 // shuts the cluster down. It returns once training completes or a
-// protocol error occurs.
+// protocol error occurs. There is one loop for both modes: the fixed
+// edge set is membership with a static set, and only admission (admit)
+// and peer loss (memberDead) know the difference.
 func (c *Cloud) Run() error {
-	if c.cfg.Membership.Enabled {
-		return c.runMembership()
-	}
 	defer c.ln.Close()
-	// A Stop during the registration wait closes the listener so Accept
-	// unblocks and the run exits cleanly instead of hanging on a quorum
-	// that will never arrive.
-	regDone := make(chan struct{})
-	defer close(regDone)
-	go func() {
+	ms := c.ms
+	dynamic := c.cfg.Membership.Enabled
+	defer ms.closeAll()
+	go c.acceptLoop(ms)
+
+	// Admit the initial edge set before training starts. A Stop while
+	// waiting exits cleanly instead of hanging on a quorum that will
+	// never arrive.
+	for len(ms.alive()) < c.cfg.Edges {
 		select {
-		case <-c.stop:
-			c.ln.Close()
-		case <-regDone:
-		}
-	}()
-	edges := make([]*edgeConn, 0, c.cfg.Edges)
-	for len(edges) < c.cfg.Edges {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			if c.stopping() {
-				c.cfg.Logf("cloud: graceful stop while waiting for edges (%d/%d registered)", len(edges), c.cfg.Edges)
-				return nil
+		case e := <-ms.joinCh:
+			if err := c.admit(ms, e, c.startRound, false); err != nil {
+				return fmt.Errorf("fednet: cloud admitting edge %d: %w", e.id, err)
 			}
-			return fmt.Errorf("fednet: cloud accept: %w", err)
+		case <-c.stop:
+			c.cfg.Logf("cloud: graceful stop while waiting for edges (%d/%d registered)", len(ms.alive()), c.cfg.Edges)
+			return nil
 		}
-		conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-		var reg RegisterEdge
-		t, _, err := c.m.link.readMsg(conn, &reg)
-		if err != nil || t != MsgRegisterEdge {
-			conn.Close()
-			log.Printf("fednet: cloud rejected connection (type %d, err %v)", t, err)
-			continue
-		}
-		edges = append(edges, &edgeConn{id: reg.EdgeID, conn: conn})
-		c.cfg.Logf("cloud: edge %d registered (%d/%d)", reg.EdgeID, len(edges), c.cfg.Edges)
+	}
+	if dynamic {
+		detStop := make(chan struct{})
+		defer close(detStop)
+		go c.runDetector(ms, detStop)
 	}
 	defer func() {
-		for _, e := range edges {
-			e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			_ = c.m.link.writeMsg(e.conn, MsgShutdown, struct{}{}, nil)
-			e.conn.Close()
+		for _, m := range ms.alive() {
+			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+			_ = c.m.link.writeMsg(m.conn, MsgShutdown, struct{}{}, nil)
+			m.conn.Close()
 		}
 	}()
-
-	// Distribute the initial global model.
-	for _, e := range edges {
-		e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-		if err := c.m.link.writeMsg(e.conn, MsgGlobalModel, struct{}{}, c.global); err != nil {
-			return fmt.Errorf("fednet: cloud sending init model to edge %d: %w", e.id, err)
+	if c.gate != nil {
+		select {
+		case <-c.gate:
+		case <-c.stop:
 		}
 	}
 
@@ -318,6 +311,22 @@ func (c *Cloud) Run() error {
 			c.checkpointFinal(r - 1)
 			return nil
 		}
+		// Edges that (re)joined since the last boundary are admitted now.
+		for drained := false; !drained; {
+			select {
+			case e := <-ms.joinCh:
+				if err := c.admit(ms, e, r-1, true); err != nil {
+					c.cfg.Logf("cloud: edge %d not admitted mid-run: %v", e.id, err)
+				}
+			default:
+				drained = true
+			}
+		}
+		members := ms.alive()
+		if err := c.checkQuorum(len(members), r); err != nil {
+			return err
+		}
+
 		roundTok := c.m.roundSpan.Begin()
 		tr := c.cfg.Trace
 		traceStart := tr.Now()
@@ -326,20 +335,21 @@ func (c *Cloud) Run() error {
 			span = cloudRoundSpan(r)
 		}
 		sync := r%c.cfg.CloudInterval == 0
-		alive := edges[:0]
-		for _, e := range edges {
-			e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			if err := c.m.link.writeMsg(e.conn, MsgRoundStart, RoundStart{Round: r, Sync: sync, Span: span}, nil); err != nil {
+		alive := members[:0]
+		for _, m := range members {
+			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+			rs := RoundStart{Round: r, Sync: sync, Span: span, Epoch: m.epoch}
+			if err := c.m.link.writeMsg(m.conn, MsgRoundStart, rs, nil); err != nil {
 				countTimeout(c.m.timeouts, err)
-				if derr := c.dropEdge(e, r, err); derr != nil {
+				if derr := c.memberDead(ms, m, r, err); derr != nil {
 					return derr
 				}
 				continue
 			}
-			alive = append(alive, e)
+			alive = append(alive, m)
 		}
-		edges = alive
-		if err := c.checkQuorum(len(edges), r); err != nil {
+		members = alive
+		if err := c.checkQuorum(len(members), r); err != nil {
 			return err
 		}
 		var vecs [][]float64
@@ -353,28 +363,40 @@ func (c *Cloud) Run() error {
 				sagg = newShardAgg(c.cfg.Shards, len(c.global))
 			}
 		}
-		alive = edges[:0]
-		for _, e := range edges {
-			e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		alive = members[:0]
+		for _, m := range members {
+			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 			var done RoundDone
-			t, vec, err := c.m.link.readMsg(e.conn, &done)
-			if err != nil || t != MsgRoundDone {
+			t, vec, err := c.m.link.readMsg(m.conn, &done)
+			if err == nil && t != MsgRoundDone {
+				err = fmt.Errorf("unexpected message type %d", t)
+			}
+			if err == nil && len(vec) > 0 && len(vec) != len(c.global) {
+				err = fmt.Errorf("model of %d values, want %d", len(vec), len(c.global))
+			}
+			if err == nil && done.Epoch != m.epoch {
+				// A zombie frame from a fenced incarnation (or an edge that
+				// skipped its welcome): reject it and excise the sender.
+				c.m.staleFrames.Inc()
+				err = fmt.Errorf("stale frame epoch %d (incarnation %d)", done.Epoch, m.epoch)
+			}
+			if err != nil {
 				countTimeout(c.m.timeouts, err)
-				if err == nil {
-					err = fmt.Errorf("unexpected message type %d", t)
-				}
-				if derr := c.dropEdge(e, r, err); derr != nil {
+				if derr := c.memberDead(ms, m, r, err); derr != nil {
 					return derr
 				}
 				continue
 			}
 			if done.Round != r {
-				return fmt.Errorf("fednet: edge %d acked round %d during round %d", e.id, done.Round, r)
+				return fmt.Errorf("fednet: edge %d acked round %d during round %d", m.id, done.Round, r)
 			}
-			alive = append(alive, e)
+			alive = append(alive, m)
 			if sync {
 				c.mu.Lock()
-				c.edgeWeights[e.id] = done.Weight
+				c.edgeWeights[m.id] = done.Weight
+				for _, d := range done.Devices {
+					c.assignment[d] = m.id
+				}
 				c.mu.Unlock()
 			}
 			if sync && done.Weight > 0 && len(vec) > 0 {
@@ -382,7 +404,7 @@ func (c *Cloud) Run() error {
 					// Streaming: fold the payload into its shard's partial
 					// sum now and let it go — the cloud never holds more
 					// than Shards model vectors regardless of edge count.
-					if err := sagg.add(e.id, vec, done.Weight); err != nil {
+					if err := sagg.add(m.id, vec, done.Weight); err != nil {
 						return err
 					}
 				} else {
@@ -391,19 +413,21 @@ func (c *Cloud) Run() error {
 				}
 			}
 		}
-		edges = alive
-		if err := c.checkQuorum(len(edges), r); err != nil {
+		members = alive
+		if err := c.checkQuorum(len(members), r); err != nil {
 			return err
 		}
 		if sync {
 			syncStart := tr.Now()
 			fp := flight.BeginPhase("cloud_sync")
 			synced := c.applySync(r, vecs, weights, sagg)
-			for _, e := range edges {
-				e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-				if err := c.m.link.writeMsg(e.conn, MsgGlobalModel, struct{}{}, c.GlobalModel()); err != nil {
+			for _, m := range members {
+				m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.GlobalModel()); err != nil {
 					countTimeout(c.m.timeouts, err)
-					return fmt.Errorf("fednet: cloud broadcasting global model to edge %d: %w", e.id, err)
+					if derr := c.memberDead(ms, m, r, err); derr != nil {
+						return derr
+					}
 				}
 			}
 			c.m.syncs.Inc()
@@ -424,7 +448,7 @@ func (c *Cloud) Run() error {
 		if tr != nil {
 			tr.Complete("cloud_round", "fednet", tracePidCloud, 0,
 				traceStart, tr.Now().Sub(traceStart), span, "",
-				map[string]any{"round": r, "sync": sync})
+				map[string]any{"round": r, "sync": sync, "edges": len(members)})
 		}
 		if c.cfg.OnRound != nil {
 			c.cfg.OnRound(r)
@@ -433,43 +457,31 @@ func (c *Cloud) Run() error {
 	return nil
 }
 
-// applySync validates the gathered edge models against the current
-// global, combines the survivors with the configured aggregator (or
-// merges the streamed shard partials) and installs the new global
-// model. It returns the number of edge models that entered Eq. 7.
+// applySync runs the shared aggregate step over the gathered edge
+// models (or merges the streamed shard partials) and installs the new
+// global model. It returns the number of edge models that entered Eq. 7.
 func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64, sagg *shardAgg) int {
-	if c.validator != nil && len(vecs) > 0 {
-		kept, keptW, rc := c.validator.Filter(c.GlobalModel(), vecs, weights)
-		if rc.Total() > 0 {
-			c.m.rejNonFinite.Add(int64(rc.NonFinite))
-			c.m.rejNorm.Add(int64(rc.Norm))
-			c.cfg.Logf("cloud: round %d rejected %d edge models (%d nonfinite, %d norm)",
-				r, rc.Total(), rc.NonFinite, rc.Norm)
-		}
-		vecs, weights = kept, keptW
-	}
-	synced := len(vecs)
+	// Only this goroutine writes c.global, so it reads it unlocked; the
+	// lock orders the install against GlobalModel's readers.
+	next := make([]float64, len(c.global))
+	synced, install := 0, false
 	if sagg != nil {
 		synced = sagg.edges
-		next := make([]float64, len(c.global))
-		if sagg.mergeInto(next) {
-			c.mu.Lock()
-			c.global = next
-			c.mu.Unlock()
+		if install = sagg.mergeInto(next); install {
 			c.m.shardMerges.Inc()
 		}
-	} else if len(vecs) > 0 {
-		next := make([]float64, len(vecs[0]))
+	} else {
+		out := c.agg.Combine(next, c.global, vecs, weights, 1)
+		if out.Rejects.Total() > 0 {
+			c.cfg.Logf("cloud: round %d rejected %d edge models (%d nonfinite, %d norm)",
+				r, out.Rejects.Total(), out.Rejects.NonFinite, out.Rejects.Norm)
+		}
+		synced, install = out.Kept, out.Applied
+	}
+	if install {
 		c.mu.Lock()
-		aggStats := c.agg.AggregateInto(next, vecs, weights, c.global)
 		c.global = next
 		c.mu.Unlock()
-		if aggStats.TrimmedValues > 0 {
-			c.m.trimmedCoords.Add(int64(aggStats.TrimmedValues))
-		}
-		if aggStats.ClippedUpdates > 0 {
-			c.m.clippedUpdates.Add(int64(aggStats.ClippedUpdates))
-		}
 	}
 	c.lastSync = r
 	return synced
@@ -488,7 +500,7 @@ func (c *Cloud) checkpointSync(r int, sagg *shardAgg) {
 		EdgeWeights: c.edgeWeights,
 	}
 	c.mu.Unlock()
-	if c.ms != nil {
+	if c.cfg.Membership.Enabled {
 		st.Epoch = c.ms.currentEpoch()
 		st.Assignment = make(map[int]int, len(c.assignment))
 		for d, e := range c.assignment {
@@ -529,24 +541,17 @@ func (c *Cloud) checkpointFinal(round int) {
 	c.cfg.Logf("cloud: final checkpoint at round %d", round)
 }
 
-// dropEdge handles a failed edge connection. In strict mode (MinEdges
-// == 0) the failure is fatal, matching the pre-degradation behaviour;
-// otherwise the edge is closed, counted and the run continues (subject
-// to checkQuorum).
-func (c *Cloud) dropEdge(e *edgeConn, round int, err error) error {
-	if c.cfg.MinEdges <= 0 {
-		return fmt.Errorf("fednet: cloud lost edge %d in round %d: %w", e.id, round, err)
-	}
-	e.conn.Close()
-	c.m.edgeDrops.Inc()
-	c.cfg.Logf("cloud: dropped edge %d in round %d: %v", e.id, round, err)
-	return nil
-}
-
-// checkQuorum aborts the run once fewer than MinEdges edges survive.
+// checkQuorum aborts the run once too few edges survive: MinEdges of
+// them, or — membership exists to survive edge loss — a lone survivor
+// when the caller set no larger quorum in membership mode. A fixed set
+// with MinEdges 0 never gets here: its first loss is already fatal.
 func (c *Cloud) checkQuorum(aliveEdges, round int) error {
-	if c.cfg.MinEdges > 0 && aliveEdges < c.cfg.MinEdges {
-		return fmt.Errorf("fednet: only %d edges remain in round %d (min %d)", aliveEdges, round, c.cfg.MinEdges)
+	minEdges := c.cfg.MinEdges
+	if c.cfg.Membership.Enabled && minEdges < 1 {
+		minEdges = 1
+	}
+	if aliveEdges < minEdges {
+		return fmt.Errorf("fednet: only %d edges remain in round %d (min %d)", aliveEdges, round, minEdges)
 	}
 	return nil
 }

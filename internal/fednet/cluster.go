@@ -169,7 +169,7 @@ type Cluster struct {
 
 // StartCluster builds and starts the deployment. The mobility model's
 // device count must match the partition's. The call returns once all
-// components are connected and the first round is about to start; use
+// components are connected, which is what releases the first round; use
 // Wait to block until training completes.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Partition.NumDevices() != cfg.Mobility.NumDevices() {
@@ -292,6 +292,12 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.cloud = cloud
+	// Rounds wait for the initial attach at the end of this function: a
+	// short run must not burn its rounds (and its edges exit, closing
+	// their listeners) while devices are still dialing. The gate opens on
+	// every return; Stop passes it too.
+	cloud.gate = make(chan struct{})
+	defer close(cloud.gate)
 
 	for e := 0; e < numEdges; e++ {
 		edgeCkptDir := ""
@@ -317,7 +323,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.edges = append(c.edges, edge)
 		c.edgeCfgs = append(c.edgeCfgs, ecfg)
 	}
-	mode := AggModeForStrategy(cfg.Strategy.Name())
 	if cfg.Mux > 1 {
 		// Virtual-device multiplexing: one client process per Mux-sized
 		// group instead of one per device.
@@ -334,7 +339,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				Devices: group, Dataset: cfg.Partition.Dataset,
 				Factory: cfg.Factory, Optimizer: cfg.Optimizer.New(),
 				LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
-				Mode: mode, Seed: cfg.Seed, Timeout: cfg.Timeout,
+				Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
 				Faults: c.injector, Obs: cfg.Obs,
 			})
 			if err != nil {
@@ -354,7 +359,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				Factory:    cfg.Factory,
 				Optimizer:  cfg.Optimizer.New(),
 				LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
-				Mode: mode, Seed: cfg.Seed, Timeout: cfg.Timeout,
+				Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
 				Logf:   cfg.Logf,
 				Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
 			})

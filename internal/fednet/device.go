@@ -8,43 +8,13 @@ import (
 	"time"
 
 	"middle/internal/data"
+	"middle/internal/hfl"
 	"middle/internal/nn"
 	"middle/internal/obs"
 	"middle/internal/obs/flight"
 	"middle/internal/optim"
-	"middle/internal/simil"
 	"middle/internal/tensor"
 )
-
-// AggMode selects the on-device model-initialisation behaviour, the
-// device-side half of each strategy (the edge-side half is selection).
-type AggMode string
-
-// On-device aggregation modes.
-const (
-	// AggEdge adopts the downloaded edge model (General, OORT).
-	AggEdge AggMode = "edge"
-	// AggEq9 applies the paper's similarity-weighted blend (MIDDLE).
-	AggEq9 AggMode = "eq9"
-	// AggHalf averages edge and carried models 50/50 (FedMes, Ensemble).
-	AggHalf AggMode = "half"
-	// AggKeep keeps the carried model wholesale (Greedy).
-	AggKeep AggMode = "keep"
-)
-
-// AggModeForStrategy maps a strategy name to its device-side behaviour.
-func AggModeForStrategy(name string) AggMode {
-	switch name {
-	case "MIDDLE", "MIDDLE-Agg":
-		return AggEq9
-	case "FedMes", "Ensemble":
-		return AggHalf
-	case "Greedy":
-		return AggKeep
-	default:
-		return AggEdge
-	}
-}
 
 // DeviceConfig configures one device client.
 type DeviceConfig struct {
@@ -59,8 +29,12 @@ type DeviceConfig struct {
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
 	BatchSize  int
-	// Mode is the on-device aggregation behaviour.
-	Mode AggMode
+	// Strategy supplies the on-device start model (Algorithm 1 lines
+	// 4–7): the device calls its InitLocal on a device-local view of the
+	// downloaded edge model and the carried local model. It must be the
+	// strategy the edges select with. Nil starts every round from the
+	// downloaded edge model.
+	Strategy hfl.Strategy
 	// Seed derives the device's batch-sampling randomness.
 	Seed int64
 	// Timeout bounds network operations (default 30 s).
@@ -103,15 +77,13 @@ type EdgeAddr struct {
 // training requests until disconnected or shut down.
 type Device struct {
 	cfg DeviceConfig
-	net *nn.Network
+	lt  localTrainer
 	m   deviceMetrics
 
-	mu       sync.Mutex
-	conn     net.Conn
-	prevEdge int
-	local    []float64 // carried local model (nil until first training)
-	rounds   int       // training rounds served (diagnostics)
-	done     chan struct{}
+	mu      sync.Mutex
+	conn    net.Conn
+	carried // guarded by mu
+	done    chan struct{}
 	// gen is bumped by every deliberate attachment change (Connect,
 	// Disconnect, accepted reconnect). A serve loop whose generation is
 	// stale knows its connection was replaced on purpose and must not
@@ -121,14 +93,94 @@ type Device struct {
 	// edgeSync is the edge round counter from the last registration ack
 	// (resync diagnostics).
 	edgeSync int
-	// lastUtil / lastTrained / lastSync snapshot what a warm re-home
-	// registration carries: the device's most recent Oort utility, the
-	// round it last trained in, and the cloud-sync round it last observed
-	// (from the registration ack). A new edge honours lastTrained only
-	// when lastSync matches its own — same era rule as handover.
-	lastUtil    float64
-	lastTrained int
-	lastSync    int
+	// lastSync is the cloud-sync round the device last observed (from the
+	// registration ack). A warm re-home registration carries it next to
+	// the carried state: a new edge honours lastTrained only when lastSync
+	// matches its own — same era rule as handover.
+	lastSync int
+}
+
+// carried is the state a device takes with it from round to round and
+// from edge to edge.
+type carried struct {
+	local       []float64 // carried local model (nil until first training)
+	prevEdge    int       // edge it last trained under (−1 if none)
+	rounds      int       // training rounds served (diagnostics)
+	lastUtil    float64   // Oort utility of the most recent round
+	lastTrained int       // round it last trained in (−1 if none)
+}
+
+// deviceView is the hfl.View a device hands to Strategy.InitLocal. A
+// device knows two models — the edge model it just downloaded and the
+// local model it carried here — and nothing else about the system:
+// every other accessor returns its zero value.
+type deviceView struct{ edge, local []float64 }
+
+func (v deviceView) EdgeModel(int) []float64  { return v.edge }
+func (v deviceView) LocalModel(int) []float64 { return v.local }
+func (deviceView) Step() int                  { return 0 }
+func (deviceView) CloudModel() []float64      { return nil }
+func (deviceView) DataSize(int) int           { return 0 }
+func (deviceView) StatUtility(int) float64    { return 0 }
+func (deviceView) LastTrained(int) int        { return 0 }
+
+// localTrainer is the compute half of a training client — one network
+// and optimizer plus the round parameters — shared by Device and
+// DeviceMux, which differ only in whose lock guards the carried state
+// and in optimizer-moment export/import.
+type localTrainer struct {
+	hfl.Trainer
+	strategy   hfl.Strategy
+	dataset    *data.Dataset
+	localSteps int
+	batchSize  int
+	seed       int64
+	nonfinite  *obs.Counter
+}
+
+// round executes Algorithm 1 lines 4–8 for one device against its
+// carried state st (guarded by mu): honour ResetLocal, build the start
+// model with Strategy.InitLocal, run the local round and store the
+// result as the new carried model. The batch-sampling stream depends
+// only on (seed, round, id), so a virtual device trains bit-identically
+// to a dedicated one given the same start model. A non-nil error
+// rejects the request's state as corrupt — the caller must tear the
+// connection down and resync.
+func (lt *localTrainer) round(mu *sync.Mutex, st *carried, id int, indices []int,
+	req TrainRequest, edgeModel []float64, edgeID int, resume bool) ([]float64, float64, error) {
+	mu.Lock()
+	if req.ResetLocal {
+		st.local = nil
+	}
+	local := st.local // replaced wholesale, never written in place
+	mu.Unlock()
+	moved := req.Moved && local != nil
+	if moved && len(local) != len(edgeModel) {
+		// A moved device whose carried model cannot blend with the edge
+		// model is in an inconsistent state; silently training from the
+		// stale frame would feed a wrong-era model into Eq. 6.
+		return nil, 0, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
+			id, len(local), len(edgeModel))
+	}
+	start := edgeModel
+	if lt.strategy != nil {
+		start = lt.strategy.InitLocal(deviceView{edge: edgeModel, local: local}, id, edgeID, moved)
+	}
+	fp := flight.BeginPhase("local_train")
+	vec := make([]float64, len(start))
+	rng := tensor.Split(lt.seed, int64(req.Round)*100_003+int64(id)*13+5)
+	util, skipped := lt.LocalRound(lt.dataset, indices, lt.localSteps, lt.batchSize, rng, start, vec, resume)
+	fp.End()
+	lt.nonfinite.Add(int64(skipped))
+
+	mu.Lock()
+	st.local = vec
+	st.prevEdge = edgeID
+	st.rounds++
+	st.lastUtil = util
+	st.lastTrained = req.Round
+	mu.Unlock()
+	return vec, util, nil
 }
 
 // NewDevice builds a device client.
@@ -153,19 +205,21 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = defaultRetryBase
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = AggEdge
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	cfg.Trace.SetProcessName(tracePidDeviceBase+cfg.DeviceID, fmt.Sprintf("device%d", cfg.DeviceID))
+	m := newDeviceMetrics(cfg.Obs)
 	return &Device{
-		cfg:         cfg,
-		net:         cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.DeviceID))),
-		m:           newDeviceMetrics(cfg.Obs),
-		prevEdge:    -1,
-		lastTrained: -1,
+		cfg: cfg,
+		lt: localTrainer{
+			Trainer:  hfl.Trainer{Net: cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.DeviceID))), Opt: cfg.Optimizer},
+			strategy: cfg.Strategy, dataset: cfg.Dataset,
+			localSteps: cfg.LocalSteps, batchSize: cfg.BatchSize,
+			seed: cfg.Seed, nonfinite: m.nonfinite,
+		},
+		m:       m,
+		carried: carried{prevEdge: -1, lastTrained: -1},
 	}, nil
 }
 
@@ -409,13 +463,14 @@ func (d *Device) serve(conn net.Conn, edgeID int, addr string, done chan struct{
 	}
 }
 
-// train executes one local round: on-device initialisation per the
-// device's mode, then I SGD/Adam steps over the local shard. A non-nil
-// error rejects the request's state as corrupt — the caller must tear
-// the connection down and resync.
+// train serves one training request: import migrated optimizer moments
+// when the request resumes a handover, run the local round on the
+// carried state, and export the moments back when the edge asks. A
+// non-nil error rejects the request's state as corrupt — the caller must
+// tear the connection down and resync.
 func (d *Device) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
-	edgeModel := payload
-	resumed := false
+	edgeModel, resumed := payload, false
+	me, _ := d.cfg.Optimizer.(optim.MomentExporter)
 	if req.Resume {
 		// The payload carries migrated optimizer moments after the edge
 		// model; import them so local training continues the source
@@ -425,123 +480,27 @@ func (d *Device) train(req TrainRequest, payload []float64, edgeID int) ([]float
 			return nil, TrainReply{}, fmt.Errorf("fednet: device %d: malformed resume payload (%d values)", d.cfg.DeviceID, len(payload))
 		}
 		edgeModel = model
-		if me, ok := d.cfg.Optimizer.(optim.MomentExporter); ok {
+		if me != nil {
 			resumed = me.ImportMoments(moments, lens, steps)
 		}
 	}
-	d.mu.Lock()
-	if req.ResetLocal {
-		d.local = nil
+	vec, util, err := d.lt.round(&d.mu, &d.carried, d.cfg.DeviceID, d.cfg.Indices, req, edgeModel, edgeID, resumed)
+	if err != nil {
+		return nil, TrainReply{}, err
 	}
-	if req.Moved && d.local != nil && len(d.local) != len(edgeModel) {
-		// A moved device whose carried model cannot blend with the edge
-		// model is in an inconsistent state; silently training from the
-		// stale frame would feed a wrong-era model into Eq. 6.
-		d.mu.Unlock()
-		return nil, TrainReply{}, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
-			d.cfg.DeviceID, len(d.local), len(edgeModel))
-	}
-	start := append([]float64(nil), edgeModel...)
-	if req.Moved && d.local != nil {
-		switch d.cfg.Mode {
-		case AggEq9:
-			start, _ = simil.OnDeviceAggregate(edgeModel, d.local)
-		case AggHalf:
-			start = simil.Blend(edgeModel, d.local, 0.5)
-		case AggKeep:
-			start = append([]float64(nil), d.local...)
-		}
-	}
-	d.mu.Unlock()
-
-	vec, util := runLocalSGDResume(d.net, d.cfg.Optimizer, d.cfg.Dataset, d.cfg.Indices,
-		d.cfg.LocalSteps, d.cfg.BatchSize, d.cfg.Seed, d.cfg.DeviceID, req.Round,
-		start, d.m.nonfinite, resumed)
-
-	d.mu.Lock()
-	d.local = append([]float64(nil), vec...)
-	d.prevEdge = edgeID
-	d.rounds++
-	d.lastUtil = util
-	d.lastTrained = req.Round
-	d.mu.Unlock()
-
 	reply := TrainReply{
 		DeviceID: d.cfg.DeviceID,
 		Round:    req.Round,
 		DataSize: len(d.cfg.Indices),
 		Utility:  util,
 	}
-	if req.WantMoments {
-		if me, ok := d.cfg.Optimizer.(optim.MomentExporter); ok {
-			flat, lens, steps := me.ExportMoments()
-			if len(flat) > 0 {
-				vec = append(append(make([]float64, 0, len(vec)+len(flat)), vec...), flat...)
-				reply.MomentLens = lens
-				reply.OptSteps = steps
-			}
+	if req.WantMoments && me != nil {
+		flat, lens, steps := me.ExportMoments()
+		if len(flat) > 0 {
+			vec = append(append(make([]float64, 0, len(vec)+len(flat)), vec...), flat...)
+			reply.MomentLens = lens
+			reply.OptSteps = steps
 		}
 	}
 	return vec, reply, nil
-}
-
-// runLocalSGD executes I local SGD steps from start over the given
-// shard, returning the updated parameter vector and the device's Oort
-// statistical utility. Shared by dedicated devices and the device
-// multiplexer; the batch-sampling stream depends only on (seed, round,
-// deviceID), so a virtual device trains bit-identically to a dedicated
-// one given the same start model.
-func runLocalSGD(netw *nn.Network, opt optim.Optimizer, ds *data.Dataset, indices []int,
-	localSteps, batchSize int, seed int64, deviceID, round int,
-	start []float64, nonfinite *obs.Counter) ([]float64, float64) {
-	return runLocalSGDResume(netw, opt, ds, indices, localSteps, batchSize,
-		seed, deviceID, round, start, nonfinite, false)
-}
-
-// runLocalSGDResume is runLocalSGD with an explicit resume flag: when a
-// live migration just imported the optimizer's moment state, the usual
-// per-round Reset is skipped so the imported moments (and step counter)
-// keep steering the update — the "resumes mid-round" half of handover.
-func runLocalSGDResume(netw *nn.Network, opt optim.Optimizer, ds *data.Dataset, indices []int,
-	localSteps, batchSize int, seed int64, deviceID, round int,
-	start []float64, nonfinite *obs.Counter, resume bool) ([]float64, float64) {
-	fp := flight.BeginPhase("local_train")
-	defer fp.End()
-	netw.SetParamVector(start)
-	if !resume {
-		opt.Reset()
-	}
-	rng := tensor.Split(seed, int64(round)*100_003+int64(deviceID)*13+5)
-	batch := batchSize
-	if batch > len(indices) {
-		batch = len(indices)
-	}
-	idx := make([]int, batch)
-	sumSq, samples := 0.0, 0
-	for i := 0; i < localSteps; i++ {
-		for b := range idx {
-			idx[b] = indices[rng.Intn(len(indices))]
-		}
-		x, y := ds.Batch(idx)
-		netw.ZeroGrad()
-		logits := netw.Forward(x, true)
-		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, y)
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			// Diverged step: skip the update, keep the current parameters.
-			nonfinite.Inc()
-			continue
-		}
-		netw.Backward(g)
-		opt.Step(netw.Params())
-		for _, l := range perSample {
-			sumSq += l * l
-		}
-		samples += len(perSample)
-	}
-	vec := netw.ParamVector()
-	util := 0.0
-	if samples > 0 {
-		util = float64(len(indices)) * math.Sqrt(sumSq/float64(samples))
-	}
-	return vec, util
 }

@@ -145,12 +145,11 @@ type deviceState struct {
 // device connections, selects K of them each round, ships them the edge
 // model, aggregates their replies (Eq. 6) and reports to the cloud.
 type Edge struct {
-	cfg       EdgeConfig
-	ln        net.Listener
-	m         edgeMetrics
-	validator *robust.Validator
-	agg       robust.Aggregator
-	resumed   bool // state restored from a checkpoint by NewEdge
+	cfg     EdgeConfig
+	ln      net.Listener
+	m       edgeMetrics
+	agg     *robust.Point // the Eq. 6 aggregate step
+	resumed bool          // state restored from a checkpoint by NewEdge
 
 	mu      sync.Mutex
 	devices map[int]*deviceState
@@ -286,8 +285,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		cfg:             cfg,
 		ln:              ln,
 		m:               newEdgeMetrics(cfg.Obs),
-		validator:       robust.NewValidator(cfg.Validate),
-		agg:             robust.Aggregator{Kind: cfg.Aggregator, TrimFrac: cfg.TrimFrac},
+		agg:             robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
 		devices:         map[int]*deviceState{},
 		pendingHandover: map[int]*checkpoint.Handover{},
 		handoverGen:     map[int]int{},
@@ -961,7 +959,7 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	}
 
 	var st roundStats
-	var rc robust.RejectCounts
+	nonFinite := 0 // updates refused on receipt
 	var vecs [][]float64
 	var ws []float64
 	pending := make(map[int]bool, len(sel))
@@ -975,6 +973,9 @@ collect:
 		select {
 		case res := <-results:
 			delete(pending, res.id)
+			if res.err == nil && len(res.vec) != len(model) {
+				res.err = fmt.Errorf("model of %d values, want %d", len(res.vec), len(model))
+			}
 			if res.err != nil {
 				e.cfg.Logf("edge %d: device %d failed round %d: %v", e.cfg.EdgeID, res.id, round, res.err)
 				e.m.drops.Inc()
@@ -983,9 +984,9 @@ collect:
 			// Validation pass 1: a non-finite model is rejected on
 			// receipt — it is neither cached for selection (a NaN
 			// lastModel would poison the Eq. 12 scores) nor aggregated.
-			if e.validator != nil && !robust.IsFinite(res.vec) {
-				rc.NonFinite++
-				e.m.rejNonFinite.Inc()
+			if e.agg.Validating() && !robust.IsFinite(res.vec) {
+				nonFinite++
+				e.agg.NoteNonFinite()
 				e.cfg.Logf("edge %d: rejected non-finite update from device %d in round %d", e.cfg.EdgeID, res.id, round)
 				continue
 			}
@@ -1040,31 +1041,26 @@ collect:
 		}
 	}
 
-	// Validation pass 2: per-round adaptive norm bound over the
-	// surviving updates, measured against the pre-round edge model.
-	if e.validator != nil && len(vecs) > 0 {
-		kept, keptW, rc2 := e.validator.Filter(model, vecs, ws)
-		rc.Norm += rc2.Norm
-		e.m.rejNorm.Add(int64(rc2.Norm))
-		vecs, ws = kept, keptW
-		st.trained = len(vecs)
-	}
-	st.rejected = rc.Total()
+	// The shared aggregate step: validation pass 2 (the per-round adaptive
+	// norm bound over the surviving updates, measured against the
+	// pre-round edge model), the quorum check on what survives it, Eq. 6.
+	fp := flight.BeginPhase("edge_agg")
+	agg := make([]float64, len(model))
+	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
+	fp.End()
+	st.trained, st.weight = out.Kept, out.Weight
+	st.rejected = nonFinite + out.Rejects.Total()
 	if st.rejected > 0 {
 		e.cfg.Logf("edge %d: round %d rejected %d updates (%d nonfinite, %d norm)",
-			e.cfg.EdgeID, round, st.rejected, rc.NonFinite, rc.Norm)
+			e.cfg.EdgeID, round, st.rejected, nonFinite+out.Rejects.NonFinite, out.Rejects.Norm)
 		if tr != nil {
 			now := tr.Now()
 			tr.Complete("robust_reject", "fednet", tracePidEdgeBase+e.cfg.EdgeID, 0,
 				now, 0, span+".rej", span,
-				map[string]any{"round": round, "nonfinite": rc.NonFinite, "norm": rc.Norm})
+				map[string]any{"round": round, "nonfinite": nonFinite + out.Rejects.NonFinite, "norm": out.Rejects.Norm})
 		}
 	}
-	for _, w := range ws {
-		st.weight += w
-	}
-
-	if st.trained < e.cfg.Quorum {
+	if !out.Applied {
 		// Quorum not met: fall back to carrying the previous edge model
 		// forward — the responders' updates are discarded rather than
 		// letting a tiny, biased sample steer Eq. 6, and the edge
@@ -1081,21 +1077,9 @@ collect:
 		}
 		return st
 	}
-	if len(vecs) > 0 {
-		fp := flight.BeginPhase("edge_agg")
-		defer fp.End()
-		agg := make([]float64, len(vecs[0]))
-		aggStats := e.agg.AggregateInto(agg, vecs, ws, model)
-		if aggStats.TrimmedValues > 0 {
-			e.m.trimmedCoords.Add(int64(aggStats.TrimmedValues))
-		}
-		if aggStats.ClippedUpdates > 0 {
-			e.m.clippedUpdates.Add(int64(aggStats.ClippedUpdates))
-		}
-		e.mu.Lock()
-		e.edgeModel = agg
-		e.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.edgeModel = agg
+	e.mu.Unlock()
 	return st
 }
 

@@ -94,24 +94,95 @@ func TestProtocolSequentialMessages(t *testing.T) {
 	}
 }
 
-// --- aggregation mode mapping ----------------------------------------------
+// --- on-device start model ----------------------------------------------------
 
-func TestAggModeForStrategy(t *testing.T) {
-	cases := map[string]AggMode{
-		"MIDDLE":     AggEq9,
-		"MIDDLE-Agg": AggEq9,
-		"FedMes":     AggHalf,
-		"Ensemble":   AggHalf,
-		"Greedy":     AggKeep,
-		"OORT":       AggEdge,
-		"General":    AggEdge,
-		"MIDDLE-Sel": AggEdge,
-	}
-	for name, want := range cases {
-		if got := AggModeForStrategy(name); got != want {
-			t.Errorf("%s -> %s, want %s", name, got, want)
+// thirdStrategy is a strategy no registry knows: a moved device starts
+// from one third edge model, two thirds carried model.
+type thirdStrategy struct{ *core.General }
+
+func (thirdStrategy) Name() string { return "Third" }
+func (thirdStrategy) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
+	out := append([]float64(nil), v.EdgeModel(edge)...)
+	if moved {
+		for i, l := range v.LocalModel(device) {
+			out[i] = out[i]/3 + 2*l/3
 		}
 	}
+	return out
+}
+
+// TestDeviceStartsFromStrategyInitLocal pins the device half of every
+// strategy on the deployment path: a moved device — dedicated or
+// multiplexed — starts its round from exactly what Strategy.InitLocal
+// returns for (downloaded edge model, carried local model). A zero
+// learning rate makes the trained vector the start vector, bit for bit.
+func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
+	strategies := []hfl.Strategy{core.NewFixedAlpha(0.25), thirdStrategy{core.NewGeneral()}}
+	for _, name := range core.Names() {
+		s, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies = append(strategies, s)
+	}
+	prof := data.FastImageProfile(2)
+	train := data.GenerateImagesSplit(prof, 20, 5, 5)
+	factory := func(rng *tensor.RNG) *nn.Network {
+		return nn.NewNetwork(nn.NewFlatten(), nn.NewLinear(train.SampleSize(), train.Classes, rng))
+	}
+	first := factory(tensor.NewRNG(1)).ParamVector()
+	second := factory(tensor.NewRNG(2)).ParamVector()
+	const id = 3
+	for _, strat := range strategies {
+		dev, err := NewDevice(DeviceConfig{
+			DeviceID: id, Dataset: train, Indices: []int{0, 1, 2, 3}, Factory: factory,
+			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mx, err := NewDeviceMux(DeviceMuxConfig{
+			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}},
+			Dataset: train, Factory: factory,
+			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, serve := range map[string]func(TrainRequest, []float64, int) ([]float64, TrainReply, error){
+			"dedicated": dev.train, "mux": mx.train,
+		} {
+			// Nothing carried yet: even a "moved" device starts from the
+			// edge model, which the round then leaves as its carried model.
+			got, _, err := serve(TrainRequest{Round: 1, DeviceID: id, Moved: true}, first, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, first) {
+				t.Errorf("%s/%s: first round did not start from the edge model", strat.Name(), kind)
+			}
+			got, _, err = serve(TrainRequest{Round: 2, DeviceID: id, Moved: true}, second, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strat.InitLocal(deviceView{edge: second, local: first}, id, 1, true)
+			if !sameBits(got, want) {
+				t.Errorf("%s/%s: moved device did not start from Strategy.InitLocal", strat.Name(), kind)
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // --- end-to-end cluster ------------------------------------------------------
@@ -228,6 +299,80 @@ func TestClusterStaticMobility(t *testing.T) {
 	}
 	if c.MoveErrors() != 0 {
 		t.Fatal("static mobility produced move errors")
+	}
+}
+
+// TestClusterHoldsFirstRoundForAttach pins the start-up gate: no round
+// starts before every device is attached, so a short static run trains
+// exactly K devices per edge in every one of its rounds.
+func TestClusterHoldsFirstRoundForAttach(t *testing.T) {
+	const rounds, k, edges = 3, 2, 2
+	c := clusterFixture(t, core.NewGeneral(), rounds, mobility.NewStatic(edges, 6))
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, r := range c.DeviceRounds() {
+		total += r
+	}
+	if total != rounds*k*edges {
+		t.Fatalf("devices trained %d rounds in total (%v), want %d", total, c.DeviceRounds(), rounds*k*edges)
+	}
+}
+
+// TestFixedSetIsStaticMembership pins the fixed edge set on the merged
+// cloud loop: its frames carry no membership keys, the handshake is the
+// bare global model, and with MinEdges 0 losing an edge still ends the
+// run with the lost-edge error.
+func TestFixedSetIsStaticMembership(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, MsgRoundStart, RoundStart{Round: 3, Sync: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMsg(&buf, MsgRoundDone, RoundDone{EdgeID: 1, Round: 3, Weight: 2, Trained: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"epoch"`, `"devices"`} {
+		if bytes.Contains(buf.Bytes(), []byte(key)) {
+			t.Errorf("fixed-set frame carries a %s key", key)
+		}
+	}
+
+	cloud, err := NewCloud(CloudConfig{
+		Addr: "127.0.0.1:0", Edges: 1, Rounds: 5, CloudInterval: 1,
+		InitModel: []float64{1, 2, 3}, Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- cloud.Run() }()
+	conn, err := net.Dial("tcp", cloud.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteMsg(conn, MsgRegisterEdge, RegisterEdge{EdgeID: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, vec, err := ReadMsg(conn, nil); err != nil || typ != MsgGlobalModel || len(vec) != 3 {
+		t.Fatalf("handshake: type %d, %d values, %v; want the bare global model", typ, len(vec), err)
+	}
+	var rs RoundStart
+	if typ, _, err := ReadMsg(conn, &rs); err != nil || typ != MsgRoundStart || rs.Round != 1 || rs.Epoch != 0 {
+		t.Fatalf("first round start: type %d, %+v, %v", typ, rs, err)
+	}
+	conn.Close()
+	select {
+	case err := <-runErr:
+		if err == nil || !strings.Contains(err.Error(), "lost edge 0") {
+			t.Fatalf("strict cloud survived losing its edge: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cloud did not return after losing its only edge")
+	}
+	if cloud.Epoch() != 0 {
+		t.Fatalf("fixed set moved the epoch to %d", cloud.Epoch())
 	}
 }
 

@@ -6,14 +6,13 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"middle/internal/obs/flight"
 )
 
 // MembershipConfig tunes the cloud's self-healing membership layer.
-// With Enabled false (the default) none of it exists and the cloud's
-// behaviour — and every frame it sends — is identical to the
-// pre-membership protocol.
+// With Enabled false (the default) the edge set is static — admitted
+// once at epoch 0, never welcomed, never watched by the detector — and
+// every frame the cloud sends is identical to the pre-membership
+// protocol.
 type MembershipConfig struct {
 	// Enabled turns the layer on: the cloud keeps accepting edges for
 	// the whole run, welcomes each with MsgEdgeWelcome (epoch + lease
@@ -60,7 +59,7 @@ func (mc MembershipConfig) withDefaults() MembershipConfig {
 // frame carrying its epoch is recognisably stale.
 type member struct {
 	id    int
-	epoch int // incarnation epoch assigned at welcome
+	epoch int // incarnation epoch assigned at welcome (0 in a fixed set)
 	conn  net.Conn
 
 	// Detector state, guarded by membership.mu.
@@ -145,14 +144,9 @@ func (ms *membership) recordLease(id, epoch int) bool {
 	return true
 }
 
-// Epoch reports the current membership epoch (0 when the membership
-// layer is disabled or the run has not started).
-func (c *Cloud) Epoch() int {
-	if c.ms == nil {
-		return c.startEpoch
-	}
-	return c.ms.currentEpoch()
-}
+// Epoch reports the current membership epoch: the checkpointed one (0 on
+// a fresh start) until the membership layer bumps it.
+func (c *Cloud) Epoch() int { return c.ms.currentEpoch() }
 
 // Assignment returns a copy of the device→edge assignment the cloud
 // has learned from sync-round reports (membership mode only; empty
@@ -167,200 +161,11 @@ func (c *Cloud) Assignment() map[int]int {
 	return out
 }
 
-// runMembership is Run with the self-healing membership layer: a
-// persistent accept loop admits edges for the whole run, heartbeat
-// leases feed a miss-count failure detector, dead edges are excised at
-// a bumped epoch (their devices re-homed by OnEdgeDown) and restarted
-// edges rejoin at the next round boundary with a catch-up sync.
-func (c *Cloud) runMembership() error {
-	defer c.ln.Close()
-	ms := newMembership(c.startEpoch)
-	c.ms = ms
-	defer ms.closeAll()
-	go c.acceptMembership(ms)
-
-	// Admit the configured initial quorum before training starts,
-	// mirroring the legacy fixed-set handshake.
-	pending := make([]*edgeConn, 0, c.cfg.Edges)
-	for len(pending) < c.cfg.Edges {
-		select {
-		case e := <-ms.joinCh:
-			pending = append(pending, e)
-		case <-c.stop:
-			return nil
-		}
-	}
-	for _, e := range pending {
-		if err := c.welcome(ms, e, c.startRound, false); err != nil {
-			return fmt.Errorf("fednet: cloud welcoming edge %d: %w", e.id, err)
-		}
-	}
-
-	detStop := make(chan struct{})
-	defer close(detStop)
-	go c.runDetector(ms, detStop)
-
-	defer func() {
-		for _, m := range ms.alive() {
-			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			_ = c.m.link.writeMsg(m.conn, MsgShutdown, struct{}{}, nil)
-			m.conn.Close()
-		}
-	}()
-
-	minEdges := c.cfg.MinEdges
-	if minEdges < 1 {
-		// Membership exists to survive edge loss; a lone survivor keeps
-		// the run alive unless the caller asked for a larger quorum.
-		minEdges = 1
-	}
-
-	syncCount := 0
-	var prevRound time.Time
-	for r := c.startRound + 1; r <= c.cfg.Rounds; r++ {
-		c.paceRound(&prevRound)
-		if c.stopping() {
-			c.cfg.Logf("cloud: graceful stop after round %d", r-1)
-			c.checkpointFinal(r - 1)
-			return nil
-		}
-		// Admit any edges that (re)joined since the last boundary.
-		for admitted := false; !admitted; {
-			select {
-			case e := <-ms.joinCh:
-				if err := c.welcome(ms, e, r-1, true); err != nil {
-					c.cfg.Logf("cloud: failed to welcome rejoining edge %d: %v", e.id, err)
-				}
-			default:
-				admitted = true
-			}
-		}
-		members := ms.alive()
-		if len(members) < minEdges {
-			return fmt.Errorf("fednet: only %d edges remain in round %d (min %d)", len(members), r, minEdges)
-		}
-
-		roundTok := c.m.roundSpan.Begin()
-		tr := c.cfg.Trace
-		traceStart := tr.Now()
-		span := ""
-		if tr != nil {
-			span = cloudRoundSpan(r)
-		}
-		sync := r%c.cfg.CloudInterval == 0
-		alive := members[:0]
-		for _, m := range members {
-			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			rs := RoundStart{Round: r, Sync: sync, Span: span, Epoch: m.epoch}
-			if err := c.m.link.writeMsg(m.conn, MsgRoundStart, rs, nil); err != nil {
-				countTimeout(c.m.timeouts, err)
-				c.memberDead(ms, m, r, err)
-				continue
-			}
-			alive = append(alive, m)
-		}
-		members = alive
-		var vecs [][]float64
-		var weights []float64
-		var sagg *shardAgg
-		if sync {
-			c.mu.Lock()
-			c.edgeWeights = map[int]float64{}
-			c.mu.Unlock()
-			if c.cfg.Shards > 1 {
-				sagg = newShardAgg(c.cfg.Shards, len(c.global))
-			}
-		}
-		alive = members[:0]
-		for _, m := range members {
-			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			var done RoundDone
-			t, vec, err := c.m.link.readMsg(m.conn, &done)
-			if err != nil || t != MsgRoundDone {
-				countTimeout(c.m.timeouts, err)
-				if err == nil {
-					err = fmt.Errorf("unexpected message type %d", t)
-				}
-				c.memberDead(ms, m, r, err)
-				continue
-			}
-			if done.Epoch != m.epoch {
-				// A zombie frame from a fenced incarnation (or an edge that
-				// skipped its welcome): reject it and excise the sender.
-				c.m.staleFrames.Inc()
-				c.memberDead(ms, m, r, fmt.Errorf("stale frame epoch %d (incarnation %d)", done.Epoch, m.epoch))
-				continue
-			}
-			if done.Round != r {
-				return fmt.Errorf("fednet: edge %d acked round %d during round %d", m.id, done.Round, r)
-			}
-			alive = append(alive, m)
-			if sync {
-				c.mu.Lock()
-				c.edgeWeights[m.id] = done.Weight
-				for _, d := range done.Devices {
-					c.assignment[d] = m.id
-				}
-				c.mu.Unlock()
-			}
-			if sync && done.Weight > 0 && len(vec) > 0 {
-				if sagg != nil {
-					if err := sagg.add(m.id, vec, done.Weight); err != nil {
-						return err
-					}
-				} else {
-					vecs = append(vecs, vec)
-					weights = append(weights, done.Weight)
-				}
-			}
-		}
-		members = alive
-		if len(members) < minEdges {
-			return fmt.Errorf("fednet: only %d edges remain in round %d (min %d)", len(members), r, minEdges)
-		}
-		if sync {
-			syncStart := tr.Now()
-			fp := flight.BeginPhase("cloud_sync")
-			synced := c.applySync(r, vecs, weights, sagg)
-			for _, m := range members {
-				m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.GlobalModel()); err != nil {
-					countTimeout(c.m.timeouts, err)
-					c.memberDead(ms, m, r, err)
-				}
-			}
-			c.m.syncs.Inc()
-			syncCount++
-			if c.cfg.CheckpointDir != "" && syncCount%c.cfg.CheckpointEvery == 0 {
-				c.checkpointSync(r, sagg)
-			}
-			fp.End()
-			if tr != nil {
-				tr.Complete("cloud_sync", "fednet", tracePidCloud, 0,
-					syncStart, tr.Now().Sub(syncStart), span+".sync", span,
-					map[string]any{"round": r, "edges": synced})
-			}
-			c.cfg.Logf("cloud: round %d synced %d edge models", r, synced)
-		}
-		c.m.rounds.Inc()
-		roundTok.End()
-		if tr != nil {
-			tr.Complete("cloud_round", "fednet", tracePidCloud, 0,
-				traceStart, tr.Now().Sub(traceStart), span, "",
-				map[string]any{"round": r, "sync": sync, "edges": len(members)})
-		}
-		if c.cfg.OnRound != nil {
-			c.cfg.OnRound(r)
-		}
-	}
-	return nil
-}
-
-// acceptMembership accepts connections for the whole run, dispatching
-// each on its first frame: MsgRegisterEdge queues a join for the next
-// round boundary, MsgLease turns the connection into a heartbeat
-// stream. It exits when the listener closes.
-func (c *Cloud) acceptMembership(ms *membership) {
+// acceptLoop accepts connections for the whole run, dispatching each on
+// its first frame: MsgRegisterEdge queues a join for the next round
+// boundary, MsgLease turns the connection into a heartbeat stream. It
+// exits when the listener closes.
+func (c *Cloud) acceptLoop(ms *membership) {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
@@ -420,74 +225,107 @@ func (c *Cloud) leaseStream(ms *membership, conn net.Conn, id, epoch int) {
 	}
 }
 
-// welcome admits one edge incarnation: bumps the epoch, installs the
-// member and sends MsgEdgeWelcome carrying the current global model (a
-// rejoining edge adopts it as its catch-up sync).
-func (c *Cloud) welcome(ms *membership, e *edgeConn, lastRound int, rejoin bool) error {
+// admit installs one registered edge as a member and sends it the
+// current global model — one of the two places the modes differ. A fixed
+// set admits only before the first round, at epoch 0 and with a bare
+// MsgGlobalModel: the pre-membership handshake, byte for byte. The
+// self-healing membership gives every incarnation a fresh epoch and
+// welcomes it with MsgEdgeWelcome, which a rejoining edge adopts as its
+// catch-up sync. Either way a newcomer supersedes a live member with its
+// id (a restart that beat the failure to be noticed): the old one is
+// fenced so its frames are rejected.
+func (c *Cloud) admit(ms *membership, e *edgeConn, lastRound int, rejoin bool) error {
+	dynamic := c.cfg.Membership.Enabled
+	if rejoin && !dynamic {
+		e.conn.Close()
+		return fmt.Errorf("the edge set is fixed")
+	}
+	m := &member{id: e.id, conn: e.conn}
 	ms.mu.Lock()
 	if old := ms.members[e.id]; old != nil && !old.dead {
-		// A new incarnation supersedes a live member (restart beat the
-		// detector): fence the old one so its frames are rejected.
 		old.dead = true
 		old.conn.Close()
-		ms.epoch++
+		if dynamic {
+			ms.epoch++
+		}
 		c.cfg.Logf("cloud: edge %d superseded by new incarnation; fencing epoch %d", e.id, old.epoch)
 	}
-	ms.epoch++
-	m := &member{id: e.id, epoch: ms.epoch, conn: e.conn}
-	ms.members[e.id] = m
-	epoch := ms.epoch
-	ms.mu.Unlock()
-	c.m.epochGauge.Set(float64(epoch))
-
-	w := EdgeWelcome{
-		Epoch:       epoch,
-		Round:       lastRound,
-		LastSync:    c.lastSync,
-		LeaseMillis: int(c.cfg.Membership.LeaseInterval / time.Millisecond),
-		Rejoin:      rejoin,
+	if dynamic {
+		ms.epoch++
+		m.epoch = ms.epoch
 	}
+	ms.members[e.id] = m
+	ms.mu.Unlock()
+
 	e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	if err := c.m.link.writeMsg(e.conn, MsgEdgeWelcome, w, c.GlobalModel()); err != nil {
+	var err error
+	if dynamic {
+		c.m.epochGauge.Set(float64(m.epoch))
+		err = c.m.link.writeMsg(e.conn, MsgEdgeWelcome, EdgeWelcome{
+			Epoch:       m.epoch,
+			Round:       lastRound,
+			LastSync:    c.lastSync,
+			LeaseMillis: int(c.cfg.Membership.LeaseInterval / time.Millisecond),
+			Rejoin:      rejoin,
+		}, c.GlobalModel())
+	} else {
+		err = c.m.link.writeMsg(e.conn, MsgGlobalModel, struct{}{}, c.GlobalModel())
+	}
+	if err != nil {
 		ms.mu.Lock()
 		m.dead = true
 		ms.mu.Unlock()
 		e.conn.Close()
 		return err
 	}
-	if rejoin {
-		c.m.rejoins.Inc()
-		c.cfg.Logf("cloud: edge %d rejoined at epoch %d (catch-up at round %d)", e.id, epoch, lastRound)
-		if tr := c.cfg.Trace; tr != nil {
-			now := tr.Now()
-			tr.Complete("edge_rejoin", "fednet", tracePidCloud, e.id,
-				now, 0, fmt.Sprintf("c.rejoin.e%d.ep%d", e.id, epoch), "",
-				map[string]any{"edge": e.id, "epoch": epoch})
-		}
-		if c.cfg.OnEdgeUp != nil {
-			go c.cfg.OnEdgeUp(e.id)
-		}
-	} else {
-		c.cfg.Logf("cloud: edge %d joined at epoch %d", e.id, epoch)
+	if !rejoin {
+		c.cfg.Logf("cloud: edge %d joined at epoch %d (%d/%d)", e.id, m.epoch, len(ms.alive()), c.cfg.Edges)
+		return nil
+	}
+	c.m.rejoins.Inc()
+	c.cfg.Logf("cloud: edge %d rejoined at epoch %d (catch-up at round %d)", e.id, m.epoch, lastRound)
+	if tr := c.cfg.Trace; tr != nil {
+		now := tr.Now()
+		tr.Complete("edge_rejoin", "fednet", tracePidCloud, e.id,
+			now, 0, fmt.Sprintf("c.rejoin.e%d.ep%d", e.id, m.epoch), "",
+			map[string]any{"edge": e.id, "epoch": m.epoch})
+	}
+	if c.cfg.OnEdgeUp != nil {
+		go c.cfg.OnEdgeUp(e.id)
 	}
 	return nil
 }
 
-// memberDead excises one member: exactly once per incarnation it closes
-// the round connection, bumps the epoch, records the failover and fires
-// OnEdgeDown so the deployment re-homes the dead edge's devices.
-func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
+// memberDead excises one member whose round connection failed, whose
+// frame was fenced or whom the detector aged out — the other place the
+// modes differ. A fixed set follows the strict/MinEdges rule: with
+// MinEdges 0 the loss is fatal (the returned error ends the run),
+// otherwise the edge is closed and counted and the run continues subject
+// to checkQuorum. The self-healing membership, exactly once per
+// incarnation, additionally bumps the epoch, records the failover and
+// fires OnEdgeDown so the deployment re-homes the dead edge's devices.
+func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) error {
+	dynamic := c.cfg.Membership.Enabled
+	if !dynamic && c.cfg.MinEdges <= 0 {
+		return fmt.Errorf("fednet: cloud lost edge %d in round %d: %w", m.id, round, cause)
+	}
 	ms.mu.Lock()
 	if m.dead {
 		ms.mu.Unlock()
-		return
+		return nil
 	}
 	m.dead = true
-	ms.epoch++
+	if dynamic {
+		ms.epoch++
+	}
 	epoch := ms.epoch
 	ms.mu.Unlock()
 	m.conn.Close()
 	c.m.edgeDrops.Inc()
+	if !dynamic {
+		c.cfg.Logf("cloud: dropped edge %d in round %d: %v", m.id, round, cause)
+		return nil
+	}
 	c.m.failovers.Inc()
 	c.m.epochGauge.Set(float64(epoch))
 	c.cfg.Logf("cloud: edge %d declared dead in round %d (%v); epoch now %d", m.id, round, cause, epoch)
@@ -500,6 +338,7 @@ func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 	if c.cfg.OnEdgeDown != nil {
 		go c.cfg.OnEdgeDown(m.id)
 	}
+	return nil
 }
 
 // runDetector ages members out on missed leases: every tick without a
@@ -558,7 +397,9 @@ func (c *Cloud) detectOnce(ms *membership) {
 	ms.mu.Unlock()
 	for _, v := range verdicts {
 		if v.dead {
-			c.memberDead(ms, v.m, 0, fmt.Errorf("missed %d lease intervals", v.misses))
+			// The detector runs in membership mode only, where a loss is
+			// never fatal.
+			_ = c.memberDead(ms, v.m, 0, fmt.Errorf("missed %d lease intervals", v.misses))
 		} else if v.suspect {
 			c.cfg.Logf("cloud: edge %d suspected (%d missed lease intervals)", v.m.id, v.misses)
 		}

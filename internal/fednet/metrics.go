@@ -63,18 +63,14 @@ func (lm linkMetrics) readMsg(r io.Reader, headerOut any) (MsgType, []float64, e
 
 // cloudMetrics instruments the cloud coordinator.
 type cloudMetrics struct {
-	link           linkMetrics
-	rounds         *obs.Counter
-	syncs          *obs.Counter
-	timeouts       *obs.Counter
-	edgeDrops      *obs.Counter
-	checkpoints    *obs.Counter
-	shardMerges    *obs.Counter
-	rejNonFinite   *obs.Counter
-	rejNorm        *obs.Counter
-	trimmedCoords  *obs.Counter
-	clippedUpdates *obs.Counter
-	roundSpan      *obs.Span
+	link        linkMetrics
+	rounds      *obs.Counter
+	syncs       *obs.Counter
+	timeouts    *obs.Counter
+	edgeDrops   *obs.Counter
+	checkpoints *obs.Counter
+	shardMerges *obs.Counter
+	roundSpan   *obs.Span
 	// Membership / failure-detector accounting: edges declared dead by
 	// the lease detector (or an RPC failure), rejoins admitted at a
 	// bumped epoch, the current membership epoch, missed lease intervals
@@ -88,42 +84,34 @@ type cloudMetrics struct {
 
 func newCloudMetrics(r *obs.Registry) cloudMetrics {
 	return cloudMetrics{
-		link:           newLinkMetrics(r, linkEdgeCloud),
-		rounds:         r.Counter("fednet_rounds_total"),
-		syncs:          r.Counter("fednet_cloud_syncs_total"),
-		timeouts:       r.Counter("fednet_timeouts_total"),
-		edgeDrops:      r.Counter("fednet_edge_drops_total"),
-		checkpoints:    r.Counter("fednet_checkpoints_total"),
-		shardMerges:    r.Counter("fednet_shard_merges_total"),
-		rejNonFinite:   r.Counter("robust_rejected_updates_total", "reason", "nonfinite"),
-		rejNorm:        r.Counter("robust_rejected_updates_total", "reason", "norm"),
-		trimmedCoords:  r.Counter("robust_trimmed_coords_total"),
-		clippedUpdates: r.Counter("robust_clipped_updates_total"),
-		roundSpan:      r.Span("fednet_rpc_seconds", "op", "cloud_round"),
-		failovers:      r.Counter("fednet_edge_failovers_total"),
-		rejoins:        r.Counter("fednet_edge_rejoins_total"),
-		epochGauge:     r.Gauge("fednet_membership_epoch"),
-		leaseMisses:    r.Counter("fednet_lease_misses_total"),
-		staleFrames:    r.Counter("fednet_stale_frames_total"),
+		link:        newLinkMetrics(r, linkEdgeCloud),
+		rounds:      r.Counter("fednet_rounds_total"),
+		syncs:       r.Counter("fednet_cloud_syncs_total"),
+		timeouts:    r.Counter("fednet_timeouts_total"),
+		edgeDrops:   r.Counter("fednet_edge_drops_total"),
+		checkpoints: r.Counter("fednet_checkpoints_total"),
+		shardMerges: r.Counter("fednet_shard_merges_total"),
+		roundSpan:   r.Span("fednet_rpc_seconds", "op", "cloud_round"),
+		failovers:   r.Counter("fednet_edge_failovers_total"),
+		rejoins:     r.Counter("fednet_edge_rejoins_total"),
+		epochGauge:  r.Gauge("fednet_membership_epoch"),
+		leaseMisses: r.Counter("fednet_lease_misses_total"),
+		staleFrames: r.Counter("fednet_stale_frames_total"),
 	}
 }
 
 // edgeMetrics instruments one edge server (cloud-facing and
 // device-facing traffic separately).
 type edgeMetrics struct {
-	cloudLink      linkMetrics
-	deviceLink     linkMetrics
-	drops          *obs.Counter
-	reconnects     *obs.Counter
-	timeouts       *obs.Counter
-	retries        *obs.Counter
-	quorumMisses   *obs.Counter
-	stragglers     *obs.Counter
-	rejNonFinite   *obs.Counter
-	rejNorm        *obs.Counter
-	trimmedCoords  *obs.Counter
-	clippedUpdates *obs.Counter
-	checkpoints    *obs.Counter
+	cloudLink    linkMetrics
+	deviceLink   linkMetrics
+	drops        *obs.Counter
+	reconnects   *obs.Counter
+	timeouts     *obs.Counter
+	retries      *obs.Counter
+	quorumMisses *obs.Counter
+	stragglers   *obs.Counter
+	checkpoints  *obs.Counter
 	// virtualDevices gauges how many devices are attached through
 	// multiplexed connections (fednet_virtual_devices) — the density
 	// signal of the device-multiplexing scale-out.
@@ -155,10 +143,6 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 		retries:        r.Counter("fednet_retries_total"),
 		quorumMisses:   r.Counter("fednet_quorum_misses_total"),
 		stragglers:     r.Counter("fednet_excluded_stragglers_total"),
-		rejNonFinite:   r.Counter("robust_rejected_updates_total", "reason", "nonfinite"),
-		rejNorm:        r.Counter("robust_rejected_updates_total", "reason", "norm"),
-		trimmedCoords:  r.Counter("robust_trimmed_coords_total"),
-		clippedUpdates: r.Counter("robust_clipped_updates_total"),
 		checkpoints:    r.Counter("fednet_checkpoints_total"),
 		virtualDevices: r.Gauge("fednet_virtual_devices"),
 		roundSpan:      r.Span("fednet_rpc_seconds", "op", "edge_round"),

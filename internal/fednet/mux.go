@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"middle/internal/data"
+	"middle/internal/hfl"
 	"middle/internal/nn"
 	"middle/internal/obs"
 	"middle/internal/optim"
-	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
@@ -295,8 +295,9 @@ type DeviceMuxConfig struct {
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
 	BatchSize  int
-	// Mode is the on-device aggregation behaviour (shared).
-	Mode AggMode
+	// Strategy supplies the on-device start model, as in DeviceConfig
+	// (shared).
+	Strategy hfl.Strategy
 	// Seed derives each virtual device's batch-sampling randomness; the
 	// stream depends only on (Seed, round, deviceID), so virtual and
 	// dedicated devices sample identical batches.
@@ -315,7 +316,7 @@ type DeviceMuxConfig struct {
 // per connection and serialised across connections by trainMu.
 type DeviceMux struct {
 	cfg DeviceMuxConfig
-	net *nn.Network
+	lt  localTrainer
 	m   deviceMetrics
 
 	trainMu sync.Mutex // one shared model instance: training serialises
@@ -328,11 +329,9 @@ type DeviceMux struct {
 
 // virtualDevice is one device's private state inside a DeviceMux.
 type virtualDevice struct {
-	indices  []int
-	edge     int // currently attached edge (−1 when detached)
-	prevEdge int // edge it last trained under (−1 if none)
-	local    []float64
-	rounds   int
+	indices []int
+	edge    int // currently attached edge (−1 when detached)
+	carried
 }
 
 // muxClientConn is the client end of one edge attachment.
@@ -359,13 +358,16 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = AggEdge
-	}
+	m := newDeviceMetrics(cfg.Obs)
 	mx := &DeviceMux{
-		cfg:   cfg,
-		net:   cfg.Factory(tensor.Split(cfg.Seed, 999)),
-		m:     newDeviceMetrics(cfg.Obs),
+		cfg: cfg,
+		lt: localTrainer{
+			Trainer:  hfl.Trainer{Net: cfg.Factory(tensor.Split(cfg.Seed, 999)), Opt: cfg.Optimizer},
+			strategy: cfg.Strategy, dataset: cfg.Dataset,
+			localSteps: cfg.LocalSteps, batchSize: cfg.BatchSize,
+			seed: cfg.Seed, nonfinite: m.nonfinite,
+		},
+		m:     m,
 		virts: map[int]*virtualDevice{},
 		conns: map[int]*muxClientConn{},
 	}
@@ -373,7 +375,7 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 		if len(d.Indices) == 0 {
 			return nil, fmt.Errorf("fednet: virtual device %d has no data", d.DeviceID)
 		}
-		mx.virts[d.DeviceID] = &virtualDevice{indices: d.Indices, edge: -1, prevEdge: -1}
+		mx.virts[d.DeviceID] = &virtualDevice{indices: d.Indices, edge: -1, carried: carried{prevEdge: -1, lastTrained: -1}}
 	}
 	return mx, nil
 }
@@ -532,55 +534,28 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	}
 }
 
-// train executes one virtual device's local round, mirroring
-// Device.train but against shared compute state. A non-nil error
-// rejects the request's state as corrupt (teardown + resync).
+// train serves one virtual device's training request on the shared
+// compute state. A non-nil error rejects the request's state as corrupt
+// (teardown + resync).
 func (mx *DeviceMux) train(req TrainRequest, edgeModel []float64, edgeID int) ([]float64, TrainReply, error) {
 	mx.mu.Lock()
 	v := mx.virts[req.DeviceID]
+	mx.mu.Unlock()
 	if v == nil {
-		mx.mu.Unlock()
 		// Unknown virtual device (a move raced the request): an empty
 		// reply lets the edge's retry loop resolve it without stalling.
 		return nil, TrainReply{DeviceID: req.DeviceID, Round: req.Round}, nil
 	}
-	if req.ResetLocal {
-		v.local = nil
-	}
-	if req.Moved && v.local != nil && len(v.local) != len(edgeModel) {
-		mx.mu.Unlock()
-		return nil, TrainReply{}, fmt.Errorf("fednet: virtual device %d: moved-blend length mismatch (local %d, edge %d)",
-			req.DeviceID, len(v.local), len(edgeModel))
-	}
-	start := append([]float64(nil), edgeModel...)
-	if req.Moved && v.local != nil {
-		switch mx.cfg.Mode {
-		case AggEq9:
-			start, _ = simil.OnDeviceAggregate(edgeModel, v.local)
-		case AggHalf:
-			start = simil.Blend(edgeModel, v.local, 0.5)
-		case AggKeep:
-			start = append([]float64(nil), v.local...)
-		}
-	}
-	indices := v.indices
-	mx.mu.Unlock()
-
 	mx.trainMu.Lock()
-	vec, util := runLocalSGD(mx.net, mx.cfg.Optimizer, mx.cfg.Dataset, indices,
-		mx.cfg.LocalSteps, mx.cfg.BatchSize, mx.cfg.Seed, req.DeviceID, req.Round,
-		start, mx.m.nonfinite)
+	vec, util, err := mx.lt.round(&mx.mu, &v.carried, req.DeviceID, v.indices, req, edgeModel, edgeID, false)
 	mx.trainMu.Unlock()
-
-	mx.mu.Lock()
-	v.local = append([]float64(nil), vec...)
-	v.prevEdge = edgeID
-	v.rounds++
-	mx.mu.Unlock()
+	if err != nil {
+		return nil, TrainReply{}, err
+	}
 	return vec, TrainReply{
 		DeviceID: req.DeviceID,
 		Round:    req.Round,
-		DataSize: len(indices),
+		DataSize: len(v.indices),
 		Utility:  util,
 	}, nil
 }

@@ -276,8 +276,8 @@ type EdgeWelcome struct {
 	Rejoin bool `json:"rejoin,omitempty"`
 }
 
-// TrainRequest asks a device to run I local steps from the given start
-// model (already blended by the device according to its AggMode).
+// TrainRequest asks a device to run I local steps; the payload is the
+// edge model, from which the device's strategy builds the start model.
 type TrainRequest struct {
 	Round int `json:"round"`
 	// DeviceID addresses one virtual device on a multiplexed connection

@@ -43,12 +43,8 @@ type simMetrics struct {
 	// signal of the lazy store.
 	residentModels *obs.Gauge
 
-	// Robustness layer: validation rejections by reason, aggregator
-	// decisions, adversary corruptions and skipped non-finite SGD steps.
-	rejNonFinite   *obs.Counter
-	rejNorm        *obs.Counter
-	trimmedCoords  *obs.Counter
-	clippedUpdates *obs.Counter
+	// Robustness layer: adversary corruptions and skipped non-finite SGD
+	// steps (the robust_* series belong to the shared robust.Point).
 	advCorruptions *obs.Counter
 	nonfiniteSteps *obs.Counter
 
@@ -93,10 +89,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		quorumMisses:   r.Counter("hfl_quorum_misses_total"),
 		residentModels: r.Gauge("hfl_resident_models"),
 
-		rejNonFinite:   r.Counter("robust_rejected_updates_total", "reason", "nonfinite"),
-		rejNorm:        r.Counter("robust_rejected_updates_total", "reason", "norm"),
-		trimmedCoords:  r.Counter("robust_trimmed_coords_total"),
-		clippedUpdates: r.Counter("robust_clipped_updates_total"),
 		advCorruptions: r.Counter("hfl_adversary_corruptions_total"),
 		nonfiniteSteps: r.Counter("hfl_nonfinite_steps_total"),
 

@@ -12,7 +12,6 @@ import (
 	"middle/internal/mobility"
 	"middle/internal/nn"
 	"middle/internal/obs/flight"
-	"middle/internal/optim"
 	"middle/internal/robust"
 	"middle/internal/simil"
 	"middle/internal/tensor"
@@ -58,15 +57,12 @@ type Sim struct {
 	failovers   int
 	rehomedDevs int
 
-	// Robustness layer (PR 5). validator is nil when Config.Validate is
-	// off; agg is the pluggable Eq. 6/Eq. 7 combiner (zero value: the
-	// bit-identical weighted mean).
-	validator   *robust.Validator
-	agg         robust.Aggregator
-	rejects     robust.RejectCounts // cumulative validation rejections
-	updatesSeen int                 // updates offered to Eq. 6/Eq. 7
-	corruptions int                 // adversary-corrupted uploads
-	nonfinite   atomic.Int64        // SGD steps skipped on non-finite loss
+	// Robustness layer (PR 5). agg is the aggregate step both tiers share:
+	// the Config.Validate screen followed by the pluggable Eq. 6/Eq. 7
+	// combiner (zero config: no screen, the bit-identical weighted mean).
+	agg         *robust.Point
+	corruptions int          // adversary-corrupted uploads
+	nonfinite   atomic.Int64 // SGD steps skipped on non-finite loss
 
 	// Communication accounting: model transfers on each link class.
 	// Every selected device downloads the edge model and uploads its
@@ -75,7 +71,7 @@ type Sim struct {
 	commDeviceEdge int64
 	commEdgeCloud  int64
 
-	workers []*trainWorker
+	workers []*Trainer
 	evalNet *nn.Network
 	history *History
 
@@ -98,20 +94,6 @@ type Sim struct {
 	jobs       []trainJob
 	aggVecs    [][]float64
 	aggWeights []float64
-	// Streaming Eq. 6/Eq. 7 accumulators (the default mean path): each
-	// aggregation folds one vector at a time into its destination, so a
-	// round never gathers more than the resident cohort.
-	edgeAcc  simil.Accumulator
-	cloudAcc simil.Accumulator
-}
-
-// trainWorker owns one reusable network + optimizer pair plus its batch
-// index scratch. The pool keeps memory proportional to parallelism rather
-// than to the device count.
-type trainWorker struct {
-	net *nn.Network
-	opt optim.Optimizer
-	idx []int
 }
 
 // New builds a simulation. The partition defines the device population
@@ -159,16 +141,15 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 	s.downUntil = make([]int, s.numEdges)
 	mob.Reset()
 	s.membership = mob.Step() // M^0: membership before the first round
-	s.workers = make([]*trainWorker, cfg.Parallelism)
+	s.workers = make([]*Trainer, cfg.Parallelism)
 	for i := range s.workers {
-		s.workers[i] = &trainWorker{
-			net: factory(tensor.Split(cfg.Seed, int64(100+i))),
-			opt: cfg.Optimizer.New(),
+		s.workers[i] = &Trainer{
+			Net: factory(tensor.Split(cfg.Seed, int64(100+i))),
+			Opt: cfg.Optimizer.New(),
 		}
 	}
 	s.evalNet = factory(tensor.Split(cfg.Seed, 99))
-	s.validator = robust.NewValidator(cfg.Validate)
-	s.agg = robust.Aggregator{Kind: cfg.Aggregator, TrimFrac: cfg.TrimFrac}
+	s.agg = robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
 	s.history = &History{Strategy: strat.Name()}
 	s.metrics = newSimMetrics(cfg.Obs)
 	s.tel = newTelemetry(cfg.Obs, s.numEdges, s.numDevices)
@@ -425,51 +406,23 @@ func (s *Sim) StepOnce() int {
 
 	// Line 9: edge aggregation (Eq. 6), weighted by data sizes. The edge
 	// vector is overwritten in place (it never aliases a device vector).
-	// Received updates pass through the validator first — rejected ones
-	// are excluded exactly like stragglers — and the surviving set is
-	// combined by the configured aggregator (default: the weighted mean,
-	// bit-identical to the pre-robustness engine).
+	// Gathering only collects slice headers; with the default mean and no
+	// validator the shared step is simil.WeightedAverageInto, bit for bit.
 	for n := 0; n < s.numEdges; n++ {
 		sel := selectedByEdge[n]
 		if len(sel) == 0 {
 			continue
 		}
-		// Streaming Eq. 6: with the default mean and no validator the
-		// cohort's weights are known up front (data sizes), so the edge
-		// folds one update at a time into a running weighted sum —
-		// bit-identical to the materialized WeightedAverageInto call
-		// (see simil.Accumulator) and never gathering the cohort.
-		if s.agg.IsMean() && s.validator == nil {
-			s.updatesSeen += len(sel)
-			totalW := 0.0
-			for _, m := range sel {
-				w := float64(s.dataSizes[m])
-				s.edgeWeight[n] += w
-				totalW += w
-			}
-			s.edgeAcc.Begin(s.edges[n], totalW)
-			for _, m := range sel {
-				s.edgeAcc.Add(s.store.model(m), float64(s.dataSizes[m]))
-			}
-			continue
-		}
-		// Robust aggregators and the validator need the whole cohort at
-		// once (medians, trims and norm screens are order statistics).
 		vecs := s.aggVecs[:0]
 		weights := s.aggWeights[:0]
 		for _, m := range sel {
 			vecs = append(vecs, s.store.model(m))
 			weights = append(weights, float64(s.dataSizes[m]))
 		}
-		vecs, weights = s.screen(t, vecs, weights, s.edges[n])
 		s.aggVecs, s.aggWeights = vecs, weights
-		if len(vecs) == 0 {
-			continue // every update rejected: carry the previous model
-		}
-		for _, w := range weights {
-			s.edgeWeight[n] += w
-		}
-		s.recordAgg(s.agg.AggregateInto(s.edges[n], vecs, weights, s.edges[n]))
+		// Rejected updates are excluded exactly like stragglers; with every
+		// update rejected the edge carries its previous model.
+		s.edgeWeight[n] += s.aggregate(t, s.edges[n], vecs, weights)
 	}
 	fp.End()
 	phaseStart = clock
@@ -481,45 +434,17 @@ func (s *Sim) StepOnce() int {
 	// existing vectors; their backing arrays are stable for the run).
 	if t%s.cfg.CloudInterval == 0 {
 		fp = flight.BeginPhase("cloud_sync")
-		// Streaming Eq. 7 mirrors the Eq. 6 fast path: the participating
-		// edges' accumulated weights d̂_n are known before any vector is
-		// touched, so the cloud folds edge models into a running weighted
-		// sum one at a time — the same bits as the gathered call.
-		if s.agg.IsMean() && s.validator == nil {
-			participants := 0
-			totalW := 0.0
-			for n := 0; n < s.numEdges; n++ {
-				if s.edgeWeight[n] > 0 {
-					participants++
-					totalW += s.edgeWeight[n]
-				}
+		vecs := s.aggVecs[:0]
+		weights := s.aggWeights[:0]
+		for n := 0; n < s.numEdges; n++ {
+			if s.edgeWeight[n] > 0 {
+				vecs = append(vecs, s.edges[n])
+				weights = append(weights, s.edgeWeight[n])
 			}
-			s.commEdgeCloud += 2 * int64(participants)
-			s.updatesSeen += participants
-			if participants > 0 {
-				s.cloudAcc.Begin(s.cloud, totalW)
-				for n := 0; n < s.numEdges; n++ {
-					if s.edgeWeight[n] > 0 {
-						s.cloudAcc.Add(s.edges[n], s.edgeWeight[n])
-					}
-				}
-			}
-		} else {
-			vecs := s.aggVecs[:0]
-			weights := s.aggWeights[:0]
-			for n := 0; n < s.numEdges; n++ {
-				if s.edgeWeight[n] > 0 {
-					vecs = append(vecs, s.edges[n])
-					weights = append(weights, s.edgeWeight[n])
-				}
-			}
-			s.commEdgeCloud += 2 * int64(len(vecs))
-			vecs, weights = s.screen(t, vecs, weights, s.cloud)
-			if len(vecs) > 0 {
-				s.recordAgg(s.agg.AggregateInto(s.cloud, vecs, weights, s.cloud))
-			}
-			s.aggVecs, s.aggWeights = vecs, weights
 		}
+		s.aggVecs, s.aggWeights = vecs, weights
+		s.commEdgeCloud += 2 * int64(len(vecs))
+		s.aggregate(t, s.cloud, vecs, weights)
 		for n := range s.edges {
 			copy(s.edges[n], s.cloud)
 			s.edgeWeight[n] = 0
@@ -670,42 +595,19 @@ func (s *Sim) tracePhase(name string, t int, start, end time.Time) {
 	tr.Complete(name, "hfl", 0, 0, start, end.Sub(start), rid+"."+name, rid, nil)
 }
 
-// screen passes one aggregation point's received updates through the
-// validator against ref (the point's pre-round model), tallying
-// rejections into the run counters, metrics and a robust_reject trace
-// span. With validation off (the default) it only counts the offered
-// updates and returns the inputs untouched.
-func (s *Sim) screen(t int, vecs [][]float64, weights []float64, ref []float64) ([][]float64, []float64) {
-	s.updatesSeen += len(vecs)
-	if s.validator == nil {
-		return vecs, weights
+// aggregate runs the shared aggregate step on one aggregation point's
+// received updates, in place over model (which is also the pre-round
+// reference the validator measures against), and returns the weight that
+// entered it. Rejections additionally leave a robust_reject trace span.
+func (s *Sim) aggregate(t int, model []float64, vecs [][]float64, weights []float64) float64 {
+	out := s.agg.Combine(model, model, vecs, weights, 1)
+	if tr := s.cfg.Trace; tr != nil && out.Rejects.Total() > 0 {
+		rid := "r" + strconv.Itoa(t)
+		tr.Complete("robust_reject", "hfl", 0, 0, time.Now(), 0,
+			rid+".robust_reject", rid,
+			map[string]any{"nonfinite": out.Rejects.NonFinite, "norm": out.Rejects.Norm})
 	}
-	kept, keptW, rc := s.validator.Filter(ref, vecs, weights)
-	if rc.Total() > 0 {
-		s.rejects.NonFinite += rc.NonFinite
-		s.rejects.Norm += rc.Norm
-		s.metrics.rejNonFinite.Add(int64(rc.NonFinite))
-		s.metrics.rejNorm.Add(int64(rc.Norm))
-		if tr := s.cfg.Trace; tr != nil {
-			rid := "r" + strconv.Itoa(t)
-			now := time.Now()
-			tr.Complete("robust_reject", "hfl", 0, 0, now, 0,
-				rid+".robust_reject", rid,
-				map[string]any{"nonfinite": rc.NonFinite, "norm": rc.Norm})
-		}
-	}
-	return kept, keptW
-}
-
-// recordAgg mirrors one aggregation's robust-combiner decisions into the
-// obs counters. No-ops for the plain mean.
-func (s *Sim) recordAgg(st robust.AggStats) {
-	if st.TrimmedValues > 0 {
-		s.metrics.trimmedCoords.Add(int64(st.TrimmedValues))
-	}
-	if st.ClippedUpdates > 0 {
-		s.metrics.clippedUpdates.Add(int64(st.ClippedUpdates))
-	}
+	return out.Weight
 }
 
 // runJobs fans the training jobs out over the worker pool. Each job's
@@ -723,7 +625,7 @@ func (s *Sim) runJobs(jobs []trainJob, t int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tw *trainWorker) {
+		go func(tw *Trainer) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -737,60 +639,18 @@ func (s *Sim) runJobs(jobs []trainJob, t int) {
 	wg.Wait()
 }
 
-// trainDevice performs I local SGD steps (Eq. 5) for one job and fills
-// in the resulting model vector and Oort statistical utility
-// d_m·sqrt(mean(loss²)).
-func (s *Sim) trainDevice(tw *trainWorker, job *trainJob, t int) {
+// trainDevice runs one job's local round (Eq. 5) on a pool worker and
+// fills in the resulting model vector and Oort statistical utility.
+func (s *Sim) trainDevice(tw *Trainer, job *trainJob, t int) {
 	rng := tensor.Split(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
-	tw.net.SetParamVector(job.init)
-	tw.opt.Reset()
 	if s.cfg.LRSchedule != nil {
-		tw.opt.SetLR(s.cfg.LRSchedule.At(t))
+		tw.Opt.SetLR(s.cfg.LRSchedule.At(t))
 	}
-	shard := s.part.Indices[job.device]
-	batch := s.cfg.BatchSize
-	if batch > len(shard) {
-		batch = len(shard)
-	}
-	if cap(tw.idx) < batch {
-		tw.idx = make([]int, batch)
-	}
-	idx := tw.idx[:batch]
-	sumSq := 0.0
-	samples := 0
-	for i := 0; i < s.cfg.LocalSteps; i++ {
-		for b := range idx {
-			idx[b] = shard[rng.Intn(len(shard))]
-		}
-		x, y := s.part.Dataset.Batch(idx)
-		tw.net.ZeroGrad()
-		logits := tw.net.Forward(x, true)
-		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, y)
-		// Non-finite loss guard: a diverged step would write NaN/Inf
-		// into the params and poison every aggregation downstream. Skip
-		// the update (params keep their pre-step values) and leave the
-		// batch out of the utility statistics.
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			s.nonfinite.Add(1)
-			s.metrics.nonfiniteSteps.Inc()
-			continue
-		}
-		tw.net.Backward(g)
-		tw.opt.Step(tw.net.Params())
-		for _, l := range perSample {
-			sumSq += l * l
-		}
-		samples += len(perSample)
-	}
-	tw.net.ParamVectorInto(job.out)
-	// Oort's statistical utility: |B|·sqrt(mean per-sample loss²), with
-	// |B| the device's data size d_m. When every step hit the non-finite
-	// guard there is no loss evidence; report zero rather than NaN.
-	if samples == 0 {
-		job.util = 0
-		return
-	}
-	job.util = float64(len(shard)) * math.Sqrt(sumSq/float64(samples))
+	util, skipped := tw.LocalRound(s.part.Dataset, s.part.Indices[job.device],
+		s.cfg.LocalSteps, s.cfg.BatchSize, rng, job.init, job.out, false)
+	job.util = util
+	s.nonfinite.Add(int64(skipped))
+	s.metrics.nonfiniteSteps.Add(int64(skipped))
 }
 
 // Run executes the configured number of time steps and returns the
@@ -845,15 +705,15 @@ func (s *Sim) DownEdges() int { return s.numEdges - s.upEdges() }
 
 // RejectedUpdates returns the cumulative validation rejections by
 // reason (zero with Config.Validate off).
-func (s *Sim) RejectedUpdates() robust.RejectCounts { return s.rejects }
+func (s *Sim) RejectedUpdates() robust.RejectCounts { return s.agg.Rejected }
 
 // RejectionRate returns the fraction of updates offered to Eq. 6/Eq. 7
 // that validation rejected so far.
 func (s *Sim) RejectionRate() float64 {
-	if s.updatesSeen == 0 {
+	if s.agg.Seen == 0 {
 		return 0
 	}
-	return float64(s.rejects.Total()) / float64(s.updatesSeen)
+	return float64(s.agg.Rejected.Total()) / float64(s.agg.Seen)
 }
 
 // AdversaryCorruptions returns how many uploads the adversary harness

@@ -87,7 +87,10 @@ type Strategy interface {
 	// training from this step. moved reports whether the device entered
 	// this edge since the previous time step (m ∉ M^{t−1}_n). The
 	// returned slice must be freshly allocated or otherwise safe for
-	// the engine to hand to a training worker.
+	// the engine to hand to a training worker. In a fednet deployment
+	// the device itself makes this call, on a view that knows only
+	// EdgeModel (the model just downloaded) and LocalModel (the one it
+	// carried here); every other accessor returns its zero value.
 	InitLocal(v View, device, edge int, moved bool) []float64
 }
 

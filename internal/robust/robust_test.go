@@ -266,3 +266,25 @@ func TestCorruptModes(t *testing.T) {
 		t.Errorf("same-value adversaries disagree: %v vs %v", p, q)
 	}
 }
+
+// The shared aggregate step: rejections are tallied, a cohort below the
+// minimum leaves dst alone, and a sufficient one is combined.
+func TestPointCombine(t *testing.T) {
+	p := NewPoint(AggMean, 0, ValidatorConfig{Enabled: true}, nil)
+	ref := []float64{0, 0}
+	dst := []float64{7, 7}
+	vecs := [][]float64{{2, 4}, {math.NaN(), 0}, {4, 8}}
+	out := p.Combine(dst, ref, vecs, []float64{1, 5, 3}, 3)
+	if out.Applied || out.Kept != 2 || out.Weight != 4 || out.Rejects.NonFinite != 1 || dst[0] != 7 {
+		t.Fatalf("below minimum: %+v, dst %v", out, dst)
+	}
+	vecs = [][]float64{{2, 4}, {math.NaN(), 0}, {4, 8}}
+	out = p.Combine(dst, ref, vecs, []float64{1, 5, 3}, 2)
+	if !out.Applied || !almostEq(dst, []float64{3.5, 7}, 1e-12) {
+		t.Fatalf("combine: %+v, dst %v", out, dst)
+	}
+	p.NoteNonFinite()
+	if p.Seen != 6 || p.Rejected.NonFinite != 3 || p.Rejected.Total() != 3 {
+		t.Fatalf("tallies: seen %d, rejected %+v", p.Seen, p.Rejected)
+	}
+}

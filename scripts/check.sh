@@ -58,6 +58,14 @@ go test -race -count=1 \
     -run 'TestClusterChaosSoak|TestFaultPlanDeterministic|TestClusterQuorumFallback' \
     ./internal/fednet
 
+echo "== start-up race gate (-race, 20x) =="
+# StartCluster must hold the first round until its devices are attached:
+# these short runs failed intermittently with "connection refused" when
+# the edges finished their rounds (and closed) during the attach.
+go test -race -count=20 \
+    -run 'TestClusterStaticMobility|TestClusterPoisonedUpdatesRejected|TestMuxMoveKeepsCarriedModel' \
+    ./internal/fednet
+
 echo "== adversarial smoke (-race) =="
 # Byzantine devices against the robust stack under the race detector:
 # sign-flip adversaries must not break trimmed-mean + norm-bound runs,
