@@ -13,7 +13,9 @@
 // migrates them between the listed edges with a ring-Markov mobility of
 // probability -p at a fixed cadence. For scale-out, -shards (cloud)
 // streams per-shard partial sums instead of gathering every edge model,
-// and -mux N (devices) serves N virtual devices per client connection.
+// and -mux N (devices) hosts N devices per client: one connection per
+// edge and one model instance for the group (1 = a client per device).
+// Every other devices-role flag works the same at any -mux.
 package main
 
 import (
@@ -86,7 +88,7 @@ func main() {
 
 		// Scale-out knobs (see DESIGN.md "Scale architecture").
 		shards = flag.Int("shards", 1, "cloud role: partition edges across this many aggregator shards with streamed partial sums (mean aggregation only)")
-		mux    = flag.Int("mux", 1, "devices role: virtual devices per multiplexed client connection (1 = one dedicated client per device)")
+		mux    = flag.Int("mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
 
 		// Live migration (see DESIGN.md "Live migration & handover").
 		liveMig = flag.Bool("live-migration", false, "edge role: accept and push stateful edge-to-edge handovers; devices role: notify the source edge before each move so it pushes the mover's state")
@@ -95,7 +97,7 @@ func main() {
 		membership = flag.Bool("membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
 		leaseIntv  = flag.Duration("lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
 		roundIntv  = flag.Duration("round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
-		devLease   = flag.Int("device-lease-rounds", 0, "edge role: evict dedicated devices not seen for this many rounds (0 = off)")
+		devLease   = flag.Int("device-lease-rounds", 0, "edge role: evict a device alone on its connection not seen for this many rounds (0 = off)")
 		failover   = flag.Bool("failover", false, "devices role: when an edge dies, re-home its devices to the surviving -edgeaddrs entries carrying their local state")
 	)
 	flag.Parse()
@@ -343,102 +345,69 @@ func runEdge(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Tr
 }
 
 // checkDevicesArgs validates the devices role's arguments against a
-// partition of numDevices devices, returning the edge address list and
-// the strategy the devices build their start models with.
-func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, failover bool) ([]string, middle.Strategy, error) {
+// partition of numDevices devices, returning the edge address list, the
+// strategy the devices build their start models with and the failover
+// candidates. With -failover every listed edge is a re-home candidate: a
+// device whose edge stops answering re-registers at a survivor on its
+// own, carrying its local model and round bookkeeping.
+func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, failover bool) ([]string, middle.Strategy, []fednet.EdgeAddr, error) {
 	addrs := strings.Split(edgeList, ",")
 	if addrs[0] == "" {
-		return nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
+		return nil, nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
 	}
 	strat, err := middle.StrategyByName(strategy)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if mux < 1 {
-		return nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", mux)
-	}
-	if failover && mux > 1 {
-		return nil, nil, fmt.Errorf("-failover requires dedicated device clients (-mux 1)")
+		return nil, nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", mux)
 	}
 	if to >= numDevices || from < 0 || from > to {
-		return nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", from, to, numDevices)
+		return nil, nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", from, to, numDevices)
 	}
-	return addrs, strat, nil
-}
-
-func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, edgeList, strategy string, from, to int, p float64, moveMs int, seed int64, mux int, faults *fednet.FaultInjector, liveMig, failover bool) {
-	part := setup.Partition(seed)
-	addrs, strat, err := checkDevicesArgs(edgeList, strategy, from, to, part.NumDevices(), mux, failover)
-	if err != nil {
-		fatalf("middled: %v", err)
-	}
-	// With -failover every listed edge is a re-home candidate: a device
-	// whose edge stops answering re-registers at a survivor on its own,
-	// carrying its local model and round bookkeeping.
 	var candidates []fednet.EdgeAddr
 	if failover {
 		for e, a := range addrs {
 			candidates = append(candidates, fednet.EdgeAddr{ID: e, Addr: a})
 		}
 	}
-	n := to - from + 1
-	// connect[i] moves device from+i to an edge: either a dedicated
-	// Device client's Connect, or the virtual-device move of the
-	// multiplexer hosting it (one socket per edge per -mux group).
-	connect := make([]func(edgeID int, addr string) error, n)
-	var devs []*fednet.Device // dedicated clients, for stranded accounting
-	if mux > 1 {
-		for start := 0; start < n; start += mux {
-			end := start + mux
-			if end > n {
-				end = n
-			}
-			group := make([]fednet.MuxDevice, 0, end-start)
-			for i := start; i < end; i++ {
-				id := from + i
-				group = append(group, fednet.MuxDevice{DeviceID: id, Indices: part.Indices[id]})
-			}
-			mx, err := fednet.NewDeviceMux(fednet.DeviceMuxConfig{
-				Devices: group, Dataset: part.Dataset, Factory: setup.Factory,
-				Optimizer:  setup.Optimizer.New(),
-				LocalSteps: setup.I, BatchSize: setup.BatchSize,
-				Strategy: strat, Seed: seed, Faults: faults, Obs: m.Registry(),
-			})
-			if err != nil {
-				fatal(err)
-			}
-			for i := start; i < end; i++ {
-				id := from + i
-				connect[i] = func(edgeID int, addr string) error { return mx.Connect(id, edgeID, addr) }
-			}
-		}
-		log.Printf("middled: hosting devices %d..%d on %d multiplexers (%d virtual devices each)",
-			from, to, (n+mux-1)/mux, mux)
-	} else {
-		for i := 0; i < n; i++ {
-			id := from + i
-			dev, err := fednet.NewDevice(fednet.DeviceConfig{
-				DeviceID:   id,
-				Dataset:    part.Dataset,
-				Indices:    part.Indices[id],
-				Factory:    setup.Factory,
-				Optimizer:  setup.Optimizer.New(),
-				LocalSteps: setup.I, BatchSize: setup.BatchSize,
-				Strategy: strat, Seed: seed, Faults: faults,
-				Failover: candidates, Logf: log.Printf,
-				Obs: m.Registry(), Trace: trace,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			connect[i] = dev.Connect
-			devs = append(devs, dev)
-		}
+	return addrs, strat, candidates, nil
+}
+
+func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, edgeList, strategy string, from, to int, p float64, moveMs int, seed int64, mux int, faults *fednet.FaultInjector, liveMig, failover bool) {
+	part := setup.Partition(seed)
+	addrs, strat, candidates, err := checkDevicesArgs(edgeList, strategy, from, to, part.NumDevices(), mux, failover)
+	if err != nil {
+		fatalf("middled: %v", err)
 	}
+	n := to - from + 1
+	// Device from+i rides clients[i/mux]: one socket per edge and one
+	// model instance per -mux group.
+	var clients []*fednet.DeviceMux
+	for lo := 0; lo < n; lo += mux {
+		var hosted []fednet.MuxDevice
+		for i := lo; i < min(lo+mux, n); i++ {
+			hosted = append(hosted, fednet.MuxDevice{DeviceID: from + i, Indices: part.Indices[from+i]})
+		}
+		mx, err := fednet.NewDeviceMux(fednet.DeviceMuxConfig{
+			Devices: hosted, Dataset: part.Dataset, Factory: setup.Factory,
+			Optimizer:  setup.Optimizer.New(),
+			LocalSteps: setup.I, BatchSize: setup.BatchSize,
+			Strategy: strat, Seed: seed, Faults: faults,
+			Failover: candidates, Logf: log.Printf,
+			Obs: m.Registry(), Trace: trace,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		clients = append(clients, mx)
+	}
+	log.Printf("middled: hosting devices %d..%d on %d clients (%d devices each)", from, to, len(clients), mux)
+	connect := func(i, edgeID int) error { return clients[i/mux].Connect(from+i, edgeID, addrs[edgeID]) }
 	mob := mobility.NewMarkovRing(len(addrs), n, p, seed+int64(from))
 	membership := mob.Step()
-	for i := range connect {
-		if err := connect[i](membership[i], addrs[membership[i]]); err != nil {
+	for i := range membership {
+		if err := connect(i, membership[i]); err != nil {
 			fatal(err)
 		}
 		log.Printf("middled: device %d attached to edge %d", from+i, membership[i])
@@ -455,15 +424,15 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 			// Graceful shutdown: detach every device cleanly so the edges
 			// see deliberate disconnects, then let the deferred trace and
 			// metrics flushes run.
-			for _, dev := range devs {
-				dev.Disconnect()
+			for _, mx := range clients {
+				mx.Disconnect()
 			}
 			log.Printf("middled: devices %d..%d detached", from, to)
 			return
 		case <-ticker.C:
 		}
 		next := mob.Step()
-		for i := range connect {
+		for i := range next {
 			if next[i] == membership[i] {
 				continue
 			}
@@ -479,13 +448,13 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 					log.Printf("middled: device %d move notice to edge %d failed: %v", from+i, membership[i], err)
 				}
 			}
-			err := connect[i](next[i], addrs[next[i]])
+			err := connect(i, next[i])
 			if err != nil && failover {
 				// The intended edge may be dead; try the other candidates
 				// in order so the device keeps training somewhere.
 				for off := 1; off < len(addrs) && err != nil; off++ {
 					alt := (next[i] + off) % len(addrs)
-					if err = connect[i](alt, addrs[alt]); err == nil {
+					if err = connect(i, alt); err == nil {
 						next[i] = alt
 					}
 				}
@@ -498,8 +467,8 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 		}
 		membership = next
 		stranded := 0
-		for _, dev := range devs {
-			if !dev.Connected() {
+		for i := range next {
+			if !clients[i/mux].Connected(from + i) {
 				stranded++
 			}
 		}

@@ -97,7 +97,7 @@ func main() {
 		tcN      = flag.Int("tc", 0, "-exp scale: cloud aggregation interval T_c in steps (0 = task default)")
 		resCap   = flag.Int("resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
 		shardsN  = flag.Int("shards", 1, "-exp scale: cloud aggregator shards; >1 runs the in-process fednet deployment with streamed partial sums (mean aggregation only)")
-		muxN     = flag.Int("mux", 1, "-exp scale: virtual devices per multiplexed client; >1 runs the in-process fednet deployment")
+		muxN     = flag.Int("mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
 	)
 	flag.Parse()
 

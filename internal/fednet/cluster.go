@@ -51,10 +51,10 @@ type ClusterConfig struct {
 	// keeps the original gather path. Requires the mean aggregator and
 	// no validator.
 	Shards int
-	// Mux, when > 1, serves devices through multiplexers hosting that
-	// many virtual devices each (one connection and goroutine per edge
-	// per multiplexer, one shared model instance) instead of a dedicated
-	// client per device. ≤ 1 keeps dedicated Device clients.
+	// Mux is the group size of the device clients: each hosts that many
+	// devices (one connection and goroutine per edge per client, one
+	// shared model instance). ≤ 1 gives every device a client, network and
+	// optimizer of its own, so a cohort trains in parallel.
 	Mux int
 	// LiveMigration enables stateful edge-to-edge handover on mobility
 	// steps: the source edge ships the moving device's cached state to
@@ -100,39 +100,15 @@ type ClusterConfig struct {
 	Trace *obs.Trace
 }
 
-// deviceHandle is a cluster-side handle on one (possibly virtual)
-// device: dedicated Device clients implement it directly, virtual
-// devices through their DeviceMux.
-type deviceHandle interface {
-	Connect(edgeID int, addr string) error
-	Disconnect()
-	Rounds() int
-}
-
-// rehomer is the optional warm re-home capability of a device handle.
-// Dedicated Device clients implement it; virtual mux devices fall back
-// to a plain (cold) Connect when their edge dies.
-type rehomer interface {
-	ConnectRehome(edgeID int, addr string) error
-}
-
-// muxHandle adapts one virtual device of a DeviceMux to deviceHandle.
-type muxHandle struct {
-	mx *DeviceMux
-	id int
-}
-
-func (h muxHandle) Connect(edgeID int, addr string) error { return h.mx.Connect(h.id, edgeID, addr) }
-func (h muxHandle) Disconnect()                           {} // the mux tears its shared connections down once
-func (h muxHandle) Rounds() int                           { return h.mx.DeviceRounds(h.id) }
-
 // Cluster is a running deployment.
 type Cluster struct {
 	cloud    *Cloud
 	edges    []*Edge
 	edgeCfgs []EdgeConfig // templates for RestartEdge
-	devices  []deviceHandle
-	muxes    []*DeviceMux
+	// clients host the devices in id order, group devices each: device m
+	// rides clients[m/group].
+	clients  []*DeviceMux
+	group    int
 	injector *FaultInjector
 	faulty   bool // fault injection enabled: edge failures are expected
 	logf     func(format string, args ...any)
@@ -155,6 +131,7 @@ type Cluster struct {
 	// all its devices re-homed.
 	failoverSpan *obs.Span
 	strandedG    *obs.Gauge
+	moveRetries  *obs.Counter
 	// migGen counts each device's moves (the handover generation): a
 	// destination edge rejects records whose generation it has already
 	// seen, so a delayed retry of an older move cannot overwrite a newer
@@ -186,6 +163,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		logf:      cfg.Logf, seed: cfg.Seed,
 		failoverSpan: cfg.Obs.Span("fednet_failover_seconds"),
 		strandedG:    cfg.Obs.Gauge("fednet_stranded_devices"),
+		moveRetries:  cfg.Obs.Counter("fednet_move_retries_total"),
+		group:        max(1, cfg.Mux),
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
@@ -204,12 +183,9 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	// Device migration at round boundaries, driven by the cloud. With
 	// LiveMigration the source edge first ships the device's cached state
 	// to the destination (every handover failure simply degrades to the
-	// plain drop-and-reconnect below); the reconnect itself is retried
-	// with the standard capped backoff, and only a device whose move
-	// exhausted every retry is counted stranded — it stays detached until
-	// its next mobility step re-attempts a connection.
+	// plain drop-and-reconnect below); only a device whose move exhausted
+	// every reconnect retry is counted stranded (see attach).
 	moveErrCtr := cfg.Obs.Counter("fednet_move_errors_total")
-	moveRetryCtr := cfg.Obs.Counter("fednet_move_retries_total")
 	onRound := func(round int) {
 		next := append([]int(nil), cfg.Mobility.Step()...)
 		for m, e := range next {
@@ -240,27 +216,10 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				}
 				c.mu.Unlock()
 			}
-			var err error
-			for attempt := 0; attempt <= defaultMaxRetries; attempt++ {
-				if attempt > 0 {
-					moveRetryCtr.Inc()
-					time.Sleep(retryBackoff(0, attempt, cfg.Seed, int64(m)*1_000_003+int64(e)*17+int64(round)))
-				}
-				if err = c.devices[m].Connect(e, c.edgeAt(e).Addr()); err == nil {
-					break
-				}
-			}
-			c.mu.Lock()
-			if err != nil {
+			if err := c.attach(m, e, false, int64(round)); err != nil {
+				c.mu.Lock()
 				c.moveErrs++
-				c.stranded[m] = true
-			} else {
-				c.assign[m] = e
-				delete(c.stranded, m)
-			}
-			c.strandedG.Set(float64(len(c.stranded)))
-			c.mu.Unlock()
-			if err != nil {
+				c.mu.Unlock()
 				cfg.Logf("cluster: device %d failed to move to edge %d (stranded until next move): %v", m, e, err)
 				moveErrCtr.Inc()
 			}
@@ -323,51 +282,22 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.edges = append(c.edges, edge)
 		c.edgeCfgs = append(c.edgeCfgs, ecfg)
 	}
-	if cfg.Mux > 1 {
-		// Virtual-device multiplexing: one client process per Mux-sized
-		// group instead of one per device.
-		for lo := 0; lo < numDevices; lo += cfg.Mux {
-			hi := lo + cfg.Mux
-			if hi > numDevices {
-				hi = numDevices
-			}
-			group := make([]MuxDevice, 0, hi-lo)
-			for m := lo; m < hi; m++ {
-				group = append(group, MuxDevice{DeviceID: m, Indices: cfg.Partition.Indices[m]})
-			}
-			mx, err := NewDeviceMux(DeviceMuxConfig{
-				Devices: group, Dataset: cfg.Partition.Dataset,
-				Factory: cfg.Factory, Optimizer: cfg.Optimizer.New(),
-				LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
-				Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
-				Faults: c.injector, Obs: cfg.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.muxes = append(c.muxes, mx)
-			for m := lo; m < hi; m++ {
-				c.devices = append(c.devices, muxHandle{mx: mx, id: m})
-			}
+	for lo := 0; lo < numDevices; lo += c.group {
+		var hosted []MuxDevice
+		for m := lo; m < min(lo+c.group, numDevices); m++ {
+			hosted = append(hosted, MuxDevice{DeviceID: m, Indices: cfg.Partition.Indices[m]})
 		}
-	} else {
-		for m := 0; m < numDevices; m++ {
-			dev, err := NewDevice(DeviceConfig{
-				DeviceID:   m,
-				Dataset:    cfg.Partition.Dataset,
-				Indices:    cfg.Partition.Indices[m],
-				Factory:    cfg.Factory,
-				Optimizer:  cfg.Optimizer.New(),
-				LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
-				Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
-				Logf:   cfg.Logf,
-				Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.devices = append(c.devices, dev)
+		mx, err := NewDeviceMux(DeviceMuxConfig{
+			Devices: hosted, Dataset: cfg.Partition.Dataset,
+			Factory: cfg.Factory, Optimizer: cfg.Optimizer.New(),
+			LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
+			Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
+			Logf: cfg.Logf, Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
+		})
+		if err != nil {
+			return nil, err
 		}
+		c.clients = append(c.clients, mx)
 	}
 
 	// Launch servers.
@@ -397,7 +327,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	// Attach devices at their initial edges.
 	for m, e := range membership {
-		if err := c.devices[m].Connect(e, c.edges[e].Addr()); err != nil {
+		if err := c.clients[m/c.group].Connect(m, e, c.edges[e].Addr()); err != nil {
 			return nil, err
 		}
 	}
@@ -441,10 +371,41 @@ func (c *Cluster) liveTarget(m, e int) int {
 	return survivors[m%len(survivors)]
 }
 
+// attach connects device m to edge target — warm for a re-home, carrying
+// the device's own local model and bookkeeping — retrying with the
+// standard capped backoff (salt decorrelates the jitter of different
+// occasions), and books the outcome: the new assignment, or a device
+// stranded until its next mobility step re-attempts a connection.
+func (c *Cluster) attach(m, target int, warm bool, salt int64) error {
+	connect := c.clients[m/c.group].Connect
+	if warm {
+		connect = c.clients[m/c.group].ConnectRehome
+	}
+	var err error
+	for attempt := 0; attempt <= defaultMaxRetries; attempt++ {
+		if attempt > 0 {
+			c.moveRetries.Inc()
+			time.Sleep(retryBackoff(0, attempt, c.seed, int64(m)*1_000_003+int64(target)*17+salt))
+		}
+		if err = connect(m, target, c.edgeAt(target).Addr()); err == nil {
+			break
+		}
+	}
+	c.mu.Lock()
+	if err != nil {
+		c.stranded[m] = true
+	} else {
+		c.assign[m] = target
+		delete(c.stranded, m)
+	}
+	c.strandedG.Set(float64(len(c.stranded)))
+	c.mu.Unlock()
+	return err
+}
+
 // onEdgeDown is the cloud failure detector's callback (membership mode):
-// re-home every device attached to the dead edge onto the survivors —
-// warm where the handle supports it, carrying the device's own local
-// model and bookkeeping — so no device stays stranded past the failover.
+// re-home every device attached to the dead edge onto the survivors, warm,
+// so no device stays stranded past the failover.
 // Runs in its own goroutine, spawned by the cloud.
 func (c *Cluster) onEdgeDown(dead int) {
 	start := time.Now()
@@ -470,34 +431,12 @@ func (c *Cluster) onEdgeDown(dead int) {
 			c.mu.Unlock()
 			continue
 		}
-		var err error
-		for attempt := 0; attempt <= defaultMaxRetries; attempt++ {
-			if attempt > 0 {
-				time.Sleep(retryBackoff(0, attempt, c.seed, int64(m)*1_000_003+int64(target)*17+911))
-			}
-			addr := c.edgeAt(target).Addr()
-			if rh, ok := c.devices[m].(rehomer); ok {
-				err = rh.ConnectRehome(target, addr)
-			} else {
-				err = c.devices[m].Connect(target, addr)
-			}
-			if err == nil {
-				break
-			}
-		}
-		c.mu.Lock()
-		if err != nil {
-			c.stranded[m] = true
-		} else {
-			c.assign[m] = target
-			c.rehomed++
-			delete(c.stranded, m)
-		}
-		c.strandedG.Set(float64(len(c.stranded)))
-		c.mu.Unlock()
-		if err != nil {
+		if err := c.attach(m, target, true, 911); err != nil {
 			c.logf("cluster: device %d failed to re-home off dead edge %d: %v", m, dead, err)
 		} else {
+			c.mu.Lock()
+			c.rehomed++
+			c.mu.Unlock()
 			c.logf("cluster: device %d re-homed to edge %d after edge %d died", m, target, dead)
 		}
 	}
@@ -573,10 +512,7 @@ func (c *Cluster) recordErr(err error, tolerated bool) {
 // are counted and available through ToleratedFaults.
 func (c *Cluster) Wait() error {
 	c.wg.Wait()
-	for _, d := range c.devices {
-		d.Disconnect()
-	}
-	for _, mx := range c.muxes {
+	for _, mx := range c.clients {
 		mx.Disconnect()
 	}
 	c.mu.Lock()
@@ -600,9 +536,9 @@ func (c *Cluster) GlobalModel() []float64 { return c.cloud.GlobalModel() }
 
 // DeviceRounds returns how many rounds each device trained (diagnostics).
 func (c *Cluster) DeviceRounds() []int {
-	out := make([]int, len(c.devices))
-	for i, d := range c.devices {
-		out[i] = d.Rounds()
+	out := make([]int, len(c.assign))
+	for m := range out {
+		out[m] = c.clients[m/c.group].DeviceRounds(m)
 	}
 	return out
 }

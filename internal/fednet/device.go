@@ -1,6 +1,7 @@
 package fednet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -16,26 +17,51 @@ import (
 	"middle/internal/tensor"
 )
 
-// DeviceConfig configures one device client.
-type DeviceConfig struct {
+// The device tier has one client, DeviceMux: it hosts N ≥ 1 devices over
+// one connection and one reader goroutine per edge it is attached to,
+// with one model instance trained under a lock. Each device keeps its own
+// carried local model, shard indices and deterministic seed stream, so it
+// trains bit-identically at any group size given the same start model. A
+// client of one is a dedicated device: it opens a socket when its device
+// arrives at an edge and closes it when the device leaves.
+
+// MuxDevice describes one device hosted by a DeviceMux.
+type MuxDevice struct {
 	DeviceID int
-	// Dataset + Indices define the device's local shard.
-	Dataset *data.Dataset
+	// Indices is the device's local shard within the shared dataset.
 	Indices []int
-	// Factory builds the task architecture; the device owns one instance.
+}
+
+// EdgeAddr names one failover candidate.
+type EdgeAddr struct {
+	ID   int
+	Addr string
+}
+
+// DeviceMuxConfig configures a device client.
+type DeviceMuxConfig struct {
+	// Devices are the devices this client hosts (at least one).
+	Devices []MuxDevice
+	// Dataset is shared by every hosted device (each sees only its own
+	// Indices window).
+	Dataset *data.Dataset
+	// Factory builds the single shared network instance.
 	Factory func(rng *tensor.RNG) *nn.Network
-	// Optimizer spec for local training.
+	// Optimizer is shared across hosted devices. It is reset before every
+	// training round unless the round resumes a migrated device, so
+	// nothing of one device's round reaches the next.
 	Optimizer optim.Optimizer
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
 	BatchSize  int
 	// Strategy supplies the on-device start model (Algorithm 1 lines
-	// 4–7): the device calls its InitLocal on a device-local view of the
+	// 4–7): the client calls its InitLocal on a device-local view of the
 	// downloaded edge model and the carried local model. It must be the
 	// strategy the edges select with. Nil starts every round from the
 	// downloaded edge model.
 	Strategy hfl.Strategy
-	// Seed derives the device's batch-sampling randomness.
+	// Seed derives each device's batch-sampling randomness; the stream
+	// depends only on (Seed, round, deviceID).
 	Seed int64
 	// Timeout bounds network operations (default 30 s).
 	Timeout time.Duration
@@ -46,15 +72,15 @@ type DeviceConfig struct {
 	// RetryBase is the base retry backoff, grown exponentially with
 	// deterministic jitter (default 50 ms).
 	RetryBase time.Duration
-	// Faults, when set, injects faults on the device→edge link.
+	// Faults, when set, injects faults on the client's device→edge links
+	// (link id: the first hosted device's id).
 	Faults *FaultInjector
-	// Failover lists alternate edges the device may re-home to on its
-	// own when its current edge becomes unreachable (the automatic
-	// reconnect exhausts its retries). Candidates are tried in order,
-	// skipping the failed edge; the re-home registration carries the
-	// device's own warm state (Rehome). Nil (the default) keeps the old
-	// behaviour: a device whose edge died stays down until the next
-	// Connect call.
+	// Failover lists alternate edges a device may re-home to on its own
+	// when its current edge becomes unreachable (the automatic reconnect
+	// exhausts its retries). Candidates are tried in order, skipping the
+	// failed edge; the re-home registration carries the device's own warm
+	// state. Nil (the default) leaves a device whose edge died detached
+	// until the next Connect call.
 	Failover []EdgeAddr
 	// Logf, when set, receives progress lines (default: discarded).
 	Logf func(format string, args ...any)
@@ -66,38 +92,49 @@ type DeviceConfig struct {
 	Trace *obs.Trace
 }
 
-// EdgeAddr names one failover candidate.
-type EdgeAddr struct {
-	ID   int
-	Addr string
+// DeviceMux is the device client. Connect attaches one of its devices to
+// an edge (detaching it from its previous edge — that is the "move"),
+// after which the client serves that device's training requests until it
+// moves again or the client is disconnected. Training requests arriving on
+// any connection are handled sequentially per connection and serialised
+// across connections by trainMu.
+type DeviceMux struct {
+	cfg     DeviceMuxConfig
+	compute hfl.Trainer // the one shared network and optimizer
+	m       deviceMetrics
+
+	trainMu sync.Mutex // one shared model instance: training serialises
+
+	mu     sync.Mutex
+	closed bool
+	virts  map[int]*virtualDevice
+	conns  map[int]*muxClientConn // by edge id
+
+	// Background reconnects belong to the client: Disconnect closes stop
+	// to cut their backoff short and waits for them on bg.
+	stop chan struct{}
+	bg   sync.WaitGroup
 }
 
-// Device is a mobile client. Connect attaches it to an edge (closing any
-// previous attachment — that is the "move"), after which it serves
-// training requests until disconnected or shut down.
-type Device struct {
-	cfg DeviceConfig
-	lt  localTrainer
-	m   deviceMetrics
-
-	mu      sync.Mutex
-	conn    net.Conn
-	carried // guarded by mu
-	done    chan struct{}
+// virtualDevice is one hosted device's private state.
+type virtualDevice struct {
+	id      int
+	indices []int
+	// edge is the edge the device is attached to or on its way to (−1
+	// when detached); live says its registration there was acknowledged
+	// on a connection that is still up.
+	edge int
+	live bool
 	// gen is bumped by every deliberate attachment change (Connect,
-	// Disconnect, accepted reconnect). A serve loop whose generation is
-	// stale knows its connection was replaced on purpose and must not
-	// auto-reconnect; a reconnect attempt whose generation is stale
-	// discards its dialed connection instead of installing it.
+	// Disconnect). A registration or reconnect that finds it changed was
+	// superseded and gives the device up instead of installing it.
 	gen int
-	// edgeSync is the edge round counter from the last registration ack
-	// (resync diagnostics).
-	edgeSync int
-	// lastSync is the cloud-sync round the device last observed (from the
+	// lastSync is the cloud-sync round last observed (from the
 	// registration ack). A warm re-home registration carries it next to
 	// the carried state: a new edge honours lastTrained only when lastSync
 	// matches its own — same era rule as handover.
 	lastSync int
+	carried
 }
 
 // carried is the state a device takes with it from round to round and
@@ -108,6 +145,27 @@ type carried struct {
 	rounds      int       // training rounds served (diagnostics)
 	lastUtil    float64   // Oort utility of the most recent round
 	lastTrained int       // round it last trained in (−1 if none)
+}
+
+// rider is a device together with the generation an attachment attempt
+// was started for.
+type rider struct {
+	v   *virtualDevice
+	gen int
+}
+
+// muxClientConn is the client end of one edge attachment.
+type muxClientConn struct {
+	edgeID int
+	addr   string
+	conn   net.Conn
+	wmu    sync.Mutex // serialises frames onto the connection
+	// regMu serialises what changes who rides the connection —
+	// registrations (frame to ack, so acks need no tag) and leaves — so a
+	// leave can never overtake a newer registration of the same device.
+	regMu sync.Mutex
+	acks  chan RegisterAck
+	done  chan struct{}
 }
 
 // deviceView is the hfl.View a device hands to Strategy.InitLocal. A
@@ -124,69 +182,13 @@ func (deviceView) DataSize(int) int           { return 0 }
 func (deviceView) StatUtility(int) float64    { return 0 }
 func (deviceView) LastTrained(int) int        { return 0 }
 
-// localTrainer is the compute half of a training client — one network
-// and optimizer plus the round parameters — shared by Device and
-// DeviceMux, which differ only in whose lock guards the carried state
-// and in optimizer-moment export/import.
-type localTrainer struct {
-	hfl.Trainer
-	strategy   hfl.Strategy
-	dataset    *data.Dataset
-	localSteps int
-	batchSize  int
-	seed       int64
-	nonfinite  *obs.Counter
-}
+var errMuxClosed = errors.New("fednet: device client is shut down")
 
-// round executes Algorithm 1 lines 4–8 for one device against its
-// carried state st (guarded by mu): honour ResetLocal, build the start
-// model with Strategy.InitLocal, run the local round and store the
-// result as the new carried model. The batch-sampling stream depends
-// only on (seed, round, id), so a virtual device trains bit-identically
-// to a dedicated one given the same start model. A non-nil error
-// rejects the request's state as corrupt — the caller must tear the
-// connection down and resync.
-func (lt *localTrainer) round(mu *sync.Mutex, st *carried, id int, indices []int,
-	req TrainRequest, edgeModel []float64, edgeID int, resume bool) ([]float64, float64, error) {
-	mu.Lock()
-	if req.ResetLocal {
-		st.local = nil
-	}
-	local := st.local // replaced wholesale, never written in place
-	mu.Unlock()
-	moved := req.Moved && local != nil
-	if moved && len(local) != len(edgeModel) {
-		// A moved device whose carried model cannot blend with the edge
-		// model is in an inconsistent state; silently training from the
-		// stale frame would feed a wrong-era model into Eq. 6.
-		return nil, 0, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
-			id, len(local), len(edgeModel))
-	}
-	start := edgeModel
-	if lt.strategy != nil {
-		start = lt.strategy.InitLocal(deviceView{edge: edgeModel, local: local}, id, edgeID, moved)
-	}
-	fp := flight.BeginPhase("local_train")
-	vec := make([]float64, len(start))
-	rng := tensor.Split(lt.seed, int64(req.Round)*100_003+int64(id)*13+5)
-	util, skipped := lt.LocalRound(lt.dataset, indices, lt.localSteps, lt.batchSize, rng, start, vec, resume)
-	fp.End()
-	lt.nonfinite.Add(int64(skipped))
-
-	mu.Lock()
-	st.local = vec
-	st.prevEdge = edgeID
-	st.rounds++
-	st.lastUtil = util
-	st.lastTrained = req.Round
-	mu.Unlock()
-	return vec, util, nil
-}
-
-// NewDevice builds a device client.
-func NewDevice(cfg DeviceConfig) (*Device, error) {
-	if cfg.Dataset == nil || len(cfg.Indices) == 0 || cfg.Factory == nil || cfg.Optimizer == nil {
-		return nil, fmt.Errorf("fednet: incomplete device config for device %d", cfg.DeviceID)
+// NewDeviceMux builds a device client (not yet attached anywhere; use
+// Connect per hosted device).
+func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
+	if cfg.Dataset == nil || len(cfg.Devices) == 0 || cfg.Factory == nil || cfg.Optimizer == nil {
+		return nil, fmt.Errorf("fednet: incomplete device client config (%d devices)", len(cfg.Devices))
 	}
 	if cfg.LocalSteps < 1 {
 		cfg.LocalSteps = 10
@@ -197,46 +199,40 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = defaultMaxRetries
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = defaultRetryBase
-	}
+	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	cfg.Trace.SetProcessName(tracePidDeviceBase+cfg.DeviceID, fmt.Sprintf("device%d", cfg.DeviceID))
-	m := newDeviceMetrics(cfg.Obs)
-	return &Device{
-		cfg: cfg,
-		lt: localTrainer{
-			Trainer:  hfl.Trainer{Net: cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.DeviceID))), Opt: cfg.Optimizer},
-			strategy: cfg.Strategy, dataset: cfg.Dataset,
-			localSteps: cfg.LocalSteps, batchSize: cfg.BatchSize,
-			seed: cfg.Seed, nonfinite: m.nonfinite,
-		},
-		m:       m,
-		carried: carried{prevEdge: -1, lastTrained: -1},
-	}, nil
+	mx := &DeviceMux{
+		cfg:     cfg,
+		compute: hfl.Trainer{Net: cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.Devices[0].DeviceID))), Opt: cfg.Optimizer},
+		m:       newDeviceMetrics(cfg.Obs),
+		virts:   map[int]*virtualDevice{},
+		conns:   map[int]*muxClientConn{},
+		stop:    make(chan struct{}),
+	}
+	for _, d := range cfg.Devices {
+		if len(d.Indices) == 0 {
+			return nil, fmt.Errorf("fednet: device %d has no data", d.DeviceID)
+		}
+		cfg.Trace.SetProcessName(tracePidDeviceBase+d.DeviceID, fmt.Sprintf("device%d", d.DeviceID))
+		mx.virts[d.DeviceID] = &virtualDevice{id: d.DeviceID, indices: d.Indices, edge: -1,
+			carried: carried{prevEdge: -1, lastTrained: -1}}
+	}
+	return mx, nil
 }
 
-// Connect attaches the device to the edge at addr (identified by edgeID
-// for the moved predicate), detaching from any previous edge first. The
-// dial+register handshake — now acknowledged by the edge, so a
-// registration lost to a fault is detected — is retried with capped
-// backoff. The device then serves training requests in a background
-// goroutine and reconnects by itself if the connection later fails for
-// any reason other than Disconnect or a newer Connect.
-func (d *Device) Connect(edgeID int, addr string) error {
-	d.Disconnect()
-	d.mu.Lock()
-	d.gen++
-	gen := d.gen
-	d.mu.Unlock()
-	return d.dialAndServe(edgeID, addr, gen, false)
+// Connect attaches one hosted device to the edge at addr (identified by
+// edgeID for the moved predicate), withdrawing it from its previous edge
+// first: a leave notice when siblings still ride that connection, a close
+// when it was the last. The client dials the new edge only if it has no
+// connection there yet — N devices per edge cost one socket and one
+// goroutine, not N. The dial+register handshake is acknowledged by the
+// edge, so a registration lost to a fault is detected, and retried with
+// capped backoff. A connection that later fails for any reason other than
+// Disconnect or a newer Connect is re-established by the client itself.
+func (mx *DeviceMux) Connect(deviceID, edgeID int, addr string) error {
+	return mx.connect(deviceID, edgeID, addr, false)
 }
 
 // ConnectRehome is Connect with a warm re-home registration: the device
@@ -244,263 +240,505 @@ func (d *Device) Connect(edgeID int, addr string) error {
 // model, utility, and round bookkeeping so the new edge resumes it warm.
 // It is the failover counterpart of a live MsgMigrate handover, which a
 // dead source edge can no longer push.
-func (d *Device) ConnectRehome(edgeID int, addr string) error {
-	d.Disconnect()
-	d.mu.Lock()
-	d.gen++
-	gen := d.gen
-	d.mu.Unlock()
-	return d.dialAndServe(edgeID, addr, gen, true)
+func (mx *DeviceMux) ConnectRehome(deviceID, edgeID int, addr string) error {
+	return mx.connect(deviceID, edgeID, addr, true)
 }
 
-// dialAndServe performs the dial+register+ack handshake with retries
-// and, on success, installs the connection (unless gen went stale — a
-// Connect/Disconnect superseded this attempt) and starts the serve loop.
-// With rehome set the registration carries the device's warm state.
-func (d *Device) dialAndServe(edgeID int, addr string, gen int, rehome bool) error {
-	var lastErr error
-	for attempt := 0; attempt <= d.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			d.m.retries.Inc()
-			time.Sleep(retryBackoff(d.cfg.RetryBase, attempt, d.cfg.Seed,
-				int64(d.cfg.DeviceID)*1_000_003+int64(edgeID)))
-		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			lastErr = fmt.Errorf("fednet: device %d dialing edge %d: %w", d.cfg.DeviceID, edgeID, err)
-			continue
-		}
-		conn = d.cfg.Faults.WrapDeviceLink(conn, d.cfg.DeviceID)
-		conn.SetDeadline(time.Now().Add(d.cfg.Timeout))
-		d.mu.Lock()
-		reg := RegisterDevice{DeviceID: d.cfg.DeviceID, DataSize: len(d.cfg.Indices), PrevEdge: d.prevEdge}
-		var payload []float64
-		if rehome {
-			reg.Rehome = true
-			if !math.IsNaN(d.lastUtil) && !math.IsInf(d.lastUtil, 0) {
-				reg.Utility = d.lastUtil
-			}
-			reg.LastTrained = d.lastTrained
-			reg.LastSync = d.lastSync
-			if d.local != nil {
-				payload = append([]float64(nil), d.local...)
-			}
-		}
-		d.mu.Unlock()
-		if err := d.m.link.writeMsg(conn, MsgRegisterDevice, reg, payload); err != nil {
-			conn.Close()
-			lastErr = fmt.Errorf("fednet: device %d registering at edge %d: %w", d.cfg.DeviceID, edgeID, err)
-			continue
-		}
-		var ack RegisterAck
-		t, _, err := d.m.link.readMsg(conn, &ack)
-		if err != nil || t != MsgRegisterAck {
-			conn.Close()
-			lastErr = fmt.Errorf("fednet: device %d awaiting register ack from edge %d: type %d, %v", d.cfg.DeviceID, edgeID, t, err)
-			continue
-		}
-		conn.SetDeadline(time.Time{})
-		d.mu.Lock()
-		if d.gen != gen {
-			d.mu.Unlock()
-			conn.Close()
-			return nil // superseded by a newer Connect/Disconnect
-		}
-		d.conn = conn
-		d.done = make(chan struct{})
-		d.edgeSync = ack.Round
-		d.lastSync = ack.LastSync
-		done := d.done
-		d.mu.Unlock()
-		go d.serve(conn, edgeID, addr, done, gen)
+func (mx *DeviceMux) connect(deviceID, edgeID int, addr string, rehome bool) error {
+	mx.mu.Lock()
+	v := mx.virts[deviceID]
+	switch {
+	case mx.closed:
+		mx.mu.Unlock()
+		return errMuxClosed
+	case v == nil:
+		mx.mu.Unlock()
+		return fmt.Errorf("fednet: unknown device %d", deviceID)
+	case v.edge == edgeID && v.live:
+		mx.mu.Unlock()
 		return nil
 	}
-	return lastErr
+	v.gen++
+	var old *muxClientConn
+	if v.edge != edgeID {
+		old = mx.conns[v.edge]
+	}
+	// Detached from here on: if the attach below fails, a later Connect
+	// back to the old edge must register again, not report success.
+	v.edge, v.live = edgeID, false
+	r := rider{v, v.gen}
+	mx.mu.Unlock()
+	if old != nil {
+		mx.leave(old, v)
+	}
+	return mx.attach(edgeID, addr, []rider{r}, rehome)
 }
 
-// Disconnect detaches from the current edge (a "move away"); it is safe
-// to call when not connected.
-func (d *Device) Disconnect() {
-	d.mu.Lock()
-	conn, done := d.conn, d.done
-	d.conn, d.done = nil, nil
-	d.gen++ // invalidate any in-flight reconnect attempt
-	d.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-		<-done // wait for the serve loop to exit
+// write frames one message onto cc under its write lock and deadline.
+func (mx *DeviceMux) write(cc *muxClientConn, t MsgType, header any, vec []float64) error {
+	return mx.m.link.writeShared(&cc.wmu, cc.conn, mx.cfg.Timeout, t, header, vec)
+}
+
+// ridersLocked counts the devices attached to or heading for edgeID
+// (only the acknowledged ones with liveOnly). mx.mu must be held.
+func (mx *DeviceMux) ridersLocked(edgeID int, liveOnly bool) int {
+	n := 0
+	for _, v := range mx.virts {
+		if v.edge == edgeID && (v.live || !liveOnly) {
+			n++
+		}
+	}
+	return n
+}
+
+// leave withdraws v, which has moved on, from cc: the connection is
+// closed when v was its last device and told MsgDeviceLeave otherwise.
+func (mx *DeviceMux) leave(cc *muxClientConn, v *virtualDevice) {
+	cc.regMu.Lock()
+	mx.mu.Lock()
+	back := v.edge == cc.edgeID // a newer Connect brought it back: that registration stands
+	last := !back && mx.ridersLocked(cc.edgeID, false) == 0
+	mx.mu.Unlock()
+	switch {
+	case back:
+	case last:
+		mx.detach(cc)
+	default:
+		if err := mx.write(cc, MsgDeviceLeave, DeviceLeave{DeviceID: v.id}, nil); err != nil {
+			mx.lost(cc)
+		}
+	}
+	cc.regMu.Unlock()
+	if last {
+		<-cc.done // wait for the serve loop to exit
 	}
 }
 
-// maybeReconnect is called by a serve loop whose connection failed. If
-// the failure was deliberate (Disconnect or a newer Connect already
-// replaced the attachment) it does nothing; otherwise it takes over the
-// teardown and re-attaches to the same edge in the background.
-func (d *Device) maybeReconnect(conn net.Conn, edgeID int, addr string, gen int) {
-	d.mu.Lock()
-	if d.gen != gen || d.conn != conn {
-		d.mu.Unlock()
+// attach registers the riders at edgeID, dialing it first unless the
+// client already has a connection there, and retries the handshake with
+// capped backoff. Riders whose generation went stale — a Connect or
+// Disconnect superseded this attempt — are skipped; with none left there
+// is nothing to do. A re-home registration takes exactly one rider.
+func (mx *DeviceMux) attach(edgeID int, addr string, riders []rider, rehome bool) error {
+	var err error
+	for attempt := 0; attempt <= mx.cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			mx.m.retries.Inc()
+			select {
+			case <-time.After(retryBackoff(mx.cfg.RetryBase, attempt, mx.cfg.Seed,
+				int64(riders[0].v.id)*1_000_003+int64(edgeID))):
+			case <-mx.stop:
+			}
+		}
+		mx.mu.Lock()
+		current := 0
+		for _, r := range riders {
+			if r.v.gen == r.gen {
+				r.v.edge = edgeID
+				current++
+			}
+		}
+		closed, cc := mx.closed, mx.conns[edgeID]
+		mx.mu.Unlock()
+		if closed {
+			return errMuxClosed
+		}
+		if current == 0 {
+			return nil
+		}
+		if cc == nil {
+			if cc, err = mx.dial(edgeID, addr); err != nil {
+				continue
+			}
+		}
+		if err = mx.register(cc, riders, rehome); err == nil {
+			return nil
+		}
+	}
+	mx.mu.Lock()
+	for _, r := range riders {
+		if r.v.gen == r.gen {
+			r.v.edge = -1
+		}
+	}
+	mx.mu.Unlock()
+	return err
+}
+
+// dial opens the client's connection to an edge and starts its serve
+// loop. When a concurrent attach got there first the fresh socket is
+// discarded and that connection shared.
+func (mx *DeviceMux) dial(edgeID int, addr string) (*muxClientConn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("fednet: device client dialing edge %d: %w", edgeID, err)
+	}
+	cc := &muxClientConn{
+		edgeID: edgeID, addr: addr,
+		conn: mx.cfg.Faults.WrapDeviceLink(conn, mx.cfg.Devices[0].DeviceID),
+		acks: make(chan RegisterAck, 1),
+		done: make(chan struct{}),
+	}
+	mx.mu.Lock()
+	other := mx.conns[edgeID]
+	if other == nil && !mx.closed {
+		mx.conns[edgeID] = cc
+	}
+	closed := mx.closed
+	mx.mu.Unlock()
+	switch {
+	case closed:
+		conn.Close()
+		return nil, errMuxClosed
+	case other != nil:
+		conn.Close()
+		return other, nil
+	}
+	go mx.serveConn(cc)
+	return cc, nil
+}
+
+// register announces the still-current riders on cc in one frame and
+// waits for the edge's ack, delivered by the serve loop. Afterwards the
+// acknowledged riders are live; a rider superseded meanwhile is withdrawn
+// again, and a connection left without any device is closed.
+func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) error {
+	cc.regMu.Lock()
+	defer cc.regMu.Unlock()
+	var reg RegisterMux
+	var payload []float64
+	mx.mu.Lock()
+	for _, r := range riders {
+		v := r.v
+		if v.gen != r.gen {
+			continue
+		}
+		rd := RegisterDevice{DeviceID: v.id, DataSize: len(v.indices), PrevEdge: v.prevEdge}
+		if rehome {
+			rd.Rehome = true
+			if !math.IsNaN(v.lastUtil) && !math.IsInf(v.lastUtil, 0) {
+				rd.Utility = v.lastUtil
+			}
+			rd.LastTrained, rd.LastSync = v.lastTrained, v.lastSync
+			payload = v.local // replaced wholesale, never written in place
+		}
+		reg.Devices = append(reg.Devices, rd)
+	}
+	mx.mu.Unlock()
+
+	var ack RegisterAck
+	var err error
+	if len(reg.Devices) > 0 {
+		select {
+		case <-cc.acks: // the late ack of a registration that gave up
+		default:
+		}
+		if err = mx.write(cc, MsgRegisterMux, reg, payload); err != nil {
+			mx.lost(cc)
+			return fmt.Errorf("fednet: device %d registering at edge %d: %w", reg.Devices[0].DeviceID, cc.edgeID, err)
+		}
+		timer := time.NewTimer(mx.cfg.Timeout)
+		defer timer.Stop()
+		select {
+		case ack = <-cc.acks:
+		case <-cc.done:
+			err = fmt.Errorf("fednet: edge %d connection lost during registration", cc.edgeID)
+		case <-timer.C:
+			err = fmt.Errorf("fednet: edge %d registration ack timed out", cc.edgeID)
+		}
+	}
+
+	var gone []int
+	mx.mu.Lock()
+	for _, r := range riders {
+		switch {
+		case err != nil:
+		case r.v.gen == r.gen:
+			r.v.live, r.v.lastSync = true, ack.LastSync
+		case r.v.edge != cc.edgeID:
+			gone = append(gone, r.v.id)
+		}
+	}
+	// After a failed registration only acknowledged devices hold the
+	// connection: without any the next attempt dials afresh.
+	idle := mx.ridersLocked(cc.edgeID, err != nil) == 0
+	mx.mu.Unlock()
+	if idle {
+		mx.detach(cc)
+		return err
+	}
+	for _, id := range gone {
+		if werr := mx.write(cc, MsgDeviceLeave, DeviceLeave{DeviceID: id}, nil); werr != nil {
+			mx.lost(cc)
+			break
+		}
+	}
+	return err
+}
+
+// detach closes cc and forgets it; the devices that were live on it are
+// marked down and returned.
+func (mx *DeviceMux) detach(cc *muxClientConn) []rider {
+	cc.conn.Close()
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	if mx.conns[cc.edgeID] != cc {
+		return nil // already replaced or dropped
+	}
+	delete(mx.conns, cc.edgeID)
+	var riders []rider
+	for _, d := range mx.cfg.Devices {
+		if v := mx.virts[d.DeviceID]; v.edge == cc.edgeID && v.live {
+			v.live = false
+			riders = append(riders, rider{v, v.gen})
+		}
+	}
+	return riders
+}
+
+// lost handles a connection that failed for any reason other than a
+// deliberate detach: the client takes over the teardown and re-attaches
+// the devices that rode it to the same edge in the background, resyncing
+// state through the registration ack. If the edge stays unreachable after
+// the retries it is presumed dead and the devices fail over.
+func (mx *DeviceMux) lost(cc *muxClientConn) {
+	riders := mx.detach(cc)
+	mx.mu.Lock()
+	start := len(riders) > 0 && !mx.closed
+	if start {
+		mx.bg.Add(1)
+	}
+	mx.mu.Unlock()
+	if !start {
 		return
 	}
-	d.conn, d.done = nil, nil
-	d.gen++
-	newGen := d.gen
-	d.mu.Unlock()
 	go func() {
-		if err := d.dialAndServe(edgeID, addr, newGen, false); err != nil {
-			// The edge is unreachable even after retries — presume it dead
-			// and self-heal by re-homing to a failover candidate.
-			d.failover(edgeID, newGen)
+		defer mx.bg.Done()
+		if err := mx.attach(cc.edgeID, cc.addr, riders, false); err != nil {
+			mx.failover(cc.edgeID, riders)
 		}
 	}()
 }
 
-// failover re-homes the device to the first reachable alternate edge
-// after the automatic reconnect to its current edge gave up. Candidates
-// are tried in configured order, skipping the dead edge; each attempt
-// re-checks the generation so a deliberate Connect/Disconnect always
-// wins over self-healing. With no reachable candidate (or an empty
-// Failover list) the device stays stranded until the next Connect.
-func (d *Device) failover(deadEdge, gen int) {
-	for _, alt := range d.cfg.Failover {
-		if alt.ID == deadEdge {
-			continue
-		}
-		d.mu.Lock()
-		stale := d.gen != gen
-		d.mu.Unlock()
-		if stale {
-			return
-		}
-		if err := d.dialAndServe(alt.ID, alt.Addr, gen, true); err == nil {
-			d.cfg.Logf("device %d: failed over from edge %d to edge %d", d.cfg.DeviceID, deadEdge, alt.ID)
-			return
-		}
+// failover re-homes each rider to the first reachable alternate edge
+// after the automatic reconnect to deadEdge gave up. Candidates are tried
+// in configured order, skipping the dead edge; every attempt re-checks the
+// generation so a deliberate Connect/Disconnect always wins over
+// self-healing. With no reachable candidate (or an empty Failover list)
+// the device stays detached until the next Connect.
+func (mx *DeviceMux) failover(deadEdge int, riders []rider) {
+	if len(mx.cfg.Failover) == 0 {
+		return
 	}
-	if len(d.cfg.Failover) > 0 {
-		d.cfg.Logf("device %d: stranded — edge %d down and no failover candidate reachable", d.cfg.DeviceID, deadEdge)
+riders:
+	for _, r := range riders {
+		for _, alt := range mx.cfg.Failover {
+			mx.mu.Lock()
+			stale := mx.closed || r.v.gen != r.gen
+			mx.mu.Unlock()
+			if stale {
+				continue riders
+			}
+			if alt.ID != deadEdge && mx.attach(alt.ID, alt.Addr, []rider{r}, true) == nil {
+				mx.cfg.Logf("device %d: failed over from edge %d to edge %d", r.v.id, deadEdge, alt.ID)
+				continue riders
+			}
+		}
+		mx.cfg.Logf("device %d: stranded — edge %d down and no failover candidate reachable", r.v.id, deadEdge)
 	}
 }
 
-// Connected reports whether the device currently has a live edge
-// attachment (stranded-device accounting for daemons and tests).
-func (d *Device) Connected() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.conn != nil
-}
-
-// Rounds returns how many training rounds the device has served.
-func (d *Device) Rounds() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rounds
-}
-
-// LocalModel returns a copy of the carried local model (nil before the
-// device ever trained).
-func (d *Device) LocalModel() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.local == nil {
-		return nil
-	}
-	return append([]float64(nil), d.local...)
-}
-
-// serve handles requests on one connection until it closes. A failure
-// that was not a deliberate detach (Disconnect / newer Connect) triggers
-// an automatic reconnect to the same edge, resyncing state through the
-// registration ack — a corrupted stream (ErrCorruptFrame) lands here
-// too, so poisoned payloads are re-requested rather than aggregated.
-func (d *Device) serve(conn net.Conn, edgeID int, addr string, done chan struct{}, gen int) {
-	defer close(done)
-	defer conn.Close()
+// serveConn handles one edge connection until it closes: train requests
+// addressed to any hosted device, plus registration acks. A corrupted
+// stream (ErrCorruptFrame) ends it like any other failure, so poisoned
+// payloads are re-requested after the resync rather than aggregated.
+func (mx *DeviceMux) serveConn(cc *muxClientConn) {
+	defer close(cc.done)
 	for {
-		var req TrainRequest
-		t, edgeModel, err := d.m.link.readMsg(conn, &req)
+		var h struct {
+			TrainRequest
+			EdgeID   int `json:"edge_id"`
+			LastSync int `json:"last_sync"`
+		}
+		t, payload, err := mx.m.link.readMsg(cc.conn, &h)
 		if err != nil {
-			d.maybeReconnect(conn, edgeID, addr, gen)
+			mx.lost(cc)
 			return
 		}
 		switch t {
 		case MsgShutdown:
+			mx.detach(cc)
 			return
+		case MsgRegisterAck:
+			select {
+			case cc.acks <- RegisterAck{EdgeID: h.EdgeID, Round: h.Round, LastSync: h.LastSync}:
+			default:
+			}
+			continue
 		case MsgTrainRequest:
 		default:
-			d.maybeReconnect(conn, edgeID, addr, gen)
+			mx.lost(cc)
 			return
 		}
-		tr := d.cfg.Trace
+		tr := mx.cfg.Trace
 		trainStart := tr.Now()
-		trainTok := d.m.trainSpan.Begin()
-		vec, reply, terr := d.train(req, edgeModel, edgeID)
+		trainTok := mx.m.trainSpan.Begin()
+		vec, reply, terr := mx.train(h.TrainRequest, payload, cc.edgeID)
 		trainTok.End()
 		if terr != nil {
 			// A frame whose state is inconsistent (e.g. a moved-blend
-			// length mismatch) is as untrustworthy as a corrupt one:
-			// tear the stream down and resync via re-registration rather
-			// than train from a stale model.
-			d.m.link.corrupt.Inc()
-			d.maybeReconnect(conn, edgeID, addr, gen)
+			// length mismatch) is as untrustworthy as a corrupt one: tear
+			// the stream down so every rider resyncs via re-registration
+			// rather than train from a stale model.
+			mx.m.link.corrupt.Inc()
+			mx.lost(cc)
 			return
 		}
 		if tr != nil {
 			spanID := ""
-			if req.Span != "" { // untraced edges leave Span empty
-				spanID = req.Span + ".t"
+			if h.Span != "" { // untraced edges leave Span empty
+				spanID = h.Span + ".t"
 			}
-			tr.Complete("device_train", "fednet", tracePidDeviceBase+d.cfg.DeviceID, 0,
-				trainStart, tr.Now().Sub(trainStart), spanID, req.Span,
-				map[string]any{"round": req.Round, "moved": req.Moved})
+			tr.Complete("device_train", "fednet", tracePidDeviceBase+h.DeviceID, 0,
+				trainStart, tr.Now().Sub(trainStart), spanID, h.Span,
+				map[string]any{"round": h.Round, "moved": h.Moved, "resume": h.Resume})
 		}
-		conn.SetDeadline(time.Now().Add(d.cfg.Timeout))
-		if err := d.m.link.writeMsg(conn, MsgTrainReply, reply, vec); err != nil {
-			d.maybeReconnect(conn, edgeID, addr, gen)
+		if err := mx.write(cc, MsgTrainReply, reply, vec); err != nil {
+			mx.lost(cc)
 			return
 		}
-		conn.SetDeadline(time.Time{})
 	}
 }
 
-// train serves one training request: import migrated optimizer moments
-// when the request resumes a handover, run the local round on the
-// carried state, and export the moments back when the edge asks. A
-// non-nil error rejects the request's state as corrupt — the caller must
-// tear the connection down and resync.
-func (d *Device) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
-	edgeModel, resumed := payload, false
-	me, _ := d.cfg.Optimizer.(optim.MomentExporter)
+// train serves one device's training request — Algorithm 1 lines 4–8:
+// honour ResetLocal, build the start model with Strategy.InitLocal, run
+// the local round on the shared compute state and store the result as
+// the new carried model. Under the training lock the request is
+// stateless towards its siblings: migrated optimizer moments are imported
+// when the request resumes a handover (otherwise the round resets the
+// optimizer) and exported again when the edge asks. The batch-sampling
+// stream depends only on (seed, round, id). A non-nil error rejects the
+// request's state as corrupt — the caller must tear the connection down
+// and resync.
+func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
+	id := req.DeviceID
+	mx.mu.Lock()
+	v := mx.virts[id]
+	var local []float64
+	if v != nil {
+		if req.ResetLocal {
+			v.local = nil
+		}
+		local = v.local // replaced wholesale, never written in place
+	}
+	mx.mu.Unlock()
+	if v == nil {
+		// Unknown device (a move raced the request): an empty reply lets
+		// the edge's retry loop resolve it without stalling.
+		return nil, TrainReply{DeviceID: id, Round: req.Round}, nil
+	}
+	edgeModel := payload
+	var moments []float64
+	var lens []int
+	var steps int
 	if req.Resume {
 		// The payload carries migrated optimizer moments after the edge
-		// model; import them so local training continues the source
-		// edge's trajectory instead of restarting cold.
-		model, moments, lens, steps := splitMoments(payload, req.MomentLens, req.OptSteps)
-		if model == nil {
-			return nil, TrainReply{}, fmt.Errorf("fednet: device %d: malformed resume payload (%d values)", d.cfg.DeviceID, len(payload))
-		}
-		edgeModel = model
-		if me != nil {
-			resumed = me.ImportMoments(moments, lens, steps)
+		// model, so local training continues the source edge's trajectory
+		// instead of restarting cold.
+		if edgeModel, moments, lens, steps = splitMoments(payload, req.MomentLens, req.OptSteps); edgeModel == nil {
+			return nil, TrainReply{}, fmt.Errorf("fednet: device %d: malformed resume payload (%d values)", id, len(payload))
 		}
 	}
-	vec, util, err := d.lt.round(&d.mu, &d.carried, d.cfg.DeviceID, d.cfg.Indices, req, edgeModel, edgeID, resumed)
-	if err != nil {
-		return nil, TrainReply{}, err
+	moved := req.Moved && local != nil
+	if moved && len(local) != len(edgeModel) {
+		// A moved device whose carried model cannot blend with the edge
+		// model is in an inconsistent state; silently training from the
+		// stale frame would feed a wrong-era model into Eq. 6.
+		return nil, TrainReply{}, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
+			id, len(local), len(edgeModel))
 	}
-	reply := TrainReply{
-		DeviceID: d.cfg.DeviceID,
-		Round:    req.Round,
-		DataSize: len(d.cfg.Indices),
-		Utility:  util,
+	start := edgeModel
+	if mx.cfg.Strategy != nil {
+		start = mx.cfg.Strategy.InitLocal(deviceView{edge: edgeModel, local: local}, id, edgeID, moved)
 	}
+	vec := make([]float64, len(start))
+	out := vec
+	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
+	rng := tensor.Split(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
+	me, _ := mx.compute.Opt.(optim.MomentExporter)
+
+	mx.trainMu.Lock()
+	resumed := req.Resume && me != nil && me.ImportMoments(moments, lens, steps)
+	fp := flight.BeginPhase("local_train")
+	util, skipped := mx.compute.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
+	fp.End()
 	if req.WantMoments && me != nil {
-		flat, lens, steps := me.ExportMoments()
-		if len(flat) > 0 {
-			vec = append(append(make([]float64, 0, len(vec)+len(flat)), vec...), flat...)
-			reply.MomentLens = lens
-			reply.OptSteps = steps
+		if flat, lens, steps := me.ExportMoments(); len(flat) > 0 {
+			out = append(append(make([]float64, 0, len(vec)+len(flat)), vec...), flat...)
+			reply.MomentLens, reply.OptSteps = lens, steps
 		}
 	}
-	return vec, reply, nil
+	mx.trainMu.Unlock()
+	mx.m.nonfinite.Add(int64(skipped))
+	reply.Utility = util
+
+	mx.mu.Lock()
+	v.local, v.prevEdge, v.lastUtil, v.lastTrained = vec, edgeID, util, req.Round
+	v.rounds++
+	mx.mu.Unlock()
+	return out, reply, nil
+}
+
+// Disconnect shuts the client down: it detaches from every edge and
+// waits for the serve loops. Safe to call when nothing is connected.
+func (mx *DeviceMux) Disconnect() {
+	mx.mu.Lock()
+	if mx.closed {
+		mx.mu.Unlock()
+		return
+	}
+	mx.closed = true
+	conns := mx.conns
+	mx.conns = map[int]*muxClientConn{}
+	for _, v := range mx.virts {
+		v.edge, v.live = -1, false
+		v.gen++ // invalidate any in-flight reconnect attempt
+	}
+	mx.mu.Unlock()
+	close(mx.stop)
+	for _, cc := range conns {
+		cc.conn.Close()
+		<-cc.done
+	}
+	mx.bg.Wait()
+}
+
+// Connected reports whether a hosted device currently has a live edge
+// attachment (stranded-device accounting for daemons and tests).
+func (mx *DeviceMux) Connected(id int) bool {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	v := mx.virts[id]
+	return v != nil && v.live
+}
+
+// DeviceRounds returns how many rounds one hosted device trained.
+func (mx *DeviceMux) DeviceRounds(id int) int {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	if v := mx.virts[id]; v != nil {
+		return v.rounds
+	}
+	return 0
+}
+
+// LocalModel returns a copy of one hosted device's carried local model
+// (nil before it ever trained).
+func (mx *DeviceMux) LocalModel(id int) []float64 {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	if v := mx.virts[id]; v != nil && v.local != nil {
+		return append([]float64(nil), v.local...)
+	}
+	return nil
 }

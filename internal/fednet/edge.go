@@ -86,14 +86,14 @@ type EdgeConfig struct {
 	CheckpointDir string
 	// CheckpointEvery persists every Nth round (default 1).
 	CheckpointEvery int
-	// DeviceLeaseRounds, when > 0, is the device-tier lease: a dedicated
-	// device that has neither registered nor trained for this many rounds
-	// is evicted at the next round start (its connection closed, counted
-	// in fednet_lease_expirations_total). A live device simply
-	// re-registers through its reconnect path; a dead one stops occupying
-	// a selection slot. 0 (default) disables eviction — the pre-lease
-	// behaviour. Multiplexed devices are exempt (their shared connection
-	// is the liveness signal).
+	// DeviceLeaseRounds, when > 0, is the device-tier lease: a device
+	// alone on its connection that has neither registered nor trained for
+	// this many rounds is evicted at the next round start (its connection
+	// closed, counted in fednet_lease_expirations_total). A live device
+	// simply re-registers through its reconnect path; a dead one stops
+	// occupying a selection slot. 0 (default) disables eviction — the
+	// pre-lease behaviour. A device that shares its connection is exempt
+	// (the connection its siblings keep using is the liveness signal).
 	DeviceLeaseRounds int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -110,10 +110,8 @@ type EdgeConfig struct {
 // exactly the information the paper allows selection to use (model
 // vectors and participation history, never raw data).
 type deviceState struct {
-	conn net.Conn
-	// mux is set when the device is virtual — attached through a shared
-	// multiplexed connection (conn is then the mux's connection and all
-	// I/O goes through the mux's write lock and demux reader).
+	// mux is the connection the device registered through; all I/O goes
+	// through its write lock and demux reader.
 	mux         *edgeMux
 	id          int
 	dataSize    int
@@ -212,7 +210,7 @@ func (e *Edge) Kill() {
 	conn := e.cloudConn
 	conns := make([]net.Conn, 0, len(e.devices))
 	for _, d := range e.devices {
-		conns = append(conns, d.conn)
+		conns = append(conns, d.mux.conn)
 	}
 	e.mu.Unlock()
 	if conn != nil {
@@ -262,14 +260,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.RoundDeadline <= 0 {
 		cfg.RoundDeadline = cfg.Timeout
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = defaultMaxRetries
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = defaultRetryBase
-	}
+	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 1
 	}
@@ -354,7 +345,8 @@ func (e *Edge) saveCheckpoint(round int) {
 // Addr returns the edge's device-facing listen address.
 func (e *Edge) Addr() string { return e.ln.Addr().String() }
 
-// acceptLoop registers incoming devices until the listener closes.
+// acceptLoop admits device connections — and the edge-to-edge frames
+// that share the listener — until the listener closes.
 func (e *Edge) acceptLoop() {
 	for {
 		conn, err := e.ln.Accept()
@@ -364,10 +356,9 @@ func (e *Edge) acceptLoop() {
 		go func(conn net.Conn) {
 			conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
 			var reg struct {
-				RegisterDevice
-				Devices []RegisterDevice `json:"devices"`
-				// Migrate / MoveNotice header fields (both share the
-				// listener; device_id overlaps RegisterDevice's field).
+				RegisterMux
+				// Migrate / MoveNotice header fields.
+				DeviceID    int    `json:"device_id"`
 				SrcEdge     int    `json:"src_edge"`
 				Generation  int    `json:"generation"`
 				RecordBytes int    `json:"record_bytes"`
@@ -376,93 +367,38 @@ func (e *Edge) acceptLoop() {
 				DestAddr    string `json:"dest_addr"`
 			}
 			t, vec, err := e.m.deviceLink.readMsg(conn, &reg)
-			if err != nil || (t != MsgRegisterDevice && t != MsgRegisterMux && t != MsgMigrate && t != MsgMoveNotice) {
+			if err != nil {
 				conn.Close()
 				return
 			}
-			if t == MsgMigrate {
+			switch t {
+			case MsgMigrate:
 				e.acceptMigrate(conn, Migrate{
 					SrcEdge: reg.SrcEdge, DestEdge: e.cfg.EdgeID, DeviceID: reg.DeviceID,
 					Generation: reg.Generation, RecordBytes: reg.RecordBytes, Span: reg.Span,
 				}, vec)
-				return
-			}
-			if t == MsgMoveNotice {
+			case MsgMoveNotice:
 				// Distributed-deployment migration trigger: push the mover's
 				// state before the device tears its connection down. The
 				// snapshot in MigrateOut races the teardown benignly — losing
 				// it yields the ordinary cold join.
 				conn.Close()
 				e.MigrateOut(reg.DeviceID, reg.DestEdge, reg.DestAddr, reg.Generation)
-				return
-			}
-			if t == MsgRegisterMux {
-				e.acceptMux(conn, reg.Devices)
-				return
-			}
-			e.mu.Lock()
-			if old, ok := e.devices[reg.DeviceID]; ok {
-				old.conn.Close()
-				e.m.reconnects.Inc()
-			}
-			d := &deviceState{
-				conn:        conn,
-				id:          reg.DeviceID,
-				dataSize:    reg.DataSize,
-				arrivedFrom: reg.PrevEdge,
-				statUtil:    math.NaN(),
-				lastTrained: -1,
-				lastSeen:    e.curRound,
-			}
-			if reg.Rehome {
-				// Warm re-home: the previous edge died, so the device carries
-				// its own state instead of waiting for a handover push. Same
-				// merge rule as consumeHandoverLocked — the training timeline
-				// survives only within the same cloud-sync era.
-				if len(vec) > 0 && (len(e.edgeModel) == 0 || len(vec) == len(e.edgeModel)) {
-					d.lastModel = vec
+			case MsgRegisterMux:
+				// A device client: register what its first frame announces,
+				// then this goroutine becomes the connection's demux reader.
+				mx := &edgeMux{edge: e, conn: conn, waiters: map[int]chan trainResult{}, ids: map[int]bool{}}
+				if err := e.registerDevices(mx, reg.Devices, vec); err != nil {
+					mx.fail(err)
+					return
 				}
-				if reg.Utility != 0 {
-					d.statUtil = reg.Utility
-				}
-				if reg.LastSync == e.lastSync {
-					d.lastTrained = reg.LastTrained
-				}
-				e.m.rehomed.Inc()
-			}
-			e.devices[reg.DeviceID] = d
-			e.consumeHandoverLocked(d)
-			ack := RegisterAck{EdgeID: e.cfg.EdgeID, Round: e.curRound, LastSync: e.lastSync}
-			model := e.edgeModel
-			e.mu.Unlock()
-			// Ack with the current edge model so a reconnecting device
-			// resyncs state (model + round counter) before its next
-			// TrainRequest; without the ack a registration lost to a
-			// fault would strand the device silently.
-			if err := e.m.deviceLink.writeMsg(conn, MsgRegisterAck, ack, model); err != nil {
-				e.dropDevice(reg.DeviceID, conn)
-				return
-			}
-			conn.SetDeadline(time.Time{})
-			if reg.Rehome {
-				e.cfg.Logf("edge %d: device %d re-homed here (previous edge %d down)", e.cfg.EdgeID, reg.DeviceID, reg.PrevEdge)
-			} else {
-				e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, reg.DeviceID, reg.PrevEdge)
+				conn.SetDeadline(time.Time{})
+				mx.serve()
+			default:
+				conn.Close()
 			}
 		}(conn)
 	}
-}
-
-// dropDevice removes a device whose connection failed. The conn pointer
-// guards against a race with re-registration: if the device already
-// reconnected (new state under the same id), the fresh entry stays.
-func (e *Edge) dropDevice(id int, conn net.Conn) {
-	e.mu.Lock()
-	if d, ok := e.devices[id]; ok && d.conn == conn {
-		d.conn.Close()
-		delete(e.devices, id)
-	}
-	e.mu.Unlock()
 }
 
 // consumeHandoverLocked applies a pending migrate-in record to a freshly
@@ -487,7 +423,7 @@ func (e *Edge) consumeHandoverLocked(d *deviceState) {
 		// train request here will not reset the carried local model.
 		d.lastTrained = h.LastTrained
 	}
-	if d.mux == nil && len(h.Moments) > 0 {
+	if len(h.Moments) > 0 {
 		d.resume = true
 		d.resumeMoments = h.Moments
 		d.resumeLens = h.MomentLens
@@ -895,9 +831,10 @@ type roundStats struct {
 	quorumMiss bool
 }
 
-// trainResult is one device's contribution to a round. moments (split
-// off the reply payload when the request asked for them) are cached for
-// a later handover, never aggregated.
+// trainResult is one device's contribution to a round: first the
+// delivered (or failed) round-trip, then with moments split off the reply
+// payload when the request asked for them — cached for a later handover,
+// never aggregated.
 type trainResult struct {
 	id         int
 	vec        []float64
@@ -916,24 +853,24 @@ type trainResult struct {
 func (e *Edge) runRound(round int, span string) roundStats {
 	e.mu.Lock()
 	e.curRound = round
-	if e.cfg.DeviceLeaseRounds > 0 {
-		for id, d := range e.devices {
-			if d.mux == nil && round-d.lastSeen > e.cfg.DeviceLeaseRounds {
-				d.conn.Close()
-				delete(e.devices, id)
-				e.m.leaseExpirations.Inc()
-				e.cfg.Logf("edge %d: device %d lease expired in round %d (last seen round %d)",
-					e.cfg.EdgeID, id, round, d.lastSeen)
-			}
-		}
-	}
 	candidates := make([]int, 0, len(e.devices))
-	for id := range e.devices {
+	var expired []*deviceState
+	for id, d := range e.devices {
+		if e.cfg.DeviceLeaseRounds > 0 && round-d.lastSeen > e.cfg.DeviceLeaseRounds && len(d.mux.ids) == 1 {
+			expired = append(expired, d)
+			continue
+		}
 		candidates = append(candidates, id)
 	}
 	view := &edgeView{edge: e, round: round}
 	model := e.edgeModel
 	e.mu.Unlock()
+	for _, d := range expired {
+		e.dropIfAlone(d.id, d.mux)
+		e.m.leaseExpirations.Inc()
+		e.cfg.Logf("edge %d: device %d lease expired in round %d (last seen round %d)",
+			e.cfg.EdgeID, d.id, round, d.lastSeen)
+	}
 	if len(candidates) == 0 {
 		return roundStats{}
 	}
@@ -1012,26 +949,19 @@ collect:
 		}
 	}
 
-	// Exclude stragglers past the deadline: close their connections (so
-	// they do not leak in the device map) and leave them out of Eq. 6.
-	// The device reconnects and resyncs via the registration ack.
+	// Exclude stragglers past the deadline and leave them out of Eq. 6. One
+	// alone on its connection is closed and dropped; one that shares it
+	// stays registered (see dropIfAlone).
 	tr := e.cfg.Trace
 	for id := range pending {
 		st.excluded++
 		e.m.stragglers.Inc()
 		e.mu.Lock()
-		if d, ok := e.devices[id]; ok {
-			if d.mux != nil {
-				// A virtual straggler stays registered: its shared
-				// connection is healthy (the multiplexer trains its
-				// devices sequentially, so only this round-trip is late)
-				// and closing it would take the siblings down with it.
-			} else {
-				d.conn.Close()
-				delete(e.devices, id)
-			}
-		}
+		d, ok := e.devices[id]
 		e.mu.Unlock()
+		if ok {
+			e.dropIfAlone(id, d.mux)
+		}
 		e.cfg.Logf("edge %d: excluded straggler device %d in round %d", e.cfg.EdgeID, id, round)
 		if tr != nil {
 			now := tr.Now()
@@ -1084,9 +1014,9 @@ collect:
 }
 
 // trainDevice runs one device's train RPC with capped-backoff retries.
-// Any transport error closes that device's connection (a poisoned or
-// half-dead stream cannot be reused) and the retry addresses whatever
-// connection the device re-registered with.
+// The round-trip rides the device's connection, whose demux reader
+// matches the reply by device id; after a transport error the retry
+// addresses whatever connection the device re-registered with.
 func (e *Edge) trainDevice(id, round int, span string, model []float64, results chan<- trainResult, abort <-chan struct{}) {
 	tr := e.cfg.Trace
 	var lastErr error
@@ -1105,7 +1035,6 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 		e.mu.Lock()
 		d, ok := e.devices[id]
 		var req TrainRequest
-		var mx *edgeMux
 		payload := model
 		if ok {
 			req = TrainRequest{
@@ -1117,8 +1046,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 			if span != "" {
 				req.Span = trainRPCSpan(span, id)
 			}
-			mx = d.mux
-			if mx == nil && e.cfg.LiveMigration {
+			if e.cfg.LiveMigration {
 				// Ask for the optimizer moments so a later handover can
 				// ship them; a migrated device additionally gets its moved
 				// state back (Resume), appended after the edge model.
@@ -1137,60 +1065,25 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 			lastErr = fmt.Errorf("device %d not connected", id)
 			continue
 		}
-		if mx != nil {
-			// Multiplexed device: the round-trip rides the shared
-			// connection; the demux reader matches the reply by device id.
-			rpcStart := tr.Now()
-			rpcTok := e.m.trainSpan.Begin()
-			fp := flight.BeginPhase("comm")
-			vec, reply, err := mx.roundTrip(id, req, model, e.cfg.Timeout)
-			fp.End()
-			if err == nil && (reply.Round != round || len(vec) == 0) {
-				err = fmt.Errorf("mux train reply: round %d, %d values", reply.Round, len(vec))
-			}
-			if err != nil {
-				countTimeout(e.m.timeouts, err)
-				lastErr = err
-				continue
-			}
-			rpcTok.End()
-			if tr != nil {
-				tr.Complete("train_rpc", "fednet", tracePidEdgeBase+e.cfg.EdgeID, id,
-					rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
-					map[string]any{"round": round, "device": id, "attempt": attempt, "mux": true})
-			}
-			results <- trainResult{id: id, vec: vec, reply: reply}
-			return
-		}
-		conn := d.conn
 		rpcStart := tr.Now()
 		rpcTok := e.m.trainSpan.Begin()
 		fp := flight.BeginPhase("comm")
-		conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
-		if err := e.m.deviceLink.writeMsg(conn, MsgTrainRequest, req, payload); err != nil {
-			fp.End()
+		vec, reply, err := d.mux.roundTrip(id, req, payload)
+		fp.End()
+		res := trainResult{id: id, reply: reply}
+		if err == nil {
+			// An unknown device answers with an empty reply; either way
+			// the stream is intact, so the connection stays.
+			res.vec, res.moments, res.momentLens, res.optSteps = splitMoments(vec, reply.MomentLens, reply.OptSteps)
+			if reply.Round != round || len(res.vec) == 0 {
+				err = fmt.Errorf("train reply: round %d, %d values, moment lengths %v", reply.Round, len(vec), reply.MomentLens)
+			}
+		}
+		if err != nil {
 			countTimeout(e.m.timeouts, err)
-			e.dropDevice(id, conn)
 			lastErr = err
 			continue
 		}
-		var reply TrainReply
-		t, vec, err := e.m.deviceLink.readMsg(conn, &reply)
-		fp.End()
-		if err != nil || t != MsgTrainReply || reply.Round != round {
-			countTimeout(e.m.timeouts, err)
-			e.dropDevice(id, conn)
-			lastErr = fmt.Errorf("train reply: type %d, round %d, %v", t, reply.Round, err)
-			continue
-		}
-		res := trainResult{id: id, reply: reply}
-		res.vec, res.moments, res.momentLens, res.optSteps = splitMoments(vec, reply.MomentLens, reply.OptSteps)
-		if res.vec == nil {
-			e.dropDevice(id, conn)
-			lastErr = fmt.Errorf("train reply: malformed moment split (%d values)", len(vec))
-			continue
-		}
-		conn.SetDeadline(time.Time{})
 		rpcTok.End()
 		if req.Resume {
 			// The moved state reached the device: the one-shot resume is
@@ -1236,18 +1129,17 @@ func splitMoments(vec []float64, lens []int, steps int) (model, moments []float6
 func (e *Edge) shutdownDevices() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Multiplexed devices share connections: shut each one down once.
-	seen := map[net.Conn]bool{}
+	// Devices may share a connection: shut each one down once.
+	seen := map[*edgeMux]bool{}
 	for id, d := range e.devices {
-		if !seen[d.conn] {
-			seen[d.conn] = true
-			d.conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
-			_ = e.m.deviceLink.writeMsg(d.conn, MsgShutdown, struct{}{}, nil)
-			d.conn.Close()
+		if mx := d.mux; !seen[mx] {
+			seen[mx] = true
+			_ = mx.write(MsgShutdown, struct{}{}, nil)
+			mx.conn.Close()
 		}
 		delete(e.devices, id)
 	}
-	e.setVirtualGaugeLocked()
+	e.m.virtualDevices.Set(0)
 }
 
 // edgeView adapts the edge's device cache to hfl.View so the simulation

@@ -232,39 +232,29 @@ func TestClusterQuorumFallback(t *testing.T) {
 	}
 }
 
-// TestEdgeStragglerExclusion registers a silent fake device against a
-// real edge and checks the round deadline excludes it: the round reports
-// zero trained devices, the straggler counter fires and the device's
-// connection is closed rather than leaked in the edge's map.
-func TestEdgeStragglerExclusion(t *testing.T) {
+// edgeUnderFakeCloud starts a real edge against a stand-in cloud that
+// admits it with a three-value global model. It returns the edge, the
+// cloud's end of the edge–cloud connection and the edge's Run result.
+func edgeUnderFakeCloud(t *testing.T, cfg EdgeConfig) (*Edge, net.Conn, <-chan error) {
+	t.Helper()
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cloudLn.Close()
-
-	reg := obs.NewRegistry()
-	edge, err := NewEdge(EdgeConfig{
-		EdgeID: 0, CloudAddr: cloudLn.Addr().String(), Addr: "127.0.0.1:0",
-		K: 1, Strategy: core.NewGeneral(), Seed: 1,
-		Timeout:       3 * time.Second,
-		RoundDeadline: 250 * time.Millisecond,
-		MaxRetries:    -1, // single attempt: the deadline, not retries, must exclude
-		Obs:           reg,
-	})
+	t.Cleanup(func() { cloudLn.Close() })
+	cfg.CloudAddr, cfg.Addr = cloudLn.Addr().String(), "127.0.0.1:0"
+	edge, err := NewEdge(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edgeErr := make(chan error, 1)
 	go func() { edgeErr <- edge.Run() }()
-
-	// Fake cloud: init the edge, run one round, then shut it down.
 	cc, err := cloudLn.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-	cc.SetDeadline(time.Now().Add(5 * time.Second))
+	t.Cleanup(func() { cc.Close() })
+	cc.SetDeadline(time.Now().Add(10 * time.Second))
 	var re RegisterEdge
 	if mt, _, err := ReadMsg(cc, &re); err != nil || mt != MsgRegisterEdge {
 		t.Fatalf("edge registration: type %d, %v", mt, err)
@@ -272,43 +262,128 @@ func TestEdgeStragglerExclusion(t *testing.T) {
 	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	return edge, cc, edgeErr
+}
 
-	// Silent device: registers, consumes the train request, never replies.
-	dev, err := net.Dial("tcp", edge.Addr())
+// registered lists the device ids the edge currently has registered.
+func registered(e *Edge) map[int]bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ids := map[int]bool{}
+	for id := range e.devices {
+		ids[id] = true
+	}
+	return ids
+}
+
+// TestEdgeStragglerExclusion registers silent fake devices against a real
+// edge through one raw connection and checks the round deadline excludes
+// the selected one: the round reports zero trained devices and the
+// straggler counter fires. What happens to the straggler is read from how
+// many devices ride its connection: alone, its connection is closed and
+// it is dropped rather than leaked in the edge's map; with a sibling the
+// connection is presumed healthy and both stay registered.
+func TestEdgeStragglerExclusion(t *testing.T) {
+	for _, group := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+			EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1,
+			Timeout:       3 * time.Second,
+			RoundDeadline: 250 * time.Millisecond,
+			MaxRetries:    -1, // single attempt: the deadline, not retries, must exclude
+			Obs:           reg,
+		})
+
+		// Silent client: registers, consumes the train request, never replies.
+		dev, err := net.Dial("tcp", edge.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close()
+		dev.SetDeadline(time.Now().Add(5 * time.Second))
+		var hello RegisterMux
+		for id := 0; id < group; id++ {
+			hello.Devices = append(hello.Devices, RegisterDevice{DeviceID: id, DataSize: 10, PrevEdge: -1})
+		}
+		if err := WriteMsg(dev, MsgRegisterMux, hello, nil); err != nil {
+			t.Fatal(err)
+		}
+		var ack RegisterAck
+		if mt, _, err := ReadMsg(dev, &ack); err != nil || mt != MsgRegisterAck {
+			t.Fatalf("register ack: type %d, %v", mt, err)
+		}
+
+		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		var done RoundDone
+		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone {
+			t.Fatalf("round done: type %d, %v", mt, err)
+		}
+		if done.Trained != 0 {
+			t.Fatalf("silent device counted as trained: %+v", done)
+		}
+		if got := reg.Counter("fednet_excluded_stragglers_total").Value(); got != 1 {
+			t.Fatalf("fednet_excluded_stragglers_total = %d, want 1", got)
+		}
+		if got := reg.Counter("fednet_quorum_misses_total").Value(); got != 1 {
+			t.Fatalf("fednet_quorum_misses_total = %d, want 1 (0 responders < quorum 1)", got)
+		}
+		if left, want := len(registered(edge)), map[int]int{1: 0, 2: 2}[group]; left != want {
+			t.Fatalf("group of %d: %d devices registered after the exclusion, want %d", group, left, want)
+		}
+		if got := reg.Gauge("fednet_virtual_devices").Value(); int(got) != len(registered(edge)) {
+			t.Fatalf("fednet_virtual_devices = %v with %d devices registered", got, len(registered(edge)))
+		}
+		if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-edgeErr; err != nil {
+			t.Fatalf("edge exited with %v", err)
+		}
+	}
+}
+
+// TestDeviceMoveBackAfterFailedMove pins the detach on a move: a device
+// that left its edge (a leave notice — a sibling keeps the connection)
+// for one it could not reach is detached, so moving it back registers it
+// again instead of reporting success and leaving it silently stranded.
+// It moves back warm — the edge it headed for is gone — which a device
+// can do over a connection it shares.
+func TestDeviceMoveBackAfterFailedMove(t *testing.T) {
+	reg := obs.NewRegistry()
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, Obs: reg,
+	})
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dev.Close()
-	dev.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteMsg(dev, MsgRegisterDevice, RegisterDevice{DeviceID: 0, DataSize: 10, PrevEdge: -1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var ack RegisterAck
-	if mt, _, err := ReadMsg(dev, &ack); err != nil || mt != MsgRegisterAck {
-		t.Fatalf("register ack: type %d, %v", mt, err)
-	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
 
-	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {
+	mx := testClient(t, 4, 5)
+	defer mx.Disconnect()
+	for _, id := range []int{4, 5} {
+		if err := mx.Connect(id, 0, edge.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mx.Connect(5, 1, deadAddr); err == nil {
+		t.Fatal("moving to a closed listener succeeded")
+	}
+	waitFor(t, 5*time.Second, "the leave to reach the edge", func() bool { return !registered(edge)[5] })
+	if err := mx.ConnectRehome(5, 0, edge.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	var done RoundDone
-	if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone {
-		t.Fatalf("round done: type %d, %v", mt, err)
+	if ids := registered(edge); !ids[4] || !ids[5] {
+		t.Fatalf("edge lists %v after device 5 moved back, want 4 and 5", ids)
 	}
-	if done.Trained != 0 {
-		t.Fatalf("silent device counted as trained: %+v", done)
+	if got := reg.Counter("fednet_rehomed_devices_total").Value(); got != 1 {
+		t.Fatalf("fednet_rehomed_devices_total = %d after one warm registration, want 1", got)
 	}
-	if got := reg.Counter("fednet_excluded_stragglers_total").Value(); got != 1 {
-		t.Fatalf("fednet_excluded_stragglers_total = %d, want 1", got)
-	}
-	if got := reg.Counter("fednet_quorum_misses_total").Value(); got != 1 {
-		t.Fatalf("fednet_quorum_misses_total = %d, want 1 (0 responders < quorum 1)", got)
-	}
-	edge.mu.Lock()
-	leaked := len(edge.devices)
-	edge.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("straggler leaked in device map (%d entries)", leaked)
+	if !mx.Connected(5) {
+		t.Fatal("device 5 not attached after moving back")
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
 		t.Fatal(err)

@@ -112,10 +112,11 @@ func (thirdStrategy) InitLocal(v hfl.View, device, edge int, moved bool) []float
 }
 
 // TestDeviceStartsFromStrategyInitLocal pins the device half of every
-// strategy on the deployment path: a moved device — dedicated or
-// multiplexed — starts its round from exactly what Strategy.InitLocal
-// returns for (downloaded edge model, carried local model). A zero
-// learning rate makes the trained vector the start vector, bit for bit.
+// strategy on the deployment path: a moved device — alone on its client
+// or one of several — starts its round from exactly what
+// Strategy.InitLocal returns for (downloaded edge model, carried local
+// model). A zero learning rate makes the trained vector the start vector,
+// bit for bit.
 func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
 	strategies := []hfl.Strategy{core.NewFixedAlpha(0.25), thirdStrategy{core.NewGeneral()}}
 	for _, name := range core.Names() {
@@ -134,40 +135,33 @@ func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
 	second := factory(tensor.NewRNG(2)).ParamVector()
 	const id = 3
 	for _, strat := range strategies {
-		dev, err := NewDevice(DeviceConfig{
-			DeviceID: id, Dataset: train, Indices: []int{0, 1, 2, 3}, Factory: factory,
-			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mx, err := NewDeviceMux(DeviceMuxConfig{
-			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}},
-			Dataset: train, Factory: factory,
-			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for kind, serve := range map[string]func(TrainRequest, []float64, int) ([]float64, TrainReply, error){
-			"dedicated": dev.train, "mux": mx.train,
+		for _, group := range [][]MuxDevice{
+			{{DeviceID: id, Indices: []int{0, 1, 2, 3}}},
+			{{DeviceID: 1, Indices: []int{4, 5}}, {DeviceID: id, Indices: []int{0, 1, 2, 3}}},
 		} {
+			mx, err := NewDeviceMux(DeviceMuxConfig{
+				Devices: group, Dataset: train, Factory: factory,
+				Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Nothing carried yet: even a "moved" device starts from the
 			// edge model, which the round then leaves as its carried model.
-			got, _, err := serve(TrainRequest{Round: 1, DeviceID: id, Moved: true}, first, 0)
+			got, _, err := mx.train(TrainRequest{Round: 1, DeviceID: id, Moved: true}, first, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameBits(got, first) {
-				t.Errorf("%s/%s: first round did not start from the edge model", strat.Name(), kind)
+				t.Errorf("%s/group of %d: first round did not start from the edge model", strat.Name(), len(group))
 			}
-			got, _, err = serve(TrainRequest{Round: 2, DeviceID: id, Moved: true}, second, 1)
+			got, _, err = mx.train(TrainRequest{Round: 2, DeviceID: id, Moved: true}, second, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := strat.InitLocal(deviceView{edge: second, local: first}, id, 1, true)
 			if !sameBits(got, want) {
-				t.Errorf("%s/%s: moved device did not start from Strategy.InitLocal", strat.Name(), kind)
+				t.Errorf("%s/group of %d: moved device did not start from Strategy.InitLocal", strat.Name(), len(group))
 			}
 		}
 	}
@@ -395,8 +389,8 @@ func TestClusterRejectsMismatchedSizes(t *testing.T) {
 	}
 }
 
-// TestDeviceSurvivesEdgeVanishing exercises the failure path: a device
-// whose edge dies mid-session must exit its serve loop cleanly.
+// TestDeviceSurvivesEdgeVanishing exercises the failure path: a client
+// whose edge dies mid-session must wind its serve loop down cleanly.
 func TestDeviceSurvivesEdgeVanishing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -407,26 +401,14 @@ func TestDeviceSurvivesEdgeVanishing(t *testing.T) {
 		conn, err := ln.Accept()
 		if err == nil {
 			// Consume the registration, ack it, then vanish.
-			_, _, _ = ReadMsg(conn, &RegisterDevice{})
+			_, _, _ = ReadMsg(conn, &RegisterMux{})
 			_ = WriteMsg(conn, MsgRegisterAck, RegisterAck{EdgeID: 0}, nil)
 			conn.Close()
 		}
 		accepted <- conn
 	}()
-	prof := data.FastImageProfile(2)
-	train := data.GenerateImagesSplit(prof, 20, 5, 5)
-	dev, err := NewDevice(DeviceConfig{
-		DeviceID: 1, Dataset: train, Indices: []int{0, 1, 2},
-		Factory: func(rng *tensor.RNG) *nn.Network {
-			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
-		},
-		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
-		Timeout:   2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Connect(0, ln.Addr().String()); err != nil {
+	dev := testClient(t, 1)
+	if err := dev.Connect(1, 0, ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	<-accepted
@@ -442,6 +424,28 @@ func TestDeviceSurvivesEdgeVanishing(t *testing.T) {
 		t.Fatal("Disconnect hung after edge vanished")
 	}
 	ln.Close()
+}
+
+// testClient builds a client hosting the given device ids on a tiny task.
+func testClient(t *testing.T, ids ...int) *DeviceMux {
+	t.Helper()
+	train := data.GenerateImagesSplit(data.FastImageProfile(2), 20, 5, 5)
+	var hosted []MuxDevice
+	for _, id := range ids {
+		hosted = append(hosted, MuxDevice{DeviceID: id, Indices: []int{0, 1, 2}})
+	}
+	mx, err := NewDeviceMux(DeviceMuxConfig{
+		Devices: hosted, Dataset: train,
+		Factory: func(rng *tensor.RNG) *nn.Network {
+			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
+		},
+		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
+		Timeout:   2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mx
 }
 
 // --- causal round tracing -----------------------------------------------------

@@ -53,65 +53,69 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// TestClusterFailoverRehome is the tentpole acceptance test: killing one
+// TestClusterFailoverRehome is the membership acceptance test: killing one
 // of three edges mid-run (the in-process SIGKILL) must be detected by
 // the cloud's lease detector, every one of its devices re-homed onto the
-// survivors, and the run driven to completion with nobody stranded. The
-// kill races periodic checkpointing on purpose — memberDead and
-// checkpointSync share the membership state.
+// survivors, and the run driven to completion with nobody stranded — with
+// a client per device and with three devices per client alike. The kill
+// races periodic checkpointing on purpose — memberDead and checkpointSync
+// share the membership state.
 func TestClusterFailoverRehome(t *testing.T) {
-	mob := mobility.NewMarkovRing(3, 9, 0.3, 7)
-	cfg := membershipClusterConfig(t, 15, mob)
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = 1
-	c, err := StartCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.KillEdge(2)
-	waitFor(t, 10*time.Second, "edge 2 declared dead", func() bool {
-		for _, e := range c.DownEdges() {
-			if e == 2 {
-				return true
+	for _, group := range []int{1, 3} {
+		mob := mobility.NewMarkovRing(3, 9, 0.3, 7)
+		cfg := membershipClusterConfig(t, 15, mob)
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		cfg.Mux = group
+		cfg.CheckpointDir = t.TempDir()
+		cfg.CheckpointEvery = 1
+		c, err := StartCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.KillEdge(2)
+		waitFor(t, 10*time.Second, "edge 2 declared dead", func() bool {
+			for _, e := range c.DownEdges() {
+				if e == 2 {
+					return true
+				}
+			}
+			return false
+		})
+		if err := c.Wait(); err != nil {
+			t.Fatalf("group of %d: run did not survive the edge kill: %v", group, err)
+		}
+		for i, v := range c.GlobalModel() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("global model[%d] = %v after failover run", i, v)
 			}
 		}
-		return false
-	})
-	if err := c.Wait(); err != nil {
-		t.Fatalf("run did not survive the edge kill: %v", err)
-	}
-	for i, v := range c.GlobalModel() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("global model[%d] = %v after failover run", i, v)
+		if c.Failovers() < 1 {
+			t.Fatalf("failovers = %d, want >= 1", c.Failovers())
 		}
+		if s := c.Stranded(); len(s) != 0 {
+			t.Fatalf("group of %d: devices stranded after failover: %v", group, s)
+		}
+		// Three joins bump the epoch to 3; the death bumps it past that.
+		if ep := c.MembershipEpoch(); ep < 4 {
+			t.Fatalf("membership epoch %d, want >= 4 after 3 joins + 1 death", ep)
+		}
+		if got := reg.Counter("fednet_edge_failovers_total").Value(); got < 1 {
+			t.Fatalf("fednet_edge_failovers_total = %d, want >= 1", got)
+		}
+		if c.Rehomed() < 1 {
+			t.Fatalf("rehomed = %d, want >= 1 (devices lived on edge 2)", c.Rehomed())
+		}
+		total := 0
+		for _, r := range c.DeviceRounds() {
+			total += r
+		}
+		if total == 0 {
+			t.Fatal("no device trained across the failover")
+		}
+		t.Logf("group of %d: %d failovers, %d re-homed, epoch %d, %d device trainings",
+			group, c.Failovers(), c.Rehomed(), c.MembershipEpoch(), total)
 	}
-	if c.Failovers() < 1 {
-		t.Fatalf("failovers = %d, want >= 1", c.Failovers())
-	}
-	if s := c.Stranded(); len(s) != 0 {
-		t.Fatalf("devices stranded after failover: %v", s)
-	}
-	// Three joins bump the epoch to 3; the death bumps it past that.
-	if ep := c.MembershipEpoch(); ep < 4 {
-		t.Fatalf("membership epoch %d, want >= 4 after 3 joins + 1 death", ep)
-	}
-	if got := reg.Counter("fednet_edge_failovers_total").Value(); got < 1 {
-		t.Fatalf("fednet_edge_failovers_total = %d, want >= 1", got)
-	}
-	if c.Rehomed() < 1 {
-		t.Fatalf("rehomed = %d, want >= 1 (devices lived on edge 2)", c.Rehomed())
-	}
-	total := 0
-	for _, r := range c.DeviceRounds() {
-		total += r
-	}
-	if total == 0 {
-		t.Fatal("no device trained across the failover")
-	}
-	t.Logf("failover run: %d failovers, %d re-homed, epoch %d, %d device trainings",
-		c.Failovers(), c.Rehomed(), c.MembershipEpoch(), total)
 }
 
 // TestClusterEdgeRejoin kills an edge, waits for the failover, restarts
@@ -315,8 +319,8 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 				}
 				go func(conn net.Conn) {
 					defer conn.Close()
-					var reg RegisterDevice
-					if typ, _, err := ReadMsg(conn, &reg); err != nil || typ != MsgRegisterDevice {
+					var reg RegisterMux
+					if typ, _, err := ReadMsg(conn, &reg); err != nil || typ != MsgRegisterMux || len(reg.Devices) != 1 {
 						return
 					}
 					if err := WriteMsg(conn, MsgRegisterAck, RegisterAck{EdgeID: 0}, nil); err != nil {
@@ -334,29 +338,17 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 	defer stopA()
 	defer stopB()
 
-	prof := data.FastImageProfile(2)
-	train := data.GenerateImagesSplit(prof, 20, 5, 5)
-	dev, err := NewDevice(DeviceConfig{
-		DeviceID: 1, Dataset: train, Indices: []int{0, 1, 2},
-		Factory: func(rng *tensor.RNG) *nn.Network {
-			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
-		},
-		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
-		Timeout:   2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := testClient(t, 1)
 	for i := 0; i < 40; i++ {
 		addr, id := addrA, 0
 		if i%2 == 1 {
 			addr, id = addrB, 1
 		}
-		if err := dev.Connect(id, addr); err != nil {
+		if err := dev.Connect(1, id, addr); err != nil {
 			t.Fatalf("connect %d: %v", i, err)
 		}
 	}
-	if !dev.Connected() {
+	if !dev.Connected(1) {
 		t.Fatal("device not attached after the connect storm")
 	}
 	done := make(chan struct{})
@@ -366,7 +358,7 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Disconnect hung after the connect storm")
 	}
-	if dev.Connected() {
+	if dev.Connected(1) {
 		t.Fatal("device still reports attached after Disconnect")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
+	"time"
 
 	"middle/internal/obs"
 )
@@ -47,6 +49,16 @@ func (lm linkMetrics) writeMsg(w io.Writer, t MsgType, header any, vec []float64
 		lm.sentMsgs.Inc()
 	}
 	return err
+}
+
+// writeShared is writeMsg onto a connection several goroutines write to:
+// mu serialises the frames and timeout bounds this one.
+func (lm linkMetrics) writeShared(mu *sync.Mutex, conn net.Conn, timeout time.Duration, t MsgType, header any, vec []float64) error {
+	mu.Lock()
+	defer mu.Unlock()
+	conn.SetWriteDeadline(time.Now().Add(timeout))
+	defer conn.SetWriteDeadline(time.Time{})
+	return lm.writeMsg(conn, t, header, vec)
 }
 
 // readMsg reads one framed message and records the bytes consumed.
@@ -112,9 +124,8 @@ type edgeMetrics struct {
 	quorumMisses *obs.Counter
 	stragglers   *obs.Counter
 	checkpoints  *obs.Counter
-	// virtualDevices gauges how many devices are attached through
-	// multiplexed connections (fednet_virtual_devices) — the density
-	// signal of the device-multiplexing scale-out.
+	// virtualDevices gauges how many devices are registered at the edge
+	// (fednet_virtual_devices), whatever the group size of their clients.
 	virtualDevices *obs.Gauge
 	roundSpan      *obs.Span
 	trainSpan      *obs.Span

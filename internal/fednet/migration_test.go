@@ -48,95 +48,108 @@ func migrationCounts(reg *obs.Registry) (ok, fallback, rejected int64) {
 		reg.Counter("fednet_migrations_total", "outcome", "rejected").Value()
 }
 
-// TestClusterLiveMigrationResume is the tentpole acceptance test: under
+// TestClusterLiveMigrationResume is the handover acceptance test: under
 // high mobility with migration enabled, handovers complete ("ok"
 // outcomes) and each completed transfer is visible in the trace as a
 // dual-parented pair — a "migrate" span under the source edge's round
 // and a "migrate_in" span under the destination edge's round whose
-// src_span argument names its "migrate" twin.
+// src_span argument names its "migrate" twin. The migrated optimizer
+// moments must arrive too, at any group size: some device_train span
+// serves a Resume request.
 func TestClusterLiveMigrationResume(t *testing.T) {
-	mob := mobility.NewMarkovRing(3, 9, 0.5, 7)
-	cfg := migrationClusterConfig(t, 12, mob)
-	reg := obs.NewRegistry()
-	trace := obs.NewTrace(0)
-	cfg.Obs, cfg.Trace = reg, trace
-	c, err := StartCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range c.GlobalModel() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("global model[%d] = %v after migration run", i, v)
+	for _, group := range []int{1, 3} {
+		mob := mobility.NewMarkovRing(3, 9, 0.5, 7)
+		cfg := migrationClusterConfig(t, 12, mob)
+		reg := obs.NewRegistry()
+		trace := obs.NewTrace(0)
+		cfg.Obs, cfg.Trace = reg, trace
+		cfg.Mux = group
+		c, err := StartCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range c.GlobalModel() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("global model[%d] = %v after migration run", i, v)
+			}
+		}
 
-	ok, fallback, rejected := migrationCounts(reg)
-	if ok == 0 {
-		t.Fatalf("no successful migrations under p=0.5 mobility (ok=%d fallback=%d rejected=%d)",
-			ok, fallback, rejected)
-	}
+		ok, fallback, rejected := migrationCounts(reg)
+		if ok == 0 {
+			t.Fatalf("no successful migrations under p=0.5 mobility (ok=%d fallback=%d rejected=%d)",
+				ok, fallback, rejected)
+		}
 
-	events := trace.Events()
-	if err := obs.ValidateTraceEvents(events); err != nil {
-		t.Fatalf("trace invalid: %v", err)
+		events := trace.Events()
+		if err := obs.ValidateTraceEvents(events); err != nil {
+			t.Fatalf("trace invalid: %v", err)
+		}
+		span := func(e obs.TraceEvent) string { p, _ := e.Args["span"].(string); return p }
+		parent := func(e obs.TraceEvent) string { p, _ := e.Args["parent"].(string); return p }
+		byID := map[string]obs.TraceEvent{}
+		var migrates, migrateIns []obs.TraceEvent
+		resumes := 0
+		for _, e := range events {
+			if e.Ph != "X" {
+				continue
+			}
+			if id := span(e); id != "" {
+				byID[id] = e
+			}
+			switch e.Name {
+			case "migrate":
+				migrates = append(migrates, e)
+			case "migrate_in":
+				migrateIns = append(migrateIns, e)
+			case "device_train":
+				if r, _ := e.Args["resume"].(bool); r {
+					resumes++
+				}
+			}
+		}
+		if resumes == 0 {
+			t.Fatalf("group of %d: %d handovers completed but no device trained a Resume request", group, ok)
+		}
+		if len(migrates) == 0 || len(migrateIns) == 0 {
+			t.Fatalf("migrate spans = %d, migrate_in spans = %d; want both > 0",
+				len(migrates), len(migrateIns))
+		}
+		okSpans := 0
+		for _, e := range migrates {
+			if p := byID[parent(e)]; p.Name != "edge_round" {
+				t.Fatalf("migrate %q parented on %q, want the source edge_round", span(e), parent(e))
+			}
+			if out, _ := e.Args["outcome"].(string); out == "ok" {
+				okSpans++
+			}
+		}
+		if okSpans == 0 {
+			t.Fatal("no migrate span carries outcome=ok despite the ok counter moving")
+		}
+		for _, e := range migrateIns {
+			if p := byID[parent(e)]; p.Name != "edge_round" {
+				t.Fatalf("migrate_in %q parented on %q, want the destination edge_round", span(e), parent(e))
+			}
+			src, _ := e.Args["src_span"].(string)
+			if src == "" {
+				t.Fatalf("migrate_in %q carries no src_span back-reference", span(e))
+			}
+			twin, okTwin := byID[src]
+			if !okTwin || twin.Name != "migrate" {
+				t.Fatalf("migrate_in %q src_span %q does not name a migrate span", span(e), src)
+			}
+			// The two halves of the pair live under different edges' rounds:
+			// that is the dual-parent property.
+			if twin.Pid == e.Pid {
+				t.Fatalf("migrate pair %q/%q recorded under the same edge pid %d", src, span(e), e.Pid)
+			}
+		}
+		t.Logf("group of %d: %d ok, %d fallback, %d rejected; %d migrate / %d migrate_in spans, %d resumed rounds",
+			group, ok, fallback, rejected, len(migrates), len(migrateIns), resumes)
 	}
-	span := func(e obs.TraceEvent) string { p, _ := e.Args["span"].(string); return p }
-	parent := func(e obs.TraceEvent) string { p, _ := e.Args["parent"].(string); return p }
-	byID := map[string]obs.TraceEvent{}
-	var migrates, migrateIns []obs.TraceEvent
-	for _, e := range events {
-		if e.Ph != "X" {
-			continue
-		}
-		if id := span(e); id != "" {
-			byID[id] = e
-		}
-		switch e.Name {
-		case "migrate":
-			migrates = append(migrates, e)
-		case "migrate_in":
-			migrateIns = append(migrateIns, e)
-		}
-	}
-	if len(migrates) == 0 || len(migrateIns) == 0 {
-		t.Fatalf("migrate spans = %d, migrate_in spans = %d; want both > 0",
-			len(migrates), len(migrateIns))
-	}
-	okSpans := 0
-	for _, e := range migrates {
-		if p := byID[parent(e)]; p.Name != "edge_round" {
-			t.Fatalf("migrate %q parented on %q, want the source edge_round", span(e), parent(e))
-		}
-		if out, _ := e.Args["outcome"].(string); out == "ok" {
-			okSpans++
-		}
-	}
-	if okSpans == 0 {
-		t.Fatal("no migrate span carries outcome=ok despite the ok counter moving")
-	}
-	for _, e := range migrateIns {
-		if p := byID[parent(e)]; p.Name != "edge_round" {
-			t.Fatalf("migrate_in %q parented on %q, want the destination edge_round", span(e), parent(e))
-		}
-		src, _ := e.Args["src_span"].(string)
-		if src == "" {
-			t.Fatalf("migrate_in %q carries no src_span back-reference", span(e))
-		}
-		twin, okTwin := byID[src]
-		if !okTwin || twin.Name != "migrate" {
-			t.Fatalf("migrate_in %q src_span %q does not name a migrate span", span(e), src)
-		}
-		// The two halves of the pair live under different edges' rounds:
-		// that is the dual-parent property.
-		if twin.Pid == e.Pid {
-			t.Fatalf("migrate pair %q/%q recorded under the same edge pid %d", src, span(e), e.Pid)
-		}
-	}
-	t.Logf("migrations: %d ok, %d fallback, %d rejected; %d migrate / %d migrate_in spans",
-		ok, fallback, rejected, len(migrates), len(migrateIns))
 }
 
 // TestClusterMigrationChaos injects drop, corruption, partition and

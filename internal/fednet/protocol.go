@@ -46,8 +46,12 @@ type MsgType byte
 const (
 	// MsgRegisterEdge: edge → cloud. Header: RegisterEdge.
 	MsgRegisterEdge MsgType = iota + 1
-	// MsgRegisterDevice: device → edge. Header: RegisterDevice.
-	MsgRegisterDevice
+	// MsgRegisterMux: device client → edge. Header: RegisterMux. Announces
+	// one or more devices on a connection — as its first frame, and again
+	// whenever another device of the same client arrives at the edge. The
+	// edge answers each with one MsgRegisterAck and addresses train
+	// requests by TrainRequest.DeviceID.
+	MsgRegisterMux
 	// MsgRoundStart: cloud → edge. Header: RoundStart.
 	MsgRoundStart
 	// MsgRoundDone: edge → cloud. Header: RoundDone. Carries the edge
@@ -64,19 +68,15 @@ const (
 	MsgTrainReply
 	// MsgShutdown: cloud → edge → device. Ends the session.
 	MsgShutdown
-	// MsgRegisterAck: edge → device, confirming MsgRegisterDevice.
+	// MsgRegisterAck: edge → device client, confirming MsgRegisterMux.
 	// Header: RegisterAck. Carries the edge's current model vector so a
 	// reconnecting device resyncs state (model + round counter) without
 	// waiting for its next TrainRequest.
 	MsgRegisterAck
-	// MsgRegisterMux: device multiplexer → edge. Header: RegisterMux.
-	// One connection announces a batch of virtual devices; the edge
-	// answers with a single MsgRegisterAck (carrying its model) and
-	// addresses subsequent train requests by TrainRequest.DeviceID.
-	MsgRegisterMux
-	// MsgDeviceLeave: device multiplexer → edge. Header: DeviceLeave.
-	// Withdraws one virtual device from a multiplexed connection (it
-	// moved to another edge) without tearing the connection down.
+	// MsgDeviceLeave: device client → edge. Header: DeviceLeave. Withdraws
+	// one device from a connection that still carries others (it moved to
+	// another edge); a client whose last device leaves closes the
+	// connection instead.
 	MsgDeviceLeave
 	// MsgMigrate: source edge → destination edge. Header: Migrate. The
 	// vector payload packs a CRC-framed checkpoint.Handover record (see
@@ -113,7 +113,7 @@ type RegisterEdge struct {
 	EdgeID int `json:"edge_id"`
 }
 
-// RegisterDevice announces a device to its (current) edge.
+// RegisterDevice is one device's entry in a RegisterMux frame.
 type RegisterDevice struct {
 	DeviceID int `json:"device_id"`
 	DataSize int `json:"data_size"`
@@ -126,25 +126,23 @@ type RegisterDevice struct {
 	// Utility / LastTrained / LastSync restore the edge's cached device
 	// statistics (LastTrained is honoured only when LastSync matches the
 	// receiving edge's own sync era, mirroring the handover merge rule).
-	// All four fields are omitted when the membership layer is disabled,
-	// keeping default registrations byte-identical.
+	// A frame has one payload, so a re-home entry must be the frame's only
+	// entry. All four fields are omitted from ordinary registrations.
 	Rehome      bool    `json:"rehome,omitempty"`
 	Utility     float64 `json:"utility,omitempty"`
 	LastTrained int     `json:"last_trained,omitempty"`
 	LastSync    int     `json:"last_sync,omitempty"`
 }
 
-// RegisterMux announces a batch of virtual devices sharing one
-// connection (see DeviceMux). Sent as the first message of a mux
-// connection and again whenever a virtual device migrates onto an edge
-// the multiplexer is already attached to.
+// RegisterMux announces the devices of one client (see DeviceMux) on a
+// connection: at least one entry, exactly one when it is a re-home.
 type RegisterMux struct {
 	Devices []RegisterDevice `json:"devices"`
 }
 
-// DeviceLeave withdraws one virtual device from a multiplexed
-// connection: it moved to another edge and must no longer be selected
-// here. The connection itself stays up for its remaining devices.
+// DeviceLeave withdraws one device from a shared connection: it moved
+// to another edge and must no longer be selected here. The connection
+// itself stays up for its remaining devices.
 type DeviceLeave struct {
 	DeviceID int `json:"device_id"`
 }
@@ -280,8 +278,7 @@ type EdgeWelcome struct {
 // edge model, from which the device's strategy builds the start model.
 type TrainRequest struct {
 	Round int `json:"round"`
-	// DeviceID addresses one virtual device on a multiplexed connection
-	// (zero-valued and ignored on dedicated per-device connections).
+	// DeviceID addresses one of the devices registered on the connection.
 	DeviceID int `json:"device_id,omitempty"`
 	// Moved tells the device whether the edge considers it newly
 	// arrived (m ∉ M^{t−1}_n), enabling on-device aggregation.

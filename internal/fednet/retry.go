@@ -13,6 +13,18 @@ const (
 	maxBackoff        = 2 * time.Second
 )
 
+// retryPolicy applies the defaults to a configured retry budget: zero
+// retries means the default count, a negative count means none.
+func retryPolicy(maxRetries int, base time.Duration) (int, time.Duration) {
+	if maxRetries == 0 {
+		maxRetries = defaultMaxRetries
+	}
+	if base <= 0 {
+		base = defaultRetryBase
+	}
+	return max(maxRetries, 0), base
+}
+
 // retryBackoff returns the pause before retry attempt (1-based): capped
 // exponential growth from base with deterministic jitter in [0.5, 1.0)×
 // derived from (seed, id, attempt), so backoff schedules are

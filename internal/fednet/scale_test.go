@@ -158,8 +158,8 @@ func TestMuxClusterTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.muxes) != 3 {
-		t.Fatalf("9 devices at 3 per mux built %d multiplexers", len(c.muxes))
+	if len(c.clients) != 3 {
+		t.Fatalf("9 devices at 3 per mux built %d multiplexers", len(c.clients))
 	}
 	gauge := reg.Gauge("fednet_virtual_devices")
 	if gauge.Value() <= 0 {
@@ -205,10 +205,10 @@ func TestMuxMoveKeepsCarriedModel(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.muxes) != 1 {
-		t.Fatalf("expected one multiplexer, got %d", len(c.muxes))
+	if len(c.clients) != 1 {
+		t.Fatalf("expected one multiplexer, got %d", len(c.clients))
 	}
-	mx := c.muxes[0]
+	mx := c.clients[0]
 	trained := 0
 	for id := 0; id < 6; id++ {
 		if mx.DeviceRounds(id) > 0 {

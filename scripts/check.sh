@@ -58,6 +58,14 @@ go test -race -count=1 \
     -run 'TestClusterChaosSoak|TestFaultPlanDeterministic|TestClusterQuorumFallback' \
     ./internal/fednet
 
+echo "== device client attachment gate (-race, 3x) =="
+# One client type carries every attachment feature at every group size:
+# the connect storm (latest Connect wins), a move back after a failed
+# move, and edge failover with warm re-homing at group sizes 1 and 3.
+go test -race -count=3 \
+    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome' \
+    ./internal/fednet
+
 echo "== start-up race gate (-race, 20x) =="
 # StartCluster must hold the first round until its devices are attached:
 # these short runs failed intermittently with "connection refused" when
@@ -711,9 +719,9 @@ echo "== self-healing failover chaos smoke =="
 # 0), restarting the edge must rejoin it under a bumped epoch, and the
 # run must finish within 0.05 accuracy of a fault-free baseline.
 start_memb_fleet() {
-    # $1: log prefix. Sets mcpid/mcaddr, medge0..2 pids, mea0..2 addrs,
-    # mdpid. Devices run dedicated clients with -failover so they can
-    # re-home on their own.
+    # $1: log prefix, $2: -mux group size of the devices role. Sets
+    # mcpid/mcaddr, medge0..2 pids, mea0..2 addrs, mdpid. Devices run with
+    # -failover so they can re-home on their own.
     # -round-interval keeps the schedule on wall-clock pace so devices
     # attach within the first rounds and the kill lands mid-run.
     "$tmpdir/middled" -role cloud -addr 127.0.0.1:0 -edges 3 -rounds 30 \
@@ -730,7 +738,7 @@ start_memb_fleet() {
         eval "mea$eid=\$(scrape_addr \"$1_edge$eid.log\" 'serving devices on')"
     done
     "$tmpdir/middled" -role devices -edgeaddrs "$mea0,$mea1,$mea2" \
-        -from 0 -to 8 -failover -p 0.4 -movems 300 \
+        -from 0 -to 8 -mux "$2" -failover -p 0.4 -movems 300 \
         -metrics-addr 127.0.0.1:0 > "$1_devices.log" 2>&1 &
     mdpid=$!
     pids="$pids $mdpid"
@@ -757,93 +765,104 @@ wait_cloud_log() {
 }
 
 # Fault-free baseline.
-start_memb_fleet "$tmpdir/base"
+start_memb_fleet "$tmpdir/base" 1
 wait_cloud_log "$tmpdir/base_cloud.log" "training complete" 1200 "baseline run stalled"
 baseacc=$(sed -n 's/.*final accuracy \([0-9.]*\).*/\1/p' "$tmpdir/base_cloud.log")
 kill -TERM "$mdpid" 2>/dev/null || true
 kill "$medge0" "$medge1" "$medge2" 2>/dev/null || true
 wait "$mcpid" "$mdpid" "$medge0" "$medge1" "$medge2" 2>/dev/null || true
+if [ -z "$baseacc" ]; then
+    echo "baseline run reported no final accuracy"
+    exit 1
+fi
 
-# Chaos run: SIGKILL edge 1 once devices are attached and training is
-# under way.
-start_memb_fleet "$tmpdir/chaos"
-i=0
-while [ $i -lt 300 ]; do
-    if grep -q "attached to edge" "$tmpdir/chaos_devices.log"; then
-        break
+failover_chaos() {
+    # $1: -mux group size of the devices role. SIGKILL edge 1 once devices
+    # are attached and training is under way.
+    cp="$tmpdir/chaos$1"
+    start_memb_fleet "$cp" "$1"
+    i=0
+    while [ $i -lt 300 ]; do
+        if grep -q "attached to edge" "${cp}_devices.log"; then
+            break
+        fi
+        sleep 0.1
+        i=$((i + 1))
+    done
+    wait_cloud_log "${cp}_cloud.log" "round 4 synced" 1200 "chaos run never reached round 4"
+    kill -9 "$medge1" 2>/dev/null || true
+    wait_cloud_log "${cp}_cloud.log" "edge 1 declared dead" 300 "lease detector never declared the killed edge dead"
+    # Devices orphaned by the kill must re-home to a survivor on their own.
+    i=0
+    while [ $i -lt 300 ]; do
+        if grep -q "failed over from edge 1" "${cp}_devices.log"; then
+            break
+        fi
+        sleep 0.1
+        i=$((i + 1))
+    done
+    grep -q "failed over from edge 1" "${cp}_devices.log" || {
+        echo "-mux $1: no device failed over off the killed edge:"
+        tail -n 30 "${cp}_devices.log"
+        exit 1
+    }
+    # Restart the edge on its old address with the same id: the cloud must
+    # readmit it as a rejoin under a bumped membership epoch.
+    "$tmpdir/middled" -role edge -id 1 -cloud "$mcaddr" -addr "$mea1" \
+        -strategy MIDDLE -k 2 > "${cp}_edge1b.log" 2>&1 &
+    medge1b=$!
+    pids="$pids $medge1b"
+    wait_cloud_log "${cp}_cloud.log" "edge 1 rejoined at epoch" 600 "restarted edge never rejoined"
+    # With the full fleet healthy again, the device-side stranded gauge
+    # must read 0 — nobody is permanently stranded by the outage.
+    mdaddr=$(scrape_addr "${cp}_devices.log" "metrics listening on")
+    strandok=""
+    i=0
+    while [ $i -lt 300 ]; do
+        sval=$(curl -fsS "http://$mdaddr/metrics" 2>/dev/null |
+            sed -n 's/^fednet_stranded_devices \([0-9.]*\)$/\1/p')
+        if [ "$sval" = "0" ]; then
+            strandok=yes
+            break
+        fi
+        if ! kill -0 "$mcpid" 2>/dev/null; then
+            break
+        fi
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if [ -z "$strandok" ]; then
+        echo "-mux $1: stranded-device gauge never returned to 0 after the rejoin (last: '$sval')"
+        tail -n 30 "${cp}_devices.log"
+        exit 1
     fi
-    sleep 0.1
-    i=$((i + 1))
-done
-wait_cloud_log "$tmpdir/chaos_cloud.log" "round 4 synced" 1200 "chaos run never reached round 4"
-kill -9 "$medge1" 2>/dev/null || true
-wait_cloud_log "$tmpdir/chaos_cloud.log" "edge 1 declared dead" 300 "lease detector never declared the killed edge dead"
-# Devices orphaned by the kill must re-home to a survivor on their own.
-i=0
-while [ $i -lt 300 ]; do
-    if grep -q "failed over from edge 1" "$tmpdir/chaos_devices.log"; then
-        break
+    wait_cloud_log "${cp}_cloud.log" "training complete" 1800 "chaos run stalled"
+    chaosacc=$(sed -n 's/.*final accuracy \([0-9.]*\).*/\1/p' "${cp}_cloud.log")
+    kill -TERM "$mdpid" 2>/dev/null || true
+    kill "$medge0" "$medge1b" "$medge2" 2>/dev/null || true
+    wait "$mcpid" "$mdpid" "$medge0" "$medge1b" "$medge2" 2>/dev/null || true
+    # A device that exhausts every candidate logs a hard strand; the chaos
+    # window leaves two live survivors, so that must never happen.
+    if grep -q "no failover candidate reachable" "${cp}_devices.log"; then
+        echo "-mux $1: a device exhausted all failover candidates during the outage:"
+        grep "no failover candidate reachable" "${cp}_devices.log"
+        exit 1
     fi
-    sleep 0.1
-    i=$((i + 1))
-done
-grep -q "failed over from edge 1" "$tmpdir/chaos_devices.log" || {
-    echo "no device failed over off the killed edge:"
-    tail -n 30 "$tmpdir/chaos_devices.log"
-    exit 1
+    if [ -z "$chaosacc" ]; then
+        echo "-mux $1: chaos run reported no final accuracy"
+        exit 1
+    fi
+    accok=$(awk -v b="$baseacc" -v c="$chaosacc" 'BEGIN { print (c >= b - 0.05) ? "yes" : "" }')
+    if [ -z "$accok" ]; then
+        echo "-mux $1: chaos accuracy $chaosacc fell more than 0.05 below baseline $baseacc"
+        exit 1
+    fi
+    echo "failover chaos (-mux $1): baseline acc $baseacc, chaos acc $chaosacc"
 }
-# Restart the edge on its old address with the same id: the cloud must
-# readmit it as a rejoin under a bumped membership epoch.
-"$tmpdir/middled" -role edge -id 1 -cloud "$mcaddr" -addr "$mea1" \
-    -strategy MIDDLE -k 2 > "$tmpdir/chaos_edge1b.log" 2>&1 &
-medge1b=$!
-pids="$pids $medge1b"
-wait_cloud_log "$tmpdir/chaos_cloud.log" "edge 1 rejoined at epoch" 600 "restarted edge never rejoined"
-# With the full fleet healthy again, the device-side stranded gauge
-# must read 0 — nobody is permanently stranded by the outage.
-mdaddr=$(scrape_addr "$tmpdir/chaos_devices.log" "metrics listening on")
-strandok=""
-i=0
-while [ $i -lt 300 ]; do
-    sval=$(curl -fsS "http://$mdaddr/metrics" 2>/dev/null |
-        sed -n 's/^fednet_stranded_devices \([0-9.]*\)$/\1/p')
-    if [ "$sval" = "0" ]; then
-        strandok=yes
-        break
-    fi
-    if ! kill -0 "$mcpid" 2>/dev/null; then
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$strandok" ]; then
-    echo "stranded-device gauge never returned to 0 after the rejoin (last: '$sval')"
-    tail -n 30 "$tmpdir/chaos_devices.log"
-    exit 1
-fi
-wait_cloud_log "$tmpdir/chaos_cloud.log" "training complete" 1800 "chaos run stalled"
-chaosacc=$(sed -n 's/.*final accuracy \([0-9.]*\).*/\1/p' "$tmpdir/chaos_cloud.log")
-kill -TERM "$mdpid" 2>/dev/null || true
-kill "$medge0" "$medge1b" "$medge2" 2>/dev/null || true
-wait "$mcpid" "$mdpid" "$medge0" "$medge1b" "$medge2" 2>/dev/null || true
-# A device that exhausts every candidate logs a hard strand; the chaos
-# window leaves two live survivors, so that must never happen.
-if grep -q "no failover candidate reachable" "$tmpdir/chaos_devices.log"; then
-    echo "a device exhausted all failover candidates during the outage:"
-    grep "no failover candidate reachable" "$tmpdir/chaos_devices.log"
-    exit 1
-fi
-if [ -z "$baseacc" ] || [ -z "$chaosacc" ]; then
-    echo "runs reported no final accuracy (base='$baseacc' chaos='$chaosacc')"
-    exit 1
-fi
-accok=$(awk -v b="$baseacc" -v c="$chaosacc" 'BEGIN { print (c >= b - 0.05) ? "yes" : "" }')
-if [ -z "$accok" ]; then
-    echo "chaos accuracy $chaosacc fell more than 0.05 below baseline $baseacc"
-    exit 1
-fi
-echo "failover chaos: baseline acc $baseacc, chaos acc $chaosacc"
+
+# Self-healing works the same whatever the devices role's group size.
+failover_chaos 1
+failover_chaos 2
 echo ok
 
 echo "All checks passed."
