@@ -79,7 +79,8 @@ func validateScale(o scaleOpts) error {
 // -shards/-mux it runs the hfl simulator with the lazy device store;
 // with them it runs the in-process fednet deployment (sharded cloud,
 // multiplexed device clients). Either way it reports the process's peak
-// RSS so scripts can assert the memory ceiling.
+// RSS so scripts can assert the memory ceiling; the simulator path adds
+// the population-wide select phase's and the training phase's seconds.
 func runScale(task middle.TaskName, o scaleOpts) {
 	setup := experiments.NewScaleSetup(task, o.seed, o.devices, o.edges, o.k, o.tc)
 	setup.Obs = metrics.Registry()
@@ -125,8 +126,9 @@ func runScale(task middle.TaskName, o scaleOpts) {
 		fmt.Printf("self-healing: %d edge failovers, %d devices re-homed, membership epoch %d\n",
 			sim.Failovers(), sim.RehomedDevices(), sim.MembershipEpoch())
 	}
-	fmt.Printf("middlesim: peak_rss_mib=%d peak_resident_models=%d\n",
-		obs.PeakRSSBytes()>>20, h.PeakResidentModels)
+	ph := sim.PhaseSeconds()
+	fmt.Printf("middlesim: peak_rss_mib=%d peak_resident_models=%d select_s=%.3f train_s=%.3f steps=%d\n",
+		obs.PeakRSSBytes()>>20, h.PeakResidentModels, ph.Select, ph.Train, sim.Step())
 }
 
 // runScaleDeployment runs the fednet cluster variant of -exp scale:

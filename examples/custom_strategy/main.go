@@ -15,7 +15,10 @@ import (
 )
 
 // StalenessAware selects by training staleness and initialises moved
-// devices with the similarity-weighted aggregation of paper Eq. 9.
+// devices with the similarity-weighted aggregation of paper Eq. 9. It
+// keeps no state of its own: the engine calls Select for different edges
+// concurrently, so a strategy that counted calls or cached scores would
+// have to guard them (a sync.Mutex or sync/atomic).
 type StalenessAware struct{}
 
 // Name identifies the strategy in reports.

@@ -78,8 +78,9 @@ type Config struct {
 	// EvalPerClass additionally records global per-class accuracy.
 	EvalPerClass bool
 
-	// Parallelism bounds the device-training worker pool
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds the worker pool (0 = GOMAXPROCS) that a step
+	// fans both its per-edge Strategy.Select calls and its device
+	// training out over. Results do not depend on it.
 	Parallelism int
 
 	Optimizer OptimizerSpec

@@ -126,7 +126,7 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 			cfg.ResidentCap, cfg.K, s.numEdges, cfg.K*s.numEdges))
 	}
 	if cfg.LazyStore {
-		s.store = newLazyStore(s.cloud, cfg.ResidentCap)
+		s.store = newLazyStore(s.cloud, s.numDevices, cfg.ResidentCap)
 	} else {
 		s.store = newDenseStore(s.cloud, s.numDevices)
 	}
@@ -139,6 +139,12 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 	s.dataSizes = part.Sizes()
 	s.edgeWeight = make([]float64, s.numEdges)
 	s.downUntil = make([]int, s.numEdges)
+	s.moved = make([]bool, s.numDevices)
+	if cfg.LiveMigration {
+		s.migFailed = make([]bool, s.numDevices)
+	}
+	s.candidates = make([][]int, s.numEdges)
+	s.selected = make([][]int, s.numEdges)
 	mob.Reset()
 	s.membership = mob.Step() // M^0: membership before the first round
 	s.workers = make([]*Trainer, cfg.Parallelism)
@@ -242,66 +248,66 @@ func (s *Sim) StepOnce() int {
 		next = s.selfHeal(t, next)
 	}
 	s.membership = next
-	if s.moved == nil {
-		s.moved = make([]bool, s.numDevices)
-	}
-	moved := s.moved
-	if s.cfg.LiveMigration && s.migFailed == nil {
-		s.migFailed = make([]bool, s.numDevices)
-	}
-	for m := range moved {
-		moved[m] = s.membership[m] != prev[m]
-		if moved[m] {
-			s.moves++
-			s.tel.recordMove(prev[m], s.membership[m])
-			// Live-migration mirror: each move is a handover. Lost ones
-			// (decided on a FaultSeed stream independent of DropRate's)
-			// degrade to drop-and-reconnect — the carried model resets to
-			// the global model and Eq. 9 is suppressed for this move. The
-			// moved flag itself stays true: the mobility telemetry counts
-			// the move either way.
-			if s.cfg.LiveMigration {
-				s.migFailed[m] = false
-				if s.cfg.MigrationFailRate > 0 &&
-					tensor.Split(s.cfg.FaultSeed, int64(t)*1_000_003+int64(m)*29+11).Float64() < s.cfg.MigrationFailRate {
-					s.migFailed[m] = true
-					s.store.reset(m)
-					s.migFallbacks++
-					s.metrics.migFallback.Inc()
-				} else {
-					s.migOKs++
-					s.metrics.migOK.Inc()
-				}
-			}
-		}
-		s.moveTotal++
-	}
 
-	// Line 1–2: per-edge candidate sets and device selection.
-	if s.candidates == nil {
-		s.candidates = make([][]int, s.numEdges)
-		s.selected = make([][]int, s.numEdges)
-	}
+	// One sweep over the population: the mobility diff against M^{t−1}
+	// and line 1's per-edge candidate sets.
+	moved := s.moved
 	candidates := s.candidates
 	for n := range candidates {
 		candidates[n] = candidates[n][:0]
 	}
-	for m, e := range s.membership {
+	for m, e := range next {
 		candidates[e] = append(candidates[e], m)
-	}
-	s.jobs = s.jobs[:0]
-	selectedByEdge := s.selected
-	for n := range selectedByEdge {
-		selectedByEdge[n] = nil
-	}
-	for n := 0; n < s.numEdges; n++ {
-		if len(candidates[n]) == 0 {
+		moved[m] = e != prev[m]
+		if !moved[m] {
 			continue
+		}
+		s.moves++
+		s.tel.recordMove(prev[m], e)
+		// Live-migration mirror: each move is a handover. Lost ones
+		// (decided on a FaultSeed stream independent of DropRate's)
+		// degrade to drop-and-reconnect — the carried model resets to
+		// the global model and Eq. 9 is suppressed for this move. The
+		// moved flag itself stays true: the mobility telemetry counts
+		// the move either way.
+		if s.cfg.LiveMigration {
+			s.migFailed[m] = false
+			if s.cfg.MigrationFailRate > 0 &&
+				tensor.Split(s.cfg.FaultSeed, int64(t)*1_000_003+int64(m)*29+11).Float64() < s.cfg.MigrationFailRate {
+				s.migFailed[m] = true
+				s.store.reset(m)
+				s.migFallbacks++
+				s.metrics.migFallback.Inc()
+			} else {
+				s.migOKs++
+				s.metrics.migOK.Inc()
+			}
+		}
+	}
+	s.moveTotal += s.numDevices
+
+	// Line 2: every edge's device selection, fanned out over the worker
+	// pool. Each edge draws from its own RNG stream and the view is only
+	// read until the last Select returns, so the outcome does not depend
+	// on scheduling; everything that mutates state follows below, in edge
+	// order.
+	selectedByEdge := s.selected
+	s.fanOut(s.numEdges, func(_, n int) {
+		selectedByEdge[n] = nil
+		if len(candidates[n]) == 0 {
+			return
 		}
 		rng := tensor.Split(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
 		sel := s.strat.Select(s, n, candidates[n], s.cfg.K, rng)
 		if len(sel) > s.cfg.K {
 			sel = sel[:s.cfg.K]
+		}
+		selectedByEdge[n] = sel
+	})
+	s.jobs = s.jobs[:0]
+	for n, sel := range selectedByEdge {
+		if len(candidates[n]) == 0 {
+			continue
 		}
 		// System heterogeneity: selected devices that cannot finish
 		// within the deadline miss the round (stragglers).
@@ -376,8 +382,10 @@ func (s *Sim) StepOnce() int {
 	fp = flight.BeginPhase("local_train")
 
 	// Line 8: parallel local training across the worker pool.
+	// Each job's randomness derives from (seed, step, device) only, so
+	// results do not depend on scheduling.
 	jobs := s.jobs
-	s.runJobs(jobs, t)
+	s.fanOut(len(jobs), func(w, i int) { s.trainDevice(s.workers[w], &jobs[i], t) })
 	for i := range jobs {
 		j := &jobs[i]
 		s.statUtil[j.device] = j.util
@@ -610,31 +618,26 @@ func (s *Sim) aggregate(t int, model []float64, vecs [][]float64, weights []floa
 	return out.Weight
 }
 
-// runJobs fans the training jobs out over the worker pool. Each job's
-// randomness derives from (seed, step, device) only, so results do not
-// depend on scheduling.
-func (s *Sim) runJobs(jobs []trainJob, t int) {
-	if len(jobs) == 0 {
-		return
-	}
-	workers := len(s.workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// fanOut runs fn(w, i) for every i in [0, n) on at most Parallelism
+// goroutines and returns when all calls have; w < Parallelism identifies
+// the goroutine making the call. Which goroutine gets which i is not
+// fixed, so fn's result must not depend on it.
+func (s *Sim) fanOut(n int, fn func(w, i int)) {
+	workers := min(len(s.workers), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tw *Trainer) {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				if i >= n {
 					return
 				}
-				s.trainDevice(tw, &jobs[i], t)
+				fn(w, i)
 			}
-		}(s.workers[w])
+		}(w)
 	}
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"middle/internal/data"
@@ -58,9 +59,13 @@ func smallConfig() Config {
 	}
 }
 
-// spyStrategy wraps General-style behaviour while recording calls.
+// spyStrategy wraps General-style behaviour while recording calls. The
+// engine calls Select for different edges concurrently, so the Select
+// tallies sit behind mu; InitLocal runs on the engine's own goroutine.
 type spyStrategy struct {
-	movedSeen   []bool
+	movedSeen []bool
+
+	mu          sync.Mutex
 	selectCalls int
 	maxSelected int
 }
@@ -68,13 +73,15 @@ type spyStrategy struct {
 func (s *spyStrategy) Name() string { return "spy" }
 
 func (s *spyStrategy) Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
-	s.selectCalls++
 	if k > len(candidates) {
 		k = len(candidates)
 	}
+	s.mu.Lock()
+	s.selectCalls++
 	if k > s.maxSelected {
 		s.maxSelected = k
 	}
+	s.mu.Unlock()
 	return candidates[:k]
 }
 

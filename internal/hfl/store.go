@@ -103,17 +103,23 @@ type lazyStore struct {
 	res     map[int][]float64
 	lastUse map[int]int
 	evicted map[int]driftRec
+	// private has bit m set exactly when device m is a key of res or
+	// evicted. Selection asks drift about every candidate every step and
+	// all but the recent cohorts carry the cloud vector itself; the bit
+	// answers for them without probing either map.
+	private []uint64
 	free    [][]float64 // recycled vectors
 	peak    int
 }
 
-func newLazyStore(cloud []float64, cap int) *lazyStore {
+func newLazyStore(cloud []float64, numDevices, cap int) *lazyStore {
 	return &lazyStore{
 		cloud:   cloud,
 		cap:     cap,
 		res:     make(map[int][]float64),
 		lastUse: make(map[int]int),
 		evicted: make(map[int]driftRec),
+		private: make([]uint64, (numDevices+63)/64),
 	}
 }
 
@@ -138,6 +144,7 @@ func (s *lazyStore) materialize(m int) []float64 {
 	copy(v, s.cloud)
 	s.res[m] = v
 	delete(s.evicted, m)
+	s.private[m>>6] |= 1 << (m & 63)
 	if len(s.res) > s.peak {
 		s.peak = len(s.res)
 	}
@@ -150,15 +157,16 @@ func (s *lazyStore) resident(m int) bool {
 }
 
 func (s *lazyStore) drift(m int) (float64, float64, bool) {
+	if s.private[m>>6]&(1<<(m&63)) == 0 {
+		// Never trained (or synced since): the carried model IS the cloud
+		// model, so Δw_m = 0 exactly — the same bits the full sweep yields.
+		return 0, 0, true
+	}
 	if _, ok := s.res[m]; ok {
 		return 0, 0, false // has a real vector: compute from it
 	}
-	if rec, ok := s.evicted[m]; ok {
-		return rec.util, rec.deltaNorm, true
-	}
-	// Never trained (or synced since): the carried model IS the cloud
-	// model, so Δw_m = 0 exactly — the same bits the full sweep yields.
-	return 0, 0, true
+	rec := s.evicted[m]
+	return rec.util, rec.deltaNorm, true
 }
 
 func (s *lazyStore) noteTrained(m, step int) { s.lastUse[m] = step }
@@ -199,6 +207,7 @@ func (s *lazyStore) cloudSynced() {
 	// After a sync every device equals the cloud model: all drift is
 	// exactly zero again.
 	clear(s.evicted)
+	clear(s.private)
 }
 
 // reset recycles any resident vector and forgets any compact drift, so
@@ -211,6 +220,7 @@ func (s *lazyStore) reset(m int) {
 		delete(s.lastUse, m)
 	}
 	delete(s.evicted, m)
+	s.private[m>>6] &^= 1 << (m & 63)
 }
 
 func (s *lazyStore) residentCount() int { return len(s.res) }

@@ -196,3 +196,164 @@ func TestResidentCapValidation(t *testing.T) {
 	}()
 	New(cfg, f.factory(), f.part, f.test, f.mob, middleLike{})
 }
+
+// mapStore is the lazy store as it was before the private-state bitset:
+// every question is answered by probing the maps. It is the reference
+// TestLazyStoreMatchesMapReference holds the bitset against.
+type mapStore struct {
+	cloud   []float64
+	cap     int
+	res     map[int][]float64
+	lastUse map[int]int
+	evicted map[int]driftRec
+}
+
+func (s *mapStore) model(m int) []float64 {
+	if v, ok := s.res[m]; ok {
+		return v
+	}
+	return s.cloud
+}
+
+func (s *mapStore) materialize(m int) []float64 {
+	if v, ok := s.res[m]; ok {
+		return v
+	}
+	v := cloneVec(s.cloud)
+	s.res[m] = v
+	delete(s.evicted, m)
+	return v
+}
+
+func (s *mapStore) drift(m int) (float64, float64, bool) {
+	if _, ok := s.res[m]; ok {
+		return 0, 0, false
+	}
+	if rec, ok := s.evicted[m]; ok {
+		return rec.util, rec.deltaNorm, true
+	}
+	return 0, 0, true
+}
+
+func (s *mapStore) endStep() {
+	for len(s.res) > s.cap {
+		victim := -1
+		for m := range s.res {
+			if victim < 0 || s.lastUse[m] < s.lastUse[victim] ||
+				(s.lastUse[m] == s.lastUse[victim] && m < victim) {
+				victim = m
+			}
+		}
+		u, dn := simil.SelectionUtilityNorm(s.cloud, s.res[victim])
+		s.evicted[victim] = driftRec{util: u, deltaNorm: dn}
+		delete(s.res, victim)
+		delete(s.lastUse, victim)
+	}
+}
+
+func (s *mapStore) cloudSynced() {
+	clear(s.res)
+	clear(s.lastUse)
+	clear(s.evicted)
+}
+
+func (s *mapStore) reset(m int) {
+	delete(s.res, m)
+	delete(s.lastUse, m)
+	delete(s.evicted, m)
+}
+
+// TestLazyStoreMatchesMapReference drives the lazy store and the
+// map-only reference through the same seeded sequence of engine
+// operations — materialize and train, step end with eviction under a
+// cap, failed-handover reset, cloud sync — and demands the same drift,
+// model, residency and resident count for every device after every
+// operation. The bitset may therefore never answer "exactly the cloud
+// model" for a device that is resident or evicted, nor miss one that is
+// neither.
+func TestLazyStoreMatchesMapReference(t *testing.T) {
+	const (
+		devices = 130 // three bitset words, the last one partial
+		dim     = 6
+		cap     = 7
+	)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := tensor.NewRNG(seed)
+		cloud := make([]float64, dim)
+		refCloud := make([]float64, dim)
+		got := newLazyStore(cloud, devices, cap)
+		ref := &mapStore{cloud: refCloud, cap: cap,
+			res: map[int][]float64{}, lastUse: map[int]int{}, evicted: map[int]driftRec{}}
+
+		step := 0
+		for op := 0; op < 3000; op++ {
+			m := rng.Intn(devices)
+			var what string
+			switch r := rng.Intn(100); {
+			case r < 55:
+				what = "materialize+train"
+				a, b := got.materialize(m), ref.materialize(m)
+				for i := range a {
+					a[i] = rng.Float64() - 0.5
+					b[i] = a[i]
+				}
+				got.noteTrained(m, step)
+				ref.lastUse[m] = step
+			case r < 80:
+				what = "endStep"
+				step++
+				got.endStep(step)
+				ref.endStep()
+			case r < 95:
+				what = "reset"
+				got.reset(m)
+				ref.reset(m)
+			default:
+				what = "cloudSynced"
+				for i := range cloud {
+					cloud[i] = rng.Float64()
+					refCloud[i] = cloud[i]
+				}
+				got.cloudSynced()
+				ref.cloudSynced()
+			}
+
+			if got.residentCount() != len(ref.res) {
+				t.Fatalf("seed %d op %d (%s): %d resident, reference has %d",
+					seed, op, what, got.residentCount(), len(ref.res))
+			}
+			for d := 0; d < devices; d++ {
+				_, wantRes := ref.res[d]
+				if got.resident(d) != wantRes {
+					t.Fatalf("seed %d op %d (%s): device %d resident=%v, reference %v",
+						seed, op, what, d, got.resident(d), wantRes)
+				}
+				// A stale bit would still answer correctly, through the
+				// maps; it would only lose the fast path. Pin it anyway.
+				_, ev := got.evicted[d]
+				if bit := got.private[d>>6]&(1<<(d&63)) != 0; bit != (wantRes || ev) {
+					t.Fatalf("seed %d op %d (%s): device %d private bit=%v but resident=%v evicted=%v",
+						seed, op, what, d, bit, wantRes, ev)
+				}
+				gu, gn, gk := got.drift(d)
+				wu, wn, wk := ref.drift(d)
+				if gk != wk || math.Float64bits(gu) != math.Float64bits(wu) ||
+					math.Float64bits(gn) != math.Float64bits(wn) {
+					t.Fatalf("seed %d op %d (%s): device %d drift (%v, %v, %v), reference (%v, %v, %v)",
+						seed, op, what, d, gu, gn, gk, wu, wn, wk)
+				}
+				gv, wv := got.model(d), ref.model(d)
+				if (&gv[0] == &cloud[0]) != (&wv[0] == &refCloud[0]) {
+					t.Fatalf("seed %d op %d (%s): device %d aliases the cloud vector: %v, reference %v",
+						seed, op, what, d, &gv[0] == &cloud[0], &wv[0] == &refCloud[0])
+				}
+				for i := range gv {
+					if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+						t.Fatalf("seed %d op %d (%s): device %d model differs at coordinate %d",
+							seed, op, what, d, i)
+					}
+				}
+			}
+		}
+	}
+}

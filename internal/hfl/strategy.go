@@ -1,6 +1,8 @@
 package hfl
 
 import (
+	"sync"
+
 	"middle/internal/simil"
 	"middle/internal/tensor"
 )
@@ -81,7 +83,12 @@ type Strategy interface {
 	// Select returns at most k device ids from candidates (the devices
 	// currently inside the edge) to participate in this time step. rng
 	// is a per-(step, edge) deterministic stream for tie-breaking or
-	// random selection.
+	// random selection. Select is called concurrently for different
+	// edges — by the simulator from up to Config.Parallelism goroutines
+	// within a step, by a deployment's edges each on their own — so it
+	// must not write shared state unsynchronised, and its result must
+	// depend only on its arguments, never on the order of the calls.
+	// The view is not written while any Select of the step is running.
 	Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int
 	// InitLocal returns the model vector the device starts local
 	// training from this step. moved reports whether the device entered
@@ -94,18 +101,31 @@ type Strategy interface {
 	InitLocal(v View, device, edge int, moved bool) []float64
 }
 
+// topKScratch is TopKByScore's working set: the shuffled candidate ids
+// and their scores, index-aligned. Pooled so that concurrent per-edge
+// selections each reuse one pair of population-sized slices.
+type topKScratch struct {
+	idx    []int
+	scores []float64
+}
+
+var topKPool = sync.Pool{New: func() any { return new(topKScratch) }}
+
 // TopKByScore returns the (at most k) candidate ids with the highest
 // scores, breaking ties by the shuffled order. It is the TOPK(·) of
-// paper Eq. 12 and is shared by several strategies.
+// paper Eq. 12 and is shared by several strategies. score is called once
+// per candidate, in the shuffled order; the returned slice is the
+// caller's. Safe for concurrent use.
 func TopKByScore(candidates []int, score func(device int) float64, k int, rng *tensor.RNG) []int {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	idx := append([]int(nil), candidates...)
+	sc := topKPool.Get().(*topKScratch)
+	idx := append(sc.idx[:0], candidates...)
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	scores := make(map[int]float64, len(idx))
+	scores := sc.scores[:0]
 	for _, m := range idx {
-		scores[m] = score(m)
+		scores = append(scores, score(m))
 	}
 	// Stable selection sort of the shuffled order: O(n·k) with k small.
 	if k > len(idx) {
@@ -113,12 +133,16 @@ func TopKByScore(candidates []int, score func(device int) float64, k int, rng *t
 	}
 	for i := 0; i < k; i++ {
 		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if scores[idx[j]] > scores[idx[best]] {
+		for j := i + 1; j < len(scores); j++ {
+			if scores[j] > scores[best] {
 				best = j
 			}
 		}
 		idx[i], idx[best] = idx[best], idx[i]
+		scores[i], scores[best] = scores[best], scores[i]
 	}
-	return idx[:k]
+	out := append([]int(nil), idx[:k]...)
+	sc.idx, sc.scores = idx, scores
+	topKPool.Put(sc)
+	return out
 }

@@ -51,6 +51,15 @@ go test ./...
 echo "== go test -race (tensor, hfl, fednet, obs) =="
 go test -race ./internal/tensor ./internal/hfl ./internal/fednet ./internal/obs
 
+echo "== selection fan-out + lazy-store parity (-race, 5x) =="
+# hfl.Sim calls Strategy.Select for its edges from the worker pool: the
+# map-free TOPK against its map-based oracle, the store's private-state
+# bitset against the map-only reference, and the per-edge cohorts at
+# Parallelism 1 vs 4, five times under the race detector.
+go test -race -count=5 \
+    -run 'TestTopKByScoreMatchesOracle|TestLazyStoreMatchesMapReference|TestSelectionIdenticalAcrossParallelism' \
+    ./internal/hfl
+
 echo "== chaos smoke (-race) =="
 # Seeded fault injection against the full cluster under the race
 # detector: the run must complete and the degradation counters fire.
@@ -506,6 +515,19 @@ if [ -z "$resident" ] || [ "$resident" -gt 4096 ]; then
     echo "peak resident models ${resident:-unreported} exceeds the 4096 cap"
     exit 1
 fi
+# The population-wide pass (mobility draw, membership diff, candidate
+# lists, one O(1) score per device) must stay cheaper than training the
+# 1k-device cohort it picks.
+select_s=$(sed -n 's/.* select_s=\([0-9.]*\).*/\1/p' "$tmpdir/scale.log")
+train_s=$(sed -n 's/.* train_s=\([0-9.]*\).*/\1/p' "$tmpdir/scale.log")
+if [ -z "$select_s" ] || [ -z "$train_s" ]; then
+    echo "scale run never reported select_s/train_s"
+    exit 1
+fi
+if [ -z "$(awk -v s="$select_s" -v t="$train_s" 'BEGIN { print (s <= t) ? "yes" : "" }')" ]; then
+    echo "select phase ${select_s}s exceeds training ${train_s}s on the 1M-device run"
+    exit 1
+fi
 # Nonsensical combination must be rejected with a clear message.
 if "$tmpdir/middlesim" -exp scale -devices 1000 -edges 10 -k 5 \
     -resident-cap 49 > "$tmpdir/scale_bad.log" 2>&1; then
@@ -517,6 +539,20 @@ grep -q "cohort" "$tmpdir/scale_bad.log" || {
     cat "$tmpdir/scale_bad.log"
     exit 1
 }
+echo ok
+
+echo "== bench sim_fleet correctness gate =="
+# The benchmark's population-scale workload at its fixed 100-round job.
+# The last line is the driver's contract object; its "correct" flag is
+# false unless the target accuracy was reached, the final accuracy
+# cleared its floor and the model stayed finite.
+go run ./bench -workload sim_fleet -seconds 1 > "$tmpdir/bench_fleet.log" 2>&1 &&
+    tail -n 1 "$tmpdir/bench_fleet.log" | grep -q '"correct":true' || {
+    echo "bench sim_fleet run is not correct:"
+    cat "$tmpdir/bench_fleet.log"
+    exit 1
+}
+tail -n 1 "$tmpdir/bench_fleet.log"
 echo ok
 
 echo "== live-migration smoke =="
