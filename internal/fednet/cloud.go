@@ -105,6 +105,10 @@ type Cloud struct {
 
 	mu     sync.Mutex
 	global []float64
+	// spare is the buffer of the global model before this one, which the
+	// next sync aggregates into: the two swap. Only Run touches it, and
+	// nobody else holds a global model's buffer — readers copy under mu.
+	spare []float64
 
 	startRound  int             // rounds ≤ startRound were already completed (resume)
 	edgeWeights map[int]float64 // last sync's per-edge weights (checkpointed)
@@ -421,9 +425,11 @@ func (c *Cloud) Run() error {
 			syncStart := tr.Now()
 			fp := flight.BeginPhase("cloud_sync")
 			synced := c.applySync(r, vecs, weights, sagg)
+			// Only this goroutine writes c.global, so the broadcast sends
+			// it to every member as it stands, uncopied.
 			for _, m := range members {
 				m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.GlobalModel()); err != nil {
+				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.global); err != nil {
 					countTimeout(c.m.timeouts, err)
 					if derr := c.memberDead(ms, m, r, err); derr != nil {
 						return derr
@@ -463,7 +469,10 @@ func (c *Cloud) Run() error {
 func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64, sagg *shardAgg) int {
 	// Only this goroutine writes c.global, so it reads it unlocked; the
 	// lock orders the install against GlobalModel's readers.
-	next := make([]float64, len(c.global))
+	next := c.spare
+	if len(next) != len(c.global) {
+		next = make([]float64, len(c.global))
+	}
 	synced, install := 0, false
 	if sagg != nil {
 		synced = sagg.edges
@@ -480,9 +489,10 @@ func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64, sagg *shar
 	}
 	if install {
 		c.mu.Lock()
-		c.global = next
+		c.global, next = next, c.global
 		c.mu.Unlock()
 	}
+	c.spare = next
 	c.lastSync = r
 	return synced
 }

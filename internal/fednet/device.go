@@ -184,6 +184,13 @@ func (deviceView) LastTrained(int) int        { return 0 }
 
 var errMuxClosed = errors.New("fednet: device client is shut down")
 
+// vecBuf is a reusable vector; payloadPool recycles the ones train
+// requests are decoded into between the device clients of a process, so
+// their number follows the requests being served, not the connections.
+type vecBuf struct{ v []float64 }
+
+var payloadPool = sync.Pool{New: func() any { return new(vecBuf) }}
+
 // NewDeviceMux builds a device client (not yet attached anywhere; use
 // Connect per hosted device).
 func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
@@ -554,13 +561,34 @@ riders:
 // payloads are re-requested after the resync rather than aggregated.
 func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	defer close(cc.done)
+	// A payload is decoded into a pooled vector that goes back when its
+	// frame has been handled: training is synchronous inside the loop and
+	// keeps nothing of the payload (InitLocal clones or blends it,
+	// LocalRound copies it into the network, ImportMoments copies its
+	// moments). A connection waiting for its next request holds none.
+	var held *vecBuf
+	payloadBuf := func(n int) []float64 {
+		held = payloadPool.Get().(*vecBuf)
+		if cap(held.v) < n {
+			held.v = make([]float64, n)
+		}
+		return held.v[:n]
+	}
+	release := func() {
+		if held != nil && 8*cap(held.v) <= maxPooledFrame {
+			payloadPool.Put(held)
+		}
+		held = nil
+	}
+	defer release()
 	for {
 		var h struct {
 			TrainRequest
 			EdgeID   int `json:"edge_id"`
 			LastSync int `json:"last_sync"`
 		}
-		t, payload, err := mx.m.link.readMsg(cc.conn, &h)
+		release()
+		t, payload, err := mx.m.link.readMsgInto(cc.conn, &h, payloadBuf)
 		if err != nil {
 			mx.lost(cc)
 			return
@@ -585,6 +613,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 		trainTok := mx.m.trainSpan.Begin()
 		vec, reply, terr := mx.train(h.TrainRequest, payload, cc.edgeID)
 		trainTok.End()
+		release() // before the reply write can block
 		if terr != nil {
 			// A frame whose state is inconsistent (e.g. a moved-blend
 			// length mismatch) is as untrustworthy as a corrupt one: tear

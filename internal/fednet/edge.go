@@ -118,6 +118,10 @@ type deviceState struct {
 	arrivedFrom int  // edge the device trained under before connecting here
 	trainedHere bool // has it trained at this edge since arriving?
 	lastModel   []float64
+	// replyBuf is the reply vector lastModel and moments were last taken
+	// from (they alias it); it returns to the edge's free list when the
+	// device's next reply replaces them.
+	replyBuf    []float64
 	statUtil    float64
 	lastTrained int
 	// lastSeen is the edge round of the device's last sign of life
@@ -165,13 +169,24 @@ type Edge struct {
 	// by mu.
 	pendingTrace []pendingTraceEvent
 
+	// replies is the free list the demux readers decode train replies
+	// into (see deviceState.replyBuf).
+	replies vecList
+
 	// The fields below are guarded by mu: the Run loop writes them while
 	// acceptLoop goroutines read them to build registration acks.
 	edgeModel []float64
-	cloudSeen []float64 // last global model received (w_c for Eq. 12)
-	weight    float64   // d̂ accumulator since last sync
-	lastSync  int       // round of the last cloud sync
-	curRound  int       // round currently (or last) executed
+	// modelUsers counts the readers of edgeModel's buffer that run outside
+	// mu — train RPCs and registration acks in flight. spareModel is the
+	// buffer of the edge model before this one if it had none left when it
+	// was replaced (nil otherwise): the next aggregate or global model is
+	// written into it, so the two swap from round to round.
+	modelUsers int
+	spareModel []float64
+	cloudSeen  []float64 // last global model received (w_c for Eq. 12), in its own storage
+	weight     float64   // d̂ accumulator since last sync
+	lastSync   int       // round of the last cloud sync
+	curRound   int       // round currently (or last) executed
 
 	// Membership state: the incarnation epoch assigned by the cloud's
 	// welcome (0 when the membership layer is disabled), the cloud
@@ -277,6 +292,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		ln:              ln,
 		m:               newEdgeMetrics(cfg.Obs),
 		agg:             robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
+		replies:         vecList{max: cfg.K},
 		devices:         map[int]*deviceState{},
 		pendingHandover: map[int]*checkpoint.Handover{},
 		handoverGen:     map[int]int{},
@@ -650,7 +666,6 @@ func (e *Edge) Run() error {
 		// moved past. Adopt the current global model with zero weight and
 		// align the round/sync counters with the cloud's.
 		e.edgeModel = vec
-		e.cloudSeen = append([]float64(nil), vec...)
 		e.weight = 0
 		e.curRound = welcome.Round
 		e.lastSync = welcome.LastSync
@@ -659,11 +674,10 @@ func (e *Edge) Run() error {
 		// Eq. 6 progress accumulated since the last cloud sync that the
 		// broadcast global model does not — and only adopt the received
 		// model as the cloud reference for Eq. 12.
-		e.cloudSeen = append([]float64(nil), vec...)
 	default:
 		e.edgeModel = vec
-		e.cloudSeen = append([]float64(nil), vec...)
 	}
+	e.sawCloudModelLocked(vec)
 	e.mu.Unlock()
 	if t == MsgEdgeWelcome {
 		if welcome.Rejoin {
@@ -767,19 +781,103 @@ func (e *Edge) Run() error {
 			return fmt.Errorf("fednet: edge %d acking round %d: %w", e.cfg.EdgeID, rs.Round, err)
 		}
 		if rs.Sync {
-			t, vec, err := e.m.cloudLink.readMsg(cloud, nil)
+			t, vec, err := e.m.cloudLink.readMsgInto(cloud, nil, e.takeSpareModel)
 			if err != nil || t != MsgGlobalModel {
 				return fmt.Errorf("fednet: edge %d waiting for global model: type %d, %v", e.cfg.EdgeID, t, err)
 			}
 			e.mu.Lock()
-			e.edgeModel = vec
-			e.cloudSeen = append([]float64(nil), vec...)
+			e.installModelLocked(vec)
+			e.sawCloudModelLocked(vec)
 			e.weight = 0
 			e.lastSync = rs.Round
 			e.mu.Unlock()
 		}
 		if e.cfg.CheckpointDir != "" && rs.Round%e.cfg.CheckpointEvery == 0 {
 			e.saveCheckpoint(rs.Round)
+		}
+	}
+}
+
+// sawCloudModelLocked records vec as w_c, the cloud reference of Eq. 12,
+// copying it into cloudSeen's own storage: everything that reads cloudSeen
+// does so under mu. e.mu must be held.
+func (e *Edge) sawCloudModelLocked(vec []float64) {
+	e.cloudSeen = append(e.cloudSeen[:0], vec...)
+}
+
+// takeSpareModel returns a buffer of n values nobody else reads, for the
+// next edge model to be written into: the spare if it fits, else a new one.
+func (e *Edge) takeSpareModel(n int) []float64 {
+	e.mu.Lock()
+	buf := e.spareModel
+	e.spareModel = nil
+	e.mu.Unlock()
+	if len(buf) != n {
+		buf = make([]float64, n)
+	}
+	return buf
+}
+
+// installModelLocked makes m the edge model. The buffer of the model it
+// replaces becomes the spare unless a reader outside mu may still hold it.
+// e.mu must be held.
+func (e *Edge) installModelLocked(m []float64) {
+	e.spareModel = nil
+	if e.modelUsers == 0 {
+		e.spareModel = e.edgeModel
+	}
+	e.edgeModel = m
+}
+
+// releaseModel ends one out-of-lock use of the edge model's buffer.
+func (e *Edge) releaseModel() {
+	e.mu.Lock()
+	e.modelUsers--
+	e.mu.Unlock()
+}
+
+// vecList is a small free list of vectors; the zero value with max set is
+// ready to use.
+type vecList struct {
+	mu   sync.Mutex
+	free [][]float64
+	max  int // vectors kept at most
+}
+
+// get returns a vector of n values the caller owns: one from the list
+// with the capacity, else a new one.
+func (l *vecList) get(n int) []float64 {
+	l.mu.Lock()
+	for i, v := range l.free {
+		if cap(v) >= n {
+			last := len(l.free) - 1
+			l.free[i], l.free[last] = l.free[last], nil
+			l.free = l.free[:last]
+			l.mu.Unlock()
+			return v[:n]
+		}
+	}
+	l.mu.Unlock()
+	return make([]float64, n)
+}
+
+// put hands v, which nothing may reference any more, to the list. A full
+// list keeps its largest vectors, so one size of reply cannot be crowded
+// out by leftovers of a smaller one.
+func (l *vecList) put(v []float64) {
+	if cap(v) == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < l.max {
+		l.free = append(l.free, v)
+		return
+	}
+	for i, f := range l.free {
+		if cap(f) < cap(v) {
+			l.free[i] = v
+			return
 		}
 	}
 }
@@ -837,6 +935,7 @@ type roundStats struct {
 // never aggregated.
 type trainResult struct {
 	id         int
+	buf        []float64 // the reply vector as received; vec and moments alias it
 	vec        []float64
 	reply      TrainReply
 	moments    []float64
@@ -878,10 +977,11 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	rng := tensor.Split(e.cfg.Seed, int64(round)*1_000_003+int64(e.cfg.EdgeID)*7+1)
 	e.mu.Lock()
 	sel := e.cfg.Strategy.Select(view, e.cfg.EdgeID, candidates, e.cfg.K, rng)
-	e.mu.Unlock()
 	if len(sel) > e.cfg.K {
 		sel = sel[:e.cfg.K]
 	}
+	e.modelUsers += len(sel) // each train RPC sends model, unlocked
+	e.mu.Unlock()
 	if len(sel) == 0 {
 		return roundStats{}
 	}
@@ -892,7 +992,11 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	defer close(abort)
 	results := make(chan trainResult, len(sel))
 	for _, id := range sel {
-		go e.trainDevice(id, round, span, model, results, abort)
+		go func(id int) {
+			res := e.trainDevice(id, round, span, model, abort)
+			e.releaseModel()
+			results <- res
+		}(id)
 	}
 
 	var st roundStats
@@ -929,16 +1033,24 @@ collect:
 			}
 			e.mu.Lock()
 			if d, ok := e.devices[res.id]; ok {
+				if res.momentLens != nil {
+					d.moments = res.moments
+					d.momentLens = res.momentLens
+					d.optSteps = res.optSteps
+				} else if len(d.moments) > 0 {
+					// Moments kept from an earlier reply outlive its buffer.
+					d.moments = append([]float64(nil), d.moments...)
+				}
+				// Nothing still reads what this reply replaces: selection
+				// and handover read lastModel and moments under mu, and a
+				// round aggregates only vectors received in that round.
+				e.replies.put(d.replyBuf)
+				d.replyBuf = res.buf
 				d.lastModel = res.vec
 				d.statUtil = res.reply.Utility
 				d.lastTrained = round
 				d.lastSeen = round
 				d.trainedHere = true
-				if res.momentLens != nil {
-					d.moments = res.moments
-					d.momentLens = res.momentLens
-					d.optSteps = res.optSteps
-				}
 			}
 			e.mu.Unlock()
 			vecs = append(vecs, res.vec)
@@ -975,7 +1087,7 @@ collect:
 	// norm bound over the surviving updates, measured against the
 	// pre-round edge model), the quorum check on what survives it, Eq. 6.
 	fp := flight.BeginPhase("edge_agg")
-	agg := make([]float64, len(model))
+	agg := e.takeSpareModel(len(model))
 	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
 	fp.End()
 	st.trained, st.weight = out.Kept, out.Weight
@@ -1005,10 +1117,13 @@ collect:
 				now, 0, span+".qm", span,
 				map[string]any{"round": round, "responders": st.trained, "quorum": e.cfg.Quorum})
 		}
+		e.mu.Lock()
+		e.spareModel = agg
+		e.mu.Unlock()
 		return st
 	}
 	e.mu.Lock()
-	e.edgeModel = agg
+	e.installModelLocked(agg)
 	e.mu.Unlock()
 	return st
 }
@@ -1017,7 +1132,7 @@ collect:
 // The round-trip rides the device's connection, whose demux reader
 // matches the reply by device id; after a transport error the retry
 // addresses whatever connection the device re-registered with.
-func (e *Edge) trainDevice(id, round int, span string, model []float64, results chan<- trainResult, abort <-chan struct{}) {
+func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-chan struct{}) trainResult {
 	tr := e.cfg.Trace
 	var lastErr error
 	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
@@ -1028,8 +1143,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 		}
 		select {
 		case <-abort:
-			results <- trainResult{id: id, err: lastErr}
-			return
+			return trainResult{id: id, err: lastErr}
 		default:
 		}
 		e.mu.Lock()
@@ -1070,7 +1184,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 		fp := flight.BeginPhase("comm")
 		vec, reply, err := d.mux.roundTrip(id, req, payload)
 		fp.End()
-		res := trainResult{id: id, reply: reply}
+		res := trainResult{id: id, buf: vec, reply: reply}
 		if err == nil {
 			// An unknown device answers with an empty reply; either way
 			// the stream is intact, so the connection stays.
@@ -1099,10 +1213,9 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, results 
 				rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
 				map[string]any{"round": round, "device": id, "attempt": attempt})
 		}
-		results <- res
-		return
+		return res
 	}
-	results <- trainResult{id: id, err: lastErr}
+	return trainResult{id: id, err: lastErr}
 }
 
 // splitMoments separates a train-reply payload into the model part and

@@ -61,9 +61,16 @@ func (lm linkMetrics) writeShared(mu *sync.Mutex, conn net.Conn, timeout time.Du
 	return lm.writeMsg(conn, t, header, vec)
 }
 
-// readMsg reads one framed message and records the bytes consumed.
+// readMsg reads one framed message into a vector the caller owns and
+// records the bytes consumed.
 func (lm linkMetrics) readMsg(r io.Reader, headerOut any) (MsgType, []float64, error) {
-	t, vec, n, err := ReadMsgCount(r, headerOut)
+	return lm.readMsgInto(r, headerOut, nil)
+}
+
+// readMsgInto is readMsg decoding the vector into vecFor's storage (see
+// readFrame).
+func (lm linkMetrics) readMsgInto(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgType, []float64, error) {
+	t, vec, n, err := readFrame(r, headerOut, vecFor)
 	lm.recvBytes.Add(int64(n))
 	if err == nil {
 		lm.recvMsgs.Inc()

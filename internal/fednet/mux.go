@@ -91,12 +91,13 @@ func (mx *edgeMux) roundTrip(id int, req TrainRequest, payload []float64) ([]flo
 // serve is the demultiplexing reader: one goroutine per connection.
 func (mx *edgeMux) serve() {
 	e := mx.edge
+	replyBuf := e.replies.get
 	for {
 		var h struct {
 			TrainReply
 			Devices []RegisterDevice `json:"devices"`
 		}
-		t, vec, err := e.m.deviceLink.readMsg(mx.conn, &h)
+		t, vec, err := e.m.deviceLink.readMsgInto(mx.conn, &h, replyBuf)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				err = nil // the client closed (its last device left), or this edge did
@@ -112,6 +113,8 @@ func (mx *edgeMux) serve() {
 			mx.mu.Unlock()
 			if ch != nil {
 				ch <- trainResult{vec: vec, reply: h.TrainReply}
+			} else {
+				e.replies.put(vec) // late: its round-trip gave up
 			}
 		case MsgRegisterMux:
 			// Another device of the client arrived over the existing
@@ -191,7 +194,7 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			// merge rule as consumeHandoverLocked — the training timeline
 			// survives only within the same cloud-sync era.
 			if len(vec) > 0 && (len(e.edgeModel) == 0 || len(vec) == len(e.edgeModel)) {
-				d.lastModel = vec
+				d.lastModel, d.replyBuf = vec, vec
 			}
 			if rd.Utility != 0 {
 				d.statUtil = rd.Utility
@@ -211,8 +214,10 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	e.m.virtualDevices.Set(float64(len(e.devices)))
 	ack := RegisterAck{EdgeID: e.cfg.EdgeID, Round: e.curRound, LastSync: e.lastSync}
 	model := e.edgeModel
+	e.modelUsers++
 	e.mu.Unlock()
 	err := mx.write(MsgRegisterAck, ack, model)
+	e.releaseModel()
 	if err != nil {
 		for _, rd := range devices {
 			e.dropDevice(rd.DeviceID, mx)

@@ -20,6 +20,12 @@
 // would otherwise be silently aggregated); a mismatch is reported as
 // ErrCorruptFrame and the stream is considered poisoned — the peer must
 // reconnect and retry rather than resynchronise mid-stream.
+//
+// Frames are assembled, and arriving ones staged, in pooled buffers, so
+// nothing passed to WriteMsg is retained and ReadMsg returns a vector the
+// caller owns. Inside the package a reader may instead supply the storage
+// its vectors are decoded into; DESIGN.md ("Who owns a vector") lists who
+// holds which buffer until when.
 package fednet
 
 import (
@@ -31,6 +37,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -346,20 +353,58 @@ func unpackBytes(vec []float64, n int) (p []byte, ok bool) {
 	return p[:n], true
 }
 
+// frameBuf is a reusable byte buffer holding one frame: the writer
+// assembles a frame in it, the reader stages an arriving one in it.
+type frameBuf struct{ b []byte }
+
+// framePool recycles frame buffers across messages and connections. A
+// buffer is in the pool only while no frame is in it: the writer returns
+// its buffer when Write has returned (every net.Conn and faultConn.Write
+// is synchronous and copies what it keeps), the reader once the header
+// and the vector have been decoded out of it.
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+const (
+	// maxPooledFrame is the largest buffer that goes back to the pool — a
+	// few model frames. A peer that really sends a larger frame costs one
+	// allocation per frame, not a buffer retained on its behalf.
+	maxPooledFrame = 1 << 24
+	// readChunk is the least the staging buffer grows by while a large
+	// frame arrives: its size follows the bytes received (at most
+	// doubling), never the length a frame merely claims.
+	readChunk = 64 << 10
+)
+
+// frameCap rounds a buffer size up to whole pages: model frames of one
+// deployment differ by a few header digits, and one buffer fits them all.
+func frameCap(n int) int { return (n + 4095) &^ 4095 }
+
+func putFrame(fb *frameBuf) {
+	if cap(fb.b) <= maxPooledFrame {
+		framePool.Put(fb)
+	}
+}
+
 // WriteMsg frames and writes one message.
 func WriteMsg(w io.Writer, t MsgType, header any, vec []float64) error {
 	_, err := WriteMsgCount(w, t, header, vec)
 	return err
 }
 
-// WriteMsgCount frames and writes one message, reporting how many bytes
-// actually went onto the wire (which may be short on error).
+// WriteMsgCount frames and writes one message in a single Write,
+// reporting how many bytes actually went onto the wire (which may be
+// short on error). vec is only read, and not retained.
 func WriteMsgCount(w io.Writer, t MsgType, header any, vec []float64) (int, error) {
 	js, err := json.Marshal(header)
 	if err != nil {
 		return 0, fmt.Errorf("fednet: marshal header: %w", err)
 	}
-	buf := make([]byte, 1+4+len(js)+4+8*len(vec)+4)
+	size := 1 + 4 + len(js) + 4 + 8*len(vec) + 4
+	fb := framePool.Get().(*frameBuf)
+	if cap(fb.b) < size {
+		fb.b = make([]byte, frameCap(size))
+	}
+	buf := fb.b[:size] // every byte is written below: no clearing
 	buf[0] = byte(t)
 	binary.LittleEndian.PutUint32(buf[1:], uint32(len(js)))
 	copy(buf[5:], js)
@@ -371,87 +416,122 @@ func WriteMsgCount(w io.Writer, t MsgType, header any, vec []float64) (int, erro
 		off += 8
 	}
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return w.Write(buf)
+	n, err := w.Write(buf)
+	putFrame(fb)
+	return n, err
 }
 
 // ReadMsg reads one framed message; header is decoded into headerOut
-// (pass a pointer, or nil to discard).
+// (pass a pointer, or nil to discard). The returned vector is freshly
+// allocated and the caller's to keep.
 func ReadMsg(r io.Reader, headerOut any) (MsgType, []float64, error) {
-	t, vec, _, err := ReadMsgCount(r, headerOut)
+	t, vec, _, err := readFrame(r, headerOut, nil)
 	return t, vec, err
 }
 
-// ReadMsgCount reads one framed message and additionally reports how
-// many bytes were consumed from the stream (the partial count on error).
+// ReadMsgCount is ReadMsg additionally reporting how many bytes were
+// consumed from the stream (the partial count on error).
 func ReadMsgCount(r io.Reader, headerOut any) (MsgType, []float64, int, error) {
-	total := 0
-	sum := crc32.NewIEEE()
-	var tb [1]byte
-	n, err := io.ReadFull(r, tb[:])
-	total += n
+	return readFrame(r, headerOut, nil)
+}
+
+// stage reads the next n bytes of a frame from r onto the end of fb.b,
+// which grows as they arrive; read counts the bytes consumed.
+func (fb *frameBuf) stage(r io.Reader, n int, read *int) error {
+	for n > 0 {
+		b := fb.b
+		if len(b) == cap(b) {
+			b = make([]byte, len(b), frameCap(len(b)+min(n, max(readChunk, len(b)))))
+			copy(b, fb.b)
+		}
+		step := min(n, cap(b)-len(b))
+		got, err := io.ReadFull(r, b[len(b):len(b)+step])
+		*read += got
+		fb.b = b[:len(b)+got]
+		if err != nil {
+			return err
+		}
+		n -= step
+	}
+	return nil
+}
+
+// fill stages the rest of a frame whose first five bytes (type and header
+// length) are head, reading from r, and verifies its CRC; read counts the
+// bytes consumed. After a nil error fb.b is exactly the frame; nothing of
+// it has been decoded or handed out before that.
+func (fb *frameBuf) fill(r io.Reader, head []byte, read *int) error {
+	fb.b = append(fb.b[:0], head...)
+	jsonLen := binary.LittleEndian.Uint32(head[1:])
+	if jsonLen > maxFrame {
+		return fmt.Errorf("fednet: header length %d too large", jsonLen)
+	}
+	if err := fb.stage(r, int(jsonLen), read); err != nil {
+		return fmt.Errorf("fednet: reading header: %w", err)
+	}
+	if err := fb.stage(r, 4, read); err != nil {
+		return fmt.Errorf("fednet: reading vector length: %w", err)
+	}
+	vecLen := binary.LittleEndian.Uint32(fb.b[5+jsonLen:])
+	if vecLen > maxFrame/8 {
+		return fmt.Errorf("fednet: vector length %d too large", vecLen)
+	}
+	if err := fb.stage(r, 8*int(vecLen), read); err != nil {
+		return fmt.Errorf("fednet: reading vector: %w", err)
+	}
+	if err := fb.stage(r, 4, read); err != nil {
+		return fmt.Errorf("fednet: reading checksum: %w", err)
+	}
+	end := len(fb.b) - 4
+	if binary.LittleEndian.Uint32(fb.b[end:]) != crc32.ChecksumIEEE(fb.b[:end]) {
+		return fmt.Errorf("fednet: frame checksum mismatch (type %d): %w", fb.b[0], ErrCorruptFrame)
+	}
+	return nil
+}
+
+// readFrame is the one frame reader. The frame is staged in a pooled
+// buffer and its CRC verified before the header is decoded or any value
+// handed out; the vector is then decoded into vecFor(vecLen) — storage
+// of at least that length which the caller owns and may reuse from frame
+// to frame — or, with a nil vecFor, into a fresh vector.
+func readFrame(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgType, []float64, int, error) {
+	// The type and the header length arrive on their own: a reader idle
+	// between frames holds no frame buffer.
+	head := make([]byte, 5)
+	total, err := io.ReadFull(r, head[:1])
 	if err != nil {
 		return 0, nil, total, err
 	}
-	sum.Write(tb[:])
-	var lb [4]byte
-	n, err = io.ReadFull(r, lb[:])
+	n, err := io.ReadFull(r, head[1:])
 	total += n
 	if err != nil {
 		return 0, nil, total, fmt.Errorf("fednet: reading header length: %w", err)
 	}
-	sum.Write(lb[:])
-	jsonLen := binary.LittleEndian.Uint32(lb[:])
-	if jsonLen > maxFrame {
-		return 0, nil, total, fmt.Errorf("fednet: header length %d too large", jsonLen)
+	fb := framePool.Get().(*frameBuf)
+	defer putFrame(fb)
+	if err := fb.fill(r, head, &total); err != nil {
+		return 0, nil, total, err
 	}
-	js := make([]byte, jsonLen)
-	n, err = io.ReadFull(r, js)
-	total += n
-	if err != nil {
-		return 0, nil, total, fmt.Errorf("fednet: reading header: %w", err)
-	}
-	sum.Write(js)
-	n, err = io.ReadFull(r, lb[:])
-	total += n
-	if err != nil {
-		return 0, nil, total, fmt.Errorf("fednet: reading vector length: %w", err)
-	}
-	sum.Write(lb[:])
-	vecLen := binary.LittleEndian.Uint32(lb[:])
-	if vecLen > maxFrame/8 {
-		return 0, nil, total, fmt.Errorf("fednet: vector length %d too large", vecLen)
-	}
-	var raw []byte
-	if vecLen > 0 {
-		raw = make([]byte, 8*vecLen)
-		n, err = io.ReadFull(r, raw)
-		total += n
-		if err != nil {
-			return 0, nil, total, fmt.Errorf("fednet: reading vector: %w", err)
-		}
-		sum.Write(raw)
-	}
-	n, err = io.ReadFull(r, lb[:])
-	total += n
-	if err != nil {
-		return 0, nil, total, fmt.Errorf("fednet: reading checksum: %w", err)
-	}
-	if binary.LittleEndian.Uint32(lb[:]) != sum.Sum32() {
-		return 0, nil, total, fmt.Errorf("fednet: frame checksum mismatch (type %d): %w", tb[0], ErrCorruptFrame)
-	}
+	b := fb.b
+	jsonLen := int(binary.LittleEndian.Uint32(b[1:]))
 	// Only decode the header once the frame is known intact — a corrupt
 	// but syntactically valid JSON header must never reach the caller.
 	if headerOut != nil && jsonLen > 0 {
-		if err := json.Unmarshal(js, headerOut); err != nil {
+		if err := json.Unmarshal(b[5:5+jsonLen], headerOut); err != nil {
 			return 0, nil, total, fmt.Errorf("fednet: decoding header: %w", err)
 		}
 	}
+	raw := b[5+jsonLen+4 : len(b)-4]
 	var vec []float64
-	if vecLen > 0 {
-		vec = make([]float64, vecLen)
+	if n := len(raw) / 8; n > 0 {
+		if vecFor != nil {
+			vec = vecFor(n)[:n]
+		} else {
+			vec = make([]float64, n)
+		}
 		for i := range vec {
 			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	}
-	return MsgType(tb[0]), vec, total, nil
+	return MsgType(b[0]), vec, total, nil
 }

@@ -45,6 +45,10 @@ type SGD struct {
 
 	t        int
 	velocity [][]float64
+	// stale marks velocity as dropped by Reset: the buffers are kept for
+	// the next Step, which zeroes them in place, and count as absent
+	// until then.
+	stale bool
 }
 
 // NewSGD returns plain SGD with learning rate lr.
@@ -90,20 +94,23 @@ func (s *SGD) Step(params []*nn.Param) {
 }
 
 func (s *SGD) ensureState(params []*nn.Param) {
-	if groupsMatch(s.velocity, params) {
-		return
+	switch {
+	case !groupsMatch(s.velocity, params):
+		s.velocity = newGroups(params)
+	case s.stale:
+		zeroGroups(s.velocity)
 	}
-	s.velocity = make([][]float64, len(params))
-	for j, p := range params {
-		s.velocity[j] = make([]float64, p.Value.Size())
-	}
+	s.stale = false
 }
 
 // Reset clears momentum buffers and the step counter.
-func (s *SGD) Reset() { s.velocity, s.t = nil, 0 }
+func (s *SGD) Reset() { s.stale, s.t = true, 0 }
 
 // ExportMoments flattens the velocity buffers for live migration.
 func (s *SGD) ExportMoments() (flat []float64, lens []int, steps int) {
+	if s.stale {
+		return nil, nil, s.t
+	}
 	return flattenGroups(s.velocity), groupLens(s.velocity), s.t
 }
 
@@ -115,7 +122,7 @@ func (s *SGD) ImportMoments(flat []float64, lens []int, steps int) bool {
 		s.Reset()
 		return false
 	}
-	s.velocity, s.t = groups, steps
+	s.velocity, s.t, s.stale = groups, steps, false
 	return true
 }
 
@@ -134,6 +141,8 @@ type Adam struct {
 
 	t    int
 	m, v [][]float64
+	// stale marks m and v as dropped by Reset (see SGD.stale).
+	stale bool
 }
 
 // NewAdam returns Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
@@ -166,23 +175,25 @@ func (a *Adam) Step(params []*nn.Param) {
 }
 
 func (a *Adam) ensureState(params []*nn.Param) {
-	if groupsMatch(a.m, params) && groupsMatch(a.v, params) {
-		return
+	switch {
+	case !groupsMatch(a.m, params) || !groupsMatch(a.v, params):
+		a.m, a.v = newGroups(params), newGroups(params)
+	case a.stale:
+		zeroGroups(a.m)
+		zeroGroups(a.v)
 	}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for j, p := range params {
-		a.m[j] = make([]float64, p.Value.Size())
-		a.v[j] = make([]float64, p.Value.Size())
-	}
+	a.stale = false
 }
 
 // Reset clears moment estimates and the step counter.
-func (a *Adam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
+func (a *Adam) Reset() { a.stale, a.t = true, 0 }
 
 // ExportMoments flattens the first- and second-moment buffers for live
 // migration: the m groups followed by the v groups.
 func (a *Adam) ExportMoments() (flat []float64, lens []int, steps int) {
+	if a.stale {
+		return nil, nil, a.t
+	}
 	flat = append(flattenGroups(a.m), flattenGroups(a.v)...)
 	lens = append(groupLens(a.m), groupLens(a.v)...)
 	return flat, lens, a.t
@@ -210,7 +221,7 @@ func (a *Adam) ImportMoments(flat []float64, lens []int, steps int) bool {
 	} else {
 		a.m, a.v = groups[:half], groups[half:]
 	}
-	a.t = steps
+	a.t, a.stale = steps, false
 	return true
 }
 
@@ -219,6 +230,21 @@ func (a *Adam) LR() float64 { return a.lr }
 
 // SetLR overrides the learning rate.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
+
+// newGroups allocates zeroed state groups mirroring the params' shapes.
+func newGroups(params []*nn.Param) [][]float64 {
+	groups := make([][]float64, len(params))
+	for j, p := range params {
+		groups[j] = make([]float64, p.Value.Size())
+	}
+	return groups
+}
+
+func zeroGroups(groups [][]float64) {
+	for _, g := range groups {
+		clear(g)
+	}
+}
 
 // flattenGroups concatenates groups into one slice (nil for no state).
 func flattenGroups(groups [][]float64) []float64 {

@@ -75,6 +75,20 @@ go test -race -count=3 \
     -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome' \
     ./internal/fednet
 
+echo "== wire buffer ownership gate (-race, 3x) =="
+# Frames are assembled and staged in pooled buffers and replies decoded
+# into recycled vectors: 8 writer/reader pairs checking every frame after
+# the next one was read, and a two-edge live-migration cluster whose edge
+# caches are audited against the devices after every round.
+go test -race -count=3 \
+    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden' \
+    ./internal/fednet
+go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState' ./internal/optim
+
+echo "== frame reader fuzz (10 s) =="
+# go test replays the committed corpus; this also explores from it.
+go test -run '^$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/fednet
+
 echo "== start-up race gate (-race, 20x) =="
 # StartCluster must hold the first round until its devices are attached:
 # these short runs failed intermittently with "connection refused" when
@@ -553,6 +567,18 @@ go run ./bench -workload sim_fleet -seconds 1 > "$tmpdir/bench_fleet.log" 2>&1 &
     exit 1
 }
 tail -n 1 "$tmpdir/bench_fleet.log"
+echo ok
+
+echo "== bench net_steady correctness gate =="
+# The same flag for the deployment's steady workload, where every round
+# moves ~34 model frames through the pooled codec.
+go run ./bench -workload net_steady -seconds 1 > "$tmpdir/bench_steady.log" 2>&1 &&
+    tail -n 1 "$tmpdir/bench_steady.log" | grep -q '"correct":true' || {
+    echo "bench net_steady run is not correct:"
+    cat "$tmpdir/bench_steady.log"
+    exit 1
+}
+tail -n 1 "$tmpdir/bench_steady.log"
 echo ok
 
 echo "== live-migration smoke =="
