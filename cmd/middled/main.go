@@ -16,6 +16,16 @@
 // and -mux N (devices) hosts N devices per client: one connection per
 // edge and one model instance for the group (1 = a client per device).
 // Every other devices-role flag works the same at any -mux.
+//
+// Flags, by the struct they fill (registerFlags): experiments.CLI takes
+// -task -scale -seed and the observability flags; fednet.CloudConfig
+// -edges -rounds -tc -min-edges -shards -membership -lease-interval
+// -round-interval; fednet.EdgeConfig -id -cloud -k -quorum
+// -round-deadline -device-lease-rounds -live-migration -sel-norm-cap
+// and, shared with the cloud, -addr -checkpoint-dir -checkpoint-every
+// -aggregator -trim-frac -norm-bound; fednet.FaultConfig -fault-seed and
+// the five device→edge -*-rate flags; the devices role's own options
+// -edgeaddrs -from -to -p -movems -mux -failover.
 package main
 
 import (
@@ -34,213 +44,107 @@ import (
 	"middle/internal/fednet"
 	"middle/internal/mobility"
 	"middle/internal/nn"
-	"middle/internal/obs"
-	"middle/internal/obs/flight"
 	"middle/internal/tensor"
 )
 
+// options is everything the flags fill. A flag binds into the config of
+// the component it configures; the flags two roles take (-addr,
+// -strategy, -live-migration, the checkpoint and aggregation groups)
+// bind into the edge's config and the other role copies them from there.
+type options struct {
+	experiments.CLI // -task -scale -seed and the observability flags
+	role            string
+	strategy        string // edge and devices roles
+
+	cloud   fednet.CloudConfig
+	edge    fednet.EdgeConfig
+	devices devicesOpts
+	faults  fednet.FaultConfig // devices role: -fault-seed and the device→edge rates
+}
+
+// devicesOpts is the devices role's own flags: which device ids the
+// process hosts, on which edges, and how they move.
+type devicesOpts struct {
+	edgeList         string // -edgeaddrs
+	from, to, moveMs int
+	p                float64
+	mux              int
+	failover         bool
+}
+
+// registerFlags declares middled's flags on fs, grouped by the struct
+// they fill.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{CLI: experiments.CLI{Name: "middled", EventSink: os.Stderr}}
+	o.Logf = func(format string, args ...any) { log.Printf("middled: "+format, args...) }
+	o.RegisterFlags(fs)
+	fs.StringVar(&o.role, "role", "", "cloud|edge|devices")
+	fs.StringVar(&o.strategy, "strategy", "MIDDLE", "strategy (edge and devices roles; both must name the same one)")
+
+	// fednet.CloudConfig (see DESIGN.md "Fault model", "Scale architecture").
+	c := &o.cloud
+	fs.IntVar(&c.Edges, "edges", 2, "edge count (cloud role)")
+	fs.IntVar(&c.Rounds, "rounds", 50, "rounds to coordinate (cloud role)")
+	fs.IntVar(&c.CloudInterval, "tc", 10, "cloud interval T_c (cloud role)")
+	fs.IntVar(&c.MinEdges, "min-edges", 0, "cloud role: degrade gracefully down to this many live edges (0 = any edge loss is fatal)")
+	fs.IntVar(&c.Shards, "shards", 1, "cloud role: partition edges across this many aggregator shards with streamed partial sums (mean aggregation only)")
+	fs.BoolVar(&c.Membership.Enabled, "membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
+	fs.DurationVar(&c.Membership.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
+	fs.DurationVar(&c.RoundInterval, "round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
+
+	// fednet.EdgeConfig; the cloud role reads the first six too.
+	e := &o.edge
+	fs.StringVar(&e.Addr, "addr", "127.0.0.1:0", "listen address (cloud, edge)")
+	fs.StringVar(&e.CheckpointDir, "checkpoint-dir", "", "cloud/edge roles: persist model + round state here and resume from the latest valid checkpoint")
+	fs.IntVar(&e.CheckpointEvery, "checkpoint-every", 1, "cloud/edge roles: checkpoint every Nth sync (cloud) or round (edge)")
+	experiments.AggregationFlags(fs, &e.Aggregator, &e.TrimFrac, &e.Validate, &e.SelectionNormCap) // -sel-norm-cap: edge only
+	fs.IntVar(&e.EdgeID, "id", 0, "edge id (edge role)")
+	fs.StringVar(&e.CloudAddr, "cloud", "", "cloud address (edge role)")
+	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
+	fs.IntVar(&e.Quorum, "quorum", 0, "edge role: minimum responders per round before aggregating (0 = 1)")
+	fs.DurationVar(&e.RoundDeadline, "round-deadline", 0, "edge role: per-round training deadline; stragglers past it are excluded (0 = network timeout)")
+	fs.IntVar(&e.DeviceLeaseRounds, "device-lease-rounds", 0, "edge role: evict a device alone on its connection not seen for this many rounds (0 = off)")
+	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: accept and push stateful edge-to-edge handovers; devices role: notify the source edge before each move so it pushes the mover's state")
+
+	// The devices role: its own flags, then fednet.FaultConfig.
+	d := &o.devices
+	fs.StringVar(&d.edgeList, "edgeaddrs", "", "comma-separated edge addresses (devices role)")
+	fs.IntVar(&d.from, "from", 0, "first device id (devices role)")
+	fs.IntVar(&d.to, "to", 9, "last device id inclusive (devices role)")
+	fs.Float64Var(&d.p, "p", 0.5, "device mobility probability (devices role)")
+	fs.IntVar(&d.moveMs, "movems", 2000, "milliseconds between mobility steps (devices role)")
+	fs.IntVar(&d.mux, "mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
+	fs.BoolVar(&d.failover, "failover", false, "devices role: when an edge dies, re-home its devices to the surviving -edgeaddrs entries carrying their local state")
+	f := &o.faults
+	fs.Int64Var(&f.Seed, "fault-seed", 0, "devices role: seed for deterministic fault injection")
+	fs.Float64Var(&f.DeviceEdge.Drop, "drop-rate", 0, "devices role: per-message drop probability on device→edge writes")
+	fs.Float64Var(&f.DeviceEdge.Delay, "delay-rate", 0, "devices role: per-message delay probability on device→edge writes")
+	fs.Float64Var(&f.DeviceEdge.Corrupt, "corrupt-rate", 0, "devices role: per-message corruption probability on device→edge writes (CRC-detected)")
+	fs.Float64Var(&f.DeviceEdge.Poison, "poison-rate", 0, "devices role: per-message probability the model payload is negated with a valid CRC")
+	fs.Float64Var(&f.DeviceEdge.NaNUpdate, "nan-rate", 0, "devices role: per-message probability the model payload is replaced by NaNs with a valid CRC")
+	return o
+}
+
 func main() {
-	var (
-		role      = flag.String("role", "", "cloud|edge|devices")
-		task      = flag.String("task", "mnist", "task: mnist|emnist|cifar10|speech")
-		scale     = flag.String("scale", "fast", "fast|paper")
-		seed      = flag.Int64("seed", 1, "shared root seed")
-		addr      = flag.String("addr", "127.0.0.1:0", "listen address (cloud, edge)")
-		edgesN    = flag.Int("edges", 2, "edge count (cloud role)")
-		rounds    = flag.Int("rounds", 50, "rounds to coordinate (cloud role)")
-		tc        = flag.Int("tc", 10, "cloud interval T_c (cloud role)")
-		id        = flag.Int("id", 0, "edge id (edge role)")
-		cloud     = flag.String("cloud", "", "cloud address (edge role)")
-		strategy  = flag.String("strategy", "MIDDLE", "strategy (edge and devices roles; both must name the same one)")
-		k         = flag.Int("k", 5, "devices selected per round (edge role)")
-		edgeList  = flag.String("edgeaddrs", "", "comma-separated edge addresses (devices role)")
-		from      = flag.Int("from", 0, "first device id (devices role)")
-		to        = flag.Int("to", 9, "last device id inclusive (devices role)")
-		p         = flag.Float64("p", 0.5, "device mobility probability (devices role)")
-		moveMs    = flag.Int("movems", 2000, "milliseconds between mobility steps (devices role)")
-		metrics   = flag.String("metrics-addr", "", "serve /metrics, /status, /dashboard, /api/query and /debug/pprof on this address (empty = disabled)")
-		results   = flag.String("results", "", "directory for the run summary JSON (empty = disabled)")
-		traceOut  = flag.String("trace-out", "", "write this process's Chrome trace-event JSON here on exit (merge per-role files in Perfetto)")
-		tsdbIntv  = flag.Duration("tsdb-interval", 0, "embedded time-series store scrape interval (0 = 1s when -metrics-addr or -slo is set, else disabled)")
-		sloRules  = flag.String("slo", "", "SLO rules to gate the run on (\"default\" or rule list); cloud role exits non-zero after Run if any rule ever fired")
-		flightDir = flag.String("flight-dir", "", "arm the flight recorder: postmortem bundles (profiles, tsdb dump, event ring, SLO state) land here on SLO breach, panic, SIGQUIT/SIGUSR1 or fatal exit")
-		profIntv  = flag.Duration("profile-interval", 0, "continuous-profiler CPU window length; publishes profile_cpu_seconds_total{phase} / profile_alloc_bytes_total{phase} (0 = disabled)")
-
-		// Robustness knobs (see DESIGN.md "Fault model").
-		ckptDir   = flag.String("checkpoint-dir", "", "cloud/edge roles: persist model + round state here and resume from the latest valid checkpoint")
-		ckptEvery = flag.Int("checkpoint-every", 1, "cloud/edge roles: checkpoint every Nth sync (cloud) or round (edge)")
-		minEdges  = flag.Int("min-edges", 0, "cloud role: degrade gracefully down to this many live edges (0 = any edge loss is fatal)")
-		quorum    = flag.Int("quorum", 0, "edge role: minimum responders per round before aggregating (0 = 1)")
-		roundDL   = flag.Duration("round-deadline", 0, "edge role: per-round training deadline; stragglers past it are excluded (0 = network timeout)")
-		faultSeed = flag.Int64("fault-seed", 0, "devices role: seed for deterministic fault injection")
-		dropRate  = flag.Float64("drop-rate", 0, "devices role: per-message drop probability on device→edge writes")
-		delayRate = flag.Float64("delay-rate", 0, "devices role: per-message delay probability on device→edge writes")
-		corrRate  = flag.Float64("corrupt-rate", 0, "devices role: per-message corruption probability on device→edge writes (CRC-detected)")
-
-		// Byzantine robustness (see DESIGN.md "Threat model & robust
-		// aggregation").
-		aggName    = flag.String("aggregator", "", "cloud/edge roles: aggregation rule: mean|median|trimmed-mean|norm-clip (default mean)")
-		trimFrac   = flag.Float64("trim-frac", 0, "cloud/edge roles: per-side trim fraction for -aggregator trimmed-mean (0 = default 0.2)")
-		normBound  = flag.Float64("norm-bound", 0, "cloud/edge roles: reject updates with norm > c*median(cohort norms); also rejects NaN/Inf models (0 = off)")
-		selNormCap = flag.Float64("sel-norm-cap", 0, "edge role: exclude devices with update norm above this from Eq. 12 selection (0 = off)")
-		poisonRate = flag.Float64("poison-rate", 0, "devices role: per-message probability the model payload is negated with a valid CRC")
-		nanRate    = flag.Float64("nan-rate", 0, "devices role: per-message probability the model payload is replaced by NaNs with a valid CRC")
-
-		// Scale-out knobs (see DESIGN.md "Scale architecture").
-		shards = flag.Int("shards", 1, "cloud role: partition edges across this many aggregator shards with streamed partial sums (mean aggregation only)")
-		mux    = flag.Int("mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
-
-		// Live migration (see DESIGN.md "Live migration & handover").
-		liveMig = flag.Bool("live-migration", false, "edge role: accept and push stateful edge-to-edge handovers; devices role: notify the source edge before each move so it pushes the mover's state")
-
-		// Self-healing membership (see DESIGN.md "Fault model").
-		membership = flag.Bool("membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
-		leaseIntv  = flag.Duration("lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
-		roundIntv  = flag.Duration("round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
-		devLease   = flag.Int("device-lease-rounds", 0, "edge role: evict a device alone on its connection not seen for this many rounds (0 = off)")
-		failover   = flag.Bool("failover", false, "devices role: when an edge dies, re-home its devices to the surviving -edgeaddrs entries carrying their local state")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	interval := *tsdbIntv
-	if interval <= 0 && (*metrics != "" || *sloRules != "") {
-		interval = time.Second
-	}
-	// Events go to stderr as before; with the flight recorder armed they
-	// additionally tee into its bounded ring so bundles carry the most
-	// recent events.
-	var eventRing *flight.EventRing
-	if *flightDir != "" {
-		eventRing = flight.NewEventRing(0)
-	}
-	flagExtra := map[string]any{}
-	flag.VisitAll(func(f *flag.Flag) { flagExtra[f.Name] = f.Value.String() })
-	m, err := experiments.StartMetricsConfig(experiments.MetricsConfig{
-		Addr:            *metrics,
-		TSDBInterval:    interval,
-		SLORules:        *sloRules,
-		Events:          obs.NewEmitter(eventRing.Tee(os.Stderr)),
-		FlightDir:       *flightDir,
-		ProfileInterval: *profIntv,
-		FlightManifest:  obs.Manifest{Name: "middled-" + *role, Command: os.Args, Extra: flagExtra},
-		FlightEvents:    eventRing,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if m != nil {
-		if addr := m.Addr(); addr != "" {
-			log.Printf("middled: metrics listening on %s", addr)
-		}
-		m.SetStatus("role", *role)
-		m.SetStatus("task", *task)
-		m.SetStatus("scale", *scale)
-		defer m.Close()
-	}
-	// Forensic hooks: panics under main, SIGQUIT (bundle + exit 2) and
-	// SIGUSR1 (bundle, keep running) all leave a postmortem. These defers
-	// run before m.Close, so captures see live state.
-	flightRec = m.Flight()
-	defer flightRec.CapturePanic()
-	defer flightRec.NotifySignals()()
-	// The trace backing /debug/trace doubles as the -trace-out source;
-	// with metrics disabled a standalone collector still feeds the file.
-	trace := m.Trace()
-	if *traceOut != "" && trace == nil {
-		trace = obs.NewTrace(0)
-	}
-	defer writeTrace(trace, *traceOut)
-
-	agg, err := middle.ParseAggregator(*aggName)
-	if err != nil {
-		fatal(err)
-	}
-	validate := middle.ValidatorConfig{}
-	if *normBound > 0 {
-		validate = middle.ValidatorConfig{Enabled: true, NormBound: *normBound}
-	}
-
-	setup := experiments.NewTaskSetup(data.TaskName(*task), experiments.Scale(*scale), *seed)
-	setup.Obs = m.Registry()
-	switch *role {
-	case "cloud":
-		runCloud(setup, m, trace, *results, *addr, *edgesN, *rounds, *tc, *seed, *ckptDir, *ckptEvery, *minEdges, *shards, agg, *trimFrac, validate, *membership, *leaseIntv, *roundIntv)
-	case "edge":
-		runEdge(setup, m, trace, *id, *cloud, *addr, *strategy, *k, *seed, *quorum, *roundDL,
-			agg, *trimFrac, validate, *selNormCap, *ckptDir, *ckptEvery, *liveMig, *devLease)
-	case "devices":
-		faults := fednet.NewFaultInjector(fednet.FaultConfig{
-			Seed: *faultSeed,
-			DeviceEdge: fednet.FaultRates{
-				Drop: *dropRate, Delay: *delayRate, Corrupt: *corrRate,
-				Poison: *poisonRate, NaNUpdate: *nanRate,
-			},
-			Obs: m.Registry(),
-		})
-		runDevices(setup, m, trace, *edgeList, *strategy, *from, *to, *p, *moveMs, *seed, *mux, faults, *liveMig, *failover)
-	default:
+	run := map[string]func(*experiments.TaskSetup) map[string]any{
+		"cloud": o.runCloud, "edge": o.runEdge, "devices": o.runDevices,
+	}[o.role]
+	if run == nil {
 		fmt.Fprintln(os.Stderr, "middled: -role must be cloud, edge or devices")
 		flag.Usage()
 		os.Exit(2)
 	}
+	defer o.Start("role", o.role)()
+	summary := run(o.Attach(experiments.NewTaskSetup(data.TaskName(o.Task), experiments.Scale(o.Scale), o.Seed)))
 
 	// The coordinating role gates its exit code on the run's SLOs: any
 	// rule that fired at any point fails the process even if it later
 	// recovered, so CI catches transient regressions.
-	if *role == "cloud" {
-		if breached := m.FinalizeSLO(); len(breached) > 0 {
-			writeTrace(trace, *traceOut)
-			m.Close()
-			fatalf("middled: SLO breach: %s", strings.Join(breached, ", "))
-		}
-	}
-}
-
-// flightRec is the process flight recorder (nil unless -flight-dir).
-// fatal and fatalf capture a postmortem bundle before exiting, so fatal
-// paths leave forensics behind; both are nil-safe.
-var flightRec *flight.Recorder
-
-func fatal(v ...any) {
-	_, _ = flightRec.Capture("fatal " + fmt.Sprint(v...))
-	log.Fatal(v...)
-}
-
-func fatalf(format string, v ...any) {
-	_, _ = flightRec.Capture("fatal " + fmt.Sprintf(format, v...))
-	log.Fatalf(format, v...)
-}
-
-// writeTrace dumps the collected spans on clean exit (no-op when
-// -trace-out is unset). Each role records only its own spans; parent
-// references may point at spans in another role's file.
-func writeTrace(trace *obs.Trace, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("middled: creating %s: %v", path, err)
-		return
-	}
-	defer f.Close()
-	if err := trace.WriteJSON(f); err != nil {
-		log.Printf("middled: writing %s: %v", path, err)
-		return
-	}
-	log.Printf("middled: wrote trace %s (%d spans)", path, trace.Len())
-}
-
-// writeSummary records the run manifest + metrics snapshot (no-op when
-// metrics or -results are disabled).
-func writeSummary(m *experiments.Metrics, dir, name string, extra map[string]any) {
-	path, err := m.WriteSummary(dir, name, os.Args, extra)
-	if err != nil {
-		log.Printf("middled: writing summary: %v", err)
-		return
-	}
-	if path != "" {
-		log.Printf("middled: wrote summary %s", path)
+	if breached := o.Finish(summary); o.role == "cloud" && len(breached) > 0 {
+		o.M.Close()
+		o.Fatalf("middled: SLO breach: %s", strings.Join(breached, ", "))
 	}
 }
 
@@ -267,10 +171,7 @@ func evalAccuracy(setup *experiments.TaskSetup, seed int64, vec []float64) float
 	}
 	correct := 0.0
 	for lo := 0; lo < test.Len(); lo += 256 {
-		hi := lo + 256
-		if hi > test.Len() {
-			hi = test.Len()
-		}
+		hi := min(lo+256, test.Len())
 		idx := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			idx = append(idx, i)
@@ -281,77 +182,69 @@ func evalAccuracy(setup *experiments.TaskSetup, seed int64, vec []float64) float
 	return correct / float64(test.Len())
 }
 
-func runCloud(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, results, addr string, edges, rounds, tc int, seed int64, ckptDir string, ckptEvery, minEdges, shards int, agg middle.AggregatorKind, trimFrac float64, validate middle.ValidatorConfig, membership bool, leaseIntv, roundIntv time.Duration) {
-	init := setup.Factory(tensor.Split(seed, 0)).ParamVector()
-	c, err := fednet.NewCloud(fednet.CloudConfig{
-		Addr: addr, Edges: edges, Rounds: rounds, CloudInterval: tc,
-		InitModel: init, MinEdges: minEdges, Shards: shards,
-		CheckpointDir: ckptDir, CheckpointEvery: ckptEvery,
-		Aggregator: agg, TrimFrac: trimFrac, Validate: validate,
-		Membership:    fednet.MembershipConfig{Enabled: membership, LeaseInterval: leaseIntv},
-		RoundInterval: roundIntv,
-		Logf:          log.Printf, Obs: m.Registry(), Trace: trace,
-	})
+// runCloud coordinates the run and returns the summary's extra fields.
+func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
+	cfg := o.cloud
+	cfg.Addr, cfg.CheckpointDir, cfg.CheckpointEvery = o.edge.Addr, o.edge.CheckpointDir, o.edge.CheckpointEvery
+	cfg.Aggregator, cfg.TrimFrac, cfg.Validate = o.edge.Aggregator, o.edge.TrimFrac, o.edge.Validate
+	cfg.InitModel = setup.Factory(tensor.Split(o.Seed, 0)).ParamVector()
+	cfg.Logf, cfg.Obs, cfg.Trace = log.Printf, o.M.Registry(), o.Trace
+	c, err := fednet.NewCloud(cfg)
 	if err != nil {
-		fatal(err)
+		o.Fatalf("%v", err)
 	}
 	// Graceful shutdown: finish the in-flight round, write a final
-	// checkpoint, then let the deferred trace/tsdb flushes run.
+	// checkpoint, then let main's trace/tsdb flushes run.
 	onSignal(c.Stop)
-	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d, shards=%d, membership=%v)", c.Addr(), edges, rounds, tc, shards, membership)
+	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d, shards=%d, membership=%v)",
+		c.Addr(), cfg.Edges, cfg.Rounds, cfg.CloudInterval, cfg.Shards, cfg.Membership.Enabled)
 	if err := c.Run(); err != nil {
-		fatal(err)
+		o.Fatalf("%v", err)
 	}
-	acc := evalAccuracy(setup, seed, c.GlobalModel())
+	acc := evalAccuracy(setup, o.Seed, c.GlobalModel())
 	log.Printf("middled: training complete (final accuracy %.4f)", acc)
 	extra := map[string]any{"final_accuracy": acc}
-	if membership {
+	if cfg.Membership.Enabled {
 		extra["membership_epoch"] = c.Epoch()
 		log.Printf("middled: membership epoch at exit: %d", c.Epoch())
 	}
-	writeSummary(m, results, "middled-cloud", extra)
+	return extra
 }
 
-func runEdge(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, id int, cloudAddr, addr, strategy string, k int, seed int64, quorum int, roundDL time.Duration, agg middle.AggregatorKind, trimFrac float64, validate middle.ValidatorConfig, selNormCap float64, ckptDir string, ckptEvery int, liveMig bool, devLease int) {
-	if cloudAddr == "" {
-		fatal("middled: edge role requires -cloud")
+func (o *options) runEdge(*experiments.TaskSetup) map[string]any {
+	cfg := o.edge
+	if cfg.CloudAddr == "" {
+		o.Fatalf("middled: edge role requires -cloud")
 	}
-	strat, err := middle.StrategyByName(strategy)
+	strat, err := middle.StrategyByName(o.strategy)
 	if err != nil {
-		fatal(err)
+		o.Fatalf("%v", err)
 	}
-	e, err := fednet.NewEdge(fednet.EdgeConfig{
-		EdgeID: id, CloudAddr: cloudAddr, Addr: addr,
-		K: k, Strategy: strat, Seed: seed, Logf: log.Printf,
-		Quorum: quorum, RoundDeadline: roundDL,
-		Aggregator: agg, TrimFrac: trimFrac, Validate: validate,
-		SelectionNormCap: selNormCap,
-		CheckpointDir:    ckptDir, CheckpointEvery: ckptEvery,
-		LiveMigration:     liveMig,
-		DeviceLeaseRounds: devLease,
-		Obs:               m.Registry(), Trace: trace,
-	})
+	cfg.Strategy, cfg.Seed = strat, o.Seed
+	cfg.Logf, cfg.Obs, cfg.Trace = log.Printf, o.M.Registry(), o.Trace
+	e, err := fednet.NewEdge(cfg)
 	if err != nil {
-		fatal(err)
+		o.Fatalf("%v", err)
 	}
 	// Graceful shutdown: drop the cloud link so Run drains, checkpoints
 	// and shuts its devices down before returning nil.
 	onSignal(e.Stop)
-	log.Printf("middled: edge %d serving devices on %s (strategy %s)", id, e.Addr(), strategy)
+	log.Printf("middled: edge %d serving devices on %s (strategy %s)", cfg.EdgeID, e.Addr(), o.strategy)
 	if err := e.Run(); err != nil {
-		fatal(err)
+		o.Fatalf("%v", err)
 	}
-	log.Printf("middled: edge %d done", id)
+	log.Printf("middled: edge %d done", cfg.EdgeID)
+	return nil
 }
 
-// checkDevicesArgs validates the devices role's arguments against a
-// partition of numDevices devices, returning the edge address list, the
-// strategy the devices build their start models with and the failover
-// candidates. With -failover every listed edge is a re-home candidate: a
-// device whose edge stops answering re-registers at a survivor on its
-// own, carrying its local model and round bookkeeping.
-func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, failover bool) ([]string, middle.Strategy, []fednet.EdgeAddr, error) {
-	addrs := strings.Split(edgeList, ",")
+// check validates the devices role's flags against a partition of
+// numDevices devices, returning the edge address list, the strategy the
+// devices build their start models with and the failover candidates.
+// With -failover every listed edge is a re-home candidate: a device
+// whose edge stops answering re-registers at a survivor on its own,
+// carrying its local model and round bookkeeping.
+func (d devicesOpts) check(strategy string, numDevices int) ([]string, middle.Strategy, []fednet.EdgeAddr, error) {
+	addrs := strings.Split(d.edgeList, ",")
 	if addrs[0] == "" {
 		return nil, nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
 	}
@@ -359,14 +252,14 @@ func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if mux < 1 {
-		return nil, nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", mux)
+	if d.mux < 1 {
+		return nil, nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", d.mux)
 	}
-	if to >= numDevices || from < 0 || from > to {
-		return nil, nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", from, to, numDevices)
+	if d.to >= numDevices || d.from < 0 || d.from > d.to {
+		return nil, nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", d.from, d.to, numDevices)
 	}
 	var candidates []fednet.EdgeAddr
-	if failover {
+	if d.failover {
 		for e, a := range addrs {
 			candidates = append(candidates, fednet.EdgeAddr{ID: e, Addr: a})
 		}
@@ -374,12 +267,15 @@ func checkDevicesArgs(edgeList, strategy string, from, to, numDevices, mux int, 
 	return addrs, strat, candidates, nil
 }
 
-func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs.Trace, edgeList, strategy string, from, to int, p float64, moveMs int, seed int64, mux int, faults *fednet.FaultInjector, liveMig, failover bool) {
+func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
+	from, to, mux, seed := o.devices.from, o.devices.to, o.devices.mux, o.Seed
 	part := setup.Partition(seed)
-	addrs, strat, candidates, err := checkDevicesArgs(edgeList, strategy, from, to, part.NumDevices(), mux, failover)
+	addrs, strat, candidates, err := o.devices.check(o.strategy, part.NumDevices())
 	if err != nil {
-		fatalf("middled: %v", err)
+		o.Fatalf("middled: %v", err)
 	}
+	o.faults.Obs = o.M.Registry()
+	faults := fednet.NewFaultInjector(o.faults)
 	n := to - from + 1
 	// Device from+i rides clients[i/mux]: one socket per edge and one
 	// model instance per -mux group.
@@ -395,40 +291,40 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 			LocalSteps: setup.I, BatchSize: setup.BatchSize,
 			Strategy: strat, Seed: seed, Faults: faults,
 			Failover: candidates, Logf: log.Printf,
-			Obs: m.Registry(), Trace: trace,
+			Obs: o.M.Registry(), Trace: o.Trace,
 		})
 		if err != nil {
-			fatal(err)
+			o.Fatalf("%v", err)
 		}
 		clients = append(clients, mx)
 	}
 	log.Printf("middled: hosting devices %d..%d on %d clients (%d devices each)", from, to, len(clients), mux)
 	connect := func(i, edgeID int) error { return clients[i/mux].Connect(from+i, edgeID, addrs[edgeID]) }
-	mob := mobility.NewMarkovRing(len(addrs), n, p, seed+int64(from))
+	mob := mobility.NewMarkovRing(len(addrs), n, o.devices.p, seed+int64(from))
 	membership := mob.Step()
 	for i := range membership {
 		if err := connect(i, membership[i]); err != nil {
-			fatal(err)
+			o.Fatalf("%v", err)
 		}
 		log.Printf("middled: device %d attached to edge %d", from+i, membership[i])
 	}
 	generations := make([]int, n)
-	strandedGauge := m.Registry().Gauge("fednet_stranded_devices")
+	strandedGauge := o.M.Registry().Gauge("fednet_stranded_devices")
 	stop := make(chan struct{})
 	onSignal(func() { close(stop) })
-	ticker := time.NewTicker(time.Duration(moveMs) * time.Millisecond)
+	ticker := time.NewTicker(time.Duration(o.devices.moveMs) * time.Millisecond)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-stop:
 			// Graceful shutdown: detach every device cleanly so the edges
-			// see deliberate disconnects, then let the deferred trace and
-			// metrics flushes run.
+			// see deliberate disconnects, then let main's trace and metrics
+			// flushes run.
 			for _, mx := range clients {
 				mx.Disconnect()
 			}
 			log.Printf("middled: devices %d..%d detached", from, to)
-			return
+			return nil
 		case <-ticker.C:
 		}
 		next := mob.Step()
@@ -436,7 +332,7 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 			if next[i] == membership[i] {
 				continue
 			}
-			if liveMig {
+			if o.edge.LiveMigration {
 				// Ask the current edge to push this device's state to the
 				// destination before we tear the old attachment down.
 				// Best-effort: a lost notice only costs the warm handover.
@@ -449,7 +345,7 @@ func runDevices(setup *experiments.TaskSetup, m *experiments.Metrics, trace *obs
 				}
 			}
 			err := connect(i, next[i])
-			if err != nil && failover {
+			if err != nil && o.devices.failover {
 				// The intended edge may be dead; try the other candidates
 				// in order so the device keeps training somewhere.
 				for off := 1; off < len(addrs) && err != nil; off++ {

@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"middle"
+	"middle/internal/experiments"
 	"middle/internal/obs"
 )
 
@@ -118,5 +125,97 @@ func TestTraceExportTwoEdgeThreeRound(t *testing.T) {
 	// Every round has at least select/train/edge_agg phase children.
 	if children < 3*3 {
 		t.Fatalf("phase spans = %d, want at least 9", children)
+	}
+}
+
+// TestFlagSurface pins every flag's name and default against the list
+// captured before the flags were bound into the configs they fill
+// (testdata/flags.golden: name, tab, default). Help text is free.
+func TestFlagSurface(t *testing.T) {
+	golden, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("middlesim", flag.ContinueOnError)
+	registerFlags(fs)
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s\t%s\n", f.Name, f.DefValue) })
+	if got.String() != string(golden) {
+		t.Fatalf("flag surface moved\n--- got\n%s--- want\n%s", got.String(), golden)
+	}
+}
+
+func parse(t *testing.T, args ...string) (*options, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("middlesim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o := registerFlags(fs)
+	return o, fs.Parse(args)
+}
+
+// TestFlagsLandInSimConfig: the simulator flags arrive, through overlay,
+// in the hfl.Config that -exp run hands to the engine, and nothing else
+// of the setup's config moves.
+func TestFlagsLandInSimConfig(t *testing.T) {
+	setup := middle.NewTaskSetup(middle.TaskMNIST, middle.Fast, 1)
+	base := setup.Config(1, 7)
+	for name, tc := range map[string]struct {
+		args []string
+		want func(c *middle.Config)
+	}{
+		"defaults": {nil, func(*middle.Config) {}},
+		"faults": {[]string{"-quorum", "3", "-drop-rate", "0.5", "-fault-seed", "7"},
+			func(c *middle.Config) { c.Quorum, c.DropRate, c.FaultSeed = 3, 0.5, 7 }},
+		"migration": {[]string{"-live-migration", "-migration-fail-rate", "0.25"},
+			func(c *middle.Config) { c.LiveMigration, c.MigrationFailRate = true, 0.25 }},
+		"self-healing": {[]string{"-self-healing", "-edge-fail-rate", "0.1", "-edge-recover-steps", "4"},
+			func(c *middle.Config) { c.SelfHealing, c.EdgeFailRate, c.EdgeRecoverSteps = true, 0.1, 4 }},
+		"norm bound": {[]string{"-norm-bound", "2"},
+			func(c *middle.Config) { c.Validate = middle.ValidatorConfig{Enabled: true, NormBound: 2} }},
+		"norm bound off": {[]string{"-norm-bound", "2", "-norm-bound", "0"}, func(*middle.Config) {}},
+		"aggregation": {[]string{"-aggregator", "median", "-trim-frac", "0.3", "-sel-norm-cap", "5"},
+			func(c *middle.Config) { c.Aggregator, c.TrimFrac, c.SelectionNormCap = middle.AggMedian, 0.3, 5 }},
+		"adversary": {[]string{"-adversary-fraction", "0.2", "-adversary-mode", "noise", "-adversary-scale", "3", "-adversary-seed", "9"},
+			func(c *middle.Config) {
+				c.Adversary = middle.Adversary{Fraction: 0.2, Mode: middle.AdvNoise, Scale: 3, Seed: 9}
+			}},
+	} {
+		o, err := parse(t, tc.args...)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		got, want := base, base
+		o.overlay(&got)
+		tc.want(&want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: config\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+func TestFlagsLandInScaleAndShared(t *testing.T) {
+	o, err := parse(t, "-exp", "scale", "-devices", "20000", "-edges", "20", "-k", "4", "-tc", "5",
+		"-resident-cap", "99", "-shards", "2", "-mux", "8", "-membership", "-seed", "5", "-task", "emnist",
+		"-tsdb-out", "t.json", "-tsdb-interval", "50ms", "-flight-dir", "fd", "-profile-interval", "2s",
+		"-results", "res", "-trace-out", "tr.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, shards: 2, mux: 8, membership: true}); o.scale != want {
+		t.Errorf("scale flags\n got %+v\nwant %+v", o.scale, want)
+	}
+	wantMetrics := experiments.MetricsConfig{TSDBOut: "t.json", TSDBInterval: 50 * time.Millisecond,
+		FlightDir: "fd", ProfileInterval: 2 * time.Second}
+	if !reflect.DeepEqual(o.Metrics, wantMetrics) || o.Seed != 5 || o.Task != "emnist" || o.Results != "res" || o.TraceOut != "tr.json" {
+		t.Errorf("shared flags: %+v seed %d task %q results %q trace %q", o.Metrics, o.Seed, o.Task, o.Results, o.TraceOut)
+	}
+}
+
+func TestBadNamesFailAtParse(t *testing.T) {
+	for _, args := range [][]string{{"-aggregator", "bogus"}, {"-adversary-mode", "bogus"}, {"-norm-bound", "x"}} {
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("%v: parse error %v, want one naming the value", args, err)
+		}
 	}
 }

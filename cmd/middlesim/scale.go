@@ -14,21 +14,12 @@ import (
 // belong to the simulator path (lazy store), not the cluster path.
 const maxClusterDevices = 4096
 
-// scaleOpts carries the resolved -exp scale topology. Zero devices /
-// edges / k / tc mean "task default" until runScale resolves them.
+// scaleOpts is the -exp scale topology. Zero devices / edges / k / tc
+// mean "task default" until runScale resolves them.
 type scaleOpts struct {
 	devices, edges, k, tc int
 	residentCap           int
 	shards, mux           int
-	steps                 int
-	p                     float64
-	seed                  int64
-	strategy              string
-	liveMigration         bool
-	migrationFailRate     float64
-	selfHealing           bool
-	edgeFailRate          float64
-	edgeRecoverSteps      int
 	membership            bool
 }
 
@@ -38,8 +29,9 @@ type scaleOpts struct {
 func (o scaleOpts) deployment() bool { return o.shards > 1 || o.mux > 1 }
 
 // validateScale rejects nonsensical flag combinations with an
-// actionable message. It expects resolved (non-zero) topology values.
-func validateScale(o scaleOpts) error {
+// actionable message. It expects resolved (non-zero) topology values;
+// selfHealing is -self-healing, the simulator's membership mirror.
+func validateScale(o scaleOpts, selfHealing bool) error {
 	if o.devices < 1 || o.edges < 1 || o.k < 1 || o.tc < 1 {
 		return fmt.Errorf("scale topology must be positive: devices=%d edges=%d k=%d tc=%d", o.devices, o.edges, o.k, o.tc)
 	}
@@ -65,7 +57,7 @@ func validateScale(o scaleOpts) error {
 		if o.residentCap > 0 {
 			return fmt.Errorf("-resident-cap applies to the simulator path and cannot combine with -shards/-mux")
 		}
-		if o.selfHealing {
+		if selfHealing {
 			return fmt.Errorf("-self-healing is the simulator mirror; on the -shards/-mux deployment use -membership (the lease-based detector) instead")
 		}
 	} else if o.membership {
@@ -81,48 +73,51 @@ func validateScale(o scaleOpts) error {
 // multiplexed device clients). Either way it reports the process's peak
 // RSS so scripts can assert the memory ceiling; the simulator path adds
 // the population-wide select phase's and the training phase's seconds.
-func runScale(task middle.TaskName, o scaleOpts) {
-	setup := experiments.NewScaleSetup(task, o.seed, o.devices, o.edges, o.k, o.tc)
-	setup.Obs = metrics.Registry()
-	setup.Events = events
-	setup.Trace = trace
-	o.devices, o.edges, o.k, o.tc = setup.Devices, setup.Edges, setup.K, setup.Tc
-	if err := validateScale(o); err != nil {
-		fatalf("%v", err)
+func (o *options) runScale(task middle.TaskName) {
+	sc := o.scale
+	setup := o.Attach(experiments.NewScaleSetup(task, o.Seed, sc.devices, sc.edges, sc.k, sc.tc))
+	sc.devices, sc.edges, sc.k, sc.tc = setup.Devices, setup.Edges, setup.K, setup.Tc
+	if err := validateScale(sc, o.sim.SelfHealing); err != nil {
+		o.fatalf("%v", err)
 	}
-	if o.steps <= 0 {
-		o.steps = 2 * o.tc // two cloud syncs by default
+	steps := o.steps
+	if steps <= 0 {
+		steps = 2 * sc.tc // two cloud syncs by default
 	}
-	if o.deployment() {
-		runScaleDeployment(setup, o)
+	strat, err := middle.StrategyByName(o.strategy)
+	if err != nil {
+		o.fatalf("%v", err)
+	}
+	part := setup.Partition(o.Seed)
+	mob := setup.Mobility(o.p, o.Seed+11)
+	if sc.deployment() {
+		o.runScaleDeployment(setup, sc, fednet.ClusterConfig{
+			Rounds: steps, K: sc.k, LocalSteps: setup.I, BatchSize: setup.BatchSize,
+			CloudInterval: sc.tc, Strategy: strat, Partition: part,
+			Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mob,
+			Seed: o.Seed, Shards: sc.shards, Mux: sc.mux,
+			LiveMigration: o.sim.LiveMigration,
+			Membership:    fednet.MembershipConfig{Enabled: sc.membership},
+			Obs:           o.M.Registry(), Trace: o.Trace,
+		})
 		return
 	}
 
-	strat, err := middle.StrategyByName(o.strategy)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	fmt.Printf("=== Scale-out (%s): %d devices / %d edges, K=%d, Tc=%d, resident-cap=%d ===\n",
-		task, o.devices, o.edges, o.k, o.tc, o.residentCap)
-	cfg := setup.Config(o.seed, o.steps)
+		task, sc.devices, sc.edges, sc.k, sc.tc, sc.residentCap)
+	cfg := setup.Config(o.Seed, steps)
+	o.overlay(&cfg)
 	cfg.LazyStore = true
-	cfg.ResidentCap = o.residentCap
-	cfg.LiveMigration = o.liveMigration
-	cfg.MigrationFailRate = o.migrationFailRate
-	cfg.SelfHealing = o.selfHealing
-	cfg.EdgeFailRate = o.edgeFailRate
-	cfg.EdgeRecoverSteps = o.edgeRecoverSteps
-	part := setup.Partition(o.seed)
-	mob := setup.Mobility(o.p, o.seed+11)
+	cfg.ResidentCap = sc.residentCap
 	sim := middle.NewSimulation(cfg, setup.Factory, part, setup.Test, mob, strat)
 	h := sim.Run()
 	fmt.Printf("final accuracy %.4f after %d steps (empirical mobility %.3f)\n",
-		h.FinalAcc(), o.steps, h.EmpiricalMobility)
-	if o.liveMigration {
+		h.FinalAcc(), steps, h.EmpiricalMobility)
+	if cfg.LiveMigration {
 		ok, fb := sim.Migrations()
 		fmt.Printf("migrations: %d ok, %d fallbacks\n", ok, fb)
 	}
-	if o.selfHealing {
+	if cfg.SelfHealing {
 		fmt.Printf("self-healing: %d edge failovers, %d devices re-homed, membership epoch %d\n",
 			sim.Failovers(), sim.RehomedDevices(), sim.MembershipEpoch())
 	}
@@ -134,29 +129,15 @@ func runScale(task middle.TaskName, o scaleOpts) {
 // runScaleDeployment runs the fednet cluster variant of -exp scale:
 // real loopback sockets, a K-sharded cloud and N-virtual-device
 // multiplexers, at a necessarily smaller population.
-func runScaleDeployment(setup *experiments.TaskSetup, o scaleOpts) {
-	strat, err := middle.StrategyByName(o.strategy)
-	if err != nil {
-		fatalf("%v", err)
-	}
+func (o *options) runScaleDeployment(setup *experiments.TaskSetup, sc scaleOpts, cfg fednet.ClusterConfig) {
 	fmt.Printf("=== Scale-out deployment (%s): %d devices / %d edges, shards=%d, mux=%d ===\n",
-		setup.Task, o.devices, o.edges, o.shards, o.mux)
-	part := setup.Partition(o.seed)
-	mob := setup.Mobility(o.p, o.seed+11)
-	c, err := fednet.StartCluster(fednet.ClusterConfig{
-		Rounds: o.steps, K: o.k, LocalSteps: setup.I, BatchSize: setup.BatchSize,
-		CloudInterval: o.tc, Strategy: strat, Partition: part,
-		Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mob,
-		Seed: o.seed, Shards: o.shards, Mux: o.mux,
-		LiveMigration: o.liveMigration,
-		Membership:    fednet.MembershipConfig{Enabled: o.membership},
-		Obs:           metrics.Registry(), Trace: trace,
-	})
+		setup.Task, sc.devices, sc.edges, sc.shards, sc.mux)
+	c, err := fednet.StartCluster(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		o.fatalf("%v", err)
 	}
 	if err := c.Wait(); err != nil {
-		fatalf("deployment: %v", err)
+		o.fatalf("deployment: %v", err)
 	}
 	rounds := 0
 	for _, r := range c.DeviceRounds() {
@@ -164,12 +145,12 @@ func runScaleDeployment(setup *experiments.TaskSetup, o scaleOpts) {
 	}
 	stranded := c.Stranded()
 	fmt.Printf("deployment complete: %d rounds, %d device trainings, %d failed moves, %d stranded devices\n",
-		o.steps, rounds, c.MoveErrors(), len(stranded))
-	if o.liveMigration {
+		cfg.Rounds, rounds, c.MoveErrors(), len(stranded))
+	if cfg.LiveMigration {
 		mok, mfb, mrej := c.Migrations()
 		fmt.Printf("migrations: %d ok, %d fallbacks, %d rejected\n", mok, mfb, mrej)
 	}
-	if o.membership {
+	if cfg.Membership.Enabled {
 		fmt.Printf("membership: %d edge failovers, %d devices re-homed, epoch %d\n",
 			c.Failovers(), c.Rehomed(), c.MembershipEpoch())
 	}

@@ -7,12 +7,12 @@ import (
 
 func TestValidateScale(t *testing.T) {
 	ok := scaleOpts{devices: 1000, edges: 10, k: 2, tc: 5, shards: 1, mux: 1}
-	if err := validateScale(ok); err != nil {
+	if err := validateScale(ok, false); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	cap := ok
 	cap.residentCap = 20 // == cohort: allowed
-	if err := validateScale(cap); err != nil {
+	if err := validateScale(cap, false); err != nil {
 		t.Fatalf("cap == cohort rejected: %v", err)
 	}
 
@@ -30,7 +30,7 @@ func TestValidateScale(t *testing.T) {
 	} {
 		o := ok
 		tc.mutate(&o)
-		err := validateScale(o)
+		err := validateScale(o, false)
 		if err == nil {
 			t.Errorf("%s: accepted %+v", name, o)
 			continue

@@ -41,6 +41,28 @@ func main() {
 		return
 	}
 
+	// The mobility constructors panic on these; a flag typo deserves one
+	// line and the usage exit code.
+	var bad string
+	switch waypoint := *model == "waypoint"; {
+	case *devices < 1:
+		bad = fmt.Sprintf("-devices must be ≥ 1, got %d", *devices)
+	case *steps < 0:
+		bad = fmt.Sprintf("-steps must be ≥ 0, got %d", *steps)
+	case !waypoint && *edges < 1:
+		bad = fmt.Sprintf("-edges must be ≥ 1, got %d", *edges)
+	case !waypoint && !(*p >= 0 && *p <= 1):
+		bad = fmt.Sprintf("-p must be in [0, 1], got %v", *p)
+	case waypoint && (*gridW < 1 || *gridH < 1):
+		bad = fmt.Sprintf("-gridw and -gridh must be ≥ 1, got %d×%d", *gridW, *gridH)
+	case waypoint && !(*speedMin >= 0 && *speedMax >= *speedMin):
+		bad = fmt.Sprintf("need 0 ≤ -speedmin ≤ -speedmax, got [%v, %v]", *speedMin, *speedMax)
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "tracegen:", bad)
+		os.Exit(2)
+	}
+
 	var mob middle.MobilityModel
 	switch *model {
 	case "markov":

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,13 +11,24 @@ import (
 	"middle/internal/tensor"
 )
 
+// saveModel and loadModel are what middle.SaveModel and middle.LoadModel
+// do: a named model vector is a State of just those two fields.
+func saveModel(w io.Writer, name string, vec []float64) error {
+	return SaveState(w, State{Name: name, Model: vec})
+}
+
+func loadModel(r io.Reader) (string, []float64, error) {
+	st, err := LoadState(r)
+	return st.Name, st.Model, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	vec := []float64{1.5, -2.25, 0, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, "mnist-cnn", vec); err != nil {
+	if err := saveModel(&buf, "mnist-cnn", vec); err != nil {
 		t.Fatal(err)
 	}
-	name, got, err := LoadModel(&buf)
+	name, got, err := loadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +47,10 @@ func TestRoundTrip(t *testing.T) {
 
 func TestEmptyVectorAndName(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, "", nil); err != nil {
+	if err := saveModel(&buf, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	name, vec, err := LoadModel(&buf)
+	name, vec, err := loadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +61,10 @@ func TestEmptyVectorAndName(t *testing.T) {
 
 func TestNaNRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, "x", []float64{math.NaN()}); err != nil {
+	if err := saveModel(&buf, "x", []float64{math.NaN()}); err != nil {
 		t.Fatal(err)
 	}
-	_, vec, err := LoadModel(&buf)
+	_, vec, err := loadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +75,13 @@ func TestNaNRoundTrip(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, "model", []float64{1, 2, 3}); err != nil {
+	if err := saveModel(&buf, "model", []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Flip one payload bit (inside a float, past header).
+	// Flip one bit of a field, past the header.
 	raw[len(raw)-10] ^= 0x40
-	if _, _, err := LoadModel(bytes.NewReader(raw)); err == nil {
+	if _, _, err := loadModel(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("unexpected error: %v", err)
@@ -78,26 +90,26 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestTruncationDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, "model", []float64{1, 2, 3}); err != nil {
+	if err := saveModel(&buf, "model", []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{3, 6, 9, len(raw) - 2} {
-		if _, _, err := LoadModel(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, err := loadModel(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, _, err := LoadModel(strings.NewReader("NOTAMODEL")); err == nil {
+	if _, _, err := loadModel(strings.NewReader("NOTAMODEL")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestNameTooLongRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, strings.Repeat("x", maxName+1), nil); err == nil {
+	if err := saveModel(&buf, strings.Repeat("x", maxName+1), nil); err == nil {
 		t.Fatal("oversized name accepted")
 	}
 }
@@ -111,10 +123,10 @@ func TestQuickRoundTrip(t *testing.T) {
 			vec[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
 		}
 		var buf bytes.Buffer
-		if err := SaveModel(&buf, "m", vec); err != nil {
+		if err := saveModel(&buf, "m", vec); err != nil {
 			return false
 		}
-		_, got, err := LoadModel(&buf)
+		_, got, err := loadModel(&buf)
 		if err != nil || len(got) != len(vec) {
 			return false
 		}

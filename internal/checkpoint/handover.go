@@ -1,42 +1,20 @@
 package checkpoint
 
-// Live-migration handover record (format version 3): the state a source
-// edge ships to a destination edge when a device moves mid-round —
-// cached model vector, optimizer moments, step counter, data-size
-// weight and the source edge's round timeline, plus a per-device
-// generation so the destination can reject stale records that arrive
-// after a newer move. The record carries its own CRC even though the
-// fednet frame that transports it is CRC-framed too: the fault
-// injector's Byzantine rewrites recompute the outer frame CRC, so only
-// this inner checksum catches a rewritten payload.
-//
-// Format (little-endian):
-//
-//	magic    "MIDL" + version byte 3
-//	ints     device, srcEdge, destEdge, generation, round,
-//	         lastSync, lastTrained, steps, dataSize (each int64)
-//	statUtil float64
-//	model    count uint64, then count float64 values
-//	moments  groups uint32, then per group len uint32;
-//	         then sum(len) float64 values
-//	crc      uint32 IEEE over everything above
-//
-// Journal files use the ".hov" extension so LoadLatest's ".ckpt" scan
-// never considers them.
+// Live-migration handover: the state a source edge ships to a
+// destination edge when a device moves mid-round, with a per-device
+// generation so the destination can reject a record that arrives after
+// a newer move. The record carries its own CRC although the fednet frame
+// around it has one: the fault injector's Byzantine rewrites recompute
+// the frame CRC, so only this inner checksum catches a rewritten
+// payload. EncodeHandoverBytes is the field list (DESIGN.md "Record
+// formats" has it as a table). Journal files end in ".hov", which
+// LoadLatest's ".ckpt" scan skips.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 )
-
-var magicV3 = [5]byte{'M', 'I', 'D', 'L', 3}
 
 // Handover is the state transferred edge-to-edge for one moving device.
 type Handover struct {
@@ -63,193 +41,72 @@ type Handover struct {
 	Moments    []float64
 }
 
-// EncodeHandover writes a v3 handover record to w.
-func EncodeHandover(w io.Writer, h Handover) error {
+// ints lists the header integers in wire order, for both directions.
+func (h *Handover) ints() [9]*int {
+	return [9]*int{&h.Device, &h.SrcEdge, &h.DestEdge, &h.Generation, &h.Round,
+		&h.LastSync, &h.LastTrained, &h.Steps, &h.DataSize}
+}
+
+// EncodeHandoverBytes serialises h.
+func EncodeHandoverBytes(h Handover) ([]byte, error) {
 	total := 0
 	for _, n := range h.MomentLens {
 		if n < 0 {
-			return fmt.Errorf("checkpoint: negative moment group length %d", n)
+			return nil, fmt.Errorf("checkpoint: negative moment group length %d", n)
 		}
 		total += n
 	}
 	if total != len(h.Moments) {
-		return fmt.Errorf("checkpoint: moment lengths sum %d but %d values", total, len(h.Moments))
+		return nil, fmt.Errorf("checkpoint: moment lengths sum %d but %d values", total, len(h.Moments))
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(magicV3[:]); err != nil {
-		return err
+	e := newEnc(versionHandover, 9*8+8+8+8*len(h.Model)+4+4*len(h.MomentLens)+8*len(h.Moments))
+	for _, v := range h.ints() {
+		e.u64(uint64(*v))
 	}
-	for _, v := range []int{h.Device, h.SrcEdge, h.DestEdge, h.Generation, h.Round, h.LastSync, h.LastTrained, h.Steps, h.DataSize} {
-		if err := binary.Write(bw, binary.LittleEndian, int64(v)); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(h.StatUtil)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(h.Model))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range h.Model {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(h.MomentLens))); err != nil {
-		return err
-	}
+	e.f64(h.StatUtil)
+	e.u64(uint64(len(h.Model)))
+	e.f64s(h.Model)
+	e.u32(uint32(len(h.MomentLens)))
 	for _, n := range h.MomentLens {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(n)); err != nil {
-			return err
-		}
+		e.u32(uint32(n))
 	}
-	for _, v := range h.Moments {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+	e.f64s(h.Moments)
+	return e.finish(), nil
 }
 
-// DecodeHandover reads a v3 handover record, verifying the CRC.
-func DecodeHandover(r io.Reader) (Handover, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-	var gotMagic [5]byte
-	if _, err := io.ReadFull(tr, gotMagic[:]); err != nil {
-		return Handover{}, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if gotMagic != magicV3 {
-		return Handover{}, fmt.Errorf("checkpoint: bad handover magic %q", gotMagic[:])
-	}
-	ints := make([]int64, 9)
-	for i := range ints {
-		if err := binary.Read(tr, binary.LittleEndian, &ints[i]); err != nil {
-			return Handover{}, fmt.Errorf("checkpoint: reading header int %d: %w", i, err)
-		}
-	}
-	var utilBits uint64
-	if err := binary.Read(tr, binary.LittleEndian, &utilBits); err != nil {
-		return Handover{}, fmt.Errorf("checkpoint: reading utility: %w", err)
-	}
-	var count uint64
-	if err := binary.Read(tr, binary.LittleEndian, &count); err != nil {
-		return Handover{}, fmt.Errorf("checkpoint: reading model count: %w", err)
-	}
-	const maxParams = 1 << 30
-	if count > maxParams {
-		return Handover{}, fmt.Errorf("checkpoint: implausible parameter count %d", count)
-	}
-	model := make([]float64, count)
-	buf := make([]byte, 8)
-	for i := range model {
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return Handover{}, fmt.Errorf("checkpoint: reading model value %d: %w", i, err)
-		}
-		model[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	var groups uint32
-	if err := binary.Read(tr, binary.LittleEndian, &groups); err != nil {
-		return Handover{}, fmt.Errorf("checkpoint: reading moment group count: %w", err)
-	}
-	const maxGroups = 1 << 16
-	if groups > maxGroups {
-		return Handover{}, fmt.Errorf("checkpoint: implausible moment group count %d", groups)
-	}
-	var lens []int
-	total := uint64(0)
-	if groups > 0 {
-		lens = make([]int, groups)
-		for i := range lens {
-			var n uint32
-			if err := binary.Read(tr, binary.LittleEndian, &n); err != nil {
-				return Handover{}, fmt.Errorf("checkpoint: reading moment length %d: %w", i, err)
-			}
-			lens[i] = int(n)
-			total += uint64(n)
-		}
-	}
-	if total > maxParams {
-		return Handover{}, fmt.Errorf("checkpoint: implausible moment count %d", total)
-	}
-	var moments []float64
-	if total > 0 {
-		moments = make([]float64, total)
-		for i := range moments {
-			if _, err := io.ReadFull(tr, buf); err != nil {
-				return Handover{}, fmt.Errorf("checkpoint: reading moment value %d: %w", i, err)
-			}
-			moments[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return Handover{}, fmt.Errorf("checkpoint: reading checksum: %w", err)
-	}
-	if got != want {
-		return Handover{}, fmt.Errorf("checkpoint: handover checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	return Handover{
-		Device: int(ints[0]), SrcEdge: int(ints[1]), DestEdge: int(ints[2]),
-		Generation: int(ints[3]), Round: int(ints[4]), LastSync: int(ints[5]),
-		LastTrained: int(ints[6]), Steps: int(ints[7]), DataSize: int(ints[8]),
-		StatUtil: math.Float64frombits(utilBits), Model: model,
-		MomentLens: lens, Moments: moments,
-	}, nil
-}
-
-// EncodeHandoverBytes serialises h to a byte slice.
-func EncodeHandoverBytes(h Handover) ([]byte, error) {
-	var b bytes.Buffer
-	if err := EncodeHandover(&b, h); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeHandoverBytes parses a record produced by EncodeHandoverBytes.
+// DecodeHandoverBytes parses a record produced by EncodeHandoverBytes,
+// verifying its checksum.
 func DecodeHandoverBytes(p []byte) (Handover, error) {
-	return DecodeHandover(bytes.NewReader(p))
+	d, _, err := open(p, versionHandover)
+	if err != nil {
+		return Handover{}, err
+	}
+	var h Handover
+	for _, v := range h.ints() {
+		*v = int(int64(d.u64()))
+	}
+	h.StatUtil = d.f64()
+	h.Model = d.f64s(d.u64())
+	total := uint64(0)
+	if groups := d.count(uint64(d.u32()), 4); groups > 0 {
+		h.MomentLens = make([]int, groups)
+		for i := range h.MomentLens {
+			h.MomentLens[i] = int(d.u32())
+			total += uint64(h.MomentLens[i])
+		}
+	}
+	h.Moments = d.f64s(total)
+	if err := d.done(); err != nil {
+		return Handover{}, err
+	}
+	return h, nil
 }
 
-// SaveHandoverFile journals h under dir as
-// "handover-d<device>-g<generation>.hov" with the same atomic
-// temp+fsync+rename discipline as SaveStateFile, so a source edge crash
-// mid-migration leaves either a complete journal or nothing. Returns
-// the final path.
-func SaveHandoverFile(dir string, h Handover) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("checkpoint: creating dir: %w", err)
-	}
-	final := filepath.Join(dir, handoverFileName(h.Device, h.Generation))
-	tmp, err := os.CreateTemp(dir, ".hov-*")
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := EncodeHandover(tmp, h); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("checkpoint: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	return final, nil
+// SaveHandoverFile journals the encoded record of (device, generation)
+// as dir/"handover-d<device>-g<generation>.hov", atomically: a source
+// edge crash mid-migration leaves a complete journal or nothing.
+func SaveHandoverFile(dir string, device, generation int, rec []byte) (string, error) {
+	return writeFileAtomic(dir, handoverFileName(device, generation), rec)
 }
 
 // RemoveHandoverFile deletes the journal for (device, generation);
@@ -274,19 +131,14 @@ func LoadHandovers(dir string) ([]Handover, error) {
 	}
 	var out []Handover
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".hov" {
+		if filepath.Ext(e.Name()) != ".hov" {
 			continue
 		}
-		f, ferr := os.Open(filepath.Join(dir, e.Name()))
-		if ferr != nil {
-			continue
+		// An unreadable journal is no bytes, skipped like a torn or corrupt one.
+		p, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+		if h, err := DecodeHandoverBytes(p); err == nil {
+			out = append(out, h)
 		}
-		h, derr := DecodeHandover(bufio.NewReader(f))
-		f.Close()
-		if derr != nil {
-			continue // torn or corrupt: skip
-		}
-		out = append(out, h)
 	}
 	return out, nil
 }

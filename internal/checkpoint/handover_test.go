@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -27,25 +28,7 @@ func handoversEqual(a, b Handover) bool {
 	if math.Float64bits(a.StatUtil) != math.Float64bits(b.StatUtil) {
 		return false
 	}
-	if len(a.Model) != len(b.Model) || len(a.Moments) != len(b.Moments) || len(a.MomentLens) != len(b.MomentLens) {
-		return false
-	}
-	for i := range a.Model {
-		if math.Float64bits(a.Model[i]) != math.Float64bits(b.Model[i]) {
-			return false
-		}
-	}
-	for i := range a.Moments {
-		if math.Float64bits(a.Moments[i]) != math.Float64bits(b.Moments[i]) {
-			return false
-		}
-	}
-	for i := range a.MomentLens {
-		if a.MomentLens[i] != b.MomentLens[i] {
-			return false
-		}
-	}
-	return true
+	return sameBits(a.Model, b.Model) && sameBits(a.Moments, b.Moments) && slices.Equal(a.MomentLens, b.MomentLens)
 }
 
 func TestHandoverRoundTrip(t *testing.T) {
@@ -120,13 +103,24 @@ func TestHandoverTruncationDetected(t *testing.T) {
 	}
 }
 
-func TestHandoverJournalLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	in := sampleHandover()
-	path, err := SaveHandoverFile(dir, in)
+// journal encodes h and journals the record under dir, as MigrateOut does.
+func journal(t *testing.T, dir string, h Handover) string {
+	t.Helper()
+	rec, err := EncodeHandoverBytes(h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path, err := SaveHandoverFile(dir, h.Device, h.Generation, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestHandoverJournalLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	in := sampleHandover()
+	path := journal(t, dir, in)
 	if filepath.Ext(path) != ".hov" {
 		t.Fatalf("journal path %q does not use the .hov extension", path)
 	}
@@ -157,9 +151,7 @@ func TestHandoverJournalLifecycle(t *testing.T) {
 func TestLoadHandoversSkipsTornAndMissingDir(t *testing.T) {
 	dir := t.TempDir()
 	good := sampleHandover()
-	if _, err := SaveHandoverFile(dir, good); err != nil {
-		t.Fatal(err)
-	}
+	journal(t, dir, good)
 	raw, err := EncodeHandoverBytes(good)
 	if err != nil {
 		t.Fatal(err)

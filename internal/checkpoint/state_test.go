@@ -122,25 +122,6 @@ func TestStateCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestLoadStateReadsV1 checks the old single-model format still loads,
-// surfacing as round 0 with no edge weights.
-func TestLoadStateReadsV1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, "legacy", []float64{9, 8, 7}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Name != "legacy" || st.Round != 0 || len(st.EdgeWeights) != 0 {
-		t.Fatalf("v1 load got %+v", st)
-	}
-	if len(st.Model) != 3 || st.Model[0] != 9 {
-		t.Fatalf("v1 model %v", st.Model)
-	}
-}
-
 func TestSaveStateFileLoadLatest(t *testing.T) {
 	dir := t.TempDir()
 	for round := 1; round <= 3; round++ {

@@ -18,7 +18,7 @@ import (
 // for the JSON endpoint, and the HTTP listener serving /metrics,
 // /status and /debug/pprof. A nil *Metrics is the disabled mode: every
 // method is a no-op and Registry() returns nil, which all instruments
-// accept.
+// accept. CLI.Start builds it and CLI.Finish reads it out.
 type Metrics struct {
 	reg      *obs.Registry
 	status   *obs.Status
@@ -39,9 +39,13 @@ type MetricsConfig struct {
 	// TSDBInterval or SLORules ask for them).
 	Addr string
 	// TSDBInterval enables the embedded time-series store at this
-	// scrape cadence (0 disables it unless SLORules forces it on, in
-	// which case it defaults to 1s).
+	// scrape cadence. 0 means 1s when something reads the store — Addr
+	// (/api/query, /dashboard), SLORules or TSDBOut — and no store
+	// otherwise.
 	TSDBInterval time.Duration
+	// TSDBOut, when set, is where the store's history is dumped at the
+	// end of the run (middlesim's -tsdb-out).
+	TSDBOut string
 	// TSDBCapacity overrides the per-series point budget (0 = 720).
 	TSDBCapacity int
 	// SLORules, when non-empty, is parsed by slo.ParseRules ("default"
@@ -68,21 +72,15 @@ type MetricsConfig struct {
 	FlightEvents *flight.EventRing
 }
 
-// StartMetrics starts the introspection listener on addr. An empty
-// addr disables observability entirely: it returns (nil, nil) and the
-// nil *Metrics threads a nil registry through the stack. Kernel-stats
-// collection in the tensor package is switched on so the
-// tensor_kernel_* gauges report live counts.
-func StartMetrics(addr string) (*Metrics, error) {
-	return StartMetricsConfig(MetricsConfig{Addr: addr})
-}
-
 // StartMetricsConfig starts the observability bundle: registry +
 // status + trace always; HTTP server when Addr is set; tsdb store when
-// TSDBInterval > 0 or SLORules non-empty; SLO engine when SLORules
-// non-empty. Fully disabled config returns (nil, nil).
+// TSDBInterval > 0 or something reads it; SLO engine when SLORules
+// non-empty. Fully disabled config returns (nil, nil): the nil *Metrics
+// threads a nil registry through the stack. Kernel-stats collection in
+// the tensor package is switched on so the tensor_kernel_* gauges report
+// live counts.
 func StartMetricsConfig(cfg MetricsConfig) (*Metrics, error) {
-	if cfg.Addr == "" && cfg.TSDBInterval <= 0 && cfg.SLORules == "" &&
+	if cfg.Addr == "" && cfg.TSDBInterval <= 0 && cfg.SLORules == "" && cfg.TSDBOut == "" &&
 		cfg.FlightDir == "" && cfg.ProfileInterval <= 0 {
 		return nil, nil
 	}
@@ -92,7 +90,7 @@ func StartMetricsConfig(cfg MetricsConfig) (*Metrics, error) {
 	m := &Metrics{reg: r, status: obs.NewStatus(), trace: obs.NewTrace(0), started: time.Now()}
 
 	interval := cfg.TSDBInterval
-	if interval <= 0 && cfg.SLORules != "" {
+	if interval <= 0 && (cfg.Addr != "" || cfg.SLORules != "" || cfg.TSDBOut != "") {
 		interval = time.Second
 	}
 	if interval > 0 {
@@ -225,80 +223,12 @@ func (m *Metrics) Trace() *obs.Trace {
 	return m.trace
 }
 
-// Addr returns the resolved listen address ("" when disabled or
-// running headless).
-func (m *Metrics) Addr() string {
-	if m == nil || m.server == nil {
-		return ""
+// CaptureFlight captures a postmortem bundle with the given reason, when
+// the flight recorder is armed. Nil-safe.
+func (m *Metrics) CaptureFlight(reason string) {
+	if m != nil {
+		_, _ = m.recorder.Capture(reason) // best effort: a failed capture must not mask the reason for it
 	}
-	return m.server.Addr()
-}
-
-// TSDB returns the embedded time-series store (nil when disabled).
-func (m *Metrics) TSDB() *tsdb.Store {
-	if m == nil {
-		return nil
-	}
-	return m.store
-}
-
-// SLO returns the SLO engine (nil when disabled).
-func (m *Metrics) SLO() *slo.Engine {
-	if m == nil {
-		return nil
-	}
-	return m.engine
-}
-
-// Flight returns the flight recorder (nil when disabled). The nil
-// recorder no-ops everywhere, so callers wire signal/panic hooks
-// unconditionally.
-func (m *Metrics) Flight() *flight.Recorder {
-	if m == nil {
-		return nil
-	}
-	return m.recorder
-}
-
-// CaptureFlight captures a postmortem bundle with the given reason and
-// returns its path ("" when the recorder is disabled or capture
-// failed). Nil-safe.
-func (m *Metrics) CaptureFlight(reason string) string {
-	if m == nil {
-		return ""
-	}
-	path, _ := m.recorder.Capture(reason)
-	return path
-}
-
-// FinalizeSLO stops the tsdb and SLO loops, takes one final
-// scrape-and-evaluate pass, and returns the names of every rule that
-// breached at any point in the run. Empty means the gate passes.
-// Nil-safe; idempotent.
-func (m *Metrics) FinalizeSLO() []string {
-	if m == nil {
-		return nil
-	}
-	m.store.Close()  // stops loop + final scrape
-	m.engine.Close() // stops loop + final eval
-	return m.engine.Breached()
-}
-
-// DumpTSDB writes the store's full history to path ("" or disabled
-// tsdb writes nothing).
-func (m *Metrics) DumpTSDB(path string) error {
-	if m == nil || m.store == nil || path == "" {
-		return nil
-	}
-	return m.store.DumpToFile(path)
-}
-
-// SetStatus publishes a key on the /status board.
-func (m *Metrics) SetStatus(key string, value any) {
-	if m == nil {
-		return
-	}
-	m.status.Set(key, value)
 }
 
 // Close stops the tsdb/SLO loops and the HTTP listener gracefully:
@@ -316,26 +246,4 @@ func (m *Metrics) Close() {
 		defer cancel()
 		_ = m.server.Shutdown(ctx)
 	}
-}
-
-// WriteSummary writes the run manifest plus a snapshot of every metric
-// to dir/<name>-<timestamp>.json and returns the path. Disabled mode
-// or an empty dir writes nothing and returns "".
-func (m *Metrics) WriteSummary(dir, name string, command []string, extra map[string]any) (string, error) {
-	if m == nil || dir == "" {
-		return "", nil
-	}
-	now := time.Now()
-	path := obs.SummaryPath(dir, name, now)
-	err := obs.WriteSummary(path, obs.Manifest{
-		Name:     name,
-		Command:  command,
-		Started:  m.started,
-		Finished: now,
-		Extra:    extra,
-	}, m.reg)
-	if err != nil {
-		return "", err
-	}
-	return path, nil
 }

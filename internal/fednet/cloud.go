@@ -2,6 +2,7 @@ package fednet
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -218,24 +219,8 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 			c.global = st.Model
 			c.startRound = st.Round
 			c.ms.epoch = st.Epoch
-			for id, e := range st.Assignment {
-				c.assignment[id] = e
-			}
-			for id, w := range st.EdgeWeights {
-				c.edgeWeights[id] = w
-			}
-			// Compose per-shard weight books recorded at the same round
-			// (the sharded cloud writes one record per shard alongside
-			// the global one; each overlays its own edges' weights).
-			for sh := 0; sh < cfg.Shards; sh++ {
-				shSt, shOk, err := checkpoint.LoadLatestNamed(cfg.CheckpointDir, shardCheckpointName(sh))
-				if err != nil || !shOk || shSt.Round != st.Round {
-					continue
-				}
-				for id, w := range shSt.EdgeWeights {
-					c.edgeWeights[id] = w
-				}
-			}
+			maps.Copy(c.assignment, st.Assignment)
+			maps.Copy(c.edgeWeights, st.EdgeWeights)
 			cfg.Logf("cloud: resuming from checkpoint (round %d)", st.Round)
 		}
 	}
@@ -439,7 +424,7 @@ func (c *Cloud) Run() error {
 			c.m.syncs.Inc()
 			syncCount++
 			if c.cfg.CheckpointDir != "" && syncCount%c.cfg.CheckpointEvery == 0 {
-				c.checkpointSync(r, sagg)
+				c.checkpointSync(r)
 			}
 			fp.End()
 			if tr != nil {
@@ -499,9 +484,8 @@ func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64, sagg *shar
 
 // checkpointSync persists the cloud state after round r. Membership
 // state (epoch + device→edge assignment) rides in the record when the
-// membership layer is active; otherwise the record is the plain v2
-// state, byte-identical to pre-membership checkpoints.
-func (c *Cloud) checkpointSync(r int, sagg *shardAgg) {
+// membership layer is active; otherwise that section is empty.
+func (c *Cloud) checkpointSync(r int) {
 	c.mu.Lock()
 	st := checkpoint.State{
 		Name:        "global",
@@ -512,31 +496,13 @@ func (c *Cloud) checkpointSync(r int, sagg *shardAgg) {
 	c.mu.Unlock()
 	if c.cfg.Membership.Enabled {
 		st.Epoch = c.ms.currentEpoch()
-		st.Assignment = make(map[int]int, len(c.assignment))
-		for d, e := range c.assignment {
-			st.Assignment[d] = e
-		}
+		st.Assignment = maps.Clone(c.assignment)
 	}
 	if _, err := checkpoint.SaveStateFile(c.cfg.CheckpointDir, st); err != nil {
 		c.cfg.Logf("cloud: checkpoint at round %d failed: %v", r, err)
 	} else {
 		c.m.checkpoints.Inc()
 		c.cfg.Logf("cloud: checkpointed round %d", r)
-	}
-	if sagg != nil {
-		// Per-shard records (weight book only, no model) compose
-		// with the "global" record in the shared directory, so a
-		// future per-shard aggregator process can recover its
-		// own edges' weights without parsing the global state.
-		for sh, w := range sagg.shardWeights(st.EdgeWeights) {
-			if w == nil {
-				continue
-			}
-			shSt := checkpoint.State{Name: shardCheckpointName(sh), Round: r, EdgeWeights: w}
-			if _, err := checkpoint.SaveStateFile(c.cfg.CheckpointDir, shSt); err != nil {
-				c.cfg.Logf("cloud: shard %d checkpoint at round %d failed: %v", sh, r, err)
-			}
-		}
 	}
 }
 
@@ -547,7 +513,7 @@ func (c *Cloud) checkpointFinal(round int) {
 	if c.cfg.CheckpointDir == "" || round <= 0 {
 		return
 	}
-	c.checkpointSync(round, nil)
+	c.checkpointSync(round)
 	c.cfg.Logf("cloud: final checkpoint at round %d", round)
 }
 

@@ -339,7 +339,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 func edgeCheckpointName(id int) string { return fmt.Sprintf("edge%d", id) }
 
 // saveCheckpoint persists the edge's recovery state: model, round and
-// the Eq. 6 weight accumulator (keyed by the edge's own id in the v2
+// the Eq. 6 weight accumulator (keyed by the edge's own id in the
 // record's weight map).
 func (e *Edge) saveCheckpoint(round int) {
 	e.mu.Lock()
@@ -538,18 +538,18 @@ func (e *Edge) MigrateOut(deviceID, destEdge int, destAddr string, generation in
 	if !ok || len(rec.Model) == 0 {
 		return ""
 	}
-	if e.cfg.CheckpointDir != "" {
-		if _, err := checkpoint.SaveHandoverFile(e.cfg.CheckpointDir, rec); err != nil {
-			e.cfg.Logf("edge %d: journaling handover for device %d failed: %v", e.cfg.EdgeID, deviceID, err)
-		} else {
-			defer checkpoint.RemoveHandoverFile(e.cfg.CheckpointDir, deviceID, generation)
-		}
-	}
 	raw, err := checkpoint.EncodeHandoverBytes(rec)
 	if err != nil {
 		e.cfg.Logf("edge %d: encoding handover for device %d failed: %v", e.cfg.EdgeID, deviceID, err)
 		e.m.migrateFallback.Inc()
 		return "fallback"
+	}
+	if e.cfg.CheckpointDir != "" {
+		if _, err := checkpoint.SaveHandoverFile(e.cfg.CheckpointDir, deviceID, generation, raw); err != nil {
+			e.cfg.Logf("edge %d: journaling handover for device %d failed: %v", e.cfg.EdgeID, deviceID, err)
+		} else {
+			defer checkpoint.RemoveHandoverFile(e.cfg.CheckpointDir, deviceID, generation)
+		}
 	}
 	tr := e.cfg.Trace
 	srcSpan := ""

@@ -7,7 +7,11 @@ package fednet
 // path must not move a single migration counter).
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -272,5 +276,41 @@ func TestPackBytesRoundTrip(t *testing.T) {
 		if _, ok := unpackBytes(vec, bad); ok {
 			t.Fatalf("unpackBytes accepted inconsistent length %d for a 16-byte payload", bad)
 		}
+	}
+}
+
+// TestAcceptMigrateRefusesUnbackedClaim sends an edge a MsgMigrate whose
+// handover record announces 2^30 model values and ends there, under a
+// valid checksum — any peer can compute one. The record decoder must
+// size the vector from the bytes that arrived: the edge answers
+// corrupt_record and allocates next to nothing.
+func TestAcceptMigrateRefusesUnbackedClaim(t *testing.T) {
+	e, err := NewEdge(EdgeConfig{EdgeID: 2, Addr: "127.0.0.1:0", K: 1, Strategy: core.NewMiddle(), LiveMigration: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.ln.Close()
+	rec := append([]byte("MIDL"), 3)
+	for _, v := range []uint64{5, 0, 2, 1, 0, 0, 0, 0, 30, math.Float64bits(1.5), 1 << 30} {
+		rec = binary.LittleEndian.AppendUint64(rec, v) // nine ints, the utility, the model count
+	}
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	mig := Migrate{SrcEdge: 0, DestEdge: 2, DeviceID: 5, Generation: 1, RecordBytes: len(rec)}
+
+	client, server := net.Pipe()
+	defer client.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go e.acceptMigrate(server, mig, packBytes(rec))
+	var ack MigrateAck
+	if mt, _, err := ReadMsg(client, &ack); err != nil || mt != MsgMigrateAck {
+		t.Fatalf("reading the ack: type %d, %v", mt, err)
+	}
+	runtime.ReadMemStats(&after)
+	if ack.Accepted || ack.Reason != "corrupt_record" {
+		t.Fatalf("ack %+v, want a corrupt_record refusal", ack)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte record claiming 2^30 values made the edge allocate %d bytes", len(rec), got)
 	}
 }

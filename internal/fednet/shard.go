@@ -74,25 +74,3 @@ func (s *shardAgg) mergeInto(dst []float64) bool {
 	simil.ScaleInto(dst, 1/totalW)
 	return true
 }
-
-// shardWeights splits the cloud's edge-weight book by shard so each
-// shard can persist (and recover) its own named checkpoint record.
-func (s *shardAgg) shardWeights(all map[int]float64) []map[int]float64 {
-	out := make([]map[int]float64, s.k)
-	for id, w := range all {
-		sh := id % s.k
-		if sh < 0 {
-			sh += s.k
-		}
-		if out[sh] == nil {
-			out[sh] = map[int]float64{}
-		}
-		out[sh][id] = w
-	}
-	return out
-}
-
-// shardCheckpointName names per-shard cloud checkpoint records so they
-// compose with the cloud's "global" record (and the edges' "edgeN"
-// records) in one shared directory.
-func shardCheckpointName(sh int) string { return fmt.Sprintf("shard%d", sh) }

@@ -38,6 +38,16 @@ func ParseAdversaryMode(s string) (AdversaryMode, error) {
 	return "", fmt.Errorf("robust: unknown adversary mode %q (want sign-flip, noise or same-value)", s)
 }
 
+// UnmarshalText is ParseAdversaryMode for flag.TextVar and
+// encoding/json, so a bad name fails where it is parsed.
+func (m *AdversaryMode) UnmarshalText(text []byte) (err error) {
+	*m, err = ParseAdversaryMode(string(text))
+	return err
+}
+
+// MarshalText returns the mode's name ("" for an unset mode).
+func (m AdversaryMode) MarshalText() ([]byte, error) { return []byte(m), nil }
+
 // Adversary configures the seeded adversary harness. The zero value is
 // no adversaries.
 type Adversary struct {

@@ -45,6 +45,16 @@ func ParseAggregator(s string) (AggregatorKind, error) {
 	return "", fmt.Errorf("robust: unknown aggregator %q (want mean, median, trimmed-mean or norm-clip)", s)
 }
 
+// UnmarshalText is ParseAggregator for flag.TextVar and encoding/json,
+// so a bad name fails where it is parsed.
+func (k *AggregatorKind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseAggregator(string(text))
+	return err
+}
+
+// MarshalText returns the kind's name ("" for an unset kind).
+func (k AggregatorKind) MarshalText() ([]byte, error) { return []byte(k), nil }
+
 // DefaultTrimFrac is the trim fraction β when the config leaves it 0.
 const DefaultTrimFrac = 0.2
 

@@ -422,14 +422,15 @@ func ParseAdversaryMode(s string) (AdversaryMode, error) { return robust.ParseAd
 // --- checkpoints ------------------------------------------------------------
 
 // SaveModel writes a named parameter vector in the repository's
-// checksummed binary checkpoint format.
+// checksummed checkpoint format: a state record of just name and model.
 func SaveModel(w io.Writer, name string, vec []float64) error {
-	return checkpoint.SaveModel(w, name, vec)
+	return checkpoint.SaveState(w, checkpoint.State{Name: name, Model: vec})
 }
 
 // LoadModel reads a checkpoint written by SaveModel.
 func LoadModel(r io.Reader) (name string, vec []float64, err error) {
-	return checkpoint.LoadModel(r)
+	st, err := checkpoint.LoadState(r)
+	return st.Name, st.Model, err
 }
 
 // --- reporting -----------------------------------------------------------

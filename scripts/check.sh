@@ -88,6 +88,8 @@ go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetO
 echo "== frame reader fuzz (10 s) =="
 # go test replays the committed corpus; this also explores from it.
 go test -run '^$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/fednet
+go test -run '^$' -fuzz FuzzLoadState -fuzztime 10s ./internal/checkpoint
+go test -run '^$' -fuzz FuzzDecodeHandover -fuzztime 10s ./internal/checkpoint
 
 echo "== start-up race gate (-race, 20x) =="
 # StartCluster must hold the first round until its devices are attached:
