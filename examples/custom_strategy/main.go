@@ -37,11 +37,13 @@ func (StalenessAware) Select(v middle.View, edge int, candidates []int, k int, r
 	}, k, rng)
 }
 
-// InitLocal reuses MIDDLE's on-device aggregation for moved devices.
+// InitLocal reuses MIDDLE's on-device aggregation for moved devices. A
+// device that stayed starts from the edge model itself: the engine only
+// reads what InitLocal returns, so no copy is needed.
 func (StalenessAware) InitLocal(v middle.View, device, edge int, moved bool) []float64 {
 	edgeModel := v.EdgeModel(edge)
 	if !moved {
-		return append([]float64(nil), edgeModel...)
+		return edgeModel
 	}
 	agg, _ := middle.OnDeviceAggregate(edgeModel, v.LocalModel(device))
 	return agg

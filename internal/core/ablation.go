@@ -31,7 +31,7 @@ func (*MiddleSelOnly) Select(v hfl.View, edge int, candidates []int, k int, rng 
 
 // InitLocal always starts from the downloaded edge model.
 func (*MiddleSelOnly) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
-	return clone(v.EdgeModel(edge))
+	return v.EdgeModel(edge)
 }
 
 // MiddleAggOnly keeps MIDDLE's Eq. 9 similarity-weighted on-device
@@ -53,7 +53,7 @@ func (*MiddleAggOnly) Select(v hfl.View, edge int, candidates []int, k int, rng 
 func (*MiddleAggOnly) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	edgeModel := v.EdgeModel(edge)
 	if !moved {
-		return clone(edgeModel)
+		return edgeModel
 	}
 	agg, _ := simil.OnDeviceAggregate(edgeModel, v.LocalModel(device))
 	return agg

@@ -51,7 +51,7 @@ func (*Oort) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.R
 
 // InitLocal always starts from the downloaded edge model.
 func (*Oort) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
-	return clone(v.EdgeModel(edge))
+	return v.EdgeModel(edge)
 }
 
 // FedMes adapts Han et al.'s multi-edge-server scheme to the mobility
@@ -74,7 +74,7 @@ func (*FedMes) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor
 // InitLocal averages edge and carried models 50/50 for moved devices.
 func (*FedMes) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	if !moved {
-		return clone(v.EdgeModel(edge))
+		return v.EdgeModel(edge)
 	}
 	return simil.Blend(v.EdgeModel(edge), v.LocalModel(device), 0.5)
 }
@@ -98,9 +98,9 @@ func (*Greedy) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor
 // InitLocal keeps the carried local model entirely for moved devices.
 func (*Greedy) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	if !moved {
-		return clone(v.EdgeModel(edge))
+		return v.EdgeModel(edge)
 	}
-	return clone(v.LocalModel(device))
+	return v.LocalModel(device)
 }
 
 // Ensemble combines OORT selection with FedMes-style 50/50 on-device
@@ -121,7 +121,7 @@ func (*Ensemble) Select(v hfl.View, edge int, candidates []int, k int, rng *tens
 // InitLocal averages edge and carried models 50/50 for moved devices.
 func (*Ensemble) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	if !moved {
-		return clone(v.EdgeModel(edge))
+		return v.EdgeModel(edge)
 	}
 	return simil.Blend(v.EdgeModel(edge), v.LocalModel(device), 0.5)
 }
@@ -143,7 +143,7 @@ func (*General) Select(v hfl.View, edge int, candidates []int, k int, rng *tenso
 
 // InitLocal always starts from the downloaded edge model.
 func (*General) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
-	return clone(v.EdgeModel(edge))
+	return v.EdgeModel(edge)
 }
 
 // FixedAlpha blends every moved device's models with a constant
@@ -169,7 +169,7 @@ func (f *FixedAlpha) Select(v hfl.View, edge int, candidates []int, k int, rng *
 // InitLocal blends with the constant coefficient for moved devices.
 func (f *FixedAlpha) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	if !moved {
-		return clone(v.EdgeModel(edge))
+		return v.EdgeModel(edge)
 	}
 	return simil.Blend(v.EdgeModel(edge), v.LocalModel(device), f.Alpha)
 }

@@ -81,9 +81,11 @@ func TestMiddleInitLocalStayed(t *testing.T) {
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("stayed device init %v, want edge model", got)
 	}
-	got[0] = 42
-	if v.edges[0][0] != 1 {
-		t.Fatal("InitLocal aliased the edge model")
+	// The engine only reads the start vector (hfl.Strategy.InitLocal), so
+	// a start that is not a blend is the view's vector itself, not a copy;
+	// hfl's and fednet's alias-contract tests pin the engines' half.
+	if &got[0] != &v.edges[0][0] {
+		t.Fatal("InitLocal copied the edge model")
 	}
 }
 
@@ -158,9 +160,8 @@ func TestGreedyKeepsLocalModelWhenMoved(t *testing.T) {
 	if got[0] != 7 || got[1] != 8 {
 		t.Fatalf("Greedy moved init %v, want carried model", got)
 	}
-	got[0] = 0
-	if v.locals[4][0] != 7 {
-		t.Fatal("Greedy aliased the local model")
+	if &got[0] != &v.locals[4][0] {
+		t.Fatal("Greedy copied the local model")
 	}
 }
 

@@ -51,14 +51,14 @@ func (*Middle) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor
 }
 
 // InitLocal implements Eq. 9 for moved devices and the classical
-// edge-model start otherwise (Algorithm 1 lines 4–7).
+// edge-model start otherwise (Algorithm 1 lines 4–7). Like every
+// strategy here it returns the view's own vector when it does not blend
+// (hfl.Strategy: the engine only reads the result).
 func (*Middle) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
 	edgeModel := v.EdgeModel(edge)
 	if !moved {
-		return clone(edgeModel)
+		return edgeModel
 	}
 	agg, _ := simil.OnDeviceAggregate(edgeModel, v.LocalModel(device))
 	return agg
 }
-
-func clone(v []float64) []float64 { return append([]float64(nil), v...) }

@@ -44,6 +44,49 @@ func TestBatchShapesAndContent(t *testing.T) {
 	}
 }
 
+// TestBatchIntoReusesStorage: fed its own results back, BatchInto fills
+// the same tensor for an equal-sized batch, serves a smaller one from the
+// front of the same storage, grows for a larger one, and every time
+// yields what Batch yields.
+func TestBatchIntoReusesStorage(t *testing.T) {
+	d := GenerateImages(FastImageProfile(4), 12, 7)
+	same := func(x *tensor.Tensor, y []int, idx []int) {
+		t.Helper()
+		wx, wy := d.Batch(idx)
+		if !x.SameShape(wx) || !x.Equal(wx, 0) || len(y) != len(wy) {
+			t.Fatalf("BatchInto(%v) gave shape %v, want Batch's %v and values", idx, x.Shape(), wx.Shape())
+		}
+		for i := range y {
+			if y[i] != wy[i] {
+				t.Fatalf("BatchInto(%v) labels %v, want %v", idx, y, wy)
+			}
+		}
+	}
+	x, y := d.BatchInto([]int{0, 1, 2, 3}, nil, nil)
+	same(x, y, []int{0, 1, 2, 3})
+	first := x
+	x, y = d.BatchInto([]int{7, 6, 5, 4}, x, y)
+	same(x, y, []int{7, 6, 5, 4})
+	if x != first {
+		t.Fatal("an equal-sized batch did not reuse the tensor")
+	}
+	x, y = d.BatchInto([]int{9, 8}, x, y)
+	same(x, y, []int{9, 8})
+	if &x.Data[0] != &first.Data[0] {
+		t.Fatal("a smaller batch did not reuse the storage")
+	}
+	x, y = d.BatchInto([]int{1, 3, 5, 7}, x, y)
+	same(x, y, []int{1, 3, 5, 7})
+	if &x.Data[0] != &first.Data[0] {
+		t.Fatal("growing back within capacity did not reuse the storage")
+	}
+	x, y = d.BatchInto([]int{0, 2, 4, 6, 8, 10}, x, y)
+	same(x, y, []int{0, 2, 4, 6, 8, 10})
+	if allocs := testing.AllocsPerRun(10, func() { x, y = d.BatchInto([]int{0, 2, 4, 6, 8, 10}, x, y) }); allocs != 0 {
+		t.Fatalf("a steady-state BatchInto allocates %v times, want 0", allocs)
+	}
+}
+
 func TestGenerateImagesDeterministicAndBalanced(t *testing.T) {
 	p := FastImageProfile(4)
 	d1 := GenerateImages(p, 40, 7)

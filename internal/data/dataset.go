@@ -19,8 +19,9 @@ type Dataset struct {
 	Shape   []int // per-sample shape, e.g. [1, 28, 28] or [1, 4000]
 	Classes int
 
-	data   []float64
-	labels []int
+	sampleSize int // prod(Shape), fixed at construction
+	data       []float64
+	labels     []int
 }
 
 // NewDataset wraps raw storage in a Dataset. data must hold len(labels)
@@ -38,42 +39,60 @@ func NewDataset(name string, shape []int, classes int, data []float64, labels []
 			panic(fmt.Sprintf("data: label %d of sample %d out of range [0,%d)", y, i, classes))
 		}
 	}
-	return &Dataset{Name: name, Shape: append([]int(nil), shape...), Classes: classes, data: data, labels: labels}
+	return &Dataset{Name: name, Shape: append([]int(nil), shape...), Classes: classes, sampleSize: ss, data: data, labels: labels}
 }
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.labels) }
 
 // SampleSize returns the number of values per sample.
-func (d *Dataset) SampleSize() int {
-	ss := 1
-	for _, x := range d.Shape {
-		ss *= x
-	}
-	return ss
-}
+func (d *Dataset) SampleSize() int { return d.sampleSize }
 
 // Label returns the label of sample i.
 func (d *Dataset) Label(i int) int { return d.labels[i] }
 
 // Sample returns a read-only view of the values of sample i.
 func (d *Dataset) Sample(i int) []float64 {
-	ss := d.SampleSize()
-	return d.data[i*ss : (i+1)*ss]
+	return d.data[i*d.sampleSize : (i+1)*d.sampleSize]
 }
 
 // Batch materialises the samples at idx as a tensor of shape
-// [len(idx), Shape...] along with their labels.
+// [len(idx), Shape...] along with their labels, both freshly allocated.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	ss := d.SampleSize()
-	shape := append([]int{len(idx)}, d.Shape...)
-	x := tensor.New(shape...)
-	labels := make([]int, len(idx))
+	return d.BatchInto(idx, nil, nil)
+}
+
+// BatchInto is Batch into storage the caller owns, used like append: pass
+// the previous call's results back in and keep what it returns. x is
+// reused as tensor.Ensure reuses it (nil is fine), labels likewise: a
+// loop drawing equal-sized batches allocates nothing after its first.
+func (d *Dataset) BatchInto(idx []int, x *tensor.Tensor, labels []int) (*tensor.Tensor, []int) {
+	ss := d.sampleSize
+	if !d.isBatchOf(x, len(idx)) { // checked first: building the shape allocates
+		x = tensor.Ensure(x, append([]int{len(idx)}, d.Shape...)...)
+	}
+	if cap(labels) < len(idx) {
+		labels = make([]int, len(idx))
+	}
+	labels = labels[:len(idx)]
 	for bi, i := range idx {
 		copy(x.Data[bi*ss:(bi+1)*ss], d.Sample(i))
 		labels[bi] = d.labels[i]
 	}
 	return x, labels
+}
+
+// isBatchOf reports whether x has shape [n, Shape...].
+func (d *Dataset) isBatchOf(x *tensor.Tensor, n int) bool {
+	if x == nil || x.Rank() != len(d.Shape)+1 || x.Dim(0) != n {
+		return false
+	}
+	for i, s := range d.Shape {
+		if x.Dim(i+1) != s {
+			return false
+		}
+	}
+	return true
 }
 
 // All returns the index list [0, Len).

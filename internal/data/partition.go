@@ -254,7 +254,7 @@ func (p *Partition) WithLabelNoise(fracDevices, fracSamples float64, seed int64)
 			}
 		}
 	}
-	noisy := &Dataset{Name: d.Name + "+noise", Shape: append([]int(nil), d.Shape...), Classes: d.Classes, data: d.data, labels: labels}
+	noisy := NewDataset(d.Name+"+noise", d.Shape, d.Classes, d.data, labels)
 	indices := make([][]int, len(p.Indices))
 	for m := range indices {
 		indices[m] = append([]int(nil), p.Indices[m]...)

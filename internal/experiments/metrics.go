@@ -190,19 +190,6 @@ func registerTensorMetrics(r *obs.Registry) {
 	r.GaugeFunc("tensor_kernel_col2im_calls", func() float64 {
 		return float64(tensor.ReadKernelStats().Col2ImCalls)
 	})
-	r.GaugeFunc("tensor_parallel_launches", func() float64 {
-		return float64(tensor.ReadKernelStats().ParallelLaunches)
-	})
-	r.GaugeFunc("tensor_parallel_inline", func() float64 {
-		return float64(tensor.ReadKernelStats().ParallelInline)
-	})
-	r.GaugeFunc("tensor_parallel_occupancy", func() float64 {
-		s := tensor.ReadKernelStats()
-		if s.ParallelLaunches == 0 {
-			return 0
-		}
-		return float64(s.ParallelWorkers) / float64(s.ParallelLaunches)
-	})
 }
 
 // Registry returns the backing registry (nil when disabled).

@@ -563,9 +563,10 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	defer close(cc.done)
 	// A payload is decoded into a pooled vector that goes back when its
 	// frame has been handled: training is synchronous inside the loop and
-	// keeps nothing of the payload (InitLocal clones or blends it,
-	// LocalRound copies it into the network, ImportMoments copies its
-	// moments). A connection waiting for its next request holds none.
+	// keeps nothing of the payload (InitLocal blends it or hands it on as
+	// is, LocalRound copies that into the network before anything is
+	// released, ImportMoments copies its moments). A connection waiting
+	// for its next request holds none.
 	var held *vecBuf
 	payloadBuf := func(n int) []float64 {
 		held = payloadPool.Get().(*vecBuf)

@@ -167,6 +167,52 @@ func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
 	}
 }
 
+// TestDeviceTrainOnlyReadsPayloadAndCarriedModel pins the deployment's
+// half of the Strategy.InitLocal contract: strategies hand back the
+// downloaded edge model (the pooled frame payload) or the carried local
+// model itself, and DeviceMux.train must only read them — the payload is
+// bit for bit what arrived when serveConn releases it, the carried model
+// is replaced, never written — while the trained vector is storage of its
+// own.
+func TestDeviceTrainOnlyReadsPayloadAndCarriedModel(t *testing.T) {
+	prof := data.FastImageProfile(2)
+	train := data.GenerateImagesSplit(prof, 20, 5, 5)
+	factory := func(rng *tensor.RNG) *nn.Network {
+		return nn.NewNetwork(nn.NewFlatten(), nn.NewLinear(train.SampleSize(), train.Classes, rng))
+	}
+	const id = 3
+	// OORT starts from the payload itself; Greedy, once moved, from the
+	// carried model itself.
+	for _, strat := range []hfl.Strategy{core.NewOort(), core.NewGreedy()} {
+		mx, err := NewDeviceMux(DeviceMuxConfig{
+			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}}, Dataset: train, Factory: factory,
+			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(), Strategy: strat, LocalSteps: 2, BatchSize: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var carried, carriedWas []float64
+		for round := 1; round <= 2; round++ {
+			payload := factory(tensor.NewRNG(int64(round))).ParamVector()
+			arrived := append([]float64(nil), payload...)
+			got, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, Moved: true}, payload, round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(payload, arrived) {
+				t.Fatalf("%s round %d: train wrote to the frame payload", strat.Name(), round)
+			}
+			if &got[0] == &payload[0] || sameBits(got, arrived) {
+				t.Fatalf("%s round %d: the trained vector is the payload", strat.Name(), round)
+			}
+			if carried != nil && (!sameBits(carried, carriedWas) || &got[0] == &carried[0]) {
+				t.Fatalf("%s round %d: train wrote to the model the device carried in", strat.Name(), round)
+			}
+			carried, carriedWas = got, append([]float64(nil), got...)
+		}
+	}
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

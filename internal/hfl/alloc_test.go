@@ -1,0 +1,125 @@
+//go:build !race
+
+package hfl
+
+import (
+	"runtime"
+	"testing"
+
+	"middle/internal/data"
+	"middle/internal/mobility"
+	"middle/internal/nn"
+	"middle/internal/tensor"
+)
+
+// The race detector's shadow bookkeeping allocates on its own, so byte
+// budgets hold only without it.
+
+// allocated returns the heap bytes fn allocates (on any goroutine).
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// emnistCNN is the network of the benchmark's sim_tta workload: the
+// paper's CNN2 on 28×28 inputs, 55,354 parameters (443 KB as a vector).
+func emnistCNN(rng *tensor.RNG) *nn.Network {
+	return nn.NewCNN2(nn.CNN2Config{InC: 1, H: 28, W: 28, Classes: 26, C1: 8, C2: 16, Hidden: 64}, rng)
+}
+
+// allocBudget is what a steady-state local round or evaluation may
+// allocate: tensor headers, the softmax of a batch, an argmax per chunk —
+// nothing the size of a batch (100 KB), an activation or a model.
+const allocBudget = 64 << 10
+
+// TestLocalRoundSteadyStateAllocs: after its first call has grown the
+// trainer's batch storage and the layers' scratch, a local round at
+// sim_tta's shape (5 steps of 16 samples) stays inside allocBudget. It
+// allocated 1.8 MB per call when every step drew a fresh batch tensor.
+func TestLocalRoundSteadyStateAllocs(t *testing.T) {
+	ds := data.GenerateImagesSplit(data.EMNISTProfile(), 200, 1, 2)
+	shard := ds.All()
+	tw := &Trainer{Net: emnistCNN(tensor.NewRNG(1)), Opt: OptimizerSpec{Kind: OptSGDMomentum, LR: 0.01, Momentum: 0.9}.New()}
+	vec := tw.Net.ParamVector()
+	round := func() { tw.LocalRound(ds, shard, 5, 16, tensor.NewRNG(3), vec, vec, false) }
+	round()
+	for i := 0; i < 3; i++ {
+		if got := allocated(round); got > allocBudget {
+			t.Fatalf("local round %d after the first allocated %d bytes, budget %d", i+1, got, allocBudget)
+		}
+	}
+}
+
+// TestEvaluateVectorSteadyStateAllocs: the ragged last chunk of a test
+// set whose size is no multiple of 64 (here 64, 64, 64, 8) is served from
+// the front of the same grow-only scratch, so a second evaluation stays
+// inside allocBudget where exact-size scratch reallocated every layer
+// buffer on the way down to 8 samples and again on the way back up.
+func TestEvaluateVectorSteadyStateAllocs(t *testing.T) {
+	f := emnistFixture(200)
+	s := New(smallConfig(), emnistCNN, f.part, f.test, f.mob, middleLike{})
+	first, _ := s.EvaluateVector(s.cloud, 0, false)
+	var second float64
+	if got := allocated(func() { second, _ = s.EvaluateVector(s.cloud, 0, false) }); got > allocBudget {
+		t.Fatalf("second evaluation of 200 samples allocated %d bytes, budget %d", got, allocBudget)
+	}
+	if first != second {
+		t.Fatalf("same model evaluated to %v, then to %v", first, second)
+	}
+}
+
+// emnistFixture is a small federation on the EMNIST profile: 8 devices
+// of 10 samples on 2 edges under mobility 0.5, and a test set of testN.
+func emnistFixture(testN int) fixture {
+	prof := data.EMNISTProfile()
+	train := data.GenerateImagesSplit(prof, 120, 1, 2)
+	return fixture{
+		part: data.PartitionMajorClass(train, 8, 10, 0.85, 6),
+		test: data.GenerateImagesSplit(prof, testN, 1, 3),
+		mob:  mobility.NewMarkov(2, 8, 0.5, 7),
+	}
+}
+
+// TestStepOnceAllocsBoundedByBlends: with strategies returning the view's
+// own vectors, the only model-sized allocation left in a step is the
+// Eq. 9 blend of a device that moved and was selected (InitLocal has no
+// destination parameter to blend into). Twenty warm steps of a MIDDLE-
+// shaped run allocate at most one model vector per such device plus a
+// slack per training and per step — RNG streams, selection results,
+// history points, tensor headers — that is a fourteenth of a model. A
+// clone for every trained device that stayed, which is what those start
+// vectors used to cost, would nearly double the total.
+func TestStepOnceAllocsBoundedByBlends(t *testing.T) {
+	f := emnistFixture(72)
+	cfg := smallConfig()
+	cfg.LocalSteps, cfg.BatchSize = 1, 4
+	s := New(cfg, emnistCNN, f.part, f.test, f.mob, middleLike{})
+	for i := 0; i < 10; i++ {
+		s.StepOnce()
+	}
+	const steps, slack = 20, 32 << 10
+	blends, trained := 0, 0
+	got := allocated(func() {
+		for i := 0; i < steps; i++ {
+			s.StepOnce()
+			for _, j := range s.jobs {
+				trained++
+				if s.moved[j.device] {
+					blends++
+				}
+			}
+		}
+	})
+	if blends == 0 || 2*blends > trained {
+		t.Fatalf("%d of %d trained devices had moved: the run does not separate blends from trainings", blends, trained)
+	}
+	modelBytes := uint64(8 * len(s.cloud))
+	budget := uint64(blends)*modelBytes + uint64(trained+steps)*slack
+	if got > budget {
+		t.Fatalf("%d steps allocated %d bytes; %d blends × %d-byte model + slack allow %d (%d devices trained)",
+			steps, got, blends, modelBytes, budget, trained)
+	}
+}

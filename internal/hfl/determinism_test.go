@@ -7,41 +7,51 @@ import (
 
 	"middle/internal/data"
 	"middle/internal/mobility"
-	"middle/internal/tensor"
 )
 
-// TestSimBitIdenticalAcrossMaxWorkers pins the kernel-level determinism
-// contract end to end: the tensor kernels chunk work across goroutines,
-// but every output element's summation order is fixed, so a full
-// federated run must produce bit-identical models whether the kernels run
-// serially or with 8 workers.
-func TestSimBitIdenticalAcrossMaxWorkers(t *testing.T) {
-	runWith := func(workers int) ([]float64, []float64) {
-		prev := tensor.SetMaxWorkers(workers)
-		defer tensor.SetMaxWorkers(prev)
+// TestSimBitIdenticalAcrossParallelism pins the one level of parallelism
+// the engine has: the worker pool trains a step's devices side by side
+// and classifies an evaluation's 64-sample chunks side by side, each
+// worker on its own network, and nothing below it fans out. Every
+// device's randomness derives from (seed, step, device) and hit counts
+// are integers, so a run on one worker and a run on four end with the
+// same bits in the cloud model and in every edge model, and report the
+// same global, per-edge and per-class accuracy at every evaluation. The
+// CNN and the 300-sample test set (four full chunks and a ragged fifth)
+// put the conv kernels and the chunk fan-out under it.
+func TestSimBitIdenticalAcrossParallelism(t *testing.T) {
+	runWith := func(par int) (*Sim, *History) {
 		f := newFixture(t, 0.5)
+		f.test = data.GenerateImagesSplit(data.FastImageProfile(4), 300, 5, 77)
 		cfg := smallConfig()
-		cfg.Parallelism = 2
-		s := New(cfg, f.factory(), f.part, f.test, f.mob, &spyStrategy{})
-		h := s.Run()
-		return s.cloud, h.GlobalAcc
+		cfg.Parallelism = par
+		cfg.Steps = 12 // two cloud syncs, then two edge rounds: edges differ from the cloud
+		cfg.EvalEvery = 3
+		cfg.EvalEdges, cfg.EvalPerClass = true, true
+		s := New(cfg, f.cnnFactory(), f.part, f.test, f.mob, middleLike{})
+		return s, s.Run()
 	}
-	cloud1, acc1 := runWith(1)
-	cloud8, acc8 := runWith(8)
-	if len(cloud1) != len(cloud8) {
-		t.Fatalf("model sizes differ: %d vs %d", len(cloud1), len(cloud8))
-	}
-	for i := range cloud1 {
-		if cloud1[i] != cloud8[i] {
-			t.Fatalf("cloud model differs at %d between MaxWorkers 1 and 8: %v vs %v", i, cloud1[i], cloud8[i])
+	s1, h1 := runWith(1)
+	s4, h4 := runWith(4)
+	models := func(s *Sim) [][]float64 { return append([][]float64{s.cloud}, s.edges...) }
+	m1, m4 := models(s1), models(s4)
+	for v := range m1 {
+		for i := range m1[v] {
+			if math.Float64bits(m1[v][i]) != math.Float64bits(m4[v][i]) {
+				t.Fatalf("model %d (0 = cloud, then edges) differs at %d between Parallelism 1 and 4: %v vs %v",
+					v, i, m1[v][i], m4[v][i])
+			}
 		}
 	}
-	if len(acc1) != len(acc8) {
-		t.Fatalf("eval counts differ: %d vs %d", len(acc1), len(acc8))
+	if len(h1.GlobalAcc) != 4 || len(h4.GlobalAcc) != 4 {
+		t.Fatalf("eval counts %d and %d, want 4", len(h1.GlobalAcc), len(h4.GlobalAcc))
 	}
-	for i := range acc1 {
-		if acc1[i] != acc8[i] {
-			t.Fatalf("accuracy differs at eval %d: %v vs %v", i, acc1[i], acc8[i])
+	for i := range h1.GlobalAcc {
+		if h1.GlobalAcc[i] != h4.GlobalAcc[i] ||
+			!slices.Equal(h1.EdgeAcc[i], h4.EdgeAcc[i]) ||
+			!slices.Equal(h1.PerClassAcc[i], h4.PerClassAcc[i]) {
+			t.Fatalf("evaluation %d differs between Parallelism 1 and 4: global %v vs %v, edges %v vs %v, classes %v vs %v",
+				i, h1.GlobalAcc[i], h4.GlobalAcc[i], h1.EdgeAcc[i], h4.EdgeAcc[i], h1.PerClassAcc[i], h4.PerClassAcc[i])
 		}
 	}
 }

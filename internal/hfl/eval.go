@@ -1,34 +1,46 @@
 package hfl
 
 import (
+	"sync"
+
 	"middle/internal/nn"
 )
+
+// evalChunk is how many test samples one evaluation forward classifies.
+const evalChunk = 64
 
 // EvaluateVector measures the accuracy of a model vector on the test set
 // (capped at maxSamples; 0 = all). It also returns per-class accuracy
 // when perClass is true. The test set is generated round-robin by class,
-// so a prefix subset stays class-balanced.
+// so a prefix subset stays class-balanced. The evalChunk-sample chunks
+// are classified on the worker pool, each worker on its own network;
+// hit counts are integers, so the result does not depend on which worker
+// took which chunk.
 func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc float64, classAcc []float64) {
 	n := s.test.Len()
 	if maxSamples > 0 && maxSamples < n {
 		n = maxSamples
 	}
-	s.evalNet.SetParamVector(vec)
-	batch := 64
+	chunks := (n + evalChunk - 1) / evalChunk
+	for _, tw := range s.workers[:min(len(s.workers), chunks)] {
+		tw.Net.SetParamVector(vec)
+	}
+	var mu sync.Mutex // guards the tallies below
 	correct := 0
 	var perCorrect, perTotal []int
 	if perClass {
 		perCorrect = make([]int, s.test.Classes)
 		perTotal = make([]int, s.test.Classes)
 	}
-	idx := make([]int, 0, batch)
-	flush := func() {
-		if len(idx) == 0 {
-			return
+	s.fanOut(chunks, func(w, c int) {
+		tw := s.workers[w]
+		tw.idx = tw.idx[:0]
+		for i := c * evalChunk; i < min((c+1)*evalChunk, n); i++ {
+			tw.idx = append(tw.idx, i)
 		}
-		x, y := s.test.Batch(idx)
-		logits := s.evalNet.Forward(x, false)
-		pred := logits.ArgMaxRows()
+		pred, y := tw.predict(s.test, tw.idx)
+		mu.Lock()
+		defer mu.Unlock()
 		for i, p := range pred {
 			if perClass {
 				perTotal[y[i]]++
@@ -40,15 +52,7 @@ func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc 
 				}
 			}
 		}
-		idx = idx[:0]
-	}
-	for i := 0; i < n; i++ {
-		idx = append(idx, i)
-		if len(idx) == batch {
-			flush()
-		}
-	}
-	flush()
+	})
 	acc = float64(correct) / float64(n)
 	if perClass {
 		classAcc = make([]float64, s.test.Classes)
@@ -72,7 +76,8 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 	if maxSamples > 0 && maxSamples < n {
 		n = maxSamples
 	}
-	s.evalNet.SetParamVector(vec)
+	tw := s.workers[0]
+	tw.Net.SetParamVector(vec)
 	correct, total := 0, 0
 	var idx []int
 	for i := 0; i < n; i++ {
@@ -80,13 +85,8 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 			idx = append(idx, i)
 		}
 	}
-	for lo := 0; lo < len(idx); lo += 64 {
-		hi := lo + 64
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		x, y := s.test.Batch(idx[lo:hi])
-		pred := s.evalNet.Forward(x, false).ArgMaxRows()
+	for lo := 0; lo < len(idx); lo += evalChunk {
+		pred, y := tw.predict(s.test, idx[lo:min(lo+evalChunk, len(idx))])
 		for i, p := range pred {
 			total++
 			if p == y[i] {
@@ -104,7 +104,8 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 // model vector over all device shards (capped per device to keep it
 // affordable; 0 = all samples). Used by convergence diagnostics.
 func (s *Sim) GlobalLoss(vec []float64, maxPerDevice int) float64 {
-	s.evalNet.SetParamVector(vec)
+	tw := s.workers[0]
+	tw.Net.SetParamVector(vec)
 	totalLoss, totalWeight := 0.0, 0.0
 	for m := 0; m < s.numDevices; m++ {
 		shard := s.part.Indices[m]
@@ -115,9 +116,8 @@ func (s *Sim) GlobalLoss(vec []float64, maxPerDevice int) float64 {
 		if n == 0 {
 			continue
 		}
-		x, y := s.part.Dataset.Batch(shard[:n])
-		logits := s.evalNet.Forward(x, false)
-		loss, _ := nn.SoftmaxCrossEntropy(logits, y)
+		tw.x, tw.y = s.part.Dataset.BatchInto(shard[:n], tw.x, tw.y)
+		loss, _ := nn.SoftmaxCrossEntropy(tw.Net.Forward(tw.x, false), tw.y)
 		w := float64(len(shard))
 		totalLoss += w * loss
 		totalWeight += w

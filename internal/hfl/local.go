@@ -10,13 +10,20 @@ import (
 )
 
 // Trainer owns the compute state one local round needs — a network, its
-// optimizer and the batch-index scratch — so memory is proportional to
-// parallelism, not to the device count. The simulator keeps one per pool
-// worker; a fednet device or device multiplexer keeps one.
+// optimizer and the storage every mini-batch is drawn into — so memory is
+// proportional to parallelism, not to the device count, and a round in
+// steady state allocates nothing batch-, activation- or model-sized. The
+// simulator keeps one per pool worker and evaluates on the same networks
+// between rounds; a fednet device or device multiplexer keeps one.
 type Trainer struct {
 	Net *nn.Network
 	Opt optim.Optimizer
+
+	// The current batch: sample indices, inputs and labels, refilled in
+	// place (data.Dataset.BatchInto) by every step and evaluation chunk.
 	idx []int
+	x   *tensor.Tensor
+	y   []int
 }
 
 // LocalRound is the device side of Algorithm 1 line 8: steps mini-batch
@@ -50,10 +57,10 @@ func (tw *Trainer) LocalRound(ds *data.Dataset, shard []int, steps, batch int, r
 		for b := range idx {
 			idx[b] = shard[rng.Intn(len(shard))]
 		}
-		x, y := ds.Batch(idx)
+		tw.x, tw.y = ds.BatchInto(idx, tw.x, tw.y)
 		tw.Net.ZeroGrad()
-		logits := tw.Net.Forward(x, true)
-		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, y)
+		logits := tw.Net.Forward(tw.x, true)
+		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, tw.y)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
 			skipped++
 			continue
@@ -70,4 +77,13 @@ func (tw *Trainer) LocalRound(ds *data.Dataset, shard []int, steps, batch int, r
 		util = float64(len(shard)) * math.Sqrt(sumSq/float64(samples))
 	}
 	return util, skipped
+}
+
+// predict classifies the samples idx of ds with the parameters the
+// network currently holds (an evaluation-mode forward) and returns the
+// predicted and the true class of each; labels is valid until the
+// trainer's next batch.
+func (tw *Trainer) predict(ds *data.Dataset, idx []int) (pred, labels []int) {
+	tw.x, tw.y = ds.BatchInto(idx, tw.x, tw.y)
+	return tw.Net.Forward(tw.x, false).ArgMaxRows(), tw.y
 }

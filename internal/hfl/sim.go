@@ -10,7 +10,6 @@ import (
 
 	"middle/internal/data"
 	"middle/internal/mobility"
-	"middle/internal/nn"
 	"middle/internal/obs/flight"
 	"middle/internal/robust"
 	"middle/internal/simil"
@@ -71,8 +70,7 @@ type Sim struct {
 	commDeviceEdge int64
 	commEdgeCloud  int64
 
-	workers []*Trainer
-	evalNet *nn.Network
+	workers []*Trainer // one per pool goroutine; evaluation runs on them too
 	history *History
 
 	// phases accumulates the always-on per-phase wall-clock breakdown;
@@ -154,7 +152,6 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 			Opt: cfg.Optimizer.New(),
 		}
 	}
-	s.evalNet = factory(tensor.Split(cfg.Seed, 99))
 	s.agg = robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
 	s.history = &History{Strategy: strat.Name()}
 	s.metrics = newSimMetrics(cfg.Obs)
@@ -366,11 +363,13 @@ func (s *Sim) StepOnce() int {
 			if mv {
 				s.tel.recordBlend(simil.Utility(s.store.model(m), s.edges[n]))
 			}
-			// Lines 4–7: on-device model initialisation. The job writes
-			// the trained model straight into the device's carried vector,
-			// materialized here for lazily-stored devices (each device
-			// appears in at most one job per step, and SetParamVector
-			// copies init before the overwrite).
+			// Lines 4–7: on-device model initialisation. init may be the
+			// edge model or the device's carried vector itself (see
+			// Strategy.InitLocal): the train phase only reads edge models,
+			// and the job writes the trained model into the carried
+			// vector — materialized here for lazily-stored devices — only
+			// after SetParamVector has copied init out (each device
+			// appears in at most one job per step).
 			init := s.strat.InitLocal(s, m, n, mv)
 			s.jobs = append(s.jobs, trainJob{device: m, init: init, out: s.store.materialize(m)})
 		}

@@ -28,7 +28,7 @@ func (middleLike) Select(v View, edge int, candidates []int, k int, rng *tensor.
 func (middleLike) InitLocal(v View, device, edge int, moved bool) []float64 {
 	edgeModel := v.EdgeModel(edge)
 	if !moved {
-		return append([]float64(nil), edgeModel...)
+		return edgeModel
 	}
 	agg, _ := simil.OnDeviceAggregate(edgeModel, v.LocalModel(device))
 	return agg

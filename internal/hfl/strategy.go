@@ -92,12 +92,18 @@ type Strategy interface {
 	Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int
 	// InitLocal returns the model vector the device starts local
 	// training from this step. moved reports whether the device entered
-	// this edge since the previous time step (m ∉ M^{t−1}_n). The
-	// returned slice must be freshly allocated or otherwise safe for
-	// the engine to hand to a training worker. In a fednet deployment
-	// the device itself makes this call, on a view that knows only
-	// EdgeModel (the model just downloaded) and LocalModel (the one it
-	// carried here); every other accessor returns its zero value.
+	// this edge since the previous time step (m ∉ M^{t−1}_n). The engine
+	// only reads the result, and only until the device's local round has
+	// loaded it into a network; nothing writes the view's vectors before
+	// then (the simulator aggregates into edge models only after the
+	// train phase, a fednet device releases the downloaded payload only
+	// after its round). So a strategy that does not blend returns the
+	// view's own vector — v.EdgeModel(edge) or v.LocalModel(device) —
+	// not a copy, and must neither keep nor write what it returns. In a
+	// fednet deployment the device itself makes this call, on a view
+	// that knows only EdgeModel (the model just downloaded) and
+	// LocalModel (the one it carried here); every other accessor returns
+	// its zero value.
 	InitLocal(v View, device, edge int, moved bool) []float64
 }
 

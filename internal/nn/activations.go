@@ -15,13 +15,23 @@ type ReLU struct {
 // NewReLU constructs a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0), caching the active mask for Backward.
+// Forward computes max(x, 0). In training mode it also caches the active
+// mask, which only Backward reads.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.out = ensureTensor(r.out, x.Shape()...)
+	r.out = tensor.Ensure(r.out, x.Shape()...)
 	out := r.out
-	if len(r.mask) != len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	if !train {
+		r.mask = r.mask[:0]
+		for i, v := range x.Data {
+			if v > 0 {
+				out.Data[i] = v
+			} else {
+				out.Data[i] = 0
+			}
+		}
+		return out
 	}
+	r.mask = ensureLen(r.mask, len(out.Data))
 	for i, v := range x.Data {
 		if v > 0 {
 			r.mask[i] = true
@@ -36,7 +46,10 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward zeroes the gradient where the activation was clipped.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	r.dx = ensureTensor(r.dx, dy.Shape()...)
+	if len(r.mask) != len(dy.Data) {
+		panic(noTrainForward("ReLU"))
+	}
+	r.dx = tensor.Ensure(r.dx, dy.Shape()...)
 	dx := r.dx
 	for i, v := range dy.Data {
 		if r.mask[i] {
@@ -97,11 +110,9 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.keep = nil
 		return x
 	}
-	d.out = ensureTensor(d.out, x.Shape()...)
+	d.out = tensor.Ensure(d.out, x.Shape()...)
 	out := d.out
-	if len(d.keep) != len(out.Data) {
-		d.keep = make([]bool, len(out.Data))
-	}
+	d.keep = ensureLen(d.keep, len(out.Data))
 	scale := 1.0 / (1.0 - d.Rate)
 	for i, v := range x.Data {
 		if d.rng.Float64() < d.Rate {
@@ -120,7 +131,7 @@ func (d *Dropout) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if d.keep == nil {
 		return dy
 	}
-	d.dx = ensureTensor(d.dx, dy.Shape()...)
+	d.dx = tensor.Ensure(d.dx, dy.Shape()...)
 	dx := d.dx
 	scale := 1.0 / (1.0 - d.Rate)
 	for i, v := range dy.Data {

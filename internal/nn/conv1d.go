@@ -51,22 +51,22 @@ func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	ck := c.InC * c.K
 	ol := c.outL
-	cols := ensureFloats(c.cols, ck*n*ol)
+	cols := ensureLen(c.cols, ck*n*ol)
 	c.cols = cols
 	inSz := c.InC * c.inL
 	rowStride := n * ol
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		tensor.Im2Col1DStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inL,
 			c.K, c.Stride, c.Pad, cols[i*ol:], rowStride)
-	})
+	}
 	colsT := tensor.FromSlice(cols, ck, rowStride)
-	c.y = ensureTensor(c.y, c.OutC, rowStride)
+	c.y = tensor.Ensure(c.y, c.OutC, rowStride)
 	tensor.MatMulInto(c.y, c.W.Value, colsT)
-	out := ensureTensor(c.out, n, c.OutC, ol)
+	out := tensor.Ensure(c.out, n, c.OutC, ol)
 	c.out = out
 	yd := c.y.Data
 	bd := c.B.Value.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := yd[oc*rowStride+i*ol : oc*rowStride+(i+1)*ol]
 			dst := out.Data[(i*c.OutC+oc)*ol : (i*c.OutC+oc+1)*ol]
@@ -75,7 +75,7 @@ func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				dst[j] = v + b
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -86,16 +86,16 @@ func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	ol := c.outL
 	inSz := c.InC * c.inL
 	rowStride := n * ol
-	c.dy = ensureTensor(c.dy, c.OutC, rowStride)
+	c.dy = tensor.Ensure(c.dy, c.OutC, rowStride)
 	dyd := c.dy.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			copy(dyd[oc*rowStride+i*ol:oc*rowStride+(i+1)*ol],
 				dout.Data[(i*c.OutC+oc)*ol:(i*c.OutC+oc+1)*ol])
 		}
-	})
+	}
 	colsT := tensor.FromSlice(c.cols, ck, rowStride)
-	c.dw = ensureTensor(c.dw, c.OutC, ck)
+	c.dw = tensor.Ensure(c.dw, c.OutC, ck)
 	tensor.MatMulTransBInto(c.dw, c.dy, colsT)
 	c.W.Grad.AddInPlace(c.dw)
 	for oc := 0; oc < c.OutC; oc++ {
@@ -105,17 +105,17 @@ func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 		c.B.Grad.Data[oc] += s
 	}
-	c.dcols = ensureTensor(c.dcols, ck, rowStride)
+	c.dcols = tensor.Ensure(c.dcols, ck, rowStride)
 	tensor.MatMulTransAInto(c.dcols, c.W.Value, c.dy)
-	dx := ensureTensor(c.dx, n, c.InC, c.inL)
+	dx := tensor.Ensure(c.dx, n, c.InC, c.inL)
 	c.dx = dx
 	dcd := c.dcols.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		dxi := dx.Data[i*inSz : (i+1)*inSz]
 		clear(dxi)
 		tensor.Col2Im1DStrided(dcd[i*ol:], c.InC, c.inL,
 			c.K, c.Stride, c.Pad, dxi, rowStride)
-	})
+	}
 	return dx
 }
 

@@ -58,26 +58,25 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	ckk := c.InC * c.KH * c.KW
 	ohw := c.outH * c.outW
-	cols := ensureFloats(c.cols, ckk*n*ohw)
+	cols := ensureLen(c.cols, ckk*n*ohw)
 	c.cols = cols
 	inSz := c.InC * c.inH * c.inW
 	rowStride := n * ohw
-	// Lower every sample into its column block of the shared matrix; the
-	// blocks are disjoint, so samples lower in parallel.
-	tensor.ParallelFor(n, 1, func(i int) {
+	// Lower every sample into its column block of the shared matrix.
+	for i := 0; i < n; i++ {
 		tensor.Im2ColStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inH, c.inW,
 			c.KH, c.KW, c.Stride, c.Pad, cols[i*ohw:], rowStride)
-	})
+	}
 	colsT := tensor.FromSlice(cols, ckk, rowStride)
-	c.y = ensureTensor(c.y, c.OutC, rowStride)
+	c.y = tensor.Ensure(c.y, c.OutC, rowStride)
 	tensor.MatMulInto(c.y, c.W.Value, colsT) // [OutC, N*OHW]
-	out := ensureTensor(c.out, n, c.OutC, c.outH, c.outW)
+	out := tensor.Ensure(c.out, n, c.OutC, c.outH, c.outW)
 	c.out = out
 	// Un-batch: copy each sample's column range back to [N, OutC, OH, OW]
 	// layout and add the bias.
 	yd := c.y.Data
 	bd := c.B.Value.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := yd[oc*rowStride+i*ohw : oc*rowStride+(i+1)*ohw]
 			dst := out.Data[(i*c.OutC+oc)*ohw : (i*c.OutC+oc+1)*ohw]
@@ -86,7 +85,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				dst[j] = v + b
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -99,17 +98,17 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	inSz := c.InC * c.inH * c.inW
 	rowStride := n * ohw
 	// Gather dOut into the batched column layout [OutC, N*OHW].
-	c.dy = ensureTensor(c.dy, c.OutC, rowStride)
+	c.dy = tensor.Ensure(c.dy, c.OutC, rowStride)
 	dyd := c.dy.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := dout.Data[(i*c.OutC+oc)*ohw : (i*c.OutC+oc+1)*ohw]
 			copy(dyd[oc*rowStride+i*ohw:oc*rowStride+(i+1)*ohw], src)
 		}
-	})
+	}
 	colsT := tensor.FromSlice(c.cols, ckk, rowStride)
 	// dW += dy · colsᵀ — one product for the whole batch.
-	c.dw = ensureTensor(c.dw, c.OutC, ckk)
+	c.dw = tensor.Ensure(c.dw, c.OutC, ckk)
 	tensor.MatMulTransBInto(c.dw, c.dy, colsT)
 	c.W.Grad.AddInPlace(c.dw)
 	// dB += row sums of dy.
@@ -121,18 +120,18 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		c.B.Grad.Data[oc] += s
 	}
 	// dcols = Wᵀ · dy, then scatter each sample's block back to image
-	// space (disjoint outputs → parallel across samples).
-	c.dcols = ensureTensor(c.dcols, ckk, rowStride)
+	// space.
+	c.dcols = tensor.Ensure(c.dcols, ckk, rowStride)
 	tensor.MatMulTransAInto(c.dcols, c.W.Value, c.dy)
-	dx := ensureTensor(c.dx, n, c.InC, c.inH, c.inW)
+	dx := tensor.Ensure(c.dx, n, c.InC, c.inH, c.inW)
 	c.dx = dx
 	dcd := c.dcols.Data
-	tensor.ParallelFor(n, 1, func(i int) {
+	for i := 0; i < n; i++ {
 		dxi := dx.Data[i*inSz : (i+1)*inSz]
 		clear(dxi)
 		tensor.Col2ImStrided(dcd[i*ohw:], c.InC, c.inH, c.inW,
 			c.KH, c.KW, c.Stride, c.Pad, dxi, rowStride)
-	})
+	}
 	return dx
 }
 

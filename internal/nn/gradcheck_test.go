@@ -16,12 +16,13 @@ func lossOf(net *Network, x *tensor.Tensor, labels []int) float64 {
 }
 
 // checkGradients compares backprop gradients against central finite
-// differences for every parameter of net. Inputs with train=false so
-// stochastic layers are inactive.
+// differences for every parameter of net. The networks under test have
+// no stochastic layer, so the training-mode forward Backward needs and
+// lossOf's evaluation-mode one compute the same function.
 func checkGradients(t *testing.T, name string, net *Network, x *tensor.Tensor, labels []int) {
 	t.Helper()
 	net.ZeroGrad()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
 
@@ -139,7 +140,7 @@ func TestGradInputGradient(t *testing.T) {
 	labels := []int{0, 2}
 
 	net.ZeroGrad()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	dx := net.Backward(dlogits)
 

@@ -32,14 +32,23 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // concurrent use; every simulated device owns its own network instance.
 type Layer interface {
 	// Forward computes the layer output for a batch. train enables
-	// training-only behaviour (e.g. dropout).
+	// training-only behaviour: dropout, and the bookkeeping only Backward
+	// reads (ReLU masks, pooling argmax tables), which an evaluation
+	// forward skips.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the
 	// layer output and returns the gradient with respect to the input,
-	// accumulating parameter gradients as a side effect.
+	// accumulating parameter gradients as a side effect. It must follow
+	// a Forward with train set.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
+}
+
+// noTrainForward is the panic message of a Backward that finds no
+// bookkeeping from a training-mode Forward of the same batch.
+func noTrainForward(layer string) string {
+	return fmt.Sprintf("nn: %s.Backward without a preceding Forward(x, true) of the same batch", layer)
 }
 
 // shapeError builds a consistent panic message for layer shape mismatches.

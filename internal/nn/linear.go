@@ -36,7 +36,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	l.x = x
 	n := x.Dim(0)
-	l.y = ensureTensor(l.y, n, l.Out)
+	l.y = tensor.Ensure(l.y, n, l.Out)
 	y := tensor.MatMulInto(l.y, x, l.W.Value)
 	bd := l.B.Value.Data
 	for i := 0; i < n; i++ {
@@ -50,7 +50,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ·dy and db = Σ rows(dy), returning dx = dy·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	l.dw = ensureTensor(l.dw, l.In, l.Out)
+	l.dw = tensor.Ensure(l.dw, l.In, l.Out)
 	tensor.MatMulTransAInto(l.dw, l.x, dy)
 	l.W.Grad.AddInPlace(l.dw)
 	n := dy.Dim(0)
@@ -60,7 +60,7 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			l.B.Grad.Data[j] += row[j]
 		}
 	}
-	l.dx = ensureTensor(l.dx, n, l.In)
+	l.dx = tensor.Ensure(l.dx, n, l.In)
 	return tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
 }
 

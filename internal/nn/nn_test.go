@@ -151,7 +151,7 @@ func TestMaxPool2DKnown(t *testing.T) {
 		1, 1, 4, 1,
 	}, 1, 1, 4, 4)
 	p := NewMaxPool2D(2)
-	y := p.Forward(x, false)
+	y := p.Forward(x, true)
 	want := []float64{4, 8, 9, 4}
 	for i, w := range want {
 		if y.Data[i] != w {
@@ -289,7 +289,7 @@ func TestQuickParamVectorRoundTrip(t *testing.T) {
 func TestMaxPool1DKnown(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 5, 2, 4, 9, 3}, 1, 1, 6)
 	p := NewMaxPool1D(2)
-	y := p.Forward(x, false)
+	y := p.Forward(x, true)
 	want := []float64{5, 4, 9}
 	for i, w := range want {
 		if y.Data[i] != w {

@@ -20,7 +20,8 @@ type MaxPool2D struct {
 // NewMaxPool2D constructs a max-pooling layer with window and stride k.
 func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 
-// Forward pools each K×K window to its maximum.
+// Forward pools each K×K window to its maximum; in training mode it also
+// records where each maximum came from, for Backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(shapeError("MaxPool2D", "[N, C, H, W]", x.Shape()))
@@ -28,10 +29,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := h/p.K, w/p.K
 	p.inShape = x.Shape()
-	p.out = ensureTensor(p.out, n, c, oh, ow)
+	p.out = tensor.Ensure(p.out, n, c, oh, ow)
 	out := p.out
-	if len(p.argmax) != out.Size() {
-		p.argmax = make([]int, out.Size())
+	p.argmax = p.argmax[:0]
+	if train {
+		p.argmax = ensureLen(p.argmax, out.Size())
 	}
 	oi := 0
 	for i := 0; i < n; i++ {
@@ -49,7 +51,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					out.Data[oi] = best
-					p.argmax[oi] = bi
+					if train {
+						p.argmax[oi] = bi
+					}
 					oi++
 				}
 			}
@@ -60,7 +64,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes each output gradient to the argmax input position.
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	p.dx = ensureTensor(p.dx, p.inShape...)
+	if len(p.argmax) != dy.Size() {
+		panic(noTrainForward("MaxPool2D"))
+	}
+	p.dx = tensor.Ensure(p.dx, p.inShape...)
 	dx := p.dx
 	dx.Zero()
 	for oi, ii := range p.argmax {
@@ -86,7 +93,8 @@ type MaxPool1D struct {
 // NewMaxPool1D constructs a 1-D max-pooling layer with window and stride k.
 func NewMaxPool1D(k int) *MaxPool1D { return &MaxPool1D{K: k} }
 
-// Forward pools each length-K window to its maximum.
+// Forward pools each length-K window to its maximum; in training mode it
+// also records where each maximum came from, for Backward.
 func (p *MaxPool1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(shapeError("MaxPool1D", "[N, C, L]", x.Shape()))
@@ -94,10 +102,11 @@ func (p *MaxPool1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, l := x.Dim(0), x.Dim(1), x.Dim(2)
 	ol := l / p.K
 	p.inShape = x.Shape()
-	p.out = ensureTensor(p.out, n, c, ol)
+	p.out = tensor.Ensure(p.out, n, c, ol)
 	out := p.out
-	if len(p.argmax) != out.Size() {
-		p.argmax = make([]int, out.Size())
+	p.argmax = p.argmax[:0]
+	if train {
+		p.argmax = ensureLen(p.argmax, out.Size())
 	}
 	oi := 0
 	for i := 0; i < n; i++ {
@@ -111,7 +120,9 @@ func (p *MaxPool1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 				}
 				out.Data[oi] = best
-				p.argmax[oi] = bi
+				if train {
+					p.argmax[oi] = bi
+				}
 				oi++
 			}
 		}
@@ -121,7 +132,10 @@ func (p *MaxPool1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes each output gradient to the argmax input position.
 func (p *MaxPool1D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	p.dx = ensureTensor(p.dx, p.inShape...)
+	if len(p.argmax) != dy.Size() {
+		panic(noTrainForward("MaxPool1D"))
+	}
+	p.dx = tensor.Ensure(p.dx, p.inShape...)
 	dx := p.dx
 	dx.Zero()
 	for oi, ii := range p.argmax {

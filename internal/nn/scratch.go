@@ -1,39 +1,24 @@
 package nn
 
-import (
-	"middle/internal/tensor"
-)
-
 // Scratch-buffer helpers. Layers own their output and gradient buffers
 // and reuse them across steps: a tensor returned by Forward/Backward is
 // valid only until the same layer's next Forward/Backward call. Callers
 // that need to retain a result must copy it (see DESIGN.md, "Performance
 // architecture").
 
-// ensureTensor returns t if it already has exactly the given shape,
-// otherwise a freshly allocated zero tensor of that shape. The contents
-// of a reused tensor are unspecified; callers overwrite them fully.
-func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if t != nil && t.Rank() == len(shape) {
-		match := true
-		for i, d := range shape {
-			if t.Dim(i) != d {
-				match = false
-				break
-			}
-		}
-		if match {
-			return t
-		}
-	}
-	return tensor.New(shape...)
-}
+// The buffers are grow-only (tensor.Ensure, ensureLen): a batch smaller
+// than the largest one the layer has seen is served from the front of the
+// same storage, so an evaluation's ragged last chunk (64, …, 64, 8) or a
+// short shard's batch costs a tensor header, not a reallocation of every
+// buffer on the way down and again on the way back up. Their contents
+// are unspecified; layers overwrite them fully.
 
-// ensureFloats returns s if it already has length n, otherwise a new
-// zeroed slice of length n.
-func ensureFloats(s []float64, n int) []float64 {
-	if len(s) == n {
-		return s
+// ensureLen returns s resliced to length n, or a new slice of that length
+// if s is too small (cols matrices, ReLU/dropout masks, pooling argmax
+// tables).
+func ensureLen[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }

@@ -5,11 +5,12 @@ package tensor
 // AVX2+FMA the dispatchers in simd_amd64.go replace the bulk of the work
 // with vector code and fall back to these for tails and small inputs.
 //
-// axpy-style kernels carry no cross-element reduction, so their vector
-// form is bit-identical to the scalar form. dot-style kernels reduce in
-// four lanes, which reorders the summation; the order is still fixed per
-// build/CPU, so results remain bit-identical across runs and across
-// MaxWorkers settings on the same machine.
+// axpy-style kernels carry no cross-element reduction: their vector form
+// differs from the scalar one only by fusing the multiply-add. dot-style
+// kernels also reduce in vector lanes (dot2x2 in 4, dotVec in 16), which
+// reorders the summation. Either way the order is fixed per build/CPU and
+// input length, so results are bit-identical across runs on the same
+// machine (HasAVX2 tells golden values which family produced them).
 
 // scalarAxpy computes y[j] += alpha*x[j].
 func scalarAxpy(alpha float64, x, y []float64) {

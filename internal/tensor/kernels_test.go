@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -67,8 +66,6 @@ func TestMatMulIntoReusesDestination(t *testing.T) {
 	if d := maxAbsDiff(dst.Data, want.Data); d > 1e-10 {
 		t.Fatalf("MatMulInto left stale data: max diff %g", d)
 	}
-	prev := SetMaxWorkers(1) // serial path has no goroutine bookkeeping
-	defer SetMaxWorkers(prev)
 	allocs := testing.AllocsPerRun(10, func() {
 		MatMulInto(dst, a, b)
 	})
@@ -77,70 +74,38 @@ func TestMatMulIntoReusesDestination(t *testing.T) {
 	}
 }
 
-// TestMatMulBitIdenticalAcrossWorkers pins the determinism contract: the
-// chunking must never change any output element's summation order.
+// TestMatMulBitIdenticalAcrossWorkers pins what the engine's worker pool
+// relies on now that the kernels themselves run inline: they keep no
+// state between or across calls, so eight goroutines multiplying at once
+// — as eight devices' local rounds do — each get the bits a lone call
+// gets, for all three variants.
 func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := NewRNG(5)
 	a := randTensor(rng, 37, 129)
 	b := randTensor(rng, 129, 43)
-	prev := SetMaxWorkers(1)
-	serial := MatMul(a, b)
-	SetMaxWorkers(8)
-	parallel := MatMul(a, b)
-	SetMaxWorkers(prev)
-	for i := range serial.Data {
-		if serial.Data[i] != parallel.Data[i] {
-			t.Fatalf("element %d differs between 1 and 8 workers: %v vs %v", i, serial.Data[i], parallel.Data[i])
-		}
+	at, bt := Transpose2D(a), Transpose2D(b)
+	variants := []func() *Tensor{
+		func() *Tensor { return MatMul(a, b) },
+		func() *Tensor { return MatMulTransA(at, b) },
+		func() *Tensor { return MatMulTransB(a, bt) },
 	}
-}
-
-func TestParallelForChunksCoversRangeOnce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, tc := range []struct{ n, grain int }{{0, 4}, {1, 4}, {7, 3}, {100, 7}, {64, 64}, {5, 0}} {
-			prev := SetMaxWorkers(workers)
-			counts := make([]int32, tc.n)
-			var calls atomic.Int32
-			var mu sync.Mutex
-			maxSpan := 0
-			ParallelForChunks(tc.n, tc.grain, func(lo, hi int) {
-				calls.Add(1)
-				mu.Lock()
-				if hi-lo > maxSpan {
-					maxSpan = hi - lo
+	for v, mul := range variants {
+		serial := mul()
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := mul()
+				for i := range serial.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
+						t.Errorf("variant %d: element %d differs between a lone call and one of 8 concurrent ones", v, i)
+						return
+					}
 				}
-				mu.Unlock()
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&counts[i], 1)
-				}
-			})
-			SetMaxWorkers(prev)
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("n=%d grain=%d workers=%d: index %d visited %d times", tc.n, tc.grain, workers, i, c)
-				}
-			}
-			grain := tc.grain
-			if grain < 1 {
-				grain = 1
-			}
-			// Serial execution collapses to one call; parallel chunks obey grain.
-			if workers > 1 && tc.n > 0 && maxSpan > grain {
-				t.Fatalf("n=%d grain=%d: chunk of %d indices exceeds grain", tc.n, tc.grain, maxSpan)
-			}
+			}()
 		}
-	}
-}
-
-func TestParallelForSerialWithOneWorker(t *testing.T) {
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
-	order := make([]int, 0, 10)
-	ParallelFor(10, 3, func(i int) { order = append(order, i) }) // no mutex: must be serial
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial ParallelFor visited %v", order)
-		}
+		wg.Wait()
 	}
 }
 

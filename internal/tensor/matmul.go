@@ -3,40 +3,23 @@ package tensor
 import "fmt"
 
 // Matrix-multiplication kernels. All three variants (plain, Aᵀ·B, A·Bᵀ)
-// share the same structure: the output rows are split into contiguous
-// chunks sized by rowGrain and distributed with ParallelForChunks, and
-// inside a chunk the kernel is tiled over cache-sized panels of the
-// shared dimension and of the output columns, with 4×1 (axpy-style) or
-// 2×2 (dot-style) register blocking in the innermost loops. Each output
-// element's summation order is fixed by the panel loops alone, never by
-// the chunking, so results are bit-identical for every MaxWorkers()
-// setting.
+// run on the calling goroutine: parallelism lives one level up, across
+// devices and evaluation chunks (hfl.Config.Parallelism), and at every
+// shape in the model zoo a kernel that fans out is slower than one that
+// does not, even with a core idle (DESIGN.md, "Performance
+// architecture"). Inside, the kernel is tiled over cache-sized panels of
+// the shared dimension and of the output columns, with 4×1 (axpy-style)
+// or 2×2 (dot-style) register blocking in the innermost loops, so every
+// output element's summation order is a function of the shapes alone.
 const (
-	// mmPanelJ bounds the output-column panel so the B panel a chunk
+	// mmPanelJ bounds the output-column panel so the B panel a row block
 	// streams stays cache-resident across its rows.
 	mmPanelJ = 512
 	// mmPanelK bounds the shared-dimension panel for the same reason.
 	mmPanelK = 256
-	// mmGrainFlops is the target amount of work per parallel chunk;
-	// smaller chunks drown in scheduling overhead.
-	mmGrainFlops = 1 << 16
+	// transBBlockFlops sizes MatMulTransB's row blocks (transBBlockRows).
+	transBBlockFlops = 1 << 16
 )
-
-// rowGrain picks a row-chunk size so each parallel chunk carries about
-// mmGrainFlops of work (rowWork = flops per output row).
-func rowGrain(m, rowWork int) int {
-	if rowWork < 1 {
-		rowWork = 1
-	}
-	g := mmGrainFlops / rowWork
-	if g < 1 {
-		g = 1
-	}
-	if g > m {
-		g = m
-	}
-	return g
-}
 
 func checkRank2(op string, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -66,30 +49,21 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v x %v", a.shape, b.shape))
 	}
 	checkDst("MatMul", dst, m, n)
-	cd, ad, bd := dst.Data, a.Data, b.Data
-	// The serial path calls the kernel directly: no closure, so the call
-	// is allocation-free with MaxWorkers() == 1.
-	if MaxWorkers() <= 1 {
-		matmulRows(cd, ad, bd, k, n, 0, m)
-		return dst
-	}
-	ParallelForChunks(m, rowGrain(m, k*n), func(lo, hi int) {
-		matmulRows(cd, ad, bd, k, n, lo, hi)
-	})
+	matmulRows(dst.Data, a.Data, b.Data, m, k, n)
 	return dst
 }
 
-// matmulRows computes rows [lo, hi) of C = A·B with panel tiling and
-// 4-row register blocking.
-func matmulRows(cd, ad, bd []float64, k, n, lo, hi int) {
+// matmulRows computes the m rows of C = A·B with panel tiling and 4-row
+// register blocking.
+func matmulRows(cd, ad, bd []float64, m, k, n int) {
 	for jb := 0; jb < n; jb += mmPanelJ {
 		je := min(jb+mmPanelJ, n)
 		w := je - jb
 		for pb := 0; pb < k; pb += mmPanelK {
 			pe := min(pb+mmPanelK, k)
 			first := pb == 0
-			i := lo
-			for ; i+4 <= hi; i += 4 {
+			i := 0
+			for ; i+4 <= m; i += 4 {
 				c0 := cd[i*n+jb : i*n+jb+w]
 				c1 := cd[(i+1)*n+jb : (i+1)*n+jb+w]
 				c2 := cd[(i+2)*n+jb : (i+2)*n+jb+w]
@@ -113,7 +87,7 @@ func matmulRows(cd, ad, bd []float64, k, n, lo, hi int) {
 					axpy4(av0, a1[pi], a2[pi], a3[pi], brow, c0, c1, c2, c3)
 				}
 			}
-			for ; i < hi; i++ {
+			for ; i < m; i++ {
 				crow := cd[i*n+jb : i*n+jb+w]
 				if first {
 					clear(crow)
@@ -148,30 +122,23 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dims differ: %v x %v", a.shape, b.shape))
 	}
 	checkDst("MatMulTransA", dst, m, n)
-	cd, ad, bd := dst.Data, a.Data, b.Data
-	if MaxWorkers() <= 1 {
-		matmulTransARows(cd, ad, bd, m, k, n, 0, m)
-		return dst
-	}
-	ParallelForChunks(m, rowGrain(m, k*n), func(lo, hi int) {
-		matmulTransARows(cd, ad, bd, m, k, n, lo, hi)
-	})
+	matmulTransARows(dst.Data, a.Data, b.Data, m, k, n)
 	return dst
 }
 
-// matmulTransARows computes rows [lo, hi) of C = Aᵀ·B. Identical
+// matmulTransARows computes the m rows of C = Aᵀ·B. Identical
 // structure to matmulRows except the A element for output row i lives at
 // the strided address a[p*m+i]; four adjacent output rows read four
 // adjacent A elements, so the strided loads still hit one cache line.
-func matmulTransARows(cd, ad, bd []float64, m, k, n, lo, hi int) {
+func matmulTransARows(cd, ad, bd []float64, m, k, n int) {
 	for jb := 0; jb < n; jb += mmPanelJ {
 		je := min(jb+mmPanelJ, n)
 		w := je - jb
 		for pb := 0; pb < k; pb += mmPanelK {
 			pe := min(pb+mmPanelK, k)
 			first := pb == 0
-			i := lo
-			for ; i+4 <= hi; i += 4 {
+			i := 0
+			for ; i+4 <= m; i += 4 {
 				c0 := cd[i*n+jb : i*n+jb+w]
 				c1 := cd[(i+1)*n+jb : (i+1)*n+jb+w]
 				c2 := cd[(i+2)*n+jb : (i+2)*n+jb+w]
@@ -188,7 +155,7 @@ func matmulTransARows(cd, ad, bd []float64, m, k, n, lo, hi int) {
 					axpy4(apos[0], apos[1], apos[2], apos[3], brow, c0, c1, c2, c3)
 				}
 			}
-			for ; i < hi; i++ {
+			for ; i < m; i++ {
 				crow := cd[i*n+jb : i*n+jb+w]
 				if first {
 					clear(crow)
@@ -222,59 +189,68 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims differ: %v x %v", a.shape, b.shape))
 	}
 	checkDst("MatMulTransB", dst, m, n)
-	cd, ad, bd := dst.Data, a.Data, b.Data
-	if MaxWorkers() <= 1 {
-		matmulTransBRows(cd, ad, bd, k, n, 0, m)
-		return dst
-	}
-	ParallelForChunks(m, rowGrain(m, k*n), func(lo, hi int) {
-		matmulTransBRows(cd, ad, bd, k, n, lo, hi)
-	})
+	matmulTransBRows(dst.Data, a.Data, b.Data, m, k, n, transBBlockRows(m, k*n))
 	return dst
 }
 
-// matmulTransBRows computes rows [lo, hi) of C = A·Bᵀ: every output
-// element is a length-k dot product, tiled over k panels with 2×2
-// register blocking so each loaded A/B panel element feeds two
-// accumulating products.
-func matmulTransBRows(cd, ad, bd []float64, k, n, lo, hi int) {
+// transBBlockRows is how many output rows MatMulTransB pairs up at a
+// time: about transBBlockFlops of work (rowWork = flops per output row),
+// at least one row. Unlike in the axpy-style kernels the blocking is part
+// of the result: a row that pairs up inside its block reduces through
+// dot2x2 and an odd last row through dotVec, whose AVX2 forms sum in 4
+// and in 16 lanes. These are the chunks the kernel fanned out to
+// goroutines while it had an inner level of parallelism; keeping them
+// keeps every model trained since bit for bit.
+func transBBlockRows(m, rowWork int) int {
+	return min(max(transBBlockFlops/max(rowWork, 1), 1), m)
+}
+
+// matmulTransBRows computes the m rows of C = A·Bᵀ in blocks of g rows:
+// every output element is a length-k dot product, tiled over k panels
+// with 2×2 register blocking inside a row block so each loaded A/B panel
+// element feeds two accumulating products. The panel loop is outermost,
+// so a B panel is read from memory once and serves every row from cache.
+func matmulTransBRows(cd, ad, bd []float64, m, k, n, g int) {
 	for kb := 0; kb < k; kb += mmPanelK {
 		ke := min(kb+mmPanelK, k)
 		first := kb == 0
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			a0 := ad[i*k+kb : i*k+ke]
-			a1 := ad[(i+1)*k+kb : (i+1)*k+ke]
-			c0 := cd[i*n : (i+1)*n]
-			c1 := cd[(i+1)*n : (i+2)*n]
-			if first {
-				clear(c0)
-				clear(c1)
+		for lo := 0; lo < m; lo += g {
+			hi := min(lo+g, m)
+			i := lo
+			for ; i+2 <= hi; i += 2 {
+				a0 := ad[i*k+kb : i*k+ke]
+				a1 := ad[(i+1)*k+kb : (i+1)*k+ke]
+				c0 := cd[i*n : (i+1)*n]
+				c1 := cd[(i+1)*n : (i+2)*n]
+				if first {
+					clear(c0)
+					clear(c1)
+				}
+				j := 0
+				for ; j+2 <= n; j += 2 {
+					b0 := bd[j*k+kb : j*k+ke]
+					b1 := bd[(j+1)*k+kb : (j+1)*k+ke]
+					s00, s01, s10, s11 := dot2x2(a0, a1, b0, b1)
+					c0[j] += s00
+					c0[j+1] += s01
+					c1[j] += s10
+					c1[j+1] += s11
+				}
+				for ; j < n; j++ {
+					b0 := bd[j*k+kb : j*k+ke]
+					c0[j] += dotVec(a0, b0)
+					c1[j] += dotVec(a1, b0)
+				}
 			}
-			j := 0
-			for ; j+2 <= n; j += 2 {
-				b0 := bd[j*k+kb : j*k+ke]
-				b1 := bd[(j+1)*k+kb : (j+1)*k+ke]
-				s00, s01, s10, s11 := dot2x2(a0, a1, b0, b1)
-				c0[j] += s00
-				c0[j+1] += s01
-				c1[j] += s10
-				c1[j+1] += s11
-			}
-			for ; j < n; j++ {
-				b0 := bd[j*k+kb : j*k+ke]
-				c0[j] += dotVec(a0, b0)
-				c1[j] += dotVec(a1, b0)
-			}
-		}
-		for ; i < hi; i++ {
-			arow := ad[i*k+kb : i*k+ke]
-			crow := cd[i*n : (i+1)*n]
-			if first {
-				clear(crow)
-			}
-			for j := 0; j < n; j++ {
-				crow[j] += dotVec(arow, bd[j*k+kb:j*k+ke])
+			for ; i < hi; i++ {
+				arow := ad[i*k+kb : i*k+ke]
+				crow := cd[i*n : (i+1)*n]
+				if first {
+					clear(crow)
+				}
+				for j := 0; j < n; j++ {
+					crow[j] += dotVec(arow, bd[j*k+kb:j*k+ke])
+				}
 			}
 		}
 	}

@@ -5,8 +5,7 @@ package tensor
 // AVX2+FMA dispatch for the innermost kernels. The assembly routines in
 // simd_amd64.s process a multiple-of-4 prefix; the dispatchers finish the
 // tail with the scalar kernels. The split point depends only on the slice
-// length, so results stay bit-identical run to run and across MaxWorkers
-// settings (the vector/scalar boundary never moves with the chunking).
+// length, so results stay bit-identical run to run.
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -27,6 +26,12 @@ func dot2x2AVX(a0, a1, b0, b1 *float64, n int) (s00, s01, s10, s11 float64)
 func dotAVX(x, y *float64, n int) float64
 
 var useAVX2 = detectAVX2()
+
+// HasAVX2 reports whether the AVX2+FMA kernels are in use. They fuse the
+// multiply-add and reduce dot products in vector lanes, so their results
+// differ from the portable kernels' in the last bits; golden values key
+// on it.
+func HasAVX2() bool { return useAVX2 }
 
 // detectAVX2 reports whether the CPU and OS support AVX2 and FMA
 // (including the XSAVE check that the OS preserves YMM state).

@@ -5,6 +5,10 @@ package tensor
 // Portable fallbacks for architectures without the AVX2 kernels. These
 // keep the dispatcher names identical so matmul.go is arch-agnostic.
 
+// HasAVX2 reports whether the AVX2+FMA kernels are in use: never, on
+// this architecture.
+func HasAVX2() bool { return false }
+
 func axpy(alpha float64, x, y []float64) {
 	scalarAxpy(alpha, x, y)
 }

@@ -17,28 +17,14 @@ type KernelStats struct {
 	// 1-D, including the strided batch variants).
 	Im2ColCalls int64
 	Col2ImCalls int64
-	// ParallelLaunches counts ParallelForChunks calls that fanned out to
-	// goroutines; ParallelInline counts those that ran inline (single
-	// worker or single chunk).
-	ParallelLaunches int64
-	ParallelInline   int64
-	// ParallelChunks and ParallelWorkers accumulate the chunk and worker
-	// counts of fanned-out launches, so chunks/launches and
-	// workers/launches estimate occupancy.
-	ParallelChunks  int64
-	ParallelWorkers int64
 }
 
 var kernelStatsOn atomic.Bool
 
 var kernelStats struct {
-	matMul           atomic.Int64
-	im2col           atomic.Int64
-	col2im           atomic.Int64
-	parallelLaunches atomic.Int64
-	parallelInline   atomic.Int64
-	parallelChunks   atomic.Int64
-	parallelWorkers  atomic.Int64
+	matMul atomic.Int64
+	im2col atomic.Int64
+	col2im atomic.Int64
 }
 
 // EnableKernelStats switches collection on or off, returning the
@@ -54,13 +40,9 @@ func KernelStatsEnabled() bool { return kernelStatsOn.Load() }
 // ReadKernelStats returns a snapshot of the counters.
 func ReadKernelStats() KernelStats {
 	return KernelStats{
-		MatMulCalls:      kernelStats.matMul.Load(),
-		Im2ColCalls:      kernelStats.im2col.Load(),
-		Col2ImCalls:      kernelStats.col2im.Load(),
-		ParallelLaunches: kernelStats.parallelLaunches.Load(),
-		ParallelInline:   kernelStats.parallelInline.Load(),
-		ParallelChunks:   kernelStats.parallelChunks.Load(),
-		ParallelWorkers:  kernelStats.parallelWorkers.Load(),
+		MatMulCalls: kernelStats.matMul.Load(),
+		Im2ColCalls: kernelStats.im2col.Load(),
+		Col2ImCalls: kernelStats.col2im.Load(),
 	}
 }
 
@@ -69,10 +51,6 @@ func ResetKernelStats() {
 	kernelStats.matMul.Store(0)
 	kernelStats.im2col.Store(0)
 	kernelStats.col2im.Store(0)
-	kernelStats.parallelLaunches.Store(0)
-	kernelStats.parallelInline.Store(0)
-	kernelStats.parallelChunks.Store(0)
-	kernelStats.parallelWorkers.Store(0)
 }
 
 func countMatMul() {
@@ -90,19 +68,5 @@ func countIm2Col() {
 func countCol2Im() {
 	if kernelStatsOn.Load() {
 		kernelStats.col2im.Add(1)
-	}
-}
-
-func countParallelInline() {
-	if kernelStatsOn.Load() {
-		kernelStats.parallelInline.Add(1)
-	}
-}
-
-func countParallelLaunch(chunks, workers int) {
-	if kernelStatsOn.Load() {
-		kernelStats.parallelLaunches.Add(1)
-		kernelStats.parallelChunks.Add(int64(chunks))
-		kernelStats.parallelWorkers.Add(int64(workers))
 	}
 }

@@ -15,7 +15,6 @@ func TestKernelStatsDisabledByDefault(t *testing.T) {
 	cols := make([]float64, 1*3*3*4*4) // C*KH*KW rows of OH*OW = 4*4
 	Im2Col(make([]float64, 16), 1, 4, 4, 3, 3, 1, 1, cols)
 	Col2Im(cols, 1, 4, 4, 3, 3, 1, 1, make([]float64, 16))
-	ParallelForChunks(8, 2, func(lo, hi int) {})
 
 	if got := ReadKernelStats(); got != (KernelStats{}) {
 		t.Fatalf("counters advanced while disabled: %+v", got)
@@ -23,8 +22,6 @@ func TestKernelStatsDisabledByDefault(t *testing.T) {
 }
 
 func TestKernelStatsCounts(t *testing.T) {
-	prevWorkers := SetMaxWorkers(1)
-	defer SetMaxWorkers(prevWorkers)
 	prev := EnableKernelStats(true)
 	defer EnableKernelStats(prev)
 	ResetKernelStats()
@@ -52,26 +49,6 @@ func TestKernelStatsCounts(t *testing.T) {
 	}
 	if s.Col2ImCalls != 2 {
 		t.Fatalf("Col2ImCalls = %d, want 2", s.Col2ImCalls)
-	}
-	// MaxWorkers is 1, so every matmul ran its serial path and the
-	// parallel counters only see explicit ParallelForChunks calls.
-	ParallelForChunks(8, 2, func(lo, hi int) {})
-	s = ReadKernelStats()
-	if s.ParallelInline == 0 {
-		t.Fatalf("ParallelInline = 0 after single-worker launch")
-	}
-	if s.ParallelLaunches != 0 {
-		t.Fatalf("ParallelLaunches = %d with MaxWorkers 1", s.ParallelLaunches)
-	}
-
-	SetMaxWorkers(4)
-	ParallelForChunks(8, 2, func(lo, hi int) {})
-	s = ReadKernelStats()
-	if s.ParallelLaunches != 1 {
-		t.Fatalf("ParallelLaunches = %d, want 1", s.ParallelLaunches)
-	}
-	if s.ParallelChunks != 4 || s.ParallelWorkers != 4 {
-		t.Fatalf("chunks/workers = %d/%d, want 4/4", s.ParallelChunks, s.ParallelWorkers)
 	}
 
 	ResetKernelStats()

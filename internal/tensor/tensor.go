@@ -1,6 +1,6 @@
 // Package tensor implements a small dense float64 tensor library used as
 // the numerical substrate for the neural-network training stack. It is
-// deliberately minimal — shapes, elementwise arithmetic, parallel matrix
+// deliberately minimal — shapes, elementwise arithmetic, blocked matrix
 // multiplication, im2col-based convolution kernels and pooling — which is
 // everything the federated-learning simulation needs, built on the
 // standard library only.
@@ -47,6 +47,31 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: FromSlice data has %d elements, shape %v needs %d", len(data), shape, n))
 	}
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
+}
+
+// Ensure returns a tensor of the given shape for the caller to overwrite,
+// reusing t where it can: t itself if it already has that shape, a tensor
+// over the front of t's storage if that is large enough, and a newly
+// allocated one otherwise (t may be nil). Used like append — keep what it
+// returns — it makes a buffer grow-only: after the largest shape has been
+// seen once, smaller and equal ones cost at most a header. The contents
+// are unspecified.
+func Ensure(t *Tensor, shape ...int) *Tensor {
+	if t == nil {
+		return New(shape...)
+	}
+	n, match := 1, len(t.shape) == len(shape)
+	for i, d := range shape {
+		n *= d
+		match = match && t.shape[i] == d
+	}
+	if match {
+		return t
+	}
+	if n <= cap(t.Data) {
+		return FromSlice(t.Data[:n], shape...)
+	}
+	return New(shape...)
 }
 
 func checkShape(shape []int) int {

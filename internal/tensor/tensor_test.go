@@ -76,6 +76,26 @@ func TestFromSlicePanicsOnLengthMismatch(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
+func TestEnsureReusesStorage(t *testing.T) {
+	a := Ensure(nil, 4, 3)
+	if a.Dim(0) != 4 || a.Dim(1) != 3 || a.Size() != 12 {
+		t.Fatalf("Ensure(nil, 4, 3) has shape %v", a.Shape())
+	}
+	if Ensure(a, 4, 3) != a {
+		t.Fatal("same shape did not return the tensor itself")
+	}
+	small := Ensure(a, 2, 3)
+	if small.Size() != 6 || small.Dim(0) != 2 || &small.Data[0] != &a.Data[0] {
+		t.Fatalf("smaller shape %v does not sit at the front of the same storage", small.Shape())
+	}
+	if back := Ensure(small, 3, 4); back.Size() != 12 || back.Dim(1) != 4 || &back.Data[0] != &a.Data[0] {
+		t.Fatal("growing back within capacity did not reuse the storage")
+	}
+	if big := Ensure(small, 5, 3); big.Size() != 15 || &big.Data[0] == &a.Data[0] {
+		t.Fatal("a shape beyond capacity did not get storage of its own")
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	x := FromSlice([]float64{1, 2}, 2)
 	y := x.Clone()
@@ -365,39 +385,6 @@ func TestCol2Im1DAdjoint(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	n := 1000
-	hit := make([]int32, n)
-	ParallelFor(n, 1, func(i int) { hit[i]++ })
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d hit %d times", i, h)
-		}
-	}
-}
-
-func TestParallelForEmpty(t *testing.T) {
-	called := false
-	ParallelFor(0, 1, func(i int) { called = true })
-	if called {
-		t.Fatal("ParallelFor(0) invoked fn")
-	}
-}
-
-func TestSetMaxWorkers(t *testing.T) {
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
-	if MaxWorkers() != 1 {
-		t.Fatalf("MaxWorkers = %d", MaxWorkers())
-	}
-	n := 100
-	sum := 0 // safe: single worker runs inline
-	ParallelFor(n, 1, func(i int) { sum += i })
-	if sum != n*(n-1)/2 {
-		t.Fatalf("inline sum = %d", sum)
-	}
-}
-
 func TestRNGSplitIsStable(t *testing.T) {
 	a1 := Split(42, 7).Float64()
 	a2 := Split(42, 7).Float64()
@@ -505,17 +492,6 @@ func TestMatMulTransPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestParallelForGrainInline(t *testing.T) {
-	// With grain larger than n, the loop must run inline in order.
-	order := make([]int, 0, 5)
-	ParallelFor(5, 100, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("inline order %v", order)
-		}
 	}
 }
 

@@ -60,6 +60,17 @@ go test -race -count=5 \
     -run 'TestTopKByScoreMatchesOracle|TestLazyStoreMatchesMapReference|TestSelectionIdenticalAcrossParallelism' \
     ./internal/hfl
 
+echo "== one level of parallelism + start-vector alias contract (-race, 3x) =="
+# The worker pool is the only parallelism: models, edge models and every
+# accuracy at Parallelism 1 vs 4 with evaluation chunks on the pool too.
+# Strategies hand the engines their own edge/carried vectors as start
+# vectors: both engines must only read them, and two devices of one edge
+# read the same vector at once, so a write would also be a reported race.
+go test -race -count=3 \
+    -run 'TestSimBitIdenticalAcrossParallelism|TestGoldenModelHash|TestTrainPhaseOnlyReadsInitLocalResult|TestAliasingStrategyMatchesCloningStrategy' \
+    ./internal/hfl
+go test -race -count=3 -run 'TestDeviceTrainOnlyReadsPayloadAndCarriedModel' ./internal/fednet
+
 echo "== chaos smoke (-race) =="
 # Seeded fault injection against the full cluster under the race
 # detector: the run must complete and the degradation counters fire.
@@ -569,6 +580,18 @@ go run ./bench -workload sim_fleet -seconds 1 > "$tmpdir/bench_fleet.log" 2>&1 &
     exit 1
 }
 tail -n 1 "$tmpdir/bench_fleet.log"
+echo ok
+
+echo "== bench sim_tta correctness gate =="
+# The same flag for the training-bound workload; it also replays a
+# same-seed prefix on a second engine and demands the same model hash.
+go run ./bench -workload sim_tta -seconds 1 > "$tmpdir/bench_tta.log" 2>&1 &&
+    tail -n 1 "$tmpdir/bench_tta.log" | grep -q '"correct":true' || {
+    echo "bench sim_tta run is not correct:"
+    cat "$tmpdir/bench_tta.log"
+    exit 1
+}
+tail -n 1 "$tmpdir/bench_tta.log"
 echo ok
 
 echo "== bench net_steady correctness gate =="
