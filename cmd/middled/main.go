@@ -301,7 +301,9 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 	log.Printf("middled: hosting devices %d..%d on %d clients (%d devices each)", from, to, len(clients), mux)
 	connect := func(i, edgeID int) error { return clients[i/mux].Connect(from+i, edgeID, addrs[edgeID]) }
 	mob := mobility.NewMarkovRing(len(addrs), n, o.devices.p, seed+int64(from))
-	membership := mob.Step()
+	// Step's slices are the model's own and read-only; this loop keeps one
+	// across ticks and rewrites entries on failover, so it copies.
+	membership := append([]int(nil), mob.Step()...)
 	for i := range membership {
 		if err := connect(i, membership[i]); err != nil {
 			o.Fatalf("%v", err)
@@ -327,7 +329,7 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 			return nil
 		case <-ticker.C:
 		}
-		next := mob.Step()
+		next := append([]int(nil), mob.Step()...)
 		for i := range next {
 			if next[i] == membership[i] {
 				continue

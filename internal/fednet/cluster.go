@@ -177,7 +177,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	init := cfg.Factory(tensor.Split(cfg.Seed, 0)).ParamVector()
 	cfg.Mobility.Reset()
-	membership := cfg.Mobility.Step()
+	membership := append([]int(nil), cfg.Mobility.Step()...) // kept across rounds: Step's slice is the model's
 	c.assign = append([]int(nil), membership...)
 
 	// Device migration at round boundaries, driven by the cloud. With

@@ -177,7 +177,7 @@ type Edge struct {
 	// acceptLoop goroutines read them to build registration acks.
 	edgeModel []float64
 	// modelUsers counts the readers of edgeModel's buffer that run outside
-	// mu — train RPCs and registration acks in flight. spareModel is the
+	// mu — train RPCs in flight. spareModel is the
 	// buffer of the edge model before this one if it had none left when it
 	// was replaced (nil otherwise): the next aggregate or global model is
 	// written into it, so the two swap from round to round.

@@ -308,9 +308,11 @@ func TestEdgeStragglerExclusion(t *testing.T) {
 		if err := WriteMsg(dev, MsgRegisterMux, hello, nil); err != nil {
 			t.Fatal(err)
 		}
+		// The ack is header only: the edge model reaches a device with its
+		// train request, never with the registration.
 		var ack RegisterAck
-		if mt, _, err := ReadMsg(dev, &ack); err != nil || mt != MsgRegisterAck {
-			t.Fatalf("register ack: type %d, %v", mt, err)
+		if mt, model, err := ReadMsg(dev, &ack); err != nil || mt != MsgRegisterAck || len(model) != 0 {
+			t.Fatalf("register ack: type %d, %d-element payload, %v", mt, len(model), err)
 		}
 
 		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {

@@ -157,10 +157,10 @@ func (mx *edgeMux) fail(err error) {
 
 // registerDevices installs (or refreshes) the devices a registration
 // frame announces on mx, displacing any previous registration of the same
-// ids, and acks with the current edge model so a reconnecting device
-// resyncs state (model + round counter) before its next TrainRequest;
-// without the ack a registration lost to a fault would strand the device
-// silently. vec is the frame's payload: the warm state of a re-home.
+// ids, and acks with the edge's round counter and sync era (the model
+// itself arrives with the next TrainRequest); without the ack a
+// registration lost to a fault would strand the device silently. vec is
+// the frame's payload: the warm state of a re-home.
 func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []float64) error {
 	if len(devices) == 0 {
 		return fmt.Errorf("registration without devices")
@@ -213,11 +213,8 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	}
 	e.m.virtualDevices.Set(float64(len(e.devices)))
 	ack := RegisterAck{EdgeID: e.cfg.EdgeID, Round: e.curRound, LastSync: e.lastSync}
-	model := e.edgeModel
-	e.modelUsers++
 	e.mu.Unlock()
-	err := mx.write(MsgRegisterAck, ack, model)
-	e.releaseModel()
+	err := mx.write(MsgRegisterAck, ack, nil)
 	if err != nil {
 		for _, rd := range devices {
 			e.dropDevice(rd.DeviceID, mx)

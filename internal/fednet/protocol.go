@@ -76,9 +76,8 @@ const (
 	// MsgShutdown: cloud → edge → device. Ends the session.
 	MsgShutdown
 	// MsgRegisterAck: edge → device client, confirming MsgRegisterMux.
-	// Header: RegisterAck. Carries the edge's current model vector so a
-	// reconnecting device resyncs state (model + round counter) without
-	// waiting for its next TrainRequest.
+	// Header: RegisterAck (the edge's round counter and sync era). No
+	// payload: the device takes the edge model from its next TrainRequest.
 	MsgRegisterAck
 	// MsgDeviceLeave: device client → edge. Header: DeviceLeave. Withdraws
 	// one device from a connection that still carries others (it moved to

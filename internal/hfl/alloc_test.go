@@ -54,21 +54,55 @@ func TestLocalRoundSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEvaluateVectorSteadyStateAllocs: the ragged last chunk of a test
-// set whose size is no multiple of 64 (here 64, 64, 64, 8) is served from
-// the front of the same grow-only scratch, so a second evaluation stays
-// inside allocBudget where exact-size scratch reallocated every layer
-// buffer on the way down to 8 samples and again on the way back up.
+// set whose size is no multiple of the chunk (here twenty-five chunks of
+// 8, the training batch, and one of 4) is served from the front of the
+// same grow-only scratch, so a second evaluation stays inside allocBudget
+// where exact-size scratch reallocated every layer buffer on the way
+// down to 4 samples and again on the way back up.
 func TestEvaluateVectorSteadyStateAllocs(t *testing.T) {
-	f := emnistFixture(200)
+	f := emnistFixture(204)
 	s := New(smallConfig(), emnistCNN, f.part, f.test, f.mob, middleLike{})
 	first, _ := s.EvaluateVector(s.cloud, 0, false)
 	var second float64
 	if got := allocated(func() { second, _ = s.EvaluateVector(s.cloud, 0, false) }); got > allocBudget {
-		t.Fatalf("second evaluation of 200 samples allocated %d bytes, budget %d", got, allocBudget)
+		t.Fatalf("second evaluation of 204 samples allocated %d bytes, budget %d", got, allocBudget)
 	}
 	if first != second {
 		t.Fatalf("same model evaluated to %v, then to %v", first, second)
 	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestWorkerScratchSizedByTrainingBatch: at sim_tta's shape (one worker,
+// 5 steps of 16 samples, 520 evaluation samples) everything a simulator
+// adds to the heap — its worker's network with all layer scratch, the
+// batch storage, and this small federation's eleven model vectors (5 MB)
+// — stays under 20 MB. The worker alone held 54 MB while the convolution
+// layers lowered a whole 64-sample evaluation chunk at once; now their
+// scratch is a sample's columns in evaluation, a training batch's in
+// training, and evaluation chunks are no larger than a training batch.
+func TestWorkerScratchSizedByTrainingBatch(t *testing.T) {
+	f := emnistFixture(520)
+	cfg := smallConfig()
+	cfg.Parallelism, cfg.LocalSteps, cfg.BatchSize = 1, 5, 16
+	before := liveHeap()
+	s := New(cfg, emnistCNN, f.part, f.test, f.mob, middleLike{})
+	s.StepOnce()
+	s.EvaluateVector(s.cloud, 0, false)
+	if held := int64(liveHeap()) - int64(before); held > 20<<20 {
+		t.Fatalf("a simulator with one worker holds %d MB after a round and an evaluation, want at most 20", held>>20)
+	}
+	if got, batch := cap(s.workers[0].x.Data), cfg.BatchSize*f.test.SampleSize(); got > batch {
+		t.Fatalf("the worker's batch storage grew to %d values, a training batch has %d: an evaluation chunk outgrew it", got, batch)
+	}
+	runtime.KeepAlive(f)
 }
 
 // emnistFixture is a small federation on the EMNIST profile: 8 devices

@@ -6,8 +6,11 @@ import (
 	"middle/internal/nn"
 )
 
-// evalChunk is how many test samples one evaluation forward classifies.
-const evalChunk = 64
+// evalChunk is how many test samples one evaluation forward classifies:
+// at most 64, and no more than a training batch, so an evaluation never
+// grows a worker's layer scratch (nn/scratch.go) past what a training
+// step needs.
+func (s *Sim) evalChunk() int { return min(s.cfg.BatchSize, 64) }
 
 // EvaluateVector measures the accuracy of a model vector on the test set
 // (capped at maxSamples; 0 = all). It also returns per-class accuracy
@@ -21,7 +24,8 @@ func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc 
 	if maxSamples > 0 && maxSamples < n {
 		n = maxSamples
 	}
-	chunks := (n + evalChunk - 1) / evalChunk
+	chunk := s.evalChunk()
+	chunks := (n + chunk - 1) / chunk
 	for _, tw := range s.workers[:min(len(s.workers), chunks)] {
 		tw.Net.SetParamVector(vec)
 	}
@@ -35,7 +39,7 @@ func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc 
 	s.fanOut(chunks, func(w, c int) {
 		tw := s.workers[w]
 		tw.idx = tw.idx[:0]
-		for i := c * evalChunk; i < min((c+1)*evalChunk, n); i++ {
+		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 			tw.idx = append(tw.idx, i)
 		}
 		pred, y := tw.predict(s.test, tw.idx)
@@ -85,8 +89,8 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 			idx = append(idx, i)
 		}
 	}
-	for lo := 0; lo < len(idx); lo += evalChunk {
-		pred, y := tw.predict(s.test, idx[lo:min(lo+evalChunk, len(idx))])
+	for lo, chunk := 0, s.evalChunk(); lo < len(idx); lo += chunk {
+		pred, y := tw.predict(s.test, idx[lo:min(lo+chunk, len(idx))])
 		for i, p := range pred {
 			total++
 			if p == y[i] {

@@ -24,6 +24,10 @@ type Trainer struct {
 	idx []int
 	x   *tensor.Tensor
 	y   []int
+
+	// rng is the simulator's per-worker generator, re-seeded to each
+	// edge's selection stream and each device's batch stream it takes.
+	rng *tensor.RNG
 }
 
 // LocalRound is the device side of Algorithm 1 line 8: steps mini-batch

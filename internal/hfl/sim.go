@@ -150,6 +150,7 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 		s.workers[i] = &Trainer{
 			Net: factory(tensor.Split(cfg.Seed, int64(100+i))),
 			Opt: cfg.Optimizer.New(),
+			rng: tensor.NewRNG(0),
 		}
 	}
 	s.agg = robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
@@ -289,12 +290,13 @@ func (s *Sim) StepOnce() int {
 	// on scheduling; everything that mutates state follows below, in edge
 	// order.
 	selectedByEdge := s.selected
-	s.fanOut(s.numEdges, func(_, n int) {
+	s.fanOut(s.numEdges, func(w, n int) {
 		selectedByEdge[n] = nil
 		if len(candidates[n]) == 0 {
 			return
 		}
-		rng := tensor.Split(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
+		rng := s.workers[w].rng
+		rng.Reseed(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
 		sel := s.strat.Select(s, n, candidates[n], s.cfg.K, rng)
 		if len(sel) > s.cfg.K {
 			sel = sel[:s.cfg.K]
@@ -644,12 +646,12 @@ func (s *Sim) fanOut(n int, fn func(w, i int)) {
 // trainDevice runs one job's local round (Eq. 5) on a pool worker and
 // fills in the resulting model vector and Oort statistical utility.
 func (s *Sim) trainDevice(tw *Trainer, job *trainJob, t int) {
-	rng := tensor.Split(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
+	tw.rng.Reseed(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
 	if s.cfg.LRSchedule != nil {
 		tw.Opt.SetLR(s.cfg.LRSchedule.At(t))
 	}
 	util, skipped := tw.LocalRound(s.part.Dataset, s.part.Indices[job.device],
-		s.cfg.LocalSteps, s.cfg.BatchSize, rng, job.init, job.out, false)
+		s.cfg.LocalSteps, s.cfg.BatchSize, tw.rng, job.init, job.out, false)
 	job.util = util
 	s.nonfinite.Add(int64(skipped))
 	s.metrics.nonfiniteSteps.Add(int64(skipped))

@@ -83,7 +83,8 @@ type Strategy interface {
 	// Select returns at most k device ids from candidates (the devices
 	// currently inside the edge) to participate in this time step. rng
 	// is a per-(step, edge) deterministic stream for tie-breaking or
-	// random selection. Select is called concurrently for different
+	// random selection, valid for the call only (the simulator re-seeds
+	// one generator per worker). Select is called concurrently for different
 	// edges — by the simulator from up to Config.Parallelism goroutines
 	// within a step, by a deployment's edges each on their own — so it
 	// must not write shared state unsynchronised, and its result must

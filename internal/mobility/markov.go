@@ -20,7 +20,8 @@ type Markov struct {
 	ring    bool      // adjacent-edge moves only
 	seed    int64
 	rng     *tensor.RNG
-	current []int
+	current []int // the membership Step last returned
+	spare   []int // the one before it, which the next Step overwrites
 }
 
 // NewMarkov builds a Markov mobility model in which every device shares
@@ -42,7 +43,7 @@ func NewMarkovPerDevice(edges int, probs []float64, seed int64) *Markov {
 			panic(fmt.Sprintf("mobility: device %d probability %v outside [0,1]", m, p))
 		}
 	}
-	mk := &Markov{edges: edges, probs: append([]float64(nil), probs...), seed: seed}
+	mk := &Markov{edges: edges, probs: append([]float64(nil), probs...), seed: seed, spare: make([]int, len(probs))}
 	mk.Reset()
 	return mk
 }
@@ -76,24 +77,27 @@ func NewMarkovRing(edges, devices int, p float64, seed int64) *Markov {
 // probability, either to a uniform other edge or (ring mode) to an
 // adjacent edge.
 func (mk *Markov) Step() []int {
-	for m := range mk.current {
+	next := mk.spare
+	for m, e := range mk.current {
 		if mk.edges > 1 && mk.rng.Float64() < mk.probs[m] {
 			if mk.ring {
 				dir := 1
 				if mk.rng.Float64() < 0.5 {
 					dir = mk.edges - 1 // −1 mod edges
 				}
-				mk.current[m] = (mk.current[m] + dir) % mk.edges
+				e = (e + dir) % mk.edges
 			} else {
-				next := mk.rng.Intn(mk.edges - 1)
-				if next >= mk.current[m] {
-					next++
+				to := mk.rng.Intn(mk.edges - 1)
+				if to >= e {
+					to++
 				}
-				mk.current[m] = next
+				e = to
 			}
 		}
+		next[m] = e
 	}
-	return append([]int(nil), mk.current...)
+	mk.current, mk.spare = next, mk.current
+	return next
 }
 
 // Reset restores the balanced initial membership and reseeds the stream.
@@ -122,7 +126,7 @@ func (s *Static) NumEdges() int { return s.edges }
 func (s *Static) NumDevices() int { return len(s.membership) }
 
 // Step returns the fixed membership.
-func (s *Static) Step() []int { return append([]int(nil), s.membership...) }
+func (s *Static) Step() []int { return s.membership }
 
 // Reset is a no-op for a static model.
 func (s *Static) Reset() {}

@@ -18,7 +18,9 @@ type Model interface {
 	NumEdges() int
 	NumDevices() int
 	// Step advances one time step and returns edge ids per device. The
-	// returned slice is owned by the caller.
+	// returned slice is the model's own storage: read-only, and valid
+	// until the second following Step, so a caller can hold the previous
+	// membership beside the current one; whoever keeps one longer copies.
 	Step() []int
 	// Reset restarts the model at time zero with its original randomness.
 	Reset()

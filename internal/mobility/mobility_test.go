@@ -345,3 +345,68 @@ func TestMeanSojournMatchesMobility(t *testing.T) {
 		t.Fatal("empty trace sojourn")
 	}
 }
+
+// stepModels builds one of every model, for the Step storage contract.
+func stepModels(devices int) map[string]func() Model {
+	return map[string]func() Model{
+		"markov":   func() Model { return NewMarkov(5, devices, 0.5, 3) },
+		"ring":     func() Model { return NewMarkovRing(5, devices, 0.5, 3) },
+		"waypoint": func() Model { return NewRandomWaypoint(3, 2, devices, 0.05, 0.2, 2, 3) },
+		"static":   func() Model { return NewStatic(5, devices) },
+		"replay":   func() Model { return Record(NewMarkov(5, devices, 0.5, 3), 7).Replay() },
+	}
+}
+
+// TestStepResultSurvivesTheNextStep: Step returns the model's own
+// storage, valid until the second following Step — the membership of
+// step k is still intact beside that of step k+1, which is what the
+// engines hold — and stepping into it draws the sequence a copying
+// caller records.
+func TestStepResultSurvivesTheNextStep(t *testing.T) {
+	for name, build := range stepModels(40) {
+		want := Record(build(), 30).Memberships
+		m := build()
+		prev := m.Step()
+		for k := 1; k < 30; k++ {
+			cur := m.Step()
+			for d := range cur {
+				if prev[d] != want[k-1][d] {
+					t.Fatalf("%s: step %d's membership changed under step %d (device %d)", name, k-1, k, d)
+				}
+				if cur[d] != want[k][d] {
+					t.Fatalf("%s: step %d device %d on edge %d, recorded trace says %d", name, k, d, cur[d], want[k][d])
+				}
+			}
+			prev = cur
+		}
+	}
+}
+
+// TestStepAllocatesNothing: from its third call on, a step over 100,000
+// devices allocates nothing (it used to return a fresh population-sized
+// slice: 8 MB per step at a million devices).
+func TestStepAllocatesNothing(t *testing.T) {
+	for name, build := range stepModels(100_000) {
+		m := build()
+		m.Step()
+		m.Step()
+		if a := testing.AllocsPerRun(3, func() { m.Step() }); a != 0 {
+			t.Errorf("%s: Step allocates %v times per call", name, a)
+		}
+	}
+}
+
+// TestRecordRowsAreDistinct: a trace outlives any number of steps, so
+// Record copies every membership out of the model's storage.
+func TestRecordRowsAreDistinct(t *testing.T) {
+	for name, build := range stepModels(12) {
+		rows := Record(build(), 6).Memberships
+		for i := range rows {
+			for j := range rows[:i] {
+				if &rows[i][0] == &rows[j][0] {
+					t.Fatalf("%s: rows %d and %d of a recorded trace share storage", name, j, i)
+				}
+			}
+		}
+	}
+}

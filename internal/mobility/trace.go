@@ -22,7 +22,7 @@ type Trace struct {
 func Record(m Model, steps int) *Trace {
 	tr := &Trace{Edges: m.NumEdges(), Memberships: make([][]int, steps)}
 	for t := 0; t < steps; t++ {
-		tr.Memberships[t] = m.Step()
+		tr.Memberships[t] = append([]int(nil), m.Step()...)
 	}
 	return tr
 }
@@ -60,7 +60,7 @@ func (r *replay) Step() []int {
 	}
 	row := r.tr.Memberships[r.t%r.tr.Steps()]
 	r.t++
-	return append([]int(nil), row...)
+	return row
 }
 
 // Write serialises the trace in a simple line-oriented text format:

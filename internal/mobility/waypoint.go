@@ -26,6 +26,7 @@ type RandomWaypoint struct {
 	dst   [][2]float64
 	speed []float64
 	pause []int
+	out   [2][]int // Step fills out[1], the older of its last two results, and swaps
 }
 
 // NewRandomWaypoint builds a random-waypoint model with gridW×gridH edge
@@ -53,6 +54,7 @@ func NewRandomWaypoint(gridW, gridH, devices int, speedMin, speedMax float64, pa
 		dst:   make([][2]float64, devices),
 		speed: make([]float64, devices),
 		pause: make([]int, devices),
+		out:   [2][]int{make([]int, devices), make([]int, devices)},
 	}
 	w.Reset()
 	return w
@@ -84,7 +86,8 @@ func (w *RandomWaypoint) newLeg(m int) {
 // Step moves every device along its current leg and returns nearest-edge
 // membership.
 func (w *RandomWaypoint) Step() []int {
-	out := make([]int, len(w.pos))
+	out := w.out[1]
+	w.out[0], w.out[1] = out, w.out[0]
 	for m := range w.pos {
 		if w.pause[m] > 0 {
 			w.pause[m]--

@@ -6,10 +6,11 @@ import (
 
 // Conv1D is a 1-D convolution over inputs of shape [N, C, L], used by the
 // speech-commands-profile model on long sparse signal vectors. Like
-// Conv2D it lowers the whole batch into one column matrix [C*K, N*OL]
-// (sample i owns columns [i*OL, (i+1)*OL)) so forward and backward are a
-// fixed number of matrix products per step. The layer owns its scratch
-// buffers; returned tensors are valid until the next Forward/Backward.
+// Conv2D it lowers and multiplies one sample at a time straight into the
+// output layout, and keeps batched only what dW reads: the training-mode
+// column matrix [C*K, N*OL] (sample i owns columns [i*OL, (i+1)*OL)) and
+// the gathered dOut. The layer owns its scratch buffers; returned tensors
+// are valid until the next Forward/Backward.
 type Conv1D struct {
 	InC, OutC   int
 	K           int
@@ -17,11 +18,10 @@ type Conv1D struct {
 	W, B        *Param
 	inL, outL   int
 
-	cols  []float64
-	y     *tensor.Tensor
-	out   *tensor.Tensor
-	dy    *tensor.Tensor
-	dcols *tensor.Tensor
+	cols  []float64      // [CK, N*OL] in training mode, one sample's [CK, OL] otherwise
+	out   *tensor.Tensor // [N, OutC, OL]
+	dy    *tensor.Tensor // [OutC, N*OL]
+	dcols *tensor.Tensor // one sample's [CK, OL]
 	dw    *tensor.Tensor
 	dx    *tensor.Tensor
 }
@@ -51,28 +51,27 @@ func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	ck := c.InC * c.K
 	ol := c.outL
-	cols := ensureLen(c.cols, ck*n*ol)
-	c.cols = cols
 	inSz := c.InC * c.inL
-	rowStride := n * ol
-	for i := 0; i < n; i++ {
-		tensor.Im2Col1DStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inL,
-			c.K, c.Stride, c.Pad, cols[i*ol:], rowStride)
+	outSz := c.OutC * ol
+	rowStride, step := ol, 0
+	if train {
+		rowStride, step = n*ol, ol
 	}
-	colsT := tensor.FromSlice(cols, ck, rowStride)
-	c.y = tensor.Ensure(c.y, c.OutC, rowStride)
-	tensor.MatMulInto(c.y, c.W.Value, colsT)
+	cols := ensureLen(c.cols, ck*rowStride)
+	c.cols = cols
 	out := tensor.Ensure(c.out, n, c.OutC, ol)
 	c.out = out
-	yd := c.y.Data
 	bd := c.B.Value.Data
 	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := yd[oc*rowStride+i*ol : oc*rowStride+(i+1)*ol]
-			dst := out.Data[(i*c.OutC+oc)*ol : (i*c.OutC+oc+1)*ol]
-			b := bd[oc]
-			for j, v := range src {
-				dst[j] = v + b
+		blk := cols[i*step:]
+		tensor.Im2Col1DStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inL,
+			c.K, c.Stride, c.Pad, blk, rowStride)
+		oi := out.Data[i*outSz : (i+1)*outSz]
+		tensor.MatMulBlockInto(oi, c.W.Value, blk, rowStride)
+		for oc, b := range bd {
+			row := oi[oc*ol : (oc+1)*ol]
+			for j := range row {
+				row[j] += b
 			}
 		}
 	}
@@ -81,10 +80,32 @@ func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward consumes dOut [N, OutC, OL] and returns dX [N, C, L].
 func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(dout)
 	n := dout.Dim(0)
 	ck := c.InC * c.K
 	ol := c.outL
 	inSz := c.InC * c.inL
+	outSz := c.OutC * ol
+	c.dcols = tensor.Ensure(c.dcols, ck, ol)
+	dx := tensor.Ensure(c.dx, n, c.InC, c.inL)
+	c.dx = dx
+	dyi := tensor.FromSlice(dout.Data[:outSz], c.OutC, ol)
+	for i := 0; i < n; i++ {
+		dyi.Data = dout.Data[i*outSz : (i+1)*outSz]
+		tensor.MatMulTransAInto(c.dcols, c.W.Value, dyi)
+		dxi := dx.Data[i*inSz : (i+1)*inSz]
+		clear(dxi)
+		tensor.Col2Im1DStrided(c.dcols.Data, c.InC, c.inL,
+			c.K, c.Stride, c.Pad, dxi, ol)
+	}
+	return dx
+}
+
+// backwardParams accumulates dW and dB (see Conv2D.backwardParams).
+func (c *Conv1D) backwardParams(dout *tensor.Tensor) {
+	n := dout.Dim(0)
+	ck := c.InC * c.K
+	ol := c.outL
 	rowStride := n * ol
 	c.dy = tensor.Ensure(c.dy, c.OutC, rowStride)
 	dyd := c.dy.Data
@@ -105,18 +126,6 @@ func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 		c.B.Grad.Data[oc] += s
 	}
-	c.dcols = tensor.Ensure(c.dcols, ck, rowStride)
-	tensor.MatMulTransAInto(c.dcols, c.W.Value, c.dy)
-	dx := tensor.Ensure(c.dx, n, c.InC, c.inL)
-	c.dx = dx
-	dcd := c.dcols.Data
-	for i := 0; i < n; i++ {
-		dxi := dx.Data[i*inSz : (i+1)*inSz]
-		clear(dxi)
-		tensor.Col2Im1DStrided(dcd[i*ol:], c.InC, c.inL,
-			c.K, c.Stride, c.Pad, dxi, rowStride)
-	}
-	return dx
 }
 
 // Params returns the kernel and bias parameters.

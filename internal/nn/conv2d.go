@@ -5,14 +5,17 @@ import (
 )
 
 // Conv2D is a 2-D convolution over inputs of shape [N, C, H, W], lowered
-// to matrix products with im2col. Weights are stored as a matrix
-// [OutC, C*KH*KW] and the whole batch is lowered at once into a single
-// column matrix [C*KH*KW, N*OH*OW] (sample i owns columns
-// [i*OH*OW, (i+1)*OH*OW)), so the convolution of the entire batch is one
-// MatMul per Forward and the backward pass is one MatMulTransB (dW) plus
-// one MatMulTransA (dX) regardless of batch size.
+// to matrix products with im2col one sample at a time. Weights are stored
+// as a matrix [OutC, C*KH*KW]; Forward lowers sample i and multiplies
+// W·cols_i straight into out[i] ([OutC, OH*OW] row-major is sample i's
+// slice of [N, OutC, OH, OW]), and Backward computes dX the same way.
+// What stays batched is what dW reads: in training mode sample i is
+// lowered into columns [i*OH*OW, (i+1)*OH*OW) of one [C*KH*KW, N*OH*OW]
+// matrix and dOut is gathered into [OutC, N*OH*OW], because dW is one
+// MatMulTransB over the batch whose panels along that axis are part of
+// its bits.
 //
-// The layer owns its scratch buffers (cols, y, out, dy, dcols, dw, dx):
+// The layer owns its scratch buffers (cols, out, dy, dcols, dw, dx):
 // tensors returned by Forward/Backward are valid only until the layer's
 // next Forward/Backward call.
 type Conv2D struct {
@@ -22,11 +25,10 @@ type Conv2D struct {
 	W, B                 *Param
 	inH, inW, outH, outW int
 
-	cols  []float64      // batched im2col matrix [CKK, N*OHW]
-	y     *tensor.Tensor // pre-bias forward product [OutC, N*OHW]
+	cols  []float64      // im2col columns: [CKK, N*OHW] in training mode, one sample's [CKK, OHW] otherwise
 	out   *tensor.Tensor // forward output [N, OutC, OH, OW]
 	dy    *tensor.Tensor // gathered upstream gradient [OutC, N*OHW]
-	dcols *tensor.Tensor // column-space input gradient [CKK, N*OHW]
+	dcols *tensor.Tensor // one sample's column-space input gradient [CKK, OHW]
 	dw    *tensor.Tensor // per-step weight gradient [OutC, CKK]
 	dx    *tensor.Tensor // input gradient [N, C, H, W]
 }
@@ -58,31 +60,29 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	ckk := c.InC * c.KH * c.KW
 	ohw := c.outH * c.outW
-	cols := ensureLen(c.cols, ckk*n*ohw)
-	c.cols = cols
 	inSz := c.InC * c.inH * c.inW
-	rowStride := n * ohw
-	// Lower every sample into its column block of the shared matrix.
-	for i := 0; i < n; i++ {
-		tensor.Im2ColStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inH, c.inW,
-			c.KH, c.KW, c.Stride, c.Pad, cols[i*ohw:], rowStride)
+	outSz := c.OutC * ohw
+	// Training keeps every sample's columns for dW; evaluation lowers
+	// each sample into the same tile.
+	rowStride, step := ohw, 0
+	if train {
+		rowStride, step = n*ohw, ohw
 	}
-	colsT := tensor.FromSlice(cols, ckk, rowStride)
-	c.y = tensor.Ensure(c.y, c.OutC, rowStride)
-	tensor.MatMulInto(c.y, c.W.Value, colsT) // [OutC, N*OHW]
+	cols := ensureLen(c.cols, ckk*rowStride)
+	c.cols = cols
 	out := tensor.Ensure(c.out, n, c.OutC, c.outH, c.outW)
 	c.out = out
-	// Un-batch: copy each sample's column range back to [N, OutC, OH, OW]
-	// layout and add the bias.
-	yd := c.y.Data
 	bd := c.B.Value.Data
 	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := yd[oc*rowStride+i*ohw : oc*rowStride+(i+1)*ohw]
-			dst := out.Data[(i*c.OutC+oc)*ohw : (i*c.OutC+oc+1)*ohw]
-			b := bd[oc]
-			for j, v := range src {
-				dst[j] = v + b
+		blk := cols[i*step:]
+		tensor.Im2ColStrided(x.Data[i*inSz:(i+1)*inSz], c.InC, c.inH, c.inW,
+			c.KH, c.KW, c.Stride, c.Pad, blk, rowStride)
+		oi := out.Data[i*outSz : (i+1)*outSz]
+		tensor.MatMulBlockInto(oi, c.W.Value, blk, rowStride)
+		for oc, b := range bd {
+			row := oi[oc*ohw : (oc+1)*ohw]
+			for j := range row {
+				row[j] += b
 			}
 		}
 	}
@@ -92,10 +92,35 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward consumes dOut [N, OutC, OH, OW], accumulates dW and dB, and
 // returns dX [N, C, H, W].
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(dout)
 	n := dout.Dim(0)
 	ckk := c.InC * c.KH * c.KW
 	ohw := c.outH * c.outW
 	inSz := c.InC * c.inH * c.inW
+	outSz := c.OutC * ohw
+	// dcols_i = Wᵀ · dOut_i, read from dOut's own layout, then scattered
+	// back to image space.
+	c.dcols = tensor.Ensure(c.dcols, ckk, ohw)
+	dx := tensor.Ensure(c.dx, n, c.InC, c.inH, c.inW)
+	c.dx = dx
+	dyi := tensor.FromSlice(dout.Data[:outSz], c.OutC, ohw)
+	for i := 0; i < n; i++ {
+		dyi.Data = dout.Data[i*outSz : (i+1)*outSz]
+		tensor.MatMulTransAInto(c.dcols, c.W.Value, dyi)
+		dxi := dx.Data[i*inSz : (i+1)*inSz]
+		clear(dxi)
+		tensor.Col2ImStrided(c.dcols.Data, c.InC, c.inH, c.inW,
+			c.KH, c.KW, c.Stride, c.Pad, dxi, ohw)
+	}
+	return dx
+}
+
+// backwardParams is the half of Backward that accumulates dW and dB; a
+// network's first layer needs nothing else (Network.Backward).
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
+	n := dout.Dim(0)
+	ckk := c.InC * c.KH * c.KW
+	ohw := c.outH * c.outW
 	rowStride := n * ohw
 	// Gather dOut into the batched column layout [OutC, N*OHW].
 	c.dy = tensor.Ensure(c.dy, c.OutC, rowStride)
@@ -119,20 +144,6 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 		c.B.Grad.Data[oc] += s
 	}
-	// dcols = Wᵀ · dy, then scatter each sample's block back to image
-	// space.
-	c.dcols = tensor.Ensure(c.dcols, ckk, rowStride)
-	tensor.MatMulTransAInto(c.dcols, c.W.Value, c.dy)
-	dx := tensor.Ensure(c.dx, n, c.InC, c.inH, c.inW)
-	c.dx = dx
-	dcd := c.dcols.Data
-	for i := 0; i < n; i++ {
-		dxi := dx.Data[i*inSz : (i+1)*inSz]
-		clear(dxi)
-		tensor.Col2ImStrided(dcd[i*ohw:], c.InC, c.inH, c.inW,
-			c.KH, c.KW, c.Stride, c.Pad, dxi, rowStride)
-	}
-	return dx
 }
 
 // Params returns the kernel and bias parameters.

@@ -129,9 +129,10 @@ func TestGradSeqCNN(t *testing.T) {
 	checkGradients(t, "seqcnn", net, x, []int{0, 2})
 }
 
-// TestGradInputGradient checks the gradient the network returns with
-// respect to its input, which on-device evaluation does not use but which
-// validates the full backward chain end to end.
+// TestGradInputGradient checks the gradient with respect to the network's
+// input. Network.Backward does not compute it (nothing trains on it), so
+// the test walks the layers' own Backward; it validates the full backward
+// chain end to end, first layer's input gradient included.
 func TestGradInputGradient(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	net := NewMLP(MLPConfig{In: 4, Classes: 3, Hidden: []int{5}}, rng)
@@ -142,7 +143,13 @@ func TestGradInputGradient(t *testing.T) {
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
-	dx := net.Backward(dlogits)
+	if got := net.Backward(dlogits); got != nil {
+		t.Fatalf("Network.Backward returned %v, want nil", got)
+	}
+	dx := dlogits
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		dx = net.Layers[i].Backward(dx)
+	}
 
 	const eps = 1e-5
 	for i := range x.Data {

@@ -50,6 +50,13 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ·dy and db = Σ rows(dy), returning dx = dy·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(dy)
+	l.dx = tensor.Ensure(l.dx, dy.Dim(0), l.In)
+	return tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
+}
+
+// backwardParams is the half of Backward that accumulates dW and db.
+func (l *Linear) backwardParams(dy *tensor.Tensor) {
 	l.dw = tensor.Ensure(l.dw, l.In, l.Out)
 	tensor.MatMulTransAInto(l.dw, l.x, dy)
 	l.W.Grad.AddInPlace(l.dw)
@@ -60,8 +67,6 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			l.B.Grad.Data[j] += row[j]
 		}
 	}
-	l.dx = tensor.Ensure(l.dx, n, l.In)
-	return tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
 }
 
 // Params returns the weight and bias parameters.

@@ -29,12 +29,24 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward pushes the output gradient back through all layers,
-// accumulating parameter gradients.
+// accumulating parameter gradients. Nothing trains on the gradient with
+// respect to the network's input, so the first layer runs only the
+// parameter half of its Backward and the result is always nil.
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}
-	return grad
+	switch l := n.Layers[0].(type) {
+	case *Conv2D:
+		l.backwardParams(grad)
+	case *Conv1D:
+		l.backwardParams(grad)
+	case *Linear:
+		l.backwardParams(grad)
+	default:
+		l.Backward(grad)
+	}
+	return nil
 }
 
 // Params collects all trainable parameters in layer order. The slice is

@@ -8,10 +8,11 @@ package nn
 
 // The buffers are grow-only (tensor.Ensure, ensureLen): a batch smaller
 // than the largest one the layer has seen is served from the front of the
-// same storage, so an evaluation's ragged last chunk (64, …, 64, 8) or a
+// same storage, so an evaluation's ragged last chunk (16, …, 16, 8) or a
 // short shard's batch costs a tensor header, not a reallocation of every
 // buffer on the way down and again on the way back up. Their contents
-// are unspecified; layers overwrite them fully.
+// are unspecified; layers overwrite them fully. A training batch sets the
+// high-water mark: hfl evaluates in chunks no larger (evalChunk).
 
 // ensureLen returns s resliced to length n, or a new slice of that length
 // if s is too small (cols matrices, ReLU/dropout masks, pooling argmax

@@ -1,15 +1,17 @@
 package tensor
 
 // Convolution lowering kernels (im2col / col2im). The nn package builds
-// Conv2D/Conv1D layers on top of these plus MatMul: convolution of a
-// whole batch becomes a single matrix product
+// Conv2D/Conv1D layers on top of these plus MatMul: a sample's
+// convolution is the matrix product
 //
-//	out [OutC, N*OH*OW] = W [OutC, C*KH*KW] · cols [C*KH*KW, N*OH*OW]
+//	out_i [OutC, OH*OW] = W [OutC, C*KH*KW] · cols_i [C*KH*KW, OH*OW]
 //
-// where sample i owns columns [i*OH*OW, (i+1)*OH*OW). The strided
-// variants below write/read one sample's column block inside that batched
-// matrix: row r of the block lives at cols[r*rowStride+...], so samples
-// can be lowered in parallel into disjoint column ranges.
+// The strided variants below write/read a sample's columns as a block of
+// a wider matrix: row r of the block lives at cols[r*rowStride+...]. A
+// training step keeps the whole batch's columns in one
+// [C*KH*KW, N*OH*OW] matrix for the weight gradient, sample i owning
+// columns [i*OH*OW, (i+1)*OH*OW), and MatMulBlockInto multiplies by one
+// sample's block of it in place.
 
 // ConvOut returns the output spatial size of a convolution along one axis.
 func ConvOut(in, kernel, stride, pad int) int {

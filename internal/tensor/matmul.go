@@ -41,21 +41,38 @@ func MatMul(a, b *Tensor) *Tensor {
 // MatMulInto computes dst = A·B, overwriting dst (shape [m, n]). It
 // performs no allocation, so hot paths can reuse the destination.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	countMatMul()
 	checkRank2("MatMul", a, b)
-	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
+	if a.shape[1] != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v x %v", a.shape, b.shape))
 	}
-	checkDst("MatMul", dst, m, n)
-	matmulRows(dst.Data, a.Data, b.Data, m, k, n)
+	checkDst("MatMul", dst, a.shape[0], n)
+	MatMulBlockInto(dst.Data, a, b.Data, n)
 	return dst
 }
 
+// MatMulBlockInto computes dst = A·B for a B that is a column block of a
+// wider row-major matrix: row p of B is b[p*ldb : p*ldb+n], with
+// n = len(dst)/m (A is [m, k], dst is [m, n] row-major, ldb ≥ n). A
+// convolution layer multiplies one sample's im2col columns this way,
+// straight into that sample's slice of the output.
+func MatMulBlockInto(dst []float64, a *Tensor, b []float64, ldb int) {
+	countMatMul()
+	if a.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulBlockInto requires a rank-2 left operand, got %v", a.shape))
+	}
+	m, k := a.shape[0], a.shape[1]
+	n := len(dst) / m
+	if n*m != len(dst) || ldb < n || len(b) < (k-1)*ldb+n {
+		panic(fmt.Sprintf("tensor: MatMulBlockInto: %d-element destination and %d-element block of row stride %d do not fit left operand %v",
+			len(dst), len(b), ldb, a.shape))
+	}
+	matmulRows(dst, a.Data, b, m, k, n, ldb)
+}
+
 // matmulRows computes the m rows of C = A·B with panel tiling and 4-row
-// register blocking.
-func matmulRows(cd, ad, bd []float64, m, k, n int) {
+// register blocking; row p of B starts at bd[p*ldb].
+func matmulRows(cd, ad, bd []float64, m, k, n, ldb int) {
 	for jb := 0; jb < n; jb += mmPanelJ {
 		je := min(jb+mmPanelJ, n)
 		w := je - jb
@@ -83,7 +100,7 @@ func matmulRows(cd, ad, bd []float64, m, k, n int) {
 				a3 = a3[:len(a0)]
 				for pi, av0 := range a0 {
 					p := pb + pi
-					brow := bd[p*n+jb : p*n+jb+w]
+					brow := bd[p*ldb+jb : p*ldb+jb+w]
 					axpy4(av0, a1[pi], a2[pi], a3[pi], brow, c0, c1, c2, c3)
 				}
 			}
@@ -98,7 +115,7 @@ func matmulRows(cd, ad, bd []float64, m, k, n int) {
 						continue
 					}
 					p := pb + pi
-					axpy(av, bd[p*n+jb:p*n+jb+w], crow)
+					axpy(av, bd[p*ldb+jb:p*ldb+jb+w], crow)
 				}
 			}
 		}

@@ -20,12 +20,22 @@ func NewRNG(seed int64) *RNG {
 // runs: the derivation depends only on the parent seed and id, not on how
 // much of the parent stream has been consumed.
 func Split(seed int64, id int64) *RNG {
-	// SplitMix64-style mixing of (seed, id) to decorrelate child streams.
+	return NewRNG(splitSeed(seed, id))
+}
+
+// Reseed turns r into Split(seed, id) in place, whatever it has drawn so
+// far: a loop that needs a stream per device or per edge re-seeds one
+// generator instead of allocating a 4.9 KB math/rand source per child.
+func (r *RNG) Reseed(seed int64, id int64) { r.Seed(splitSeed(seed, id)) }
+
+// splitSeed is SplitMix64-style mixing of (seed, id) to decorrelate
+// child streams.
+func splitSeed(seed int64, id int64) int64 {
 	z := uint64(seed) + uint64(id)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return NewRNG(int64(z))
+	return int64(z)
 }
 
 // FillNormal fills t with N(mean, std²) samples.

@@ -517,3 +517,79 @@ func TestPermutationIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestReseedMatchesSplit: a generator re-seeded in place is the generator
+// Split returns for the same (seed, id) — the first 1,000 draws of each
+// kind agree — however much it had drawn before.
+func TestReseedMatchesSplit(t *testing.T) {
+	r := NewRNG(99)
+	for pair := int64(0); pair < 100; pair++ {
+		seed, id := pair*7919-50, pair*1_000_003+pair%3
+		for kind := 0; kind < 3; kind++ {
+			want := Split(seed, id)
+			r.Reseed(seed, id)
+			for i := 0; i < 1000; i++ {
+				var got, exp float64
+				switch kind {
+				case 0:
+					got, exp = r.Float64(), want.Float64()
+				case 1:
+					got, exp = float64(r.Intn(i+1)), float64(want.Intn(i+1))
+				case 2:
+					got, exp = r.NormFloat64(), want.NormFloat64()
+				}
+				if got != exp {
+					t.Fatalf("Reseed(%d, %d): draw %d of kind %d is %v, Split's is %v", seed, id, i, kind, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulBlockIntoMatchesMatMulInto: multiplying by a column block of
+// a wider matrix in place gives, bit for bit, the product with the block
+// copied out — across column and shared-dimension panels, the 4-row
+// blocks and the rows after them, and a vector tail.
+func TestMatMulBlockIntoMatchesMatMulInto(t *testing.T) {
+	rng := NewRNG(21)
+	for _, tc := range []struct{ m, k, n, ldb, off int }{
+		{5, 300, 603, 2000, 701},
+		{8, 25, 784, 784 * 3, 784},
+		{3, 7, 5, 9, 2},
+		{4, 16, 64, 64, 0},
+	} {
+		a, wide := New(tc.m, tc.k), New(tc.k, tc.ldb)
+		rng.FillNormal(a, 0, 1)
+		rng.FillNormal(wide, 0, 1)
+		a.Data[tc.k+1] = 0 // the single-row path skips zero multipliers
+		block := New(tc.k, tc.n)
+		for p := 0; p < tc.k; p++ {
+			copy(block.Data[p*tc.n:(p+1)*tc.n], wide.Data[p*tc.ldb+tc.off:])
+		}
+		want := MatMul(a, block)
+		got := make([]float64, tc.m*tc.n)
+		for i := range got {
+			got[i] = math.NaN() // the product overwrites, never accumulates
+		}
+		MatMulBlockInto(got, a, wide.Data[tc.off:], tc.ldb)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%+v: element %d is %v, MatMulInto gives %v", tc, i, got[i], want.Data[i])
+			}
+		}
+	}
+	for name, bad := range map[string]func(){
+		"ragged destination": func() { MatMulBlockInto(make([]float64, 7), New(2, 3), make([]float64, 12), 4) },
+		"stride below width": func() { MatMulBlockInto(make([]float64, 8), New(2, 3), make([]float64, 12), 3) },
+		"block too short":    func() { MatMulBlockInto(make([]float64, 8), New(2, 3), make([]float64, 11), 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}

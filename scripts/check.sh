@@ -70,6 +70,11 @@ go test -race -count=3 \
     -run 'TestSimBitIdenticalAcrossParallelism|TestGoldenModelHash|TestTrainPhaseOnlyReadsInitLocalResult|TestAliasingStrategyMatchesCloningStrategy' \
     ./internal/hfl
 go test -race -count=3 -run 'TestDeviceTrainOnlyReadsPayloadAndCarriedModel' ./internal/fednet
+# Per-sample convolution against the whole-batch reference, the strided
+# matmul, the in-place re-seed, and mobility.Model.Step's storage contract.
+go test -race -count=3 -run 'TestConv2DBatchedMatchesReference|TestConv1DBatchedMatchesReference' ./internal/nn
+go test -race -count=3 -run 'TestMatMulBlockIntoMatchesMatMulInto|TestReseedMatchesSplit' ./internal/tensor
+go test -race -count=3 -run 'TestStepResultSurvivesTheNextStep|TestStepAllocatesNothing|TestRecordRowsAreDistinct' ./internal/mobility
 
 echo "== chaos smoke (-race) =="
 # Seeded fault injection against the full cluster under the race
@@ -592,6 +597,14 @@ go run ./bench -workload sim_tta -seconds 1 > "$tmpdir/bench_tta.log" 2>&1 &&
     exit 1
 }
 tail -n 1 "$tmpdir/bench_tta.log"
+# Peak RSS is a property of the program, not of the box's speed: ~165 MB
+# with layer scratch sized by a sample and a training batch, ~265 MB when
+# an evaluation chunk's whole-batch lowering set the high-water mark.
+rss=$(tail -n 1 "$tmpdir/bench_tta.log" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p')
+awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss <= 240) }' || {
+    echo "bench sim_tta peak_rss_mb is '$rss', want at most 240"
+    exit 1
+}
 echo ok
 
 echo "== bench net_steady correctness gate =="
