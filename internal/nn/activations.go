@@ -6,59 +6,36 @@ import (
 
 // ReLU applies max(x, 0) elementwise. It reuses its output and gradient
 // buffers across steps; returned tensors are valid until the next call.
+// Backward reads the layer's own output (out > 0 exactly where x > 0),
+// which no later layer writes (see Layer).
 type ReLU struct {
-	mask []bool
-	out  *tensor.Tensor
-	dx   *tensor.Tensor
+	out     *tensor.Tensor
+	dx      *tensor.Tensor
+	trained int // elements of the last Forward if it was a training one, else 0
 }
 
 // NewReLU constructs a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0). In training mode it also caches the active
-// mask, which only Backward reads.
+// Forward computes max(x, 0); a training-mode call arms Backward.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape()...)
-	out := r.out
-	if !train {
-		r.mask = r.mask[:0]
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
-		}
-		return out
+	tensor.ReluInto(r.out.Data, x.Data)
+	r.trained = 0
+	if train {
+		r.trained = len(x.Data)
 	}
-	r.mask = ensureLen(r.mask, len(out.Data))
-	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
-	return out
+	return r.out
 }
 
 // Backward zeroes the gradient where the activation was clipped.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if len(r.mask) != len(dy.Data) {
+	if r.trained != len(dy.Data) {
 		panic(noTrainForward("ReLU"))
 	}
 	r.dx = tensor.Ensure(r.dx, dy.Shape()...)
-	dx := r.dx
-	for i, v := range dy.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
-	}
-	return dx
+	tensor.ReluGradInto(r.dx.Data, r.out.Data, dy.Data)
+	return r.dx
 }
 
 // Params returns nil: ReLU has no trainable state.

@@ -30,10 +30,21 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // needs so that the next Backward call can produce input gradients and
 // accumulate parameter gradients. Layers are stateful and not safe for
 // concurrent use; every simulated device owns its own network instance.
+//
+// Two rules govern the tensors that pass between layers. A tensor a
+// layer returns is its own scratch, valid until that layer's next Forward
+// (or Backward, for a gradient) — scratch.go. And no layer writes a
+// tensor it is handed: Forward's x and Backward's grad are read-only.
+// Layers depend on the second rule for their own state — ReLU.Backward
+// reads the output its Forward returned, which by then is the next
+// layer's input; Linear keeps x itself; Flatten and an evaluation-mode
+// Dropout return their input as the output — so a layer that computed in
+// place would corrupt its neighbour's Backward.
+// TestLayersDoNotWriteTheirInput checks every layer type.
 type Layer interface {
 	// Forward computes the layer output for a batch. train enables
 	// training-only behaviour: dropout, and the bookkeeping only Backward
-	// reads (ReLU masks, pooling argmax tables), which an evaluation
+	// reads (pooling argmax tables, dropout masks), which an evaluation
 	// forward skips.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the

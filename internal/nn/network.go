@@ -13,8 +13,9 @@ type Network struct {
 	// params caches the flattened parameter list. The layer stack is
 	// fixed at construction, so the cache never needs invalidation; it is
 	// built lazily on first use so zero-value Networks still work.
-	params    []*Param
-	numParams int
+	params     []*Param
+	numParams  int
+	firstParam int // index of the first layer that has parameters
 }
 
 // NewNetwork builds a sequential network from layers.
@@ -28,15 +29,19 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward pushes the output gradient back through all layers,
+// Backward pushes the output gradient back through the layers,
 // accumulating parameter gradients. Nothing trains on the gradient with
-// respect to the network's input, so the first layer runs only the
-// parameter half of its Backward and the result is always nil.
+// respect to the network's input, so the walk ends at the first layer
+// that has parameters: it runs only the parameter half of its Backward,
+// no layer below it (a Flatten in front of an MLP, say) is called, and
+// the result is always nil.
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i > 0; i-- {
+	n.Params()
+	first := n.firstParam
+	for i := len(n.Layers) - 1; i > first; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}
-	switch l := n.Layers[0].(type) {
+	switch l := n.Layers[first].(type) {
 	case *Conv2D:
 		l.backwardParams(grad)
 	case *Conv1D:
@@ -53,7 +58,10 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // cached (layers are fixed at construction); callers must not mutate it.
 func (n *Network) Params() []*Param {
 	if n.params == nil {
-		for _, l := range n.Layers {
+		for i, l := range n.Layers {
+			if len(n.params) == 0 {
+				n.firstParam = i
+			}
 			n.params = append(n.params, l.Params()...)
 		}
 		for _, p := range n.params {

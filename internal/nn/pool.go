@@ -35,6 +35,22 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.argmax = ensureLen(p.argmax, out.Size())
 	}
+	if p.K == 2 {
+		// The zoo's only window: one output row at a time through the
+		// branch-free kernel — same values, same argmax as the loop below.
+		for plane := 0; plane < n*c; plane++ {
+			for oy := 0; oy < oh; oy++ {
+				in := plane*h*w + 2*oy*w
+				o := (plane*oh + oy) * ow
+				var arg []int
+				if train {
+					arg = p.argmax[o : o+ow]
+				}
+				tensor.MaxPool2x2Row(out.Data[o:o+ow], arg, x.Data[in:in+w], x.Data[in+w:in+2*w], in, w)
+			}
+		}
+		return out
+	}
 	oi := 0
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {

@@ -15,7 +15,7 @@ package nn
 // high-water mark: hfl evaluates in chunks no larger (evalChunk).
 
 // ensureLen returns s resliced to length n, or a new slice of that length
-// if s is too small (cols matrices, ReLU/dropout masks, pooling argmax
+// if s is too small (cols matrices, dropout masks, pooling argmax
 // tables).
 func ensureLen[T any](s []T, n int) []T {
 	if n <= cap(s) {

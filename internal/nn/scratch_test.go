@@ -76,9 +76,9 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestBackwardNeedsTrainingForward: an evaluation-mode forward skips the
-// ReLU masks and pooling argmax tables, so a Backward after it has
-// nothing to route gradients with and must say so instead of returning
-// the previous batch's routing.
+// pooling argmax tables and overwrites the output ReLU routes by, so a
+// Backward after it has nothing to route gradients with and must say so
+// instead of returning the previous batch's routing.
 func TestBackwardNeedsTrainingForward(t *testing.T) {
 	x := tensor.New(2, 1, 4, 4)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)

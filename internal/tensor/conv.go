@@ -33,17 +33,25 @@ func Im2Col(x []float64, c, h, w, kh, kw, stride, pad int, cols []float64) {
 // Passing the batched matrix offset by the sample's column start and
 // rowStride = N*OH*OW places the sample inside the batched layout above.
 // Convolutions with stride 1 copy each in-bounds run with copy() instead
-// of per-element indexing.
+// of per-element indexing, and when the output is also as wide as the
+// input (every Conv2D in the model zoo) a tap is one copy of the whole
+// plane (im2colTapPlane).
 func Im2ColStrided(x []float64, c, h, w, kh, kw, stride, pad int, cols []float64, rowStride int) {
 	countIm2Col()
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
+	byPlane := stride == 1 && ow == w
 	row := 0
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				dst := cols[row*rowStride : row*rowStride+oh*ow]
+				if byPlane {
+					im2colTapPlane(dst, x[chBase:chBase+h*w], h, w, oh, ky, kx, pad)
+					row++
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					drow := dst[oy*ow : (oy+1)*ow]
 					iy := oy*stride - pad + ky
@@ -74,6 +82,35 @@ func Im2ColStrided(x []float64, c, h, w, kh, kw, stride, pad int, cols []float64
 				}
 				row++
 			}
+		}
+	}
+}
+
+// im2colTapPlane writes tap (ky, kx) of one channel plane for a stride-1
+// convolution whose output rows are as wide as its input rows (ow == w).
+// Output element d = oy*w+ox then reads plane[d+shift] with one shift for
+// the whole tap, so the in-bounds elements are a single copy from the
+// first to the last of them; what precedes and follows is padding, and so
+// are the ≤ pad entries at each row end, where the copy wrapped into the
+// neighbouring input row.
+func im2colTapPlane(dst, plane []float64, h, w, oh, ky, kx, pad int) {
+	lo, hi := inBoundsRange(w, w, pad, kx)
+	oyLo, oyHi := inBoundsRange(h, oh, pad, ky)
+	if hi < lo || oyHi < oyLo {
+		clear(dst)
+		return
+	}
+	shift := (ky-pad)*w + kx - pad
+	first, last := oyLo*w+lo, oyHi*w+hi
+	clear(dst[:first])
+	copy(dst[first:last+1], plane[first+shift:last+1+shift])
+	clear(dst[last+1:])
+	// Between one output row's last in-bounds column and the next row's
+	// first, the copy wrapped around the row end.
+	run := hi - lo + 1
+	for g := first + run; g < last; g += w {
+		for p := g; p < g+w-run; p++ {
+			dst[p] = 0
 		}
 	}
 }
@@ -128,10 +165,10 @@ func Col2ImStrided(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float6
 						if hi < lo {
 							continue
 						}
-						drow := dx[rowBase+lo-pad+kx:]
-						for ox := lo; ox <= hi; ox++ {
-							drow[ox-lo] += srow[ox]
-						}
+						// fma(1, x, y) rounds once and is x + y: the vector
+						// kernel adds the run exactly as a scalar loop does.
+						ix := rowBase + lo - pad + kx
+						axpy(1, srow[lo:hi+1], dx[ix:ix+hi+1-lo])
 						continue
 					}
 					for ox := 0; ox < ow; ox++ {

@@ -8,9 +8,11 @@ import "fmt"
 // shape in the model zoo a kernel that fans out is slower than one that
 // does not, even with a core idle (DESIGN.md, "Performance
 // architecture"). Inside, the kernel is tiled over cache-sized panels of
-// the shared dimension and of the output columns, with 4×1 (axpy-style)
-// or 2×2 (dot-style) register blocking in the innermost loops, so every
-// output element's summation order is a function of the shapes alone.
+// the shared dimension and of the output columns, with register blocking
+// in the innermost loops — four C rows against two B rows at a time
+// (axpy4x2) in the axpy-style kernels, 2×2 or 3×1 dot products in
+// MatMulTransB — so every output element's summation order is a function
+// of the shapes alone.
 const (
 	// mmPanelJ bounds the output-column panel so the B panel a row block
 	// streams stays cache-resident across its rows.
@@ -71,7 +73,9 @@ func MatMulBlockInto(dst []float64, a *Tensor, b []float64, ldb int) {
 }
 
 // matmulRows computes the m rows of C = A·B with panel tiling and 4-row
-// register blocking; row p of B starts at bd[p*ldb].
+// register blocking; row p of B starts at bd[p*ldb]. Four C rows take
+// B's rows in pairs: each C element is loaded and stored once per two
+// multiply-adds, applied in the same p order as one row at a time.
 func matmulRows(cd, ad, bd []float64, m, k, n, ldb int) {
 	for jb := 0; jb < n; jb += mmPanelJ {
 		je := min(jb+mmPanelJ, n)
@@ -98,10 +102,17 @@ func matmulRows(cd, ad, bd []float64, m, k, n, ldb int) {
 				a1 = a1[:len(a0)]
 				a2 = a2[:len(a0)]
 				a3 = a3[:len(a0)]
-				for pi, av0 := range a0 {
+				pi := 0
+				for ; pi+2 <= len(a0); pi += 2 {
 					p := pb + pi
-					brow := bd[p*ldb+jb : p*ldb+jb+w]
-					axpy4(av0, a1[pi], a2[pi], a3[pi], brow, c0, c1, c2, c3)
+					b0 := bd[p*ldb+jb : p*ldb+jb+w]
+					b1 := bd[(p+1)*ldb+jb : (p+1)*ldb+jb+w]
+					axpy4x2(a0[pi], a1[pi], a2[pi], a3[pi], a0[pi+1], a1[pi+1], a2[pi+1], a3[pi+1],
+						b0, b1, c0, c1, c2, c3)
+				}
+				if pi < len(a0) {
+					p := pb + pi
+					axpy4(a0[pi], a1[pi], a2[pi], a3[pi], bd[p*ldb+jb:p*ldb+jb+w], c0, c1, c2, c3)
 				}
 			}
 			for ; i < m; i++ {
@@ -166,10 +177,17 @@ func matmulTransARows(cd, ad, bd []float64, m, k, n int) {
 					clear(c2)
 					clear(c3)
 				}
-				for p := pb; p < pe; p++ {
-					apos := ad[p*m+i : p*m+i+4]
-					brow := bd[p*n+jb : p*n+jb+w]
-					axpy4(apos[0], apos[1], apos[2], apos[3], brow, c0, c1, c2, c3)
+				p := pb
+				for ; p+2 <= pe; p += 2 {
+					av := ad[p*m+i : p*m+i+4]
+					aw := ad[(p+1)*m+i : (p+1)*m+i+4]
+					b0 := bd[p*n+jb : p*n+jb+w]
+					b1 := bd[(p+1)*n+jb : (p+1)*n+jb+w]
+					axpy4x2(av[0], av[1], av[2], av[3], aw[0], aw[1], aw[2], aw[3], b0, b1, c0, c1, c2, c3)
+				}
+				if p < pe {
+					av := ad[p*m+i : p*m+i+4]
+					axpy4(av[0], av[1], av[2], av[3], bd[p*n+jb:p*n+jb+w], c0, c1, c2, c3)
 				}
 			}
 			for ; i < m; i++ {
@@ -227,7 +245,12 @@ func transBBlockRows(m, rowWork int) int {
 // with 2×2 register blocking inside a row block so each loaded A/B panel
 // element feeds two accumulating products. The panel loop is outermost,
 // so a B panel is read from memory once and serves every row from cache.
+// One-row blocks have their own loop order (matmulTransBSingleRows).
 func matmulTransBRows(cd, ad, bd []float64, m, k, n, g int) {
+	if g == 1 {
+		matmulTransBSingleRows(cd, ad, bd, m, k, n)
+		return
+	}
 	for kb := 0; kb < k; kb += mmPanelK {
 		ke := min(kb+mmPanelK, k)
 		first := kb == 0
@@ -268,6 +291,32 @@ func matmulTransBRows(cd, ad, bd []float64, m, k, n, g int) {
 				for j := 0; j < n; j++ {
 					crow[j] += dotVec(arow, bd[j*k+kb:j*k+ke])
 				}
+			}
+		}
+	}
+}
+
+// matmulTransBSingleRows is matmulTransBRows for one-row blocks (every
+// conv dW and Linear's dX): no row pairs up, so every output element is
+// its own dotVec product per k panel and the loop order is free. B's
+// panel row goes outermost — it is read once per panel instead of once
+// per A row — and dot3x1 takes three A rows against it, each product
+// summed exactly as dotVec sums it.
+func matmulTransBSingleRows(cd, ad, bd []float64, m, k, n int) {
+	clear(cd[:m*n])
+	for kb := 0; kb < k; kb += mmPanelK {
+		ke := min(kb+mmPanelK, k)
+		for j := 0; j < n; j++ {
+			brow := bd[j*k+kb : j*k+ke]
+			i := 0
+			for ; i+3 <= m; i += 3 {
+				s0, s1, s2 := dot3x1(ad[i*k+kb:i*k+ke], ad[(i+1)*k+kb:(i+1)*k+ke], ad[(i+2)*k+kb:(i+2)*k+ke], brow)
+				cd[i*n+j] += s0
+				cd[(i+1)*n+j] += s1
+				cd[(i+2)*n+j] += s2
+			}
+			for ; i < m; i++ {
+				cd[i*n+j] += dotVec(ad[i*k+kb:i*k+ke], brow)
 			}
 		}
 	}

@@ -20,10 +20,25 @@ func axpyAVX(alpha float64, x, y *float64, n int)
 func axpy4AVX(av0, av1, av2, av3 float64, b, c0, c1, c2, c3 *float64, n int)
 
 //go:noescape
+func axpy4x2AVX(av0, av1, av2, av3, aw0, aw1, aw2, aw3 float64, b0, b1, c0, c1, c2, c3 *float64, n int)
+
+//go:noescape
 func dot2x2AVX(a0, a1, b0, b1 *float64, n int) (s00, s01, s10, s11 float64)
 
 //go:noescape
 func dotAVX(x, y *float64, n int) float64
+
+//go:noescape
+func dot3x1AVX(a0, a1, a2, b *float64, n int) (s0, s1, s2 float64)
+
+//go:noescape
+func reluAVX(dst, x *float64, n int)
+
+//go:noescape
+func reluGradAVX(dx, out, dy *float64, n int)
+
+//go:noescape
+func maxPool2x2RowAVX(out *float64, argmax *int, r0, r1 *float64, idx0, pitch, n int)
 
 var useAVX2 = detectAVX2()
 
@@ -87,6 +102,24 @@ func axpy4(av0, av1, av2, av3 float64, b, c0, c1, c2, c3 []float64) {
 	scalarAxpy4(av0, av1, av2, av3, b, c0, c1, c2, c3)
 }
 
+// axpy4x2 computes cR[j] += avR*b0[j] and then cR[j] += awR*b1[j] for
+// four rows sharing two streamed b rows: the rank-2 form of two axpy4
+// calls, with the same two multiply-adds per element in the same order
+// and half the loads and stores of C.
+func axpy4x2(av0, av1, av2, av3, aw0, aw1, aw2, aw3 float64, b0, b1, c0, c1, c2, c3 []float64) {
+	if useAVX2 && len(b0) >= simdMinLen {
+		n := len(b0)
+		b1, c0, c1, c2, c3 = b1[:n], c0[:n], c1[:n], c2[:n], c3[:n]
+		m := n &^ 3
+		axpy4x2AVX(av0, av1, av2, av3, aw0, aw1, aw2, aw3, &b0[0], &b1[0], &c0[0], &c1[0], &c2[0], &c3[0], m)
+		if m < n {
+			scalarAxpy4x2(av0, av1, av2, av3, aw0, aw1, aw2, aw3, b0[m:], b1[m:], c0[m:], c1[m:], c2[m:], c3[m:])
+		}
+		return
+	}
+	scalarAxpy4x2(av0, av1, av2, av3, aw0, aw1, aw2, aw3, b0, b1, c0, c1, c2, c3)
+}
+
 // dot2x2 computes the four dot products of {a0, a1} × {b0, b1}.
 func dot2x2(a0, a1, b0, b1 []float64) (s00, s01, s10, s11 float64) {
 	if useAVX2 && len(a0) >= simdMinLen {
@@ -115,4 +148,76 @@ func dotVec(x, y []float64) float64 {
 		return s
 	}
 	return scalarDot(x, y)
+}
+
+// dot3x1 computes the dot products of a0, a1 and a2 with one shared b,
+// each exactly as dotVec would (same accumulator chains, same reduction)
+// while b is loaded once for the three.
+func dot3x1(a0, a1, a2, b []float64) (s0, s1, s2 float64) {
+	if useAVX2 && len(b) >= simdMinLen {
+		a0, a1, a2 = a0[:len(b)], a1[:len(b)], a2[:len(b)]
+		m := len(b) &^ 3
+		s0, s1, s2 = dot3x1AVX(&a0[0], &a1[0], &a2[0], &b[0], m)
+		if m < len(b) {
+			t0, t1, t2 := scalarDot3x1(a0[m:], a1[m:], a2[m:], b[m:])
+			s0 += t0
+			s1 += t1
+			s2 += t2
+		}
+		return
+	}
+	return scalarDot3x1(a0, a1, a2, b)
+}
+
+// ReluInto computes dst[i] = x[i] if x[i] > 0, else +0, without a
+// data-dependent branch: NaN and −0 give +0 like the comparison does.
+func ReluInto(dst, x []float64) {
+	dst = dst[:len(x)]
+	if useAVX2 && len(x) >= simdMinLen {
+		m := len(x) &^ 3
+		reluAVX(&dst[0], &x[0], m)
+		scalarRelu(dst[m:], x[m:])
+		return
+	}
+	scalarRelu(dst, x)
+}
+
+// ReluGradInto computes dx[i] = dy[i] where out[i] > 0, else +0; out is
+// the output ReluInto produced (out > 0 exactly where its input was).
+func ReluGradInto(dx, out, dy []float64) {
+	dx = dx[:len(out)]
+	dy = dy[:len(out)]
+	if useAVX2 && len(out) >= simdMinLen {
+		m := len(out) &^ 3
+		reluGradAVX(&dx[0], &out[0], &dy[0], m)
+		scalarReluGrad(dx[m:], out[m:], dy[m:])
+		return
+	}
+	scalarReluGrad(dx, out, dy)
+}
+
+// MaxPool2x2Row pools len(out) non-overlapping 2×2 windows of the input
+// rows r0 and r1 (r0[0] is flat input index idx0, r1[0] is idx0+pitch).
+// Each window is scanned in row-major order from (−Inf, −1): the first
+// strict maximum wins ties, and a window with nothing above −Inf gives
+// −Inf and index −1. argmax receives the flat index of each maximum, or
+// is nil when only the values are wanted.
+func MaxPool2x2Row(out []float64, argmax []int, r0, r1 []float64, idx0, pitch int) {
+	n := len(out)
+	r0, r1 = r0[:2*n], r1[:2*n]
+	m := 0
+	if useAVX2 && n >= 4 {
+		m = n &^ 3
+		var arg *int
+		if argmax != nil {
+			arg = &argmax[:n][0]
+		}
+		maxPool2x2RowAVX(&out[0], arg, &r0[0], &r1[0], idx0, pitch, m)
+	}
+	if m < n {
+		if argmax != nil {
+			argmax = argmax[m:]
+		}
+		scalarMaxPool2x2Row(out[m:], argmax, r0[2*m:], r1[2*m:], idx0+2*m, pitch)
+	}
 }

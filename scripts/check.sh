@@ -45,6 +45,12 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== cross-build without the amd64 kernels (arm64) =="
+# Every dispatcher in simd_amd64.go needs its portable twin in
+# simd_generic.go; only a build for another architecture sees one missing.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor ./internal/nn
+
 echo "== go test =="
 go test ./...
 
@@ -74,6 +80,15 @@ go test -race -count=3 -run 'TestDeviceTrainOnlyReadsPayloadAndCarriedModel' ./i
 # matmul, the in-place re-seed, and mobility.Model.Step's storage contract.
 go test -race -count=3 -run 'TestConv2DBatchedMatchesReference|TestConv1DBatchedMatchesReference' ./internal/nn
 go test -race -count=3 -run 'TestMatMulBlockIntoMatchesMatMulInto|TestReseedMatchesSplit' ./internal/tensor
+# The step's kernels against the loops they replaced, bit for bit under
+# both kernel families; the golden at the benchmark's geometry; and the
+# no-layer-writes-its-input rule ReLU.Backward rests on.
+go test -race -count=3 \
+    -run 'TestAxpy4x2MatchesTwoAxpy4|TestDot3x1MatchesThreeDotVec|TestMatMulMatchesRowAtATimeKernel|TestMatMulTransBMatchesBlockedKernel|TestReluKernelsMatchScalarLoops|TestMaxPool2x2RowMatchesScalarLoop|TestLoweringMatchesNaiveBitForBit|TestGoldenBenchmarkGeometry' \
+    ./internal/tensor
+go test -race -count=3 \
+    -run 'TestLayersDoNotWriteTheirInput|TestReLUBackwardRepeats|TestNetworkBackwardStopsAtFirstParameterisedLayer' \
+    ./internal/nn
 go test -race -count=3 -run 'TestStepResultSurvivesTheNextStep|TestStepAllocatesNothing|TestRecordRowsAreDistinct' ./internal/mobility
 
 echo "== chaos smoke (-race) =="
