@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -60,5 +61,43 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, read); n > c.most {
 			t.Errorf("decoding a frame %s into an owned vector allocates %v times, want ≤ %v", c.name, n, c.most)
 		}
+	}
+}
+
+// TestTrainRPCSteadyStateAllocBytes pins what a hosted device's second
+// model vector buys: serving a train request — start model, local round,
+// reply frame — allocates nothing model-sized once both vectors, the
+// layers' scratch and the frame pool are warm, rounds that reset the
+// carried model included. The model is 137 KB; a result vector per
+// training, as before the rotation, would be all of that.
+func TestTrainRPCSteadyStateAllocBytes(t *testing.T) {
+	const device, most = 0, 64 << 10
+	mx := trainableClient(t, 256, device)
+	payload := make([]float64, mx.compute.Net.NumParams())
+	rpc := func(round int) {
+		vec, reply, err := mx.train(TrainRequest{Round: round, DeviceID: device, Moved: true, ResetLocal: round%5 == 0}, payload, 0)
+		if err == nil {
+			err = WriteMsg(io.Discard, MsgTrainReply, reply, vec)
+		}
+		mx.unpin(device)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := 1
+	for ; round <= 4; round++ {
+		rpc(round)
+	}
+	const rpcs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for ; round <= 4+rpcs; round++ {
+		rpc(round)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rpcs
+	t.Logf("%d bytes per train RPC, model %d", per, 8*len(payload))
+	if per >= most {
+		t.Errorf("a steady-state train RPC allocates %d bytes, want < %d (the model is %d)", per, most, 8*len(payload))
 	}
 }

@@ -259,3 +259,43 @@ func TestCodecBuffersNotSharedAcrossConnections(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNativePayloadMatchesPortable: the one-copy payload body a
+// little-endian host takes and the value-by-value body every other host
+// takes (and the wire format is defined by) produce the same bytes from a
+// vector and the same vector from bytes, bit for bit — NaN payloads, ±Inf,
+// ±0 and subnormals included, at the lengths around which a copy and a
+// loop could differ (none, one, an odd count, pages, a model).
+func TestNativePayloadMatchesPortable(t *testing.T) {
+	if !hostLE {
+		t.Skip("big-endian host: the portable body is the only one")
+	}
+	awkward := awkwardVector()
+	for _, n := range []int{0, 1, 7, 4096, 51930} {
+		vec := make([]float64, n)
+		for i := range vec {
+			vec[i] = float64(i)*0.37 - 11
+			if i%5 == 0 {
+				vec[i] = awkward[i/5%len(awkward)]
+			}
+		}
+		// One spare byte past the payload: neither body may touch it.
+		native, portable := make([]byte, 8*n+1), make([]byte, 8*n+1)
+		native[8*n], portable[8*n] = 0xa5, 0xa5
+		putVec(native, vec)
+		putVecPortable(portable, vec)
+		if !bytes.Equal(native, portable) {
+			t.Fatalf("%d values: native and portable payload bytes differ", n)
+		}
+		if n > 0 && binary.LittleEndian.Uint64(portable[8*(n-1):]) != math.Float64bits(vec[n-1]) {
+			t.Fatalf("%d values: the portable body is not little-endian IEEE 754", n)
+		}
+		fromNative, fromPortable := make([]float64, n), make([]float64, n)
+		getVec(fromNative, portable)
+		getVecPortable(fromPortable, portable)
+		if !sameBits(fromNative, vec) || !sameBits(fromPortable, vec) {
+			t.Fatalf("%d values: decoded vectors differ from the one encoded (native ok %v, portable ok %v)",
+				n, sameBits(fromNative, vec), sameBits(fromPortable, vec))
+		}
+	}
+}

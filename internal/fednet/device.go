@@ -135,6 +135,21 @@ type virtualDevice struct {
 	// matches its own — same era rule as handover.
 	lastSync int
 	carried
+	// spare is the device's second model vector: a training takes it and
+	// writes its result there, and only that training ever sees it. pins
+	// counts the trainings from request to reply Write, which read carried
+	// models outside mx.mu (DESIGN.md, "Who owns a vector").
+	spare []float64
+	pins  int
+}
+
+// carry replaces the carried model on behalf of a pinned training, under
+// mx.mu. The old vector is the next spare if no other training can see it.
+func (v *virtualDevice) carry(next []float64) {
+	if v.pins == 1 && v.local != nil {
+		v.spare = v.local
+	}
+	v.local = next
 }
 
 // carried is the state a device takes with it from round to round and
@@ -427,7 +442,7 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 				rd.Utility = v.lastUtil
 			}
 			rd.LastTrained, rd.LastSync = v.lastTrained, v.lastSync
-			payload = v.local // replaced wholesale, never written in place
+			payload = append([]float64(nil), v.local...) // a training rewrites the vector once it is the spare
 		}
 		reg.Devices = append(reg.Devices, rd)
 	}
@@ -621,29 +636,41 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			// the stream down so every rider resyncs via re-registration
 			// rather than train from a stale model.
 			mx.m.link.corrupt.Inc()
-			mx.lost(cc)
-			return
-		}
-		if tr != nil {
-			spanID := ""
-			if h.Span != "" { // untraced edges leave Span empty
-				spanID = h.Span + ".t"
+		} else {
+			if tr != nil {
+				spanID := ""
+				if h.Span != "" { // untraced edges leave Span empty
+					spanID = h.Span + ".t"
+				}
+				tr.Complete("device_train", "fednet", tracePidDeviceBase+h.DeviceID, 0,
+					trainStart, tr.Now().Sub(trainStart), spanID, h.Span,
+					map[string]any{"round": h.Round, "moved": h.Moved, "resume": h.Resume})
 			}
-			tr.Complete("device_train", "fednet", tracePidDeviceBase+h.DeviceID, 0,
-				trainStart, tr.Now().Sub(trainStart), spanID, h.Span,
-				map[string]any{"round": h.Round, "moved": h.Moved, "resume": h.Resume})
+			terr = mx.write(cc, MsgTrainReply, reply, vec)
 		}
-		if err := mx.write(cc, MsgTrainReply, reply, vec); err != nil {
+		mx.unpin(h.DeviceID) // train's pin, on every path once nothing reads vec
+		if terr != nil {
 			mx.lost(cc)
 			return
 		}
 	}
 }
 
+// unpin ends the pin train took on a hosted device (virtualDevice.pins). A
+// caller that never does costs the device its recycling, not its safety.
+func (mx *DeviceMux) unpin(id int) {
+	mx.mu.Lock()
+	if v := mx.virts[id]; v != nil {
+		v.pins--
+	}
+	mx.mu.Unlock()
+}
+
 // train serves one device's training request — Algorithm 1 lines 4–8:
 // honour ResetLocal, build the start model with Strategy.InitLocal, run
 // the local round on the shared compute state and store the result as
-// the new carried model. Under the training lock the request is
+// the new carried model, in the device's spare vector when it has one (a
+// known device stays pinned until unpin). Under the training lock the request is
 // stateless towards its siblings: migrated optimizer moments are imported
 // when the request resumes a handover (otherwise the round resets the
 // optimizer) and exported again when the edge asks. The batch-sampling
@@ -654,12 +681,14 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	id := req.DeviceID
 	mx.mu.Lock()
 	v := mx.virts[id]
-	var local []float64
+	var local, vec []float64
 	if v != nil {
+		v.pins++
+		vec, v.spare = v.spare, nil
 		if req.ResetLocal {
-			v.local = nil
+			v.carry(nil)
 		}
-		local = v.local // replaced wholesale, never written in place
+		local = v.local // not written while carried or while a reader is pinned
 	}
 	mx.mu.Unlock()
 	if v == nil {
@@ -691,7 +720,9 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	if mx.cfg.Strategy != nil {
 		start = mx.cfg.Strategy.InitLocal(deviceView{edge: edgeModel, local: local}, id, edgeID, moved)
 	}
-	vec := make([]float64, len(start))
+	if len(vec) != len(start) {
+		vec = make([]float64, len(start))
+	}
 	out := vec
 	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
 	rng := tensor.Split(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
@@ -713,7 +744,8 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	reply.Utility = util
 
 	mx.mu.Lock()
-	v.local, v.prevEdge, v.lastUtil, v.lastTrained = vec, edgeID, util, req.Round
+	v.carry(vec)
+	v.prevEdge, v.lastUtil, v.lastTrained = edgeID, util, req.Round
 	v.rounds++
 	mx.mu.Unlock()
 	return out, reply, nil

@@ -1,10 +1,17 @@
 package fednet
 
 import (
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"middle/internal/data"
+	"middle/internal/hfl"
 	"middle/internal/mobility"
+	"middle/internal/nn"
+	"middle/internal/tensor"
 )
 
 // cacheAudit is a mobility model that, each time the cloud asks it for the
@@ -83,4 +90,229 @@ func TestEdgeCachedModelsStayOwned(t *testing.T) {
 		t.Fatalf("audited %d fresh and %d idle cache entries, want both", audit.fresh, audit.stale)
 	}
 	t.Logf("audited %d fresh and %d idle cache entries", audit.fresh, audit.stale)
+}
+
+// handEdge is an edge played by the test: it acknowledges whatever the
+// device client registers and passes train replies to the test, which
+// sends the requests itself.
+type handEdge struct {
+	id      int
+	ln      net.Listener
+	wmu     sync.Mutex
+	conn    net.Conn
+	ready   chan struct{} // closed once the client's connection is accepted
+	replies chan handReply
+	// rehomed holds the models warm re-home registrations carried; it is
+	// the test's to read once replies is closed.
+	rehomed [][]float64
+}
+
+type handReply struct {
+	TrainReply
+	vec []float64
+}
+
+func newHandEdge(t *testing.T, id int) *handEdge {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &handEdge{id: id, ln: ln, ready: make(chan struct{}), replies: make(chan handReply, 1)}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		e.conn = conn
+		close(e.ready)
+		defer close(e.replies)
+		for {
+			var reply TrainReply
+			typ, vec, err := ReadMsg(conn, &reply)
+			switch {
+			case err != nil:
+				return
+			case typ == MsgRegisterMux:
+				if vec != nil {
+					e.rehomed = append(e.rehomed, vec)
+				}
+				e.write(MsgRegisterAck, RegisterAck{EdgeID: id}, nil)
+			case typ == MsgTrainReply:
+				e.replies <- handReply{reply, vec}
+			}
+		}
+	}()
+	return e
+}
+
+func (e *handEdge) write(t MsgType, header any, vec []float64) error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	return WriteMsg(e.conn, t, header, vec)
+}
+
+// trainableClient is testClient with a model its devices can train, which
+// testClient's is not (no Flatten in front of the images): an MLP with one
+// hidden layer, 67·hidden + 2 parameters.
+func trainableClient(t *testing.T, hidden int, ids ...int) *DeviceMux {
+	t.Helper()
+	train := data.GenerateImagesSplit(data.FastImageProfile(2), 20, 5, 5)
+	var hosted []MuxDevice
+	for _, id := range ids {
+		hosted = append(hosted, MuxDevice{DeviceID: id, Indices: []int{0, 1, 2}})
+	}
+	mx, err := NewDeviceMux(DeviceMuxConfig{
+		Devices: hosted, Dataset: train,
+		Factory: func(rng *tensor.RNG) *nn.Network {
+			mlp := nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2, Hidden: []int{hidden}}, rng)
+			return nn.NewNetwork(append([]nn.Layer{nn.NewFlatten()}, mlp.Layers...)...)
+		},
+		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
+		Timeout:   2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mx
+}
+
+// TestDeviceVectorsStayOwned is the device side of the audit above. A
+// hosted device rotates two model vectors, so a training writes a vector
+// that was carried, and sent, two trainings ago — safe only if nothing
+// still reads it. Here one device is trained through two edges at once
+// while it moves between them: every device→edge write may be held back
+// by the fault injector, so reply writes queue behind delayed
+// registrations on one connection while the other connection trains the
+// device again and again, every other move registers warm with the
+// carried model as its payload, and a reader copies LocalModel throughout.
+// Every reply must be the training of its own request — a pure function
+// of (round, payload), taken from a second client served one request at
+// a time — and every re-home payload and LocalModel copy one of those
+// replies, whole. Under
+// -race any vector written while a frame write or a copy reads it is
+// reported as well.
+func TestDeviceVectorsStayOwned(t *testing.T) {
+	const trained, perEdge = 0, 40
+	faults := NewFaultInjector(FaultConfig{Seed: 5, DeviceEdge: FaultRates{Delay: 0.6}, MaxDelay: 8 * time.Millisecond})
+	mx, ref := trainableClient(t, 32, 0, 1, 2), trainableClient(t, 32, 0, 1, 2)
+	mx.cfg.Faults = faults
+	edges := []*handEdge{newHandEdge(t, 0), newHandEdge(t, 1)}
+	for i, e := range edges {
+		// A sibling that never moves keeps the connection to each edge up.
+		if err := mx.Connect(1+i, e.id, e.ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		<-e.ready
+	}
+
+	// The expected reply of every request, and the set of them.
+	request := func(edge, i int) (TrainRequest, []float64) {
+		round := 2*i + edge + 1
+		payload := make([]float64, ref.compute.Net.NumParams())
+		for j := range payload {
+			payload[j] = 0.01 * float64((j+round)%17-8)
+		}
+		return TrainRequest{Round: round, DeviceID: trained, Moved: i%3 == 0, ResetLocal: i%5 == 4}, payload
+	}
+	want := map[int][]float64{}
+	for edge := range edges {
+		for i := 0; i < perEdge; i++ {
+			req, payload := request(edge, i)
+			vec, _, err := ref.train(req, payload, edge)
+			ref.unpin(trained)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[req.Round] = append([]float64(nil), vec...)
+		}
+	}
+	isReply := func(model []float64) bool {
+		for _, w := range want {
+			if sameBits(model, w) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(2)
+	go func() { // the device moves between the edges for as long as it is trained
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := edges[i%2]
+			if err := mx.connect(trained, e.id, e.ln.Addr().String(), i%4 < 2); err != nil {
+				t.Errorf("move %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	copies := 0
+	go func() { // and its carried model is read
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if model := mx.LocalModel(trained); model != nil {
+				copies++
+				if !isReply(model) {
+					t.Error("LocalModel returned a vector that is no training's result")
+					return
+				}
+			}
+		}
+	}()
+	var drivers sync.WaitGroup
+	for edge, e := range edges {
+		drivers.Add(1)
+		go func() {
+			defer drivers.Done()
+			for i := 0; i < perEdge; i++ {
+				req, payload := request(edge, i)
+				if err := e.write(MsgTrainRequest, req, payload); err != nil {
+					t.Errorf("edge %d request %d: %v", edge, i, err)
+					return
+				}
+				select {
+				case reply, ok := <-e.replies:
+					if !ok || reply.Round != req.Round || !sameBits(reply.vec, want[req.Round]) {
+						t.Errorf("edge %d: reply to round %d (arrived %v, round %d) is not that round's training", edge, req.Round, ok, reply.Round)
+						return
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("edge %d: no reply to round %d", edge, req.Round)
+					return
+				}
+			}
+		}()
+	}
+	drivers.Wait()
+	close(stop)
+	wg.Wait()
+	mx.Disconnect()
+	rehomes := 0
+	for _, e := range edges {
+		for range e.replies { // closed when the edge has read its connection to the end
+		}
+		for _, model := range e.rehomed {
+			rehomes++
+			if !isReply(model) {
+				t.Errorf("edge %d: a re-home registration carried a vector that is no training's result", e.id)
+			}
+		}
+	}
+	if copies == 0 || rehomes == 0 {
+		t.Errorf("%d LocalModel copies and %d re-home payloads checked, want both", copies, rehomes)
+	}
 }

@@ -39,6 +39,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // ErrCorruptFrame marks a frame whose CRC trailer did not match its
@@ -331,10 +332,12 @@ type TrainReply struct {
 // the fault injector depends on.
 func packBytes(p []byte) []float64 {
 	vec := make([]float64, (len(p)+7)/8)
-	for i := range vec {
-		var chunk [8]byte
-		copy(chunk[:], p[8*i:])
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[:]))
+	whole := len(p) / 8
+	getVec(vec[:whole], p)
+	if whole < len(vec) {
+		var tail [8]byte
+		copy(tail[:], p[8*whole:])
+		getVec(vec[whole:], tail[:])
 	}
 	return vec
 }
@@ -346,10 +349,43 @@ func unpackBytes(vec []float64, n int) (p []byte, ok bool) {
 		return nil, false
 	}
 	p = make([]byte, 8*len(vec))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
-	}
+	putVec(p, vec)
 	return p[:n], true
+}
+
+// hostLE: a float64 in this host's memory is its wire form, eight
+// little-endian bytes, and a payload moves as one copy (putVec, getVec).
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putVec writes the wire form of vec to dst[:8*len(vec)].
+func putVec(dst []byte, vec []float64) {
+	if hostLE {
+		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec))), 8*len(vec)))
+		return
+	}
+	putVecPortable(dst, vec)
+}
+
+// getVec is putVec's inverse: it fills vec from src[:8*len(vec)].
+func getVec(vec []float64, src []byte) {
+	if hostLE {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec))), 8*len(vec)), src)
+		return
+	}
+	getVecPortable(vec, src)
+}
+
+// putVecPortable, getVecPortable: the payload's definition, value by value; what a big-endian host runs.
+func putVecPortable(dst []byte, vec []float64) {
+	for i, v := range vec {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+func getVecPortable(vec []float64, src []byte) {
+	for i := range vec {
+		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // frameBuf is a reusable byte buffer holding one frame: the writer
@@ -410,10 +446,8 @@ func WriteMsgCount(w io.Writer, t MsgType, header any, vec []float64) (int, erro
 	off := 5 + len(js)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(vec)))
 	off += 4
-	for _, v := range vec {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
+	putVec(buf[off:], vec)
+	off += 8 * len(vec)
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 	n, err := w.Write(buf)
 	putFrame(fb)
@@ -528,9 +562,7 @@ func readFrame(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgTyp
 		} else {
 			vec = make([]float64, n)
 		}
-		for i := range vec {
-			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+		getVec(vec, raw)
 	}
 	return MsgType(b[0]), vec, total, nil
 }

@@ -62,7 +62,6 @@ func (tw *Trainer) LocalRound(ds *data.Dataset, shard []int, steps, batch int, r
 			idx[b] = shard[rng.Intn(len(shard))]
 		}
 		tw.x, tw.y = ds.BatchInto(idx, tw.x, tw.y)
-		tw.Net.ZeroGrad()
 		logits := tw.Net.Forward(tw.x, true)
 		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, tw.y)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"middle/internal/tensor"
@@ -139,5 +140,112 @@ func TestNetworkBackwardStopsAtFirstParameterisedLayer(t *testing.T) {
 	}
 	if !sameBits(got, net.GradVector()) {
 		t.Error("parameter gradients differ from a walk through every layer")
+	}
+}
+
+// gradsAsAccumulated computes a layer's parameter gradients the way
+// Backward did while it accumulated: the dW product into a scratch
+// tensor, added to a cleared gradient, and dB added to a cleared one
+// sum by sum. It reads the forward state the layer holds for dy's batch.
+func gradsAsAccumulated(l Layer, dy *tensor.Tensor) (dw, db *tensor.Tensor) {
+	rowSums := func(gathered *tensor.Tensor) *tensor.Tensor {
+		rows, n := gathered.Dim(0), gathered.Dim(1)
+		db := tensor.New(rows)
+		for r := 0; r < rows; r++ {
+			s := 0.0
+			for _, v := range gathered.Data[r*n : (r+1)*n] {
+				s += v
+			}
+			db.Data[r] += s
+		}
+		return db
+	}
+	switch l := l.(type) {
+	case *Linear:
+		dw = tensor.New(l.In, l.Out).AddInPlace(tensor.MatMulTransA(l.x, dy))
+		db = tensor.New(l.Out)
+		for i := 0; i < dy.Dim(0); i++ {
+			for j := 0; j < l.Out; j++ {
+				db.Data[j] += dy.Data[i*l.Out+j]
+			}
+		}
+	case *Conv2D:
+		ckk := l.InC * l.KH * l.KW
+		dw = tensor.New(l.OutC, ckk).AddInPlace(tensor.MatMulTransB(l.dy, tensor.FromSlice(l.cols, ckk, l.dy.Dim(1))))
+		db = rowSums(l.dy)
+	case *Conv1D:
+		ck := l.InC * l.K
+		dw = tensor.New(l.OutC, ck).AddInPlace(tensor.MatMulTransB(l.dy, tensor.FromSlice(l.cols, ck, l.dy.Dim(1))))
+		db = rowSums(l.dy)
+	}
+	return dw, db
+}
+
+// TestBackwardSetsParameterGradients pins the Layer contract "Backward
+// sets the parameter gradients of this call": whatever Param.Grad held —
+// NaN here, or an earlier Backward's gradient — the result is the one a
+// cleared gradient gave while Backward added to it, to the bit. The
+// upstream gradient's first channel is −0 against a non-negative input,
+// so every product of those dW and dB sums is −0: a sum that started at
+// its first term instead of +0 would keep the sign.
+func TestBackwardSetsParameterGradients(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	layers := []struct {
+		name  string
+		layer Layer
+		in    []int
+	}{
+		{"linear", NewLinear(10, 4, rng), []int{5, 10}},
+		{"linear-wide", NewLinear(300, 7, rng), []int{16, 300}},
+		{"conv2d", NewConv2D(2, 3, 3, 3, 1, 1, 6, 6, rng), []int{3, 2, 6, 6}},
+		{"conv2d-stride2", NewConv2D(2, 5, 3, 3, 2, 0, 7, 7, rng), []int{4, 2, 7, 7}},
+		{"conv1d", NewConv1D(2, 3, 4, 2, 1, 12, rng), []int{3, 2, 12}},
+	}
+	negZero := math.Copysign(0, -1)
+	for _, l := range layers {
+		x := tensor.New(l.in...)
+		rng.FillUniform(x, 0, 1)
+		out := l.layer.Forward(x, true)
+		upstream := func() *tensor.Tensor {
+			dy := tensor.New(out.Shape()...)
+			rng.FillNormal(dy, 0, 1)
+			per, channels := dy.Size()/dy.Dim(0), dy.Dim(1)
+			for i := 0; i < dy.Dim(0); i++ {
+				clearTo(dy.Data[i*per:i*per+per/channels], negZero)
+			}
+			return dy
+		}
+		dy, other := upstream(), upstream()
+		w, b := l.layer.Params()[0], l.layer.Params()[1]
+
+		w.ZeroGrad()
+		b.ZeroGrad()
+		l.layer.Backward(dy)
+		wantW, wantB := gradsAsAccumulated(l.layer, dy)
+		if !sameBits(w.Grad.Data, wantW.Data) || !sameBits(b.Grad.Data, wantB.Data) {
+			t.Errorf("%s: Backward on a cleared gradient differs from product-then-add", l.name)
+		}
+		if math.Signbit(w.Grad.Data[0]) || math.Signbit(b.Grad.Data[0]) {
+			t.Errorf("%s: a sum of −0 terms came out −0: it did not start at +0", l.name)
+		}
+
+		clearTo(w.Grad.Data, math.NaN())
+		clearTo(b.Grad.Data, math.NaN())
+		l.layer.Backward(dy)
+		if !sameBits(w.Grad.Data, wantW.Data) || !sameBits(b.Grad.Data, wantB.Data) {
+			t.Errorf("%s: Backward on a NaN-filled gradient differs from Backward on a cleared one", l.name)
+		}
+
+		l.layer.Backward(other)
+		l.layer.Backward(dy)
+		if !sameBits(w.Grad.Data, wantW.Data) || !sameBits(b.Grad.Data, wantB.Data) {
+			t.Errorf("%s: after two Backwards the gradient is not the second call's alone", l.name)
+		}
+	}
+}
+
+func clearTo(s []float64, v float64) {
+	for i := range s {
+		s[i] = v
 	}
 }

@@ -22,7 +22,6 @@ type Conv1D struct {
 	out   *tensor.Tensor // [N, OutC, OL]
 	dy    *tensor.Tensor // [OutC, N*OL]
 	dcols *tensor.Tensor // one sample's [CK, OL]
-	dw    *tensor.Tensor
 	dx    *tensor.Tensor
 }
 
@@ -101,7 +100,7 @@ func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// backwardParams accumulates dW and dB (see Conv2D.backwardParams).
+// backwardParams sets dW and dB (see Conv2D.backwardParams).
 func (c *Conv1D) backwardParams(dout *tensor.Tensor) {
 	n := dout.Dim(0)
 	ck := c.InC * c.K
@@ -116,15 +115,13 @@ func (c *Conv1D) backwardParams(dout *tensor.Tensor) {
 		}
 	}
 	colsT := tensor.FromSlice(c.cols, ck, rowStride)
-	c.dw = tensor.Ensure(c.dw, c.OutC, ck)
-	tensor.MatMulTransBInto(c.dw, c.dy, colsT)
-	c.W.Grad.AddInPlace(c.dw)
+	tensor.MatMulTransBInto(c.W.Grad, c.dy, colsT)
 	for oc := 0; oc < c.OutC; oc++ {
 		s := 0.0
 		for _, v := range dyd[oc*rowStride : (oc+1)*rowStride] {
 			s += v
 		}
-		c.B.Grad.Data[oc] += s
+		c.B.Grad.Data[oc] = s
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // MatMulTransB over the batch whose panels along that axis are part of
 // its bits.
 //
-// The layer owns its scratch buffers (cols, out, dy, dcols, dw, dx):
+// The layer owns its scratch buffers (cols, out, dy, dcols, dx):
 // tensors returned by Forward/Backward are valid only until the layer's
 // next Forward/Backward call.
 type Conv2D struct {
@@ -29,7 +29,6 @@ type Conv2D struct {
 	out   *tensor.Tensor // forward output [N, OutC, OH, OW]
 	dy    *tensor.Tensor // gathered upstream gradient [OutC, N*OHW]
 	dcols *tensor.Tensor // one sample's column-space input gradient [CKK, OHW]
-	dw    *tensor.Tensor // per-step weight gradient [OutC, CKK]
 	dx    *tensor.Tensor // input gradient [N, C, H, W]
 }
 
@@ -89,8 +88,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward consumes dOut [N, OutC, OH, OW], accumulates dW and dB, and
-// returns dX [N, C, H, W].
+// Backward consumes dOut [N, OutC, OH, OW], sets dW and dB, and returns
+// dX [N, C, H, W].
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(dout)
 	n := dout.Dim(0)
@@ -115,7 +114,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// backwardParams is the half of Backward that accumulates dW and dB; a
+// backwardParams is the half of Backward that sets dW and dB; a
 // network's first layer needs nothing else (Network.Backward).
 func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 	n := dout.Dim(0)
@@ -132,17 +131,15 @@ func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 		}
 	}
 	colsT := tensor.FromSlice(c.cols, ckk, rowStride)
-	// dW += dy · colsᵀ — one product for the whole batch.
-	c.dw = tensor.Ensure(c.dw, c.OutC, ckk)
-	tensor.MatMulTransBInto(c.dw, c.dy, colsT)
-	c.W.Grad.AddInPlace(c.dw)
-	// dB += row sums of dy.
+	// dW = dy · colsᵀ — one product for the whole batch.
+	tensor.MatMulTransBInto(c.W.Grad, c.dy, colsT)
+	// dB = row sums of dy.
 	for oc := 0; oc < c.OutC; oc++ {
 		s := 0.0
 		for _, v := range dyd[oc*rowStride : (oc+1)*rowStride] {
 			s += v
 		}
-		c.B.Grad.Data[oc] += s
+		c.B.Grad.Data[oc] = s
 	}
 }
 

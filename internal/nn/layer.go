@@ -12,7 +12,7 @@ import (
 	"middle/internal/tensor"
 )
 
-// Param is a trainable parameter with its accumulated gradient.
+// Param is a trainable parameter with the gradient the last Backward set.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
@@ -23,12 +23,13 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
 
-// ZeroGrad clears the accumulated gradient.
+// ZeroGrad clears the gradient. Backward overwrites it, so a caller needs
+// this only to read a gradient before any Backward.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is one stage of a feed-forward network. Forward caches whatever it
 // needs so that the next Backward call can produce input gradients and
-// accumulate parameter gradients. Layers are stateful and not safe for
+// set parameter gradients. Layers are stateful and not safe for
 // concurrent use; every simulated device owns its own network instance.
 //
 // Two rules govern the tensors that pass between layers. A tensor a
@@ -48,9 +49,10 @@ type Layer interface {
 	// forward skips.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the
-	// layer output and returns the gradient with respect to the input,
-	// accumulating parameter gradients as a side effect. It must follow
-	// a Forward with train set.
+	// layer output and returns the gradient with respect to the input.
+	// Backward sets the parameter gradients of this call: it overwrites
+	// Param.Grad, never adds to it. It must follow a Forward with train
+	// set.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param

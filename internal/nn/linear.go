@@ -13,7 +13,6 @@ type Linear struct {
 
 	x  *tensor.Tensor // cached input for Backward
 	y  *tensor.Tensor // forward output [N, Out]
-	dw *tensor.Tensor // per-step weight gradient [In, Out]
 	dx *tensor.Tensor // input gradient [N, In]
 }
 
@@ -48,23 +47,23 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward accumulates dW = xᵀ·dy and db = Σ rows(dy), returning dx = dy·Wᵀ.
+// Backward sets dW = xᵀ·dy and db = Σ rows(dy), returning dx = dy·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.backwardParams(dy)
 	l.dx = tensor.Ensure(l.dx, dy.Dim(0), l.In)
 	return tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
 }
 
-// backwardParams is the half of Backward that accumulates dW and db.
+// backwardParams is the half of Backward that sets dW and db (from +0).
 func (l *Linear) backwardParams(dy *tensor.Tensor) {
-	l.dw = tensor.Ensure(l.dw, l.In, l.Out)
-	tensor.MatMulTransAInto(l.dw, l.x, dy)
-	l.W.Grad.AddInPlace(l.dw)
+	tensor.MatMulTransAInto(l.W.Grad, l.x, dy)
+	db := l.B.Grad.Data
+	clear(db)
 	n := dy.Dim(0)
 	for i := 0; i < n; i++ {
 		row := dy.Data[i*l.Out : (i+1)*l.Out]
 		for j := range row {
-			l.B.Grad.Data[j] += row[j]
+			db[j] += row[j]
 		}
 	}
 }

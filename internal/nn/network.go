@@ -29,8 +29,8 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward pushes the output gradient back through the layers,
-// accumulating parameter gradients. Nothing trains on the gradient with
+// Backward pushes the output gradient back through the layers, setting
+// every parameter gradient. Nothing trains on the gradient with
 // respect to the network's input, so the walk ends at the first layer
 // that has parameters: it runs only the parameter half of its Backward,
 // no layer below it (a Flatten in front of an MLP, say) is called, and
@@ -71,7 +71,8 @@ func (n *Network) Params() []*Param {
 	return n.params
 }
 
-// ZeroGrad clears every parameter gradient.
+// ZeroGrad clears every parameter gradient (see Param.ZeroGrad: training
+// does not need it).
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
 		p.ZeroGrad()

@@ -87,7 +87,10 @@ func (t *Trace) SetProcessName(pid int, name string) {
 // Complete records one "X" complete event spanning [start, start+d).
 // span identifies this event and parent its enclosing span ("" for a
 // root); both land in args alongside extraArgs, which may be nil and is
-// not retained.
+// not retained. The event's end is truncated to a microsecond like its
+// start, and Dur is their difference: a span that lies inside another to
+// the nanosecond lies inside it on the microsecond grid too, which a
+// duration truncated on its own does not guarantee.
 func (t *Trace) Complete(name, cat string, pid, tid int, start time.Time, d time.Duration, span, parent string, extraArgs map[string]any) {
 	if t == nil {
 		return
@@ -102,10 +105,11 @@ func (t *Trace) Complete(name, cat string, pid, tid int, start time.Time, d time
 	if parent != "" {
 		args["parent"] = parent
 	}
+	begin := start.Sub(t.start)
 	ev := TraceEvent{
 		Name: name, Cat: cat, Ph: "X",
-		Ts:  start.Sub(t.start).Microseconds(),
-		Dur: d.Microseconds(),
+		Ts:  begin.Microseconds(),
+		Dur: (begin + d).Microseconds() - begin.Microseconds(),
 		Pid: pid, Tid: tid, Args: args,
 	}
 	t.mu.Lock()

@@ -133,3 +133,36 @@ func TestTraceConcurrentRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTraceContainmentSurvivesMicrosecondGrid: spans nested to the
+// nanosecond must validate as nested once recorded in microseconds,
+// wherever inside a microsecond their ends fall. Each case is a child
+// ending at or just before its parent's end; offsets are nanoseconds
+// from the trace's start.
+func TestTraceContainmentSurvivesMicrosecondGrid(t *testing.T) {
+	cases := []struct {
+		name                                         string
+		parentStart, parentEnd, childStart, childEnd time.Duration
+	}{
+		{"parent starts late in its microsecond", 1399600, 1555500, 1552300, 1555400},
+		{"ends share a nanosecond", 1399999, 1555001, 1552999, 1555001},
+		{"child is the parent", 900, 2100, 900, 2100},
+		{"child ends on a microsecond boundary", 700, 5000, 4999, 5000},
+		{"everything inside one microsecond", 1100, 1900, 1200, 1800},
+		{"whole microseconds", 1000, 9000, 2000, 9000},
+	}
+	for _, c := range cases {
+		tr := NewTrace(0)
+		at := func(offset time.Duration) time.Time { return tr.start.Add(offset) }
+		tr.Complete("parent", "test", 1, 0, at(c.parentStart), c.parentEnd-c.parentStart, "p", "", nil)
+		tr.Complete("child", "test", 1, 1, at(c.childStart), c.childEnd-c.childStart, "c", "p", nil)
+		if err := ValidateTraceEvents(tr.Events()); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		for _, e := range tr.Events() {
+			if e.Name == "child" && e.Ts+e.Dur != c.childEnd.Microseconds() {
+				t.Errorf("%s: child ends at %d µs, want %d", c.name, e.Ts+e.Dur, c.childEnd.Microseconds())
+			}
+		}
+	}
+}

@@ -60,35 +60,39 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 	return &SGD{lr: lr, Momentum: momentum}
 }
 
-// Step applies one SGD update.
+// Step applies one SGD update: v ← µv + (g + λw); w ← w − η·v. Momentum
+// and weight decay are tested per parameter and g, v resliced to len(w),
+// so the element loops carry no branch and no bounds check.
 func (s *SGD) Step(params []*nn.Param) {
 	s.t++
-	if s.Momentum == 0 {
-		for _, p := range params {
-			g := p.Grad.Data
-			w := p.Value.Data
-			for i := range w {
-				d := g[i]
-				if s.WeightDecay != 0 {
-					d += s.WeightDecay * w[i]
-				}
-				w[i] -= s.lr * d
-			}
-		}
-		return
+	lr, mu, wd := s.lr, s.Momentum, s.WeightDecay
+	if mu != 0 {
+		s.ensureState(params)
 	}
-	s.ensureState(params)
 	for j, p := range params {
-		g := p.Grad.Data
 		w := p.Value.Data
-		v := s.velocity[j]
-		for i := range w {
-			d := g[i]
-			if s.WeightDecay != 0 {
-				d += s.WeightDecay * w[i]
+		g := p.Grad.Data[:len(w)]
+		switch {
+		case mu == 0 && wd == 0:
+			for i := range w {
+				w[i] -= lr * g[i]
 			}
-			v[i] = s.Momentum*v[i] + d
-			w[i] -= s.lr * v[i]
+		case mu == 0:
+			for i := range w {
+				w[i] -= lr * (g[i] + wd*w[i])
+			}
+		case wd == 0:
+			v := s.velocity[j][:len(w)]
+			for i := range w {
+				v[i] = mu*v[i] + g[i]
+				w[i] -= lr * v[i]
+			}
+		default:
+			v := s.velocity[j][:len(w)]
+			for i := range w {
+				v[i] = mu*v[i] + (g[i] + wd*w[i])
+				w[i] -= lr * v[i]
+			}
 		}
 	}
 }

@@ -210,3 +210,65 @@ func TestSGDVelocityReallocatedOnParamChange(t *testing.T) {
 	q3.p.Grad.Data[0] = 1
 	s.Step([]*nn.Param{q2.p, q3.p})
 }
+
+// sgdStepPerElement is SGD.Step as it was written with the weight-decay
+// test inside the element loop; velocity is nil without momentum.
+func sgdStepPerElement(w, g, velocity []float64, lr, momentum, weightDecay float64) {
+	for i := range w {
+		d := g[i]
+		if weightDecay != 0 {
+			d += weightDecay * w[i]
+		}
+		if velocity == nil {
+			w[i] -= lr * d
+			continue
+		}
+		velocity[i] = momentum*velocity[i] + d
+		w[i] -= lr * velocity[i]
+	}
+}
+
+// TestSGDStepMatchesPerElementLoop: the four branch-free loops of
+// SGD.Step — momentum or not, weight decay or not — leave the weights the
+// per-element loop leaves, to the bit, over 20 steps with a Reset among
+// them.
+func TestSGDStepMatchesPerElementLoop(t *testing.T) {
+	const lr, steps, resetAt = 0.05, 20, 11
+	for _, momentum := range []float64{0, 0.9} {
+		for _, weightDecay := range []float64{0, 1e-4} {
+			rng := tensor.NewRNG(31)
+			var params []*nn.Param
+			var want, velocity [][]float64
+			for _, n := range []int{37, 5, 1} {
+				p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
+				rng.FillNormal(p.Value, 0, 1)
+				params = append(params, p)
+				want = append(want, append([]float64(nil), p.Value.Data...))
+				velocity = append(velocity, nil)
+			}
+			s := NewSGDMomentum(lr, momentum)
+			s.WeightDecay = weightDecay
+			for step := 0; step < steps; step++ {
+				if step == resetAt {
+					s.Reset()
+				}
+				for j, p := range params {
+					rng.FillNormal(p.Grad, 0, 1)
+					if momentum != 0 && (velocity[j] == nil || step == resetAt) {
+						velocity[j] = make([]float64, len(want[j]))
+					}
+					sgdStepPerElement(want[j], p.Grad.Data, velocity[j], lr, momentum, weightDecay)
+				}
+				s.Step(params)
+				for j, p := range params {
+					for i, v := range p.Value.Data {
+						if math.Float64bits(v) != math.Float64bits(want[j][i]) {
+							t.Fatalf("momentum %v, weight decay %v, step %d: w[%d][%d] = %v, the per-element loop gives %v",
+								momentum, weightDecay, step, j, i, v, want[j][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

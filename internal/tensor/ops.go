@@ -60,7 +60,7 @@ func (t *Tensor) Fill(v float64) {
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Apply replaces every element x with f(x).
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {

@@ -45,11 +45,12 @@ fi
 echo "== go build =="
 go build ./...
 
-echo "== cross-build without the amd64 kernels (arm64) =="
-# Every dispatcher in simd_amd64.go needs its portable twin in
-# simd_generic.go; only a build for another architecture sees one missing.
-GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/tensor ./internal/nn
+echo "== cross-build: no amd64 kernels (arm64), big-endian payload path (s390x) =="
+# arm64: a simd_amd64.go dispatcher without its simd_generic.go twin. s390x: big-endian; fednet picks its payload body at run time (hostLE), so today this only guards against a future endian-tagged file.
+for arch in arm64 s390x; do
+    GOARCH=$arch go build ./...
+    GOARCH=$arch go vet ./internal/tensor ./internal/nn ./internal/fednet
+done
 
 echo "== go test =="
 go test ./...
@@ -75,7 +76,6 @@ echo "== one level of parallelism + start-vector alias contract (-race, 3x) =="
 go test -race -count=3 \
     -run 'TestSimBitIdenticalAcrossParallelism|TestGoldenModelHash|TestTrainPhaseOnlyReadsInitLocalResult|TestAliasingStrategyMatchesCloningStrategy' \
     ./internal/hfl
-go test -race -count=3 -run 'TestDeviceTrainOnlyReadsPayloadAndCarriedModel' ./internal/fednet
 # Per-sample convolution against the whole-batch reference, the strided
 # matmul, the in-place re-seed, and mobility.Model.Step's storage contract.
 go test -race -count=3 -run 'TestConv2DBatchedMatchesReference|TestConv1DBatchedMatchesReference' ./internal/nn
@@ -107,12 +107,12 @@ go test -race -count=3 \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
-# Frames are assembled and staged in pooled buffers and replies decoded
-# into recycled vectors: 8 writer/reader pairs checking every frame after
-# the next one was read, and a two-edge live-migration cluster whose edge
-# caches are audited against the devices after every round.
+# Pooled frame buffers, replies decoded into recycled vectors, a device's
+# two rotating vectors: 8 writer/reader pairs checking every frame after
+# the next was read, edge caches audited against the devices every round,
+# one device under two edges at once with delayed writes and readers.
 go test -race -count=3 \
-    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden' \
+    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel' \
     ./internal/fednet
 go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState' ./internal/optim
 
