@@ -1,0 +1,162 @@
+package middle_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// unusedAPIAllowlist names, as "<dir>.<Name>", each exported function or
+// method under internal/ or in middle.go that no non-test file names, and
+// why it stays (DESIGN.md, "Capability census"). TestNoUnusedAPI fails on
+// a stale entry too, so the list only shrinks.
+var unusedAPIAllowlist = map[string]string{
+	// The standard library calls these through an interface.
+	"internal/obs/tsdb.MarshalJSON": "encoding/json marshals the dump through it",
+	"internal/robust.MarshalText":   "flag.TextVar and encoding/json call it",
+	"internal/robust.UnmarshalText": "flag.TextVar and encoding/json call it",
+	"internal/fednet.Unwrap":        "errors.Is and errors.As call it",
+
+	// The plain kernels are the references the fast ones are held to.
+	"internal/tensor.Im2Col":       "bits_test.go and kernels_test.go compare the lowering against it",
+	"internal/tensor.Im2Col1D":     "kernels_test.go compares the 1-D lowering against it",
+	"internal/tensor.Col2Im":       "bits_test.go and kernels_test.go compare the scatter against it",
+	"internal/tensor.Col2Im1D":     "kernels_test.go compares the 1-D scatter against it",
+	"internal/tensor.MatMul":       "kernels_test.go and conv_batch_test.go compare the blocked kernels against it",
+	"internal/tensor.MatMulTransA": "nn contract and conv tests rebuild dW with it",
+	"internal/tensor.MatMulTransB": "nn contract tests, conv tests and the golden hash rebuild products with it",
+	"internal/tensor.Transpose2D":  "kernels_test.go and bits_test.go build transposed references with it",
+	"internal/tensor.Dot":          "tensor_test.go checks the vector kernels against it",
+	"internal/simil.Dot":           "alloc_test.go checks the fused DotNorms against it",
+	"internal/simil.Delta":         "alloc_test.go checks DeltaInto and the fused Eq. 12 score against it",
+	"internal/simil.SelectionScore": "simil tests pin Eq. 12's ordering and zero allocation on it; " +
+		"the engines score through SelectionUtilityNorm",
+
+	// Accessors and drivers tests use to observe or steer a capability
+	// that a workload, figure, example or gate runs.
+	"internal/simil.Added":               "stream_test.go counts the accumulator's folds",
+	"internal/hfl.DownEdges":             "selfheal_test.go reads the simulator's dead edges",
+	"internal/hfl.NonFiniteSteps":        "robust_test.go reads the skipped-step count",
+	"internal/hfl.ResidentModels":        "store_test.go reads the lazy store's resident count",
+	"internal/hfl.GlobalLoss":            "sim_test.go checks Eq. 4's objective falls",
+	"internal/hfl.Append":                "history and sim tests assemble histories with it",
+	"internal/fednet.DownEdges":          "membership_test.go reads the cluster's dead edges",
+	"internal/fednet.KillEdge":           "membership and chaos tests kill an in-process edge",
+	"internal/fednet.RestartEdge":        "membership_test.go restarts a killed edge",
+	"internal/fednet.StartRound":         "fednet_chaos_test.go reads the round a cloud resumed from",
+	"internal/fednet.ToleratedFaults":    "chaos and migration tests read absorbed failures",
+	"internal/fednet.PlanFaults":         "fednet_chaos_test.go checks fault plans are deterministic",
+	"internal/fednet.ReadMsgCount":       "FuzzReadMsg and the codec tests read frames with byte counts",
+	"internal/checkpoint.LoadState":      "reads what middle.SaveModel writes; FuzzLoadState and the golden tests drive it",
+	"internal/checkpoint.LoadLatest":     "state and chaos tests resume from unnamed records",
+	"internal/nn.GradVector":             "gradient checks and contract tests read gradients with it",
+	"internal/nn.NewMLP":                 "nn and optim tests build their fixture networks with it",
+	"internal/tensor.HasAVX2":            "golden tests pick the kernel family's constant",
+	"internal/tensor.KernelStatsEnabled": "stats_test.go toggles kernel counting",
+	"internal/tensor.ResetKernelStats":   "stats_test.go zeroes kernel counters",
+	"internal/tensor.Equal":              "tests compare tensors with a tolerance",
+	"internal/tensor.Full":               "tests build constant tensors",
+	"internal/data.PartitionIID":         "hfl and data tests use IID shards as a control",
+	"internal/data.GenerateTask":         "data_test.go checks train and test share a distribution",
+	"internal/data.GenerateImages":       "data tests generate unsplit image sets",
+	"internal/data.GenerateSequences":    "data tests generate unsplit sequence sets",
+	"internal/obs.ReadTraceJSON":         "fednet, hfl, middlesim and bench tests re-parse exported traces",
+	"internal/obs.ValidateTraceEvents":   "fednet, hfl, middlesim and bench tests validate exported traces",
+	"internal/obs.ReadSummary":           "server_test.go reads back a run summary",
+	"internal/obs.Quantile":              "quantile_test.go checks the histogram estimate the tsdb shares",
+	"internal/obs.SetFamilyBudget":       "cardinality_test.go sets small budgets",
+
+	// Exercised by its own unit test alone: the next census cut.
+	"internal/tensor.Apply":            "tests only (TestApply)",
+	"internal/tensor.Fill":             "tests only",
+	"internal/tensor.Permutation":      "tests only (TestPermutationIsPermutation)",
+	"internal/obs/flight.CapturePanic": "tests only (TestCapturePanicRecaptures)",
+	"internal/data.ClassCounts":        "tests only",
+	"internal/data.LabelHistogram":     "tests only",
+	"internal/data.MajorClassOf":       "tests only",
+	"internal/nn.OutLen":               "tests only",
+	"internal/nn.OutShape":             "tests only",
+	"internal/mobility.Position":       "tests only",
+}
+
+// TestNoUnusedAPI is the census gate: an exported function or a method
+// declared under internal/ or in middle.go must be named by some non-test
+// .go file of the module other than by its own declaration, or be
+// allowlisted with a reason. It matches bare names, so any use of the
+// same name anywhere counts: the gate misses dead code that shares a name
+// with live code, but never flags live code.
+func TestNoUnusedAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	uses := map[string]int{}       // identifier → occurrences in non-test files
+	declared := map[string]int{}   // bare name → declarations of it
+	where := map[string][]string{} // "<dir>.<Name>" → declaration positions
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "results") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		p = filepath.ToSlash(p)
+		if p != "middle.go" && !strings.HasPrefix(p, "internal/") {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || (fd.Recv == nil && !fd.Name.IsExported()) {
+				continue
+			}
+			declared[fd.Name.Name]++
+			key := path.Dir(p) + "." + fd.Name.Name
+			where[key] = append(where[key], fset.Position(fd.Pos()).String())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for key, pos := range where {
+		name := key[strings.LastIndexByte(key, '.')+1:]
+		if uses[name] > declared[name] {
+			if _, ok := unusedAPIAllowlist[key]; ok {
+				t.Errorf("%s is allowlisted but now used: delete its entry", key)
+			}
+			continue
+		}
+		if _, ok := unusedAPIAllowlist[key]; !ok {
+			unused = append(unused, key+" ("+strings.Join(pos, ", ")+")")
+		}
+	}
+	for key := range unusedAPIAllowlist {
+		if where[key] == nil {
+			t.Errorf("%s is allowlisted but no longer declared: delete its entry", key)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is named by no non-test file: delete it, or allowlist it with a reason", u)
+	}
+}

@@ -11,18 +11,17 @@
 //
 // The -role devices process hosts a contiguous range of device ids and
 // migrates them between the listed edges with a ring-Markov mobility of
-// probability -p at a fixed cadence. For scale-out, -shards (cloud)
-// streams per-shard partial sums instead of gathering every edge model,
-// and -mux N (devices) hosts N devices per client: one connection per
-// edge and one model instance for the group (1 = a client per device).
+// probability -p at a fixed cadence. For scale-out, -mux N (devices)
+// hosts N devices per client: one connection per edge and one model
+// instance for the group (1 = a client per device).
 // Every other devices-role flag works the same at any -mux.
 //
 // Flags, by the struct they fill (registerFlags): experiments.CLI takes
 // -task -scale -seed and the observability flags; fednet.CloudConfig
-// -edges -rounds -tc -min-edges -shards -membership -lease-interval
+// -edges -rounds -tc -min-edges -membership -lease-interval
 // -round-interval; fednet.EdgeConfig -id -cloud -k -quorum
-// -round-deadline -device-lease-rounds -live-migration -sel-norm-cap
-// and, shared with the cloud, -addr -checkpoint-dir -checkpoint-every
+// -round-deadline -live-migration -sel-norm-cap and, shared with the
+// cloud, -addr -checkpoint-dir -checkpoint-every
 // -aggregator -trim-frac -norm-bound; fednet.FaultConfig -fault-seed and
 // the five device→edge -*-rate flags; the devices role's own options
 // -edgeaddrs -from -to -p -movems -mux -failover.
@@ -87,7 +86,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Rounds, "rounds", 50, "rounds to coordinate (cloud role)")
 	fs.IntVar(&c.CloudInterval, "tc", 10, "cloud interval T_c (cloud role)")
 	fs.IntVar(&c.MinEdges, "min-edges", 0, "cloud role: degrade gracefully down to this many live edges (0 = any edge loss is fatal)")
-	fs.IntVar(&c.Shards, "shards", 1, "cloud role: partition edges across this many aggregator shards with streamed partial sums (mean aggregation only)")
 	fs.BoolVar(&c.Membership.Enabled, "membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
 	fs.DurationVar(&c.Membership.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
 	fs.DurationVar(&c.RoundInterval, "round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
@@ -103,7 +101,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
 	fs.IntVar(&e.Quorum, "quorum", 0, "edge role: minimum responders per round before aggregating (0 = 1)")
 	fs.DurationVar(&e.RoundDeadline, "round-deadline", 0, "edge role: per-round training deadline; stragglers past it are excluded (0 = network timeout)")
-	fs.IntVar(&e.DeviceLeaseRounds, "device-lease-rounds", 0, "edge role: evict a device alone on its connection not seen for this many rounds (0 = off)")
 	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: accept and push stateful edge-to-edge handovers; devices role: notify the source edge before each move so it pushes the mover's state")
 
 	// The devices role: its own flags, then fednet.FaultConfig.
@@ -196,8 +193,8 @@ func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
 	// Graceful shutdown: finish the in-flight round, write a final
 	// checkpoint, then let main's trace/tsdb flushes run.
 	onSignal(c.Stop)
-	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d, shards=%d, membership=%v)",
-		c.Addr(), cfg.Edges, cfg.Rounds, cfg.CloudInterval, cfg.Shards, cfg.Membership.Enabled)
+	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d, membership=%v)",
+		c.Addr(), cfg.Edges, cfg.Rounds, cfg.CloudInterval, cfg.Membership.Enabled)
 	if err := c.Run(); err != nil {
 		o.Fatalf("%v", err)
 	}

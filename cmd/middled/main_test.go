@@ -94,12 +94,12 @@ func TestFlagsLandInConfigs(t *testing.T) {
 	o := parse(t, "-role", "edge", "-id", "3", "-cloud", "c:1", "-addr", ":7103", "-k", "7", "-quorum", "2",
 		"-round-deadline", "3s", "-aggregator", "trimmed-mean", "-trim-frac", "0.1", "-norm-bound", "2",
 		"-sel-norm-cap", "9", "-checkpoint-dir", "ck", "-checkpoint-every", "4", "-live-migration",
-		"-device-lease-rounds", "5", "-seed", "11", "-metrics-addr", ":0", "-slo", "default")
+		"-seed", "11", "-metrics-addr", ":0", "-slo", "default")
 	wantEdge := fednet.EdgeConfig{
 		EdgeID: 3, CloudAddr: "c:1", Addr: ":7103", K: 7, Quorum: 2, RoundDeadline: 3 * time.Second,
 		Aggregator: robust.AggTrimmedMean, TrimFrac: 0.1,
 		Validate:         robust.ValidatorConfig{Enabled: true, NormBound: 2},
-		SelectionNormCap: 9, CheckpointDir: "ck", CheckpointEvery: 4, LiveMigration: true, DeviceLeaseRounds: 5,
+		SelectionNormCap: 9, CheckpointDir: "ck", CheckpointEvery: 4, LiveMigration: true,
 	}
 	if !reflect.DeepEqual(o.edge, wantEdge) {
 		t.Errorf("edge config\n got %+v\nwant %+v", o.edge, wantEdge)
@@ -108,10 +108,10 @@ func TestFlagsLandInConfigs(t *testing.T) {
 		t.Errorf("shared flags: role %q seed %d metrics %+v", o.role, o.Seed, o.Metrics)
 	}
 
-	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3", "-min-edges", "2", "-shards", "2",
+	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3", "-min-edges", "2",
 		"-membership", "-lease-interval", "250ms", "-round-interval", "1s")
 	wantCloud := fednet.CloudConfig{
-		Edges: 4, Rounds: 9, CloudInterval: 3, MinEdges: 2, Shards: 2, RoundInterval: time.Second,
+		Edges: 4, Rounds: 9, CloudInterval: 3, MinEdges: 2, RoundInterval: time.Second,
 		Membership: fednet.MembershipConfig{Enabled: true, LeaseInterval: 250 * time.Millisecond},
 	}
 	if !reflect.DeepEqual(o.cloud, wantCloud) {

@@ -20,8 +20,8 @@
 // them); an hfl.Config takes the simulator's fault, migration,
 // self-healing, aggregation and adversary knobs and is laid over the
 // config of -exp run and of -exp scale's simulator path; scaleOpts takes
-// the -exp scale topology (-devices -edges -k -tc -resident-cap -shards
-// -mux -membership); the rest select the run and its outputs.
+// the -exp scale topology (-devices -edges -k -tc -resident-cap -mux
+// -membership); the rest select the run and its outputs.
 package main
 
 import (
@@ -85,7 +85,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Quorum, "quorum", 0, "minimum surviving responders per edge-step before Eq. 6 applies (0 = off)")
 	fs.Float64Var(&c.DropRate, "drop-rate", 0, "probability a selected device's round-trip is lost")
 	fs.Int64Var(&c.FaultSeed, "fault-seed", 0, "seed for the deterministic simulated drops, lost handovers and edge crashes")
-	fs.BoolVar(&c.LiveMigration, "live-migration", false, "stateful handover on mobility steps: mirrored in the simulator, real on the -exp scale deployment (-shards/-mux)")
+	fs.BoolVar(&c.LiveMigration, "live-migration", false, "stateful handover on mobility steps: mirrored in the simulator, real on the -exp scale deployment (-mux)")
 	fs.Float64Var(&c.MigrationFailRate, "migration-fail-rate", 0, "probability a handover is lost in transit and the mover falls back to drop-and-reconnect (requires -live-migration)")
 	fs.BoolVar(&c.SelfHealing, "self-healing", false, "simulate edge crashes with automatic device re-homing (the simulator's mirror of fednet's failover)")
 	fs.Float64Var(&c.EdgeFailRate, "edge-fail-rate", 0, "per-edge per-step crash probability for -self-healing (0 = no crashes)")
@@ -98,16 +98,15 @@ func registerFlags(fs *flag.FlagSet) *options {
 
 	// scaleOpts, -exp scale only. The simulator path (default) uses the
 	// lazy device store, so memory is bounded by the cohort and the cap,
-	// not -devices; -shards/-mux run the in-process deployment instead.
+	// not -devices; -mux runs the in-process deployment instead.
 	sc := &o.scale
 	fs.IntVar(&sc.devices, "devices", 0, "-exp scale: device population size (0 = task default)")
 	fs.IntVar(&sc.edges, "edges", 0, "-exp scale: edge server count (0 = task default)")
 	fs.IntVar(&sc.k, "k", 0, "-exp scale: devices selected per edge per step (0 = task default)")
 	fs.IntVar(&sc.tc, "tc", 0, "-exp scale: cloud aggregation interval T_c in steps (0 = task default)")
 	fs.IntVar(&sc.residentCap, "resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
-	fs.IntVar(&sc.shards, "shards", 1, "-exp scale: cloud aggregator shards; >1 runs the in-process fednet deployment with streamed partial sums (mean aggregation only)")
 	fs.IntVar(&sc.mux, "mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
-	fs.BoolVar(&sc.membership, "membership", false, "-exp scale deployment (-shards/-mux): enable the lease-based failure detector and membership epochs on the in-process fednet cluster")
+	fs.BoolVar(&sc.membership, "membership", false, "-exp scale deployment (-mux): enable the lease-based failure detector and membership epochs on the in-process fednet cluster")
 	return o
 }
 

@@ -14,6 +14,7 @@ import (
 	"middle"
 	"middle/internal/experiments"
 	"middle/internal/obs"
+	"middle/internal/robust"
 )
 
 func TestParseStrategiesDefault(t *testing.T) {
@@ -171,13 +172,13 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 		"self-healing": {[]string{"-self-healing", "-edge-fail-rate", "0.1", "-edge-recover-steps", "4"},
 			func(c *middle.Config) { c.SelfHealing, c.EdgeFailRate, c.EdgeRecoverSteps = true, 0.1, 4 }},
 		"norm bound": {[]string{"-norm-bound", "2"},
-			func(c *middle.Config) { c.Validate = middle.ValidatorConfig{Enabled: true, NormBound: 2} }},
+			func(c *middle.Config) { c.Validate = robust.ValidatorConfig{Enabled: true, NormBound: 2} }},
 		"norm bound off": {[]string{"-norm-bound", "2", "-norm-bound", "0"}, func(*middle.Config) {}},
 		"aggregation": {[]string{"-aggregator", "median", "-trim-frac", "0.3", "-sel-norm-cap", "5"},
-			func(c *middle.Config) { c.Aggregator, c.TrimFrac, c.SelectionNormCap = middle.AggMedian, 0.3, 5 }},
+			func(c *middle.Config) { c.Aggregator, c.TrimFrac, c.SelectionNormCap = robust.AggMedian, 0.3, 5 }},
 		"adversary": {[]string{"-adversary-fraction", "0.2", "-adversary-mode", "noise", "-adversary-scale", "3", "-adversary-seed", "9"},
 			func(c *middle.Config) {
-				c.Adversary = middle.Adversary{Fraction: 0.2, Mode: middle.AdvNoise, Scale: 3, Seed: 9}
+				c.Adversary = robust.Adversary{Fraction: 0.2, Mode: robust.AdvNoise, Scale: 3, Seed: 9}
 			}},
 	} {
 		o, err := parse(t, tc.args...)
@@ -196,13 +197,13 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 
 func TestFlagsLandInScaleAndShared(t *testing.T) {
 	o, err := parse(t, "-exp", "scale", "-devices", "20000", "-edges", "20", "-k", "4", "-tc", "5",
-		"-resident-cap", "99", "-shards", "2", "-mux", "8", "-membership", "-seed", "5", "-task", "emnist",
+		"-resident-cap", "99", "-mux", "8", "-membership", "-seed", "5", "-task", "emnist",
 		"-tsdb-out", "t.json", "-tsdb-interval", "50ms", "-flight-dir", "fd", "-profile-interval", "2s",
 		"-results", "res", "-trace-out", "tr.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, shards: 2, mux: 8, membership: true}); o.scale != want {
+	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, mux: 8, membership: true}); o.scale != want {
 		t.Errorf("scale flags\n got %+v\nwant %+v", o.scale, want)
 	}
 	wantMetrics := experiments.MetricsConfig{TSDBOut: "t.json", TSDBInterval: 50 * time.Millisecond,

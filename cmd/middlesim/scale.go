@@ -9,8 +9,8 @@ import (
 	"middle/internal/obs"
 )
 
-// maxClusterDevices bounds the -exp scale deployment path: -shards/-mux
-// spawn real loopback sockets and goroutines, so population-scale runs
+// maxClusterDevices bounds the -exp scale deployment path: -mux spawns
+// real loopback sockets and goroutines, so population-scale runs
 // belong to the simulator path (lazy store), not the cluster path.
 const maxClusterDevices = 4096
 
@@ -19,14 +19,13 @@ const maxClusterDevices = 4096
 type scaleOpts struct {
 	devices, edges, k, tc int
 	residentCap           int
-	shards, mux           int
+	mux                   int
 	membership            bool
 }
 
 // deployment reports whether the options select the in-process fednet
-// cluster (sharded cloud and/or multiplexed devices) instead of the
-// lazy-store simulator.
-func (o scaleOpts) deployment() bool { return o.shards > 1 || o.mux > 1 }
+// cluster (multiplexed devices) instead of the lazy-store simulator.
+func (o scaleOpts) deployment() bool { return o.mux > 1 }
 
 // validateScale rejects nonsensical flag combinations with an
 // actionable message. It expects resolved (non-zero) topology values;
@@ -38,8 +37,8 @@ func validateScale(o scaleOpts, selfHealing bool) error {
 	if o.edges > o.devices {
 		return fmt.Errorf("%d edges exceed %d devices", o.edges, o.devices)
 	}
-	if o.shards < 1 || o.mux < 1 {
-		return fmt.Errorf("-shards and -mux must be ≥ 1, got %d and %d", o.shards, o.mux)
+	if o.mux < 1 {
+		return fmt.Errorf("-mux must be ≥ 1, got %d", o.mux)
 	}
 	if o.residentCap < 0 {
 		return fmt.Errorf("-resident-cap must be ≥ 0, got %d", o.residentCap)
@@ -47,32 +46,29 @@ func validateScale(o scaleOpts, selfHealing bool) error {
 	if cohort := o.k * o.edges; o.residentCap > 0 && o.residentCap < cohort {
 		return fmt.Errorf("-resident-cap %d is smaller than the cohort k×edges = %d; a full cohort must stay materialized", o.residentCap, cohort)
 	}
-	if o.shards > o.edges {
-		return fmt.Errorf("-shards %d exceeds %d edges; shards partition edges", o.shards, o.edges)
-	}
 	if o.deployment() {
 		if o.devices > maxClusterDevices {
-			return fmt.Errorf("-shards/-mux run a real in-process deployment; cap -devices at %d (got %d) or drop them to use the lazy-store simulator", maxClusterDevices, o.devices)
+			return fmt.Errorf("-mux runs a real in-process deployment; cap -devices at %d (got %d) or drop them to use the lazy-store simulator", maxClusterDevices, o.devices)
 		}
 		if o.residentCap > 0 {
-			return fmt.Errorf("-resident-cap applies to the simulator path and cannot combine with -shards/-mux")
+			return fmt.Errorf("-resident-cap applies to the simulator path and cannot combine with -mux")
 		}
 		if selfHealing {
-			return fmt.Errorf("-self-healing is the simulator mirror; on the -shards/-mux deployment use -membership (the lease-based detector) instead")
+			return fmt.Errorf("-self-healing is the simulator mirror; on the -mux deployment use -membership (the lease-based detector) instead")
 		}
 	} else if o.membership {
-		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-shards/-mux); use -self-healing for the simulator")
+		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-mux); use -self-healing for the simulator")
 	}
 	return nil
 }
 
 // runScale is the -exp scale entry point: a population-scale run whose
-// per-round cost is bounded by the cohort, not the fleet. Without
-// -shards/-mux it runs the hfl simulator with the lazy device store;
-// with them it runs the in-process fednet deployment (sharded cloud,
-// multiplexed device clients). Either way it reports the process's peak
-// RSS so scripts can assert the memory ceiling; the simulator path adds
-// the population-wide select phase's and the training phase's seconds.
+// per-round cost is bounded by the cohort, not the fleet. Without -mux
+// it runs the hfl simulator with the lazy device store; with it, the
+// in-process fednet deployment (multiplexed device clients). Either way
+// it reports the process's peak RSS so scripts can assert the memory
+// ceiling; the simulator path adds the population-wide select phase's
+// and the training phase's seconds.
 func (o *options) runScale(task middle.TaskName) {
 	sc := o.scale
 	setup := o.Attach(experiments.NewScaleSetup(task, o.Seed, sc.devices, sc.edges, sc.k, sc.tc))
@@ -95,7 +91,7 @@ func (o *options) runScale(task middle.TaskName) {
 			Rounds: steps, K: sc.k, LocalSteps: setup.I, BatchSize: setup.BatchSize,
 			CloudInterval: sc.tc, Strategy: strat, Partition: part,
 			Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mob,
-			Seed: o.Seed, Shards: sc.shards, Mux: sc.mux,
+			Seed: o.Seed, Mux: sc.mux,
 			LiveMigration: o.sim.LiveMigration,
 			Membership:    fednet.MembershipConfig{Enabled: sc.membership},
 			Obs:           o.M.Registry(), Trace: o.Trace,
@@ -127,11 +123,11 @@ func (o *options) runScale(task middle.TaskName) {
 }
 
 // runScaleDeployment runs the fednet cluster variant of -exp scale:
-// real loopback sockets, a K-sharded cloud and N-virtual-device
-// multiplexers, at a necessarily smaller population.
+// real loopback sockets and N-virtual-device multiplexers, at a
+// necessarily smaller population.
 func (o *options) runScaleDeployment(setup *experiments.TaskSetup, sc scaleOpts, cfg fednet.ClusterConfig) {
-	fmt.Printf("=== Scale-out deployment (%s): %d devices / %d edges, shards=%d, mux=%d ===\n",
-		setup.Task, sc.devices, sc.edges, sc.shards, sc.mux)
+	fmt.Printf("=== Scale-out deployment (%s): %d devices / %d edges, mux=%d ===\n",
+		setup.Task, sc.devices, sc.edges, sc.mux)
 	c, err := fednet.StartCluster(cfg)
 	if err != nil {
 		o.fatalf("%v", err)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestValidateScale(t *testing.T) {
-	ok := scaleOpts{devices: 1000, edges: 10, k: 2, tc: 5, shards: 1, mux: 1}
+	ok := scaleOpts{devices: 1000, edges: 10, k: 2, tc: 5, mux: 1}
 	if err := validateScale(ok, false); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -23,10 +23,9 @@ func TestValidateScale(t *testing.T) {
 		"cap below cohort":    {func(o *scaleOpts) { o.residentCap = 19 }, "cohort"},
 		"more edges":          {func(o *scaleOpts) { o.edges = 2000 }, "exceed"},
 		"zero k":              {func(o *scaleOpts) { o.k = 0 }, "positive"},
-		"zero shards":         {func(o *scaleOpts) { o.shards = 0 }, "≥ 1"},
-		"shards over edges":   {func(o *scaleOpts) { o.shards = 11 }, "partition edges"},
+		"zero mux":            {func(o *scaleOpts) { o.mux = 0 }, "≥ 1"},
 		"huge deployment":     {func(o *scaleOpts) { o.mux = 4; o.devices = 100000 }, "cap -devices"},
-		"cap with deployment": {func(o *scaleOpts) { o.shards = 2; o.residentCap = 100 }, "cannot combine"},
+		"cap with deployment": {func(o *scaleOpts) { o.mux = 2; o.residentCap = 100 }, "cannot combine"},
 	} {
 		o := ok
 		tc.mutate(&o)

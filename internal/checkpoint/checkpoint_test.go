@@ -11,8 +11,8 @@ import (
 	"middle/internal/tensor"
 )
 
-// saveModel and loadModel are what middle.SaveModel and middle.LoadModel
-// do: a named model vector is a State of just those two fields.
+// saveModel is what middle.SaveModel does, and loadModel reads it back:
+// a named model vector is a State of just those two fields.
 func saveModel(w io.Writer, name string, vec []float64) error {
 	return SaveState(w, State{Name: name, Model: vec})
 }

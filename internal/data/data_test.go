@@ -168,48 +168,6 @@ func TestSpeechProfileIsSparse(t *testing.T) {
 	}
 }
 
-func TestGaussianBlobsSeparable(t *testing.T) {
-	d := GaussianBlobs("blobs", 5, 3, 150, 3.0, 0.3, 11)
-	// Nearest-centroid on the generated data should be near perfect.
-	centroids := make([][]float64, 3)
-	counts := make([]int, 3)
-	for c := range centroids {
-		centroids[c] = make([]float64, 5)
-	}
-	for i := 0; i < d.Len(); i++ {
-		y := d.Label(i)
-		counts[y]++
-		for j, v := range d.Sample(i) {
-			centroids[y][j] += v
-		}
-	}
-	for c := range centroids {
-		for j := range centroids[c] {
-			centroids[c][j] /= float64(counts[c])
-		}
-	}
-	correct := 0
-	for i := 0; i < d.Len(); i++ {
-		best, bi := math.Inf(1), -1
-		for c := range centroids {
-			s := 0.0
-			for j, v := range d.Sample(i) {
-				diff := v - centroids[c][j]
-				s += diff * diff
-			}
-			if s < best {
-				best, bi = s, c
-			}
-		}
-		if bi == d.Label(i) {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(d.Len()); acc < 0.95 {
-		t.Fatalf("blob nearest-centroid accuracy %v", acc)
-	}
-}
-
 func TestPartitionMajorClass(t *testing.T) {
 	d := GenerateImages(FastImageProfile(5), 500, 1)
 	p := PartitionMajorClass(d, 10, 40, 0.8, 2)

@@ -229,39 +229,6 @@ func PartitionIID(d *Dataset, numDevices, perDevice int, seed int64) *Partition 
 	return &Partition{Dataset: d, Indices: indices}
 }
 
-// WithLabelNoise models heterogeneous device data quality: a fraction of
-// devices are "noisy" and have a fraction of their samples relabelled
-// uniformly at random. Real federated corpora (crowd-recorded speech,
-// user-labelled images) exhibit exactly this per-device quality skew; it
-// is what keeps pure loss-based device selection from dominating, since
-// noisy devices retain high training loss forever. The parent dataset is
-// not modified: the result wraps a copy of the labels.
-func (p *Partition) WithLabelNoise(fracDevices, fracSamples float64, seed int64) *Partition {
-	if fracDevices < 0 || fracDevices > 1 || fracSamples < 0 || fracSamples > 1 {
-		panic(fmt.Sprintf("data: noise fractions (%v, %v) outside [0,1]", fracDevices, fracSamples))
-	}
-	d := p.Dataset
-	labels := make([]int, d.Len())
-	copy(labels, d.labels)
-	rng := tensor.Split(seed, 0x401E)
-	for m := range p.Indices {
-		if rng.Float64() >= fracDevices {
-			continue
-		}
-		for _, i := range p.Indices[m] {
-			if rng.Float64() < fracSamples {
-				labels[i] = rng.Intn(d.Classes)
-			}
-		}
-	}
-	noisy := NewDataset(d.Name+"+noise", d.Shape, d.Classes, d.data, labels)
-	indices := make([][]int, len(p.Indices))
-	for m := range indices {
-		indices[m] = append([]int(nil), p.Indices[m]...)
-	}
-	return &Partition{Dataset: noisy, Indices: indices}
-}
-
 // MajorClassOf returns the most frequent label in the device's shard,
 // useful for assertions and diagnostics.
 func (p *Partition) MajorClassOf(device int) int {

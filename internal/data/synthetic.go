@@ -187,33 +187,6 @@ func GenerateSequencesSplit(p SequenceProfile, n int, protoSeed, sampleSeed int6
 	return NewDataset(p.Name, []int{1, p.L}, p.Classes, data, labels)
 }
 
-// GaussianBlobs generates a simple d-dimensional Gaussian-mixture task
-// (one spherical blob per class), used for smoke tests and the theory
-// experiments where convex models suffice.
-func GaussianBlobs(name string, d, classes, n int, sep, noise float64, seed int64) *Dataset {
-	centers := make([][]float64, classes)
-	for cls := 0; cls < classes; cls++ {
-		rng := tensor.Split(seed, int64(3000+cls))
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = sep * rng.NormFloat64()
-		}
-		centers[cls] = c
-	}
-	rng := tensor.Split(seed, 0xB10B)
-	data := make([]float64, n*d)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		cls := i % classes
-		labels[i] = cls
-		dst := data[i*d : (i+1)*d]
-		for j := range dst {
-			dst[j] = centers[cls][j] + noise*rng.NormFloat64()
-		}
-	}
-	return NewDataset(name, []int{d}, classes, data, labels)
-}
-
 func clamp(x, lo, hi int) int {
 	if x < lo {
 		return lo

@@ -73,18 +73,6 @@ func AggregateSeries(runs []Series) Band {
 // MeanSeries returns the band's mean as a plain series for plotting.
 func (b Band) MeanSeries() Series { return Series{Name: b.Name, X: b.X, Y: b.Mean} }
 
-// MaxStd returns the largest deviation in the band, a quick dispersion
-// summary.
-func (b Band) MaxStd() float64 {
-	m := 0.0
-	for _, s := range b.Std {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // TTAStats summarises time-to-accuracy over repeated runs.
 type TTAStats struct {
 	Strategy  string

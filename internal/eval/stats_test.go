@@ -39,9 +39,6 @@ func TestAggregateSeries(t *testing.T) {
 	if math.Abs(b.Std[0]-wantStd) > 1e-12 {
 		t.Fatalf("std %v, want %v", b.Std[0], wantStd)
 	}
-	if b.MaxStd() != b.Std[0] {
-		t.Fatalf("MaxStd %v", b.MaxStd())
-	}
 	ms := b.MeanSeries()
 	if ms.Y[1] != 0.9 {
 		t.Fatalf("MeanSeries %v", ms)

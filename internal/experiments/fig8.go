@@ -38,14 +38,3 @@ func RunFig8(setup *TaskSetup, strategies []hfl.Strategy, tcs []int, p float64, 
 	}
 	return res
 }
-
-// FinalAccuracies summarises each curve's final accuracy.
-func (r Fig8Result) FinalAccuracies() map[string]float64 {
-	out := make(map[string]float64, len(r.Curves))
-	for _, c := range r.Curves {
-		if len(c.Y) > 0 {
-			out[c.Name] = c.Y[len(c.Y)-1]
-		}
-	}
-	return out
-}

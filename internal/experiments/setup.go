@@ -53,12 +53,6 @@ type TaskSetup struct {
 	Tc        int // cloud interval
 	BatchSize int
 	MajorFrac float64
-	// NoisyDeviceFrac / NoisyLabelFrac model heterogeneous device data
-	// quality: that fraction of devices has that fraction of its labels
-	// corrupted (real federated corpora are noisy per device; pure
-	// loss-based selection is only competitive against noise-free data).
-	NoisyDeviceFrac float64
-	NoisyLabelFrac  float64
 	// SharedPartition switches Partition to data.PartitionShared:
 	// per-device shards become windows into one shared permutation, so
 	// index memory is bounded by the corpus instead of Devices×PerDevice.
@@ -85,13 +79,11 @@ func NewTaskSetup(task data.TaskName, scale Scale, seed int64) *TaskSetup {
 		s.Edges, s.Devices, s.K = 4, 20, 3
 		s.PerDevice, s.I, s.Tc, s.BatchSize = 40, 5, 10, 8
 		s.MajorFrac = 0.85
-		s.NoisyDeviceFrac, s.NoisyLabelFrac = 0, 0
 		s.EvalEvery = 5
 	case Paper:
 		s.Edges, s.Devices, s.K = 10, 100, 5
 		s.PerDevice, s.I, s.Tc, s.BatchSize = 100, 10, 10, 16
 		s.MajorFrac = 0.85
-		s.NoisyDeviceFrac, s.NoisyLabelFrac = 0, 0
 		s.EvalEvery = 10
 	default:
 		panic(fmt.Sprintf("experiments: unknown scale %q", scale))
@@ -239,11 +231,7 @@ func (s *TaskSetup) Partition(seed int64) *data.Partition {
 	if s.SharedPartition {
 		return data.PartitionShared(s.Train, s.Devices, s.PerDevice, seed)
 	}
-	p := data.PartitionMajorClassClustered(s.Train, s.Devices, s.PerDevice, s.MajorFrac, s.Edges, seed)
-	if s.NoisyDeviceFrac > 0 && s.NoisyLabelFrac > 0 {
-		p = p.WithLabelNoise(s.NoisyDeviceFrac, s.NoisyLabelFrac, seed+77)
-	}
-	return p
+	return data.PartitionMajorClassClustered(s.Train, s.Devices, s.PerDevice, s.MajorFrac, s.Edges, seed)
 }
 
 // Mobility builds the evaluation mobility model: a locality-preserving

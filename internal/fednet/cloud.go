@@ -48,16 +48,6 @@ type CloudConfig struct {
 	CheckpointDir string
 	// CheckpointEvery persists every Nth sync round (default 1).
 	CheckpointEvery int
-	// Shards, when > 1, partitions edges across that many aggregator
-	// shards (edgeID mod Shards). Each shard streams a running partial
-	// weighted sum as RoundDone frames arrive — edge payloads are
-	// released immediately instead of being gathered — and the shards
-	// are merged by one final BLAS-1 sweep. Sharded aggregation is
-	// epsilon-equivalent to the gathered weighted mean (the reduction is
-	// reassociated) and composes only with the mean aggregator and no
-	// validator; NewCloud rejects other combinations. ≤ 1 keeps the
-	// original gather path, bit-identical to previous behaviour.
-	Shards int
 	// Aggregator selects the Eq. 7 combiner: "" or "mean" (default),
 	// "median", "trimmed-mean" or "norm-clip" (see internal/robust).
 	Aggregator robust.AggregatorKind
@@ -169,19 +159,6 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if cfg.Edges < 1 || cfg.Rounds < 1 || cfg.CloudInterval < 1 {
 		return nil, fmt.Errorf("fednet: implausible cloud config %+v", cfg)
 	}
-	agg := robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
-	if cfg.Shards > 1 {
-		// Partial weighted sums cannot express coordinate-wise medians,
-		// trimming, clipping or per-update screening — those need every
-		// edge model materialized at once, which is what sharding exists
-		// to avoid.
-		if !agg.IsMean() {
-			return nil, fmt.Errorf("fednet: %d-shard cloud requires the mean aggregator, got %q", cfg.Shards, cfg.Aggregator)
-		}
-		if agg.Validating() {
-			return nil, fmt.Errorf("fednet: %d-shard cloud cannot screen edge models; disable validation", cfg.Shards)
-		}
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
@@ -201,7 +178,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		cfg:         cfg,
 		ln:          ln,
 		m:           newCloudMetrics(cfg.Obs),
-		agg:         agg,
+		agg:         robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
 		global:      append([]float64(nil), cfg.InitModel...),
 		edgeWeights: map[int]float64{},
 		ms:          newMembership(0),
@@ -343,14 +320,10 @@ func (c *Cloud) Run() error {
 		}
 		var vecs [][]float64
 		var weights []float64
-		var sagg *shardAgg
 		if sync {
 			c.mu.Lock()
 			c.edgeWeights = map[int]float64{}
 			c.mu.Unlock()
-			if c.cfg.Shards > 1 {
-				sagg = newShardAgg(c.cfg.Shards, len(c.global))
-			}
 		}
 		alive = members[:0]
 		for _, m := range members {
@@ -389,17 +362,8 @@ func (c *Cloud) Run() error {
 				c.mu.Unlock()
 			}
 			if sync && done.Weight > 0 && len(vec) > 0 {
-				if sagg != nil {
-					// Streaming: fold the payload into its shard's partial
-					// sum now and let it go — the cloud never holds more
-					// than Shards model vectors regardless of edge count.
-					if err := sagg.add(m.id, vec, done.Weight); err != nil {
-						return err
-					}
-				} else {
-					vecs = append(vecs, vec)
-					weights = append(weights, done.Weight)
-				}
+				vecs = append(vecs, vec)
+				weights = append(weights, done.Weight)
 			}
 		}
 		members = alive
@@ -409,7 +373,7 @@ func (c *Cloud) Run() error {
 		if sync {
 			syncStart := tr.Now()
 			fp := flight.BeginPhase("cloud_sync")
-			synced := c.applySync(r, vecs, weights, sagg)
+			synced := c.applySync(r, vecs, weights)
 			// Only this goroutine writes c.global, so the broadcast sends
 			// it to every member as it stands, uncopied.
 			for _, m := range members {
@@ -449,37 +413,28 @@ func (c *Cloud) Run() error {
 }
 
 // applySync runs the shared aggregate step over the gathered edge
-// models (or merges the streamed shard partials) and installs the new
-// global model. It returns the number of edge models that entered Eq. 7.
-func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64, sagg *shardAgg) int {
+// models and installs the new global model. It returns the number of
+// edge models that entered Eq. 7.
+func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64) int {
 	// Only this goroutine writes c.global, so it reads it unlocked; the
 	// lock orders the install against GlobalModel's readers.
 	next := c.spare
 	if len(next) != len(c.global) {
 		next = make([]float64, len(c.global))
 	}
-	synced, install := 0, false
-	if sagg != nil {
-		synced = sagg.edges
-		if install = sagg.mergeInto(next); install {
-			c.m.shardMerges.Inc()
-		}
-	} else {
-		out := c.agg.Combine(next, c.global, vecs, weights, 1)
-		if out.Rejects.Total() > 0 {
-			c.cfg.Logf("cloud: round %d rejected %d edge models (%d nonfinite, %d norm)",
-				r, out.Rejects.Total(), out.Rejects.NonFinite, out.Rejects.Norm)
-		}
-		synced, install = out.Kept, out.Applied
+	out := c.agg.Combine(next, c.global, vecs, weights, 1)
+	if out.Rejects.Total() > 0 {
+		c.cfg.Logf("cloud: round %d rejected %d edge models (%d nonfinite, %d norm)",
+			r, out.Rejects.Total(), out.Rejects.NonFinite, out.Rejects.Norm)
 	}
-	if install {
+	if out.Applied {
 		c.mu.Lock()
 		c.global, next = next, c.global
 		c.mu.Unlock()
 	}
 	c.spare = next
 	c.lastSync = r
-	return synced
+	return out.Kept
 }
 
 // checkpointSync persists the cloud state after round r. Membership

@@ -46,11 +46,6 @@ type ClusterConfig struct {
 	CheckpointDir   string
 	CheckpointEvery int
 	EdgeCheckpoints bool
-	// Shards partitions edges across that many cloud aggregator shards
-	// with streamed partial weighted sums (see CloudConfig.Shards); ≤ 1
-	// keeps the original gather path. Requires the mean aggregator and
-	// no validator.
-	Shards int
 	// Mux is the group size of the device clients: each hosts that many
 	// devices (one connection and goroutine per edge per client, one
 	// shared model instance). ≤ 1 gives every device a client, network and
@@ -89,9 +84,6 @@ type ClusterConfig struct {
 	// rejoin under a bumped membership epoch. Disabled (the default)
 	// keeps the fixed-membership behaviour bit-identical.
 	Membership MembershipConfig
-	// DeviceLeaseRounds forwards to EdgeConfig.DeviceLeaseRounds (device
-	// tier of the failure detector); 0 disables eviction.
-	DeviceLeaseRounds int
 	// Obs, when set, is threaded into every component so one registry
 	// reports the whole deployment's fednet_* series.
 	Obs *obs.Registry
@@ -236,7 +228,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	ccfg := CloudConfig{
 		Addr: "127.0.0.1:0", Edges: numEdges, Rounds: cfg.Rounds,
 		CloudInterval: cfg.CloudInterval, InitModel: init,
-		Timeout: cfg.Timeout, MinEdges: minEdges, Shards: cfg.Shards,
+		Timeout: cfg.Timeout, MinEdges: minEdges,
 		CheckpointDir: cfg.CheckpointDir, CheckpointEvery: cfg.CheckpointEvery,
 		Aggregator: cfg.Aggregator, TrimFrac: cfg.TrimFrac, Validate: cfg.Validate,
 		Logf: cfg.Logf, OnRound: onRound, Obs: cfg.Obs, Trace: cfg.Trace,
@@ -268,11 +260,10 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			K: cfg.K, Strategy: cfg.Strategy, Seed: cfg.Seed, Logf: cfg.Logf,
 			Timeout: cfg.Timeout, Quorum: cfg.Quorum, RoundDeadline: cfg.RoundDeadline,
 			Aggregator: cfg.Aggregator, TrimFrac: cfg.TrimFrac, Validate: cfg.Validate,
-			SelectionNormCap:  cfg.SelectionNormCap,
-			LiveMigration:     cfg.LiveMigration,
-			MigrateTimeout:    cfg.MigrateTimeout,
-			DeviceLeaseRounds: cfg.DeviceLeaseRounds,
-			CheckpointDir:     edgeCkptDir, CheckpointEvery: cfg.CheckpointEvery,
+			SelectionNormCap: cfg.SelectionNormCap,
+			LiveMigration:    cfg.LiveMigration,
+			MigrateTimeout:   cfg.MigrateTimeout,
+			CheckpointDir:    edgeCkptDir, CheckpointEvery: cfg.CheckpointEvery,
 			Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
 		}
 		edge, err := NewEdge(ecfg)

@@ -86,15 +86,6 @@ type EdgeConfig struct {
 	CheckpointDir string
 	// CheckpointEvery persists every Nth round (default 1).
 	CheckpointEvery int
-	// DeviceLeaseRounds, when > 0, is the device-tier lease: a device
-	// alone on its connection that has neither registered nor trained for
-	// this many rounds is evicted at the next round start (its connection
-	// closed, counted in fednet_lease_expirations_total). A live device
-	// simply re-registers through its reconnect path; a dead one stops
-	// occupying a selection slot. 0 (default) disables eviction — the
-	// pre-lease behaviour. A device that shares its connection is exempt
-	// (the connection its siblings keep using is the liveness signal).
-	DeviceLeaseRounds int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 	// Obs, when set, receives per-message byte/latency metrics
@@ -124,10 +115,6 @@ type deviceState struct {
 	replyBuf    []float64
 	statUtil    float64
 	lastTrained int
-	// lastSeen is the edge round of the device's last sign of life
-	// (registration or a train reply); the DeviceLeaseRounds eviction
-	// ages on it.
-	lastSeen int
 	// Live-migration state. moments/momentLens/optSteps cache the
 	// device's last uploaded optimizer state (WantMoments replies) so a
 	// later handover can ship it. resume* hold state received from an
@@ -953,23 +940,12 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	e.mu.Lock()
 	e.curRound = round
 	candidates := make([]int, 0, len(e.devices))
-	var expired []*deviceState
-	for id, d := range e.devices {
-		if e.cfg.DeviceLeaseRounds > 0 && round-d.lastSeen > e.cfg.DeviceLeaseRounds && len(d.mux.ids) == 1 {
-			expired = append(expired, d)
-			continue
-		}
+	for id := range e.devices {
 		candidates = append(candidates, id)
 	}
 	view := &edgeView{edge: e, round: round}
 	model := e.edgeModel
 	e.mu.Unlock()
-	for _, d := range expired {
-		e.dropIfAlone(d.id, d.mux)
-		e.m.leaseExpirations.Inc()
-		e.cfg.Logf("edge %d: device %d lease expired in round %d (last seen round %d)",
-			e.cfg.EdgeID, d.id, round, d.lastSeen)
-	}
 	if len(candidates) == 0 {
 		return roundStats{}
 	}
@@ -1049,7 +1025,6 @@ collect:
 				d.lastModel = res.vec
 				d.statUtil = res.reply.Utility
 				d.lastTrained = round
-				d.lastSeen = round
 				d.trainedHere = true
 			}
 			e.mu.Unlock()

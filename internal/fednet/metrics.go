@@ -88,7 +88,6 @@ type cloudMetrics struct {
 	timeouts    *obs.Counter
 	edgeDrops   *obs.Counter
 	checkpoints *obs.Counter
-	shardMerges *obs.Counter
 	roundSpan   *obs.Span
 	// Membership / failure-detector accounting: edges declared dead by
 	// the lease detector (or an RPC failure), rejoins admitted at a
@@ -109,7 +108,6 @@ func newCloudMetrics(r *obs.Registry) cloudMetrics {
 		timeouts:    r.Counter("fednet_timeouts_total"),
 		edgeDrops:   r.Counter("fednet_edge_drops_total"),
 		checkpoints: r.Counter("fednet_checkpoints_total"),
-		shardMerges: r.Counter("fednet_shard_merges_total"),
 		roundSpan:   r.Span("fednet_rpc_seconds", "op", "cloud_round"),
 		failovers:   r.Counter("fednet_edge_failovers_total"),
 		rejoins:     r.Counter("fednet_edge_rejoins_total"),
@@ -145,10 +143,8 @@ type edgeMetrics struct {
 	migrateRejected *obs.Counter
 	handoverSpan    *obs.Span
 	// Self-healing accounting: devices that arrived carrying their own
-	// warm state because their previous edge died, and devices evicted
-	// for exceeding the edge-side lease (DeviceLeaseRounds).
-	rehomed          *obs.Counter
-	leaseExpirations *obs.Counter
+	// warm state because their previous edge died.
+	rehomed *obs.Counter
 }
 
 func newEdgeMetrics(r *obs.Registry) edgeMetrics {
@@ -166,13 +162,12 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 		roundSpan:      r.Span("fednet_rpc_seconds", "op", "edge_round"),
 		trainSpan:      r.Span("fednet_rpc_seconds", "op", "train_rpc"),
 
-		migrateLink:      newLinkMetrics(r, linkEdgeEdge),
-		migrateOK:        r.Counter("fednet_migrations_total", "outcome", "ok"),
-		migrateFallback:  r.Counter("fednet_migrations_total", "outcome", "fallback"),
-		migrateRejected:  r.Counter("fednet_migrations_total", "outcome", "rejected"),
-		handoverSpan:     r.Span("fednet_handover_seconds"),
-		rehomed:          r.Counter("fednet_rehomed_devices_total"),
-		leaseExpirations: r.Counter("fednet_lease_expirations_total"),
+		migrateLink:     newLinkMetrics(r, linkEdgeEdge),
+		migrateOK:       r.Counter("fednet_migrations_total", "outcome", "ok"),
+		migrateFallback: r.Counter("fednet_migrations_total", "outcome", "fallback"),
+		migrateRejected: r.Counter("fednet_migrations_total", "outcome", "rejected"),
+		handoverSpan:    r.Span("fednet_handover_seconds"),
+		rehomed:         r.Counter("fednet_rehomed_devices_total"),
 	}
 }
 

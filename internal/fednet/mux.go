@@ -186,7 +186,6 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			arrivedFrom: rd.PrevEdge,
 			statUtil:    math.NaN(),
 			lastTrained: -1,
-			lastSeen:    e.curRound,
 		}
 		if rd.Rehome {
 			// Warm re-home: the previous edge died, so the device carries

@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"math"
 	"testing"
 
 	"middle/internal/core"
@@ -10,91 +9,11 @@ import (
 	"middle/internal/mobility"
 	"middle/internal/nn"
 	"middle/internal/obs"
-	"middle/internal/robust"
-	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
-// TestShardAggEquivalence pins the shard-merge math: for K ∈ {1, 2, 7}
-// the streamed per-shard partial sums, merged by the final BLAS-1
-// sweep, must agree with the gathered weighted mean to within FP
-// reassociation error.
-func TestShardAggEquivalence(t *testing.T) {
-	rng := tensor.NewRNG(42)
-	const dim, edges = 131, 11
-	vecs := make([][]float64, edges)
-	weights := make([]float64, edges)
-	for e := range vecs {
-		vecs[e] = make([]float64, dim)
-		for i := range vecs[e] {
-			vecs[e][i] = rng.Float64()*4 - 2
-		}
-		weights[e] = float64(10 + rng.Intn(90))
-	}
-	want := simil.WeightedAverage(vecs, weights)
-
-	for _, k := range []int{1, 2, 7} {
-		sagg := newShardAgg(k, dim)
-		for e := range vecs {
-			if err := sagg.add(e, vecs[e], weights[e]); err != nil {
-				t.Fatalf("K=%d: add edge %d: %v", k, e, err)
-			}
-		}
-		got := make([]float64, dim)
-		if !sagg.mergeInto(got) {
-			t.Fatalf("K=%d: merge reported no contributions", k)
-		}
-		if sagg.edges != edges {
-			t.Fatalf("K=%d: folded %d edges, want %d", k, sagg.edges, edges)
-		}
-		for i := range want {
-			if diff := math.Abs(got[i] - want[i]); diff > 1e-12*math.Max(1, math.Abs(want[i])) {
-				t.Fatalf("K=%d: coordinate %d diverges: got %v want %v", k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestShardAggEmptyAndMismatch(t *testing.T) {
-	sagg := newShardAgg(3, 4)
-	dst := []float64{1, 2, 3, 4}
-	if sagg.mergeInto(dst) {
-		t.Fatal("empty shard aggregator claimed contributions")
-	}
-	if dst[0] != 1 {
-		t.Fatal("empty merge touched dst")
-	}
-	if err := sagg.add(0, []float64{1, 2}, 5); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-// TestShardConfigRejected pins the nonsensical-combination rejection:
-// partial sums cannot express robust aggregation or screening.
-func TestShardConfigRejected(t *testing.T) {
-	base := CloudConfig{
-		Addr: "127.0.0.1:0", Edges: 2, Rounds: 4, CloudInterval: 2,
-		InitModel: []float64{0, 0}, Shards: 2,
-	}
-	bad := base
-	bad.Aggregator = robust.AggMedian
-	if _, err := NewCloud(bad); err == nil {
-		t.Fatal("sharded cloud accepted a median aggregator")
-	}
-	bad = base
-	bad.Validate = robust.ValidatorConfig{Enabled: true}
-	if _, err := NewCloud(bad); err == nil {
-		t.Fatal("sharded cloud accepted a validator")
-	}
-	c, err := NewCloud(base)
-	if err != nil {
-		t.Fatalf("plain sharded config rejected: %v", err)
-	}
-	c.ln.Close()
-}
-
 // scaleFixtureConfig builds a small end-to-end deployment config; the
-// caller toggles Shards/Mux before StartCluster.
+// caller sets Mux before StartCluster.
 func scaleFixtureConfig(t *testing.T, mob mobility.Model, rounds int) ClusterConfig {
 	t.Helper()
 	prof := data.FastImageProfile(4)
@@ -116,34 +35,6 @@ func scaleFixtureConfig(t *testing.T, mob mobility.Model, rounds int) ClusterCon
 	}
 }
 
-// TestShardedClusterTrains runs a deployment with a 2-shard cloud and
-// checks the run completes with a finite, changed global model.
-func TestShardedClusterTrains(t *testing.T) {
-	cfg := scaleFixtureConfig(t, mobility.NewMarkovRing(3, 9, 0.4, 7), 6)
-	cfg.Shards = 2
-	c, err := StartCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.GlobalModel()
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	after := c.GlobalModel()
-	changed := false
-	for i := range after {
-		if math.IsNaN(after[i]) || math.IsInf(after[i], 0) {
-			t.Fatalf("sharded global model has non-finite coordinate %d", i)
-		}
-		if after[i] != before[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("sharded cloud never updated the global model")
-	}
-}
-
 // TestMuxClusterTrains runs the same deployment with virtual-device
 // multiplexing (3 devices per client) under mobility and checks that
 // training proceeds, devices participate and the virtual-device gauge
@@ -152,7 +43,6 @@ func TestMuxClusterTrains(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := scaleFixtureConfig(t, mobility.NewMarkovRing(3, 9, 0.4, 7), 9)
 	cfg.Mux = 3
-	cfg.Shards = 2
 	cfg.Obs = reg
 	c, err := StartCluster(cfg)
 	if err != nil {

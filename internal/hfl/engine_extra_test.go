@@ -183,12 +183,6 @@ func TestCommunicationAccounting(t *testing.T) {
 	if h.CommDeviceEdge[0] > h.CommDeviceEdge[last] {
 		t.Fatal("comm counters not monotone")
 	}
-	if _, _, ok := h.CommToAccuracy(2.0); ok {
-		t.Fatal("CommToAccuracy reported unreachable target")
-	}
-	if d, e, ok := h.CommToAccuracy(0.0); !ok || d <= 0 || e < 0 {
-		t.Fatalf("CommToAccuracy(0) = %d/%d/%v", d, e, ok)
-	}
 }
 
 func TestStragglerDeadlineExcludesSlowDevices(t *testing.T) {

@@ -113,17 +113,6 @@ func (h *History) AppendPoint(p EvalPoint) {
 	h.RejectRate = append(h.RejectRate, p.RejectRate)
 }
 
-// CommToAccuracy returns the cumulative model transfers (device–edge,
-// edge–cloud) at the first evaluation reaching the target accuracy.
-func (h *History) CommToAccuracy(target float64) (deviceEdge, edgeCloud int64, ok bool) {
-	for i, a := range h.GlobalAcc {
-		if a >= target {
-			return h.CommDeviceEdge[i], h.CommEdgeCloud[i], true
-		}
-	}
-	return 0, 0, false
-}
-
 // Len returns the number of recorded evaluation events.
 func (h *History) Len() int { return len(h.Steps) }
 
@@ -133,17 +122,6 @@ func (h *History) FinalAcc() float64 {
 		return 0
 	}
 	return h.GlobalAcc[len(h.GlobalAcc)-1]
-}
-
-// BestAcc returns the highest recorded global accuracy.
-func (h *History) BestAcc() float64 {
-	best := 0.0
-	for _, a := range h.GlobalAcc {
-		if a > best {
-			best = a
-		}
-	}
-	return best
 }
 
 // TimeToAccuracy returns the first time step at which the global

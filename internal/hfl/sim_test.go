@@ -353,8 +353,8 @@ func TestTimeToAccuracy(t *testing.T) {
 	if _, ok := h.TimeToAccuracy(0.9); ok {
 		t.Fatal("TimeToAccuracy reported unreached target")
 	}
-	if h.BestAcc() != 0.6 || h.FinalAcc() != 0.5 {
-		t.Fatalf("Best/Final = %v/%v", h.BestAcc(), h.FinalAcc())
+	if h.FinalAcc() != 0.5 {
+		t.Fatalf("FinalAcc = %v", h.FinalAcc())
 	}
 }
 

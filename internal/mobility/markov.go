@@ -54,15 +54,6 @@ func (mk *Markov) NumEdges() int { return mk.edges }
 // NumDevices returns the number of devices.
 func (mk *Markov) NumDevices() int { return len(mk.probs) }
 
-// GlobalMobility returns the mean of the per-device move probabilities.
-func (mk *Markov) GlobalMobility() float64 {
-	s := 0.0
-	for _, p := range mk.probs {
-		s += p
-	}
-	return s / float64(len(mk.probs))
-}
-
 // NewMarkovRing builds a locality-preserving Markov model: a moving
 // device steps to one of its two ring-adjacent edges (edge e ± 1 mod E),
 // every device sharing move probability p. Global mobility still equals

@@ -103,7 +103,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if edges < 1 || devices < 0 || steps < 0 || (steps > 0 && devices < 1) {
 		return nil, fmt.Errorf("mobility: implausible trace header %q", sc.Text())
 	}
-	tr := &Trace{Edges: edges, Memberships: make([][]int, 0, steps)}
+	// Memberships grows by the rows actually read: the header's step count
+	// is a claim, and no allocation is sized from it.
+	tr := &Trace{Edges: edges}
 	for t := 0; t < steps; t++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("mobility: trace truncated at step %d of %d", t, steps)

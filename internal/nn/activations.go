@@ -64,62 +64,3 @@ func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil: Flatten has no trainable state.
 func (f *Flatten) Params() []*Param { return nil }
-
-// Dropout randomly zeroes activations during training, scaling the
-// survivors by 1/(1−rate) (inverted dropout), and is the identity at
-// evaluation time.
-type Dropout struct {
-	Rate float64
-	rng  *tensor.RNG
-	keep []bool
-	out  *tensor.Tensor
-	dx   *tensor.Tensor
-}
-
-// NewDropout constructs a dropout layer with the given drop rate in [0,1).
-func NewDropout(rate float64, rng *tensor.RNG) *Dropout {
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// Forward drops activations in train mode and passes through otherwise.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.Rate <= 0 {
-		d.keep = nil
-		return x
-	}
-	d.out = tensor.Ensure(d.out, x.Shape()...)
-	out := d.out
-	d.keep = ensureLen(d.keep, len(out.Data))
-	scale := 1.0 / (1.0 - d.Rate)
-	for i, v := range x.Data {
-		if d.rng.Float64() < d.Rate {
-			d.keep[i] = false
-			out.Data[i] = 0
-		} else {
-			d.keep[i] = true
-			out.Data[i] = v * scale
-		}
-	}
-	return out
-}
-
-// Backward propagates gradients only through kept activations.
-func (d *Dropout) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if d.keep == nil {
-		return dy
-	}
-	d.dx = tensor.Ensure(d.dx, dy.Shape()...)
-	dx := d.dx
-	scale := 1.0 / (1.0 - d.Rate)
-	for i, v := range dy.Data {
-		if d.keep[i] {
-			dx.Data[i] = v * scale
-		} else {
-			dx.Data[i] = 0
-		}
-	}
-	return dx
-}
-
-// Params returns nil: Dropout has no trainable state.
-func (d *Dropout) Params() []*Param { return nil }

@@ -12,7 +12,7 @@ import (
 // relies on it — its Backward reads the output its Forward returned,
 // which by then is the next layer's input — and so does every layer that
 // keeps a reference to its input (Linear) or returns a view of it
-// (Flatten, Dropout in evaluation mode).
+// (Flatten).
 func TestLayersDoNotWriteTheirInput(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	layers := []struct {
@@ -26,7 +26,6 @@ func TestLayersDoNotWriteTheirInput(t *testing.T) {
 		{"linear", NewLinear(10, 4, rng), []int{3, 10}},
 		{"relu", NewReLU(), []int{3, 37}},
 		{"flatten", NewFlatten(), []int{3, 2, 5}},
-		{"dropout", NewDropout(0.5, tensor.NewRNG(6)), []int{3, 20}},
 		{"maxpool2d", NewMaxPool2D(2), []int{2, 3, 8, 10}},
 		{"maxpool2d-k3", NewMaxPool2D(3), []int{2, 3, 9, 6}},
 		{"maxpool1d", NewMaxPool1D(2), []int{2, 3, 10}},

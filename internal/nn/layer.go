@@ -38,15 +38,14 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // tensor it is handed: Forward's x and Backward's grad are read-only.
 // Layers depend on the second rule for their own state — ReLU.Backward
 // reads the output its Forward returned, which by then is the next
-// layer's input; Linear keeps x itself; Flatten and an evaluation-mode
-// Dropout return their input as the output — so a layer that computed in
-// place would corrupt its neighbour's Backward.
+// layer's input; Linear keeps x itself; Flatten returns its input as the
+// output — so a layer that computed in place would corrupt its
+// neighbour's Backward.
 // TestLayersDoNotWriteTheirInput checks every layer type.
 type Layer interface {
-	// Forward computes the layer output for a batch. train enables
-	// training-only behaviour: dropout, and the bookkeeping only Backward
-	// reads (pooling argmax tables, dropout masks), which an evaluation
-	// forward skips.
+	// Forward computes the layer output for a batch. train enables the
+	// bookkeeping only Backward reads (pooling argmax tables), which an
+	// evaluation forward skips.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the
 	// layer output and returns the gradient with respect to the input.

@@ -108,41 +108,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	d := NewDropout(0.5, rng)
-	x := tensor.New(2, 10)
-	rng.FillNormal(x, 0, 1)
-	y := d.Forward(x, false)
-	if !y.Equal(x, 0) {
-		t.Fatal("Dropout in eval mode changed values")
-	}
-}
-
-func TestDropoutTrainZeroesAndScales(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	d := NewDropout(0.5, rng)
-	x := tensor.Full(1.0, 1, 1000)
-	y := d.Forward(x, true)
-	zeros, scaled := 0, 0
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout kept %d of 1000 at rate 0.5", 1000-zeros)
-	}
-	if zeros+scaled != 1000 {
-		t.Fatal("dropout output mix inconsistent")
-	}
-}
-
 func TestMaxPool2DKnown(t *testing.T) {
 	x := tensor.FromSlice([]float64{
 		1, 2, 5, 6,
@@ -391,7 +356,7 @@ func TestPerSampleLossesMatchMean(t *testing.T) {
 
 func TestSequentialNetworkComposes(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	net := NewNetwork(NewFlatten(), NewLinear(16, 8, rng), NewReLU(), NewDropout(0.2, rng), NewLinear(8, 3, rng))
+	net := NewNetwork(NewFlatten(), NewLinear(16, 8, rng), NewReLU(), NewLinear(8, 3, rng))
 	x := tensor.New(4, 4, 4)
 	rng.FillNormal(x, 0, 1)
 	y := net.Forward(x, true)

@@ -15,8 +15,7 @@ package nn
 // high-water mark: hfl evaluates in chunks no larger (evalChunk).
 
 // ensureLen returns s resliced to length n, or a new slice of that length
-// if s is too small (cols matrices, dropout masks, pooling argmax
-// tables).
+// if s is too small (cols matrices, pooling argmax tables).
 func ensureLen[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]

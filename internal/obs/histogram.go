@@ -24,12 +24,6 @@ func DurationBuckets() []float64 {
 	}
 }
 
-// SizeBuckets spans 64 B to 16 MiB, covering protocol frames from a
-// bare header up to a paper-scale model payload.
-func SizeBuckets() []float64 {
-	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
-}
-
 // Histogram registers (or fetches) a histogram series with the given
 // bucket upper bounds (nil defaults to DurationBuckets). Bounds are
 // fixed by whichever call registers the series first.

@@ -38,10 +38,6 @@ func NewPoint(kind AggregatorKind, trimFrac float64, vc ValidatorConfig, r *obs.
 // Validating reports whether received updates are screened at all.
 func (p *Point) Validating() bool { return p.validator != nil }
 
-// IsMean reports whether the point combines with the plain weighted
-// mean.
-func (p *Point) IsMean() bool { return p.agg.IsMean() }
-
 // NoteNonFinite tallies an update the caller refused on receipt, before
 // it could reach Combine (a fednet edge must not even cache a NaN model
 // for selection).

@@ -309,22 +309,3 @@ func (a *Accumulator) Add(v []float64, w float64) {
 
 // Added returns how many vectors have been folded in since Begin.
 func (a *Accumulator) Added() int { return a.added }
-
-// AxpyInto computes dst[j] += alpha·v[j] — the BLAS-1 primitive behind
-// the sharded cloud's partial weighted sums and their final merge.
-func AxpyInto(dst, v []float64, alpha float64) {
-	if len(dst) != len(v) {
-		panic(fmt.Sprintf("simil: AxpyInto length mismatch dst=%d v=%d", len(dst), len(v)))
-	}
-	for j, vj := range v {
-		dst[j] += alpha * vj
-	}
-}
-
-// ScaleInto computes dst[j] *= alpha in place — the normalisation sweep
-// that turns a merged Σ wᵢ·vᵢ into the weighted mean.
-func ScaleInto(dst []float64, alpha float64) {
-	for j := range dst {
-		dst[j] *= alpha
-	}
-}

@@ -76,46 +76,3 @@ func TestAccumulatorPanics(t *testing.T) {
 	mustPanic("negative weight", func() { acc.Add(make([]float64, 3), -1) })
 	mustPanic("destination alias", func() { acc.Add(dst, 1) })
 }
-
-// TestAxpyScale checks the BLAS-1 shard-merge primitives: merging K
-// partial weighted sums and normalising recovers the weighted mean up
-// to reassociation error.
-func TestAxpyScale(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	const dim, n = 257, 12
-	vecs := make([][]float64, n)
-	weights := make([]float64, n)
-	for i := range vecs {
-		vecs[i] = make([]float64, dim)
-		for j := range vecs[i] {
-			vecs[i][j] = rng.NormFloat64()
-		}
-		weights[i] = float64(1 + rng.Intn(50))
-	}
-	want := WeightedAverage(vecs, weights)
-
-	for _, shards := range []int{1, 2, 7} {
-		partial := make([][]float64, shards)
-		wsum := make([]float64, shards)
-		for s := range partial {
-			partial[s] = make([]float64, dim)
-		}
-		for i, v := range vecs {
-			s := i % shards
-			AxpyInto(partial[s], v, weights[i])
-			wsum[s] += weights[i]
-		}
-		merged := make([]float64, dim)
-		totalW := 0.0
-		for s := range partial {
-			AxpyInto(merged, partial[s], 1)
-			totalW += wsum[s]
-		}
-		ScaleInto(merged, 1/totalW)
-		for j := range want {
-			if d := math.Abs(merged[j] - want[j]); d > 1e-12*(1+math.Abs(want[j])) {
-				t.Fatalf("shards=%d: coordinate %d differs by %g", shards, j, d)
-			}
-		}
-	}
-}

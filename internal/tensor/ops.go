@@ -19,15 +19,6 @@ func (t *Tensor) SubInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace multiplies t by u elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	t.mustMatch(u, "MulInPlace")
-	for i := range t.Data {
-		t.Data[i] *= u.Data[i]
-	}
-	return t
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	for i := range t.Data {
@@ -102,15 +93,6 @@ func (t *Tensor) Min() float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean norm of all elements.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, x := range t.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the inner product of t and u viewed as flat vectors.

@@ -26,9 +26,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float64, n), shape: append([]int(nil), shape...)}
 }
 
-// Zeros is an alias of New, named for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)

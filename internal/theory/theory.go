@@ -293,9 +293,3 @@ func Bound(p BoundParams) float64 {
 	mobility := 8 * p.Beta * float64(p.I*p.I) * p.G2 / (p.Mu * p.Mu * p.Gamma * p.Gamma * p.Alpha * (1 - p.Alpha) * p.P)
 	return main + mobility
 }
-
-// BoundDerivativeInP returns ∂Bound/∂P = −8βI²G²/(µ²γ²α(1−α)P²)
-// (Remark 1, Eq. 20) — strictly negative for α ∈ (0,1), P ∈ (0,1].
-func BoundDerivativeInP(p BoundParams) float64 {
-	return -8 * p.Beta * float64(p.I*p.I) * p.G2 / (p.Mu * p.Mu * p.Gamma * p.Gamma * p.Alpha * (1 - p.Alpha) * p.P * p.P)
-}

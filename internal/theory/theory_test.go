@@ -150,10 +150,6 @@ func TestBoundShape(t *testing.T) {
 	if Bound(p2) >= b {
 		t.Fatalf("bound not decreasing in P: %v -> %v", b, Bound(p2))
 	}
-	// Derivative is negative.
-	if BoundDerivativeInP(p) >= 0 {
-		t.Fatalf("derivative = %v, want negative", BoundDerivativeInP(p))
-	}
 	// Bound decreases in T.
 	p3 := p
 	p3.T = 10000

@@ -29,8 +29,6 @@ import (
 	"middle/internal/experiments"
 	"middle/internal/hfl"
 	"middle/internal/mobility"
-	"middle/internal/nn"
-	"middle/internal/optim"
 	"middle/internal/robust"
 	"middle/internal/simil"
 	"middle/internal/tensor"
@@ -43,8 +41,6 @@ import (
 type (
 	// Config holds the Algorithm 1 hyper-parameters (K, I, T_c, …).
 	Config = hfl.Config
-	// OptimizerSpec configures the per-round local optimizer.
-	OptimizerSpec = hfl.OptimizerSpec
 	// Simulation is one device-edge-cloud federated training run.
 	Simulation = hfl.Sim
 	// History records a run's evaluation series.
@@ -55,25 +51,6 @@ type (
 	View = hfl.View
 	// ModelFactory builds instances of the task's architecture.
 	ModelFactory = hfl.ModelFactory
-)
-
-// Schedule types for Config.LRSchedule.
-type (
-	// Schedule maps a time step to a learning rate.
-	Schedule = optim.Schedule
-	// ConstantSchedule always returns the same rate.
-	ConstantSchedule = optim.ConstantSchedule
-	// InverseSchedule implements the Theorem 1 decay η₀γ/(γ+t).
-	InverseSchedule = optim.InverseSchedule
-	// StepSchedule decays the rate by a factor at fixed intervals.
-	StepSchedule = optim.StepSchedule
-)
-
-// Optimizer kinds for OptimizerSpec.
-const (
-	OptSGD         = hfl.OptSGD
-	OptSGDMomentum = hfl.OptSGDMomentum
-	OptAdam        = hfl.OptAdam
 )
 
 // NewSimulation constructs a federated training run; see hfl.New.
@@ -98,37 +75,12 @@ func OORT() Strategy { return core.NewOort() }
 // FedMes returns the 50/50 on-device averaging baseline.
 func FedMes() Strategy { return core.NewFedMes() }
 
-// Greedy returns the keep-carried-model baseline.
-func Greedy() Strategy { return core.NewGreedy() }
-
-// Ensemble returns the OORT-selection + 50/50-averaging baseline.
-func Ensemble() Strategy { return core.NewEnsemble() }
-
 // General returns classical HFL (random selection, no aggregation).
 func General() Strategy { return core.NewGeneral() }
-
-// FixedAlpha returns the constant-coefficient aggregation strategy of
-// the §5 analysis.
-func FixedAlpha(alpha float64) Strategy { return core.NewFixedAlpha(alpha) }
-
-// MiddleSelOnly returns the selection-only ablation of MIDDLE (Eq. 12
-// without Eq. 9).
-func MiddleSelOnly() Strategy { return core.NewMiddleSelOnly() }
-
-// MiddleAggOnly returns the aggregation-only ablation of MIDDLE (Eq. 9
-// without Eq. 12).
-func MiddleAggOnly() Strategy { return core.NewMiddleAggOnly() }
-
-// AblationSet returns MIDDLE, its two single-mechanism ablations and the
-// no-mechanism control.
-func AblationSet() []Strategy { return core.AblationSet() }
 
 // StrategyByName resolves a strategy from its paper name
 // ("MIDDLE", "OORT", "FedMes", "Greedy", "Ensemble", "General").
 func StrategyByName(name string) (Strategy, error) { return core.ByName(name) }
-
-// StrategyNames lists the registered strategy names.
-func StrategyNames() []string { return core.Names() }
 
 // EvaluationSet returns the five strategies of the paper's Figures 6–7.
 func EvaluationSet() []Strategy { return core.EvaluationSet() }
@@ -143,43 +95,16 @@ type (
 	Partition = data.Partition
 	// TaskName identifies one of the four paper evaluation tasks.
 	TaskName = data.TaskName
-	// ImageProfile parameterises the synthetic image generator.
-	ImageProfile = data.ImageProfile
-	// SequenceProfile parameterises the synthetic 1-D signal generator.
-	SequenceProfile = data.SequenceProfile
 )
 
-// The paper's four evaluation tasks.
+// Two of the paper's four evaluation tasks (AllTasks lists all four).
 const (
 	TaskMNIST  = data.TaskMNIST
-	TaskEMNIST = data.TaskEMNIST
-	TaskCIFAR  = data.TaskCIFAR
 	TaskSpeech = data.TaskSpeech
 )
 
 // AllTasks lists the evaluation tasks in paper order.
 func AllTasks() []TaskName { return data.AllTasks() }
-
-// GenerateTask produces train and test sets for a paper task.
-func GenerateTask(task TaskName, trainN, testN int, seed int64) (train, test *Dataset) {
-	return data.GenerateTask(task, trainN, testN, seed)
-}
-
-// PartitionMajorClass builds the §6.1.2 per-device major-class shards.
-func PartitionMajorClass(d *Dataset, numDevices, perDevice int, majorFrac float64, seed int64) *Partition {
-	return data.PartitionMajorClass(d, numDevices, perDevice, majorFrac, seed)
-}
-
-// PartitionMajorClassClustered builds major-class shards whose classes
-// cluster by initial edge, modelling geographically correlated data.
-func PartitionMajorClassClustered(d *Dataset, numDevices, perDevice int, majorFrac float64, edges int, seed int64) *Partition {
-	return data.PartitionMajorClassClustered(d, numDevices, perDevice, majorFrac, edges, seed)
-}
-
-// PartitionIID builds IID shards (a non-paper control).
-func PartitionIID(d *Dataset, numDevices, perDevice int, seed int64) *Partition {
-	return data.PartitionIID(d, numDevices, perDevice, seed)
-}
 
 // --- mobility -------------------------------------------------------------
 
@@ -197,22 +122,10 @@ func NewMarkovMobility(edges, devices int, p float64, seed int64) MobilityModel 
 	return mobility.NewMarkov(edges, devices, p, seed)
 }
 
-// NewMarkovRingMobility builds the locality-preserving variant: moving
-// devices step to ring-adjacent edges only, as spatially continuous
-// traces do.
-func NewMarkovRingMobility(edges, devices int, p float64, seed int64) MobilityModel {
-	return mobility.NewMarkovRing(edges, devices, p, seed)
-}
-
 // NewRandomWaypointMobility builds a planar random-waypoint model with a
 // gridW×gridH grid of edge base stations.
 func NewRandomWaypointMobility(gridW, gridH, devices int, speedMin, speedMax float64, pauseMax int, seed int64) MobilityModel {
 	return mobility.NewRandomWaypoint(gridW, gridH, devices, speedMin, speedMax, pauseMax, seed)
-}
-
-// NewStaticMobility pins devices to fixed edges (P = 0).
-func NewStaticMobility(edges, devices int) MobilityModel {
-	return mobility.NewStatic(edges, devices)
 }
 
 // RecordTrace runs a mobility model and captures its membership trace.
@@ -221,59 +134,14 @@ func RecordTrace(m MobilityModel, steps int) *Trace { return mobility.Record(m, 
 // ReadTrace parses a trace file written by Trace.Write.
 func ReadTrace(r io.Reader) (*Trace, error) { return mobility.ReadTrace(r) }
 
-// --- models ----------------------------------------------------------------
-
-// Model-builder types (see internal/nn).
-type (
-	// Network is a sequential feed-forward network.
-	Network = nn.Network
-	// CNN2Config describes the 2-conv/2-fc paper architecture.
-	CNN2Config = nn.CNN2Config
-	// CNN3Config describes the 3-conv/2-fc paper architecture.
-	CNN3Config = nn.CNN3Config
-	// SeqCNNConfig describes the 1-D CNN for the speech task.
-	SeqCNNConfig = nn.SeqCNNConfig
-	// MLPConfig describes a plain multi-layer perceptron.
-	MLPConfig = nn.MLPConfig
-	// RNG is the deterministic random stream used throughout.
-	RNG = tensor.RNG
-)
-
-// NewRNG returns a deterministic random stream for the seed.
-func NewRNG(seed int64) *RNG { return tensor.NewRNG(seed) }
-
-// NewCNN2 builds the paper's MNIST/EMNIST architecture.
-func NewCNN2(cfg CNN2Config, rng *RNG) *Network { return nn.NewCNN2(cfg, rng) }
-
-// NewCNN3 builds the paper's CIFAR architecture.
-func NewCNN3(cfg CNN3Config, rng *RNG) *Network { return nn.NewCNN3(cfg, rng) }
-
-// NewSeqCNN builds the paper's speech architecture.
-func NewSeqCNN(cfg SeqCNNConfig, rng *RNG) *Network { return nn.NewSeqCNN(cfg, rng) }
-
-// NewMLP builds a plain MLP (logistic regression with no hidden layers).
-func NewMLP(cfg MLPConfig, rng *RNG) *Network { return nn.NewMLP(cfg, rng) }
+// RNG is the deterministic random stream TopKByScore draws ties from.
+type RNG = tensor.RNG
 
 // --- similarity utility ------------------------------------------------
-
-// SimilarityUtility is the paper's Eq. 8: max(cos(a, b), 0).
-func SimilarityUtility(a, b []float64) float64 { return simil.Utility(a, b) }
 
 // OnDeviceAggregate is the paper's Eq. 9 on-device model aggregation.
 func OnDeviceAggregate(wEdge, wLocal []float64) (aggregated []float64, utility float64) {
 	return simil.OnDeviceAggregate(wEdge, wLocal)
-}
-
-// OnDeviceAggregateInto is the allocation-free form of OnDeviceAggregate:
-// it writes the aggregated model into dst (which may alias either input)
-// and returns the utility used.
-func OnDeviceAggregateInto(dst, wEdge, wLocal []float64) (utility float64) {
-	return simil.OnDeviceAggregateInto(dst, wEdge, wLocal)
-}
-
-// SelectionScore is the Eq. 12 in-edge selection criterion −U(w_c, Δw_m).
-func SelectionScore(wCloud, wLocal []float64) float64 {
-	return simil.SelectionScore(wCloud, wLocal)
 }
 
 // --- experiments ------------------------------------------------------------
@@ -297,15 +165,11 @@ type (
 	MobilityModelsResult = experiments.MobilityModelsResult
 	// Fig6SeedsResult aggregates Figure 6 over repeated seeds.
 	Fig6SeedsResult = experiments.Fig6SeedsResult
-	// Band is a mean ± std series envelope.
-	Band = eval.Band
-	// TTAStats summarises time-to-accuracy over repeated runs.
-	TTAStats     = eval.TTAStats
-	Fig2Result   = experiments.Fig2Result
-	Fig6Result   = experiments.Fig6Result
-	Fig7Result   = experiments.Fig7Result
-	Fig8Result   = experiments.Fig8Result
-	TheoryResult = experiments.TheoryResult
+	Fig2Result      = experiments.Fig2Result
+	Fig6Result      = experiments.Fig6Result
+	Fig7Result      = experiments.Fig7Result
+	Fig8Result      = experiments.Fig8Result
+	TheoryResult    = experiments.TheoryResult
 )
 
 // Experiment scales.
@@ -317,13 +181,6 @@ const (
 // NewTaskSetup builds the setup for one of the four paper tasks.
 func NewTaskSetup(task TaskName, scale Scale, seed int64) *TaskSetup {
 	return experiments.NewTaskSetup(task, scale, seed)
-}
-
-// NewScaleSetup builds a population-scale setup: the Fast corpus with
-// the topology overridden and shared-window shards, for million-device
-// runs whose memory is bounded by the cohort (see hfl.Config.LazyStore).
-func NewScaleSetup(task TaskName, seed int64, devices, edges, k, tc int) *TaskSetup {
-	return experiments.NewScaleSetup(task, seed, devices, edges, k, tc)
 }
 
 // RunFig1 reproduces the paper's Figure 1 motivation experiment.
@@ -386,38 +243,9 @@ type BoundParams = theory.BoundParams
 
 // --- robustness -----------------------------------------------------------
 
-// Robustness types for Config.Aggregator / Config.Validate /
-// Config.Adversary (see internal/robust).
-type (
-	// AggregatorKind selects the Eq. 6 / Eq. 7 combination rule.
-	AggregatorKind = robust.AggregatorKind
-	// ValidatorConfig screens received model updates before aggregation.
-	ValidatorConfig = robust.ValidatorConfig
-	// Adversary is the seeded Byzantine-device harness.
-	Adversary = robust.Adversary
-	// AdversaryMode picks the corruption adversarial devices apply.
-	AdversaryMode = robust.AdversaryMode
-)
-
-// Aggregator kinds and adversary modes.
-const (
-	AggMean        = robust.AggMean
-	AggMedian      = robust.AggMedian
-	AggTrimmedMean = robust.AggTrimmedMean
-	AggNormClip    = robust.AggNormClip
-
-	AdvSignFlip  = robust.AdvSignFlip
-	AdvNoise     = robust.AdvNoise
-	AdvSameValue = robust.AdvSameValue
-)
-
-// ParseAggregator resolves an aggregator name ("mean", "median",
-// "trimmed-mean", "norm-clip"); the empty string means mean.
-func ParseAggregator(s string) (AggregatorKind, error) { return robust.ParseAggregator(s) }
-
-// ParseAdversaryMode resolves an adversary mode name ("sign-flip",
-// "noise", "same-value"); the empty string means sign-flip.
-func ParseAdversaryMode(s string) (AdversaryMode, error) { return robust.ParseAdversaryMode(s) }
+// AdversaryMode picks the corruption adversarial devices apply
+// (Config.Adversary.Mode; see internal/robust).
+type AdversaryMode = robust.AdversaryMode
 
 // --- checkpoints ------------------------------------------------------------
 
@@ -425,12 +253,6 @@ func ParseAdversaryMode(s string) (AdversaryMode, error) { return robust.ParseAd
 // checksummed checkpoint format: a state record of just name and model.
 func SaveModel(w io.Writer, name string, vec []float64) error {
 	return checkpoint.SaveState(w, checkpoint.State{Name: name, Model: vec})
-}
-
-// LoadModel reads a checkpoint written by SaveModel.
-func LoadModel(r io.Reader) (name string, vec []float64, err error) {
-	st, err := checkpoint.LoadState(r)
-	return st.Name, st.Model, err
 }
 
 // --- reporting -----------------------------------------------------------

@@ -116,11 +116,11 @@ go test -race -count=3 \
     ./internal/fednet
 go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState' ./internal/optim
 
-echo "== frame reader fuzz (10 s) =="
-# go test replays the committed corpus; this also explores from it.
-go test -run '^$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/fednet
-go test -run '^$' -fuzz FuzzLoadState -fuzztime 10s ./internal/checkpoint
-go test -run '^$' -fuzz FuzzDecodeHandover -fuzztime 10s ./internal/checkpoint
+echo "== parser fuzz (10 s each) =="
+# go test replays the committed corpora; this also explores from them.
+for t in fednet.FuzzReadMsg checkpoint.FuzzLoadState checkpoint.FuzzDecodeHandover mobility.FuzzReadTrace hfl.FuzzReadHistoryCSV; do
+    go test -run '^$' -fuzz "^${t#*.}\$" -fuzztime 10s "./internal/${t%.*}"
+done
 
 echo "== start-up race gate (-race, 20x) =="
 # StartCluster must hold the first round until its devices are attached:
