@@ -34,9 +34,9 @@ type Handover struct {
 	StatUtil float64
 	Model    []float64
 	// Moments is the flattened optimizer moment state; MomentLens gives
-	// the per-group split (see optim.ExportMoments). Empty for devices
-	// whose moments are not transferable (multiplexed clients share one
-	// optimizer).
+	// the per-group split (see optim.ExportMoments). fednet writes both
+	// empty: a device keeps its own moments, and Steps > 0 offers the
+	// destination their resume.
 	MomentLens []int
 	Moments    []float64
 }

@@ -124,6 +124,7 @@ type Cluster struct {
 	failoverSpan *obs.Span
 	strandedG    *obs.Gauge
 	moveRetries  *obs.Counter
+	moveErrCtr   *obs.Counter
 	// migGen counts each device's moves (the handover generation): a
 	// destination edge rejects records whose generation it has already
 	// seen, so a delayed retry of an older move cannot overwrite a newer
@@ -156,6 +157,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		failoverSpan: cfg.Obs.Span("fednet_failover_seconds"),
 		strandedG:    cfg.Obs.Gauge("fednet_stranded_devices"),
 		moveRetries:  cfg.Obs.Counter("fednet_move_retries_total"),
+		moveErrCtr:   cfg.Obs.Counter("fednet_move_errors_total"),
 		group:        max(1, cfg.Mux),
 	}
 	if cfg.Faults != nil {
@@ -172,50 +174,27 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	membership := append([]int(nil), cfg.Mobility.Step()...) // kept across rounds: Step's slice is the model's
 	c.assign = append([]int(nil), membership...)
 
-	// Device migration at round boundaries, driven by the cloud. With
-	// LiveMigration the source edge first ships the device's cached state
-	// to the destination (every handover failure simply degrades to the
-	// plain drop-and-reconnect below); only a device whose move exhausted
-	// every reconnect retry is counted stranded (see attach).
-	moveErrCtr := cfg.Obs.Counter("fednet_move_errors_total")
+	// Device migration at round boundaries, driven by the cloud: the
+	// movers of one boundary move concurrently (see move), and all are
+	// done before the next round starts.
 	onRound := func(round int) {
 		next := append([]int(nil), cfg.Mobility.Step()...)
+		var moves sync.WaitGroup
 		for m, e := range next {
 			// A mobility step may target an edge the failure detector has
 			// declared dead; redirect the move deterministically to a
 			// survivor instead of dialing a corpse.
 			e = c.liveTarget(m, e)
 			next[m] = e
-			if e == membership[m] {
-				continue
-			}
-			src := membership[m]
-			if cfg.LiveMigration && src >= 0 && src < len(c.edges) && !c.edgeDown(src) {
-				c.mu.Lock()
-				c.migGen[m]++
-				gen := c.migGen[m]
-				srcEdge, dstAddr := c.edges[src], c.edges[e].Addr()
-				c.mu.Unlock()
-				out := srcEdge.MigrateOut(m, e, dstAddr, gen)
-				c.mu.Lock()
-				switch out {
-				case "ok":
-					c.migOK++
-				case "fallback":
-					c.migFallback++
-				case "rejected":
-					c.migRejected++
-				}
-				c.mu.Unlock()
-			}
-			if err := c.attach(m, e, false, int64(round)); err != nil {
-				c.mu.Lock()
-				c.moveErrs++
-				c.mu.Unlock()
-				cfg.Logf("cluster: device %d failed to move to edge %d (stranded until next move): %v", m, e, err)
-				moveErrCtr.Inc()
+			if e != membership[m] {
+				moves.Add(1)
+				go func() {
+					defer moves.Done()
+					c.move(m, membership[m], e, round, cfg.LiveMigration)
+				}()
 			}
 		}
+		moves.Wait()
 		membership = next
 	}
 
@@ -360,6 +339,39 @@ func (c *Cluster) liveTarget(m, e int) int {
 		return e
 	}
 	return survivors[m%len(survivors)]
+}
+
+// move takes device m from edge src to edge dst at a round boundary. With
+// live migration the source edge first ships the device's cached state to
+// the destination (every handover failure simply degrades to the plain
+// drop-and-reconnect attach); only a device whose move exhausted every
+// reconnect retry is counted stranded (see attach).
+func (c *Cluster) move(m, src, dst, round int, live bool) {
+	if live && src >= 0 && src < len(c.edges) && !c.edgeDown(src) {
+		c.mu.Lock()
+		c.migGen[m]++
+		gen := c.migGen[m]
+		srcEdge, dstAddr := c.edges[src], c.edges[dst].Addr()
+		c.mu.Unlock()
+		out := srcEdge.MigrateOut(m, dst, dstAddr, gen)
+		c.mu.Lock()
+		switch out {
+		case "ok":
+			c.migOK++
+		case "fallback":
+			c.migFallback++
+		case "rejected":
+			c.migRejected++
+		}
+		c.mu.Unlock()
+	}
+	if err := c.attach(m, dst, false, int64(round)); err != nil {
+		c.mu.Lock()
+		c.moveErrs++
+		c.mu.Unlock()
+		c.logf("cluster: device %d failed to move to edge %d (stranded until next move): %v", m, dst, err)
+		c.moveErrCtr.Inc()
+	}
 }
 
 // attach connects device m to edge target — warm for a re-home, carrying

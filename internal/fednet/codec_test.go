@@ -41,8 +41,8 @@ var frameCases = []frameCase{
 	{"RoundDone", MsgRoundDone, RoundDone{EdgeID: 1, Round: 17, Weight: 412.5, Trained: 4, Epoch: 3, Devices: []int{2, 5, 8}}},
 	{"GlobalModel", MsgGlobalModel, struct{}{}},
 	{"TrainRequest", MsgTrainRequest, TrainRequest{Round: 17, DeviceID: 5, Moved: true, ResetLocal: true,
-		Span: "c17.e1.d5", WantMoments: true, Resume: true, MomentLens: []int{2, 1}, OptSteps: 40}},
-	{"TrainReply", MsgTrainReply, TrainReply{DeviceID: 5, Round: 17, DataSize: 100, Utility: 1.5, MomentLens: []int{2, 1}, OptSteps: 42}},
+		Span: "c17.e1.d5", WantMoments: true, Resume: true, OptSteps: 40}},
+	{"TrainReply", MsgTrainReply, TrainReply{DeviceID: 5, Round: 17, DataSize: 100, Utility: 1.5, OptSteps: 42}},
 	{"Shutdown", MsgShutdown, struct{}{}},
 	{"RegisterAck", MsgRegisterAck, RegisterAck{EdgeID: 1, Round: 17, LastSync: 15}},
 	{"DeviceLeave", MsgDeviceLeave, DeviceLeave{DeviceID: 5}},
@@ -71,7 +71,9 @@ func awkwardVector() []float64 {
 
 // goldenFrames reads testdata/golden_frames.txt: "<name> <hex frame>" per
 // line, written by the frame writer of commit c84aa85 (the last one that
-// built every frame in a fresh buffer) from frameCases and awkwardVector.
+// built every frame in a fresh buffer) from frameCases and awkwardVector;
+// the TrainRequest and TrainReply lines by that of commit 5dc5c18, once
+// their headers had lost the moment group lengths.
 func goldenFrames(t testing.TB) map[string][]byte {
 	t.Helper()
 	f, err := os.Open("testdata/golden_frames.txt")

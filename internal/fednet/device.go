@@ -141,6 +141,18 @@ type virtualDevice struct {
 	// models outside mx.mu (DESIGN.md, "Who owns a vector").
 	spare []float64
 	pins  int
+	// kept is the optimizer state the device exported after its last
+	// training, when that request asked for it (WantMoments), in storage
+	// of its own: a Resume imports it. Siblings share the optimizer and
+	// reset it, so it never aliases the optimizer's buffers.
+	kept keptMoments
+}
+
+// keptMoments is one exported optimizer state (optim.MomentExporter).
+type keptMoments struct {
+	flat  []float64
+	lens  []int
+	steps int
 }
 
 // carry replaces the carried model on behalf of a pinned training, under
@@ -320,6 +332,9 @@ func (mx *DeviceMux) leave(cc *muxClientConn, v *virtualDevice) {
 	mx.mu.Lock()
 	back := v.edge == cc.edgeID // a newer Connect brought it back: that registration stands
 	last := !back && mx.ridersLocked(cc.edgeID, false) == 0
+	if last && mx.conns[cc.edgeID] == cc {
+		delete(mx.conns, cc.edgeID) // a sibling heading there from now on dials afresh
+	}
 	mx.mu.Unlock()
 	switch {
 	case back:
@@ -538,7 +553,15 @@ func (mx *DeviceMux) lost(cc *muxClientConn) {
 		defer mx.bg.Done()
 		if err := mx.attach(cc.edgeID, cc.addr, riders, false); err != nil {
 			mx.failover(cc.edgeID, riders)
+			return
 		}
+		mx.mu.Lock()
+		for _, r := range riders {
+			if r.v.gen == r.gen && r.v.live {
+				mx.m.reconnects.Inc() // the edge deregistered it with the lost connection
+			}
+		}
+		mx.mu.Unlock()
 	}()
 }
 
@@ -580,8 +603,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	// frame has been handled: training is synchronous inside the loop and
 	// keeps nothing of the payload (InitLocal blends it or hands it on as
 	// is, LocalRound copies that into the network before anything is
-	// released, ImportMoments copies its moments). A connection waiting
-	// for its next request holds none.
+	// released). A connection waiting for its next request holds none.
 	var held *vecBuf
 	payloadBuf := func(n int) []float64 {
 		held = payloadPool.Get().(*vecBuf)
@@ -671,17 +693,18 @@ func (mx *DeviceMux) unpin(id int) {
 // the local round on the shared compute state and store the result as
 // the new carried model, in the device's spare vector when it has one (a
 // known device stays pinned until unpin). Under the training lock the request is
-// stateless towards its siblings: migrated optimizer moments are imported
-// when the request resumes a handover (otherwise the round resets the
-// optimizer) and exported again when the edge asks. The batch-sampling
-// stream depends only on (seed, round, id). A non-nil error rejects the
-// request's state as corrupt — the caller must tear the connection down
-// and resync.
+// stateless towards its siblings: a Resume imports the optimizer state
+// this device kept (otherwise the round resets the optimizer), and the
+// state is exported into the device's keeping again when the edge asks.
+// The batch-sampling stream depends only on (seed, round, id). A non-nil
+// error rejects the request's state as corrupt — the caller must tear the
+// connection down and resync.
 func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
 	id := req.DeviceID
 	mx.mu.Lock()
 	v := mx.virts[id]
 	var local, vec []float64
+	var kept keptMoments
 	if v != nil {
 		v.pins++
 		vec, v.spare = v.spare, nil
@@ -689,6 +712,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 			v.carry(nil)
 		}
 		local = v.local // not written while carried or while a reader is pinned
+		kept = v.kept
 	}
 	mx.mu.Unlock()
 	if v == nil {
@@ -696,47 +720,38 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 		// the edge's retry loop resolve it without stalling.
 		return nil, TrainReply{DeviceID: id, Round: req.Round}, nil
 	}
-	edgeModel := payload
-	var moments []float64
-	var lens []int
-	var steps int
-	if req.Resume {
-		// The payload carries migrated optimizer moments after the edge
-		// model, so local training continues the source edge's trajectory
-		// instead of restarting cold.
-		if edgeModel, moments, lens, steps = splitMoments(payload, req.MomentLens, req.OptSteps); edgeModel == nil {
-			return nil, TrainReply{}, fmt.Errorf("fednet: device %d: malformed resume payload (%d values)", id, len(payload))
-		}
-	}
 	moved := req.Moved && local != nil
-	if moved && len(local) != len(edgeModel) {
+	if moved && len(local) != len(payload) {
 		// A moved device whose carried model cannot blend with the edge
 		// model is in an inconsistent state; silently training from the
 		// stale frame would feed a wrong-era model into Eq. 6.
 		return nil, TrainReply{}, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
-			id, len(local), len(edgeModel))
+			id, len(local), len(payload))
 	}
-	start := edgeModel
+	start := payload
 	if mx.cfg.Strategy != nil {
-		start = mx.cfg.Strategy.InitLocal(deviceView{edge: edgeModel, local: local}, id, edgeID, moved)
+		start = mx.cfg.Strategy.InitLocal(deviceView{edge: payload, local: local}, id, edgeID, moved)
 	}
 	if len(vec) != len(start) {
 		vec = make([]float64, len(start))
 	}
-	out := vec
 	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
 	rng := tensor.Split(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
-	me, _ := mx.compute.Opt.(optim.MomentExporter)
 
 	mx.trainMu.Lock()
-	resumed := req.Resume && me != nil && me.ImportMoments(moments, lens, steps)
+	me, _ := mx.compute.Opt.(optim.MomentExporter)
+	// The handover offered the state of OptSteps steps; any other kept
+	// state is not the one the source edge last saw, and the round trains
+	// cold. ImportMoments copies, so kept stays the device's own.
+	resumed := req.Resume && me != nil && kept.steps > 0 && kept.steps == req.OptSteps &&
+		me.ImportMoments(kept.flat, kept.lens, kept.steps)
 	fp := flight.BeginPhase("local_train")
 	util, skipped := mx.compute.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
 	fp.End()
+	kept = keptMoments{}
 	if req.WantMoments && me != nil {
 		if flat, lens, steps := me.ExportMoments(); len(flat) > 0 {
-			out = append(append(make([]float64, 0, len(vec)+len(flat)), vec...), flat...)
-			reply.MomentLens, reply.OptSteps = lens, steps
+			kept, reply.OptSteps = keptMoments{flat, lens, steps}, steps
 		}
 	}
 	mx.trainMu.Unlock()
@@ -745,10 +760,11 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 
 	mx.mu.Lock()
 	v.carry(vec)
+	v.kept = kept
 	v.prevEdge, v.lastUtil, v.lastTrained = edgeID, util, req.Round
 	v.rounds++
 	mx.mu.Unlock()
-	return out, reply, nil
+	return vec, reply, nil
 }
 
 // Disconnect shuts the client down: it detaches from every edge and

@@ -67,10 +67,10 @@ type EdgeConfig struct {
 	SelectionNormCap float64
 	// LiveMigration enables stateful edge-to-edge handover: on a
 	// mobility step the cluster asks the source edge to ship the moving
-	// device's state (model, optimizer moments, step counter, timeline)
-	// to the destination via MsgMigrate, so the device resumes mid-round
-	// instead of cold-joining. Every failure degrades to the plain
-	// drop-and-reconnect move. Off by default.
+	// device's state (model, timeline, the step count of the optimizer
+	// state the device keeps) to the destination via MsgMigrate, so the
+	// device resumes mid-round instead of cold-joining. Every failure
+	// degrades to the plain drop-and-reconnect move. Off by default.
 	LiveMigration bool
 	// MigrateTimeout bounds one handover transfer attempt (dial, send,
 	// ack). It is separate from Timeout because a faulted handover
@@ -108,26 +108,22 @@ type deviceState struct {
 	dataSize    int
 	arrivedFrom int  // edge the device trained under before connecting here
 	trainedHere bool // has it trained at this edge since arriving?
+	// lastModel is the device's last model, in a vector the edge owns (a
+	// train reply, a re-home payload or a handover record's); it returns
+	// to the edge's free list when the device's next reply replaces it.
 	lastModel   []float64
-	// replyBuf is the reply vector lastModel and moments were last taken
-	// from (they alias it); it returns to the edge's free list when the
-	// device's next reply replaces them.
-	replyBuf    []float64
 	statUtil    float64
 	lastTrained int
-	// Live-migration state. moments/momentLens/optSteps cache the
-	// device's last uploaded optimizer state (WantMoments replies) so a
-	// later handover can ship it. resume* hold state received from an
-	// accepted migrate-in, consumed one-shot by the device's first train
-	// request here (Resume=true → the device imports the moments instead
-	// of resetting its optimizer).
-	moments       []float64
-	momentLens    []int
-	optSteps      int
-	resume        bool
-	resumeMoments []float64
-	resumeLens    []int
-	resumeSteps   int
+	// Live-migration state. optSteps is the step count of the optimizer
+	// state the device kept after its last reply here (WantMoments); a
+	// handover offers it to the destination as the record's Steps. resume
+	// and resumeSteps hold such an offer from an accepted migrate-in,
+	// used up by the device's first train request here (Resume=true → the
+	// device imports the state it kept instead of resetting its
+	// optimizer).
+	optSteps    int
+	resume      bool
+	resumeSteps int
 }
 
 // Edge runs the in-edge half of Algorithm 1 as a server: it accepts
@@ -157,7 +153,7 @@ type Edge struct {
 	pendingTrace []pendingTraceEvent
 
 	// replies is the free list the demux readers decode train replies
-	// into (see deviceState.replyBuf).
+	// into (see deviceState.lastModel).
 	replies vecList
 
 	// The fields below are guarded by mu: the Run loop writes them while
@@ -406,10 +402,11 @@ func (e *Edge) acceptLoop() {
 
 // consumeHandoverLocked applies a pending migrate-in record to a freshly
 // registered device state (the warm merge): the destination adopts the
-// source's cached model, utility and — when both edges sit in the same
-// cloud-sync era — the source's training timeline, so the device's first
-// train request here skips ResetLocal and the Eq. 9 blend fires
-// mid-round instead of cold-joining. e.mu must be held.
+// source's cached model, utility, the offer of the device's optimizer
+// state and — when both edges sit in the same cloud-sync era — the
+// source's training timeline, so the device's first train request here
+// skips ResetLocal and the Eq. 9 blend fires mid-round instead of
+// cold-joining. e.mu must be held.
 func (e *Edge) consumeHandoverLocked(d *deviceState) {
 	h := e.pendingHandover[d.id]
 	if h == nil || !e.cfg.LiveMigration {
@@ -426,12 +423,8 @@ func (e *Edge) consumeHandoverLocked(d *deviceState) {
 		// train request here will not reset the carried local model.
 		d.lastTrained = h.LastTrained
 	}
-	if len(h.Moments) > 0 {
-		d.resume = true
-		d.resumeMoments = h.Moments
-		d.resumeLens = h.MomentLens
-		d.resumeSteps = h.Steps
-	}
+	// The moments stayed on the device; Steps offers their resume.
+	d.resume, d.resumeSteps = h.Steps > 0, h.Steps
 	e.cfg.Logf("edge %d: device %d resumes via handover from edge %d (gen %d, steps %d)",
 		e.cfg.EdgeID, d.id, h.SrcEdge, h.Generation, h.Steps)
 }
@@ -495,8 +488,12 @@ func (e *Edge) acceptMigrate(conn net.Conn, mig Migrate, vec []float64) {
 // (transfer failed after retries — the device simply drop-and-reconnects
 // as before), "rejected" (destination refused, e.g. stale generation) or
 // "" when there was nothing to hand over (the device never trained here,
-// so a cold join loses nothing). The record is journaled under
-// CheckpointDir for crash forensics and removed once resolved.
+// so a cold join loses nothing). Either way the device leaves this edge's
+// candidate set in the same step as the snapshot, so it is never selected
+// here again after its state was handed on. The record carries no
+// moments — they stay on the device, and Steps offers their resume. It is
+// journaled under CheckpointDir for crash forensics and removed once
+// resolved.
 func (e *Edge) MigrateOut(deviceID, destEdge int, destAddr string, generation int) string {
 	if !e.cfg.LiveMigration || destEdge == e.cfg.EdgeID {
 		return ""
@@ -504,7 +501,10 @@ func (e *Edge) MigrateOut(deviceID, destEdge int, destAddr string, generation in
 	e.mu.Lock()
 	d, ok := e.devices[deviceID]
 	var rec checkpoint.Handover
-	if ok && len(d.lastModel) > 0 {
+	if ok {
+		// Deregistered, the device state is nobody else's: the record
+		// takes its model vector as is.
+		e.deregisterLocked(deviceID, d.mux)
 		rec = checkpoint.Handover{
 			Device:      deviceID,
 			SrcEdge:     e.cfg.EdgeID,
@@ -516,13 +516,11 @@ func (e *Edge) MigrateOut(deviceID, destEdge int, destAddr string, generation in
 			Steps:       d.optSteps,
 			DataSize:    d.dataSize,
 			StatUtil:    d.statUtil,
-			Model:       append([]float64(nil), d.lastModel...),
-			MomentLens:  append([]int(nil), d.momentLens...),
-			Moments:     append([]float64(nil), d.moments...),
+			Model:       d.lastModel,
 		}
 	}
 	e.mu.Unlock()
-	if !ok || len(rec.Model) == 0 {
+	if len(rec.Model) == 0 {
 		return ""
 	}
 	raw, err := checkpoint.EncodeHandoverBytes(rec)
@@ -916,19 +914,13 @@ type roundStats struct {
 	quorumMiss bool
 }
 
-// trainResult is one device's contribution to a round: first the
-// delivered (or failed) round-trip, then with moments split off the reply
-// payload when the request asked for them — cached for a later handover,
-// never aggregated.
+// trainResult is one device's contribution to a round: the delivered (or
+// failed) round-trip.
 type trainResult struct {
-	id         int
-	buf        []float64 // the reply vector as received; vec and moments alias it
-	vec        []float64
-	reply      TrainReply
-	moments    []float64
-	momentLens []int
-	optSteps   int
-	err        error
+	id    int
+	vec   []float64
+	reply TrainReply
+	err   error
 }
 
 // runRound executes one Algorithm 1 time step: selection, parallel
@@ -1009,20 +1001,12 @@ collect:
 			}
 			e.mu.Lock()
 			if d, ok := e.devices[res.id]; ok {
-				if res.momentLens != nil {
-					d.moments = res.moments
-					d.momentLens = res.momentLens
-					d.optSteps = res.optSteps
-				} else if len(d.moments) > 0 {
-					// Moments kept from an earlier reply outlive its buffer.
-					d.moments = append([]float64(nil), d.moments...)
-				}
 				// Nothing still reads what this reply replaces: selection
-				// and handover read lastModel and moments under mu, and a
-				// round aggregates only vectors received in that round.
-				e.replies.put(d.replyBuf)
-				d.replyBuf = res.buf
+				// and handover read lastModel under mu, and a round
+				// aggregates only vectors received in that round.
+				e.replies.put(d.lastModel)
 				d.lastModel = res.vec
+				d.optSteps = res.reply.OptSteps
 				d.statUtil = res.reply.Utility
 				d.lastTrained = round
 				d.trainedHere = true
@@ -1047,7 +1031,7 @@ collect:
 		d, ok := e.devices[id]
 		e.mu.Unlock()
 		if ok {
-			e.dropIfAlone(id, d.mux)
+			e.dropIfAlone(d.mux)
 		}
 		e.cfg.Logf("edge %d: excluded straggler device %d in round %d", e.cfg.EdgeID, id, round)
 		if tr != nil {
@@ -1106,12 +1090,17 @@ collect:
 // trainDevice runs one device's train RPC with capped-backoff retries.
 // The round-trip rides the device's connection, whose demux reader
 // matches the reply by device id; after a transport error the retry
-// addresses whatever connection the device re-registered with.
+// addresses whatever connection the device re-registered with. A device
+// that is not registered (it left, or its connection failed and it has not
+// re-registered) ends the RPC at once: nothing remains to wait for.
 func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-chan struct{}) trainResult {
 	tr := e.cfg.Trace
 	var lastErr error
 	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
+			if !e.hasDevice(id) {
+				break
+			}
 			e.m.retries.Inc()
 			time.Sleep(retryBackoff(e.cfg.RetryBase, attempt, e.cfg.Seed,
 				int64(e.cfg.EdgeID)*1_000_003+int64(id)*31+int64(round)))
@@ -1124,7 +1113,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 		e.mu.Lock()
 		d, ok := e.devices[id]
 		var req TrainRequest
-		payload := model
+		resume := false
 		if ok {
 			req = TrainRequest{
 				Round:      round,
@@ -1136,37 +1125,31 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 				req.Span = trainRPCSpan(span, id)
 			}
 			if e.cfg.LiveMigration {
-				// Ask for the optimizer moments so a later handover can
-				// ship them; a migrated device additionally gets its moved
-				// state back (Resume), appended after the edge model.
+				// The device keeps its optimizer state for a later
+				// handover. A handover's offer to resume from it is used
+				// up by the first training here, and declined when that
+				// training resets the carried model anyway.
 				req.WantMoments = true
-				if d.resume && !req.ResetLocal {
-					req.Resume = true
-					req.MomentLens = d.resumeLens
-					req.OptSteps = d.resumeSteps
-					payload = make([]float64, 0, len(model)+len(d.resumeMoments))
-					payload = append(append(payload, model...), d.resumeMoments...)
+				resume = d.resume
+				if resume && !req.ResetLocal {
+					req.Resume, req.OptSteps = true, d.resumeSteps
 				}
 			}
 		}
 		e.mu.Unlock()
 		if !ok {
 			lastErr = fmt.Errorf("device %d not connected", id)
-			continue
+			break
 		}
 		rpcStart := tr.Now()
 		rpcTok := e.m.trainSpan.Begin()
 		fp := flight.BeginPhase("comm")
-		vec, reply, err := d.mux.roundTrip(id, req, payload)
+		vec, reply, err := d.mux.roundTrip(id, req, model)
 		fp.End()
-		res := trainResult{id: id, buf: vec, reply: reply}
-		if err == nil {
-			// An unknown device answers with an empty reply; either way
-			// the stream is intact, so the connection stays.
-			res.vec, res.moments, res.momentLens, res.optSteps = splitMoments(vec, reply.MomentLens, reply.OptSteps)
-			if reply.Round != round || len(res.vec) == 0 {
-				err = fmt.Errorf("train reply: round %d, %d values, moment lengths %v", reply.Round, len(vec), reply.MomentLens)
-			}
+		// An unknown device answers with an empty reply; either way the
+		// stream is intact, so the connection stays.
+		if err == nil && (reply.Round != round || len(vec) == 0) {
+			err = fmt.Errorf("train reply: round %d, %d values", reply.Round, len(vec))
 		}
 		if err != nil {
 			countTimeout(e.m.timeouts, err)
@@ -1174,12 +1157,10 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 			continue
 		}
 		rpcTok.End()
-		if req.Resume {
-			// The moved state reached the device: the one-shot resume is
-			// spent regardless of what later rounds do.
+		if resume {
 			e.mu.Lock()
 			if d2, ok2 := e.devices[id]; ok2 {
-				d2.resume, d2.resumeMoments, d2.resumeLens, d2.resumeSteps = false, nil, nil, 0
+				d2.resume, d2.resumeSteps = false, 0
 			}
 			e.mu.Unlock()
 		}
@@ -1188,30 +1169,17 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 				rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
 				map[string]any{"round": round, "device": id, "attempt": attempt})
 		}
-		return res
+		return trainResult{id: id, vec: vec, reply: reply}
 	}
 	return trainResult{id: id, err: lastErr}
 }
 
-// splitMoments separates a train-reply payload into the model part and
-// the appended optimizer moments described by lens. A nil model return
-// marks a malformed split (the claimed moments don't fit, or nothing
-// would remain of the model).
-func splitMoments(vec []float64, lens []int, steps int) (model, moments []float64, outLens []int, outSteps int) {
-	if len(lens) == 0 {
-		return vec, nil, nil, 0
-	}
-	n := 0
-	for _, l := range lens {
-		if l < 0 {
-			return nil, nil, nil, 0
-		}
-		n += l
-	}
-	if n <= 0 || n >= len(vec) {
-		return nil, nil, nil, 0
-	}
-	return vec[:len(vec)-n], vec[len(vec)-n:], lens, steps
+// hasDevice reports whether device id is in the candidate set.
+func (e *Edge) hasDevice(id int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.devices[id]
+	return ok
 }
 
 func (e *Edge) shutdownDevices() {

@@ -119,9 +119,10 @@ func TestCorruptFrameRejected(t *testing.T) {
 }
 
 // TestClusterChaosSoak runs a full deployment under ≥10% per-message
-// drop+delay (plus corruption) on the device–edge links and delays on
-// the edge–cloud links, and checks the run completes, the model stays
-// finite and the degradation machinery actually fired.
+// drop+delay (plus corruption and resets) on the device–edge links and
+// delays on the edge–cloud links, and checks the run completes, the model
+// stays finite and the degradation machinery actually fired — among it
+// the re-registration of devices whose connection a fault took down.
 func TestClusterChaosSoak(t *testing.T) {
 	mob := mobility.NewMarkovRing(3, 9, 0.4, 7)
 	prof := data.FastImageProfile(4)
@@ -146,7 +147,7 @@ func TestClusterChaosSoak(t *testing.T) {
 		Quorum:        1,
 		Faults: &FaultConfig{
 			Seed:       99,
-			DeviceEdge: FaultRates{Drop: 0.08, Delay: 0.06, Corrupt: 0.02},
+			DeviceEdge: FaultRates{Drop: 0.08, Delay: 0.06, Corrupt: 0.02, Reset: 0.02},
 			EdgeCloud:  FaultRates{Delay: 0.05},
 			MaxDelay:   20 * time.Millisecond,
 		},
@@ -165,11 +166,19 @@ func TestClusterChaosSoak(t *testing.T) {
 		}
 	}
 	injected := int64(0)
-	for _, kind := range []string{"drop", "delay", "corrupt"} {
+	for _, kind := range []string{"drop", "delay", "corrupt", "reset"} {
 		injected += reg.Counter("fednet_injected_faults_total", "kind", kind).Value()
 	}
 	if injected == 0 {
 		t.Fatal("no faults were injected — rates or wiring broken")
+	}
+	// A reset or a corrupt frame takes a device's connection down, and the
+	// edge deregisters the device with it: the device must re-register by
+	// itself, and be counted doing so.
+	resets := reg.Counter("fednet_injected_faults_total", "kind", "reset").Value()
+	reconnects := reg.Counter("fednet_device_reconnects_total").Value()
+	if resets == 0 || reconnects == 0 {
+		t.Fatalf("%d resets injected, %d devices re-registered after a lost connection; want both > 0", resets, reconnects)
 	}
 	// The stack must have noticed: at least one of the recovery paths
 	// (retries, straggler exclusion, quorum fallback, corrupt-frame
@@ -181,8 +190,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	if recovered == 0 {
 		t.Fatalf("faults injected (%d) but no recovery counter moved", injected)
 	}
-	t.Logf("chaos soak: %d faults injected, %d recoveries, %d tolerated component failures",
-		injected, recovered, c.ToleratedFaults())
+	t.Logf("chaos soak: %d faults injected (%d resets), %d recoveries, %d reconnects, %d tolerated component failures",
+		injected, resets, recovered, reconnects, c.ToleratedFaults())
 }
 
 // TestClusterQuorumFallback pins the quorum semantics end to end: with a

@@ -41,6 +41,27 @@ func membershipClusterConfig(t *testing.T, rounds int, mob mobility.Model) Clust
 	}
 }
 
+// heldMobility holds a cluster's run open between two rounds: its Step
+// call number at (StartCluster makes call 1, the cloud one after each
+// round) blocks until the test closes release, so a test's choreography
+// cannot outlast a run of a few milliseconds.
+type heldMobility struct {
+	mobility.Model
+	at, calls int
+	release   chan struct{}
+}
+
+func holdAt(m mobility.Model, at int) *heldMobility {
+	return &heldMobility{Model: m, at: at, release: make(chan struct{})}
+}
+
+func (h *heldMobility) Step() []int {
+	if h.calls++; h.calls == h.at {
+		<-h.release
+	}
+	return h.Model.Step()
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -58,11 +79,12 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // the cloud's lease detector, every one of its devices re-homed onto the
 // survivors, and the run driven to completion with nobody stranded — with
 // a client per device and with three devices per client alike. The kill
-// races periodic checkpointing on purpose — memberDead and checkpointSync
-// share the membership state.
+// races the first rounds and their periodic checkpointing on purpose —
+// memberDead and checkpointSync share the membership state — and the run
+// is held open after round 3 until the failover has re-homed every device.
 func TestClusterFailoverRehome(t *testing.T) {
 	for _, group := range []int{1, 3} {
-		mob := mobility.NewMarkovRing(3, 9, 0.3, 7)
+		mob := holdAt(mobility.NewMarkovRing(3, 9, 0.3, 7), 4)
 		cfg := membershipClusterConfig(t, 15, mob)
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
@@ -74,14 +96,10 @@ func TestClusterFailoverRehome(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.KillEdge(2)
-		waitFor(t, 10*time.Second, "edge 2 declared dead", func() bool {
-			for _, e := range c.DownEdges() {
-				if e == 2 {
-					return true
-				}
-			}
-			return false
+		waitFor(t, 10*time.Second, "edge 2 declared dead and its devices re-homed", func() bool {
+			return reg.Histogram("fednet_failover_seconds", obs.DurationBuckets()).Count() > 0
 		})
+		close(mob.release)
 		if err := c.Wait(); err != nil {
 			t.Fatalf("group of %d: run did not survive the edge kill: %v", group, err)
 		}
@@ -121,9 +139,11 @@ func TestClusterFailoverRehome(t *testing.T) {
 // TestClusterEdgeRejoin kills an edge, waits for the failover, restarts
 // it and checks the cloud readmits it under a bumped epoch — and that a
 // lease from a stale incarnation is fenced (counted and its connection
-// closed) rather than resurrecting the dead member.
+// closed) rather than resurrecting the dead member. The run is held open
+// after round 2 until the restarted edge has registered, so the cloud
+// still listens for the zombie and admits the newcomer at a boundary.
 func TestClusterEdgeRejoin(t *testing.T) {
-	mob := mobility.NewMarkovRing(3, 9, 0.3, 7)
+	mob := holdAt(mobility.NewMarkovRing(3, 9, 0.3, 7), 3)
 	cfg := membershipClusterConfig(t, 20, mob)
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -163,6 +183,8 @@ func TestClusterEdgeRejoin(t *testing.T) {
 	if err := c.RestartEdge(1); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, 10*time.Second, "the restarted edge 1 to register", func() bool { return len(c.cloud.ms.joinCh) > 0 })
+	close(mob.release)
 	waitFor(t, 10*time.Second, "edge 1 readmitted", func() bool {
 		for _, e := range c.DownEdges() {
 			if e == 1 {

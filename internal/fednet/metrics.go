@@ -123,7 +123,6 @@ type edgeMetrics struct {
 	cloudLink    linkMetrics
 	deviceLink   linkMetrics
 	drops        *obs.Counter
-	reconnects   *obs.Counter
 	timeouts     *obs.Counter
 	retries      *obs.Counter
 	quorumMisses *obs.Counter
@@ -152,7 +151,6 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 		cloudLink:      newLinkMetrics(r, linkEdgeCloud),
 		deviceLink:     newLinkMetrics(r, linkDeviceEdge),
 		drops:          r.Counter("fednet_device_drops_total"),
-		reconnects:     r.Counter("fednet_device_reconnects_total"),
 		timeouts:       r.Counter("fednet_timeouts_total"),
 		retries:        r.Counter("fednet_retries_total"),
 		quorumMisses:   r.Counter("fednet_quorum_misses_total"),
@@ -171,20 +169,23 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 	}
 }
 
-// deviceMetrics instruments one device client.
+// deviceMetrics instruments one device client. reconnects counts devices
+// re-registered at their edge after their connection was lost.
 type deviceMetrics struct {
-	link      linkMetrics
-	retries   *obs.Counter
-	nonfinite *obs.Counter
-	trainSpan *obs.Span
+	link       linkMetrics
+	retries    *obs.Counter
+	reconnects *obs.Counter
+	nonfinite  *obs.Counter
+	trainSpan  *obs.Span
 }
 
 func newDeviceMetrics(r *obs.Registry) deviceMetrics {
 	return deviceMetrics{
-		link:      newLinkMetrics(r, linkDeviceEdge),
-		retries:   r.Counter("fednet_retries_total"),
-		nonfinite: r.Counter("hfl_nonfinite_steps_total"),
-		trainSpan: r.Span("fednet_rpc_seconds", "op", "device_train"),
+		link:       newLinkMetrics(r, linkDeviceEdge),
+		retries:    r.Counter("fednet_retries_total"),
+		reconnects: r.Counter("fednet_device_reconnects_total"),
+		nonfinite:  r.Counter("hfl_nonfinite_steps_total"),
+		trainSpan:  r.Span("fednet_rpc_seconds", "op", "device_train"),
 	}
 }
 

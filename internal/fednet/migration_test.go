@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"middle/internal/checkpoint"
 	"middle/internal/core"
 	"middle/internal/data"
 	"middle/internal/hfl"
@@ -247,6 +248,165 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 	}
 	if sent := reg.Counter("fednet_sent_msgs_total", "link", linkEdgeEdge).Value(); sent != 0 {
 		t.Fatalf("edge_edge link carried %d messages with LiveMigration off", sent)
+	}
+}
+
+// TestEdgeResumeUsedUpByFirstTraining pins when a handover's offer to
+// resume is spent: at the device's first training at the destination,
+// even one that declines it because the device last trained before the
+// destination's latest sync (ResetLocal). Kept pending, the offer would
+// make the next training import optimizer state from before the move.
+func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
+	})
+	// A sync at round 2 with nobody registered puts the edge in sync era 2.
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 2, Sync: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := ReadMsg(cc, &RoundDone{}); err != nil || mt != MsgRoundDone {
+		t.Fatalf("round done: type %d, %v", mt, err)
+	}
+	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Device 5 last trained in round 1 at edge 1, before that sync.
+	raw, err := checkpoint.EncodeHandoverBytes(checkpoint.Handover{
+		Device: 5, SrcEdge: 1, DestEdge: 0, Generation: 1, Round: 2, LastSync: 2, LastTrained: 1,
+		Steps: 4, DataSize: 10, StatUtil: 1, Model: []float64{0.5, 0.5, 0.5},
+		MomentLens: []int{3}, Moments: []float64{0.1, 0.2, 0.3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Dial("tcp", edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.SetDeadline(time.Now().Add(5 * time.Second))
+	mig := Migrate{SrcEdge: 1, DestEdge: 0, DeviceID: 5, Generation: 1, RecordBytes: len(raw)}
+	if err := WriteMsg(src, MsgMigrate, mig, packBytes(raw)); err != nil {
+		t.Fatal(err)
+	}
+	var ack MigrateAck
+	if mt, _, err := ReadMsg(src, &ack); err != nil || mt != MsgMigrateAck || !ack.Accepted {
+		t.Fatalf("migrate ack: type %d, %+v, %v", mt, ack, err)
+	}
+
+	dev, err := net.Dial("tcp", edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	dev.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := RegisterMux{Devices: []RegisterDevice{{DeviceID: 5, DataSize: 10, PrevEdge: 1}}}
+	if err := WriteMsg(dev, MsgRegisterMux, hello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := ReadMsg(dev, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
+		t.Fatalf("register ack: type %d, %v", mt, err)
+	}
+	var reqs []TrainRequest
+	for round := 3; round <= 4; round++ {
+		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
+			t.Fatal(err)
+		}
+		var req TrainRequest
+		if mt, _, err := ReadMsg(dev, &req); err != nil || mt != MsgTrainRequest {
+			t.Fatalf("round %d: train request: type %d, %v", round, mt, err)
+		}
+		reqs = append(reqs, req)
+		if err := WriteMsg(dev, MsgTrainReply, TrainReply{DeviceID: 5, Round: round, DataSize: 10}, []float64{1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		var done RoundDone
+		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 1 {
+			t.Fatalf("round %d done: type %d, %+v, %v", round, mt, done, err)
+		}
+	}
+	if !reqs[0].ResetLocal || reqs[0].Resume || !reqs[0].WantMoments {
+		t.Fatalf("first request %+v: want a reset that declines the resume and keeps the moments", reqs[0])
+	}
+	if reqs[1].ResetLocal || reqs[1].Resume {
+		t.Fatalf("second request %+v: the offer outlived the first training", reqs[1])
+	}
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
+	}
+}
+
+// TestMigrateOutLeavesCandidateSet pins the order of a handover at the
+// source: when MigrateOut returns — whatever the transfer's outcome — the
+// device is no longer a candidate there, although its connection is still
+// up and its sibling on it still registered. The leave notice or closing
+// socket that follows may arrive after the next round has selected.
+func TestMigrateOutLeavesCandidateSet(t *testing.T) {
+	reg := obs.NewRegistry()
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second,
+		LiveMigration: true, MaxRetries: -1, Obs: reg,
+	})
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+
+	dev, err := net.Dial("tcp", edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	dev.SetDeadline(time.Now().Add(5 * time.Second))
+	register := func(id int) {
+		t.Helper()
+		if err := WriteMsg(dev, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{{DeviceID: id, DataSize: 10, PrevEdge: -1}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, err := ReadMsg(dev, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
+			t.Fatalf("register ack: type %d, %v", mt, err)
+		}
+	}
+	// Device 5 trains a round, so the edge has state to hand over.
+	register(5)
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := ReadMsg(dev, &TrainRequest{}); err != nil || mt != MsgTrainRequest {
+		t.Fatalf("train request: type %d, %v", mt, err)
+	}
+	if err := WriteMsg(dev, MsgTrainReply, TrainReply{DeviceID: 5, Round: 1, DataSize: 10}, []float64{1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := ReadMsg(cc, &RoundDone{}); err != nil || mt != MsgRoundDone {
+		t.Fatalf("round done: type %d, %v", mt, err)
+	}
+	register(4)
+
+	// The destination is down, and device 4 never trained here.
+	if out := edge.MigrateOut(5, 1, deadAddr, 1); out != "fallback" {
+		t.Fatalf("MigrateOut(5) = %q, want fallback", out)
+	}
+	if ids := registered(edge); ids[5] || !ids[4] {
+		t.Fatalf("edge lists %v after handing device 5 away, want 4 alone", ids)
+	}
+	if out := edge.MigrateOut(4, 1, deadAddr, 1); out != "" {
+		t.Fatalf("MigrateOut(4) = %q, want nothing to hand over", out)
+	}
+	if ids := registered(edge); len(ids) != 0 || reg.Gauge("fednet_virtual_devices").Value() != 0 {
+		t.Fatalf("edge lists %v after handing both devices away", ids)
+	}
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
 	}
 }
 

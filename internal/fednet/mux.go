@@ -42,13 +42,13 @@ func (mx *edgeMux) write(t MsgType, header any, vec []float64) error {
 }
 
 // roundTrip sends one train request and waits for the demux reader to
-// deliver the matching reply. A device whose connection is gone is
-// dropped — the retry addresses whatever connection it re-registers
-// with. A reply that is merely late costs a device that shares its
-// connection only this round-trip: the stream itself may be healthy (the
-// client trains its devices one at a time), so it survives and a stale
-// delivery is simply discarded. A device alone on its connection is
-// closed and dropped, and reconnects.
+// deliver the matching reply. A connection that fails takes its devices'
+// registrations with it (fail); a retry finds the device only if it has
+// re-registered since. A reply that is merely late costs a device that
+// shares its connection only this round-trip: the stream itself may be
+// healthy (the client trains its devices one at a time), so it survives
+// and a stale delivery is simply discarded. A device alone on its
+// connection is closed and dropped, and reconnects.
 func (mx *edgeMux) roundTrip(id int, req TrainRequest, payload []float64) ([]float64, TrainReply, error) {
 	e := mx.edge
 	ch := make(chan trainResult, 1)
@@ -61,29 +61,24 @@ func (mx *edgeMux) roundTrip(id int, req TrainRequest, payload []float64) ([]flo
 	mx.mu.Unlock()
 	switch {
 	case closed:
-		e.dropDevice(id, mx)
 		return nil, TrainReply{}, errConnLost
 	case busy:
 		return nil, TrainReply{}, fmt.Errorf("device %d already has a request in flight", id)
 	}
 	if err := mx.write(MsgTrainRequest, req, payload); err != nil {
 		mx.fail(err)
-		e.dropDevice(id, mx)
 		return nil, TrainReply{}, err
 	}
 	timer := time.NewTimer(e.cfg.Timeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
-		if res.err != nil {
-			e.dropDevice(id, mx)
-		}
 		return res.vec, res.reply, res.err
 	case <-timer.C:
 		mx.mu.Lock()
 		delete(mx.waiters, id)
 		mx.mu.Unlock()
-		e.dropIfAlone(id, mx)
+		e.dropIfAlone(mx)
 		return nil, TrainReply{}, os.ErrDeadlineExceeded
 	}
 }
@@ -132,10 +127,10 @@ func (mx *edgeMux) serve() {
 	}
 }
 
-// fail closes the connection: in-flight round-trips fail fast and later
-// ones are refused. Its devices stay registered — a lost connection is
-// not a departure. The client re-registers them by itself, and one that
-// never returns is dropped by the first train RPC that selects it.
+// fail closes the connection and deregisters the devices that rode it —
+// a client of one leaves by closing, and one whose connection was lost
+// re-registers by itself — so selection never sees a device that is not
+// there. In-flight round-trips then fail fast and later ones are refused.
 func (mx *edgeMux) fail(err error) {
 	mx.mu.Lock()
 	already := mx.closed
@@ -147,11 +142,17 @@ func (mx *edgeMux) fail(err error) {
 		return
 	}
 	mx.conn.Close()
+	e := mx.edge
+	e.mu.Lock()
+	for id := range mx.ids {
+		e.deregisterLocked(id, mx)
+	}
+	e.mu.Unlock()
 	for _, ch := range waiters {
 		ch <- trainResult{err: errConnLost}
 	}
 	if err != nil {
-		mx.edge.cfg.Logf("edge %d: device connection failed: %v", mx.edge.cfg.EdgeID, err)
+		e.cfg.Logf("edge %d: device connection failed: %v", e.cfg.EdgeID, err)
 	}
 }
 
@@ -173,7 +174,7 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	e.mu.Lock()
 	for _, rd := range devices {
 		if old, ok := e.devices[rd.DeviceID]; ok && old.mux != mx {
-			e.m.reconnects.Inc()
+			// Re-registered before this edge saw its old connection fail.
 			delete(old.mux.ids, rd.DeviceID)
 			if len(old.mux.ids) == 0 {
 				old.mux.conn.Close()
@@ -193,7 +194,7 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			// merge rule as consumeHandoverLocked — the training timeline
 			// survives only within the same cloud-sync era.
 			if len(vec) > 0 && (len(e.edgeModel) == 0 || len(vec) == len(e.edgeModel)) {
-				d.lastModel, d.replyBuf = vec, vec
+				d.lastModel = vec
 			}
 			if rd.Utility != 0 {
 				d.statUtil = rd.Utility
@@ -213,40 +214,37 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	e.m.virtualDevices.Set(float64(len(e.devices)))
 	ack := RegisterAck{EdgeID: e.cfg.EdgeID, Round: e.curRound, LastSync: e.lastSync}
 	e.mu.Unlock()
-	err := mx.write(MsgRegisterAck, ack, nil)
-	if err != nil {
-		for _, rd := range devices {
-			e.dropDevice(rd.DeviceID, mx)
-		}
-	}
-	return err
+	return mx.write(MsgRegisterAck, ack, nil) // on error the caller fails mx, deregistering them
 }
 
-// dropDevice forgets one device — it left, or its connection is gone —
-// unless it already re-registered through another connection, in which
-// case the fresh entry stays.
+// dropDevice forgets one device that left mx.
 func (e *Edge) dropDevice(id int, mx *edgeMux) {
 	e.mu.Lock()
+	e.deregisterLocked(id, mx)
+	e.mu.Unlock()
+}
+
+// deregisterLocked takes device id off the candidate set as registered
+// through mx; a registration through another connection since stays.
+// e.mu must be held.
+func (e *Edge) deregisterLocked(id int, mx *edgeMux) {
 	if d, ok := e.devices[id]; ok && d.mux == mx {
 		delete(e.devices, id)
 		e.m.virtualDevices.Set(float64(len(e.devices)))
 	}
 	delete(mx.ids, id)
-	e.mu.Unlock()
 }
 
-// dropIfAlone closes a late or silent device's connection and drops it
-// when no other device rides that connection, so it does not leak in the
-// device map; the client reconnects and resyncs via the registration ack.
-// With siblings the connection is healthy and closing it would take them
-// down too, so the device stays registered.
-func (e *Edge) dropIfAlone(id int, mx *edgeMux) bool {
+// dropIfAlone closes a late or silent device's connection, which drops
+// the device, when no other device rides that connection; the client
+// reconnects and resyncs via the registration ack. With siblings the
+// connection is healthy and closing it would take them down too, so the
+// device stays registered.
+func (e *Edge) dropIfAlone(mx *edgeMux) {
 	e.mu.Lock()
 	alone := len(mx.ids) <= 1
 	e.mu.Unlock()
 	if alone {
 		mx.fail(nil)
-		e.dropDevice(id, mx)
 	}
-	return alone
 }

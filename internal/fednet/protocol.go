@@ -297,18 +297,15 @@ type TrainRequest struct {
 	// Span is the edge's trace span id for this train RPC ("" when
 	// tracing is off); the device parents its training span on it.
 	Span string `json:"span,omitempty"`
-	// WantMoments asks the device to append its optimizer moment state
-	// to the reply payload (set when the edge runs with live migration,
-	// so a later handover can ship the moments along).
+	// WantMoments asks the device to keep its optimizer state after this
+	// training (set when the edge runs with live migration, so a later
+	// handover can offer a resume). The state stays on the device.
 	WantMoments bool `json:"want_moments,omitempty"`
 	// Resume marks the one-shot request that follows an accepted
-	// migration: the payload is edge model ++ migrated moments (split by
-	// MomentLens) and the device imports the moments instead of
-	// resetting its optimizer, continuing from OptSteps.
+	// migration: the device imports the optimizer state it kept instead
+	// of resetting its optimizer — if that state is OptSteps steps old;
+	// otherwise it trains cold, as after a failed handover.
 	Resume bool `json:"resume,omitempty"`
-	// MomentLens splits the appended moment state into optimizer groups
-	// (see optim.MomentExporter); nil when no moments travel.
-	MomentLens []int `json:"moment_lens,omitempty"`
 	// OptSteps is the optimizer step counter accompanying Resume.
 	OptSteps int `json:"opt_steps,omitempty"`
 }
@@ -319,10 +316,9 @@ type TrainReply struct {
 	Round    int     `json:"round"`
 	DataSize int     `json:"data_size"`
 	Utility  float64 `json:"utility"` // Oort statistical utility
-	// MomentLens/OptSteps describe the optimizer moment state appended
-	// to the payload after the model when the request set WantMoments.
-	MomentLens []int `json:"moment_lens,omitempty"`
-	OptSteps   int   `json:"opt_steps,omitempty"`
+	// OptSteps is the step counter of the optimizer state the device
+	// kept for the request's WantMoments (0: it kept none).
+	OptSteps int `json:"opt_steps,omitempty"`
 }
 
 // packBytes packs an opaque byte record into the frame's float64 vector

@@ -99,11 +99,11 @@ go test -race -count=1 \
     ./internal/fednet
 
 echo "== device client attachment gate (-race, 3x) =="
-# One client type carries every attachment feature at every group size:
-# the connect storm (latest Connect wins), a move back after a failed
-# move, and edge failover with warm re-homing at group sizes 1 and 3.
+# Every attachment feature at group sizes 1 and 3: the connect storm, a
+# move back after a failed move, failover with warm re-homing, rejoin, and
+# churn (a device leaving is deregistered at once; its moments stay put).
 go test -race -count=3 \
-    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome' \
+    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership' \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
