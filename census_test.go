@@ -41,7 +41,6 @@ var unusedAPIAllowlist = map[string]string{
 	// Accessors and drivers tests use to observe or steer a capability
 	// that a workload, figure, example or gate runs.
 	"internal/simil.Added":               "stream_test.go counts the accumulator's folds",
-	"internal/hfl.DownEdges":             "selfheal_test.go reads the simulator's dead edges",
 	"internal/hfl.NonFiniteSteps":        "robust_test.go reads the skipped-step count",
 	"internal/hfl.ResidentModels":        "store_test.go reads the lazy store's resident count",
 	"internal/hfl.GlobalLoss":            "sim_test.go checks Eq. 4's objective falls",
@@ -96,32 +95,15 @@ func TestNoUnusedAPI(t *testing.T) {
 	uses := map[string]int{}       // identifier → occurrences in non-test files
 	declared := map[string]int{}   // bare name → declarations of it
 	where := map[string][]string{} // "<dir>.<Name>" → declaration positions
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "results") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachSourceFile(t, fset, func(p string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				uses[id.Name]++
 			}
 			return true
 		})
-		p = filepath.ToSlash(p)
 		if p != "middle.go" && !strings.HasPrefix(p, "internal/") {
-			return nil
+			return
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -132,11 +114,7 @@ func TestNoUnusedAPI(t *testing.T) {
 			key := path.Dir(p) + "." + fd.Name.Name
 			where[key] = append(where[key], fset.Position(fd.Pos()).String())
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var unused []string
 	for key, pos := range where {
 		name := key[strings.LastIndexByte(key, '.')+1:]
@@ -158,5 +136,34 @@ func TestNoUnusedAPI(t *testing.T) {
 	sort.Strings(unused)
 	for _, u := range unused {
 		t.Errorf("%s is named by no non-test file: delete it, or allowlist it with a reason", u)
+	}
+}
+
+// eachSourceFile parses every non-test .go file of the module (outside
+// dot directories, testdata and results) and hands fn its slash path.
+func eachSourceFile(t *testing.T, fset *token.FileSet, fn func(p string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "results") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(p), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"middle/internal/experiments"
 	"middle/internal/fednet"
 	"middle/internal/mobility"
-	"middle/internal/nn"
 	"middle/internal/tensor"
 )
 
@@ -157,28 +156,6 @@ func onSignal(fn func()) {
 	}()
 }
 
-// evalAccuracy measures a model vector's accuracy over the task's whole
-// test set (the cloud role's end-of-run quality line).
-func evalAccuracy(setup *experiments.TaskSetup, seed int64, vec []float64) float64 {
-	net := setup.Factory(tensor.Split(seed, 77))
-	net.SetParamVector(vec)
-	test := setup.Test
-	if test == nil || test.Len() == 0 {
-		return 0
-	}
-	correct := 0.0
-	for lo := 0; lo < test.Len(); lo += 256 {
-		hi := min(lo+256, test.Len())
-		idx := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		x, y := test.Batch(idx)
-		correct += nn.Accuracy(net.Forward(x, false), y) * float64(len(y))
-	}
-	return correct / float64(test.Len())
-}
-
 // runCloud coordinates the run and returns the summary's extra fields.
 func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
 	cfg := o.cloud
@@ -198,7 +175,7 @@ func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
 	if err := c.Run(); err != nil {
 		o.Fatalf("%v", err)
 	}
-	acc := evalAccuracy(setup, o.Seed, c.GlobalModel())
+	acc := setup.Accuracy(o.Seed, c.GlobalModel())
 	log.Printf("middled: training complete (final accuracy %.4f)", acc)
 	extra := map[string]any{"final_accuracy": acc}
 	if cfg.Membership.Enabled {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,16 +43,21 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	fmt.Printf("middlediag: %s\n", dir)
-	reportManifest(dir)
-	reportSLO(dir)
-	reportCPU(dir, *top)
-	reportProfileSeries(dir, *top)
-	reportHotSeries(dir, *top)
-	reportFaults(dir)
-	reportMigrations(dir)
-	reportMembership(dir)
-	reportGoroutines(dir, *top, *leak)
+	report(os.Stdout, dir, *top, *leak)
+}
+
+// report writes the whole root-cause report for one bundle directory.
+func report(w io.Writer, dir string, top, leak int) {
+	fmt.Fprintf(w, "middlediag: %s\n", dir)
+	reportManifest(w, dir)
+	reportSLO(w, dir)
+	reportCPU(w, dir, top)
+	reportProfileSeries(w, dir, top)
+	reportHotSeries(w, dir, top)
+	reportFaults(w, dir)
+	reportMigrations(w, dir)
+	reportMembership(w, dir)
+	reportGoroutines(w, dir, top, leak)
 }
 
 // resolveBundle accepts either a bundle directory or a flight directory
@@ -80,9 +86,9 @@ func readJSON(dir, file string, out any) bool {
 	return json.Unmarshal(data, out) == nil
 }
 
-func section(name string) { fmt.Printf("\n== %s ==\n", name) }
+func section(w io.Writer, name string) { fmt.Fprintf(w, "\n== %s ==\n", name) }
 
-func reportManifest(dir string) {
+func reportManifest(w io.Writer, dir string) {
 	var m struct {
 		Reason     string `json:"reason"`
 		CapturedAt string `json:"captured_at"`
@@ -98,28 +104,28 @@ func reportManifest(dir string) {
 		Errors []string `json:"errors"`
 	}
 	if !readJSON(dir, "manifest.json", &m) {
-		fmt.Println("capture: no manifest.json (incomplete bundle?)")
+		fmt.Fprintln(w, "capture: no manifest.json (incomplete bundle?)")
 		return
 	}
-	section("capture")
-	fmt.Printf("reason:   %s\n", m.Reason)
-	fmt.Printf("captured: %s\n", m.CapturedAt)
+	section(w, "capture")
+	fmt.Fprintf(w, "reason:   %s\n", m.Reason)
+	fmt.Fprintf(w, "captured: %s\n", m.CapturedAt)
 	if m.Manifest.Name != "" {
-		fmt.Printf("run:      %s\n", m.Manifest.Name)
+		fmt.Fprintf(w, "run:      %s\n", m.Manifest.Name)
 	}
 	if b := m.Manifest.Build; b.GoVersion != "" || b.VCSRevision != "" {
 		rev := b.VCSRevision
 		if len(rev) > 12 {
 			rev = rev[:12]
 		}
-		fmt.Printf("build:    %s %s %s\n", b.GoVersion, rev, b.VCSTime)
+		fmt.Fprintf(w, "build:    %s %s %s\n", b.GoVersion, rev, b.VCSTime)
 	}
 	for _, e := range m.Errors {
-		fmt.Printf("capture error: %s\n", e)
+		fmt.Fprintf(w, "capture error: %s\n", e)
 	}
 }
 
-func reportSLO(dir string) {
+func reportSLO(w io.Writer, dir string) {
 	var s struct {
 		Alerts []struct {
 			Name   string  `json:"name"`
@@ -133,11 +139,11 @@ func reportSLO(dir string) {
 	if !readJSON(dir, "slo.json", &s) {
 		return
 	}
-	section("slo")
+	section(w, "slo")
 	if len(s.Breached) == 0 {
-		fmt.Println("no rules breached")
+		fmt.Fprintln(w, "no rules breached")
 	} else {
-		fmt.Printf("breached: %s\n", strings.Join(s.Breached, ", "))
+		fmt.Fprintf(w, "breached: %s\n", strings.Join(s.Breached, ", "))
 	}
 	for _, a := range s.Alerts {
 		if a.State == "ok" {
@@ -150,12 +156,12 @@ func reportSLO(dir string) {
 		if ts := fmtUnixMS(a.Since); ts != "" {
 			line += "  since " + ts
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	// Breach moments from the event ring, the "when" to slo.json's "what".
 	for _, ev := range readEvents(dir) {
 		if ev["event"] == "slo_breach" {
-			fmt.Printf("breach:   rule=%v at %v\n", ev["rule"], ev["ts"])
+			fmt.Fprintf(w, "breach:   rule=%v at %v\n", ev["rule"], ev["ts"])
 		}
 	}
 }
@@ -179,20 +185,20 @@ func readEvents(dir string) []map[string]any {
 	return out
 }
 
-func reportCPU(dir string, top int) {
+func reportCPU(w io.Writer, dir string, top int) {
 	data, err := os.ReadFile(filepath.Join(dir, "cpu.pprof"))
 	if err != nil {
 		return
 	}
 	prof, err := flight.ParseCPUProfile(data)
 	if err != nil {
-		section("cpu by phase")
-		fmt.Printf("cpu.pprof unparsable: %v\n", err)
+		section(w, "cpu by phase")
+		fmt.Fprintf(w, "cpu.pprof unparsable: %v\n", err)
 		return
 	}
-	section("cpu by phase (bundle cpu.pprof window)")
+	section(w, "cpu by phase (bundle cpu.pprof window)")
 	if prof.TotalNanos == 0 {
-		fmt.Println("profile window captured no samples (idle process)")
+		fmt.Fprintln(w, "profile window captured no samples (idle process)")
 		return
 	}
 	type pc struct {
@@ -208,10 +214,10 @@ func reportCPU(dir string, top int) {
 		if i >= top {
 			break
 		}
-		fmt.Printf("%-16s %8.3fs  %5.1f%%\n", p.phase,
+		fmt.Fprintf(w, "%-16s %8.3fs  %5.1f%%\n", p.phase,
 			float64(p.nanos)/1e9, 100*float64(p.nanos)/float64(prof.TotalNanos))
 	}
-	fmt.Printf("%-16s %8.3fs\n", "total", float64(prof.TotalNanos)/1e9)
+	fmt.Fprintf(w, "%-16s %8.3fs\n", "total", float64(prof.TotalNanos)/1e9)
 }
 
 // tsdbDump mirrors the {"tsdb":1,...} dump document.
@@ -241,7 +247,7 @@ func lastValue(points [][2]float64) (float64, bool) {
 // reportProfileSeries ranks the continuous profiler's cumulative
 // attribution series — the whole-run view complementing the bundle's
 // single CPU window.
-func reportProfileSeries(dir string, top int) {
+func reportProfileSeries(w io.Writer, dir string, top int) {
 	d, ok := loadDump(dir)
 	if !ok {
 		return
@@ -273,18 +279,18 @@ func reportProfileSeries(dir string, top int) {
 	if len(cpu) == 0 && len(alloc) == 0 {
 		return
 	}
-	section("profiler attribution (cumulative over run)")
+	section(w, "profiler attribution (cumulative over run)")
 	for _, r := range cpu {
-		fmt.Printf("cpu   %-16s %10.3fs\n", r.phase, r.v)
+		fmt.Fprintf(w, "cpu   %-16s %10.3fs\n", r.phase, r.v)
 	}
 	for _, r := range alloc {
-		fmt.Printf("alloc %-16s %10s\n", r.phase, fmtBytes(r.v))
+		fmt.Fprintf(w, "alloc %-16s %10s\n", r.phase, fmtBytes(r.v))
 	}
 }
 
 // reportHotSeries ranks series by spread (max-min over the retained
 // window) — the cheapest "what moved" signal in a dump.
-func reportHotSeries(dir string, top int) {
+func reportHotSeries(w io.Writer, dir string, top int) {
 	d, ok := loadDump(dir)
 	if !ok {
 		return
@@ -310,12 +316,12 @@ func reportHotSeries(dir string, top int) {
 	if len(rows) == 0 {
 		return
 	}
-	section("hottest series by spread")
+	section(w, "hottest series by spread")
 	for i, r := range rows {
 		if i >= top {
 			break
 		}
-		fmt.Printf("%-48s %g\n", r.name, r.spread)
+		fmt.Fprintf(w, "%-48s %g\n", r.name, r.spread)
 	}
 }
 
@@ -324,7 +330,7 @@ func reportHotSeries(dir string, top int) {
 // exclusions, robust-aggregation rejections and non-finite steps.
 var faultPattern = regexp.MustCompile(`^(fednet|hfl|robust)_.*(retries|timeouts|corrupt|drops|reconnects|quorum|stragglers|rejected|trimmed|clipped|nonfinite)`)
 
-func reportFaults(dir string) {
+func reportFaults(w io.Writer, dir string) {
 	d, ok := loadDump(dir)
 	if !ok {
 		return
@@ -343,28 +349,27 @@ func reportFaults(dir string) {
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
-	section("fault / retry / reject counters")
+	section(w, "fault / retry / reject counters")
 	if len(rows) == 0 {
-		fmt.Println("all zero — a clean run")
+		fmt.Fprintln(w, "all zero — a clean run")
 		return
 	}
 	for _, r := range rows {
-		fmt.Printf("%-48s %g\n", r.name, r.v)
+		fmt.Fprintf(w, "%-48s %g\n", r.name, r.v)
 	}
 }
 
 // migrationPattern matches the live-migration telemetry: handover
-// outcome counters (fednet and the hfl sim mirror), the stranded-device
-// gauge, the move-retry counter and the synthesized handover latency
-// quantiles.
-var migrationPattern = regexp.MustCompile(`^(fednet|hfl)_(migrations_total|stranded_devices|move_retries_total|handover_seconds)`)
+// outcome counters, the stranded-device gauge, the move-retry counter and
+// the synthesized handover latency quantiles.
+var migrationPattern = regexp.MustCompile(`^fednet_(migrations_total|stranded_devices|move_retries_total|handover_seconds)`)
 
 // reportMigrations summarizes the handover story of a run: how many
 // migrations completed vs fell back or were rejected, whether any
 // device ended up stranded, and how long transfers took. Quiet when
 // live migration never ran — the section only appears once a migration
 // series exists.
-func reportMigrations(dir string) {
+func reportMigrations(w io.Writer, dir string) {
 	d, ok := loadDump(dir)
 	if !ok {
 		return
@@ -386,17 +391,17 @@ func reportMigrations(dir string) {
 		return
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	section("live migration")
+	section(w, "live migration")
 	for _, r := range rows {
-		fmt.Printf("%-48s %g\n", r.name, r.v)
+		fmt.Fprintf(w, "%-48s %g\n", r.name, r.v)
 	}
 }
 
 // membershipPattern matches the self-healing telemetry: the membership
-// epoch gauge, failover/re-home counters (fednet and the hfl sim
-// mirror), lease-miss and stale-frame fencing counters, the
-// stranded-device gauge and the synthesized failover latency quantiles.
-var membershipPattern = regexp.MustCompile(`^(fednet|hfl)_(membership_epoch|edge_failovers_total|rehomed_devices_total|lease_misses_total|stale_frames_total|stranded_devices|failover_seconds)`)
+// epoch gauge, failover/re-home counters, lease-miss and stale-frame
+// fencing counters, the stranded-device gauge and the synthesized
+// failover latency quantiles.
+var membershipPattern = regexp.MustCompile(`^fednet_(membership_epoch|edge_failovers_total|rehomed_devices_total|lease_misses_total|stale_frames_total|stranded_devices|failover_seconds)`)
 
 // reportMembership summarizes the self-healing story of a run: how many
 // edges died and were failed over, how many devices were re-homed vs
@@ -404,7 +409,7 @@ var membershipPattern = regexp.MustCompile(`^(fednet|hfl)_(membership_epoch|edge
 // stale traffic the epoch fence rejected. Quiet when the failure
 // detector never ran — the section only appears once a membership
 // series exists.
-func reportMembership(dir string) {
+func reportMembership(w io.Writer, dir string) {
 	d, ok := loadDump(dir)
 	if !ok {
 		return
@@ -426,16 +431,16 @@ func reportMembership(dir string) {
 		return
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	section("membership / self-healing")
+	section(w, "membership / self-healing")
 	stranded := 0.0
 	for _, r := range rows {
-		fmt.Printf("%-48s %g\n", r.name, r.v)
-		if r.name == "fednet_stranded_devices" || r.name == "hfl_stranded_devices" {
+		fmt.Fprintf(w, "%-48s %g\n", r.name, r.v)
+		if r.name == "fednet_stranded_devices" {
 			stranded = r.v
 		}
 	}
 	if stranded > 0 {
-		fmt.Printf("WARNING: %g devices ended the run stranded (no reachable edge)\n", stranded)
+		fmt.Fprintf(w, "WARNING: %g devices ended the run stranded (no reachable edge)\n", stranded)
 	}
 }
 
@@ -443,7 +448,7 @@ func reportMembership(dir string) {
 // frame when the root goroutine has none) and flags unusually large
 // groups — the standard leak signature is many goroutines parked at
 // one site.
-func reportGoroutines(dir string, top, leakThreshold int) {
+func reportGoroutines(w io.Writer, dir string, top, leakThreshold int) {
 	data, err := os.ReadFile(filepath.Join(dir, "goroutines.txt"))
 	if err != nil {
 		return
@@ -491,8 +496,8 @@ func reportGoroutines(dir string, top, leakThreshold int) {
 		groups = append(groups, group{k, c})
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].count > groups[j].count })
-	section("goroutines")
-	fmt.Printf("total: %d\n", total)
+	section(w, "goroutines")
+	fmt.Fprintf(w, "total: %d\n", total)
 	for i, g := range groups {
 		if i >= top {
 			break
@@ -501,7 +506,7 @@ func reportGoroutines(dir string, top, leakThreshold int) {
 		if g.count >= leakThreshold {
 			flag = "  << possible leak"
 		}
-		fmt.Printf("%4d  %s%s\n", g.count, g.key, flag)
+		fmt.Fprintf(w, "%4d  %s%s\n", g.count, g.key, flag)
 	}
 }
 

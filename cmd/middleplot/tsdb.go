@@ -35,7 +35,7 @@ var defaultGroups = []struct {
 }{
 	{"accuracy", []string{"hfl_global_accuracy"}},
 	{"round duration p99 (s)", []string{"sim_round_seconds_p99", "fednet_rpc_seconds_p99*"}},
-	{"faults and rejects", []string{"*quorum_misses_total", "hfl_fault_drops_total", "robust_rejected_updates_total*"}},
+	{"faults and rejects", []string{"fednet_quorum_misses_total", "fednet_injected_faults_total*", "robust_rejected_updates_total*"}},
 	{"mobility", []string{"sim_moves_total", "hfl_adversary_corruptions_total"}},
 	{"memory (bytes)", []string{"process_peak_rss_bytes", "process_heap_inuse_bytes"}},
 	{"series governance", []string{"obs_series", "tsdb_series", "obs_dropped_series_total*"}},

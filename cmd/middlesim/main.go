@@ -17,11 +17,11 @@
 //
 // Flags, by the struct they fill (registerFlags): experiments.CLI takes
 // -task -scale -seed and the observability flags (-tsdb-out beside
-// them); an hfl.Config takes the simulator's fault, migration,
-// self-healing, aggregation and adversary knobs and is laid over the
-// config of -exp run and of -exp scale's simulator path; scaleOpts takes
-// the -exp scale topology (-devices -edges -k -tc -resident-cap -mux
-// -membership); the rest select the run and its outputs.
+// them); an hfl.Config takes the simulator's aggregation and adversary
+// knobs and is laid over the config of -exp run and of -exp scale's
+// simulator path; scaleOpts takes the -exp scale topology (-devices
+// -edges -k -tc -resident-cap) and the deployment's own options (-mux
+// -membership -live-migration); the rest select the run and its outputs.
 package main
 
 import (
@@ -79,17 +79,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.saveModel, "savemodel", "", "write the final global model checkpoint here (-exp run only)")
 
 	// hfl.Config, for -exp run and the simulator path of -exp scale: the
-	// mirrors of fednet's robustness layer, live migration and membership,
-	// then the Byzantine knobs. Defaults keep the plain engine's bits.
+	// aggregation and Byzantine knobs. Defaults keep the plain engine's bits.
 	c := &o.sim
-	fs.IntVar(&c.Quorum, "quorum", 0, "minimum surviving responders per edge-step before Eq. 6 applies (0 = off)")
-	fs.Float64Var(&c.DropRate, "drop-rate", 0, "probability a selected device's round-trip is lost")
-	fs.Int64Var(&c.FaultSeed, "fault-seed", 0, "seed for the deterministic simulated drops, lost handovers and edge crashes")
-	fs.BoolVar(&c.LiveMigration, "live-migration", false, "stateful handover on mobility steps: mirrored in the simulator, real on the -exp scale deployment (-mux)")
-	fs.Float64Var(&c.MigrationFailRate, "migration-fail-rate", 0, "probability a handover is lost in transit and the mover falls back to drop-and-reconnect (requires -live-migration)")
-	fs.BoolVar(&c.SelfHealing, "self-healing", false, "simulate edge crashes with automatic device re-homing (the simulator's mirror of fednet's failover)")
-	fs.Float64Var(&c.EdgeFailRate, "edge-fail-rate", 0, "per-edge per-step crash probability for -self-healing (0 = no crashes)")
-	fs.IntVar(&c.EdgeRecoverSteps, "edge-recover-steps", 0, "steps a crashed edge stays down before rejoining (0 = T_c)")
 	experiments.AggregationFlags(fs, &c.Aggregator, &c.TrimFrac, &c.Validate, &c.SelectionNormCap)
 	fs.Float64Var(&c.Adversary.Fraction, "adversary-fraction", 0, "fraction of devices acting Byzantine (0 = off)")
 	fs.TextVar(&c.Adversary.Mode, "adversary-mode", middle.AdversaryMode(""), "adversary corruption: sign-flip|noise|same-value (default sign-flip)")
@@ -107,6 +98,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&sc.residentCap, "resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
 	fs.IntVar(&sc.mux, "mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
 	fs.BoolVar(&sc.membership, "membership", false, "-exp scale deployment (-mux): enable the lease-based failure detector and membership epochs on the in-process fednet cluster")
+	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): stateful edge-to-edge handover, so a moving device resumes warm at its new edge instead of joining cold")
 	return o
 }
 
@@ -406,9 +398,6 @@ func header(alphas []float64) string {
 // the command line.
 func (o *options) overlay(cfg *middle.Config) {
 	f := o.sim
-	cfg.Quorum, cfg.DropRate, cfg.FaultSeed = f.Quorum, f.DropRate, f.FaultSeed
-	cfg.LiveMigration, cfg.MigrationFailRate = f.LiveMigration, f.MigrationFailRate
-	cfg.SelfHealing, cfg.EdgeFailRate, cfg.EdgeRecoverSteps = f.SelfHealing, f.EdgeFailRate, f.EdgeRecoverSteps
 	cfg.Aggregator, cfg.TrimFrac, cfg.Validate = f.Aggregator, f.TrimFrac, f.Validate
 	cfg.Adversary, cfg.SelectionNormCap = f.Adversary, f.SelectionNormCap
 }
@@ -433,17 +422,6 @@ func (o *options) runSingle(task middle.TaskName) {
 		fmt.Printf("target %.2f not reached; final accuracy %.4f\n", setup.TargetAcc, h.FinalAcc())
 	}
 	fmt.Printf("empirical mobility: %.3f\n\n", h.EmpiricalMobility)
-	if cfg.DropRate > 0 || cfg.Quorum > 0 {
-		fmt.Printf("injected drops: %d, quorum misses: %d\n\n", sim.FaultDrops(), sim.QuorumMisses())
-	}
-	if cfg.LiveMigration {
-		ok, fb := sim.Migrations()
-		fmt.Printf("migrations: %d ok, %d fallbacks\n\n", ok, fb)
-	}
-	if cfg.SelfHealing {
-		fmt.Printf("self-healing: %d edge failovers, %d devices re-homed, membership epoch %d\n\n",
-			sim.Failovers(), sim.RehomedDevices(), sim.MembershipEpoch())
-	}
 	if cfg.Adversary.Fraction > 0 || cfg.Validate.Enabled {
 		rc := sim.RejectedUpdates()
 		fmt.Printf("adversary corruptions: %d; rejected updates: %d (%d nonfinite, %d norm; rate %.4f)\n\n",

@@ -165,12 +165,6 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 		want func(c *middle.Config)
 	}{
 		"defaults": {nil, func(*middle.Config) {}},
-		"faults": {[]string{"-quorum", "3", "-drop-rate", "0.5", "-fault-seed", "7"},
-			func(c *middle.Config) { c.Quorum, c.DropRate, c.FaultSeed = 3, 0.5, 7 }},
-		"migration": {[]string{"-live-migration", "-migration-fail-rate", "0.25"},
-			func(c *middle.Config) { c.LiveMigration, c.MigrationFailRate = true, 0.25 }},
-		"self-healing": {[]string{"-self-healing", "-edge-fail-rate", "0.1", "-edge-recover-steps", "4"},
-			func(c *middle.Config) { c.SelfHealing, c.EdgeFailRate, c.EdgeRecoverSteps = true, 0.1, 4 }},
 		"norm bound": {[]string{"-norm-bound", "2"},
 			func(c *middle.Config) { c.Validate = robust.ValidatorConfig{Enabled: true, NormBound: 2} }},
 		"norm bound off": {[]string{"-norm-bound", "2", "-norm-bound", "0"}, func(*middle.Config) {}},
@@ -197,13 +191,13 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 
 func TestFlagsLandInScaleAndShared(t *testing.T) {
 	o, err := parse(t, "-exp", "scale", "-devices", "20000", "-edges", "20", "-k", "4", "-tc", "5",
-		"-resident-cap", "99", "-mux", "8", "-membership", "-seed", "5", "-task", "emnist",
+		"-resident-cap", "99", "-mux", "8", "-membership", "-live-migration", "-seed", "5", "-task", "emnist",
 		"-tsdb-out", "t.json", "-tsdb-interval", "50ms", "-flight-dir", "fd", "-profile-interval", "2s",
 		"-results", "res", "-trace-out", "tr.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, mux: 8, membership: true}); o.scale != want {
+	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, mux: 8, membership: true, liveMigration: true}); o.scale != want {
 		t.Errorf("scale flags\n got %+v\nwant %+v", o.scale, want)
 	}
 	wantMetrics := experiments.MetricsConfig{TSDBOut: "t.json", TSDBInterval: 50 * time.Millisecond,

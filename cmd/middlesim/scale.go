@@ -21,6 +21,7 @@ type scaleOpts struct {
 	residentCap           int
 	mux                   int
 	membership            bool
+	liveMigration         bool
 }
 
 // deployment reports whether the options select the in-process fednet
@@ -28,9 +29,8 @@ type scaleOpts struct {
 func (o scaleOpts) deployment() bool { return o.mux > 1 }
 
 // validateScale rejects nonsensical flag combinations with an
-// actionable message. It expects resolved (non-zero) topology values;
-// selfHealing is -self-healing, the simulator's membership mirror.
-func validateScale(o scaleOpts, selfHealing bool) error {
+// actionable message. It expects resolved (non-zero) topology values.
+func validateScale(o scaleOpts) error {
 	if o.devices < 1 || o.edges < 1 || o.k < 1 || o.tc < 1 {
 		return fmt.Errorf("scale topology must be positive: devices=%d edges=%d k=%d tc=%d", o.devices, o.edges, o.k, o.tc)
 	}
@@ -53,11 +53,10 @@ func validateScale(o scaleOpts, selfHealing bool) error {
 		if o.residentCap > 0 {
 			return fmt.Errorf("-resident-cap applies to the simulator path and cannot combine with -mux")
 		}
-		if selfHealing {
-			return fmt.Errorf("-self-healing is the simulator mirror; on the -mux deployment use -membership (the lease-based detector) instead")
-		}
 	} else if o.membership {
-		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-mux); use -self-healing for the simulator")
+		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-mux)")
+	} else if o.liveMigration {
+		return fmt.Errorf("-live-migration enables the fednet edge-to-edge handover and requires the deployment path (-mux)")
 	}
 	return nil
 }
@@ -73,7 +72,7 @@ func (o *options) runScale(task middle.TaskName) {
 	sc := o.scale
 	setup := o.Attach(experiments.NewScaleSetup(task, o.Seed, sc.devices, sc.edges, sc.k, sc.tc))
 	sc.devices, sc.edges, sc.k, sc.tc = setup.Devices, setup.Edges, setup.K, setup.Tc
-	if err := validateScale(sc, o.sim.SelfHealing); err != nil {
+	if err := validateScale(sc); err != nil {
 		o.fatalf("%v", err)
 	}
 	steps := o.steps
@@ -92,7 +91,7 @@ func (o *options) runScale(task middle.TaskName) {
 			CloudInterval: sc.tc, Strategy: strat, Partition: part,
 			Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mob,
 			Seed: o.Seed, Mux: sc.mux,
-			LiveMigration: o.sim.LiveMigration,
+			LiveMigration: sc.liveMigration,
 			Membership:    fednet.MembershipConfig{Enabled: sc.membership},
 			Obs:           o.M.Registry(), Trace: o.Trace,
 		})
@@ -109,14 +108,6 @@ func (o *options) runScale(task middle.TaskName) {
 	h := sim.Run()
 	fmt.Printf("final accuracy %.4f after %d steps (empirical mobility %.3f)\n",
 		h.FinalAcc(), steps, h.EmpiricalMobility)
-	if cfg.LiveMigration {
-		ok, fb := sim.Migrations()
-		fmt.Printf("migrations: %d ok, %d fallbacks\n", ok, fb)
-	}
-	if cfg.SelfHealing {
-		fmt.Printf("self-healing: %d edge failovers, %d devices re-homed, membership epoch %d\n",
-			sim.Failovers(), sim.RehomedDevices(), sim.MembershipEpoch())
-	}
 	ph := sim.PhaseSeconds()
 	fmt.Printf("middlesim: peak_rss_mib=%d peak_resident_models=%d select_s=%.3f train_s=%.3f steps=%d\n",
 		obs.PeakRSSBytes()>>20, h.PeakResidentModels, ph.Select, ph.Train, sim.Step())
@@ -142,6 +133,7 @@ func (o *options) runScaleDeployment(setup *experiments.TaskSetup, sc scaleOpts,
 	stranded := c.Stranded()
 	fmt.Printf("deployment complete: %d rounds, %d device trainings, %d failed moves, %d stranded devices\n",
 		cfg.Rounds, rounds, c.MoveErrors(), len(stranded))
+	fmt.Printf("final accuracy %.4f after %d rounds\n", setup.Accuracy(o.Seed, c.GlobalModel()), cfg.Rounds)
 	if cfg.LiveMigration {
 		mok, mfb, mrej := c.Migrations()
 		fmt.Printf("migrations: %d ok, %d fallbacks, %d rejected\n", mok, mfb, mrej)

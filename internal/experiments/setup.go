@@ -223,6 +223,29 @@ func (s *TaskSetup) Config(seed int64, steps int) hfl.Config {
 	}
 }
 
+// Accuracy measures a model vector's accuracy over the whole test set:
+// the deployment's end-of-run quality line, in middled's cloud role and
+// the -exp scale deployment alike. seed draws the network the vector is
+// loaded into, which the vector then overwrites.
+func (s *TaskSetup) Accuracy(seed int64, vec []float64) float64 {
+	if s.Test == nil || s.Test.Len() == 0 {
+		return 0
+	}
+	net := s.Factory(tensor.Split(seed, 77))
+	net.SetParamVector(vec)
+	correct := 0.0
+	for lo := 0; lo < s.Test.Len(); lo += 256 {
+		hi := min(lo+256, s.Test.Len())
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		x, y := s.Test.Batch(idx)
+		correct += nn.Accuracy(net.Forward(x, false), y) * float64(len(y))
+	}
+	return correct / float64(s.Test.Len())
+}
+
 // Partition builds the §6.1.2 Non-IID shards: per-device major class
 // with MajorFrac of the samples, clustered by initial edge so the data
 // distribution correlates with geography (the setting in which Non-IID

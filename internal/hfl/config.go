@@ -99,52 +99,6 @@ type Config struct {
 	Latency  func(device int) float64
 	Deadline float64
 
-	// Quorum, DropRate and FaultSeed mirror the fednet robustness layer
-	// inside the simulation, so degradation policies can be studied at
-	// simulation speed. DropRate is the probability a selected device's
-	// round-trip is lost (decided deterministically from FaultSeed, the
-	// step and the device id — same seed, same drops). Quorum, when
-	// > 0, is the minimum number of surviving responders an edge needs
-	// to apply Eq. 6; below it the edge carries its previous model
-	// forward for that step (a quorum miss). All three default to off,
-	// leaving results bit-identical to the fault-free engine.
-	Quorum    int
-	DropRate  float64
-	FaultSeed int64
-
-	// LiveMigration mirrors fednet's stateful edge-to-edge handover: a
-	// moving device's carried model travels with it (which is what the
-	// engine has always simulated), and MigrationFailRate is the
-	// probability a given handover is lost in transit (decided
-	// deterministically from FaultSeed, the step and the device id, on a
-	// stream independent of DropRate's). A failed handover degrades to
-	// drop-and-reconnect: the device's carried model is reset to the
-	// global model and the Eq. 9 blend is suppressed for that move. Both
-	// default to off; LiveMigration with a zero fail rate only adds
-	// hfl_migrations_total accounting, leaving results bit-identical.
-	LiveMigration     bool
-	MigrationFailRate float64
-
-	// SelfHealing mirrors the fednet membership layer inside the
-	// simulation: a seeded schedule crashes edges and recovers them later,
-	// and the engine re-homes a dead edge's devices to the survivors
-	// instead of losing them. Each step, every up edge crashes with
-	// probability EdgeFailRate (decided deterministically from FaultSeed,
-	// the step and the edge id, on a stream independent of the drop and
-	// migration streams; the last surviving edge never crashes) and stays
-	// down for EdgeRecoverSteps steps (default CloudInterval). While an
-	// edge is down its devices train at a surviving edge chosen
-	// deterministically by device id — the re-home counts as a mobility
-	// move, so the strategy's Eq. 9 blend applies — and the dead edge's
-	// accumulated weight is excluded from Eq. 7. A recovering edge rejoins
-	// by adopting the current global model. The membership epoch is bumped
-	// on every crash and recovery. All default to off; SelfHealing with a
-	// zero fail rate only adds epoch accounting, leaving results
-	// bit-identical.
-	SelfHealing      bool
-	EdgeFailRate     float64
-	EdgeRecoverSteps int
-
 	// Aggregator selects the Eq. 6/Eq. 7 combiner: "" or "mean" (the
 	// paper's weighted mean, bit-identical to previous releases),
 	// "median", "trimmed-mean" or "norm-clip" (see internal/robust for

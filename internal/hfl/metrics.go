@@ -29,15 +29,13 @@ type PhaseTimes struct {
 // registry every instrument is nil and all recording methods no-op, so
 // StepOnce updates them unconditionally.
 type simMetrics struct {
-	steps        *obs.Counter
-	selected     *obs.Counter
-	stragglers   *obs.Counter
-	moves        *obs.Counter
-	moveOpp      *obs.Counter
-	cloudSyncs   *obs.Counter
-	evals        *obs.Counter
-	faultDrops   *obs.Counter
-	quorumMisses *obs.Counter
+	steps      *obs.Counter
+	selected   *obs.Counter
+	stragglers *obs.Counter
+	moves      *obs.Counter
+	moveOpp    *obs.Counter
+	cloudSyncs *obs.Counter
+	evals      *obs.Counter
 	// residentModels tracks how many device model vectors are
 	// materialized (hfl_resident_models) — the memory-boundedness
 	// signal of the lazy store.
@@ -47,18 +45,6 @@ type simMetrics struct {
 	// steps (the robust_* series belong to the shared robust.Point).
 	advCorruptions *obs.Counter
 	nonfiniteSteps *obs.Counter
-
-	// Live-migration mirror: handover outcomes per mobility event
-	// (hfl_migrations_total{outcome=ok|fallback}).
-	migOK       *obs.Counter
-	migFallback *obs.Counter
-
-	// Self-healing mirror: edge crash/recovery schedule outcomes — edges
-	// declared dead, devices re-homed off them, and the membership epoch
-	// (bumped on every crash and recovery).
-	failovers  *obs.Counter
-	rehomed    *obs.Counter
-	epochGauge *obs.Gauge
 
 	selectSpan    *obs.Span
 	trainSpan     *obs.Span
@@ -85,19 +71,10 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		moveOpp:        r.Counter("sim_move_opportunities_total"),
 		cloudSyncs:     r.Counter("sim_cloud_syncs_total"),
 		evals:          r.Counter("sim_evals_total"),
-		faultDrops:     r.Counter("hfl_fault_drops_total"),
-		quorumMisses:   r.Counter("hfl_quorum_misses_total"),
 		residentModels: r.Gauge("hfl_resident_models"),
 
 		advCorruptions: r.Counter("hfl_adversary_corruptions_total"),
 		nonfiniteSteps: r.Counter("hfl_nonfinite_steps_total"),
-
-		migOK:       r.Counter("hfl_migrations_total", "outcome", "ok"),
-		migFallback: r.Counter("hfl_migrations_total", "outcome", "fallback"),
-
-		failovers:  r.Counter("hfl_edge_failovers_total"),
-		rehomed:    r.Counter("hfl_rehomed_devices_total"),
-		epochGauge: r.Gauge("hfl_membership_epoch"),
 
 		selectSpan:    r.Span("sim_phase_seconds", "phase", "selection"),
 		trainSpan:     r.Span("sim_phase_seconds", "phase", "local_train"),

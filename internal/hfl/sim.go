@@ -31,30 +31,17 @@ type Sim struct {
 	numDevices int
 	step       int // completed time steps (1-based after first StepOnce)
 
-	cloud        []float64
-	edges        [][]float64
-	store        deviceStore
-	dataSizes    []int
-	statUtil     []float64
-	lastTrain    []int
-	edgeWeight   []float64 // d̂_n accumulators since last cloud sync
-	membership   []int
-	moves        int // cross-edge moves observed
-	moveTotal    int
-	stragglers   int // selected devices that missed the deadline
-	faultDrops   int // selected device-rounds lost to injected drops
-	quorumMisses int // edge-steps that fell below quorum and carried the model
-	migOKs       int // handovers that completed (LiveMigration on)
-	migFallbacks int // handovers lost in transit → drop-and-reconnect
-
-	// Self-healing mirror (SelfHealing on). downUntil[n] is the step edge
-	// n recovers at (0 = up); epoch is the membership epoch, bumped on
-	// every crash and recovery; failovers/rehomedDevs tally crashes and
-	// the devices re-homed off crashing edges.
-	downUntil   []int
-	epoch       int
-	failovers   int
-	rehomedDevs int
+	cloud      []float64
+	edges      [][]float64
+	store      deviceStore
+	dataSizes  []int
+	statUtil   []float64
+	lastTrain  []int
+	edgeWeight []float64 // d̂_n accumulators since last cloud sync
+	membership []int
+	moves      int // cross-edge moves observed
+	moveTotal  int
+	stragglers int // selected devices that missed the deadline
 
 	// Robustness layer (PR 5). agg is the aggregate step both tiers share:
 	// the Config.Validate screen followed by the pluggable Eq. 6/Eq. 7
@@ -86,7 +73,6 @@ type Sim struct {
 	// vectors in cloud/edges/locals keep their backing arrays for the
 	// lifetime of the Sim; aggregation writes into them in place.
 	moved      []bool
-	migFailed  []bool // this step's lost handovers (LiveMigration only)
 	candidates [][]int
 	selected   [][]int
 	jobs       []trainJob
@@ -136,11 +122,7 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 	}
 	s.dataSizes = part.Sizes()
 	s.edgeWeight = make([]float64, s.numEdges)
-	s.downUntil = make([]int, s.numEdges)
 	s.moved = make([]bool, s.numDevices)
-	if cfg.LiveMigration {
-		s.migFailed = make([]bool, s.numDevices)
-	}
 	s.candidates = make([][]int, s.numEdges)
 	s.selected = make([][]int, s.numEdges)
 	mob.Reset()
@@ -242,9 +224,6 @@ func (s *Sim) StepOnce() int {
 
 	prev := s.membership
 	next := s.mob.Step()
-	if s.cfg.SelfHealing {
-		next = s.selfHeal(t, next)
-	}
 	s.membership = next
 
 	// One sweep over the population: the mobility diff against M^{t−1}
@@ -262,25 +241,6 @@ func (s *Sim) StepOnce() int {
 		}
 		s.moves++
 		s.tel.recordMove(prev[m], e)
-		// Live-migration mirror: each move is a handover. Lost ones
-		// (decided on a FaultSeed stream independent of DropRate's)
-		// degrade to drop-and-reconnect — the carried model resets to
-		// the global model and Eq. 9 is suppressed for this move. The
-		// moved flag itself stays true: the mobility telemetry counts
-		// the move either way.
-		if s.cfg.LiveMigration {
-			s.migFailed[m] = false
-			if s.cfg.MigrationFailRate > 0 &&
-				tensor.Split(s.cfg.FaultSeed, int64(t)*1_000_003+int64(m)*29+11).Float64() < s.cfg.MigrationFailRate {
-				s.migFailed[m] = true
-				s.store.reset(m)
-				s.migFallbacks++
-				s.metrics.migFallback.Inc()
-			} else {
-				s.migOKs++
-				s.metrics.migOK.Inc()
-			}
-		}
 	}
 	s.moveTotal += s.numDevices
 
@@ -321,29 +281,6 @@ func (s *Sim) StepOnce() int {
 			}
 			sel = kept
 		}
-		// Fault injection: each surviving round-trip is lost with
-		// probability DropRate, decided deterministically from
-		// (FaultSeed, step, device) as in fednet's injector.
-		if s.cfg.DropRate > 0 {
-			kept := sel[:0]
-			for _, m := range sel {
-				if tensor.Split(s.cfg.FaultSeed, int64(t)*1_000_003+int64(m)*13+7).Float64() < s.cfg.DropRate {
-					s.faultDrops++
-					s.metrics.faultDrops.Inc()
-				} else {
-					kept = append(kept, m)
-				}
-			}
-			sel = kept
-		}
-		// Quorum-based degradation: below Quorum responders the edge
-		// carries its previous model forward (Eq. 6 skipped) rather
-		// than letting a tiny, biased sample steer it.
-		if s.cfg.Quorum > 0 && len(sel) < s.cfg.Quorum {
-			s.quorumMisses++
-			s.metrics.quorumMisses.Inc()
-			sel = sel[:0]
-		}
 		selectedByEdge[n] = sel
 		s.commDeviceEdge += 2 * int64(len(sel))
 		for _, m := range sel {
@@ -358,11 +295,7 @@ func (s *Sim) StepOnce() int {
 				u, dn = simil.SelectionUtilityNorm(s.cloud, s.store.model(m))
 			}
 			s.tel.recordSelection(m, u, dn)
-			// A move whose handover was lost joins cold: no Eq. 9 blend,
-			// no blend telemetry (the carried model was already reset to
-			// the cloud vector above).
-			mv := moved[m] && (s.migFailed == nil || !s.migFailed[m])
-			if mv {
+			if moved[m] {
 				s.tel.recordBlend(simil.Utility(s.store.model(m), s.edges[n]))
 			}
 			// Lines 4–7: on-device model initialisation. init may be the
@@ -372,7 +305,7 @@ func (s *Sim) StepOnce() int {
 			// vector — materialized here for lazily-stored devices — only
 			// after SetParamVector has copied init out (each device
 			// appears in at most one job per step).
-			init := s.strat.InitLocal(s, m, n, mv)
+			init := s.strat.InitLocal(s, m, n, moved[m])
 			s.jobs = append(s.jobs, trainJob{device: m, init: init, out: s.store.materialize(m)})
 		}
 	}
@@ -507,92 +440,6 @@ func (s *Sim) StepOnce() int {
 	return t
 }
 
-// selfHeal is the simulation mirror of fednet's membership layer,
-// applied between the mobility step and the membership bookkeeping.
-// Recoveries land first (the edge rejoins on the current global model,
-// epoch bumped), then the seeded crash schedule fires (never taking the
-// last surviving edge down), and finally devices whose intended edge is
-// down are re-homed to survivors deterministically by device id. The
-// returned slice is the intended membership itself when no edge is down
-// — the zero-crash path allocates nothing and changes nothing.
-func (s *Sim) selfHeal(t int, next []int) []int {
-	// Recoveries: the edge rejoins by adopting the current global model
-	// (the cloud's catch-up sync) with its Eq. 7 weight reset.
-	for n := 0; n < s.numEdges; n++ {
-		if s.downUntil[n] != 0 && t >= s.downUntil[n] {
-			s.downUntil[n] = 0
-			copy(s.edges[n], s.cloud)
-			s.edgeWeight[n] = 0
-			s.epoch++
-			s.metrics.epochGauge.Set(float64(s.epoch))
-		}
-	}
-	// Crash schedule: an independent FaultSeed stream per (step, edge).
-	if s.cfg.EdgeFailRate > 0 {
-		outage := s.cfg.EdgeRecoverSteps
-		if outage <= 0 {
-			outage = s.cfg.CloudInterval
-		}
-		for n := 0; n < s.numEdges; n++ {
-			if s.downUntil[n] != 0 || s.upEdges() <= 1 {
-				continue
-			}
-			if tensor.Split(s.cfg.FaultSeed, int64(t)*1_000_003+int64(n)*41+13).Float64() < s.cfg.EdgeFailRate {
-				s.downUntil[n] = t + outage
-				// The dead edge's un-synced contribution dies with it.
-				s.edgeWeight[n] = 0
-				s.failovers++
-				s.epoch++
-				s.metrics.failovers.Inc()
-				s.metrics.epochGauge.Set(float64(s.epoch))
-				for _, e := range next {
-					if e == n {
-						s.rehomedDevs++
-						s.metrics.rehomed.Inc()
-					}
-				}
-			}
-		}
-	}
-	down := false
-	for n := range s.downUntil {
-		if s.downUntil[n] != 0 {
-			down = true
-			break
-		}
-	}
-	if !down {
-		return next
-	}
-	// Effective membership: re-home devices off dead edges. The re-home
-	// registers as a mobility move, so the strategy's on-device blend
-	// (Eq. 9) applies exactly as for an organic move.
-	var survivors []int
-	for n := 0; n < s.numEdges; n++ {
-		if s.downUntil[n] == 0 {
-			survivors = append(survivors, n)
-		}
-	}
-	eff := append([]int(nil), next...)
-	for m, e := range eff {
-		if s.downUntil[e] != 0 {
-			eff[m] = survivors[m%len(survivors)]
-		}
-	}
-	return eff
-}
-
-// upEdges counts edges currently in the membership.
-func (s *Sim) upEdges() int {
-	up := 0
-	for n := range s.downUntil {
-		if s.downUntil[n] == 0 {
-			up++
-		}
-	}
-	return up
-}
-
 // tracePhase records one StepOnce phase as a child span of the round's
 // trace span. No-op (and allocation-free) when tracing is disabled.
 func (s *Sim) tracePhase(name string, t int, start, end time.Time) {
@@ -677,35 +524,6 @@ func (s *Sim) CommCounts() (deviceEdge, edgeCloud int64) {
 // Stragglers returns how many selected device-rounds were lost to the
 // heterogeneity deadline so far.
 func (s *Sim) Stragglers() int { return s.stragglers }
-
-// FaultDrops returns how many selected device-rounds were lost to the
-// injected drop faults (Config.DropRate) so far.
-func (s *Sim) FaultDrops() int { return s.faultDrops }
-
-// QuorumMisses returns how many edge-steps fell below Config.Quorum and
-// carried their previous model forward instead of aggregating.
-func (s *Sim) QuorumMisses() int { return s.quorumMisses }
-
-// Migrations returns the cumulative handover outcomes of the
-// live-migration mirror: ok handovers carried the device's model to its
-// new edge, fallbacks were lost in transit and degraded to
-// drop-and-reconnect. Both are zero with Config.LiveMigration off.
-func (s *Sim) Migrations() (ok, fallbacks int) { return s.migOKs, s.migFallbacks }
-
-// Failovers returns how many edge crashes the self-healing schedule has
-// fired so far (zero with Config.SelfHealing off).
-func (s *Sim) Failovers() int { return s.failovers }
-
-// RehomedDevices returns how many devices were re-homed off crashing
-// edges so far.
-func (s *Sim) RehomedDevices() int { return s.rehomedDevs }
-
-// MembershipEpoch returns the current membership epoch: bumped once per
-// edge crash and once per recovery (zero with Config.SelfHealing off).
-func (s *Sim) MembershipEpoch() int { return s.epoch }
-
-// DownEdges returns how many edges are currently crashed.
-func (s *Sim) DownEdges() int { return s.numEdges - s.upEdges() }
 
 // RejectedUpdates returns the cumulative validation rejections by
 // reason (zero with Config.Validate off).

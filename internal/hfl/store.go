@@ -39,10 +39,6 @@ type deviceStore interface {
 	// cloudSynced notes that the cloud vector was just pushed to every
 	// device (Algorithm 1 lines 13–15).
 	cloudSynced()
-	// reset discards device m's carried state, as if it had just
-	// reconnected cold: afterwards its model is exactly the cloud vector
-	// and its drift is exactly zero (the failed-migration fallback).
-	reset(m int)
 	// residentCount returns how many full vectors the store holds.
 	residentCount() int
 	// peakResident returns the high-water mark of residentCount.
@@ -72,8 +68,6 @@ func (s *denseStore) noteTrained(int, int)               {}
 func (s *denseStore) endStep(int)                        {}
 func (s *denseStore) residentCount() int                 { return len(s.locals) }
 func (s *denseStore) peakResident() int                  { return len(s.locals) }
-
-func (s *denseStore) reset(m int) { copy(s.locals[m], s.cloud) }
 
 func (s *denseStore) cloudSynced() {
 	for m := range s.locals {
@@ -208,19 +202,6 @@ func (s *lazyStore) cloudSynced() {
 	// exactly zero again.
 	clear(s.evicted)
 	clear(s.private)
-}
-
-// reset recycles any resident vector and forgets any compact drift, so
-// device m re-aliases the shared cloud vector with drift exactly 0 —
-// the same bits the dense store's reset leaves behind.
-func (s *lazyStore) reset(m int) {
-	if v, ok := s.res[m]; ok {
-		s.free = append(s.free, v)
-		delete(s.res, m)
-		delete(s.lastUse, m)
-	}
-	delete(s.evicted, m)
-	s.private[m>>6] &^= 1 << (m & 63)
 }
 
 func (s *lazyStore) residentCount() int { return len(s.res) }

@@ -146,7 +146,6 @@ func DefaultRules() []Rule {
 		`sim_round_p99: p99(sim_round_seconds,60s) < 5`,
 		`cloud_round_p99: p99(fednet_rpc_seconds{op="cloud_round"},60s) < 30`,
 		// Liveness: quorums keep being met.
-		`quorum_misses: delta(hfl_quorum_misses_total,60s) <= 0`,
 		`fednet_quorum_misses: delta(fednet_quorum_misses_total,60s) <= 0`,
 		// Robustness: no update floods past the robust aggregators.
 		`robust_rejects: delta(robust_rejected_updates_total*,60s) <= 100`,
@@ -168,7 +167,7 @@ type Alert struct {
 	State string  `json:"state"` // "ok" | "pending" | "firing"
 	Value float64 `json:"value"`
 	Rule  string  `json:"rule"`
-	// Detail is a human line: "delta(hfl_quorum_misses_total,60s) = 3, want <= 0".
+	// Detail is a human line: "delta(fednet_quorum_misses_total,60s) = 3, want <= 0".
 	Detail string `json:"detail,omitempty"`
 	// Since is when the rule entered its current state (unix ms).
 	Since int64 `json:"since,omitempty"`

@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseRules(t *testing.T) {
-	rules, err := ParseRules(`round_p99: p99(sim_round_seconds,60s) < 5; quorum: delta(hfl_quorum_misses_total,1m) <= 0 for 10s
+	rules, err := ParseRules(`round_p99: p99(sim_round_seconds,60s) < 5; quorum: delta(fednet_quorum_misses_total,1m) <= 0 for 10s
 # a comment
 rss: last(process_peak_rss_bytes) < 2GiB`)
 	if err != nil {

@@ -82,16 +82,16 @@ footer { margin-top: 12px; color: var(--ink-3); font-size: 12px; }
 // canvas with a shared y-axis. Colors come from the categorical slots
 // in fixed order; more matches than slots fold into the last slot.
 var PANELS = [
-  { title: "Global model", unit: "", series: ["hfl_global_accuracy", "hfl_global_loss"] },
+  { title: "Global model", unit: "", series: ["hfl_global_accuracy"] },
   { title: "Round duration p99 (s)", unit: "s", series: ["sim_round_seconds_p99", "fednet_rpc_seconds_p99{op=\"cloud_round\"}"] },
   { title: "Per-edge divergence", unit: "", series: ["hfl_edge_divergence{*"] },
-  { title: "Mobility flow (moves, handoffs)", unit: "", series: ["hfl_moves_total", "hfl_handoff*_total", "fednet_migrations_total{*", "hfl_migrations_total{*"] },
+  { title: "Mobility (moves, handovers)", unit: "", series: ["sim_moves_total", "fednet_migrations_total{*"] },
   { title: "Handover latency (s)", unit: "s", series: ["fednet_handover_seconds_p99", "fednet_handover_seconds_p50", "fednet_handover_seconds_count"] },
-  { title: "Faults, retries, rejects", unit: "", series: ["*retries_total", "*faults_injected_total", "robust_rejected_updates_total*", "*quorum_misses_total"] },
-  { title: "Membership (epoch, failovers, re-homes)", unit: "", series: ["fednet_membership_epoch", "hfl_membership_epoch", "*edge_failovers_total", "*rehomed_devices_total", "fednet_stranded_devices", "fednet_lease_misses_total", "fednet_stale_frames_total"] },
+  { title: "Faults, retries, rejects", unit: "", series: ["*retries_total", "fednet_injected_faults_total{*", "robust_rejected_updates_total*", "fednet_quorum_misses_total"] },
+  { title: "Membership (epoch, failovers, re-homes)", unit: "", series: ["fednet_membership_epoch", "fednet_edge_failovers_total", "fednet_rehomed_devices_total", "fednet_stranded_devices", "fednet_lease_misses_total", "fednet_stale_frames_total"] },
   { title: "Memory (bytes)", unit: "B", series: ["process_peak_rss_bytes", "process_heap_inuse_bytes"] },
   { title: "Series governance", unit: "", series: ["obs_series", "tsdb_series", "obs_dropped_series_total{*", "tsdb_dropped_series_total"] },
-  { title: "Participation", unit: "", series: ["hfl_participants", "hfl_round", "sim_round_seconds_count"] }
+  { title: "Participation", unit: "", series: ["hfl_participating_devices", "sim_round_seconds_count"] }
 ];
 var css = getComputedStyle(document.documentElement);
 function tok(n) { return css.getPropertyValue(n).trim(); }
