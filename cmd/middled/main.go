@@ -100,7 +100,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
 	fs.IntVar(&e.Quorum, "quorum", 0, "edge role: minimum responders per round before aggregating (0 = 1)")
 	fs.DurationVar(&e.RoundDeadline, "round-deadline", 0, "edge role: per-round training deadline; stragglers past it are excluded (0 = network timeout)")
-	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: accept and push stateful edge-to-edge handovers; devices role: notify the source edge before each move so it pushes the mover's state")
+	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: devices keep their optimizer state between trainings; devices role: a moving device registers at its new edge warm, carrying its own state")
 
 	// The devices role: its own flags, then fednet.FaultConfig.
 	d := &o.devices
@@ -274,6 +274,10 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 	}
 	log.Printf("middled: hosting devices %d..%d on %d clients (%d devices each)", from, to, len(clients), mux)
 	connect := func(i, edgeID int) error { return clients[i/mux].Connect(from+i, edgeID, addrs[edgeID]) }
+	move := connect
+	if o.edge.LiveMigration {
+		move = func(i, edgeID int) error { return clients[i/mux].ConnectRehome(from+i, edgeID, addrs[edgeID]) }
+	}
 	mob := mobility.NewMarkovRing(len(addrs), n, o.devices.p, seed+int64(from))
 	// Step's slices are the model's own and read-only; this loop keeps one
 	// across ticks and rewrites entries on failover, so it copies.
@@ -284,7 +288,6 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 		}
 		log.Printf("middled: device %d attached to edge %d", from+i, membership[i])
 	}
-	generations := make([]int, n)
 	strandedGauge := o.M.Registry().Gauge("fednet_stranded_devices")
 	stop := make(chan struct{})
 	onSignal(func() { close(stop) })
@@ -308,25 +311,13 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 			if next[i] == membership[i] {
 				continue
 			}
-			if o.edge.LiveMigration {
-				// Ask the current edge to push this device's state to the
-				// destination before we tear the old attachment down.
-				// Best-effort: a lost notice only costs the warm handover.
-				generations[i]++
-				if err := fednet.NotifyMove(addrs[membership[i]], fednet.MoveNotice{
-					DeviceID: from + i, DestEdge: next[i], DestAddr: addrs[next[i]],
-					Generation: generations[i],
-				}, 5*time.Second); err != nil {
-					log.Printf("middled: device %d move notice to edge %d failed: %v", from+i, membership[i], err)
-				}
-			}
-			err := connect(i, next[i])
+			err := move(i, next[i])
 			if err != nil && o.devices.failover {
 				// The intended edge may be dead; try the other candidates
 				// in order so the device keeps training somewhere.
 				for off := 1; off < len(addrs) && err != nil; off++ {
 					alt := (next[i] + off) % len(addrs)
-					if err = connect(i, alt); err == nil {
+					if err = move(i, alt); err == nil {
 						next[i] = alt
 					}
 				}

@@ -359,14 +359,14 @@ func reportFaults(w io.Writer, dir string) {
 	}
 }
 
-// migrationPattern matches the live-migration telemetry: handover
+// migrationPattern matches the live-migration telemetry: the arrival
 // outcome counters, the stranded-device gauge, the move-retry counter and
-// the synthesized handover latency quantiles.
+// the synthesized quantiles of a move's leave-to-ack latency.
 var migrationPattern = regexp.MustCompile(`^fednet_(migrations_total|stranded_devices|move_retries_total|handover_seconds)`)
 
-// reportMigrations summarizes the handover story of a run: how many
-// migrations completed vs fell back or were rejected, whether any
-// device ended up stranded, and how long transfers took. Quiet when
+// reportMigrations summarizes the moves of a run: how many movers arrived
+// warm vs cold or had their carried model refused, whether any device
+// ended up stranded, and how long warm moves took. Quiet when
 // live migration never ran — the section only appears once a migration
 // series exists.
 func reportMigrations(w io.Writer, dir string) {

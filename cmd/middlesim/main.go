@@ -98,7 +98,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&sc.residentCap, "resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
 	fs.IntVar(&sc.mux, "mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
 	fs.BoolVar(&sc.membership, "membership", false, "-exp scale deployment (-mux): enable the lease-based failure detector and membership epochs on the in-process fednet cluster")
-	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): stateful edge-to-edge handover, so a moving device resumes warm at its new edge instead of joining cold")
+	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): a moving device registers at its new edge warm, carrying its own model and optimizer state, instead of joining cold")
 	return o
 }
 

@@ -56,7 +56,7 @@ func validateScale(o scaleOpts) error {
 	} else if o.membership {
 		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-mux)")
 	} else if o.liveMigration {
-		return fmt.Errorf("-live-migration enables the fednet edge-to-edge handover and requires the deployment path (-mux)")
+		return fmt.Errorf("-live-migration makes the fednet deployment's movers arrive warm and requires the deployment path (-mux)")
 	}
 	return nil
 }

@@ -1,22 +1,16 @@
 package checkpoint
 
-// Live-migration handover: the state a source edge ships to a
-// destination edge when a device moves mid-round, with a per-device
-// generation so the destination can reject a record that arrives after
-// a newer move. The record carries its own CRC although the fednet frame
-// around it has one: the fault injector's Byzantine rewrites recompute
-// the frame CRC, so only this inner checksum catches a rewritten
-// payload. EncodeHandoverBytes is the field list (DESIGN.md "Record
-// formats" has it as a table). Journal files end in ".hov", which
-// LoadLatest's ".ckpt" scan skips.
+// The v3 handover record: the state one edge shipped to another for a
+// moving device, with a per-device generation and its own CRC. No
+// deployment path writes it any more — a moving device carries its own
+// state (fednet's warm registration) — and the codec stays only because
+// the benchmark's checkpoint.handover_* rungs time it.
+// EncodeHandoverBytes is the field list (DESIGN.md "Record formats" has it
+// as a table).
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
-// Handover is the state transferred edge-to-edge for one moving device.
+// Handover is the state of one moving device as the v3 record holds it.
 type Handover struct {
 	Device     int
 	SrcEdge    int
@@ -34,9 +28,7 @@ type Handover struct {
 	StatUtil float64
 	Model    []float64
 	// Moments is the flattened optimizer moment state; MomentLens gives
-	// the per-group split (see optim.ExportMoments). fednet writes both
-	// empty: a device keeps its own moments, and Steps > 0 offers the
-	// destination their resume.
+	// the per-group split (see optim.ExportMoments).
 	MomentLens []int
 	Moments    []float64
 }
@@ -100,49 +92,4 @@ func DecodeHandoverBytes(p []byte) (Handover, error) {
 		return Handover{}, err
 	}
 	return h, nil
-}
-
-// SaveHandoverFile journals the encoded record of (device, generation)
-// as dir/"handover-d<device>-g<generation>.hov", atomically: a source
-// edge crash mid-migration leaves a complete journal or nothing.
-func SaveHandoverFile(dir string, device, generation int, rec []byte) (string, error) {
-	return writeFileAtomic(dir, handoverFileName(device, generation), rec)
-}
-
-// RemoveHandoverFile deletes the journal for (device, generation);
-// missing files are not an error (the journal may already be resolved).
-func RemoveHandoverFile(dir string, device, generation int) error {
-	err := os.Remove(filepath.Join(dir, handoverFileName(device, generation)))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// LoadHandovers returns every valid handover journal under dir, torn or
-// corrupt files skipped, in file-name order (device then generation).
-func LoadHandovers(dir string) ([]Handover, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading dir: %w", err)
-	}
-	var out []Handover
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".hov" {
-			continue
-		}
-		// An unreadable journal is no bytes, skipped like a torn or corrupt one.
-		p, _ := os.ReadFile(filepath.Join(dir, e.Name()))
-		if h, err := DecodeHandoverBytes(p); err == nil {
-			out = append(out, h)
-		}
-	}
-	return out, nil
-}
-
-func handoverFileName(device, generation int) string {
-	return fmt.Sprintf("handover-d%06d-g%06d.hov", device, generation)
 }

@@ -2,8 +2,6 @@ package checkpoint
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -100,74 +98,5 @@ func TestHandoverTruncationDetected(t *testing.T) {
 		if _, err := DecodeHandoverBytes(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
-	}
-}
-
-// journal encodes h and journals the record under dir, as MigrateOut does.
-func journal(t *testing.T, dir string, h Handover) string {
-	t.Helper()
-	rec, err := EncodeHandoverBytes(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := SaveHandoverFile(dir, h.Device, h.Generation, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestHandoverJournalLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	in := sampleHandover()
-	path := journal(t, dir, in)
-	if filepath.Ext(path) != ".hov" {
-		t.Fatalf("journal path %q does not use the .hov extension", path)
-	}
-	hs, err := LoadHandovers(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 1 || !handoversEqual(in, hs[0]) {
-		t.Fatalf("LoadHandovers = %+v, want the saved record", hs)
-	}
-	// Journals must be invisible to the .ckpt checkpoint scan.
-	if _, ok, err := LoadLatestNamed(dir, "edge1"); err != nil || ok {
-		t.Fatalf("checkpoint scan saw handover journals (ok=%v, err=%v)", ok, err)
-	}
-	if err := RemoveHandoverFile(dir, in.Device, in.Generation); err != nil {
-		t.Fatal(err)
-	}
-	// Removing again is not an error: the journal may already be resolved.
-	if err := RemoveHandoverFile(dir, in.Device, in.Generation); err != nil {
-		t.Fatal(err)
-	}
-	hs, err = LoadHandovers(dir)
-	if err != nil || len(hs) != 0 {
-		t.Fatalf("journal survived removal: %+v, %v", hs, err)
-	}
-}
-
-func TestLoadHandoversSkipsTornAndMissingDir(t *testing.T) {
-	dir := t.TempDir()
-	good := sampleHandover()
-	journal(t, dir, good)
-	raw, err := EncodeHandoverBytes(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "handover-d000099-g000001.hov")
-	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	hs, err := LoadHandovers(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 1 || hs[0].Device != good.Device {
-		t.Fatalf("torn journal not skipped: %+v", hs)
-	}
-	if hs, err := LoadHandovers(filepath.Join(dir, "missing")); err != nil || hs != nil {
-		t.Fatalf("missing dir: %+v, %v", hs, err)
 	}
 }

@@ -57,18 +57,13 @@ func TestDecodersAllocateFromBytesReceived(t *testing.T) {
 	for name, sealed := range claims() {
 		torn := sealed[:len(sealed)-4] // the claim with no checksum behind it
 		for kind, rec := range map[string][]byte{"sealed": sealed, "torn": torn} {
-			ckpt := filepath.Join(dir, "global-r000003.ckpt")
-			hov := filepath.Join(dir, "handover-d000001-g000001.hov")
-			for _, path := range []string{ckpt, hov} {
-				if err := os.WriteFile(path, rec, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.WriteFile(filepath.Join(dir, "global-r000003.ckpt"), rec, 0o644); err != nil {
+				t.Fatal(err)
 			}
 			for entry, decode := range map[string]func() bool{
 				"DecodeHandoverBytes": func() bool { _, err := DecodeHandoverBytes(rec); return err == nil },
 				"LoadState":           func() bool { _, err := LoadState(bytes.NewReader(rec)); return err == nil },
 				"LoadLatestNamed":     func() bool { _, ok, _ := LoadLatestNamed(dir, "global"); return ok },
-				"LoadHandovers":       func() bool { hs, _ := LoadHandovers(dir); return len(hs) > 0 },
 			} {
 				var accepted bool
 				if got := allocatedBy(func() { accepted = decode() }); got >= 1<<20 {

@@ -1,6 +1,6 @@
-// Package checkpoint serialises the repository's crash-recovery and
-// migration records: the coordinator state a cloud or edge resumes from
-// (state.go) and the per-device handover one edge ships to another
+// Package checkpoint serialises the repository's crash-recovery records:
+// the coordinator state a cloud or edge resumes from (state.go), and the
+// retired per-device handover record the benchmark still times
 // (handover.go). Every record is "MIDL", a version byte (3 handover,
 // 4 state; 2 an older state, read only; 1 retired and refused), the
 // version's fields, and a CRC-32 (IEEE) over everything before it, all

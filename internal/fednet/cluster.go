@@ -51,16 +51,12 @@ type ClusterConfig struct {
 	// shared model instance). ≤ 1 gives every device a client, network and
 	// optimizer of its own, so a cohort trains in parallel.
 	Mux int
-	// LiveMigration enables stateful edge-to-edge handover on mobility
-	// steps: the source edge ships the moving device's cached state to
-	// the destination (MsgMigrate) before the device reconnects, so it
-	// resumes mid-round instead of cold-joining. Every handover failure
-	// degrades to the plain drop-and-reconnect move. Off by default; the
-	// disabled path is byte-for-byte today's behaviour.
+	// LiveMigration makes a moving device arrive warm: it leaves its edge
+	// and registers at the next one carrying its own model, utility, last
+	// training round and optimizer state (ConnectRehome), so Eq. 9 blends
+	// and its optimizer resumes there. Off by default: a mover leaves and
+	// registers cold, and the edge resets its carried model.
 	LiveMigration bool
-	// MigrateTimeout bounds one handover transfer attempt independently
-	// of Timeout (see EdgeConfig.MigrateTimeout; default Timeout).
-	MigrateTimeout time.Duration
 	// Aggregator/TrimFrac select the robust combination rule used at
 	// both the edges (Eq. 6) and the cloud (Eq. 7); zero values mean the
 	// bit-identical weighted mean.
@@ -125,16 +121,17 @@ type Cluster struct {
 	strandedG    *obs.Gauge
 	moveRetries  *obs.Counter
 	moveErrCtr   *obs.Counter
-	// migGen counts each device's moves (the handover generation): a
-	// destination edge rejects records whose generation it has already
-	// seen, so a delayed retry of an older move cannot overwrite a newer
-	// one. stranded tracks devices whose move exhausted its retries and
-	// who are therefore detached until their next mobility step.
-	migGen   map[int]int
+	rehomedCtr   *obs.Counter
+	// stranded tracks devices whose move exhausted its retries and who
+	// are therefore detached until their next mobility step.
 	stranded map[int]bool
-	// Handover outcome tallies mirroring fednet_migrations_total, kept
-	// on the cluster so summaries stay truthful with metrics disabled.
-	migOK, migFallback, migRejected int
+	// migrations tallies the arrivals of moves with live migration by
+	// outcome (see Edge.arrival), mirroring fednet_migrations_total
+	// (migrationCtr) so summaries stay truthful with metrics disabled;
+	// handoverSpan times the warm ones from leave to registration ack.
+	migrations   map[string]int
+	migrationCtr map[string]*obs.Counter
+	handoverSpan *obs.Span
 }
 
 // StartCluster builds and starts the deployment. The mobility model's
@@ -151,14 +148,20 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	numEdges := cfg.Mobility.NumEdges()
 	numDevices := cfg.Mobility.NumDevices()
 	c := &Cluster{
-		migGen: map[int]int{}, stranded: map[int]bool{},
-		downEdges: map[int]bool{},
-		logf:      cfg.Logf, seed: cfg.Seed,
+		stranded: map[int]bool{}, downEdges: map[int]bool{},
+		logf: cfg.Logf, seed: cfg.Seed,
 		failoverSpan: cfg.Obs.Span("fednet_failover_seconds"),
 		strandedG:    cfg.Obs.Gauge("fednet_stranded_devices"),
 		moveRetries:  cfg.Obs.Counter("fednet_move_retries_total"),
 		moveErrCtr:   cfg.Obs.Counter("fednet_move_errors_total"),
+		rehomedCtr:   cfg.Obs.Counter("fednet_rehomed_devices_total"),
+		migrations:   map[string]int{},
+		migrationCtr: map[string]*obs.Counter{},
+		handoverSpan: cfg.Obs.Span("fednet_handover_seconds"),
 		group:        max(1, cfg.Mux),
+	}
+	for _, out := range []string{"ok", "fallback", "rejected"} {
+		c.migrationCtr[out] = cfg.Obs.Counter("fednet_migrations_total", "outcome", out)
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
@@ -241,7 +244,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Aggregator: cfg.Aggregator, TrimFrac: cfg.TrimFrac, Validate: cfg.Validate,
 			SelectionNormCap: cfg.SelectionNormCap,
 			LiveMigration:    cfg.LiveMigration,
-			MigrateTimeout:   cfg.MigrateTimeout,
 			CheckpointDir:    edgeCkptDir, CheckpointEvery: cfg.CheckpointEvery,
 			Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
 		}
@@ -312,14 +314,6 @@ func (c *Cluster) edgeAt(i int) *Edge {
 	return c.edges[i]
 }
 
-// edgeDown reports whether the failure detector currently considers
-// edge e dead.
-func (c *Cluster) edgeDown(e int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.downEdges[e]
-}
-
 // liveTarget redirects an intended attachment target away from edges
 // currently declared dead, picking a survivor deterministically by
 // device id. With no dead edges (the default) it is the identity.
@@ -341,41 +335,42 @@ func (c *Cluster) liveTarget(m, e int) int {
 	return survivors[m%len(survivors)]
 }
 
-// move takes device m from edge src to edge dst at a round boundary. With
-// live migration the source edge first ships the device's cached state to
-// the destination (every handover failure simply degrades to the plain
-// drop-and-reconnect attach); only a device whose move exhausted every
-// reconnect retry is counted stranded (see attach).
+// move takes device m from edge src to edge dst at a round boundary: it
+// leaves src and registers at dst, with live migration warm, carrying its
+// own state. Only a device whose move exhausted every reconnect retry is
+// counted stranded (see attach). A warm move's outcome is the
+// destination's verdict on what the device carried.
 func (c *Cluster) move(m, src, dst, round int, live bool) {
-	if live && src >= 0 && src < len(c.edges) && !c.edgeDown(src) {
-		c.mu.Lock()
-		c.migGen[m]++
-		gen := c.migGen[m]
-		srcEdge, dstAddr := c.edges[src], c.edges[dst].Addr()
-		c.mu.Unlock()
-		out := srcEdge.MigrateOut(m, dst, dstAddr, gen)
-		c.mu.Lock()
-		switch out {
-		case "ok":
-			c.migOK++
-		case "fallback":
-			c.migFallback++
-		case "rejected":
-			c.migRejected++
-		}
-		c.mu.Unlock()
-	}
-	if err := c.attach(m, dst, false, int64(round)); err != nil {
+	start := time.Now()
+	// Off src's candidate set before the device registers anywhere else:
+	// its leave notice or closing socket reaches src in its own time.
+	c.edgeAt(src).release(m)
+	if err := c.attach(m, dst, live, int64(round)); err != nil {
 		c.mu.Lock()
 		c.moveErrs++
 		c.mu.Unlock()
 		c.logf("cluster: device %d failed to move to edge %d (stranded until next move): %v", m, dst, err)
 		c.moveErrCtr.Inc()
+		return
 	}
+	if !live {
+		return
+	}
+	out := c.edgeAt(dst).arrival(m)
+	if out == "" {
+		return // it never trained: there was nothing to carry
+	}
+	if out == "ok" {
+		c.handoverSpan.Observe(time.Since(start))
+	}
+	c.mu.Lock()
+	c.migrations[out]++
+	c.mu.Unlock()
+	c.migrationCtr[out].Inc()
 }
 
-// attach connects device m to edge target — warm for a re-home, carrying
-// the device's own local model and bookkeeping — retrying with the
+// attach connects device m to edge target — warm, carrying the device's
+// own local model and bookkeeping, or cold — retrying with the
 // standard capped backoff (salt decorrelates the jitter of different
 // occasions), and books the outcome: the new assignment, or a device
 // stranded until its next mobility step re-attempts a connection.
@@ -440,6 +435,7 @@ func (c *Cluster) onEdgeDown(dead int) {
 			c.mu.Lock()
 			c.rehomed++
 			c.mu.Unlock()
+			c.rehomedCtr.Inc()
 			c.logf("cluster: device %d re-homed to edge %d after edge %d died", m, target, dead)
 		}
 	}
@@ -553,14 +549,15 @@ func (c *Cluster) MoveErrors() int {
 	return c.moveErrs
 }
 
-// Migrations reports the live-handover outcome tallies (the counts
-// behind fednet_migrations_total): completed transfers, failures that
-// degraded to drop-and-reconnect, and destination rejections. All zero
-// when LiveMigration is off.
+// Migrations reports how the movers of live migration arrived (the counts
+// behind fednet_migrations_total): warm arrivals the destination adopted,
+// movers that arrived cold although they had trained, and carried models
+// the destination's receipt screen refused. A mover that never trained
+// carries nothing and is not counted. All zero when LiveMigration is off.
 func (c *Cluster) Migrations() (ok, fallback, rejected int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.migOK, c.migFallback, c.migRejected
+	return c.migrations["ok"], c.migrations["fallback"], c.migrations["rejected"]
 }
 
 // Failovers reports how many edge-death failovers the cluster handled
@@ -572,7 +569,7 @@ func (c *Cluster) Failovers() int {
 }
 
 // Rehomed reports how many devices were successfully re-homed off dead
-// edges (the cluster-side view of fednet_rehomed_devices_total).
+// edges (the count behind fednet_rehomed_devices_total).
 func (c *Cluster) Rehomed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

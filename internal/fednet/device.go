@@ -48,8 +48,8 @@ type DeviceMuxConfig struct {
 	// Factory builds the single shared network instance.
 	Factory func(rng *tensor.RNG) *nn.Network
 	// Optimizer is shared across hosted devices. It is reset before every
-	// training round unless the round resumes a migrated device, so
-	// nothing of one device's round reaches the next.
+	// training round unless the device resumes the state it kept itself,
+	// so nothing of one device's round reaches the next.
 	Optimizer optim.Optimizer
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
@@ -129,11 +129,6 @@ type virtualDevice struct {
 	// Disconnect). A registration or reconnect that finds it changed was
 	// superseded and gives the device up instead of installing it.
 	gen int
-	// lastSync is the cloud-sync round last observed (from the
-	// registration ack). A warm re-home registration carries it next to
-	// the carried state: a new edge honours lastTrained only when lastSync
-	// matches its own — same era rule as handover.
-	lastSync int
 	carried
 	// spare is the device's second model vector: a training takes it and
 	// writes its result there, and only that training ever sees it. pins
@@ -143,8 +138,9 @@ type virtualDevice struct {
 	pins  int
 	// kept is the optimizer state the device exported after its last
 	// training, when that request asked for it (WantMoments), in storage
-	// of its own: a Resume imports it. Siblings share the optimizer and
-	// reset it, so it never aliases the optimizer's buffers.
+	// of its own: its first training after a warm arrival at another edge
+	// imports it. Siblings share the optimizer and reset it, so it never
+	// aliases the optimizer's buffers.
 	kept keptMoments
 }
 
@@ -191,7 +187,7 @@ type muxClientConn struct {
 	// registrations (frame to ack, so acks need no tag) and leaves — so a
 	// leave can never overtake a newer registration of the same device.
 	regMu sync.Mutex
-	acks  chan RegisterAck
+	acks  chan struct{} // one per MsgRegisterAck
 	done  chan struct{}
 }
 
@@ -269,11 +265,10 @@ func (mx *DeviceMux) Connect(deviceID, edgeID int, addr string) error {
 	return mx.connect(deviceID, edgeID, addr, false)
 }
 
-// ConnectRehome is Connect with a warm re-home registration: the device
-// announces that its previous edge is gone and carries its own local
-// model, utility, and round bookkeeping so the new edge resumes it warm.
-// It is the failover counterpart of a live MsgMigrate handover, which a
-// dead source edge can no longer push.
+// ConnectRehome is Connect with a warm registration: the device carries
+// its own local model, utility and last training round, so the new edge
+// resumes it warm. It is how a device arrives after a move with live
+// migration and after its edge died; nothing passes between the edges.
 func (mx *DeviceMux) ConnectRehome(deviceID, edgeID int, addr string) error {
 	return mx.connect(deviceID, edgeID, addr, true)
 }
@@ -413,7 +408,7 @@ func (mx *DeviceMux) dial(edgeID int, addr string) (*muxClientConn, error) {
 	cc := &muxClientConn{
 		edgeID: edgeID, addr: addr,
 		conn: mx.cfg.Faults.WrapDeviceLink(conn, mx.cfg.Devices[0].DeviceID),
-		acks: make(chan RegisterAck, 1),
+		acks: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
 	mx.mu.Lock()
@@ -456,14 +451,13 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 			if !math.IsNaN(v.lastUtil) && !math.IsInf(v.lastUtil, 0) {
 				rd.Utility = v.lastUtil
 			}
-			rd.LastTrained, rd.LastSync = v.lastTrained, v.lastSync
+			rd.LastTrained = v.lastTrained
 			payload = append([]float64(nil), v.local...) // a training rewrites the vector once it is the spare
 		}
 		reg.Devices = append(reg.Devices, rd)
 	}
 	mx.mu.Unlock()
 
-	var ack RegisterAck
 	var err error
 	if len(reg.Devices) > 0 {
 		select {
@@ -477,7 +471,7 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 		timer := time.NewTimer(mx.cfg.Timeout)
 		defer timer.Stop()
 		select {
-		case ack = <-cc.acks:
+		case <-cc.acks:
 		case <-cc.done:
 			err = fmt.Errorf("fednet: edge %d connection lost during registration", cc.edgeID)
 		case <-timer.C:
@@ -491,7 +485,7 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 		switch {
 		case err != nil:
 		case r.v.gen == r.gen:
-			r.v.live, r.v.lastSync = true, ack.LastSync
+			r.v.live = true
 		case r.v.edge != cc.edgeID:
 			gone = append(gone, r.v.id)
 		}
@@ -585,6 +579,7 @@ riders:
 				continue riders
 			}
 			if alt.ID != deadEdge && mx.attach(alt.ID, alt.Addr, []rider{r}, true) == nil {
+				mx.m.rehomed.Inc()
 				mx.cfg.Logf("device %d: failed over from edge %d to edge %d", r.v.id, deadEdge, alt.ID)
 				continue riders
 			}
@@ -620,11 +615,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	}
 	defer release()
 	for {
-		var h struct {
-			TrainRequest
-			EdgeID   int `json:"edge_id"`
-			LastSync int `json:"last_sync"`
-		}
+		var h TrainRequest
 		release()
 		t, payload, err := mx.m.link.readMsgInto(cc.conn, &h, payloadBuf)
 		if err != nil {
@@ -637,7 +628,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			return
 		case MsgRegisterAck:
 			select {
-			case cc.acks <- RegisterAck{EdgeID: h.EdgeID, Round: h.Round, LastSync: h.LastSync}:
+			case cc.acks <- struct{}{}:
 			default:
 			}
 			continue
@@ -646,10 +637,8 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			mx.lost(cc)
 			return
 		}
-		tr := mx.cfg.Trace
-		trainStart := tr.Now()
 		trainTok := mx.m.trainSpan.Begin()
-		vec, reply, terr := mx.train(h.TrainRequest, payload, cc.edgeID)
+		vec, reply, terr := mx.train(h, payload, cc.edgeID)
 		trainTok.End()
 		release() // before the reply write can block
 		if terr != nil {
@@ -659,15 +648,6 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			// rather than train from a stale model.
 			mx.m.link.corrupt.Inc()
 		} else {
-			if tr != nil {
-				spanID := ""
-				if h.Span != "" { // untraced edges leave Span empty
-					spanID = h.Span + ".t"
-				}
-				tr.Complete("device_train", "fednet", tracePidDeviceBase+h.DeviceID, 0,
-					trainStart, tr.Now().Sub(trainStart), spanID, h.Span,
-					map[string]any{"round": h.Round, "moved": h.Moved, "resume": h.Resume})
-			}
 			terr = mx.write(cc, MsgTrainReply, reply, vec)
 		}
 		mx.unpin(h.DeviceID) // train's pin, on every path once nothing reads vec
@@ -693,13 +673,16 @@ func (mx *DeviceMux) unpin(id int) {
 // the local round on the shared compute state and store the result as
 // the new carried model, in the device's spare vector when it has one (a
 // known device stays pinned until unpin). Under the training lock the request is
-// stateless towards its siblings: a Resume imports the optimizer state
-// this device kept (otherwise the round resets the optimizer), and the
-// state is exported into the device's keeping again when the edge asks.
-// The batch-sampling stream depends only on (seed, round, id). A non-nil
-// error rejects the request's state as corrupt — the caller must tear the
-// connection down and resync.
+// stateless towards its siblings: a moved device that keeps its carried
+// model (Moved without ResetLocal: its first training after a warm arrival
+// at another edge) imports the optimizer state it kept, any other training
+// resets the optimizer, and the state is exported into the device's
+// keeping again when the edge asks. The batch-sampling stream depends only
+// on (seed, round, id). A non-nil error rejects the request's state as
+// corrupt — the caller must tear the connection down and resync.
 func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
+	tr := mx.cfg.Trace
+	trainStart := tr.Now()
 	id := req.DeviceID
 	mx.mu.Lock()
 	v := mx.virts[id]
@@ -740,18 +723,15 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 
 	mx.trainMu.Lock()
 	me, _ := mx.compute.Opt.(optim.MomentExporter)
-	// The handover offered the state of OptSteps steps; any other kept
-	// state is not the one the source edge last saw, and the round trains
-	// cold. ImportMoments copies, so kept stays the device's own.
-	resumed := req.Resume && me != nil && kept.steps > 0 && kept.steps == req.OptSteps &&
-		me.ImportMoments(kept.flat, kept.lens, kept.steps)
+	// ImportMoments copies, so kept stays the device's own.
+	resumed := moved && me != nil && kept.steps > 0 && me.ImportMoments(kept.flat, kept.lens, kept.steps)
 	fp := flight.BeginPhase("local_train")
 	util, skipped := mx.compute.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
 	fp.End()
 	kept = keptMoments{}
 	if req.WantMoments && me != nil {
 		if flat, lens, steps := me.ExportMoments(); len(flat) > 0 {
-			kept, reply.OptSteps = keptMoments{flat, lens, steps}, steps
+			kept = keptMoments{flat, lens, steps}
 		}
 	}
 	mx.trainMu.Unlock()
@@ -764,6 +744,15 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	v.prevEdge, v.lastUtil, v.lastTrained = edgeID, util, req.Round
 	v.rounds++
 	mx.mu.Unlock()
+	if tr != nil {
+		spanID := ""
+		if req.Span != "" { // untraced edges leave Span empty
+			spanID = req.Span + ".t"
+		}
+		tr.Complete("device_train", "fednet", tracePidDeviceBase+id, 0,
+			trainStart, tr.Now().Sub(trainStart), spanID, req.Span,
+			map[string]any{"round": req.Round, "moved": req.Moved, "resume": resumed})
+	}
 	return vec, reply, nil
 }
 

@@ -65,24 +65,13 @@ type EdgeConfig struct {
 	// SelectionNormCap, when > 0, caps the Eq. 12 selection score of
 	// devices whose cached update norm exceeds it (see hfl.NormCapView).
 	SelectionNormCap float64
-	// LiveMigration enables stateful edge-to-edge handover: on a
-	// mobility step the cluster asks the source edge to ship the moving
-	// device's state (model, timeline, the step count of the optimizer
-	// state the device keeps) to the destination via MsgMigrate, so the
-	// device resumes mid-round instead of cold-joining. Every failure
-	// degrades to the plain drop-and-reconnect move. Off by default.
+	// LiveMigration asks every trained device to keep its optimizer state
+	// (TrainRequest.WantMoments), so that a device moving on warm resumes
+	// it at its next edge. Off by default: cold runs do not export moments.
 	LiveMigration bool
-	// MigrateTimeout bounds one handover transfer attempt (dial, send,
-	// ack). It is separate from Timeout because a faulted handover
-	// blocks the mobility step, not a training round: keeping it tight
-	// makes the fallback fast without starving slow train RPCs
-	// (default Timeout).
-	MigrateTimeout time.Duration
 	// CheckpointDir, when set, makes the edge persist its state (edge
 	// model + round + Eq. 6 weight accumulator) after rounds, and
 	// NewEdge resume from the latest valid checkpoint found there.
-	// With LiveMigration it also journals in-flight handover records
-	// (".hov" files) so a source-edge crash cannot strand a device.
 	CheckpointDir string
 	// CheckpointEvery persists every Nth round (default 1).
 	CheckpointEvery int
@@ -109,21 +98,14 @@ type deviceState struct {
 	arrivedFrom int  // edge the device trained under before connecting here
 	trainedHere bool // has it trained at this edge since arriving?
 	// lastModel is the device's last model, in a vector the edge owns (a
-	// train reply, a re-home payload or a handover record's); it returns
-	// to the edge's free list when the device's next reply replaces it.
+	// train reply or a warm registration's payload); it returns to the
+	// edge's free list when the device's next reply replaces it.
 	lastModel   []float64
 	statUtil    float64
 	lastTrained int
-	// Live-migration state. optSteps is the step count of the optimizer
-	// state the device kept after its last reply here (WantMoments); a
-	// handover offers it to the destination as the record's Steps. resume
-	// and resumeSteps hold such an offer from an accepted migrate-in,
-	// used up by the device's first train request here (Resume=true → the
-	// device imports the state it kept instead of resetting its
-	// optimizer).
-	optSteps    int
-	resume      bool
-	resumeSteps int
+	// refused marks a warm registration whose payload failed the receipt
+	// screen: the device arrived cold.
+	refused bool
 }
 
 // Edge runs the in-edge half of Algorithm 1 as a server: it accepts
@@ -138,19 +120,6 @@ type Edge struct {
 
 	mu      sync.Mutex
 	devices map[int]*deviceState
-
-	// pendingHandover holds accepted migrate-in records awaiting the
-	// device's registration; handoverGen remembers the highest accepted
-	// generation per device so a late retry of an older move is rejected
-	// as stale. Both guarded by mu.
-	pendingHandover map[int]*checkpoint.Handover
-	handoverGen     map[int]int
-
-	// pendingTrace queues migration trace spans until the edge's next
-	// round starts: handovers run between rounds, and emitting them
-	// immediately would escape the parent edge_round interval. Guarded
-	// by mu.
-	pendingTrace []pendingTraceEvent
 
 	// replies is the free list the demux readers decode train replies
 	// into (see deviceState.lastModel).
@@ -227,17 +196,6 @@ func (e *Edge) Epoch() int {
 	return e.epoch
 }
 
-// pendingTraceEvent is a migration span waiting to be emitted as an
-// instant at the start of the edge's next round. The handover's wall
-// time is carried in args (and in fednet_handover_seconds); the span
-// itself is zero-duration so it always nests inside its edge_round.
-type pendingTraceEvent struct {
-	name   string
-	device int
-	span   string
-	args   map[string]any
-}
-
 // NewEdge builds an edge server and starts its device listener.
 func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.K < 1 || cfg.Strategy == nil {
@@ -245,9 +203,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.MigrateTimeout <= 0 {
-		cfg.MigrateTimeout = cfg.Timeout
 	}
 	if cfg.Quorum < 1 {
 		cfg.Quorum = 1
@@ -271,30 +226,12 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	}
 	cfg.Trace.SetProcessName(tracePidEdgeBase+cfg.EdgeID, fmt.Sprintf("edge%d", cfg.EdgeID))
 	e := &Edge{
-		cfg:             cfg,
-		ln:              ln,
-		m:               newEdgeMetrics(cfg.Obs),
-		agg:             robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
-		replies:         vecList{max: cfg.K},
-		devices:         map[int]*deviceState{},
-		pendingHandover: map[int]*checkpoint.Handover{},
-		handoverGen:     map[int]int{},
-	}
-	if cfg.CheckpointDir != "" && cfg.LiveMigration {
-		// Leftover handover journals mean this edge crashed mid-migration;
-		// the moved devices fell back to drop-and-reconnect (the cluster
-		// re-attaches them regardless), so account the fallbacks and clear
-		// the journals rather than strand anything.
-		if hs, err := checkpoint.LoadHandovers(cfg.CheckpointDir); err == nil {
-			for _, h := range hs {
-				if h.SrcEdge != cfg.EdgeID {
-					continue
-				}
-				e.m.migrateFallback.Inc()
-				_ = checkpoint.RemoveHandoverFile(cfg.CheckpointDir, h.Device, h.Generation)
-				cfg.Logf("edge %d: unresolved handover journal for device %d (gen %d): counted as fallback", cfg.EdgeID, h.Device, h.Generation)
-			}
-		}
+		cfg:     cfg,
+		ln:      ln,
+		m:       newEdgeMetrics(cfg.Obs),
+		agg:     robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
+		replies: vecList{max: cfg.K},
+		devices: map[int]*deviceState{},
 	}
 	if cfg.CheckpointDir != "" {
 		st, ok, err := checkpoint.LoadLatestNamed(cfg.CheckpointDir, edgeCheckpointName(cfg.EdgeID))
@@ -344,8 +281,7 @@ func (e *Edge) saveCheckpoint(round int) {
 // Addr returns the edge's device-facing listen address.
 func (e *Edge) Addr() string { return e.ln.Addr().String() }
 
-// acceptLoop admits device connections — and the edge-to-edge frames
-// that share the listener — until the listener closes.
+// acceptLoop admits device connections until the listener closes.
 func (e *Edge) acceptLoop() {
 	for {
 		conn, err := e.ln.Accept()
@@ -353,261 +289,24 @@ func (e *Edge) acceptLoop() {
 			return
 		}
 		go func(conn net.Conn) {
+			// A device client: register what its first frame announces,
+			// then this goroutine becomes the connection's demux reader.
 			conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
-			var reg struct {
-				RegisterMux
-				// Migrate / MoveNotice header fields.
-				DeviceID    int    `json:"device_id"`
-				SrcEdge     int    `json:"src_edge"`
-				Generation  int    `json:"generation"`
-				RecordBytes int    `json:"record_bytes"`
-				Span        string `json:"span,omitempty"`
-				DestEdge    int    `json:"dest_edge"`
-				DestAddr    string `json:"dest_addr"`
-			}
+			var reg RegisterMux
 			t, vec, err := e.m.deviceLink.readMsg(conn, &reg)
-			if err != nil {
+			if err != nil || t != MsgRegisterMux {
 				conn.Close()
 				return
 			}
-			switch t {
-			case MsgMigrate:
-				e.acceptMigrate(conn, Migrate{
-					SrcEdge: reg.SrcEdge, DestEdge: e.cfg.EdgeID, DeviceID: reg.DeviceID,
-					Generation: reg.Generation, RecordBytes: reg.RecordBytes, Span: reg.Span,
-				}, vec)
-			case MsgMoveNotice:
-				// Distributed-deployment migration trigger: push the mover's
-				// state before the device tears its connection down. The
-				// snapshot in MigrateOut races the teardown benignly — losing
-				// it yields the ordinary cold join.
-				conn.Close()
-				e.MigrateOut(reg.DeviceID, reg.DestEdge, reg.DestAddr, reg.Generation)
-			case MsgRegisterMux:
-				// A device client: register what its first frame announces,
-				// then this goroutine becomes the connection's demux reader.
-				mx := &edgeMux{edge: e, conn: conn, waiters: map[int]chan trainResult{}, ids: map[int]bool{}}
-				if err := e.registerDevices(mx, reg.Devices, vec); err != nil {
-					mx.fail(err)
-					return
-				}
-				conn.SetDeadline(time.Time{})
-				mx.serve()
-			default:
-				conn.Close()
+			mx := &edgeMux{edge: e, conn: conn, waiters: map[int]chan trainResult{}, ids: map[int]bool{}}
+			if err := e.registerDevices(mx, reg.Devices, vec); err != nil {
+				mx.fail(err)
+				return
 			}
+			conn.SetDeadline(time.Time{})
+			mx.serve()
 		}(conn)
 	}
-}
-
-// consumeHandoverLocked applies a pending migrate-in record to a freshly
-// registered device state (the warm merge): the destination adopts the
-// source's cached model, utility, the offer of the device's optimizer
-// state and — when both edges sit in the same cloud-sync era — the
-// source's training timeline, so the device's first train request here
-// skips ResetLocal and the Eq. 9 blend fires mid-round instead of
-// cold-joining. e.mu must be held.
-func (e *Edge) consumeHandoverLocked(d *deviceState) {
-	h := e.pendingHandover[d.id]
-	if h == nil || !e.cfg.LiveMigration {
-		return
-	}
-	delete(e.pendingHandover, d.id)
-	if len(h.Model) == 0 || (len(e.edgeModel) > 0 && len(h.Model) != len(e.edgeModel)) {
-		return // incompatible record: keep the cold-join state
-	}
-	d.lastModel = h.Model
-	d.statUtil = h.StatUtil
-	if h.LastSync == e.lastSync {
-		// Same sync era: the source timeline stays valid, so the first
-		// train request here will not reset the carried local model.
-		d.lastTrained = h.LastTrained
-	}
-	// The moments stayed on the device; Steps offers their resume.
-	d.resume, d.resumeSteps = h.Steps > 0, h.Steps
-	e.cfg.Logf("edge %d: device %d resumes via handover from edge %d (gen %d, steps %d)",
-		e.cfg.EdgeID, d.id, h.SrcEdge, h.Generation, h.Steps)
-}
-
-// acceptMigrate handles one MsgMigrate frame on a short-lived
-// edge-to-edge connection: unpack and decode the handover record (its
-// inner CRC catches Byzantine rewrites that the frame CRC cannot),
-// check generation freshness, stash the record for the device's
-// registration and ack either way.
-func (e *Edge) acceptMigrate(conn net.Conn, mig Migrate, vec []float64) {
-	defer conn.Close()
-	ack := MigrateAck{DeviceID: mig.DeviceID}
-	var rec checkpoint.Handover
-	if !e.cfg.LiveMigration {
-		ack.Reason = "disabled"
-	} else if raw, ok := unpackBytes(vec, mig.RecordBytes); !ok {
-		ack.Reason = "corrupt_record"
-	} else if h, err := checkpoint.DecodeHandoverBytes(raw); err != nil {
-		ack.Reason = "corrupt_record"
-	} else if h.Device != mig.DeviceID || h.DestEdge != e.cfg.EdgeID || h.Generation != mig.Generation {
-		ack.Reason = "misrouted"
-	} else {
-		rec = h
-		ack.Accepted = true
-	}
-	if ack.Accepted {
-		e.mu.Lock()
-		if last, seen := e.handoverGen[mig.DeviceID]; seen && mig.Generation <= last {
-			ack.Accepted = false
-			ack.Reason = "stale_generation"
-		} else {
-			e.handoverGen[mig.DeviceID] = mig.Generation
-			e.pendingHandover[mig.DeviceID] = &rec
-			// The device may already have re-registered here before the
-			// record arrived (the cluster reconnects concurrently with the
-			// transfer retry loop): merge into the live state immediately.
-			if d, ok := e.devices[mig.DeviceID]; ok && !d.trainedHere {
-				e.consumeHandoverLocked(d)
-			}
-			if e.cfg.Trace != nil {
-				e.pendingTrace = append(e.pendingTrace, pendingTraceEvent{
-					name: "migrate_in", device: mig.DeviceID,
-					span: migrateInSpan(e.cfg.EdgeID, mig.DeviceID, mig.Generation),
-					args: map[string]any{"device": mig.DeviceID, "src_edge": mig.SrcEdge,
-						"generation": mig.Generation, "src_span": mig.Span},
-				})
-			}
-		}
-		e.mu.Unlock()
-	}
-	if !ack.Accepted {
-		e.cfg.Logf("edge %d: rejected migration of device %d from edge %d: %s",
-			e.cfg.EdgeID, mig.DeviceID, mig.SrcEdge, ack.Reason)
-	}
-	_ = e.m.deviceLink.writeMsg(conn, MsgMigrateAck, ack, nil)
-}
-
-// MigrateOut ships the cached state of a moving device to the
-// destination edge (live handover). Returns the outcome recorded in
-// fednet_migrations_total: "ok" (destination accepted), "fallback"
-// (transfer failed after retries — the device simply drop-and-reconnects
-// as before), "rejected" (destination refused, e.g. stale generation) or
-// "" when there was nothing to hand over (the device never trained here,
-// so a cold join loses nothing). Either way the device leaves this edge's
-// candidate set in the same step as the snapshot, so it is never selected
-// here again after its state was handed on. The record carries no
-// moments — they stay on the device, and Steps offers their resume. It is
-// journaled under CheckpointDir for crash forensics and removed once
-// resolved.
-func (e *Edge) MigrateOut(deviceID, destEdge int, destAddr string, generation int) string {
-	if !e.cfg.LiveMigration || destEdge == e.cfg.EdgeID {
-		return ""
-	}
-	e.mu.Lock()
-	d, ok := e.devices[deviceID]
-	var rec checkpoint.Handover
-	if ok {
-		// Deregistered, the device state is nobody else's: the record
-		// takes its model vector as is.
-		e.deregisterLocked(deviceID, d.mux)
-		rec = checkpoint.Handover{
-			Device:      deviceID,
-			SrcEdge:     e.cfg.EdgeID,
-			DestEdge:    destEdge,
-			Generation:  generation,
-			Round:       e.curRound,
-			LastSync:    e.lastSync,
-			LastTrained: d.lastTrained,
-			Steps:       d.optSteps,
-			DataSize:    d.dataSize,
-			StatUtil:    d.statUtil,
-			Model:       d.lastModel,
-		}
-	}
-	e.mu.Unlock()
-	if len(rec.Model) == 0 {
-		return ""
-	}
-	raw, err := checkpoint.EncodeHandoverBytes(rec)
-	if err != nil {
-		e.cfg.Logf("edge %d: encoding handover for device %d failed: %v", e.cfg.EdgeID, deviceID, err)
-		e.m.migrateFallback.Inc()
-		return "fallback"
-	}
-	if e.cfg.CheckpointDir != "" {
-		if _, err := checkpoint.SaveHandoverFile(e.cfg.CheckpointDir, deviceID, generation, raw); err != nil {
-			e.cfg.Logf("edge %d: journaling handover for device %d failed: %v", e.cfg.EdgeID, deviceID, err)
-		} else {
-			defer checkpoint.RemoveHandoverFile(e.cfg.CheckpointDir, deviceID, generation)
-		}
-	}
-	tr := e.cfg.Trace
-	srcSpan := ""
-	if tr != nil {
-		srcSpan = migrateSpan(e.cfg.EdgeID, deviceID, generation)
-	}
-	mig := Migrate{
-		SrcEdge: e.cfg.EdgeID, DestEdge: destEdge, DeviceID: deviceID,
-		Generation: generation, RecordBytes: len(raw), Span: srcSpan,
-	}
-	payload := packBytes(raw)
-	outcome := "fallback"
-	traceStart := tr.Now()
-	hoTok := e.m.handoverSpan.Begin()
-transfer:
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			e.m.retries.Inc()
-			time.Sleep(retryBackoff(e.cfg.RetryBase, attempt, e.cfg.Seed,
-				int64(e.cfg.EdgeID)*1_000_003+int64(deviceID)*61+int64(generation)))
-		}
-		conn, derr := net.Dial("tcp", destAddr)
-		if derr != nil {
-			continue
-		}
-		conn = e.cfg.Faults.WrapMigrateLink(conn, deviceID)
-		conn.SetDeadline(time.Now().Add(e.cfg.MigrateTimeout))
-		if werr := e.m.migrateLink.writeMsg(conn, MsgMigrate, mig, payload); werr != nil {
-			countTimeout(e.m.timeouts, werr)
-			conn.Close()
-			continue
-		}
-		var ack MigrateAck
-		t, _, rerr := e.m.migrateLink.readMsg(conn, &ack)
-		conn.Close()
-		if rerr != nil || t != MsgMigrateAck || ack.DeviceID != deviceID {
-			countTimeout(e.m.timeouts, rerr)
-			continue
-		}
-		if !ack.Accepted {
-			// The destination made a decision; retrying cannot change it.
-			outcome = "rejected"
-			e.cfg.Logf("edge %d: migration of device %d to edge %d rejected: %s",
-				e.cfg.EdgeID, deviceID, destEdge, ack.Reason)
-			break transfer
-		}
-		outcome = "ok"
-		hoTok.End() // handover latency observed only for completed transfers
-		break transfer
-	}
-	switch outcome {
-	case "ok":
-		e.m.migrateOK.Inc()
-		e.cfg.Logf("edge %d: migrated device %d to edge %d (gen %d)", e.cfg.EdgeID, deviceID, destEdge, generation)
-	case "rejected":
-		e.m.migrateRejected.Inc()
-	default:
-		e.m.migrateFallback.Inc()
-		e.cfg.Logf("edge %d: migration of device %d to edge %d fell back to drop-and-reconnect",
-			e.cfg.EdgeID, deviceID, destEdge)
-	}
-	if tr != nil {
-		elapsed := tr.Now().Sub(traceStart)
-		e.mu.Lock()
-		e.pendingTrace = append(e.pendingTrace, pendingTraceEvent{
-			name: "migrate", device: deviceID, span: srcSpan,
-			args: map[string]any{"device": deviceID, "dest_edge": destEdge,
-				"generation": generation, "outcome": outcome,
-				"elapsed_us": elapsed.Microseconds()},
-		})
-		e.mu.Unlock()
-	}
-	return outcome
 }
 
 // Run connects to the cloud and participates until shutdown.
@@ -713,17 +412,6 @@ func (e *Edge) Run() error {
 		eSpan := ""
 		if tr != nil {
 			eSpan = edgeRoundSpan(e.cfg.EdgeID, rs.Round)
-			// Flush migration spans queued since the last round: emitted
-			// as instants at round start so they nest under this round.
-			e.mu.Lock()
-			pend := e.pendingTrace
-			e.pendingTrace = nil
-			e.mu.Unlock()
-			for _, p := range pend {
-				p.args["round"] = rs.Round
-				tr.Complete(p.name, "fednet", tracePidEdgeBase+e.cfg.EdgeID, p.device,
-					traceStart, 0, p.span, eSpan, p.args)
-			}
 		}
 		roundTok := e.m.roundSpan.Begin()
 		st := e.runRound(rs.Round, eSpan)
@@ -1002,11 +690,10 @@ collect:
 			e.mu.Lock()
 			if d, ok := e.devices[res.id]; ok {
 				// Nothing still reads what this reply replaces: selection
-				// and handover read lastModel under mu, and a round
-				// aggregates only vectors received in that round.
+				// reads lastModel under mu, and a round aggregates only
+				// vectors received in that round.
 				e.replies.put(d.lastModel)
 				d.lastModel = res.vec
-				d.optSteps = res.reply.OptSteps
 				d.statUtil = res.reply.Utility
 				d.lastTrained = round
 				d.trainedHere = true
@@ -1113,27 +800,16 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 		e.mu.Lock()
 		d, ok := e.devices[id]
 		var req TrainRequest
-		resume := false
 		if ok {
 			req = TrainRequest{
-				Round:      round,
-				DeviceID:   id,
-				Moved:      !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
-				ResetLocal: d.lastTrained < e.lastSync,
+				Round:       round,
+				DeviceID:    id,
+				Moved:       !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
+				ResetLocal:  d.lastTrained < e.lastSync,
+				WantMoments: e.cfg.LiveMigration,
 			}
 			if span != "" {
 				req.Span = trainRPCSpan(span, id)
-			}
-			if e.cfg.LiveMigration {
-				// The device keeps its optimizer state for a later
-				// handover. A handover's offer to resume from it is used
-				// up by the first training here, and declined when that
-				// training resets the carried model anyway.
-				req.WantMoments = true
-				resume = d.resume
-				if resume && !req.ResetLocal {
-					req.Resume, req.OptSteps = true, d.resumeSteps
-				}
 			}
 		}
 		e.mu.Unlock()
@@ -1157,13 +833,6 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 			continue
 		}
 		rpcTok.End()
-		if resume {
-			e.mu.Lock()
-			if d2, ok2 := e.devices[id]; ok2 {
-				d2.resume, d2.resumeSteps = false, 0
-			}
-			e.mu.Unlock()
-		}
 		if tr != nil {
 			tr.Complete("train_rpc", "fednet", tracePidEdgeBase+e.cfg.EdgeID, id,
 				rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
@@ -1180,6 +849,28 @@ func (e *Edge) hasDevice(id int) bool {
 	defer e.mu.Unlock()
 	_, ok := e.devices[id]
 	return ok
+}
+
+// arrival reports how device id, which has just registered here, arrived,
+// as fednet_migrations_total labels it: "ok" when the edge adopted the
+// state it carried, "rejected" when the payload failed the receipt screen,
+// "fallback" when it arrived cold after training elsewhere or is not
+// registered, and "" when it had never trained, so had nothing to carry.
+func (e *Edge) arrival(id int) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d, ok := e.devices[id]
+	switch {
+	case !ok:
+		return "fallback"
+	case d.lastModel != nil:
+		return "ok"
+	case d.refused:
+		return "rejected"
+	case d.arrivedFrom >= 0:
+		return "fallback"
+	}
+	return ""
 }
 
 func (e *Edge) shutdownDevices() {

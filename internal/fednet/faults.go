@@ -95,11 +95,9 @@ func (fr FaultRates) zero() bool {
 type FaultConfig struct {
 	// Seed drives every fault decision; same seed → same faults.
 	Seed int64
-	// DeviceEdge applies to device→edge writes, EdgeCloud to edge→cloud,
-	// EdgeEdge to edge→edge migration transfers (MsgMigrate frames).
+	// DeviceEdge applies to device→edge writes, EdgeCloud to edge→cloud.
 	DeviceEdge FaultRates
 	EdgeCloud  FaultRates
-	EdgeEdge   FaultRates
 	// MaxDelay bounds injected delays (default 25ms).
 	MaxDelay time.Duration
 	// PartitionMsgs is how many subsequent writes a partition swallows
@@ -133,7 +131,7 @@ type linkFaultState struct {
 // NewFaultInjector builds an injector; returns nil when cfg injects
 // nothing, so callers can pass the result around unconditionally.
 func NewFaultInjector(cfg FaultConfig) *FaultInjector {
-	if cfg.DeviceEdge.zero() && cfg.EdgeCloud.zero() && cfg.EdgeEdge.zero() {
+	if cfg.DeviceEdge.zero() && cfg.EdgeCloud.zero() {
 		return nil
 	}
 	if cfg.MaxDelay <= 0 {
@@ -167,25 +165,11 @@ func (f *FaultInjector) WrapEdgeLink(conn net.Conn, edgeID int) net.Conn {
 	return f.wrap(conn, linkEdgeCloud, edgeID, f.rates(linkEdgeCloud))
 }
 
-// WrapMigrateLink wraps a source edge's migration connection to a
-// destination edge (link id = the moving device's id, so chaos tests
-// can target one device's handovers). Nil-safe.
-func (f *FaultInjector) WrapMigrateLink(conn net.Conn, deviceID int) net.Conn {
-	if f == nil {
-		return conn
-	}
-	return f.wrap(conn, linkEdgeEdge, deviceID, f.rates(linkEdgeEdge))
-}
-
 func (f *FaultInjector) rates(link string) FaultRates {
-	switch link {
-	case linkEdgeCloud:
+	if link == linkEdgeCloud {
 		return f.cfg.EdgeCloud
-	case linkEdgeEdge:
-		return f.cfg.EdgeEdge
-	default:
-		return f.cfg.DeviceEdge
 	}
+	return f.cfg.DeviceEdge
 }
 
 func (f *FaultInjector) wrap(conn net.Conn, link string, id int, rates FaultRates) net.Conn {
@@ -235,14 +219,10 @@ func (f *FaultInjector) decide(link string, id int, rates FaultRates) (kind Faul
 
 // linkCode gives each link class a disjoint id-space region for Split.
 func linkCode(link string) int64 {
-	switch link {
-	case linkEdgeCloud:
+	if link == linkEdgeCloud {
 		return 2
-	case linkEdgeEdge:
-		return 3
-	default:
-		return 1
 	}
+	return 1
 }
 
 // decideFault is the pure decision function: same (seed, rates, link,

@@ -362,9 +362,8 @@ func TestEdgeStragglerExclusion(t *testing.T) {
 // It moves back warm — the edge it headed for is gone — which a device
 // can do over a connection it shares.
 func TestDeviceMoveBackAfterFailedMove(t *testing.T) {
-	reg := obs.NewRegistry()
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
-		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, Obs: reg,
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second,
 	})
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -389,9 +388,6 @@ func TestDeviceMoveBackAfterFailedMove(t *testing.T) {
 	}
 	if ids := registered(edge); !ids[4] || !ids[5] {
 		t.Fatalf("edge lists %v after device 5 moved back, want 4 and 5", ids)
-	}
-	if got := reg.Counter("fednet_rehomed_devices_total").Value(); got != 1 {
-		t.Fatalf("fednet_rehomed_devices_total = %d after one warm registration, want 1", got)
 	}
 	if !mx.Connected(5) {
 		t.Fatal("device 5 not attached after moving back")

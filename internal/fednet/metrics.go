@@ -15,7 +15,6 @@ import (
 const (
 	linkDeviceEdge = "device_edge"
 	linkEdgeCloud  = "edge_cloud"
-	linkEdgeEdge   = "edge_edge"
 )
 
 // linkMetrics counts the protocol traffic of one link class. Instruments
@@ -133,17 +132,6 @@ type edgeMetrics struct {
 	virtualDevices *obs.Gauge
 	roundSpan      *obs.Span
 	trainSpan      *obs.Span
-	// Live-migration accounting: edge-to-edge transfer traffic, handover
-	// outcomes (ok / fallback / rejected) and end-to-end handover
-	// latency from journal write to accepted ack.
-	migrateLink     linkMetrics
-	migrateOK       *obs.Counter
-	migrateFallback *obs.Counter
-	migrateRejected *obs.Counter
-	handoverSpan    *obs.Span
-	// Self-healing accounting: devices that arrived carrying their own
-	// warm state because their previous edge died.
-	rehomed *obs.Counter
 }
 
 func newEdgeMetrics(r *obs.Registry) edgeMetrics {
@@ -159,22 +147,17 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 		virtualDevices: r.Gauge("fednet_virtual_devices"),
 		roundSpan:      r.Span("fednet_rpc_seconds", "op", "edge_round"),
 		trainSpan:      r.Span("fednet_rpc_seconds", "op", "train_rpc"),
-
-		migrateLink:     newLinkMetrics(r, linkEdgeEdge),
-		migrateOK:       r.Counter("fednet_migrations_total", "outcome", "ok"),
-		migrateFallback: r.Counter("fednet_migrations_total", "outcome", "fallback"),
-		migrateRejected: r.Counter("fednet_migrations_total", "outcome", "rejected"),
-		handoverSpan:    r.Span("fednet_handover_seconds"),
-		rehomed:         r.Counter("fednet_rehomed_devices_total"),
 	}
 }
 
 // deviceMetrics instruments one device client. reconnects counts devices
-// re-registered at their edge after their connection was lost.
+// re-registered at their edge after their connection was lost, rehomed
+// those that failed over to another edge when theirs died.
 type deviceMetrics struct {
 	link       linkMetrics
 	retries    *obs.Counter
 	reconnects *obs.Counter
+	rehomed    *obs.Counter
 	nonfinite  *obs.Counter
 	trainSpan  *obs.Span
 }
@@ -184,6 +167,7 @@ func newDeviceMetrics(r *obs.Registry) deviceMetrics {
 		link:       newLinkMetrics(r, linkDeviceEdge),
 		retries:    r.Counter("fednet_retries_total"),
 		reconnects: r.Counter("fednet_device_reconnects_total"),
+		rehomed:    r.Counter("fednet_rehomed_devices_total"),
 		nonfinite:  r.Counter("hfl_nonfinite_steps_total"),
 		trainSpan:  r.Span("fednet_rpc_seconds", "op", "device_train"),
 	}

@@ -1,27 +1,25 @@
 package fednet
 
-// Live migration tests: the stateful edge-to-edge handover path under
-// clean conditions (resume + dual-parented trace spans), under targeted
-// chaos on the edge–edge link (every faulted handover must fall back to
-// drop-and-reconnect, never lose a device), and disabled (the default
-// path must not move a single migration counter).
+// Live migration tests: a moving device arrives warm by registering at its
+// new edge with its own state. Under clean conditions the destination
+// adopts it and the first training there resumes the device's optimizer;
+// under device→edge faults every mover still arrives somewhere; disabled,
+// no carried model reaches an edge and no device keeps its moments.
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"net"
-	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"middle/internal/checkpoint"
 	"middle/internal/core"
 	"middle/internal/data"
 	"middle/internal/hfl"
 	"middle/internal/mobility"
 	"middle/internal/nn"
 	"middle/internal/obs"
+	"middle/internal/robust"
 	"middle/internal/tensor"
 )
 
@@ -47,290 +45,241 @@ func migrationClusterConfig(t *testing.T, rounds int, mob mobility.Model) Cluste
 	}
 }
 
-func migrationCounts(reg *obs.Registry) (ok, fallback, rejected int64) {
-	return reg.Counter("fednet_migrations_total", "outcome", "ok").Value(),
-		reg.Counter("fednet_migrations_total", "outcome", "fallback").Value(),
-		reg.Counter("fednet_migrations_total", "outcome", "rejected").Value()
+func migrationCounts(reg *obs.Registry) (ok, fallback, rejected int) {
+	return int(reg.Counter("fednet_migrations_total", "outcome", "ok").Value()),
+		int(reg.Counter("fednet_migrations_total", "outcome", "fallback").Value()),
+		int(reg.Counter("fednet_migrations_total", "outcome", "rejected").Value())
 }
 
-// TestClusterLiveMigrationResume is the handover acceptance test: under
-// high mobility with migration enabled, handovers complete ("ok"
-// outcomes) and each completed transfer is visible in the trace as a
-// dual-parented pair — a "migrate" span under the source edge's round
-// and a "migrate_in" span under the destination edge's round whose
-// src_span argument names its "migrate" twin. The migrated optimizer
-// moments must arrive too, at any group size: some device_train span
-// serves a Resume request.
+// warmAudit is a mobility model that counts, at every round boundary, the
+// devices whose edge holds a model they carried in rather than trained
+// there — warm arrivals the edge adopted — and the cached models that are
+// not finite.
+type warmAudit struct {
+	mobility.Model
+	cluster         atomic.Pointer[Cluster]
+	warm, nonFinite int // touched only by the goroutine calling Step
+}
+
+func (a *warmAudit) Step() []int {
+	if c := a.cluster.Load(); c != nil {
+		for i := range c.edges {
+			e := c.edgeAt(i)
+			e.mu.Lock()
+			for _, d := range e.devices {
+				if d.lastModel != nil && !d.trainedHere {
+					a.warm++
+				}
+				if !robust.IsFinite(d.lastModel) {
+					a.nonFinite++
+				}
+			}
+			e.mu.Unlock()
+		}
+	}
+	return a.Model.Step()
+}
+
+// runAudited starts cfg with its mobility wrapped in a warmAudit and waits
+// for the run to end.
+func runAudited(t *testing.T, cfg ClusterConfig) (*Cluster, *warmAudit) {
+	t.Helper()
+	audit := &warmAudit{Model: cfg.Mobility}
+	cfg.Mobility = audit
+	c, err := StartCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit.cluster.Store(c)
+	if err := c.Wait(); err != nil {
+		t.Fatalf("run failed with a real error: %v", err)
+	}
+	return c, audit
+}
+
+// TestClusterLiveMigrationResume is the live-migration acceptance test:
+// under high mobility, at any group size, movers arrive warm — the edges
+// adopt the models they carry, the metric agrees with Cluster.Migrations,
+// nothing is refused — and a warm arrival's first training resumes the
+// device's optimizer: the trace, valid as a whole, holds device_train spans
+// with both moved and resume set.
 func TestClusterLiveMigrationResume(t *testing.T) {
 	for _, group := range []int{1, 3} {
-		mob := mobility.NewMarkovRing(3, 9, 0.5, 7)
-		cfg := migrationClusterConfig(t, 12, mob)
-		reg := obs.NewRegistry()
-		trace := obs.NewTrace(0)
-		cfg.Obs, cfg.Trace = reg, trace
-		cfg.Mux = group
-		c, err := StartCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range c.GlobalModel() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("global model[%d] = %v after migration run", i, v)
-			}
+		cfg := migrationClusterConfig(t, 12, mobility.NewMarkovRing(3, 9, 0.5, 7))
+		reg, trace := obs.NewRegistry(), obs.NewTrace(0)
+		cfg.Obs, cfg.Trace, cfg.Mux = reg, trace, group
+		c, audit := runAudited(t, cfg)
+		if !robust.IsFinite(c.GlobalModel()) {
+			t.Fatalf("group of %d: global model not finite", group)
 		}
 
-		ok, fallback, rejected := migrationCounts(reg)
-		if ok == 0 {
-			t.Fatalf("no successful migrations under p=0.5 mobility (ok=%d fallback=%d rejected=%d)",
-				ok, fallback, rejected)
+		ok, fallback, rejected := c.Migrations()
+		if ok == 0 || fallback+rejected != 0 || audit.warm == 0 {
+			t.Fatalf("group of %d: %d ok, %d fallback, %d rejected, %d warm at boundaries; want all warm",
+				group, ok, fallback, rejected, audit.warm)
 		}
-
+		if mok, mfb, mrej := migrationCounts(reg); mok != ok || mfb != fallback || mrej != rejected {
+			t.Fatalf("fednet_migrations_total %d/%d/%d, Cluster.Migrations %d/%d/%d", mok, mfb, mrej, ok, fallback, rejected)
+		}
 		events := trace.Events()
 		if err := obs.ValidateTraceEvents(events); err != nil {
 			t.Fatalf("trace invalid: %v", err)
 		}
-		span := func(e obs.TraceEvent) string { p, _ := e.Args["span"].(string); return p }
-		parent := func(e obs.TraceEvent) string { p, _ := e.Args["parent"].(string); return p }
-		byID := map[string]obs.TraceEvent{}
-		var migrates, migrateIns []obs.TraceEvent
 		resumes := 0
 		for _, e := range events {
-			if e.Ph != "X" {
-				continue
-			}
-			if id := span(e); id != "" {
-				byID[id] = e
-			}
-			switch e.Name {
-			case "migrate":
-				migrates = append(migrates, e)
-			case "migrate_in":
-				migrateIns = append(migrateIns, e)
-			case "device_train":
-				if r, _ := e.Args["resume"].(bool); r {
-					resumes++
+			moved, _ := e.Args["moved"].(bool)
+			resume, _ := e.Args["resume"].(bool)
+			if e.Name == "device_train" && resume {
+				if !moved {
+					t.Fatalf("device_train %v resumed without moving", e.Args)
 				}
+				resumes++
 			}
 		}
 		if resumes == 0 {
-			t.Fatalf("group of %d: %d handovers completed but no device trained a Resume request", group, ok)
+			t.Fatalf("group of %d: %d warm arrivals but no device_train resumed", group, ok)
 		}
-		if len(migrates) == 0 || len(migrateIns) == 0 {
-			t.Fatalf("migrate spans = %d, migrate_in spans = %d; want both > 0",
-				len(migrates), len(migrateIns))
-		}
-		okSpans := 0
-		for _, e := range migrates {
-			if p := byID[parent(e)]; p.Name != "edge_round" {
-				t.Fatalf("migrate %q parented on %q, want the source edge_round", span(e), parent(e))
-			}
-			if out, _ := e.Args["outcome"].(string); out == "ok" {
-				okSpans++
-			}
-		}
-		if okSpans == 0 {
-			t.Fatal("no migrate span carries outcome=ok despite the ok counter moving")
-		}
-		for _, e := range migrateIns {
-			if p := byID[parent(e)]; p.Name != "edge_round" {
-				t.Fatalf("migrate_in %q parented on %q, want the destination edge_round", span(e), parent(e))
-			}
-			src, _ := e.Args["src_span"].(string)
-			if src == "" {
-				t.Fatalf("migrate_in %q carries no src_span back-reference", span(e))
-			}
-			twin, okTwin := byID[src]
-			if !okTwin || twin.Name != "migrate" {
-				t.Fatalf("migrate_in %q src_span %q does not name a migrate span", span(e), src)
-			}
-			// The two halves of the pair live under different edges' rounds:
-			// that is the dual-parent property.
-			if twin.Pid == e.Pid {
-				t.Fatalf("migrate pair %q/%q recorded under the same edge pid %d", src, span(e), e.Pid)
-			}
-		}
-		t.Logf("group of %d: %d ok, %d fallback, %d rejected; %d migrate / %d migrate_in spans, %d resumed rounds",
-			group, ok, fallback, rejected, len(migrates), len(migrateIns), resumes)
+		t.Logf("group of %d: %d warm arrivals, %d resumed trainings", group, ok, resumes)
 	}
 }
 
-// TestClusterMigrationChaos injects drop, corruption, partition and
-// Byzantine rewrites specifically on the edge–edge migration link. The
-// run must still complete: every faulted handover degrades to
-// drop-and-reconnect ("fallback") or a clean rejection ("rejected" via
-// the record's inner CRC), no device is lost, and the usual device–edge
-// traffic is untouched.
+// TestClusterMigrationChaos moves devices warm while the device→edge link
+// drops, corrupts, partitions and NaN-rewrites frames, at a validating
+// cluster. The run completes with a finite global model, no mover is
+// stranded, some warm arrivals are adopted, and no edge ever caches a
+// model the link rewrote to NaN, carried in or replied.
 func TestClusterMigrationChaos(t *testing.T) {
-	mob := mobility.NewMarkovRing(3, 9, 0.5, 7)
-	cfg := migrationClusterConfig(t, 9, mob)
+	cfg := migrationClusterConfig(t, 8, mobility.NewMarkovRing(3, 9, 0.5, 7))
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	cfg.Timeout = 3 * time.Second
-	cfg.RoundDeadline = 2 * time.Second
-	// MigrateTimeout bounds how long a faulted handover attempt blocks
-	// the mobility step; transfers are loopback, so keep it tight or the
-	// drop/partition faults serialize into minutes of waiting.
-	cfg.MigrateTimeout = 150 * time.Millisecond
-	cfg.Quorum = 1
+	cfg.Timeout = 100 * time.Millisecond
+	cfg.RoundDeadline = 60 * time.Millisecond
+	cfg.Validate = robust.ValidatorConfig{Enabled: true}
 	cfg.Faults = &FaultConfig{
-		Seed:     42,
-		EdgeEdge: FaultRates{Drop: 0.3, Corrupt: 0.15, Partition: 0.1, Poison: 0.2},
-		MaxDelay: 10 * time.Millisecond,
+		Seed:          42,
+		DeviceEdge:    FaultRates{Drop: 0.02, Corrupt: 0.03, Partition: 0.02, NaNUpdate: 0.1},
+		PartitionMsgs: 1,
 	}
-	c, err := StartCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatalf("migration chaos run failed with a real error: %v", err)
-	}
-	for i, v := range c.GlobalModel() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("global model[%d] = %v after migration chaos", i, v)
-		}
+	c, audit := runAudited(t, cfg)
+	if !robust.IsFinite(c.GlobalModel()) {
+		t.Fatal("global model not finite after device→edge chaos")
 	}
 
 	injected := int64(0)
-	for _, kind := range []string{"drop", "corrupt", "partition", "poison"} {
+	for _, kind := range []string{"drop", "corrupt", "partition", "nan"} {
 		injected += reg.Counter("fednet_injected_faults_total", "kind", kind).Value()
 	}
-	if injected == 0 {
-		t.Fatal("no faults injected on the edge_edge link — rates or wiring broken")
+	ok, fallback, rejected := c.Migrations()
+	if injected == 0 || ok == 0 || audit.warm == 0 {
+		t.Fatalf("%d faults injected, %d warm arrivals adopted (%d warm at boundaries); want both > 0", injected, ok, audit.warm)
 	}
-	ok, fallback, rejected := migrationCounts(reg)
-	if ok+fallback+rejected == 0 {
-		t.Fatal("no migrations attempted under p=0.5 mobility")
-	}
-	if fallback+rejected == 0 {
-		t.Fatalf("faults injected (%d) but every handover completed (ok=%d) — chaos not reaching the migrate link", injected, ok)
-	}
-	// No device may be stranded by migration failures: fallback is a cold
-	// join, and the Connect retry loop keeps the device attached.
 	if s := c.Stranded(); len(s) != 0 {
-		t.Fatalf("devices stranded after migration chaos: %v", s)
+		t.Fatalf("devices stranded under device→edge faults: %v", s)
 	}
-	total := 0
-	for _, r := range c.DeviceRounds() {
-		total += r
+	if audit.nonFinite != 0 {
+		t.Fatalf("edges cached %d non-finite device models at round boundaries", audit.nonFinite)
 	}
-	if total == 0 {
-		t.Fatal("no device trained — chaos on the migrate link leaked into training")
-	}
-	t.Logf("migration chaos: %d faults, %d ok / %d fallback / %d rejected, %d tolerated component failures",
+	t.Logf("%d faults: %d ok / %d fallback / %d rejected arrivals, %d tolerated component failures",
 		injected, ok, fallback, rejected, c.ToleratedFaults())
 }
 
 // TestClusterMigrationDisabledInert pins the default path: without
-// LiveMigration not a single migration counter, handover observation or
-// edge-edge byte may move. (Bit-identity of disabled runs is pinned in
-// internal/hfl, where execution is deterministic; a socket cluster's
-// arrival order is not.)
+// LiveMigration no migration is counted or timed, no edge ever holds a
+// model a device carried in, and no device keeps optimizer moments.
 func TestClusterMigrationDisabledInert(t *testing.T) {
-	mob := mobility.NewMarkovRing(3, 9, 0.5, 7)
-	cfg := migrationClusterConfig(t, 9, mob)
+	cfg := migrationClusterConfig(t, 9, mobility.NewMarkovRing(3, 9, 0.5, 7))
 	cfg.LiveMigration = false
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	c, err := StartCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	c, audit := runAudited(t, cfg)
+	ok, fallback, rejected := c.Migrations()
+	mok, mfb, mrej := migrationCounts(reg)
+	if ok+fallback+rejected+mok+mfb+mrej != 0 {
+		t.Fatalf("migrations counted with LiveMigration off: %d/%d/%d, metric %d/%d/%d", ok, fallback, rejected, mok, mfb, mrej)
 	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if audit.warm != 0 {
+		t.Fatalf("%d carried models adopted at round boundaries with LiveMigration off", audit.warm)
 	}
-	ok, fallback, rejected := migrationCounts(reg)
-	if ok+fallback+rejected != 0 {
-		t.Fatalf("migration counters moved with LiveMigration off: ok=%d fallback=%d rejected=%d",
-			ok, fallback, rejected)
-	}
-	if sent := reg.Counter("fednet_sent_msgs_total", "link", linkEdgeEdge).Value(); sent != 0 {
-		t.Fatalf("edge_edge link carried %d messages with LiveMigration off", sent)
+	for _, mx := range c.clients {
+		for id, v := range mx.virts {
+			if v.kept.steps != 0 || v.kept.flat != nil {
+				t.Fatalf("device %d kept %d-step moments with LiveMigration off", id, v.kept.steps)
+			}
+		}
 	}
 }
 
-// TestEdgeResumeUsedUpByFirstTraining pins when a handover's offer to
-// resume is spent: at the device's first training at the destination,
-// even one that declines it because the device last trained before the
-// destination's latest sync (ResetLocal). Kept pending, the offer would
-// make the next training import optimizer state from before the move.
+// TestEdgeResumeUsedUpByFirstTraining pins the optimizer resume on the
+// device: two devices of one client arrive warm at an edge in sync era 1.
+// Device 5 last trained in round 1, so its first training there keeps its
+// carried model and imports the moments it kept; device 6 last trained in
+// round 0, before the sync, so it resets and imports nothing. A later
+// training never imports.
 func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
-		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
+		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
 	})
-	// A sync at round 2 with nobody registered puts the edge in sync era 2.
-	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 2, Sync: true}, nil); err != nil {
+	mx := trainableClient(t, 8, 5, 6)
+	defer mx.Disconnect()
+	rec := &importRecorder{Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGDMomentum, LR: 0.05, Momentum: 0.9}.New()}
+	mx.compute.Opt = rec
+	model := mx.compute.Net.ParamVector()
+
+	// A sync at round 1 puts the edge in sync era 1 with a model the
+	// devices can train.
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1, Sync: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := ReadMsg(cc, &RoundDone{}); err != nil || mt != MsgRoundDone {
 		t.Fatalf("round done: type %d, %v", mt, err)
 	}
-	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, []float64{1, 2, 3}); err != nil {
+	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, model); err != nil {
 		t.Fatal(err)
 	}
-
-	// Device 5 last trained in round 1 at edge 1, before that sync.
-	raw, err := checkpoint.EncodeHandoverBytes(checkpoint.Handover{
-		Device: 5, SrcEdge: 1, DestEdge: 0, Generation: 1, Round: 2, LastSync: 2, LastTrained: 1,
-		Steps: 4, DataSize: 10, StatUtil: 1, Model: []float64{0.5, 0.5, 0.5},
-		MomentLens: []int{3}, Moments: []float64{0.1, 0.2, 0.3},
+	waitFor(t, 5*time.Second, "the edge to install the global model", func() bool {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		return len(edge.edgeModel) == len(model)
 	})
-	if err != nil {
-		t.Fatal(err)
+	// Both devices trained at edge 1 before moving: 5 in round 1, 6 in round 0.
+	for id, round := range map[int]int{5: 1, 6: 0} {
+		if _, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, WantMoments: true}, model, 1); err != nil {
+			t.Fatal(err)
+		}
+		mx.unpin(id)
+		if err := mx.ConnectRehome(id, 0, edge.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if got := edge.arrival(id); got != "ok" {
+			t.Fatalf("device %d arrived %q, want ok", id, got)
+		}
 	}
-	src, err := net.Dial("tcp", edge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	src.SetDeadline(time.Now().Add(5 * time.Second))
-	mig := Migrate{SrcEdge: 1, DestEdge: 0, DeviceID: 5, Generation: 1, RecordBytes: len(raw)}
-	if err := WriteMsg(src, MsgMigrate, mig, packBytes(raw)); err != nil {
-		t.Fatal(err)
-	}
-	var ack MigrateAck
-	if mt, _, err := ReadMsg(src, &ack); err != nil || mt != MsgMigrateAck || !ack.Accepted {
-		t.Fatalf("migrate ack: type %d, %+v, %v", mt, ack, err)
-	}
+	mx.mu.Lock()
+	kept5 := append([]float64(nil), mx.virts[5].kept.flat...)
+	mx.mu.Unlock()
+	mx.trainMu.Lock()
+	rec.imports = nil
+	mx.trainMu.Unlock()
 
-	dev, err := net.Dial("tcp", edge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	dev.SetDeadline(time.Now().Add(5 * time.Second))
-	hello := RegisterMux{Devices: []RegisterDevice{{DeviceID: 5, DataSize: 10, PrevEdge: 1}}}
-	if err := WriteMsg(dev, MsgRegisterMux, hello, nil); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err := ReadMsg(dev, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
-		t.Fatalf("register ack: type %d, %v", mt, err)
-	}
-	var reqs []TrainRequest
-	for round := 3; round <= 4; round++ {
+	for round := 2; round <= 3; round++ {
 		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
 			t.Fatal(err)
 		}
-		var req TrainRequest
-		if mt, _, err := ReadMsg(dev, &req); err != nil || mt != MsgTrainRequest {
-			t.Fatalf("round %d: train request: type %d, %v", round, mt, err)
-		}
-		reqs = append(reqs, req)
-		if err := WriteMsg(dev, MsgTrainReply, TrainReply{DeviceID: 5, Round: round, DataSize: 10}, []float64{1, 1, 1}); err != nil {
-			t.Fatal(err)
-		}
 		var done RoundDone
-		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 1 {
+		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 2 {
 			t.Fatalf("round %d done: type %d, %+v, %v", round, mt, done, err)
 		}
-	}
-	if !reqs[0].ResetLocal || reqs[0].Resume || !reqs[0].WantMoments {
-		t.Fatalf("first request %+v: want a reset that declines the resume and keeps the moments", reqs[0])
-	}
-	if reqs[1].ResetLocal || reqs[1].Resume {
-		t.Fatalf("second request %+v: the offer outlived the first training", reqs[1])
+		mx.trainMu.Lock()
+		imports := rec.imports
+		rec.imports = nil
+		mx.trainMu.Unlock()
+		want := map[int]int{2: 1, 3: 0}[round]
+		if len(imports) != want {
+			t.Fatalf("round %d: %d imports, want %d", round, len(imports), want)
+		}
+		if want == 1 && !sameBits(imports[0].flat, kept5) {
+			t.Fatal("the resume imported moments other than device 5's own")
+		}
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
 		t.Fatal(err)
@@ -340,137 +289,47 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	}
 }
 
-// TestMigrateOutLeavesCandidateSet pins the order of a handover at the
-// source: when MigrateOut returns — whatever the transfer's outcome — the
-// device is no longer a candidate there, although its connection is still
-// up and its sibling on it still registered. The leave notice or closing
-// socket that follows may arrive after the next round has selected.
-func TestMigrateOutLeavesCandidateSet(t *testing.T) {
-	reg := obs.NewRegistry()
+// TestEdgeScreensWarmPayload registers devices warm at a validating edge.
+// A carried model the link rewrote to NaN is screened like a train reply:
+// refused, so it never reaches Eq. 12's scores, and the device arrives cold
+// with its refusal on record. A finite one is adopted with its round.
+func TestEdgeScreensWarmPayload(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
-		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second,
-		LiveMigration: true, MaxRetries: -1, Obs: reg,
+		EdgeID: 0, K: 1, Strategy: core.NewMiddle(), Seed: 1, Timeout: 3 * time.Second,
+		Validate: robust.ValidatorConfig{Enabled: true},
 	})
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
 	dev, err := net.Dial("tcp", edge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
 	dev.SetDeadline(time.Now().Add(5 * time.Second))
-	register := func(id int) {
-		t.Helper()
-		if err := WriteMsg(dev, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{{DeviceID: id, DataSize: 10, PrevEdge: -1}}}, nil); err != nil {
+	for id, payload := range map[int][]float64{5: {1, math.NaN(), 3}, 6: {0.5, 0.5, 0.5}} {
+		reg := RegisterMux{Devices: []RegisterDevice{{DeviceID: id, DataSize: 10, PrevEdge: 1, Rehome: true, Utility: 2, LastTrained: 4}}}
+		if err := WriteMsg(dev, MsgRegisterMux, reg, payload); err != nil {
 			t.Fatal(err)
 		}
 		if mt, _, err := ReadMsg(dev, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
 			t.Fatalf("register ack: type %d, %v", mt, err)
 		}
 	}
-	// Device 5 trains a round, so the edge has state to hand over.
-	register(5)
-	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {
-		t.Fatal(err)
+	edge.mu.Lock()
+	view := &edgeView{edge: edge}
+	nan, fine := edge.devices[5], edge.devices[6]
+	if !robust.IsFinite(view.LocalModel(5)) || nan.lastModel != nil || nan.lastTrained != -1 || !math.IsNaN(nan.statUtil) {
+		t.Errorf("NaN payload adopted: model %v, last trained %d, utility %v", nan.lastModel, nan.lastTrained, nan.statUtil)
 	}
-	if mt, _, err := ReadMsg(dev, &TrainRequest{}); err != nil || mt != MsgTrainRequest {
-		t.Fatalf("train request: type %d, %v", mt, err)
+	if !sameBits(fine.lastModel, []float64{0.5, 0.5, 0.5}) || fine.lastTrained != 4 || fine.statUtil != 2 {
+		t.Errorf("finite payload not adopted: model %v, last trained %d, utility %v", fine.lastModel, fine.lastTrained, fine.statUtil)
 	}
-	if err := WriteMsg(dev, MsgTrainReply, TrainReply{DeviceID: 5, Round: 1, DataSize: 10}, []float64{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err := ReadMsg(cc, &RoundDone{}); err != nil || mt != MsgRoundDone {
-		t.Fatalf("round done: type %d, %v", mt, err)
-	}
-	register(4)
-
-	// The destination is down, and device 4 never trained here.
-	if out := edge.MigrateOut(5, 1, deadAddr, 1); out != "fallback" {
-		t.Fatalf("MigrateOut(5) = %q, want fallback", out)
-	}
-	if ids := registered(edge); ids[5] || !ids[4] {
-		t.Fatalf("edge lists %v after handing device 5 away, want 4 alone", ids)
-	}
-	if out := edge.MigrateOut(4, 1, deadAddr, 1); out != "" {
-		t.Fatalf("MigrateOut(4) = %q, want nothing to hand over", out)
-	}
-	if ids := registered(edge); len(ids) != 0 || reg.Gauge("fednet_virtual_devices").Value() != 0 {
-		t.Fatalf("edge lists %v after handing both devices away", ids)
+	edge.mu.Unlock()
+	if got := edge.arrival(5); got != "rejected" {
+		t.Errorf("NaN warm registration arrived %q, want rejected", got)
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-edgeErr; err != nil {
 		t.Fatalf("edge exited with %v", err)
-	}
-}
-
-// TestPackBytesRoundTrip covers the byte<->float64 shim that carries the
-// handover record through the vector slot of the wire protocol.
-func TestPackBytesRoundTrip(t *testing.T) {
-	for n := 0; n <= 33; n++ {
-		in := make([]byte, n)
-		for i := range in {
-			in[i] = byte(i*37 + n)
-		}
-		out, ok := unpackBytes(packBytes(in), n)
-		if !ok {
-			t.Fatalf("unpackBytes rejected its own packing at n=%d", n)
-		}
-		if len(out) != n {
-			t.Fatalf("n=%d: got %d bytes back", n, len(out))
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("n=%d: byte %d = %d, want %d", n, i, out[i], in[i])
-			}
-		}
-	}
-	vec := packBytes(make([]byte, 16))
-	for _, bad := range []int{-1, 8, 17, 1 << 30} {
-		if _, ok := unpackBytes(vec, bad); ok {
-			t.Fatalf("unpackBytes accepted inconsistent length %d for a 16-byte payload", bad)
-		}
-	}
-}
-
-// TestAcceptMigrateRefusesUnbackedClaim sends an edge a MsgMigrate whose
-// handover record announces 2^30 model values and ends there, under a
-// valid checksum — any peer can compute one. The record decoder must
-// size the vector from the bytes that arrived: the edge answers
-// corrupt_record and allocates next to nothing.
-func TestAcceptMigrateRefusesUnbackedClaim(t *testing.T) {
-	e, err := NewEdge(EdgeConfig{EdgeID: 2, Addr: "127.0.0.1:0", K: 1, Strategy: core.NewMiddle(), LiveMigration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.ln.Close()
-	rec := append([]byte("MIDL"), 3)
-	for _, v := range []uint64{5, 0, 2, 1, 0, 0, 0, 0, 30, math.Float64bits(1.5), 1 << 30} {
-		rec = binary.LittleEndian.AppendUint64(rec, v) // nine ints, the utility, the model count
-	}
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	mig := Migrate{SrcEdge: 0, DestEdge: 2, DeviceID: 5, Generation: 1, RecordBytes: len(rec)}
-
-	client, server := net.Pipe()
-	defer client.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go e.acceptMigrate(server, mig, packBytes(rec))
-	var ack MigrateAck
-	if mt, _, err := ReadMsg(client, &ack); err != nil || mt != MsgMigrateAck {
-		t.Fatalf("reading the ack: type %d, %v", mt, err)
-	}
-	runtime.ReadMemStats(&after)
-	if ack.Accepted || ack.Reason != "corrupt_record" {
-		t.Fatalf("ack %+v, want a corrupt_record refusal", ack)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("a %d-byte record claiming 2^30 values made the edge allocate %d bytes", len(rec), got)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"middle/internal/robust"
 )
 
 // edgeMux is the edge-side endpoint of one device-client connection, the
@@ -161,7 +163,7 @@ func (mx *edgeMux) fail(err error) {
 // ids, and acks with the edge's round counter and sync era (the model
 // itself arrives with the next TrainRequest); without the ack a
 // registration lost to a fault would strand the device silently. vec is
-// the frame's payload: the warm state of a re-home.
+// the frame's payload: the carried model of a warm registration.
 func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []float64) error {
 	if len(devices) == 0 {
 		return fmt.Errorf("registration without devices")
@@ -188,27 +190,12 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			statUtil:    math.NaN(),
 			lastTrained: -1,
 		}
-		if rd.Rehome {
-			// Warm re-home: the previous edge died, so the device carries
-			// its own state instead of waiting for a handover push. Same
-			// merge rule as consumeHandoverLocked — the training timeline
-			// survives only within the same cloud-sync era.
-			if len(vec) > 0 && (len(e.edgeModel) == 0 || len(vec) == len(e.edgeModel)) {
-				d.lastModel = vec
-			}
-			if rd.Utility != 0 {
-				d.statUtil = rd.Utility
-			}
-			if rd.LastSync == e.lastSync {
-				d.lastTrained = rd.LastTrained
-			}
-			e.m.rehomed.Inc()
-			e.cfg.Logf("edge %d: device %d re-homed here (previous edge %d down)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
+		if rd.Rehome && len(vec) > 0 {
+			e.adoptLocked(d, rd, vec)
 		} else {
 			e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
 		}
 		e.devices[rd.DeviceID] = d
-		e.consumeHandoverLocked(d)
 		mx.ids[rd.DeviceID] = true
 	}
 	e.m.virtualDevices.Set(float64(len(e.devices)))
@@ -217,10 +204,41 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	return mx.write(MsgRegisterAck, ack, nil) // on error the caller fails mx, deregistering them
 }
 
+// adoptLocked makes a warm registration's carried state the device's
+// cached state here. The model is screened like a train reply on receipt:
+// one of the wrong size, or a non-finite one when the edge validates, is
+// refused — it must not reach Eq. 12's scores — and the device arrives
+// cold. The carried LastTrained is kept as reported: trainDevice's
+// ResetLocal test judges it against this edge's sync era. e.mu must be
+// held.
+func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) {
+	if (len(e.edgeModel) > 0 && len(vec) != len(e.edgeModel)) || (e.agg.Validating() && !robust.IsFinite(vec)) {
+		d.refused = true
+		e.cfg.Logf("edge %d: refused the carried model of device %d: it arrives cold", e.cfg.EdgeID, rd.DeviceID)
+		return
+	}
+	d.lastModel, d.lastTrained = vec, rd.LastTrained
+	if rd.Utility != 0 {
+		d.statUtil = rd.Utility
+	}
+	e.cfg.Logf("edge %d: device %d arrived warm (last trained under edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
+}
+
 // dropDevice forgets one device that left mx.
 func (e *Edge) dropDevice(id int, mx *edgeMux) {
 	e.mu.Lock()
 	e.deregisterLocked(id, mx)
+	e.mu.Unlock()
+}
+
+// release takes device id off the candidate set, whichever connection it
+// registered through: it is leaving, and its own leave notice may arrive
+// after the next round has selected.
+func (e *Edge) release(id int) {
+	e.mu.Lock()
+	if d, ok := e.devices[id]; ok {
+		e.deregisterLocked(id, d.mux)
+	}
 	e.mu.Unlock()
 }
 

@@ -36,9 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"net"
 	"sync"
-	"time"
 	"unsafe"
 )
 
@@ -85,20 +83,12 @@ const (
 	// another edge); a client whose last device leaves closes the
 	// connection instead.
 	MsgDeviceLeave
-	// MsgMigrate: source edge → destination edge. Header: Migrate. The
-	// vector payload packs a CRC-framed checkpoint.Handover record (see
-	// packBytes); the destination answers with MsgMigrateAck on the same
-	// short-lived connection.
-	MsgMigrate
-	// MsgMigrateAck: destination edge → source edge, accepting or
-	// rejecting a migration. Header: MigrateAck.
-	MsgMigrateAck
-	// MsgMoveNotice: device host → source edge. Header: MoveNotice. A
-	// fire-and-forget hint that a device is about to move, so a
-	// *distributed* deployment (where no central cluster can call
-	// Edge.MigrateOut) still triggers the handover push. Loss of the
-	// notice simply means a cold join — the standard fallback.
-	MsgMoveNotice
+	// Values 11–13 were the edge-to-edge handover's frames (a migrate
+	// record, its ack and a move notice). They stay reserved, so every
+	// other frame keeps its bytes.
+	_
+	_
+	_
 	// MsgLease: edge → cloud, on a dedicated heartbeat connection.
 	// Header: Lease. Sent every lease interval while the edge considers
 	// itself a member; a lease carrying a stale epoch identifies a fenced
@@ -127,18 +117,17 @@ type RegisterDevice struct {
 	// PrevEdge is the edge the device last trained under (−1 if none);
 	// the edge uses it to derive the paper's "moved" predicate.
 	PrevEdge int `json:"prev_edge"`
-	// Rehome marks a registration that carries device-side warm state
-	// because the previous edge died and cannot push a handover record:
-	// the frame's vector payload is the device's last local model, and
-	// Utility / LastTrained / LastSync restore the edge's cached device
-	// statistics (LastTrained is honoured only when LastSync matches the
-	// receiving edge's own sync era, mirroring the handover merge rule).
-	// A frame has one payload, so a re-home entry must be the frame's only
-	// entry. All four fields are omitted from ordinary registrations.
+	// Rehome marks a warm registration: the device arrives carrying its
+	// own state, because it moved here with live migration or its previous
+	// edge died. The frame's vector payload is its carried local model, and
+	// Utility and LastTrained restore the edge's cached statistics; the edge
+	// lets its ResetLocal test judge LastTrained at training time, as for any
+	// device. A frame has one payload, so a re-home entry must be the
+	// frame's only entry. The three fields are omitted from cold
+	// registrations.
 	Rehome      bool    `json:"rehome,omitempty"`
 	Utility     float64 `json:"utility,omitempty"`
 	LastTrained int     `json:"last_trained,omitempty"`
-	LastSync    int     `json:"last_sync,omitempty"`
 }
 
 // RegisterMux announces the devices of one client (see DeviceMux) on a
@@ -163,57 +152,6 @@ type RegisterAck struct {
 	// LastSync is the round of the last cloud synchronisation the edge
 	// has seen (0 if none yet).
 	LastSync int `json:"last_sync"`
-}
-
-// Migrate announces a live handover of one moving device from SrcEdge
-// to DestEdge. The frame's vector payload carries the encoded
-// checkpoint.Handover record packed into float64s; RecordBytes is the
-// true byte length (the packing pads to a multiple of 8). The record
-// has its own inner CRC on top of the frame CRC: Byzantine rewrites
-// recompute the outer checksum, so only the inner one catches them.
-type Migrate struct {
-	SrcEdge     int `json:"src_edge"`
-	DestEdge    int `json:"dest_edge"`
-	DeviceID    int `json:"device_id"`
-	Generation  int `json:"generation"`
-	RecordBytes int `json:"record_bytes"`
-	// Span is the source edge's migrate span id ("" when tracing is
-	// off); the destination parents its migrate_in span on it.
-	Span string `json:"span,omitempty"`
-}
-
-// MoveNotice tells a device's current edge that the device is moving to
-// DestEdge at DestAddr, carrying the mover's handover generation. The
-// edge responds by pushing a MsgMigrate to the destination; the notice
-// itself is unacknowledged (the sender closes the connection after the
-// write) because every loss mode already degrades to drop-and-reconnect.
-type MoveNotice struct {
-	DeviceID   int    `json:"device_id"`
-	DestEdge   int    `json:"dest_edge"`
-	DestAddr   string `json:"dest_addr"`
-	Generation int    `json:"generation"`
-}
-
-// NotifyMove dials the device's current edge and sends a MoveNotice,
-// best-effort: any error is returned for logging but requires no
-// handling — a lost notice only costs the warm handover, not progress.
-func NotifyMove(edgeAddr string, n MoveNotice, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", edgeAddr, timeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	return WriteMsg(conn, MsgMoveNotice, n, nil)
-}
-
-// MigrateAck accepts or rejects a migration.
-type MigrateAck struct {
-	DeviceID int  `json:"device_id"`
-	Accepted bool `json:"accepted"`
-	// Reason explains a rejection ("stale_generation", "corrupt_record",
-	// "disabled", ...); empty on acceptance.
-	Reason string `json:"reason,omitempty"`
 }
 
 // RoundStart instructs an edge to run one Algorithm 1 time step.
@@ -298,16 +236,10 @@ type TrainRequest struct {
 	// tracing is off); the device parents its training span on it.
 	Span string `json:"span,omitempty"`
 	// WantMoments asks the device to keep its optimizer state after this
-	// training (set when the edge runs with live migration, so a later
-	// handover can offer a resume). The state stays on the device.
+	// training (set when the edge runs with live migration). The state
+	// stays on the device, which imports it for its first training after
+	// arriving at another edge (Moved without ResetLocal).
 	WantMoments bool `json:"want_moments,omitempty"`
-	// Resume marks the one-shot request that follows an accepted
-	// migration: the device imports the optimizer state it kept instead
-	// of resetting its optimizer — if that state is OptSteps steps old;
-	// otherwise it trains cold, as after a failed handover.
-	Resume bool `json:"resume,omitempty"`
-	// OptSteps is the optimizer step counter accompanying Resume.
-	OptSteps int `json:"opt_steps,omitempty"`
 }
 
 // TrainReply returns the device's updated model and bookkeeping.
@@ -316,37 +248,6 @@ type TrainReply struct {
 	Round    int     `json:"round"`
 	DataSize int     `json:"data_size"`
 	Utility  float64 `json:"utility"` // Oort statistical utility
-	// OptSteps is the step counter of the optimizer state the device
-	// kept for the request's WantMoments (0: it kept none).
-	OptSteps int `json:"opt_steps,omitempty"`
-}
-
-// packBytes packs an opaque byte record into the frame's float64 vector
-// payload (8 bytes per element, zero-padded); the header must carry the
-// true byte length so unpackBytes can trim the padding. Reusing the
-// vector slot keeps MsgMigrate inside the one-frame-per-Write property
-// the fault injector depends on.
-func packBytes(p []byte) []float64 {
-	vec := make([]float64, (len(p)+7)/8)
-	whole := len(p) / 8
-	getVec(vec[:whole], p)
-	if whole < len(vec) {
-		var tail [8]byte
-		copy(tail[:], p[8*whole:])
-		getVec(vec[whole:], tail[:])
-	}
-	return vec
-}
-
-// unpackBytes recovers the byte record packed by packBytes; ok is false
-// when the claimed length does not fit the vector.
-func unpackBytes(vec []float64, n int) (p []byte, ok bool) {
-	if n < 0 || n > 8*len(vec) || n < 8*len(vec)-7 {
-		return nil, false
-	}
-	p = make([]byte, 8*len(vec))
-	putVec(p, vec)
-	return p[:n], true
 }
 
 // hostLE: a float64 in this host's memory is its wire form, eight

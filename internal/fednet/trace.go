@@ -35,19 +35,3 @@ func edgeRoundSpan(edge, round int) string {
 func trainRPCSpan(edgeSpan string, device int) string {
 	return edgeSpan + ".d" + strconv.Itoa(device)
 }
-
-// Migration spans form the dual-parented handover pair: the source edge
-// records e<S>.mig.d<M>.g<G> under its own round span, the destination
-// records e<D>.migin.d<M>.g<G> under *its* round span while referencing
-// the source span id carried in Migrate.Span — one logical handover
-// visible beneath both edges' rounds. Handovers run between rounds, so
-// each edge queues the event and emits it as an instant at the start of
-// its next round (see Edge.pendingTrace); the ids are therefore keyed
-// by the handover generation, not a round number.
-func migrateSpan(edge, device, generation int) string {
-	return "e" + strconv.Itoa(edge) + ".mig.d" + strconv.Itoa(device) + ".g" + strconv.Itoa(generation)
-}
-
-func migrateInSpan(edge, device, generation int) string {
-	return "e" + strconv.Itoa(edge) + ".migin.d" + strconv.Itoa(device) + ".g" + strconv.Itoa(generation)
-}

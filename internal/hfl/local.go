@@ -34,8 +34,8 @@ type Trainer struct {
 // updates (Eq. 5) from start over the device's shard, batches drawn from
 // the caller's rng stream. The trained parameters are written into out,
 // which may be start itself. With resume set the optimizer is not reset
-// first: a live migration just imported its moments and the round
-// continues the source edge's trajectory.
+// first: a device that moved warm just imported the moments it kept, and
+// the round continues its own trajectory.
 //
 // It returns the Oort statistical utility d_m·sqrt(mean per-sample
 // loss²) and how many steps the non-finite loss guard skipped. A

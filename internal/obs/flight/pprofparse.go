@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -186,6 +187,9 @@ func ParseCPUProfile(data []byte) (CPUByPhase, error) {
 		ns := values[cpuIdx]
 		if ns <= 0 {
 			continue
+		}
+		if ns > math.MaxInt64-out.TotalNanos {
+			return out, fmt.Errorf("flight: profile's CPU time overflows int64 nanoseconds")
 		}
 		out.TotalNanos += ns
 		if phase == "" {

@@ -102,11 +102,11 @@ go test -race -count=1 \
     ./internal/fednet ./cmd/middlediag
 
 echo "== device client attachment gate (-race, 3x) =="
-# Every attachment feature at group sizes 1 and 3: the connect storm, a
-# move back after a failed move, failover with warm re-homing, rejoin, and
-# churn (a device leaving is deregistered at once; its moments stay put).
+# Every attachment feature at group sizes 1 and 3: the connect storm, a move back
+# after a failed move, failover with warm re-homing, rejoin, churn (a leaver is
+# deregistered at once; its moments stay put), warm arrivals under link faults.
 go test -race -count=3 \
-    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership' \
+    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership|TestClusterMigrationChaos' \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
@@ -121,7 +121,7 @@ go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetO
 
 echo "== parser fuzz (10 s each) =="
 # go test replays the committed corpora; this also explores from them.
-for t in fednet.FuzzReadMsg checkpoint.FuzzLoadState checkpoint.FuzzDecodeHandover mobility.FuzzReadTrace hfl.FuzzReadHistoryCSV; do
+for t in fednet.FuzzReadMsg checkpoint.FuzzLoadState checkpoint.FuzzDecodeHandover mobility.FuzzReadTrace hfl.FuzzReadHistoryCSV obs/slo.FuzzParseRules obs/flight.FuzzParseCPUProfile; do
     go test -run '^$' -fuzz "^${t#*.}\$" -fuzztime 10s "./internal/${t%.*}"
 done
 
