@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -70,18 +72,6 @@ var unusedAPIAllowlist = map[string]string{
 	"internal/obs.ReadSummary":           "server_test.go reads back a run summary",
 	"internal/obs.Quantile":              "quantile_test.go checks the histogram estimate the tsdb shares",
 	"internal/obs.SetFamilyBudget":       "cardinality_test.go sets small budgets",
-
-	// Exercised by its own unit test alone: the next census cut.
-	"internal/tensor.Apply":            "tests only (TestApply)",
-	"internal/tensor.Fill":             "tests only",
-	"internal/tensor.Permutation":      "tests only (TestPermutationIsPermutation)",
-	"internal/obs/flight.CapturePanic": "tests only (TestCapturePanicRecaptures)",
-	"internal/data.ClassCounts":        "tests only",
-	"internal/data.LabelHistogram":     "tests only",
-	"internal/data.MajorClassOf":       "tests only",
-	"internal/nn.OutLen":               "tests only",
-	"internal/nn.OutShape":             "tests only",
-	"internal/mobility.Position":       "tests only",
 }
 
 // TestNoUnusedAPI is the census gate: an exported function or a method
@@ -165,5 +155,83 @@ func eachSourceFile(t *testing.T, fset *token.FileSet, fn func(p string, f *ast.
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flagCorpus lists the files whose command lines exercise a flag: the
+// gate script, the figure recipes and, besides every examples/ program,
+// the two Go smokes scripts/check.sh runs by name in place of shell runs.
+var flagCorpus = []string{
+	"scripts/check.sh",
+	"EXPERIMENTS.md",
+	"cmd/middlesim/adversarial_test.go", // TestAdversarialRunSmoke
+	"cmd/middlediag/main_test.go",       // TestQuorumBreachLeavesABundleMiddlediagExplains
+}
+
+// unexercisedFlagAllowlist names, by flag, each flag of cmd/middled or
+// cmd/middlesim that no file of flagCorpus passes, and why it stays.
+// TestEveryFlagIsExercised fails on a stale entry too.
+var unexercisedFlagAllowlist = map[string]string{
+	"adversary-seed": "draws which devices are adversaries; the adversarial smoke runs its default, and " +
+		"TestAdversaryRunDeterministic pins runs to the seed",
+	"results":    "experiments.CLI observability flag: writes the run summary JSON (README, Observability)",
+	"seeds":      "multi-seed Fig. 6; ROADMAP item 8's scorecard is to run it",
+	"smooth":     "presentation only: the printed curves' moving-average window",
+	"strategies": "narrows a figure run to a strategy subset; the figures run the paper's full set",
+	"savemodel":  "the only writer of the model record middle.SaveModel produces and checkpoint.LoadState reads",
+}
+
+// TestEveryFlagIsExercised is the census gate for the command lines: each
+// flag in a cmd/*/testdata/flags.golden must be passed as -name by some
+// file of flagCorpus or by an examples/ program, or be allowlisted with a
+// reason.
+func TestEveryFlagIsExercised(t *testing.T) {
+	files := append([]string(nil), flagCorpus...)
+	examples, err := filepath.Glob("examples/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range examples {
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
+		}
+	}
+	var corpus strings.Builder
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus.Write(b)
+		corpus.WriteByte('\n')
+	}
+	passed := func(name string) bool {
+		return regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).MatchString(corpus.String())
+	}
+	declared := map[string]bool{}
+	for _, cmd := range []string{"middled", "middlesim"} {
+		golden, err := os.ReadFile(filepath.Join("cmd", cmd, "testdata", "flags.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+			name, _, _ := strings.Cut(line, "\t")
+			if declared[name] {
+				continue
+			}
+			declared[name] = true
+			_, allowed := unexercisedFlagAllowlist[name]
+			switch {
+			case passed(name) && allowed:
+				t.Errorf("-%s is allowlisted but now passed: delete its entry", name)
+			case !passed(name) && !allowed:
+				t.Errorf("%s -%s is passed by no gate, recipe or example: delete it, or allowlist it with a reason", cmd, name)
+			}
+		}
+	}
+	for name := range unexercisedFlagAllowlist {
+		if !declared[name] {
+			t.Errorf("-%s is allowlisted but no longer declared: delete its entry", name)
+		}
 	}
 }

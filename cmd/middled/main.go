@@ -18,13 +18,13 @@
 //
 // Flags, by the struct they fill (registerFlags): experiments.CLI takes
 // -task -scale -seed and the observability flags; fednet.CloudConfig
-// -edges -rounds -tc -min-edges -membership -lease-interval
-// -round-interval; fednet.EdgeConfig -id -cloud -k -quorum
-// -round-deadline -live-migration -sel-norm-cap and, shared with the
-// cloud, -addr -checkpoint-dir -checkpoint-every
-// -aggregator -trim-frac -norm-bound; fednet.FaultConfig -fault-seed and
-// the five device→edge -*-rate flags; the devices role's own options
-// -edgeaddrs -from -to -p -movems -mux -failover.
+// -edges -rounds -tc -membership -lease-interval -round-interval;
+// fednet.EdgeConfig -id -cloud -k -live-migration -sel-norm-cap and,
+// shared with the cloud, -addr -checkpoint-dir -aggregator -norm-bound;
+// the devices role's own options -edgeaddrs -from -to -p -movems -mux
+// -failover. Fault injection, edge-loss tolerance, quorum and round
+// deadlines are fednet config fields that the in-process cluster
+// (fednet.StartCluster) sets; the daemons run with their defaults.
 package main
 
 import (
@@ -57,7 +57,6 @@ type options struct {
 	cloud   fednet.CloudConfig
 	edge    fednet.EdgeConfig
 	devices devicesOpts
-	faults  fednet.FaultConfig // devices role: -fault-seed and the device→edge rates
 }
 
 // devicesOpts is the devices role's own flags: which device ids the
@@ -84,25 +83,21 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Edges, "edges", 2, "edge count (cloud role)")
 	fs.IntVar(&c.Rounds, "rounds", 50, "rounds to coordinate (cloud role)")
 	fs.IntVar(&c.CloudInterval, "tc", 10, "cloud interval T_c (cloud role)")
-	fs.IntVar(&c.MinEdges, "min-edges", 0, "cloud role: degrade gracefully down to this many live edges (0 = any edge loss is fatal)")
 	fs.BoolVar(&c.Membership.Enabled, "membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
 	fs.DurationVar(&c.Membership.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
 	fs.DurationVar(&c.RoundInterval, "round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
 
-	// fednet.EdgeConfig; the cloud role reads the first six too.
+	// fednet.EdgeConfig; the cloud role reads the first four too.
 	e := &o.edge
 	fs.StringVar(&e.Addr, "addr", "127.0.0.1:0", "listen address (cloud, edge)")
 	fs.StringVar(&e.CheckpointDir, "checkpoint-dir", "", "cloud/edge roles: persist model + round state here and resume from the latest valid checkpoint")
-	fs.IntVar(&e.CheckpointEvery, "checkpoint-every", 1, "cloud/edge roles: checkpoint every Nth sync (cloud) or round (edge)")
-	experiments.AggregationFlags(fs, &e.Aggregator, &e.TrimFrac, &e.Validate, &e.SelectionNormCap) // -sel-norm-cap: edge only
+	experiments.AggregationFlags(fs, &e.Aggregator, &e.Validate, &e.SelectionNormCap) // -sel-norm-cap: edge only
 	fs.IntVar(&e.EdgeID, "id", 0, "edge id (edge role)")
 	fs.StringVar(&e.CloudAddr, "cloud", "", "cloud address (edge role)")
 	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
-	fs.IntVar(&e.Quorum, "quorum", 0, "edge role: minimum responders per round before aggregating (0 = 1)")
-	fs.DurationVar(&e.RoundDeadline, "round-deadline", 0, "edge role: per-round training deadline; stragglers past it are excluded (0 = network timeout)")
 	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: devices keep their optimizer state between trainings; devices role: a moving device registers at its new edge warm, carrying its own state")
 
-	// The devices role: its own flags, then fednet.FaultConfig.
+	// The devices role's own flags.
 	d := &o.devices
 	fs.StringVar(&d.edgeList, "edgeaddrs", "", "comma-separated edge addresses (devices role)")
 	fs.IntVar(&d.from, "from", 0, "first device id (devices role)")
@@ -111,13 +106,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&d.moveMs, "movems", 2000, "milliseconds between mobility steps (devices role)")
 	fs.IntVar(&d.mux, "mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
 	fs.BoolVar(&d.failover, "failover", false, "devices role: when an edge dies, re-home its devices to the surviving -edgeaddrs entries carrying their local state")
-	f := &o.faults
-	fs.Int64Var(&f.Seed, "fault-seed", 0, "devices role: seed for deterministic fault injection")
-	fs.Float64Var(&f.DeviceEdge.Drop, "drop-rate", 0, "devices role: per-message drop probability on device→edge writes")
-	fs.Float64Var(&f.DeviceEdge.Delay, "delay-rate", 0, "devices role: per-message delay probability on device→edge writes")
-	fs.Float64Var(&f.DeviceEdge.Corrupt, "corrupt-rate", 0, "devices role: per-message corruption probability on device→edge writes (CRC-detected)")
-	fs.Float64Var(&f.DeviceEdge.Poison, "poison-rate", 0, "devices role: per-message probability the model payload is negated with a valid CRC")
-	fs.Float64Var(&f.DeviceEdge.NaNUpdate, "nan-rate", 0, "devices role: per-message probability the model payload is replaced by NaNs with a valid CRC")
 	return o
 }
 
@@ -159,8 +147,8 @@ func onSignal(fn func()) {
 // runCloud coordinates the run and returns the summary's extra fields.
 func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
 	cfg := o.cloud
-	cfg.Addr, cfg.CheckpointDir, cfg.CheckpointEvery = o.edge.Addr, o.edge.CheckpointDir, o.edge.CheckpointEvery
-	cfg.Aggregator, cfg.TrimFrac, cfg.Validate = o.edge.Aggregator, o.edge.TrimFrac, o.edge.Validate
+	cfg.Addr, cfg.CheckpointDir = o.edge.Addr, o.edge.CheckpointDir
+	cfg.Aggregator, cfg.Validate = o.edge.Aggregator, o.edge.Validate
 	cfg.InitModel = setup.Factory(tensor.Split(o.Seed, 0)).ParamVector()
 	cfg.Logf, cfg.Obs, cfg.Trace = log.Printf, o.M.Registry(), o.Trace
 	c, err := fednet.NewCloud(cfg)
@@ -248,8 +236,6 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 	if err != nil {
 		o.Fatalf("middled: %v", err)
 	}
-	o.faults.Obs = o.M.Registry()
-	faults := fednet.NewFaultInjector(o.faults)
 	n := to - from + 1
 	// Device from+i rides clients[i/mux]: one socket per edge and one
 	// model instance per -mux group.
@@ -263,7 +249,7 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 			Devices: hosted, Dataset: part.Dataset, Factory: setup.Factory,
 			Optimizer:  setup.Optimizer.New(),
 			LocalSteps: setup.I, BatchSize: setup.BatchSize,
-			Strategy: strat, Seed: seed, Faults: faults,
+			Strategy: strat, Seed: seed,
 			Failover: candidates, Logf: log.Printf,
 			Obs: o.M.Registry(), Trace: o.Trace,
 		})

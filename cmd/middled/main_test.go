@@ -91,15 +91,13 @@ func parse(t *testing.T, args ...string) *options {
 // TestFlagsLandInConfigs: each role's flags arrive in the config struct
 // that role hands to fednet.
 func TestFlagsLandInConfigs(t *testing.T) {
-	o := parse(t, "-role", "edge", "-id", "3", "-cloud", "c:1", "-addr", ":7103", "-k", "7", "-quorum", "2",
-		"-round-deadline", "3s", "-aggregator", "trimmed-mean", "-trim-frac", "0.1", "-norm-bound", "2",
-		"-sel-norm-cap", "9", "-checkpoint-dir", "ck", "-checkpoint-every", "4", "-live-migration",
-		"-seed", "11", "-metrics-addr", ":0", "-slo", "default")
+	o := parse(t, "-role", "edge", "-id", "3", "-cloud", "c:1", "-addr", ":7103", "-k", "7",
+		"-aggregator", "trimmed-mean", "-norm-bound", "2", "-sel-norm-cap", "9", "-checkpoint-dir", "ck",
+		"-live-migration", "-seed", "11", "-metrics-addr", ":0", "-slo", "default")
 	wantEdge := fednet.EdgeConfig{
-		EdgeID: 3, CloudAddr: "c:1", Addr: ":7103", K: 7, Quorum: 2, RoundDeadline: 3 * time.Second,
-		Aggregator: robust.AggTrimmedMean, TrimFrac: 0.1,
+		EdgeID: 3, CloudAddr: "c:1", Addr: ":7103", K: 7, Aggregator: robust.AggTrimmedMean,
 		Validate:         robust.ValidatorConfig{Enabled: true, NormBound: 2},
-		SelectionNormCap: 9, CheckpointDir: "ck", CheckpointEvery: 4, LiveMigration: true,
+		SelectionNormCap: 9, CheckpointDir: "ck", LiveMigration: true,
 	}
 	if !reflect.DeepEqual(o.edge, wantEdge) {
 		t.Errorf("edge config\n got %+v\nwant %+v", o.edge, wantEdge)
@@ -108,10 +106,10 @@ func TestFlagsLandInConfigs(t *testing.T) {
 		t.Errorf("shared flags: role %q seed %d metrics %+v", o.role, o.Seed, o.Metrics)
 	}
 
-	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3", "-min-edges", "2",
+	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3",
 		"-membership", "-lease-interval", "250ms", "-round-interval", "1s")
 	wantCloud := fednet.CloudConfig{
-		Edges: 4, Rounds: 9, CloudInterval: 3, MinEdges: 2, RoundInterval: time.Second,
+		Edges: 4, Rounds: 9, CloudInterval: 3, RoundInterval: time.Second,
 		Membership: fednet.MembershipConfig{Enabled: true, LeaseInterval: 250 * time.Millisecond},
 	}
 	if !reflect.DeepEqual(o.cloud, wantCloud) {
@@ -122,13 +120,7 @@ func TestFlagsLandInConfigs(t *testing.T) {
 	}
 
 	o = parse(t, "-role", "devices", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-movems", "50",
-		"-mux", "2", "-failover", "-fault-seed", "7", "-drop-rate", "0.1", "-delay-rate", "0.2",
-		"-corrupt-rate", "0.3", "-poison-rate", "0.04", "-nan-rate", "0.05")
-	wantFaults := fednet.FaultConfig{Seed: 7, DeviceEdge: fednet.FaultRates{
-		Drop: 0.1, Delay: 0.2, Corrupt: 0.3, Poison: 0.04, NaNUpdate: 0.05}}
-	if !reflect.DeepEqual(o.faults, wantFaults) {
-		t.Errorf("fault config\n got %+v\nwant %+v", o.faults, wantFaults)
-	}
+		"-mux", "2", "-failover")
 	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, moveMs: 50, mux: 2, failover: true}); o.devices != want {
 		t.Errorf("devices flags\n got %+v\nwant %+v", o.devices, want)
 	}

@@ -328,7 +328,7 @@ func reportHotSeries(w io.Writer, dir string, top int) {
 // faultPattern matches the counters that explain degraded runs:
 // retries, timeouts, drops, corrupt frames, quorum misses, straggler
 // exclusions, robust-aggregation rejections and non-finite steps.
-var faultPattern = regexp.MustCompile(`^(fednet|hfl|robust)_.*(retries|timeouts|corrupt|drops|reconnects|quorum|stragglers|rejected|trimmed|clipped|nonfinite)`)
+var faultPattern = regexp.MustCompile(`^(fednet|hfl|robust)_.*(retries|timeouts|corrupt|drops|reconnects|quorum|stragglers|rejected|trimmed|nonfinite)`)
 
 func reportFaults(w io.Writer, dir string) {
 	d, ok := loadDump(dir)

@@ -81,11 +81,10 @@ func registerFlags(fs *flag.FlagSet) *options {
 	// hfl.Config, for -exp run and the simulator path of -exp scale: the
 	// aggregation and Byzantine knobs. Defaults keep the plain engine's bits.
 	c := &o.sim
-	experiments.AggregationFlags(fs, &c.Aggregator, &c.TrimFrac, &c.Validate, &c.SelectionNormCap)
-	fs.Float64Var(&c.Adversary.Fraction, "adversary-fraction", 0, "fraction of devices acting Byzantine (0 = off)")
-	fs.TextVar(&c.Adversary.Mode, "adversary-mode", middle.AdversaryMode(""), "adversary corruption: sign-flip|noise|same-value (default sign-flip)")
-	fs.Float64Var(&c.Adversary.Scale, "adversary-scale", 0, "adversary corruption magnitude (0 = 1)")
-	fs.Int64Var(&c.Adversary.Seed, "adversary-seed", 0, "seed for deterministic adversary membership and corruption")
+	experiments.AggregationFlags(fs, &c.Aggregator, &c.Validate, &c.SelectionNormCap)
+	fs.Float64Var(&c.Adversary.Fraction, "adversary-fraction", 0, "fraction of devices sign-flipping their uploads (0 = off)")
+	fs.Float64Var(&c.Adversary.Scale, "adversary-scale", 0, "adversary sign-flip amplitude (0 = 1)")
+	fs.Int64Var(&c.Adversary.Seed, "adversary-seed", 0, "seed for deterministic adversary membership")
 
 	// scaleOpts, -exp scale only. The simulator path (default) uses the
 	// lazy device store, so memory is bounded by the cohort and the cap,
@@ -398,7 +397,7 @@ func header(alphas []float64) string {
 // the command line.
 func (o *options) overlay(cfg *middle.Config) {
 	f := o.sim
-	cfg.Aggregator, cfg.TrimFrac, cfg.Validate = f.Aggregator, f.TrimFrac, f.Validate
+	cfg.Aggregator, cfg.Validate = f.Aggregator, f.Validate
 	cfg.Adversary, cfg.SelectionNormCap = f.Adversary, f.SelectionNormCap
 }
 

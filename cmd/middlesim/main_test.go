@@ -168,12 +168,10 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 		"norm bound": {[]string{"-norm-bound", "2"},
 			func(c *middle.Config) { c.Validate = robust.ValidatorConfig{Enabled: true, NormBound: 2} }},
 		"norm bound off": {[]string{"-norm-bound", "2", "-norm-bound", "0"}, func(*middle.Config) {}},
-		"aggregation": {[]string{"-aggregator", "median", "-trim-frac", "0.3", "-sel-norm-cap", "5"},
-			func(c *middle.Config) { c.Aggregator, c.TrimFrac, c.SelectionNormCap = robust.AggMedian, 0.3, 5 }},
-		"adversary": {[]string{"-adversary-fraction", "0.2", "-adversary-mode", "noise", "-adversary-scale", "3", "-adversary-seed", "9"},
-			func(c *middle.Config) {
-				c.Adversary = robust.Adversary{Fraction: 0.2, Mode: robust.AdvNoise, Scale: 3, Seed: 9}
-			}},
+		"aggregation": {[]string{"-aggregator", "trimmed-mean", "-sel-norm-cap", "5"},
+			func(c *middle.Config) { c.Aggregator, c.SelectionNormCap = robust.AggTrimmedMean, 5 }},
+		"adversary": {[]string{"-adversary-fraction", "0.2", "-adversary-scale", "3", "-adversary-seed", "9"},
+			func(c *middle.Config) { c.Adversary = robust.Adversary{Fraction: 0.2, Scale: 3, Seed: 9} }},
 	} {
 		o, err := parse(t, tc.args...)
 		if err != nil {
@@ -208,7 +206,7 @@ func TestFlagsLandInScaleAndShared(t *testing.T) {
 }
 
 func TestBadNamesFailAtParse(t *testing.T) {
-	for _, args := range [][]string{{"-aggregator", "bogus"}, {"-adversary-mode", "bogus"}, {"-norm-bound", "x"}} {
+	for _, args := range [][]string{{"-aggregator", "bogus"}, {"-norm-bound", "x"}} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), args[1]) {
 			t.Errorf("%v: parse error %v, want one naming the value", args, err)
 		}

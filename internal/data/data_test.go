@@ -96,7 +96,7 @@ func TestGenerateImagesDeterministicAndBalanced(t *testing.T) {
 			t.Fatal("same seed produced different data")
 		}
 	}
-	counts := d1.ClassCounts()
+	counts := labelHistogram(d1, allIndices(d1))
 	for c, n := range counts {
 		if n != 10 {
 			t.Fatalf("class %d has %d samples, want 10", c, n)
@@ -179,12 +179,12 @@ func TestPartitionMajorClass(t *testing.T) {
 			t.Fatalf("device %d has %d samples", m, len(p.Indices[m]))
 		}
 		wantMajor := m % 5
-		hist := p.LabelHistogram(m)
+		hist := labelHistogram(p.Dataset, p.Indices[m])
 		if hist[wantMajor] != 32 { // 0.8 * 40
 			t.Fatalf("device %d major class count %d, want 32 (hist %v)", m, hist[wantMajor], hist)
 		}
-		if p.MajorClassOf(m) != wantMajor {
-			t.Fatalf("device %d major class %d, want %d", m, p.MajorClassOf(m), wantMajor)
+		if majorClass(p, m) != wantMajor {
+			t.Fatalf("device %d major class %d, want %d", m, majorClass(p, m), wantMajor)
 		}
 	}
 }
@@ -193,7 +193,7 @@ func TestPartitionSingleClass(t *testing.T) {
 	d := GenerateImages(FastImageProfile(4), 200, 1)
 	p := PartitionSingleClass(d, 8, 20, 3)
 	for m := 0; m < 8; m++ {
-		hist := p.LabelHistogram(m)
+		hist := labelHistogram(p.Dataset, p.Indices[m])
 		for c, n := range hist {
 			if c == m%4 {
 				if n != 20 {
@@ -213,7 +213,7 @@ func TestPartitionEdgeSkew(t *testing.T) {
 	majors := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
 	p := PartitionEdgeSkew(d, edgeOf, majors, 100, 0.7, 4)
 	for m, e := range edgeOf {
-		hist := p.LabelHistogram(m)
+		hist := labelHistogram(p.Dataset, p.Indices[m])
 		majorN := 0
 		for _, c := range majors[e] {
 			majorN += hist[c]
@@ -229,7 +229,7 @@ func TestPartitionIIDCoversAllClasses(t *testing.T) {
 	d := GenerateImages(FastImageProfile(5), 500, 1)
 	p := PartitionIID(d, 4, 200, 9)
 	for m := 0; m < 4; m++ {
-		hist := p.LabelHistogram(m)
+		hist := labelHistogram(p.Dataset, p.Indices[m])
 		for c, n := range hist {
 			if n < 20 {
 				t.Fatalf("device %d class %d only %d samples of 200", m, c, n)
@@ -273,7 +273,7 @@ func TestPartitionMajorClassClustered(t *testing.T) {
 	// Every class must have at least one majoring device (coverage).
 	covered := make([]bool, 10)
 	for m := 0; m < 20; m++ {
-		covered[p.MajorClassOf(m)] = true
+		covered[majorClass(p, m)] = true
 	}
 	for c, ok := range covered {
 		if !ok {
@@ -285,7 +285,7 @@ func TestPartitionMajorClassClustered(t *testing.T) {
 	for e := 0; e < edges; e++ {
 		classes := map[int]bool{}
 		for m := e; m < 20; m += edges {
-			classes[p.MajorClassOf(m)] = true
+			classes[majorClass(p, m)] = true
 		}
 		if len(classes) > 3 {
 			t.Fatalf("edge %d devices major on %d classes, want ≤3", e, len(classes))
@@ -293,9 +293,9 @@ func TestPartitionMajorClassClustered(t *testing.T) {
 	}
 	// Major fraction respected.
 	for m := 0; m < 20; m++ {
-		hist := p.LabelHistogram(m)
-		if hist[p.MajorClassOf(m)] != 34 { // floor(0.85*40)
-			t.Fatalf("device %d major count %d", m, hist[p.MajorClassOf(m)])
+		hist := labelHistogram(p.Dataset, p.Indices[m])
+		if hist[majorClass(p, m)] != 34 { // floor(0.85*40)
+			t.Fatalf("device %d major count %d", m, hist[majorClass(p, m)])
 		}
 	}
 }
@@ -385,4 +385,34 @@ func TestPartitionSharedPanics(t *testing.T) {
 		}
 	}()
 	PartitionShared(d, 0, 5, 1)
+}
+
+// labelHistogram counts the labels of d's samples at the given indices.
+func labelHistogram(d *Dataset, indices []int) []int {
+	counts := make([]int, d.Classes)
+	for _, i := range indices {
+		counts[d.Label(i)]++
+	}
+	return counts
+}
+
+func allIndices(d *Dataset) []int {
+	out := make([]int, d.Len())
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// majorClass returns the most frequent label in device m's shard (the
+// lowest on a tie).
+func majorClass(p *Partition, m int) int {
+	hist := labelHistogram(p.Dataset, p.Indices[m])
+	best := 0
+	for c, n := range hist {
+		if n > hist[best] {
+			best = c
+		}
+	}
+	return best
 }

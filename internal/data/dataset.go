@@ -112,12 +112,3 @@ func (d *Dataset) ByClass() [][]int {
 	}
 	return out
 }
-
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	out := make([]int, d.Classes)
-	for _, y := range d.labels {
-		out[y]++
-	}
-	return out
-}

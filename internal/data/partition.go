@@ -228,28 +228,3 @@ func PartitionIID(d *Dataset, numDevices, perDevice int, seed int64) *Partition 
 	}
 	return &Partition{Dataset: d, Indices: indices}
 }
-
-// MajorClassOf returns the most frequent label in the device's shard,
-// useful for assertions and diagnostics.
-func (p *Partition) MajorClassOf(device int) int {
-	counts := make([]int, p.Dataset.Classes)
-	for _, i := range p.Indices[device] {
-		counts[p.Dataset.Label(i)]++
-	}
-	best, bi := -1, 0
-	for c, n := range counts {
-		if n > best {
-			best, bi = n, c
-		}
-	}
-	return bi
-}
-
-// LabelHistogram returns the per-class sample counts of one device.
-func (p *Partition) LabelHistogram(device int) []int {
-	counts := make([]int, p.Dataset.Classes)
-	for _, i := range p.Indices[device] {
-		counts[p.Dataset.Label(i)]++
-	}
-	return counts
-}

@@ -62,9 +62,8 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 
 // AggregationFlags declares the Eq. 6/Eq. 7 combiner flags on fs, bound
 // to the fields of the config that aggregates (hfl.Config or a fednet one).
-func AggregationFlags(fs *flag.FlagSet, kind *robust.AggregatorKind, trimFrac *float64, validate *robust.ValidatorConfig, selNormCap *float64) {
-	fs.TextVar(kind, "aggregator", robust.AggregatorKind(""), "Eq. 6/Eq. 7 combination rule: mean|median|trimmed-mean|norm-clip (default mean)")
-	fs.Float64Var(trimFrac, "trim-frac", 0, "per-side trim fraction for -aggregator trimmed-mean (0 = default 0.2)")
+func AggregationFlags(fs *flag.FlagSet, kind *robust.AggregatorKind, validate *robust.ValidatorConfig, selNormCap *float64) {
+	fs.TextVar(kind, "aggregator", robust.AggregatorKind(""), "Eq. 6/Eq. 7 combination rule: mean|trimmed-mean (default mean; trimmed-mean drops 20% per side)")
 	fs.Var(normBound{validate}, "norm-bound", "reject updates with norm > c*median(cohort norms); also rejects NaN/Inf models (0 = off)")
 	fs.Float64Var(selNormCap, "sel-norm-cap", 0, "exclude devices with update norm above this from Eq. 12 selection (0 = off)")
 }

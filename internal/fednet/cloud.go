@@ -42,17 +42,13 @@ type CloudConfig struct {
 	// run, the strict pre-fault behaviour.
 	MinEdges int
 	// CheckpointDir, when set, makes the cloud persist its state (global
-	// model + round + per-edge weights) after sync rounds, and NewCloud
-	// resume from the latest valid checkpoint found there. Torn or
-	// corrupt files are rejected by CRC and skipped.
+	// model + round + per-edge weights) after every sync round, and
+	// NewCloud resume from the latest valid checkpoint found there. Torn
+	// or corrupt files are rejected by CRC and skipped.
 	CheckpointDir string
-	// CheckpointEvery persists every Nth sync round (default 1).
-	CheckpointEvery int
-	// Aggregator selects the Eq. 7 combiner: "" or "mean" (default),
-	// "median", "trimmed-mean" or "norm-clip" (see internal/robust).
+	// Aggregator selects the Eq. 7 combiner: "" or "mean" (default) or
+	// "trimmed-mean" (see internal/robust).
 	Aggregator robust.AggregatorKind
-	// TrimFrac is the trimmed mean's β (0 = robust.DefaultTrimFrac).
-	TrimFrac float64
 	// Validate screens received edge models before Eq. 7, mirroring the
 	// edge-side update validation.
 	Validate robust.ValidatorConfig
@@ -162,9 +158,6 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	if cfg.CheckpointEvery < 1 {
-		cfg.CheckpointEvery = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -178,7 +171,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		cfg:         cfg,
 		ln:          ln,
 		m:           newCloudMetrics(cfg.Obs),
-		agg:         robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
+		agg:         robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
 		global:      append([]float64(nil), cfg.InitModel...),
 		edgeWeights: map[int]float64{},
 		ms:          newMembership(0),
@@ -268,7 +261,6 @@ func (c *Cloud) Run() error {
 		}
 	}
 
-	syncCount := 0
 	var prevRound time.Time
 	for r := c.startRound + 1; r <= c.cfg.Rounds; r++ {
 		c.paceRound(&prevRound)
@@ -386,8 +378,7 @@ func (c *Cloud) Run() error {
 				}
 			}
 			c.m.syncs.Inc()
-			syncCount++
-			if c.cfg.CheckpointDir != "" && syncCount%c.cfg.CheckpointEvery == 0 {
+			if c.cfg.CheckpointDir != "" {
 				c.checkpointSync(r)
 			}
 			fp.End()

@@ -39,12 +39,11 @@ type ClusterConfig struct {
 	// degradation (see EdgeConfig).
 	Quorum        int
 	RoundDeadline time.Duration
-	// CheckpointDir/CheckpointEvery configure cloud crash recovery (see
-	// CloudConfig). EdgeCheckpoints additionally makes every edge
-	// checkpoint its round state into the same directory (distinguished
-	// by State.Name), enabling edge crash recovery.
+	// CheckpointDir configures cloud crash recovery (see CloudConfig).
+	// EdgeCheckpoints additionally makes every edge checkpoint its round
+	// state into the same directory (distinguished by State.Name),
+	// enabling edge crash recovery.
 	CheckpointDir   string
-	CheckpointEvery int
 	EdgeCheckpoints bool
 	// Mux is the group size of the device clients: each hosts that many
 	// devices (one connection and goroutine per edge per client, one
@@ -57,11 +56,10 @@ type ClusterConfig struct {
 	// and its optimizer resumes there. Off by default: a mover leaves and
 	// registers cold, and the edge resets its carried model.
 	LiveMigration bool
-	// Aggregator/TrimFrac select the robust combination rule used at
-	// both the edges (Eq. 6) and the cloud (Eq. 7); zero values mean the
+	// Aggregator selects the combination rule used at both the edges
+	// (Eq. 6) and the cloud (Eq. 7); the zero value means the
 	// bit-identical weighted mean.
 	Aggregator robust.AggregatorKind
-	TrimFrac   float64
 	// Validate screens received models (NaN/Inf, optional norm bound) at
 	// both tiers before aggregation; the zero value disables validation.
 	Validate robust.ValidatorConfig
@@ -211,8 +209,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Addr: "127.0.0.1:0", Edges: numEdges, Rounds: cfg.Rounds,
 		CloudInterval: cfg.CloudInterval, InitModel: init,
 		Timeout: cfg.Timeout, MinEdges: minEdges,
-		CheckpointDir: cfg.CheckpointDir, CheckpointEvery: cfg.CheckpointEvery,
-		Aggregator: cfg.Aggregator, TrimFrac: cfg.TrimFrac, Validate: cfg.Validate,
+		CheckpointDir: cfg.CheckpointDir, Aggregator: cfg.Aggregator, Validate: cfg.Validate,
 		Logf: cfg.Logf, OnRound: onRound, Obs: cfg.Obs, Trace: cfg.Trace,
 	}
 	if cfg.Membership.Enabled {
@@ -241,11 +238,9 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			EdgeID: e, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0",
 			K: cfg.K, Strategy: cfg.Strategy, Seed: cfg.Seed, Logf: cfg.Logf,
 			Timeout: cfg.Timeout, Quorum: cfg.Quorum, RoundDeadline: cfg.RoundDeadline,
-			Aggregator: cfg.Aggregator, TrimFrac: cfg.TrimFrac, Validate: cfg.Validate,
-			SelectionNormCap: cfg.SelectionNormCap,
-			LiveMigration:    cfg.LiveMigration,
-			CheckpointDir:    edgeCkptDir, CheckpointEvery: cfg.CheckpointEvery,
-			Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
+			Aggregator: cfg.Aggregator, Validate: cfg.Validate,
+			SelectionNormCap: cfg.SelectionNormCap, LiveMigration: cfg.LiveMigration,
+			CheckpointDir: edgeCkptDir, Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
 		}
 		edge, err := NewEdge(ecfg)
 		if err != nil {

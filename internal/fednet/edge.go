@@ -52,11 +52,8 @@ type EdgeConfig struct {
 	// Faults, when set, injects faults on the edge→cloud link.
 	Faults *FaultInjector
 	// Aggregator selects the Eq. 6 combiner: "" or "mean" (the default
-	// weighted mean), "median", "trimmed-mean" or "norm-clip" (see
-	// internal/robust).
+	// weighted mean) or "trimmed-mean" (see internal/robust).
 	Aggregator robust.AggregatorKind
-	// TrimFrac is the trimmed mean's β (0 = robust.DefaultTrimFrac).
-	TrimFrac float64
 	// Validate screens received device models before Eq. 6: non-finite
 	// models are rejected when enabled, and NormBound > 0 additionally
 	// rejects updates beyond NormBound·median(norms) for the round.
@@ -70,11 +67,9 @@ type EdgeConfig struct {
 	// it at its next edge. Off by default: cold runs do not export moments.
 	LiveMigration bool
 	// CheckpointDir, when set, makes the edge persist its state (edge
-	// model + round + Eq. 6 weight accumulator) after rounds, and
+	// model + round + Eq. 6 weight accumulator) after every round, and
 	// NewEdge resume from the latest valid checkpoint found there.
 	CheckpointDir string
-	// CheckpointEvery persists every Nth round (default 1).
-	CheckpointEvery int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 	// Obs, when set, receives per-message byte/latency metrics
@@ -214,9 +209,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		cfg.RoundDeadline = cfg.Timeout
 	}
 	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
-	if cfg.CheckpointEvery < 1 {
-		cfg.CheckpointEvery = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -229,7 +221,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		cfg:     cfg,
 		ln:      ln,
 		m:       newEdgeMetrics(cfg.Obs),
-		agg:     robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs),
+		agg:     robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
 		replies: vecList{max: cfg.K},
 		devices: map[int]*deviceState{},
 	}
@@ -465,7 +457,7 @@ func (e *Edge) Run() error {
 			e.lastSync = rs.Round
 			e.mu.Unlock()
 		}
-		if e.cfg.CheckpointDir != "" && rs.Round%e.cfg.CheckpointEvery == 0 {
+		if e.cfg.CheckpointDir != "" {
 			e.saveCheckpoint(rs.Round)
 		}
 	}

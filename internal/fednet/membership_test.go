@@ -90,7 +90,6 @@ func TestClusterFailoverRehome(t *testing.T) {
 		cfg.Obs = reg
 		cfg.Mux = group
 		cfg.CheckpointDir = t.TempDir()
-		cfg.CheckpointEvery = 1
 		c, err := StartCluster(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -95,8 +95,8 @@ func TestClusterPoisonedUpdatesRejected(t *testing.T) {
 		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.05},
 		Mobility:  mob, Seed: 2,
 		Timeout:    3 * time.Second,
-		Aggregator: robust.AggTrimmedMean, TrimFrac: 0.2,
-		Validate: robust.ValidatorConfig{Enabled: true, NormBound: 4},
+		Aggregator: robust.AggTrimmedMean,
+		Validate:   robust.ValidatorConfig{Enabled: true, NormBound: 4},
 		Faults: &FaultConfig{
 			Seed:       31,
 			DeviceEdge: FaultRates{Poison: 0.15, NaNUpdate: 0.1},

@@ -89,33 +89,19 @@ type Config struct {
 	// paper's Theorem 1). Nil keeps the constant Optimizer.LR.
 	LRSchedule optim.Schedule
 
-	// Latency and Deadline model system heterogeneity (the stragglers
-	// the paper's §1 motivates device selection with). When both are
-	// set, a selected device whose Latency(device) exceeds Deadline
-	// misses the round: it does not train and is excluded from the
-	// edge aggregation. The paper's main experiments assume every
-	// device completes its round (§3.2 principle 2), so both default
-	// to off.
-	Latency  func(device int) float64
-	Deadline float64
-
 	// Aggregator selects the Eq. 6/Eq. 7 combiner: "" or "mean" (the
-	// paper's weighted mean, bit-identical to previous releases),
-	// "median", "trimmed-mean" or "norm-clip" (see internal/robust for
-	// what each tolerates).
+	// paper's weighted mean, bit-identical to previous releases) or
+	// "trimmed-mean" (see internal/robust for what it tolerates).
 	Aggregator robust.AggregatorKind
-	// TrimFrac is the trimmed mean's β (0 = robust.DefaultTrimFrac).
-	TrimFrac float64
 	// Validate screens received updates before aggregation: non-finite
 	// models are always rejected when enabled, and NormBound > 0
 	// additionally rejects updates whose norm exceeds
-	// NormBound·median(norms) that round. Rejected updates are excluded
-	// from Eq. 6/Eq. 7 exactly like stragglers. Off by default.
+	// NormBound·median(norms) that round. Rejected updates are left out
+	// of Eq. 6/Eq. 7. Off by default.
 	Validate robust.ValidatorConfig
 	// Adversary, when Fraction > 0, marks a seeded subset of devices as
-	// Byzantine: after local training their upload is corrupted
-	// (sign-flip / noise / same-value collusion) as a pure function of
-	// (Seed, device, round). Off by default.
+	// Byzantine: after local training each sign-flips its upload around
+	// the cloud model. Off by default.
 	Adversary robust.Adversary
 	// SelectionNormCap, when > 0, caps the Eq. 12 selection score of
 	// devices whose accumulated-update norm ‖w_m − w_c‖ exceeds it:
@@ -142,8 +128,7 @@ type Config struct {
 	ResidentCap int
 
 	// Obs, when set, receives run metrics: per-phase wall time
-	// (sim_phase_seconds{phase=...}), step/selection/straggler/mobility
-	// counters, cloud-sync counts, and the learning-dynamics series
+	// (sim_phase_seconds{phase=...}), step/selection/mobility counters, cloud-sync counts, and the learning-dynamics series
 	// (hfl_selection_utility, hfl_update_norm, hfl_blend_utility,
 	// hfl_edge_divergence{edge}, hfl_selection_fairness_jain,
 	// hfl_mobility_flow_total{from,to}). Nil (the default) disables

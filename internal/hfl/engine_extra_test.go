@@ -184,38 +184,3 @@ func TestCommunicationAccounting(t *testing.T) {
 		t.Fatal("comm counters not monotone")
 	}
 }
-
-func TestStragglerDeadlineExcludesSlowDevices(t *testing.T) {
-	f := newFixture(t, 0.3)
-	cfg := smallConfig()
-	cfg.Steps = 6
-	// Odd devices are slow and always miss the deadline.
-	cfg.Latency = func(device int) float64 {
-		if device%2 == 1 {
-			return 10
-		}
-		return 1
-	}
-	cfg.Deadline = 5
-	s := New(cfg, f.factory(), f.part, f.test, f.mob, &spyStrategy{})
-	s.Run()
-	for m := 0; m < s.NumDevices(); m++ {
-		if m%2 == 1 && s.LastTrained(m) != -1 {
-			t.Fatalf("slow device %d trained despite missing every deadline", m)
-		}
-	}
-	if s.Stragglers() == 0 {
-		t.Fatal("no stragglers counted")
-	}
-}
-
-func TestNoDeadlineMeansNoStragglers(t *testing.T) {
-	f := newFixture(t, 0.3)
-	cfg := smallConfig()
-	cfg.Steps = 4
-	s := New(cfg, f.factory(), f.part, f.test, f.mob, &spyStrategy{})
-	s.Run()
-	if s.Stragglers() != 0 {
-		t.Fatalf("stragglers %d with heterogeneity off", s.Stragglers())
-	}
-}

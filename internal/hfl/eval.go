@@ -149,7 +149,7 @@ func (s *Sim) recordEval(t int) {
 	s.history.AppendPoint(EvalPoint{
 		Step: t, GlobalAcc: acc, PerClassAcc: classAcc, EdgeAcc: edgeAcc,
 		CommDeviceEdge: s.commDeviceEdge, CommEdgeCloud: s.commEdgeCloud,
-		Stragglers: s.stragglers, Phases: s.phases,
+		Phases:      s.phases,
 		SelUtilMean: s.tel.selUtilMean(), UpdNormMean: s.tel.updNormMean(),
 		BlendUtilMean: s.tel.blendUtilMean(),
 		EdgeDivMean:   divMean, EdgeDivMax: divMax, FairnessJain: fair,

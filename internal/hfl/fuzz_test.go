@@ -14,7 +14,7 @@ import (
 func FuzzReadHistoryCSV(f *testing.F) {
 	h := &History{}
 	h.AppendPoint(EvalPoint{Step: 5, GlobalAcc: 0.25, PerClassAcc: []float64{0.5, 0}, EdgeAcc: []float64{0.125},
-		CommDeviceEdge: 12, CommEdgeCloud: 4, Stragglers: 1, Phases: PhaseTimes{Train: 0.03125},
+		CommDeviceEdge: 12, CommEdgeCloud: 4, Phases: PhaseTimes{Train: 0.03125},
 		SelUtilMean: 0.5, FairnessJain: 1, RejectRate: 0.0625})
 	h.AppendPoint(EvalPoint{Step: 10, GlobalAcc: 0.75, PerClassAcc: []float64{1, 0.5}, EdgeAcc: []float64{0.875},
 		CommDeviceEdge: 24, CommEdgeCloud: 8, EdgeDivMax: 2.5})
@@ -25,6 +25,7 @@ func FuzzReadHistoryCSV(f *testing.F) {
 	written := buf.String()
 	f.Add(written)
 	f.Add(written[:len(written)/2])
+	f.Add(parentLayoutCSV)
 	f.Add("step,global_acc\n1,0.123456789\n2,NaN\n3,-0\n")
 	f.Add("step,global_acc,class7_acc,edgeX_acc\n1,+Inf,1e300,5\n")
 	f.Add("global_acc\n0.5\n")

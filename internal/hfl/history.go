@@ -27,9 +27,6 @@ type History struct {
 	// on each link class at each evaluation event.
 	CommDeviceEdge []int64
 	CommEdgeCloud  []int64
-	// Stragglers is the cumulative count of selected device-rounds lost
-	// to the heterogeneity deadline at each evaluation event.
-	Stragglers []int
 	// Phase breakdown: cumulative wall-clock seconds per StepOnce phase
 	// at each evaluation event (the in-progress eval is not included in
 	// its own PhaseEval entry).
@@ -65,7 +62,6 @@ type EvalPoint struct {
 	// Cumulative counters at this event.
 	CommDeviceEdge int64
 	CommEdgeCloud  int64
-	Stragglers     int
 	Phases         PhaseTimes
 	// Learning-dynamics telemetry (see the History field docs).
 	SelUtilMean   float64
@@ -98,7 +94,6 @@ func (h *History) AppendPoint(p EvalPoint) {
 	h.EdgeAcc = append(h.EdgeAcc, p.EdgeAcc)
 	h.CommDeviceEdge = append(h.CommDeviceEdge, p.CommDeviceEdge)
 	h.CommEdgeCloud = append(h.CommEdgeCloud, p.CommEdgeCloud)
-	h.Stragglers = append(h.Stragglers, p.Stragglers)
 	h.PhaseSelect = append(h.PhaseSelect, p.Phases.Select)
 	h.PhaseTrain = append(h.PhaseTrain, p.Phases.Train)
 	h.PhaseEdgeAgg = append(h.PhaseEdgeAgg, p.Phases.EdgeAgg)
@@ -138,8 +133,8 @@ func (h *History) TimeToAccuracy(target float64) (step int, ok bool) {
 
 // WriteCSV emits the history as CSV: step, global accuracy, any
 // per-class and per-edge columns present in the first event, then the
-// cumulative communication counters, straggler count and per-phase
-// wall-clock columns.
+// cumulative communication counters, per-phase wall-clock and
+// learning-dynamics columns.
 func (h *History) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{"step", "global_acc"}
@@ -157,7 +152,7 @@ func (h *History) WriteCSV(w io.Writer) error {
 		}
 	}
 	header = append(header,
-		"comm_device_edge", "comm_edge_cloud", "stragglers",
+		"comm_device_edge", "comm_edge_cloud",
 		"phase_select_s", "phase_train_s", "phase_edge_agg_s",
 		"phase_cloud_sync_s", "phase_eval_s",
 		"sel_util_mean", "upd_norm_mean", "blend_util_mean",
@@ -176,7 +171,6 @@ func (h *History) WriteCSV(w io.Writer) error {
 		row = append(row,
 			strconv.FormatInt(h.CommDeviceEdge[i], 10),
 			strconv.FormatInt(h.CommEdgeCloud[i], 10),
-			strconv.Itoa(h.intAt(h.Stragglers, i)),
 			formatF(h.floatAt(h.PhaseSelect, i)),
 			formatF(h.floatAt(h.PhaseTrain, i)),
 			formatF(h.floatAt(h.PhaseEdgeAgg, i)),
@@ -197,15 +191,8 @@ func (h *History) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// intAt/floatAt tolerate histories built before the straggler/phase
+// floatAt tolerates histories built before the phase and telemetry
 // columns existed (hand-assembled in tests or decoded from old JSON).
-func (h *History) intAt(s []int, i int) int {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
-}
-
 func (h *History) floatAt(s []float64, i int) float64 {
 	if i < len(s) {
 		return s[i]
@@ -217,7 +204,9 @@ func formatF(v float64) string { return strconv.FormatFloat(v, 'f', 5, 64) }
 
 // ReadHistoryCSV parses a CSV written by WriteCSV back into a History.
 // The strategy name and empirical mobility are not part of the CSV and
-// stay zero. Column order must match WriteCSV's.
+// stay zero. Columns are read by name, in any order: a missing optional
+// column reads as zero and an unknown one (such as the stragglers column
+// earlier writers emitted) is ignored.
 func ReadHistoryCSV(r io.Reader) (*History, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -294,11 +283,6 @@ func ReadHistoryCSV(r io.Reader) (*History, error) {
 				if *f.dst, err = strconv.ParseInt(row[i], 10, 64); err != nil {
 					return nil, fmt.Errorf("hfl: history CSV row %d %s: %w", line+2, f.name, err)
 				}
-			}
-		}
-		if i, ok := col["stragglers"]; ok {
-			if p.Stragglers, err = strconv.Atoi(row[i]); err != nil {
-				return nil, fmt.Errorf("hfl: history CSV row %d stragglers: %w", line+2, err)
 			}
 		}
 		if nClass > 0 {

@@ -12,7 +12,7 @@ func TestHistoryCSVRoundTrip(t *testing.T) {
 		Step: 5, GlobalAcc: 0.25,
 		PerClassAcc:    []float64{0.5, 0.125},
 		EdgeAcc:        []float64{0.25, 0.375, 0.5},
-		CommDeviceEdge: 20, CommEdgeCloud: 0, Stragglers: 1,
+		CommDeviceEdge: 20, CommEdgeCloud: 0,
 		Phases:      PhaseTimes{Select: 0.125, Train: 1.5, EdgeAgg: 0.0625, CloudSync: 0, Eval: 0},
 		SelUtilMean: 0.25, UpdNormMean: 1.5, BlendUtilMean: 0.125,
 		EdgeDivMean: 0.5, EdgeDivMax: 0.75, FairnessJain: 0.875,
@@ -21,7 +21,7 @@ func TestHistoryCSVRoundTrip(t *testing.T) {
 		Step: 10, GlobalAcc: 0.625,
 		PerClassAcc:    []float64{0.75, 0.5},
 		EdgeAcc:        []float64{0.625, 0.5, 0.75},
-		CommDeviceEdge: 40, CommEdgeCloud: 6, Stragglers: 3,
+		CommDeviceEdge: 40, CommEdgeCloud: 6,
 		Phases:      PhaseTimes{Select: 0.25, Train: 3, EdgeAgg: 0.125, CloudSync: 0.5, Eval: 0.0625},
 		SelUtilMean: 0.5, UpdNormMean: 2.25, BlendUtilMean: 0.25,
 		EdgeDivMean: 0.25, EdgeDivMax: 0.375, FairnessJain: 0.9375,
@@ -33,7 +33,7 @@ func TestHistoryCSVRoundTrip(t *testing.T) {
 	}
 	header := strings.SplitN(buf.String(), "\n", 2)[0]
 	for _, want := range []string{
-		"comm_device_edge", "comm_edge_cloud", "stragglers",
+		"comm_device_edge", "comm_edge_cloud",
 		"phase_select_s", "phase_train_s", "phase_edge_agg_s",
 		"phase_cloud_sync_s", "phase_eval_s",
 		"sel_util_mean", "upd_norm_mean", "blend_util_mean",
@@ -57,9 +57,6 @@ func TestHistoryCSVRoundTrip(t *testing.T) {
 		}
 		if got.CommDeviceEdge[i] != h.CommDeviceEdge[i] || got.CommEdgeCloud[i] != h.CommEdgeCloud[i] {
 			t.Fatalf("row %d comm: %d/%d", i, got.CommDeviceEdge[i], got.CommEdgeCloud[i])
-		}
-		if got.Stragglers[i] != h.Stragglers[i] {
-			t.Fatalf("row %d stragglers: %d, want %d", i, got.Stragglers[i], h.Stragglers[i])
 		}
 		for _, pair := range [][2][]float64{
 			{got.PhaseSelect, h.PhaseSelect},
@@ -105,8 +102,42 @@ func TestHistoryCSVLegacyAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Stragglers[0] != 0 || got.CommDeviceEdge[1] != 12 || got.PhaseTrain[1] != 0 {
+	if got.Len() != 2 || got.CommDeviceEdge[0] != 0 || got.CommDeviceEdge[1] != 12 || got.PhaseTrain[1] != 0 {
 		t.Fatalf("legacy round-trip: %+v", got)
+	}
+}
+
+// parentLayoutCSV is a history CSV as written before the stragglers
+// column was dropped: the same columns plus "stragglers" after the
+// communication counters.
+const parentLayoutCSV = "step,global_acc,class0_acc,class1_acc,edge0_acc,comm_device_edge,comm_edge_cloud,stragglers," +
+	"phase_select_s,phase_train_s,phase_edge_agg_s,phase_cloud_sync_s,phase_eval_s,sel_util_mean,upd_norm_mean," +
+	"blend_util_mean,edge_div_mean,edge_div_max,fairness_jain,reject_rate\n" +
+	"5,0.25000,0.50000,0.12500,0.37500,20,2,3,0.12500,1.50000,0.00000,0.00000,0.00000,0.50000,0.00000," +
+	"0.00000,0.00000,0.00000,0.87500,0.06250\n" +
+	"10,0.62500,0.75000,0.50000,0.62500,40,6,7,0.00000,3.00000,0.00000,0.25000,0.00000,0.00000,0.00000," +
+	"0.00000,0.00000,2.50000,0.00000,0.00000\n"
+
+// A CSV in the earlier layout still loads: its stragglers column is
+// ignored and every other column reads back to the same text.
+func TestReadHistoryCSVParentLayout(t *testing.T) {
+	h, err := ReadHistoryCSV(strings.NewReader(parentLayoutCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := h.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(parentLayoutCSV, "\n") {
+		if fields := strings.Split(line, ","); len(fields) > 7 {
+			line = strings.Join(append(fields[:7:7], fields[8:]...), ",")
+		}
+		want = append(want, line)
+	}
+	if got := buf.String(); got != strings.Join(want, "\n") {
+		t.Fatalf("parent-layout CSV read back as\n%s\nwant\n%s", got, strings.Join(want, "\n"))
 	}
 }
 

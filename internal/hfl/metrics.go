@@ -31,7 +31,6 @@ type PhaseTimes struct {
 type simMetrics struct {
 	steps      *obs.Counter
 	selected   *obs.Counter
-	stragglers *obs.Counter
 	moves      *obs.Counter
 	moveOpp    *obs.Counter
 	cloudSyncs *obs.Counter
@@ -66,7 +65,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 	return simMetrics{
 		steps:          r.Counter("sim_steps_total"),
 		selected:       r.Counter("sim_selected_total"),
-		stragglers:     r.Counter("sim_stragglers_total"),
 		moves:          r.Counter("sim_moves_total"),
 		moveOpp:        r.Counter("sim_move_opportunities_total"),
 		cloudSyncs:     r.Counter("sim_cloud_syncs_total"),

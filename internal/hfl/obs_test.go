@@ -43,8 +43,8 @@ func TestSimObsMetrics(t *testing.T) {
 	}
 	// Histories record the cumulative breakdown at eval time.
 	last := h.Len() - 1
-	if h.PhaseTrain[last] <= 0 || h.Stragglers[last] != 0 {
-		t.Fatalf("history phase/straggler columns: train=%v stragglers=%d", h.PhaseTrain[last], h.Stragglers[last])
+	if h.PhaseTrain[last] <= 0 {
+		t.Fatalf("history phase column: train=%v", h.PhaseTrain[last])
 	}
 
 	var buf bytes.Buffer
@@ -74,34 +74,5 @@ func TestSimObsMetrics(t *testing.T) {
 		if h.GlobalAcc[i] != h2.GlobalAcc[i] {
 			t.Fatalf("accuracy diverged with metrics on at eval %d: %v vs %v", i, h.GlobalAcc[i], h2.GlobalAcc[i])
 		}
-	}
-}
-
-// Straggler counters must flow through to both the registry and the
-// history columns when the heterogeneity deadline is active.
-func TestSimObsStragglers(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := smallConfig()
-	cfg.Obs = reg
-	cfg.Latency = func(device int) float64 {
-		if device%2 == 0 {
-			return 2 // always misses
-		}
-		return 0.5
-	}
-	cfg.Deadline = 1
-	f := newFixture(t, 0.5)
-	s := New(cfg, f.factory(), f.part, f.test, f.mob, &spyStrategy{})
-	h := s.Run()
-
-	if s.Stragglers() == 0 {
-		t.Fatal("deadline produced no stragglers")
-	}
-	if got := reg.Counter("sim_stragglers_total").Value(); got != int64(s.Stragglers()) {
-		t.Fatalf("sim_stragglers_total = %d, want %d", got, s.Stragglers())
-	}
-	last := h.Len() - 1
-	if h.Stragglers[last] != s.Stragglers() {
-		t.Fatalf("history stragglers %d, want %d", h.Stragglers[last], s.Stragglers())
 	}
 }

@@ -41,7 +41,6 @@ type Sim struct {
 	membership []int
 	moves      int // cross-edge moves observed
 	moveTotal  int
-	stragglers int // selected devices that missed the deadline
 
 	// Robustness layer (PR 5). agg is the aggregate step both tiers share:
 	// the Config.Validate screen followed by the pluggable Eq. 6/Eq. 7
@@ -135,7 +134,7 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 			rng: tensor.NewRNG(0),
 		}
 	}
-	s.agg = robust.NewPoint(cfg.Aggregator, cfg.TrimFrac, cfg.Validate, cfg.Obs)
+	s.agg = robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs)
 	s.history = &History{Strategy: strat.Name()}
 	s.metrics = newSimMetrics(cfg.Obs)
 	s.tel = newTelemetry(cfg.Obs, s.numEdges, s.numDevices)
@@ -214,7 +213,7 @@ func (s *Sim) StepOnce() int {
 	t := s.step
 	clock := time.Now()
 	roundStart := clock
-	movesBefore, stragglersBefore := s.moves, s.stragglers
+	movesBefore := s.moves
 	s.tel.beginRound()
 	// Flight-profiler attribution: each block below is bracketed by a
 	// pprof "phase" label matching its sim_phase_seconds series, so the
@@ -265,23 +264,6 @@ func (s *Sim) StepOnce() int {
 	})
 	s.jobs = s.jobs[:0]
 	for n, sel := range selectedByEdge {
-		if len(candidates[n]) == 0 {
-			continue
-		}
-		// System heterogeneity: selected devices that cannot finish
-		// within the deadline miss the round (stragglers).
-		if s.cfg.Latency != nil && s.cfg.Deadline > 0 {
-			kept := sel[:0]
-			for _, m := range sel {
-				if s.cfg.Latency(m) <= s.cfg.Deadline {
-					kept = append(kept, m)
-				} else {
-					s.stragglers++
-				}
-			}
-			sel = kept
-		}
-		selectedByEdge[n] = sel
 		s.commDeviceEdge += 2 * int64(len(sel))
 		for _, m := range sel {
 			// Learning-dynamics telemetry reads the pre-training carried
@@ -326,15 +308,14 @@ func (s *Sim) StepOnce() int {
 		s.lastTrain[j.device] = t
 		s.store.noteTrained(j.device, t)
 	}
-	// Adversary harness: a seeded subset of devices corrupts its upload
-	// after training, as a pure function of (Adversary.Seed, device, t).
-	// The reference is the cloud model so same-value colluders agree and
-	// sign-flip inverts the accumulated update Δw_m = w_m − w_c.
+	// Adversary harness: a seeded subset of devices sign-flips its upload
+	// after training around the cloud model, inverting the accumulated
+	// update Δw_m = w_m − w_c.
 	if s.cfg.Adversary.Enabled() {
 		for i := range jobs {
 			m := jobs[i].device
 			if s.cfg.Adversary.IsAdversary(m) {
-				s.cfg.Adversary.Corrupt(jobs[i].out, s.cloud, m, t)
+				s.cfg.Adversary.Corrupt(jobs[i].out, s.cloud)
 				s.corruptions++
 				s.metrics.advCorruptions.Inc()
 			}
@@ -362,8 +343,8 @@ func (s *Sim) StepOnce() int {
 			weights = append(weights, float64(s.dataSizes[m]))
 		}
 		s.aggVecs, s.aggWeights = vecs, weights
-		// Rejected updates are excluded exactly like stragglers; with every
-		// update rejected the edge carries its previous model.
+		// Rejected updates are left out of Eq. 6; with every update
+		// rejected the edge carries its previous model.
 		s.edgeWeight[n] += s.aggregate(t, s.edges[n], vecs, weights)
 	}
 	fp.End()
@@ -414,7 +395,6 @@ func (s *Sim) StepOnce() int {
 	s.metrics.residentModels.Set(float64(s.store.residentCount()))
 	s.metrics.steps.Inc()
 	s.metrics.selected.Add(int64(len(s.jobs)))
-	s.metrics.stragglers.Add(int64(s.stragglers - stragglersBefore))
 	s.metrics.moves.Add(int64(s.moves - movesBefore))
 	s.metrics.moveOpp.Add(int64(s.numDevices))
 	s.tel.participants.Set(float64(len(s.jobs)))
@@ -434,8 +414,7 @@ func (s *Sim) StepOnce() int {
 			"upd_norm_mean", meanOf(s.tel.roundUpdNormSum, s.tel.roundSelUtilN),
 			"blend_util_mean", meanOf(s.tel.roundBlendUtilSum, s.tel.roundBlendUtilN),
 			"blend_events", s.tel.roundBlendUtilN,
-			"moves", s.moves-movesBefore,
-			"stragglers", s.stragglers-stragglersBefore)
+			"moves", s.moves-movesBefore)
 	}
 	return t
 }
@@ -520,10 +499,6 @@ func (s *Sim) Run() *History {
 func (s *Sim) CommCounts() (deviceEdge, edgeCloud int64) {
 	return s.commDeviceEdge, s.commEdgeCloud
 }
-
-// Stragglers returns how many selected device-rounds were lost to the
-// heterogeneity deadline so far.
-func (s *Sim) Stragglers() int { return s.stragglers }
 
 // RejectedUpdates returns the cumulative validation rejections by
 // reason (zero with Config.Validate off).

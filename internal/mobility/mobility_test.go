@@ -158,7 +158,7 @@ func TestRandomWaypointPositionsStayInSquare(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		w.Step()
 		for m := 0; m < 10; m++ {
-			x, y := w.Position(m)
+			x, y := w.pos[m][0], w.pos[m][1]
 			if x < 0 || x > 1 || y < 0 || y > 1 {
 				t.Fatalf("device %d escaped to (%v, %v)", m, x, y)
 			}

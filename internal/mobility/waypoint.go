@@ -118,8 +118,3 @@ func (w *RandomWaypoint) nearestStation(p [2]float64) int {
 	}
 	return bi
 }
-
-// Position returns device m's current planar position (for diagnostics).
-func (w *RandomWaypoint) Position(m int) (x, y float64) {
-	return w.pos[m][0], w.pos[m][1]
-}

@@ -39,9 +39,6 @@ func NewConv1D(inC, outC, k, stride, pad, inL int, rng *tensor.RNG) *Conv1D {
 	return c
 }
 
-// OutLen returns the per-sample output length.
-func (c *Conv1D) OutLen() int { return c.outL }
-
 // Forward convolves a batch [N, C, L] producing [N, OutC, OL].
 func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(1) != c.InC || x.Dim(2) != c.inL {

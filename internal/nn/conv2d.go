@@ -48,9 +48,6 @@ func NewConv2D(inC, outC, kh, kw, stride, pad, inH, inW int, rng *tensor.RNG) *C
 	return c
 }
 
-// OutShape returns the per-sample output shape [OutC, OH, OW].
-func (c *Conv2D) OutShape() []int { return []int{c.OutC, c.outH, c.outW} }
-
 // Forward convolves a batch [N, C, H, W] producing [N, OutC, OH, OW].
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC || x.Dim(2) != c.inH || x.Dim(3) != c.inW {

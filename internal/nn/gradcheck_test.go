@@ -70,7 +70,7 @@ func TestGradConv2D(t *testing.T) {
 	net := NewNetwork(
 		NewConv2D(2, 3, 3, 3, 1, 1, 6, 6, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewFlatten(),
 		NewLinear(3*3*3, 4, rng),
 	)

@@ -33,10 +33,10 @@ func NewCNN2(cfg CNN2Config, rng *tensor.RNG) *Network {
 	return NewNetwork(
 		NewConv2D(cfg.InC, cfg.C1, 5, 5, 1, 2, cfg.H, cfg.W, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewConv2D(cfg.C1, cfg.C2, 5, 5, 1, 2, h2, w2, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewFlatten(),
 		NewLinear(flat, cfg.Hidden, rng),
 		NewReLU(),
@@ -62,13 +62,13 @@ func NewCNN3(cfg CNN3Config, rng *tensor.RNG) *Network {
 	return NewNetwork(
 		NewConv2D(cfg.InC, cfg.C1, 3, 3, 1, 1, cfg.H, cfg.W, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewConv2D(cfg.C1, cfg.C2, 3, 3, 1, 1, cfg.H/2, cfg.W/2, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewConv2D(cfg.C2, cfg.C3, 3, 3, 1, 1, cfg.H/4, cfg.W/4, rng),
 		NewReLU(),
-		NewMaxPool2D(2),
+		NewMaxPool2D(),
 		NewFlatten(),
 		NewLinear(flat, cfg.Hidden, rng),
 		NewReLU(),

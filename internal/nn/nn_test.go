@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,7 +116,7 @@ func TestMaxPool2DKnown(t *testing.T) {
 		9, 1, 2, 3,
 		1, 1, 4, 1,
 	}, 1, 1, 4, 4)
-	p := NewMaxPool2D(2)
+	p := NewMaxPool2D()
 	y := p.Forward(x, true)
 	want := []float64{4, 8, 9, 4}
 	for i, w := range want {
@@ -274,17 +275,18 @@ func TestMaxPool1DKnown(t *testing.T) {
 func TestConv1DOutLen(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	c := NewConv1D(1, 2, 5, 2, 1, 20, rng)
-	if got := c.OutLen(); got != tensor.ConvOut(20, 5, 2, 1) {
-		t.Fatalf("OutLen %d", got)
+	y := c.Forward(tensor.New(3, 1, 20), false)
+	if want := []int{3, 2, tensor.ConvOut(20, 5, 2, 1)}; !reflect.DeepEqual(y.Shape(), want) {
+		t.Fatalf("output shape %v, want %v", y.Shape(), want)
 	}
 }
 
 func TestConv2DOutShape(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	c := NewConv2D(3, 8, 3, 3, 1, 1, 16, 16, rng)
-	s := c.OutShape()
-	if s[0] != 8 || s[1] != 16 || s[2] != 16 {
-		t.Fatalf("OutShape %v", s)
+	y := c.Forward(tensor.New(2, 3, 16, 16), false)
+	if want := []int{2, 8, 16, 16}; !reflect.DeepEqual(y.Shape(), want) {
+		t.Fatalf("output shape %v, want %v", y.Shape(), want)
 	}
 }
 
@@ -312,7 +314,7 @@ func TestLayerShapePanics(t *testing.T) {
 		"linear":  func() { NewLinear(4, 2, rng).Forward(tensor.New(2, 5), false) },
 		"conv2d":  func() { NewConv2D(1, 1, 3, 3, 1, 1, 8, 8, rng).Forward(tensor.New(1, 1, 9, 9), false) },
 		"conv1d":  func() { NewConv1D(1, 1, 3, 1, 1, 8, rng).Forward(tensor.New(1, 1, 9), false) },
-		"pool2d":  func() { NewMaxPool2D(2).Forward(tensor.New(2, 4), false) },
+		"pool2d":  func() { NewMaxPool2D().Forward(tensor.New(2, 4), false) },
 		"pool1d":  func() { NewMaxPool1D(2).Forward(tensor.New(2, 4, 4, 4), false) },
 		"ce rank": func() { SoftmaxCrossEntropy(tensor.New(2, 2, 2), []int{0, 1}) },
 		"ce len":  func() { SoftmaxCrossEntropy(tensor.New(2, 2), []int{0}) },

@@ -6,28 +6,27 @@ import (
 	"middle/internal/tensor"
 )
 
-// MaxPool2D applies non-overlapping max pooling with a square window of
-// size K and stride K over inputs of shape [N, C, H, W].
+// MaxPool2D applies non-overlapping 2×2 max pooling with stride 2 over
+// inputs of shape [N, C, H, W]; an odd trailing row or column is dropped.
 type MaxPool2D struct {
-	K int
-
 	inShape []int
 	argmax  []int // flat input index of each output element
 	out     *tensor.Tensor
 	dx      *tensor.Tensor
 }
 
-// NewMaxPool2D constructs a max-pooling layer with window and stride k.
-func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
+// NewMaxPool2D constructs a 2×2 max-pooling layer.
+func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
 
-// Forward pools each K×K window to its maximum; in training mode it also
-// records where each maximum came from, for Backward.
+// Forward pools each 2×2 window to its maximum, one output row at a time
+// through the branch-free tensor.MaxPool2x2Row kernel; in training mode it
+// also records where each maximum came from, for Backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(shapeError("MaxPool2D", "[N, C, H, W]", x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := h/p.K, w/p.K
+	oh, ow := h/2, w/2
 	p.inShape = x.Shape()
 	p.out = tensor.Ensure(p.out, n, c, oh, ow)
 	out := p.out
@@ -35,44 +34,15 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.argmax = ensureLen(p.argmax, out.Size())
 	}
-	if p.K == 2 {
-		// The zoo's only window: one output row at a time through the
-		// branch-free kernel — same values, same argmax as the loop below.
-		for plane := 0; plane < n*c; plane++ {
-			for oy := 0; oy < oh; oy++ {
-				in := plane*h*w + 2*oy*w
-				o := (plane*oh + oy) * ow
-				var arg []int
-				if train {
-					arg = p.argmax[o : o+ow]
-				}
-				tensor.MaxPool2x2Row(out.Data[o:o+ow], arg, x.Data[in:in+w], x.Data[in+w:in+2*w], in, w)
+	for plane := 0; plane < n*c; plane++ {
+		for oy := 0; oy < oh; oy++ {
+			in := plane*h*w + 2*oy*w
+			o := (plane*oh + oy) * ow
+			var arg []int
+			if train {
+				arg = p.argmax[o : o+ow]
 			}
-		}
-		return out
-	}
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best, bi := math.Inf(-1), -1
-					for ky := 0; ky < p.K; ky++ {
-						rowBase := base + (oy*p.K+ky)*w + ox*p.K
-						for kx := 0; kx < p.K; kx++ {
-							if v := x.Data[rowBase+kx]; v > best {
-								best, bi = v, rowBase+kx
-							}
-						}
-					}
-					out.Data[oi] = best
-					if train {
-						p.argmax[oi] = bi
-					}
-					oi++
-				}
-			}
+			tensor.MaxPool2x2Row(out.Data[o:o+ow], arg, x.Data[in:in+w], x.Data[in+w:in+2*w], in, w)
 		}
 	}
 	return out

@@ -82,7 +82,7 @@ func sameBits(a, b []float64) bool {
 func TestBackwardNeedsTrainingForward(t *testing.T) {
 	x := tensor.New(2, 1, 4, 4)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
-	for name, l := range map[string]Layer{"relu": NewReLU(), "pool2d": NewMaxPool2D(2)} {
+	for name, l := range map[string]Layer{"relu": NewReLU(), "pool2d": NewMaxPool2D()} {
 		dy := l.Forward(x, true)
 		l.Backward(dy) // fine: follows a training forward
 		l.Forward(x, false)

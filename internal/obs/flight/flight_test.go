@@ -26,7 +26,6 @@ func TestNilValuesInert(t *testing.T) {
 		t.Fatalf("nil Capture = %q, %v", path, err)
 	}
 	r.SetProfiler(nil)
-	r.CapturePanic() // no panic in flight: must not capture or crash
 	r.NotifySignals()()
 
 	var ring *EventRing
@@ -228,16 +227,24 @@ func TestCapturePruning(t *testing.T) {
 	}
 }
 
+// A panic captured the way experiments.CLI.Start's deferred hook does it
+// (recover, Capture("panic <value>"), re-panic) leaves one bundle whose
+// name carries the panic value, and the panic still surfaces.
 func TestCapturePanicRecaptures(t *testing.T) {
 	dir := t.TempDir()
 	rec, _ := newTestRecorder(t, dir, 8)
 	func() {
 		defer func() {
 			if v := recover(); v == nil {
-				t.Error("CapturePanic swallowed the panic")
+				t.Error("the capture hook swallowed the panic")
 			}
 		}()
-		defer rec.CapturePanic()
+		defer func() {
+			if v := recover(); v != nil {
+				_, _ = rec.Capture(fmt.Sprintf("panic %v", v))
+				panic(v)
+			}
+		}()
 		panic("boom")
 	}()
 	bundles, err := Bundles(dir)

@@ -347,19 +347,6 @@ func sanitizeReason(reason string) string {
 	return s
 }
 
-// CapturePanic is the deferred panic hook: on a panic it captures a
-// bundle (reason "panic", the panic value in the manifest via the
-// reason slug) and re-panics so the crash still surfaces. Use as
-// `defer rec.CapturePanic()` at goroutine roots. Nil-safe.
-func (r *Recorder) CapturePanic() {
-	if v := recover(); v != nil {
-		if r != nil {
-			_, _ = r.Capture(fmt.Sprintf("panic %v", v))
-		}
-		panic(v)
-	}
-}
-
 // NotifySignals installs the forensic signal handlers: SIGQUIT captures
 // a bundle and exits 2 (replacing the runtime's stack dump with a full
 // bundle); SIGUSR1 captures and continues — a live process can be asked

@@ -5,8 +5,8 @@ import "middle/internal/obs"
 // Point is one aggregation point — an edge applying Eq. 6 or the cloud
 // applying Eq. 7 — and the one place the aggregate step is written:
 // screen the received updates, tally the rejections, require a minimum
-// number of survivors, combine them, tally what the combiner trimmed or
-// clipped. The simulator's edge and cloud aggregation and fednet's
+// number of survivors, combine them, tally what the combiner trimmed.
+// The simulator's edge and cloud aggregation and fednet's
 // Edge.runRound and Cloud.applySync all call Combine. Not safe for
 // concurrent use; each aggregation point owns one.
 type Point struct {
@@ -19,19 +19,18 @@ type Point struct {
 	Seen     int
 	Rejected RejectCounts
 
-	rejNonFinite, rejNorm, trimmed, clipped *obs.Counter
+	rejNonFinite, rejNorm, trimmed *obs.Counter
 }
 
 // NewPoint builds an aggregation point. The robust_* series are shared
 // by every point on the registry; a nil registry disables them.
-func NewPoint(kind AggregatorKind, trimFrac float64, vc ValidatorConfig, r *obs.Registry) *Point {
+func NewPoint(kind AggregatorKind, vc ValidatorConfig, r *obs.Registry) *Point {
 	return &Point{
 		validator:    NewValidator(vc),
-		agg:          Aggregator{Kind: kind, TrimFrac: trimFrac},
+		agg:          Aggregator{Kind: kind},
 		rejNonFinite: r.Counter("robust_rejected_updates_total", "reason", ReasonNonFinite),
 		rejNorm:      r.Counter("robust_rejected_updates_total", "reason", ReasonNorm),
 		trimmed:      r.Counter("robust_trimmed_coords_total"),
-		clipped:      r.Counter("robust_clipped_updates_total"),
 	}
 }
 
@@ -77,9 +76,8 @@ func (p *Point) Combine(dst, ref []float64, vecs [][]float64, weights []float64,
 	if len(vecs) < minKept {
 		return out
 	}
-	st := p.agg.AggregateInto(dst, vecs, weights, ref)
+	st := p.agg.AggregateInto(dst, vecs, weights, nil)
 	p.trimmed.Add(int64(st.TrimmedValues))
-	p.clipped.Add(int64(st.ClippedUpdates))
 	out.Applied = true
 	return out
 }

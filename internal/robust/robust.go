@@ -5,10 +5,10 @@
 // PR 4 hardened the *transport* — a corrupted frame never decodes. This
 // package hardens the *values*: a frame that decodes cleanly may still
 // carry a NaN/Inf model, an exploding update, or an adversarial
-// (sign-flipped, noise, colluding) model, and without validation it
-// flows straight into aggregation and poisons the global model. Worse,
-// MIDDLE's mobility carries a poisoned model into the next edge (Eq. 9)
-// and the Eq. 12 selector prefers divergent updates, i.e. attackers.
+// (sign-flipped) model, and without validation it flows straight into
+// aggregation and poisons the global model. Worse, MIDDLE's mobility
+// carries a poisoned model into the next edge (Eq. 9) and the Eq. 12
+// selector prefers divergent updates, i.e. attackers.
 //
 // Three pieces:
 //
@@ -16,12 +16,11 @@
 //     whose norm exceeds c·median over the round's update norms — a
 //     per-round adaptive threshold, so the bound tracks the natural
 //     update magnitude as training anneals.
-//   - Aggregator: pluggable Eq. 6/Eq. 7 combiner — weighted mean
-//     (default, bit-identical to simil.WeightedAverageInto),
-//     coordinate-wise median, β-trimmed mean, norm-clipped mean.
-//   - Adversary corruption primitives (adversary.go): seeded,
-//     deterministic model corruptions used by the hfl harness and
-//     mirrored by the fednet poison fault kinds.
+//   - Aggregator: the Eq. 6/Eq. 7 combiner — weighted mean (default,
+//     bit-identical to simil.WeightedAverageInto) or β-trimmed mean.
+//   - Adversary (adversary.go): a seeded, deterministic sign-flip attack
+//     used by the hfl harness (fednet's poison fault kind negates
+//     payloads on the wire instead).
 //
 // Everything here is deterministic and allocation-free after warm-up:
 // scratch buffers live on the Validator/Aggregator and grow to the

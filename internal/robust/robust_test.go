@@ -18,24 +18,13 @@ func almostEq(a, b []float64, tol float64) bool {
 }
 
 func TestParseAggregator(t *testing.T) {
-	for _, s := range []string{"", "mean", "median", "trimmed-mean", "norm-clip"} {
+	for _, s := range []string{"", "mean", "trimmed-mean"} {
 		if _, err := ParseAggregator(s); err != nil {
 			t.Errorf("ParseAggregator(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseAggregator("krum"); err == nil {
+	if _, err := ParseAggregator("median"); err == nil {
 		t.Error("ParseAggregator accepted unknown kind")
-	}
-}
-
-func TestParseAdversaryMode(t *testing.T) {
-	for _, s := range []string{"", "sign-flip", "noise", "same-value"} {
-		if _, err := ParseAdversaryMode(s); err != nil {
-			t.Errorf("ParseAdversaryMode(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseAdversaryMode("label-flip"); err == nil {
-		t.Error("ParseAdversaryMode accepted unknown mode")
 	}
 }
 
@@ -49,7 +38,6 @@ func TestAggregatorsHandComputed(t *testing.T) {
 		{100, -500, 3}, // outlier
 	}
 	weights := []float64{1, 1, 1, 1, 1}
-	ref := []float64{2, 20, 0}
 
 	cases := []struct {
 		name string
@@ -57,14 +45,12 @@ func TestAggregatorsHandComputed(t *testing.T) {
 		want []float64
 	}{
 		{"mean", Aggregator{Kind: AggMean}, []float64{22, -80, 1}},
-		// col 2 sorted: -500 10 20 30 40 → median 20.
-		{"median", Aggregator{Kind: AggMedian}, []float64{3, 20, 1}},
 		// β=0.2, n=5 → trim 1 from each end: mean of middle three.
-		{"trimmed", Aggregator{Kind: AggTrimmedMean, TrimFrac: 0.2}, []float64{3, 20, 1}},
+		{"trimmed", Aggregator{Kind: AggTrimmedMean}, []float64{3, 20, 1}},
 	}
 	for _, tc := range cases {
 		dst := make([]float64, 3)
-		tc.agg.AggregateInto(dst, vecs, weights, ref)
+		tc.agg.AggregateInto(dst, vecs, weights, nil)
 		if !almostEq(dst, tc.want, 1e-12) {
 			t.Errorf("%s: got %v want %v", tc.name, dst, tc.want)
 		}
@@ -72,7 +58,7 @@ func TestAggregatorsHandComputed(t *testing.T) {
 }
 
 func TestTrimmedMeanStats(t *testing.T) {
-	a := Aggregator{Kind: AggTrimmedMean, TrimFrac: 0.2}
+	a := Aggregator{Kind: AggTrimmedMean}
 	vecs := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	dst := make([]float64, 1)
 	st := a.AggregateInto(dst, vecs, []float64{1, 1, 1, 1, 1}, nil)
@@ -90,40 +76,6 @@ func TestTrimmedMeanStats(t *testing.T) {
 	}
 	if st.TrimmedValues != 0 {
 		t.Errorf("degraded TrimmedValues = %d, want 0", st.TrimmedValues)
-	}
-}
-
-func TestNormClipBoundsOutlier(t *testing.T) {
-	ref := []float64{0, 0}
-	vecs := [][]float64{
-		{1, 0},
-		{0, 1},
-		{1000, 0}, // exploding update
-	}
-	w := []float64{1, 1, 1}
-	a := Aggregator{Kind: AggNormClip}
-	dst := make([]float64, 2)
-	st := a.AggregateInto(dst, vecs, w, ref)
-	if st.ClippedUpdates != 1 {
-		t.Errorf("ClippedUpdates = %d, want 1", st.ClippedUpdates)
-	}
-	// τ = median(1, 1, 1000) = 1; clipped outlier contributes (1, 0).
-	want := []float64{2.0 / 3, 1.0 / 3}
-	if !almostEq(dst, want, 1e-12) {
-		t.Errorf("norm-clip = %v, want %v", dst, want)
-	}
-}
-
-// norm-clip supports dst aliasing ref (the sim aggregates into the
-// model it validates against).
-func TestNormClipAliasRef(t *testing.T) {
-	model := []float64{1, 2}
-	vecs := [][]float64{{2, 2}, {1, 3}, {0, 2}}
-	w := []float64{1, 1, 1}
-	a := Aggregator{Kind: AggNormClip}
-	a.AggregateInto(model, vecs, w, model)
-	if !almostEq(model, []float64{1, 7.0 / 3}, 1e-12) {
-		t.Errorf("aliased norm-clip = %v", model)
 	}
 }
 
@@ -233,44 +185,25 @@ func TestAdversaryMembershipDeterministic(t *testing.T) {
 
 func TestCorruptModes(t *testing.T) {
 	ref := []float64{1, 1}
-	w := []float64{2, 0}
-	a := Adversary{Fraction: 1, Seed: 9, Mode: AdvSignFlip, Scale: 1}
-	got := append([]float64(nil), w...)
-	a.Corrupt(got, ref, 0, 0)
+	a := Adversary{Fraction: 1, Seed: 9, Scale: 1}
+	got := []float64{2, 0}
+	a.Corrupt(got, ref)
 	if !almostEq(got, []float64{0, 2}, 0) {
 		t.Errorf("sign-flip = %v, want [0 2]", got)
 	}
-
-	// Corruption is deterministic in (seed, device, round).
-	a.Mode = AdvNoise
-	x := append([]float64(nil), w...)
-	y := append([]float64(nil), w...)
-	a.Corrupt(x, ref, 3, 7)
-	a.Corrupt(y, ref, 3, 7)
-	if !almostEq(x, y, 0) {
-		t.Error("noise corruption must be deterministic")
-	}
-	z := append([]float64(nil), w...)
-	a.Corrupt(z, ref, 3, 8)
-	if almostEq(x, z, 0) {
-		t.Error("different rounds must draw different noise")
-	}
-
-	// Collusion: different devices, same round, identical upload.
-	a.Mode = AdvSameValue
-	p := append([]float64(nil), w...)
-	q := []float64{-5, 40}
-	a.Corrupt(p, ref, 1, 4)
-	a.Corrupt(q, ref, 2, 4)
-	if !almostEq(p, q, 0) {
-		t.Errorf("same-value adversaries disagree: %v vs %v", p, q)
+	// Scale amplifies the flipped update; 0 means 1.
+	a.Scale = 3
+	got = []float64{2, 0}
+	a.Corrupt(got, ref)
+	if !almostEq(got, []float64{-2, 4}, 0) {
+		t.Errorf("scale-3 sign-flip = %v, want [-2 4]", got)
 	}
 }
 
 // The shared aggregate step: rejections are tallied, a cohort below the
 // minimum leaves dst alone, and a sufficient one is combined.
 func TestPointCombine(t *testing.T) {
-	p := NewPoint(AggMean, 0, ValidatorConfig{Enabled: true}, nil)
+	p := NewPoint(AggMean, ValidatorConfig{Enabled: true}, nil)
 	ref := []float64{0, 0}
 	dst := []float64{7, 7}
 	vecs := [][]float64{{2, 4}, {math.NaN(), 0}, {4, 8}}

@@ -150,7 +150,7 @@ func TestMatMulMatchesRowAtATimeKernel(t *testing.T) {
 					want := make([]float64, m*n)
 
 					got := New(m, n)
-					got.Fill(math.NaN())
+					fill(got, math.NaN())
 					MatMulInto(got, a, b)
 					refMatmulRows(want, a.Data, b.Data, m, k, n, n)
 					if i := sameBits(got.Data, want); i >= 0 {
@@ -160,7 +160,7 @@ func TestMatMulMatchesRowAtATimeKernel(t *testing.T) {
 					// B as the second of three column blocks of a wider matrix.
 					ldb := 3 * n
 					wide := randTensor(rng, k, ldb)
-					got.Fill(math.NaN())
+					fill(got, math.NaN())
 					MatMulBlockInto(got.Data, a, wide.Data[n:], ldb)
 					refMatmulRows(want, a.Data, wide.Data[n:], m, k, n, ldb)
 					if i := sameBits(got.Data, want); i >= 0 {
@@ -168,7 +168,7 @@ func TestMatMulMatchesRowAtATimeKernel(t *testing.T) {
 					}
 
 					at := Transpose2D(a)
-					got.Fill(math.NaN())
+					fill(got, math.NaN())
 					MatMulTransAInto(got, at, b)
 					refMatmulTransARows(want, at.Data, b.Data, m, k, n)
 					if i := sameBits(got.Data, want); i >= 0 {
@@ -243,7 +243,7 @@ func TestMatMulTransBMatchesBlockedKernel(t *testing.T) {
 			a := randTensor(rng, sh.m, sh.k)
 			b := randTensor(rng, sh.n, sh.k)
 			got := New(sh.m, sh.n)
-			got.Fill(math.NaN())
+			fill(got, math.NaN())
 			MatMulTransBInto(got, a, b)
 			want := make([]float64, sh.m*sh.n)
 			refMatmulTransBRows(want, a.Data, b.Data, sh.m, sh.k, sh.n, g)

@@ -60,7 +60,7 @@ func TestMatMulIntoReusesDestination(t *testing.T) {
 	a := randTensor(rng, 7, 9)
 	b := randTensor(rng, 9, 5)
 	dst := New(7, 5)
-	dst.Fill(42) // stale contents must be fully overwritten
+	fill(dst, 42) // stale contents must be fully overwritten
 	MatMulInto(dst, a, b)
 	want := naiveMatMul(a, b)
 	if d := maxAbsDiff(dst.Data, want.Data); d > 1e-10 {

@@ -43,23 +43,8 @@ func Sub(t, u *Tensor) *Tensor { return t.Clone().SubInPlace(u) }
 // Scale returns s·t as a new tensor.
 func Scale(s float64, t *Tensor) *Tensor { return t.Clone().ScaleInPlace(s) }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { clear(t.Data) }
-
-// Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, x := range t.Data {
-		t.Data[i] = f(x)
-	}
-	return t
-}
 
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {

@@ -65,6 +65,3 @@ func (r *RNG) HeNormal(t *Tensor, fanIn int) {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	r.FillNormal(t, 0, std)
 }
-
-// Perm returns a random permutation of [0, n), like rand.Perm.
-func (r *RNG) Permutation(n int) []int { return r.Perm(n) }

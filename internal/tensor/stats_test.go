@@ -9,8 +9,8 @@ func TestKernelStatsDisabledByDefault(t *testing.T) {
 
 	a := New(4, 4)
 	b := New(4, 4)
-	a.Fill(1)
-	b.Fill(2)
+	fill(a, 1)
+	fill(b, 2)
 	MatMul(a, b)
 	cols := make([]float64, 1*3*3*4*4) // C*KH*KW rows of OH*OW = 4*4
 	Im2Col(make([]float64, 16), 1, 4, 4, 3, 3, 1, 1, cols)
@@ -28,8 +28,8 @@ func TestKernelStatsCounts(t *testing.T) {
 
 	a := New(4, 4)
 	b := New(4, 4)
-	a.Fill(1)
-	b.Fill(2)
+	fill(a, 1)
+	fill(b, 2)
 	MatMul(a, b) // delegates to MatMulInto: one count, not two
 	MatMulTransA(a, b)
 	MatMulTransB(a, b)

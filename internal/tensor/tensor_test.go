@@ -438,17 +438,12 @@ func TestFullAndFillZero(t *testing.T) {
 	if x.Sum() != 0 {
 		t.Fatal("Zero failed")
 	}
-	x.Fill(3)
-	if x.Sum() != 12 {
-		t.Fatal("Fill failed")
-	}
 }
 
-func TestApply(t *testing.T) {
-	x := FromSlice([]float64{1, -2, 3}, 3)
-	x.Apply(math.Abs)
-	if x.Data[1] != 2 {
-		t.Fatalf("Apply = %v", x.Data)
+// fill sets every element of x to v.
+func fill(x *Tensor, v float64) {
+	for i := range x.Data {
+		x.Data[i] = v
 	}
 }
 
@@ -499,7 +494,7 @@ func TestFillUniformRange(t *testing.T) {
 
 func TestPermutationIsPermutation(t *testing.T) {
 	r := NewRNG(2)
-	p := r.Permutation(20)
+	p := r.Perm(20)
 	seen := make([]bool, 20)
 	for _, v := range p {
 		if v < 0 || v >= 20 || seen[v] {

@@ -29,7 +29,6 @@ import (
 	"middle/internal/experiments"
 	"middle/internal/hfl"
 	"middle/internal/mobility"
-	"middle/internal/robust"
 	"middle/internal/simil"
 	"middle/internal/tensor"
 	"middle/internal/theory"
@@ -240,12 +239,6 @@ func TheoremBound(p theory.BoundParams) float64 { return theory.Bound(p) }
 
 // BoundParams carries the Theorem 1 constants.
 type BoundParams = theory.BoundParams
-
-// --- robustness -----------------------------------------------------------
-
-// AdversaryMode picks the corruption adversarial devices apply
-// (Config.Adversary.Mode; see internal/robust).
-type AdversaryMode = robust.AdversaryMode
 
 // --- checkpoints ------------------------------------------------------------
 
