@@ -18,11 +18,13 @@
 //
 // Flags, by the struct they fill (registerFlags): experiments.CLI takes
 // -task -scale -seed and the observability flags; fednet.CloudConfig
-// -edges -rounds -tc -membership -lease-interval -round-interval;
+// -edges -rounds -tc -lease-interval -round-interval;
 // fednet.EdgeConfig -id -cloud -k -live-migration -sel-norm-cap and,
 // shared with the cloud, -addr -checkpoint-dir -aggregator -norm-bound;
 // the devices role's own options -edgeaddrs -from -to -p -movems -mux
-// -failover. Fault injection, edge-loss tolerance, quorum and round
+// -failover. The cloud always runs the self-healing membership: edges
+// hold leases, an edge that misses them is declared dead, and a restarted
+// edge rejoins under a bumped epoch. Fault injection, quorum and round
 // deadlines are fednet config fields that the in-process cluster
 // (fednet.StartCluster) sets; the daemons run with their defaults.
 package main
@@ -83,8 +85,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Edges, "edges", 2, "edge count (cloud role)")
 	fs.IntVar(&c.Rounds, "rounds", 50, "rounds to coordinate (cloud role)")
 	fs.IntVar(&c.CloudInterval, "tc", 10, "cloud interval T_c (cloud role)")
-	fs.BoolVar(&c.Membership.Enabled, "membership", false, "cloud role: self-healing membership mode — edges hold leases, missed leases trigger failover, restarted edges rejoin under a bumped epoch")
-	fs.DurationVar(&c.Membership.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
+	fs.DurationVar(&c.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
 	fs.DurationVar(&c.RoundInterval, "round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
 
 	// fednet.EdgeConfig; the cloud role reads the first four too.
@@ -158,19 +159,15 @@ func (o *options) runCloud(setup *experiments.TaskSetup) map[string]any {
 	// Graceful shutdown: finish the in-flight round, write a final
 	// checkpoint, then let main's trace/tsdb flushes run.
 	onSignal(c.Stop)
-	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d, membership=%v)",
-		c.Addr(), cfg.Edges, cfg.Rounds, cfg.CloudInterval, cfg.Membership.Enabled)
+	log.Printf("middled: cloud listening on %s (%d edges, %d rounds, Tc=%d)",
+		c.Addr(), cfg.Edges, cfg.Rounds, cfg.CloudInterval)
 	if err := c.Run(); err != nil {
 		o.Fatalf("%v", err)
 	}
 	acc := setup.Accuracy(o.Seed, c.GlobalModel())
 	log.Printf("middled: training complete (final accuracy %.4f)", acc)
-	extra := map[string]any{"final_accuracy": acc}
-	if cfg.Membership.Enabled {
-		extra["membership_epoch"] = c.Epoch()
-		log.Printf("middled: membership epoch at exit: %d", c.Epoch())
-	}
-	return extra
+	log.Printf("middled: membership epoch at exit: %d", c.Epoch())
+	return map[string]any{"final_accuracy": acc, "membership_epoch": c.Epoch()}
 }
 
 func (o *options) runEdge(*experiments.TaskSetup) map[string]any {

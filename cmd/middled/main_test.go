@@ -107,10 +107,10 @@ func TestFlagsLandInConfigs(t *testing.T) {
 	}
 
 	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3",
-		"-membership", "-lease-interval", "250ms", "-round-interval", "1s")
+		"-lease-interval", "250ms", "-round-interval", "1s")
 	wantCloud := fednet.CloudConfig{
 		Edges: 4, Rounds: 9, CloudInterval: 3, RoundInterval: time.Second,
-		Membership: fednet.MembershipConfig{Enabled: true, LeaseInterval: 250 * time.Millisecond},
+		LeaseInterval: 250 * time.Millisecond,
 	}
 	if !reflect.DeepEqual(o.cloud, wantCloud) {
 		t.Errorf("cloud config\n got %+v\nwant %+v", o.cloud, wantCloud)

@@ -406,9 +406,9 @@ var membershipPattern = regexp.MustCompile(`^fednet_(membership_epoch|edge_failo
 // reportMembership summarizes the self-healing story of a run: how many
 // edges died and were failed over, how many devices were re-homed vs
 // left stranded, where the membership epoch ended up, and how much
-// stale traffic the epoch fence rejected. Quiet when the failure
-// detector never ran — the section only appears once a membership
-// series exists.
+// stale traffic the epoch fence rejected. Quiet for a run without a
+// fednet cloud (the simulator's): the section only appears once a
+// membership series exists.
 func reportMembership(w io.Writer, dir string) {
 	d, ok := loadDump(dir)
 	if !ok {

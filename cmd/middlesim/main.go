@@ -21,7 +21,7 @@
 // knobs and is laid over the config of -exp run and of -exp scale's
 // simulator path; scaleOpts takes the -exp scale topology (-devices
 // -edges -k -tc -resident-cap) and the deployment's own options (-mux
-// -membership -live-migration); the rest select the run and its outputs.
+// -live-migration); the rest select the run and its outputs.
 package main
 
 import (
@@ -96,7 +96,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&sc.tc, "tc", 0, "-exp scale: cloud aggregation interval T_c in steps (0 = task default)")
 	fs.IntVar(&sc.residentCap, "resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
 	fs.IntVar(&sc.mux, "mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
-	fs.BoolVar(&sc.membership, "membership", false, "-exp scale deployment (-mux): enable the lease-based failure detector and membership epochs on the in-process fednet cluster")
 	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): a moving device registers at its new edge warm, carrying its own model and optimizer state, instead of joining cold")
 	return o
 }

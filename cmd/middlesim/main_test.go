@@ -189,13 +189,13 @@ func TestFlagsLandInSimConfig(t *testing.T) {
 
 func TestFlagsLandInScaleAndShared(t *testing.T) {
 	o, err := parse(t, "-exp", "scale", "-devices", "20000", "-edges", "20", "-k", "4", "-tc", "5",
-		"-resident-cap", "99", "-mux", "8", "-membership", "-live-migration", "-seed", "5", "-task", "emnist",
+		"-resident-cap", "99", "-mux", "8", "-live-migration", "-seed", "5", "-task", "emnist",
 		"-tsdb-out", "t.json", "-tsdb-interval", "50ms", "-flight-dir", "fd", "-profile-interval", "2s",
 		"-results", "res", "-trace-out", "tr.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, mux: 8, membership: true, liveMigration: true}); o.scale != want {
+	if want := (scaleOpts{devices: 20000, edges: 20, k: 4, tc: 5, residentCap: 99, mux: 8, liveMigration: true}); o.scale != want {
 		t.Errorf("scale flags\n got %+v\nwant %+v", o.scale, want)
 	}
 	wantMetrics := experiments.MetricsConfig{TSDBOut: "t.json", TSDBInterval: 50 * time.Millisecond,

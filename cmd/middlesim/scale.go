@@ -20,7 +20,6 @@ type scaleOpts struct {
 	devices, edges, k, tc int
 	residentCap           int
 	mux                   int
-	membership            bool
 	liveMigration         bool
 }
 
@@ -53,8 +52,6 @@ func validateScale(o scaleOpts) error {
 		if o.residentCap > 0 {
 			return fmt.Errorf("-resident-cap applies to the simulator path and cannot combine with -mux")
 		}
-	} else if o.membership {
-		return fmt.Errorf("-membership enables the fednet lease detector and requires the deployment path (-mux)")
 	} else if o.liveMigration {
 		return fmt.Errorf("-live-migration makes the fednet deployment's movers arrive warm and requires the deployment path (-mux)")
 	}
@@ -92,7 +89,6 @@ func (o *options) runScale(task middle.TaskName) {
 			Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mob,
 			Seed: o.Seed, Mux: sc.mux,
 			LiveMigration: sc.liveMigration,
-			Membership:    fednet.MembershipConfig{Enabled: sc.membership},
 			Obs:           o.M.Registry(), Trace: o.Trace,
 		})
 		return
@@ -138,9 +134,7 @@ func (o *options) runScaleDeployment(setup *experiments.TaskSetup, sc scaleOpts,
 		mok, mfb, mrej := c.Migrations()
 		fmt.Printf("migrations: %d ok, %d fallbacks, %d rejected\n", mok, mfb, mrej)
 	}
-	if cfg.Membership.Enabled {
-		fmt.Printf("membership: %d edge failovers, %d devices re-homed, epoch %d\n",
-			c.Failovers(), c.Rehomed(), c.MembershipEpoch())
-	}
+	fmt.Printf("membership: %d edge failovers, %d devices re-homed, epoch %d\n",
+		c.Failovers(), c.Rehomed(), c.MembershipEpoch())
 	fmt.Printf("middlesim: peak_rss_mib=%d peak_resident_models=0\n", obs.PeakRSSBytes()>>20)
 }

@@ -26,7 +26,6 @@ func TestValidateScale(t *testing.T) {
 		"zero mux":                          {func(o *scaleOpts) { o.mux = 0 }, "≥ 1"},
 		"huge deployment":                   {func(o *scaleOpts) { o.mux = 4; o.devices = 100000 }, "cap -devices"},
 		"cap with deployment":               {func(o *scaleOpts) { o.mux = 2; o.residentCap = 100 }, "cannot combine"},
-		"membership without deployment":     {func(o *scaleOpts) { o.membership = true }, "requires the deployment path"},
 		"live migration without deployment": {func(o *scaleOpts) { o.liveMigration = true }, "requires the deployment path"},
 	} {
 		o := ok

@@ -3,8 +3,8 @@ package checkpoint
 // Coordinator state: the record a cloud ("global") or an edge ("edgeN")
 // resumes from after a crash. encode is the field list (DESIGN.md
 // "Record formats" has it as a table). SaveState writes version 4 only —
-// a state without membership carries epoch 0 and no devices — and
-// LoadState also reads version 2, which ends before the epoch.
+// an edge's state carries epoch 0 and no devices — and LoadState also
+// reads version 2, which ends before the epoch.
 
 import (
 	"fmt"
@@ -24,11 +24,11 @@ type State struct {
 	// EdgeWeights holds the d̂_n accumulators reported by each edge at
 	// the sync round this state was taken (diagnostics on resume).
 	EdgeWeights map[int]float64
-	// Epoch is the membership epoch at checkpoint time; zero when the
-	// self-healing membership layer is disabled.
+	// Epoch is the cloud's membership epoch at checkpoint time; zero in
+	// an edge's record and in a version-2 file.
 	Epoch int
-	// Assignment maps device id → edge id as last reported on a sync
-	// round (membership mode only; nil otherwise).
+	// Assignment maps device id → edge id as last reported to the cloud
+	// on a sync round; nil in an edge's record and in a version-2 file.
 	Assignment map[int]int
 }
 

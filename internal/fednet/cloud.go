@@ -36,13 +36,14 @@ type CloudConfig struct {
 	// attaching) instead of letting empty early rounds burn through the
 	// schedule in microseconds. 0 (default) keeps free-running rounds.
 	RoundInterval time.Duration
-	// MinEdges, when > 0, enables graceful degradation: an edge whose
-	// connection fails is dropped and the run continues as long as at
-	// least MinEdges remain. At 0 (default) any edge failure aborts the
-	// run, the strict pre-fault behaviour.
-	MinEdges int
+	// LeaseInterval is the heartbeat period the cloud asks edges for and
+	// the tick of its failure detector (default 500 ms). An edge silent
+	// for four intervals is declared dead; the run goes on while at least
+	// one edge lives.
+	LeaseInterval time.Duration
 	// CheckpointDir, when set, makes the cloud persist its state (global
-	// model + round + per-edge weights) after every sync round, and
+	// model + round + per-edge weights + membership epoch and device→edge
+	// assignment) after every sync round, and
 	// NewCloud resume from the latest valid checkpoint found there. Torn
 	// or corrupt files are rejected by CRC and skipped.
 	CheckpointDir string
@@ -52,16 +53,9 @@ type CloudConfig struct {
 	// Validate screens received edge models before Eq. 7, mirroring the
 	// edge-side update validation.
 	Validate robust.ValidatorConfig
-	// Membership enables the self-healing membership layer: per-edge
-	// heartbeat leases driving a miss-count failure detector, mid-run edge
-	// rejoin at a bumped epoch, and epoch fencing of frames from stale
-	// incarnations. Disabled (the zero value) the edge set is fixed:
-	// membership with a static set at epoch 0, no welcome frame and no
-	// detector, whose failures surface only when an RPC happens to fail.
-	Membership MembershipConfig
 	// OnEdgeDown, when set, is invoked on its own goroutine after the
-	// membership layer declares an edge dead. The in-process cluster uses
-	// it to re-home the dead edge's devices onto survivors.
+	// cloud declares an edge dead. The in-process cluster uses it to
+	// re-home the dead edge's devices onto survivors.
 	OnEdgeDown func(edge int)
 	// OnEdgeUp, when set, is invoked on its own goroutine after a mid-run
 	// edge (re)join is admitted into the membership.
@@ -101,8 +95,7 @@ type Cloud struct {
 	edgeWeights map[int]float64 // last sync's per-edge weights (checkpointed)
 
 	// ms is the edge set: epoch counter, member table and join queue. The
-	// epoch starts at the checkpointed one and only moves in membership
-	// mode.
+	// epoch starts at the checkpointed one.
 	ms         *membership
 	assignment map[int]int // device → edge, reported on sync rounds
 	lastSync   int         // round of the most recent cloud sync
@@ -158,6 +151,9 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
+	if cfg.LeaseInterval <= 0 {
+		cfg.LeaseInterval = 500 * time.Millisecond
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -165,7 +161,6 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fednet: cloud listen: %w", err)
 	}
-	cfg.Membership = cfg.Membership.withDefaults()
 	cfg.Trace.SetProcessName(tracePidCloud, "cloud")
 	c := &Cloud{
 		cfg:         cfg,
@@ -217,14 +212,13 @@ type edgeConn struct {
 }
 
 // Run admits the configured number of edges, drives all rounds, and
-// shuts the cluster down. It returns once training completes or a
-// protocol error occurs. There is one loop for both modes: the fixed
-// edge set is membership with a static set, and only admission (admit)
-// and peer loss (memberDead) know the difference.
+// shuts the cluster down. It returns once training completes, every edge
+// is lost or a protocol error occurs. Edges that (re)register mid-run
+// are admitted at the next round boundary; an edge whose round RPC fails
+// or whose leases stop is excised (memberDead).
 func (c *Cloud) Run() error {
 	defer c.ln.Close()
 	ms := c.ms
-	dynamic := c.cfg.Membership.Enabled
 	defer ms.closeAll()
 	go c.acceptLoop(ms)
 
@@ -242,11 +236,9 @@ func (c *Cloud) Run() error {
 			return nil
 		}
 	}
-	if dynamic {
-		detStop := make(chan struct{})
-		defer close(detStop)
-		go c.runDetector(ms, detStop)
-	}
+	detStop := make(chan struct{})
+	defer close(detStop)
+	go c.runDetector(ms, detStop)
 	defer func() {
 		for _, m := range ms.alive() {
 			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
@@ -299,9 +291,7 @@ func (c *Cloud) Run() error {
 			rs := RoundStart{Round: r, Sync: sync, Span: span, Epoch: m.epoch}
 			if err := c.m.link.writeMsg(m.conn, MsgRoundStart, rs, nil); err != nil {
 				countTimeout(c.m.timeouts, err)
-				if derr := c.memberDead(ms, m, r, err); derr != nil {
-					return derr
-				}
+				c.memberDead(ms, m, r, err)
 				continue
 			}
 			alive = append(alive, m)
@@ -336,9 +326,7 @@ func (c *Cloud) Run() error {
 			}
 			if err != nil {
 				countTimeout(c.m.timeouts, err)
-				if derr := c.memberDead(ms, m, r, err); derr != nil {
-					return derr
-				}
+				c.memberDead(ms, m, r, err)
 				continue
 			}
 			if done.Round != r {
@@ -372,9 +360,7 @@ func (c *Cloud) Run() error {
 				m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.global); err != nil {
 					countTimeout(c.m.timeouts, err)
-					if derr := c.memberDead(ms, m, r, err); derr != nil {
-						return derr
-					}
+					c.memberDead(ms, m, r, err)
 				}
 			}
 			c.m.syncs.Inc()
@@ -428,22 +414,20 @@ func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64) int {
 	return out.Kept
 }
 
-// checkpointSync persists the cloud state after round r. Membership
-// state (epoch + device→edge assignment) rides in the record when the
-// membership layer is active; otherwise that section is empty.
+// checkpointSync persists the cloud state after round r, membership
+// epoch and device→edge assignment included.
 func (c *Cloud) checkpointSync(r int) {
+	epoch := c.ms.currentEpoch()
 	c.mu.Lock()
 	st := checkpoint.State{
 		Name:        "global",
 		Round:       r,
 		Model:       append([]float64(nil), c.global...),
 		EdgeWeights: c.edgeWeights,
+		Epoch:       epoch,
+		Assignment:  maps.Clone(c.assignment),
 	}
 	c.mu.Unlock()
-	if c.cfg.Membership.Enabled {
-		st.Epoch = c.ms.currentEpoch()
-		st.Assignment = maps.Clone(c.assignment)
-	}
 	if _, err := checkpoint.SaveStateFile(c.cfg.CheckpointDir, st); err != nil {
 		c.cfg.Logf("cloud: checkpoint at round %d failed: %v", r, err)
 	} else {
@@ -463,17 +447,10 @@ func (c *Cloud) checkpointFinal(round int) {
 	c.cfg.Logf("cloud: final checkpoint at round %d", round)
 }
 
-// checkQuorum aborts the run once too few edges survive: MinEdges of
-// them, or — membership exists to survive edge loss — a lone survivor
-// when the caller set no larger quorum in membership mode. A fixed set
-// with MinEdges 0 never gets here: its first loss is already fatal.
+// checkQuorum aborts the run once no edge survives.
 func (c *Cloud) checkQuorum(aliveEdges, round int) error {
-	minEdges := c.cfg.MinEdges
-	if c.cfg.Membership.Enabled && minEdges < 1 {
-		minEdges = 1
-	}
-	if aliveEdges < minEdges {
-		return fmt.Errorf("fednet: only %d edges remain in round %d (min %d)", aliveEdges, round, minEdges)
+	if aliveEdges < 1 {
+		return fmt.Errorf("fednet: only %d edges remain in round %d", aliveEdges, round)
 	}
 	return nil
 }

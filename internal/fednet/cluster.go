@@ -67,17 +67,15 @@ type ClusterConfig struct {
 	// selection scores (0 = uncapped; see EdgeConfig).
 	SelectionNormCap float64
 	// Faults, when non-nil, builds one shared fault injector for the
-	// whole deployment; its errors are tolerated by Wait. Enabling
-	// faults also switches the cloud to degraded mode (MinEdges 1).
+	// whole deployment; its errors, and the edges they take down, are
+	// tolerated by Wait.
 	Faults *FaultConfig
-	// Membership, when Enabled, runs the cloud in self-healing membership
-	// mode: edges hold leases, a missed-lease detector declares dead
-	// edges, and the cluster re-homes a dead edge's devices to the
-	// surviving edges (warm, carrying their local state) instead of
-	// leaving them stranded. Killed edges may later RestartEdge and
-	// rejoin under a bumped membership epoch. Disabled (the default)
-	// keeps the fixed-membership behaviour bit-identical.
-	Membership MembershipConfig
+	// LeaseInterval is the edges' heartbeat period and the cloud failure
+	// detector's tick (see CloudConfig). An edge the cloud declares dead
+	// has its devices re-homed to the surviving edges, warm, carrying
+	// their local state; a killed edge may later RestartEdge and rejoin
+	// under a bumped membership epoch.
+	LeaseInterval time.Duration
 	// Obs, when set, is threaded into every component so one registry
 	// reports the whole deployment's fednet_* series.
 	Obs *obs.Registry
@@ -199,25 +197,14 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		membership = next
 	}
 
-	minEdges := 0
-	if c.faulty {
-		// Under injected faults an edge may legitimately die mid-run;
-		// degrade gracefully as long as one edge survives.
-		minEdges = 1
-	}
-	ccfg := CloudConfig{
+	cloud, err := NewCloud(CloudConfig{
 		Addr: "127.0.0.1:0", Edges: numEdges, Rounds: cfg.Rounds,
 		CloudInterval: cfg.CloudInterval, InitModel: init,
-		Timeout: cfg.Timeout, MinEdges: minEdges,
+		Timeout: cfg.Timeout, LeaseInterval: cfg.LeaseInterval,
 		CheckpointDir: cfg.CheckpointDir, Aggregator: cfg.Aggregator, Validate: cfg.Validate,
+		OnEdgeDown: c.onEdgeDown, OnEdgeUp: c.onEdgeUp,
 		Logf: cfg.Logf, OnRound: onRound, Obs: cfg.Obs, Trace: cfg.Trace,
-	}
-	if cfg.Membership.Enabled {
-		ccfg.Membership = cfg.Membership
-		ccfg.OnEdgeDown = c.onEdgeDown
-		ccfg.OnEdgeUp = c.onEdgeUp
-	}
-	cloud, err := NewCloud(ccfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +261,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		if err := cloud.Run(); err != nil {
 			// Cloud errors are always real: they mean the run itself
 			// failed (even under injection, losing the coordinator or
-			// dropping below MinEdges is not graceful degradation).
+			// every edge is not graceful degradation).
 			c.recordErr(fmt.Errorf("cloud: %w", err), false)
 		}
 	}()
@@ -396,7 +383,7 @@ func (c *Cluster) attach(m, target int, warm bool, salt int64) error {
 	return err
 }
 
-// onEdgeDown is the cloud failure detector's callback (membership mode):
+// onEdgeDown is the cloud's callback for an edge it declared dead:
 // re-home every device attached to the dead edge onto the survivors, warm,
 // so no device stays stranded past the failover.
 // Runs in its own goroutine, spawned by the cloud.
@@ -448,21 +435,21 @@ func (c *Cluster) onEdgeUp(e int) {
 
 // KillEdge abruptly tears edge e down — listener, cloud link, and device
 // connections all close with no drain or checkpoint, the in-process
-// equivalent of SIGKILL. In membership mode the cloud's failure detector
-// notices the missed leases, declares the edge dead, and the cluster
-// re-homes its devices; the edge's Run error is recorded as a tolerated
-// casualty, not a run failure.
+// equivalent of SIGKILL. The cloud notices the broken round connection
+// or the missed leases, declares the edge dead, and the cluster re-homes
+// its devices; the edge's Run error is recorded as a tolerated casualty,
+// not a run failure.
 func (c *Cluster) KillEdge(e int) {
 	c.edgeAt(e).Kill()
 }
 
-// RestartEdge brings a previously killed edge back (membership mode): a
-// fresh Edge on a new listener address re-registers with the cloud,
-// which readmits it under a bumped membership epoch and serves it the
-// current global model for catch-up; with EdgeCheckpoints enabled the
-// new process also restores its round state from its named checkpoint
-// first. The restarted edge becomes a mobility target again once the
-// cloud's rejoin callback fires.
+// RestartEdge brings a previously killed edge back: a fresh Edge on a
+// new listener address re-registers with the cloud, which readmits it
+// under a bumped membership epoch and serves it the current global model
+// for catch-up; with EdgeCheckpoints enabled the new process also
+// restores its round state from its named checkpoint first. The
+// restarted edge becomes a mobility target again once the cloud's
+// rejoin callback fires.
 func (c *Cluster) RestartEdge(e int) error {
 	c.mu.Lock()
 	ecfg := c.edgeCfgs[e]
@@ -571,12 +558,12 @@ func (c *Cluster) Rehomed() int {
 	return c.rehomed
 }
 
-// MembershipEpoch returns the cloud's current membership epoch (0 when
-// membership mode is off).
+// MembershipEpoch returns the cloud's current membership epoch: one bump
+// per admission and one per death.
 func (c *Cluster) MembershipEpoch() int { return c.cloud.Epoch() }
 
-// DownEdges lists edges currently declared dead by the failure detector
-// (sorted ascending; empty outside membership mode).
+// DownEdges lists edges currently declared dead by the cloud (sorted
+// ascending).
 func (c *Cluster) DownEdges() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -135,11 +135,8 @@ type Edge struct {
 	lastSync   int       // round of the last cloud sync
 	curRound   int       // round currently (or last) executed
 
-	// Membership state: the incarnation epoch assigned by the cloud's
-	// welcome (0 when the membership layer is disabled), the cloud
-	// connection (so Stop/Kill can interrupt a blocked read) and the
-	// graceful-stop flag. epoch and cloudConn are guarded by mu.
-	epoch     int
+	// The cloud connection (so Stop/Kill can interrupt a blocked read),
+	// guarded by mu, and the graceful-stop and kill flags.
 	cloudConn net.Conn
 	stopFlag  atomic.Bool
 	killFlag  atomic.Bool
@@ -181,14 +178,6 @@ func (e *Edge) Kill() {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-// Epoch reports the membership epoch this edge incarnation was welcomed
-// under (0 when the membership layer is disabled).
-func (e *Edge) Epoch() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epoch
 }
 
 // NewEdge builds an edge server and starts its device listener.
@@ -328,15 +317,15 @@ func (e *Edge) Run() error {
 	}
 	var welcome EdgeWelcome
 	t, vec, err := e.m.cloudLink.readMsg(cloud, &welcome)
-	if err != nil || (t != MsgGlobalModel && t != MsgEdgeWelcome) {
-		return fmt.Errorf("fednet: edge %d waiting for init model: type %d, %v", e.cfg.EdgeID, t, err)
+	if err == nil && (t != MsgEdgeWelcome || welcome.LeaseMillis < 1) {
+		err = fmt.Errorf("type %d, lease %d ms", t, welcome.LeaseMillis)
+	}
+	if err != nil {
+		return fmt.Errorf("fednet: edge %d waiting for welcome: %w", e.cfg.EdgeID, err)
 	}
 	e.mu.Lock()
-	if t == MsgEdgeWelcome {
-		e.epoch = welcome.Epoch
-	}
 	switch {
-	case t == MsgEdgeWelcome && welcome.Rejoin:
+	case welcome.Rejoin:
 		// Catch-up sync: this incarnation joins mid-run, so any
 		// checkpointed Eq. 6 progress belongs to a sync era the cloud has
 		// moved past. Adopt the current global model with zero weight and
@@ -355,18 +344,14 @@ func (e *Edge) Run() error {
 	}
 	e.sawCloudModelLocked(vec)
 	e.mu.Unlock()
-	if t == MsgEdgeWelcome {
-		if welcome.Rejoin {
-			e.cfg.Logf("edge %d: rejoined at epoch %d (catch-up sync at round %d)", e.cfg.EdgeID, welcome.Epoch, welcome.Round)
-		} else {
-			e.cfg.Logf("edge %d: joined membership at epoch %d", e.cfg.EdgeID, welcome.Epoch)
-		}
-		if welcome.LeaseMillis > 0 {
-			hbStop := make(chan struct{})
-			defer close(hbStop)
-			go e.heartbeat(time.Duration(welcome.LeaseMillis)*time.Millisecond, welcome.Epoch, hbStop)
-		}
+	if welcome.Rejoin {
+		e.cfg.Logf("edge %d: rejoined at epoch %d (catch-up sync at round %d)", e.cfg.EdgeID, welcome.Epoch, welcome.Round)
+	} else {
+		e.cfg.Logf("edge %d: joined membership at epoch %d", e.cfg.EdgeID, welcome.Epoch)
 	}
+	hbStop := make(chan struct{})
+	defer close(hbStop)
+	go e.heartbeat(time.Duration(welcome.LeaseMillis)*time.Millisecond, welcome.Epoch, hbStop)
 
 	go e.acceptLoop()
 
@@ -419,11 +404,10 @@ func (e *Edge) Run() error {
 		e.weight += st.weight
 		curWeight := e.weight
 		model := e.edgeModel
-		epoch := e.epoch
 		var deviceIDs []int
-		if epoch > 0 && rs.Sync {
-			// Membership mode: report the registered device set on sync
-			// rounds so the cloud can checkpoint the device→edge assignment.
+		if rs.Sync {
+			// Report the registered device set on sync rounds so the cloud
+			// can checkpoint the device→edge assignment.
 			deviceIDs = make([]int, 0, len(e.devices))
 			for id := range e.devices {
 				deviceIDs = append(deviceIDs, id)
@@ -433,7 +417,7 @@ func (e *Edge) Run() error {
 		e.mu.Unlock()
 
 		cloud.SetDeadline(time.Now().Add(e.cfg.Timeout))
-		done := RoundDone{EdgeID: e.cfg.EdgeID, Round: rs.Round, Trained: st.trained, Epoch: epoch, Devices: deviceIDs}
+		done := RoundDone{EdgeID: e.cfg.EdgeID, Round: rs.Round, Trained: st.trained, Epoch: welcome.Epoch, Devices: deviceIDs}
 		var payload []float64
 		if rs.Sync {
 			done.Weight = curWeight

@@ -242,8 +242,9 @@ func TestClusterQuorumFallback(t *testing.T) {
 }
 
 // edgeUnderFakeCloud starts a real edge against a stand-in cloud that
-// admits it with a three-value global model. It returns the edge, the
-// cloud's end of the edge–cloud connection and the edge's Run result.
+// welcomes it at epoch 1 with a three-value global model. It returns the
+// edge, the cloud's end of the edge–cloud connection and the edge's Run
+// result.
 func edgeUnderFakeCloud(t *testing.T, cfg EdgeConfig) (*Edge, net.Conn, <-chan error) {
 	t.Helper()
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -268,7 +269,7 @@ func edgeUnderFakeCloud(t *testing.T, cfg EdgeConfig) (*Edge, net.Conn, <-chan e
 	if mt, _, err := ReadMsg(cc, &re); err != nil || mt != MsgRegisterEdge {
 		t.Fatalf("edge registration: type %d, %v", mt, err)
 	}
-	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, []float64{1, 2, 3}); err != nil {
+	if err := WriteMsg(cc, MsgEdgeWelcome, EdgeWelcome{Epoch: 1, LeaseMillis: 500}, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	return edge, cc, edgeErr

@@ -360,27 +360,15 @@ func TestClusterHoldsFirstRoundForAttach(t *testing.T) {
 	}
 }
 
-// TestFixedSetIsStaticMembership pins the fixed edge set on the merged
-// cloud loop: its frames carry no membership keys, the handshake is the
-// bare global model, and with MinEdges 0 losing an edge still ends the
-// run with the lost-edge error.
-func TestFixedSetIsStaticMembership(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMsg(&buf, MsgRoundStart, RoundStart{Round: 3, Sync: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMsg(&buf, MsgRoundDone, RoundDone{EdgeID: 1, Round: 3, Weight: 2, Trained: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"epoch"`, `"devices"`} {
-		if bytes.Contains(buf.Bytes(), []byte(key)) {
-			t.Errorf("fixed-set frame carries a %s key", key)
-		}
-	}
-
+// TestCloudWelcomesEveryEdge pins the one join handshake: a registering
+// edge is welcomed at a fresh epoch with the default lease interval and
+// the global model, its first round start carries that epoch, and losing
+// the only edge bumps the epoch, counts a failover and ends the run.
+func TestCloudWelcomesEveryEdge(t *testing.T) {
+	reg := obs.NewRegistry()
 	cloud, err := NewCloud(CloudConfig{
 		Addr: "127.0.0.1:0", Edges: 1, Rounds: 5, CloudInterval: 1,
-		InitModel: []float64{1, 2, 3}, Timeout: 5 * time.Second,
+		InitModel: []float64{1, 2, 3}, Timeout: 5 * time.Second, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,24 +383,29 @@ func TestFixedSetIsStaticMembership(t *testing.T) {
 	if err := WriteMsg(conn, MsgRegisterEdge, RegisterEdge{EdgeID: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if typ, vec, err := ReadMsg(conn, nil); err != nil || typ != MsgGlobalModel || len(vec) != 3 {
-		t.Fatalf("handshake: type %d, %d values, %v; want the bare global model", typ, len(vec), err)
+	var w EdgeWelcome
+	if typ, vec, err := ReadMsg(conn, &w); err != nil || typ != MsgEdgeWelcome || len(vec) != 3 ||
+		w != (EdgeWelcome{Epoch: 1, LeaseMillis: 500, Rejoin: false}) {
+		t.Fatalf("handshake: type %d, %+v, %d values, %v; want the welcome at epoch 1", typ, w, len(vec), err)
 	}
 	var rs RoundStart
-	if typ, _, err := ReadMsg(conn, &rs); err != nil || typ != MsgRoundStart || rs.Round != 1 || rs.Epoch != 0 {
+	if typ, _, err := ReadMsg(conn, &rs); err != nil || typ != MsgRoundStart || rs.Round != 1 || rs.Epoch != 1 {
 		t.Fatalf("first round start: type %d, %+v, %v", typ, rs, err)
 	}
 	conn.Close()
 	select {
 	case err := <-runErr:
-		if err == nil || !strings.Contains(err.Error(), "lost edge 0") {
-			t.Fatalf("strict cloud survived losing its edge: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "only 0 edges remain") {
+			t.Fatalf("cloud survived losing its only edge: %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cloud did not return after losing its only edge")
 	}
-	if cloud.Epoch() != 0 {
-		t.Fatalf("fixed set moved the epoch to %d", cloud.Epoch())
+	if cloud.Epoch() != 2 {
+		t.Fatalf("epoch %d after one join and one death, want 2", cloud.Epoch())
+	}
+	if got := reg.Counter("fednet_edge_failovers_total").Value(); got != 1 {
+		t.Fatalf("fednet_edge_failovers_total = %d, want 1", got)
 	}
 }
 

@@ -8,58 +8,21 @@ import (
 	"time"
 )
 
-// MembershipConfig tunes the cloud's self-healing membership layer.
-// With Enabled false (the default) the edge set is static — admitted
-// once at epoch 0, never welcomed, never watched by the detector — and
-// every frame the cloud sends is identical to the pre-membership
-// protocol.
-type MembershipConfig struct {
-	// Enabled turns the layer on: the cloud keeps accepting edges for
-	// the whole run, welcomes each with MsgEdgeWelcome (epoch + lease
-	// interval + current global model), runs a heartbeat failure
-	// detector and fences frames from stale incarnations.
-	Enabled bool
-	// LeaseInterval is the heartbeat period the cloud asks edges for and
-	// the failure detector's tick (default 500 ms).
-	LeaseInterval time.Duration
-	// SuspectMisses is the number of consecutive lease intervals without
-	// a heartbeat after which an edge is suspected (logged and counted,
-	// default 2).
-	SuspectMisses int
-	// DeadMisses is the number of consecutive missed intervals after
-	// which a suspected edge is declared dead: its connections close,
-	// the membership epoch bumps and OnEdgeDown fires (default 4).
-	DeadMisses int
-	// DetectorTick, when set, replaces the wall-clock detector ticker —
-	// tests drive the detector by hand so suspicion and death are a
-	// deterministic function of delivered leases and ticks, independent
-	// of scheduling.
-	DetectorTick <-chan time.Time
-}
-
-// withDefaults fills the zero values. Enabled is left alone.
-func (mc MembershipConfig) withDefaults() MembershipConfig {
-	if mc.LeaseInterval <= 0 {
-		mc.LeaseInterval = 500 * time.Millisecond
-	}
-	if mc.SuspectMisses < 1 {
-		mc.SuspectMisses = 2
-	}
-	if mc.DeadMisses < 1 {
-		mc.DeadMisses = 4
-	}
-	if mc.DeadMisses < mc.SuspectMisses {
-		mc.DeadMisses = mc.SuspectMisses
-	}
-	return mc
-}
+// The failure detector's thresholds, in consecutive lease intervals
+// without a heartbeat: after suspectMisses an edge is suspected (logged),
+// after deadMisses it is declared dead — its connection closes, the
+// membership epoch bumps and OnEdgeDown fires.
+const (
+	suspectMisses = 2
+	deadMisses    = 4
+)
 
 // member is one admitted edge incarnation. A restarted edge gets a new
 // member (and a new epoch); the old one stays dead forever, so every
 // frame carrying its epoch is recognisably stale.
 type member struct {
 	id    int
-	epoch int // incarnation epoch assigned at welcome (0 in a fixed set)
+	epoch int // incarnation epoch assigned at welcome
 	conn  net.Conn
 
 	// Detector state, guarded by membership.mu.
@@ -69,7 +32,7 @@ type member struct {
 	dead      bool
 }
 
-// membership is the cloud's dynamic edge-set bookkeeping: the epoch
+// membership is the cloud's edge-set bookkeeping: the epoch
 // counter, live member table and the queue of edges waiting to be
 // admitted at the next round boundary.
 type membership struct {
@@ -145,21 +108,8 @@ func (ms *membership) recordLease(id, epoch int) bool {
 }
 
 // Epoch reports the current membership epoch: the checkpointed one (0 on
-// a fresh start) until the membership layer bumps it.
+// a fresh start) until an admission or a death bumps it.
 func (c *Cloud) Epoch() int { return c.ms.currentEpoch() }
-
-// Assignment returns a copy of the device→edge assignment the cloud
-// has learned from sync-round reports (membership mode only; empty
-// otherwise). Meaningful once Run has finished or between rounds.
-func (c *Cloud) Assignment() map[int]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]int, len(c.assignment))
-	for d, e := range c.assignment {
-		out[d] = e
-	}
-	return out
-}
 
 // acceptLoop accepts connections for the whole run, dispatching each on
 // its first frame: MsgRegisterEdge queues a join for the next round
@@ -225,52 +175,35 @@ func (c *Cloud) leaseStream(ms *membership, conn net.Conn, id, epoch int) {
 	}
 }
 
-// admit installs one registered edge as a member and sends it the
-// current global model — one of the two places the modes differ. A fixed
-// set admits only before the first round, at epoch 0 and with a bare
-// MsgGlobalModel: the pre-membership handshake, byte for byte. The
-// self-healing membership gives every incarnation a fresh epoch and
-// welcomes it with MsgEdgeWelcome, which a rejoining edge adopts as its
-// catch-up sync. Either way a newcomer supersedes a live member with its
-// id (a restart that beat the failure to be noticed): the old one is
-// fenced so its frames are rejected.
+// admit installs one registered edge as a member at a fresh epoch and
+// welcomes it with MsgEdgeWelcome — the epoch, the lease interval and the
+// current global model, which a rejoining edge adopts as its catch-up
+// sync. A newcomer supersedes a live member with its id (a restart that
+// beat the failure to be noticed): the old one is fenced so its frames
+// are rejected.
 func (c *Cloud) admit(ms *membership, e *edgeConn, lastRound int, rejoin bool) error {
-	dynamic := c.cfg.Membership.Enabled
-	if rejoin && !dynamic {
-		e.conn.Close()
-		return fmt.Errorf("the edge set is fixed")
-	}
 	m := &member{id: e.id, conn: e.conn}
 	ms.mu.Lock()
 	if old := ms.members[e.id]; old != nil && !old.dead {
 		old.dead = true
 		old.conn.Close()
-		if dynamic {
-			ms.epoch++
-		}
+		ms.epoch++
 		c.cfg.Logf("cloud: edge %d superseded by new incarnation; fencing epoch %d", e.id, old.epoch)
 	}
-	if dynamic {
-		ms.epoch++
-		m.epoch = ms.epoch
-	}
+	ms.epoch++
+	m.epoch = ms.epoch
 	ms.members[e.id] = m
 	ms.mu.Unlock()
 
 	e.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	var err error
-	if dynamic {
-		c.m.epochGauge.Set(float64(m.epoch))
-		err = c.m.link.writeMsg(e.conn, MsgEdgeWelcome, EdgeWelcome{
-			Epoch:       m.epoch,
-			Round:       lastRound,
-			LastSync:    c.lastSync,
-			LeaseMillis: int(c.cfg.Membership.LeaseInterval / time.Millisecond),
-			Rejoin:      rejoin,
-		}, c.GlobalModel())
-	} else {
-		err = c.m.link.writeMsg(e.conn, MsgGlobalModel, struct{}{}, c.GlobalModel())
-	}
+	c.m.epochGauge.Set(float64(m.epoch))
+	err := c.m.link.writeMsg(e.conn, MsgEdgeWelcome, EdgeWelcome{
+		Epoch:       m.epoch,
+		Round:       lastRound,
+		LastSync:    c.lastSync,
+		LeaseMillis: int(c.cfg.LeaseInterval / time.Millisecond),
+		Rejoin:      rejoin,
+	}, c.GlobalModel())
 	if err != nil {
 		ms.mu.Lock()
 		m.dead = true
@@ -297,35 +230,21 @@ func (c *Cloud) admit(ms *membership, e *edgeConn, lastRound int, rejoin bool) e
 }
 
 // memberDead excises one member whose round connection failed, whose
-// frame was fenced or whom the detector aged out — the other place the
-// modes differ. A fixed set follows the strict/MinEdges rule: with
-// MinEdges 0 the loss is fatal (the returned error ends the run),
-// otherwise the edge is closed and counted and the run continues subject
-// to checkQuorum. The self-healing membership, exactly once per
-// incarnation, additionally bumps the epoch, records the failover and
-// fires OnEdgeDown so the deployment re-homes the dead edge's devices.
-func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) error {
-	dynamic := c.cfg.Membership.Enabled
-	if !dynamic && c.cfg.MinEdges <= 0 {
-		return fmt.Errorf("fednet: cloud lost edge %d in round %d: %w", m.id, round, cause)
-	}
+// frame was fenced or whom the detector aged out. Exactly once per
+// incarnation it closes the connection, bumps the epoch, records the
+// failover and fires OnEdgeDown so the deployment re-homes the dead
+// edge's devices; the run goes on while checkQuorum allows.
+func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 	ms.mu.Lock()
 	if m.dead {
 		ms.mu.Unlock()
-		return nil
+		return
 	}
 	m.dead = true
-	if dynamic {
-		ms.epoch++
-	}
+	ms.epoch++
 	epoch := ms.epoch
 	ms.mu.Unlock()
 	m.conn.Close()
-	c.m.edgeDrops.Inc()
-	if !dynamic {
-		c.cfg.Logf("cloud: dropped edge %d in round %d: %v", m.id, round, cause)
-		return nil
-	}
 	c.m.failovers.Inc()
 	c.m.epochGauge.Set(float64(epoch))
 	c.cfg.Logf("cloud: edge %d declared dead in round %d (%v); epoch now %d", m.id, round, cause, epoch)
@@ -338,26 +257,19 @@ func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) er
 	if c.cfg.OnEdgeDown != nil {
 		go c.cfg.OnEdgeDown(m.id)
 	}
-	return nil
 }
 
-// runDetector ages members out on missed leases: every tick without a
-// heartbeat increments a member's miss count; SuspectMisses marks it
-// suspected, DeadMisses declares it dead. Timing is wall-clock by
-// default and fully caller-driven through MembershipConfig.DetectorTick
-// in tests.
+// runDetector ages members out on missed leases: every lease interval
+// without a heartbeat increments a member's miss count; suspectMisses
+// marks it suspected, deadMisses declares it dead.
 func (c *Cloud) runDetector(ms *membership, stop <-chan struct{}) {
-	tick := c.cfg.Membership.DetectorTick
-	if tick == nil {
-		t := time.NewTicker(c.cfg.Membership.LeaseInterval)
-		defer t.Stop()
-		tick = t.C
-	}
+	t := time.NewTicker(c.cfg.LeaseInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-tick:
+		case <-t.C:
 			c.detectOnce(ms)
 		}
 	}
@@ -384,9 +296,9 @@ func (c *Cloud) detectOnce(ms *membership) {
 		m.misses++
 		c.m.leaseMisses.Inc()
 		v := verdict{m: m, misses: m.misses}
-		if m.misses >= c.cfg.Membership.DeadMisses {
+		if m.misses >= deadMisses {
 			v.dead = true
-		} else if m.misses >= c.cfg.Membership.SuspectMisses && !m.suspected {
+		} else if m.misses >= suspectMisses && !m.suspected {
 			m.suspected = true
 			v.suspect = true
 		}
@@ -397,9 +309,7 @@ func (c *Cloud) detectOnce(ms *membership) {
 	ms.mu.Unlock()
 	for _, v := range verdicts {
 		if v.dead {
-			// The detector runs in membership mode only, where a loss is
-			// never fatal.
-			_ = c.memberDead(ms, v.m, 0, fmt.Errorf("missed %d lease intervals", v.misses))
+			c.memberDead(ms, v.m, 0, fmt.Errorf("missed %d lease intervals", v.misses))
 		} else if v.suspect {
 			c.cfg.Logf("cloud: edge %d suspected (%d missed lease intervals)", v.m.id, v.misses)
 		}

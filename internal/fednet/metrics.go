@@ -85,11 +85,10 @@ type cloudMetrics struct {
 	rounds      *obs.Counter
 	syncs       *obs.Counter
 	timeouts    *obs.Counter
-	edgeDrops   *obs.Counter
 	checkpoints *obs.Counter
 	roundSpan   *obs.Span
 	// Membership / failure-detector accounting: edges declared dead by
-	// the lease detector (or an RPC failure), rejoins admitted at a
+	// the lease detector or an RPC failure, rejoins admitted at a
 	// bumped epoch, the current membership epoch, missed lease intervals
 	// and frames fenced off for carrying a stale incarnation epoch.
 	failovers   *obs.Counter
@@ -105,7 +104,6 @@ func newCloudMetrics(r *obs.Registry) cloudMetrics {
 		rounds:      r.Counter("fednet_rounds_total"),
 		syncs:       r.Counter("fednet_cloud_syncs_total"),
 		timeouts:    r.Counter("fednet_timeouts_total"),
-		edgeDrops:   r.Counter("fednet_edge_drops_total"),
 		checkpoints: r.Counter("fednet_checkpoints_total"),
 		roundSpan:   r.Span("fednet_rpc_seconds", "op", "cloud_round"),
 		failovers:   r.Counter("fednet_edge_failovers_total"),

@@ -94,11 +94,8 @@ const (
 	// itself a member; a lease carrying a stale epoch identifies a fenced
 	// incarnation and is rejected.
 	MsgLease
-	// MsgEdgeWelcome: cloud → edge after MsgRegisterEdge when the
-	// membership layer is enabled. Header: EdgeWelcome. Carries the
-	// current global model vector; replaces the bare MsgGlobalModel the
-	// legacy (membership-disabled) cloud sends, so an edge can tell which
-	// regime it joined from the first frame it receives.
+	// MsgEdgeWelcome: cloud → edge, the answer to MsgRegisterEdge.
+	// Header: EdgeWelcome. Carries the current global model vector.
 	MsgEdgeWelcome
 )
 
@@ -165,8 +162,7 @@ type RoundStart struct {
 	// device→edge→cloud spans of one round form a single trace tree.
 	Span string `json:"span,omitempty"`
 	// Epoch is the membership epoch the receiving incarnation was
-	// welcomed under (0 when the membership layer is disabled, which
-	// keeps legacy frames byte-identical).
+	// welcomed under.
 	Epoch int `json:"epoch,omitempty"`
 }
 
@@ -181,12 +177,11 @@ type RoundDone struct {
 	Trained int `json:"trained"`
 	// Epoch echoes the incarnation epoch from the edge's welcome; the
 	// cloud fences frames whose epoch does not match the registered
-	// incarnation (a zombie edge that was already declared dead). Zero
-	// when the membership layer is disabled.
+	// incarnation (a zombie edge that was already declared dead).
 	Epoch int `json:"epoch,omitempty"`
 	// Devices lists the device ids currently registered at the edge,
-	// reported on sync rounds when the membership layer is enabled so
-	// the cloud can checkpoint the device→edge assignment. Nil otherwise.
+	// reported on sync rounds so the cloud can checkpoint the
+	// device→edge assignment. Nil on other rounds.
 	Devices []int `json:"devices,omitempty"`
 }
 
