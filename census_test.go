@@ -69,9 +69,7 @@ var unusedAPIAllowlist = map[string]string{
 	"internal/data.GenerateSequences":    "data tests generate unsplit sequence sets",
 	"internal/obs.ReadTraceJSON":         "fednet, hfl, middlesim and bench tests re-parse exported traces",
 	"internal/obs.ValidateTraceEvents":   "fednet, hfl, middlesim and bench tests validate exported traces",
-	"internal/obs.ReadSummary":           "server_test.go reads back a run summary",
 	"internal/obs.Quantile":              "quantile_test.go checks the histogram estimate the tsdb shares",
-	"internal/obs.SetFamilyBudget":       "cardinality_test.go sets small budgets",
 }
 
 // TestNoUnusedAPI is the census gate: an exported function or a method

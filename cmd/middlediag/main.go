@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"middle/internal/obs/flight"
+	"middle/internal/obs/tsdb"
 )
 
 func main() {
@@ -220,25 +221,22 @@ func reportCPU(w io.Writer, dir string, top int) {
 	fmt.Fprintf(w, "%-16s %8.3fs\n", "total", float64(prof.TotalNanos)/1e9)
 }
 
-// tsdbDump mirrors the {"tsdb":1,...} dump document.
-type tsdbDump struct {
-	Series []struct {
-		Name   string       `json:"name"`
-		Points [][2]float64 `json:"points"`
-	} `json:"series"`
-}
-
-func loadDump(dir string) (tsdbDump, bool) {
-	var d tsdbDump
-	ok := readJSON(dir, "tsdb.json", &d)
-	return d, ok && len(d.Series) > 0
+// loadDump reads the bundle's tsdb history (false when absent or empty).
+func loadDump(dir string) ([]tsdb.SeriesData, bool) {
+	f, err := os.Open(filepath.Join(dir, "tsdb.json"))
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	d, err := tsdb.ReadDump(f)
+	return d, err == nil && len(d) > 0
 }
 
 // lastValue returns a series' most recent non-NaN point.
-func lastValue(points [][2]float64) (float64, bool) {
+func lastValue(points []tsdb.Point) (float64, bool) {
 	for i := len(points) - 1; i >= 0; i-- {
-		if !math.IsNaN(points[i][1]) {
-			return points[i][1], true
+		if !math.IsNaN(points[i].V) {
+			return points[i].V, true
 		}
 	}
 	return 0, false
@@ -259,7 +257,7 @@ func reportProfileSeries(w io.Writer, dir string, top int) {
 	collect := func(family string) []row {
 		var rows []row
 		prefix := family + `{phase="`
-		for _, s := range d.Series {
+		for _, s := range d {
 			if !strings.HasPrefix(s.Name, prefix) {
 				continue
 			}
@@ -300,13 +298,13 @@ func reportHotSeries(w io.Writer, dir string, top int) {
 		spread float64
 	}
 	var rows []row
-	for _, s := range d.Series {
+	for _, s := range d {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, p := range s.Points {
-			if math.IsNaN(p[1]) {
+			if math.IsNaN(p.V) {
 				continue
 			}
-			lo, hi = math.Min(lo, p[1]), math.Max(hi, p[1])
+			lo, hi = math.Min(lo, p.V), math.Max(hi, p.V)
 		}
 		if hi > lo && hi-lo > 0 {
 			rows = append(rows, row{s.Name, hi - lo})
@@ -340,7 +338,7 @@ func reportFaults(w io.Writer, dir string) {
 		v    float64
 	}
 	var rows []row
-	for _, s := range d.Series {
+	for _, s := range d {
 		if !faultPattern.MatchString(s.Name) {
 			continue
 		}
@@ -379,7 +377,7 @@ func reportMigrations(w io.Writer, dir string) {
 		v    float64
 	}
 	var rows []row
-	for _, s := range d.Series {
+	for _, s := range d {
 		if !migrationPattern.MatchString(s.Name) {
 			continue
 		}
@@ -419,7 +417,7 @@ func reportMembership(w io.Writer, dir string) {
 		v    float64
 	}
 	var rows []row
-	for _, s := range d.Series {
+	for _, s := range d {
 		if !membershipPattern.MatchString(s.Name) {
 			continue
 		}

@@ -152,3 +152,23 @@ func TestQuorumBreachLeavesABundleMiddlediagExplains(t *testing.T) {
 		t.Errorf("report attributes no CPU to a phase:\n%s", rep)
 	}
 }
+
+// TestReportKeepsLastFiniteValue: a gauge whose last scrape was
+// non-finite ends its dump series with null. The report must show the
+// series' last finite value, not read the null as 0.
+func TestReportKeepsLastFiniteValue(t *testing.T) {
+	dir := t.TempDir()
+	dump := `{"tsdb":1,"interval_ms":1000,"series":[` +
+		`{"name":"fednet_membership_epoch","points":[[1000,2],[2000,3],[3000,null]]},` +
+		`{"name":"fednet_stranded_devices","points":[[1000,0],[2000,0],[3000,0]]}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "tsdb.json"), []byte(dump), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	report(&out, dir, 5, 20)
+	rep := out.String()
+	membership := rep[strings.Index(rep, "== membership / self-healing =="):]
+	if !regexp.MustCompile(`(?m)^fednet_membership_epoch +3$`).MatchString(membership) {
+		t.Fatalf("membership section does not give the epoch's last finite value 3:\n%s", rep)
+	}
+}

@@ -3,8 +3,8 @@
 // CSVs (middlesim -csv), per-run history CSVs (History.WriteCSV), and
 // tsdb dumps (middlesim -tsdb-out), auto-detected from the leading
 // bytes. History files additionally get phase-time, communication and
-// learning-dynamics telemetry charts; tsdb dumps chart a default set of
-// metric groups, or exactly the series matching -series globs.
+// learning-dynamics telemetry charts; tsdb dumps chart the dashboard's
+// panels (tsdb.Panels), or exactly the series matching -series globs.
 //
 //	middleplot -in results/fig6_mnist.csv -smooth 5
 //	middleplot -in results/run_mnist.history.csv
@@ -27,7 +27,7 @@ func main() {
 		height   = flag.Int("height", 18, "chart height")
 		smooth   = flag.Int("smooth", 1, "smoothing window")
 		title    = flag.String("title", "", "chart title (default: file name)")
-		selGlobs = flag.String("series", "", "tsdb dumps: comma-separated series name globs to chart (default: standard groups)")
+		selGlobs = flag.String("series", "", "tsdb dumps: comma-separated series name globs to chart (default: the dashboard panels)")
 	)
 	flag.Parse()
 	if *in == "" {

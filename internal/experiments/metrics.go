@@ -46,8 +46,6 @@ type MetricsConfig struct {
 	// TSDBOut, when set, is where the store's history is dumped at the
 	// end of the run (middlesim's -tsdb-out).
 	TSDBOut string
-	// TSDBCapacity overrides the per-series point budget (0 = 720).
-	TSDBCapacity int
 	// SLORules, when non-empty, is parsed by slo.ParseRules ("default"
 	// selects the standing rule set) and evaluated continuously; it
 	// implies the tsdb.
@@ -94,11 +92,7 @@ func StartMetricsConfig(cfg MetricsConfig) (*Metrics, error) {
 		interval = time.Second
 	}
 	if interval > 0 {
-		store, err := tsdb.New(tsdb.Config{
-			Registry: r,
-			Interval: interval,
-			Capacity: cfg.TSDBCapacity,
-		})
+		store, err := tsdb.New(tsdb.Config{Registry: r, Interval: interval})
 		if err != nil {
 			return nil, err
 		}
@@ -110,10 +104,9 @@ func StartMetricsConfig(cfg MetricsConfig) (*Metrics, error) {
 			return nil, err
 		}
 		engine, err := slo.New(slo.Config{
-			Store:    m.store,
-			Rules:    rules,
-			Events:   cfg.Events,
-			Registry: r,
+			Store:  m.store,
+			Rules:  rules,
+			Events: cfg.Events,
 			// Late-bound through m so the recorder (created below) is
 			// seen: every breach captures a bundle before the exit gate
 			// can tear the process down.
@@ -183,12 +176,6 @@ func registerTensorMetrics(r *obs.Registry) {
 	tensor.EnableKernelStats(true)
 	r.GaugeFunc("tensor_kernel_matmul_calls", func() float64 {
 		return float64(tensor.ReadKernelStats().MatMulCalls)
-	})
-	r.GaugeFunc("tensor_kernel_im2col_calls", func() float64 {
-		return float64(tensor.ReadKernelStats().Im2ColCalls)
-	})
-	r.GaugeFunc("tensor_kernel_col2im_calls", func() float64 {
-		return float64(tensor.ReadKernelStats().Col2ImCalls)
 	})
 }
 

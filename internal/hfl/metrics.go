@@ -35,10 +35,6 @@ type simMetrics struct {
 	moveOpp    *obs.Counter
 	cloudSyncs *obs.Counter
 	evals      *obs.Counter
-	// residentModels tracks how many device model vectors are
-	// materialized (hfl_resident_models) — the memory-boundedness
-	// signal of the lazy store.
-	residentModels *obs.Gauge
 
 	// Robustness layer: adversary corruptions and skipped non-finite SGD
 	// steps (the robust_* series belong to the shared robust.Point).
@@ -63,13 +59,12 @@ type simMetrics struct {
 
 func newSimMetrics(r *obs.Registry) simMetrics {
 	return simMetrics{
-		steps:          r.Counter("sim_steps_total"),
-		selected:       r.Counter("sim_selected_total"),
-		moves:          r.Counter("sim_moves_total"),
-		moveOpp:        r.Counter("sim_move_opportunities_total"),
-		cloudSyncs:     r.Counter("sim_cloud_syncs_total"),
-		evals:          r.Counter("sim_evals_total"),
-		residentModels: r.Gauge("hfl_resident_models"),
+		steps:      r.Counter("sim_steps_total"),
+		selected:   r.Counter("sim_selected_total"),
+		moves:      r.Counter("sim_moves_total"),
+		moveOpp:    r.Counter("sim_move_opportunities_total"),
+		cloudSyncs: r.Counter("sim_cloud_syncs_total"),
+		evals:      r.Counter("sim_evals_total"),
 
 		advCorruptions: r.Counter("hfl_adversary_corruptions_total"),
 		nonfiniteSteps: r.Counter("hfl_nonfinite_steps_total"),

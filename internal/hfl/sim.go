@@ -392,7 +392,6 @@ func (s *Sim) StepOnce() int {
 
 	s.store.endStep(t)
 	s.metrics.roundSpan.Observe(time.Since(roundStart))
-	s.metrics.residentModels.Set(float64(s.store.residentCount()))
 	s.metrics.steps.Inc()
 	s.metrics.selected.Add(int64(len(s.jobs)))
 	s.metrics.moves.Add(int64(s.moves - movesBefore))

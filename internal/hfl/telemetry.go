@@ -66,7 +66,7 @@ type telemetry struct {
 // more; at population scale (1k+ edges) registering millions of series
 // would dominate memory, so beyond this edge count the telemetry keeps
 // its in-memory counters (flowCounts, History columns) but registers no
-// per-edge instruments — nil instruments no-op.
+// per-edge instruments.
 const maxPerEdgeSeries = 128
 
 func newTelemetry(r *obs.Registry, numEdges, numDevices int) *telemetry {
@@ -83,20 +83,13 @@ func newTelemetry(r *obs.Registry, numEdges, numDevices int) *telemetry {
 		participants: r.Gauge("hfl_participating_devices"),
 		flow:         make([]*obs.Counter, numEdges*numEdges),
 	}
-	// Divergence gauges go through the registry's cardinality budget:
-	// every edge registers, the first maxPerEdgeSeries label sets get
-	// real series, and the tail folds into hfl_edge_divergence{edge=
-	// "other"} with obs_dropped_series_total accounting for the folds —
-	// so a 10k-edge run still exposes a bounded, honest family.
-	r.EnsureFamilyBudget("hfl_edge_divergence", maxPerEdgeSeries)
-	for n := 0; n < numEdges; n++ {
-		tel.edgeDiv[n] = r.Gauge("hfl_edge_divergence", "edge", strconv.Itoa(n))
-	}
-	// The flow matrix is numEdges² series; folding cannot make that
-	// registration loop cheap, so past the budget it is skipped outright
-	// (nil counters no-op) and only the in-memory flowCounts remain.
+	// Per-edge families are numEdges (divergence) and numEdges² (flow)
+	// series; past maxPerEdgeSeries edges neither registers (nil
+	// instruments no-op) and the History's edge_div_mean/edge_div_max
+	// and the in-memory flowCounts carry the signal.
 	if numEdges <= maxPerEdgeSeries {
 		for n := 0; n < numEdges; n++ {
+			tel.edgeDiv[n] = r.Gauge("hfl_edge_divergence", "edge", strconv.Itoa(n))
 			for to := 0; to < numEdges; to++ {
 				tel.flow[n*numEdges+to] = r.Counter("hfl_mobility_flow_total", "from", strconv.Itoa(n), "to", strconv.Itoa(to))
 			}

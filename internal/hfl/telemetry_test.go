@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"middle/internal/mobility"
 	"middle/internal/obs"
 )
 
@@ -162,6 +163,29 @@ func TestTelemetryFullStack(t *testing.T) {
 			h.FairnessJain[i] == h2.FairnessJain[i]
 		if !same {
 			t.Fatalf("instrumented run diverged at eval %d", i)
+		}
+	}
+}
+
+// TestPerEdgeSeriesBounded pins the one bound on per-edge series: a
+// Sim registers hfl_edge_divergence and the mobility flow matrix while
+// its edges number at most maxPerEdgeSeries, and neither family past it.
+func TestPerEdgeSeriesBounded(t *testing.T) {
+	f := newFixture(t, 0)
+	for _, edges := range []int{2, maxPerEdgeSeries + 1} {
+		reg := obs.NewRegistry()
+		cfg := smallConfig()
+		cfg.Obs = reg
+		New(cfg, f.factory(), f.part, f.test, mobility.NewStatic(edges, f.part.NumDevices()), &spyStrategy{})
+		families := map[string]bool{}
+		for _, sv := range reg.Collect() {
+			families[sv.Name] = true
+			families[sv.Family] = true
+		}
+		want := edges <= maxPerEdgeSeries
+		if families[`hfl_edge_divergence{edge="0"}`] != want || families["hfl_mobility_flow_total"] != want {
+			t.Errorf("%d edges: divergence %v, flow %v; want both %v", edges,
+				families[`hfl_edge_divergence{edge="0"}`], families["hfl_mobility_flow_total"], want)
 		}
 	}
 }

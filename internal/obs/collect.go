@@ -1,5 +1,7 @@
 package obs
 
+import "sort"
+
 // Collect is the structured scrape API the tsdb layer is built on: a
 // point-in-time snapshot of every series with typed values, in
 // deterministic order (family, then label set). Unlike Snapshot it
@@ -31,40 +33,46 @@ type HistogramValue struct {
 	Sum    float64
 }
 
-// Collect returns every registered series' current value. Nil-safe
-// (returns nil).
+// Collect returns every registered series' current value. It is the
+// one walk of the registry: the exposition and Snapshot render from it.
+// Nil-safe (returns nil).
 func (r *Registry) Collect() []SeriesValue {
 	if r == nil {
 		return nil
 	}
-	fams := r.sortedFamilies()
-	var out []SeriesValue
-	for _, fam := range fams {
-		for _, s := range fam.series {
-			sv := SeriesValue{
-				Name:   seriesName(s.family, s.labels),
-				Family: s.family,
-				Kind:   s.kind.String(),
-			}
-			switch {
-			case s.c != nil:
-				sv.Value = float64(s.c.Value())
-			case s.gf != nil:
-				sv.Value = s.gf()
-			case s.g != nil:
-				sv.Value = s.g.Value()
-			case s.h != nil:
-				sv.Hist = &HistogramValue{
-					Bounds: s.h.bounds,
-					Cum:    s.h.snapshotBuckets(),
-					Count:  s.h.Count(),
-					Sum:    s.h.Sum(),
-				}
-			default:
-				continue
-			}
-			out = append(out, sv)
+	r.mu.Lock()
+	all := make([]*series, 0, len(r.byKey))
+	for _, s := range r.byKey {
+		all = append(all, s)
+	}
+	r.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].family != all[j].family {
+			return all[i].family < all[j].family
 		}
+		return all[i].labels < all[j].labels
+	})
+	out := make([]SeriesValue, 0, len(all))
+	for _, s := range all {
+		sv := SeriesValue{Name: seriesName(s.family, s.labels), Family: s.family, Kind: s.kind}
+		switch {
+		case s.c != nil:
+			sv.Value = float64(s.c.Value())
+		case s.gf != nil:
+			sv.Value = s.gf()
+		case s.g != nil:
+			sv.Value = s.g.Value()
+		case s.h != nil:
+			sv.Hist = &HistogramValue{
+				Bounds: s.h.bounds,
+				Cum:    s.h.snapshotBuckets(),
+				Count:  s.h.Count(),
+				Sum:    s.h.Sum(),
+			}
+		default:
+			continue
+		}
+		out = append(out, sv)
 	}
 	return out
 }

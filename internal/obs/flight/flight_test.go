@@ -137,18 +137,18 @@ func newTestRecorder(t *testing.T, dir string, max int) (*Recorder, *obs.Registr
 	ring := NewEventRing(8)
 	fmt.Fprintf(ring, `{"event":"test"}`+"\n")
 	rec, err := NewRecorder(RecorderConfig{
-		Dir:        dir,
-		Manifest:   obs.Manifest{Name: "flight-test"},
-		Registry:   reg,
-		Store:      store,
-		Engine:     engine,
-		Trace:      obs.NewTrace(64),
-		Events:     ring,
-		MaxBundles: max,
+		Dir:      dir,
+		Manifest: obs.Manifest{Name: "flight-test"},
+		Registry: reg,
+		Store:    store,
+		Engine:   engine,
+		Trace:    obs.NewTrace(64),
+		Events:   ring,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.maxBundles = max
 	return rec, reg
 }
 
@@ -217,7 +217,7 @@ func TestCapturePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(bundles) != 2 {
-		t.Fatalf("retained %d bundles, want 2 (MaxBundles)", len(bundles))
+		t.Fatalf("retained %d bundles, want 2 (maxBundles)", len(bundles))
 	}
 	// The survivors are the newest two (seq 002 and 003).
 	for _, b := range bundles {

@@ -41,8 +41,7 @@ type Profiler struct {
 	lastMu sync.Mutex
 	last   []byte
 
-	windows  *obs.Counter
-	failures *obs.Counter
+	windows *obs.Counter
 
 	force    chan chan []byte
 	stop     chan struct{}
@@ -64,7 +63,6 @@ func StartProfiler(cfg ProfilerConfig) (*Profiler, error) {
 		cfg:       cfg,
 		labelCtxs: map[string]context.Context{},
 		windows:   cfg.Registry.Counter("profile_windows_total"),
-		failures:  cfg.Registry.Counter("profile_window_failures_total"),
 		force:     make(chan chan []byte),
 		stop:      make(chan struct{}),
 	}
@@ -120,8 +118,7 @@ func (p *Profiler) loop() {
 		buf.Reset()
 		if err := pprof.StartCPUProfile(&buf); err != nil {
 			// Another profiler holds the runtime slot (e.g. an in-flight
-			// /debug/pprof/profile request); count it and wait a window.
-			p.failures.Inc()
+			// /debug/pprof/profile request); wait a window.
 			select {
 			case <-time.After(p.cfg.Interval):
 			case reply := <-p.force:
@@ -159,7 +156,6 @@ func (p *Profiler) ingest(raw []byte) {
 	p.windows.Inc()
 	prof, err := ParseCPUProfile(raw)
 	if err != nil {
-		p.failures.Inc()
 		return
 	}
 	for phase, ns := range prof.Phases {

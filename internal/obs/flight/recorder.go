@@ -121,10 +121,11 @@ type RecorderConfig struct {
 	Trace *obs.Trace
 	// Events is the recent-event ring.
 	Events *EventRing
-	// MaxBundles bounds how many bundles Dir retains; older ones are
-	// pruned after each capture (default 8, negative = unlimited).
-	MaxBundles int
 }
+
+// maxBundles bounds how many bundles a recorder's Dir retains; older
+// ones are pruned after each capture.
+const maxBundles = 8
 
 // Recorder captures postmortem bundles: timestamped directories
 // holding everything needed to explain a failure after the process is
@@ -132,8 +133,9 @@ type RecorderConfig struct {
 // renamed) so a bundle either exists completely or not at all.
 // A nil *Recorder is fully inert.
 type Recorder struct {
-	cfg      RecorderConfig
-	profiler *Profiler
+	cfg        RecorderConfig
+	profiler   *Profiler
+	maxBundles int // maxBundles; tests shrink it
 
 	mu  sync.Mutex
 	seq int
@@ -151,12 +153,10 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flight: creating %s: %w", cfg.Dir, err)
 	}
-	if cfg.MaxBundles == 0 {
-		cfg.MaxBundles = 8
-	}
 	return &Recorder{
-		cfg:      cfg,
-		captures: cfg.Registry.Counter("flight_captures_total"),
+		cfg:        cfg,
+		maxBundles: maxBundles,
+		captures:   cfg.Registry.Counter("flight_captures_total"),
 	}, nil
 }
 
@@ -300,12 +300,9 @@ func (r *Recorder) Capture(reason string) (string, error) {
 	return final, nil
 }
 
-// pruneLocked removes the oldest bundles beyond MaxBundles (the
+// pruneLocked removes the oldest bundles beyond maxBundles (the
 // lexicographic sort of the timestamped names is the age order).
 func (r *Recorder) pruneLocked() {
-	if r.cfg.MaxBundles < 0 {
-		return
-	}
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
 		return
@@ -317,7 +314,7 @@ func (r *Recorder) pruneLocked() {
 		}
 	}
 	sort.Strings(bundles)
-	for len(bundles) > r.cfg.MaxBundles {
+	for len(bundles) > r.maxBundles {
 		_ = os.RemoveAll(filepath.Join(r.cfg.Dir, bundles[0]))
 		bundles = bundles[1:]
 	}

@@ -29,75 +29,56 @@ import (
 	"sync/atomic"
 )
 
-// kind discriminates instrument families for exposition.
-type kind uint8
-
+// The instrument kinds, spelled as the exposition's TYPE line and
+// SeriesValue.Kind name them.
 const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   = "counter"
+	kindGauge     = "gauge"
+	kindHistogram = "histogram"
 )
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
 
 // series is one registered instrument: a metric family name plus a
 // fixed label set. Exactly one of c/g/gf/h is non-nil.
 type series struct {
 	family string
 	labels string // rendered `k1="v1",k2="v2"`, or ""
-	kind   kind
+	kind   string
 	c      *Counter
 	g      *Gauge
 	gf     func() float64
 	h      *Histogram
 }
 
-// key returns the unique registry key for the series.
-func (s *series) key() string {
-	if s.labels == "" {
-		return s.family
+// seriesName renders the series key family{labels}, or the bare family.
+func seriesName(family, labels string) string {
+	if labels == "" {
+		return family
 	}
-	return s.family + "{" + s.labels + "}"
+	return family + "{" + labels + "}"
 }
 
 // Registry is a named set of instruments. The zero value is not usable;
 // call NewRegistry. A nil *Registry is the disabled mode: it hands out
 // nil instruments whose methods do nothing.
 type Registry struct {
-	mu     sync.Mutex
-	byKey  map[string]*series
-	kinds  map[string]kind // family -> kind, guards cross-type reuse
-	bounds map[string]string
-
-	// Cardinality governance (see cardinality.go): per-family label-set
-	// budgets, distinct-series counts, the space-saving summaries of
-	// folded label sets, and the per-family dropped counters.
-	budgets   map[string]int
-	famCount  map[string]int
-	foldTrack map[string]*spaceSaving
-	dropped   map[string]*Counter
+	mu    sync.Mutex
+	byKey map[string]*series
+	kinds map[string]string // family -> kind, guards cross-type reuse
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byKey:     map[string]*series{},
-		kinds:     map[string]kind{},
-		bounds:    map[string]string{},
-		budgets:   map[string]int{},
-		famCount:  map[string]int{},
-		foldTrack: map[string]*spaceSaving{},
-		dropped:   map[string]*Counter{},
+	return &Registry{byKey: map[string]*series{}, kinds: map[string]string{}}
+}
+
+// NumSeries returns the number of registered series (0 for nil).
+func (r *Registry) NumSeries() int {
+	if r == nil {
+		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.byKey)
 }
 
 // renderLabels turns alternating key, value strings into the canonical
@@ -127,28 +108,22 @@ func renderLabels(labels []string) string {
 }
 
 // register resolves (family, labels) to its series, creating it with
-// mk on first use and panicking on a kind mismatch with prior use. A
-// family at its label budget resolves new label sets to the shared
-// `other` series instead (see cardinality.go).
-func (r *Registry) register(family string, k kind, labels []string, mk func() *series) *series {
+// mk on first use and panicking on a kind mismatch with prior use.
+func (r *Registry) register(family, k string, labels []string, mk func() *series) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prior, ok := r.kinds[family]; ok && prior != k {
 		panic(fmt.Sprintf("obs: %s already registered as %s, not %s", family, prior, k))
 	}
-	s := &series{family: family, labels: renderLabels(labels), kind: k}
-	if existing, ok := r.byKey[s.key()]; ok {
+	rendered := renderLabels(labels)
+	key := seriesName(family, rendered)
+	if existing, ok := r.byKey[key]; ok {
 		return existing
 	}
-	if len(labels) > 0 && r.overBudgetLocked(family) {
-		r.kinds[family] = k
-		return r.foldLocked(family, k, labels, mk)
-	}
 	made := mk()
-	made.family, made.labels, made.kind = s.family, s.labels, s.kind
-	r.byKey[s.key()] = made
+	made.family, made.labels, made.kind = family, rendered, k
+	r.byKey[key] = made
 	r.kinds[family] = k
-	r.famCount[family]++
 	return made
 }
 

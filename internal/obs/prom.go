@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -12,49 +12,30 @@ import (
 // exposition format (version 0.0.4), sorted by family then label set so
 // output is deterministic. Nil-safe (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	for _, fam := range r.sortedFamilies() {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.kind); err != nil {
-			return err
+	var b bytes.Buffer
+	family := ""
+	for _, sv := range r.Collect() {
+		if sv.Family != family {
+			family = sv.Family
+			fmt.Fprintf(&b, "# TYPE %s %s\n", family, sv.Kind)
 		}
-		for _, s := range fam.series {
-			if err := writeSeries(w, s); err != nil {
-				return err
+		switch h := sv.Hist; {
+		case h != nil:
+			labels := labelsOf(sv)
+			for i, bound := range h.Bounds {
+				fmt.Fprintf(&b, "%s_bucket{%s} %d\n", family, labelsPlus(labels, `le="`+formatFloat(bound)+`"`), h.Cum[i])
 			}
+			fmt.Fprintf(&b, "%s_bucket{%s} %d\n", family, labelsPlus(labels, `le="+Inf"`), h.Cum[len(h.Cum)-1])
+			fmt.Fprintf(&b, "%s_sum%s %s\n", family, sv.Name[len(family):], formatFloat(h.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", family, sv.Name[len(family):], h.Count)
+		case sv.Kind == kindCounter:
+			fmt.Fprintf(&b, "%s %d\n", sv.Name, int64(sv.Value))
+		default:
+			fmt.Fprintf(&b, "%s %s\n", sv.Name, formatFloat(sv.Value))
 		}
 	}
-	return nil
-}
-
-type familyView struct {
-	name   string
-	kind   kind
-	series []*series
-}
-
-// sortedFamilies snapshots the registry ordered by family name and,
-// within a family, by label set.
-func (r *Registry) sortedFamilies() []familyView {
-	r.mu.Lock()
-	byFam := map[string]*familyView{}
-	for _, s := range r.byKey {
-		f, ok := byFam[s.family]
-		if !ok {
-			f = &familyView{name: s.family, kind: s.kind}
-			byFam[s.family] = f
-		}
-		f.series = append(f.series, s)
-	}
-	r.mu.Unlock()
-	out := make([]familyView, 0, len(byFam))
-	for _, f := range byFam {
-		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
-		out = append(out, *f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -70,12 +51,12 @@ func jsonValue(v float64) any {
 	return v
 }
 
-// seriesName renders family{labels} (or bare family).
-func seriesName(family, labels string) string {
-	if labels == "" {
-		return family
+// labelsOf returns a collected series' rendered label set ("" for none).
+func labelsOf(sv SeriesValue) string {
+	if braced := sv.Name[len(sv.Family):]; braced != "" {
+		return braced[1 : len(braced)-1]
 	}
-	return family + "{" + labels + "}"
+	return ""
 }
 
 // labelsPlus appends one extra label pair to an existing rendered set.
@@ -86,46 +67,6 @@ func labelsPlus(labels, extra string) string {
 	return labels + "," + extra
 }
 
-func writeSeries(w io.Writer, s *series) error {
-	switch {
-	case s.c != nil:
-		_, err := fmt.Fprintf(w, "%s %d\n", seriesName(s.family, s.labels), s.c.Value())
-		return err
-	case s.gf != nil:
-		_, err := fmt.Fprintf(w, "%s %s\n", seriesName(s.family, s.labels), formatFloat(s.gf()))
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s %s\n", seriesName(s.family, s.labels), formatFloat(s.g.Value()))
-		return err
-	case s.h != nil:
-		h := s.h
-		cum := h.snapshotBuckets()
-		for i, bound := range h.bounds {
-			le := labelsPlus(s.labels, `le="`+formatFloat(bound)+`"`)
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", s.family, le, cum[i]); err != nil {
-				return err
-			}
-		}
-		le := labelsPlus(s.labels, `le="+Inf"`)
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", s.family, le, cum[len(cum)-1]); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.family, braced(s.labels), formatFloat(h.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.family, braced(s.labels), h.Count())
-		return err
-	}
-	return nil
-}
-
-func braced(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "}"
-}
-
 // Snapshot returns every series' current value as a plain map suitable
 // for JSON encoding: counters and gauges map to numbers, histograms to
 // {count, sum, buckets: {le: cumulative}}. Nil-safe (returns nil).
@@ -134,29 +75,19 @@ func (r *Registry) Snapshot() map[string]any {
 		return nil
 	}
 	out := map[string]any{}
-	for _, fam := range r.sortedFamilies() {
-		for _, s := range fam.series {
-			key := seriesName(s.family, s.labels)
-			switch {
-			case s.c != nil:
-				out[key] = s.c.Value()
-			case s.gf != nil:
-				out[key] = jsonValue(s.gf())
-			case s.g != nil:
-				out[key] = jsonValue(s.g.Value())
-			case s.h != nil:
-				cum := s.h.snapshotBuckets()
-				buckets := map[string]int64{}
-				for i, bound := range s.h.bounds {
-					buckets[formatFloat(bound)] = cum[i]
-				}
-				buckets["+Inf"] = cum[len(cum)-1]
-				out[key] = map[string]any{
-					"count":   s.h.Count(),
-					"sum":     jsonValue(s.h.Sum()),
-					"buckets": buckets,
-				}
+	for _, sv := range r.Collect() {
+		switch h := sv.Hist; {
+		case h != nil:
+			buckets := map[string]int64{}
+			for i, bound := range h.Bounds {
+				buckets[formatFloat(bound)] = h.Cum[i]
 			}
+			buckets["+Inf"] = h.Cum[len(h.Cum)-1]
+			out[sv.Name] = map[string]any{"count": h.Count, "sum": jsonValue(h.Sum), "buckets": buckets}
+		case sv.Kind == kindCounter:
+			out[sv.Name] = int64(sv.Value)
+		default:
+			out[sv.Name] = jsonValue(sv.Value)
 		}
 	}
 	return out

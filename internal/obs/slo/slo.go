@@ -196,9 +196,6 @@ type Config struct {
 	// Events, when set, receives slo_breach / slo_resolve events on
 	// state transitions.
 	Events *obs.Emitter
-	// Registry, when set, gains slo_rules / slo_firing gauges and an
-	// slo_breaches_total counter.
-	Registry *obs.Registry
 	// OnBreach, when set, is invoked once per rule transition into
 	// firing, after the evaluation pass and outside the engine's lock —
 	// the flight recorder hooks here so a bundle is captured while the
@@ -216,9 +213,6 @@ type Engine struct {
 
 	mu     sync.Mutex
 	states []*ruleState
-
-	firingGauge *obs.Gauge
-	breachCount *obs.Counter
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -241,11 +235,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg}
 	for _, r := range cfg.Rules {
 		e.states = append(e.states, &ruleState{rule: r, lastState: "pending"})
-	}
-	if cfg.Registry != nil {
-		cfg.Registry.Gauge("slo_rules").Set(float64(len(cfg.Rules)))
-		e.firingGauge = cfg.Registry.Gauge("slo_firing")
-		e.breachCount = cfg.Registry.Counter("slo_breaches_total")
 	}
 	return e, nil
 }
@@ -314,7 +303,6 @@ func (e *Engine) EvalNow() {
 	now := time.Now()
 	var newlyFiring []string
 	e.mu.Lock()
-	firing := 0
 	for _, st := range e.states {
 		v, ok := e.cfg.Store.Reduce(st.rule.Series, st.rule.Reducer, st.rule.Window)
 		var state string
@@ -343,12 +331,8 @@ func (e *Engine) EvalNow() {
 		st.firing = state == "firing"
 		st.lastState = state
 		if st.firing {
-			firing++
 			if !wasFiring {
 				st.everFired = true
-				if e.breachCount != nil {
-					e.breachCount.Inc()
-				}
 				e.cfg.Events.Emit("slo_breach",
 					"rule", st.rule.Name,
 					"value", v,
@@ -361,7 +345,6 @@ func (e *Engine) EvalNow() {
 				"value", v)
 		}
 	}
-	e.firingGauge.Set(float64(firing))
 	e.mu.Unlock()
 	if e.cfg.OnBreach != nil {
 		for _, name := range newlyFiring {

@@ -97,7 +97,7 @@ func TestEngineBreachAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Store: s, Rules: rules, Events: em, Registry: r})
+	e, err := New(Config{Store: s, Rules: rules, Events: em})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,22 +13,14 @@ import "time"
 // Begin/End are goroutine-safe (overlapping tokens from many goroutines
 // record independently), allocation-free (the token is a value), and on
 // a nil Span cost one nil check each — no clock read.
-type Span struct {
-	h     *Histogram
-	count *Counter
-}
+type Span struct{ h *Histogram }
 
-// Span registers (or fetches) a seconds histogram for a phase timer,
-// plus a companion <name>_started_total counter so in-flight phases are
-// visible (started − histogram count = currently running).
+// Span registers (or fetches) a seconds histogram for a phase timer.
 func (r *Registry) Span(name string, labels ...string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{
-		h:     r.Histogram(name, DurationBuckets(), labels...),
-		count: r.Counter(name+"_started_total", labels...),
-	}
+	return &Span{h: r.Histogram(name, DurationBuckets(), labels...)}
 }
 
 // SpanToken is an in-flight phase started by Span.Begin. The zero token
@@ -43,7 +35,6 @@ func (s *Span) Begin() SpanToken {
 	if s == nil {
 		return SpanToken{}
 	}
-	s.count.Inc()
 	return SpanToken{s: s, start: time.Now()}
 }
 
@@ -63,6 +54,5 @@ func (s *Span) Observe(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.count.Inc()
 	s.h.Observe(d.Seconds())
 }

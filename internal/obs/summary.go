@@ -58,17 +58,3 @@ func WriteSummary(path string, m Manifest, r *Registry) error {
 func SummaryPath(dir, name string, t time.Time) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%s.json", name, t.UTC().Format("20060102T150405")))
 }
-
-// ReadSummary loads a summary written by WriteSummary, returning the
-// manifest and the raw metrics map.
-func ReadSummary(path string) (Manifest, map[string]any, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	var s summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Manifest{}, nil, fmt.Errorf("obs: decoding summary %s: %w", path, err)
-	}
-	return s.Manifest, s.Metrics, nil
-}

@@ -24,12 +24,11 @@ import (
 // (DefaultTraceCap) and drops-with-count once full, keeping a
 // long-lived daemon's memory finite.
 type Trace struct {
-	mu      sync.Mutex
-	start   time.Time
-	events  []TraceEvent
-	names   map[int]string // pid -> process name metadata
-	max     int
-	dropped int64
+	mu     sync.Mutex
+	start  time.Time
+	events []TraceEvent
+	names  map[int]string // pid -> process name metadata
+	max    int
 }
 
 // TraceEvent is one Chrome trace-event record. Ts and Dur are
@@ -51,7 +50,7 @@ const DefaultTraceCap = 1 << 16
 
 // NewTrace returns an empty trace whose clock starts now. maxEvents
 // bounds the buffer (0 = DefaultTraceCap); once full, further events
-// are dropped and counted.
+// are dropped.
 func NewTrace(maxEvents int) *Trace {
 	if maxEvents <= 0 {
 		maxEvents = DefaultTraceCap
@@ -113,9 +112,7 @@ func (t *Trace) Complete(name, cat string, pid, tid int, start time.Time, d time
 		Pid: pid, Tid: tid, Args: args,
 	}
 	t.mu.Lock()
-	if len(t.events) >= t.max {
-		t.dropped++
-	} else {
+	if len(t.events) < t.max {
 		t.events = append(t.events, ev)
 	}
 	t.mu.Unlock()
@@ -129,16 +126,6 @@ func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
-}
-
-// Dropped returns how many events the cap discarded (0 for nil).
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Events returns a snapshot copy of the collected events, metadata

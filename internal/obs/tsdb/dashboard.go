@@ -1,17 +1,46 @@
 package tsdb
 
-import "net/http"
+import (
+	"encoding/json"
+	"net/http"
+	"strings"
+)
+
+// Panel is one chart: a title and the series it draws, as exact names
+// or '*' globs.
+type Panel struct {
+	Title  string   `json:"title"`
+	Series []string `json:"series"`
+}
+
+// Panels is the chart table of a run's vital signs. The dashboard draws
+// it live; middleplot draws the panels a dump has series for.
+var Panels = []Panel{
+	{"Global model", []string{"hfl_global_accuracy"}},
+	{"Round duration p99 (s)", []string{"sim_round_seconds_p99", `fednet_rpc_seconds_p99{op="cloud_round"}`}},
+	{"Per-edge divergence", []string{"hfl_edge_divergence{*"}},
+	{"Similarity utility p50 (Eq. 12 selection, Eq. 9 blend)", []string{"hfl_selection_utility_p50", "hfl_blend_utility_p50"}},
+	{"Mobility (moves, handovers)", []string{"sim_moves_total", "fednet_migrations_total{*"}},
+	{"Handover latency (s)", []string{"fednet_handover_seconds_p99", "fednet_handover_seconds_p50", "fednet_handover_seconds_count"}},
+	{"Faults, retries, rejects", []string{"*retries_total", "fednet_injected_faults_total{*", "robust_rejected_updates_total*",
+		"fednet_quorum_misses_total", "hfl_adversary_corruptions_total"}},
+	{"Membership (epoch, failovers, re-homes)", []string{"fednet_membership_epoch", "fednet_edge_failovers_total",
+		"fednet_rehomed_devices_total", "fednet_stranded_devices", "fednet_lease_misses_total", "fednet_stale_frames_total"}},
+	{"Memory (bytes)", []string{"process_peak_rss_bytes", "process_heap_inuse_bytes"}},
+	{"Series", []string{"obs_series", "tsdb_series", "tsdb_dropped_series_total"}},
+	{"Participation", []string{"hfl_participating_devices", "sim_round_seconds_count"}},
+}
 
 // DashboardHandler serves the embedded live dashboard: a single
 // zero-dependency HTML+JS page that polls /api/query and /api/alerts
-// and renders canvas line charts for the run's vital signs —
-// accuracy, per-edge divergence, mobility flow, faults/retries,
-// memory, and round latency. No external assets, no frameworks: the
-// page works from an air-gapped lab host.
+// and renders one canvas line chart per entry of Panels. No external
+// assets, no frameworks: the page works from an air-gapped lab host.
 func (s *Store) DashboardHandler() http.Handler {
+	panels, _ := json.Marshal(Panels) // a table of strings always encodes
+	page := []byte(strings.Replace(dashboardHTML, "PANELS_JSON", string(panels), 1))
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write([]byte(dashboardHTML))
+		_, _ = w.Write(page)
 	})
 }
 
@@ -78,21 +107,10 @@ footer { margin-top: 12px; color: var(--ink-3); font-size: 12px; }
 <footer>polls /api/query every 2s &middot; <a href="/metrics" style="color:var(--ink-2)">/metrics</a> &middot; <a href="/status" style="color:var(--ink-2)">/status</a> &middot; <a href="/api/series" style="color:var(--ink-2)">/api/series</a></footer>
 <script>
 "use strict";
-// Panels: each pulls a set of series patterns and draws them on one
-// canvas with a shared y-axis. Colors come from the categorical slots
+// Panels (tsdb.Panels): each pulls a set of series patterns and draws
+// them on one canvas with a shared y-axis. Colors come from the categorical slots
 // in fixed order; more matches than slots fold into the last slot.
-var PANELS = [
-  { title: "Global model", unit: "", series: ["hfl_global_accuracy"] },
-  { title: "Round duration p99 (s)", unit: "s", series: ["sim_round_seconds_p99", "fednet_rpc_seconds_p99{op=\"cloud_round\"}"] },
-  { title: "Per-edge divergence", unit: "", series: ["hfl_edge_divergence{*"] },
-  { title: "Mobility (moves, handovers)", unit: "", series: ["sim_moves_total", "fednet_migrations_total{*"] },
-  { title: "Handover latency (s)", unit: "s", series: ["fednet_handover_seconds_p99", "fednet_handover_seconds_p50", "fednet_handover_seconds_count"] },
-  { title: "Faults, retries, rejects", unit: "", series: ["*retries_total", "fednet_injected_faults_total{*", "robust_rejected_updates_total*", "fednet_quorum_misses_total"] },
-  { title: "Membership (epoch, failovers, re-homes)", unit: "", series: ["fednet_membership_epoch", "fednet_edge_failovers_total", "fednet_rehomed_devices_total", "fednet_stranded_devices", "fednet_lease_misses_total", "fednet_stale_frames_total"] },
-  { title: "Memory (bytes)", unit: "B", series: ["process_peak_rss_bytes", "process_heap_inuse_bytes"] },
-  { title: "Series governance", unit: "", series: ["obs_series", "tsdb_series", "obs_dropped_series_total{*", "tsdb_dropped_series_total"] },
-  { title: "Participation", unit: "", series: ["hfl_participating_devices", "sim_round_seconds_count"] }
-];
+var PANELS = PANELS_JSON;
 var css = getComputedStyle(document.documentElement);
 function tok(n) { return css.getPropertyValue(n).trim(); }
 var CAT = [tok("--cat-1"), tok("--cat-2"), tok("--cat-3")];

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -127,6 +128,13 @@ func (s *Store) SeriesHandler() http.Handler {
 	})
 }
 
+// dumpDoc is the dump document WriteDump writes.
+type dumpDoc struct {
+	TSDB       int          `json:"tsdb"`
+	IntervalMS int64        `json:"interval_ms"`
+	Series     []jsonSeries `json:"series"`
+}
+
 // WriteDump writes the whole store as one JSON document:
 //
 //	{"tsdb":1,"interval_ms":...,"series":[{"name":...,"points":[[t,v],...]}]}
@@ -138,13 +146,39 @@ func (s *Store) WriteDump(w io.Writer) error {
 		return nil
 	}
 	all := s.Query([]string{"*"}, 0, 0)
-	doc := struct {
-		TSDB       int          `json:"tsdb"`
-		IntervalMS int64        `json:"interval_ms"`
-		Series     []jsonSeries `json:"series"`
-	}{TSDB: 1, IntervalMS: s.cfg.Interval.Milliseconds(), Series: toJSONSeries(all)}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(dumpDoc{TSDB: 1, IntervalMS: s.cfg.Interval.Milliseconds(), Series: toJSONSeries(all)})
+}
+
+// ReadDump decodes a document WriteDump wrote. A null value — a
+// non-finite sample — reads back as NaN.
+func ReadDump(r io.Reader) ([]SeriesData, error) {
+	var doc struct {
+		TSDB   int `json:"tsdb"`
+		Series []struct {
+			Name   string        `json:"name"`
+			Points [][2]*float64 `json:"points"`
+		} `json:"series"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("tsdb: reading dump: %w", err)
+	}
+	if doc.TSDB != 1 {
+		return nil, fmt.Errorf("tsdb: not a version 1 dump (tsdb=%d)", doc.TSDB)
+	}
+	out := make([]SeriesData, len(doc.Series))
+	for i, js := range doc.Series {
+		out[i] = SeriesData{Name: js.Name, Points: make([]Point, len(js.Points))}
+		for j, p := range js.Points {
+			if p[0] == nil {
+				return nil, fmt.Errorf("tsdb: series %s point %d has no time", js.Name, j)
+			}
+			out[i].Points[j] = Point{T: int64(*p[0]), V: math.NaN()}
+			if p[1] != nil {
+				out[i].Points[j].V = *p[1]
+			}
+		}
+	}
+	return out, nil
 }
 
 // DumpToFile scrapes once more and writes the dump to path. Nil-safe.

@@ -47,7 +47,7 @@ func (s *Store) Reduce(series, reducer string, window time.Duration) (float64, b
 	defer s.mu.Unlock()
 	best, ok := 0.0, false
 	for name, r := range s.scalars {
-		if !matches(series, name) {
+		if !Match(series, name) {
 			continue
 		}
 		v, vok := reduceRing(r, reducer, window)
@@ -88,7 +88,7 @@ func (s *Store) reduceQuantile(series string, q float64, window time.Duration) (
 	defer s.mu.Unlock()
 	best, ok := 0.0, false
 	for name, h := range s.hists {
-		if !matches(series, name) || len(h.ts) == 0 {
+		if !Match(series, name) || len(h.ts) == 0 {
 			continue
 		}
 		newest := len(h.ts) - 1

@@ -3,21 +3,19 @@
 // interval into per-series ring buffers of bounded capacity, so any run
 // carries its own queryable history — no Prometheus server required.
 //
-// Memory is bounded three ways. Each series holds at most Capacity
-// points; when the rings fill, every series is decimated in place (every
-// second point dropped) and the append stride doubles, so retention
-// keeps growing at halving resolution — a classic downsampling ring.
-// The store admits at most MaxSeries series (later discoveries are
-// dropped and counted in tsdb_dropped_series_total), and the registry's
-// own cardinality governance bounds what there is to scrape in the
-// first place.
+// Memory is bounded two ways. Each series holds at most 720 points;
+// when the rings fill, every series is decimated in place (every second
+// point dropped) and the append stride doubles, so retention keeps
+// growing at halving resolution — a classic downsampling ring. And the
+// store admits at most 4,096 series (later discoveries are dropped and
+// counted in tsdb_dropped_series_total).
 //
 // Histograms are scraped structurally: alongside the raw _count series,
 // the store keeps a ring of cumulative-bucket snapshots per histogram
-// and synthesizes rolling-window quantile series (<name>_p50, _p99 by
-// default) from bucket deltas at each scrape — so "round p99 over the
-// last minute" is an ordinary scalar series, queryable over /api/query
-// and usable in SLO rules.
+// and synthesizes rolling one-minute quantile series (<name>_p50 and
+// _p99) from bucket deltas at each scrape — so "round p99 over the last
+// minute" is an ordinary scalar series, queryable over /api/query and
+// usable in SLO rules.
 package tsdb
 
 import (
@@ -30,26 +28,27 @@ import (
 	"middle/internal/obs"
 )
 
-// Config configures a Store. The zero value of every field has a
-// usable default.
+// Config configures a Store.
 type Config struct {
 	// Registry is the scrape source (required).
 	Registry *obs.Registry
 	// Interval between scrapes for Start (default 1s).
 	Interval time.Duration
-	// Capacity is the per-series point budget (default 720). At the
-	// default 1s interval the first decimation lands after 12 minutes.
-	Capacity int
-	// MaxSeries bounds the number of stored series, synthesized
-	// quantile series included (default 4096).
-	MaxSeries int
-	// Quantiles are the rolling quantiles synthesized per histogram
-	// (default 0.5 and 0.99).
-	Quantiles []float64
-	// QuantileWindow is the rolling window for synthesized quantiles
-	// (default 60s).
-	QuantileWindow time.Duration
 }
+
+const (
+	// capacity is the per-series point budget. At the default 1s
+	// interval the first decimation lands after 12 minutes.
+	capacity = 720
+	// maxSeries bounds the number of stored series, synthesized
+	// quantile series included.
+	maxSeries = 4096
+	// quantileWindow is the rolling window of the synthesized quantiles.
+	quantileWindow = time.Minute
+)
+
+// quantiles are the rolling quantiles synthesized per histogram.
+var quantiles = []float64{0.5, 0.99}
 
 // Point is one sample: T is unix milliseconds, V the value.
 type Point struct {
@@ -89,15 +88,18 @@ type Store struct {
 	stride  int   // append every stride-th scrape
 	scrapes int64 // scrapes seen (including strided-out ones)
 
-	scrapeCount *obs.Counter
-	dropCount   *obs.Counter
+	// capacity and maxSeries start at the package constants; tests
+	// shrink them before the first scrape.
+	capacity, maxSeries int
+
+	dropCount *obs.Counter
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
 // New builds a store over cfg.Registry. It registers its own meta
-// series (tsdb_series, tsdb_scrapes_total, tsdb_dropped_series_total)
+// series (tsdb_series, tsdb_dropped_series_total)
 // on the registry so the store's health is visible in its own scrape.
 func New(cfg Config) (*Store, error) {
 	if cfg.Registry == nil {
@@ -106,28 +108,14 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 720
-	}
-	if cfg.Capacity < 4 {
-		cfg.Capacity = 4
-	}
-	if cfg.MaxSeries <= 0 {
-		cfg.MaxSeries = 4096
-	}
-	if len(cfg.Quantiles) == 0 {
-		cfg.Quantiles = []float64{0.5, 0.99}
-	}
-	if cfg.QuantileWindow <= 0 {
-		cfg.QuantileWindow = time.Minute
-	}
 	s := &Store{
-		cfg:     cfg,
-		scalars: map[string]*ring{},
-		hists:   map[string]*histRing{},
-		stride:  1,
+		cfg:       cfg,
+		scalars:   map[string]*ring{},
+		hists:     map[string]*histRing{},
+		stride:    1,
+		capacity:  capacity,
+		maxSeries: maxSeries,
 	}
-	s.scrapeCount = cfg.Registry.Counter("tsdb_scrapes_total")
 	s.dropCount = cfg.Registry.Counter("tsdb_dropped_series_total")
 	cfg.Registry.GaugeFunc("tsdb_series", func() float64 {
 		return float64(s.NumSeries())
@@ -197,7 +185,6 @@ func (s *Store) scrapeAt(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scrapes++
-	s.scrapeCount.Inc()
 	if (s.scrapes-1)%int64(s.stride) != 0 {
 		return
 	}
@@ -218,12 +205,12 @@ func (s *Store) scrapeAt(now time.Time) {
 // lockstep, so the longest one decides).
 func (s *Store) fullLocked() bool {
 	for _, r := range s.scalars {
-		if len(r.ts) >= s.cfg.Capacity {
+		if len(r.ts) >= s.capacity {
 			return true
 		}
 	}
 	for _, h := range s.hists {
-		if len(h.ts) >= s.cfg.Capacity {
+		if len(h.ts) >= s.capacity {
 			return true
 		}
 	}
@@ -256,13 +243,13 @@ func (s *Store) decimateLocked() {
 func (s *Store) appendScalarLocked(name string, ts int64, v float64) {
 	r, ok := s.scalars[name]
 	if !ok {
-		if s.numSeriesLocked() >= s.cfg.MaxSeries {
+		if s.numSeriesLocked() >= s.maxSeries {
 			s.dropCount.Inc()
 			return
 		}
 		r = &ring{
-			ts: make([]int64, 0, s.cfg.Capacity),
-			vs: make([]float64, 0, s.cfg.Capacity),
+			ts: make([]int64, 0, s.capacity),
+			vs: make([]float64, 0, s.capacity),
 		}
 		s.scalars[name] = r
 	}
@@ -278,7 +265,7 @@ func (s *Store) appendHistLocked(name string, hv *obs.HistogramValue, ts int64) 
 	}
 	h, ok := s.hists[name]
 	if !ok {
-		if s.numSeriesLocked() >= s.cfg.MaxSeries {
+		if s.numSeriesLocked() >= s.maxSeries {
 			s.dropCount.Inc()
 			return
 		}
@@ -290,7 +277,7 @@ func (s *Store) appendHistLocked(name string, hv *obs.HistogramValue, ts int64) 
 	h.cums = append(h.cums, cum)
 
 	s.appendScalarLocked(suffixed(name, "_count"), ts, float64(hv.Count))
-	from := ts - s.cfg.QuantileWindow.Milliseconds()
+	from := ts - quantileWindow.Milliseconds()
 	base := h.baseAt(from)
 	delta := make([]int64, len(cum))
 	for i := range cum {
@@ -299,7 +286,7 @@ func (s *Store) appendHistLocked(name string, hv *obs.HistogramValue, ts int64) 
 			delta[i] -= base[i]
 		}
 	}
-	for _, q := range s.cfg.Quantiles {
+	for _, q := range quantiles {
 		s.appendScalarLocked(suffixed(name, quantileSuffix(q)), ts,
 			obs.QuantileFromBuckets(h.bounds, delta, q))
 	}
@@ -370,9 +357,9 @@ func (s *Store) SeriesNames() []string {
 	return out
 }
 
-// matches reports whether name matches pattern: exact match, or glob
+// Match reports whether name matches pattern: exact match, or glob
 // with '*' wildcards (any substring).
-func matches(pattern, name string) bool {
+func Match(pattern, name string) bool {
 	if !strings.Contains(pattern, "*") {
 		return pattern == name
 	}
@@ -405,7 +392,7 @@ func (s *Store) Query(patterns []string, from, to int64) []SeriesData {
 	for name, r := range s.scalars {
 		matched := false
 		for _, p := range patterns {
-			if matches(p, name) {
+			if Match(p, name) {
 				matched = true
 				break
 			}

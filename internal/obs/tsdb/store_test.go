@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +26,7 @@ func TestScrapeAndQuery(t *testing.T) {
 	r := obs.NewRegistry()
 	c := r.Counter("work_total")
 	g := r.Gauge("depth", "q", "a")
-	s, err := New(Config{Registry: r, Capacity: 100})
+	s, err := New(Config{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +60,11 @@ func TestScrapeAndQuery(t *testing.T) {
 func TestDownsamplingDoublesStride(t *testing.T) {
 	r := obs.NewRegistry()
 	c := r.Counter("work_total")
-	s, err := New(Config{Registry: r, Capacity: 8})
+	s, err := New(Config{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.capacity = 8
 	start := time.UnixMilli(1_000_000)
 	scrapeN(s, start, 40, func(i int) { c.Inc() })
 
@@ -94,7 +94,7 @@ func TestDownsamplingDoublesStride(t *testing.T) {
 func TestHistogramSyntheticSeries(t *testing.T) {
 	r := obs.NewRegistry()
 	h := r.Histogram("rpc_seconds", []float64{1, 2, 4}, "op", "round")
-	s, err := New(Config{Registry: r, QuantileWindow: 10 * time.Second})
+	s, err := New(Config{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,14 @@ func TestMaxSeriesDropsAndCounts(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r.Counter("many_total", "i", string(rune('a'+i)))
 	}
-	s, err := New(Config{Registry: r, MaxSeries: 10})
+	s, err := New(Config{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxSeries = 10
 	s.scrapeAt(time.UnixMilli(1_000_000))
 	if n := s.NumSeries(); n > 10 {
-		t.Fatalf("stored %d series past MaxSeries", n)
+		t.Fatalf("stored %d series past maxSeries", n)
 	}
 	// The registry's tsdb_dropped_series_total counter recorded the rest.
 	var dropped float64
@@ -246,22 +247,15 @@ func TestWriteDumpShape(t *testing.T) {
 	if !strings.HasPrefix(out, `{"tsdb":1`) {
 		t.Fatalf("dump must lead with the sniff tag: %s", out[:40])
 	}
-	var doc struct {
-		TSDB       int   `json:"tsdb"`
-		IntervalMS int64 `json:"interval_ms"`
-		Series     []struct {
-			Name   string      `json:"name"`
-			Points [][]float64 `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+	series, err := ReadDump(strings.NewReader(out))
+	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, sd := range doc.Series {
+	for _, sd := range series {
 		if sd.Name == "work_total" {
 			found = true
-			if len(sd.Points) != 1 || sd.Points[0][1] != 5 {
+			if len(sd.Points) != 1 || sd.Points[0].V != 5 {
 				t.Fatalf("work_total points = %v", sd.Points)
 			}
 		}
@@ -303,8 +297,8 @@ func TestGlobMatching(t *testing.T) {
 		{"*p99*", `rpc_seconds_p99{op="x"}`, true},
 	}
 	for _, c := range cases {
-		if got := matches(c.pattern, c.name); got != c.want {
-			t.Errorf("matches(%q, %q) = %v, want %v", c.pattern, c.name, got, c.want)
+		if got := Match(c.pattern, c.name); got != c.want {
+			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.name, got, c.want)
 		}
 	}
 }
