@@ -1,6 +1,7 @@
 package fednet
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,28 +20,44 @@ import (
 // round boundary, when no edge is in a round, it checks that every device
 // is registered at exactly one edge, adds up the trainings the round just
 // ended owed — min(K, members) per edge, what Eq. 12 selects from the
-// devices present — and checks the optimizer state each client imported
-// during that round against what its devices kept at the boundary before.
+// devices present — and checks each optimizer state a trainer of the
+// cluster's pool imported during that round: it is the state exactly one
+// device kept at the boundary before, that device trained in the round and
+// had moved since its last training, and no other import that round was
+// its state.
 type churnAudit struct {
 	mobility.Model
 	t       *testing.T
 	k       int
 	cluster atomic.Pointer[Cluster]
 
-	// Touched only by the goroutine calling Step once the cluster is set.
-	started       bool
-	trained0      int                 // trainings before the first audited boundary
-	owed          int                 // trainings the audited rounds owed
-	kept          map[int]keptMoments // each device's kept state at the last boundary
-	imports       int                 // imports matched to a device's kept state
-	afterSiblings int                 // of those, imports after a sibling trained in the round
+	// Touched only by the goroutine calling Step.
+	edges       []int               // the membership Step returned last
+	moved       map[int]bool        // devices moved since their last audited training
+	started     bool                // the cluster is set and a boundary was audited
+	trained0    int                 // trainings before the first audited boundary
+	owed        int                 // trainings the audited rounds owed
+	rounds      []int               // each device's trainings at the last boundary
+	kept        map[int]keptMoments // each device's kept state at the last boundary
+	imports     int                 // imports matched to a device's kept state
+	afterOthers int                 // of those, imports after another training on the trainer in the round
 }
 
 func (a *churnAudit) Step() []int {
 	if c := a.cluster.Load(); c != nil {
 		a.audit(c)
 	}
-	return a.Model.Step()
+	next := a.Model.Step()
+	if a.moved == nil {
+		a.moved = map[int]bool{}
+	}
+	for id, e := range next {
+		if a.edges != nil && a.edges[id] != e {
+			a.moved[id] = true
+		}
+	}
+	a.edges = append(a.edges[:0], next...)
+	return next
 }
 
 func (a *churnAudit) audit(c *Cluster) {
@@ -59,34 +76,54 @@ func (a *churnAudit) audit(c *Cluster) {
 	if len(edgeOf) != len(c.assign) {
 		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), len(c.assign))
 	}
+	rounds := c.DeviceRounds()
 	if !a.started {
 		a.started, a.trained0 = true, trainedTotal(c)
 	} else {
 		a.owed += owed
 	}
-	kept := map[int]keptMoments{}
-	for _, mx := range c.clients {
-		mx.trainMu.Lock()
-		rec := mx.compute.Opt.(*importRecorder)
+	imported := map[int]bool{}
+	c.clients[0].cfg.pool.each(func(tw *hfl.Trainer) {
+		rec := tw.Opt.(*importRecorder)
 		for _, im := range rec.imports {
 			if a.kept == nil {
 				continue // imports of rounds before the first boundary audited
 			}
-			match := false
-			for _, d := range mx.cfg.Devices {
-				k := a.kept[d.DeviceID]
-				match = match || (k.steps == im.steps && sameBits(k.flat, im.flat))
+			var owners []int
+			for id, k := range a.kept {
+				if k.steps == im.steps && sameBits(k.flat, im.flat) {
+					owners = append(owners, id)
+				}
 			}
-			if !match {
-				a.t.Errorf("a device imported %d-step optimizer state that none of its client's devices kept", im.steps)
+			if len(owners) != 1 {
+				a.t.Errorf("a device imported %d-step optimizer state that %d devices kept, want exactly one", im.steps, len(owners))
+				continue
 			}
+			id := owners[0]
+			switch {
+			case rounds[id] == a.rounds[id]:
+				a.t.Errorf("device %d's kept state was imported in a round it did not train in", id)
+			case !a.moved[id]:
+				a.t.Errorf("device %d's kept state was imported but it had not moved since its last training", id)
+			case imported[id]:
+				a.t.Errorf("device %d's kept state was imported twice in one round", id)
+			}
+			imported[id] = true
 			a.imports++
 			if im.after > 0 {
-				a.afterSiblings++
+				a.afterOthers++
 			}
 		}
 		rec.imports, rec.trainings = nil, 0
-		mx.trainMu.Unlock()
+	})
+	for id, n := range rounds {
+		if a.rounds != nil && n != a.rounds[id] {
+			delete(a.moved, id)
+		}
+	}
+	a.rounds = rounds
+	kept := map[int]keptMoments{}
+	for _, mx := range c.clients {
 		mx.mu.Lock()
 		for _, d := range mx.cfg.Devices {
 			v := mx.virts[d.DeviceID]
@@ -105,7 +142,7 @@ func trainedTotal(c *Cluster) int {
 	return n
 }
 
-// importRecorder is a client's optimizer that records every state it is
+// importRecorder is a trainer's optimizer that records every state it is
 // handed to import, and how many trainings began on it before that in the
 // round: each begins with a Reset or an import.
 type importRecorder struct {
@@ -141,9 +178,12 @@ func (r *importRecorder) ImportMoments(flat []float64, lens []int, steps int) bo
 // what the registered sets owed, no reply dropped, which with the edge's
 // length check also means every reply carried exactly the model's values.
 // Resumes import the state the device itself kept, bit for bit, also when
-// a sibling trained on the shared optimizer in between (group of 3).
+// another device trained on the same pooled trainer in between: the
+// cluster runs at GOMAXPROCS 2, so its pool has two trainers for up to
+// sixteen trainings a round on any machine.
 func TestClusterChurnMembership(t *testing.T) {
-	const edges, devices, k, rounds = 4, 24, 4, 20
+	const edges, devices, k, rounds, procs = 4, 24, 4, 20, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	prof := data.FastImageProfile(4)
 	train := data.GenerateImagesSplit(prof, 480, 5, 5)
 	part := data.PartitionMajorClass(train, devices, 20, 0.85, 6)
@@ -163,11 +203,8 @@ func TestClusterChurnMembership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mx := range c.clients {
-			mx.trainMu.Lock()
-			mx.compute.Opt = &importRecorder{Optimizer: mx.compute.Opt}
-			mx.trainMu.Unlock()
-		}
+		pool := c.clients[0].cfg.pool
+		pool.each(func(tw *hfl.Trainer) { tw.Opt = &importRecorder{Optimizer: tw.Opt} })
 		audit.cluster.Store(c)
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
@@ -185,11 +222,14 @@ func TestClusterChurnMembership(t *testing.T) {
 		if ok == 0 || fallback+rejected != 0 {
 			t.Errorf("group of %d: handovers %d ok, %d fallback, %d rejected; want all ok", group, ok, fallback, rejected)
 		}
-		if audit.imports == 0 || (group > 1 && audit.afterSiblings == 0) {
-			t.Errorf("group of %d: %d resumes checked, %d after a sibling trained; want both > 0 (the latter at group > 1)",
-				group, audit.imports, audit.afterSiblings)
+		if cap(pool) != procs {
+			t.Fatalf("group of %d: the pool holds %d trainers at GOMAXPROCS %d", group, cap(pool), procs)
 		}
-		t.Logf("group of %d: %d trainings owed and done, %d handovers, %d resumes (%d after a sibling)",
-			group, audit.owed, ok, audit.imports, audit.afterSiblings)
+		if audit.imports == 0 || audit.afterOthers == 0 {
+			t.Errorf("group of %d: %d resumes checked, %d after another training on the trainer; want both > 0",
+				group, audit.imports, audit.afterOthers)
+		}
+		t.Logf("group of %d: %d trainings owed and done, %d handovers, %d resumes (%d after another training on the trainer)",
+			group, audit.owed, ok, audit.imports, audit.afterOthers)
 	}
 }

@@ -3,6 +3,7 @@ package fednet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -46,9 +47,11 @@ type ClusterConfig struct {
 	CheckpointDir   string
 	EdgeCheckpoints bool
 	// Mux is the group size of the device clients: each hosts that many
-	// devices (one connection and goroutine per edge per client, one
-	// shared model instance). ≤ 1 gives every device a client, network and
-	// optimizer of its own, so a cohort trains in parallel.
+	// devices (one connection and goroutine per edge per client). ≤ 1
+	// gives every device a client of its own. Whatever the group size,
+	// every client trains on the cluster's one trainer pool, a network
+	// and an optimizer per core (GOMAXPROCS, at most one per device), so
+	// a cohort trains in parallel up to the cores.
 	Mux int
 	// LiveMigration makes a moving device arrive warm: it leaves its edge
 	// and registers at the next one carrying its own model, utility, last
@@ -168,7 +171,14 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.faulty = true
 	}
 
-	init := cfg.Factory(tensor.Split(cfg.Seed, 0)).ParamVector()
+	// One trainer per core for every client, no more than there are
+	// devices to train at once; the initial model is the first network's,
+	// drawn from the seed before any training.
+	pool := newTrainerPool(max(1, min(runtime.GOMAXPROCS(0), numDevices)),
+		func() *nn.Network { return cfg.Factory(tensor.Split(cfg.Seed, 0)) }, cfg.Optimizer.New)
+	tw := <-pool
+	init := tw.Net.ParamVector()
+	pool <- tw
 	cfg.Mobility.Reset()
 	membership := append([]int(nil), cfg.Mobility.Step()...) // kept across rounds: Step's slice is the model's
 	c.assign = append([]int(nil), membership...)
@@ -242,8 +252,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			hosted = append(hosted, MuxDevice{DeviceID: m, Indices: cfg.Partition.Indices[m]})
 		}
 		mx, err := NewDeviceMux(DeviceMuxConfig{
-			Devices: hosted, Dataset: cfg.Partition.Dataset,
-			Factory: cfg.Factory, Optimizer: cfg.Optimizer.New(),
+			Devices: hosted, Dataset: cfg.Partition.Dataset, pool: pool,
 			LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
 			Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
 			Logf: cfg.Logf, Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,

@@ -73,7 +73,7 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 func TestTrainRPCSteadyStateAllocBytes(t *testing.T) {
 	const device, most = 0, 64 << 10
 	mx := trainableClient(t, 256, device)
-	payload := make([]float64, mx.compute.Net.NumParams())
+	payload := make([]float64, mx.cfg.pool.numParams())
 	rpc := func(round int) {
 		vec, reply, err := mx.train(TrainRequest{Round: round, DeviceID: device, Moved: true, ResetLocal: round%5 == 0}, payload, 0)
 		if err == nil {

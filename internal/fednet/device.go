@@ -19,7 +19,7 @@ import (
 
 // The device tier has one client, DeviceMux: it hosts N ≥ 1 devices over
 // one connection and one reader goroutine per edge it is attached to,
-// with one model instance trained under a lock. Each device keeps its own
+// training on a trainer it borrows from a pool. Each device keeps its own
 // carried local model, shard indices and deterministic seed stream, so it
 // trains bit-identically at any group size given the same start model. A
 // client of one is a dedicated device: it opens a socket when its device
@@ -45,11 +45,13 @@ type DeviceMuxConfig struct {
 	// Dataset is shared by every hosted device (each sees only its own
 	// Indices window).
 	Dataset *data.Dataset
-	// Factory builds the single shared network instance.
-	Factory func(rng *tensor.RNG) *nn.Network
-	// Optimizer is shared across hosted devices. It is reset before every
-	// training round unless the device resumes the state it kept itself,
-	// so nothing of one device's round reaches the next.
+	// Factory builds the client's one network, and Optimizer is its one
+	// optimizer: the trainer every hosted device trains on. The optimizer
+	// is reset before every training round unless the device resumes the
+	// state it kept itself, so nothing of one device's round reaches the
+	// next. A client StartCluster builds trains on the cluster's pool
+	// instead and needs neither.
+	Factory   func(rng *tensor.RNG) *nn.Network
 	Optimizer optim.Optimizer
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
@@ -90,20 +92,44 @@ type DeviceMuxConfig struct {
 	// Trace, when set, records a span per local-training round parented
 	// on the edge's RPC span (TrainRequest.Span). Nil disables tracing.
 	Trace *obs.Trace
+
+	// pool is the trainers the client trains on: the cluster's, or one of
+	// its own built from Factory and Optimizer when nil.
+	pool trainerPool
+}
+
+// trainerPool lends the hfl.Trainers device trainings run on. StartCluster
+// builds one of runtime.GOMAXPROCS(0) trainers, or one per device when
+// there are fewer devices, and hands it to every client it creates, so a
+// cluster keeps a network and an optimizer per core, warm in cache,
+// instead of one per client (hfl.Sim keeps one per worker the same way);
+// a standalone client has a pool of one. A training
+// holds a trainer from ImportMoments to ExportMoments, never across a
+// frame read or write. Sharing changes no bit: LocalRound overwrites every
+// parameter and resets the optimizer or imports the device's own state
+// into it, and no layer keeps other state.
+type trainerPool chan *hfl.Trainer
+
+// newTrainerPool builds a pool of n trainers, each with a network and an
+// optimizer of its own.
+func newTrainerPool(n int, newNet func() *nn.Network, newOpt func() optim.Optimizer) trainerPool {
+	p := make(trainerPool, n)
+	for range n {
+		p <- &hfl.Trainer{Net: newNet(), Opt: newOpt()}
+	}
+	return p
 }
 
 // DeviceMux is the device client. Connect attaches one of its devices to
 // an edge (detaching it from its previous edge — that is the "move"),
 // after which the client serves that device's training requests until it
 // moves again or the client is disconnected. Training requests arriving on
-// any connection are handled sequentially per connection and serialised
-// across connections by trainMu.
+// any connection are handled sequentially per connection; across
+// connections, and across the clients of a cluster, as many train at once
+// as the trainer pool (trainerPool) has trainers.
 type DeviceMux struct {
-	cfg     DeviceMuxConfig
-	compute hfl.Trainer // the one shared network and optimizer
-	m       deviceMetrics
-
-	trainMu sync.Mutex // one shared model instance: training serialises
+	cfg DeviceMuxConfig
+	m   deviceMetrics
 
 	mu     sync.Mutex
 	closed bool
@@ -139,8 +165,8 @@ type virtualDevice struct {
 	// kept is the optimizer state the device exported after its last
 	// training, when that request asked for it (WantMoments), in storage
 	// of its own: its first training after a warm arrival at another edge
-	// imports it. Siblings share the optimizer and reset it, so it never
-	// aliases the optimizer's buffers.
+	// imports it. Other devices train on the same optimizers and reset
+	// them, so it never aliases an optimizer's buffers.
 	kept keptMoments
 }
 
@@ -217,7 +243,7 @@ var payloadPool = sync.Pool{New: func() any { return new(vecBuf) }}
 // NewDeviceMux builds a device client (not yet attached anywhere; use
 // Connect per hosted device).
 func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
-	if cfg.Dataset == nil || len(cfg.Devices) == 0 || cfg.Factory == nil || cfg.Optimizer == nil {
+	if cfg.Dataset == nil || len(cfg.Devices) == 0 || (cfg.pool == nil && (cfg.Factory == nil || cfg.Optimizer == nil)) {
 		return nil, fmt.Errorf("fednet: incomplete device client config (%d devices)", len(cfg.Devices))
 	}
 	if cfg.LocalSteps < 1 {
@@ -233,13 +259,17 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.pool == nil {
+		cfg.pool = newTrainerPool(1,
+			func() *nn.Network { return cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.Devices[0].DeviceID))) },
+			func() optim.Optimizer { return cfg.Optimizer })
+	}
 	mx := &DeviceMux{
-		cfg:     cfg,
-		compute: hfl.Trainer{Net: cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.Devices[0].DeviceID))), Opt: cfg.Optimizer},
-		m:       newDeviceMetrics(cfg.Obs),
-		virts:   map[int]*virtualDevice{},
-		conns:   map[int]*muxClientConn{},
-		stop:    make(chan struct{}),
+		cfg:   cfg,
+		m:     newDeviceMetrics(cfg.Obs),
+		virts: map[int]*virtualDevice{},
+		conns: map[int]*muxClientConn{},
+		stop:  make(chan struct{}),
 	}
 	for _, d := range cfg.Devices {
 		if len(d.Indices) == 0 {
@@ -670,10 +700,10 @@ func (mx *DeviceMux) unpin(id int) {
 
 // train serves one device's training request — Algorithm 1 lines 4–8:
 // honour ResetLocal, build the start model with Strategy.InitLocal, run
-// the local round on the shared compute state and store the result as
-// the new carried model, in the device's spare vector when it has one (a
-// known device stays pinned until unpin). Under the training lock the request is
-// stateless towards its siblings: a moved device that keeps its carried
+// the local round on a trainer of the pool and store the result as the
+// new carried model, in the device's spare vector when it has one (a
+// known device stays pinned until unpin). On the trainer the request is
+// stateless towards every other device: a moved device that keeps its carried
 // model (Moved without ResetLocal: its first training after a warm arrival
 // at another edge) imports the optimizer state it kept, any other training
 // resets the optimizer, and the state is exported into the device's
@@ -721,12 +751,12 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
 	rng := tensor.Split(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
 
-	mx.trainMu.Lock()
-	me, _ := mx.compute.Opt.(optim.MomentExporter)
+	tw := <-mx.cfg.pool
+	me, _ := tw.Opt.(optim.MomentExporter)
 	// ImportMoments copies, so kept stays the device's own.
 	resumed := moved && me != nil && kept.steps > 0 && me.ImportMoments(kept.flat, kept.lens, kept.steps)
 	fp := flight.BeginPhase("local_train")
-	util, skipped := mx.compute.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
+	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
 	fp.End()
 	kept = keptMoments{}
 	if req.WantMoments && me != nil {
@@ -734,7 +764,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 			kept = keptMoments{flat, lens, steps}
 		}
 	}
-	mx.trainMu.Unlock()
+	mx.cfg.pool <- tw
 	mx.m.nonfinite.Add(int64(skipped))
 	reply.Utility = util
 

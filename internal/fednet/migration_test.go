@@ -222,8 +222,11 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	mx := trainableClient(t, 8, 5, 6)
 	defer mx.Disconnect()
 	rec := &importRecorder{Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGDMomentum, LR: 0.05, Momentum: 0.9}.New()}
-	mx.compute.Opt = rec
-	model := mx.compute.Net.ParamVector()
+	var model []float64
+	mx.cfg.pool.each(func(tw *hfl.Trainer) {
+		tw.Opt = rec
+		model = tw.Net.ParamVector()
+	})
 
 	// A sync at round 1 puts the edge in sync era 1 with a model the
 	// devices can train.
@@ -257,9 +260,7 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	mx.mu.Lock()
 	kept5 := append([]float64(nil), mx.virts[5].kept.flat...)
 	mx.mu.Unlock()
-	mx.trainMu.Lock()
-	rec.imports = nil
-	mx.trainMu.Unlock()
+	mx.cfg.pool.each(func(*hfl.Trainer) { rec.imports = nil })
 
 	for round := 2; round <= 3; round++ {
 		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
@@ -269,10 +270,8 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 2 {
 			t.Fatalf("round %d done: type %d, %+v, %v", round, mt, done, err)
 		}
-		mx.trainMu.Lock()
-		imports := rec.imports
-		rec.imports = nil
-		mx.trainMu.Unlock()
+		var imports []recordedImport
+		mx.cfg.pool.each(func(*hfl.Trainer) { imports, rec.imports = rec.imports, nil })
 		want := map[int]int{2: 1, 3: 0}[round]
 		if len(imports) != want {
 			t.Fatalf("round %d: %d imports, want %d", round, len(imports), want)

@@ -210,7 +210,7 @@ func TestDeviceVectorsStayOwned(t *testing.T) {
 	// The expected reply of every request, and the set of them.
 	request := func(edge, i int) (TrainRequest, []float64) {
 		round := 2*i + edge + 1
-		payload := make([]float64, ref.compute.Net.NumParams())
+		payload := make([]float64, ref.cfg.pool.numParams())
 		for j := range payload {
 			payload[j] = 0.01 * float64((j+round)%17-8)
 		}

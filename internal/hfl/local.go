@@ -14,7 +14,9 @@ import (
 // proportional to parallelism, not to the device count, and a round in
 // steady state allocates nothing batch-, activation- or model-sized. The
 // simulator keeps one per pool worker and evaluates on the same networks
-// between rounds; a fednet device or device multiplexer keeps one.
+// between rounds; a fednet cluster shares one pool of GOMAXPROCS of them
+// among all its device clients, and a standalone DeviceMux has a pool of
+// one.
 type Trainer struct {
 	Net *nn.Network
 	Opt optim.Optimizer

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"middle/internal/nn"
+	"middle/internal/tensor"
 )
 
 // Optimizer updates network parameters from their accumulated gradients.
@@ -46,7 +47,7 @@ type SGD struct {
 	t        int
 	velocity [][]float64
 	// stale marks velocity as dropped by Reset: the buffers are kept for
-	// the next Step, which zeroes them in place, and count as absent
+	// the next Step, which starts them from zero, and count as absent
 	// until then.
 	stale bool
 }
@@ -62,12 +63,17 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 
 // Step applies one SGD update: v ← µv + (g + λw); w ← w − η·v. Momentum
 // and weight decay are tested per parameter and g, v resliced to len(w),
-// so the element loops carry no branch and no bounds check.
+// so the element loops carry no branch and no bounds check. Momentum
+// without weight decay is tensor.MomentumStep, whose first Step after a
+// Reset writes v ← µ·0 + g without reading the stale buffer. Every
+// product is rounded before its sum, so all kernel families give the
+// same bits.
 func (s *SGD) Step(params []*nn.Param) {
 	s.t++
 	lr, mu, wd := s.lr, s.Momentum, s.WeightDecay
+	fresh := false
 	if mu != 0 {
-		s.ensureState(params)
+		fresh = s.ensureState(params)
 	}
 	for j, p := range params {
 		w := p.Value.Data
@@ -75,36 +81,36 @@ func (s *SGD) Step(params []*nn.Param) {
 		switch {
 		case mu == 0 && wd == 0:
 			for i := range w {
-				w[i] -= lr * g[i]
+				w[i] -= float64(lr * g[i])
 			}
 		case mu == 0:
 			for i := range w {
-				w[i] -= lr * (g[i] + wd*w[i])
+				w[i] -= float64(lr * (g[i] + float64(wd*w[i])))
 			}
 		case wd == 0:
-			v := s.velocity[j][:len(w)]
-			for i := range w {
-				v[i] = mu*v[i] + g[i]
-				w[i] -= lr * v[i]
-			}
+			tensor.MomentumStep(w, g, s.velocity[j], mu, lr, fresh)
 		default:
 			v := s.velocity[j][:len(w)]
+			if fresh {
+				clear(v)
+			}
 			for i := range w {
-				v[i] = mu*v[i] + (g[i] + wd*w[i])
-				w[i] -= lr * v[i]
+				v[i] = float64(mu*v[i]) + (g[i] + float64(wd*w[i]))
+				w[i] -= float64(lr * v[i])
 			}
 		}
 	}
 }
 
-func (s *SGD) ensureState(params []*nn.Param) {
-	switch {
-	case !groupsMatch(s.velocity, params):
-		s.velocity = newGroups(params)
-	case s.stale:
-		zeroGroups(s.velocity)
+// ensureState makes the velocity mirror params and reports whether it
+// holds nothing yet (new, or dropped by Reset): the Step about to run
+// starts it from zero.
+func (s *SGD) ensureState(params []*nn.Param) (fresh bool) {
+	if !groupsMatch(s.velocity, params) {
+		s.velocity, s.stale = newGroups(params), true
 	}
-	s.stale = false
+	fresh, s.stale = s.stale, false
+	return fresh
 }
 
 // Reset clears momentum buffers and the step counter.
@@ -154,39 +160,43 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{lr: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update. The first Step after a Reset reads the
+// stale moments as zero, m ← β₁·0 + (1−β₁)d and v ← β₂·0 + (1−β₂)d², so
+// no pass clears them first. Every product is rounded before its sum.
 func (a *Adam) Step(params []*nn.Param) {
-	a.ensureState(params)
+	fresh := a.ensureState(params)
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, c1, c2 := a.Beta1, a.Beta2, 1-a.Beta1, 1-a.Beta2
+	bc1 := 1 - math.Pow(b1, float64(a.t))
+	bc2 := 1 - math.Pow(b2, float64(a.t))
+	lr, eps, wd := a.lr, a.Eps, a.WeightDecay
 	for j, p := range params {
-		g := p.Grad.Data
 		w := p.Value.Data
-		m, v := a.m[j], a.v[j]
+		g, m, v := p.Grad.Data[:len(w)], a.m[j][:len(w)], a.v[j][:len(w)]
 		for i := range w {
 			d := g[i]
-			if a.WeightDecay != 0 {
-				d += a.WeightDecay * w[i]
+			if wd != 0 {
+				d += float64(wd * w[i])
 			}
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*d
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*d*d
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			w[i] -= a.lr * mh / (math.Sqrt(vh) + a.Eps)
+			mo, vo := m[i], v[i]
+			if fresh {
+				mo, vo = 0, 0
+			}
+			m[i] = float64(b1*mo) + float64(c1*d)
+			v[i] = float64(b2*vo) + float64(float64(c2*d)*d)
+			w[i] -= float64(lr*(m[i]/bc1)) / (math.Sqrt(v[i]/bc2) + eps)
 		}
 	}
 }
 
-func (a *Adam) ensureState(params []*nn.Param) {
-	switch {
-	case !groupsMatch(a.m, params) || !groupsMatch(a.v, params):
-		a.m, a.v = newGroups(params), newGroups(params)
-	case a.stale:
-		zeroGroups(a.m)
-		zeroGroups(a.v)
+// ensureState makes m and v mirror params and reports whether they hold
+// nothing yet (see SGD.ensureState).
+func (a *Adam) ensureState(params []*nn.Param) (fresh bool) {
+	if !groupsMatch(a.m, params) || !groupsMatch(a.v, params) {
+		a.m, a.v, a.stale = newGroups(params), newGroups(params), true
 	}
-	a.stale = false
+	fresh, a.stale = a.stale, false
+	return fresh
 }
 
 // Reset clears moment estimates and the step counter.
@@ -242,12 +252,6 @@ func newGroups(params []*nn.Param) [][]float64 {
 		groups[j] = make([]float64, p.Value.Size())
 	}
 	return groups
-}
-
-func zeroGroups(groups [][]float64) {
-	for _, g := range groups {
-		clear(g)
-	}
 }
 
 // flattenGroups concatenates groups into one slice (nil for no state).

@@ -212,19 +212,21 @@ func TestSGDVelocityReallocatedOnParamChange(t *testing.T) {
 }
 
 // sgdStepPerElement is SGD.Step as it was written with the weight-decay
-// test inside the element loop; velocity is nil without momentum.
+// test inside the element loop; velocity is nil without momentum. Each
+// product is converted to float64 — rounded before its sum, as amd64
+// compiled the loop — so arm64 does not fuse the reference either.
 func sgdStepPerElement(w, g, velocity []float64, lr, momentum, weightDecay float64) {
 	for i := range w {
 		d := g[i]
 		if weightDecay != 0 {
-			d += weightDecay * w[i]
+			d += float64(weightDecay * w[i])
 		}
 		if velocity == nil {
-			w[i] -= lr * d
+			w[i] -= float64(lr * d)
 			continue
 		}
-		velocity[i] = momentum*velocity[i] + d
-		w[i] -= lr * velocity[i]
+		velocity[i] = float64(momentum*velocity[i]) + d
+		w[i] -= float64(lr * velocity[i])
 	}
 }
 
@@ -268,6 +270,86 @@ func TestSGDStepMatchesPerElementLoop(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// adamStepPerElement is Adam.Step as it was written, with the
+// weight-decay test inside the element loop and m, v cleared after a
+// Reset, its products rounded as in sgdStepPerElement.
+func adamStepPerElement(w, g, m, v []float64, a *Adam, t int) {
+	bc1 := 1 - math.Pow(a.Beta1, float64(t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(t))
+	for i := range w {
+		d := g[i]
+		if a.WeightDecay != 0 {
+			d += float64(a.WeightDecay * w[i])
+		}
+		m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*d)
+		v[i] = float64(a.Beta2*v[i]) + float64(float64((1-a.Beta2)*d)*d)
+		mh := m[i] / bc1
+		vh := v[i] / bc2
+		w[i] -= float64(a.lr*mh) / (math.Sqrt(vh) + a.Eps)
+	}
+}
+
+// TestAdamStepMatchesPerElementLoop: Adam.Step with its weight-decay test
+// hoisted out of the element loop, and a first step after Reset that
+// writes the moments from β·0 instead of clearing them first, leaves the
+// weights and moments the per-element loop leaves, to the bit, over 20
+// steps with a Reset among them — −0, NaN and ±Inf gradients included.
+func TestAdamStepMatchesPerElementLoop(t *testing.T) {
+	const steps, resetAt = 20, 11
+	for _, weightDecay := range []float64{0, 1e-4} {
+		rng := tensor.NewRNG(43)
+		var params []*nn.Param
+		var want, m, v [][]float64
+		for _, n := range []int{37, 5, 1} {
+			p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
+			rng.FillNormal(p.Value, 0, 1)
+			params = append(params, p)
+			want = append(want, append([]float64(nil), p.Value.Data...))
+			m, v = append(m, make([]float64, n)), append(v, make([]float64, n))
+		}
+		a := NewAdam(0.01)
+		a.WeightDecay = weightDecay
+		for step, tt := 0, 0; step < steps; step++ {
+			if step == resetAt {
+				a.Reset()
+				tt = 0
+			}
+			tt++
+			for j, p := range params {
+				rng.FillNormal(p.Grad, 0, 1)
+				if step == resetAt {
+					clear(m[j])
+					clear(v[j])
+					p.Grad.Data[0] = math.Copysign(0, -1)
+				}
+				if j == 0 && step == steps-1 {
+					p.Grad.Data[1], p.Grad.Data[2], p.Grad.Data[3] = math.NaN(), math.Inf(1), math.Inf(-1)
+				}
+				adamStepPerElement(want[j], p.Grad.Data, m[j], v[j], a, tt)
+			}
+			a.Step(params)
+			flat, _, _ := a.ExportMoments()
+			off := 0
+			for j, p := range params {
+				for i, w := range p.Value.Data {
+					if math.Float64bits(w) != math.Float64bits(want[j][i]) {
+						t.Fatalf("weight decay %v, step %d: w[%d][%d] = %v, the per-element loop gives %v",
+							weightDecay, step, j, i, w, want[j][i])
+					}
+				}
+				for i := range m[j] {
+					gm, gv := flat[off+i], flat[len(flat)/2+off+i]
+					if math.Float64bits(gm) != math.Float64bits(m[j][i]) || math.Float64bits(gv) != math.Float64bits(v[j][i]) {
+						t.Fatalf("weight decay %v, step %d: moments[%d][%d] = (%v, %v), the per-element loop gives (%v, %v)",
+							weightDecay, step, j, i, gm, gv, m[j][i], v[j][i])
+					}
+				}
+				off += len(m[j])
 			}
 		}
 	}

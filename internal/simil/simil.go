@@ -14,6 +14,8 @@ package simil
 import (
 	"fmt"
 	"math"
+
+	"middle/internal/tensor"
 )
 
 // Dot returns ⟨a, b⟩ for equal-length vectors.
@@ -192,12 +194,20 @@ func DeltaNorm(w, wRef []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// avgBlock is how many elements of dst WeightedAverageInto finishes at a
+// time: 8 KB of dst stays in L1 while every source streams past it, so
+// dst is loaded and stored once instead of once per source.
+const avgBlock = 1024
+
 // WeightedAverageInto computes dst = Σ wᵢ·vecᵢ / Σ wᵢ over the given
 // model vectors (the FedAvg-style aggregation of paper Eqs. 6 and 7)
-// without allocating. dst is fully overwritten and must not alias any of
-// the source vectors (the accumulation is multi-pass). It panics when
-// vectors disagree in length, dst aliases a source, or all weights are
-// zero.
+// without allocating. Each element of dst is cleared and then gets
+// dst[j] += (wᵢ/Σw)·vecᵢ[j] for every vector in order, zero weights
+// skipped, the product rounded before the sum (tensor.AxpyUnfused); this
+// is done one avgBlock of dst at a time, which changes no bit. dst is
+// fully overwritten and must not alias any of the source vectors. It
+// panics when vectors disagree in length, dst aliases a source, or all
+// weights are zero.
 func WeightedAverageInto(dst []float64, vecs [][]float64, weights []float64) {
 	if len(vecs) == 0 {
 		panic("simil: WeightedAverage of no vectors")
@@ -225,14 +235,14 @@ func WeightedAverageInto(dst []float64, vecs [][]float64, weights []float64) {
 	if totalW == 0 {
 		panic("simil: WeightedAverage with all-zero weights")
 	}
-	clear(dst)
-	for i, v := range vecs {
-		w := weights[i] / totalW
-		if w == 0 {
-			continue
-		}
-		for j, vj := range v {
-			dst[j] += w * vj
+	for lo := 0; lo < n; lo += avgBlock {
+		hi := min(lo+avgBlock, n)
+		d := dst[lo:hi]
+		clear(d)
+		for i, v := range vecs {
+			if w := weights[i] / totalW; w != 0 {
+				tensor.AxpyUnfused(w, v[lo:hi], d)
+			}
 		}
 	}
 }
@@ -301,10 +311,7 @@ func (a *Accumulator) Add(v []float64, w float64) {
 	if wn == 0 {
 		return
 	}
-	dst := a.dst
-	for j, vj := range v {
-		dst[j] += wn * vj
-	}
+	tensor.AxpyUnfused(wn, v, a.dst)
 }
 
 // Added returns how many vectors have been folded in since Begin.

@@ -4,10 +4,10 @@ import "math"
 
 // Scalar reference kernels for the innermost loops of a training step.
 // These are the portable implementations behind the dispatchers (axpy,
-// axpy4, axpy4x2, dot2x2, dotVec, dot3x1, ReluInto, ReluGradInto,
-// MaxPool2x2Row); on amd64 with AVX2+FMA the dispatchers in simd_amd64.go
-// replace the bulk of the work with vector code and fall back to these
-// for tails and small inputs.
+// axpy4, axpy4x2, dot2x2, dotVec, dot3x1, AxpyUnfused, MomentumStep,
+// ReluInto, ReluGradInto, MaxPool2x2Row); on amd64 with AVX2+FMA the
+// dispatchers in simd_amd64.go replace the bulk of the work with vector
+// code and fall back to these for tails and small inputs.
 //
 // axpy-style kernels carry no cross-element reduction: their vector form
 // differs from the scalar one only by fusing the multiply-add. dot-style
@@ -15,14 +15,46 @@ import "math"
 // 16), which reorders the summation. Either way the order is fixed per
 // build/CPU and input length, so results are bit-identical across runs on
 // the same machine (HasAVX2 tells golden values which family produced
-// them). The ReLU and pooling kernels select and never round: both
-// families give the same bits.
+// them). The ReLU and pooling kernels select and never round, and
+// AxpyUnfused and MomentumStep round every product before its sum in
+// both families (a separate VMULPD and VADDPD/VSUBPD, never an FMA):
+// all of these give the same bits on every family.
 
 // scalarAxpy computes y[j] += alpha*x[j].
 func scalarAxpy(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for j, xv := range x {
 		y[j] += alpha * xv
+	}
+}
+
+// scalarAxpyUnfused computes y[j] += alpha*x[j] with the product rounded
+// before the sum: the conversion keeps arm64 from fusing it, so every
+// family gives the bits of amd64's separate multiply and add.
+func scalarAxpyUnfused(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for j, xv := range x {
+		y[j] += float64(alpha * xv)
+	}
+}
+
+// scalarMomentum is one momentum-SGD update, v[i] = mu*v[i] + g[i] and
+// then w[i] -= lr*v[i], every product rounded before its sum. fresh reads
+// no v: it stands for a cleared velocity, v[i] = mu*0 + g[i], which gives
+// a −0 gradient the bits a zeroed v gives it.
+func scalarMomentum(w, g, v []float64, mu, lr float64, fresh bool) {
+	g, v = g[:len(w)], v[:len(w)]
+	if fresh {
+		z := float64(mu * 0)
+		for i := range w {
+			v[i] = z + g[i]
+			w[i] -= float64(lr * v[i])
+		}
+		return
+	}
+	for i := range w {
+		v[i] = float64(mu*v[i]) + g[i]
+		w[i] -= float64(lr * v[i])
 	}
 }
 

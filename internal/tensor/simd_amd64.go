@@ -32,6 +32,12 @@ func dotAVX(x, y *float64, n int) float64
 func dot3x1AVX(a0, a1, a2, b *float64, n int) (s0, s1, s2 float64)
 
 //go:noescape
+func axpyUnfusedAVX(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func momentumAVX(w, grad, v *float64, n int, mu, lr float64, fresh bool)
+
+//go:noescape
 func reluAVX(dst, x *float64, n int)
 
 //go:noescape
@@ -167,6 +173,34 @@ func dot3x1(a0, a1, a2, b []float64) (s0, s1, s2 float64) {
 		return
 	}
 	return scalarDot3x1(a0, a1, a2, b)
+}
+
+// AxpyUnfused computes y[j] += alpha*x[j] with the product rounded
+// before the sum (VMULPD then VADDPD), so it gives the scalar loop's bits
+// on every family, unlike axpy's fused multiply-add.
+func AxpyUnfused(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	m := 0
+	if useAVX2 && len(x) >= simdMinLen {
+		m = len(x) &^ 3
+		axpyUnfusedAVX(alpha, &x[0], &y[0], m)
+	}
+	scalarAxpyUnfused(alpha, x[m:], y[m:])
+}
+
+// MomentumStep is one momentum-SGD update of w from gradient g and
+// velocity v: v[i] = mu*v[i] + g[i], then w[i] -= lr*v[i]. Every product
+// is rounded before its sum, so both families give the scalar loop's
+// bits. fresh treats v as cleared without reading it (v[i] = mu*0 + g[i]),
+// the first step after an optimizer Reset.
+func MomentumStep(w, g, v []float64, mu, lr float64, fresh bool) {
+	g, v = g[:len(w)], v[:len(w)]
+	m := 0
+	if useAVX2 && len(w) >= simdMinLen {
+		m = len(w) &^ 3
+		momentumAVX(&w[0], &g[0], &v[0], m, mu, lr, fresh)
+	}
+	scalarMomentum(w[m:], g[m:], v[m:], mu, lr, fresh)
 }
 
 // ReluInto computes dst[i] = x[i] if x[i] > 0, else +0, without a

@@ -601,3 +601,102 @@ pool_next:
 pool_done:
 	VZEROUPPER
 	RET
+
+// func axpyUnfusedAVX(alpha float64, x, y *float64, n int)
+// y[j] += alpha*x[j] for j in [0, n), product and sum rounded separately
+// (no FMA), so each lane gives the scalar loop's bits; n must be a
+// multiple of 4.
+TEXT ·axpyUnfusedAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	CMPQ AX, DX
+	JGE  axpyu_tail
+
+axpyu_loop16:
+	VMULPD (SI)(AX*8), Y0, Y1
+	VMULPD 32(SI)(AX*8), Y0, Y2
+	VMULPD 64(SI)(AX*8), Y0, Y3
+	VMULPD 96(SI)(AX*8), Y0, Y4
+	VMOVUPD (DI)(AX*8), Y5
+	VMOVUPD 32(DI)(AX*8), Y6
+	VMOVUPD 64(DI)(AX*8), Y7
+	VMOVUPD 96(DI)(AX*8), Y8
+	VADDPD Y1, Y5, Y5
+	VADDPD Y2, Y6, Y6
+	VADDPD Y3, Y7, Y7
+	VADDPD Y4, Y8, Y8
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, 32(DI)(AX*8)
+	VMOVUPD Y7, 64(DI)(AX*8)
+	VMOVUPD Y8, 96(DI)(AX*8)
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JLT  axpyu_loop16
+
+axpyu_tail:
+	CMPQ AX, CX
+	JGE  axpyu_done
+	VMULPD (SI)(AX*8), Y0, Y1
+	VMOVUPD (DI)(AX*8), Y5
+	VADDPD Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  axpyu_tail
+
+axpyu_done:
+	VZEROUPPER
+	RET
+
+// func momentumAVX(w, grad, v *float64, n int, mu, lr float64, fresh bool)
+// v[j] = mu*v[j] + grad[j]; w[j] -= lr*v[j] for j in [0, n), each product
+// and sum rounded separately. With fresh set v is written, never read:
+// v[j] = (mu*0) + grad[j]. n must be a multiple of 4.
+TEXT ·momentumAVX(SB), NOSPLIT, $0-49
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD mu+32(FP), Y0
+	VBROADCASTSD lr+40(FP), Y1
+	MOVBLZX fresh+48(FP), BX
+	XORQ AX, AX
+	TESTQ BX, BX
+	JNZ  mom_fresh
+
+mom_loop:
+	CMPQ AX, CX
+	JGE  mom_done
+	VMULPD (DX)(AX*8), Y0, Y2
+	VADDPD (SI)(AX*8), Y2, Y2
+	VMOVUPD Y2, (DX)(AX*8)
+	VMULPD Y2, Y1, Y3
+	VMOVUPD (DI)(AX*8), Y4
+	VSUBPD Y3, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  mom_loop
+
+mom_fresh:
+	VXORPD Y5, Y5, Y5
+	VMULPD Y5, Y0, Y5
+
+mom_fresh_loop:
+	CMPQ AX, CX
+	JGE  mom_done
+	VADDPD (SI)(AX*8), Y5, Y2
+	VMOVUPD Y2, (DX)(AX*8)
+	VMULPD Y2, Y1, Y3
+	VMOVUPD (DI)(AX*8), Y4
+	VSUBPD Y3, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  mom_fresh_loop
+
+mom_done:
+	VZEROUPPER
+	RET

@@ -33,6 +33,16 @@ func dot3x1(a0, a1, a2, b []float64) (s0, s1, s2 float64) {
 	return scalarDot3x1(a0, a1, a2, b)
 }
 
+// AxpyUnfused computes y[j] += alpha*x[j], the product rounded before
+// the sum.
+func AxpyUnfused(alpha float64, x, y []float64) { scalarAxpyUnfused(alpha, x, y) }
+
+// MomentumStep is one momentum-SGD update of w from gradient g and
+// velocity v; fresh treats v as cleared without reading it.
+func MomentumStep(w, g, v []float64, mu, lr float64, fresh bool) {
+	scalarMomentum(w, g, v, mu, lr, fresh)
+}
+
 // ReluInto computes dst[i] = x[i] if x[i] > 0, else +0.
 func ReluInto(dst, x []float64) { scalarRelu(dst, x) }
 

@@ -49,7 +49,7 @@ echo "== cross-build: no amd64 kernels (arm64), big-endian payload path (s390x) 
 # arm64: a simd_amd64.go dispatcher without its simd_generic.go twin. s390x: big-endian; fednet picks its payload body at run time (hostLE), so today this only guards against a future endian-tagged file.
 for arch in arm64 s390x; do
     GOARCH=$arch go build ./...
-    GOARCH=$arch go vet ./internal/tensor ./internal/nn ./internal/fednet
+    GOARCH=$arch go vet ./internal/tensor ./internal/nn ./internal/fednet ./internal/optim ./internal/simil
 done
 
 echo "== go test =="
