@@ -157,10 +157,10 @@ func eachSourceFile(t *testing.T, fset *token.FileSet, fn func(p string, f *ast.
 }
 
 // flagCorpus lists the files whose command lines exercise a flag: the
-// gate script, the figure recipes and, besides every examples/ program,
-// the two Go smokes scripts/check.sh runs by name in place of shell runs.
+// process gates, the figure recipes and, besides every examples/ program,
+// the two Go smokes scripts/check.sh runs by name under -race.
 var flagCorpus = []string{
-	"scripts/check.sh",
+	"gate_test.go", // the binaries as real processes (go test -tags gate)
 	"EXPERIMENTS.md",
 	"cmd/middlesim/adversarial_test.go", // TestAdversarialRunSmoke
 	"cmd/middlediag/main_test.go",       // TestQuorumBreachLeavesABundleMiddlediagExplains

@@ -12,13 +12,16 @@ import (
 	"middle"
 )
 
+// rounds is each run's length; the test shortens it.
+var rounds = 100
+
 func main() {
 	const seed = 3
 	ps := []float64{0.1, 0.3, 0.5}
 
 	setup := middle.NewTaskSetup(middle.TaskMNIST, middle.Fast, seed)
 	strategies := []middle.Strategy{middle.MIDDLE(), middle.OORT(), middle.FedMes()}
-	res := middle.RunFig7(setup, strategies, ps, seed, 100)
+	res := middle.RunFig7(setup, strategies, ps, seed, rounds)
 
 	groups := make([]string, len(ps))
 	for i, p := range ps {

@@ -182,7 +182,7 @@ func (s *TaskSetup) configureSequences(scale Scale, seed int64) {
 // overrides keep the Fast defaults. Pair the resulting Config with
 // hfl.Config.LazyStore/ResidentCap so per-round cost scales with the
 // cohort — this is the middlesim -exp scale path and the million-device
-// smoke in scripts/check.sh.
+// gate, TestGateMillionDevices.
 func NewScaleSetup(task data.TaskName, seed int64, devices, edges, k, tc int) *TaskSetup {
 	s := NewTaskSetup(task, Fast, seed)
 	if devices > 0 {

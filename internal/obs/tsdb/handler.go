@@ -115,8 +115,8 @@ func (s *Store) QueryHandler() http.Handler {
 }
 
 // SeriesHandler serves the stored series inventory as JSON:
-// {"count": N, "series": ["..."]} — check.sh asserts the count stays
-// under budget at the million-device scale.
+// {"count": N, "series": ["..."]} — TestGateMillionDevices asserts the
+// count stays under budget at the million-device scale.
 func (s *Store) SeriesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		names := s.SeriesNames()

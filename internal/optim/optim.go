@@ -37,12 +37,11 @@ type MomentExporter interface {
 	ImportMoments(flat []float64, lens []int, steps int) bool
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay: v ← µv + g + λw; w ← w − η·v.
+// SGD is stochastic gradient descent with optional momentum:
+// v ← µv + g; w ← w − η·v.
 type SGD struct {
-	lr          float64
-	Momentum    float64
-	WeightDecay float64
+	lr       float64
+	Momentum float64
 
 	t        int
 	velocity [][]float64
@@ -61,16 +60,14 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 	return &SGD{lr: lr, Momentum: momentum}
 }
 
-// Step applies one SGD update: v ← µv + (g + λw); w ← w − η·v. Momentum
-// and weight decay are tested per parameter and g, v resliced to len(w),
-// so the element loops carry no branch and no bounds check. Momentum
-// without weight decay is tensor.MomentumStep, whose first Step after a
-// Reset writes v ← µ·0 + g without reading the stale buffer. Every
-// product is rounded before its sum, so all kernel families give the
-// same bits.
+// Step applies one SGD update: v ← µv + g; w ← w − η·v. With momentum it
+// is tensor.MomentumStep, whose first Step after a Reset writes
+// v ← µ·0 + g without reading the stale buffer; without, one loop over g
+// resliced to len(w), free of bounds checks. Every product is rounded
+// before its sum, so all kernel families give the same bits.
 func (s *SGD) Step(params []*nn.Param) {
 	s.t++
-	lr, mu, wd := s.lr, s.Momentum, s.WeightDecay
+	lr, mu := s.lr, s.Momentum
 	fresh := false
 	if mu != 0 {
 		fresh = s.ensureState(params)
@@ -78,26 +75,12 @@ func (s *SGD) Step(params []*nn.Param) {
 	for j, p := range params {
 		w := p.Value.Data
 		g := p.Grad.Data[:len(w)]
-		switch {
-		case mu == 0 && wd == 0:
-			for i := range w {
-				w[i] -= float64(lr * g[i])
-			}
-		case mu == 0:
-			for i := range w {
-				w[i] -= float64(lr * (g[i] + float64(wd*w[i])))
-			}
-		case wd == 0:
+		if mu != 0 {
 			tensor.MomentumStep(w, g, s.velocity[j], mu, lr, fresh)
-		default:
-			v := s.velocity[j][:len(w)]
-			if fresh {
-				clear(v)
-			}
-			for i := range w {
-				v[i] = float64(mu*v[i]) + (g[i] + float64(wd*w[i]))
-				w[i] -= float64(lr * v[i])
-			}
+			continue
+		}
+		for i := range w {
+			w[i] -= float64(lr * g[i])
 		}
 	}
 }
@@ -147,7 +130,6 @@ type Adam struct {
 	lr           float64
 	Beta1, Beta2 float64
 	Eps          float64
-	WeightDecay  float64
 
 	t    int
 	m, v [][]float64
@@ -169,15 +151,12 @@ func (a *Adam) Step(params []*nn.Param) {
 	b1, b2, c1, c2 := a.Beta1, a.Beta2, 1-a.Beta1, 1-a.Beta2
 	bc1 := 1 - math.Pow(b1, float64(a.t))
 	bc2 := 1 - math.Pow(b2, float64(a.t))
-	lr, eps, wd := a.lr, a.Eps, a.WeightDecay
+	lr, eps := a.lr, a.Eps
 	for j, p := range params {
 		w := p.Value.Data
 		g, m, v := p.Grad.Data[:len(w)], a.m[j][:len(w)], a.v[j][:len(w)]
 		for i := range w {
 			d := g[i]
-			if wd != 0 {
-				d += float64(wd * w[i])
-			}
 			mo, vo := m[i], v[i]
 			if fresh {
 				mo, vo = 0, 0

@@ -62,18 +62,6 @@ func TestSGDMomentumResetClearsVelocity(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecay(t *testing.T) {
-	q := newQuad(2.0)
-	s := NewSGD(0.1)
-	s.WeightDecay = 0.5
-	q.p.Grad.Data[0] = 0
-	s.Step([]*nn.Param{q.p})
-	// w ← w − lr·λ·w = 2 − 0.1·0.5·2 = 1.9
-	if math.Abs(q.w()-1.9) > 1e-12 {
-		t.Fatalf("w = %v, want 1.9", q.w())
-	}
-}
-
 func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// With bias correction, the first Adam step is ≈ lr·sign(g).
 	q := newQuad(1.0)
@@ -186,18 +174,6 @@ func TestOptimizersTrainRealNetwork(t *testing.T) {
 	}
 }
 
-func TestAdamWeightDecay(t *testing.T) {
-	q := newQuad(2.0)
-	a := NewAdam(0.01)
-	a.WeightDecay = 0.5
-	q.p.Grad.Data[0] = 0
-	a.Step([]*nn.Param{q.p})
-	// Effective gradient is λw = 1.0 > 0, so w must decrease.
-	if q.w() >= 2.0 {
-		t.Fatalf("weight decay did not shrink w: %v", q.w())
-	}
-}
-
 func TestSGDVelocityReallocatedOnParamChange(t *testing.T) {
 	s := NewSGDMomentum(0.1, 0.9)
 	q1 := newQuad(1.0)
@@ -211,63 +187,55 @@ func TestSGDVelocityReallocatedOnParamChange(t *testing.T) {
 	s.Step([]*nn.Param{q2.p, q3.p})
 }
 
-// sgdStepPerElement is SGD.Step as it was written with the weight-decay
-// test inside the element loop; velocity is nil without momentum. Each
-// product is converted to float64 — rounded before its sum, as amd64
-// compiled the loop — so arm64 does not fuse the reference either.
-func sgdStepPerElement(w, g, velocity []float64, lr, momentum, weightDecay float64) {
+// sgdStepPerElement is SGD.Step as a per-element loop; velocity is nil
+// without momentum. Each product is converted to float64 — rounded
+// before its sum, as amd64 compiled the loop — so arm64 does not fuse the
+// reference either.
+func sgdStepPerElement(w, g, velocity []float64, lr, momentum float64) {
 	for i := range w {
-		d := g[i]
-		if weightDecay != 0 {
-			d += float64(weightDecay * w[i])
-		}
 		if velocity == nil {
-			w[i] -= float64(lr * d)
+			w[i] -= float64(lr * g[i])
 			continue
 		}
-		velocity[i] = float64(momentum*velocity[i]) + d
+		velocity[i] = float64(momentum*velocity[i]) + g[i]
 		w[i] -= float64(lr * velocity[i])
 	}
 }
 
-// TestSGDStepMatchesPerElementLoop: the four branch-free loops of
-// SGD.Step — momentum or not, weight decay or not — leave the weights the
-// per-element loop leaves, to the bit, over 20 steps with a Reset among
-// them.
+// TestSGDStepMatchesPerElementLoop: the two branch-free loops of
+// SGD.Step — momentum or not — leave the weights the per-element loop
+// leaves, to the bit, over 20 steps with a Reset among them.
 func TestSGDStepMatchesPerElementLoop(t *testing.T) {
 	const lr, steps, resetAt = 0.05, 20, 11
 	for _, momentum := range []float64{0, 0.9} {
-		for _, weightDecay := range []float64{0, 1e-4} {
-			rng := tensor.NewRNG(31)
-			var params []*nn.Param
-			var want, velocity [][]float64
-			for _, n := range []int{37, 5, 1} {
-				p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
-				rng.FillNormal(p.Value, 0, 1)
-				params = append(params, p)
-				want = append(want, append([]float64(nil), p.Value.Data...))
-				velocity = append(velocity, nil)
+		rng := tensor.NewRNG(31)
+		var params []*nn.Param
+		var want, velocity [][]float64
+		for _, n := range []int{37, 5, 1} {
+			p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
+			rng.FillNormal(p.Value, 0, 1)
+			params = append(params, p)
+			want = append(want, append([]float64(nil), p.Value.Data...))
+			velocity = append(velocity, nil)
+		}
+		s := NewSGDMomentum(lr, momentum)
+		for step := 0; step < steps; step++ {
+			if step == resetAt {
+				s.Reset()
 			}
-			s := NewSGDMomentum(lr, momentum)
-			s.WeightDecay = weightDecay
-			for step := 0; step < steps; step++ {
-				if step == resetAt {
-					s.Reset()
+			for j, p := range params {
+				rng.FillNormal(p.Grad, 0, 1)
+				if momentum != 0 && (velocity[j] == nil || step == resetAt) {
+					velocity[j] = make([]float64, len(want[j]))
 				}
-				for j, p := range params {
-					rng.FillNormal(p.Grad, 0, 1)
-					if momentum != 0 && (velocity[j] == nil || step == resetAt) {
-						velocity[j] = make([]float64, len(want[j]))
-					}
-					sgdStepPerElement(want[j], p.Grad.Data, velocity[j], lr, momentum, weightDecay)
-				}
-				s.Step(params)
-				for j, p := range params {
-					for i, v := range p.Value.Data {
-						if math.Float64bits(v) != math.Float64bits(want[j][i]) {
-							t.Fatalf("momentum %v, weight decay %v, step %d: w[%d][%d] = %v, the per-element loop gives %v",
-								momentum, weightDecay, step, j, i, v, want[j][i])
-						}
+				sgdStepPerElement(want[j], p.Grad.Data, velocity[j], lr, momentum)
+			}
+			s.Step(params)
+			for j, p := range params {
+				for i, v := range p.Value.Data {
+					if math.Float64bits(v) != math.Float64bits(want[j][i]) {
+						t.Fatalf("momentum %v, step %d: w[%d][%d] = %v, the per-element loop gives %v",
+							momentum, step, j, i, v, want[j][i])
 					}
 				}
 			}
@@ -275,17 +243,13 @@ func TestSGDStepMatchesPerElementLoop(t *testing.T) {
 	}
 }
 
-// adamStepPerElement is Adam.Step as it was written, with the
-// weight-decay test inside the element loop and m, v cleared after a
-// Reset, its products rounded as in sgdStepPerElement.
+// adamStepPerElement is Adam.Step as it was written, with m, v cleared
+// after a Reset, its products rounded as in sgdStepPerElement.
 func adamStepPerElement(w, g, m, v []float64, a *Adam, t int) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(t))
 	for i := range w {
 		d := g[i]
-		if a.WeightDecay != 0 {
-			d += float64(a.WeightDecay * w[i])
-		}
 		m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*d)
 		v[i] = float64(a.Beta2*v[i]) + float64(float64((1-a.Beta2)*d)*d)
 		mh := m[i] / bc1
@@ -294,63 +258,60 @@ func adamStepPerElement(w, g, m, v []float64, a *Adam, t int) {
 	}
 }
 
-// TestAdamStepMatchesPerElementLoop: Adam.Step with its weight-decay test
-// hoisted out of the element loop, and a first step after Reset that
-// writes the moments from β·0 instead of clearing them first, leaves the
-// weights and moments the per-element loop leaves, to the bit, over 20
-// steps with a Reset among them — −0, NaN and ±Inf gradients included.
+// TestAdamStepMatchesPerElementLoop: Adam.Step, whose first step after
+// a Reset writes the moments from β·0 instead of clearing them first,
+// leaves the weights and moments the per-element loop leaves, to the
+// bit, over 20 steps with a Reset among them — −0, NaN and ±Inf
+// gradients included.
 func TestAdamStepMatchesPerElementLoop(t *testing.T) {
 	const steps, resetAt = 20, 11
-	for _, weightDecay := range []float64{0, 1e-4} {
-		rng := tensor.NewRNG(43)
-		var params []*nn.Param
-		var want, m, v [][]float64
-		for _, n := range []int{37, 5, 1} {
-			p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
-			rng.FillNormal(p.Value, 0, 1)
-			params = append(params, p)
-			want = append(want, append([]float64(nil), p.Value.Data...))
-			m, v = append(m, make([]float64, n)), append(v, make([]float64, n))
+	rng := tensor.NewRNG(43)
+	var params []*nn.Param
+	var want, m, v [][]float64
+	for _, n := range []int{37, 5, 1} {
+		p := &nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
+		rng.FillNormal(p.Value, 0, 1)
+		params = append(params, p)
+		want = append(want, append([]float64(nil), p.Value.Data...))
+		m, v = append(m, make([]float64, n)), append(v, make([]float64, n))
+	}
+	a := NewAdam(0.01)
+	for step, tt := 0, 0; step < steps; step++ {
+		if step == resetAt {
+			a.Reset()
+			tt = 0
 		}
-		a := NewAdam(0.01)
-		a.WeightDecay = weightDecay
-		for step, tt := 0, 0; step < steps; step++ {
+		tt++
+		for j, p := range params {
+			rng.FillNormal(p.Grad, 0, 1)
 			if step == resetAt {
-				a.Reset()
-				tt = 0
+				clear(m[j])
+				clear(v[j])
+				p.Grad.Data[0] = math.Copysign(0, -1)
 			}
-			tt++
-			for j, p := range params {
-				rng.FillNormal(p.Grad, 0, 1)
-				if step == resetAt {
-					clear(m[j])
-					clear(v[j])
-					p.Grad.Data[0] = math.Copysign(0, -1)
-				}
-				if j == 0 && step == steps-1 {
-					p.Grad.Data[1], p.Grad.Data[2], p.Grad.Data[3] = math.NaN(), math.Inf(1), math.Inf(-1)
-				}
-				adamStepPerElement(want[j], p.Grad.Data, m[j], v[j], a, tt)
+			if j == 0 && step == steps-1 {
+				p.Grad.Data[1], p.Grad.Data[2], p.Grad.Data[3] = math.NaN(), math.Inf(1), math.Inf(-1)
 			}
-			a.Step(params)
-			flat, _, _ := a.ExportMoments()
-			off := 0
-			for j, p := range params {
-				for i, w := range p.Value.Data {
-					if math.Float64bits(w) != math.Float64bits(want[j][i]) {
-						t.Fatalf("weight decay %v, step %d: w[%d][%d] = %v, the per-element loop gives %v",
-							weightDecay, step, j, i, w, want[j][i])
-					}
+			adamStepPerElement(want[j], p.Grad.Data, m[j], v[j], a, tt)
+		}
+		a.Step(params)
+		flat, _, _ := a.ExportMoments()
+		off := 0
+		for j, p := range params {
+			for i, w := range p.Value.Data {
+				if math.Float64bits(w) != math.Float64bits(want[j][i]) {
+					t.Fatalf("step %d: w[%d][%d] = %v, the per-element loop gives %v",
+						step, j, i, w, want[j][i])
 				}
-				for i := range m[j] {
-					gm, gv := flat[off+i], flat[len(flat)/2+off+i]
-					if math.Float64bits(gm) != math.Float64bits(m[j][i]) || math.Float64bits(gv) != math.Float64bits(v[j][i]) {
-						t.Fatalf("weight decay %v, step %d: moments[%d][%d] = (%v, %v), the per-element loop gives (%v, %v)",
-							weightDecay, step, j, i, gm, gv, m[j][i], v[j][i])
-					}
-				}
-				off += len(m[j])
 			}
+			for i := range m[j] {
+				gm, gv := flat[off+i], flat[len(flat)/2+off+i]
+				if math.Float64bits(gm) != math.Float64bits(m[j][i]) || math.Float64bits(gv) != math.Float64bits(v[j][i]) {
+					t.Fatalf("step %d: moments[%d][%d] = (%v, %v), the per-element loop gives (%v, %v)",
+						step, j, i, gm, gv, m[j][i], v[j][i])
+				}
+			}
+			off += len(m[j])
 		}
 	}
 }

@@ -56,26 +56,20 @@ func sameUpdateBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// sgdReference is SGD.Step's four element loops before MomentumStep:
-// v ← µv + (g + λw); w ← w − η·v, with v nil without momentum.
-func sgdReference(w, g, v []float64, lr, mu, wd float64) {
+// sgdReference is SGD.Step's two element loops before MomentumStep:
+// v ← µv + g; w ← w − η·v, with v nil without momentum.
+func sgdReference(w, g, v []float64, lr, mu float64) {
 	for i := range w {
-		switch {
-		case mu == 0 && wd == 0:
+		if mu == 0 {
 			w[i] -= float64(lr * g[i])
-		case mu == 0:
-			w[i] -= float64(lr * (g[i] + float64(wd*w[i])))
-		case wd == 0:
-			v[i] = float64(mu*v[i]) + g[i]
-			w[i] -= float64(lr * v[i])
-		default:
-			v[i] = float64(mu*v[i]) + (g[i] + float64(wd*w[i]))
-			w[i] -= float64(lr * v[i])
+			continue
 		}
+		v[i] = float64(mu*v[i]) + g[i]
+		w[i] -= float64(lr * v[i])
 	}
 }
 
-// TestSGDStepKernelMatchesLoop runs the four SGD cases over every length
+// TestSGDStepKernelMatchesLoop runs both SGD cases over every length
 // in updateLens, from a fresh optimizer, after steps and after a Reset
 // (whose first step writes v from µ·0 instead of clearing it first), with
 // NaN, ±Inf and −0 in the gradients and weights.
@@ -83,36 +77,33 @@ func TestSGDStepKernelMatchesLoop(t *testing.T) {
 	const lr, resetAt, steps = 0.05, 2, 4
 	tensor.ForEachKernelFamily(t, func(t *testing.T) {
 		for _, mu := range []float64{0, 0.9} {
-			for _, wd := range []float64{0, 1e-4} {
-				for _, n := range updateLens {
-					rng := tensor.NewRNG(int64(n) + 7)
-					p := &nn.Param{Name: "w", Value: &tensor.Tensor{Data: make([]float64, n)}, Grad: &tensor.Tensor{Data: make([]float64, n)}}
-					for i := range p.Value.Data {
-						p.Value.Data[i] = rng.NormFloat64()
+			for _, n := range updateLens {
+				rng := tensor.NewRNG(int64(n) + 7)
+				p := &nn.Param{Name: "w", Value: &tensor.Tensor{Data: make([]float64, n)}, Grad: &tensor.Tensor{Data: make([]float64, n)}}
+				for i := range p.Value.Data {
+					p.Value.Data[i] = rng.NormFloat64()
+				}
+				specialValues(p.Value.Data, 1)
+				want := append([]float64(nil), p.Value.Data...)
+				var v []float64
+				s := optim.NewSGDMomentum(lr, mu)
+				for step := 0; step < steps; step++ {
+					if step == resetAt {
+						s.Reset()
 					}
-					specialValues(p.Value.Data, 1)
-					want := append([]float64(nil), p.Value.Data...)
-					var v []float64
-					s := optim.NewSGDMomentum(lr, mu)
-					s.WeightDecay = wd
-					for step := 0; step < steps; step++ {
-						if step == resetAt {
-							s.Reset()
-						}
-						if mu != 0 && (v == nil || step == resetAt) {
-							v = make([]float64, n)
-						}
-						for i := range p.Grad.Data {
-							p.Grad.Data[i] = rng.NormFloat64()
-						}
-						specialValues(p.Grad.Data, step)
-						sgdReference(want, p.Grad.Data, v, lr, mu, wd)
-						s.Step([]*nn.Param{p})
-						at := fmt.Sprintf("at momentum %v, weight decay %v, n %d, step %d", mu, wd, n, step)
-						sameUpdateBits(t, "weights "+at, p.Value.Data, want)
-						if flat, _, _ := s.ExportMoments(); mu != 0 && n > 0 {
-							sameUpdateBits(t, "velocity "+at, flat, v)
-						}
+					if mu != 0 && (v == nil || step == resetAt) {
+						v = make([]float64, n)
+					}
+					for i := range p.Grad.Data {
+						p.Grad.Data[i] = rng.NormFloat64()
+					}
+					specialValues(p.Grad.Data, step)
+					sgdReference(want, p.Grad.Data, v, lr, mu)
+					s.Step([]*nn.Param{p})
+					at := fmt.Sprintf("at momentum %v, n %d, step %d", mu, n, step)
+					sameUpdateBits(t, "weights "+at, p.Value.Data, want)
+					if flat, _, _ := s.ExportMoments(); mu != 0 && n > 0 {
+						sameUpdateBits(t, "velocity "+at, flat, v)
 					}
 				}
 			}

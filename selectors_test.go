@@ -121,10 +121,10 @@ var unreadSeriesAllowlist = map[string]string{}
 // TestEverySeriesHasAReader is the reverse census: every registered
 // series family must be read by something — matched by a selector of
 // tsdb.Panels or slo.DefaultRules or by one of middlediag's report
-// patterns, or named in middlediag, middleplot, bench/, scripts/check.sh
-// or a test other than this file — or be allowlisted with a reason. A
-// series nobody reads costs a registration, a scrape and a ring of
-// points for nothing.
+// patterns, or named in middlediag, middleplot, bench/ or a test other
+// than this file (gate_test.go among them) — or be allowlisted with a
+// reason. A series nobody reads costs a registration, a scrape and a
+// ring of points for nothing.
 func TestEverySeriesHasAReader(t *testing.T) {
 	series, families := registeredSeries(t)
 	words := map[string]bool{} // every identifier-like word of the readers' text
@@ -165,7 +165,6 @@ func TestEverySeriesHasAReader(t *testing.T) {
 			}
 		case strings.HasPrefix(p, "cmd/middleplot/") && strings.HasSuffix(p, ".go"),
 			strings.HasPrefix(p, "bench/") && strings.HasSuffix(p, ".go"),
-			p == "scripts/check.sh",
 			strings.HasSuffix(p, "_test.go") && p != "selectors_test.go":
 			read(p)
 		}
@@ -196,7 +195,7 @@ func TestEverySeriesHasAReader(t *testing.T) {
 		case named && allowed:
 			t.Errorf("%s is allowlisted but now read: delete its entry", family)
 		case !named && !allowed:
-			t.Errorf("%s is read by no panel, SLO rule, middlediag, middleplot, bench/, check.sh or test: delete it, or allowlist it with a reason", family)
+			t.Errorf("%s is read by no panel, SLO rule, middlediag, middleplot, bench/ or test: delete it, or allowlist it with a reason", family)
 		}
 	}
 	for family := range unreadSeriesAllowlist {
