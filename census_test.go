@@ -14,10 +14,10 @@ import (
 	"testing"
 )
 
-// unusedAPIAllowlist names, as "<dir>.<Name>", each exported function or
-// method under internal/ or in middle.go that no non-test file names, and
-// why it stays (DESIGN.md, "Capability census"). TestNoUnusedAPI fails on
-// a stale entry too, so the list only shrinks.
+// unusedAPIAllowlist names, as "<dir>.<Name>", each exported function,
+// method or type under internal/ or in middle.go that no non-test file
+// names, and why it stays (DESIGN.md, "Capability census").
+// TestNoUnusedAPI fails on a stale entry too, so the list only shrinks.
 var unusedAPIAllowlist = map[string]string{
 	// The standard library calls these through an interface.
 	"internal/obs/tsdb.MarshalJSON": "encoding/json marshals the dump through it",
@@ -72,10 +72,11 @@ var unusedAPIAllowlist = map[string]string{
 	"internal/obs.Quantile":              "quantile_test.go checks the histogram estimate the tsdb shares",
 }
 
-// TestNoUnusedAPI is the census gate: an exported function or a method
-// declared under internal/ or in middle.go must be named by some non-test
-// .go file of the module other than by its own declaration, or be
-// allowlisted with a reason. It matches bare names, so any use of the
+// TestNoUnusedAPI is the census gate: an exported function, a method or
+// an exported type declared under internal/ or in middle.go must be named
+// by some non-test .go file of the module other than by its own
+// declaration (for a type, also other than as its methods' receiver), or
+// be allowlisted with a reason. It matches bare names, so any use of the
 // same name anywhere counts: the gate misses dead code that shares a name
 // with live code, but never flags live code.
 func TestNoUnusedAPI(t *testing.T) {
@@ -93,14 +94,28 @@ func TestNoUnusedAPI(t *testing.T) {
 		if p != "middle.go" && !strings.HasPrefix(p, "internal/") {
 			return
 		}
+		declare := func(id *ast.Ident) {
+			declared[id.Name]++
+			key := path.Dir(p) + "." + id.Name
+			where[key] = append(where[key], fset.Position(id.Pos()).String())
+		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || (fd.Recv == nil && !fd.Name.IsExported()) {
-				continue
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					// A method's receiver type is no use of that type.
+					declared[receiverType(d.Recv.List[0].Type)]++
+				} else if !d.Name.IsExported() {
+					continue
+				}
+				declare(d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() {
+						declare(ts.Name)
+					}
+				}
 			}
-			declared[fd.Name.Name]++
-			key := path.Dir(p) + "." + fd.Name.Name
-			where[key] = append(where[key], fset.Position(fd.Pos()).String())
 		}
 	})
 	var unused []string
@@ -124,6 +139,25 @@ func TestNoUnusedAPI(t *testing.T) {
 	sort.Strings(unused)
 	for _, u := range unused {
 		t.Errorf("%s is named by no non-test file: delete it, or allowlist it with a reason", u)
+	}
+}
+
+// receiverType returns the type name of a method receiver: T in T, *T,
+// T[P] and *T[P, Q].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
 	}
 }
 

@@ -375,11 +375,12 @@ func (o *options) runTheory() {
 	for i, p := range r.Ps {
 		fmt.Printf("%-6.2f %-14.4g", p, r.Bound[i])
 		for j := range r.Alphas {
-			fmt.Printf(" gap=%-9.3g div=%-9.3g", r.Gap[i][j], r.Divergence[i][j])
+			fmt.Printf(" gap=%-18s div=%-15s", fmt.Sprintf("%.3g±%.2g", r.Gap[i][j], r.GapHW[i][j]),
+				fmt.Sprintf("%.3g±%.2g", r.Divergence[i][j], r.DivergenceHW[i][j]))
 		}
 		fmt.Println()
 	}
-	fmt.Println("(bound decreases monotonically in P — Remark 1; div is the start-point divergence the proof bounds)")
+	fmt.Println("(mean±95% half-width over seeds; bound decreases monotonically in P — Remark 1; div is the start-point divergence the proof bounds)")
 	fmt.Println()
 }
 

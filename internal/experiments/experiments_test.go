@@ -171,25 +171,39 @@ func TestFig2TraceScript(t *testing.T) {
 	}
 }
 
+// TestRunTheorySweep also checks Remark 1 on the engine: at α = 0.1 and
+// 0.3 the start-point divergence falls strictly from each P to the next,
+// and the 95% intervals over the seeds do not overlap. At α = 0.5 it does
+// not (the divergence rises again towards P = 1), so that column is not
+// in the sweep.
 func TestRunTheorySweep(t *testing.T) {
-	r := RunTheory(TheoryConfig{Scale: Fast, Seed: 1, Ps: []float64{0.2, 0.8}, Alphas: []float64{0.3}})
-	if len(r.Gap) != 2 || len(r.Gap[0]) != 1 {
+	r := RunTheory(TheoryConfig{Scale: Fast, Seed: 1, Ps: []float64{0.1, 0.5, 1.0}, Alphas: []float64{0.1, 0.3}})
+	if len(r.Gap) != 3 || len(r.Gap[0]) != 2 || len(r.GapHW) != 3 || len(r.DivergenceHW[2]) != 2 {
 		t.Fatalf("gap shape %dx%d", len(r.Gap), len(r.Gap[0]))
 	}
-	if len(r.Bound) != 2 {
+	if len(r.Bound) != 3 {
 		t.Fatalf("bound length %d", len(r.Bound))
 	}
-	// Remark 1: the theoretical bound decreases with P.
-	if r.Bound[1] >= r.Bound[0] {
-		t.Fatalf("bound not decreasing in P: %v", r.Bound)
-	}
 	for i := range r.Gap {
+		// Remark 1: the theoretical bound decreases with P.
+		if i > 0 && r.Bound[i] >= r.Bound[i-1] {
+			t.Fatalf("bound not decreasing in P: %v", r.Bound)
+		}
 		for j := range r.Gap[i] {
-			if r.Gap[i][j] < 0 || math.IsNaN(r.Gap[i][j]) {
-				t.Fatalf("gap[%d][%d] = %v", i, j, r.Gap[i][j])
+			if r.Gap[i][j] < 0 || math.IsNaN(r.Gap[i][j]) || r.GapHW[i][j] < 0 {
+				t.Fatalf("gap[%d][%d] = %v ± %v", i, j, r.Gap[i][j], r.GapHW[i][j])
 			}
 			if r.Divergence[i][j] < 0 {
 				t.Fatalf("divergence negative")
+			}
+			if i == 0 {
+				continue
+			}
+			hi, lo := r.Divergence[i-1][j]-r.DivergenceHW[i-1][j], r.Divergence[i][j]+r.DivergenceHW[i][j]
+			if lo >= hi {
+				t.Errorf("α=%v: divergence %.3g±%.2g at P=%v does not fall clear of %.3g±%.2g at P=%v",
+					r.Alphas[j], r.Divergence[i][j], r.DivergenceHW[i][j], r.Ps[i],
+					r.Divergence[i-1][j], r.DivergenceHW[i-1][j], r.Ps[i-1])
 			}
 		}
 	}

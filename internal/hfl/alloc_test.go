@@ -99,7 +99,7 @@ func TestWorkerScratchSizedByTrainingBatch(t *testing.T) {
 	if held := int64(liveHeap()) - int64(before); held > 20<<20 {
 		t.Fatalf("a simulator with one worker holds %d MB after a round and an evaluation, want at most 20", held>>20)
 	}
-	if got, batch := cap(s.workers[0].x.Data), cfg.BatchSize*f.test.SampleSize(); got > batch {
+	if got, batch := cap(s.trainers[0].x.Data), cfg.BatchSize*f.test.SampleSize(); got > batch {
 		t.Fatalf("the worker's batch storage grew to %d values, a training batch has %d: an evaluation chunk outgrew it", got, batch)
 	}
 	runtime.KeepAlive(f)

@@ -129,7 +129,7 @@ func TestLRScheduleApplied(t *testing.T) {
 	// cloud model never changes even at sync steps.
 	f := newFixture(t, 0.3)
 	cfg := smallConfig()
-	cfg.LRSchedule = optim.ConstantSchedule(0)
+	cfg.LRSchedule = optim.InverseSchedule{Base: 0}
 	cfg.Steps = cfg.CloudInterval
 	s := New(cfg, f.factory(), f.part, f.test, f.mob, &spyStrategy{})
 	before := append([]float64(nil), s.CloudModel()...)

@@ -26,7 +26,7 @@ func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc 
 	}
 	chunk := s.evalChunk()
 	chunks := (n + chunk - 1) / chunk
-	for _, tw := range s.workers[:min(len(s.workers), chunks)] {
+	for _, tw := range s.trainers[:min(len(s.trainers), chunks)] {
 		tw.Net.SetParamVector(vec)
 	}
 	var mu sync.Mutex // guards the tallies below
@@ -37,7 +37,7 @@ func (s *Sim) EvaluateVector(vec []float64, maxSamples int, perClass bool) (acc 
 		perTotal = make([]int, s.test.Classes)
 	}
 	s.fanOut(chunks, func(w, c int) {
-		tw := s.workers[w]
+		tw := s.trainers[w]
 		tw.idx = tw.idx[:0]
 		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 			tw.idx = append(tw.idx, i)
@@ -80,7 +80,7 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 	if maxSamples > 0 && maxSamples < n {
 		n = maxSamples
 	}
-	tw := s.workers[0]
+	tw := s.trainers[0]
 	tw.Net.SetParamVector(vec)
 	correct, total := 0, 0
 	var idx []int
@@ -108,7 +108,7 @@ func (s *Sim) EvaluateVectorOnClasses(vec []float64, classes []int, maxSamples i
 // model vector over all device shards (capped per device to keep it
 // affordable; 0 = all samples). Used by convergence diagnostics.
 func (s *Sim) GlobalLoss(vec []float64, maxPerDevice int) float64 {
-	tw := s.workers[0]
+	tw := s.trainers[0]
 	tw.Net.SetParamVector(vec)
 	totalLoss, totalWeight := 0.0, 0.0
 	for m := 0; m < s.numDevices; m++ {

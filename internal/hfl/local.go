@@ -26,10 +26,39 @@ type Trainer struct {
 	idx []int
 	x   *tensor.Tensor
 	y   []int
+}
 
-	// rng is the simulator's per-worker generator, re-seeded to each
-	// edge's selection stream and each device's batch stream it takes.
+// DeviceUpdater is the simulator's device side of Algorithm 1 line 8:
+// device's local round of steps updates from start into out (which may
+// be start itself) at rate lr (Config.LRSchedule at this step, else
+// Optimizer.LR), drawing randomness only from rng, which the simulator
+// re-seeds per (step, device). It returns the Oort statistical utility
+// and how many updates it skipped. Each pool worker owns one.
+type DeviceUpdater interface {
+	UpdateDevice(device int, start, out []float64, steps int, lr float64, rng *tensor.RNG) (util float64, skipped int)
+}
+
+// worker is one pool goroutine's updater and the generator it re-seeds
+// to each edge's selection stream and each device's stream it takes.
+type worker struct {
+	dev DeviceUpdater
 	rng *tensor.RNG
+}
+
+// shardUpdater is New's DeviceUpdater: LocalRound over the device's
+// shard. Without a schedule the rate stays the one Optimizer built.
+type shardUpdater struct {
+	*Trainer
+	part     *data.Partition
+	batch    int
+	schedule bool
+}
+
+func (u shardUpdater) UpdateDevice(device int, start, out []float64, steps int, lr float64, rng *tensor.RNG) (float64, int) {
+	if u.schedule {
+		u.Opt.SetLR(lr)
+	}
+	return u.LocalRound(u.part.Dataset, u.part.Indices[device], steps, u.batch, rng, start, out, false)
 }
 
 // LocalRound is the device side of Algorithm 1 line 8: steps mini-batch

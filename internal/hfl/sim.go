@@ -20,12 +20,11 @@ import (
 // New, drive with Run (or StepOnce for fine-grained control), and read
 // results from the returned History.
 type Sim struct {
-	cfg     Config
-	factory ModelFactory
-	part    *data.Partition
-	test    *data.Dataset
-	mob     mobility.Model
-	strat   Strategy
+	cfg   Config
+	part  *data.Partition // New's data; nil on NewWithUpdater's seam
+	test  *data.Dataset
+	mob   mobility.Model
+	strat Strategy
 
 	numEdges   int
 	numDevices int
@@ -56,8 +55,9 @@ type Sim struct {
 	commDeviceEdge int64
 	commEdgeCloud  int64
 
-	workers []*Trainer // one per pool goroutine; evaluation runs on them too
-	history *History
+	workers  []*worker  // one per pool goroutine
+	trainers []*Trainer // New's networks behind the workers; evaluation runs on them
+	history  *History
 
 	// phases accumulates the always-on per-phase wall-clock breakdown;
 	// metrics mirrors it (plus counters) into cfg.Obs when set. tel does
@@ -85,21 +85,40 @@ type Sim struct {
 // from cfg.Seed and installed on the cloud, every edge and every device.
 func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Dataset, mob mobility.Model, strat Strategy) *Sim {
 	cfg = cfg.withDefaults()
-	if part.NumDevices() != mob.NumDevices() {
-		panic(fmt.Sprintf("hfl: partition has %d devices but mobility model has %d", part.NumDevices(), mob.NumDevices()))
+	var trainers []*Trainer
+	s := newSim(cfg, factory(tensor.Split(cfg.Seed, 0)).ParamVector(), part.Sizes(), func(i int) DeviceUpdater {
+		tw := &Trainer{Net: factory(tensor.Split(cfg.Seed, int64(100+i))), Opt: cfg.Optimizer.New()}
+		trainers = append(trainers, tw)
+		return shardUpdater{Trainer: tw, part: part, batch: cfg.BatchSize, schedule: cfg.LRSchedule != nil}
+	}, mob, strat)
+	s.part, s.test, s.trainers = part, test, trainers
+	return s
+}
+
+// NewWithUpdater builds a simulation whose devices train through
+// updater(w), called once per pool worker w: init is installed on the
+// cloud, every edge and every device, and sizes[m] is d_m. Such a Sim
+// has no test set, so it panics if cfg.EvalEvery > 0.
+func NewWithUpdater(cfg Config, init []float64, sizes []int, updater func(worker int) DeviceUpdater, mob mobility.Model, strat Strategy) *Sim {
+	if cfg.EvalEvery > 0 {
+		panic("hfl: a Sim built on a DeviceUpdater has no test set to evaluate on; leave EvalEvery 0")
+	}
+	return newSim(cfg.withDefaults(), init, sizes, updater, mob, strat)
+}
+
+// newSim is New's and NewWithUpdater's construction; init becomes the cloud vector.
+func newSim(cfg Config, init []float64, sizes []int, updater func(worker int) DeviceUpdater, mob mobility.Model, strat Strategy) *Sim {
+	if len(sizes) != mob.NumDevices() {
+		panic(fmt.Sprintf("hfl: %d devices have data but the mobility model has %d", len(sizes), mob.NumDevices()))
 	}
 	s := &Sim{
 		cfg:        cfg,
-		factory:    factory,
-		part:       part,
-		test:       test,
 		mob:        mob,
 		strat:      strat,
 		numEdges:   mob.NumEdges(),
 		numDevices: mob.NumDevices(),
+		cloud:      init,
 	}
-	init := factory(tensor.Split(cfg.Seed, 0)).ParamVector()
-	s.cloud = init
 	s.edges = make([][]float64, s.numEdges)
 	for n := range s.edges {
 		s.edges[n] = cloneVec(init)
@@ -119,20 +138,16 @@ func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Data
 		s.statUtil[m] = math.NaN()
 		s.lastTrain[m] = -1
 	}
-	s.dataSizes = part.Sizes()
+	s.dataSizes = sizes
 	s.edgeWeight = make([]float64, s.numEdges)
 	s.moved = make([]bool, s.numDevices)
 	s.candidates = make([][]int, s.numEdges)
 	s.selected = make([][]int, s.numEdges)
 	mob.Reset()
 	s.membership = mob.Step() // M^0: membership before the first round
-	s.workers = make([]*Trainer, cfg.Parallelism)
+	s.workers = make([]*worker, cfg.Parallelism)
 	for i := range s.workers {
-		s.workers[i] = &Trainer{
-			Net: factory(tensor.Split(cfg.Seed, int64(100+i))),
-			Opt: cfg.Optimizer.New(),
-			rng: tensor.NewRNG(0),
-		}
+		s.workers[i] = &worker{dev: updater(i), rng: tensor.NewRNG(0)}
 	}
 	s.agg = robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs)
 	s.history = &History{Strategy: strat.Name()}
@@ -470,13 +485,13 @@ func (s *Sim) fanOut(n int, fn func(w, i int)) {
 
 // trainDevice runs one job's local round (Eq. 5) on a pool worker and
 // fills in the resulting model vector and Oort statistical utility.
-func (s *Sim) trainDevice(tw *Trainer, job *trainJob, t int) {
-	tw.rng.Reseed(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
+func (s *Sim) trainDevice(w *worker, job *trainJob, t int) {
+	w.rng.Reseed(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
+	lr := s.cfg.Optimizer.LR
 	if s.cfg.LRSchedule != nil {
-		tw.Opt.SetLR(s.cfg.LRSchedule.At(t))
+		lr = s.cfg.LRSchedule.At(t)
 	}
-	util, skipped := tw.LocalRound(s.part.Dataset, s.part.Indices[job.device],
-		s.cfg.LocalSteps, s.cfg.BatchSize, tw.rng, job.init, job.out, false)
+	util, skipped := w.dev.UpdateDevice(job.device, job.init, job.out, s.cfg.LocalSteps, lr, w.rng)
 	job.util = util
 	s.nonfinite.Add(int64(skipped))
 	s.metrics.nonfiniteSteps.Add(int64(skipped))

@@ -307,12 +307,6 @@ type Schedule interface {
 	At(step int) float64
 }
 
-// ConstantSchedule always returns the same rate.
-type ConstantSchedule float64
-
-// At returns the constant rate.
-func (c ConstantSchedule) At(step int) float64 { return float64(c) }
-
 // InverseSchedule implements η_t = η₀·γ/(γ+t), the decay used in the
 // paper's Theorem 1 (η_t = 2/(µ(γ+t)) up to the constant).
 type InverseSchedule struct {
@@ -323,19 +317,4 @@ type InverseSchedule struct {
 // At returns Base·Gamma/(Gamma+step).
 func (s InverseSchedule) At(step int) float64 {
 	return s.Base * s.Gamma / (s.Gamma + float64(step))
-}
-
-// StepSchedule decays the rate by Factor every Every steps.
-type StepSchedule struct {
-	Base   float64
-	Every  int
-	Factor float64
-}
-
-// At returns Base·Factor^⌊step/Every⌋.
-func (s StepSchedule) At(step int) float64 {
-	if s.Every <= 0 {
-		return s.Base
-	}
-	return s.Base * math.Pow(s.Factor, float64(step/s.Every))
 }

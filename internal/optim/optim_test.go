@@ -115,24 +115,12 @@ func TestSetLR(t *testing.T) {
 }
 
 func TestSchedules(t *testing.T) {
-	c := ConstantSchedule(0.3)
-	if c.At(0) != 0.3 || c.At(1000) != 0.3 {
-		t.Fatal("ConstantSchedule not constant")
-	}
 	inv := InverseSchedule{Base: 0.1, Gamma: 10}
 	if inv.At(0) != 0.1 {
 		t.Fatalf("InverseSchedule.At(0) = %v", inv.At(0))
 	}
 	if got := inv.At(10); math.Abs(got-0.05) > 1e-12 {
 		t.Fatalf("InverseSchedule.At(10) = %v, want 0.05", got)
-	}
-	st := StepSchedule{Base: 1, Every: 10, Factor: 0.5}
-	if st.At(9) != 1 || st.At(10) != 0.5 || st.At(25) != 0.25 {
-		t.Fatalf("StepSchedule values %v %v %v", st.At(9), st.At(10), st.At(25))
-	}
-	st0 := StepSchedule{Base: 1, Every: 0, Factor: 0.5}
-	if st0.At(100) != 1 {
-		t.Fatal("StepSchedule with Every=0 must be constant")
 	}
 }
 

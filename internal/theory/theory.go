@@ -6,16 +6,16 @@
 //
 // with bounded-variance stochastic gradients. The global optimum is
 // available in closed form, so E[F(w)] − F* is measured exactly — the
-// quantity Theorem 1 bounds — and Remark 1's prediction (the error term
+// quantity Theorem 1 bounds. Quadratic is an hfl.DeviceUpdater, so
+// experiments.RunTheory checks Remark 1's prediction (the error term
 // contributed by on-device aggregation decreases monotonically in the
-// global mobility P) can be checked empirically.
+// global mobility P) on hfl.Sim, the engine that draws the figures.
 package theory
 
 import (
 	"fmt"
 	"math"
 
-	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
@@ -27,6 +27,9 @@ type Quadratic struct {
 	Centers  [][]float64
 	Weights  []float64 // h_m, normalised to sum 1
 	NoiseStd float64   // std of each stochastic-gradient coordinate (Assumption 3)
+	// Starts[m] is the start vector of device m's latest local round,
+	// ŵ_m in the proof of Theorem 1.
+	Starts [][]float64
 }
 
 // NewClusteredQuadratic builds a quadratic objective whose device
@@ -48,6 +51,7 @@ func NewClusteredQuadratic(dim, edges, devices int, spread, withinEdge, noiseStd
 	}
 	centers := make([][]float64, devices)
 	weights := make([]float64, devices)
+	starts := make([][]float64, devices)
 	for m := range centers {
 		rng := tensor.Split(seed, int64(9000+m))
 		e := m % edges
@@ -57,8 +61,9 @@ func NewClusteredQuadratic(dim, edges, devices int, spread, withinEdge, noiseStd
 		}
 		centers[m] = c
 		weights[m] = 1 / float64(devices)
+		starts[m] = make([]float64, dim)
 	}
-	return &Quadratic{Dim: dim, Centers: centers, Weights: weights, NoiseStd: noiseStd}
+	return &Quadratic{Dim: dim, Centers: centers, Weights: weights, NoiseStd: noiseStd, Starts: starts}
 }
 
 // WStar returns the global optimum w* = Σ h_m c_m.
@@ -89,184 +94,21 @@ func (q *Quadratic) F(w []float64) float64 {
 // FStar returns the optimal value F(w*).
 func (q *Quadratic) FStar() float64 { return q.F(q.WStar()) }
 
-// Grad returns a stochastic gradient of F_m at w: (w − c_m) plus
-// N(0, NoiseStd²) noise per coordinate, satisfying Assumption 3 with
-// σ² = Dim·NoiseStd².
-func (q *Quadratic) Grad(m int, w []float64, rng *tensor.RNG) []float64 {
-	g := make([]float64, q.Dim)
-	for j := range g {
-		g[j] = w[j] - q.Centers[m][j] + q.NoiseStd*rng.NormFloat64()
-	}
-	return g
-}
-
-// RunConfig parameterises one fixed-α hierarchical run of the §5
-// setting: full device participation, Markov mobility P, on-device
-// blending with constant coefficient α for moved devices, edge
-// aggregation every step and cloud aggregation every T_c steps, with
-// the Theorem 1 learning rate η_t = 2/(µ(γ+t)).
-type RunConfig struct {
-	Edges         int
-	Devices       int
-	P             float64 // global mobility
-	Alpha         float64 // local-model blending coefficient (0 = classical HFL)
-	LocalSteps    int     // I
-	CloudInterval int     // T_c
-	Steps         int     // T
-	Mu            float64 // strong convexity (1 for the plain quadratic)
-	Gamma         float64 // γ = max(8β/µ, I)
-	Seed          int64
-}
-
-// Result reports one realisation of the fixed-α training process.
-type Result struct {
-	// Gap is the final optimality gap F(w_c) − F*, the quantity
-	// Theorem 1 bounds.
-	Gap float64
-	// StartDivergence is the run-average of Σ_m h_m‖ŵ_m − w̄‖², the
-	// divergence between the devices' local-training starting points and
-	// the global average model. This is the term the proof sketch bounds
-	// via α and P (Eq. 19): on-device aggregation shrinks it, and more
-	// mobility gives aggregation more opportunities to act.
-	StartDivergence float64
-}
-
-// Run simulates the fixed-α training process and returns the final
-// optimality gap and the average starting-point divergence (a single
-// realisation; average over seeds for expectations).
-func Run(q *Quadratic, cfg RunConfig) Result {
-	if cfg.Mu <= 0 {
-		cfg.Mu = 1
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = math.Max(8/cfg.Mu, float64(cfg.LocalSteps))
-	}
-	devices := cfg.Devices
-	rng := tensor.Split(cfg.Seed, 0x7E03)
-	// All models start at the origin.
-	cloud := make([]float64, q.Dim)
-	edges := make([][]float64, cfg.Edges)
-	for n := range edges {
-		edges[n] = make([]float64, q.Dim)
-	}
-	locals := make([][]float64, devices)
-	for m := range locals {
-		locals[m] = make([]float64, q.Dim)
-	}
-	membership := make([]int, devices)
-	for m := range membership {
-		membership[m] = m % cfg.Edges
-	}
-	divergenceSum, divergenceCount := 0.0, 0
-	for t := 1; t <= cfg.Steps; t++ {
-		// Mobility: move with probability P to a uniform other edge.
-		moved := make([]bool, devices)
-		if cfg.Edges > 1 {
-			for m := range membership {
-				if rng.Float64() < cfg.P {
-					next := rng.Intn(cfg.Edges - 1)
-					if next >= membership[m] {
-						next++
-					}
-					membership[m] = next
-					moved[m] = true
-				}
-			}
-		}
-		eta := 2 / (cfg.Mu * (cfg.Gamma + float64(t)))
-		// Full participation: every device trains.
-		byEdge := make([][]int, cfg.Edges)
-		for m, e := range membership {
-			byEdge[e] = append(byEdge[e], m)
-		}
-		starts := make([][]float64, devices)
-		for m := 0; m < devices; m++ {
-			if moved[m] && cfg.Alpha > 0 {
-				starts[m] = simil.Blend(edges[membership[m]], locals[m], cfg.Alpha)
-			} else {
-				starts[m] = append([]float64(nil), edges[membership[m]]...)
-			}
-		}
-		// Record Σ h_m‖ŵ_m − w̄‖² where w̄ is the h-weighted average of
-		// the starting points (the proof's virtual sequence).
-		wbar := simil.WeightedAverage(starts, q.Weights)
-		for m := 0; m < devices; m++ {
-			d := 0.0
-			for j := range wbar {
-				diff := starts[m][j] - wbar[j]
-				d += diff * diff
-			}
-			divergenceSum += q.Weights[m] * d
-		}
-		divergenceCount++
-		for m := 0; m < devices; m++ {
-			w := starts[m]
-			for i := 0; i < cfg.LocalSteps; i++ {
-				g := q.Grad(m, w, rng)
-				for j := range w {
-					w[j] -= eta * g[j]
-				}
-			}
-			locals[m] = w
-		}
-		for n := range byEdge {
-			if len(byEdge[n]) == 0 {
-				continue
-			}
-			vecs := make([][]float64, len(byEdge[n]))
-			ws := make([]float64, len(byEdge[n]))
-			for i, m := range byEdge[n] {
-				vecs[i] = locals[m]
-				ws[i] = q.Weights[m]
-			}
-			edges[n] = simil.WeightedAverage(vecs, ws)
-		}
-		if t%cfg.CloudInterval == 0 {
-			vecs := make([][]float64, 0, cfg.Edges)
-			ws := make([]float64, 0, cfg.Edges)
-			for n := range edges {
-				if len(byEdge[n]) == 0 {
-					continue
-				}
-				weight := 0.0
-				for _, m := range byEdge[n] {
-					weight += q.Weights[m]
-				}
-				vecs = append(vecs, edges[n])
-				ws = append(ws, weight)
-			}
-			if len(vecs) > 0 {
-				cloud = simil.WeightedAverage(vecs, ws)
-			}
-			for n := range edges {
-				edges[n] = append([]float64(nil), cloud...)
-			}
-			for m := range locals {
-				locals[m] = append([]float64(nil), cloud...)
-			}
+// UpdateDevice implements hfl.DeviceUpdater: steps SGD steps on F_m from
+// start into out at rate lr, each gradient (w − c_m) plus N(0, NoiseStd²)
+// noise per coordinate from rng (Assumption 3, σ² = Dim·NoiseStd²). It
+// records start in Starts[device] first; a device trains at most once a
+// step, so calls never share a slot. The utility is zero.
+func (q *Quadratic) UpdateDevice(device int, start, out []float64, steps int, lr float64, rng *tensor.RNG) (float64, int) {
+	copy(q.Starts[device], start)
+	copy(out, start)
+	c := q.Centers[device]
+	for i := 0; i < steps; i++ {
+		for j := range out {
+			out[j] -= lr * (out[j] - c[j] + q.NoiseStd*rng.NormFloat64())
 		}
 	}
-	res := Result{Gap: q.F(cloud) - q.FStar()}
-	if divergenceCount > 0 {
-		res.StartDivergence = divergenceSum / float64(divergenceCount)
-	}
-	return res
-}
-
-// RunAveraged averages Run over several seeds, the empirical counterpart
-// of the expectation in Theorem 1.
-func RunAveraged(q *Quadratic, cfg RunConfig, seeds int) Result {
-	var sum Result
-	for i := 0; i < seeds; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
-		r := Run(q, c)
-		sum.Gap += r.Gap
-		sum.StartDivergence += r.StartDivergence
-	}
-	sum.Gap /= float64(seeds)
-	sum.StartDivergence /= float64(seeds)
-	return sum
+	return 0, 0
 }
 
 // BoundParams carries the constants of Theorem 1's right-hand side.
