@@ -47,7 +47,6 @@ var unusedAPIAllowlist = map[string]string{
 	"internal/hfl.ResidentModels":        "store_test.go reads the lazy store's resident count",
 	"internal/hfl.GlobalLoss":            "sim_test.go checks Eq. 4's objective falls",
 	"internal/hfl.Append":                "history and sim tests assemble histories with it",
-	"internal/fednet.DownEdges":          "membership_test.go reads the cluster's dead edges",
 	"internal/fednet.KillEdge":           "membership and chaos tests kill an in-process edge",
 	"internal/fednet.RestartEdge":        "membership_test.go restarts a killed edge",
 	"internal/fednet.StartRound":         "fednet_chaos_test.go reads the round a cloud resumed from",

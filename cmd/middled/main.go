@@ -21,12 +21,14 @@
 // -edges -rounds -tc -lease-interval -round-interval;
 // fednet.EdgeConfig -id -cloud -k -live-migration -sel-norm-cap and,
 // shared with the cloud, -addr -checkpoint-dir -aggregator -norm-bound;
-// the devices role's own options -edgeaddrs -from -to -p -movems -mux
-// -failover. The cloud always runs the self-healing membership: edges
-// hold leases, an edge that misses them is declared dead, and a restarted
-// edge rejoins under a bumped epoch. Fault injection, quorum and round
-// deadlines are fednet config fields that the in-process cluster
-// (fednet.StartCluster) sets; the daemons run with their defaults.
+// the devices role's own options -edgeaddrs -from -to -p -movems -mux.
+// The cloud always runs the self-healing membership: edges hold leases,
+// an edge that misses them is declared dead, and a restarted edge rejoins
+// under a bumped epoch. Every -edgeaddrs entry is a failover candidate: a
+// device whose edge stops answering re-registers at a survivor on its
+// own, carrying its local model and round bookkeeping. Fault injection,
+// quorum and round deadlines are fednet config fields that the in-process
+// cluster (fednet.StartCluster) sets; the daemons run with their defaults.
 package main
 
 import (
@@ -68,7 +70,6 @@ type devicesOpts struct {
 	from, to, moveMs int
 	p                float64
 	mux              int
-	failover         bool
 }
 
 // registerFlags declares middled's flags on fs, grouped by the struct
@@ -106,7 +107,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&d.p, "p", 0.5, "device mobility probability (devices role)")
 	fs.IntVar(&d.moveMs, "movems", 2000, "milliseconds between mobility steps (devices role)")
 	fs.IntVar(&d.mux, "mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
-	fs.BoolVar(&d.failover, "failover", false, "devices role: when an edge dies, re-home its devices to the surviving -edgeaddrs entries carrying their local state")
 	return o
 }
 
@@ -198,10 +198,8 @@ func (o *options) runEdge(*experiments.TaskSetup) map[string]any {
 
 // check validates the devices role's flags against a partition of
 // numDevices devices, returning the edge address list, the strategy the
-// devices build their start models with and the failover candidates.
-// With -failover every listed edge is a re-home candidate: a device
-// whose edge stops answering re-registers at a survivor on its own,
-// carrying its local model and round bookkeeping.
+// devices build their start models with and the failover candidates:
+// every listed edge.
 func (d devicesOpts) check(strategy string, numDevices int) ([]string, middle.Strategy, []fednet.EdgeAddr, error) {
 	addrs := strings.Split(d.edgeList, ",")
 	if addrs[0] == "" {
@@ -217,11 +215,9 @@ func (d devicesOpts) check(strategy string, numDevices int) ([]string, middle.St
 	if d.to >= numDevices || d.from < 0 || d.from > d.to {
 		return nil, nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", d.from, d.to, numDevices)
 	}
-	var candidates []fednet.EdgeAddr
-	if d.failover {
-		for e, a := range addrs {
-			candidates = append(candidates, fednet.EdgeAddr{ID: e, Addr: a})
-		}
+	candidates := make([]fednet.EdgeAddr, len(addrs))
+	for e, a := range addrs {
+		candidates[e] = fednet.EdgeAddr{ID: e, Addr: a}
 	}
 	return addrs, strat, candidates, nil
 }
@@ -263,7 +259,7 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 	}
 	mob := mobility.NewMarkovRing(len(addrs), n, o.devices.p, seed+int64(from))
 	// Step's slices are the model's own and read-only; this loop keeps one
-	// across ticks and rewrites entries on failover, so it copies.
+	// across ticks, so it copies.
 	membership := append([]int(nil), mob.Step()...)
 	for i := range membership {
 		if err := connect(i, membership[i]); err != nil {
@@ -271,7 +267,6 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 		}
 		log.Printf("middled: device %d attached to edge %d", from+i, membership[i])
 	}
-	strandedGauge := o.M.Registry().Gauge("fednet_stranded_devices")
 	stop := make(chan struct{})
 	onSignal(func() { close(stop) })
 	ticker := time.NewTicker(time.Duration(o.devices.moveMs) * time.Millisecond)
@@ -294,33 +289,14 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 			if next[i] == membership[i] {
 				continue
 			}
-			err := move(i, next[i])
-			if err != nil && o.devices.failover {
-				// The intended edge may be dead; try the other candidates
-				// in order so the device keeps training somewhere.
-				for off := 1; off < len(addrs) && err != nil; off++ {
-					alt := (next[i] + off) % len(addrs)
-					if err = move(i, alt); err == nil {
-						next[i] = alt
-					}
-				}
-			}
-			if err != nil {
+			// A dead edge sends the device on to a failover candidate;
+			// only a device that no candidate took is an error.
+			if err := move(i, next[i]); err != nil {
 				log.Printf("middled: device %d failed to move: %v", from+i, err)
 				continue
 			}
 			log.Printf("middled: device %d moved to edge %d", from+i, next[i])
 		}
 		membership = next
-		stranded := 0
-		for i := range next {
-			if !clients[i/mux].Connected(from + i) {
-				stranded++
-			}
-		}
-		strandedGauge.Set(float64(stranded))
-		if stranded > 0 {
-			log.Printf("middled: %d devices currently stranded", stranded)
-		}
 	}
 }

@@ -21,12 +21,11 @@ func TestCheckDevicesArgs(t *testing.T) {
 		strategy string
 		from, to int
 		mux      int
-		failover bool
 		wantErr  string // "" = accepted
 	}{
 		{name: "ok", edges: "a:1,b:2", strategy: "FedMes", from: 0, to: 9, mux: 1},
 		{name: "ok mux", edges: "a:1", strategy: "MIDDLE", from: 2, to: 5, mux: 4},
-		{name: "failover at any mux", edges: "a:1,b:2", strategy: "MIDDLE", to: 9, mux: 4, failover: true},
+		{name: "candidates at any mux", edges: "a:1,b:2,c:3", strategy: "MIDDLE", to: 9, mux: 4},
 		{name: "no edges", edges: "", strategy: "MIDDLE", to: 9, mux: 1, wantErr: "-edgeaddrs"},
 		{name: "unknown strategy", edges: "a:1", strategy: "Middle", to: 9, mux: 1, wantErr: "unknown strategy"},
 		{name: "mux zero", edges: "a:1", strategy: "MIDDLE", to: 9, mux: 0, wantErr: "-mux"},
@@ -35,7 +34,7 @@ func TestCheckDevicesArgs(t *testing.T) {
 		{name: "inverted range", edges: "a:1", strategy: "MIDDLE", from: 5, to: 3, mux: 1, wantErr: "device range"},
 	}
 	for _, c := range cases {
-		d := devicesOpts{edgeList: c.edges, from: c.from, to: c.to, mux: c.mux, failover: c.failover}
+		d := devicesOpts{edgeList: c.edges, from: c.from, to: c.to, mux: c.mux}
 		addrs, strat, candidates, err := d.check(c.strategy, 10)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -50,12 +49,14 @@ func TestCheckDevicesArgs(t *testing.T) {
 		if strat.Name() != c.strategy || len(addrs) != strings.Count(c.edges, ",")+1 {
 			t.Errorf("%s: got strategy %s and %d edges", c.name, strat.Name(), len(addrs))
 		}
-		want := 0 // every listed edge is a candidate, but only with -failover
-		if c.failover {
-			want = len(addrs)
+		// Every listed edge is a candidate, under its index as id.
+		for e, cand := range candidates {
+			if cand != (fednet.EdgeAddr{ID: e, Addr: addrs[e]}) {
+				t.Errorf("%s: candidate %d is %+v, want edge %d at %s", c.name, e, cand, e, addrs[e])
+			}
 		}
-		if len(candidates) != want {
-			t.Errorf("%s: %d failover candidates for %d edges with -failover=%v", c.name, len(candidates), len(addrs), c.failover)
+		if len(candidates) != len(addrs) {
+			t.Errorf("%s: %d failover candidates for %d edges", c.name, len(candidates), len(addrs))
 		}
 	}
 }
@@ -120,8 +121,8 @@ func TestFlagsLandInConfigs(t *testing.T) {
 	}
 
 	o = parse(t, "-role", "devices", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-movems", "50",
-		"-mux", "2", "-failover")
-	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, moveMs: 50, mux: 2, failover: true}); o.devices != want {
+		"-mux", "2")
+	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, moveMs: 50, mux: 2}); o.devices != want {
 		t.Errorf("devices flags\n got %+v\nwant %+v", o.devices, want)
 	}
 }

@@ -358,9 +358,9 @@ func reportFaults(w io.Writer, dir string) {
 }
 
 // migrationPattern matches the live-migration telemetry: the arrival
-// outcome counters, the stranded-device gauge, the move-retry counter and
-// the synthesized quantiles of a move's leave-to-ack latency.
-var migrationPattern = regexp.MustCompile(`^fednet_(migrations_total|stranded_devices|move_retries_total|handover_seconds)`)
+// outcome counters, the stranded-device gauge and the synthesized
+// quantiles of a move's leave-to-ack latency.
+var migrationPattern = regexp.MustCompile(`^fednet_(migrations_total|stranded_devices|handover_seconds)`)
 
 // reportMigrations summarizes the moves of a run: how many movers arrived
 // warm vs cold or had their carried model refused, whether any device

@@ -382,7 +382,8 @@ func TestGateDrain(t *testing.T) {
 	d.need(strings.Contains(d.text(), "detached"), "devices did not detach cleanly on SIGTERM")
 }
 
-// memb is a three-edge deployment whose devices fail over on their own.
+// memb is a three-edge deployment whose devices fail over on their own:
+// every -edgeaddrs entry is a candidate.
 type memb struct {
 	cloud, devices *proc
 	edges          [3]*proc
@@ -403,7 +404,7 @@ func startMemb(t *testing.T, dir, prefix, mux string) *memb {
 		f.edgeAddrs[i] = f.edges[i].await(10*time.Second, "serving devices on"+addrRE)
 	}
 	f.devices = start(t, dir, prefix+"_devices.log", "middled", "-role", "devices", "-edgeaddrs", strings.Join(f.edgeAddrs[:], ","),
-		"-from", "0", "-to", "8", "-mux", mux, "-failover", "-p", "0.4", "-movems", "300", "-metrics-addr", "127.0.0.1:0")
+		"-from", "0", "-to", "8", "-mux", mux, "-p", "0.4", "-movems", "300", "-metrics-addr", "127.0.0.1:0")
 	return f
 }
 
@@ -422,9 +423,11 @@ func (f *memb) finish(within time.Duration) float64 {
 
 // TestGateFailover is the membership acceptance gate on real processes,
 // at -mux 1 and 2: SIGKILL one of three edges mid-run. The lease
-// detector declares it dead, its devices fail over to survivors, the
-// restarted edge rejoins under a bumped epoch, the stranded gauge returns
-// to 0, and the run ends within 0.05 accuracy of a fault-free baseline.
+// detector declares it dead, its devices fail over to survivors and time
+// it in fednet_failover_seconds (the default SLO's failover_latency
+// input), the restarted edge rejoins under a bumped epoch, the stranded
+// gauge returns to 0, and the run ends within 0.05 accuracy of a
+// fault-free baseline.
 func TestGateFailover(t *testing.T) {
 	dir := logDir(t)
 	base := startMemb(t, dir, "base", "1").finish(120 * time.Second)
@@ -444,6 +447,9 @@ func TestGateFailover(t *testing.T) {
 			f.devices.until(30*time.Second, "fednet_stranded_devices 0 on the devices' /metrics after the rejoin", func() bool {
 				return stranded.MatchString(get(addr + "/metrics"))
 			})
+			timed := regexp.MustCompile(`(?m)^fednet_failover_seconds_count [1-9][0-9]*$`)
+			f.devices.need(timed.MatchString(get(addr+"/metrics")),
+				"-mux %s: no fednet_failover_seconds_count >= 1 on the devices' /metrics after the failover", mux)
 			chaos := f.finish(180 * time.Second)
 			t.Logf("failover chaos (-mux %s): baseline acc %.4f, chaos acc %.4f", mux, base, chaos)
 			// Two survivors stay up, so no device may exhaust its candidates.

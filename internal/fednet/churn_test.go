@@ -73,8 +73,8 @@ func (a *churnAudit) audit(c *Cluster) {
 			edgeOf[id] = i
 		}
 	}
-	if len(edgeOf) != len(c.assign) {
-		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), len(c.assign))
+	if len(edgeOf) != c.devices {
+		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), c.devices)
 	}
 	rounds := c.DeviceRounds()
 	if !a.started {

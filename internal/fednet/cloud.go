@@ -53,13 +53,6 @@ type CloudConfig struct {
 	// Validate screens received edge models before Eq. 7, mirroring the
 	// edge-side update validation.
 	Validate robust.ValidatorConfig
-	// OnEdgeDown, when set, is invoked on its own goroutine after the
-	// cloud declares an edge dead. The in-process cluster uses it to
-	// re-home the dead edge's devices onto survivors.
-	OnEdgeDown func(edge int)
-	// OnEdgeUp, when set, is invoked on its own goroutine after a mid-run
-	// edge (re)join is admitted into the membership.
-	OnEdgeUp func(edge int)
 	// Logf, when set, receives progress lines (default: discarded).
 	Logf func(format string, args ...any)
 	// OnRound, when set, is invoked after each round fully completes

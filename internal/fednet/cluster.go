@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -74,10 +73,11 @@ type ClusterConfig struct {
 	// tolerated by Wait.
 	Faults *FaultConfig
 	// LeaseInterval is the edges' heartbeat period and the cloud failure
-	// detector's tick (see CloudConfig). An edge the cloud declares dead
-	// has its devices re-homed to the surviving edges, warm, carrying
-	// their local state; a killed edge may later RestartEdge and rejoin
-	// under a bumped membership epoch.
+	// detector's tick (see CloudConfig). Every device client lists every
+	// edge as a failover candidate, so the devices of an edge that dies
+	// re-home themselves to the survivors, warm, carrying their local
+	// state (DeviceMuxConfig.Failover); a killed edge may later
+	// RestartEdge and rejoin under a bumped membership epoch.
 	LeaseInterval time.Duration
 	// Obs, when set, is threaded into every component so one registry
 	// reports the whole deployment's fednet_* series.
@@ -96,34 +96,17 @@ type Cluster struct {
 	// rides clients[m/group].
 	clients  []*DeviceMux
 	group    int
+	devices  int
 	injector *FaultInjector
 	faulty   bool // fault injection enabled: edge failures are expected
 	logf     func(format string, args ...any)
-	seed     int64
 
-	wg        sync.WaitGroup
-	mu        sync.Mutex
-	errs      []error
-	tolerated []error
-	moveErrs  int
-	// assign is the current device→edge attachment (mobility plus any
-	// failover re-homing); downEdges marks edges declared dead by the
-	// cloud's failure detector. failovers/rehomed tally edge failovers
-	// and warm device re-homes for run summaries.
-	assign    []int
-	downEdges map[int]bool
-	failovers int
-	rehomed   int
-	// failoverSpan observes fednet_failover_seconds: edge declared dead →
-	// all its devices re-homed.
-	failoverSpan *obs.Span
-	strandedG    *obs.Gauge
-	moveRetries  *obs.Counter
-	moveErrCtr   *obs.Counter
-	rehomedCtr   *obs.Counter
-	// stranded tracks devices whose move exhausted its retries and who
-	// are therefore detached until their next mobility step.
-	stranded map[int]bool
+	wg         sync.WaitGroup
+	mu         sync.Mutex
+	errs       []error
+	tolerated  []error
+	moveErrs   int
+	moveErrCtr *obs.Counter
 	// migrations tallies the arrivals of moves with live migration by
 	// outcome (see Edge.arrival), mirroring fednet_migrations_total
 	// (migrationCtr) so summaries stay truthful with metrics disabled;
@@ -147,13 +130,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	numEdges := cfg.Mobility.NumEdges()
 	numDevices := cfg.Mobility.NumDevices()
 	c := &Cluster{
-		stranded: map[int]bool{}, downEdges: map[int]bool{},
-		logf: cfg.Logf, seed: cfg.Seed,
-		failoverSpan: cfg.Obs.Span("fednet_failover_seconds"),
-		strandedG:    cfg.Obs.Gauge("fednet_stranded_devices"),
-		moveRetries:  cfg.Obs.Counter("fednet_move_retries_total"),
+		logf: cfg.Logf, devices: numDevices,
 		moveErrCtr:   cfg.Obs.Counter("fednet_move_errors_total"),
-		rehomedCtr:   cfg.Obs.Counter("fednet_rehomed_devices_total"),
 		migrations:   map[string]int{},
 		migrationCtr: map[string]*obs.Counter{},
 		handoverSpan: cfg.Obs.Span("fednet_handover_seconds"),
@@ -181,7 +159,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	pool <- tw
 	cfg.Mobility.Reset()
 	membership := append([]int(nil), cfg.Mobility.Step()...) // kept across rounds: Step's slice is the model's
-	c.assign = append([]int(nil), membership...)
 
 	// Device migration at round boundaries, driven by the cloud: the
 	// movers of one boundary move concurrently (see move), and all are
@@ -190,16 +167,11 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		next := append([]int(nil), cfg.Mobility.Step()...)
 		var moves sync.WaitGroup
 		for m, e := range next {
-			// A mobility step may target an edge the failure detector has
-			// declared dead; redirect the move deterministically to a
-			// survivor instead of dialing a corpse.
-			e = c.liveTarget(m, e)
-			next[m] = e
 			if e != membership[m] {
 				moves.Add(1)
 				go func() {
 					defer moves.Done()
-					c.move(m, membership[m], e, round, cfg.LiveMigration)
+					c.move(m, e, cfg.LiveMigration)
 				}()
 			}
 		}
@@ -212,7 +184,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		CloudInterval: cfg.CloudInterval, InitModel: init,
 		Timeout: cfg.Timeout, LeaseInterval: cfg.LeaseInterval,
 		CheckpointDir: cfg.CheckpointDir, Aggregator: cfg.Aggregator, Validate: cfg.Validate,
-		OnEdgeDown: c.onEdgeDown, OnEdgeUp: c.onEdgeUp,
 		Logf: cfg.Logf, OnRound: onRound, Obs: cfg.Obs, Trace: cfg.Trace,
 	})
 	if err != nil {
@@ -246,6 +217,12 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.edges = append(c.edges, edge)
 		c.edgeCfgs = append(c.edgeCfgs, ecfg)
 	}
+	// Every edge keeps its address for the whole run (RestartEdge listens
+	// again on it), so one candidate list serves every client.
+	failover := make([]EdgeAddr, numEdges)
+	for e, edge := range c.edges {
+		failover[e] = EdgeAddr{ID: e, Addr: edge.Addr()}
+	}
 	for lo := 0; lo < numDevices; lo += c.group {
 		var hosted []MuxDevice
 		for m := lo; m < min(lo+c.group, numDevices); m++ {
@@ -255,7 +232,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Devices: hosted, Dataset: cfg.Partition.Dataset, pool: pool,
 			LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize,
 			Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: cfg.Timeout,
-			Logf: cfg.Logf, Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
+			Failover: failover, Logf: cfg.Logf, Faults: c.injector, Obs: cfg.Obs, Trace: cfg.Trace,
 		})
 		if err != nil {
 			return nil, err
@@ -305,38 +282,27 @@ func (c *Cluster) edgeAt(i int) *Edge {
 	return c.edges[i]
 }
 
-// liveTarget redirects an intended attachment target away from edges
-// currently declared dead, picking a survivor deterministically by
-// device id. With no dead edges (the default) it is the identity.
-func (c *Cluster) liveTarget(m, e int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.downEdges[e] {
-		return e
-	}
-	var survivors []int
-	for i := range c.edges {
-		if !c.downEdges[i] {
-			survivors = append(survivors, i)
-		}
-	}
-	if len(survivors) == 0 {
-		return e
-	}
-	return survivors[m%len(survivors)]
-}
-
-// move takes device m from edge src to edge dst at a round boundary: it
-// leaves src and registers at dst, with live migration warm, carrying its
-// own state. Only a device whose move exhausted every reconnect retry is
-// counted stranded (see attach). A warm move's outcome is the
-// destination's verdict on what the device carried.
-func (c *Cluster) move(m, src, dst, round int, live bool) {
+// move takes device m to edge dst at a round boundary: it leaves the
+// edge it rides and registers at dst, with live migration warm, carrying
+// its own state; a dst that stays unreachable sends it on to a failover
+// candidate (see DeviceMux.Connect). Only a device that no candidate took
+// is counted a failed move (and stranded). A warm move's outcome is the
+// verdict of the edge it arrived at on what the device carried.
+func (c *Cluster) move(m, dst int, live bool) {
 	start := time.Now()
-	// Off src's candidate set before the device registers anywhere else:
-	// its leave notice or closing socket reaches src in its own time.
-	c.edgeAt(src).release(m)
-	if err := c.attach(m, dst, live, int64(round)); err != nil {
+	mx := c.clients[m/c.group]
+	// Off the candidate set of the edge the device rides — which its
+	// client knows; after a failover it is not the one mobility last sent
+	// it to — before it registers anywhere else: its leave notice or
+	// closing socket reaches that edge in its own time.
+	if src := mx.edgeOf(m); src >= 0 && src != dst {
+		c.edgeAt(src).release(m)
+	}
+	connect := mx.Connect
+	if live {
+		connect = mx.ConnectRehome
+	}
+	if err := connect(m, dst, c.edgeAt(dst).Addr()); err != nil {
 		c.mu.Lock()
 		c.moveErrs++
 		c.mu.Unlock()
@@ -347,7 +313,11 @@ func (c *Cluster) move(m, src, dst, round int, live bool) {
 	if !live {
 		return
 	}
-	out := c.edgeAt(dst).arrival(m)
+	at := mx.edgeOf(m)
+	if at < 0 {
+		at = dst // its connection failed since: it arrived nowhere
+	}
+	out := c.edgeAt(at).arrival(m)
 	if out == "" {
 		return // it never trained: there was nothing to carry
 	}
@@ -360,110 +330,27 @@ func (c *Cluster) move(m, src, dst, round int, live bool) {
 	c.migrationCtr[out].Inc()
 }
 
-// attach connects device m to edge target — warm, carrying the device's
-// own local model and bookkeeping, or cold — retrying with the
-// standard capped backoff (salt decorrelates the jitter of different
-// occasions), and books the outcome: the new assignment, or a device
-// stranded until its next mobility step re-attempts a connection.
-func (c *Cluster) attach(m, target int, warm bool, salt int64) error {
-	connect := c.clients[m/c.group].Connect
-	if warm {
-		connect = c.clients[m/c.group].ConnectRehome
-	}
-	var err error
-	for attempt := 0; attempt <= defaultMaxRetries; attempt++ {
-		if attempt > 0 {
-			c.moveRetries.Inc()
-			time.Sleep(retryBackoff(0, attempt, c.seed, int64(m)*1_000_003+int64(target)*17+salt))
-		}
-		if err = connect(m, target, c.edgeAt(target).Addr()); err == nil {
-			break
-		}
-	}
-	c.mu.Lock()
-	if err != nil {
-		c.stranded[m] = true
-	} else {
-		c.assign[m] = target
-		delete(c.stranded, m)
-	}
-	c.strandedG.Set(float64(len(c.stranded)))
-	c.mu.Unlock()
-	return err
-}
-
-// onEdgeDown is the cloud's callback for an edge it declared dead:
-// re-home every device attached to the dead edge onto the survivors, warm,
-// so no device stays stranded past the failover.
-// Runs in its own goroutine, spawned by the cloud.
-func (c *Cluster) onEdgeDown(dead int) {
-	start := time.Now()
-	c.mu.Lock()
-	c.downEdges[dead] = true
-	c.failovers++
-	var victims []int
-	for m, e := range c.assign {
-		if e == dead {
-			victims = append(victims, m)
-		}
-	}
-	c.mu.Unlock()
-	c.logf("cluster: edge %d declared dead — re-homing %d devices", dead, len(victims))
-	for _, m := range victims {
-		target := c.liveTarget(m, dead)
-		if target == dead {
-			// No survivors at all; the devices stay stranded until an
-			// edge rejoins and mobility re-attaches them.
-			c.mu.Lock()
-			c.stranded[m] = true
-			c.strandedG.Set(float64(len(c.stranded)))
-			c.mu.Unlock()
-			continue
-		}
-		if err := c.attach(m, target, true, 911); err != nil {
-			c.logf("cluster: device %d failed to re-home off dead edge %d: %v", m, dead, err)
-		} else {
-			c.mu.Lock()
-			c.rehomed++
-			c.mu.Unlock()
-			c.rehomedCtr.Inc()
-			c.logf("cluster: device %d re-homed to edge %d after edge %d died", m, target, dead)
-		}
-	}
-	c.failoverSpan.Observe(time.Since(start))
-}
-
-// onEdgeUp is the cloud's rejoin callback: the edge is back in the
-// membership (bumped epoch) and eligible as a move target again.
-func (c *Cluster) onEdgeUp(e int) {
-	c.mu.Lock()
-	delete(c.downEdges, e)
-	c.mu.Unlock()
-	c.logf("cluster: edge %d back in membership", e)
-}
-
 // KillEdge abruptly tears edge e down — listener, cloud link, and device
 // connections all close with no drain or checkpoint, the in-process
 // equivalent of SIGKILL. The cloud notices the broken round connection
-// or the missed leases, declares the edge dead, and the cluster re-homes
-// its devices; the edge's Run error is recorded as a tolerated casualty,
-// not a run failure.
+// or the missed leases and declares the edge dead; its devices fail over
+// on their own. The edge's Run error is recorded as a tolerated
+// casualty, not a run failure.
 func (c *Cluster) KillEdge(e int) {
 	c.edgeAt(e).Kill()
 }
 
-// RestartEdge brings a previously killed edge back: a fresh Edge on a
-// new listener address re-registers with the cloud, which readmits it
-// under a bumped membership epoch and serves it the current global model
-// for catch-up; with EdgeCheckpoints enabled the new process also
-// restores its round state from its named checkpoint first. The
-// restarted edge becomes a mobility target again once the cloud's
-// rejoin callback fires.
+// RestartEdge brings a previously killed edge back: a fresh Edge,
+// listening again on the killed one's address, re-registers with the
+// cloud, which readmits it under a bumped membership epoch and serves it
+// the current global model for catch-up; with EdgeCheckpoints enabled the
+// new process also restores its round state from its named checkpoint
+// first. Devices reach it again as they did before the kill.
 func (c *Cluster) RestartEdge(e int) error {
 	c.mu.Lock()
 	ecfg := c.edgeCfgs[e]
+	ecfg.Addr = c.edges[e].Addr()
 	c.mu.Unlock()
-	ecfg.Addr = "127.0.0.1:0"
 	edge, err := NewEdge(ecfg)
 	if err != nil {
 		return err
@@ -526,7 +413,7 @@ func (c *Cluster) GlobalModel() []float64 { return c.cloud.GlobalModel() }
 
 // DeviceRounds returns how many rounds each device trained (diagnostics).
 func (c *Cluster) DeviceRounds() []int {
-	out := make([]int, len(c.assign))
+	out := make([]int, c.devices)
 	for m := range out {
 		out[m] = c.clients[m/c.group].DeviceRounds(m)
 	}
@@ -551,49 +438,31 @@ func (c *Cluster) Migrations() (ok, fallback, rejected int) {
 	return c.migrations["ok"], c.migrations["fallback"], c.migrations["rejected"]
 }
 
-// Failovers reports how many edge-death failovers the cluster handled
-// (the count behind fednet_edge_failovers_total).
-func (c *Cluster) Failovers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failovers
-}
+// Failovers reports how many edges the cloud declared dead (the count
+// behind fednet_edge_failovers_total).
+func (c *Cluster) Failovers() int { return c.cloud.deaths() }
 
-// Rehomed reports how many devices were successfully re-homed off dead
-// edges (the count behind fednet_rehomed_devices_total).
+// Rehomed reports how many devices failed over to another edge (the count
+// behind fednet_rehomed_devices_total).
 func (c *Cluster) Rehomed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rehomed
+	n := 0
+	for _, mx := range c.clients {
+		n += mx.rehomed()
+	}
+	return n
 }
 
 // MembershipEpoch returns the cloud's current membership epoch: one bump
 // per admission and one per death.
 func (c *Cluster) MembershipEpoch() int { return c.cloud.Epoch() }
 
-// DownEdges lists edges currently declared dead by the cloud (sorted
-// ascending).
-func (c *Cluster) DownEdges() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, len(c.downEdges))
-	for e := range c.downEdges {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Stranded returns the devices currently detached because their last
-// move exhausted every reconnect retry (sorted ascending). They remain
-// stranded until a later mobility step re-attaches them.
+// Stranded returns the devices that are detached because their last
+// attachment and every failover candidate failed (ascending). They
+// remain stranded until a later mobility step attaches them.
 func (c *Cluster) Stranded() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, len(c.stranded))
-	for m := range c.stranded {
-		out = append(out, m)
+	out := []int{}
+	for _, mx := range c.clients {
+		out = mx.strandedDevices(out)
 	}
-	sort.Ints(out)
 	return out
 }

@@ -77,12 +77,14 @@ type DeviceMuxConfig struct {
 	// Faults, when set, injects faults on the client's device→edge links
 	// (link id: the first hosted device's id).
 	Faults *FaultInjector
-	// Failover lists alternate edges a device may re-home to on its own
-	// when its current edge becomes unreachable (the automatic reconnect
-	// exhausts its retries). Candidates are tried in order, skipping the
-	// failed edge; the re-home registration carries the device's own warm
-	// state. Nil (the default) leaves a device whose edge died detached
-	// until the next Connect call.
+	// Failover lists the edges a device re-homes to on its own when the
+	// edge it was sent to (Connect) or rode (the automatic reconnect)
+	// stays unreachable after the retries. Each device tries them in its
+	// own rotation — from its id modulo the list's length, skipping the
+	// failed edge — so a dead edge's devices spread over the survivors;
+	// the re-home registration carries the device's own warm state. A
+	// device with no reachable candidate (or an empty list) is stranded,
+	// detached until a later Connect attaches it.
 	Failover []EdgeAddr
 	// Logf, when set, receives progress lines (default: discarded).
 	Logf func(format string, args ...any)
@@ -135,6 +137,9 @@ type DeviceMux struct {
 	closed bool
 	virts  map[int]*virtualDevice
 	conns  map[int]*muxClientConn // by edge id
+	// rehomes counts the devices that failed over to another edge, as
+	// fednet_rehomed_devices_total does (which a nil registry cannot).
+	rehomes int
 
 	// Background reconnects belong to the client: Disconnect closes stop
 	// to cut their backoff short and waits for them on bg.
@@ -148,9 +153,13 @@ type virtualDevice struct {
 	indices []int
 	// edge is the edge the device is attached to or on its way to (−1
 	// when detached); live says its registration there was acknowledged
-	// on a connection that is still up.
-	edge int
-	live bool
+	// on a connection that is still up. stranded says its last attachment
+	// and every failover candidate failed: it counts in
+	// fednet_stranded_devices until a registration is acknowledged, and
+	// Disconnect leaves it set.
+	edge     int
+	live     bool
+	stranded bool
 	// gen is bumped by every deliberate attachment change (Connect,
 	// Disconnect). A registration or reconnect that finds it changed was
 	// superseded and gives the device up instead of installing it.
@@ -299,11 +308,16 @@ func (mx *DeviceMux) Connect(deviceID, edgeID int, addr string) error {
 // its own local model, utility and last training round, so the new edge
 // resumes it warm. It is how a device arrives after a move with live
 // migration and after its edge died; nothing passes between the edges.
+//
+// When the edge stays unreachable after the retries, either call fails
+// over to the Failover candidates and returns nil once the device is
+// re-homed there; it returns an error only for a device left stranded.
 func (mx *DeviceMux) ConnectRehome(deviceID, edgeID int, addr string) error {
 	return mx.connect(deviceID, edgeID, addr, true)
 }
 
 func (mx *DeviceMux) connect(deviceID, edgeID int, addr string, rehome bool) error {
+	start := time.Now()
 	mx.mu.Lock()
 	v := mx.virts[deviceID]
 	switch {
@@ -330,7 +344,11 @@ func (mx *DeviceMux) connect(deviceID, edgeID int, addr string, rehome bool) err
 	if old != nil {
 		mx.leave(old, v)
 	}
-	return mx.attach(edgeID, addr, []rider{r}, rehome)
+	err := mx.attach(edgeID, addr, []rider{r}, rehome)
+	if err != nil && err != errMuxClosed {
+		err = mx.failover(edgeID, r, start, err)
+	}
+	return err
 }
 
 // write frames one message onto cc under its write lock and deadline.
@@ -516,6 +534,10 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 		case err != nil:
 		case r.v.gen == r.gen:
 			r.v.live = true
+			if r.v.stranded {
+				r.v.stranded = false
+				mx.m.stranded.Add(-1)
+			}
 		case r.v.edge != cc.edgeID:
 			gone = append(gone, r.v.id)
 		}
@@ -563,6 +585,7 @@ func (mx *DeviceMux) detach(cc *muxClientConn) []rider {
 // state through the registration ack. If the edge stays unreachable after
 // the retries it is presumed dead and the devices fail over.
 func (mx *DeviceMux) lost(cc *muxClientConn) {
+	since := time.Now()
 	riders := mx.detach(cc)
 	mx.mu.Lock()
 	start := len(riders) > 0 && !mx.closed
@@ -576,7 +599,9 @@ func (mx *DeviceMux) lost(cc *muxClientConn) {
 	go func() {
 		defer mx.bg.Done()
 		if err := mx.attach(cc.edgeID, cc.addr, riders, false); err != nil {
-			mx.failover(cc.edgeID, riders)
+			for _, r := range riders {
+				mx.failover(cc.edgeID, r, since, err)
+			}
 			return
 		}
 		mx.mu.Lock()
@@ -589,33 +614,53 @@ func (mx *DeviceMux) lost(cc *muxClientConn) {
 	}()
 }
 
-// failover re-homes each rider to the first reachable alternate edge
-// after the automatic reconnect to deadEdge gave up. Candidates are tried
-// in configured order, skipping the dead edge; every attempt re-checks the
-// generation so a deliberate Connect/Disconnect always wins over
-// self-healing. With no reachable candidate (or an empty Failover list)
-// the device stays detached until the next Connect.
-func (mx *DeviceMux) failover(deadEdge int, riders []rider) {
-	if len(mx.cfg.Failover) == 0 {
-		return
-	}
-riders:
-	for _, r := range riders {
-		for _, alt := range mx.cfg.Failover {
-			mx.mu.Lock()
-			stale := mx.closed || r.v.gen != r.gen
-			mx.mu.Unlock()
-			if stale {
-				continue riders
-			}
-			if alt.ID != deadEdge && mx.attach(alt.ID, alt.Addr, []rider{r}, true) == nil {
-				mx.m.rehomed.Inc()
-				mx.cfg.Logf("device %d: failed over from edge %d to edge %d", r.v.id, deadEdge, alt.ID)
-				continue riders
-			}
+// failover re-homes r, whose edge failed has been unreachable since
+// start (err is the last attempt's error), to the first reachable Failover
+// candidate of its rotation: from the device id modulo the list's
+// length, skipping the failed edge. Every attempt re-checks the
+// generation, so a deliberate Connect or Disconnect always wins over
+// self-healing. It returns nil once the device is re-homed; with no
+// reachable candidate the device is stranded and err is returned.
+func (mx *DeviceMux) failover(failed int, r rider, start time.Time, err error) error {
+	n := len(mx.cfg.Failover)
+	for i := range n {
+		alt := mx.cfg.Failover[(r.v.id+i)%n]
+		if alt.ID == failed {
+			continue
 		}
-		mx.cfg.Logf("device %d: stranded — edge %d down and no failover candidate reachable", r.v.id, deadEdge)
+		mx.mu.Lock()
+		stale := mx.closed || r.v.gen != r.gen
+		mx.mu.Unlock()
+		if stale {
+			return err
+		}
+		if err = mx.attach(alt.ID, alt.Addr, []rider{r}, true); err != nil {
+			continue
+		}
+		mx.mu.Lock()
+		rehomed := r.v.gen == r.gen && r.v.live
+		if rehomed {
+			mx.rehomes++
+		}
+		mx.mu.Unlock()
+		if rehomed {
+			mx.m.rehomed.Inc()
+			mx.m.failover.Observe(time.Since(start))
+			mx.cfg.Logf("device %d: failed over from edge %d to edge %d", r.v.id, failed, alt.ID)
+		}
+		return nil
 	}
+	mx.mu.Lock()
+	strand := !mx.closed && r.v.gen == r.gen && !r.v.stranded
+	if strand {
+		r.v.stranded = true
+		mx.m.stranded.Add(1)
+	}
+	mx.mu.Unlock()
+	if strand {
+		mx.cfg.Logf("device %d: stranded — edge %d down and no failover candidate reachable", r.v.id, failed)
+	}
+	return err
 }
 
 // serveConn handles one edge connection until it closes: train requests
@@ -810,13 +855,32 @@ func (mx *DeviceMux) Disconnect() {
 	mx.bg.Wait()
 }
 
-// Connected reports whether a hosted device currently has a live edge
-// attachment (stranded-device accounting for daemons and tests).
-func (mx *DeviceMux) Connected(id int) bool {
+// edgeOf returns the edge device id rides or is heading for (−1 when
+// detached).
+func (mx *DeviceMux) edgeOf(id int) int {
 	mx.mu.Lock()
 	defer mx.mu.Unlock()
-	v := mx.virts[id]
-	return v != nil && v.live
+	return mx.virts[id].edge
+}
+
+// strandedDevices appends the ids of the hosted devices currently
+// stranded to out.
+func (mx *DeviceMux) strandedDevices(out []int) []int {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	for _, d := range mx.cfg.Devices {
+		if mx.virts[d.DeviceID].stranded {
+			out = append(out, d.DeviceID)
+		}
+	}
+	return out
+}
+
+// rehomed reports how many of the client's devices failed over.
+func (mx *DeviceMux) rehomed() int {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	return mx.rehomes
 }
 
 // DeviceRounds returns how many rounds one hosted device trained.

@@ -605,6 +605,9 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	if len(candidates) == 0 {
 		return roundStats{}
 	}
+	// Strategies shuffle their input, so the selection depends on its
+	// order: map order would make every run a different one.
+	sort.Ints(candidates)
 
 	rng := tensor.Split(e.cfg.Seed, int64(round)*1_000_003+int64(e.cfg.EdgeID)*7+1)
 	e.mu.Lock()
@@ -633,11 +636,12 @@ func (e *Edge) runRound(round int, span string) roundStats {
 
 	var st roundStats
 	nonFinite := 0 // updates refused on receipt
-	var vecs [][]float64
-	var ws []float64
-	pending := make(map[int]bool, len(sel))
-	for _, id := range sel {
-		pending[id] = true
+	// Replies are kept by position in sel and handed to Eq. 6 in that
+	// order, not in arrival order: a float sum depends on its order.
+	got := make([]trainResult, len(sel))
+	pending := make(map[int]int, len(sel)) // device → position in sel
+	for i, id := range sel {
+		pending[id] = i
 	}
 	deadline := time.NewTimer(e.cfg.RoundDeadline)
 	defer deadline.Stop()
@@ -645,6 +649,7 @@ collect:
 	for len(pending) > 0 {
 		select {
 		case res := <-results:
+			at := pending[res.id]
 			delete(pending, res.id)
 			if res.err == nil && len(res.vec) != len(model) {
 				res.err = fmt.Errorf("model of %d values, want %d", len(res.vec), len(model))
@@ -675,11 +680,18 @@ collect:
 				d.trainedHere = true
 			}
 			e.mu.Unlock()
-			vecs = append(vecs, res.vec)
-			ws = append(ws, float64(res.reply.DataSize))
+			got[at] = res
 			st.trained++
 		case <-deadline.C:
 			break collect
+		}
+	}
+	var vecs [][]float64
+	var ws []float64
+	for _, res := range got {
+		if res.vec != nil {
+			vecs = append(vecs, res.vec)
+			ws = append(ws, float64(res.reply.DataSize))
 		}
 	}
 

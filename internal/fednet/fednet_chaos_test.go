@@ -390,7 +390,7 @@ func TestDeviceMoveBackAfterFailedMove(t *testing.T) {
 	if ids := registered(edge); !ids[4] || !ids[5] {
 		t.Fatalf("edge lists %v after device 5 moved back, want 4 and 5", ids)
 	}
-	if !mx.Connected(5) {
+	if !attached(mx, 5) {
 		t.Fatal("device 5 not attached after moving back")
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {

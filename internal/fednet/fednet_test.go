@@ -342,6 +342,40 @@ func TestClusterStaticMobility(t *testing.T) {
 	}
 }
 
+// TestClusterStaticRunsBitIdentical pins that a deployment without
+// movement or faults computes one global model per seed: selection sees
+// the candidates in id order (strategies shuffle their input, so map order
+// would change it) and Eq. 6 sums the replies in selection order, not
+// arrival order. K = 5 of 12 devices per edge, so the sum has an order to
+// get wrong.
+func TestClusterStaticRunsBitIdentical(t *testing.T) {
+	for _, strat := range []hfl.Strategy{core.NewGeneral(), core.NewMiddle()} {
+		var first []float64
+		for run := range 3 {
+			cfg := membershipClusterConfig(t, 12, mobility.NewStatic(2, 24))
+			cfg.Strategy, cfg.K, cfg.LeaseInterval = strat, 5, 0
+			c, err := StartCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			got := c.GlobalModel()
+			if run == 0 {
+				first = got
+				continue
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("%s: run %d's global model differs from run 0's at %d: %v vs %v",
+						strat.Name(), run, i, got[i], first[i])
+				}
+			}
+		}
+	}
+}
+
 // TestClusterHoldsFirstRoundForAttach pins the start-up gate: no round
 // starts before every device is attached, so a short static run trains
 // exactly K devices per edge in every one of its rounds.

@@ -10,8 +10,9 @@ import (
 
 // The failure detector's thresholds, in consecutive lease intervals
 // without a heartbeat: after suspectMisses an edge is suspected (logged),
-// after deadMisses it is declared dead — its connection closes, the
-// membership epoch bumps and OnEdgeDown fires.
+// after deadMisses it is declared dead — its connection closes and the
+// membership epoch bumps. Its devices find out on their own: their
+// connections to it fail, and they fail over (DeviceMuxConfig.Failover).
 const (
 	suspectMisses = 2
 	deadMisses    = 4
@@ -38,6 +39,7 @@ type member struct {
 type membership struct {
 	mu      sync.Mutex
 	epoch   int
+	deaths  int // members declared dead (fednet_edge_failovers_total)
 	members map[int]*member
 	joinCh  chan *edgeConn // registrations from the accept loop
 	conns   []net.Conn     // every accepted conn, closed at shutdown
@@ -110,6 +112,13 @@ func (ms *membership) recordLease(id, epoch int) bool {
 // Epoch reports the current membership epoch: the checkpointed one (0 on
 // a fresh start) until an admission or a death bumps it.
 func (c *Cloud) Epoch() int { return c.ms.currentEpoch() }
+
+// deaths reports how many members the cloud declared dead.
+func (c *Cloud) deaths() int {
+	c.ms.mu.Lock()
+	defer c.ms.mu.Unlock()
+	return c.ms.deaths
+}
 
 // acceptLoop accepts connections for the whole run, dispatching each on
 // its first frame: MsgRegisterEdge queues a join for the next round
@@ -223,17 +232,13 @@ func (c *Cloud) admit(ms *membership, e *edgeConn, lastRound int, rejoin bool) e
 			now, 0, fmt.Sprintf("c.rejoin.e%d.ep%d", e.id, m.epoch), "",
 			map[string]any{"edge": e.id, "epoch": m.epoch})
 	}
-	if c.cfg.OnEdgeUp != nil {
-		go c.cfg.OnEdgeUp(e.id)
-	}
 	return nil
 }
 
 // memberDead excises one member whose round connection failed, whose
 // frame was fenced or whom the detector aged out. Exactly once per
-// incarnation it closes the connection, bumps the epoch, records the
-// failover and fires OnEdgeDown so the deployment re-homes the dead
-// edge's devices; the run goes on while checkQuorum allows.
+// incarnation it closes the connection, bumps the epoch and records the
+// failover; the run goes on while checkQuorum allows.
 func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 	ms.mu.Lock()
 	if m.dead {
@@ -242,6 +247,7 @@ func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 	}
 	m.dead = true
 	ms.epoch++
+	ms.deaths++
 	epoch := ms.epoch
 	ms.mu.Unlock()
 	m.conn.Close()
@@ -253,9 +259,6 @@ func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 		tr.Complete("edge_failover", "fednet", tracePidCloud, m.id,
 			now, 0, fmt.Sprintf("c.failover.e%d.ep%d", m.id, m.epoch), "",
 			map[string]any{"edge": m.id, "incarnation": m.epoch, "epoch": epoch, "round": round})
-	}
-	if c.cfg.OnEdgeDown != nil {
-		go c.cfg.OnEdgeDown(m.id)
 	}
 }
 

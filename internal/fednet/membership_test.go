@@ -7,6 +7,7 @@ package fednet
 import (
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +62,37 @@ func (h *heldMobility) Step() []int {
 	return h.Model.Step()
 }
 
+// attached reports whether hosted device id has an acknowledged
+// registration on a connection that is still up.
+func attached(mx *DeviceMux, id int) bool {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	v := mx.virts[id]
+	return v != nil && v.live
+}
+
+// rehomedOff reports whether every device of c is attached, none to edge
+// dead: the devices that rode it have failed over.
+func rehomedOff(c *Cluster, dead int) bool {
+	for m := range c.devices {
+		mx := c.clients[m/c.group]
+		if !attached(mx, m) || mx.edgeOf(m) == dead {
+			return false
+		}
+	}
+	return true
+}
+
+// memberAlive reports whether edge id is a live member of c's cloud.
+func memberAlive(c *Cluster, id int) bool {
+	for _, m := range c.cloud.ms.alive() {
+		if m.id == id {
+			return true
+		}
+	}
+	return false
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -75,12 +107,13 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // TestClusterFailoverRehome is the membership acceptance test: killing one
 // of three edges mid-run (the in-process SIGKILL) must be detected by
-// the cloud's lease detector, every one of its devices re-homed onto the
-// survivors, and the run driven to completion with nobody stranded — with
-// a client per device and with three devices per client alike. The kill
-// races the first rounds and their periodic checkpointing on purpose —
-// memberDead and checkpointSync share the membership state — and the run
-// is held open after round 3 until the failover has re-homed every device.
+// the cloud's lease detector, every one of its devices must re-home
+// itself onto the survivors, and the run must be driven to completion
+// with nobody stranded — with a client per device and with three devices
+// per client alike. The kill races the first rounds and their periodic
+// checkpointing on purpose — memberDead and checkpointSync share the
+// membership state — and the run is held open after round 3 until the
+// cloud has declared the edge dead and every device has failed over.
 func TestClusterFailoverRehome(t *testing.T) {
 	for _, group := range []int{1, 3} {
 		mob := holdAt(mobility.NewMarkovRing(3, 9, 0.3, 7), 4)
@@ -95,7 +128,8 @@ func TestClusterFailoverRehome(t *testing.T) {
 		}
 		c.KillEdge(2)
 		waitFor(t, 10*time.Second, "edge 2 declared dead and its devices re-homed", func() bool {
-			return reg.Histogram("fednet_failover_seconds", obs.DurationBuckets()).Count() > 0
+			return reg.Histogram("fednet_failover_seconds", obs.DurationBuckets()).Count() > 0 &&
+				c.Failovers() > 0 && rehomedOff(c, 2)
 		})
 		close(mob.release)
 		if err := c.Wait(); err != nil {
@@ -138,10 +172,11 @@ func TestClusterFailoverRehome(t *testing.T) {
 // it and checks the cloud readmits it under a bumped epoch — and that a
 // lease from a stale incarnation is fenced (counted and its connection
 // closed) rather than resurrecting the dead member. The run is held open
-// after round 2 until the restarted edge has registered, so the cloud
-// still listens for the zombie and admits the newcomer at a boundary.
+// after round 1 until the restarted edge has registered, so the cloud
+// still listens for the zombie and admits the newcomer at a boundary
+// however long the devices of the dead edge take to fail over.
 func TestClusterEdgeRejoin(t *testing.T) {
-	mob := holdAt(mobility.NewMarkovRing(3, 9, 0.3, 7), 3)
+	mob := holdAt(mobility.NewMarkovRing(3, 9, 0.3, 7), 2)
 	cfg := membershipClusterConfig(t, 20, mob)
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -150,14 +185,7 @@ func TestClusterEdgeRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.KillEdge(1)
-	waitFor(t, 10*time.Second, "edge 1 declared dead", func() bool {
-		for _, e := range c.DownEdges() {
-			if e == 1 {
-				return true
-			}
-		}
-		return false
-	})
+	waitFor(t, 10*time.Second, "edge 1 declared dead", func() bool { return !memberAlive(c, 1) })
 	epochAtDeath := c.MembershipEpoch()
 
 	// A zombie of the dead incarnation phones home: its lease must be
@@ -184,12 +212,7 @@ func TestClusterEdgeRejoin(t *testing.T) {
 	waitFor(t, 10*time.Second, "the restarted edge 1 to register", func() bool { return len(c.cloud.ms.joinCh) > 0 })
 	close(mob.release)
 	waitFor(t, 10*time.Second, "edge 1 readmitted", func() bool {
-		for _, e := range c.DownEdges() {
-			if e == 1 {
-				return false
-			}
-		}
-		return c.MembershipEpoch() > epochAtDeath
+		return memberAlive(c, 1) && c.MembershipEpoch() > epochAtDeath
 	})
 	if err := c.Wait(); err != nil {
 		t.Fatalf("run did not survive kill+rejoin: %v", err)
@@ -204,16 +227,146 @@ func TestClusterEdgeRejoin(t *testing.T) {
 		c.MembershipEpoch(), epochAtDeath, c.Failovers(), c.Rehomed())
 }
 
+// TestDeviceFailsOverOnItsOwn drives the one failover path without a
+// cluster: a client whose Failover list names three real edges under a
+// cloud (and one closed address) re-homes its devices itself. Each tries
+// the candidates in its own rotation — from its id modulo the list's
+// length, skipping the failed edge and any it cannot reach — so a Connect
+// to the closed address lands on the first reachable candidate of the
+// rotation, and the devices of a killed edge spread over both survivors.
+// A device no candidate takes is stranded until a later Connect.
+func TestDeviceFailsOverOnItsOwn(t *testing.T) {
+	reserve := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	var addrs [3]string
+	for e := range addrs {
+		addrs[e] = reserve()
+	}
+	dead := reserve()
+	failover := []EdgeAddr{{0, addrs[0]}, {1, addrs[1]}, {2, addrs[2]}, {3, dead}}
+	reg := obs.NewRegistry()
+	train := data.GenerateImagesSplit(data.FastImageProfile(2), 20, 5, 5)
+	var hosted []MuxDevice
+	for id := range 9 {
+		hosted = append(hosted, MuxDevice{DeviceID: id, Indices: []int{0, 1, 2}})
+	}
+	mx, err := NewDeviceMux(DeviceMuxConfig{
+		Devices: hosted, Dataset: train,
+		Factory: func(rng *tensor.RNG) *nn.Network {
+			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
+		},
+		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
+		Timeout:   2 * time.Second, RetryBase: time.Millisecond,
+		Failover: failover, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Disconnect()
+	stranded := reg.Gauge("fednet_stranded_devices")
+
+	// No edge is up yet: device 8 tries every candidate and is stranded.
+	if err := mx.Connect(8, 3, dead); err == nil {
+		t.Fatal("a Connect with no reachable candidate succeeded")
+	}
+	if got, s := stranded.Value(), mx.strandedDevices(nil); got != 1 || len(s) != 1 || s[0] != 8 {
+		t.Fatalf("stranded gauge %v, devices %v; want 1, [8]", got, s)
+	}
+
+	cloud, err := NewCloud(CloudConfig{
+		Addr: "127.0.0.1:0", Edges: 3, Rounds: 1, CloudInterval: 1,
+		InitModel: []float64{0}, Timeout: 5 * time.Second, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud.gate = make(chan struct{}) // no round: only the devices move
+	var runs sync.WaitGroup
+	runs.Add(1)
+	go func() { defer runs.Done(); cloud.Run() }()
+	var edges [3]*Edge
+	for e := range edges {
+		if edges[e], err = NewEdge(EdgeConfig{EdgeID: e, CloudAddr: cloud.Addr(), Addr: addrs[e], K: 2,
+			Strategy: core.NewGeneral(), Seed: 1, Timeout: 5 * time.Second, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		runs.Add(1)
+		go func(e *Edge) { defer runs.Done(); e.Run() }(edges[e])
+	}
+	defer func() {
+		cloud.Stop()
+		close(cloud.gate)
+		runs.Wait()
+	}()
+	waitFor(t, 10*time.Second, "the cloud to admit three edges", func() bool { return len(cloud.ms.alive()) == 3 })
+
+	// The closed address is edge 3: device 3's rotation starts there and
+	// skips it, device 6's starts at edge 2.
+	for id, want := range map[int]int{3: 0, 6: 2} {
+		if err := mx.Connect(id, 3, dead); err != nil {
+			t.Fatalf("device %d: %v", id, err)
+		}
+		if got := mx.edgeOf(id); got != want || !registered(edges[want])[id] {
+			t.Fatalf("device %d landed on edge %d (registered at %d: %v), want edge %d",
+				id, got, want, registered(edges[want])[id], want)
+		}
+	}
+	if err := mx.Connect(8, 0, addrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, s := stranded.Value(), mx.strandedDevices(nil); got != 0 || len(s) != 0 {
+		t.Fatalf("stranded gauge %v, devices %v after device 8 attached; want 0, none", got, s)
+	}
+
+	// Five devices ride edge 2 when it dies. Rotations from 0 and 4 reach
+	// edge 0, from 1 and 5 edge 1; device 6's passes edge 2 and the closed
+	// address before it wraps to edge 0.
+	for _, id := range []int{0, 1, 4, 5} {
+		if err := mx.Connect(id, 2, addrs[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges[2].Kill()
+	want := map[int]int{0: 0, 4: 0, 6: 0, 1: 1, 5: 1}
+	waitFor(t, 10*time.Second, "edge 2's devices to fail over", func() bool {
+		for id, e := range want {
+			if !attached(mx, id) || mx.edgeOf(id) != e {
+				return false
+			}
+		}
+		return true
+	})
+	for id, e := range want {
+		if !registered(edges[e])[id] {
+			t.Errorf("device %d is not registered at edge %d after the failover", id, e)
+		}
+	}
+	if got := reg.Histogram("fednet_failover_seconds", obs.DurationBuckets()).Count(); got < 1 {
+		t.Errorf("fednet_failover_seconds count %d, want >= 1", got)
+	}
+	// Two Connects to the closed address, five devices off the dead edge.
+	if got, n := reg.Counter("fednet_rehomed_devices_total").Value(), mx.rehomed(); got != 7 || n != 7 {
+		t.Errorf("fednet_rehomed_devices_total %d, client count %d; want 7", got, n)
+	}
+	if got, s := stranded.Value(), mx.strandedDevices(nil); got != 0 || len(s) != 0 {
+		t.Errorf("stranded gauge %v, devices %v after the failover; want 0, none", got, s)
+	}
+}
+
 // TestDetectorDeterministic drives the failure detector by hand: a member
 // is suspected after two sweeps without a lease and aged out after
 // exactly four, a lease resets the count, and stale leases (wrong epoch,
 // unknown or dead member) are rejected.
 func TestDetectorDeterministic(t *testing.T) {
-	deadCh := make(chan int, 1)
 	c, err := NewCloud(CloudConfig{
 		Addr: "127.0.0.1:0", Edges: 1, Rounds: 1, CloudInterval: 1,
-		OnEdgeDown: func(e int) { deadCh <- e },
-		Obs:        obs.NewRegistry(),
+		Obs: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,13 +413,8 @@ func TestDetectorDeterministic(t *testing.T) {
 	}
 	// …and the 4th consecutive miss kills it.
 	c.detectOnce(ms)
-	select {
-	case e := <-deadCh:
-		if e != 7 {
-			t.Fatalf("OnEdgeDown fired for edge %d, want 7", e)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnEdgeDown never fired after four missed sweeps")
+	if !ms.members[7].dead || c.deaths() != 1 {
+		t.Fatalf("after four missed sweeps: edge 7 dead %v, %d deaths, want dead and 1", ms.members[7].dead, c.deaths())
 	}
 	if len(ms.alive()) != 0 {
 		t.Fatal("dead member still listed alive")
@@ -279,10 +427,8 @@ func TestDetectorDeterministic(t *testing.T) {
 	}
 	// Death is once per incarnation: a second sweep must not re-kill.
 	c.detectOnce(ms)
-	select {
-	case e := <-deadCh:
-		t.Fatalf("OnEdgeDown fired twice (edge %d)", e)
-	case <-time.After(50 * time.Millisecond):
+	if c.deaths() != 1 {
+		t.Fatalf("%d deaths after a second sweep, want 1", c.deaths())
 	}
 }
 
@@ -314,8 +460,8 @@ func TestClusterHealthyStaysQuiet(t *testing.T) {
 			t.Errorf("%s = %d in a healthy run", series, got)
 		}
 	}
-	if c.Failovers() != 0 || c.Rehomed() != 0 || len(c.DownEdges()) != 0 {
-		t.Errorf("healthy run: %d failovers, %d re-homed, down edges %v", c.Failovers(), c.Rehomed(), c.DownEdges())
+	if alive := len(c.cloud.ms.alive()); c.Failovers() != 0 || c.Rehomed() != 0 || alive != 3 {
+		t.Errorf("healthy run: %d failovers, %d re-homed, %d of 3 edges alive", c.Failovers(), c.Rehomed(), alive)
 	}
 	if ep := c.MembershipEpoch(); ep != 3 {
 		t.Errorf("membership epoch %d, want 3 (one per initial admission)", ep)
@@ -371,7 +517,7 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 			t.Fatalf("connect %d: %v", i, err)
 		}
 	}
-	if !dev.Connected(1) {
+	if !attached(dev, 1) {
 		t.Fatal("device not attached after the connect storm")
 	}
 	done := make(chan struct{})
@@ -381,7 +527,7 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Disconnect hung after the connect storm")
 	}
-	if dev.Connected(1) {
+	if attached(dev, 1) {
 		t.Fatal("device still reports attached after Disconnect")
 	}
 }

@@ -150,7 +150,9 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 
 // deviceMetrics instruments one device client. reconnects counts devices
 // re-registered at their edge after their connection was lost, rehomed
-// those that failed over to another edge when theirs died.
+// those that failed over to another edge, failover times each of those
+// from the loss (or the Connect) to the re-home ack, and stranded gauges
+// the devices no candidate took.
 type deviceMetrics struct {
 	link       linkMetrics
 	retries    *obs.Counter
@@ -158,6 +160,8 @@ type deviceMetrics struct {
 	rehomed    *obs.Counter
 	nonfinite  *obs.Counter
 	trainSpan  *obs.Span
+	failover   *obs.Span
+	stranded   *obs.Gauge
 }
 
 func newDeviceMetrics(r *obs.Registry) deviceMetrics {
@@ -168,6 +172,8 @@ func newDeviceMetrics(r *obs.Registry) deviceMetrics {
 		rehomed:    r.Counter("fednet_rehomed_devices_total"),
 		nonfinite:  r.Counter("hfl_nonfinite_steps_total"),
 		trainSpan:  r.Span("fednet_rpc_seconds", "op", "device_train"),
+		failover:   r.Span("fednet_failover_seconds"),
+		stranded:   r.Gauge("fednet_stranded_devices"),
 	}
 }
 
