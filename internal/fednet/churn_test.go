@@ -165,6 +165,10 @@ func (r *importRecorder) ExportMoments() ([]float64, []int, int) {
 	return r.Optimizer.(optim.MomentExporter).ExportMoments()
 }
 
+func (r *importRecorder) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
+	return r.Optimizer.(optim.MomentExporter).ExportMomentsInto(flat, lens)
+}
+
 func (r *importRecorder) ImportMoments(flat []float64, lens []int, steps int) bool {
 	r.imports = append(r.imports, recordedImport{flat: append([]float64(nil), flat...), steps: steps, after: r.trainings})
 	r.trainings++

@@ -304,7 +304,7 @@ func (c *Cloud) Run() error {
 		for _, m := range members {
 			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 			var done RoundDone
-			t, vec, err := c.m.link.readMsg(m.conn, &done)
+			t, vec, err := c.m.link.readMsgInto(m.conn, &done, m.modelBuf)
 			if err == nil && t != MsgRoundDone {
 				err = fmt.Errorf("unexpected message type %d", t)
 			}

@@ -8,6 +8,10 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
+
+	"middle/internal/core"
+	"middle/internal/hfl"
 )
 
 // TestCodecSteadyStateAllocs pins what pooling buys (the race detector
@@ -71,11 +75,42 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 // carried model included. The model is 137 KB; a result vector per
 // training, as before the rotation, would be all of that.
 func TestTrainRPCSteadyStateAllocBytes(t *testing.T) {
+	mx := trainableClient(t, 256, 0)
+	trainRPCAllocBytes(t, mx, func(round int) TrainRequest {
+		return TrainRequest{Round: round, Moved: true, ResetLocal: round%5 == 0}
+	})
+}
+
+// TestTrainRPCWithMomentsSteadyStateAllocBytes is the same with live
+// migration on a momentum optimizer: every training exports its moments,
+// into the storage the device kept them in, and every third one is a move
+// that resumes them — an import into the trainer's own buffers.
+func TestTrainRPCWithMomentsSteadyStateAllocBytes(t *testing.T) {
+	mx := trainableClient(t, 256, 0)
+	mx.cfg.pool.each(func(tw *hfl.Trainer) {
+		tw.Opt = hfl.OptimizerSpec{Kind: hfl.OptSGDMomentum, LR: 0.05, Momentum: 0.9}.New()
+	})
+	trainRPCAllocBytes(t, mx, func(round int) TrainRequest {
+		return TrainRequest{Round: round, Moved: round%3 == 0, WantMoments: true}
+	})
+	mx.mu.Lock()
+	kept := mx.virts[0].kept.steps
+	mx.mu.Unlock()
+	if kept == 0 {
+		t.Error("the device kept no moments")
+	}
+}
+
+// trainRPCAllocBytes serves device 0 of mx the requests req builds, after
+// four to warm up, and fails when one allocates 64 KB or more on average.
+func trainRPCAllocBytes(t *testing.T, mx *DeviceMux, req func(round int) TrainRequest) {
+	t.Helper()
 	const device, most = 0, 64 << 10
-	mx := trainableClient(t, 256, device)
 	payload := make([]float64, mx.cfg.pool.numParams())
 	rpc := func(round int) {
-		vec, reply, err := mx.train(TrainRequest{Round: round, DeviceID: device, Moved: true, ResetLocal: round%5 == 0}, payload, 0)
+		r := req(round)
+		r.DeviceID = device
+		vec, reply, err := mx.train(r, payload, 0)
 		if err == nil {
 			err = WriteMsg(io.Discard, MsgTrainReply, reply, vec)
 		}
@@ -99,5 +134,77 @@ func TestTrainRPCSteadyStateAllocBytes(t *testing.T) {
 	t.Logf("%d bytes per train RPC, model %d", per, 8*len(payload))
 	if per >= most {
 		t.Errorf("a steady-state train RPC allocates %d bytes, want < %d (the model is %d)", per, most, 8*len(payload))
+	}
+}
+
+// TestWarmMoveAllocBytes pins what a move costs in memory: one device
+// re-homes back and forth between two live edges under a cloud held
+// before its first round, carrying its trained model each time. The
+// client copies the model into a pooled vector and the edges decode it
+// into vectors the device freed when it left them, so a move, counted over
+// the client and both edges, allocates less than one model; a fresh copy
+// on each side would be two.
+func TestWarmMoveAllocBytes(t *testing.T) {
+	const device, moves = 0, 20
+	mx := trainableClient(t, 256, device)
+	defer mx.Disconnect()
+	dim := mx.cfg.pool.numParams()
+	cloud, err := NewCloud(CloudConfig{Addr: "127.0.0.1:0", Edges: 2, Rounds: 1, CloudInterval: 1,
+		InitModel: make([]float64, dim), Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud.gate = make(chan struct{}) // no round runs while the device moves
+	cloudErr := make(chan error, 1)
+	go func() { cloudErr <- cloud.Run() }()
+	var edges []*Edge
+	edgeErr := make(chan error, 2)
+	for id := range 2 {
+		e, err := NewEdge(EdgeConfig{EdgeID: id, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", K: 1,
+			Strategy: core.NewGeneral(), Seed: 1, Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, e)
+		go func() { edgeErr <- e.Run() }()
+	}
+	defer func() {
+		cloud.Stop()
+		if err := <-cloudErr; err != nil {
+			t.Error(err)
+		}
+		for range edges {
+			if err := <-edgeErr; err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+
+	if _, _, err := mx.train(TrainRequest{Round: 1, DeviceID: device}, make([]float64, dim), 0); err != nil {
+		t.Fatal(err)
+	}
+	mx.unpin(device)
+	move := func(i int) {
+		e := edges[i%2]
+		if err := mx.ConnectRehome(device, e.cfg.EdgeID, e.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.arrival(device); got != "ok" {
+			t.Fatalf("move %d: the device arrived %q, want ok", i, got)
+		}
+	}
+	for i := range 4 {
+		move(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 4; i < 4+moves; i++ {
+		move(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / moves
+	t.Logf("%d bytes per move, model %d", per, 8*dim)
+	if per >= uint64(8*dim) {
+		t.Errorf("a warm move allocates %d bytes, want < one model (%d)", per, 8*dim)
 	}
 }

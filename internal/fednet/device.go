@@ -175,11 +175,16 @@ type virtualDevice struct {
 	// training, when that request asked for it (WantMoments), in storage
 	// of its own: its first training after a warm arrival at another edge
 	// imports it. Other devices train on the same optimizers and reset
-	// them, so it never aliases an optimizer's buffers.
+	// them, so it never aliases an optimizer's buffers. Like spare, a
+	// training takes the storage under mx.mu — a training of the device
+	// running meanwhile finds none, so resumes nothing and exports into
+	// new storage — and gives it back holding the state it exported, if
+	// any, the next one's to import and overwrite.
 	kept keptMoments
 }
 
-// keptMoments is one exported optimizer state (optim.MomentExporter).
+// keptMoments is one exported optimizer state (optim.MomentExporter); it
+// holds none when steps is 0, whatever storage flat and lens keep.
 type keptMoments struct {
 	flat  []float64
 	lens  []int
@@ -248,6 +253,14 @@ var errMuxClosed = errors.New("fednet: device client is shut down")
 type vecBuf struct{ v []float64 }
 
 var payloadPool = sync.Pool{New: func() any { return new(vecBuf) }}
+
+// putPayload returns b, if any, to payloadPool once nothing references it,
+// unless it outgrew a pooled frame.
+func putPayload(b *vecBuf) {
+	if b != nil && 8*cap(b.v) <= maxPooledFrame {
+		payloadPool.Put(b)
+	}
+}
 
 // NewDeviceMux builds a device client (not yet attached anywhere; use
 // Connect per hosted device).
@@ -487,6 +500,10 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 	defer cc.regMu.Unlock()
 	var reg RegisterMux
 	var payload []float64
+	// A warm registration sends a copy, in a pooled vector that goes back
+	// once the frame is written: a training rewrites the carried vector
+	// once it is the spare.
+	var held *vecBuf
 	mx.mu.Lock()
 	for _, r := range riders {
 		v := r.v
@@ -500,7 +517,9 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 				rd.Utility = v.lastUtil
 			}
 			rd.LastTrained = v.lastTrained
-			payload = append([]float64(nil), v.local...) // a training rewrites the vector once it is the spare
+			held = payloadPool.Get().(*vecBuf)
+			held.v = append(held.v[:0], v.local...)
+			payload = held.v
 		}
 		reg.Devices = append(reg.Devices, rd)
 	}
@@ -512,7 +531,9 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 		case <-cc.acks: // the late ack of a registration that gave up
 		default:
 		}
-		if err = mx.write(cc, MsgRegisterMux, reg, payload); err != nil {
+		err = mx.write(cc, MsgRegisterMux, reg, payload)
+		putPayload(held)
+		if err != nil {
 			mx.lost(cc)
 			return fmt.Errorf("fednet: device %d registering at edge %d: %w", reg.Devices[0].DeviceID, cc.edgeID, err)
 		}
@@ -683,9 +704,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 		return held.v[:n]
 	}
 	release := func() {
-		if held != nil && 8*cap(held.v) <= maxPooledFrame {
-			payloadPool.Put(held)
-		}
+		putPayload(held)
 		held = nil
 	}
 	defer release()
@@ -770,7 +789,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 			v.carry(nil)
 		}
 		local = v.local // not written while carried or while a reader is pinned
-		kept = v.kept
+		kept, v.kept = v.kept, keptMoments{}
 	}
 	mx.mu.Unlock()
 	if v == nil {
@@ -782,7 +801,14 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	if moved && len(local) != len(payload) {
 		// A moved device whose carried model cannot blend with the edge
 		// model is in an inconsistent state; silently training from the
-		// stale frame would feed a wrong-era model into Eq. 6.
+		// stale frame would feed a wrong-era model into Eq. 6. Nothing
+		// trained, so the state it kept stands unless a training since kept
+		// newer.
+		mx.mu.Lock()
+		if v.kept.steps == 0 {
+			v.kept = kept
+		}
+		mx.mu.Unlock()
 		return nil, TrainReply{}, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
 			id, len(local), len(payload))
 	}
@@ -803,10 +829,11 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	fp := flight.BeginPhase("local_train")
 	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
 	fp.End()
-	kept = keptMoments{}
+	kept = keptMoments{flat: kept.flat[:0], lens: kept.lens[:0]}
 	if req.WantMoments && me != nil {
-		if flat, lens, steps := me.ExportMoments(); len(flat) > 0 {
-			kept = keptMoments{flat, lens, steps}
+		kept.flat, kept.lens, kept.steps = me.ExportMomentsInto(kept.flat, kept.lens)
+		if len(kept.flat) == 0 {
+			kept.steps = 0
 		}
 	}
 	mx.cfg.pool <- tw

@@ -94,7 +94,8 @@ type deviceState struct {
 	trainedHere bool // has it trained at this edge since arriving?
 	// lastModel is the device's last model, in a vector the edge owns (a
 	// train reply or a warm registration's payload); it returns to the
-	// edge's free list when the device's next reply replaces it.
+	// edge's free list when the device's next reply replaces it or the
+	// device leaves (Edge.dropModelLocked).
 	lastModel   []float64
 	statUtil    float64
 	lastTrained int
@@ -116,8 +117,11 @@ type Edge struct {
 	mu      sync.Mutex
 	devices map[int]*deviceState
 
-	// replies is the free list the demux readers decode train replies
-	// into (see deviceState.lastModel).
+	// replies is the free list the demux readers decode train replies and
+	// registration payloads into (see deviceState.lastModel). It keeps 2K:
+	// a round's replies take as many vectors as the cached models they
+	// replace give back, and the moves between rounds trade the rest — a
+	// device leaving frees what one arriving takes.
 	replies vecList
 
 	// The fields below are guarded by mu: the Run loop writes them while
@@ -131,9 +135,15 @@ type Edge struct {
 	modelUsers int
 	spareModel []float64
 	cloudSeen  []float64 // last global model received (w_c for Eq. 12), in its own storage
-	weight     float64   // d̂ accumulator since last sync
-	lastSync   int       // round of the last cloud sync
-	curRound   int       // round currently (or last) executed
+	// aggregating is set from a round's selection until its Eq. 6 has
+	// returned: the replies cached meanwhile are also that Eq. 6's input,
+	// so a departing device's reply of the round waits in retired, and
+	// goes to the free list only once Eq. 6 is done with it.
+	aggregating bool
+	retired     [][]float64
+	weight      float64 // d̂ accumulator since last sync
+	lastSync    int     // round of the last cloud sync
+	curRound    int     // round currently (or last) executed
 
 	// The cloud connection (so Stop/Kill can interrupt a blocked read),
 	// guarded by mu, and the graceful-stop and kill flags.
@@ -211,7 +221,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		ln:      ln,
 		m:       newEdgeMetrics(cfg.Obs),
 		agg:     robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
-		replies: vecList{max: cfg.K},
+		replies: vecList{max: 2 * cfg.K},
 		devices: map[int]*deviceState{},
 	}
 	if cfg.CheckpointDir != "" {
@@ -274,8 +284,9 @@ func (e *Edge) acceptLoop() {
 			// then this goroutine becomes the connection's demux reader.
 			conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
 			var reg RegisterMux
-			t, vec, err := e.m.deviceLink.readMsg(conn, &reg)
+			t, vec, err := e.m.deviceLink.readMsgInto(conn, &reg, e.replies.get)
 			if err != nil || t != MsgRegisterMux {
+				e.replies.put(vec)
 				conn.Close()
 				return
 			}
@@ -616,6 +627,7 @@ func (e *Edge) runRound(round int, span string) roundStats {
 		sel = sel[:e.cfg.K]
 	}
 	e.modelUsers += len(sel) // each train RPC sends model, unlocked
+	e.aggregating = len(sel) > 0
 	e.mu.Unlock()
 	if len(sel) == 0 {
 		return roundStats{}
@@ -724,6 +736,13 @@ collect:
 	agg := e.takeSpareModel(len(model))
 	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
 	fp.End()
+	e.mu.Lock()
+	e.aggregating = false
+	for _, v := range e.retired {
+		e.replies.put(v)
+	}
+	e.retired = nil
+	e.mu.Unlock()
 	st.trained, st.weight = out.Kept, out.Weight
 	st.rejected = nonFinite + out.Rejects.Total()
 	if st.rejected > 0 {

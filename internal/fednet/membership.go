@@ -25,6 +25,9 @@ type member struct {
 	id    int
 	epoch int // incarnation epoch assigned at welcome
 	conn  net.Conn
+	// model is the vector its RoundDone payloads are decoded into: only
+	// Cloud.Run reads it, and nothing keeps it past the round.
+	model []float64
 
 	// Detector state, guarded by membership.mu.
 	beats     int  // leases received since the last detector tick
@@ -43,6 +46,15 @@ type membership struct {
 	members map[int]*member
 	joinCh  chan *edgeConn // registrations from the accept loop
 	conns   []net.Conn     // every accepted conn, closed at shutdown
+}
+
+// modelBuf returns m.model resized to n values, the storage RoundDone
+// payloads are decoded into.
+func (m *member) modelBuf(n int) []float64 {
+	if cap(m.model) < n {
+		m.model = make([]float64, n)
+	}
+	return m.model[:n]
 }
 
 func newMembership(startEpoch int) *membership {

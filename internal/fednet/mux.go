@@ -163,8 +163,15 @@ func (mx *edgeMux) fail(err error) {
 // ids, and acks with the edge's round counter and sync era (the model
 // itself arrives with the next TrainRequest); without the ack a
 // registration lost to a fault would strand the device silently. vec is
-// the frame's payload: the carried model of a warm registration.
+// the frame's payload, decoded from the free list: the carried model of a
+// warm registration, back on the list unless the edge adopts it.
 func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []float64) error {
+	adopted := false
+	defer func() {
+		if !adopted {
+			e.replies.put(vec)
+		}
+	}()
 	if len(devices) == 0 {
 		return fmt.Errorf("registration without devices")
 	}
@@ -175,11 +182,14 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	}
 	e.mu.Lock()
 	for _, rd := range devices {
-		if old, ok := e.devices[rd.DeviceID]; ok && old.mux != mx {
-			// Re-registered before this edge saw its old connection fail.
-			delete(old.mux.ids, rd.DeviceID)
-			if len(old.mux.ids) == 0 {
-				old.mux.conn.Close()
+		if old, ok := e.devices[rd.DeviceID]; ok {
+			e.dropModelLocked(old)
+			if old.mux != mx {
+				// Re-registered before this edge saw its old connection fail.
+				delete(old.mux.ids, rd.DeviceID)
+				if len(old.mux.ids) == 0 {
+					old.mux.conn.Close()
+				}
 			}
 		}
 		d := &deviceState{
@@ -191,7 +201,7 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			lastTrained: -1,
 		}
 		if rd.Rehome && len(vec) > 0 {
-			e.adoptLocked(d, rd, vec)
+			adopted = e.adoptLocked(d, rd, vec)
 		} else {
 			e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
 		}
@@ -210,18 +220,19 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 // refused — it must not reach Eq. 12's scores — and the device arrives
 // cold. The carried LastTrained is kept as reported: trainDevice's
 // ResetLocal test judges it against this edge's sync era. e.mu must be
-// held.
-func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) {
+// held. It reports whether the edge adopted vec.
+func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) bool {
 	if (len(e.edgeModel) > 0 && len(vec) != len(e.edgeModel)) || (e.agg.Validating() && !robust.IsFinite(vec)) {
 		d.refused = true
 		e.cfg.Logf("edge %d: refused the carried model of device %d: it arrives cold", e.cfg.EdgeID, rd.DeviceID)
-		return
+		return false
 	}
 	d.lastModel, d.lastTrained = vec, rd.LastTrained
 	if rd.Utility != 0 {
 		d.statUtil = rd.Utility
 	}
 	e.cfg.Logf("edge %d: device %d arrived warm (last trained under edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
+	return true
 }
 
 // dropDevice forgets one device that left mx.
@@ -247,10 +258,26 @@ func (e *Edge) release(id int) {
 // e.mu must be held.
 func (e *Edge) deregisterLocked(id int, mx *edgeMux) {
 	if d, ok := e.devices[id]; ok && d.mux == mx {
+		e.dropModelLocked(d)
 		delete(e.devices, id)
 		e.m.virtualDevices.Set(float64(len(e.devices)))
 	}
 	delete(mx.ids, id)
+}
+
+// dropModelLocked takes the cached model of d, which is leaving the
+// candidate set, back to the free list. A reply of the round in flight is
+// also an input of that round's Eq. 6, so it waits in retired until Eq. 6
+// has returned. e.mu must be held.
+func (e *Edge) dropModelLocked(d *deviceState) {
+	switch {
+	case d.lastModel == nil:
+	case e.aggregating && d.trainedHere && d.lastTrained == e.curRound:
+		e.retired = append(e.retired, d.lastModel)
+	default:
+		e.replies.put(d.lastModel)
+	}
+	d.lastModel = nil
 }
 
 // dropIfAlone closes a late or silent device's connection, which drops

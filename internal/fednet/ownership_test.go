@@ -1,12 +1,15 @@
 package fednet
 
 import (
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"middle/internal/core"
 	"middle/internal/data"
 	"middle/internal/hfl"
 	"middle/internal/mobility"
@@ -314,5 +317,97 @@ func TestDeviceVectorsStayOwned(t *testing.T) {
 	}
 	if copies == 0 || rehomes == 0 {
 		t.Errorf("%d LocalModel copies and %d re-home payloads checked, want both", copies, rehomes)
+	}
+}
+
+// TestDepartedReplyHeldUntilEq6: a device that answered round r and leaves
+// before that round's Eq. 6 leaves behind a vector that is still one of
+// Eq. 6's inputs. It goes back to the edge's free list only once Eq. 6 has
+// returned — a warm registration decoded meanwhile must not land in it —
+// and then it does. Devices and cloud are played by the test: A replies
+// and leaves, C registers with a poison payload, B replies last.
+func TestDepartedReplyHeldUntilEq6(t *testing.T) {
+	const a, b, c = 1, 2, 3
+	edge, cc, _ := edgeUnderFakeCloud(t, EdgeConfig{EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 5 * time.Second})
+	reply, poison := []float64{0.25, 0.25, 0.25}, []float64{1e9, 1e9, 1e9}
+	arrive := func(id int, payload []float64) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", edge.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		rd := RegisterDevice{DeviceID: id, DataSize: 1, PrevEdge: -1}
+		if payload != nil {
+			rd = RegisterDevice{DeviceID: id, DataSize: 1, PrevEdge: 7, Rehome: true}
+		}
+		if err := WriteMsg(conn, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{rd}}, payload); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, err := ReadMsg(conn, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
+			t.Fatalf("device %d registration: type %d, %v", id, mt, err)
+		}
+		return conn
+	}
+	request := func(conn net.Conn, id int) {
+		t.Helper()
+		var req TrainRequest
+		if mt, _, err := ReadMsg(conn, &req); err != nil || mt != MsgTrainRequest || req.DeviceID != id {
+			t.Fatalf("device %d: type %d, request %+v, %v", id, mt, req, err)
+		}
+	}
+	connA, connB := arrive(a, nil), arrive(b, nil)
+	waitFor(t, 5*time.Second, "the edge to take the cloud model", func() bool {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		return len(edge.edgeModel) == len(reply)
+	})
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1, Sync: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	request(connA, a)
+	request(connB, b)
+	if err := WriteMsg(connA, MsgTrainReply, TrainReply{DeviceID: a, Round: 1, DataSize: 1}, reply); err != nil {
+		t.Fatal(err)
+	}
+	var left []float64 // the vector A's reply was decoded into
+	waitFor(t, 5*time.Second, "the edge to cache A's reply", func() bool {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		if d := edge.devices[a]; d != nil && d.lastTrained == 1 {
+			left = d.lastModel
+		}
+		return left != nil
+	})
+	connA.Close()
+	waitFor(t, 5*time.Second, "A to leave", func() bool { return !registered(edge)[a] })
+	arrive(c, poison)
+	if err := WriteMsg(connB, MsgTrainReply, TrainReply{DeviceID: b, Round: 1, DataSize: 1}, reply); err != nil {
+		t.Fatal(err)
+	}
+
+	var done RoundDone
+	mt, model, err := ReadMsg(cc, &done)
+	if err != nil || mt != MsgRoundDone || done.Trained != 2 {
+		t.Fatalf("round done: type %d, %+v, %v", mt, done, err)
+	}
+	for i, v := range model {
+		if math.Abs(v-0.25) > 1e-12 {
+			t.Fatalf("Eq. 6 gave %v at %d, want 0.25: a vector it read was handed on before it returned", v, i)
+		}
+	}
+	edge.mu.Lock()
+	arrived := edge.devices[c]
+	intact := arrived != nil && sameBits(arrived.lastModel, poison)
+	edge.mu.Unlock()
+	edge.replies.mu.Lock()
+	freed := slices.ContainsFunc(edge.replies.free, func(v []float64) bool { return &v[:1][0] == &left[0] })
+	edge.replies.mu.Unlock()
+	if !intact || !freed {
+		t.Errorf("after Eq. 6: C's carried model intact %v, A's vector back on the free list %v; want both", intact, freed)
+	}
+	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, model); err != nil {
+		t.Fatal(err)
 	}
 }

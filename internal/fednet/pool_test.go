@@ -114,7 +114,9 @@ func TestSharedTrainerKeepsBits(t *testing.T) {
 		}
 		mx.mu.Lock()
 		defer mx.mu.Unlock()
-		return append([]float64(nil), vec...), mx.virts[id].kept
+		// The device exports into the same storage every training: copy.
+		kept := mx.virts[id].kept
+		return append([]float64(nil), vec...), keptMoments{flat: append([]float64(nil), kept.flat...), steps: kept.steps}
 	}
 	same := func(what string, got, want []float64) {
 		t.Helper()

@@ -2,9 +2,11 @@ package optim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"middle/internal/nn"
+	"middle/internal/tensor"
 )
 
 // stepTwice advances two identical quad params with two optimizers and
@@ -205,4 +207,82 @@ func TestImportAfterResetOwnsItsState(t *testing.T) {
 		qDst.p.Value.Data[0] = q.w()
 		trajectoriesMatch(t, src, dst, q, qDst, 4)
 	}
+}
+
+// TestMomentsRoundTripInPlace: a warmed-up optimizer exports into slices
+// that already have the capacity, and imports into groups of the same
+// shapes, without allocating, and both give the bits of the allocating
+// path: ExportMoments, and an import into an optimizer holding no groups.
+func TestMomentsRoundTripInPlace(t *testing.T) {
+	newParams := func() []*nn.Param {
+		ps := []*nn.Param{
+			{Name: "w", Value: tensor.New(16, 8), Grad: tensor.New(16, 8)},
+			{Name: "b", Value: tensor.New(8), Grad: tensor.New(8)},
+		}
+		for j, p := range ps {
+			for i := range p.Value.Data {
+				p.Value.Data[i] = 0.01 * float64((i+3*j)%11-5)
+			}
+		}
+		return ps
+	}
+	steps := func(opt Optimizer, ps []*nn.Param, n int) {
+		for k := 0; k < n; k++ {
+			for _, p := range ps {
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = p.Value.Data[i] - 0.1*float64(i%7)
+				}
+			}
+			opt.Step(ps)
+		}
+	}
+	for name, mk := range statefulOptimizers() {
+		src := mk()
+		steps(src, newParams(), 3)
+		wantFlat, wantLens, wantSteps := src.ExportMoments()
+
+		flat, lens := make([]float64, 0, len(wantFlat)), make([]int, 0, len(wantLens))
+		gotFlat, gotLens, gotSteps := src.ExportMomentsInto(flat, lens)
+		switch {
+		case !sameFloats(gotFlat, wantFlat) || !slices.Equal(gotLens, wantLens) || gotSteps != wantSteps:
+			t.Fatalf("%s: ExportMomentsInto gives %d values, lens %v, %d steps; ExportMoments %d, %v, %d",
+				name, len(gotFlat), gotLens, gotSteps, len(wantFlat), wantLens, wantSteps)
+		case &gotFlat[0] != &flat[:1][0] || &gotLens[0] != &lens[:1][0]:
+			t.Fatalf("%s: ExportMomentsInto did not write into the slices it was given", name)
+		}
+
+		// dst holds groups of the exported shapes; cold allocates its own.
+		dst, cold := mk(), mk()
+		dstParams, coldParams := newParams(), newParams()
+		steps(dst, newParams(), 1)
+		if !dst.ImportMoments(gotFlat, gotLens, gotSteps) || !cold.ImportMoments(wantFlat, wantLens, wantSteps) {
+			t.Fatalf("%s: import rejected a matching export", name)
+		}
+		inFlat, _, inSteps := dst.ExportMoments()
+		if !sameFloats(inFlat, wantFlat) || inSteps != wantSteps {
+			t.Fatalf("%s: the state imported in place is not the state exported", name)
+		}
+		steps(dst, dstParams, 2)
+		steps(cold, coldParams, 2)
+		for j := range dstParams {
+			if !sameFloats(dstParams[j].Value.Data, coldParams[j].Value.Data) {
+				t.Fatalf("%s: after an in-place import, steps differ from those after an allocating one", name)
+			}
+		}
+
+		if raceDetector {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, func() { src.ExportMomentsInto(flat, lens) }); n != 0 {
+			t.Errorf("%s: ExportMomentsInto into slices with the capacity allocates %v times", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { dst.ImportMoments(wantFlat, wantLens, wantSteps) }); n != 0 {
+			t.Errorf("%s: ImportMoments into groups of the same shapes allocates %v times", name, n)
+		}
+	}
+}
+
+// sameFloats reports whether a and b hold the same bits.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

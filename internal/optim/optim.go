@@ -5,6 +5,7 @@ package optim
 
 import (
 	"math"
+	"slices"
 
 	"middle/internal/nn"
 	"middle/internal/tensor"
@@ -29,11 +30,14 @@ type Optimizer interface {
 // MomentExporter is implemented by optimizers whose internal state —
 // moment buffers plus the step counter — can be serialised for live
 // migration and restored on another host. ExportMoments flattens the
-// state into one slice with per-group lengths; ImportMoments is its
-// inverse and reports false (leaving the optimizer untouched beyond a
-// Reset) when the shapes are inconsistent.
+// state into one slice with per-group lengths; ExportMomentsInto does the
+// same into the caller's slices, reusing their storage; ImportMoments is
+// the inverse, copying into the optimizer's own buffers, and reports false
+// (leaving the optimizer untouched beyond a Reset) when the shapes are
+// inconsistent.
 type MomentExporter interface {
 	ExportMoments() (flat []float64, lens []int, steps int)
+	ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int)
 	ImportMoments(flat []float64, lens []int, steps int) bool
 }
 
@@ -101,21 +105,29 @@ func (s *SGD) Reset() { s.stale, s.t = true, 0 }
 
 // ExportMoments flattens the velocity buffers for live migration.
 func (s *SGD) ExportMoments() (flat []float64, lens []int, steps int) {
-	if s.stale {
-		return nil, nil, s.t
-	}
-	return flattenGroups(s.velocity), groupLens(s.velocity), s.t
+	return s.ExportMomentsInto(nil, nil)
 }
 
-// ImportMoments restores velocity buffers exported by ExportMoments.
-// It reports false on inconsistent shapes, leaving the optimizer reset.
+// ExportMomentsInto is ExportMoments writing into flat[:0] and lens[:0],
+// which allocate only when their capacity is short.
+func (s *SGD) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
+	flat, lens = flat[:0], lens[:0]
+	if s.stale {
+		return flat, lens, s.t
+	}
+	return flattenInto(flat, s.velocity), lensInto(lens, s.velocity), s.t
+}
+
+// ImportMoments restores velocity buffers exported by ExportMoments,
+// copying into the ones the optimizer holds when their shapes match. It
+// reports false on inconsistent shapes, leaving the optimizer reset.
 func (s *SGD) ImportMoments(flat []float64, lens []int, steps int) bool {
-	groups, ok := unflattenGroups(flat, lens)
-	if !ok {
+	if !lensAddUp(flat, lens) {
 		s.Reset()
 		return false
 	}
-	s.velocity, s.t, s.stale = groups, steps, false
+	s.velocity = unflattenInto(s.velocity, flat, lens)
+	s.t, s.stale = steps, false
 	return true
 }
 
@@ -184,36 +196,40 @@ func (a *Adam) Reset() { a.stale, a.t = true, 0 }
 // ExportMoments flattens the first- and second-moment buffers for live
 // migration: the m groups followed by the v groups.
 func (a *Adam) ExportMoments() (flat []float64, lens []int, steps int) {
-	if a.stale {
-		return nil, nil, a.t
-	}
-	flat = append(flattenGroups(a.m), flattenGroups(a.v)...)
-	lens = append(groupLens(a.m), groupLens(a.v)...)
-	return flat, lens, a.t
+	return a.ExportMomentsInto(nil, nil)
 }
 
-// ImportMoments restores state exported by ExportMoments. The group
+// ExportMomentsInto is ExportMoments writing into flat[:0] and lens[:0],
+// which allocate only when their capacity is short.
+func (a *Adam) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
+	flat, lens = flat[:0], lens[:0]
+	if a.stale {
+		return flat, lens, a.t
+	}
+	return flattenInto(flat, a.m, a.v), lensInto(lens, a.m, a.v), a.t
+}
+
+// ImportMoments restores state exported by ExportMoments, copying into
+// the buffers the optimizer holds when their shapes match. The group
 // count must be even (m groups then v groups) and each half must
 // describe the same shapes; it reports false otherwise, leaving the
 // optimizer reset.
 func (a *Adam) ImportMoments(flat []float64, lens []int, steps int) bool {
-	groups, ok := unflattenGroups(flat, lens)
-	if !ok || len(groups)%2 != 0 {
+	half := len(lens) / 2
+	if !lensAddUp(flat, lens) || len(lens)%2 != 0 {
 		a.Reset()
 		return false
 	}
-	half := len(groups) / 2
-	for j := 0; j < half; j++ {
-		if len(groups[j]) != len(groups[half+j]) {
+	total := 0
+	for j, n := range lens[:half] {
+		if n != lens[half+j] {
 			a.Reset()
 			return false
 		}
+		total += n
 	}
-	if half == 0 {
-		a.m, a.v = nil, nil
-	} else {
-		a.m, a.v = groups[:half], groups[half:]
-	}
+	a.m = unflattenInto(a.m, flat[:total], lens[:half])
+	a.v = unflattenInto(a.v, flat[total:], lens[half:])
 	a.t, a.stale = steps, false
 	return true
 }
@@ -233,59 +249,84 @@ func newGroups(params []*nn.Param) [][]float64 {
 	return groups
 }
 
-// flattenGroups concatenates groups into one slice (nil for no state).
-func flattenGroups(groups [][]float64) []float64 {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
+// flattenInto appends the values of every group of sets to flat, growing
+// it at most once.
+func flattenInto(flat []float64, sets ...[][]float64) []float64 {
+	n := 0
+	for _, groups := range sets {
+		for _, g := range groups {
+			n += len(g)
+		}
 	}
-	if total == 0 {
-		return nil
-	}
-	flat := make([]float64, 0, total)
-	for _, g := range groups {
-		flat = append(flat, g...)
+	flat = slices.Grow(flat, n)
+	for _, groups := range sets {
+		for _, g := range groups {
+			flat = append(flat, g...)
+		}
 	}
 	return flat
 }
 
-// groupLens records each group's length (nil for no state).
-func groupLens(groups [][]float64) []int {
-	if len(groups) == 0 {
-		return nil
+// lensInto appends the length of every group of sets to lens, growing it
+// at most once.
+func lensInto(lens []int, sets ...[][]float64) []int {
+	n := 0
+	for _, groups := range sets {
+		n += len(groups)
 	}
-	lens := make([]int, len(groups))
-	for j, g := range groups {
-		lens[j] = len(g)
+	lens = slices.Grow(lens, n)
+	for _, groups := range sets {
+		for _, g := range groups {
+			lens = append(lens, len(g))
+		}
 	}
 	return lens
 }
 
-// unflattenGroups is the inverse of flattenGroups+groupLens, copying
-// flat so the caller's buffer is not aliased. ok is false when the
-// lengths do not add up.
-func unflattenGroups(flat []float64, lens []int) (groups [][]float64, ok bool) {
+// lensAddUp reports whether lens, none negative, split flat exactly.
+func lensAddUp(flat []float64, lens []int) bool {
 	total := 0
 	for _, n := range lens {
 		if n < 0 {
-			return nil, false
+			return false
 		}
 		total += n
 	}
-	if total != len(flat) {
-		return nil, false
-	}
+	return total == len(flat)
+}
+
+// unflattenInto is the inverse of flattenInto+lensInto for lens that add
+// up: it copies flat into groups when their shapes are lens, and into new
+// groups otherwise, so the caller's buffer is never aliased. nil for no
+// groups.
+func unflattenInto(groups [][]float64, flat []float64, lens []int) [][]float64 {
 	if len(lens) == 0 {
-		return nil, true
+		return nil
 	}
-	groups = make([][]float64, len(lens))
+	if !sameLens(groups, lens) {
+		groups = make([][]float64, len(lens))
+		for j, n := range lens {
+			groups[j] = make([]float64, n)
+		}
+	}
 	off := 0
-	for j, n := range lens {
-		groups[j] = make([]float64, n)
-		copy(groups[j], flat[off:off+n])
-		off += n
+	for _, g := range groups {
+		off += copy(g, flat[off:])
 	}
-	return groups, true
+	return groups
+}
+
+// sameLens reports whether groups have exactly the lengths lens.
+func sameLens(groups [][]float64, lens []int) bool {
+	if len(groups) != len(lens) {
+		return false
+	}
+	for j, g := range groups {
+		if len(g) != lens[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // groupsMatch reports whether state groups already mirror the params'

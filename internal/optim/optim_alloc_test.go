@@ -9,6 +9,9 @@ import (
 	"middle/internal/tensor"
 )
 
+// raceDetector is true under -race, whose instrumentation allocates.
+const raceDetector = false
+
 // TestResetStepDoesNotAllocate: a local round is Reset followed by Steps,
 // and after the first one neither may allocate — Reset used to drop the
 // moment buffers and the next Step made them again, every round.

@@ -113,12 +113,12 @@ go test -race -count=3 \
 
 echo "== wire buffer ownership gate (-race, 3x) =="
 # Pooled frame buffers, replies decoded into recycled vectors, a device's
-# two rotating vectors, edge caches audited against the devices, one
-# device under two edges at once with delayed writes and readers.
+# two rotating vectors, edge caches audited against the devices, one device
+# under two edges at once, a departed reply held until Eq. 6, moments in place.
 go test -race -count=3 \
-    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel' \
+    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel|TestDepartedReplyHeldUntilEq6' \
     ./internal/fednet
-go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState' ./internal/optim
+go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState|TestMomentsRoundTripInPlace' ./internal/optim
 
 echo "== parser fuzz (10 s each) =="
 # go test replays the committed corpora; this also explores from them.
