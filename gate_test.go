@@ -347,16 +347,27 @@ func TestGateBenchSteady(t *testing.T) { benchGate(t, "net_steady") }
 // TestGateMigration: a high-mobility in-process deployment with
 // -live-migration completes a handover (the summary's ok count is
 // fednet_migrations_total{outcome="ok"}), strands no device and reports
-// a fault-free membership at the epoch the initial joins reached.
+// a fault-free membership at the epoch the initial joins reached. A
+// deployment computes one model per seed, moves included: a second run
+// prints the same final accuracy, to the digit.
 func TestGateMigration(t *testing.T) {
-	m := start(t, logDir(t), "mig_deploy.log", "middlesim", "-exp", "scale", "-devices", "24", "-edges", "3", "-k", "2",
-		"-tc", "2", "-steps", "8", "-mux", "2", "-p", "0.6", "-seed", "3", "-live-migration")
-	m.need(m.exit(5*time.Minute) == 0, "live-migration deployment run failed")
-	out := m.text()
-	m.need(regexp.MustCompile(`migrations: [1-9][0-9]* ok`).MatchString(out), "deployment reported no successful migrations")
-	m.need(strings.Contains(out, " 0 stranded devices"), "fault-free deployment ended with stranded devices")
-	m.need(regexp.MustCompile(`membership: 0 edge failovers, 0 devices re-homed, epoch [1-9]`).MatchString(out),
-		"fault-free deployment mis-reported its membership")
+	dir := logDir(t)
+	final := regexp.MustCompile(`final accuracy (\S+)`)
+	var accs [2]string
+	for run, log := range []string{"mig_deploy.log", "mig_deploy2.log"} {
+		m := start(t, dir, log, "middlesim", "-exp", "scale", "-devices", "24", "-edges", "3", "-k", "2",
+			"-tc", "2", "-steps", "8", "-mux", "2", "-p", "0.6", "-seed", "3", "-live-migration")
+		m.need(m.exit(5*time.Minute) == 0, "live-migration deployment run failed")
+		out := m.text()
+		m.need(regexp.MustCompile(`migrations: [1-9][0-9]* ok`).MatchString(out), "deployment reported no successful migrations")
+		m.need(strings.Contains(out, " 0 stranded devices"), "fault-free deployment ended with stranded devices")
+		m.need(regexp.MustCompile(`membership: 0 edge failovers, 0 devices re-homed, epoch [1-9]`).MatchString(out),
+			"fault-free deployment mis-reported its membership")
+		acc := final.FindStringSubmatch(out)
+		m.need(acc != nil, "deployment printed no final accuracy")
+		accs[run] = acc[1]
+		m.need(accs[run] == accs[0], "rerun's final accuracy %s, first run's %s", accs[run], accs[0])
+	}
 }
 
 // TestGateDrain: SIGTERM mid-run drains the in-flight round, writes a

@@ -53,8 +53,8 @@ type ClusterConfig struct {
 	// a cohort trains in parallel up to the cores.
 	Mux int
 	// LiveMigration makes a moving device arrive warm: it leaves its edge
-	// and registers at the next one carrying its own model, utility, last
-	// training round and optimizer state (ConnectRehome), so Eq. 9 blends
+	// and registers at the next one with its own state (ConnectRehome) —
+	// its model and optimizer moments stay on the device — so Eq. 9 blends
 	// and its optimizer resumes there. Off by default: a mover leaves and
 	// registers cold, and the edge resets its carried model.
 	LiveMigration bool
@@ -429,7 +429,7 @@ func (c *Cluster) MoveErrors() int {
 
 // Migrations reports how the movers of live migration arrived (the counts
 // behind fednet_migrations_total): warm arrivals the destination adopted,
-// movers that arrived cold although they had trained, and carried models
+// movers that arrived cold although they had trained, and carried state
 // the destination's receipt screen refused. A mover that never trained
 // carries nothing and is not counted. All zero when LiveMigration is off.
 func (c *Cluster) Migrations() (ok, fallback, rejected int) {

@@ -48,6 +48,7 @@ var frameCases = []frameCase{
 	{"DeviceLeave", MsgDeviceLeave, DeviceLeave{DeviceID: 5}},
 	{"Lease", MsgLease, Lease{EdgeID: 1, Epoch: 3, Seq: 99}},
 	{"EdgeWelcome", MsgEdgeWelcome, EdgeWelcome{Epoch: 3, Round: 16, LastSync: 15, LeaseMillis: 500, Rejoin: true}},
+	{"Scores", MsgScores, Scores{DeviceID: 5, Round: 17, Drift: Drift{U: 0.125, DeltaNorm: 2.5}}},
 }
 
 // awkwardVector holds the float64 bit patterns a lossy codec would mangle:
@@ -72,7 +73,8 @@ func awkwardVector() []float64 {
 // the TrainRequest and TrainReply lines by that of commit 5dc5c18, once
 // their headers had lost the moment group lengths; the RegisterMux,
 // TrainRequest and TrainReply lines by that of commit 7fc0b5d, once their
-// headers had lost last_sync, resume and opt_steps.
+// headers had lost last_sync, resume and opt_steps; the Scores line by
+// that of commit ec9c381, the one before the type existed.
 func goldenFrames(t testing.TB) map[string][]byte {
 	t.Helper()
 	f, err := os.Open("testdata/golden_frames.txt")

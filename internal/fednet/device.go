@@ -208,6 +208,10 @@ type carried struct {
 	rounds      int       // training rounds served (diagnostics)
 	lastUtil    float64   // Oort utility of the most recent round
 	lastTrained int       // round it last trained in (−1 if none)
+	// drift is what prevEdge scored local for Eq. 12 (MsgScores) when
+	// scored is set; a warm registration carries it instead of local.
+	drift  Drift
+	scored bool
 }
 
 // rider is a device together with the generation an attachment attempt
@@ -318,7 +322,8 @@ func (mx *DeviceMux) Connect(deviceID, edgeID int, addr string) error {
 }
 
 // ConnectRehome is Connect with a warm registration: the device carries
-// its own local model, utility and last training round, so the new edge
+// its last training round, its utility and the Eq. 12 scores its edge sent
+// it for that round (its local model when it holds none), so the new edge
 // resumes it warm. It is how a device arrives after a move with live
 // migration and after its edge died; nothing passes between the edges.
 //
@@ -517,9 +522,15 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 				rd.Utility = v.lastUtil
 			}
 			rd.LastTrained = v.lastTrained
-			held = payloadPool.Get().(*vecBuf)
-			held.v = append(held.v[:0], v.local...)
-			payload = held.v
+			switch {
+			case v.scored:
+				dr := v.drift
+				rd.Drift = &dr
+			case v.local != nil:
+				held = payloadPool.Get().(*vecBuf)
+				held.v = append(held.v[:0], v.local...)
+				payload = held.v
+			}
 		}
 		reg.Devices = append(reg.Devices, rd)
 	}
@@ -709,7 +720,10 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 	}
 	defer release()
 	for {
-		var h TrainRequest
+		var h struct {
+			TrainRequest
+			Drift
+		}
 		release()
 		t, payload, err := mx.m.link.readMsgInto(cc.conn, &h, payloadBuf)
 		if err != nil {
@@ -726,13 +740,16 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			default:
 			}
 			continue
+		case MsgScores:
+			mx.keepScores(h.DeviceID, h.Round, cc.edgeID, h.Drift)
+			continue
 		case MsgTrainRequest:
 		default:
 			mx.lost(cc)
 			return
 		}
 		trainTok := mx.m.trainSpan.Begin()
-		vec, reply, terr := mx.train(h, payload, cc.edgeID)
+		vec, reply, terr := mx.train(h.TrainRequest, payload, cc.edgeID)
 		trainTok.End()
 		release() // before the reply write can block
 		if terr != nil {
@@ -750,6 +767,16 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			return
 		}
 	}
+}
+
+// keepScores records the drift edge scored for device id's training of
+// round, if that is the model the device carries.
+func (mx *DeviceMux) keepScores(id, round, edge int, dr Drift) {
+	mx.mu.Lock()
+	if v := mx.virts[id]; v != nil && v.lastTrained == round && v.prevEdge == edge {
+		v.drift, v.scored = dr, true
+	}
+	mx.mu.Unlock()
 }
 
 // unpin ends the pin train took on a hosted device (virtualDevice.pins). A
@@ -843,7 +870,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	mx.mu.Lock()
 	v.carry(vec)
 	v.kept = kept
-	v.prevEdge, v.lastUtil, v.lastTrained = edgeID, util, req.Round
+	v.prevEdge, v.lastUtil, v.lastTrained, v.scored = edgeID, util, req.Round, false
 	v.rounds++
 	mx.mu.Unlock()
 	if tr != nil {

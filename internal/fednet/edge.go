@@ -15,6 +15,7 @@ import (
 	"middle/internal/obs"
 	"middle/internal/obs/flight"
 	"middle/internal/robust"
+	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
@@ -27,7 +28,7 @@ type EdgeConfig struct {
 	// K devices are selected per round (paper §6.1.2: 5).
 	K int
 	// Strategy decides which connected devices train each round. The
-	// edge adapts it through a View over its device-state cache.
+	// edge adapts it through a View over what it keeps of its devices.
 	Strategy hfl.Strategy
 	// Seed derives the per-round selection tie-break randomness.
 	Seed int64
@@ -60,7 +61,7 @@ type EdgeConfig struct {
 	// Rejected updates are excluded exactly like stragglers.
 	Validate robust.ValidatorConfig
 	// SelectionNormCap, when > 0, caps the Eq. 12 selection score of
-	// devices whose cached update norm exceeds it (see hfl.NormCapView).
+	// devices whose update norm exceeds it (see hfl.NormCapView).
 	SelectionNormCap float64
 	// LiveMigration asks every trained device to keep its optimizer state
 	// (TrainRequest.WantMoments), so that a device moving on warm resumes
@@ -81,9 +82,9 @@ type EdgeConfig struct {
 	Trace *obs.Trace
 }
 
-// deviceState is the edge's cached knowledge about one connected device —
-// exactly the information the paper allows selection to use (model
-// vectors and participation history, never raw data).
+// deviceState is the edge's knowledge about one connected device —
+// exactly the information the paper allows selection to use (what its
+// model says to Eq. 12 and participation history, never raw data).
 type deviceState struct {
 	// mux is the connection the device registered through; all I/O goes
 	// through its write lock and demux reader.
@@ -92,17 +93,26 @@ type deviceState struct {
 	dataSize    int
 	arrivedFrom int  // edge the device trained under before connecting here
 	trainedHere bool // has it trained at this edge since arriving?
-	// lastModel is the device's last model, in a vector the edge owns (a
-	// train reply or a warm registration's payload); it returns to the
-	// edge's free list when the device's next reply replaces it or the
-	// device leaves (Edge.dropModelLocked).
-	lastModel   []float64
+	// drift is Eq. 12's input for the model the device trained in
+	// lastTrained: scored when the edge received that model (a train reply
+	// or a warm registration's payload) or carried in by a warm
+	// registration. It holds only while trainedSince(lastTrained, lastSync);
+	// edgeView.DriftInfo answers zero otherwise.
+	drift       Drift
 	statUtil    float64
 	lastTrained int
-	// refused marks a warm registration whose payload failed the receipt
-	// screen: the device arrived cold.
-	refused bool
+	// warm marks a warm registration the edge adopted, refused one whose
+	// carried state failed the receipt screen: the device arrived cold.
+	warm, refused bool
 }
+
+// trainedSince reports whether a device that last trained in round
+// lastTrained has trained since the cloud sync of round lastSync. A sync
+// pushes w_c down to every device, one that trained in the sync round too
+// (Algorithm 1, lines 10–15): until it trains again a device holds w_c, so
+// it discards its carried model (TrainRequest.ResetLocal) and its Eq. 12
+// drift is zero.
+func trainedSince(lastTrained, lastSync int) bool { return lastTrained > lastSync }
 
 // Edge runs the in-edge half of Algorithm 1 as a server: it accepts
 // device connections, selects K of them each round, ships them the edge
@@ -118,10 +128,9 @@ type Edge struct {
 	devices map[int]*deviceState
 
 	// replies is the free list the demux readers decode train replies and
-	// registration payloads into (see deviceState.lastModel). It keeps 2K:
-	// a round's replies take as many vectors as the cached models they
-	// replace give back, and the moves between rounds trade the rest — a
-	// device leaving frees what one arriving takes.
+	// registration payloads into. A reply goes back once its round's Eq. 6
+	// has returned, a payload once it is scored, so the edge holds no device
+	// model beyond the round that received it. It keeps 2K.
 	replies vecList
 
 	// The fields below are guarded by mu: the Run loop writes them while
@@ -134,16 +143,13 @@ type Edge struct {
 	// written into it, so the two swap from round to round.
 	modelUsers int
 	spareModel []float64
-	cloudSeen  []float64 // last global model received (w_c for Eq. 12), in its own storage
-	// aggregating is set from a round's selection until its Eq. 6 has
-	// returned: the replies cached meanwhile are also that Eq. 6's input,
-	// so a departing device's reply of the round waits in retired, and
-	// goes to the free list only once Eq. 6 is done with it.
-	aggregating bool
-	retired     [][]float64
-	weight      float64 // d̂ accumulator since last sync
-	lastSync    int     // round of the last cloud sync
-	curRound    int     // round currently (or last) executed
+	// cloudSeen is the last global model received (w_c for Eq. 12), in its
+	// own storage. Only the Run goroutine writes it, under mu, so a round
+	// reads it unlocked.
+	cloudSeen []float64
+	weight    float64 // d̂ accumulator since last sync
+	lastSync  int     // round of the last cloud sync
+	curRound  int     // round currently (or last) executed
 
 	// The cloud connection (so Stop/Kill can interrupt a blocked read),
 	// guarded by mu, and the graceful-stop and kill flags.
@@ -627,7 +633,6 @@ func (e *Edge) runRound(round int, span string) roundStats {
 		sel = sel[:e.cfg.K]
 	}
 	e.modelUsers += len(sel) // each train RPC sends model, unlocked
-	e.aggregating = len(sel) > 0
 	e.mu.Unlock()
 	if len(sel) == 0 {
 		return roundStats{}
@@ -672,26 +677,16 @@ collect:
 				continue
 			}
 			// Validation pass 1: a non-finite model is rejected on
-			// receipt — it is neither cached for selection (a NaN
-			// lastModel would poison the Eq. 12 scores) nor aggregated.
+			// receipt — it is neither scored for selection (NaN scores
+			// would poison Eq. 12) nor aggregated.
 			if e.agg.Validating() && !robust.IsFinite(res.vec) {
 				nonFinite++
 				e.agg.NoteNonFinite()
 				e.cfg.Logf("edge %d: rejected non-finite update from device %d in round %d", e.cfg.EdgeID, res.id, round)
+				e.replies.put(res.vec)
 				continue
 			}
-			e.mu.Lock()
-			if d, ok := e.devices[res.id]; ok {
-				// Nothing still reads what this reply replaces: selection
-				// reads lastModel under mu, and a round aggregates only
-				// vectors received in that round.
-				e.replies.put(d.lastModel)
-				d.lastModel = res.vec
-				d.statUtil = res.reply.Utility
-				d.lastTrained = round
-				d.trainedHere = true
-			}
-			e.mu.Unlock()
+			e.acceptReply(res.id, round, res.reply.Utility, res.vec)
 			got[at] = res
 			st.trained++
 		case <-deadline.C:
@@ -736,13 +731,10 @@ collect:
 	agg := e.takeSpareModel(len(model))
 	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
 	fp.End()
-	e.mu.Lock()
-	e.aggregating = false
-	for _, v := range e.retired {
-		e.replies.put(v)
+	// From got, not vecs: the validator compacts vecs in place.
+	for _, res := range got {
+		e.replies.put(res.vec)
 	}
-	e.retired = nil
-	e.mu.Unlock()
 	st.trained, st.weight = out.Kept, out.Weight
 	st.rejected = nonFinite + out.Rejects.Total()
 	if st.rejected > 0 {
@@ -781,6 +773,34 @@ collect:
 	return st
 }
 
+// acceptReply records device id's accepted reply of round, vec, with its Oort
+// utility, and scores vec for Eq. 12 once, outside mu: cloudSeen changes
+// only at a sync, which zeroes every score, so these are the bits a
+// selection would compute from vec until then. The device is sent its
+// scores before the round is reported to the cloud, for its next warm
+// registration to carry in place of the model.
+func (e *Edge) acceptReply(id, round int, util float64, vec []float64) {
+	var dr Drift
+	dr.U, dr.DeltaNorm = simil.SelectionUtilityNorm(e.cloudSeen, vec)
+	e.mu.Lock()
+	d, ok := e.devices[id]
+	if ok {
+		d.drift, d.statUtil, d.lastTrained, d.trainedHere = dr, util, round, true
+	}
+	e.mu.Unlock()
+	if !ok || !finite(dr) { // a header carries no NaN: the device falls back to its payload
+		return
+	}
+	if err := d.mux.write(MsgScores, Scores{DeviceID: id, Round: round, Drift: dr}, nil); err != nil {
+		d.mux.fail(err)
+	}
+}
+
+// finite reports whether both numbers of dr are finite.
+func finite(dr Drift) bool {
+	return !math.IsNaN(dr.U) && !math.IsInf(dr.U, 0) && !math.IsNaN(dr.DeltaNorm) && !math.IsInf(dr.DeltaNorm, 0)
+}
+
 // trainDevice runs one device's train RPC with capped-backoff retries.
 // The round-trip rides the device's connection, whose demux reader
 // matches the reply by device id; after a transport error the retry
@@ -812,7 +832,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 				Round:       round,
 				DeviceID:    id,
 				Moved:       !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
-				ResetLocal:  d.lastTrained < e.lastSync,
+				ResetLocal:  !trainedSince(d.lastTrained, e.lastSync),
 				WantMoments: e.cfg.LiveMigration,
 			}
 			if span != "" {
@@ -870,7 +890,7 @@ func (e *Edge) arrival(id int) string {
 	switch {
 	case !ok:
 		return "fallback"
-	case d.lastModel != nil:
+	case d.warm || d.trainedHere:
 		return "ok"
 	case d.refused:
 		return "rejected"
@@ -896,7 +916,7 @@ func (e *Edge) shutdownDevices() {
 	e.m.virtualDevices.Set(0)
 }
 
-// edgeView adapts the edge's device cache to hfl.View so the simulation
+// edgeView adapts the edge's device state to hfl.View so the simulation
 // strategies (MIDDLE, OORT, …) run unchanged in the networked setting.
 // The caller must hold e.mu.
 type edgeView struct {
@@ -910,13 +930,18 @@ func (v *edgeView) EdgeModel(int) []float64 {
 	return v.edge.edgeModel
 }
 
-func (v *edgeView) LocalModel(device int) []float64 {
-	if d, ok := v.edge.devices[device]; ok && d.lastModel != nil {
-		return d.lastModel
+// LocalModel is w_c for every device: the edge keeps no device model.
+// Eq. 12 reads a device through DriftInfo instead, which always knows.
+func (v *edgeView) LocalModel(int) []float64 { return v.edge.cloudSeen }
+
+// DriftInfo implements hfl.ResidentView: a device's stored scores while it
+// has trained since the last sync, exactly zero otherwise — it holds w_c
+// (trainedSince) — as for a device the edge does not know.
+func (v *edgeView) DriftInfo(device int) (utility, deltaNorm float64, known bool) {
+	if d, ok := v.edge.devices[device]; ok && trainedSince(d.lastTrained, v.edge.lastSync) {
+		return d.drift.U, d.drift.DeltaNorm, true
 	}
-	// Never-seen devices are treated as carrying the last global model
-	// (Δw = 0), matching the post-sync state in the simulation.
-	return v.edge.cloudSeen
+	return 0, 0, true
 }
 
 func (v *edgeView) DataSize(device int) int {
@@ -941,8 +966,9 @@ func (v *edgeView) LastTrained(device int) int {
 }
 
 // SelectionNormCap implements hfl.NormCapView so norm-aware strategies
-// stop preferring devices whose cached update exceeds the cap.
+// stop preferring devices whose update norm exceeds the cap.
 func (v *edgeView) SelectionNormCap() float64 { return v.edge.cfg.SelectionNormCap }
 
 var _ hfl.View = (*edgeView)(nil)
 var _ hfl.NormCapView = (*edgeView)(nil)
+var _ hfl.ResidentView = (*edgeView)(nil)

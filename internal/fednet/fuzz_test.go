@@ -12,7 +12,8 @@ import (
 // FuzzReadMsg throws arbitrary bytes at the frame reader. The committed
 // corpus (testdata/fuzz/FuzzReadMsg) holds one valid frame per message
 // type plus a truncation and a single-bit flip of each; the seeds added
-// here cover every truncation point and bit position of one frame.
+// here cover every truncation point and bit position of one frame, and the
+// header-only frames of a warm move.
 //
 // Properties: the reader never panics; it never consumes more than it was
 // given; on any error it hands out neither a vector nor a type, and on a
@@ -34,6 +35,22 @@ func FuzzReadMsg(f *testing.F) {
 		flipped := append([]byte(nil), raw...)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		f.Add(flipped)
+	}
+	// The two header-only frames of a warm move: the scores an edge sends a
+	// device, and the registration that carries them instead of a model.
+	drift := Drift{U: 0.25, DeltaNorm: 1.5}
+	for _, m := range []struct {
+		t      MsgType
+		header any
+	}{
+		{MsgScores, Scores{DeviceID: 3, Round: 8, Drift: drift}},
+		{MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{{DeviceID: 3, DataSize: 30, PrevEdge: 1, Rehome: true, Utility: 0.5, LastTrained: 8, Drift: &drift}}}},
+	} {
+		var b bytes.Buffer
+		if err := WriteMsg(&b, m.t, m.header, nil); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr json.RawMessage

@@ -20,6 +20,7 @@ import (
 	"middle/internal/nn"
 	"middle/internal/obs"
 	"middle/internal/robust"
+	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
@@ -52,9 +53,9 @@ func migrationCounts(reg *obs.Registry) (ok, fallback, rejected int) {
 }
 
 // warmAudit is a mobility model that counts, at every round boundary, the
-// devices whose edge holds a model they carried in rather than trained
-// there — warm arrivals the edge adopted — and the cached models that are
-// not finite.
+// devices whose edge holds state they carried in rather than trained
+// there — warm arrivals the edge adopted — and the stored Eq. 12 scores
+// that are not finite.
 type warmAudit struct {
 	mobility.Model
 	cluster         atomic.Pointer[Cluster]
@@ -67,10 +68,10 @@ func (a *warmAudit) Step() []int {
 			e := c.edgeAt(i)
 			e.mu.Lock()
 			for _, d := range e.devices {
-				if d.lastModel != nil && !d.trainedHere {
+				if d.warm && !d.trainedHere {
 					a.warm++
 				}
-				if !robust.IsFinite(d.lastModel) {
+				if !finite(d.drift) {
 					a.nonFinite++
 				}
 			}
@@ -146,7 +147,7 @@ func TestClusterLiveMigrationResume(t *testing.T) {
 // TestClusterMigrationChaos moves devices warm while the device→edge link
 // drops, corrupts, partitions and NaN-rewrites frames, at a validating
 // cluster. The run completes with a finite global model, no mover is
-// stranded, some warm arrivals are adopted, and no edge ever caches a
+// stranded, some warm arrivals are adopted, and no edge ever scores a
 // model the link rewrote to NaN, carried in or replied.
 func TestClusterMigrationChaos(t *testing.T) {
 	cfg := migrationClusterConfig(t, 8, mobility.NewMarkovRing(3, 9, 0.5, 7))
@@ -177,15 +178,15 @@ func TestClusterMigrationChaos(t *testing.T) {
 		t.Fatalf("devices stranded under device→edge faults: %v", s)
 	}
 	if audit.nonFinite != 0 {
-		t.Fatalf("edges cached %d non-finite device models at round boundaries", audit.nonFinite)
+		t.Fatalf("edges held %d non-finite device scores at round boundaries", audit.nonFinite)
 	}
 	t.Logf("%d faults: %d ok / %d fallback / %d rejected arrivals, %d tolerated component failures",
 		injected, ok, fallback, rejected, c.ToleratedFaults())
 }
 
 // TestClusterMigrationDisabledInert pins the default path: without
-// LiveMigration no migration is counted or timed, no edge ever holds a
-// model a device carried in, and no device keeps optimizer moments.
+// LiveMigration no migration is counted or timed, no edge ever holds
+// state a device carried in, and no device keeps optimizer moments.
 func TestClusterMigrationDisabledInert(t *testing.T) {
 	cfg := migrationClusterConfig(t, 9, mobility.NewMarkovRing(3, 9, 0.5, 7))
 	cfg.LiveMigration = false
@@ -198,7 +199,7 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 		t.Fatalf("migrations counted with LiveMigration off: %d/%d/%d, metric %d/%d/%d", ok, fallback, rejected, mok, mfb, mrej)
 	}
 	if audit.warm != 0 {
-		t.Fatalf("%d carried models adopted at round boundaries with LiveMigration off", audit.warm)
+		t.Fatalf("%d carried states adopted at round boundaries with LiveMigration off", audit.warm)
 	}
 	for _, mx := range c.clients {
 		for id, v := range mx.virts {
@@ -211,10 +212,10 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 
 // TestEdgeResumeUsedUpByFirstTraining pins the optimizer resume on the
 // device: two devices of one client arrive warm at an edge in sync era 1.
-// Device 5 last trained in round 1, so its first training there keeps its
-// carried model and imports the moments it kept; device 6 last trained in
-// round 0, before the sync, so it resets and imports nothing. A later
-// training never imports.
+// Device 5 last trained in round 2, after the sync, so its first training
+// there keeps its carried model and imports the moments it kept; device 6
+// last trained in round 1, the sync round itself, which pushed w_c down to
+// it too, so it resets and imports nothing. A later training never imports.
 func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
 		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
@@ -244,8 +245,8 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 		defer edge.mu.Unlock()
 		return len(edge.edgeModel) == len(model)
 	})
-	// Both devices trained at edge 1 before moving: 5 in round 1, 6 in round 0.
-	for id, round := range map[int]int{5: 1, 6: 0} {
+	// Both devices trained at edge 1 before moving: 5 in round 2, 6 in round 1.
+	for id, round := range map[int]int{5: 2, 6: 1} {
 		if _, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, WantMoments: true}, model, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	mx.mu.Unlock()
 	mx.cfg.pool.each(func(*hfl.Trainer) { rec.imports = nil })
 
-	for round := 2; round <= 3; round++ {
+	for round := 3; round <= 4; round++ {
 		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 		}
 		var imports []recordedImport
 		mx.cfg.pool.each(func(*hfl.Trainer) { imports, rec.imports = rec.imports, nil })
-		want := map[int]int{2: 1, 3: 0}[round]
+		want := map[int]int{3: 1, 4: 0}[round]
 		if len(imports) != want {
 			t.Fatalf("round %d: %d imports, want %d", round, len(imports), want)
 		}
@@ -288,10 +289,13 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	}
 }
 
-// TestEdgeScreensWarmPayload registers devices warm at a validating edge.
-// A carried model the link rewrote to NaN is screened like a train reply:
-// refused, so it never reaches Eq. 12's scores, and the device arrives cold
-// with its refusal on record. A finite one is adopted with its round.
+// TestEdgeScreensWarmPayload registers devices warm at a validating edge
+// whose w_c is the welcome's (1, 2, 3), in sync era 0. A carried model the
+// link rewrote to NaN is screened like a train reply: refused, so it never
+// reaches Eq. 12's scores, and the device arrives cold with its refusal on
+// record. So are carried scores no model could give. A finite payload is
+// adopted with its round and scored on receipt, carried scores are adopted
+// as they are, and a model trained before the sync needs neither.
 func TestEdgeScreensWarmPayload(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
 		EdgeID: 0, K: 1, Strategy: core.NewMiddle(), Seed: 1, Timeout: 3 * time.Second,
@@ -303,27 +307,44 @@ func TestEdgeScreensWarmPayload(t *testing.T) {
 	}
 	defer dev.Close()
 	dev.SetDeadline(time.Now().Add(5 * time.Second))
-	for id, payload := range map[int][]float64{5: {1, math.NaN(), 3}, 6: {0.5, 0.5, 0.5}} {
-		reg := RegisterMux{Devices: []RegisterDevice{{DeviceID: id, DataSize: 10, PrevEdge: 1, Rehome: true, Utility: 2, LastTrained: 4}}}
-		if err := WriteMsg(dev, MsgRegisterMux, reg, payload); err != nil {
+	var fineDrift Drift
+	fineDrift.U, fineDrift.DeltaNorm = simil.SelectionUtilityNorm([]float64{1, 2, 3}, []float64{0.5, 0.5, 0.5})
+	for _, c := range []struct {
+		id, lastTrained int
+		drift           *Drift
+		payload         []float64
+		arrived         string
+		want            Drift
+	}{
+		{id: 5, lastTrained: 4, payload: []float64{1, math.NaN(), 3}, arrived: "rejected"},
+		{id: 6, lastTrained: 4, payload: []float64{0.5, 0.5, 0.5}, arrived: "ok", want: fineDrift},
+		{id: 7, lastTrained: 4, drift: &Drift{U: 1.5, DeltaNorm: 1}, arrived: "rejected"},
+		{id: 8, lastTrained: 4, drift: &Drift{U: 0.25, DeltaNorm: 3}, arrived: "ok", want: Drift{U: 0.25, DeltaNorm: 3}},
+		{id: 9, lastTrained: 0, arrived: "ok"},
+	} {
+		rd := RegisterDevice{DeviceID: c.id, DataSize: 10, PrevEdge: 1, Rehome: true, Utility: 2, LastTrained: c.lastTrained, Drift: c.drift}
+		if err := WriteMsg(dev, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{rd}}, c.payload); err != nil {
 			t.Fatal(err)
 		}
 		if mt, _, err := ReadMsg(dev, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
 			t.Fatalf("register ack: type %d, %v", mt, err)
 		}
-	}
-	edge.mu.Lock()
-	view := &edgeView{edge: edge}
-	nan, fine := edge.devices[5], edge.devices[6]
-	if !robust.IsFinite(view.LocalModel(5)) || nan.lastModel != nil || nan.lastTrained != -1 || !math.IsNaN(nan.statUtil) {
-		t.Errorf("NaN payload adopted: model %v, last trained %d, utility %v", nan.lastModel, nan.lastTrained, nan.statUtil)
-	}
-	if !sameBits(fine.lastModel, []float64{0.5, 0.5, 0.5}) || fine.lastTrained != 4 || fine.statUtil != 2 {
-		t.Errorf("finite payload not adopted: model %v, last trained %d, utility %v", fine.lastModel, fine.lastTrained, fine.statUtil)
-	}
-	edge.mu.Unlock()
-	if got := edge.arrival(5); got != "rejected" {
-		t.Errorf("NaN warm registration arrived %q, want rejected", got)
+		edge.mu.Lock()
+		d := edge.devices[c.id]
+		u, dn, _ := (&edgeView{edge: edge}).DriftInfo(c.id)
+		edge.mu.Unlock()
+		if c.arrived == "rejected" {
+			if d.warm || d.lastTrained != -1 || !math.IsNaN(d.statUtil) || u != 0 || dn != 0 {
+				t.Errorf("device %d: refused state adopted: last trained %d, utility %v, scores (%v, %v)", c.id, d.lastTrained, d.statUtil, u, dn)
+			}
+		} else if !d.warm || d.lastTrained != c.lastTrained || d.statUtil != 2 ||
+			math.Float64bits(u) != math.Float64bits(c.want.U) || math.Float64bits(dn) != math.Float64bits(c.want.DeltaNorm) {
+			t.Errorf("device %d: last trained %d, utility %v, scores (%v, %v); want %d, 2, %+v",
+				c.id, d.lastTrained, d.statUtil, u, dn, c.lastTrained, c.want)
+		}
+		if got := edge.arrival(c.id); got != c.arrived {
+			t.Errorf("device %d arrived %q, want %q", c.id, got, c.arrived)
+		}
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"middle/internal/robust"
+	"middle/internal/simil"
 )
 
 // edgeMux is the edge-side endpoint of one device-client connection, the
@@ -164,26 +165,21 @@ func (mx *edgeMux) fail(err error) {
 // itself arrives with the next TrainRequest); without the ack a
 // registration lost to a fault would strand the device silently. vec is
 // the frame's payload, decoded from the free list: the carried model of a
-// warm registration, back on the list unless the edge adopts it.
+// warm registration without scores, back on the list once scored.
 func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []float64) error {
-	adopted := false
-	defer func() {
-		if !adopted {
-			e.replies.put(vec)
-		}
-	}()
 	if len(devices) == 0 {
+		e.replies.put(vec)
 		return fmt.Errorf("registration without devices")
 	}
 	for _, rd := range devices {
 		if rd.Rehome && len(devices) > 1 {
+			e.replies.put(vec)
 			return fmt.Errorf("re-home registration with %d devices: the payload belongs to exactly one", len(devices))
 		}
 	}
 	e.mu.Lock()
 	for _, rd := range devices {
 		if old, ok := e.devices[rd.DeviceID]; ok {
-			e.dropModelLocked(old)
 			if old.mux != mx {
 				// Re-registered before this edge saw its old connection fail.
 				delete(old.mux.ids, rd.DeviceID)
@@ -200,8 +196,8 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			statUtil:    math.NaN(),
 			lastTrained: -1,
 		}
-		if rd.Rehome && len(vec) > 0 {
-			adopted = e.adoptLocked(d, rd, vec)
+		if rd.Rehome && rd.LastTrained >= 0 {
+			e.adoptLocked(d, rd, vec)
 		} else {
 			e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
 		}
@@ -211,29 +207,42 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 	e.m.virtualDevices.Set(float64(len(e.devices)))
 	ack := RegisterAck{EdgeID: e.cfg.EdgeID, Round: e.curRound, LastSync: e.lastSync}
 	e.mu.Unlock()
+	// The payload is scored, or not needed: it is free before the ack.
+	e.replies.put(vec)
 	return mx.write(MsgRegisterAck, ack, nil) // on error the caller fails mx, deregistering them
 }
 
 // adoptLocked makes a warm registration's carried state the device's
-// cached state here. The model is screened like a train reply on receipt:
-// one of the wrong size, or a non-finite one when the edge validates, is
-// refused — it must not reach Eq. 12's scores — and the device arrives
-// cold. The carried LastTrained is kept as reported: trainDevice's
-// ResetLocal test judges it against this edge's sync era. e.mu must be
-// held. It reports whether the edge adopted vec.
-func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) bool {
-	if (len(e.edgeModel) > 0 && len(vec) != len(e.edgeModel)) || (e.agg.Validating() && !robust.IsFinite(vec)) {
+// state here. A model trained before this edge's last sync needs nothing
+// more: the device holds w_c (trainedSince). Otherwise Eq. 12's drift is
+// the one the registration carries or, failing that, the payload's, scored
+// on receipt. Either is screened like a train reply: scores no model could
+// give, a payload of the wrong size, or a non-finite one when the edge
+// validates, are refused — they must not reach Eq. 12 — and the device
+// arrives cold. e.mu must be held: the payload is scored against
+// cloudSeen in the same sync era as the test.
+func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) {
+	switch {
+	case !trainedSince(rd.LastTrained, e.lastSync):
+	case rd.Drift != nil && plausible(*rd.Drift):
+		d.drift = *rd.Drift
+	case rd.Drift == nil && len(vec) == len(e.cloudSeen) && len(vec) > 0 && (!e.agg.Validating() || robust.IsFinite(vec)):
+		d.drift.U, d.drift.DeltaNorm = simil.SelectionUtilityNorm(e.cloudSeen, vec)
+	default:
 		d.refused = true
-		e.cfg.Logf("edge %d: refused the carried model of device %d: it arrives cold", e.cfg.EdgeID, rd.DeviceID)
-		return false
+		e.cfg.Logf("edge %d: refused the carried state of device %d: it arrives cold", e.cfg.EdgeID, rd.DeviceID)
+		return
 	}
-	d.lastModel, d.lastTrained = vec, rd.LastTrained
+	d.warm, d.lastTrained = true, rd.LastTrained
 	if rd.Utility != 0 {
 		d.statUtil = rd.Utility
 	}
 	e.cfg.Logf("edge %d: device %d arrived warm (last trained under edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
-	return true
 }
+
+// plausible reports whether dr is a drift some model gives:
+// U(w_c, Δw) ∈ [0, 1] and ‖Δw‖ ≥ 0, both finite.
+func plausible(dr Drift) bool { return dr.U >= 0 && dr.U <= 1 && dr.DeltaNorm >= 0 && finite(dr) }
 
 // dropDevice forgets one device that left mx.
 func (e *Edge) dropDevice(id int, mx *edgeMux) {
@@ -258,26 +267,10 @@ func (e *Edge) release(id int) {
 // e.mu must be held.
 func (e *Edge) deregisterLocked(id int, mx *edgeMux) {
 	if d, ok := e.devices[id]; ok && d.mux == mx {
-		e.dropModelLocked(d)
 		delete(e.devices, id)
 		e.m.virtualDevices.Set(float64(len(e.devices)))
 	}
 	delete(mx.ids, id)
-}
-
-// dropModelLocked takes the cached model of d, which is leaving the
-// candidate set, back to the free list. A reply of the round in flight is
-// also an input of that round's Eq. 6, so it waits in retired until Eq. 6
-// has returned. e.mu must be held.
-func (e *Edge) dropModelLocked(d *deviceState) {
-	switch {
-	case d.lastModel == nil:
-	case e.aggregating && d.trainedHere && d.lastTrained == e.curRound:
-		e.retired = append(e.retired, d.lastModel)
-	default:
-		e.replies.put(d.lastModel)
-	}
-	d.lastModel = nil
 }
 
 // dropIfAlone closes a late or silent device's connection, which drops

@@ -14,27 +14,24 @@ import (
 	"middle/internal/hfl"
 	"middle/internal/mobility"
 	"middle/internal/nn"
+	"middle/internal/robust"
+	"middle/internal/simil"
 	"middle/internal/tensor"
 )
 
 // cacheAudit is a mobility model that, each time the cloud asks it for the
-// next step — between two rounds, when no edge is aggregating — compares
-// every edge's cached device models with what the devices themselves hold.
-// The edges decode replies into recycled vectors, so the cache is where a
-// buffer recycled while still referenced would show.
+// next step — between two rounds — compares every edge's Eq. 12 scores of
+// its devices with what the devices themselves hold. The edges decode
+// replies and payloads into recycled vectors and score them there, so the
+// scores are where a buffer recycled while still referenced would show.
 type cacheAudit struct {
 	mobility.Model
 	t       *testing.T
 	cluster atomic.Pointer[Cluster]
-	// seen remembers, per edge and device, the cached model last verified
-	// and the device state it belonged to.
-	seen         map[[2]int]cachedModel
-	fresh, stale int
-}
-
-type cachedModel struct {
-	state *deviceState
-	model []float64
+	// scored counts devices audited against their carried model, relayed
+	// those whose own copy of the scores was audited too, synced those
+	// that have not trained since the last sync.
+	scored, relayed, synced int
 }
 
 func (a *cacheAudit) Step() []int {
@@ -49,38 +46,46 @@ func (a *cacheAudit) Step() []int {
 func (a *cacheAudit) audit(c *Cluster, e *Edge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	view := &edgeView{edge: e}
 	for id, d := range e.devices {
-		key := [2]int{e.cfg.EdgeID, id}
-		was, known := a.seen[key]
-		switch {
-		case d.lastModel == nil:
-			delete(a.seen, key)
-			continue
-		case d.trainedHere && d.lastTrained == e.curRound:
-			// It answered this round: the cache is its reply, and its reply
-			// is the model it carries now.
-			a.fresh++
-			if !sameBits(d.lastModel, c.clients[id/c.group].LocalModel(id)) {
-				a.t.Errorf("round %d: edge %d caches a model for device %d that differs from the one it sent", e.curRound, e.cfg.EdgeID, id)
-			}
-		case known && was.state == d:
-			// It did not: nothing may have touched the cached vector.
-			a.stale++
-			if !sameBits(d.lastModel, was.model) {
-				a.t.Errorf("round %d: edge %d's cached model of idle device %d changed", e.curRound, e.cfg.EdgeID, id)
+		u, dn, known := view.DriftInfo(id)
+		if !trainedSince(d.lastTrained, e.lastSync) {
+			// Synced since its last training: by Algorithm 1 it holds w_c.
+			a.synced++
+			if u != 0 || dn != 0 || !known {
+				a.t.Errorf("round %d: edge %d ranks device %d, synced since round %d, at (%v, %v)", e.curRound, e.cfg.EdgeID, id, d.lastTrained, u, dn)
 			}
 			continue
 		}
-		a.seen[key] = cachedModel{state: d, model: append([]float64(nil), d.lastModel...)}
+		// The scores of the model it trained in lastTrained — its reply here
+		// or the state it carried in — which is the model it carries now.
+		mx := c.clients[id/c.group]
+		var want Drift
+		want.U, want.DeltaNorm = simil.SelectionUtilityNorm(e.cloudSeen, mx.LocalModel(id))
+		a.scored++
+		if math.Float64bits(u) != math.Float64bits(want.U) || math.Float64bits(dn) != math.Float64bits(want.DeltaNorm) {
+			a.t.Errorf("round %d: edge %d scores device %d (%v, %v), its carried model (%v, %v)", e.curRound, e.cfg.EdgeID, id, u, dn, want.U, want.DeltaNorm)
+		}
+		mx.mu.Lock()
+		v := mx.virts[id]
+		if v.scored && v.lastTrained == d.lastTrained {
+			a.relayed++
+			if v.drift != d.drift {
+				a.t.Errorf("round %d: device %d holds scores %+v, edge %d %+v", e.curRound, id, v.drift, e.cfg.EdgeID, d.drift)
+			}
+		}
+		mx.mu.Unlock()
 	}
 }
 
 // TestEdgeCachedModelsStayOwned runs a two-edge live-migration cluster
-// under heavy mobility and audits the edges' device caches after every
-// round: a reply vector belongs to its device's cache entry until that
-// device's next reply replaces it, whatever was decoded in between.
+// under heavy mobility and audits the edges' device state after every
+// round: the scores an edge keeps of a device are those of the model the
+// device carries, bit for bit, whatever was decoded into the vector they
+// were scored from since; the device's own copy, if it has one, is the
+// same; and a device synced since its training ranks at zero.
 func TestEdgeCachedModelsStayOwned(t *testing.T) {
-	audit := &cacheAudit{Model: mobility.NewMarkovRing(2, 6, 0.5, 11), t: t, seen: map[[2]int]cachedModel{}}
+	audit := &cacheAudit{Model: mobility.NewMarkovRing(2, 6, 0.5, 11), t: t}
 	c, err := StartCluster(migrationClusterConfig(t, 10, audit))
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +94,10 @@ func TestEdgeCachedModelsStayOwned(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if audit.fresh == 0 || audit.stale == 0 {
-		t.Fatalf("audited %d fresh and %d idle cache entries, want both", audit.fresh, audit.stale)
+	if audit.scored == 0 || audit.relayed == 0 || audit.synced == 0 {
+		t.Fatalf("audited %d scored devices (%d relayed) and %d synced, want all", audit.scored, audit.relayed, audit.synced)
 	}
-	t.Logf("audited %d fresh and %d idle cache entries", audit.fresh, audit.stale)
+	t.Logf("audited %d scored devices (%d relayed) and %d synced", audit.scored, audit.relayed, audit.synced)
 }
 
 // handEdge is an edge played by the test: it acknowledges whatever the
@@ -105,13 +110,18 @@ type handEdge struct {
 	conn    net.Conn
 	ready   chan struct{} // closed once the client's connection is accepted
 	replies chan handReply
-	// rehomed holds the models warm re-home registrations carried; it is
-	// the test's to read once replies is closed.
-	rehomed [][]float64
+	// registered holds the registrations that arrived, with their
+	// payloads; it is the test's to read once replies is closed.
+	registered []handRegistration
 }
 
 type handReply struct {
 	TrainReply
+	vec []float64
+}
+
+type handRegistration struct {
+	RegisterMux
 	vec []float64
 }
 
@@ -132,18 +142,19 @@ func newHandEdge(t *testing.T, id int) *handEdge {
 		close(e.ready)
 		defer close(e.replies)
 		for {
-			var reply TrainReply
-			typ, vec, err := ReadMsg(conn, &reply)
+			var h struct {
+				TrainReply
+				RegisterMux
+			}
+			typ, vec, err := ReadMsg(conn, &h)
 			switch {
 			case err != nil:
 				return
 			case typ == MsgRegisterMux:
-				if vec != nil {
-					e.rehomed = append(e.rehomed, vec)
-				}
+				e.registered = append(e.registered, handRegistration{h.RegisterMux, vec})
 				e.write(MsgRegisterAck, RegisterAck{EdgeID: id}, nil)
 			case typ == MsgTrainReply:
-				e.replies <- handReply{reply, vec}
+				e.replies <- handReply{h.TrainReply, vec}
 			}
 		}
 	}()
@@ -308,7 +319,11 @@ func TestDeviceVectorsStayOwned(t *testing.T) {
 	for _, e := range edges {
 		for range e.replies { // closed when the edge has read its connection to the end
 		}
-		for _, model := range e.rehomed {
+		for _, reg := range e.registered {
+			model := reg.vec
+			if model == nil {
+				continue
+			}
 			rehomes++
 			if !isReply(model) {
 				t.Errorf("edge %d: a re-home registration carried a vector that is no training's result", e.id)
@@ -324,8 +339,9 @@ func TestDeviceVectorsStayOwned(t *testing.T) {
 // before that round's Eq. 6 leaves behind a vector that is still one of
 // Eq. 6's inputs. It goes back to the edge's free list only once Eq. 6 has
 // returned — a warm registration decoded meanwhile must not land in it —
-// and then it does. Devices and cloud are played by the test: A replies
-// and leaves, C registers with a poison payload, B replies last.
+// and then it does, with the other reply. Devices and cloud are played by
+// the test: A replies and leaves, C registers with a poison payload, which
+// the edge scores on receipt, B replies last.
 func TestDepartedReplyHeldUntilEq6(t *testing.T) {
 	const a, b, c = 1, 2, 3
 	edge, cc, _ := edgeUnderFakeCloud(t, EdgeConfig{EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 5 * time.Second})
@@ -340,7 +356,7 @@ func TestDepartedReplyHeldUntilEq6(t *testing.T) {
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
 		rd := RegisterDevice{DeviceID: id, DataSize: 1, PrevEdge: -1}
 		if payload != nil {
-			rd = RegisterDevice{DeviceID: id, DataSize: 1, PrevEdge: 7, Rehome: true}
+			rd = RegisterDevice{DeviceID: id, DataSize: 1, PrevEdge: 7, Rehome: true, LastTrained: 1}
 		}
 		if err := WriteMsg(conn, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{rd}}, payload); err != nil {
 			t.Fatal(err)
@@ -371,14 +387,11 @@ func TestDepartedReplyHeldUntilEq6(t *testing.T) {
 	if err := WriteMsg(connA, MsgTrainReply, TrainReply{DeviceID: a, Round: 1, DataSize: 1}, reply); err != nil {
 		t.Fatal(err)
 	}
-	var left []float64 // the vector A's reply was decoded into
-	waitFor(t, 5*time.Second, "the edge to cache A's reply", func() bool {
+	waitFor(t, 5*time.Second, "the edge to accept A's reply", func() bool {
 		edge.mu.Lock()
 		defer edge.mu.Unlock()
-		if d := edge.devices[a]; d != nil && d.lastTrained == 1 {
-			left = d.lastModel
-		}
-		return left != nil
+		d := edge.devices[a]
+		return d != nil && d.lastTrained == 1
 	})
 	connA.Close()
 	waitFor(t, 5*time.Second, "A to leave", func() bool { return !registered(edge)[a] })
@@ -397,17 +410,88 @@ func TestDepartedReplyHeldUntilEq6(t *testing.T) {
 			t.Fatalf("Eq. 6 gave %v at %d, want 0.25: a vector it read was handed on before it returned", v, i)
 		}
 	}
+	var want Drift
+	want.U, want.DeltaNorm = simil.SelectionUtilityNorm([]float64{1, 2, 3}, poison)
 	edge.mu.Lock()
 	arrived := edge.devices[c]
-	intact := arrived != nil && sameBits(arrived.lastModel, poison)
+	intact := arrived != nil && arrived.drift == want
 	edge.mu.Unlock()
 	edge.replies.mu.Lock()
-	freed := slices.ContainsFunc(edge.replies.free, func(v []float64) bool { return &v[:1][0] == &left[0] })
+	freed := 0
+	for _, v := range edge.replies.free {
+		if sameBits(v, reply) {
+			freed++
+		}
+	}
 	edge.replies.mu.Unlock()
-	if !intact || !freed {
-		t.Errorf("after Eq. 6: C's carried model intact %v, A's vector back on the free list %v; want both", intact, freed)
+	if !intact || freed < 2 {
+		t.Errorf("after Eq. 6: C's scores intact %v, %d replies back on the free list; want true, 2", intact, freed)
 	}
 	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, model); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEq6InputsFreedOnce: the validator drops a norm outlier from Eq. 6's
+// inputs by compacting them in place, and the round still gives every
+// reply vector back to the free list exactly once — the outlier's too —
+// so no vector is handed to two decoders. Four devices played by the test
+// reply distinct models, one of them far from the edge model.
+func TestEq6InputsFreedOnce(t *testing.T) {
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{EdgeID: 0, K: 4, Strategy: core.NewGeneral(), Seed: 1,
+		Timeout: 5 * time.Second, Validate: robust.ValidatorConfig{Enabled: true, NormBound: 3}})
+	replies := map[int][]float64{1: {1e6, 1e6, 1e6}, 2: {1.1, 2, 3}, 3: {1, 2.2, 3}, 4: {1, 2, 3.3}}
+	conns := map[int]net.Conn{}
+	for id := range replies {
+		conn, err := net.Dial("tcp", edge.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := WriteMsg(conn, MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{{DeviceID: id, DataSize: 1, PrevEdge: -1}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, err := ReadMsg(conn, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
+			t.Fatalf("device %d registration: type %d, %v", id, mt, err)
+		}
+		conns[id] = conn
+	}
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for id, conn := range conns {
+		var req TrainRequest
+		if mt, _, err := ReadMsg(conn, &req); err != nil || mt != MsgTrainRequest || req.DeviceID != id {
+			t.Fatalf("device %d: type %d, request %+v, %v", id, mt, req, err)
+		}
+		if err := WriteMsg(conn, MsgTrainReply, TrainReply{DeviceID: id, Round: 1, DataSize: 1}, replies[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var done RoundDone
+	if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 3 {
+		t.Fatalf("round done: type %d, %+v, %v; want 3 kept of 4", mt, done, err)
+	}
+	edge.replies.mu.Lock()
+	free := append([][]float64(nil), edge.replies.free...)
+	edge.replies.mu.Unlock()
+	seen := map[*float64]bool{}
+	for _, v := range free {
+		seen[&v[:1][0]] = true
+	}
+	for id, want := range replies {
+		if !slices.ContainsFunc(free, func(v []float64) bool { return sameBits(v, want) }) {
+			t.Errorf("device %d's reply is not back on the free list", id)
+		}
+	}
+	if len(free) != len(replies) || len(seen) != len(free) {
+		t.Errorf("free list holds %d vectors, %d distinct; want each of the %d replies once", len(free), len(seen), len(replies))
+	}
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
 	}
 }

@@ -97,6 +97,10 @@ const (
 	// MsgEdgeWelcome: cloud → edge, the answer to MsgRegisterEdge.
 	// Header: EdgeWelcome. Carries the current global model vector.
 	MsgEdgeWelcome
+	// MsgScores: edge → device, after the edge accepted the device's train
+	// reply and before it reports the round to the cloud. Header: Scores.
+	// No payload: the device keeps the two numbers for a warm registration.
+	MsgScores
 )
 
 // maxFrame bounds a frame's payload sizes against corrupt peers.
@@ -116,15 +120,32 @@ type RegisterDevice struct {
 	PrevEdge int `json:"prev_edge"`
 	// Rehome marks a warm registration: the device arrives carrying its
 	// own state, because it moved here with live migration or its previous
-	// edge died. The frame's vector payload is its carried local model, and
-	// Utility and LastTrained restore the edge's cached statistics; the edge
-	// lets its ResetLocal test judge LastTrained at training time, as for any
-	// device. A frame has one payload, so a re-home entry must be the
-	// frame's only entry. The three fields are omitted from cold
-	// registrations.
+	// edge died. Utility and LastTrained restore the edge's statistics, and
+	// Drift the Eq. 12 numbers its last edge computed for the model it
+	// trained in LastTrained. Without Drift the frame's vector payload is
+	// that model, which the edge scores on receipt; a device sends it only
+	// when it holds no scores of that round. A frame has one payload, so a
+	// re-home entry must be the frame's only entry. These fields are
+	// omitted from cold registrations.
 	Rehome      bool    `json:"rehome,omitempty"`
 	Utility     float64 `json:"utility,omitempty"`
 	LastTrained int     `json:"last_trained,omitempty"`
+	Drift       *Drift  `json:"drift,omitempty"`
+}
+
+// Drift is what an edge keeps of a device's model for Eq. 12: U(w_c, Δw_m)
+// and ‖Δw_m‖, with Δw_m = w_m − w_c (simil.SelectionUtilityNorm).
+type Drift struct {
+	U         float64 `json:"u"`
+	DeltaNorm float64 `json:"delta_norm"`
+}
+
+// Scores tells a device the Drift its edge computed for the model the
+// device trained in Round.
+type Scores struct {
+	DeviceID int `json:"device_id"`
+	Round    int `json:"round"`
+	Drift
 }
 
 // RegisterMux announces the devices of one client (see DeviceMux) on a

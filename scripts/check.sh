@@ -112,11 +112,11 @@ go test -race -count=3 \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
-# Pooled frame buffers, replies decoded into recycled vectors, a device's
-# two rotating vectors, edge caches audited against the devices, one device
-# under two edges at once, a departed reply held until Eq. 6, moments in place.
+# Pooled frame buffers, recycled reply vectors, a device's two rotating
+# vectors, edge scores audited against the devices, one device under two edges
+# at once, a reply held until Eq. 6, a warm move's scores or payload, moments.
 go test -race -count=3 \
-    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel|TestDepartedReplyHeldUntilEq6' \
+    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel|TestDepartedReplyHeldUntilEq6|TestEq6InputsFreedOnce|TestWarmMoveCarriesScoresNotModel|TestWarmMovePayloadFallback|TestClusterMovingRunsBitIdentical' \
     ./internal/fednet
 go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState|TestMomentsRoundTripInPlace' ./internal/optim
 
