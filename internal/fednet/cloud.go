@@ -247,6 +247,7 @@ func (c *Cloud) Run() error {
 	}
 
 	var prevRound time.Time
+	var done RoundDone // each member's report in turn, its Devices storage reused
 	for r := c.startRound + 1; r <= c.cfg.Rounds; r++ {
 		c.paceRound(&prevRound)
 		if c.stopping() {
@@ -303,7 +304,6 @@ func (c *Cloud) Run() error {
 		alive = members[:0]
 		for _, m := range members {
 			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			var done RoundDone
 			t, vec, err := c.m.link.readMsgInto(m.conn, &done, m.modelBuf)
 			if err == nil && t != MsgRoundDone {
 				err = fmt.Errorf("unexpected message type %d", t)

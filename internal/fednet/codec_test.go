@@ -68,13 +68,11 @@ func awkwardVector() []float64 {
 }
 
 // goldenFrames reads testdata/golden_frames.txt: "<name> <hex frame>" per
-// line, written by the frame writer of commit c84aa85 (the last one that
-// built every frame in a fresh buffer) from frameCases and awkwardVector;
-// the TrainRequest and TrainReply lines by that of commit 5dc5c18, once
-// their headers had lost the moment group lengths; the RegisterMux,
-// TrainRequest and TrainReply lines by that of commit 7fc0b5d, once their
-// headers had lost last_sync, resume and opt_steps; the Scores line by
-// that of commit ec9c381, the one before the type existed.
+// line, written from frameCases and awkwardVector by the writer that
+// replaced the JSON headers with fixed layouts (the child of commit
+// 20e7755). Against that commit's lines only the header lengths, the
+// header bytes and the CRCs differ: every type byte, vector length and
+// payload byte is the same.
 func goldenFrames(t testing.TB) map[string][]byte {
 	t.Helper()
 	f, err := os.Open("testdata/golden_frames.txt")
@@ -103,8 +101,8 @@ func goldenFrames(t testing.TB) map[string][]byte {
 
 // TestFrameBytesGolden pins the wire format: for every message type the
 // writer produces the golden bytes, and reading them back yields the same
-// header and the same float bit patterns. A peer built from an older
-// commit therefore interoperates by construction.
+// header and the same float bit patterns. A peer built from another
+// commit with the same golden file therefore interoperates by construction.
 func TestFrameBytesGolden(t *testing.T) {
 	golden := goldenFrames(t)
 	if len(golden) != len(frameCases) {
@@ -143,7 +141,7 @@ func TestFrameBytesGolden(t *testing.T) {
 // arrive — nine bytes from any peer used to cost a 256 MB allocation.
 func TestReadMsgMemoryFollowsBytesReceived(t *testing.T) {
 	claimHeader := binary.LittleEndian.AppendUint32([]byte{byte(MsgRegisterMux)}, maxFrame)
-	claimVector := binary.LittleEndian.AppendUint32([]byte{byte(MsgTrainReply), 2, 0, 0, 0, '{', '}'}, maxFrame/8)
+	claimVector := binary.LittleEndian.AppendUint32(append([]byte{byte(MsgTrainReply), 32, 0, 0, 0}, make([]byte, 32)...), maxFrame/8)
 	for name, raw := range map[string][]byte{"header": claimHeader, "vector": claimVector} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

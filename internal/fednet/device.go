@@ -110,14 +110,23 @@ type DeviceMuxConfig struct {
 // frame read or write. Sharing changes no bit: LocalRound overwrites every
 // parameter and resets the optimizer or imports the device's own state
 // into it, and no layer keeps other state.
-type trainerPool chan *hfl.Trainer
+type trainerPool chan *pooledTrainer
 
-// newTrainerPool builds a pool of n trainers, each with a network and an
-// optimizer of its own.
+// pooledTrainer is a trainer of the pool with the generator its trainings
+// draw batches from: each re-seeds it to the device's stream
+// (tensor.RNG.Reseed, the stream tensor.Split would build) rather than
+// allocating a math/rand source per training.
+type pooledTrainer struct {
+	*hfl.Trainer
+	rng *tensor.RNG
+}
+
+// newTrainerPool builds a pool of n trainers, each with a network, an
+// optimizer and a generator of its own.
 func newTrainerPool(n int, newNet func() *nn.Network, newOpt func() optim.Optimizer) trainerPool {
 	p := make(trainerPool, n)
 	for range n {
-		p <- &hfl.Trainer{Net: newNet(), Opt: newOpt()}
+		p <- &pooledTrainer{Trainer: &hfl.Trainer{Net: newNet(), Opt: newOpt()}, rng: tensor.NewRNG(0)}
 	}
 	return p
 }
@@ -719,11 +728,8 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 		held = nil
 	}
 	defer release()
+	var h frameHeaders
 	for {
-		var h struct {
-			TrainRequest
-			Drift
-		}
 		release()
 		t, payload, err := mx.m.link.readMsgInto(cc.conn, &h, payloadBuf)
 		if err != nil {
@@ -741,15 +747,16 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 			}
 			continue
 		case MsgScores:
-			mx.keepScores(h.DeviceID, h.Round, cc.edgeID, h.Drift)
+			mx.keepScores(h.scores.DeviceID, h.scores.Round, cc.edgeID, h.scores.Drift)
 			continue
 		case MsgTrainRequest:
 		default:
 			mx.lost(cc)
 			return
 		}
+		req := h.trainRequest
 		trainTok := mx.m.trainSpan.Begin()
-		vec, reply, terr := mx.train(h.TrainRequest, payload, cc.edgeID)
+		vec, reply, terr := mx.train(req, payload, cc.edgeID)
 		trainTok.End()
 		release() // before the reply write can block
 		if terr != nil {
@@ -761,7 +768,7 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 		} else {
 			terr = mx.write(cc, MsgTrainReply, reply, vec)
 		}
-		mx.unpin(h.DeviceID) // train's pin, on every path once nothing reads vec
+		mx.unpin(req.DeviceID) // train's pin, on every path once nothing reads vec
 		if terr != nil {
 			mx.lost(cc)
 			return
@@ -847,14 +854,14 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 		vec = make([]float64, len(start))
 	}
 	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
-	rng := tensor.Split(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
 
 	tw := <-mx.cfg.pool
+	tw.rng.Reseed(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
 	me, _ := tw.Opt.(optim.MomentExporter)
 	// ImportMoments copies, so kept stays the device's own.
 	resumed := moved && me != nil && kept.steps > 0 && me.ImportMoments(kept.flat, kept.lens, kept.steps)
 	fp := flight.BeginPhase("local_train")
-	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, rng, start, vec, resumed)
+	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, tw.rng, start, vec, resumed)
 	fp.End()
 	kept = keptMoments{flat: kept.flat[:0], lens: kept.lens[:0]}
 	if req.WantMoments && me != nil {

@@ -123,6 +123,9 @@ type Edge struct {
 	m       edgeMetrics
 	agg     *robust.Point // the Eq. 6 aggregate step
 	resumed bool          // state restored from a checkpoint by NewEdge
+	// rng is the selection generator, re-seeded in place to each round's
+	// stream (the one tensor.Split would build) by runRound under mu.
+	rng *tensor.RNG
 
 	mu      sync.Mutex
 	devices map[int]*deviceState
@@ -229,6 +232,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		agg:     robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
 		replies: vecList{max: 2 * cfg.K},
 		devices: map[int]*deviceState{},
+		rng:     tensor.NewRNG(0),
 	}
 	if cfg.CheckpointDir != "" {
 		st, ok, err := checkpoint.LoadLatestNamed(cfg.CheckpointDir, edgeCheckpointName(cfg.EdgeID))
@@ -372,9 +376,9 @@ func (e *Edge) Run() error {
 
 	go e.acceptLoop()
 
+	var rs RoundStart
 	for {
 		cloud.SetDeadline(time.Time{}) // rounds may start at any time
-		var rs RoundStart
 		t, _, err := e.m.cloudLink.readMsg(cloud, &rs)
 		if err != nil {
 			if e.stopFlag.Load() {
@@ -626,9 +630,9 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	// order: map order would make every run a different one.
 	sort.Ints(candidates)
 
-	rng := tensor.Split(e.cfg.Seed, int64(round)*1_000_003+int64(e.cfg.EdgeID)*7+1)
 	e.mu.Lock()
-	sel := e.cfg.Strategy.Select(view, e.cfg.EdgeID, candidates, e.cfg.K, rng)
+	e.rng.Reseed(e.cfg.Seed, int64(round)*1_000_003+int64(e.cfg.EdgeID)*7+1)
+	sel := e.cfg.Strategy.Select(view, e.cfg.EdgeID, candidates, e.cfg.K, e.rng)
 	if len(sel) > e.cfg.K {
 		sel = sel[:e.cfg.K]
 	}
@@ -731,7 +735,7 @@ collect:
 	agg := e.takeSpareModel(len(model))
 	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
 	fp.End()
-	// From got, not vecs: the validator compacts vecs in place.
+	// Every reply, kept by Eq. 6 or rejected, goes back once.
 	for _, res := range got {
 		e.replies.put(res.vec)
 	}

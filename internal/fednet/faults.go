@@ -310,9 +310,9 @@ func rewriteVector(b []byte, fn func(float64) float64) []byte {
 	if len(b) < 1+4+4+4 {
 		return b
 	}
-	jsonLen := int(binary.LittleEndian.Uint32(b[1:5]))
-	off := 5 + jsonLen
-	if jsonLen < 0 || off+4 > len(b)-4 {
+	hdrLen := int(binary.LittleEndian.Uint32(b[1:5]))
+	off := 5 + hdrLen
+	if hdrLen < 0 || off+4 > len(b)-4 {
 		return b
 	}
 	vecLen := int(binary.LittleEndian.Uint32(b[off:]))

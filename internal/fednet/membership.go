@@ -145,23 +145,19 @@ func (c *Cloud) acceptLoop(ms *membership) {
 		ms.track(conn)
 		go func(conn net.Conn) {
 			conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			var first struct {
-				EdgeID int `json:"edge_id"`
-				Epoch  int `json:"epoch"`
-				Seq    int `json:"seq"`
-			}
+			var first frameHeaders
 			t, _, err := c.m.link.readMsg(conn, &first)
 			switch {
 			case err != nil:
 				conn.Close()
 			case t == MsgRegisterEdge:
 				select {
-				case ms.joinCh <- &edgeConn{id: first.EdgeID, conn: conn}:
+				case ms.joinCh <- &edgeConn{id: first.registerEdge.EdgeID, conn: conn}:
 				case <-c.stop:
 					conn.Close()
 				}
 			case t == MsgLease:
-				c.leaseStream(ms, conn, first.EdgeID, first.Epoch)
+				c.leaseStream(ms, conn, first.lease.EdgeID, first.lease.Epoch)
 			default:
 				c.cfg.Logf("cloud: rejected connection opening with message type %d", t)
 				conn.Close()
@@ -175,6 +171,7 @@ func (c *Cloud) acceptLoop(ms *membership) {
 // a fenced (dead or superseded) edge: it is counted, the connection is
 // closed and the zombie learns it is no longer a member.
 func (c *Cloud) leaseStream(ms *membership, conn net.Conn, id, epoch int) {
+	var l Lease
 	for {
 		if !ms.recordLease(id, epoch) {
 			c.m.staleFrames.Inc()
@@ -186,7 +183,6 @@ func (c *Cloud) leaseStream(ms *membership, conn net.Conn, id, epoch int) {
 		// stream only delivers. A broken conn simply ends the stream —
 		// missed beats then age the member out.
 		conn.SetDeadline(time.Time{})
-		var l Lease
 		t, _, err := c.m.link.readMsg(conn, &l)
 		if err != nil || t != MsgLease {
 			conn.Close()

@@ -90,11 +90,8 @@ func (mx *edgeMux) roundTrip(id int, req TrainRequest, payload []float64) ([]flo
 func (mx *edgeMux) serve() {
 	e := mx.edge
 	replyBuf := e.replies.get
+	var h frameHeaders
 	for {
-		var h struct {
-			TrainReply
-			Devices []RegisterDevice `json:"devices"`
-		}
 		t, vec, err := e.m.deviceLink.readMsgInto(mx.conn, &h, replyBuf)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
@@ -105,24 +102,25 @@ func (mx *edgeMux) serve() {
 		}
 		switch t {
 		case MsgTrainReply:
+			reply := h.trainReply
 			mx.mu.Lock()
-			ch := mx.waiters[h.DeviceID]
-			delete(mx.waiters, h.DeviceID)
+			ch := mx.waiters[reply.DeviceID]
+			delete(mx.waiters, reply.DeviceID)
 			mx.mu.Unlock()
 			if ch != nil {
-				ch <- trainResult{vec: vec, reply: h.TrainReply}
+				ch <- trainResult{vec: vec, reply: reply}
 			} else {
 				e.replies.put(vec) // late: its round-trip gave up
 			}
 		case MsgRegisterMux:
 			// Another device of the client arrived over the existing
 			// connection; ack so its Connect can return.
-			if err := e.registerDevices(mx, h.Devices, vec); err != nil {
+			if err := e.registerDevices(mx, h.registerMux.Devices, vec); err != nil {
 				mx.fail(err)
 				return
 			}
 		case MsgDeviceLeave:
-			e.dropDevice(h.DeviceID, mx)
+			e.dropDevice(h.deviceLeave.DeviceID, mx)
 		default:
 			mx.fail(fmt.Errorf("unexpected message type %d on device connection", t))
 			return

@@ -142,19 +142,16 @@ func newHandEdge(t *testing.T, id int) *handEdge {
 		close(e.ready)
 		defer close(e.replies)
 		for {
-			var h struct {
-				TrainReply
-				RegisterMux
-			}
+			var h frameHeaders // fresh per frame: registered keeps what it decodes
 			typ, vec, err := ReadMsg(conn, &h)
 			switch {
 			case err != nil:
 				return
 			case typ == MsgRegisterMux:
-				e.registered = append(e.registered, handRegistration{h.RegisterMux, vec})
+				e.registered = append(e.registered, handRegistration{h.registerMux, vec})
 				e.write(MsgRegisterAck, RegisterAck{EdgeID: id}, nil)
 			case typ == MsgTrainReply:
-				e.replies <- handReply{h.TrainReply, vec}
+				e.replies <- handReply{h.trainReply, vec}
 			}
 		}
 	}()
@@ -433,8 +430,8 @@ func TestDepartedReplyHeldUntilEq6(t *testing.T) {
 }
 
 // TestEq6InputsFreedOnce: the validator drops a norm outlier from Eq. 6's
-// inputs by compacting them in place, and the round still gives every
-// reply vector back to the free list exactly once — the outlier's too —
+// inputs, and the round still gives every reply vector back to the free
+// list exactly once — the outlier's too —
 // so no vector is handed to two decoders. Four devices played by the test
 // reply distinct models, one of them far from the edge model.
 func TestEq6InputsFreedOnce(t *testing.T) {

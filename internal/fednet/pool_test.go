@@ -17,12 +17,12 @@ import (
 // flight to give theirs back — and calls f on each in turn: the pool's
 // exclusive lock, for tests that inspect or swap trainers.
 func (p trainerPool) each(f func(tw *hfl.Trainer)) {
-	held := make([]*hfl.Trainer, cap(p))
+	held := make([]*pooledTrainer, cap(p))
 	for i := range held {
 		held[i] = <-p
 	}
 	for _, tw := range held {
-		f(tw)
+		f(tw.Trainer)
 	}
 	for _, tw := range held {
 		p <- tw

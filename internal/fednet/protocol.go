@@ -10,27 +10,56 @@
 // Wire format (little-endian): every message is
 //
 //	type    byte
-//	jsonLen uint32, JSON header bytes
+//	hdrLen  uint32, hdrLen header bytes (the type's fixed layout below)
 //	vecLen  uint32, vecLen float64 values (the model payload, may be 0)
 //	crc     uint32 IEEE over everything above
 //
-// Headers are small JSON structs (stdlib encoding/json); model vectors
-// travel as raw float64s to avoid base64 overhead. The CRC trailer lets
-// a receiver detect payload corruption (a flipped bit in a model vector
-// would otherwise be silently aggregated); a mismatch is reported as
-// ErrCorruptFrame and the stream is considered poisoned — the peer must
-// reconnect and retry rather than resynchronise mid-stream.
+// A header is its struct's fields in declaration order, each in a fixed
+// form: int as int64 (i64), float64 as its IEEE bits (f64, finite only:
+// the writer refuses NaN and ±Inf and the reader rejects them), bool as
+// one byte 0 or 1 (u8), string as a uint32 length and its bytes (str), a
+// list as a uint32 count and its entries (a count the header bytes left
+// cannot hold is rejected before anything is allocated for it):
+//
+//	type  name          header fields
+//	1     RegisterEdge  EdgeID i64
+//	2     RegisterMux   count u32, per device: DeviceID i64, DataSize i64,
+//	                    PrevEdge i64, Rehome u8, Utility f64,
+//	                    LastTrained i64, has-Drift u8[, U f64, DeltaNorm f64]
+//	3     RoundStart    Round i64, Sync u8, Span str, Epoch i64
+//	4     RoundDone     EdgeID i64, Round i64, Weight f64, Trained i64,
+//	                    Epoch i64, count u32, Devices i64 × count
+//	5     GlobalModel   none (hdrLen 0)
+//	6     TrainRequest  Round i64, DeviceID i64, Moved u8, ResetLocal u8,
+//	                    Span str, WantMoments u8
+//	7     TrainReply    DeviceID i64, Round i64, DataSize i64, Utility f64
+//	8     Shutdown      none (hdrLen 0)
+//	9     RegisterAck   EdgeID i64, Round i64, LastSync i64
+//	10    DeviceLeave   DeviceID i64
+//	14    Lease         EdgeID i64, Epoch i64, Seq i64
+//	15    EdgeWelcome   Epoch i64, Round i64, LastSync i64, LeaseMillis i64,
+//	                    Rejoin u8
+//	16    Scores        DeviceID i64, Round i64, U f64, DeltaNorm f64
+//
+// A header must fill its hdrLen exactly, and a frame whose type is not in
+// the table is rejected. Model vectors travel as raw float64s. The CRC
+// trailer lets a receiver detect payload corruption (a flipped bit in a
+// model vector would otherwise be silently aggregated); a mismatch is
+// reported as ErrCorruptFrame and the stream is considered poisoned — the
+// peer must reconnect and retry rather than resynchronise mid-stream.
+// Nothing of a frame, header included, is decoded before its CRC has been
+// checked.
 //
 // Frames are assembled, and arriving ones staged, in pooled buffers, so
 // nothing passed to WriteMsg is retained and ReadMsg returns a vector the
 // caller owns. Inside the package a reader may instead supply the storage
-// its vectors are decoded into; DESIGN.md ("Who owns a vector") lists who
-// holds which buffer until when.
+// its vectors are decoded into, and a reading loop decodes every header
+// into one frameHeaders it keeps; DESIGN.md ("Who owns a vector") lists
+// who holds which buffer until when.
 package fednet
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -108,16 +137,16 @@ const maxFrame = 1 << 28
 
 // RegisterEdge announces an edge server to the cloud.
 type RegisterEdge struct {
-	EdgeID int `json:"edge_id"`
+	EdgeID int
 }
 
 // RegisterDevice is one device's entry in a RegisterMux frame.
 type RegisterDevice struct {
-	DeviceID int `json:"device_id"`
-	DataSize int `json:"data_size"`
+	DeviceID int
+	DataSize int
 	// PrevEdge is the edge the device last trained under (−1 if none);
 	// the edge uses it to derive the paper's "moved" predicate.
-	PrevEdge int `json:"prev_edge"`
+	PrevEdge int
 	// Rehome marks a warm registration: the device arrives carrying its
 	// own state, because it moved here with live migration or its previous
 	// edge died. Utility and LastTrained restore the edge's statistics, and
@@ -125,93 +154,93 @@ type RegisterDevice struct {
 	// trained in LastTrained. Without Drift the frame's vector payload is
 	// that model, which the edge scores on receipt; a device sends it only
 	// when it holds no scores of that round. A frame has one payload, so a
-	// re-home entry must be the frame's only entry. These fields are
-	// omitted from cold registrations.
-	Rehome      bool    `json:"rehome,omitempty"`
-	Utility     float64 `json:"utility,omitempty"`
-	LastTrained int     `json:"last_trained,omitempty"`
-	Drift       *Drift  `json:"drift,omitempty"`
+	// re-home entry must be the frame's only entry. A cold registration
+	// leaves these fields zero and Drift nil.
+	Rehome      bool
+	Utility     float64
+	LastTrained int
+	Drift       *Drift
 }
 
 // Drift is what an edge keeps of a device's model for Eq. 12: U(w_c, Δw_m)
 // and ‖Δw_m‖, with Δw_m = w_m − w_c (simil.SelectionUtilityNorm).
 type Drift struct {
-	U         float64 `json:"u"`
-	DeltaNorm float64 `json:"delta_norm"`
+	U         float64
+	DeltaNorm float64
 }
 
 // Scores tells a device the Drift its edge computed for the model the
 // device trained in Round.
 type Scores struct {
-	DeviceID int `json:"device_id"`
-	Round    int `json:"round"`
+	DeviceID int
+	Round    int
 	Drift
 }
 
 // RegisterMux announces the devices of one client (see DeviceMux) on a
 // connection: at least one entry, exactly one when it is a re-home.
 type RegisterMux struct {
-	Devices []RegisterDevice `json:"devices"`
+	Devices []RegisterDevice
 }
 
 // DeviceLeave withdraws one device from a shared connection: it moved
 // to another edge and must no longer be selected here. The connection
 // itself stays up for its remaining devices.
 type DeviceLeave struct {
-	DeviceID int `json:"device_id"`
+	DeviceID int
 }
 
 // RegisterAck confirms a device registration and resyncs its state.
 type RegisterAck struct {
-	EdgeID int `json:"edge_id"`
+	EdgeID int
 	// Round is the edge's current round counter (0 before training
 	// starts); a reconnecting device rejoins at this point.
-	Round int `json:"round"`
+	Round int
 	// LastSync is the round of the last cloud synchronisation the edge
 	// has seen (0 if none yet).
-	LastSync int `json:"last_sync"`
+	LastSync int
 }
 
 // RoundStart instructs an edge to run one Algorithm 1 time step.
 type RoundStart struct {
-	Round int `json:"round"`
+	Round int
 	// Sync marks a T_c boundary: the edge must report its model and
 	// will receive the new global model.
-	Sync bool `json:"sync"`
+	Sync bool
 	// Span is the cloud's trace span id for this round ("" when tracing
 	// is off); the edge parents its own round span on it so the
 	// device→edge→cloud spans of one round form a single trace tree.
-	Span string `json:"span,omitempty"`
+	Span string
 	// Epoch is the membership epoch the receiving incarnation was
 	// welcomed under.
-	Epoch int `json:"epoch,omitempty"`
+	Epoch int
 }
 
 // RoundDone acknowledges a completed round to the cloud.
 type RoundDone struct {
-	EdgeID int `json:"edge_id"`
-	Round  int `json:"round"`
+	EdgeID int
+	Round  int
 	// Weight is Σ d_m over devices that trained this sync period
 	// (cloud aggregation weight d̂_n); meaningful on sync rounds.
-	Weight float64 `json:"weight"`
+	Weight float64
 	// Trained reports how many devices trained this round (diagnostics).
-	Trained int `json:"trained"`
+	Trained int
 	// Epoch echoes the incarnation epoch from the edge's welcome; the
 	// cloud fences frames whose epoch does not match the registered
 	// incarnation (a zombie edge that was already declared dead).
-	Epoch int `json:"epoch,omitempty"`
+	Epoch int
 	// Devices lists the device ids currently registered at the edge,
 	// reported on sync rounds so the cloud can checkpoint the
 	// device→edge assignment. Nil on other rounds.
-	Devices []int `json:"devices,omitempty"`
+	Devices []int
 }
 
 // Lease is one edge heartbeat. Seq increments per beat so a detector
 // can distinguish a fresh lease from a retransmission.
 type Lease struct {
-	EdgeID int `json:"edge_id"`
-	Epoch  int `json:"epoch"`
-	Seq    int `json:"seq"`
+	EdgeID int
+	Epoch  int
+	Seq    int
 }
 
 // EdgeWelcome admits an edge incarnation into the membership, assigning
@@ -221,49 +250,49 @@ type Lease struct {
 // sync era and would otherwise re-enter aggregation stale).
 type EdgeWelcome struct {
 	// Epoch is the incarnation epoch assigned to this edge.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// Round is the last completed cloud round; the edge resumes at
 	// Round+1.
-	Round int `json:"round"`
+	Round int
 	// LastSync is the round of the most recent cloud synchronisation.
-	LastSync int `json:"last_sync"`
+	LastSync int
 	// LeaseMillis is the heartbeat interval the cloud's failure detector
 	// expects; the edge must send a MsgLease at least this often.
-	LeaseMillis int `json:"lease_millis"`
+	LeaseMillis int
 	// Rejoin marks a mid-run welcome (the run was already past its first
 	// round when this edge registered); purely diagnostic.
-	Rejoin bool `json:"rejoin,omitempty"`
+	Rejoin bool
 }
 
 // TrainRequest asks a device to run I local steps; the payload is the
 // edge model, from which the device's strategy builds the start model.
 type TrainRequest struct {
-	Round int `json:"round"`
+	Round int
 	// DeviceID addresses one of the devices registered on the connection.
-	DeviceID int `json:"device_id,omitempty"`
+	DeviceID int
 	// Moved tells the device whether the edge considers it newly
 	// arrived (m ∉ M^{t−1}_n), enabling on-device aggregation.
-	Moved bool `json:"moved"`
+	Moved bool
 	// ResetLocal tells the device to discard its carried local model
 	// first (issued on the round after a cloud sync, Algorithm 1
 	// lines 14–15).
-	ResetLocal bool `json:"reset_local"`
+	ResetLocal bool
 	// Span is the edge's trace span id for this train RPC ("" when
 	// tracing is off); the device parents its training span on it.
-	Span string `json:"span,omitempty"`
+	Span string
 	// WantMoments asks the device to keep its optimizer state after this
 	// training (set when the edge runs with live migration). The state
 	// stays on the device, which imports it for its first training after
 	// arriving at another edge (Moved without ResetLocal).
-	WantMoments bool `json:"want_moments,omitempty"`
+	WantMoments bool
 }
 
 // TrainReply returns the device's updated model and bookkeeping.
 type TrainReply struct {
-	DeviceID int     `json:"device_id"`
-	Round    int     `json:"round"`
-	DataSize int     `json:"data_size"`
-	Utility  float64 `json:"utility"` // Oort statistical utility
+	DeviceID int
+	Round    int
+	DataSize int
+	Utility  float64 // Oort statistical utility
 }
 
 // hostLE: a float64 in this host's memory is its wire form, eight
@@ -339,37 +368,49 @@ func WriteMsg(w io.Writer, t MsgType, header any, vec []float64) error {
 	return err
 }
 
+// headerRoom is what a frame buffer is sized for beyond its vector before
+// the header is encoded: every header but a long device list fits.
+const headerRoom = 256
+
 // WriteMsgCount frames and writes one message in a single Write,
 // reporting how many bytes actually went onto the wire (which may be
-// short on error). vec is only read, and not retained.
+// short on error). header is t's header type, by value (nil or struct{}{}
+// for a type without one); a header with a non-finite float is refused.
+// Neither header nor vec is retained.
 func WriteMsgCount(w io.Writer, t MsgType, header any, vec []float64) (int, error) {
-	js, err := json.Marshal(header)
-	if err != nil {
-		return 0, fmt.Errorf("fednet: marshal header: %w", err)
-	}
-	size := 1 + 4 + len(js) + 4 + 8*len(vec) + 4
 	fb := framePool.Get().(*frameBuf)
-	if cap(fb.b) < size {
-		fb.b = make([]byte, frameCap(size))
+	defer putFrame(fb)
+	if need := 5 + headerRoom + 4 + 8*len(vec) + 4; cap(fb.b) < need {
+		fb.b = make([]byte, 0, frameCap(need))
 	}
-	buf := fb.b[:size] // every byte is written below: no clearing
-	buf[0] = byte(t)
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(js)))
-	copy(buf[5:], js)
-	off := 5 + len(js)
+	e := enc{b: append(fb.b[:0], byte(t), 0, 0, 0, 0)}
+	e.encodeHeader(t, header)
+	if e.err != nil {
+		return 0, fmt.Errorf("fednet: encoding the header of message type %d: %w", t, e.err)
+	}
+	binary.LittleEndian.PutUint32(e.b[1:], uint32(len(e.b)-5))
+	off := len(e.b)
+	size := off + 4 + 8*len(vec) + 4
+	buf := e.b
+	if cap(buf) < size { // a header past headerRoom
+		buf = make([]byte, off, frameCap(size))
+		copy(buf, e.b)
+	}
+	fb.b = buf
+	buf = buf[:size] // every byte past the header is written below: no clearing
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(vec)))
 	off += 4
 	putVec(buf[off:], vec)
 	off += 8 * len(vec)
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	n, err := w.Write(buf)
-	putFrame(fb)
-	return n, err
+	return w.Write(buf)
 }
 
-// ReadMsg reads one framed message; header is decoded into headerOut
-// (pass a pointer, or nil to discard). The returned vector is freshly
-// allocated and the caller's to keep.
+// ReadMsg reads one framed message. Its header is decoded into headerOut
+// when that is a pointer to the header type of the frame's MsgType;
+// otherwise (nil, say, or a frame of another type) headerOut is left
+// alone. The returned vector is freshly allocated and the caller's to
+// keep.
 func ReadMsg(r io.Reader, headerOut any) (MsgType, []float64, error) {
 	t, vec, _, err := readFrame(r, headerOut, nil)
 	return t, vec, err
@@ -408,17 +449,17 @@ func (fb *frameBuf) stage(r io.Reader, n int, read *int) error {
 // it has been decoded or handed out before that.
 func (fb *frameBuf) fill(r io.Reader, head []byte, read *int) error {
 	fb.b = append(fb.b[:0], head...)
-	jsonLen := binary.LittleEndian.Uint32(head[1:])
-	if jsonLen > maxFrame {
-		return fmt.Errorf("fednet: header length %d too large", jsonLen)
+	hdrLen := binary.LittleEndian.Uint32(head[1:])
+	if hdrLen > maxFrame {
+		return fmt.Errorf("fednet: header length %d too large", hdrLen)
 	}
-	if err := fb.stage(r, int(jsonLen), read); err != nil {
+	if err := fb.stage(r, int(hdrLen), read); err != nil {
 		return fmt.Errorf("fednet: reading header: %w", err)
 	}
 	if err := fb.stage(r, 4, read); err != nil {
 		return fmt.Errorf("fednet: reading vector length: %w", err)
 	}
-	vecLen := binary.LittleEndian.Uint32(fb.b[5+jsonLen:])
+	vecLen := binary.LittleEndian.Uint32(fb.b[5+hdrLen:])
 	if vecLen > maxFrame/8 {
 		return fmt.Errorf("fednet: vector length %d too large", vecLen)
 	}
@@ -435,15 +476,22 @@ func (fb *frameBuf) fill(r io.Reader, head []byte, read *int) error {
 	return nil
 }
 
+// frameHead holds the type and header length of a frame: they arrive on
+// their own, so a reader idle between frames holds these five bytes and
+// no frame buffer.
+type frameHead [5]byte
+
+var headPool = sync.Pool{New: func() any { return new(frameHead) }}
+
 // readFrame is the one frame reader. The frame is staged in a pooled
-// buffer and its CRC verified before the header is decoded or any value
-// handed out; the vector is then decoded into vecFor(vecLen) — storage
-// of at least that length which the caller owns and may reuse from frame
-// to frame — or, with a nil vecFor, into a fresh vector.
+// buffer and its CRC verified before the header is decoded (decodeHeader:
+// into headerOut, by the frame's type) or any value handed out; the
+// vector is then decoded into vecFor(vecLen) — storage of at least that
+// length which the caller owns and may reuse from frame to frame — or,
+// with a nil vecFor, into a fresh vector.
 func readFrame(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgType, []float64, int, error) {
-	// The type and the header length arrive on their own: a reader idle
-	// between frames holds no frame buffer.
-	head := make([]byte, 5)
+	head := headPool.Get().(*frameHead)
+	defer headPool.Put(head)
 	total, err := io.ReadFull(r, head[:1])
 	if err != nil {
 		return 0, nil, total, err
@@ -455,19 +503,18 @@ func readFrame(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgTyp
 	}
 	fb := framePool.Get().(*frameBuf)
 	defer putFrame(fb)
-	if err := fb.fill(r, head, &total); err != nil {
+	if err := fb.fill(r, head[:], &total); err != nil {
 		return 0, nil, total, err
 	}
 	b := fb.b
-	jsonLen := int(binary.LittleEndian.Uint32(b[1:]))
-	// Only decode the header once the frame is known intact — a corrupt
-	// but syntactically valid JSON header must never reach the caller.
-	if headerOut != nil && jsonLen > 0 {
-		if err := json.Unmarshal(b[5:5+jsonLen], headerOut); err != nil {
-			return 0, nil, total, fmt.Errorf("fednet: decoding header: %w", err)
-		}
+	t := MsgType(b[0])
+	hdrLen := int(binary.LittleEndian.Uint32(b[1:]))
+	// Only decode the header once the frame is known intact: a corrupt
+	// header that happens to parse must never reach the caller.
+	if err := decodeHeader(t, b[5:5+hdrLen], headerOut); err != nil {
+		return 0, nil, total, fmt.Errorf("fednet: decoding header: %w", err)
 	}
-	raw := b[5+jsonLen+4 : len(b)-4]
+	raw := b[5+hdrLen+4 : len(b)-4]
 	var vec []float64
 	if n := len(raw) / 8; n > 0 {
 		if vecFor != nil {
@@ -477,5 +524,5 @@ func readFrame(r io.Reader, headerOut any, vecFor func(n int) []float64) (MsgTyp
 		}
 		getVec(vec, raw)
 	}
-	return MsgType(b[0]), vec, total, nil
+	return t, vec, total, nil
 }

@@ -26,6 +26,10 @@ type Trainer struct {
 	idx []int
 	x   *tensor.Tensor
 	y   []int
+	// A step's loss gradient and per-sample losses, rewritten by every
+	// step (nn.SoftmaxCrossEntropyInto).
+	grad      *tensor.Tensor
+	perSample []float64
 }
 
 // DeviceUpdater is the simulator's device side of Algorithm 1 line 8:
@@ -94,17 +98,18 @@ func (tw *Trainer) LocalRound(ds *data.Dataset, shard []int, steps, batch int, r
 		}
 		tw.x, tw.y = ds.BatchInto(idx, tw.x, tw.y)
 		logits := tw.Net.Forward(tw.x, true)
-		loss, g, perSample := nn.SoftmaxCrossEntropyPerSample(logits, tw.y)
+		var loss float64
+		loss, tw.grad, tw.perSample = nn.SoftmaxCrossEntropyInto(tw.grad, tw.perSample, logits, tw.y)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
 			skipped++
 			continue
 		}
-		tw.Net.Backward(g)
+		tw.Net.Backward(tw.grad)
 		tw.Opt.Step(tw.Net.Params())
-		for _, l := range perSample {
+		for _, l := range tw.perSample {
 			sumSq += l * l
 		}
-		samples += len(perSample)
+		samples += len(tw.perSample)
 	}
 	tw.Net.ParamVectorInto(out)
 	if samples > 0 {

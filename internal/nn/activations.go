@@ -19,7 +19,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward computes max(x, 0); a training-mode call arms Backward.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.out = tensor.Ensure(r.out, x.Shape()...)
+	r.out = ensureLike(r.out, x)
 	tensor.ReluInto(r.out.Data, x.Data)
 	r.trained = 0
 	if train {
@@ -33,7 +33,7 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if r.trained != len(dy.Data) {
 		panic(noTrainForward("ReLU"))
 	}
-	r.dx = tensor.Ensure(r.dx, dy.Shape()...)
+	r.dx = ensureLike(r.dx, dy)
 	tensor.ReluGradInto(r.dx.Data, r.out.Data, dy.Data)
 	return r.dx
 }
@@ -42,9 +42,11 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (r *ReLU) Params() []*Param { return nil }
 
 // Flatten reshapes [N, d1, d2, ...] to [N, d1*d2*...]. It is a view: data
-// is shared with the input.
+// is shared with the input, and the two headers (out, dx) are reused while
+// the batch keeps its shape.
 type Flatten struct {
 	inShape []int
+	out, dx *tensor.Tensor
 }
 
 // NewFlatten constructs a flatten layer.
@@ -52,14 +54,25 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward flattens all dimensions after the batch dimension.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = x.Shape()
+	f.inShape = f.inShape[:0]
+	for i := range x.Rank() {
+		f.inShape = append(f.inShape, x.Dim(i))
+	}
 	n := x.Dim(0)
-	return x.Reshape(n, x.Size()/n)
+	if !hasShape(f.out, n, x.Size()/n) {
+		f.out = x.Reshape(n, x.Size()/n)
+	}
+	f.out.Data = x.Data
+	return f.out
 }
 
 // Backward restores the original shape.
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape...)
+	if !hasShape(f.dx, f.inShape...) {
+		f.dx = dy.Reshape(f.inShape...)
+	}
+	f.dx.Data = dy.Data
+	return f.dx
 }
 
 // Params returns nil: Flatten has no trainable state.

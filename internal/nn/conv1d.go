@@ -23,6 +23,8 @@ type Conv1D struct {
 	dy    *tensor.Tensor // [OutC, N*OL]
 	dcols *tensor.Tensor // one sample's [CK, OL]
 	dx    *tensor.Tensor
+	dyi   *tensor.Tensor // view of one sample's dOut [OutC, OL]
+	colsT *tensor.Tensor // view of cols as [CK, N*OL] for dW
 }
 
 // NewConv1D constructs a 1-D convolution layer with He-normal weights for
@@ -85,7 +87,10 @@ func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	c.dcols = tensor.Ensure(c.dcols, ck, ol)
 	dx := tensor.Ensure(c.dx, n, c.InC, c.inL)
 	c.dx = dx
-	dyi := tensor.FromSlice(dout.Data[:outSz], c.OutC, ol)
+	if !hasShape(c.dyi, c.OutC, ol) {
+		c.dyi = tensor.FromSlice(dout.Data[:outSz], c.OutC, ol)
+	}
+	dyi := c.dyi
 	for i := 0; i < n; i++ {
 		dyi.Data = dout.Data[i*outSz : (i+1)*outSz]
 		tensor.MatMulTransAInto(c.dcols, c.W.Value, dyi)
@@ -111,7 +116,11 @@ func (c *Conv1D) backwardParams(dout *tensor.Tensor) {
 				dout.Data[(i*c.OutC+oc)*ol:(i*c.OutC+oc+1)*ol])
 		}
 	}
-	colsT := tensor.FromSlice(c.cols, ck, rowStride)
+	if !hasShape(c.colsT, ck, rowStride) || len(c.cols) != ck*rowStride {
+		c.colsT = tensor.FromSlice(c.cols, ck, rowStride)
+	}
+	colsT := c.colsT
+	colsT.Data = c.cols
 	tensor.MatMulTransBInto(c.W.Grad, c.dy, colsT)
 	for oc := 0; oc < c.OutC; oc++ {
 		s := 0.0

@@ -15,7 +15,8 @@ import (
 // MatMulTransB over the batch whose panels along that axis are part of
 // its bits.
 //
-// The layer owns its scratch buffers (cols, out, dy, dcols, dx):
+// The layer owns its scratch buffers (cols, out, dy, dcols, dx) and the
+// views it reads them through (dyi, colsT):
 // tensors returned by Forward/Backward are valid only until the layer's
 // next Forward/Backward call.
 type Conv2D struct {
@@ -30,6 +31,8 @@ type Conv2D struct {
 	dy    *tensor.Tensor // gathered upstream gradient [OutC, N*OHW]
 	dcols *tensor.Tensor // one sample's column-space input gradient [CKK, OHW]
 	dx    *tensor.Tensor // input gradient [N, C, H, W]
+	dyi   *tensor.Tensor // view of one sample's dOut [OutC, OHW]
+	colsT *tensor.Tensor // view of cols as [CKK, N*OHW] for dW
 }
 
 // NewConv2D constructs a convolution layer with He-normal weights for
@@ -99,7 +102,10 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	c.dcols = tensor.Ensure(c.dcols, ckk, ohw)
 	dx := tensor.Ensure(c.dx, n, c.InC, c.inH, c.inW)
 	c.dx = dx
-	dyi := tensor.FromSlice(dout.Data[:outSz], c.OutC, ohw)
+	if !hasShape(c.dyi, c.OutC, ohw) {
+		c.dyi = tensor.FromSlice(dout.Data[:outSz], c.OutC, ohw)
+	}
+	dyi := c.dyi
 	for i := 0; i < n; i++ {
 		dyi.Data = dout.Data[i*outSz : (i+1)*outSz]
 		tensor.MatMulTransAInto(c.dcols, c.W.Value, dyi)
@@ -127,7 +133,11 @@ func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 			copy(dyd[oc*rowStride+i*ohw:oc*rowStride+(i+1)*ohw], src)
 		}
 	}
-	colsT := tensor.FromSlice(c.cols, ckk, rowStride)
+	if !hasShape(c.colsT, ckk, rowStride) || len(c.cols) != ckk*rowStride {
+		c.colsT = tensor.FromSlice(c.cols, ckk, rowStride)
+	}
+	colsT := c.colsT
+	colsT.Data = c.cols
 	// dW = dy · colsᵀ — one product for the whole batch.
 	tensor.MatMulTransBInto(c.W.Grad, c.dy, colsT)
 	// dB = row sums of dy.

@@ -13,17 +13,27 @@ import (
 // gradient together keeps the softmax numerically stable and avoids a
 // second pass.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
-	loss, grad, _ = softmaxCE(logits, labels, false)
+	loss, grad, _ = softmaxCE(nil, nil, logits, labels, false)
 	return loss, grad
 }
 
 // SoftmaxCrossEntropyPerSample additionally returns each sample's loss,
 // which device-selection utilities (Oort's statistical utility) need.
 func SoftmaxCrossEntropyPerSample(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor, perSample []float64) {
-	return softmaxCE(logits, labels, true)
+	return softmaxCE(nil, nil, logits, labels, true)
 }
 
-func softmaxCE(logits *tensor.Tensor, labels []int, wantPerSample bool) (loss float64, grad *tensor.Tensor, perSample []float64) {
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropyPerSample writing the
+// gradient into grad and the per-sample losses into perSample, which are
+// reused like tensor.Ensure's and append's first arguments: pass what the
+// previous call returned (nil at first) and keep what this one returns. A
+// training loop that does so allocates nothing per step once they have
+// grown to its batch.
+func SoftmaxCrossEntropyInto(grad *tensor.Tensor, perSample []float64, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, []float64) {
+	return softmaxCE(grad, perSample, logits, labels, true)
+}
+
+func softmaxCE(grad *tensor.Tensor, perSample []float64, logits *tensor.Tensor, labels []int, wantPerSample bool) (float64, *tensor.Tensor, []float64) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy requires [N, C] logits, got %v", logits.Shape()))
 	}
@@ -31,18 +41,19 @@ func softmaxCE(logits *tensor.Tensor, labels []int, wantPerSample bool) (loss fl
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy has %d logit rows but %d labels", n, len(labels)))
 	}
-	probs := logits.SoftmaxRows()
-	grad = probs // reuse: grad = probs − onehot, scaled by 1/N
+	// grad = softmax − onehot, scaled by 1/N, computed over the softmax.
+	grad = tensor.SoftmaxRowsInto(tensor.Ensure(grad, n, c), logits)
 	invN := 1.0 / float64(n)
 	if wantPerSample {
-		perSample = make([]float64, n)
+		perSample = ensureLen(perSample, n)
 	}
+	loss := 0.0
 	for i := 0; i < n; i++ {
 		y := labels[i]
 		if y < 0 || y >= c {
 			panic(fmt.Sprintf("nn: label %d out of range [0, %d)", y, c))
 		}
-		p := probs.Data[i*c+y]
+		p := grad.Data[i*c+y]
 		// Clamp to avoid -Inf on numerically zero probabilities.
 		if p < 1e-12 {
 			p = 1e-12

@@ -27,7 +27,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := h/2, w/2
-	p.inShape = x.Shape()
+	p.inShape = append(p.inShape[:0], n, c, h, w)
 	p.out = tensor.Ensure(p.out, n, c, oh, ow)
 	out := p.out
 	p.argmax = p.argmax[:0]
@@ -87,7 +87,7 @@ func (p *MaxPool1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, l := x.Dim(0), x.Dim(1), x.Dim(2)
 	ol := l / p.K
-	p.inShape = x.Shape()
+	p.inShape = append(p.inShape[:0], n, c, l)
 	p.out = tensor.Ensure(p.out, n, c, ol)
 	out := p.out
 	p.argmax = p.argmax[:0]

@@ -1,5 +1,7 @@
 package nn
 
+import "middle/internal/tensor"
+
 // Scratch-buffer helpers. Layers own their output and gradient buffers
 // and reuse them across steps: a tensor returned by Forward/Backward is
 // valid only until the same layer's next Forward/Backward call. Callers
@@ -21,4 +23,29 @@ func ensureLen[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
+}
+
+// ensureLike is tensor.Ensure(t, like.Shape()...) without the copy of
+// like's shape when t already has it.
+func ensureLike(t, like *tensor.Tensor) *tensor.Tensor {
+	if t != nil && t.SameShape(like) {
+		return t
+	}
+	return tensor.Ensure(t, like.Shape()...)
+}
+
+// hasShape reports whether t (which may be nil) has exactly shape. A layer
+// whose view (Flatten's output, a convolution's per-sample gradient and
+// column matrix) already has the shape it needs points it at the new data
+// instead of building another header.
+func hasShape(t *tensor.Tensor, shape ...int) bool {
+	if t == nil || t.Rank() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return false
+		}
+	}
+	return true
 }

@@ -60,7 +60,7 @@ type Combined struct {
 
 // Combine screens vecs against ref (the point's pre-round model) and,
 // when at least minKept (≥ 1) survive, combines the survivors into dst.
-// vecs and weights are compacted in place as by Validator.Filter. dst
+// vecs and weights are only read (Validator.Filter screens a copy). dst
 // may be ref itself but must not alias any update.
 func (p *Point) Combine(dst, ref []float64, vecs [][]float64, weights []float64, minKept int) Combined {
 	p.Seen += len(vecs)

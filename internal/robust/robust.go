@@ -66,8 +66,10 @@ func (r RejectCounts) Total() int { return r.NonFinite + r.Norm }
 // safe for concurrent use; each aggregation point owns one.
 type Validator struct {
 	cfg    ValidatorConfig
-	norms  []float64 // scratch: ‖vecs[i]−ref‖ for surviving updates
-	sorted []float64 // scratch: norms copy for the median
+	kept   [][]float64 // scratch: the surviving updates' headers, in order
+	keptW  []float64   // scratch: their weights
+	norms  []float64   // scratch: ‖vecs[i]−ref‖ for surviving updates
+	sorted []float64   // scratch: norms copy for the median
 }
 
 // NewValidator returns a validator for cfg, or nil when validation is
@@ -90,10 +92,12 @@ func IsFinite(v []float64) bool {
 }
 
 // Filter screens the round's updates against ref (the aggregation
-// point's pre-round model). It compacts the kept vectors and weights to
-// the front of the input slices, preserving order, and returns the kept
-// prefixes — the caller's backing arrays are reused, nothing is
-// allocated. A nil validator keeps everything.
+// point's pre-round model). It returns the kept vectors and weights, in
+// order, in the validator's own scratch, valid until its next Filter: the
+// caller's slices are only read, never reordered, so a caller that walks
+// its own vecs afterwards still sees every update once. Nothing is
+// allocated once the scratch has grown to a round's updates. A nil
+// validator keeps everything and returns the caller's slices.
 //
 // Two passes: (1) drop non-finite vectors; (2) when NormBound > 0,
 // compute ‖v−ref‖₂ for the survivors, take their median, and drop
@@ -105,38 +109,37 @@ func (v *Validator) Filter(ref []float64, vecs [][]float64, weights []float64) (
 	if v == nil {
 		return vecs, weights, rc
 	}
-	k := 0
+	kept, keptW := v.kept[:0], v.keptW[:0]
 	for i, vec := range vecs {
 		if !IsFinite(vec) {
 			rc.NonFinite++
 			continue
 		}
-		vecs[k], weights[k] = vecs[i], weights[i]
-		k++
+		kept, keptW = append(kept, vec), append(keptW, weights[i])
 	}
-	vecs, weights = vecs[:k], weights[:k]
-	if v.cfg.NormBound <= 0 || len(vecs) < 3 {
-		return vecs, weights, rc
+	v.kept, v.keptW = kept, keptW
+	if v.cfg.NormBound <= 0 || len(kept) < 3 {
+		return kept, keptW, rc
 	}
-	if cap(v.norms) < len(vecs) {
-		v.norms = make([]float64, len(vecs))
-		v.sorted = make([]float64, len(vecs))
+	if cap(v.norms) < len(kept) {
+		v.norms = make([]float64, len(kept))
+		v.sorted = make([]float64, len(kept))
 	}
-	norms := v.norms[:len(vecs)]
-	for i, vec := range vecs {
+	norms := v.norms[:len(kept)]
+	for i, vec := range kept {
 		norms[i] = deltaNorm(vec, ref)
 	}
-	bound := v.cfg.NormBound * medianInto(v.sorted[:len(vecs)], norms)
-	k = 0
-	for i, vec := range vecs {
+	bound := v.cfg.NormBound * medianInto(v.sorted[:len(kept)], norms)
+	k := 0
+	for i, vec := range kept {
 		if norms[i] > bound {
 			rc.Norm++
 			continue
 		}
-		vecs[k], weights[k] = vec, weights[i]
+		kept[k], keptW[k] = vec, keptW[i]
 		k++
 	}
-	return vecs[:k], weights[:k], rc
+	return kept[:k], keptW[:k], rc
 }
 
 // deltaNorm returns ‖v − ref‖₂ without materialising the delta.

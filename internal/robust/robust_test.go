@@ -221,3 +221,33 @@ func TestPointCombine(t *testing.T) {
 		t.Fatalf("tallies: seen %d, rejected %+v", p.Seen, p.Rejected)
 	}
 }
+
+// TestCombineLeavesCallerSlices: a Combine that rejects one NaN update
+// and one norm outlier screens a copy of the slice headers, so the
+// caller's vecs and weights hold, element by element, what they held
+// before; a caller that walks them afterwards (a fednet edge freeing
+// Eq. 6's inputs) sees every update once. The kept updates are still
+// the three in range, combined in order.
+func TestCombineLeavesCallerSlices(t *testing.T) {
+	p := NewPoint(AggMean, ValidatorConfig{Enabled: true, NormBound: 3}, nil)
+	ref := []float64{0}
+	nan, far := []float64{math.NaN()}, []float64{-100}
+	vecs := [][]float64{{1}, nan, {1.5}, far, {2}}
+	weights := []float64{1, 2, 3, 4, 5}
+	wantVecs := append([][]float64(nil), vecs...)
+	wantWeights := append([]float64(nil), weights...)
+	dst := []float64{0}
+	out := p.Combine(dst, ref, vecs, weights, 1)
+	if !out.Applied || out.Kept != 3 || out.Rejects.NonFinite != 1 || out.Rejects.Norm != 1 || out.Weight != 9 {
+		t.Fatalf("combine: %+v", out)
+	}
+	if want := (1*1 + 3*1.5 + 5*2) / 9.0; math.Abs(dst[0]-want) > 1e-12 {
+		t.Fatalf("combined %v, want %v", dst[0], want)
+	}
+	for i := range vecs {
+		if &vecs[i][0] != &wantVecs[i][0] || weights[i] != wantWeights[i] {
+			t.Fatalf("entry %d of the caller's slices changed: vec %v weight %v, was %v weight %v",
+				i, vecs[i], weights[i], wantVecs[i], wantWeights[i])
+		}
+	}
+}

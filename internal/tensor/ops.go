@@ -113,17 +113,18 @@ func (t *Tensor) ArgMaxRows() []int {
 	return out
 }
 
-// SoftmaxRows treats t as [rows, cols] and returns a new tensor whose rows
-// are softmax-normalised, computed stably by subtracting the row max.
-func (t *Tensor) SoftmaxRows() *Tensor {
+// SoftmaxRowsInto treats t as [rows, cols] and writes its rows,
+// softmax-normalised, into dst (same size; it may be t itself), computed
+// stably by subtracting the row max. It returns dst.
+func SoftmaxRowsInto(dst, t *Tensor) *Tensor {
 	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SoftmaxRows requires rank 2, got shape %v", t.shape))
+		panic(fmt.Sprintf("tensor: SoftmaxRowsInto requires rank 2, got shape %v", t.shape))
 	}
+	t.mustMatch(dst, "SoftmaxRowsInto")
 	rows, cols := t.shape[0], t.shape[1]
-	out := New(rows, cols)
 	for r := 0; r < rows; r++ {
 		in := t.Data[r*cols : (r+1)*cols]
-		o := out.Data[r*cols : (r+1)*cols]
+		o := dst.Data[r*cols : (r+1)*cols]
 		mx := math.Inf(-1)
 		for _, x := range in {
 			if x > mx {
@@ -141,7 +142,7 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 			o[c] *= inv
 		}
 	}
-	return out
+	return dst
 }
 
 func (t *Tensor) mustMatch(u *Tensor, op string) {

@@ -41,7 +41,7 @@ func Full(v float64, shape ...int) *Tensor {
 func FromSlice(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data has %d elements, shape %v needs %d", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data has %d elements, shape %v needs %d", len(data), copyShape(shape), n))
 	}
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
 }
@@ -71,6 +71,10 @@ func Ensure(t *Tensor, shape ...int) *Tensor {
 	return New(shape...)
 }
 
+// copyShape is a panic message's copy of a shape argument: formatting the
+// argument itself would move every caller's variadic shape to the heap.
+func copyShape(shape []int) []int { return append([]int(nil), shape...) }
+
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -78,7 +82,7 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", copyShape(shape)))
 		}
 		n *= d
 	}

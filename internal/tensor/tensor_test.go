@@ -173,7 +173,7 @@ func TestArgMaxRows(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	x := FromSlice([]float64{1, 1, 1, 1000, 0, 0}, 2, 3)
-	s := x.SoftmaxRows()
+	s := SoftmaxRowsInto(New(2, 3), x)
 	for r := 0; r < 2; r++ {
 		sum := 0.0
 		for c := 0; c < 3; c++ {
@@ -465,7 +465,8 @@ func TestMatMulTransPanics(t *testing.T) {
 		"transA rank": func() { MatMulTransA(New(3), New(3, 2)) },
 		"transB rank": func() { MatMulTransB(New(2, 3), New(3)) },
 		"transpose":   func() { Transpose2D(New(2)) },
-		"softmax":     func() { New(2).SoftmaxRows() },
+		"softmax":     func() { SoftmaxRowsInto(New(2), New(2)) },
+		"softmax dst": func() { SoftmaxRowsInto(New(2, 4), New(2, 3)) },
 		"argmax":      func() { New(2).ArgMaxRows() },
 		"dot":         func() { Dot(New(2), New(3)) },
 		"add":         func() { New(2).AddInPlace(New(3)) },
