@@ -236,7 +236,7 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 	for lo := 0; lo < n; lo += mux {
 		var hosted []fednet.MuxDevice
 		for i := lo; i < min(lo+mux, n); i++ {
-			hosted = append(hosted, fednet.MuxDevice{DeviceID: from + i, Indices: part.Indices[from+i]})
+			hosted = append(hosted, fednet.MuxDevice{DeviceID: from + i, Indices: part.Shard(from + i)})
 		}
 		mx, err := fednet.NewDeviceMux(fednet.DeviceMuxConfig{
 			Devices: hosted, Dataset: part.Dataset, Factory: setup.Factory,

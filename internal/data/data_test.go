@@ -325,7 +325,8 @@ func TestPartitionShared(t *testing.T) {
 		t.Fatalf("devices = %d", p.NumDevices())
 	}
 	seen := make([]bool, d.Len())
-	for m, idx := range p.Indices {
+	for m := 0; m < devices; m++ {
+		idx := p.Shard(m)
 		if len(idx) != perDevice {
 			t.Fatalf("device %d shard size %d", m, len(idx))
 		}
@@ -354,18 +355,18 @@ func TestPartitionShared(t *testing.T) {
 	if recycled == 0 {
 		t.Fatal("no recycled window in range — pick parameters that wrap")
 	}
-	if &p.Indices[0][0] != &p.Indices[recycled][0] {
+	if &p.Shard(0)[0] != &p.Shard(recycled)[0] {
 		t.Fatal("recycled window does not alias the shared permutation")
 	}
 	// Deterministic per seed, different across seeds.
 	q := PartitionShared(d, devices, perDevice, 7)
 	r := PartitionShared(d, devices, perDevice, 8)
 	samePQ, samePR := true, true
-	for i := range p.Indices[3] {
-		if p.Indices[3][i] != q.Indices[3][i] {
+	for i := range p.Shard(3) {
+		if p.Shard(3)[i] != q.Shard(3)[i] {
 			samePQ = false
 		}
-		if p.Indices[3][i] != r.Indices[3][i] {
+		if p.Shard(3)[i] != r.Shard(3)[i] {
 			samePR = false
 		}
 	}
@@ -374,6 +375,40 @@ func TestPartitionShared(t *testing.T) {
 	}
 	if samePR {
 		t.Fatal("different seeds produced identical shards")
+	}
+}
+
+// TestPartitionSharedPeriod: the shared partition stores one period of
+// its windows, and Shard(m) is still the window starting at
+// (m·perDevice) mod n for every device, including fleets shorter than a
+// period and a perDevice that does not divide n.
+func TestPartitionSharedPeriod(t *testing.T) {
+	for _, c := range []struct{ n, perDevice, devices, period int }{
+		{100, 40, 1000, 5},  // gcd 20
+		{100, 30, 1000, 10}, // 30 does not divide 100
+		{100, 7, 1000, 100}, // coprime: every start is distinct
+		{100, 40, 3, 3},     // fewer devices than a period
+		{100, 100, 50, 1},   // every device owns the whole corpus
+		{60, 250, 400, 6},   // perDevice longer than the corpus
+	} {
+		d := GenerateImages(FastImageProfile(4), c.n, 1)
+		p := PartitionShared(d, c.devices, c.perDevice, 3)
+		if p.NumDevices() != c.devices || len(p.Indices) != c.period {
+			t.Fatalf("%+v: %d devices over %d stored windows", c, p.NumDevices(), len(p.Indices))
+		}
+		perm := tensor.Split(3, 0x5AAD).Perm(c.n) // PartitionShared's permutation
+		for m := 0; m < c.devices; m++ {
+			start := (m * c.perDevice) % c.n
+			got := p.Shard(m)
+			if len(got) != c.perDevice {
+				t.Fatalf("%+v: device %d owns %d samples", c, m, len(got))
+			}
+			for j, i := range got {
+				if i != perm[(start+j)%c.n] {
+					t.Fatalf("%+v: device %d does not own the window at %d", c, m, start)
+				}
+			}
+		}
 	}
 }
 

@@ -8,24 +8,20 @@ import (
 
 // Partition assigns every device a list of sample indices into a parent
 // dataset. Partitions are the unit the federated engine trains on: each
-// simulated device sees only its own indices.
+// simulated device sees only its own indices, read through Shard.
 type Partition struct {
 	Dataset *Dataset
-	// Indices[m] lists the samples owned by device m.
+	// Indices holds the distinct shards: device m owns Indices[m mod
+	// len(Indices)], one per device except PartitionShared's period.
 	Indices [][]int
+	devices int // the fleet size when Indices is shorter; 0 otherwise
 }
 
 // NumDevices returns the number of devices in the partition.
-func (p *Partition) NumDevices() int { return len(p.Indices) }
+func (p *Partition) NumDevices() int { return max(p.devices, len(p.Indices)) }
 
-// Sizes returns the number of samples per device (d_m in the paper).
-func (p *Partition) Sizes() []int {
-	out := make([]int, len(p.Indices))
-	for i, idx := range p.Indices {
-		out[i] = len(idx)
-	}
-	return out
-}
+// Shard returns the sample indices device m owns; its length is d_m.
+func (p *Partition) Shard(m int) []int { return p.Indices[m%len(p.Indices)] }
 
 // classPools builds shuffled per-class index pools with a cursor, drawing
 // without replacement and rewinding when a class is exhausted.
@@ -129,16 +125,17 @@ func PartitionMajorClassClustered(d *Dataset, numDevices, perDevice int, majorFr
 
 // PartitionShared builds a population-scale partition whose per-device
 // shards are windows into ONE shared shuffled permutation of the parent
-// dataset. A materialized partition costs O(devices × perDevice) ints —
-// at a million devices that is gigabytes of index storage before a
-// single model is allocated — while the shared form costs
-// O(datasetLen + perDevice) ints plus one slice header per device,
-// because every window aliases the same backing array. Windows stride
-// through the permutation and wrap, so devices share samples once the
-// corpus is exhausted: acceptable in simulation, and the price of
-// bounding memory by the corpus instead of the population. Unlike
-// PartitionMajorClass the shards are IID; the scale path trades the
-// Non-IID structure for a memory footprint independent of the fleet.
+// dataset: device m's window starts at (m·perDevice) mod n. A
+// materialized partition costs O(devices × perDevice) ints — gigabytes
+// at a million devices — while the shared form costs O(n + perDevice)
+// ints plus one slice header per distinct window: every window aliases
+// one backing array, and the starts repeat with period
+// n / gcd(n, perDevice) ≤ n. Windows stride through the permutation and
+// wrap, so devices share samples once the corpus is exhausted:
+// acceptable in simulation, and the price of bounding memory by the
+// corpus instead of the population. Unlike PartitionMajorClass the
+// shards are IID; the scale path trades the Non-IID structure for a
+// memory footprint independent of the fleet.
 func PartitionShared(d *Dataset, numDevices, perDevice int, seed int64) *Partition {
 	if numDevices < 1 || perDevice < 1 {
 		panic(fmt.Sprintf("data: shared partition needs ≥1 device and ≥1 sample, got %d/%d", numDevices, perDevice))
@@ -155,12 +152,16 @@ func PartitionShared(d *Dataset, numDevices, perDevice int, seed int64) *Partiti
 	for len(ext) < n+perDevice {
 		ext = append(ext, perm...)
 	}
-	indices := make([][]int, numDevices)
+	period := 1 // up to the first device whose window starts at 0 again
+	for period < numDevices && (period*perDevice)%n != 0 {
+		period++
+	}
+	indices := make([][]int, period)
 	for m := range indices {
 		start := (m * perDevice) % n
 		indices[m] = ext[start : start+perDevice : start+perDevice]
 	}
-	return &Partition{Dataset: d, Indices: indices}
+	return &Partition{Dataset: d, Indices: indices, devices: numDevices}
 }
 
 // PartitionSingleClass assigns each device samples of exactly one class

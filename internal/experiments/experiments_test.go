@@ -314,7 +314,7 @@ func TestNewScaleSetup(t *testing.T) {
 	n := s.Train.Len()
 	for m := 1; m < p.NumDevices(); m++ {
 		if (m*s.PerDevice)%n == 0 {
-			if &p.Indices[0][0] != &p.Indices[m][0] {
+			if &p.Shard(0)[0] != &p.Shard(m)[0] {
 				t.Fatal("scale partition is not the shared-window form")
 			}
 			return

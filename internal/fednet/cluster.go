@@ -226,7 +226,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	for lo := 0; lo < numDevices; lo += c.group {
 		var hosted []MuxDevice
 		for m := lo; m < min(lo+c.group, numDevices); m++ {
-			hosted = append(hosted, MuxDevice{DeviceID: m, Indices: cfg.Partition.Indices[m]})
+			hosted = append(hosted, MuxDevice{DeviceID: m, Indices: cfg.Partition.Shard(m)})
 		}
 		mx, err := NewDeviceMux(DeviceMuxConfig{
 			Devices: hosted, Dataset: cfg.Partition.Dataset, pool: pool,

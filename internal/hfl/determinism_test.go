@@ -105,3 +105,41 @@ func TestSelectionIdenticalAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodicPartitionMatchesExpanded pins the shared partition's
+// storage: a Sim over PartitionShared, which keeps one period of windows
+// and reads d_m from the device's shard, ends 20 steps with the same
+// bits as a Sim over the same shards stored once per device.
+func TestPeriodicPartitionMatchesExpanded(t *testing.T) {
+	const edges, devices, steps = 4, 100, 20
+	f := newFixture(t, 0.5)
+	periodic := data.PartitionShared(f.part.Dataset, devices, 30, 3)
+	if len(periodic.Indices) >= devices {
+		t.Fatalf("%d windows stored for %d devices: the partition is not periodic", len(periodic.Indices), devices)
+	}
+	expanded := &data.Partition{Dataset: periodic.Dataset, Indices: make([][]int, devices)}
+	for m := range expanded.Indices {
+		expanded.Indices[m] = slices.Clone(periodic.Shard(m))
+	}
+	run := func(part *data.Partition) *Sim {
+		cfg := smallConfig()
+		cfg.Steps = steps
+		cfg.LazyStore = true
+		s := New(cfg, f.factory(), part, f.test, mobility.NewMarkovRing(edges, devices, 0.5, 7), middleLike{})
+		s.Run()
+		return s
+	}
+	a, b := run(periodic), run(expanded)
+	models := func(s *Sim) [][]float64 { return append([][]float64{s.cloud}, s.edges...) }
+	ma, mb := models(a), models(b)
+	for v := range ma {
+		for i := range ma[v] {
+			if math.Float64bits(ma[v][i]) != math.Float64bits(mb[v][i]) {
+				t.Fatalf("model %d (0 = cloud, then edges) differs at %d: %v periodic, %v expanded", v, i, ma[v][i], mb[v][i])
+			}
+		}
+	}
+	if !slices.Equal(a.History().GlobalAcc, b.History().GlobalAcc) {
+		t.Fatalf("accuracy %v periodic, %v expanded", a.History().GlobalAcc, b.History().GlobalAcc)
+	}
+}

@@ -112,7 +112,7 @@ func (s *Sim) GlobalLoss(vec []float64, maxPerDevice int) float64 {
 	tw.Net.SetParamVector(vec)
 	totalLoss, totalWeight := 0.0, 0.0
 	for m := 0; m < s.numDevices; m++ {
-		shard := s.part.Indices[m]
+		shard := s.part.Shard(m)
 		n := len(shard)
 		if maxPerDevice > 0 && maxPerDevice < n {
 			n = maxPerDevice

@@ -62,7 +62,7 @@ func (u shardUpdater) UpdateDevice(device int, start, out []float64, steps int, 
 	if u.schedule {
 		u.Opt.SetLR(lr)
 	}
-	return u.LocalRound(u.part.Dataset, u.part.Indices[device], steps, u.batch, rng, start, out, false)
+	return u.LocalRound(u.part.Dataset, u.part.Shard(device), steps, u.batch, rng, start, out, false)
 }
 
 // LocalRound is the device side of Algorithm 1 line 8: steps mini-batch

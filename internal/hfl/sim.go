@@ -33,7 +33,7 @@ type Sim struct {
 	cloud      []float64
 	edges      [][]float64
 	store      deviceStore
-	dataSizes  []int
+	dataSizes  []int // d_m on NewWithUpdater's seam; New reads the shard
 	statUtil   []float64
 	lastTrain  []int
 	edgeWeight []float64 // d̂_n accumulators since last cloud sync
@@ -86,7 +86,7 @@ type Sim struct {
 func New(cfg Config, factory ModelFactory, part *data.Partition, test *data.Dataset, mob mobility.Model, strat Strategy) *Sim {
 	cfg = cfg.withDefaults()
 	var trainers []*Trainer
-	s := newSim(cfg, factory(tensor.Split(cfg.Seed, 0)).ParamVector(), part.Sizes(), func(i int) DeviceUpdater {
+	s := newSim(cfg, factory(tensor.Split(cfg.Seed, 0)).ParamVector(), part.NumDevices(), func(i int) DeviceUpdater {
 		tw := &Trainer{Net: factory(tensor.Split(cfg.Seed, int64(100+i))), Opt: cfg.Optimizer.New()}
 		trainers = append(trainers, tw)
 		return shardUpdater{Trainer: tw, part: part, batch: cfg.BatchSize, schedule: cfg.LRSchedule != nil}
@@ -103,13 +103,15 @@ func NewWithUpdater(cfg Config, init []float64, sizes []int, updater func(worker
 	if cfg.EvalEvery > 0 {
 		panic("hfl: a Sim built on a DeviceUpdater has no test set to evaluate on; leave EvalEvery 0")
 	}
-	return newSim(cfg.withDefaults(), init, sizes, updater, mob, strat)
+	s := newSim(cfg.withDefaults(), init, len(sizes), updater, mob, strat)
+	s.dataSizes = sizes
+	return s
 }
 
 // newSim is New's and NewWithUpdater's construction; init becomes the cloud vector.
-func newSim(cfg Config, init []float64, sizes []int, updater func(worker int) DeviceUpdater, mob mobility.Model, strat Strategy) *Sim {
-	if len(sizes) != mob.NumDevices() {
-		panic(fmt.Sprintf("hfl: %d devices have data but the mobility model has %d", len(sizes), mob.NumDevices()))
+func newSim(cfg Config, init []float64, devices int, updater func(worker int) DeviceUpdater, mob mobility.Model, strat Strategy) *Sim {
+	if devices != mob.NumDevices() {
+		panic(fmt.Sprintf("hfl: %d devices have data but the mobility model has %d", devices, mob.NumDevices()))
 	}
 	s := &Sim{
 		cfg:        cfg,
@@ -138,7 +140,6 @@ func newSim(cfg Config, init []float64, sizes []int, updater func(worker int) De
 		s.statUtil[m] = math.NaN()
 		s.lastTrain[m] = -1
 	}
-	s.dataSizes = sizes
 	s.edgeWeight = make([]float64, s.numEdges)
 	s.moved = make([]bool, s.numDevices)
 	s.candidates = make([][]int, s.numEdges)
@@ -191,7 +192,12 @@ func (s *Sim) ResidentModels() int { return s.store.residentCount() }
 func (s *Sim) PeakResidentModels() int { return s.store.peakResident() }
 
 // DataSize returns d_m.
-func (s *Sim) DataSize(device int) int { return s.dataSizes[device] }
+func (s *Sim) DataSize(device int) int {
+	if s.part != nil {
+		return len(s.part.Shard(device))
+	}
+	return s.dataSizes[device]
+}
 
 // StatUtility returns the device's Oort statistical utility (NaN before
 // its first training round).
@@ -355,7 +361,7 @@ func (s *Sim) StepOnce() int {
 		weights := s.aggWeights[:0]
 		for _, m := range sel {
 			vecs = append(vecs, s.store.model(m))
-			weights = append(weights, float64(s.dataSizes[m]))
+			weights = append(weights, float64(s.DataSize(m)))
 		}
 		s.aggVecs, s.aggWeights = vecs, weights
 		// Rejected updates are left out of Eq. 6; with every update

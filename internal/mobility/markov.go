@@ -8,7 +8,8 @@ import (
 
 // Markov is the direct realisation of the paper's mobility abstraction:
 // at every time step device m moves with probability P_m and stays put
-// otherwise. The global mobility P is the average of P_m (paper §3.2).
+// otherwise. The global mobility P is the average of P_m (paper §3.2);
+// like the paper's experiments, every device here has P_m = P.
 // The destination distribution is configurable: uniform over all other
 // edges (the memoryless default), or restricted to ring-adjacent edges
 // (NewMarkovRing), which preserves the spatial locality real traces —
@@ -16,8 +17,8 @@ import (
 // neighbouring cells rather than teleporting across the map.
 type Markov struct {
 	edges   int
-	probs   []float64 // per-device move probability P_m
-	ring    bool      // adjacent-edge moves only
+	p       float64 // every device's move probability P_m = P
+	ring    bool    // adjacent-edge moves only
 	seed    int64
 	rng     *tensor.RNG
 	current []int // the membership Step last returned
@@ -27,23 +28,11 @@ type Markov struct {
 // NewMarkov builds a Markov mobility model in which every device shares
 // the same move probability p (the paper's experiments set P_m = P).
 func NewMarkov(edges, devices int, p float64, seed int64) *Markov {
-	probs := make([]float64, devices)
-	for i := range probs {
-		probs[i] = p
+	validate(edges, devices)
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("mobility: probability %v outside [0,1]", p))
 	}
-	return NewMarkovPerDevice(edges, probs, seed)
-}
-
-// NewMarkovPerDevice builds a Markov mobility model with an individual
-// move probability per device; the global mobility is their mean.
-func NewMarkovPerDevice(edges int, probs []float64, seed int64) *Markov {
-	validate(edges, len(probs))
-	for m, p := range probs {
-		if p < 0 || p > 1 {
-			panic(fmt.Sprintf("mobility: device %d probability %v outside [0,1]", m, p))
-		}
-	}
-	mk := &Markov{edges: edges, probs: append([]float64(nil), probs...), seed: seed, spare: make([]int, len(probs))}
+	mk := &Markov{edges: edges, p: p, seed: seed, current: make([]int, devices), spare: make([]int, devices)}
 	mk.Reset()
 	return mk
 }
@@ -52,7 +41,7 @@ func NewMarkovPerDevice(edges int, probs []float64, seed int64) *Markov {
 func (mk *Markov) NumEdges() int { return mk.edges }
 
 // NumDevices returns the number of devices.
-func (mk *Markov) NumDevices() int { return len(mk.probs) }
+func (mk *Markov) NumDevices() int { return len(mk.current) }
 
 // NewMarkovRing builds a locality-preserving Markov model: a moving
 // device steps to one of its two ring-adjacent edges (edge e ± 1 mod E),
@@ -64,19 +53,21 @@ func NewMarkovRing(edges, devices int, p float64, seed int64) *Markov {
 	return mk
 }
 
-// Step advances one time step: each device moves with its own
-// probability, either to a uniform other edge or (ring mode) to an
-// adjacent edge.
+// Step advances one time step: each device moves with probability P,
+// either to a uniform other edge or (ring mode) to an adjacent edge.
 func (mk *Markov) Step() []int {
 	next := mk.spare
 	for m, e := range mk.current {
-		if mk.edges > 1 && mk.rng.Float64() < mk.probs[m] {
+		if mk.edges > 1 && mk.rng.Float64() < mk.p {
 			if mk.ring {
-				dir := 1
 				if mk.rng.Float64() < 0.5 {
-					dir = mk.edges - 1 // −1 mod edges
+					e += mk.edges - 1 // −1 mod edges
+				} else {
+					e++
 				}
-				e = (e + dir) % mk.edges
+				if e >= mk.edges {
+					e -= mk.edges
+				}
 			} else {
 				to := mk.rng.Intn(mk.edges - 1)
 				if to >= e {
@@ -91,10 +82,10 @@ func (mk *Markov) Step() []int {
 	return next
 }
 
-// Reset restores the balanced initial membership and reseeds the stream.
+// Reset reseeds the stream and refills the membership it owns.
 func (mk *Markov) Reset() {
 	mk.rng = tensor.Split(mk.seed, 0x30B1)
-	mk.current = roundRobin(mk.edges, len(mk.probs))
+	roundRobin(mk.current, mk.edges)
 }
 
 // Static is the no-mobility special case (P = 0): membership never
@@ -107,7 +98,7 @@ type Static struct {
 // NewStatic pins each device to its round-robin edge forever.
 func NewStatic(edges, devices int) *Static {
 	validate(edges, devices)
-	return &Static{edges: edges, membership: roundRobin(edges, devices)}
+	return &Static{edges: edges, membership: roundRobin(make([]int, devices), edges)}
 }
 
 // NumEdges returns the number of edges.

@@ -23,6 +23,8 @@ type Model interface {
 	// membership beside the current one; whoever keeps one longer copies.
 	Step() []int
 	// Reset restarts the model at time zero with its original randomness.
+	// It may refill the model's own storage, so it invalidates every
+	// slice Step returned before it.
 	Reset()
 }
 
@@ -36,9 +38,8 @@ func validate(edges, devices int) {
 	}
 }
 
-// roundRobin returns the balanced initial membership device m → m mod E.
-func roundRobin(edges, devices int) []int {
-	out := make([]int, devices)
+// roundRobin fills out with the balanced membership m → m mod E.
+func roundRobin(out []int, edges int) []int {
 	for m := range out {
 		out[m] = m % edges
 	}

@@ -89,22 +89,6 @@ func TestMarkovSingleEdgeNeverMoves(t *testing.T) {
 	}
 }
 
-// TestMarkovPerDeviceGlobalMobility: each device moves with its own P_m,
-// so a device at 0 never leaves its edge and the trace's empirical
-// mobility is the mean of the P_m (0.4 here).
-func TestMarkovPerDeviceGlobalMobility(t *testing.T) {
-	probs := []float64{0, 0.2, 0.4, 0.6, 0.8}
-	tr := Record(NewMarkovPerDevice(3, probs, 1), 4000)
-	for step, row := range tr.Memberships {
-		if row[0] != tr.Memberships[0][0] {
-			t.Fatalf("device 0 (P_m = 0) moved at step %d", step)
-		}
-	}
-	if got := tr.EmpiricalMobility(); math.Abs(got-0.4) > 0.02 {
-		t.Fatalf("empirical mobility %v, want 0.4 ± 0.02", got)
-	}
-}
-
 func TestStaticModel(t *testing.T) {
 	s := NewStatic(3, 7)
 	a := s.Step()

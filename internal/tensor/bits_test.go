@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -385,6 +386,66 @@ func naiveCol2Im(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float64)
 			}
 		}
 	}
+}
+
+// TestCol2ImByPlaneMatchesRowLoop pins the whole-plane scatter of a
+// stride-1 convolution whose output is as wide as its input: into a dx
+// that already holds ±0 and ordinary values, it adds the same bits,
+// zeros' signs included, as the loop over every in-bounds tap, and the
+// only entries of cols it writes are ones that map to no input pixel,
+// which it sets to −0.
+func TestCol2ImByPlaneMatchesRowLoop(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	signedZeros := func(rng *RNG, n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(3) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = negZero
+			default:
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(61)
+		for _, k := range []int{1, 3, 5, 7} {
+			pad := (k - 1) / 2
+			for _, hw := range [][2]int{{14, 14}, {9, 12}, {12, 9}, {3, 3}, {1, 5}} {
+				const c = 3
+				h, w := hw[0], hw[1]
+				name := fmt.Sprintf("k=%d pad=%d plane=%dx%d", k, pad, h, w)
+				ohw := ConvOut(h, k, 1, pad) * ConvOut(w, k, 1, pad)
+				if ohw != h*w {
+					t.Fatalf("%s: output %d, want the input's %d", name, ohw, h*w)
+				}
+				cols := signedZeros(rng, c*k*k*ohw)
+				dx := signedZeros(rng, c*h*w)
+				orig, wantDx := slices.Clone(cols), slices.Clone(dx)
+				Col2Im(cols, c, h, w, k, k, 1, pad, dx)
+				naiveCol2Im(orig, c, h, w, k, k, 1, pad, wantDx)
+				if i := sameBits(dx, wantDx); i >= 0 {
+					t.Fatalf("%s: dx[%d] is %v, want %v", name, i, dx[i], wantDx[i])
+				}
+				for r := 0; r < c*k*k; r++ {
+					ky, kx := r/k%k, r%k
+					for d := 0; d < ohw; d++ {
+						i := r*ohw + d
+						if math.Float64bits(cols[i]) == math.Float64bits(orig[i]) {
+							continue
+						}
+						iy, ix := d/w-pad+ky, d%w-pad+kx
+						if math.Float64bits(cols[i]) != math.Float64bits(negZero) || iy >= 0 && iy < h && ix >= 0 && ix < w {
+							t.Fatalf("%s: cols[%d] (input %d,%d) changed to %v", name, i, iy, ix, cols[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestLoweringMatchesNaiveBitForBit(t *testing.T) {

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Convolution lowering kernels (im2col / col2im). The nn package builds
 // Conv2D/Conv1D layers on top of these plus MatMul: a sample's
 // convolution is the matrix product
@@ -133,7 +135,8 @@ func inBoundsRange(w, ow, pad, kx int) (lo, hi int) {
 // Col2Im scatters a column-matrix gradient (layout [C*KH*KW, OH*OW])
 // back into an image gradient dx (layout [C, H, W]), accumulating where
 // receptive fields overlap. dx must be zeroed by the caller if it should
-// not accumulate into existing values.
+// not accumulate into existing values. cols is the caller's scratch, as
+// in Col2ImStrided.
 func Col2Im(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float64) {
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
@@ -142,17 +145,27 @@ func Col2Im(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float64) {
 
 // Col2ImStrided is the adjoint of Im2ColStrided: it reads the sample's
 // column block (row r at cols[r*rowStride+...]) and accumulates into the
-// image gradient dx (layout [C, H, W]).
+// image gradient dx (layout [C, H, W]). When the convolution has stride
+// 1 and an output as wide as its input, a tap is one span added to the
+// whole plane (col2imTapPlane), which may set entries of the block that
+// map to no input pixel to −0: cols is scratch the caller does not read
+// again (Conv2D's dcols).
 func Col2ImStrided(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float64, rowStride int) {
 	countCol2Im()
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
+	byPlane := stride == 1 && ow == w
 	row := 0
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				src := cols[row*rowStride : row*rowStride+oh*ow]
+				if byPlane {
+					col2imTapPlane(src, dx[chBase:chBase+h*w], h, w, oh, ky, kx, pad)
+					row++
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*stride - pad + ky
 					if iy < 0 || iy >= h {
@@ -183,6 +196,31 @@ func Col2ImStrided(cols []float64, c, h, w, kh, kw, stride, pad int, dx []float6
 		}
 	}
 }
+
+// col2imTapPlane is im2colTapPlane's adjoint: it adds tap (ky, kx)'s
+// column row src into one channel plane of dx as a single span from the
+// first in-bounds element to the last. The span's wrap entries, the
+// ≤ pad entries at each row end that belong to no input pixel, are set to
+// −0 first. −0 is the exact additive identity, so every dx element gets
+// the same sums in the same order as from the row loop, ±0 included.
+func col2imTapPlane(src, plane []float64, h, w, oh, ky, kx, pad int) {
+	lo, hi := inBoundsRange(w, w, pad, kx)
+	oyLo, oyHi := inBoundsRange(h, oh, pad, ky)
+	if hi < lo || oyHi < oyLo {
+		return
+	}
+	shift := (ky-pad)*w + kx - pad
+	first, last := oyLo*w+lo, oyHi*w+hi
+	run := hi - lo + 1
+	for g := first + run; g < last; g += w {
+		for p := g; p < g+w-run; p++ {
+			src[p] = negZero
+		}
+	}
+	axpy(1, src[first:last+1], plane[first+shift:last+1+shift])
+}
+
+var negZero = math.Copysign(0, -1)
 
 // Im2Col1D lowers a single-sample sequence x (layout [C, L]) to a column
 // matrix cols of layout [C*K, OL].
