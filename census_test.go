@@ -49,7 +49,6 @@ var unusedAPIAllowlist = map[string]string{
 	"internal/hfl.Append":                "history and sim tests assemble histories with it",
 	"internal/fednet.KillEdge":           "membership and chaos tests kill an in-process edge",
 	"internal/fednet.RestartEdge":        "membership_test.go restarts a killed edge",
-	"internal/fednet.StartRound":         "fednet_chaos_test.go reads the round a cloud resumed from",
 	"internal/fednet.ToleratedFaults":    "chaos and migration tests read absorbed failures",
 	"internal/fednet.PlanFaults":         "fednet_chaos_test.go checks fault plans are deterministic",
 	"internal/fednet.ReadMsgCount":       "FuzzReadMsg and the codec tests read frames with byte counts",

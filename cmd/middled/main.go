@@ -7,21 +7,15 @@
 //	middled -role cloud -addr :7000 -edges 2 -rounds 50 -tc 10
 //	middled -role edge  -id 0 -cloud host:7000 -addr :7100 -strategy MIDDLE
 //	middled -role edge  -id 1 -cloud host:7000 -addr :7101 -strategy MIDDLE
-//	middled -role devices -edgeaddrs host:7100,host:7101 -from 0 -to 9 -p 0.5 -strategy MIDDLE
+//	middled -role devices -cloud host:7000 -edgeaddrs host:7100,host:7101 -from 0 -to 9 -p 0.5 -strategy MIDDLE
 //
-// The -role devices process hosts a contiguous range of device ids and
-// migrates them between the listed edges with a ring-Markov mobility of
-// probability -p at a fixed cadence. For scale-out, -mux N (devices)
-// hosts N devices per client: one connection per edge and one model
-// instance for the group (1 = a client per device).
-// Every other devices-role flag works the same at any -mux.
-//
-// Flags, by the struct they fill (registerFlags): experiments.CLI takes
-// -task -scale -seed and the observability flags; fednet.CloudConfig
-// -edges -rounds -tc -lease-interval -round-interval;
-// fednet.EdgeConfig -id -cloud -k -live-migration -sel-norm-cap and,
-// shared with the cloud, -addr -checkpoint-dir -aggregator -norm-bound;
-// the devices role's own options -edgeaddrs -from -to -p -movems -mux.
+// The -role devices process is a fednet.Fleet: it hosts a contiguous
+// range of device ids, attaches them to the listed edges, announces them
+// to the cloud at -cloud, and moves them with a ring-Markov mobility of
+// probability -p at the cloud's round boundaries, so a run with moves
+// computes one model per seed. -mux N hosts N devices per client: one
+// connection per edge. Every flag binds into the config of the component
+// it configures (registerFlags; README lists them by struct).
 // The cloud always runs the self-healing membership: edges hold leases,
 // an edge that misses them is declared dead, and a restarted edge rejoins
 // under a bumped epoch. Every -edgeaddrs entry is a failover candidate: a
@@ -39,7 +33,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"middle"
 	"middle/internal/data"
@@ -66,10 +59,10 @@ type options struct {
 // devicesOpts is the devices role's own flags: which device ids the
 // process hosts, on which edges, and how they move.
 type devicesOpts struct {
-	edgeList         string // -edgeaddrs
-	from, to, moveMs int
-	p                float64
-	mux              int
+	edgeList string // -edgeaddrs
+	from, to int
+	p        float64
+	mux      int
 }
 
 // registerFlags declares middled's flags on fs, grouped by the struct
@@ -87,7 +80,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Rounds, "rounds", 50, "rounds to coordinate (cloud role)")
 	fs.IntVar(&c.CloudInterval, "tc", 10, "cloud interval T_c (cloud role)")
 	fs.DurationVar(&c.LeaseInterval, "lease-interval", 0, "cloud role: membership lease interval (0 = 500ms)")
-	fs.DurationVar(&c.RoundInterval, "round-interval", 0, "cloud role: minimum wall-clock duration per round, pacing the schedule against device mobility and attachment (0 = free-running)")
 
 	// fednet.EdgeConfig; the cloud role reads the first four too.
 	e := &o.edge
@@ -95,7 +87,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&e.CheckpointDir, "checkpoint-dir", "", "cloud/edge roles: persist model + round state here and resume from the latest valid checkpoint")
 	experiments.AggregationFlags(fs, &e.Aggregator, &e.Validate, &e.SelectionNormCap) // -sel-norm-cap: edge only
 	fs.IntVar(&e.EdgeID, "id", 0, "edge id (edge role)")
-	fs.StringVar(&e.CloudAddr, "cloud", "", "cloud address (edge role)")
+	fs.StringVar(&e.CloudAddr, "cloud", "", "cloud address (edge and devices roles)")
 	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
 	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: devices keep their optimizer state between trainings; devices role: a moving device registers at its new edge warm, carrying its own state")
 
@@ -104,8 +96,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&d.edgeList, "edgeaddrs", "", "comma-separated edge addresses (devices role)")
 	fs.IntVar(&d.from, "from", 0, "first device id (devices role)")
 	fs.IntVar(&d.to, "to", 9, "last device id inclusive (devices role)")
-	fs.Float64Var(&d.p, "p", 0.5, "device mobility probability (devices role)")
-	fs.IntVar(&d.moveMs, "movems", 2000, "milliseconds between mobility steps (devices role)")
+	fs.Float64Var(&d.p, "p", 0.5, "devices role: probability that a device moves at a round boundary")
 	fs.IntVar(&d.mux, "mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
 	return o
 }
@@ -197,106 +188,58 @@ func (o *options) runEdge(*experiments.TaskSetup) map[string]any {
 }
 
 // check validates the devices role's flags against a partition of
-// numDevices devices, returning the edge address list, the strategy the
-// devices build their start models with and the failover candidates:
-// every listed edge.
-func (d devicesOpts) check(strategy string, numDevices int) ([]string, middle.Strategy, []fednet.EdgeAddr, error) {
+// numDevices devices, returning the strategy the devices build their start
+// models with and the edges by id: every one a failover candidate.
+func (d devicesOpts) check(cloud, strategy string, numDevices int) (middle.Strategy, []fednet.EdgeAddr, error) {
 	addrs := strings.Split(d.edgeList, ",")
 	if addrs[0] == "" {
-		return nil, nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
+		return nil, nil, fmt.Errorf("devices role requires -edgeaddrs")
+	}
+	if cloud == "" {
+		return nil, nil, fmt.Errorf("devices role requires -cloud: rounds end there, and devices move in between")
 	}
 	strat, err := middle.StrategyByName(strategy)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if d.mux < 1 {
-		return nil, nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", d.mux)
+		return nil, nil, fmt.Errorf("-mux must be ≥ 1, got %d", d.mux)
 	}
 	if d.to >= numDevices || d.from < 0 || d.from > d.to {
-		return nil, nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", d.from, d.to, numDevices)
+		return nil, nil, fmt.Errorf("device range %d..%d outside partition of %d", d.from, d.to, numDevices)
 	}
-	candidates := make([]fednet.EdgeAddr, len(addrs))
+	edges := make([]fednet.EdgeAddr, len(addrs))
 	for e, a := range addrs {
-		candidates[e] = fednet.EdgeAddr{ID: e, Addr: a}
+		edges[e] = fednet.EdgeAddr{ID: e, Addr: a}
 	}
-	return addrs, strat, candidates, nil
+	return strat, edges, nil
 }
 
 func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
-	from, to, mux, seed := o.devices.from, o.devices.to, o.devices.mux, o.Seed
+	d, seed := o.devices, o.Seed
 	part := setup.Partition(seed)
-	addrs, strat, candidates, err := o.devices.check(o.strategy, part.NumDevices())
+	strat, edges, err := d.check(o.edge.CloudAddr, o.strategy, part.NumDevices())
 	if err != nil {
 		o.Fatalf("middled: %v", err)
 	}
-	n := to - from + 1
-	// Device from+i rides clients[i/mux]: one socket per edge and one
-	// model instance per -mux group.
-	var clients []*fednet.DeviceMux
-	for lo := 0; lo < n; lo += mux {
-		var hosted []fednet.MuxDevice
-		for i := lo; i < min(lo+mux, n); i++ {
-			hosted = append(hosted, fednet.MuxDevice{DeviceID: from + i, Indices: part.Shard(from + i)})
-		}
-		mx, err := fednet.NewDeviceMux(fednet.DeviceMuxConfig{
-			Devices: hosted, Dataset: part.Dataset, Factory: setup.Factory,
-			Optimizer:  setup.Optimizer.New(),
-			LocalSteps: setup.I, BatchSize: setup.BatchSize,
-			Strategy: strat, Seed: seed,
-			Failover: candidates, Logf: log.Printf,
-			Obs: o.M.Registry(), Trace: o.Trace,
-		})
-		if err != nil {
-			o.Fatalf("%v", err)
-		}
-		clients = append(clients, mx)
+	f, err := fednet.NewFleet(fednet.FleetConfig{
+		CloudAddr: o.edge.CloudAddr, Edges: edges,
+		Mobility: mobility.NewMarkovRing(len(edges), d.to-d.from+1, d.p, seed+int64(d.from)),
+		First:    d.from, Partition: part, Factory: setup.Factory, Optimizer: setup.Optimizer,
+		Mux: d.mux, LiveMigration: o.edge.LiveMigration,
+		DeviceMuxConfig: fednet.DeviceMuxConfig{LocalSteps: setup.I, BatchSize: setup.BatchSize, Strategy: strat,
+			Seed: seed, Logf: log.Printf, Obs: o.M.Registry(), Trace: o.Trace},
+	})
+	if err != nil {
+		o.Fatalf("%v", err)
 	}
-	log.Printf("middled: hosting devices %d..%d on %d clients (%d devices each)", from, to, len(clients), mux)
-	connect := func(i, edgeID int) error { return clients[i/mux].Connect(from+i, edgeID, addrs[edgeID]) }
-	move := connect
-	if o.edge.LiveMigration {
-		move = func(i, edgeID int) error { return clients[i/mux].ConnectRehome(from+i, edgeID, addrs[edgeID]) }
+	log.Printf("middled: hosting devices %d..%d (%d per client)", d.from, d.to, d.mux)
+	// Graceful shutdown: detach every device cleanly so the edges see
+	// deliberate disconnects, then let main's trace and metrics flushes run.
+	onSignal(f.Stop)
+	if err := f.Run(); err != nil {
+		log.Printf("middled: %v", err)
 	}
-	mob := mobility.NewMarkovRing(len(addrs), n, o.devices.p, seed+int64(from))
-	// Step's slices are the model's own and read-only; this loop keeps one
-	// across ticks, so it copies.
-	membership := append([]int(nil), mob.Step()...)
-	for i := range membership {
-		if err := connect(i, membership[i]); err != nil {
-			o.Fatalf("%v", err)
-		}
-		log.Printf("middled: device %d attached to edge %d", from+i, membership[i])
-	}
-	stop := make(chan struct{})
-	onSignal(func() { close(stop) })
-	ticker := time.NewTicker(time.Duration(o.devices.moveMs) * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			// Graceful shutdown: detach every device cleanly so the edges
-			// see deliberate disconnects, then let main's trace and metrics
-			// flushes run.
-			for _, mx := range clients {
-				mx.Disconnect()
-			}
-			log.Printf("middled: devices %d..%d detached", from, to)
-			return nil
-		case <-ticker.C:
-		}
-		next := append([]int(nil), mob.Step()...)
-		for i := range next {
-			if next[i] == membership[i] {
-				continue
-			}
-			// A dead edge sends the device on to a failover candidate;
-			// only a device that no candidate took is an error.
-			if err := move(i, next[i]); err != nil {
-				log.Printf("middled: device %d failed to move: %v", from+i, err)
-				continue
-			}
-			log.Printf("middled: device %d moved to edge %d", from+i, next[i])
-		}
-		membership = next
-	}
+	log.Printf("middled: devices %d..%d detached", d.from, d.to)
+	return nil
 }

@@ -17,6 +17,7 @@ import (
 func TestCheckDevicesArgs(t *testing.T) {
 	cases := []struct {
 		name     string
+		cloud    string // "" = c:1, "-" = none
 		edges    string
 		strategy string
 		from, to int
@@ -27,6 +28,7 @@ func TestCheckDevicesArgs(t *testing.T) {
 		{name: "ok mux", edges: "a:1", strategy: "MIDDLE", from: 2, to: 5, mux: 4},
 		{name: "candidates at any mux", edges: "a:1,b:2,c:3", strategy: "MIDDLE", to: 9, mux: 4},
 		{name: "no edges", edges: "", strategy: "MIDDLE", to: 9, mux: 1, wantErr: "-edgeaddrs"},
+		{name: "no cloud", cloud: "-", edges: "a:1", strategy: "MIDDLE", to: 9, mux: 1, wantErr: "-cloud"},
 		{name: "unknown strategy", edges: "a:1", strategy: "Middle", to: 9, mux: 1, wantErr: "unknown strategy"},
 		{name: "mux zero", edges: "a:1", strategy: "MIDDLE", to: 9, mux: 0, wantErr: "-mux"},
 		{name: "range past partition", edges: "a:1", strategy: "MIDDLE", from: 0, to: 10, mux: 1, wantErr: "device range"},
@@ -35,7 +37,8 @@ func TestCheckDevicesArgs(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := devicesOpts{edgeList: c.edges, from: c.from, to: c.to, mux: c.mux}
-		addrs, strat, candidates, err := d.check(c.strategy, 10)
+		cloud := map[string]string{"": "c:1", "-": ""}[c.cloud]
+		strat, candidates, err := d.check(cloud, c.strategy, 10)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("%s: error %v, want one naming %q", c.name, err, c.wantErr)
@@ -46,8 +49,9 @@ func TestCheckDevicesArgs(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if strat.Name() != c.strategy || len(addrs) != strings.Count(c.edges, ",")+1 {
-			t.Errorf("%s: got strategy %s and %d edges", c.name, strat.Name(), len(addrs))
+		addrs := strings.Split(c.edges, ",")
+		if strat.Name() != c.strategy {
+			t.Errorf("%s: got strategy %s", c.name, strat.Name())
 		}
 		// Every listed edge is a candidate, under its index as id.
 		for e, cand := range candidates {
@@ -107,12 +111,8 @@ func TestFlagsLandInConfigs(t *testing.T) {
 		t.Errorf("shared flags: role %q seed %d metrics %+v", o.role, o.Seed, o.Metrics)
 	}
 
-	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3",
-		"-lease-interval", "250ms", "-round-interval", "1s")
-	wantCloud := fednet.CloudConfig{
-		Edges: 4, Rounds: 9, CloudInterval: 3, RoundInterval: time.Second,
-		LeaseInterval: 250 * time.Millisecond,
-	}
+	o = parse(t, "-role", "cloud", "-edges", "4", "-rounds", "9", "-tc", "3", "-lease-interval", "250ms")
+	wantCloud := fednet.CloudConfig{Edges: 4, Rounds: 9, CloudInterval: 3, LeaseInterval: 250 * time.Millisecond}
 	if !reflect.DeepEqual(o.cloud, wantCloud) {
 		t.Errorf("cloud config\n got %+v\nwant %+v", o.cloud, wantCloud)
 	}
@@ -120,10 +120,9 @@ func TestFlagsLandInConfigs(t *testing.T) {
 		t.Errorf("defaults: validator %+v aggregator %q, want both zero", o.edge.Validate, o.edge.Aggregator)
 	}
 
-	o = parse(t, "-role", "devices", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-movems", "50",
-		"-mux", "2")
-	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, moveMs: 50, mux: 2}); o.devices != want {
-		t.Errorf("devices flags\n got %+v\nwant %+v", o.devices, want)
+	o = parse(t, "-role", "devices", "-cloud", "c:1", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-mux", "2")
+	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, mux: 2}); o.devices != want || o.edge.CloudAddr != "c:1" {
+		t.Errorf("devices flags\n got %+v, cloud %q\nwant %+v, cloud c:1", o.devices, o.edge.CloudAddr, want)
 	}
 }
 

@@ -24,6 +24,12 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"middle"
+	"middle/internal/data"
+	"middle/internal/experiments"
+	"middle/internal/fednet"
+	"middle/internal/mobility"
 )
 
 // binDir holds the binaries TestMain builds.
@@ -218,8 +224,10 @@ func edge(t *testing.T, dir, logName, id, cloudAddr, addr string) *proc {
 func fleet(t *testing.T, dir, prefix string, cloudArgs ...string) (c, e, d *proc) {
 	t.Helper()
 	c = cloud(t, dir, prefix+"cloud.log", append([]string{"-edges", "1"}, cloudArgs...)...)
-	e = edge(t, dir, prefix+"edge.log", "0", c.await(10*time.Second, "cloud listening on"+addrRE), "127.0.0.1:0")
-	d = start(t, dir, prefix+"devices.log", "middled", "-role", "devices", "-edgeaddrs", e.await(10*time.Second, "serving devices on"+addrRE), "-from", "0", "-to", "3")
+	cloudAddr := c.await(10*time.Second, "cloud listening on"+addrRE)
+	e = edge(t, dir, prefix+"edge.log", "0", cloudAddr, "127.0.0.1:0")
+	d = start(t, dir, prefix+"devices.log", "middled", "-role", "devices", "-cloud", cloudAddr,
+		"-edgeaddrs", e.await(10*time.Second, "serving devices on"+addrRE), "-from", "0", "-to", "3")
 	return c, e, d
 }
 
@@ -372,27 +380,32 @@ func TestGateMigration(t *testing.T) {
 	}
 }
 
-// TestGateDrain: SIGTERM mid-run drains the in-flight round, writes a
-// final checkpoint a restarted cloud loads, and exits 0; SIGTERM'd
-// devices detach.
+// TestGateDrain: SIGTERM'd devices detach mid-run and exit 0, and the
+// cloud drops their fleet and goes on; SIGTERM mid-run then drains the
+// cloud's in-flight round, writes a final checkpoint a restarted cloud
+// loads, and exits 0.
 func TestGateDrain(t *testing.T) {
 	dir := logDir(t)
 	ckpt := filepath.Join(dir, "gsckpt")
-	// -round-interval keeps the run mid-flight when the signal lands.
-	c, _, d := fleet(t, dir, "gs_", "-rounds", "2000", "-round-interval", "100ms", "-checkpoint-dir", ckpt)
+	// Rounds enough for minutes keep the run mid-flight when the signals land.
+	c, _, d := fleet(t, dir, "gs_", "-rounds", "20000", "-checkpoint-dir", ckpt)
 	c.until(30*time.Second, "devices attached and a checkpoint", func() bool {
 		return strings.Contains(d.text(), "attached to edge") && hasCheckpoint(ckpt)
 	})
+	d.need(!d.exited(), "devices exited before their SIGTERM")
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	code := d.exit(time.Minute)
+	d.need(code == 0, "SIGTERM'd devices exited %d, want 0", code)
+	d.need(strings.Contains(d.text(), "detached"), "devices did not detach cleanly on SIGTERM")
+	c.await(30*time.Second, "fleet dropped")
 	c.cmd.Process.Signal(syscall.SIGTERM)
 	c.await(30*time.Second, "shutting down gracefully")
 	c.await(30*time.Second, "graceful stop after round")
-	code := c.exit(time.Minute)
+	code = c.exit(time.Minute)
 	c.need(code == 0, "SIGTERM'd cloud exited %d, want 0", code)
 	c.need(hasCheckpoint(ckpt), "no checkpoint survived the graceful shutdown in %s", ckpt)
-	c2 := cloud(t, dir, "gs_cloud2.log", "-edges", "1", "-rounds", "2000", "-checkpoint-dir", ckpt)
+	c2 := cloud(t, dir, "gs_cloud2.log", "-edges", "1", "-rounds", "20000", "-checkpoint-dir", ckpt)
 	c2.await(10*time.Second, "resuming from checkpoint")
-	d.stop(syscall.SIGTERM)
-	d.need(strings.Contains(d.text(), "detached"), "devices did not detach cleanly on SIGTERM")
 }
 
 // memb is a three-edge deployment whose devices fail over on their own:
@@ -404,28 +417,34 @@ type memb struct {
 	edgeAddrs      [3]string
 }
 
-// startMemb starts cloud, edges 0..2 and devices 0..8 in groups of mux.
-// -round-interval paces the schedule so devices attach within the first
-// rounds and a kill lands mid-run.
+// membRounds holds a memb run open for seconds (≈ 9 ms a round on 2
+// CPUs), so an edge killed after round 4 dies, fails over, restarts and
+// rejoins mid-run.
+const membRounds = 1000
+
+// startMemb starts cloud, edges 0..2 and devices 0..8 in groups of mux,
+// which move with -p 0.4 at every round boundary: round 1 waits for their
+// attachment.
 func startMemb(t *testing.T, dir, prefix, mux string) *memb {
 	t.Helper()
-	f := &memb{cloud: cloud(t, dir, prefix+"_cloud.log", "-edges", "3", "-rounds", "30", "-round-interval", "400ms", "-lease-interval", "200ms")}
+	f := &memb{cloud: cloud(t, dir, prefix+"_cloud.log", "-edges", "3", "-rounds", strconv.Itoa(membRounds), "-lease-interval", "200ms")}
 	f.cloudAddr = f.cloud.await(10*time.Second, "cloud listening on"+addrRE)
 	for i := range f.edges {
 		id := strconv.Itoa(i)
 		f.edges[i] = edge(t, dir, prefix+"_edge"+id+".log", id, f.cloudAddr, "127.0.0.1:0")
 		f.edgeAddrs[i] = f.edges[i].await(10*time.Second, "serving devices on"+addrRE)
 	}
-	f.devices = start(t, dir, prefix+"_devices.log", "middled", "-role", "devices", "-edgeaddrs", strings.Join(f.edgeAddrs[:], ","),
-		"-from", "0", "-to", "8", "-mux", mux, "-p", "0.4", "-movems", "300", "-metrics-addr", "127.0.0.1:0")
+	f.devices = start(t, dir, prefix+"_devices.log", "middled", "-role", "devices", "-cloud", f.cloudAddr,
+		"-edgeaddrs", strings.Join(f.edgeAddrs[:], ","), "-from", "0", "-to", "8", "-mux", mux, "-p", "0.4",
+		"-metrics-addr", "127.0.0.1:0")
 	return f
 }
 
-// finish waits for the run's final accuracy, then stops the devices and
-// edges.
-func (f *memb) finish(within time.Duration) float64 {
+// finish waits for the run's final accuracy, printed to four digits,
+// then stops the devices and edges.
+func (f *memb) finish(within time.Duration) string {
 	f.cloud.t.Helper()
-	acc, _ := strconv.ParseFloat(f.cloud.await(within, `training complete \(final accuracy ([0-9.]+)`), 64)
+	acc := f.cloud.await(within, `training complete \(final accuracy ([0-9.]+)`)
 	f.devices.stop(syscall.SIGTERM)
 	for _, e := range f.edges {
 		e.stop(syscall.SIGTERM)
@@ -434,16 +453,55 @@ func (f *memb) finish(within time.Duration) float64 {
 	return acc
 }
 
+// membTwin runs memb's fault-free deployment in process through
+// fednet.StartCluster, with middled's defaults for the rest (task mnist,
+// fast scale, seed 1, MIDDLE): the same task setup, the shards of devices
+// 0..8, the devices role's ring seed (seed + first device id), K, T_c and
+// rounds. It returns the final accuracy as middled prints it.
+func membTwin(t *testing.T) string {
+	const seed = 1
+	setup := experiments.NewTaskSetup(data.TaskName("mnist"), experiments.Scale("fast"), seed)
+	part := setup.Partition(seed)
+	strat, err := middle.StrategyByName("MIDDLE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fednet.StartCluster(fednet.ClusterConfig{
+		Rounds: membRounds, K: 2, LocalSteps: setup.I, BatchSize: setup.BatchSize, CloudInterval: 2,
+		Strategy: strat, Partition: &data.Partition{Dataset: part.Dataset, Indices: part.Indices[:9]},
+		Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mobility.NewMarkovRing(3, 9, 0.4, seed),
+		Seed: seed, LeaseInterval: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%.4f", setup.Accuracy(seed, c.GlobalModel()))
+}
+
 // TestGateFailover is the membership acceptance gate on real processes,
 // at -mux 1 and 2: SIGKILL one of three edges mid-run. The lease
 // detector declares it dead, its devices fail over to survivors and time
 // it in fednet_failover_seconds (the default SLO's failover_latency
 // input), the restarted edge rejoins under a bumped epoch, the stranded
 // gauge returns to 0, and the run ends within 0.05 accuracy of a
-// fault-free baseline.
+// fault-free baseline. The baseline moves its devices at round
+// boundaries, so it is one model per seed: three runs print the same
+// digits, and so does fednet.StartCluster on the same deployment.
 func TestGateFailover(t *testing.T) {
 	dir := logDir(t)
-	base := startMemb(t, dir, "base", "1").finish(120 * time.Second)
+	var runs [3]string
+	for i := range runs {
+		base := startMemb(t, dir, "base"+strconv.Itoa(i), "1")
+		runs[i] = base.finish(120 * time.Second)
+		base.cloud.need(runs[i] == runs[0], "fault-free run %d printed final accuracy %s, run 0 %s", i, runs[i], runs[0])
+	}
+	if twin := membTwin(t); twin != runs[0] {
+		t.Fatalf("fednet.StartCluster on the baseline's deployment reached %s, middled %s", twin, runs[0])
+	}
+	base, _ := strconv.ParseFloat(runs[0], 64)
 	for _, mux := range []string{"1", "2"} {
 		t.Run("mux"+mux, func(t *testing.T) {
 			f := startMemb(t, dir, "chaos"+mux, mux)
@@ -463,7 +521,7 @@ func TestGateFailover(t *testing.T) {
 			timed := regexp.MustCompile(`(?m)^fednet_failover_seconds_count [1-9][0-9]*$`)
 			f.devices.need(timed.MatchString(get(addr+"/metrics")),
 				"-mux %s: no fednet_failover_seconds_count >= 1 on the devices' /metrics after the failover", mux)
-			chaos := f.finish(180 * time.Second)
+			chaos, _ := strconv.ParseFloat(f.finish(180*time.Second), 64)
 			t.Logf("failover chaos (-mux %s): baseline acc %.4f, chaos acc %.4f", mux, base, chaos)
 			// Two survivors stay up, so no device may exhaust its candidates.
 			f.devices.need(!strings.Contains(f.devices.text(), "no failover candidate reachable"),

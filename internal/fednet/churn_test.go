@@ -73,8 +73,8 @@ func (a *churnAudit) audit(c *Cluster) {
 			edgeOf[id] = i
 		}
 	}
-	if len(edgeOf) != c.devices {
-		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), c.devices)
+	if len(edgeOf) != c.fleet.cfg.Mobility.NumDevices() {
+		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), c.fleet.cfg.Mobility.NumDevices())
 	}
 	rounds := c.DeviceRounds()
 	if !a.started {
@@ -83,7 +83,7 @@ func (a *churnAudit) audit(c *Cluster) {
 		a.owed += owed
 	}
 	imported := map[int]bool{}
-	c.clients[0].cfg.pool.each(func(tw *hfl.Trainer) {
+	c.fleet.clients[0].cfg.pool.each(func(tw *hfl.Trainer) {
 		rec := tw.Opt.(*importRecorder)
 		for _, im := range rec.imports {
 			if a.kept == nil {
@@ -123,7 +123,7 @@ func (a *churnAudit) audit(c *Cluster) {
 	}
 	a.rounds = rounds
 	kept := map[int]keptMoments{}
-	for _, mx := range c.clients {
+	for _, mx := range c.fleet.clients {
 		mx.mu.Lock()
 		for _, d := range mx.cfg.Devices {
 			v := mx.virts[d.DeviceID]
@@ -207,7 +207,7 @@ func TestClusterChurnMembership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := c.clients[0].cfg.pool
+		pool := c.fleet.clients[0].cfg.pool
 		pool.each(func(tw *hfl.Trainer) { tw.Opt = &importRecorder{Optimizer: tw.Opt} })
 		audit.cluster.Store(c)
 		if err := c.Wait(); err != nil {

@@ -29,13 +29,6 @@ type CloudConfig struct {
 	InitModel []float64
 	// Timeout bounds every network read/write (default 30 s).
 	Timeout time.Duration
-	// RoundInterval, when > 0, is a floor on the duration of each round:
-	// the cloud delays the next RoundStart until this much time has
-	// passed since the previous one. Deployments use it to pace rounds
-	// against real-time processes (device mobility, devices still
-	// attaching) instead of letting empty early rounds burn through the
-	// schedule in microseconds. 0 (default) keeps free-running rounds.
-	RoundInterval time.Duration
 	// LeaseInterval is the heartbeat period the cloud asks edges for and
 	// the tick of its failure detector (default 500 ms). An edge silent
 	// for four intervals is declared dead; the run goes on while at least
@@ -55,11 +48,6 @@ type CloudConfig struct {
 	Validate robust.ValidatorConfig
 	// Logf, when set, receives progress lines (default: discarded).
 	Logf func(format string, args ...any)
-	// OnRound, when set, is invoked after each round fully completes
-	// (all edges acked; global model broadcast on sync rounds) and
-	// before the next round starts. Demo harnesses use it to move
-	// devices between edges at round boundaries.
-	OnRound func(round int)
 	// Obs, when set, receives per-message byte/latency metrics
 	// (fednet_* series). Nil disables metrics at near-zero cost.
 	Obs *obs.Registry
@@ -70,7 +58,8 @@ type CloudConfig struct {
 }
 
 // Cloud coordinates rounds across edge servers. It is the lockstep
-// driver: edges act only on RoundStart messages.
+// driver: edges act only on RoundStart messages, and fleets (Fleet) move
+// their devices only at the boundaries it sends them between rounds.
 type Cloud struct {
 	cfg CloudConfig
 	ln  net.Listener
@@ -93,10 +82,11 @@ type Cloud struct {
 	assignment map[int]int // device → edge, reported on sync rounds
 	lastSync   int         // round of the most recent cloud sync
 
-	// gate, when set before Run, holds the first RoundStart until it is
-	// closed: StartCluster attaches its devices behind it so a short run
-	// cannot burn its rounds on edges with nobody to select.
-	gate chan struct{}
+	// fleetCh queues the fleets that announced themselves, for the next
+	// round boundary (the first one, for round 1); sized like joinCh, so
+	// a burst of devices processes starting together queues without
+	// waiting on the round loop.
+	fleetCh chan *fleetConn
 
 	// stop requests a graceful drain: the round loop finishes the round
 	// in flight, persists a final checkpoint and returns nil.
@@ -109,21 +99,6 @@ type Cloud struct {
 // broadcasts MsgShutdown and makes Run return nil. Safe to call from
 // any goroutine, more than once, and before Run.
 func (c *Cloud) Stop() { c.stopOnce.Do(func() { close(c.stop) }) }
-
-// paceRound enforces the RoundInterval floor: it sleeps out whatever
-// remains of the interval since the previous round start (recorded in
-// *prev), returning early if a graceful stop arrives mid-sleep.
-func (c *Cloud) paceRound(prev *time.Time) {
-	if c.cfg.RoundInterval > 0 && !prev.IsZero() {
-		if d := c.cfg.RoundInterval - time.Since(*prev); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-c.stop:
-			}
-		}
-	}
-	*prev = time.Now()
-}
 
 // stopping reports whether Stop has been called.
 func (c *Cloud) stopping() bool {
@@ -164,6 +139,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		edgeWeights: map[int]float64{},
 		ms:          newMembership(0),
 		assignment:  map[int]int{},
+		fleetCh:     make(chan *fleetConn, 64),
 		stop:        make(chan struct{}),
 	}
 	if cfg.CheckpointDir != "" {
@@ -195,20 +171,18 @@ func (c *Cloud) GlobalModel() []float64 {
 	return append([]float64(nil), c.global...)
 }
 
-// StartRound reports the round the cloud resumes from (0 on a fresh
-// start; > 0 when NewCloud restored a checkpoint).
-func (c *Cloud) StartRound() int { return c.startRound }
-
 type edgeConn struct {
 	id   int
 	conn net.Conn
 }
 
-// Run admits the configured number of edges, drives all rounds, and
-// shuts the cluster down. It returns once training completes, every edge
-// is lost or a protocol error occurs. Edges that (re)register mid-run
-// are admitted at the next round boundary; an edge whose round RPC fails
-// or whose leases stop is excised (memberDead).
+// Run admits the configured number of edges, then waits for a fleet to
+// announce its attached devices, drives all rounds, and shuts the cluster
+// down. It returns once training completes, every edge is lost or a
+// protocol error occurs. Edges that (re)register mid-run are admitted at
+// the next round boundary, and so are fleets; an edge whose round RPC
+// fails or whose leases stop is excised (memberDead), a fleet whose
+// connection breaks is dropped.
 func (c *Cloud) Run() error {
 	defer c.ln.Close()
 	ms := c.ms
@@ -232,24 +206,30 @@ func (c *Cloud) Run() error {
 	detStop := make(chan struct{})
 	defer close(detStop)
 	go c.runDetector(ms, detStop)
+	var fleets []*fleetConn
 	defer func() {
+		// Fleets first: a move still in flight ends before its edges do.
+		for _, f := range c.joinFleets(fleets) {
+			f.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+			_ = c.m.link.writeMsg(f.conn, MsgShutdown, struct{}{}, nil)
+			f.conn.Close()
+		}
 		for _, m := range ms.alive() {
 			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 			_ = c.m.link.writeMsg(m.conn, MsgShutdown, struct{}{}, nil)
 			m.conn.Close()
 		}
 	}()
-	if c.gate != nil {
-		select {
-		case <-c.gate:
-		case <-c.stop:
-		}
+	// Round 1 waits for the first fleet's devices to attach: a short run
+	// must not burn its rounds on edges with nobody to select.
+	select {
+	case f := <-c.fleetCh:
+		fleets = append(fleets, f)
+	case <-c.stop:
 	}
 
-	var prevRound time.Time
 	var done RoundDone // each member's report in turn, its Devices storage reused
 	for r := c.startRound + 1; r <= c.cfg.Rounds; r++ {
-		c.paceRound(&prevRound)
 		if c.stopping() {
 			c.cfg.Logf("cloud: graceful stop after round %d", r-1)
 			c.checkpointFinal(r - 1)
@@ -259,9 +239,7 @@ func (c *Cloud) Run() error {
 		for drained := false; !drained; {
 			select {
 			case e := <-ms.joinCh:
-				if err := c.admit(ms, e, r-1, true); err != nil {
-					c.cfg.Logf("cloud: edge %d not admitted mid-run: %v", e.id, err)
-				}
+				c.rejoin(e, r-1)
 			default:
 				drained = true
 			}
@@ -375,11 +353,72 @@ func (c *Cloud) Run() error {
 				traceStart, tr.Now().Sub(traceStart), span, "",
 				map[string]any{"round": r, "sync": sync, "edges": len(members)})
 		}
-		if c.cfg.OnRound != nil {
-			c.cfg.OnRound(r)
-		}
+		fleets = c.boundary(r, fleets)
 	}
 	return nil
+}
+
+// fleetConn is one fleet's connection: the cloud writes it a boundary
+// after every round, and its reader (acceptLoop) delivers the fleet's
+// echoes on acks, which it closes when the connection breaks.
+type fleetConn struct {
+	conn net.Conn
+	acks chan int
+}
+
+// joinFleets adds the fleets that announced themselves since the last
+// boundary to fleets.
+func (c *Cloud) joinFleets(fleets []*fleetConn) []*fleetConn {
+	for {
+		select {
+		case f := <-c.fleetCh:
+			fleets = append(fleets, f)
+		default:
+			return fleets
+		}
+	}
+}
+
+// boundary ends round r at the fleets, newcomers included: it sends each
+// one a boundary and waits for its echo — its devices have moved — for as
+// long as the fleet's connection lives, since a move may wait out a
+// Connect's back-off and a failover. A Stop ends the wait. It returns the
+// fleets still connected.
+func (c *Cloud) boundary(r int, fleets []*fleetConn) []*fleetConn {
+	fleets = c.joinFleets(fleets)
+	for _, f := range fleets {
+		f.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
+		if err := c.m.link.writeMsg(f.conn, MsgBoundary, Boundary{Round: r}, nil); err != nil {
+			f.conn.Close() // its reader sees the close and closes acks
+		}
+	}
+	var live []*fleetConn
+	for i := 0; i < len(fleets); {
+		select {
+		case got, ok := <-fleets[i].acks:
+			if ok && got == r {
+				live = append(live, fleets[i])
+			} else {
+				fleets[i].conn.Close()
+				c.cfg.Logf("cloud: fleet dropped at the boundary of round %d", r)
+			}
+			i++
+		case e := <-c.ms.joinCh:
+			// Welcomed now, not after the echo: a device moving to a
+			// restarted edge waits for its registration ack.
+			c.rejoin(e, r)
+		case <-c.stop:
+			return append(live, fleets[i:]...)
+		}
+	}
+	return live
+}
+
+// rejoin admits an edge that registered mid-run, after round.
+func (c *Cloud) rejoin(e *edgeConn, round int) {
+	if err := c.admit(c.ms, e, round, true); err != nil {
+		c.cfg.Logf("cloud: edge %d not admitted mid-run: %v", e.id, err)
+	}
 }
 
 // applySync runs the shared aggregate step over the gathered edge

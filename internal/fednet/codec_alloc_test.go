@@ -153,9 +153,9 @@ func trainRPCAllocBytes(t *testing.T, mx *DeviceMux, req func(round int) TrainRe
 }
 
 // TestWarmMoveAllocBytes pins what a move costs in memory: one device
-// re-homes back and forth between two live edges under a cloud held
-// before its first round, carrying its trained model each time. The
-// client copies the model into a pooled vector and the edges decode it
+// re-homes back and forth between two live edges under a cloud that holds
+// its first round for a fleet that never comes, carrying its trained
+// model each time. The client copies the model into a pooled vector and the edges decode it
 // into vectors the device freed when it left them, so a move, counted over
 // the client and both edges, allocates less than one model; a fresh copy
 // on each side would be two.
@@ -169,7 +169,7 @@ func TestWarmMoveAllocBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud.gate = make(chan struct{}) // no round runs while the device moves
+	// No fleet registers, so no round runs while the device moves.
 	cloudErr := make(chan error, 1)
 	go func() { cloudErr <- cloud.Run() }()
 	var edges []*Edge
@@ -204,7 +204,7 @@ func TestWarmMoveAllocBytes(t *testing.T) {
 		if err := mx.ConnectRehome(device, e.cfg.EdgeID, e.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.arrival(device); got != "ok" {
+		if got := arrivalAt(e, device); got != "ok" {
 			t.Fatalf("move %d: the device arrived %q, want ok", i, got)
 		}
 	}

@@ -49,6 +49,7 @@ var frameCases = []frameCase{
 	{"Lease", MsgLease, Lease{EdgeID: 1, Epoch: 3, Seq: 99}},
 	{"EdgeWelcome", MsgEdgeWelcome, EdgeWelcome{Epoch: 3, Round: 16, LastSync: 15, LeaseMillis: 500, Rejoin: true}},
 	{"Scores", MsgScores, Scores{DeviceID: 5, Round: 17, Drift: Drift{U: 0.125, DeltaNorm: 2.5}}},
+	{"Boundary", MsgBoundary, Boundary{Round: 17}},
 }
 
 // awkwardVector holds the float64 bit patterns a lossy codec would mangle:

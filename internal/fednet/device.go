@@ -45,14 +45,6 @@ type DeviceMuxConfig struct {
 	// Dataset is shared by every hosted device (each sees only its own
 	// Indices window).
 	Dataset *data.Dataset
-	// Factory builds the client's one network, and Optimizer is its one
-	// optimizer: the trainer every hosted device trains on. The optimizer
-	// is reset before every training round unless the device resumes the
-	// state it kept itself, so nothing of one device's round reaches the
-	// next. A client StartCluster builds trains on the cluster's pool
-	// instead and needs neither.
-	Factory   func(rng *tensor.RNG) *nn.Network
-	Optimizer optim.Optimizer
 	// LocalSteps (I) and BatchSize per training round.
 	LocalSteps int
 	BatchSize  int
@@ -95,17 +87,18 @@ type DeviceMuxConfig struct {
 	// on the edge's RPC span (TrainRequest.Span). Nil disables tracing.
 	Trace *obs.Trace
 
-	// pool is the trainers the client trains on: the cluster's, or one of
-	// its own built from Factory and Optimizer when nil.
+	// pool is the trainers the client trains on, its fleet's (required).
+	// An optimizer is reset before every training round unless the device
+	// resumes the state it kept itself, so nothing of one device's round
+	// reaches the next.
 	pool trainerPool
 }
 
-// trainerPool lends the hfl.Trainers device trainings run on. StartCluster
+// trainerPool lends the hfl.Trainers device trainings run on. A fleet
 // builds one of runtime.GOMAXPROCS(0) trainers, or one per device when
-// there are fewer devices, and hands it to every client it creates, so a
-// cluster keeps a network and an optimizer per core, warm in cache,
-// instead of one per client (hfl.Sim keeps one per worker the same way);
-// a standalone client has a pool of one. A training
+// there are fewer devices, and hands it to every client it creates, so it
+// keeps a network and an optimizer per core, warm in cache, instead of
+// one per client (hfl.Sim keeps one per worker the same way). A training
 // holds a trainer from ImportMoments to ExportMoments, never across a
 // frame read or write. Sharing changes no bit: LocalRound overwrites every
 // parameter and resets the optimizer or imports the device's own state
@@ -241,7 +234,12 @@ type muxClientConn struct {
 	// leave can never overtake a newer registration of the same device.
 	regMu sync.Mutex
 	acks  chan struct{} // one per MsgRegisterAck
+	left  chan int      // the device of each leave the edge echoed
 	done  chan struct{}
+	// leaving counts the leaves from cc in flight, under DeviceMux.mu: a
+	// device moving off is no rider, but cc stays up until its leave is
+	// acked.
+	leaving int
 }
 
 // deviceView is the hfl.View a device hands to Strategy.InitLocal. A
@@ -278,7 +276,7 @@ func putPayload(b *vecBuf) {
 // NewDeviceMux builds a device client (not yet attached anywhere; use
 // Connect per hosted device).
 func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
-	if cfg.Dataset == nil || len(cfg.Devices) == 0 || (cfg.pool == nil && (cfg.Factory == nil || cfg.Optimizer == nil)) {
+	if cfg.Dataset == nil || len(cfg.Devices) == 0 || cfg.pool == nil {
 		return nil, fmt.Errorf("fednet: incomplete device client config (%d devices)", len(cfg.Devices))
 	}
 	if cfg.LocalSteps < 1 {
@@ -293,11 +291,6 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.pool == nil {
-		cfg.pool = newTrainerPool(1,
-			func() *nn.Network { return cfg.Factory(tensor.Split(cfg.Seed, int64(1000+cfg.Devices[0].DeviceID))) },
-			func() optim.Optimizer { return cfg.Optimizer })
 	}
 	mx := &DeviceMux{
 		cfg:   cfg,
@@ -361,8 +354,11 @@ func (mx *DeviceMux) connect(deviceID, edgeID int, addr string, rehome bool) err
 	v.gen++
 	var old *muxClientConn
 	if v.edge != edgeID {
-		old = mx.conns[v.edge]
+		if old = mx.conns[v.edge]; old != nil {
+			old.leaving++
+		}
 	}
+	carries := v.lastTrained >= 0
 	// Detached from here on: if the attach below fails, a later Connect
 	// back to the old edge must register again, not report success.
 	v.edge, v.live = edgeID, false
@@ -374,6 +370,9 @@ func (mx *DeviceMux) connect(deviceID, edgeID int, addr string, rehome bool) err
 	err := mx.attach(edgeID, addr, []rider{r}, rehome)
 	if err != nil && err != errMuxClosed {
 		err = mx.failover(edgeID, r, start, err)
+	}
+	if err == nil && rehome && carries {
+		mx.m.handover.Observe(time.Since(start))
 	}
 	return err
 }
@@ -395,30 +394,70 @@ func (mx *DeviceMux) ridersLocked(edgeID int, liveOnly bool) int {
 	return n
 }
 
-// leave withdraws v, which has moved on, from cc: the connection is
-// closed when v was its last device and told MsgDeviceLeave otherwise.
+// leave withdraws v, which has moved on, from cc: it sends MsgDeviceLeave
+// and waits for the edge's echo, so v is off that edge's candidate set
+// before the move goes on. The last leave in flight on cc closes it when
+// no device rides it any more.
 func (mx *DeviceMux) leave(cc *muxClientConn, v *virtualDevice) {
 	cc.regMu.Lock()
 	mx.mu.Lock()
 	back := v.edge == cc.edgeID // a newer Connect brought it back: that registration stands
-	last := !back && mx.ridersLocked(cc.edgeID, false) == 0
+	mx.mu.Unlock()
+	var err error
+	if !back {
+		err = mx.withdraw(cc, v.id)
+	}
+	mx.mu.Lock()
+	cc.leaving--
+	last := cc.leaving == 0 && mx.ridersLocked(cc.edgeID, false) == 0
 	if last && mx.conns[cc.edgeID] == cc {
 		delete(mx.conns, cc.edgeID) // a sibling heading there from now on dials afresh
 	}
 	mx.mu.Unlock()
 	switch {
-	case back:
 	case last:
 		mx.detach(cc)
-	default:
-		if err := mx.write(cc, MsgDeviceLeave, DeviceLeave{DeviceID: v.id}, nil); err != nil {
-			mx.lost(cc)
-		}
+	case err != nil:
+		mx.lost(cc)
 	}
 	cc.regMu.Unlock()
 	if last {
 		<-cc.done // wait for the serve loop to exit
 	}
+}
+
+// withdraw tells the edge that device id left cc and waits for the edge
+// to echo the leave, delivered by the serve loop. A leave is idempotent
+// at the edge and its echo names the device, so a lost frame costs one
+// back-off: the leave is resent on the attach schedule, and only the last
+// try waits out the Timeout. cc.regMu must be held.
+func (mx *DeviceMux) withdraw(cc *muxClientConn, id int) error {
+	for attempt := 0; attempt <= mx.cfg.MaxRetries; attempt++ {
+		select {
+		case <-cc.left: // the late echo of an earlier leave
+		default:
+		}
+		if err := mx.write(cc, MsgDeviceLeave, DeviceLeave{DeviceID: id}, nil); err != nil {
+			return err
+		}
+		wait := mx.cfg.Timeout
+		if attempt < mx.cfg.MaxRetries {
+			wait = retryBackoff(mx.cfg.RetryBase, attempt+1, mx.cfg.Seed, int64(id)*1_000_003+int64(cc.edgeID))
+		}
+		for expired := time.After(wait); expired != nil; {
+			select {
+			case got := <-cc.left:
+				if got == id {
+					return nil
+				}
+			case <-cc.done:
+				return fmt.Errorf("fednet: edge %d connection lost before device %d's leave was echoed", cc.edgeID, id)
+			case <-expired:
+				expired = nil
+			}
+		}
+	}
+	return fmt.Errorf("fednet: edge %d never echoed device %d's leave", cc.edgeID, id)
 }
 
 // attach registers the riders at edgeID, dialing it first unless the
@@ -484,6 +523,7 @@ func (mx *DeviceMux) dial(edgeID int, addr string) (*muxClientConn, error) {
 		edgeID: edgeID, addr: addr,
 		conn: mx.cfg.Faults.WrapDeviceLink(conn, mx.cfg.Devices[0].DeviceID),
 		acks: make(chan struct{}, 1),
+		left: make(chan int, 1),
 		done: make(chan struct{}),
 	}
 	mx.mu.Lock()
@@ -507,8 +547,8 @@ func (mx *DeviceMux) dial(edgeID int, addr string) (*muxClientConn, error) {
 
 // register announces the still-current riders on cc in one frame and
 // waits for the edge's ack, delivered by the serve loop. Afterwards the
-// acknowledged riders are live; a rider superseded meanwhile is withdrawn
-// again, and a connection left without any device is closed.
+// acknowledged riders are live, and a connection left without any device
+// or leave in flight is closed.
 func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) error {
 	cc.regMu.Lock()
 	defer cc.regMu.Unlock()
@@ -568,34 +608,24 @@ func (mx *DeviceMux) register(cc *muxClientConn, riders []rider, rehome bool) er
 		}
 	}
 
-	var gone []int
 	mx.mu.Lock()
 	for _, r := range riders {
-		switch {
-		case err != nil:
-		case r.v.gen == r.gen:
+		if err == nil && r.v.gen == r.gen {
 			r.v.live = true
 			if r.v.stranded {
 				r.v.stranded = false
 				mx.m.stranded.Add(-1)
 			}
-		case r.v.edge != cc.edgeID:
-			gone = append(gone, r.v.id)
 		}
 	}
-	// After a failed registration only acknowledged devices hold the
-	// connection: without any the next attempt dials afresh.
-	idle := mx.ridersLocked(cc.edgeID, err != nil) == 0
+	// A rider superseded meanwhile by a Connect elsewhere leaves by that
+	// Connect's leave, which waits for this registration. After a failed
+	// registration only acknowledged devices hold the connection: without
+	// any the next attempt dials afresh.
+	idle := cc.leaving == 0 && mx.ridersLocked(cc.edgeID, err != nil) == 0
 	mx.mu.Unlock()
 	if idle {
 		mx.detach(cc)
-		return err
-	}
-	for _, id := range gone {
-		if werr := mx.write(cc, MsgDeviceLeave, DeviceLeave{DeviceID: id}, nil); werr != nil {
-			mx.lost(cc)
-			break
-		}
 	}
 	return err
 }
@@ -743,6 +773,12 @@ func (mx *DeviceMux) serveConn(cc *muxClientConn) {
 		case MsgRegisterAck:
 			select {
 			case cc.acks <- struct{}{}:
+			default:
+			}
+			continue
+		case MsgDeviceLeave:
+			select {
+			case cc.left <- h.deviceLeave.DeviceID:
 			default:
 			}
 			continue
@@ -916,14 +952,6 @@ func (mx *DeviceMux) Disconnect() {
 	mx.bg.Wait()
 }
 
-// edgeOf returns the edge device id rides or is heading for (−1 when
-// detached).
-func (mx *DeviceMux) edgeOf(id int) int {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	return mx.virts[id].edge
-}
-
 // strandedDevices appends the ids of the hosted devices currently
 // stranded to out.
 func (mx *DeviceMux) strandedDevices(out []int) []int {
@@ -952,15 +980,4 @@ func (mx *DeviceMux) DeviceRounds(id int) int {
 		return v.rounds
 	}
 	return 0
-}
-
-// LocalModel returns a copy of one hosted device's carried local model
-// (nil before it ever trained).
-func (mx *DeviceMux) LocalModel(id int) []float64 {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	if v := mx.virts[id]; v != nil && v.local != nil {
-		return append([]float64(nil), v.local...)
-	}
-	return nil
 }

@@ -130,6 +130,10 @@ type Edge struct {
 	mu      sync.Mutex
 	devices map[int]*deviceState
 
+	// migrations tallies fednet_migrations_total by outcome, so summaries
+	// stay truthful with metrics off.
+	migrations map[string]int
+
 	// replies is the free list the demux readers decode train replies and
 	// registration payloads into. A reply goes back once its round's Eq. 6
 	// has returned, a payload once it is scored, so the edge holds no device
@@ -226,13 +230,14 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	}
 	cfg.Trace.SetProcessName(tracePidEdgeBase+cfg.EdgeID, fmt.Sprintf("edge%d", cfg.EdgeID))
 	e := &Edge{
-		cfg:     cfg,
-		ln:      ln,
-		m:       newEdgeMetrics(cfg.Obs),
-		agg:     robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
-		replies: vecList{max: 2 * cfg.K},
-		devices: map[int]*deviceState{},
-		rng:     tensor.NewRNG(0),
+		cfg:        cfg,
+		ln:         ln,
+		m:          newEdgeMetrics(cfg.Obs),
+		agg:        robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
+		replies:    vecList{max: 2 * cfg.K},
+		devices:    map[int]*deviceState{},
+		rng:        tensor.NewRNG(0),
+		migrations: map[string]int{},
 	}
 	if cfg.CheckpointDir != "" {
 		st, ok, err := checkpoint.LoadLatestNamed(cfg.CheckpointDir, edgeCheckpointName(cfg.EdgeID))
@@ -880,28 +885,6 @@ func (e *Edge) hasDevice(id int) bool {
 	defer e.mu.Unlock()
 	_, ok := e.devices[id]
 	return ok
-}
-
-// arrival reports how device id, which has just registered here, arrived,
-// as fednet_migrations_total labels it: "ok" when the edge adopted the
-// state it carried, "rejected" when the payload failed the receipt screen,
-// "fallback" when it arrived cold after training elsewhere or is not
-// registered, and "" when it had never trained, so had nothing to carry.
-func (e *Edge) arrival(id int) string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	switch {
-	case !ok:
-		return "fallback"
-	case d.warm || d.trainedHere:
-		return "ok"
-	case d.refused:
-		return "rejected"
-	case d.arrivedFrom >= 0:
-		return "fallback"
-	}
-	return ""
 }
 
 func (e *Edge) shutdownDevices() {

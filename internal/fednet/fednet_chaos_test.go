@@ -450,8 +450,8 @@ func TestClusterCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumed.ln.Close()
-	if resumed.StartRound() != st.Round {
-		t.Fatalf("resumed StartRound = %d, want %d", resumed.StartRound(), st.Round)
+	if resumed.startRound != st.Round {
+		t.Fatalf("resumed at round %d, want %d", resumed.startRound, st.Round)
 	}
 	got := resumed.GlobalModel()
 	if len(got) != len(st.Model) {

@@ -140,8 +140,7 @@ func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
 			{{DeviceID: 1, Indices: []int{4, 5}}, {DeviceID: id, Indices: []int{0, 1, 2, 3}}},
 		} {
 			mx, err := NewDeviceMux(DeviceMuxConfig{
-				Devices: group, Dataset: train, Factory: factory,
-				Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD}.New(), Strategy: strat,
+				Devices: group, Dataset: train, pool: solo(factory, hfl.OptimizerSpec{Kind: hfl.OptSGD}.New()), Strategy: strat,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -185,8 +184,8 @@ func TestDeviceTrainOnlyReadsPayloadAndCarriedModel(t *testing.T) {
 	// carried model itself.
 	for _, strat := range []hfl.Strategy{core.NewOort(), core.NewGreedy()} {
 		mx, err := NewDeviceMux(DeviceMuxConfig{
-			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}}, Dataset: train, Factory: factory,
-			Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(), Strategy: strat, LocalSteps: 2, BatchSize: 4,
+			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}}, Dataset: train,
+			pool: solo(factory, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()), Strategy: strat, LocalSteps: 2, BatchSize: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -396,8 +395,9 @@ func TestClusterHoldsFirstRoundForAttach(t *testing.T) {
 
 // TestCloudWelcomesEveryEdge pins the one join handshake: a registering
 // edge is welcomed at a fresh epoch with the default lease interval and
-// the global model, its first round start carries that epoch, and losing
-// the only edge bumps the epoch, counts a failover and ends the run.
+// the global model, its first round start — once a fleet has announced
+// itself — carries that epoch, and losing the only edge bumps the epoch,
+// counts a failover and ends the run.
 func TestCloudWelcomesEveryEdge(t *testing.T) {
 	reg := obs.NewRegistry()
 	cloud, err := NewCloud(CloudConfig{
@@ -421,6 +421,14 @@ func TestCloudWelcomesEveryEdge(t *testing.T) {
 	if typ, vec, err := ReadMsg(conn, &w); err != nil || typ != MsgEdgeWelcome || len(vec) != 3 ||
 		w != (EdgeWelcome{Epoch: 1, LeaseMillis: 500, Rejoin: false}) {
 		t.Fatalf("handshake: type %d, %+v, %d values, %v; want the welcome at epoch 1", typ, w, len(vec), err)
+	}
+	fleet, err := net.Dial("tcp", cloud.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	if err := WriteMsg(fleet, MsgBoundary, Boundary{}, nil); err != nil {
+		t.Fatal(err)
 	}
 	var rs RoundStart
 	if typ, _, err := ReadMsg(conn, &rs); err != nil || typ != MsgRoundStart || rs.Round != 1 || rs.Epoch != 1 {
@@ -509,11 +517,10 @@ func testClient(t *testing.T, ids ...int) *DeviceMux {
 	}
 	mx, err := NewDeviceMux(DeviceMuxConfig{
 		Devices: hosted, Dataset: train,
-		Factory: func(rng *tensor.RNG) *nn.Network {
+		pool: solo(func(rng *tensor.RNG) *nn.Network {
 			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
-		},
-		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
-		Timeout:   2 * time.Second,
+		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

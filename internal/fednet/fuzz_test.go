@@ -14,8 +14,8 @@ import (
 // type plus a truncation and a single-bit flip of each; the seeds added
 // here cover every truncation point and bit position of one frame — a
 // warm registration, whose header has every kind of field: a list, ints,
-// floats, flags and the optional Drift — and the header-only frames of a
-// warm move.
+// floats, flags and the optional Drift — the header-only frames of a warm
+// move, and a fleet's round boundary.
 //
 // Properties: the reader never panics; it never consumes more than it was
 // given; on any error it hands out neither a vector nor a type, and on a
@@ -39,14 +39,16 @@ func FuzzReadMsg(f *testing.F) {
 		flipped[bit/8] ^= 1 << (bit % 8)
 		f.Add(flipped)
 	}
-	// The two header-only frames of a warm move: the scores an edge sends a
-	// device, and the registration that carries them instead of a model.
+	// The two header-only frames of a warm move — the scores an edge sends
+	// a device, and the registration that carries them instead of a model —
+	// and the boundary a cloud and a fleet exchange after round 8.
 	for _, m := range []struct {
 		t      MsgType
 		header any
 	}{
 		{MsgScores, Scores{DeviceID: 3, Round: 8, Drift: drift}},
 		{MsgRegisterMux, warm},
+		{MsgBoundary, Boundary{Round: 8}},
 	} {
 		var b bytes.Buffer
 		if err := WriteMsg(&b, m.t, m.header, nil); err != nil {

@@ -100,6 +100,9 @@ func (e *enc) encodeHeader(t MsgType, header any) {
 	case Scores:
 		of = h.msgType()
 		h.put(e)
+	case Boundary:
+		of = h.msgType()
+		h.put(e)
 	}
 	if of != t && e.err == nil {
 		e.err = fmt.Errorf("not the header of message type %d", t)
@@ -382,6 +385,14 @@ func (h *Scores) get(b []byte) error {
 	return d.done()
 }
 
+func (Boundary) msgType() MsgType { return MsgBoundary }
+func (h Boundary) put(e *enc)     { e.putInt(h.Round) }
+func (h *Boundary) get(b []byte) error {
+	d := dec{b: b}
+	h.Round = d.getInt()
+	return d.done()
+}
+
 // frameHeaders is the header storage of a reading loop that takes frames
 // of several types: readFrame decodes each frame's header into the field
 // its type byte names, reusing that field's storage from frame to frame,
@@ -398,6 +409,7 @@ type frameHeaders struct {
 	lease        Lease
 	edgeWelcome  EdgeWelcome
 	scores       Scores
+	boundary     Boundary
 }
 
 // of is the field that takes t's header; nil for a type without one.
@@ -425,6 +437,8 @@ func (hs *frameHeaders) of(t MsgType) header {
 		return &hs.edgeWelcome
 	case MsgScores:
 		return &hs.scores
+	case MsgBoundary:
+		return &hs.boundary
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ var headerCases = append(append([]frameCase(nil), frameCases...), []frameCase{
 		Rehome: true, Utility: 0.5, LastTrained: 8, Drift: &Drift{U: 0.25, DeltaNorm: 1.5}}}}},
 	{"RegisterMux cold", MsgRegisterMux, RegisterMux{Devices: []RegisterDevice{{DeviceID: 4, DataSize: 1, PrevEdge: -1}}}},
 	{"EdgeWelcome", MsgEdgeWelcome, EdgeWelcome{Epoch: 1, LeaseMillis: 500}},
+	{"Boundary opening", MsgBoundary, Boundary{}},
 }...)
 
 // headerBytes encodes fc's header alone.

@@ -46,6 +46,7 @@ type membership struct {
 	members map[int]*member
 	joinCh  chan *edgeConn // registrations from the accept loop
 	conns   []net.Conn     // every accepted conn, closed at shutdown
+	closed  bool           // shut down: a conn accepted since is closed at once
 }
 
 // modelBuf returns m.model resized to n values, the storage RoundDone
@@ -86,18 +87,23 @@ func (ms *membership) alive() []*member {
 	return out
 }
 
-// track remembers a connection for shutdown cleanup.
+// track remembers a connection for shutdown cleanup, or closes it when
+// the shutdown has passed.
 func (ms *membership) track(conn net.Conn) {
 	ms.mu.Lock()
 	ms.conns = append(ms.conns, conn)
+	closed := ms.closed
 	ms.mu.Unlock()
+	if closed {
+		conn.Close()
+	}
 }
 
 // closeAll tears down every tracked connection (shutdown).
 func (ms *membership) closeAll() {
 	ms.mu.Lock()
 	conns := ms.conns
-	ms.conns = nil
+	ms.conns, ms.closed = nil, true
 	ms.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
@@ -134,8 +140,9 @@ func (c *Cloud) deaths() int {
 
 // acceptLoop accepts connections for the whole run, dispatching each on
 // its first frame: MsgRegisterEdge queues a join for the next round
-// boundary, MsgLease turns the connection into a heartbeat stream. It
-// exits when the listener closes.
+// boundary, MsgLease turns the connection into a heartbeat stream and
+// MsgBoundary into a fleet's (fleetStream). It exits when the listener
+// closes.
 func (c *Cloud) acceptLoop(ms *membership) {
 	for {
 		conn, err := c.ln.Accept()
@@ -158,6 +165,8 @@ func (c *Cloud) acceptLoop(ms *membership) {
 				}
 			case t == MsgLease:
 				c.leaseStream(ms, conn, first.lease.EdgeID, first.lease.Epoch)
+			case t == MsgBoundary:
+				c.fleetStream(conn)
 			default:
 				c.cfg.Logf("cloud: rejected connection opening with message type %d", t)
 				conn.Close()
@@ -189,6 +198,37 @@ func (c *Cloud) leaseStream(ms *membership, conn net.Conn, id, epoch int) {
 			return
 		}
 		id, epoch = l.EdgeID, l.Epoch
+	}
+}
+
+// fleetStream queues a fleet that announced its attached devices for the
+// next round boundary, then delivers its boundary echoes. The echoes may
+// take as long as the fleet's moves do, so reads have no deadline; the
+// stream ends when the connection breaks or the fleet sends a frame
+// nobody asked for, closing acks.
+func (c *Cloud) fleetStream(conn net.Conn) {
+	f := &fleetConn{conn: conn, acks: make(chan int, 1)}
+	defer close(f.acks)
+	select {
+	case c.fleetCh <- f:
+	case <-c.stop:
+		conn.Close()
+		return
+	}
+	var b Boundary
+	for {
+		conn.SetReadDeadline(time.Time{})
+		t, _, err := c.m.link.readMsg(conn, &b)
+		if err != nil || t != MsgBoundary {
+			conn.Close()
+			return
+		}
+		select {
+		case f.acks <- b.Round:
+		default: // an echo before the last was taken: not the protocol
+			conn.Close()
+			return
+		}
 	}
 }
 

@@ -71,12 +71,20 @@ func attached(mx *DeviceMux, id int) bool {
 	return v != nil && v.live
 }
 
+// edgeOf returns the edge hosted device id rides or is heading for (−1
+// when detached).
+func edgeOf(mx *DeviceMux, id int) int {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	return mx.virts[id].edge
+}
+
 // rehomedOff reports whether every device of c is attached, none to edge
 // dead: the devices that rode it have failed over.
 func rehomedOff(c *Cluster, dead int) bool {
-	for m := range c.devices {
-		mx := c.clients[m/c.group]
-		if !attached(mx, m) || mx.edgeOf(m) == dead {
+	for m := range c.fleet.cfg.Mobility.NumDevices() {
+		mx := c.fleet.clients[m/c.fleet.group]
+		if !attached(mx, m) || edgeOf(mx, m) == dead {
 			return false
 		}
 	}
@@ -209,7 +217,10 @@ func TestClusterEdgeRejoin(t *testing.T) {
 	if err := c.RestartEdge(1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "the restarted edge 1 to register", func() bool { return len(c.cloud.ms.joinCh) > 0 })
+	// The cloud, held in a boundary's wait, admits it at once.
+	waitFor(t, 10*time.Second, "the restarted edge 1 to register", func() bool {
+		return len(c.cloud.ms.joinCh) > 0 || memberAlive(c, 1)
+	})
 	close(mob.release)
 	waitFor(t, 10*time.Second, "edge 1 readmitted", func() bool {
 		return memberAlive(c, 1) && c.MembershipEpoch() > epochAtDeath
@@ -258,11 +269,10 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 	}
 	mx, err := NewDeviceMux(DeviceMuxConfig{
 		Devices: hosted, Dataset: train,
-		Factory: func(rng *tensor.RNG) *nn.Network {
+		pool: solo(func(rng *tensor.RNG) *nn.Network {
 			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
-		},
-		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
-		Timeout:   2 * time.Second, RetryBase: time.Millisecond,
+		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
+		Timeout: 2 * time.Second, RetryBase: time.Millisecond,
 		Failover: failover, Obs: reg,
 	})
 	if err != nil {
@@ -286,7 +296,7 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud.gate = make(chan struct{}) // no round: only the devices move
+	// No fleet registers, so no round runs: only the devices move.
 	var runs sync.WaitGroup
 	runs.Add(1)
 	go func() { defer runs.Done(); cloud.Run() }()
@@ -301,7 +311,6 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 	}
 	defer func() {
 		cloud.Stop()
-		close(cloud.gate)
 		runs.Wait()
 	}()
 	waitFor(t, 10*time.Second, "the cloud to admit three edges", func() bool { return len(cloud.ms.alive()) == 3 })
@@ -312,7 +321,7 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 		if err := mx.Connect(id, 3, dead); err != nil {
 			t.Fatalf("device %d: %v", id, err)
 		}
-		if got := mx.edgeOf(id); got != want || !registered(edges[want])[id] {
+		if got := edgeOf(mx, id); got != want || !registered(edges[want])[id] {
 			t.Fatalf("device %d landed on edge %d (registered at %d: %v), want edge %d",
 				id, got, want, registered(edges[want])[id], want)
 		}
@@ -336,7 +345,7 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 	want := map[int]int{0: 0, 4: 0, 6: 0, 1: 1, 5: 1}
 	waitFor(t, 10*time.Second, "edge 2's devices to fail over", func() bool {
 		for id, e := range want {
-			if !attached(mx, id) || mx.edgeOf(id) != e {
+			if !attached(mx, id) || edgeOf(mx, id) != e {
 				return false
 			}
 		}
@@ -495,8 +504,16 @@ func TestDeviceReconnectGenStorm(t *testing.T) {
 					if err := WriteMsg(conn, MsgRegisterAck, RegisterAck{EdgeID: 0}, nil); err != nil {
 						return
 					}
-					// Hold the connection open until shutdown; serve nothing.
-					<-stop
+					// Serve nothing but the echoes of leaves until the client
+					// closes or shutdown.
+					go func() { <-stop; conn.Close() }()
+					for {
+						var leave DeviceLeave
+						if typ, _, err := ReadMsg(conn, &leave); err != nil || typ != MsgDeviceLeave ||
+							WriteMsg(conn, MsgDeviceLeave, leave, nil) != nil {
+							return
+						}
+					}
 				}(conn)
 			}
 		}()

@@ -11,7 +11,8 @@ import (
 )
 
 // Link classes label the traffic series, matching the simulation's
-// communication accounting (device–edge vs edge–cloud).
+// communication accounting (device–edge vs edge–cloud). A fleet's
+// boundary frames to and from the cloud count as edge–cloud traffic.
 const (
 	linkDeviceEdge = "device_edge"
 	linkEdgeCloud  = "edge_cloud"
@@ -130,6 +131,9 @@ type edgeMetrics struct {
 	virtualDevices *obs.Gauge
 	roundSpan      *obs.Span
 	trainSpan      *obs.Span
+	// migrations counts warm registrations by outcome: "ok" adopted,
+	// "rejected" refused by the receipt screen.
+	migrations map[string]*obs.Counter
 }
 
 func newEdgeMetrics(r *obs.Registry) edgeMetrics {
@@ -145,14 +149,19 @@ func newEdgeMetrics(r *obs.Registry) edgeMetrics {
 		virtualDevices: r.Gauge("fednet_virtual_devices"),
 		roundSpan:      r.Span("fednet_rpc_seconds", "op", "edge_round"),
 		trainSpan:      r.Span("fednet_rpc_seconds", "op", "train_rpc"),
+		migrations: map[string]*obs.Counter{
+			"ok":       r.Counter("fednet_migrations_total", "outcome", "ok"),
+			"rejected": r.Counter("fednet_migrations_total", "outcome", "rejected"),
+		},
 	}
 }
 
 // deviceMetrics instruments one device client. reconnects counts devices
 // re-registered at their edge after their connection was lost, rehomed
 // those that failed over to another edge, failover times each of those
-// from the loss (or the Connect) to the re-home ack, and stranded gauges
-// the devices no candidate took.
+// from the loss (or the Connect) to the re-home ack, handover times a
+// ConnectRehome of a device that carried state from its leave to its
+// registration ack, and stranded gauges the devices no candidate took.
 type deviceMetrics struct {
 	link       linkMetrics
 	retries    *obs.Counter
@@ -161,6 +170,7 @@ type deviceMetrics struct {
 	nonfinite  *obs.Counter
 	trainSpan  *obs.Span
 	failover   *obs.Span
+	handover   *obs.Span
 	stranded   *obs.Gauge
 }
 
@@ -173,6 +183,7 @@ func newDeviceMetrics(r *obs.Registry) deviceMetrics {
 		nonfinite:  r.Counter("hfl_nonfinite_steps_total"),
 		trainSpan:  r.Span("fednet_rpc_seconds", "op", "device_train"),
 		failover:   r.Span("fednet_failover_seconds"),
+		handover:   r.Span("fednet_handover_seconds"),
 		stranded:   r.Gauge("fednet_stranded_devices"),
 	}
 }

@@ -52,14 +52,33 @@ func migrationCounts(reg *obs.Registry) (ok, fallback, rejected int) {
 		int(reg.Counter("fednet_migrations_total", "outcome", "rejected").Value())
 }
 
+// arrivalAt labels device id's registration at e: "ok" when the edge
+// adopted the state it carried, "rejected" when it refused it, "cold"
+// when the device carried none and "absent" when it is not registered.
+func arrivalAt(e *Edge, id int) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d, ok := e.devices[id]
+	switch {
+	case !ok:
+		return "absent"
+	case d.warm:
+		return "ok"
+	case d.refused:
+		return "rejected"
+	}
+	return "cold"
+}
+
 // warmAudit is a mobility model that counts, at every round boundary, the
 // devices whose edge holds state they carried in rather than trained
 // there — warm arrivals the edge adopted — and the stored Eq. 12 scores
-// that are not finite.
+// that are not finite; and the moves its steps make.
 type warmAudit struct {
 	mobility.Model
-	cluster         atomic.Pointer[Cluster]
-	warm, nonFinite int // touched only by the goroutine calling Step
+	cluster                atomic.Pointer[Cluster]
+	warm, nonFinite, moves int   // touched only by the goroutine calling Step
+	at                     []int // the last step's membership
 }
 
 func (a *warmAudit) Step() []int {
@@ -78,7 +97,14 @@ func (a *warmAudit) Step() []int {
 			e.mu.Unlock()
 		}
 	}
-	return a.Model.Step()
+	next := a.Model.Step()
+	for m, e := range a.at {
+		if next[m] != e {
+			a.moves++
+		}
+	}
+	a.at = append(a.at[:0], next...)
+	return next
 }
 
 // runAudited starts cfg with its mobility wrapped in a warmAudit and waits
@@ -177,6 +203,11 @@ func TestClusterMigrationChaos(t *testing.T) {
 	if s := c.Stranded(); len(s) != 0 {
 		t.Fatalf("devices stranded under device→edge faults: %v", s)
 	}
+	// Outcomes count warm registrations: moves and failovers, never a
+	// reconnect after a lost connection.
+	if n := ok + fallback + rejected; n > audit.moves+c.Rehomed() {
+		t.Fatalf("%d migration outcomes counted for %d moves and %d failovers", n, audit.moves, c.Rehomed())
+	}
 	if audit.nonFinite != 0 {
 		t.Fatalf("edges held %d non-finite device scores at round boundaries", audit.nonFinite)
 	}
@@ -201,12 +232,53 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 	if audit.warm != 0 {
 		t.Fatalf("%d carried states adopted at round boundaries with LiveMigration off", audit.warm)
 	}
-	for _, mx := range c.clients {
+	for _, mx := range c.fleet.clients {
 		for id, v := range mx.virts {
 			if v.kept.steps != 0 || v.kept.flat != nil {
 				t.Fatalf("device %d kept %d-step moments with LiveMigration off", id, v.kept.steps)
 			}
 		}
+	}
+}
+
+// TestReconnectIsNoMigration: a device that moved warm and loses its
+// connection before training there re-registers at the same edge, cold.
+// The move is one migration outcome; the reconnect adds none.
+func TestReconnectIsNoMigration(t *testing.T) {
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
+	})
+	defer func() {
+		WriteMsg(cc, MsgShutdown, struct{}{}, nil)
+		<-edgeErr
+	}()
+	mx := trainableClient(t, 8, 5)
+	defer mx.Disconnect()
+	var model []float64
+	mx.cfg.pool.each(func(tw *hfl.Trainer) { model = tw.Net.ParamVector() })
+	// Device 5 trained under edge 1, then moves to edge 0 with its state.
+	if _, _, err := mx.train(TrainRequest{Round: 2, DeviceID: 5}, model, 1); err != nil {
+		t.Fatal(err)
+	}
+	mx.unpin(5)
+	if err := mx.ConnectRehome(5, 0, edge.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	edge.mu.Lock()
+	first := edge.devices[5].mux
+	outcomes := edge.migrations["ok"] + edge.migrations["rejected"]
+	edge.mu.Unlock()
+	first.conn.Close()
+	waitFor(t, 5*time.Second, "device 5 to reconnect", func() bool {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		d, ok := edge.devices[5]
+		return ok && d.mux != first
+	})
+	edge.mu.Lock()
+	defer edge.mu.Unlock()
+	if outcomes != 1 || edge.migrations["ok"]+edge.migrations["rejected"] != 1 {
+		t.Fatalf("outcomes after the move %d, after the reconnect %v; want 1 and the same", outcomes, edge.migrations)
 	}
 }
 
@@ -254,7 +326,7 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 		if err := mx.ConnectRehome(id, 0, edge.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if got := edge.arrival(id); got != "ok" {
+		if got := arrivalAt(edge, id); got != "ok" {
 			t.Fatalf("device %d arrived %q, want ok", id, got)
 		}
 	}
@@ -342,7 +414,7 @@ func TestEdgeScreensWarmPayload(t *testing.T) {
 			t.Errorf("device %d: last trained %d, utility %v, scores (%v, %v); want %d, 2, %+v",
 				c.id, d.lastTrained, d.statUtil, u, dn, c.lastTrained, c.want)
 		}
-		if got := edge.arrival(c.id); got != c.arrived {
+		if got := arrivalAt(edge, c.id); got != c.arrived {
 			t.Errorf("device %d arrived %q, want %q", c.id, got, c.arrived)
 		}
 	}

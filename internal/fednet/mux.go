@@ -120,7 +120,13 @@ func (mx *edgeMux) serve() {
 				return
 			}
 		case MsgDeviceLeave:
+			// Echoed once the device is off the candidate set, so the
+			// client's move returns only after this edge let it go.
 			e.dropDevice(h.deviceLeave.DeviceID, mx)
+			if err := mx.write(MsgDeviceLeave, h.deviceLeave, nil); err != nil {
+				mx.fail(err)
+				return
+			}
 		default:
 			mx.fail(fmt.Errorf("unexpected message type %d on device connection", t))
 			return
@@ -196,6 +202,16 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 		}
 		if rd.Rehome && rd.LastTrained >= 0 {
 			e.adoptLocked(d, rd, vec)
+			// A warm registration is a migration outcome; a cold one
+			// (a device that carries nothing, or a reconnect) is not.
+			if e.cfg.LiveMigration {
+				out := "ok"
+				if d.refused {
+					out = "rejected"
+				}
+				e.migrations[out]++
+				e.m.migrations[out].Inc()
+			}
 		} else {
 			e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
 		}
@@ -246,17 +262,6 @@ func plausible(dr Drift) bool { return dr.U >= 0 && dr.U <= 1 && dr.DeltaNorm >=
 func (e *Edge) dropDevice(id int, mx *edgeMux) {
 	e.mu.Lock()
 	e.deregisterLocked(id, mx)
-	e.mu.Unlock()
-}
-
-// release takes device id off the candidate set, whichever connection it
-// registered through: it is leaving, and its own leave notice may arrive
-// after the next round has selected.
-func (e *Edge) release(id int) {
-	e.mu.Lock()
-	if d, ok := e.devices[id]; ok {
-		e.deregisterLocked(id, d.mux)
-	}
 	e.mu.Unlock()
 }
 

@@ -59,9 +59,9 @@ func (a *cacheAudit) audit(c *Cluster, e *Edge) {
 		}
 		// The scores of the model it trained in lastTrained — its reply here
 		// or the state it carried in — which is the model it carries now.
-		mx := c.clients[id/c.group]
+		mx := c.fleet.clients[id/c.fleet.group]
 		var want Drift
-		want.U, want.DeltaNorm = simil.SelectionUtilityNorm(e.cloudSeen, mx.LocalModel(id))
+		want.U, want.DeltaNorm = simil.SelectionUtilityNorm(e.cloudSeen, localModel(mx, id))
 		a.scored++
 		if math.Float64bits(u) != math.Float64bits(want.U) || math.Float64bits(dn) != math.Float64bits(want.DeltaNorm) {
 			a.t.Errorf("round %d: edge %d scores device %d (%v, %v), its carried model (%v, %v)", e.curRound, e.cfg.EdgeID, id, u, dn, want.U, want.DeltaNorm)
@@ -176,12 +176,11 @@ func trainableClient(t *testing.T, hidden int, ids ...int) *DeviceMux {
 	}
 	mx, err := NewDeviceMux(DeviceMuxConfig{
 		Devices: hosted, Dataset: train,
-		Factory: func(rng *tensor.RNG) *nn.Network {
+		pool: solo(func(rng *tensor.RNG) *nn.Network {
 			mlp := nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2, Hidden: []int{hidden}}, rng)
 			return nn.NewNetwork(append([]nn.Layer{nn.NewFlatten()}, mlp.Layers...)...)
-		},
-		Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New(),
-		Timeout:   2 * time.Second,
+		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +274,7 @@ func TestDeviceVectorsStayOwned(t *testing.T) {
 				return
 			default:
 			}
-			if model := mx.LocalModel(trained); model != nil {
+			if model := localModel(mx, trained); model != nil {
 				copies++
 				if !isReply(model) {
 					t.Error("LocalModel returned a vector that is no training's result")

@@ -29,6 +29,19 @@ func (p trainerPool) each(f func(tw *hfl.Trainer)) {
 	}
 }
 
+// solo is a pool of one trainer: factory's network and opt.
+func solo(factory func(*tensor.RNG) *nn.Network, opt optim.Optimizer) trainerPool {
+	return newTrainerPool(1, func() *nn.Network { return factory(tensor.NewRNG(1)) }, func() optim.Optimizer { return opt })
+}
+
+// localModel returns a copy of hosted device id's carried model (nil
+// before it trained).
+func localModel(mx *DeviceMux, id int) []float64 {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	return append([]float64(nil), mx.virts[id].local...)
+}
+
 // numParams is the parameter count of the pool's networks.
 func (p trainerPool) numParams() (n int) {
 	p.each(func(tw *hfl.Trainer) { n = tw.Net.NumParams() })
@@ -59,13 +72,13 @@ func TestClusterBuildsOneTrainerPerCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := int(calls.Load()); got != want {
-			t.Errorf("GOMAXPROCS %d: %d devices on %d clients called Factory %d times, want %d", procs, devices, len(c.clients), got, want)
+			t.Errorf("GOMAXPROCS %d: %d devices on %d clients called Factory %d times, want %d", procs, devices, len(c.fleet.clients), got, want)
 		}
-		pool := c.clients[0].cfg.pool
+		pool := c.fleet.clients[0].cfg.pool
 		if cap(pool) != want {
 			t.Errorf("GOMAXPROCS %d: trainer pool holds %d trainers, want %d", procs, cap(pool), want)
 		}
-		for i, mx := range c.clients {
+		for i, mx := range c.fleet.clients {
 			if mx.cfg.pool != pool {
 				t.Fatalf("GOMAXPROCS %d: client %d trains on a pool of its own", procs, i)
 			}
@@ -91,7 +104,7 @@ func TestSharedTrainerKeepsBits(t *testing.T) {
 	client := func(id int, indices []int, pool trainerPool) *DeviceMux {
 		mx, err := NewDeviceMux(DeviceMuxConfig{
 			Devices: []MuxDevice{{DeviceID: id, Indices: indices}}, Dataset: train,
-			Factory: factory, Optimizer: spec.New(), LocalSteps: 3, BatchSize: 4, Seed: 9, pool: pool,
+			LocalSteps: 3, BatchSize: 4, Seed: 9, pool: pool,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +115,7 @@ func TestSharedTrainerKeepsBits(t *testing.T) {
 	shared := newTrainerPool(1, func() *nn.Network { return factory(tensor.NewRNG(3)) }, func() optim.Optimizer { return rec })
 	mxA := client(a, []int{20, 21, 22, 23, 24, 25}, shared)
 	mxB := client(b, []int{0, 1, 2, 3, 4, 5, 6, 7}, shared)
-	fresh := client(b, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil)
+	fresh := client(b, []int{0, 1, 2, 3, 4, 5, 6, 7}, solo(factory, spec.New()))
 
 	edgeModel := func(round int) []float64 { return factory(tensor.NewRNG(int64(10 + round))).ParamVector() }
 	run := func(mx *DeviceMux, id, round int, moved bool) ([]float64, keptMoments) {

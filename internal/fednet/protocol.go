@@ -40,6 +40,7 @@
 //	15    EdgeWelcome   Epoch i64, Round i64, LastSync i64, LeaseMillis i64,
 //	                    Rejoin u8
 //	16    Scores        DeviceID i64, Round i64, U f64, DeltaNorm f64
+//	17    Boundary      Round i64
 //
 // A header must fill its hdrLen exactly, and a frame whose type is not in
 // the table is rejected. Model vectors travel as raw float64s. The CRC
@@ -107,10 +108,13 @@ const (
 	// Header: RegisterAck (the edge's round counter and sync era). No
 	// payload: the device takes the edge model from its next TrainRequest.
 	MsgRegisterAck
-	// MsgDeviceLeave: device client → edge. Header: DeviceLeave. Withdraws
-	// one device from a connection that still carries others (it moved to
-	// another edge); a client whose last device leaves closes the
-	// connection instead.
+	// MsgDeviceLeave: device client ↔ edge. Header: DeviceLeave. Withdraws
+	// one device from the connection (it moved to another edge). The edge
+	// echoes the frame once the device is off its candidate set, so a move
+	// returns only after its source has let the device go; a client whose
+	// last device leaves closes the connection after that echo. A leave is
+	// idempotent and its echo names the device, so a client resends a leave
+	// whose echo is late.
 	MsgDeviceLeave
 	// Values 11–13 were the edge-to-edge handover's frames (a migrate
 	// record, its ack and a move notice). They stay reserved, so every
@@ -130,6 +134,11 @@ const (
 	// reply and before it reports the round to the cloud. Header: Scores.
 	// No payload: the device keeps the two numbers for a warm registration.
 	MsgScores
+	// MsgBoundary: fleet ↔ cloud. Header: Boundary. A fleet opens its
+	// connection with one once its devices are attached; the cloud sends
+	// one after every round, and starts the next only after the fleet
+	// echoed it, its devices moved (Fleet).
+	MsgBoundary
 )
 
 // maxFrame bounds a frame's payload sizes against corrupt peers.
@@ -188,6 +197,12 @@ type RegisterMux struct {
 // itself stays up for its remaining devices.
 type DeviceLeave struct {
 	DeviceID int
+}
+
+// Boundary marks the end of a round between the cloud and a fleet (see
+// MsgBoundary): Round is the round that just completed.
+type Boundary struct {
+	Round int
 }
 
 // RegisterAck confirms a device registration and resyncs its state.

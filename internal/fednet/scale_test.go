@@ -48,8 +48,8 @@ func TestMuxClusterTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.clients) != 3 {
-		t.Fatalf("9 devices at 3 per mux built %d multiplexers", len(c.clients))
+	if len(c.fleet.clients) != 3 {
+		t.Fatalf("9 devices at 3 per mux built %d multiplexers", len(c.fleet.clients))
 	}
 	gauge := reg.Gauge("fednet_virtual_devices")
 	if gauge.Value() <= 0 {
@@ -95,14 +95,14 @@ func TestMuxMoveKeepsCarriedModel(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.clients) != 1 {
-		t.Fatalf("expected one multiplexer, got %d", len(c.clients))
+	if len(c.fleet.clients) != 1 {
+		t.Fatalf("expected one multiplexer, got %d", len(c.fleet.clients))
 	}
-	mx := c.clients[0]
+	mx := c.fleet.clients[0]
 	trained := 0
 	for id := 0; id < 6; id++ {
 		if mx.DeviceRounds(id) > 0 {
-			if mx.LocalModel(id) == nil {
+			if localModel(mx, id) == nil {
 				t.Fatalf("virtual device %d trained but carries no local model", id)
 			}
 			trained++

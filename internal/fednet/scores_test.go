@@ -159,7 +159,7 @@ func scoredEdge(t *testing.T, mx *DeviceMux, model []float64) (*Edge, net.Conn, 
 	kept := edge.devices[5].drift
 	edge.mu.Unlock()
 	var want Drift
-	want.U, want.DeltaNorm = simil.SelectionUtilityNorm(model, mx.LocalModel(5))
+	want.U, want.DeltaNorm = simil.SelectionUtilityNorm(model, localModel(mx, 5))
 	if dr != kept || kept != want || want.DeltaNorm == 0 {
 		t.Fatalf("device holds scores %+v, edge %+v, of its model %+v; want all equal and nonzero", dr, kept, want)
 	}
@@ -267,7 +267,7 @@ func TestWarmMovePayloadFallback(t *testing.T) {
 	if err := mx.ConnectRehome(5, 2, dst.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.arrival(5); got != "ok" {
+	if got := arrivalAt(dst, 5); got != "ok" {
 		t.Fatalf("the device arrived %q, want ok", got)
 	}
 	dst.mu.Lock()

@@ -106,9 +106,11 @@ go test -race -count=1 \
 echo "== device client attachment gate (-race, 3x) =="
 # At group sizes 1 and 3: the connect storm, a move back after a failed
 # move, failover with warm re-homing, rejoin, churn, warm arrivals under
-# link faults, and a healthy cluster the real-clock detector leaves alone.
+# link faults, a healthy cluster the real-clock detector leaves alone,
+# moves only at round boundaries, a fleet stopped mid-run, and the acked
+# leave.
 go test -race -count=3 \
-    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership|TestClusterMigrationChaos|TestClusterHealthyStaysQuiet' \
+    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership|TestClusterMigrationChaos|TestClusterHealthyStaysQuiet|TestFleetMovesAtBoundaries|TestFleetStopDetachesMidRun|TestMoveLeavesBeforeConnectReturns' \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
