@@ -46,7 +46,7 @@ func (*MiddleAggOnly) Name() string { return "MIDDLE-Agg" }
 
 // Select picks devices uniformly at random.
 func (*MiddleAggOnly) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
-	return randomSelect(candidates, k, rng)
+	return hfl.RandomK(candidates, k, rng)
 }
 
 // InitLocal implements Eq. 9 for moved devices.

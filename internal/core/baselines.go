@@ -23,16 +23,6 @@ func oortSelect(v hfl.View, candidates []int, k int, rng *tensor.RNG) []int {
 	}, k, rng)
 }
 
-// randomSelect picks k candidates uniformly without replacement.
-func randomSelect(candidates []int, k int, rng *tensor.RNG) []int {
-	idx := append([]int(nil), candidates...)
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // Oort is the paper's OORT baseline: statistical-utility top-K selection
 // and no on-device aggregation — moved devices adopt the edge model
 // directly.
@@ -68,7 +58,7 @@ func (*FedMes) Name() string { return "FedMes" }
 
 // Select picks devices uniformly at random.
 func (*FedMes) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
-	return randomSelect(candidates, k, rng)
+	return hfl.RandomK(candidates, k, rng)
 }
 
 // InitLocal averages edge and carried models 50/50 for moved devices.
@@ -138,7 +128,7 @@ func (*General) Name() string { return "General" }
 
 // Select picks devices uniformly at random.
 func (*General) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
-	return randomSelect(candidates, k, rng)
+	return hfl.RandomK(candidates, k, rng)
 }
 
 // InitLocal always starts from the downloaded edge model.
@@ -163,7 +153,7 @@ func (f *FixedAlpha) Name() string { return "FixedAlpha" }
 
 // Select picks devices uniformly at random.
 func (f *FixedAlpha) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
-	return randomSelect(candidates, k, rng)
+	return hfl.RandomK(candidates, k, rng)
 }
 
 // InitLocal blends with the constant coefficient for moved devices.

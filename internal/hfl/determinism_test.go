@@ -7,6 +7,7 @@ import (
 
 	"middle/internal/data"
 	"middle/internal/mobility"
+	"middle/internal/tensor"
 )
 
 // TestSimBitIdenticalAcrossParallelism pins the one level of parallelism
@@ -141,5 +142,66 @@ func TestPeriodicPartitionMatchesExpanded(t *testing.T) {
 	}
 	if !slices.Equal(a.History().GlobalAcc, b.History().GlobalAcc) {
 		t.Fatalf("accuracy %v periodic, %v expanded", a.History().GlobalAcc, b.History().GlobalAcc)
+	}
+}
+
+// prefixStrategy shuffles the candidates it is given in place and
+// selects the first k: as candidates[:k] itself, or with copied as a
+// fresh slice of the same ids. Movers take Eq. 9 as in middleLike.
+type prefixStrategy struct{ copied bool }
+
+func (prefixStrategy) Name() string { return "prefix" }
+
+func (p prefixStrategy) Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
+	rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+	sel := candidates[:min(k, len(candidates))]
+	if p.copied {
+		return slices.Clone(sel)
+	}
+	return sel
+}
+
+func (prefixStrategy) InitLocal(v View, device, edge int, moved bool) []float64 {
+	return middleLike{}.InitLocal(v, device, edge, moved)
+}
+
+// TestSelectionSubSliceOfScratch pins Strategy.Select's contract on the
+// candidates: they are a pool worker's scratch, which the worker widens
+// its next edge's candidates into, and a strategy may return a sub-slice
+// of them. With two workers for six edges each worker serves several
+// edges a step; every edge must still train its own selection, and the
+// run must end with the same bits as one whose strategy returns a copy.
+func TestSelectionSubSliceOfScratch(t *testing.T) {
+	const edges, devices, steps = 6, 48, 12
+	run := func(copied bool) *Sim {
+		f := newFixture(t, 0.5)
+		f.part = data.PartitionMajorClass(f.part.Dataset, devices, 8, 0.85, 6)
+		cfg := smallConfig()
+		cfg.Steps, cfg.Parallelism = steps, 2
+		s := New(cfg, f.factory(), f.part, f.test, mobility.NewMarkov(edges, devices, 0.5, 7), prefixStrategy{copied})
+		for i := 0; i < steps; i++ {
+			s.StepOnce()
+			for n, sel := range s.selected {
+				for _, m := range sel {
+					if s.membership[m] != n {
+						t.Fatalf("copied=%v step %d: edge %d selected device %d, which is in edge %d", copied, i+1, n, m, s.membership[m])
+					}
+				}
+			}
+		}
+		return s
+	}
+	sub, cp := run(false), run(true)
+	models := func(s *Sim) [][]float64 { return append([][]float64{s.cloud}, s.edges...) }
+	ms, mc := models(sub), models(cp)
+	for v := range ms {
+		for i := range ms[v] {
+			if math.Float64bits(ms[v][i]) != math.Float64bits(mc[v][i]) {
+				t.Fatalf("model %d (0 = cloud, then edges) differs at %d: %v returning candidates[:k], %v returning a copy", v, i, ms[v][i], mc[v][i])
+			}
+		}
+	}
+	if !slices.Equal(sub.History().GlobalAcc, cp.History().GlobalAcc) {
+		t.Fatalf("accuracy %v returning candidates[:k], %v returning a copy", sub.History().GlobalAcc, cp.History().GlobalAcc)
 	}
 }

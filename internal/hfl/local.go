@@ -45,8 +45,9 @@ type DeviceUpdater interface {
 // worker is one pool goroutine's updater and the generator it re-seeds
 // to each edge's selection stream and each device's stream it takes.
 type worker struct {
-	dev DeviceUpdater
-	rng *tensor.RNG
+	dev   DeviceUpdater
+	rng   *tensor.RNG
+	cands []int // the edge's candidate ids widened for Strategy.Select; grow-only
 }
 
 // shardUpdater is New's DeviceUpdater: LocalRound over the device's

@@ -35,7 +35,7 @@ type Sim struct {
 	store      deviceStore
 	dataSizes  []int // d_m on NewWithUpdater's seam; New reads the shard
 	statUtil   []float64
-	lastTrain  []int
+	lastTrain  []int32   // step of the last training, -1 before the first
 	edgeWeight []float64 // d̂_n accumulators since last cloud sync
 	membership []int
 	moves      int // cross-edge moves observed
@@ -71,8 +71,9 @@ type Sim struct {
 	// loop performs no per-step slice allocations of its own. The model
 	// vectors in cloud/edges/locals keep their backing arrays for the
 	// lifetime of the Sim; aggregation writes into them in place.
-	moved      []bool
-	candidates [][]int
+	// candidates holds int32 device ids, 4 bytes per device; selected is
+	// the engine's copy of each edge's Strategy.Select result.
+	candidates [][]int32
 	selected   [][]int
 	jobs       []trainJob
 	aggVecs    [][]float64
@@ -135,14 +136,13 @@ func newSim(cfg Config, init []float64, devices int, updater func(worker int) De
 		s.store = newDenseStore(s.cloud, s.numDevices)
 	}
 	s.statUtil = make([]float64, s.numDevices)
-	s.lastTrain = make([]int, s.numDevices)
+	s.lastTrain = make([]int32, s.numDevices)
 	for m := 0; m < s.numDevices; m++ {
 		s.statUtil[m] = math.NaN()
 		s.lastTrain[m] = -1
 	}
 	s.edgeWeight = make([]float64, s.numEdges)
-	s.moved = make([]bool, s.numDevices)
-	s.candidates = make([][]int, s.numEdges)
+	s.candidates = make([][]int32, s.numEdges)
 	s.selected = make([][]int, s.numEdges)
 	mob.Reset()
 	s.membership = mob.Step() // M^0: membership before the first round
@@ -204,7 +204,7 @@ func (s *Sim) DataSize(device int) int {
 func (s *Sim) StatUtility(device int) float64 { return s.statUtil[device] }
 
 // LastTrained returns the step the device last trained at, or -1.
-func (s *Sim) LastTrained(device int) int { return s.lastTrain[device] }
+func (s *Sim) LastTrained(device int) int { return int(s.lastTrain[device]) }
 
 // NumEdges returns the edge count.
 func (s *Sim) NumEdges() int { return s.numEdges }
@@ -247,16 +247,16 @@ func (s *Sim) StepOnce() int {
 	s.membership = next
 
 	// One sweep over the population: the mobility diff against M^{t−1}
-	// and line 1's per-edge candidate sets.
-	moved := s.moved
+	// and line 1's per-edge candidate sets. prev stays valid through this
+	// step (a Model's membership lives until the second following Step),
+	// so a device moved iff next[m] != prev[m].
 	candidates := s.candidates
 	for n := range candidates {
 		candidates[n] = candidates[n][:0]
 	}
 	for m, e := range next {
-		candidates[e] = append(candidates[e], m)
-		moved[m] = e != prev[m]
-		if !moved[m] {
+		candidates[e] = append(candidates[e], int32(m))
+		if e == prev[m] {
 			continue
 		}
 		s.moves++
@@ -268,25 +268,33 @@ func (s *Sim) StepOnce() int {
 	// pool. Each edge draws from its own RNG stream and the view is only
 	// read until the last Select returns, so the outcome does not depend
 	// on scheduling; everything that mutates state follows below, in edge
-	// order.
+	// order. The worker's widened candidate list is reused for its next
+	// edge, and a strategy may return a sub-slice of it, so the result is
+	// copied into the edge's own buffer.
 	selectedByEdge := s.selected
 	s.fanOut(s.numEdges, func(w, n int) {
-		selectedByEdge[n] = nil
+		selectedByEdge[n] = selectedByEdge[n][:0]
 		if len(candidates[n]) == 0 {
 			return
 		}
-		rng := s.workers[w].rng
-		rng.Reseed(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
-		sel := s.strat.Select(s, n, candidates[n], s.cfg.K, rng)
+		wk := s.workers[w]
+		cands := wk.cands[:0]
+		for _, m := range candidates[n] {
+			cands = append(cands, int(m))
+		}
+		wk.cands = cands
+		wk.rng.Reseed(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
+		sel := s.strat.Select(s, n, cands, s.cfg.K, wk.rng)
 		if len(sel) > s.cfg.K {
 			sel = sel[:s.cfg.K]
 		}
-		selectedByEdge[n] = sel
+		selectedByEdge[n] = append(selectedByEdge[n], sel...)
 	})
 	s.jobs = s.jobs[:0]
 	for n, sel := range selectedByEdge {
 		s.commDeviceEdge += 2 * int64(len(sel))
 		for _, m := range sel {
+			moved := next[m] != prev[m]
 			// Learning-dynamics telemetry reads the pre-training carried
 			// model: the Eq. 12 utility and ‖Δw_m‖ against the cloud, and
 			// on a mobility event the Eq. 9 blend utility against the
@@ -298,7 +306,7 @@ func (s *Sim) StepOnce() int {
 				u, dn = simil.SelectionUtilityNorm(s.cloud, s.store.model(m))
 			}
 			s.tel.recordSelection(m, u, dn)
-			if moved[m] {
+			if moved {
 				s.tel.recordBlend(simil.Utility(s.store.model(m), s.edges[n]))
 			}
 			// Lines 4–7: on-device model initialisation. init may be the
@@ -308,7 +316,7 @@ func (s *Sim) StepOnce() int {
 			// vector — materialized here for lazily-stored devices — only
 			// after SetParamVector has copied init out (each device
 			// appears in at most one job per step).
-			init := s.strat.InitLocal(s, m, n, moved[m])
+			init := s.strat.InitLocal(s, m, n, moved)
 			s.jobs = append(s.jobs, trainJob{device: m, init: init, out: s.store.materialize(m)})
 		}
 	}
@@ -326,7 +334,7 @@ func (s *Sim) StepOnce() int {
 	for i := range jobs {
 		j := &jobs[i]
 		s.statUtil[j.device] = j.util
-		s.lastTrain[j.device] = t
+		s.lastTrain[j.device] = int32(t)
 		s.store.noteTrained(j.device, t)
 	}
 	// Adversary harness: a seeded subset of devices sign-flips its upload

@@ -90,6 +90,9 @@ type Strategy interface {
 	// must not write shared state unsynchronised, and its result must
 	// depend only on its arguments, never on the order of the calls.
 	// The view is not written while any Select of the step is running.
+	// candidates is the engine's scratch, valid for the call only: a
+	// strategy may reorder it or return a sub-slice of it, and the engine
+	// copies the result before it reuses the scratch.
 	Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int
 	// InitLocal returns the model vector the device starts local
 	// training from this step. moved reports whether the device entered
@@ -108,9 +111,10 @@ type Strategy interface {
 	InitLocal(v View, device, edge int, moved bool) []float64
 }
 
-// topKScratch is TopKByScore's working set: the shuffled candidate ids
-// and their scores, index-aligned. Pooled so that concurrent per-edge
-// selections each reuse one pair of population-sized slices.
+// topKScratch is TopKByScore's and RandomK's working set: the shuffled
+// candidate ids and their scores, index-aligned. Pooled so that
+// concurrent per-edge selections each reuse one pair of population-sized
+// slices.
 type topKScratch struct {
 	idx    []int
 	scores []float64
@@ -150,6 +154,24 @@ func TopKByScore(candidates []int, score func(device int) float64, k int, rng *t
 	}
 	out := append([]int(nil), idx[:k]...)
 	sc.idx, sc.scores = idx, scores
+	topKPool.Put(sc)
+	return out
+}
+
+// RandomK returns k candidate ids drawn uniformly without replacement
+// (all of them if k exceeds the count): the first k of the candidates
+// shuffled by rng. The shuffle runs in pooled scratch, so a call
+// allocates only the returned k-slice, which is the caller's. Safe for
+// concurrent use.
+func RandomK(candidates []int, k int, rng *tensor.RNG) []int {
+	if k <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	sc := topKPool.Get().(*topKScratch)
+	idx := append(sc.idx[:0], candidates...)
+	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	out := append([]int(nil), idx[:min(k, len(idx))]...)
+	sc.idx = idx
 	topKPool.Put(sc)
 	return out
 }

@@ -45,7 +45,11 @@ type telemetry struct {
 	roundBlendUtilSum float64
 	roundBlendUtilN   int64
 
-	trainCounts []int64 // per-device training rounds (fairness)
+	// Per-device training rounds and their running sums Σx and Σx², from
+	// which fairnessJain reads Jain's index without a population scan.
+	trainCounts []int32
+	trainSum    int64
+	trainSumSq  int64
 	flowCounts  []int64 // numEdges×numEdges move counts, from*numEdges+to
 	divScratch  []float64
 
@@ -72,7 +76,7 @@ const maxPerEdgeSeries = 128
 func newTelemetry(r *obs.Registry, numEdges, numDevices int) *telemetry {
 	tel := &telemetry{
 		numEdges:     numEdges,
-		trainCounts:  make([]int64, numDevices),
+		trainCounts:  make([]int32, numDevices),
 		flowCounts:   make([]int64, numEdges*numEdges),
 		divScratch:   make([]float64, numEdges),
 		selUtilHist:  r.Histogram("hfl_selection_utility", UtilityBuckets()),
@@ -117,7 +121,10 @@ func (tel *telemetry) recordSelection(device int, utility, deltaNorm float64) {
 	tel.roundSelUtilSum += utility
 	tel.roundSelUtilN++
 	tel.roundUpdNormSum += deltaNorm
+	x := int64(tel.trainCounts[device])
 	tel.trainCounts[device]++
+	tel.trainSum++
+	tel.trainSumSq += 2*x + 1 // (x+1)² − x²
 	tel.selUtilHist.Observe(utility)
 	tel.updNormHist.Observe(deltaNorm)
 }
@@ -179,18 +186,15 @@ func (tel *telemetry) evalDivergence(cloud []float64, edges [][]float64) (divs [
 
 // fairnessJain returns Jain's fairness index (Σx)²/(n·Σx²) over the
 // per-device training counts: 1 when participation is uniform, → 1/n as
-// one device dominates, and 0 before anyone has trained.
+// one device dominates, and 0 before anyone has trained. The sums are
+// kept as integers, so it returns the same float64 as a scan summing in
+// float64 would while every partial sum stays below 2^53.
 func (tel *telemetry) fairnessJain() float64 {
-	var sum, sumSq float64
-	for _, c := range tel.trainCounts {
-		x := float64(c)
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
+	if tel.trainSumSq == 0 {
 		return 0
 	}
-	return sum * sum / (float64(len(tel.trainCounts)) * sumSq)
+	sum := float64(tel.trainSum)
+	return sum * sum / (float64(len(tel.trainCounts)) * float64(tel.trainSumSq))
 }
 
 // flowMatrix returns the cumulative edge→edge move counts as a nested

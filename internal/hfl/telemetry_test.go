@@ -3,12 +3,14 @@ package hfl
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"middle/internal/mobility"
 	"middle/internal/obs"
+	"middle/internal/tensor"
 )
 
 // TestTelemetryFullStack runs one small simulation with every telemetry
@@ -215,7 +217,8 @@ func TestTelemetryDisabledAllocFree(t *testing.T) {
 }
 
 // Jain's index must be 1 for uniform participation, 1/n for a single
-// dominant device, and 0 before anyone trains.
+// dominant device, 0 before anyone trains, and, read from running sums,
+// bit-equal to a scan over the per-device counts.
 func TestFairnessJain(t *testing.T) {
 	tel := newTelemetry(nil, 2, 4)
 	if got := tel.fairnessJain(); got != 0 {
@@ -233,5 +236,24 @@ func TestFairnessJain(t *testing.T) {
 	}
 	if got := tel2.fairnessJain(); got != 0.25 {
 		t.Fatalf("dominant-device fairness %v, want 0.25", got)
+	}
+
+	// The running sums give the bits of a full scan that sums in float64.
+	const devices, selections = 1000, 10_000
+	tel3 := newTelemetry(nil, 2, devices)
+	rng := tensor.NewRNG(11)
+	for i := 0; i < selections; i++ {
+		// Skewed toward low ids, so the counts are far from uniform.
+		tel3.recordSelection(rng.Intn(1+rng.Intn(devices)), 0.5, 1)
+	}
+	var sum, sumSq float64
+	for _, c := range tel3.trainCounts {
+		x := float64(c)
+		sum += x
+		sumSq += x * x
+	}
+	scan := sum * sum / (float64(devices) * sumSq)
+	if got := tel3.fairnessJain(); math.Float64bits(got) != math.Float64bits(scan) || sum != selections {
+		t.Fatalf("%d selections over %d devices: fairness %v, a full scan over %v trainings gives %v", selections, devices, got, sum, scan)
 	}
 }

@@ -32,3 +32,22 @@ func TestTopKByScoreSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("TopKByScore allocates %v objects per call in steady state, want 1 (the result)", allocs)
 	}
 }
+
+// TestRandomKSteadyStateAllocs: the shuffle runs in the pooled scratch,
+// so a call allocates the returned k-slice and nothing else, where a
+// copy of every candidate was made per call before.
+func TestRandomKSteadyStateAllocs(t *testing.T) {
+	cands := make([]int, 10_000)
+	for i := range cands {
+		cands[i] = i
+	}
+	rng := tensor.NewRNG(3)
+	allocs := testing.AllocsPerRun(50, func() {
+		if got := RandomK(cands, 2, rng); len(got) != 2 {
+			t.Fatalf("RandomK returned %v", got)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("RandomK allocates %v objects per call in steady state, want 1 (the result)", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package hfl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"middle/internal/tensor"
@@ -84,6 +85,33 @@ func TestTopKByScoreMatchesOracle(t *testing.T) {
 				if a, b := rngWant.Int63(), rngGot.Int63(); a != b {
 					t.Fatalf("%s: RNG streams diverge after the call (%d vs %d)", label, a, b)
 				}
+			}
+		}
+	}
+}
+
+// TestRandomKMatchesFullShuffle: RandomK returns the first k of a copy
+// of the candidates shuffled by the same generator, which is what the
+// random-selection strategies took before it, and leaves the generator
+// where that shuffle did.
+func TestRandomKMatchesFullShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 300} {
+		for _, k := range []int{1, 2, 5, n, n + 3} {
+			seed := int64(n*131 + k*17)
+			cands := make([]int, n)
+			for i, p := range tensor.NewRNG(seed).Perm(n) {
+				cands[i] = 3*p + 7
+			}
+			rngWant, rngGot := tensor.NewRNG(seed+1), tensor.NewRNG(seed+1)
+			want := append([]int(nil), cands...)
+			rngWant.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+			want = want[:min(k, n)]
+			got := RandomK(cands, k, rngGot)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: RandomK gives %v, the shuffled prefix is %v", n, k, got, want)
+			}
+			if a, b := rngWant.Int63(), rngGot.Int63(); a != b {
+				t.Fatalf("n=%d k=%d: RNG streams diverge after the call (%d vs %d)", n, k, a, b)
 			}
 		}
 	}
