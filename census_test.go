@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -262,6 +263,86 @@ func TestEveryFlagIsExercised(t *testing.T) {
 	for name := range unexercisedFlagAllowlist {
 		if !declared[name] {
 			t.Errorf("-%s is allowlisted but no longer declared: delete its entry", name)
+		}
+	}
+}
+
+// drawStreams are hfl's stream functions (internal/hfl/draws.go), by
+// "<file>:<func>": the only sites that may re-seed or split a generator on
+// a round's model path, so that both engines draw a round's cohorts and
+// minibatches from one definition.
+var drawStreams = []string{
+	"internal/hfl/draws.go:BatchStream",
+	"internal/hfl/draws.go:selectionStream",
+}
+
+// drawAllowlist names, by "<file>:<func>", each other Reseed or
+// tensor.Split call site in non-test internal/hfl, internal/fednet and
+// internal/core, and why what it draws never reaches a round's cohort or
+// its training. TestEveryDrawIsAStream fails on a stale entry too.
+var drawAllowlist = map[string]string{
+	"internal/hfl/sim.go:New": "trainer-network init: the initial global model (Split(seed, 0), as the " +
+		"deployment's) and each worker's network, whose parameters every local round overwrites",
+	"internal/fednet/fleet.go:trainers": "trainer-network init: the pool's networks, one of which " +
+		"StartCluster reads as the initial global model; every local round overwrites their parameters",
+	"internal/fednet/retry.go:retryBackoff": "retry jitter: when a retry is sent, never what it carries",
+	"internal/fednet/faults.go:decideFault": "the fault plan: which frames the injector disturbs",
+}
+
+// TestEveryDrawIsAStream is the stream census: every call of a method
+// named Reseed, and of tensor.Split, in a non-test file of internal/hfl,
+// internal/fednet or internal/core lies in one of hfl's stream functions
+// or is allowlisted with a reason. A model-path draw defined anywhere else
+// would let the simulator and the deployment draw different rounds.
+func TestEveryDrawIsAStream(t *testing.T) {
+	fset := token.NewFileSet()
+	sites := map[string]bool{}
+	eachSourceFile(t, fset, func(p string, f *ast.File) {
+		switch path.Dir(p) {
+		case "internal/hfl", "internal/fednet", "internal/core":
+		default:
+			return
+		}
+		for _, decl := range f.Decls {
+			name := ""
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name = d.Name.Name
+			case *ast.GenDecl:
+				name = "package-level declaration"
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, _ := sel.X.(*ast.Ident)
+				if sel.Sel.Name == "Reseed" || (sel.Sel.Name == "Split" && pkg != nil && pkg.Name == "tensor") {
+					key := p + ":" + name
+					if !sites[key] && !slices.Contains(drawStreams, key) {
+						if _, ok := drawAllowlist[key]; !ok {
+							t.Errorf("%s draws outside hfl's stream functions: route it through them, "+
+								"or allowlist it with the reason it stays off the model path", fset.Position(call.Pos()))
+						}
+					}
+					sites[key] = true
+				}
+				return true
+			})
+		}
+	})
+	for _, key := range drawStreams {
+		if !sites[key] {
+			t.Errorf("stream function %s draws nothing: delete it from drawStreams", key)
+		}
+	}
+	for key := range drawAllowlist {
+		if !sites[key] {
+			t.Errorf("%s is allowlisted but draws nothing: delete its entry", key)
 		}
 	}
 }

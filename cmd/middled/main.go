@@ -44,8 +44,8 @@ import (
 
 // options is everything the flags fill. A flag binds into the config of
 // the component it configures; the flags two roles take (-addr,
-// -strategy, -live-migration, the checkpoint and aggregation groups)
-// bind into the edge's config and the other role copies them from there.
+// -strategy, the checkpoint and aggregation groups) bind into the edge's
+// config and the other role copies them from there.
 type options struct {
 	experiments.CLI // -task -scale -seed and the observability flags
 	role            string
@@ -59,10 +59,11 @@ type options struct {
 // devicesOpts is the devices role's own flags: which device ids the
 // process hosts, on which edges, and how they move.
 type devicesOpts struct {
-	edgeList string // -edgeaddrs
-	from, to int
-	p        float64
-	mux      int
+	edgeList      string // -edgeaddrs
+	from, to      int
+	p             float64
+	mux           int
+	liveMigration bool
 }
 
 // registerFlags declares middled's flags on fs, grouped by the struct
@@ -89,7 +90,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&e.EdgeID, "id", 0, "edge id (edge role)")
 	fs.StringVar(&e.CloudAddr, "cloud", "", "cloud address (edge and devices roles)")
 	fs.IntVar(&e.K, "k", 5, "devices selected per round (edge role)")
-	fs.BoolVar(&e.LiveMigration, "live-migration", false, "edge role: devices keep their optimizer state between trainings; devices role: a moving device registers at its new edge warm, carrying its own state")
 
 	// The devices role's own flags.
 	d := &o.devices
@@ -98,6 +98,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&d.to, "to", 9, "last device id inclusive (devices role)")
 	fs.Float64Var(&d.p, "p", 0.5, "devices role: probability that a device moves at a round boundary")
 	fs.IntVar(&d.mux, "mux", 1, "devices role: devices hosted per client, sharing one connection per edge and one model instance (1 = a client per device)")
+	fs.BoolVar(&d.liveMigration, "live-migration", false, "devices role: a moving device registers at its new edge warm, keeping its model for Eq. 9 and carrying its Eq. 12 scores (edges need no flag)")
 	return o
 }
 
@@ -226,7 +227,7 @@ func (o *options) runDevices(setup *experiments.TaskSetup) map[string]any {
 		CloudAddr: o.edge.CloudAddr, Edges: edges,
 		Mobility: mobility.NewMarkovRing(len(edges), d.to-d.from+1, d.p, seed+int64(d.from)),
 		First:    d.from, Partition: part, Factory: setup.Factory, Optimizer: setup.Optimizer,
-		Mux: d.mux, LiveMigration: o.edge.LiveMigration,
+		Mux: d.mux, LiveMigration: d.liveMigration,
 		DeviceMuxConfig: fednet.DeviceMuxConfig{LocalSteps: setup.I, BatchSize: setup.BatchSize, Strategy: strat,
 			Seed: seed, Logf: log.Printf, Obs: o.M.Registry(), Trace: o.Trace},
 	})

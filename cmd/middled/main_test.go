@@ -98,11 +98,11 @@ func parse(t *testing.T, args ...string) *options {
 func TestFlagsLandInConfigs(t *testing.T) {
 	o := parse(t, "-role", "edge", "-id", "3", "-cloud", "c:1", "-addr", ":7103", "-k", "7",
 		"-aggregator", "trimmed-mean", "-norm-bound", "2", "-sel-norm-cap", "9", "-checkpoint-dir", "ck",
-		"-live-migration", "-seed", "11", "-metrics-addr", ":0", "-slo", "default")
+		"-seed", "11", "-metrics-addr", ":0", "-slo", "default")
 	wantEdge := fednet.EdgeConfig{
 		EdgeID: 3, CloudAddr: "c:1", Addr: ":7103", K: 7, Aggregator: robust.AggTrimmedMean,
 		Validate:         robust.ValidatorConfig{Enabled: true, NormBound: 2},
-		SelectionNormCap: 9, CheckpointDir: "ck", LiveMigration: true,
+		SelectionNormCap: 9, CheckpointDir: "ck",
 	}
 	if !reflect.DeepEqual(o.edge, wantEdge) {
 		t.Errorf("edge config\n got %+v\nwant %+v", o.edge, wantEdge)
@@ -120,8 +120,9 @@ func TestFlagsLandInConfigs(t *testing.T) {
 		t.Errorf("defaults: validator %+v aggregator %q, want both zero", o.edge.Validate, o.edge.Aggregator)
 	}
 
-	o = parse(t, "-role", "devices", "-cloud", "c:1", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-mux", "2")
-	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, mux: 2}); o.devices != want || o.edge.CloudAddr != "c:1" {
+	o = parse(t, "-role", "devices", "-cloud", "c:1", "-edgeaddrs", "a:1,b:2", "-from", "2", "-to", "5", "-p", "0.3", "-mux", "2",
+		"-live-migration")
+	if want := (devicesOpts{edgeList: "a:1,b:2", from: 2, to: 5, p: 0.3, mux: 2, liveMigration: true}); o.devices != want || o.edge.CloudAddr != "c:1" {
 		t.Errorf("devices flags\n got %+v, cloud %q\nwant %+v, cloud c:1", o.devices, o.edge.CloudAddr, want)
 	}
 }

@@ -96,7 +96,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&sc.tc, "tc", 0, "-exp scale: cloud aggregation interval T_c in steps (0 = task default)")
 	fs.IntVar(&sc.residentCap, "resident-cap", 0, "-exp scale: bound on materialized device models in the lazy store; must fit the full cohort k×edges (0 = unbounded)")
 	fs.IntVar(&sc.mux, "mux", 1, "-exp scale: devices hosted per device client; >1 runs the in-process fednet deployment")
-	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): a moving device registers at its new edge warm, carrying its own model and optimizer state, instead of joining cold")
+	fs.BoolVar(&sc.liveMigration, "live-migration", false, "-exp scale deployment (-mux): a moving device registers at its new edge warm, keeping its model for Eq. 9 and carrying its Eq. 12 scores, instead of joining cold")
 	return o
 }
 

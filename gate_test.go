@@ -424,9 +424,9 @@ type memb struct {
 // rejoins mid-run.
 const membRounds = 1000
 
-// startMemb starts cloud, edges 0..2 and devices 0..8 in groups of mux,
-// which move with -p 0.4 at every round boundary: round 1 waits for their
-// attachment.
+// startMemb starts cloud, edges 0..2 and devices 0..19 — the fast mnist
+// partition's whole population — in groups of mux, which move with -p 0.4
+// at every round boundary: round 1 waits for their attachment.
 func startMemb(t *testing.T, dir, prefix, mux string) *memb {
 	t.Helper()
 	f := &memb{cloud: cloud(t, dir, prefix+"_cloud.log", "-edges", "3", "-rounds", strconv.Itoa(membRounds), "-lease-interval", "200ms")}
@@ -437,7 +437,7 @@ func startMemb(t *testing.T, dir, prefix, mux string) *memb {
 		f.edgeAddrs[i] = f.edges[i].await(10*time.Second, "serving devices on"+addrRE)
 	}
 	f.devices = start(t, dir, prefix+"_devices.log", "middled", "-role", "devices", "-cloud", f.cloudAddr,
-		"-edgeaddrs", strings.Join(f.edgeAddrs[:], ","), "-from", "0", "-to", "8", "-mux", mux, "-p", "0.4",
+		"-edgeaddrs", strings.Join(f.edgeAddrs[:], ","), "-from", "0", "-to", "19", "-mux", mux, "-p", "0.4",
 		"-metrics-addr", "127.0.0.1:0")
 	return f
 }
@@ -457,9 +457,11 @@ func (f *memb) finish(within time.Duration) string {
 
 // membTwin runs memb's fault-free deployment in process through
 // fednet.StartCluster, with middled's defaults for the rest (task mnist,
-// fast scale, seed 1, MIDDLE): the same task setup, the shards of devices
-// 0..8, the devices role's ring seed (seed + first device id), K, T_c and
-// rounds. It returns the final accuracy as middled prints it.
+// fast scale, seed 1, MIDDLE): the same task setup and partition, the
+// devices role's ring seed (seed + first device id), K, T_c and rounds. A
+// device's minibatch stream depends on the partition's device count
+// (hfl.BatchStream), so the twin needs memb to host the whole partition,
+// as StartCluster does. It returns the final accuracy as middled prints it.
 func membTwin(t *testing.T) string {
 	const seed = 1
 	setup := experiments.NewTaskSetup(data.TaskName("mnist"), experiments.Scale("fast"), seed)
@@ -470,8 +472,8 @@ func membTwin(t *testing.T) string {
 	}
 	c, err := fednet.StartCluster(fednet.ClusterConfig{
 		Rounds: membRounds, K: 2, LocalSteps: setup.I, BatchSize: setup.BatchSize, CloudInterval: 2,
-		Strategy: strat, Partition: &data.Partition{Dataset: part.Dataset, Indices: part.Indices[:9]},
-		Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mobility.NewMarkovRing(3, 9, 0.4, seed),
+		Strategy: strat, Partition: part,
+		Factory: setup.Factory, Optimizer: setup.Optimizer, Mobility: mobility.NewMarkovRing(3, part.NumDevices(), 0.4, seed),
 		Seed: seed, LeaseInterval: 200 * time.Millisecond,
 	})
 	if err != nil {

@@ -20,11 +20,9 @@ import (
 // round boundary, when no edge is in a round, it checks that every device
 // is registered at exactly one edge, adds up the trainings the round just
 // ended owed — min(K, members) per edge, what Eq. 12 selects from the
-// devices present — and checks each optimizer state a trainer of the
-// cluster's pool imported during that round: it is the state exactly one
-// device kept at the boundary before, that device trained in the round and
-// had moved since its last training, and no other import that round was
-// its state.
+// devices present — and checks that every training of that round began by
+// resetting a trainer's optimizer: a mover carries its model, nothing of
+// the optimizer.
 type churnAudit struct {
 	mobility.Model
 	t       *testing.T
@@ -32,32 +30,18 @@ type churnAudit struct {
 	cluster atomic.Pointer[Cluster]
 
 	// Touched only by the goroutine calling Step.
-	edges       []int               // the membership Step returned last
-	moved       map[int]bool        // devices moved since their last audited training
-	started     bool                // the cluster is set and a boundary was audited
-	trained0    int                 // trainings before the first audited boundary
-	owed        int                 // trainings the audited rounds owed
-	rounds      []int               // each device's trainings at the last boundary
-	kept        map[int]keptMoments // each device's kept state at the last boundary
-	imports     int                 // imports matched to a device's kept state
-	afterOthers int                 // of those, imports after another training on the trainer in the round
+	started  bool // the cluster is set and a boundary was audited
+	trained0 int  // trainings before the first audited boundary
+	owed     int  // trainings the audited rounds owed
+	trained  int  // trainings at the last audited boundary
+	resets   int  // optimizer resets in the audited rounds
 }
 
 func (a *churnAudit) Step() []int {
 	if c := a.cluster.Load(); c != nil {
 		a.audit(c)
 	}
-	next := a.Model.Step()
-	if a.moved == nil {
-		a.moved = map[int]bool{}
-	}
-	for id, e := range next {
-		if a.edges != nil && a.edges[id] != e {
-			a.moved[id] = true
-		}
-	}
-	a.edges = append(a.edges[:0], next...)
-	return next
+	return a.Model.Step()
 }
 
 func (a *churnAudit) audit(c *Cluster) {
@@ -76,62 +60,22 @@ func (a *churnAudit) audit(c *Cluster) {
 	if len(edgeOf) != c.fleet.cfg.Mobility.NumDevices() {
 		a.t.Errorf("%d of %d devices registered at a round boundary", len(edgeOf), c.fleet.cfg.Mobility.NumDevices())
 	}
-	rounds := c.DeviceRounds()
+	resets := 0
+	c.fleet.clients[0].cfg.pool.each(func(tw *hfl.Trainer) {
+		rec := tw.Opt.(*resetCounter)
+		resets, rec.resets = resets+rec.resets, 0
+	})
+	trained := trainedTotal(c)
 	if !a.started {
-		a.started, a.trained0 = true, trainedTotal(c)
+		a.started, a.trained0 = true, trained
 	} else {
 		a.owed += owed
-	}
-	imported := map[int]bool{}
-	c.fleet.clients[0].cfg.pool.each(func(tw *hfl.Trainer) {
-		rec := tw.Opt.(*importRecorder)
-		for _, im := range rec.imports {
-			if a.kept == nil {
-				continue // imports of rounds before the first boundary audited
-			}
-			var owners []int
-			for id, k := range a.kept {
-				if k.steps == im.steps && sameBits(k.flat, im.flat) {
-					owners = append(owners, id)
-				}
-			}
-			if len(owners) != 1 {
-				a.t.Errorf("a device imported %d-step optimizer state that %d devices kept, want exactly one", im.steps, len(owners))
-				continue
-			}
-			id := owners[0]
-			switch {
-			case rounds[id] == a.rounds[id]:
-				a.t.Errorf("device %d's kept state was imported in a round it did not train in", id)
-			case !a.moved[id]:
-				a.t.Errorf("device %d's kept state was imported but it had not moved since its last training", id)
-			case imported[id]:
-				a.t.Errorf("device %d's kept state was imported twice in one round", id)
-			}
-			imported[id] = true
-			a.imports++
-			if im.after > 0 {
-				a.afterOthers++
-			}
-		}
-		rec.imports, rec.trainings = nil, 0
-	})
-	for id, n := range rounds {
-		if a.rounds != nil && n != a.rounds[id] {
-			delete(a.moved, id)
+		a.resets += resets
+		if resets != trained-a.trained {
+			a.t.Errorf("%d trainings in a round reset the optimizer %d times, want once each", trained-a.trained, resets)
 		}
 	}
-	a.rounds = rounds
-	kept := map[int]keptMoments{}
-	for _, mx := range c.fleet.clients {
-		mx.mu.Lock()
-		for _, d := range mx.cfg.Devices {
-			v := mx.virts[d.DeviceID]
-			kept[d.DeviceID] = keptMoments{flat: append([]float64(nil), v.kept.flat...), steps: v.kept.steps}
-		}
-		mx.mu.Unlock()
-	}
-	a.kept = kept
+	a.trained = trained
 }
 
 func trainedTotal(c *Cluster) int {
@@ -142,37 +86,16 @@ func trainedTotal(c *Cluster) int {
 	return n
 }
 
-// importRecorder is a trainer's optimizer that records every state it is
-// handed to import, and how many trainings began on it before that in the
-// round: each begins with a Reset or an import.
-type importRecorder struct {
+// resetCounter is a trainer's optimizer that counts its Resets: each
+// training begins with one.
+type resetCounter struct {
 	optim.Optimizer
-	trainings int
-	imports   []recordedImport
+	resets int
 }
 
-type recordedImport struct {
-	flat         []float64
-	steps, after int
-}
-
-func (r *importRecorder) Reset() {
-	r.trainings++
+func (r *resetCounter) Reset() {
+	r.resets++
 	r.Optimizer.Reset()
-}
-
-func (r *importRecorder) ExportMoments() ([]float64, []int, int) {
-	return r.Optimizer.(optim.MomentExporter).ExportMoments()
-}
-
-func (r *importRecorder) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
-	return r.Optimizer.(optim.MomentExporter).ExportMomentsInto(flat, lens)
-}
-
-func (r *importRecorder) ImportMoments(flat []float64, lens []int, steps int) bool {
-	r.imports = append(r.imports, recordedImport{flat: append([]float64(nil), flat...), steps: steps, after: r.trainings})
-	r.trainings++
-	return r.Optimizer.(optim.MomentExporter).ImportMoments(flat, lens, steps)
 }
 
 // TestClusterChurnMembership is the churn regime at tier-1 size: four
@@ -181,8 +104,7 @@ func (r *importRecorder) ImportMoments(flat []float64, lens []int, steps int) bo
 // retried and every selected device trains — Σ DeviceRounds is exactly
 // what the registered sets owed, no reply dropped, which with the edge's
 // length check also means every reply carried exactly the model's values.
-// Resumes import the state the device itself kept, bit for bit, also when
-// another device trained on the same pooled trainer in between: the
+// Every training resets its pooled trainer's optimizer, movers' too: the
 // cluster runs at GOMAXPROCS 2, so its pool has two trainers for up to
 // sixteen trainings a round on any machine.
 func TestClusterChurnMembership(t *testing.T) {
@@ -208,7 +130,7 @@ func TestClusterChurnMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := c.fleet.clients[0].cfg.pool
-		pool.each(func(tw *hfl.Trainer) { tw.Opt = &importRecorder{Optimizer: tw.Opt} })
+		pool.each(func(tw *hfl.Trainer) { tw.Opt = &resetCounter{Optimizer: tw.Opt} })
 		audit.cluster.Store(c)
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
@@ -229,11 +151,9 @@ func TestClusterChurnMembership(t *testing.T) {
 		if cap(pool) != procs {
 			t.Fatalf("group of %d: the pool holds %d trainers at GOMAXPROCS %d", group, cap(pool), procs)
 		}
-		if audit.imports == 0 || audit.afterOthers == 0 {
-			t.Errorf("group of %d: %d resumes checked, %d after another training on the trainer; want both > 0",
-				group, audit.imports, audit.afterOthers)
+		if audit.resets != audit.owed {
+			t.Errorf("group of %d: %d optimizer resets for %d trainings", group, audit.resets, audit.owed)
 		}
-		t.Logf("group of %d: %d trainings owed and done, %d handovers, %d resumes (%d after another training on the trainer)",
-			group, audit.owed, ok, audit.imports, audit.afterOthers)
+		t.Logf("group of %d: %d trainings owed and done, %d handovers", group, audit.owed, ok)
 	}
 }

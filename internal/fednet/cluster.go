@@ -45,9 +45,7 @@ type ClusterConfig struct {
 	// enabling edge crash recovery.
 	CheckpointDir   string
 	EdgeCheckpoints bool
-	// Mux and LiveMigration configure the fleet (see FleetConfig); with
-	// live migration the edges also ask trained devices to keep their
-	// optimizer state (EdgeConfig.LiveMigration).
+	// Mux and LiveMigration configure the fleet (see FleetConfig).
 	Mux           int
 	LiveMigration bool
 	// Aggregator selects the combination rule used at both the edges
@@ -146,8 +144,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			K: cfg.K, Strategy: cfg.Strategy, Seed: cfg.Seed, Logf: cfg.Logf,
 			Timeout: cfg.Timeout, Quorum: cfg.Quorum, RoundDeadline: cfg.RoundDeadline,
 			Aggregator: cfg.Aggregator, Validate: cfg.Validate,
-			SelectionNormCap: cfg.SelectionNormCap, LiveMigration: cfg.LiveMigration,
-			Faults: injector, Obs: cfg.Obs, Trace: cfg.Trace,
+			SelectionNormCap: cfg.SelectionNormCap, Faults: injector, Obs: cfg.Obs, Trace: cfg.Trace,
 		}
 		if cfg.EdgeCheckpoints {
 			ecfg.CheckpointDir = cfg.CheckpointDir
@@ -292,7 +289,7 @@ func (c *Cluster) MoveErrors() int { return int(c.fleet.moveErrs.Load()) }
 // and yet arrived cold, stays 0: a mover registers warm, so its state is
 // adopted or refused. A mover that never trained carries nothing and is
 // not counted; a device that fails over carrying state counts like a
-// mover. All zero when LiveMigration is off.
+// mover. Without LiveMigration movers arrive cold, so only failovers count.
 func (c *Cluster) Migrations() (ok, fallback, rejected int) {
 	c.mu.Lock()
 	edges := slices.Concat(c.killed, c.edges)

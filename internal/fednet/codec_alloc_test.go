@@ -91,24 +91,19 @@ func TestTrainRPCSteadyStateAllocBytes(t *testing.T) {
 	})
 }
 
-// TestTrainRPCWithMomentsSteadyStateAllocBytes is the same with live
-// migration on a momentum optimizer: every training exports its moments,
-// into the storage the device kept them in, and every third one is a move
-// that resumes them — an import into the trainer's own buffers.
+// TestTrainRPCWithMomentsSteadyStateAllocBytes is the same on a momentum
+// optimizer, whose moment buffers every training resets and refills in
+// place, every third one a move that keeps the carried model: nothing of
+// the optimizer is exported, kept or imported, so a move allocates no more
+// than a stay.
 func TestTrainRPCWithMomentsSteadyStateAllocBytes(t *testing.T) {
 	mx := trainableClient(t, 256, 0)
 	mx.cfg.pool.each(func(tw *hfl.Trainer) {
 		tw.Opt = hfl.OptimizerSpec{Kind: hfl.OptSGDMomentum, LR: 0.05, Momentum: 0.9}.New()
 	})
 	trainRPCAllocBytes(t, mx, func(round int) TrainRequest {
-		return TrainRequest{Round: round, Moved: round%3 == 0, WantMoments: true}
+		return TrainRequest{Round: round, Moved: round%3 == 0}
 	})
-	mx.mu.Lock()
-	kept := mx.virts[0].kept.steps
-	mx.mu.Unlock()
-	if kept == 0 {
-		t.Error("the device kept no moments")
-	}
 }
 
 // trainRPCAllocBytes serves device 0 of mx the requests req builds, after

@@ -41,7 +41,7 @@ var frameCases = []frameCase{
 	{"RoundDone", MsgRoundDone, RoundDone{EdgeID: 1, Round: 17, Weight: 412.5, Trained: 4, Epoch: 3, Devices: []int{2, 5, 8}}},
 	{"GlobalModel", MsgGlobalModel, struct{}{}},
 	{"TrainRequest", MsgTrainRequest, TrainRequest{Round: 17, DeviceID: 5, Moved: true, ResetLocal: true,
-		Span: "c17.e1.d5", WantMoments: true}},
+		Span: "c17.e1.d5"}},
 	{"TrainReply", MsgTrainReply, TrainReply{DeviceID: 5, Round: 17, DataSize: 100, Utility: 1.5}},
 	{"Shutdown", MsgShutdown, struct{}{}},
 	{"RegisterAck", MsgRegisterAck, RegisterAck{EdgeID: 1, Round: 17, LastSync: 15}},

@@ -54,8 +54,9 @@ type DeviceMuxConfig struct {
 	// strategy the edges select with. Nil starts every round from the
 	// downloaded edge model.
 	Strategy hfl.Strategy
-	// Seed derives each device's batch-sampling randomness; the stream
-	// depends only on (Seed, round, deviceID).
+	// Seed derives each device's minibatch stream, the simulator's
+	// hfl.BatchStream of (Seed, round, deviceID) in the fleet's population,
+	// so a device draws the batches hfl.Sim draws for it with that seed.
 	Seed int64
 	// Timeout bounds network operations (default 30 s).
 	Timeout time.Duration
@@ -88,10 +89,12 @@ type DeviceMuxConfig struct {
 	Trace *obs.Trace
 
 	// pool is the trainers the client trains on, its fleet's (required).
-	// An optimizer is reset before every training round unless the device
-	// resumes the state it kept itself, so nothing of one device's round
-	// reaches the next.
-	pool trainerPool
+	// An optimizer is reset before every training round, so nothing of one
+	// device's round reaches the next. population is the device count of
+	// the fleet's partition, the N of hfl.BatchStream (required; every
+	// hosted id lies below it).
+	pool       trainerPool
+	population int
 }
 
 // trainerPool lends the hfl.Trainers device trainings run on. A fleet
@@ -99,10 +102,9 @@ type DeviceMuxConfig struct {
 // there are fewer devices, and hands it to every client it creates, so it
 // keeps a network and an optimizer per core, warm in cache, instead of
 // one per client (hfl.Sim keeps one per worker the same way). A training
-// holds a trainer from ImportMoments to ExportMoments, never across a
-// frame read or write. Sharing changes no bit: LocalRound overwrites every
-// parameter and resets the optimizer or imports the device's own state
-// into it, and no layer keeps other state.
+// holds a trainer for its local round only, never across a frame read or
+// write. Sharing changes no bit: LocalRound overwrites every parameter and
+// resets the optimizer, and no layer keeps other state.
 type trainerPool chan *pooledTrainer
 
 // pooledTrainer is a trainer of the pool with the generator its trainings
@@ -173,24 +175,6 @@ type virtualDevice struct {
 	// models outside mx.mu (DESIGN.md, "Who owns a vector").
 	spare []float64
 	pins  int
-	// kept is the optimizer state the device exported after its last
-	// training, when that request asked for it (WantMoments), in storage
-	// of its own: its first training after a warm arrival at another edge
-	// imports it. Other devices train on the same optimizers and reset
-	// them, so it never aliases an optimizer's buffers. Like spare, a
-	// training takes the storage under mx.mu — a training of the device
-	// running meanwhile finds none, so resumes nothing and exports into
-	// new storage — and gives it back holding the state it exported, if
-	// any, the next one's to import and overwrite.
-	kept keptMoments
-}
-
-// keptMoments is one exported optimizer state (optim.MomentExporter); it
-// holds none when steps is 0, whatever storage flat and lens keep.
-type keptMoments struct {
-	flat  []float64
-	lens  []int
-	steps int
 }
 
 // carry replaces the carried model on behalf of a pinned training, under
@@ -302,6 +286,9 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 	for _, d := range cfg.Devices {
 		if len(d.Indices) == 0 {
 			return nil, fmt.Errorf("fednet: device %d has no data", d.DeviceID)
+		}
+		if d.DeviceID < 0 || d.DeviceID >= cfg.population {
+			return nil, fmt.Errorf("fednet: device %d is outside a population of %d", d.DeviceID, cfg.population)
 		}
 		cfg.Trace.SetProcessName(tracePidDeviceBase+d.DeviceID, fmt.Sprintf("device%d", d.DeviceID))
 		mx.virts[d.DeviceID] = &virtualDevice{id: d.DeviceID, indices: d.Indices, edge: -1,
@@ -836,14 +823,11 @@ func (mx *DeviceMux) unpin(id int) {
 // honour ResetLocal, build the start model with Strategy.InitLocal, run
 // the local round on a trainer of the pool and store the result as the
 // new carried model, in the device's spare vector when it has one (a
-// known device stays pinned until unpin). On the trainer the request is
-// stateless towards every other device: a moved device that keeps its carried
-// model (Moved without ResetLocal: its first training after a warm arrival
-// at another edge) imports the optimizer state it kept, any other training
-// resets the optimizer, and the state is exported into the device's
-// keeping again when the edge asks. The batch-sampling stream depends only
-// on (seed, round, id). A non-nil error rejects the request's state as
-// corrupt — the caller must tear the connection down and resync.
+// known device stays pinned until unpin). The local round resets the
+// trainer's optimizer and draws its minibatches from hfl.BatchStream, so
+// it is the simulator's training of the device from the same start model.
+// A non-nil error rejects the request's state as corrupt — the caller must
+// tear the connection down and resync.
 func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]float64, TrainReply, error) {
 	tr := mx.cfg.Trace
 	trainStart := tr.Now()
@@ -851,7 +835,6 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	mx.mu.Lock()
 	v := mx.virts[id]
 	var local, vec []float64
-	var kept keptMoments
 	if v != nil {
 		v.pins++
 		vec, v.spare = v.spare, nil
@@ -859,7 +842,6 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 			v.carry(nil)
 		}
 		local = v.local // not written while carried or while a reader is pinned
-		kept, v.kept = v.kept, keptMoments{}
 	}
 	mx.mu.Unlock()
 	if v == nil {
@@ -871,14 +853,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	if moved && len(local) != len(payload) {
 		// A moved device whose carried model cannot blend with the edge
 		// model is in an inconsistent state; silently training from the
-		// stale frame would feed a wrong-era model into Eq. 6. Nothing
-		// trained, so the state it kept stands unless a training since kept
-		// newer.
-		mx.mu.Lock()
-		if v.kept.steps == 0 {
-			v.kept = kept
-		}
-		mx.mu.Unlock()
+		// stale frame would feed a wrong-era model into Eq. 6.
 		return nil, TrainReply{}, fmt.Errorf("fednet: device %d: moved-blend length mismatch (local %d, edge %d)",
 			id, len(local), len(payload))
 	}
@@ -892,27 +867,16 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 	reply := TrainReply{DeviceID: id, Round: req.Round, DataSize: len(v.indices)}
 
 	tw := <-mx.cfg.pool
-	tw.rng.Reseed(mx.cfg.Seed, int64(req.Round)*100_003+int64(id)*13+5)
-	me, _ := tw.Opt.(optim.MomentExporter)
-	// ImportMoments copies, so kept stays the device's own.
-	resumed := moved && me != nil && kept.steps > 0 && me.ImportMoments(kept.flat, kept.lens, kept.steps)
+	hfl.BatchStream(tw.rng, mx.cfg.Seed, req.Round, id, mx.cfg.population)
 	fp := flight.BeginPhase("local_train")
-	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, tw.rng, start, vec, resumed)
+	util, skipped := tw.LocalRound(mx.cfg.Dataset, v.indices, mx.cfg.LocalSteps, mx.cfg.BatchSize, tw.rng, start, vec)
 	fp.End()
-	kept = keptMoments{flat: kept.flat[:0], lens: kept.lens[:0]}
-	if req.WantMoments && me != nil {
-		kept.flat, kept.lens, kept.steps = me.ExportMomentsInto(kept.flat, kept.lens)
-		if len(kept.flat) == 0 {
-			kept.steps = 0
-		}
-	}
 	mx.cfg.pool <- tw
 	mx.m.nonfinite.Add(int64(skipped))
 	reply.Utility = util
 
 	mx.mu.Lock()
 	v.carry(vec)
-	v.kept = kept
 	v.prevEdge, v.lastUtil, v.lastTrained, v.scored = edgeID, util, req.Round, false
 	v.rounds++
 	mx.mu.Unlock()
@@ -923,7 +887,7 @@ func (mx *DeviceMux) train(req TrainRequest, payload []float64, edgeID int) ([]f
 		}
 		tr.Complete("device_train", "fednet", tracePidDeviceBase+id, 0,
 			trainStart, tr.Now().Sub(trainStart), spanID, req.Span,
-			map[string]any{"round": req.Round, "moved": req.Moved, "resume": resumed})
+			map[string]any{"round": req.Round, "moved": req.Moved})
 	}
 	return vec, reply, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -63,10 +64,6 @@ type EdgeConfig struct {
 	// SelectionNormCap, when > 0, caps the Eq. 12 selection score of
 	// devices whose update norm exceeds it (see hfl.NormCapView).
 	SelectionNormCap float64
-	// LiveMigration asks every trained device to keep its optimizer state
-	// (TrainRequest.WantMoments), so that a device moving on warm resumes
-	// it at its next edge. Off by default: cold runs do not export moments.
-	LiveMigration bool
 	// CheckpointDir, when set, makes the edge persist its state (edge
 	// model + round + Eq. 6 weight accumulator) after every round, and
 	// NewEdge resume from the latest valid checkpoint found there.
@@ -123,9 +120,14 @@ type Edge struct {
 	m       edgeMetrics
 	agg     *robust.Point // the Eq. 6 aggregate step
 	resumed bool          // state restored from a checkpoint by NewEdge
-	// rng is the selection generator, re-seeded in place to each round's
-	// stream (the one tensor.Split would build) by runRound under mu.
-	rng *tensor.RNG
+	// rng is the selection generator, re-seeded to each round's stream by
+	// hfl.Cohort under mu. cands, sel and got are runRound's scratch — the
+	// candidate ids, the cohort and its replies by position in it — which
+	// only the Run goroutine touches.
+	rng   *tensor.RNG
+	cands []int
+	sel   []int
+	got   []trainResult
 
 	mu      sync.Mutex
 	devices map[int]*deviceState
@@ -621,26 +623,18 @@ type trainResult struct {
 func (e *Edge) runRound(round int, span string) roundStats {
 	e.mu.Lock()
 	e.curRound = round
-	candidates := make([]int, 0, len(e.devices))
+	cands := e.cands[:0]
 	for id := range e.devices {
-		candidates = append(candidates, id)
-	}
-	view := &edgeView{edge: e, round: round}
-	model := e.edgeModel
-	e.mu.Unlock()
-	if len(candidates) == 0 {
-		return roundStats{}
+		cands = append(cands, id)
 	}
 	// Strategies shuffle their input, so the selection depends on its
 	// order: map order would make every run a different one.
-	sort.Ints(candidates)
-
-	e.mu.Lock()
-	e.rng.Reseed(e.cfg.Seed, int64(round)*1_000_003+int64(e.cfg.EdgeID)*7+1)
-	sel := e.cfg.Strategy.Select(view, e.cfg.EdgeID, candidates, e.cfg.K, e.rng)
-	if len(sel) > e.cfg.K {
-		sel = sel[:e.cfg.K]
-	}
+	slices.Sort(cands)
+	e.cands = cands
+	view := &edgeView{edge: e, round: round}
+	sel := hfl.Cohort(e.sel[:0], e.cfg.Strategy, view, e.cfg.EdgeID, round, e.cfg.K, cands, e.cfg.Seed, e.rng)
+	e.sel = sel
+	model := e.edgeModel
 	e.modelUsers += len(sel) // each train RPC sends model, unlocked
 	e.mu.Unlock()
 	if len(sel) == 0 {
@@ -664,7 +658,9 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	nonFinite := 0 // updates refused on receipt
 	// Replies are kept by position in sel and handed to Eq. 6 in that
 	// order, not in arrival order: a float sum depends on its order.
-	got := make([]trainResult, len(sel))
+	got := slices.Grow(e.got[:0], len(sel))[:len(sel)]
+	clear(got)
+	e.got = got
 	pending := make(map[int]int, len(sel)) // device → position in sel
 	for i, id := range sel {
 		pending[id] = i
@@ -838,11 +834,10 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 		var req TrainRequest
 		if ok {
 			req = TrainRequest{
-				Round:       round,
-				DeviceID:    id,
-				Moved:       !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
-				ResetLocal:  !trainedSince(d.lastTrained, e.lastSync),
-				WantMoments: e.cfg.LiveMigration,
+				Round:      round,
+				DeviceID:   id,
+				Moved:      !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
+				ResetLocal: !trainedSince(d.lastTrained, e.lastSync),
 			}
 			if span != "" {
 				req.Span = trainRPCSpan(span, id)

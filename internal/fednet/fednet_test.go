@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,7 @@ func TestDeviceStartsFromStrategyInitLocal(t *testing.T) {
 		} {
 			mx, err := NewDeviceMux(DeviceMuxConfig{
 				Devices: group, Dataset: train, pool: solo(factory, hfl.OptimizerSpec{Kind: hfl.OptSGD}.New()), Strategy: strat,
+				population: id + 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -186,6 +188,7 @@ func TestDeviceTrainOnlyReadsPayloadAndCarriedModel(t *testing.T) {
 		mx, err := NewDeviceMux(DeviceMuxConfig{
 			Devices: []MuxDevice{{DeviceID: id, Indices: []int{0, 1, 2, 3}}}, Dataset: train,
 			pool: solo(factory, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()), Strategy: strat, LocalSteps: 2, BatchSize: 4,
+			population: id + 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -520,7 +523,7 @@ func testClient(t *testing.T, ids ...int) *DeviceMux {
 		pool: solo(func(rng *tensor.RNG) *nn.Network {
 			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
 		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
-		Timeout: 2 * time.Second,
+		Timeout: 2 * time.Second, population: slices.Max(ids) + 1,
 	})
 	if err != nil {
 		t.Fatal(err)

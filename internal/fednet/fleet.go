@@ -38,13 +38,14 @@ type FleetConfig struct {
 	// Mux is the group size of the clients: each hosts that many devices,
 	// with one connection per edge (≤ 1: a client per device).
 	Mux int
-	// LiveMigration makes a mover arrive warm (ConnectRehome): its model
-	// and optimizer moments stay on the device, so Eq. 9 blends and its
-	// optimizer resumes at the next edge. Without it the mover registers
-	// cold, and the edge resets its carried model.
+	// LiveMigration makes a mover arrive warm (ConnectRehome): it keeps its
+	// model, which Eq. 9 blends at the next edge, and that edge adopts its
+	// Eq. 12 scores. Without it the mover registers cold, and the edge
+	// resets its carried model.
 	LiveMigration bool
 	// DeviceMuxConfig configures every client; the fleet sets Devices,
-	// Dataset and Failover, and a nil pool is one it builds (trainers).
+	// Dataset, Failover and the population (the partition's device count),
+	// and a nil pool is one it builds (trainers).
 	DeviceMuxConfig
 }
 
@@ -87,6 +88,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.pool == nil {
 		cfg.pool = cfg.trainers()
 	}
+	cfg.population = cfg.Partition.NumDevices()
 	f := &Fleet{cfg: cfg, group: max(1, cfg.Mux), link: newLinkMetrics(cfg.Obs, linkEdgeCloud),
 		moveErrCtr: cfg.Obs.Counter("fednet_move_errors_total")}
 	n := cfg.Mobility.NumDevices()

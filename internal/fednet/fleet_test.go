@@ -115,7 +115,7 @@ func byHand(t *testing.T, cfg ClusterConfig) (*Cloud, []*Edge, *Fleet, chan erro
 	var addrs []EdgeAddr
 	for id := range nEdges {
 		e, err := NewEdge(EdgeConfig{EdgeID: id, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", K: cfg.K,
-			Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: 5 * time.Second, LiveMigration: true})
+			Strategy: cfg.Strategy, Seed: cfg.Seed, Timeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

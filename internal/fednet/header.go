@@ -304,12 +304,11 @@ func (h TrainRequest) put(e *enc) {
 	e.putBool(h.Moved)
 	e.putBool(h.ResetLocal)
 	e.putStr(h.Span)
-	e.putBool(h.WantMoments)
 }
 func (h *TrainRequest) get(b []byte) error {
 	d := dec{b: b}
 	h.Round, h.DeviceID, h.Moved, h.ResetLocal = d.getInt(), d.getInt(), d.getBool(), d.getBool()
-	h.Span, h.WantMoments = d.getStr(h.Span), d.getBool()
+	h.Span = d.getStr(h.Span)
 	return d.done()
 }
 

@@ -273,7 +273,7 @@ func TestDeviceFailsOverOnItsOwn(t *testing.T) {
 			return nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2}, rng)
 		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
 		Timeout: 2 * time.Second, RetryBase: time.Millisecond,
-		Failover: failover, Obs: reg,
+		Failover: failover, Obs: reg, population: len(hosted),
 	})
 	if err != nil {
 		t.Fatal(err)

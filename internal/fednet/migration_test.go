@@ -2,13 +2,15 @@ package fednet
 
 // Live migration tests: a moving device arrives warm by registering at its
 // new edge with its own state. Under clean conditions the destination
-// adopts it and the first training there resumes the device's optimizer;
-// under device→edge faults every mover still arrives somewhere; disabled,
-// no carried model reaches an edge and no device keeps its moments.
+// adopts it and the first training there starts from the model the device
+// carried; under device→edge faults every mover still arrives somewhere;
+// disabled, no carried model reaches an edge.
 
 import (
+	"maps"
 	"math"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,9 +129,9 @@ func runAudited(t *testing.T, cfg ClusterConfig) (*Cluster, *warmAudit) {
 // TestClusterLiveMigrationResume is the live-migration acceptance test:
 // under high mobility, at any group size, movers arrive warm — the edges
 // adopt the models they carry, the metric agrees with Cluster.Migrations,
-// nothing is refused — and a warm arrival's first training resumes the
-// device's optimizer: the trace, valid as a whole, holds device_train spans
-// with both moved and resume set.
+// nothing is refused — and a warm arrival's first training resumes from
+// the model it carried: the trace, valid as a whole, holds device_train
+// spans with moved set, and none of them claims an optimizer resume.
 func TestClusterLiveMigrationResume(t *testing.T) {
 	for _, group := range []int{1, 3} {
 		cfg := migrationClusterConfig(t, 12, mobility.NewMarkovRing(3, 9, 0.5, 7))
@@ -154,19 +156,20 @@ func TestClusterLiveMigrationResume(t *testing.T) {
 		}
 		resumes := 0
 		for _, e := range events {
-			moved, _ := e.Args["moved"].(bool)
-			resume, _ := e.Args["resume"].(bool)
-			if e.Name == "device_train" && resume {
-				if !moved {
-					t.Fatalf("device_train %v resumed without moving", e.Args)
-				}
+			if e.Name != "device_train" {
+				continue
+			}
+			if _, ok := e.Args["resume"]; ok {
+				t.Fatalf("device_train %v claims an optimizer resume", e.Args)
+			}
+			if moved, _ := e.Args["moved"].(bool); moved {
 				resumes++
 			}
 		}
 		if resumes == 0 {
-			t.Fatalf("group of %d: %d warm arrivals but no device_train resumed", group, ok)
+			t.Fatalf("group of %d: %d warm arrivals but no device_train moved", group, ok)
 		}
-		t.Logf("group of %d: %d warm arrivals, %d resumed trainings", group, ok, resumes)
+		t.Logf("group of %d: %d warm arrivals, %d moved trainings", group, ok, resumes)
 	}
 }
 
@@ -216,8 +219,8 @@ func TestClusterMigrationChaos(t *testing.T) {
 }
 
 // TestClusterMigrationDisabledInert pins the default path: without
-// LiveMigration no migration is counted or timed, no edge ever holds
-// state a device carried in, and no device keeps optimizer moments.
+// LiveMigration movers register cold, so no migration is counted or timed
+// and no edge ever holds state a device carried in.
 func TestClusterMigrationDisabledInert(t *testing.T) {
 	cfg := migrationClusterConfig(t, 9, mobility.NewMarkovRing(3, 9, 0.5, 7))
 	cfg.LiveMigration = false
@@ -232,13 +235,6 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 	if audit.warm != 0 {
 		t.Fatalf("%d carried states adopted at round boundaries with LiveMigration off", audit.warm)
 	}
-	for _, mx := range c.fleet.clients {
-		for id, v := range mx.virts {
-			if v.kept.steps != 0 || v.kept.flat != nil {
-				t.Fatalf("device %d kept %d-step moments with LiveMigration off", id, v.kept.steps)
-			}
-		}
-	}
 }
 
 // TestReconnectIsNoMigration: a device that moved warm and loses its
@@ -246,7 +242,7 @@ func TestClusterMigrationDisabledInert(t *testing.T) {
 // The move is one migration outcome; the reconnect adds none.
 func TestReconnectIsNoMigration(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
-		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
+		EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second,
 	})
 	defer func() {
 		WriteMsg(cc, MsgShutdown, struct{}{}, nil)
@@ -282,24 +278,23 @@ func TestReconnectIsNoMigration(t *testing.T) {
 	}
 }
 
-// TestEdgeResumeUsedUpByFirstTraining pins the optimizer resume on the
-// device: two devices of one client arrive warm at an edge in sync era 1.
-// Device 5 last trained in round 2, after the sync, so its first training
-// there keeps its carried model and imports the moments it kept; device 6
-// last trained in round 1, the sync round itself, which pushed w_c down to
-// it too, so it resets and imports nothing. A later training never imports.
+// TestEdgeResumeUsedUpByFirstTraining pins the warm start on the device:
+// two devices of one client arrive warm at an edge in sync era 1. Device 5
+// last trained in round 2, after the sync, so its first training there is
+// Moved without ResetLocal and InitLocal blends the model it carried;
+// device 6 last trained in round 1, the sync round itself, which pushed w_c
+// down to it too, so it resets and starts cold. A later training of either
+// is no move.
 func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
-		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second, LiveMigration: true,
+		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1, Timeout: 3 * time.Second,
 	})
 	mx := trainableClient(t, 8, 5, 6)
 	defer mx.Disconnect()
-	rec := &importRecorder{Optimizer: hfl.OptimizerSpec{Kind: hfl.OptSGDMomentum, LR: 0.05, Momentum: 0.9}.New()}
+	spy := &initSpy{Strategy: core.NewMiddle()}
+	mx.cfg.Strategy = spy // before the serve loops start
 	var model []float64
-	mx.cfg.pool.each(func(tw *hfl.Trainer) {
-		tw.Opt = rec
-		model = tw.Net.ParamVector()
-	})
+	mx.cfg.pool.each(func(tw *hfl.Trainer) { model = tw.Net.ParamVector() })
 
 	// A sync at round 1 puts the edge in sync era 1 with a model the
 	// devices can train.
@@ -319,7 +314,7 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	})
 	// Both devices trained at edge 1 before moving: 5 in round 2, 6 in round 1.
 	for id, round := range map[int]int{5: 2, 6: 1} {
-		if _, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, WantMoments: true}, model, 1); err != nil {
+		if _, _, err := mx.train(TrainRequest{Round: round, DeviceID: id}, model, 1); err != nil {
 			t.Fatal(err)
 		}
 		mx.unpin(id)
@@ -330,10 +325,9 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 			t.Fatalf("device %d arrived %q, want ok", id, got)
 		}
 	}
-	mx.mu.Lock()
-	kept5 := append([]float64(nil), mx.virts[5].kept.flat...)
-	mx.mu.Unlock()
-	mx.cfg.pool.each(func(*hfl.Trainer) { rec.imports = nil })
+	spy.mu.Lock()
+	spy.warm = nil // the trainings at edge 1
+	spy.mu.Unlock()
 
 	for round := 3; round <= 4; round++ {
 		if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
@@ -343,14 +337,13 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 		if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Trained != 2 {
 			t.Fatalf("round %d done: type %d, %+v, %v", round, mt, done, err)
 		}
-		var imports []recordedImport
-		mx.cfg.pool.each(func(*hfl.Trainer) { imports, rec.imports = rec.imports, nil })
-		want := map[int]int{3: 1, 4: 0}[round]
-		if len(imports) != want {
-			t.Fatalf("round %d: %d imports, want %d", round, len(imports), want)
-		}
-		if want == 1 && !sameBits(imports[0].flat, kept5) {
-			t.Fatal("the resume imported moments other than device 5's own")
+		spy.mu.Lock()
+		warm := spy.warm
+		spy.warm = nil
+		spy.mu.Unlock()
+		want := map[int]map[int]bool{3: {5: true, 6: false}, 4: {5: false, 6: false}}[round]
+		if !maps.Equal(warm, want) {
+			t.Fatalf("round %d: warm starts %v, want %v", round, warm, want)
 		}
 	}
 	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
@@ -359,6 +352,24 @@ func TestEdgeResumeUsedUpByFirstTraining(t *testing.T) {
 	if err := <-edgeErr; err != nil {
 		t.Fatalf("edge exited with %v", err)
 	}
+}
+
+// initSpy records, per device, whether its InitLocal was a warm start:
+// moved, with a carried model to blend.
+type initSpy struct {
+	hfl.Strategy
+	mu   sync.Mutex
+	warm map[int]bool
+}
+
+func (s *initSpy) InitLocal(v hfl.View, device, edge int, moved bool) []float64 {
+	s.mu.Lock()
+	if s.warm == nil {
+		s.warm = map[int]bool{}
+	}
+	s.warm[device] = moved && v.LocalModel(device) != nil
+	s.mu.Unlock()
+	return s.Strategy.InitLocal(v, device, edge, moved)
 }
 
 // TestEdgeScreensWarmPayload registers devices warm at a validating edge

@@ -204,14 +204,12 @@ func (e *Edge) registerDevices(mx *edgeMux, devices []RegisterDevice, vec []floa
 			e.adoptLocked(d, rd, vec)
 			// A warm registration is a migration outcome; a cold one
 			// (a device that carries nothing, or a reconnect) is not.
-			if e.cfg.LiveMigration {
-				out := "ok"
-				if d.refused {
-					out = "rejected"
-				}
-				e.migrations[out]++
-				e.m.migrations[out].Inc()
+			out := "ok"
+			if d.refused {
+				out = "rejected"
 			}
+			e.migrations[out]++
+			e.m.migrations[out].Inc()
 		} else {
 			e.cfg.Logf("edge %d: device %d joined (from edge %d)", e.cfg.EdgeID, rd.DeviceID, rd.PrevEdge)
 		}

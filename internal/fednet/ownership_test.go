@@ -180,7 +180,7 @@ func trainableClient(t *testing.T, hidden int, ids ...int) *DeviceMux {
 			mlp := nn.NewMLP(nn.MLPConfig{In: train.SampleSize(), Classes: 2, Hidden: []int{hidden}}, rng)
 			return nn.NewNetwork(append([]nn.Layer{nn.NewFlatten()}, mlp.Layers...)...)
 		}, hfl.OptimizerSpec{Kind: hfl.OptSGD, LR: 0.1}.New()),
-		Timeout: 2 * time.Second,
+		Timeout: 2 * time.Second, population: slices.Max(ids) + 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,10 +90,9 @@ func TestClusterBuildsOneTrainerPerCore(t *testing.T) {
 }
 
 // TestSharedTrainerKeepsBits: device B trained on the trainer device A
-// (of another client) just used gives the bits B gets on a fresh trainer
-// — the trained model and the moments it keeps — and so does B's warm
-// resume, which imports its kept moments into a trainer A has just
-// resumed its own state on.
+// (of another client) just used, momentum buffers and all, gives the bits
+// B gets on a fresh trainer — and so does B's moved training, which starts
+// from the model it carried.
 func TestSharedTrainerKeepsBits(t *testing.T) {
 	const a, b = 1, 2
 	train := data.GenerateImagesSplit(data.FastImageProfile(2), 40, 5, 5)
@@ -104,32 +103,27 @@ func TestSharedTrainerKeepsBits(t *testing.T) {
 	client := func(id int, indices []int, pool trainerPool) *DeviceMux {
 		mx, err := NewDeviceMux(DeviceMuxConfig{
 			Devices: []MuxDevice{{DeviceID: id, Indices: indices}}, Dataset: train,
-			LocalSteps: 3, BatchSize: 4, Seed: 9, pool: pool,
+			LocalSteps: 3, BatchSize: 4, Seed: 9, pool: pool, population: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return mx
 	}
-	rec := &importRecorder{Optimizer: spec.New()}
-	shared := newTrainerPool(1, func() *nn.Network { return factory(tensor.NewRNG(3)) }, func() optim.Optimizer { return rec })
+	shared := newTrainerPool(1, func() *nn.Network { return factory(tensor.NewRNG(3)) }, spec.New)
 	mxA := client(a, []int{20, 21, 22, 23, 24, 25}, shared)
 	mxB := client(b, []int{0, 1, 2, 3, 4, 5, 6, 7}, shared)
 	fresh := client(b, []int{0, 1, 2, 3, 4, 5, 6, 7}, solo(factory, spec.New()))
 
 	edgeModel := func(round int) []float64 { return factory(tensor.NewRNG(int64(10 + round))).ParamVector() }
-	run := func(mx *DeviceMux, id, round int, moved bool) ([]float64, keptMoments) {
+	run := func(mx *DeviceMux, id, round int, moved bool) []float64 {
 		t.Helper()
-		vec, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, Moved: moved, WantMoments: true}, edgeModel(round), 0)
+		vec, _, err := mx.train(TrainRequest{Round: round, DeviceID: id, Moved: moved}, edgeModel(round), 0)
 		mx.unpin(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mx.mu.Lock()
-		defer mx.mu.Unlock()
-		// The device exports into the same storage every training: copy.
-		kept := mx.virts[id].kept
-		return append([]float64(nil), vec...), keptMoments{flat: append([]float64(nil), kept.flat...), steps: kept.steps}
+		return append([]float64(nil), vec...)
 	}
 	same := func(what string, got, want []float64) {
 		t.Helper()
@@ -140,21 +134,9 @@ func TestSharedTrainerKeepsBits(t *testing.T) {
 
 	// Round 1, cold: A trains, then B on the trainer A left warm.
 	run(mxA, a, 1, false)
-	gotModel, gotKept := run(mxB, b, 1, false)
-	wantModel, wantKept := run(fresh, b, 1, false)
-	same("round 1 model", gotModel, wantModel)
-	same("round 1 kept moments", gotKept.flat, wantKept.flat)
+	same("round 1 model", run(mxB, b, 1, false), run(fresh, b, 1, false))
 
-	// Round 2, both moved warm: A resumes its state on the trainer, then B
-	// imports its own over it.
-	keptB := gotKept
-	rec.imports, rec.trainings = nil, 0
+	// Round 2, both moved: each starts from the model it carried.
 	run(mxA, a, 2, true)
-	gotModel, gotKept = run(mxB, b, 2, true)
-	wantModel, wantKept = run(fresh, b, 2, true)
-	same("warm round 2 model", gotModel, wantModel)
-	same("warm round 2 kept moments", gotKept.flat, wantKept.flat)
-	if len(rec.imports) != 2 || rec.imports[1].after != 1 || !sameBits(rec.imports[1].flat, keptB.flat) {
-		t.Fatalf("the shared trainer recorded %d imports; want A's, then B's own kept moments", len(rec.imports))
-	}
+	same("moved round 2 model", run(mxB, b, 2, true), run(fresh, b, 2, true))
 }

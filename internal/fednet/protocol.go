@@ -31,7 +31,7 @@
 //	                    Epoch i64, count u32, Devices i64 × count
 //	5     GlobalModel   none (hdrLen 0)
 //	6     TrainRequest  Round i64, DeviceID i64, Moved u8, ResetLocal u8,
-//	                    Span str, WantMoments u8
+//	                    Span str
 //	7     TrainReply    DeviceID i64, Round i64, DataSize i64, Utility f64
 //	8     Shutdown      none (hdrLen 0)
 //	9     RegisterAck   EdgeID i64, Round i64, LastSync i64
@@ -295,11 +295,6 @@ type TrainRequest struct {
 	// Span is the edge's trace span id for this train RPC ("" when
 	// tracing is off); the device parents its training span on it.
 	Span string
-	// WantMoments asks the device to keep its optimizer state after this
-	// training (set when the edge runs with live migration). The state
-	// stays on the device, which imports it for its first training after
-	// arriving at another edge (Moved without ResetLocal).
-	WantMoments bool
 }
 
 // TrainReply returns the device's updated model and bookkeeping.

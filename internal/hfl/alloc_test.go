@@ -66,7 +66,7 @@ func TestLocalRoundSteadyStateAllocs(t *testing.T) {
 		round := func() {
 			seed++
 			rng.Reseed(3, seed)
-			tw.LocalRound(ds, shard, c.steps, 16, rng, vec, vec, false)
+			tw.LocalRound(ds, shard, c.steps, 16, rng, vec, vec)
 		}
 		round()
 		// The budget is judged on the least of three rounds: allocated

@@ -63,15 +63,14 @@ func (u shardUpdater) UpdateDevice(device int, start, out []float64, steps int, 
 	if u.schedule {
 		u.Opt.SetLR(lr)
 	}
-	return u.LocalRound(u.part.Dataset, u.part.Shard(device), steps, u.batch, rng, start, out, false)
+	return u.LocalRound(u.part.Dataset, u.part.Shard(device), steps, u.batch, rng, start, out)
 }
 
 // LocalRound is the device side of Algorithm 1 line 8: steps mini-batch
 // updates (Eq. 5) from start over the device's shard, batches drawn from
-// the caller's rng stream. The trained parameters are written into out,
-// which may be start itself. With resume set the optimizer is not reset
-// first: a device that moved warm just imported the moments it kept, and
-// the round continues its own trajectory.
+// the caller's rng stream (BatchStream). The trained parameters are
+// written into out, which may be start itself. The optimizer is reset
+// first: nothing of a round reaches the next but the model.
 //
 // It returns the Oort statistical utility d_m·sqrt(mean per-sample
 // loss²) and how many steps the non-finite loss guard skipped. A
@@ -80,11 +79,9 @@ func (u shardUpdater) UpdateDevice(device int, start, out []float64, steps int, 
 // pre-step values) and left out of the utility; with every step skipped
 // there is no loss evidence and the utility is zero, not NaN.
 func (tw *Trainer) LocalRound(ds *data.Dataset, shard []int, steps, batch int, rng *tensor.RNG,
-	start, out []float64, resume bool) (util float64, skipped int) {
+	start, out []float64) (util float64, skipped int) {
 	tw.Net.SetParamVector(start)
-	if !resume {
-		tw.Opt.Reset()
-	}
+	tw.Opt.Reset()
 	if batch > len(shard) {
 		batch = len(shard)
 	}

@@ -162,7 +162,8 @@ func cloneVec(v []float64) []float64 { return append([]float64(nil), v...) }
 
 // --- View implementation -------------------------------------------------
 
-// Step returns the number of completed time steps.
+// Step returns the number of completed time steps; inside StepOnce,
+// where strategies read it, that is the 1-based step being decided.
 func (s *Sim) Step() int { return s.step }
 
 // CloudModel returns the current global model vector (read-only).
@@ -264,31 +265,22 @@ func (s *Sim) StepOnce() int {
 	}
 	s.moveTotal += s.numDevices
 
-	// Line 2: every edge's device selection, fanned out over the worker
-	// pool. Each edge draws from its own RNG stream and the view is only
-	// read until the last Select returns, so the outcome does not depend
-	// on scheduling; everything that mutates state follows below, in edge
+	// Line 2: every edge's cohort, fanned out over the worker pool. Each
+	// edge draws from its own selection stream and the view is only read
+	// until the last Select returns, so the outcome does not depend on
+	// scheduling; everything that mutates state follows below, in edge
 	// order. The worker's widened candidate list is reused for its next
-	// edge, and a strategy may return a sub-slice of it, so the result is
-	// copied into the edge's own buffer.
+	// edge, and a strategy may return a sub-slice of it, so Cohort copies
+	// the result into the edge's own buffer.
 	selectedByEdge := s.selected
 	s.fanOut(s.numEdges, func(w, n int) {
-		selectedByEdge[n] = selectedByEdge[n][:0]
-		if len(candidates[n]) == 0 {
-			return
-		}
 		wk := s.workers[w]
 		cands := wk.cands[:0]
 		for _, m := range candidates[n] {
 			cands = append(cands, int(m))
 		}
 		wk.cands = cands
-		wk.rng.Reseed(s.cfg.Seed, int64(t)*1_000_003+int64(n)*7+1)
-		sel := s.strat.Select(s, n, cands, s.cfg.K, wk.rng)
-		if len(sel) > s.cfg.K {
-			sel = sel[:s.cfg.K]
-		}
-		selectedByEdge[n] = append(selectedByEdge[n], sel...)
+		selectedByEdge[n] = Cohort(selectedByEdge[n][:0], s.strat, s, n, t, s.cfg.K, cands, s.cfg.Seed, wk.rng)
 	})
 	s.jobs = s.jobs[:0]
 	for n, sel := range selectedByEdge {
@@ -500,7 +492,7 @@ func (s *Sim) fanOut(n int, fn func(w, i int)) {
 // trainDevice runs one job's local round (Eq. 5) on a pool worker and
 // fills in the resulting model vector and Oort statistical utility.
 func (s *Sim) trainDevice(w *worker, job *trainJob, t int) {
-	w.rng.Reseed(s.cfg.Seed, int64(t)*int64(s.numDevices)*4+int64(job.device)*4+2)
+	BatchStream(w.rng, s.cfg.Seed, t, job.device, s.numDevices)
 	lr := s.cfg.Optimizer.LR
 	if s.cfg.LRSchedule != nil {
 		lr = s.cfg.LRSchedule.At(t)

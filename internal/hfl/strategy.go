@@ -12,7 +12,9 @@ import (
 // vectors (never raw device data — the privacy constraint of §4.3),
 // participation history and data sizes.
 type View interface {
-	// Step returns the current time step (0-based).
+	// Step returns the 1-based time step being decided: t while the
+	// engine selects and trains round t (the simulator's Sim.Step during
+	// StepOnce, a deployment edge's round).
 	Step() int
 	// CloudModel returns the current global model vector w_c.
 	CloudModel() []float64
@@ -111,30 +113,26 @@ type Strategy interface {
 	InitLocal(v View, device, edge int, moved bool) []float64
 }
 
-// topKScratch is TopKByScore's and RandomK's working set: the shuffled
-// candidate ids and their scores, index-aligned. Pooled so that
-// concurrent per-edge selections each reuse one pair of population-sized
-// slices.
-type topKScratch struct {
-	idx    []int
-	scores []float64
-}
-
-var topKPool = sync.Pool{New: func() any { return new(topKScratch) }}
+// scorePool holds TopKByScore's score scratch, index-aligned with the
+// shuffled candidates, so that concurrent per-edge selections each reuse
+// one population-sized slice.
+var scorePool = sync.Pool{New: func() any { return new([]float64) }}
 
 // TopKByScore returns the (at most k) candidate ids with the highest
 // scores, breaking ties by the shuffled order. It is the TOPK(·) of
-// paper Eq. 12 and is shared by several strategies. score is called once
+// paper Eq. 12 and is shared by several strategies. It shuffles
+// candidates in place and reorders them further, as Strategy.Select's
+// contract allows: the caller's order is not kept. score is called once
 // per candidate, in the shuffled order; the returned slice is the
-// caller's. Safe for concurrent use.
+// caller's. Safe for concurrent use on distinct candidate slices.
 func TopKByScore(candidates []int, score func(device int) float64, k int, rng *tensor.RNG) []int {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	sc := topKPool.Get().(*topKScratch)
-	idx := append(sc.idx[:0], candidates...)
+	idx := candidates
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	scores := sc.scores[:0]
+	sp := scorePool.Get().(*[]float64)
+	scores := (*sp)[:0]
 	for _, m := range idx {
 		scores = append(scores, score(m))
 	}
@@ -152,26 +150,20 @@ func TopKByScore(candidates []int, score func(device int) float64, k int, rng *t
 		idx[i], idx[best] = idx[best], idx[i]
 		scores[i], scores[best] = scores[best], scores[i]
 	}
-	out := append([]int(nil), idx[:k]...)
-	sc.idx, sc.scores = idx, scores
-	topKPool.Put(sc)
-	return out
+	*sp = scores
+	scorePool.Put(sp)
+	return append([]int(nil), idx[:k]...)
 }
 
 // RandomK returns k candidate ids drawn uniformly without replacement
 // (all of them if k exceeds the count): the first k of the candidates
-// shuffled by rng. The shuffle runs in pooled scratch, so a call
-// allocates only the returned k-slice, which is the caller's. Safe for
-// concurrent use.
+// shuffled by rng. The shuffle runs in place, so candidates' order is not
+// kept and a call allocates only the returned k-slice, which is the
+// caller's.
 func RandomK(candidates []int, k int, rng *tensor.RNG) []int {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	sc := topKPool.Get().(*topKScratch)
-	idx := append(sc.idx[:0], candidates...)
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	out := append([]int(nil), idx[:min(k, len(idx))]...)
-	sc.idx = idx
-	topKPool.Put(sc)
-	return out
+	rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+	return append([]int(nil), candidates[:min(k, len(candidates))]...)
 }

@@ -5,7 +5,6 @@ package optim
 
 import (
 	"math"
-	"slices"
 
 	"middle/internal/nn"
 	"middle/internal/tensor"
@@ -28,17 +27,12 @@ type Optimizer interface {
 }
 
 // MomentExporter is implemented by optimizers whose internal state —
-// moment buffers plus the step counter — can be serialised for live
-// migration and restored on another host. ExportMoments flattens the
-// state into one slice with per-group lengths; ExportMomentsInto does the
-// same into the caller's slices, reusing their storage; ImportMoments is
-// the inverse, copying into the optimizer's own buffers, and reports false
-// (leaving the optimizer untouched beyond a Reset) when the shapes are
-// inconsistent.
+// moment buffers plus the step counter — can be read out: ExportMoments
+// flattens it into one new slice with per-group lengths, nothing after a
+// Reset. No training path imports moments (a local round always starts
+// from a reset optimizer); the export feeds checkpoint.Handover records.
 type MomentExporter interface {
 	ExportMoments() (flat []float64, lens []int, steps int)
-	ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int)
-	ImportMoments(flat []float64, lens []int, steps int) bool
 }
 
 // SGD is stochastic gradient descent with optional momentum:
@@ -103,32 +97,13 @@ func (s *SGD) ensureState(params []*nn.Param) (fresh bool) {
 // Reset clears momentum buffers and the step counter.
 func (s *SGD) Reset() { s.stale, s.t = true, 0 }
 
-// ExportMoments flattens the velocity buffers for live migration.
+// ExportMoments flattens the velocity buffers.
 func (s *SGD) ExportMoments() (flat []float64, lens []int, steps int) {
-	return s.ExportMomentsInto(nil, nil)
-}
-
-// ExportMomentsInto is ExportMoments writing into flat[:0] and lens[:0],
-// which allocate only when their capacity is short.
-func (s *SGD) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
-	flat, lens = flat[:0], lens[:0]
 	if s.stale {
-		return flat, lens, s.t
+		return nil, nil, s.t
 	}
-	return flattenInto(flat, s.velocity), lensInto(lens, s.velocity), s.t
-}
-
-// ImportMoments restores velocity buffers exported by ExportMoments,
-// copying into the ones the optimizer holds when their shapes match. It
-// reports false on inconsistent shapes, leaving the optimizer reset.
-func (s *SGD) ImportMoments(flat []float64, lens []int, steps int) bool {
-	if !lensAddUp(flat, lens) {
-		s.Reset()
-		return false
-	}
-	s.velocity = unflattenInto(s.velocity, flat, lens)
-	s.t, s.stale = steps, false
-	return true
+	flat, lens = flatten(s.velocity)
+	return flat, lens, s.t
 }
 
 // LR returns the current learning rate.
@@ -193,45 +168,14 @@ func (a *Adam) ensureState(params []*nn.Param) (fresh bool) {
 // Reset clears moment estimates and the step counter.
 func (a *Adam) Reset() { a.stale, a.t = true, 0 }
 
-// ExportMoments flattens the first- and second-moment buffers for live
-// migration: the m groups followed by the v groups.
+// ExportMoments flattens the first- and second-moment buffers: the m
+// groups followed by the v groups.
 func (a *Adam) ExportMoments() (flat []float64, lens []int, steps int) {
-	return a.ExportMomentsInto(nil, nil)
-}
-
-// ExportMomentsInto is ExportMoments writing into flat[:0] and lens[:0],
-// which allocate only when their capacity is short.
-func (a *Adam) ExportMomentsInto(flat []float64, lens []int) ([]float64, []int, int) {
-	flat, lens = flat[:0], lens[:0]
 	if a.stale {
-		return flat, lens, a.t
+		return nil, nil, a.t
 	}
-	return flattenInto(flat, a.m, a.v), lensInto(lens, a.m, a.v), a.t
-}
-
-// ImportMoments restores state exported by ExportMoments, copying into
-// the buffers the optimizer holds when their shapes match. The group
-// count must be even (m groups then v groups) and each half must
-// describe the same shapes; it reports false otherwise, leaving the
-// optimizer reset.
-func (a *Adam) ImportMoments(flat []float64, lens []int, steps int) bool {
-	half := len(lens) / 2
-	if !lensAddUp(flat, lens) || len(lens)%2 != 0 {
-		a.Reset()
-		return false
-	}
-	total := 0
-	for j, n := range lens[:half] {
-		if n != lens[half+j] {
-			a.Reset()
-			return false
-		}
-		total += n
-	}
-	a.m = unflattenInto(a.m, flat[:total], lens[:half])
-	a.v = unflattenInto(a.v, flat[total:], lens[half:])
-	a.t, a.stale = steps, false
-	return true
+	flat, lens = flatten(a.m, a.v)
+	return flat, lens, a.t
 }
 
 // LR returns the current learning rate.
@@ -249,84 +193,23 @@ func newGroups(params []*nn.Param) [][]float64 {
 	return groups
 }
 
-// flattenInto appends the values of every group of sets to flat, growing
-// it at most once.
-func flattenInto(flat []float64, sets ...[][]float64) []float64 {
+// flatten copies the values of every group of sets into one new slice
+// and returns it with the length of each group.
+func flatten(sets ...[][]float64) (flat []float64, lens []int) {
 	n := 0
 	for _, groups := range sets {
 		for _, g := range groups {
 			n += len(g)
 		}
 	}
-	flat = slices.Grow(flat, n)
+	flat = make([]float64, 0, n)
 	for _, groups := range sets {
 		for _, g := range groups {
 			flat = append(flat, g...)
-		}
-	}
-	return flat
-}
-
-// lensInto appends the length of every group of sets to lens, growing it
-// at most once.
-func lensInto(lens []int, sets ...[][]float64) []int {
-	n := 0
-	for _, groups := range sets {
-		n += len(groups)
-	}
-	lens = slices.Grow(lens, n)
-	for _, groups := range sets {
-		for _, g := range groups {
 			lens = append(lens, len(g))
 		}
 	}
-	return lens
-}
-
-// lensAddUp reports whether lens, none negative, split flat exactly.
-func lensAddUp(flat []float64, lens []int) bool {
-	total := 0
-	for _, n := range lens {
-		if n < 0 {
-			return false
-		}
-		total += n
-	}
-	return total == len(flat)
-}
-
-// unflattenInto is the inverse of flattenInto+lensInto for lens that add
-// up: it copies flat into groups when their shapes are lens, and into new
-// groups otherwise, so the caller's buffer is never aliased. nil for no
-// groups.
-func unflattenInto(groups [][]float64, flat []float64, lens []int) [][]float64 {
-	if len(lens) == 0 {
-		return nil
-	}
-	if !sameLens(groups, lens) {
-		groups = make([][]float64, len(lens))
-		for j, n := range lens {
-			groups[j] = make([]float64, n)
-		}
-	}
-	off := 0
-	for _, g := range groups {
-		off += copy(g, flat[off:])
-	}
-	return groups
-}
-
-// sameLens reports whether groups have exactly the lengths lens.
-func sameLens(groups [][]float64, lens []int) bool {
-	if len(groups) != len(lens) {
-		return false
-	}
-	for j, g := range groups {
-		if len(g) != lens[j] {
-			return false
-		}
-	}
-	return true
+	return flat, lens
 }
 
 // groupsMatch reports whether state groups already mirror the params'

@@ -58,7 +58,9 @@ func NewSimulation(cfg Config, factory ModelFactory, part *Partition, test *Data
 }
 
 // TopKByScore is the TOPK(·) helper of paper Eq. 12, exported for custom
-// strategies.
+// strategies. It shuffles and reorders candidates in place, as
+// Strategy.Select may: pass the engine's candidates, or a copy of a slice
+// whose order you keep.
 func TopKByScore(candidates []int, score func(device int) float64, k int, rng *RNG) []int {
 	return hfl.TopKByScore(candidates, score, k, rng)
 }

@@ -106,21 +106,29 @@ go test -race -count=1 \
 echo "== device client attachment gate (-race, 3x) =="
 # At group sizes 1 and 3: the connect storm, a move back after a failed
 # move, failover with warm re-homing, rejoin, churn, warm arrivals under
-# link faults, a healthy cluster the real-clock detector leaves alone,
-# moves only at round boundaries, a fleet stopped mid-run, and the acked
-# leave.
+# link faults, a healthy cluster the real-clock detector leaves alone, a
+# fleet stopped mid-run, and the acked leave.
 go test -race -count=3 \
-    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership|TestClusterMigrationChaos|TestClusterHealthyStaysQuiet|TestFleetMovesAtBoundaries|TestFleetStopDetachesMidRun|TestMoveLeavesBeforeConnectReturns' \
+    -run 'TestDeviceReconnectGenStorm|TestDeviceMoveBackAfterFailedMove|TestClusterFailoverRehome|TestClusterEdgeRejoin|TestClusterChurnMembership|TestClusterMigrationChaos|TestClusterHealthyStaysQuiet|TestFleetStopDetachesMidRun|TestMoveLeavesBeforeConnectReturns' \
+    ./internal/fednet
+
+echo "== one algorithm in both engines (-race, 3x) =="
+# StartCluster's cloud model equals hfl.Sim's after every sync of a static
+# run, both engines' Select seeing the same rounds and candidates; moves
+# only at round boundaries; a moving deployment is one model per seed.
+go test -race -count=3 \
+    -run 'TestClusterMatchesSimulator|TestFleetMovesAtBoundaries|TestClusterMovingRunsBitIdentical' \
     ./internal/fednet
 
 echo "== wire buffer ownership gate (-race, 3x) =="
 # Pooled frame buffers, recycled reply vectors, a device's two rotating
 # vectors, edge scores audited against the devices, one device under two edges
-# at once, a reply held until Eq. 6, a warm move's scores or payload, moments.
+# at once, a reply held until Eq. 6, a warm move's scores or payload, and an
+# optimizer's buffers across Reset.
 go test -race -count=3 \
-    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel|TestDepartedReplyHeldUntilEq6|TestEq6InputsFreedOnce|TestWarmMoveCarriesScoresNotModel|TestWarmMovePayloadFallback|TestClusterMovingRunsBitIdentical' \
+    -run 'TestCodecBuffersNotSharedAcrossConnections|TestEdgeCachedModelsStayOwned|TestFrameBytesGolden|TestDeviceVectorsStayOwned|TestDeviceTrainOnlyReadsPayloadAndCarriedModel|TestDepartedReplyHeldUntilEq6|TestEq6InputsFreedOnce|TestWarmMoveCarriesScoresNotModel|TestWarmMovePayloadFallback' \
     ./internal/fednet
-go test -race -count=3 -run 'TestResetKeepsBuffersNotState|TestImportAfterResetOwnsItsState|TestMomentsRoundTripInPlace' ./internal/optim
+go test -race -count=3 -run 'TestResetKeepsBuffersNotState' ./internal/optim
 
 echo "== parser fuzz (10 s each) =="
 # go test replays the committed corpora; this also explores from them.
