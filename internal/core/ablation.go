@@ -23,8 +23,9 @@ func (*MiddleSelOnly) Name() string { return "MIDDLE-Sel" }
 
 // Select implements Eq. 12, via the hfl.SelectionInfo fast path.
 func (*MiddleSelOnly) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
+	info := hfl.SelectionInfo(v)
 	return hfl.TopKByScore(candidates, func(m int) float64 {
-		u, _ := hfl.SelectionInfo(v, m)
+		u, _ := info(m)
 		return -u
 	}, k, rng)
 }

@@ -41,8 +41,9 @@ func (*Middle) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor
 	if nc, ok := v.(hfl.NormCapView); ok {
 		normCap = nc.SelectionNormCap()
 	}
+	info := hfl.SelectionInfo(v)
 	return hfl.TopKByScore(candidates, func(m int) float64 {
-		u, dn := hfl.SelectionInfo(v, m)
+		u, dn := info(m)
 		if normCap > 0 && dn > normCap {
 			return hfl.CappedScore
 		}

@@ -37,8 +37,9 @@ type rankedAt struct {
 func (r *rankRecorder) Select(v hfl.View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
 	if v.Step() == r.at {
 		r.mu.Lock()
+		info := hfl.SelectionInfo(v)
 		for _, m := range candidates {
-			u, dn := hfl.SelectionInfo(v, m)
+			u, dn := info(m)
 			r.seen[m] = rankedAt{v.LastTrained(m), u, dn}
 		}
 		r.mu.Unlock()

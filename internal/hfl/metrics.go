@@ -11,8 +11,11 @@ import (
 // maintained (a handful of clock reads per ~10ms step) so every run can
 // report where its time went, with or without a metrics registry.
 type PhaseTimes struct {
-	// Select covers mobility advance, membership bookkeeping and device
-	// selection (Algorithm 1 lines 1–2).
+	// Select covers membership bookkeeping and device selection
+	// (Algorithm 1 lines 1–2). The mobility draw of M^{t+1} is not in
+	// it: it runs beside step t's later phases, inside their wall time.
+	// Only a step that finds no membership drawn for it (the first, and
+	// any past Config.Steps) draws its own here.
 	Select float64
 	// Train covers the parallel local-SGD fan-out (lines 4–8).
 	Train float64

@@ -38,8 +38,15 @@ type Sim struct {
 	lastTrain  []int32   // step of the last training, -1 before the first
 	edgeWeight []float64 // d̂_n accumulators since last cloud sync
 	membership []int
-	moves      int // cross-edge moves observed
+	upcoming   []int // M^{t+1}, drawn while round t trained; nil when not drawn
+	moves      int   // cross-edge moves observed
 	moveTotal  int
+	// pendingFlow holds the moves of the membership drawn last and not yet
+	// recorded: count[from*numEdges+to], and the pairs it is nonzero at.
+	pendingFlow struct {
+		count []int32
+		pairs []int
+	}
 
 	// Robustness layer (PR 5). agg is the aggregate step both tiers share:
 	// the Config.Validate screen followed by the pluggable Eq. 6/Eq. 7
@@ -71,9 +78,14 @@ type Sim struct {
 	// loop performs no per-step slice allocations of its own. The model
 	// vectors in cloud/edges/locals keep their backing arrays for the
 	// lifetime of the Sim; aggregation writes into them in place.
-	// candidates holds int32 device ids, 4 bytes per device; selected is
-	// the engine's copy of each edge's Strategy.Select result.
-	candidates [][]int32
+	// cands holds every device id once, as int32 (4 bytes per device),
+	// grouped by edge: edge n's candidates, ascending, are
+	// cands[candStart[n]:candStart[n+1]]. rangeAt is the sweep's
+	// Parallelism × numEdges table of per-range counts and write cursors.
+	// selected is the engine's copy of each edge's Strategy.Select result.
+	cands      []int32
+	candStart  []int
+	rangeAt    []int
 	selected   [][]int
 	jobs       []trainJob
 	aggVecs    [][]float64
@@ -142,7 +154,9 @@ func newSim(cfg Config, init []float64, devices int, updater func(worker int) De
 		s.lastTrain[m] = -1
 	}
 	s.edgeWeight = make([]float64, s.numEdges)
-	s.candidates = make([][]int32, s.numEdges)
+	s.candStart = make([]int, s.numEdges+1)
+	s.rangeAt = make([]int, min(cfg.Parallelism, s.numDevices)*s.numEdges)
+	s.pendingFlow.count = make([]int32, s.numEdges*s.numEdges)
 	s.selected = make([][]int, s.numEdges)
 	mob.Reset()
 	s.membership = mob.Step() // M^0: membership before the first round
@@ -213,7 +227,10 @@ func (s *Sim) NumEdges() int { return s.numEdges }
 // NumDevices returns the device count.
 func (s *Sim) NumDevices() int { return s.numDevices }
 
-// Membership returns the devices' current edge assignment (read-only).
+// Membership returns the devices' current edge assignment, M^t after
+// StepOnce has returned t (read-only). It is valid until StepOnce is
+// called again: that step draws the following membership into the
+// mobility model's storage, which may reuse this one's.
 func (s *Sim) Membership() []int { return s.membership }
 
 // History returns the metrics recorded so far.
@@ -243,26 +260,24 @@ func (s *Sim) StepOnce() int {
 	// atomic loads, zero alloc) when no profiler is running.
 	fp := flight.BeginPhase("selection")
 
-	prev := s.membership
-	next := s.mob.Step()
-	s.membership = next
+	// M^t, and its moves against M^{t−1}, were drawn and counted while
+	// the previous round trained, except on the first step and after one
+	// that drew nothing (t-1 ≥ cfg.Steps). prev stays valid through the
+	// step's selected-device loop: a Model's membership lives until the
+	// second following Step. Each (from, to) pair that moved enters the
+	// flow telemetry once a step.
+	prev, next := s.membership, s.upcoming
+	if next == nil {
+		next = s.mob.Step()
+		s.countMoves(prev, next)
+	}
+	s.membership, s.upcoming = next, nil
+	s.moves += int(s.tel.recordFlow(s.pendingFlow.count, s.pendingFlow.pairs))
+	s.pendingFlow.pairs = s.pendingFlow.pairs[:0]
 
-	// One sweep over the population: the mobility diff against M^{t−1}
-	// and line 1's per-edge candidate sets. prev stays valid through this
-	// step (a Model's membership lives until the second following Step),
-	// so a device moved iff next[m] != prev[m].
-	candidates := s.candidates
-	for n := range candidates {
-		candidates[n] = candidates[n][:0]
-	}
-	for m, e := range next {
-		candidates[e] = append(candidates[e], int32(m))
-		if e == prev[m] {
-			continue
-		}
-		s.moves++
-		s.tel.recordMove(prev[m], e)
-	}
+	// Line 1: every edge's candidate set, one sweep over the population
+	// split across the worker pool.
+	s.sweep(next)
 	s.moveTotal += s.numDevices
 
 	// Line 2: every edge's cohort, fanned out over the worker pool. Each
@@ -276,7 +291,7 @@ func (s *Sim) StepOnce() int {
 	s.fanOut(s.numEdges, func(w, n int) {
 		wk := s.workers[w]
 		cands := wk.cands[:0]
-		for _, m := range candidates[n] {
+		for _, m := range s.cands[s.candStart[n]:s.candStart[n+1]] {
 			cands = append(cands, int(m))
 		}
 		wk.cands = cands
@@ -311,6 +326,22 @@ func (s *Sim) StepOnce() int {
 			init := s.strat.InitLocal(s, m, n, moved)
 			s.jobs = append(s.jobs, trainJob{device: m, init: init, out: s.store.materialize(m)})
 		}
+	}
+	// Nothing reads M^{t−1} from here on, so the model may draw M^{t+1}
+	// into its storage, and its moves be counted against M^t, while this
+	// round trains, aggregates, syncs and evaluates; the draw is joined
+	// before StepOnce returns. The last configured step draws nothing,
+	// so Run steps the model cfg.Steps+1 times, M^0 included.
+	var draw sync.WaitGroup
+	if t < s.cfg.Steps {
+		draw.Add(1)
+		go func() {
+			defer draw.Done()
+			fp := flight.BeginPhase("selection")
+			s.upcoming = s.mob.Step()
+			s.countMoves(next, s.upcoming)
+			fp.End()
+		}()
 	}
 	fp.End()
 	phaseStart := clock
@@ -410,6 +441,7 @@ func (s *Sim) StepOnce() int {
 		clock = phase(&s.phases.Eval, s.metrics.evalSpan, clock)
 		s.tracePhase("eval", t, phaseStart, clock)
 	}
+	draw.Wait()
 
 	s.store.endStep(t)
 	s.metrics.roundSpan.Observe(time.Since(roundStart))
@@ -487,6 +519,65 @@ func (s *Sim) fanOut(n int, fn func(w, i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// sweep groups membership's devices by edge into s.cands, a counting
+// sort over Parallelism contiguous device ranges: each range counts its
+// devices per edge, the blocks are laid out edge by edge and, inside an
+// edge, range by range, and each range writes its devices into its own
+// blocks in ascending order. So edge n's candidates come out ascending
+// whatever the range count, as one serial pass would list them.
+func (s *Sim) sweep(membership []int) {
+	ranges, edges := len(s.rangeAt)/s.numEdges, s.numEdges
+	if s.cands == nil {
+		s.cands = make([]int32, len(membership))
+	}
+	span := func(r int) (lo int, part []int) {
+		lo = r * len(membership) / ranges
+		return lo, membership[lo : (r+1)*len(membership)/ranges]
+	}
+	s.fanOut(ranges, func(_, r int) {
+		count := s.rangeAt[r*edges : (r+1)*edges]
+		clear(count)
+		_, part := span(r)
+		for _, e := range part {
+			count[e]++
+		}
+	})
+	at := 0
+	for n := 0; n < edges; n++ {
+		s.candStart[n] = at
+		for r := 0; r < ranges; r++ {
+			c := s.rangeAt[r*edges+n]
+			s.rangeAt[r*edges+n] = at
+			at += c
+		}
+	}
+	s.candStart[edges] = at
+	s.fanOut(ranges, func(_, r int) {
+		cursor := s.rangeAt[r*edges : (r+1)*edges]
+		lo, part := span(r)
+		for i, e := range part {
+			s.cands[cursor[e]] = int32(lo + i)
+			cursor[e]++
+		}
+	})
+}
+
+// countMoves diffs next against prev into s.pendingFlow in one serial
+// pass: on the draw goroutine beside training, or before selecting in a
+// step that drew its own membership.
+func (s *Sim) countMoves(prev, next []int) {
+	f := &s.pendingFlow
+	for m, to := range next {
+		if from := prev[m]; from != to {
+			i := from*s.numEdges + to
+			if f.count[i] == 0 {
+				f.pairs = append(f.pairs, i)
+			}
+			f.count[i]++
+		}
+	}
 }
 
 // trainDevice runs one job's local round (Eq. 5) on a pool worker and

@@ -19,8 +19,9 @@ type middleLike struct{}
 func (middleLike) Name() string { return "middle-like" }
 
 func (middleLike) Select(v View, edge int, candidates []int, k int, rng *tensor.RNG) []int {
+	info := SelectionInfo(v)
 	return TopKByScore(candidates, func(m int) float64 {
-		u, _ := SelectionInfo(v, m)
+		u, _ := info(m)
 		return -u
 	}, k, rng)
 }

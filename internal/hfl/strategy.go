@@ -62,18 +62,23 @@ type ResidentView interface {
 	DriftInfo(device int) (utility, deltaNorm float64, known bool)
 }
 
-// SelectionInfo returns the Eq. 12 similarity utility U(w_c, Δw_m) and
-// update norm ‖Δw_m‖ for one device, using the view's ResidentView fast
-// path when it has one and the fused full-vector reduction otherwise.
-// Selection strategies score thousands of candidates per step at
-// population scale; this is what keeps that sweep cohort-bounded.
-func SelectionInfo(v View, device int) (utility, deltaNorm float64) {
-	if rv, ok := v.(ResidentView); ok {
-		if u, dn, known := rv.DriftInfo(device); known {
-			return u, dn
+// SelectionInfo returns the Eq. 12 scoring of v's devices: the
+// similarity utility U(w_c, Δw_m) and update norm ‖Δw_m‖ of a device,
+// from the view's ResidentView fast path when it has one and the fused
+// full-vector reduction otherwise. Selection strategies score thousands
+// of candidates per step at population scale; the fast path is what
+// keeps that sweep cohort-bounded, and resolving it once per Select
+// keeps a type assertion out of the per-candidate call.
+func SelectionInfo(v View) func(device int) (utility, deltaNorm float64) {
+	rv, _ := v.(ResidentView)
+	return func(device int) (float64, float64) {
+		if rv != nil {
+			if u, dn, known := rv.DriftInfo(device); known {
+				return u, dn
+			}
 		}
+		return simil.SelectionUtilityNorm(v.CloudModel(), v.LocalModel(device))
 	}
-	return simil.SelectionUtilityNorm(v.CloudModel(), v.LocalModel(device))
 }
 
 // Strategy is the policy slot of Algorithm 1: which devices each edge

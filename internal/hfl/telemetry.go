@@ -139,11 +139,20 @@ func (tel *telemetry) recordBlend(utility float64) {
 	tel.blendHist.Observe(utility)
 }
 
-// recordMove logs one device crossing from edge `from` to edge `to`.
-func (tel *telemetry) recordMove(from, to int) {
-	i := from*tel.numEdges + to
-	tel.flowCounts[i]++
-	tel.flow[i].Inc()
+// recordFlow logs one step's moves: count[i] devices crossed edge pair
+// i = from*numEdges + to, for each i in pairs (the nonzero ones). Each
+// pair enters flowCounts and its counter once; recordFlow zeroes the
+// counts it read and returns their sum.
+func (tel *telemetry) recordFlow(count []int32, pairs []int) int64 {
+	total := int64(0)
+	for _, i := range pairs {
+		c := int64(count[i])
+		tel.flowCounts[i] += c
+		tel.flow[i].Add(c)
+		total += c
+		count[i] = 0
+	}
+	return total
 }
 
 // selUtilMean returns the running mean selection utility (0 before any

@@ -197,11 +197,13 @@ func TestPerEdgeSeriesBounded(t *testing.T) {
 // StepOnce makes are allocation-free.
 func TestTelemetryDisabledAllocFree(t *testing.T) {
 	tel := newTelemetry(nil, 3, 8)
+	flow, pairs := make([]int32, 9), []int{2}
 	if a := testing.AllocsPerRun(200, func() {
 		tel.beginRound()
 		tel.recordSelection(2, 0.5, 1.25)
 		tel.recordBlend(0.25)
-		tel.recordMove(0, 2)
+		flow[2] = 1
+		tel.recordFlow(flow, pairs)
 		_ = tel.fairnessJain()
 		_ = tel.selUtilMean()
 	}); a != 0 {

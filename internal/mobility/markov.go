@@ -55,31 +55,57 @@ func NewMarkovRing(edges, devices int, p float64, seed int64) *Markov {
 
 // Step advances one time step: each device moves with probability P,
 // either to a uniform other edge or (ring mode) to an adjacent edge.
+// With one edge nobody moves and nothing is drawn.
 func (mk *Markov) Step() []int {
-	next := mk.spare
-	for m, e := range mk.current {
-		if mk.edges > 1 && mk.rng.Float64() < mk.p {
-			if mk.ring {
-				if mk.rng.Float64() < 0.5 {
-					e += mk.edges - 1 // −1 mod edges
-				} else {
-					e++
-				}
-				if e >= mk.edges {
-					e -= mk.edges
-				}
+	cur, next := mk.current, mk.spare
+	switch {
+	case mk.edges == 1:
+		copy(next, cur)
+	case mk.ring:
+		mk.stepRing(cur, next)
+	default:
+		mk.stepUniform(cur, next)
+	}
+	mk.current, mk.spare = next, cur
+	return next
+}
+
+// stepRing is Step's ring-mode loop: one draw per device, and a second
+// (which way round) for each one that moves.
+func (mk *Markov) stepRing(cur, next []int) {
+	rng, p, edges := mk.rng, mk.p, mk.edges
+	next = next[:len(cur)]
+	for m, e := range cur {
+		if rng.Float64() < p {
+			if rng.Float64() < 0.5 {
+				e += edges - 1 // −1 mod edges
 			} else {
-				to := mk.rng.Intn(mk.edges - 1)
-				if to >= e {
-					to++
-				}
-				e = to
+				e++
+			}
+			if e >= edges {
+				e -= edges
 			}
 		}
 		next[m] = e
 	}
-	mk.current, mk.spare = next, mk.current
-	return next
+}
+
+// stepUniform is Step's default loop: one draw per device, and a
+// second (the destination among the other edges) for each one that
+// moves.
+func (mk *Markov) stepUniform(cur, next []int) {
+	rng, p, others := mk.rng, mk.p, mk.edges-1
+	next = next[:len(cur)]
+	for m, e := range cur {
+		if rng.Float64() < p {
+			to := rng.Intn(others)
+			if to >= e {
+				to++
+			}
+			e = to
+		}
+		next[m] = e
+	}
 }
 
 // Reset reseeds the stream and refills the membership it owns.

@@ -94,6 +94,16 @@ go test -race -count=3 \
     ./internal/nn
 go test -race -count=3 -run 'TestStepResultSurvivesTheNextStep|TestStepAllocatesNothing|TestRecordRowsAreDistinct' ./internal/mobility
 
+echo "== step overlap (-race, 3x) =="
+# StepOnce draws M^{t+1} on a goroutine beside round t's training and
+# splits the population sweep into Parallelism device ranges: the
+# candidates every Select sees, the move and flow counts, one Step at a
+# time, S+1 Steps for S steps and none outliving its step; then the
+# bits at Parallelism 1 vs 4 and lazy vs dense.
+go test -race -count=3 \
+    -run 'TestSweepMatchesSerialAcrossParallelism|TestRunStepsMobilityExactly|TestSimBitIdenticalAcrossParallelism|TestSelectionIdenticalAcrossParallelism|TestLazyStoreBitIdenticalToDense' \
+    ./internal/hfl
+
 echo "== chaos smoke (-race) =="
 # Seeded fault injection against the full cluster; and the SLO-breach and
 # forensics gate: a cluster that misses quorum every round fires its
