@@ -346,3 +346,32 @@ func TestEveryDrawIsAStream(t *testing.T) {
 		}
 	}
 }
+
+// maxFuncLines bounds a non-test function in internal/hfl and
+// internal/fednet, from its func keyword to its closing brace: the engine's
+// round is read step by step, so a step that outgrows it is named and split.
+const maxFuncLines = 120
+
+// TestFunctionsFitTheBound is the length census: every non-test function
+// and method in internal/hfl and internal/fednet spans at most
+// maxFuncLines lines.
+func TestFunctionsFitTheBound(t *testing.T) {
+	fset := token.NewFileSet()
+	eachSourceFile(t, fset, func(p string, f *ast.File) {
+		switch path.Dir(p) {
+		case "internal/hfl", "internal/fednet":
+		default:
+			return
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			start, end := fset.Position(d.Pos()), fset.Position(d.End())
+			if n := end.Line - start.Line + 1; n > maxFuncLines {
+				t.Errorf("%s: %s is %d lines, over the bound of %d: name its steps", start, d.Name.Name, n, maxFuncLines)
+			}
+		}
+	})
+}

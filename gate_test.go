@@ -297,7 +297,10 @@ func TestGateKillResume(t *testing.T) {
 func TestGateMillionDevices(t *testing.T) {
 	dir := logDir(t)
 	s := start(t, dir, "scale.log", "middlesim", "-exp", "scale", "-devices", "1000000", "-edges", "1000",
-		"-k", "1", "-tc", "2", "-steps", "2", "-resident-cap", "4096", "-metrics-addr", "127.0.0.1:0", "-slo", "default")
+		"-k", "1", "-tc", "2", "-steps", "2", "-resident-cap", "4096", "-metrics-addr", "127.0.0.1:0", "-slo", "default",
+		// The run ends after about a second: scrape before the poll below
+		// looks, not at the default 1 s interval.
+		"-tsdb-interval", "100ms")
 	addr := s.await(10*time.Second, "metrics listening on"+addrRE)
 	s.until(120*time.Second, "a series count in (0, 4096], the dashboard, obs_series points and zero firing SLOs", func() bool {
 		n, ok := number(get(addr+"/api/series"), `"count":([0-9]+)`)

@@ -244,11 +244,6 @@ func (c *Cloud) Run() error {
 				drained = true
 			}
 		}
-		members := ms.alive()
-		if err := c.checkQuorum(len(members), r); err != nil {
-			return err
-		}
-
 		roundTok := c.m.roundSpan.Begin()
 		tr := c.cfg.Trace
 		traceStart := tr.Now()
@@ -257,94 +252,12 @@ func (c *Cloud) Run() error {
 			span = cloudRoundSpan(r)
 		}
 		sync := r%c.cfg.CloudInterval == 0
-		alive := members[:0]
-		for _, m := range members {
-			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			rs := RoundStart{Round: r, Sync: sync, Span: span, Epoch: m.epoch}
-			if err := c.m.link.writeMsg(m.conn, MsgRoundStart, rs, nil); err != nil {
-				countTimeout(c.m.timeouts, err)
-				c.memberDead(ms, m, r, err)
-				continue
-			}
-			alive = append(alive, m)
-		}
-		members = alive
-		if err := c.checkQuorum(len(members), r); err != nil {
-			return err
-		}
-		var vecs [][]float64
-		var weights []float64
-		if sync {
-			c.mu.Lock()
-			c.edgeWeights = map[int]float64{}
-			c.mu.Unlock()
-		}
-		alive = members[:0]
-		for _, m := range members {
-			m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-			t, vec, err := c.m.link.readMsgInto(m.conn, &done, m.modelBuf)
-			if err == nil && t != MsgRoundDone {
-				err = fmt.Errorf("unexpected message type %d", t)
-			}
-			if err == nil && len(vec) > 0 && len(vec) != len(c.global) {
-				err = fmt.Errorf("model of %d values, want %d", len(vec), len(c.global))
-			}
-			if err == nil && done.Epoch != m.epoch {
-				// A zombie frame from a fenced incarnation (or an edge that
-				// skipped its welcome): reject it and excise the sender.
-				c.m.staleFrames.Inc()
-				err = fmt.Errorf("stale frame epoch %d (incarnation %d)", done.Epoch, m.epoch)
-			}
-			if err != nil {
-				countTimeout(c.m.timeouts, err)
-				c.memberDead(ms, m, r, err)
-				continue
-			}
-			if done.Round != r {
-				return fmt.Errorf("fednet: edge %d acked round %d during round %d", m.id, done.Round, r)
-			}
-			alive = append(alive, m)
-			if sync {
-				c.mu.Lock()
-				c.edgeWeights[m.id] = done.Weight
-				for _, d := range done.Devices {
-					c.assignment[d] = m.id
-				}
-				c.mu.Unlock()
-			}
-			if sync && done.Weight > 0 && len(vec) > 0 {
-				vecs = append(vecs, vec)
-				weights = append(weights, done.Weight)
-			}
-		}
-		members = alive
-		if err := c.checkQuorum(len(members), r); err != nil {
+		members, err := c.collectRound(c.announceRound(ms.alive(), r, sync, span), r, sync, &done)
+		if err != nil {
 			return err
 		}
 		if sync {
-			syncStart := tr.Now()
-			fp := flight.BeginPhase("cloud_sync")
-			synced := c.applySync(r, vecs, weights)
-			// Only this goroutine writes c.global, so the broadcast sends
-			// it to every member as it stands, uncopied.
-			for _, m := range members {
-				m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-				if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.global); err != nil {
-					countTimeout(c.m.timeouts, err)
-					c.memberDead(ms, m, r, err)
-				}
-			}
-			c.m.syncs.Inc()
-			if c.cfg.CheckpointDir != "" {
-				c.checkpointSync(r)
-			}
-			fp.End()
-			if tr != nil {
-				tr.Complete("cloud_sync", "fednet", tracePidCloud, 0,
-					syncStart, tr.Now().Sub(syncStart), span+".sync", span,
-					map[string]any{"round": r, "edges": synced})
-			}
-			c.cfg.Logf("cloud: round %d synced %d edge models", r, synced)
+			c.syncRound(members, r, span)
 		}
 		c.m.rounds.Inc()
 		roundTok.End()
@@ -421,17 +334,89 @@ func (c *Cloud) rejoin(e *edgeConn, round int) {
 	}
 }
 
-// applySync runs the shared aggregate step over the gathered edge
-// models and installs the new global model. It returns the number of
-// edge models that entered Eq. 7.
-func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64) int {
+// announceRound sends round r's start to every member and returns those it
+// reached; a member it cannot reach is excised.
+func (c *Cloud) announceRound(members []*member, r int, sync bool, span string) []*member {
+	alive := members[:0]
+	for _, m := range members {
+		m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		rs := RoundStart{Round: r, Sync: sync, Span: span, Epoch: m.epoch}
+		if err := c.m.link.writeMsg(m.conn, MsgRoundStart, rs, nil); err != nil {
+			countTimeout(c.m.timeouts, err)
+			c.memberDead(c.ms, m, r, err)
+			continue
+		}
+		alive = append(alive, m)
+	}
+	return alive
+}
+
+// collectRound reads every member's report of round r into done, in
+// edge-id order, and returns the members that reported: one that fails or
+// is fenced is excised, and the run ends once none is left. On a sync
+// round it offers each edge model to Eq. 7 and records the checkpoint's
+// weights and device assignment.
+func (c *Cloud) collectRound(members []*member, r int, sync bool, done *RoundDone) ([]*member, error) {
+	if sync {
+		c.mu.Lock()
+		c.edgeWeights = map[int]float64{}
+		c.mu.Unlock()
+	}
+	alive := members[:0]
+	for _, m := range members {
+		m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		t, vec, err := c.m.link.readMsgInto(m.conn, done, m.modelBuf)
+		if err == nil && t != MsgRoundDone {
+			err = fmt.Errorf("unexpected message type %d", t)
+		}
+		if err == nil && len(vec) > 0 && len(vec) != len(c.global) {
+			err = fmt.Errorf("model of %d values, want %d", len(vec), len(c.global))
+		}
+		if err == nil && done.Epoch != m.epoch {
+			// A zombie frame from a fenced incarnation (or an edge that
+			// skipped its welcome): reject it and excise the sender.
+			c.m.staleFrames.Inc()
+			err = fmt.Errorf("stale frame epoch %d (incarnation %d)", done.Epoch, m.epoch)
+		}
+		if err != nil {
+			countTimeout(c.m.timeouts, err)
+			c.memberDead(c.ms, m, r, err)
+			continue
+		}
+		if done.Round != r {
+			return nil, fmt.Errorf("fednet: edge %d acked round %d during round %d", m.id, done.Round, r)
+		}
+		alive = append(alive, m)
+		if sync {
+			c.agg.Offer(vec, done.Weight)
+			c.mu.Lock()
+			c.edgeWeights[m.id] = done.Weight
+			for _, d := range done.Devices {
+				c.assignment[d] = m.id
+			}
+			c.mu.Unlock()
+		}
+	}
+	if len(alive) == 0 {
+		return nil, fmt.Errorf("fednet: only 0 edges remain in round %d", r)
+	}
+	return alive, nil
+}
+
+// syncRound is round r's cloud sync (Algorithm 1, lines 10–15): Eq. 7
+// over the edge models collectRound offered, then the global model
+// broadcast to every member and, when configured, checkpointed.
+func (c *Cloud) syncRound(members []*member, r int, span string) {
+	tr := c.cfg.Trace
+	syncStart := tr.Now()
+	fp := flight.BeginPhase("cloud_sync")
 	// Only this goroutine writes c.global, so it reads it unlocked; the
 	// lock orders the install against GlobalModel's readers.
 	next := c.spare
 	if len(next) != len(c.global) {
 		next = make([]float64, len(c.global))
 	}
-	out := c.agg.Combine(next, c.global, vecs, weights, 1)
+	out := c.agg.Combine(next, c.global, 1)
 	if out.Rejects.Total() > 0 {
 		c.cfg.Logf("cloud: round %d rejected %d edge models (%d nonfinite, %d norm)",
 			r, out.Rejects.Total(), out.Rejects.NonFinite, out.Rejects.Norm)
@@ -443,7 +428,25 @@ func (c *Cloud) applySync(r int, vecs [][]float64, weights []float64) int {
 	}
 	c.spare = next
 	c.lastSync = r
-	return out.Kept
+	// The broadcast sends c.global to every member as it stands, uncopied.
+	for _, m := range members {
+		m.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		if err := c.m.link.writeMsg(m.conn, MsgGlobalModel, struct{}{}, c.global); err != nil {
+			countTimeout(c.m.timeouts, err)
+			c.memberDead(c.ms, m, r, err)
+		}
+	}
+	c.m.syncs.Inc()
+	if c.cfg.CheckpointDir != "" {
+		c.checkpointSync(r)
+	}
+	fp.End()
+	if tr != nil {
+		tr.Complete("cloud_sync", "fednet", tracePidCloud, 0,
+			syncStart, tr.Now().Sub(syncStart), span+".sync", span,
+			map[string]any{"round": r, "edges": out.Kept})
+	}
+	c.cfg.Logf("cloud: round %d synced %d edge models", r, out.Kept)
 }
 
 // checkpointSync persists the cloud state after round r, membership
@@ -477,12 +480,4 @@ func (c *Cloud) checkpointFinal(round int) {
 	}
 	c.checkpointSync(round)
 	c.cfg.Logf("cloud: final checkpoint at round %d", round)
-}
-
-// checkQuorum aborts the run once no edge survives.
-func (c *Cloud) checkQuorum(aliveEdges, round int) error {
-	if aliveEdges < 1 {
-		return fmt.Errorf("fednet: only %d edges remain in round %d", aliveEdges, round)
-	}
-	return nil
 }

@@ -321,61 +321,14 @@ func (e *Edge) acceptLoop() {
 // Run connects to the cloud and participates until shutdown.
 func (e *Edge) Run() error {
 	defer e.ln.Close()
-	var cloud net.Conn
-	var err error
-	for attempt := 0; ; attempt++ {
-		cloud, err = net.Dial("tcp", e.cfg.CloudAddr)
-		if err == nil {
-			break
-		}
-		if attempt >= e.cfg.MaxRetries {
-			return fmt.Errorf("fednet: edge %d dialing cloud: %w", e.cfg.EdgeID, err)
-		}
-		e.m.retries.Inc()
-		time.Sleep(retryBackoff(e.cfg.RetryBase, attempt+1, e.cfg.Seed, int64(e.cfg.EdgeID)))
-	}
-	cloud = e.cfg.Faults.WrapEdgeLink(cloud, e.cfg.EdgeID)
-	defer cloud.Close()
-	e.mu.Lock()
-	e.cloudConn = cloud
-	e.mu.Unlock()
-	cloud.SetDeadline(time.Now().Add(e.cfg.Timeout))
-	if err := e.m.cloudLink.writeMsg(cloud, MsgRegisterEdge, RegisterEdge{EdgeID: e.cfg.EdgeID}, nil); err != nil {
-		return fmt.Errorf("fednet: edge %d registering: %w", e.cfg.EdgeID, err)
-	}
-	var welcome EdgeWelcome
-	t, vec, err := e.m.cloudLink.readMsg(cloud, &welcome)
-	if err == nil && (t != MsgEdgeWelcome || welcome.LeaseMillis < 1) {
-		err = fmt.Errorf("type %d, lease %d ms", t, welcome.LeaseMillis)
-	}
+	cloud, err := e.dialCloud()
 	if err != nil {
-		return fmt.Errorf("fednet: edge %d waiting for welcome: %w", e.cfg.EdgeID, err)
+		return err
 	}
-	e.mu.Lock()
-	switch {
-	case welcome.Rejoin:
-		// Catch-up sync: this incarnation joins mid-run, so any
-		// checkpointed Eq. 6 progress belongs to a sync era the cloud has
-		// moved past. Adopt the current global model with zero weight and
-		// align the round/sync counters with the cloud's.
-		e.edgeModel = vec
-		e.weight = 0
-		e.curRound = welcome.Round
-		e.lastSync = welcome.LastSync
-	case e.resumed && len(e.edgeModel) == len(vec):
-		// Crash recovery: keep the checkpointed edge model — it carries
-		// Eq. 6 progress accumulated since the last cloud sync that the
-		// broadcast global model does not — and only adopt the received
-		// model as the cloud reference for Eq. 12.
-	default:
-		e.edgeModel = vec
-	}
-	e.sawCloudModelLocked(vec)
-	e.mu.Unlock()
-	if welcome.Rejoin {
-		e.cfg.Logf("edge %d: rejoined at epoch %d (catch-up sync at round %d)", e.cfg.EdgeID, welcome.Epoch, welcome.Round)
-	} else {
-		e.cfg.Logf("edge %d: joined membership at epoch %d", e.cfg.EdgeID, welcome.Epoch)
+	defer cloud.Close()
+	welcome, err := e.join(cloud)
+	if err != nil {
+		return err
 	}
 	hbStop := make(chan struct{})
 	defer close(hbStop)
@@ -428,51 +381,130 @@ func (e *Edge) Run() error {
 					"excluded": st.excluded, "rejected": st.rejected,
 					"quorum_miss": st.quorumMiss})
 		}
-		e.mu.Lock()
-		e.weight += st.weight
-		curWeight := e.weight
-		model := e.edgeModel
-		var deviceIDs []int
-		if rs.Sync {
-			// Report the registered device set on sync rounds so the cloud
-			// can checkpoint the device→edge assignment.
-			deviceIDs = make([]int, 0, len(e.devices))
-			for id := range e.devices {
-				deviceIDs = append(deviceIDs, id)
-			}
-			sort.Ints(deviceIDs)
-		}
-		e.mu.Unlock()
-
-		cloud.SetDeadline(time.Now().Add(e.cfg.Timeout))
-		done := RoundDone{EdgeID: e.cfg.EdgeID, Round: rs.Round, Trained: st.trained, Epoch: welcome.Epoch, Devices: deviceIDs}
-		var payload []float64
-		if rs.Sync {
-			done.Weight = curWeight
-			if curWeight > 0 {
-				payload = model
-			}
-		}
-		if err := e.m.cloudLink.writeMsg(cloud, MsgRoundDone, done, payload); err != nil {
-			countTimeout(e.m.timeouts, err)
-			return fmt.Errorf("fednet: edge %d acking round %d: %w", e.cfg.EdgeID, rs.Round, err)
-		}
-		if rs.Sync {
-			t, vec, err := e.m.cloudLink.readMsgInto(cloud, nil, e.takeSpareModel)
-			if err != nil || t != MsgGlobalModel {
-				return fmt.Errorf("fednet: edge %d waiting for global model: type %d, %v", e.cfg.EdgeID, t, err)
-			}
-			e.mu.Lock()
-			e.installModelLocked(vec)
-			e.sawCloudModelLocked(vec)
-			e.weight = 0
-			e.lastSync = rs.Round
-			e.mu.Unlock()
+		if err := e.reportRound(cloud, rs, st, welcome.Epoch); err != nil {
+			return err
 		}
 		if e.cfg.CheckpointDir != "" {
 			e.saveCheckpoint(rs.Round)
 		}
 	}
+}
+
+// dialCloud connects to the cloud, retrying with back-off, and records the
+// connection for Stop and Kill.
+func (e *Edge) dialCloud() (net.Conn, error) {
+	var cloud net.Conn
+	var err error
+	for attempt := 0; ; attempt++ {
+		cloud, err = net.Dial("tcp", e.cfg.CloudAddr)
+		if err == nil {
+			break
+		}
+		if attempt >= e.cfg.MaxRetries {
+			return nil, fmt.Errorf("fednet: edge %d dialing cloud: %w", e.cfg.EdgeID, err)
+		}
+		e.m.retries.Inc()
+		time.Sleep(retryBackoff(e.cfg.RetryBase, attempt+1, e.cfg.Seed, int64(e.cfg.EdgeID)))
+	}
+	cloud = e.cfg.Faults.WrapEdgeLink(cloud, e.cfg.EdgeID)
+	e.mu.Lock()
+	e.cloudConn = cloud
+	e.mu.Unlock()
+	return cloud, nil
+}
+
+// join is the edge's handshake: it registers with the cloud and adopts
+// the welcome's global model, as its model or, resuming from a checkpoint,
+// only as Eq. 12's cloud reference.
+func (e *Edge) join(cloud net.Conn) (EdgeWelcome, error) {
+	var welcome EdgeWelcome
+	cloud.SetDeadline(time.Now().Add(e.cfg.Timeout))
+	if err := e.m.cloudLink.writeMsg(cloud, MsgRegisterEdge, RegisterEdge{EdgeID: e.cfg.EdgeID}, nil); err != nil {
+		return welcome, fmt.Errorf("fednet: edge %d registering: %w", e.cfg.EdgeID, err)
+	}
+	t, vec, err := e.m.cloudLink.readMsg(cloud, &welcome)
+	if err == nil && (t != MsgEdgeWelcome || welcome.LeaseMillis < 1) {
+		err = fmt.Errorf("type %d, lease %d ms", t, welcome.LeaseMillis)
+	}
+	if err != nil {
+		return welcome, fmt.Errorf("fednet: edge %d waiting for welcome: %w", e.cfg.EdgeID, err)
+	}
+	e.mu.Lock()
+	switch {
+	case welcome.Rejoin:
+		// Catch-up sync: this incarnation joins mid-run, so any
+		// checkpointed Eq. 6 progress belongs to a sync era the cloud has
+		// moved past. Adopt the current global model with zero weight and
+		// align the round/sync counters with the cloud's.
+		e.edgeModel = vec
+		e.weight = 0
+		e.curRound = welcome.Round
+		e.lastSync = welcome.LastSync
+	case e.resumed && len(e.edgeModel) == len(vec):
+		// Crash recovery: keep the checkpointed edge model — it carries
+		// Eq. 6 progress accumulated since the last cloud sync that the
+		// broadcast global model does not — and only adopt the received
+		// model as the cloud reference for Eq. 12.
+	default:
+		e.edgeModel = vec
+	}
+	e.sawCloudModelLocked(vec)
+	e.mu.Unlock()
+	if welcome.Rejoin {
+		e.cfg.Logf("edge %d: rejoined at epoch %d (catch-up sync at round %d)", e.cfg.EdgeID, welcome.Epoch, welcome.Round)
+	} else {
+		e.cfg.Logf("edge %d: joined membership at epoch %d", e.cfg.EdgeID, welcome.Epoch)
+	}
+	return welcome, nil
+}
+
+// reportRound acks round rs to the cloud. A sync round's ack carries the
+// edge's weight since the last sync, its model if that is positive and its
+// devices, and the edge installs the global model sent back.
+func (e *Edge) reportRound(cloud net.Conn, rs RoundStart, st roundStats, epoch int) error {
+	e.mu.Lock()
+	e.weight += st.weight
+	curWeight := e.weight
+	model := e.edgeModel
+	var deviceIDs []int
+	if rs.Sync {
+		// Report the registered device set on sync rounds so the cloud
+		// can checkpoint the device→edge assignment.
+		deviceIDs = make([]int, 0, len(e.devices))
+		for id := range e.devices {
+			deviceIDs = append(deviceIDs, id)
+		}
+		sort.Ints(deviceIDs)
+	}
+	e.mu.Unlock()
+
+	cloud.SetDeadline(time.Now().Add(e.cfg.Timeout))
+	done := RoundDone{EdgeID: e.cfg.EdgeID, Round: rs.Round, Trained: st.trained, Epoch: epoch, Devices: deviceIDs}
+	var payload []float64
+	if rs.Sync {
+		done.Weight = curWeight
+		if curWeight > 0 {
+			payload = model
+		}
+	}
+	if err := e.m.cloudLink.writeMsg(cloud, MsgRoundDone, done, payload); err != nil {
+		countTimeout(e.m.timeouts, err)
+		return fmt.Errorf("fednet: edge %d acking round %d: %w", e.cfg.EdgeID, rs.Round, err)
+	}
+	if !rs.Sync {
+		return nil
+	}
+	t, vec, err := e.m.cloudLink.readMsgInto(cloud, nil, e.takeSpareModel)
+	if err != nil || t != MsgGlobalModel {
+		return fmt.Errorf("fednet: edge %d waiting for global model: type %d, %v", e.cfg.EdgeID, t, err)
+	}
+	e.mu.Lock()
+	e.installModelLocked(vec)
+	e.sawCloudModelLocked(vec)
+	e.weight = 0
+	e.lastSync = rs.Round
+	e.mu.Unlock()
+	return nil
 }
 
 // sawCloudModelLocked records vec as w_c, the cloud reference of Eq. 12,
@@ -607,9 +639,9 @@ type roundStats struct {
 }
 
 // trainResult is one device's contribution to a round: the delivered (or
-// failed) round-trip.
+// failed) round-trip, and the device's position in the round's cohort.
 type trainResult struct {
-	id    int
+	at    int
 	vec   []float64
 	reply TrainReply
 	err   error
@@ -621,7 +653,110 @@ type trainResult struct {
 // span is the edge's round trace span id ("" when tracing is off); each
 // train RPC records a child span and forwards its id to the device.
 func (e *Edge) runRound(round int, span string) roundStats {
+	sel, model := e.selectCohort(round)
+	if len(sel) == 0 {
+		return roundStats{}
+	}
+
+	// abort tells straggler goroutines the round has moved on, so a
+	// retry loop never sends a stale-round request after the deadline.
+	abort := make(chan struct{})
+	defer close(abort)
+	results := make(chan trainResult, len(sel))
+	for at, id := range sel {
+		go func() {
+			res := e.trainDevice(id, round, span, model, abort)
+			e.releaseModel()
+			res.at = at
+			results <- res
+		}()
+	}
+
+	// got[at] holds the reply of the device at position at in sel: its
+	// vector, or the error that failed it, or neither if it never arrived.
+	// Replies are offered to Eq. 6 in this order, not in arrival order: a
+	// float sum depends on its order.
+	got := slices.Grow(e.got[:0], len(sel))[:len(sel)]
+	clear(got)
+	e.got = got
+	deadline := time.NewTimer(e.cfg.RoundDeadline)
+	defer deadline.Stop()
+collect:
+	for arrived := 0; arrived < len(sel); arrived++ {
+		select {
+		case res := <-results:
+			id := sel[res.at]
+			if res.err == nil && len(res.vec) != len(model) {
+				res.err = fmt.Errorf("model of %d values, want %d", len(res.vec), len(model))
+			}
+			switch {
+			case res.err != nil:
+				e.cfg.Logf("edge %d: device %d failed round %d: %v", e.cfg.EdgeID, id, round, res.err)
+				e.m.drops.Inc()
+				res.vec = nil
+			case !e.agg.Validating() || robust.IsFinite(res.vec):
+				// A screened edge does not score a non-finite model for
+				// selection (NaN scores would poison Eq. 12); Eq. 6's
+				// screen rejects it.
+				e.acceptReply(id, round, res.reply.Utility, res.vec)
+			}
+			got[res.at] = res
+		case <-deadline.C:
+			break collect
+		}
+	}
+	excluded := e.excludeStragglers(round, span)
+
+	// The shared aggregate step: the screen, the quorum, Eq. 6. Below
+	// quorum a tiny, biased sample does not steer Eq. 6: the edge carries
+	// its previous model forward with zero weight, so the cloud skips it.
+	fp := flight.BeginPhase("edge_agg")
+	for _, res := range got {
+		e.agg.Offer(res.vec, float64(res.reply.DataSize))
+	}
+	agg := e.takeSpareModel(len(model))
+	out := e.agg.Combine(agg, model, e.cfg.Quorum)
+	fp.End()
+	// Every reply, kept by Eq. 6 or rejected, goes back once.
+	for _, res := range got {
+		e.replies.put(res.vec)
+	}
 	e.mu.Lock()
+	if out.Applied {
+		e.installModelLocked(agg)
+	} else {
+		e.spareModel = agg
+	}
+	e.mu.Unlock()
+
+	st := roundStats{trained: out.Kept, excluded: excluded, rejected: out.Rejects.Total(),
+		weight: out.Weight, quorumMiss: !out.Applied}
+	tr, pid := e.cfg.Trace, tracePidEdgeBase+e.cfg.EdgeID
+	if st.rejected > 0 {
+		e.cfg.Logf("edge %d: round %d rejected %d updates (%d nonfinite, %d norm)",
+			e.cfg.EdgeID, round, st.rejected, out.Rejects.NonFinite, out.Rejects.Norm)
+		if tr != nil {
+			tr.Complete("robust_reject", "fednet", pid, 0, tr.Now(), 0, span+".rej", span,
+				map[string]any{"round": round, "nonfinite": out.Rejects.NonFinite, "norm": out.Rejects.Norm})
+		}
+	}
+	if st.quorumMiss {
+		e.m.quorumMisses.Inc()
+		e.cfg.Logf("edge %d: round %d quorum miss (%d/%d responders)", e.cfg.EdgeID, round, st.trained, e.cfg.Quorum)
+		if tr != nil {
+			tr.Complete("quorum_miss", "fednet", pid, 0, tr.Now(), 0, span+".qm", span,
+				map[string]any{"round": round, "responders": st.trained, "quorum": e.cfg.Quorum})
+		}
+	}
+	return st
+}
+
+// selectCohort draws round's cohort from the registered devices (Algorithm
+// 1, line 2) and returns it with the edge model its train RPCs send, which
+// stays the edge's until each RPC has released it.
+func (e *Edge) selectCohort(round int) (sel []int, model []float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.curRound = round
 	cands := e.cands[:0]
 	for id := range e.devices {
@@ -632,87 +767,22 @@ func (e *Edge) runRound(round int, span string) roundStats {
 	slices.Sort(cands)
 	e.cands = cands
 	view := &edgeView{edge: e, round: round}
-	sel := hfl.Cohort(e.sel[:0], e.cfg.Strategy, view, e.cfg.EdgeID, round, e.cfg.K, cands, e.cfg.Seed, e.rng)
-	e.sel = sel
-	model := e.edgeModel
-	e.modelUsers += len(sel) // each train RPC sends model, unlocked
-	e.mu.Unlock()
-	if len(sel) == 0 {
-		return roundStats{}
-	}
+	e.sel = hfl.Cohort(e.sel[:0], e.cfg.Strategy, view, e.cfg.EdgeID, round, e.cfg.K, cands, e.cfg.Seed, e.rng)
+	e.modelUsers += len(e.sel) // each train RPC sends the model, unlocked
+	return e.sel, e.edgeModel
+}
 
-	// abort tells straggler goroutines the round has moved on, so a
-	// retry loop never sends a stale-round request after the deadline.
-	abort := make(chan struct{})
-	defer close(abort)
-	results := make(chan trainResult, len(sel))
-	for _, id := range sel {
-		go func(id int) {
-			res := e.trainDevice(id, round, span, model, abort)
-			e.releaseModel()
-			results <- res
-		}(id)
-	}
-
-	var st roundStats
-	nonFinite := 0 // updates refused on receipt
-	// Replies are kept by position in sel and handed to Eq. 6 in that
-	// order, not in arrival order: a float sum depends on its order.
-	got := slices.Grow(e.got[:0], len(sel))[:len(sel)]
-	clear(got)
-	e.got = got
-	pending := make(map[int]int, len(sel)) // device → position in sel
-	for i, id := range sel {
-		pending[id] = i
-	}
-	deadline := time.NewTimer(e.cfg.RoundDeadline)
-	defer deadline.Stop()
-collect:
-	for len(pending) > 0 {
-		select {
-		case res := <-results:
-			at := pending[res.id]
-			delete(pending, res.id)
-			if res.err == nil && len(res.vec) != len(model) {
-				res.err = fmt.Errorf("model of %d values, want %d", len(res.vec), len(model))
-			}
-			if res.err != nil {
-				e.cfg.Logf("edge %d: device %d failed round %d: %v", e.cfg.EdgeID, res.id, round, res.err)
-				e.m.drops.Inc()
-				continue
-			}
-			// Validation pass 1: a non-finite model is rejected on
-			// receipt — it is neither scored for selection (NaN scores
-			// would poison Eq. 12) nor aggregated.
-			if e.agg.Validating() && !robust.IsFinite(res.vec) {
-				nonFinite++
-				e.agg.NoteNonFinite()
-				e.cfg.Logf("edge %d: rejected non-finite update from device %d in round %d", e.cfg.EdgeID, res.id, round)
-				e.replies.put(res.vec)
-				continue
-			}
-			e.acceptReply(res.id, round, res.reply.Utility, res.vec)
-			got[at] = res
-			st.trained++
-		case <-deadline.C:
-			break collect
+// excludeStragglers counts the devices whose replies missed the round
+// deadline. One alone on its connection is closed and dropped; one that
+// shares it stays registered (see dropIfAlone).
+func (e *Edge) excludeStragglers(round int, span string) int {
+	excluded, tr := 0, e.cfg.Trace
+	for at, res := range e.got {
+		if res.vec != nil || res.err != nil {
+			continue
 		}
-	}
-	var vecs [][]float64
-	var ws []float64
-	for _, res := range got {
-		if res.vec != nil {
-			vecs = append(vecs, res.vec)
-			ws = append(ws, float64(res.reply.DataSize))
-		}
-	}
-
-	// Exclude stragglers past the deadline and leave them out of Eq. 6. One
-	// alone on its connection is closed and dropped; one that shares it
-	// stays registered (see dropIfAlone).
-	tr := e.cfg.Trace
-	for id := range pending {
-		st.excluded++
+		id := e.sel[at]
+		excluded++
 		e.m.stragglers.Inc()
 		e.mu.Lock()
 		d, ok := e.devices[id]
@@ -722,60 +792,12 @@ collect:
 		}
 		e.cfg.Logf("edge %d: excluded straggler device %d in round %d", e.cfg.EdgeID, id, round)
 		if tr != nil {
-			now := tr.Now()
 			tr.Complete("straggler_excluded", "fednet", tracePidEdgeBase+e.cfg.EdgeID, id,
-				now, 0, span+".x"+strconv.Itoa(id), span,
+				tr.Now(), 0, span+".x"+strconv.Itoa(id), span,
 				map[string]any{"round": round, "device": id})
 		}
 	}
-
-	// The shared aggregate step: validation pass 2 (the per-round adaptive
-	// norm bound over the surviving updates, measured against the
-	// pre-round edge model), the quorum check on what survives it, Eq. 6.
-	fp := flight.BeginPhase("edge_agg")
-	agg := e.takeSpareModel(len(model))
-	out := e.agg.Combine(agg, model, vecs, ws, e.cfg.Quorum)
-	fp.End()
-	// Every reply, kept by Eq. 6 or rejected, goes back once.
-	for _, res := range got {
-		e.replies.put(res.vec)
-	}
-	st.trained, st.weight = out.Kept, out.Weight
-	st.rejected = nonFinite + out.Rejects.Total()
-	if st.rejected > 0 {
-		e.cfg.Logf("edge %d: round %d rejected %d updates (%d nonfinite, %d norm)",
-			e.cfg.EdgeID, round, st.rejected, nonFinite+out.Rejects.NonFinite, out.Rejects.Norm)
-		if tr != nil {
-			now := tr.Now()
-			tr.Complete("robust_reject", "fednet", tracePidEdgeBase+e.cfg.EdgeID, 0,
-				now, 0, span+".rej", span,
-				map[string]any{"round": round, "nonfinite": nonFinite + out.Rejects.NonFinite, "norm": out.Rejects.Norm})
-		}
-	}
-	if !out.Applied {
-		// Quorum not met: fall back to carrying the previous edge model
-		// forward — the responders' updates are discarded rather than
-		// letting a tiny, biased sample steer Eq. 6, and the edge
-		// reports zero weight so the cloud skips it at the next sync.
-		st.quorumMiss = true
-		st.weight = 0
-		e.m.quorumMisses.Inc()
-		e.cfg.Logf("edge %d: round %d quorum miss (%d/%d responders)", e.cfg.EdgeID, round, st.trained, e.cfg.Quorum)
-		if tr != nil {
-			now := tr.Now()
-			tr.Complete("quorum_miss", "fednet", tracePidEdgeBase+e.cfg.EdgeID, 0,
-				now, 0, span+".qm", span,
-				map[string]any{"round": round, "responders": st.trained, "quorum": e.cfg.Quorum})
-		}
-		e.mu.Lock()
-		e.spareModel = agg
-		e.mu.Unlock()
-		return st
-	}
-	e.mu.Lock()
-	e.installModelLocked(agg)
-	e.mu.Unlock()
-	return st
+	return excluded
 }
 
 // acceptReply records device id's accepted reply of round, vec, with its Oort
@@ -826,7 +848,7 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 		}
 		select {
 		case <-abort:
-			return trainResult{id: id, err: lastErr}
+			return trainResult{err: lastErr}
 		default:
 		}
 		e.mu.Lock()
@@ -869,9 +891,9 @@ func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-
 				rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
 				map[string]any{"round": round, "device": id, "attempt": attempt})
 		}
-		return trainResult{id: id, vec: vec, reply: reply}
+		return trainResult{vec: vec, reply: reply}
 	}
-	return trainResult{id: id, err: lastErr}
+	return trainResult{err: lastErr}
 }
 
 // hasDevice reports whether device id is in the candidate set.

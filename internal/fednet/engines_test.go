@@ -15,6 +15,8 @@ import (
 	"middle/internal/hfl"
 	"middle/internal/mobility"
 	"middle/internal/nn"
+	"middle/internal/obs"
+	"middle/internal/robust"
 	"middle/internal/tensor"
 )
 
@@ -42,13 +44,29 @@ func (s *syncTap) Step() []int {
 }
 
 // TestClusterMatchesSimulator runs StartCluster and hfl.Sim side by side
-// on one static run — 2 edges × 6 devices, MIDDLE, the weighted mean,
-// K = 3, T_c = 5, 30 rounds — and requires the cluster's cloud model to
-// equal the simulator's bit for bit after every sync. Both engines' Select
-// must see the same Step() and the same candidates in every (round, edge).
-// Eq. 6 sums each cohort in selection order and Eq. 7 the edges in id
-// order in both, so no tolerance is needed.
+// on one static run — 2 edges × 6 devices, MIDDLE, K = 3, T_c = 5, 30
+// rounds — under each combiner, with and without the norm screen, and
+// requires the cluster's cloud model to equal the simulator's bit for bit
+// after every sync, and both engines to reject the same updates. Both
+// engines' Select must see the same Step() and the same candidates in
+// every (round, edge). Eq. 6 sums each cohort in selection order and Eq. 7
+// the edges in id order in both, so no tolerance is needed.
 func TestClusterMatchesSimulator(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		agg      robust.AggregatorKind
+		validate robust.ValidatorConfig
+	}{
+		{"mean", robust.AggMean, robust.ValidatorConfig{}},
+		{"mean-screened", robust.AggMean, robust.ValidatorConfig{Enabled: true, NormBound: 1.2}},
+		{"trimmed", robust.AggTrimmedMean, robust.ValidatorConfig{}},
+		{"trimmed-screened", robust.AggTrimmedMean, robust.ValidatorConfig{Enabled: true, NormBound: 1.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { matchSimulator(t, tc.agg, tc.validate) })
+	}
+}
+
+func matchSimulator(t *testing.T, agg robust.AggregatorKind, validate robust.ValidatorConfig) {
 	const edges, devices, k, tc, rounds, seed = 2, 12, 3, 5, 30, 4
 	train := data.GenerateImagesSplit(data.FastImageProfile(4), 400, 5, 5)
 	part := data.PartitionMajorClass(train, devices, 30, 0.85, 6)
@@ -60,7 +78,8 @@ func TestClusterMatchesSimulator(t *testing.T) {
 
 	simSpy := &spyStrategy{Strategy: core.NewMiddle(), seen: map[[2]int][]int{}}
 	sim := hfl.New(hfl.Config{Seed: seed, K: k, LocalSteps: 2, CloudInterval: tc, BatchSize: 8, Steps: rounds,
-		Parallelism: 2, Optimizer: opt}, factory, part, nil, mobility.NewStatic(edges, devices), simSpy)
+		Parallelism: 2, Optimizer: opt, Aggregator: agg, Validate: validate},
+		factory, part, nil, mobility.NewStatic(edges, devices), simSpy)
 	var want [][]float64
 	for sim.Step() < rounds {
 		if sim.StepOnce()%tc == 0 {
@@ -70,8 +89,10 @@ func TestClusterMatchesSimulator(t *testing.T) {
 
 	netSpy := &spyStrategy{Strategy: core.NewMiddle(), seen: map[[2]int][]int{}}
 	tap := &syncTap{Model: mobility.NewStatic(edges, devices), every: tc, ready: make(chan struct{})}
+	reg := obs.NewRegistry()
 	c, err := StartCluster(ClusterConfig{Rounds: rounds, K: k, LocalSteps: 2, BatchSize: 8, CloudInterval: tc,
-		Strategy: netSpy, Partition: part, Factory: factory, Optimizer: opt, Mobility: tap, Seed: seed, Mux: 2})
+		Strategy: netSpy, Partition: part, Factory: factory, Optimizer: opt, Mobility: tap, Seed: seed, Mux: 2,
+		Aggregator: agg, Validate: validate, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,5 +122,16 @@ func TestClusterMatchesSimulator(t *testing.T) {
 					(i+1)*tc, j, got[j], want[i][j])
 			}
 		}
+	}
+
+	rc := sim.RejectedUpdates()
+	nonfinite := reg.Counter("robust_rejected_updates_total", "reason", robust.ReasonNonFinite).Value()
+	norm := reg.Counter("robust_rejected_updates_total", "reason", robust.ReasonNorm).Value()
+	if nonfinite != int64(rc.NonFinite) || norm != int64(rc.Norm) {
+		t.Fatalf("the deployment rejected %d non-finite and %d by norm, the simulator %+v", nonfinite, norm, rc)
+	}
+	t.Logf("both engines rejected %d non-finite and %d by norm", rc.NonFinite, rc.Norm)
+	if validate.NormBound > 0 && rc.Norm == 0 {
+		t.Fatal("the norm screen rejected nothing: the case does not exercise it")
 	}
 }

@@ -286,7 +286,7 @@ func (c *Cloud) admit(ms *membership, e *edgeConn, lastRound int, rejoin bool) e
 // memberDead excises one member whose round connection failed, whose
 // frame was fenced or whom the detector aged out. Exactly once per
 // incarnation it closes the connection, bumps the epoch and records the
-// failover; the run goes on while checkQuorum allows.
+// failover; the run goes on while an edge is left (collectRound).
 func (c *Cloud) memberDead(ms *membership, m *member, round int, cause error) {
 	ms.mu.Lock()
 	if m.dead {

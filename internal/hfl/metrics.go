@@ -1,9 +1,11 @@
 package hfl
 
 import (
+	"strconv"
 	"time"
 
 	"middle/internal/obs"
+	"middle/internal/obs/flight"
 )
 
 // PhaseTimes holds cumulative wall-clock seconds spent in each phase of
@@ -44,11 +46,9 @@ type simMetrics struct {
 	advCorruptions *obs.Counter
 	nonfiniteSteps *obs.Counter
 
-	selectSpan    *obs.Span
-	trainSpan     *obs.Span
-	edgeAggSpan   *obs.Span
-	cloudSyncSpan *obs.Span
-	evalSpan      *obs.Span
+	// phaseSpans times each StepOnce phase (sim_phase_seconds), indexed
+	// like stepPhases.
+	phaseSpans [len(stepPhases)]*obs.Span
 
 	// roundSpan times whole StepOnce rounds (sim_round_seconds): the
 	// tsdb synthesizes sim_round_seconds_p99 from it, which the default
@@ -61,7 +61,7 @@ type simMetrics struct {
 }
 
 func newSimMetrics(r *obs.Registry) simMetrics {
-	return simMetrics{
+	m := simMetrics{
 		steps:      r.Counter("sim_steps_total"),
 		selected:   r.Counter("sim_selected_total"),
 		moves:      r.Counter("sim_moves_total"),
@@ -72,24 +72,60 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		advCorruptions: r.Counter("hfl_adversary_corruptions_total"),
 		nonfiniteSteps: r.Counter("hfl_nonfinite_steps_total"),
 
-		selectSpan:    r.Span("sim_phase_seconds", "phase", "selection"),
-		trainSpan:     r.Span("sim_phase_seconds", "phase", "local_train"),
-		edgeAggSpan:   r.Span("sim_phase_seconds", "phase", "edge_agg"),
-		cloudSyncSpan: r.Span("sim_phase_seconds", "phase", "cloud_sync"),
-		evalSpan:      r.Span("sim_phase_seconds", "phase", "eval"),
-
 		roundSpan: r.Span("sim_round_seconds"),
 		globalAcc: r.Gauge("hfl_global_accuracy"),
 	}
+	for ph, names := range stepPhases {
+		m.phaseSpans[ph] = r.Span("sim_phase_seconds", "phase", names.label)
+	}
+	return m
 }
 
-// phase records one phase occurrence in both the always-on accumulator
-// and (when enabled) the obs span, returning the current time so
-// consecutive phases chain without extra clock reads.
-func phase(acc *float64, span *obs.Span, start time.Time) time.Time {
+// StepOnce's phases, in order, and phaseNone, which is none of them.
+const (
+	phaseSelect = iota
+	phaseTrain
+	phaseEdgeAgg
+	phaseCloudSync
+	phaseEval
+	phaseNone = -1
+)
+
+// stepPhases names each phase twice: its trace span, and its pprof label,
+// which is also its sim_phase_seconds label.
+var stepPhases = [...]struct{ span, label string }{
+	{"select", "selection"}, {"train", "local_train"}, {"edge_agg", "edge_agg"}, {"cloud_sync", "cloud_sync"}, {"eval", "eval"},
+}
+
+// seconds returns phase ph's accumulator.
+func (p *PhaseTimes) seconds(ph int) *float64 {
+	return [...]*float64{&p.Select, &p.Train, &p.EdgeAgg, &p.CloudSync, &p.Eval}[ph]
+}
+
+// phaseClock times step t's phases back to back, from the selection phase
+// on. Each phase is added to PhaseTimes and its sim_phase_seconds span,
+// leaves a trace span under the round's, and runs under its pprof label,
+// so the continuous profiler splits CPU and allocations the same way.
+type phaseClock struct {
+	s     *Sim
+	t, ph int
+	start time.Time
+	fp    flight.PhaseToken
+}
+
+// enter ends the running phase and begins ph (nothing for phaseNone).
+func (c *phaseClock) enter(ph int) {
+	c.fp.End()
 	now := time.Now()
-	d := now.Sub(start)
-	*acc += d.Seconds()
-	span.Observe(d)
-	return now
+	d := now.Sub(c.start)
+	*c.s.phases.seconds(c.ph) += d.Seconds()
+	c.s.metrics.phaseSpans[c.ph].Observe(d)
+	if tr := c.s.cfg.Trace; tr != nil {
+		rid, name := "r"+strconv.Itoa(c.t), stepPhases[c.ph].span
+		tr.Complete(name, "hfl", 0, 0, c.start, d, rid+"."+name, rid, nil)
+	}
+	c.ph, c.start = ph, now
+	if ph != phaseNone {
+		c.fp = flight.BeginPhase(stepPhases[ph].label)
+	}
 }

@@ -83,13 +83,11 @@ type Sim struct {
 	// cands[candStart[n]:candStart[n+1]]. rangeAt is the sweep's
 	// Parallelism × numEdges table of per-range counts and write cursors.
 	// selected is the engine's copy of each edge's Strategy.Select result.
-	cands      []int32
-	candStart  []int
-	rangeAt    []int
-	selected   [][]int
-	jobs       []trainJob
-	aggVecs    [][]float64
-	aggWeights []float64
+	cands     []int32
+	candStart []int
+	rangeAt   []int
+	selected  [][]int
+	jobs      []trainJob
 }
 
 // New builds a simulation. The partition defines the device population
@@ -250,22 +248,17 @@ type trainJob struct {
 func (s *Sim) StepOnce() int {
 	s.step++
 	t := s.step
-	clock := time.Now()
-	roundStart := clock
+	roundStart := time.Now()
 	movesBefore := s.moves
 	s.tel.beginRound()
-	// Flight-profiler attribution: each block below is bracketed by a
-	// pprof "phase" label matching its sim_phase_seconds series, so the
-	// continuous profiler can split CPU/alloc cost per phase. Free (two
-	// atomic loads, zero alloc) when no profiler is running.
-	fp := flight.BeginPhase("selection")
+	ph := phaseClock{s: s, t: t, ph: phaseSelect, start: roundStart, fp: flight.BeginPhase(stepPhases[phaseSelect].label)}
 
 	// M^t, and its moves against M^{t−1}, were drawn and counted while
 	// the previous round trained, except on the first step and after one
-	// that drew nothing (t-1 ≥ cfg.Steps). prev stays valid through the
-	// step's selected-device loop: a Model's membership lives until the
-	// second following Step. Each (from, to) pair that moved enters the
-	// flow telemetry once a step.
+	// that drew nothing (t-1 ≥ cfg.Steps). prev stays valid through
+	// initLocals: a Model's membership lives until the second following
+	// Step. Each (from, to) pair that moved enters the flow telemetry once
+	// a step.
 	prev, next := s.membership, s.upcoming
 	if next == nil {
 		next = s.mob.Step()
@@ -279,15 +272,86 @@ func (s *Sim) StepOnce() int {
 	// split across the worker pool.
 	s.sweep(next)
 	s.moveTotal += s.numDevices
+	s.selectCohorts(t)
+	s.initLocals(prev, next)
+	// Nothing reads M^{t−1} from here on, so the model may draw M^{t+1}
+	// into its storage, and its moves be counted against M^t, while this
+	// round trains, aggregates, syncs and evaluates; the draw is joined
+	// before StepOnce returns. The last configured step draws nothing,
+	// so Run steps the model cfg.Steps+1 times, M^0 included.
+	var draw sync.WaitGroup
+	if t < s.cfg.Steps {
+		draw.Add(1)
+		go func() {
+			defer draw.Done()
+			fp := flight.BeginPhase(stepPhases[phaseSelect].label)
+			s.upcoming = s.mob.Step()
+			s.countMoves(next, s.upcoming)
+			fp.End()
+		}()
+	}
 
-	// Line 2: every edge's cohort, fanned out over the worker pool. Each
-	// edge draws from its own selection stream and the view is only read
-	// until the last Select returns, so the outcome does not depend on
-	// scheduling; everything that mutates state follows below, in edge
-	// order. The worker's widened candidate list is reused for its next
-	// edge, and a strategy may return a sub-slice of it, so Cohort copies
-	// the result into the edge's own buffer.
-	selectedByEdge := s.selected
+	ph.enter(phaseTrain)
+	s.trainCohorts(t)
+
+	// Line 9: edge aggregation (Eq. 6), weighted by data sizes, each
+	// cohort in selection order. The edge vector is overwritten in place
+	// (it never aliases a device vector); with every update rejected the
+	// edge carries its previous model.
+	ph.enter(phaseEdgeAgg)
+	for n, sel := range s.selected {
+		for _, m := range sel {
+			s.agg.Offer(s.store.model(m), float64(s.DataSize(m)))
+		}
+		s.edgeWeight[n] += s.aggregate(t, s.edges[n]).Weight
+	}
+	if t%s.cfg.CloudInterval == 0 {
+		ph.enter(phaseCloudSync)
+		s.cloudSync(t)
+	}
+	if s.cfg.EvalEvery > 0 && (t%s.cfg.EvalEvery == 0 || t == s.cfg.Steps) {
+		ph.enter(phaseEval)
+		s.recordEval(t)
+		s.metrics.evals.Inc()
+	}
+	ph.enter(phaseNone)
+	draw.Wait()
+	s.store.endStep(t)
+	moves := s.moves - movesBefore
+	s.metrics.roundSpan.Observe(time.Since(roundStart))
+	s.metrics.steps.Inc()
+	s.metrics.selected.Add(int64(len(s.jobs)))
+	s.metrics.moves.Add(int64(moves))
+	s.metrics.moveOpp.Add(int64(s.numDevices))
+	s.tel.participants.Set(float64(len(s.jobs)))
+	if s.tel.fairness != nil {
+		s.tel.fairness.Set(s.tel.fairnessJain())
+	}
+	if tr := s.cfg.Trace; tr != nil {
+		tr.Complete("round", "hfl", 0, 0, roundStart, time.Since(roundStart),
+			"r"+strconv.Itoa(t), "", map[string]any{"step": t, "selected": len(s.jobs)})
+	}
+	if em := s.cfg.Events; em != nil {
+		em.Emit("round",
+			"step", t,
+			"selected", len(s.jobs),
+			"sel_util_mean", meanOf(s.tel.roundSelUtilSum, s.tel.roundSelUtilN),
+			"upd_norm_mean", meanOf(s.tel.roundUpdNormSum, s.tel.roundSelUtilN),
+			"blend_util_mean", meanOf(s.tel.roundBlendUtilSum, s.tel.roundBlendUtilN),
+			"blend_events", s.tel.roundBlendUtilN,
+			"moves", moves)
+	}
+	return t
+}
+
+// selectCohorts is Algorithm 1's line 2: every edge's cohort, fanned out
+// over the worker pool. Each edge draws from its own selection stream and
+// the view is only read until the last Select returns, so the outcome does
+// not depend on scheduling; everything that mutates state follows, in edge
+// order. The worker's widened candidate list is reused for its next edge,
+// and a strategy may return a sub-slice of it, so Cohort copies the result
+// into the edge's own buffer.
+func (s *Sim) selectCohorts(t int) {
 	s.fanOut(s.numEdges, func(w, n int) {
 		wk := s.workers[w]
 		cands := wk.cands[:0]
@@ -295,10 +359,16 @@ func (s *Sim) StepOnce() int {
 			cands = append(cands, int(m))
 		}
 		wk.cands = cands
-		selectedByEdge[n] = Cohort(selectedByEdge[n][:0], s.strat, s, n, t, s.cfg.K, cands, s.cfg.Seed, wk.rng)
+		s.selected[n] = Cohort(s.selected[n][:0], s.strat, s, n, t, s.cfg.K, cands, s.cfg.Seed, wk.rng)
 	})
+}
+
+// initLocals is Algorithm 1's lines 4–7: a train job per selected device,
+// in edge and selection order, from the model the strategy initialises it
+// with; a device moved when its edge under next differs from prev's.
+func (s *Sim) initLocals(prev, next []int) {
 	s.jobs = s.jobs[:0]
-	for n, sel := range selectedByEdge {
+	for n, sel := range s.selected {
 		s.commDeviceEdge += 2 * int64(len(sel))
 		for _, m := range sel {
 			moved := next[m] != prev[m]
@@ -316,42 +386,22 @@ func (s *Sim) StepOnce() int {
 			if moved {
 				s.tel.recordBlend(simil.Utility(s.store.model(m), s.edges[n]))
 			}
-			// Lines 4–7: on-device model initialisation. init may be the
-			// edge model or the device's carried vector itself (see
-			// Strategy.InitLocal): the train phase only reads edge models,
-			// and the job writes the trained model into the carried
-			// vector — materialized here for lazily-stored devices — only
-			// after SetParamVector has copied init out (each device
+			// init may be the edge model or the device's carried vector
+			// itself (see Strategy.InitLocal): the train phase only reads
+			// edge models, and the job writes the trained model into the
+			// carried vector — materialized here for lazily-stored devices
+			// — only after SetParamVector has copied init out (each device
 			// appears in at most one job per step).
 			init := s.strat.InitLocal(s, m, n, moved)
 			s.jobs = append(s.jobs, trainJob{device: m, init: init, out: s.store.materialize(m)})
 		}
 	}
-	// Nothing reads M^{t−1} from here on, so the model may draw M^{t+1}
-	// into its storage, and its moves be counted against M^t, while this
-	// round trains, aggregates, syncs and evaluates; the draw is joined
-	// before StepOnce returns. The last configured step draws nothing,
-	// so Run steps the model cfg.Steps+1 times, M^0 included.
-	var draw sync.WaitGroup
-	if t < s.cfg.Steps {
-		draw.Add(1)
-		go func() {
-			defer draw.Done()
-			fp := flight.BeginPhase("selection")
-			s.upcoming = s.mob.Step()
-			s.countMoves(next, s.upcoming)
-			fp.End()
-		}()
-	}
-	fp.End()
-	phaseStart := clock
-	clock = phase(&s.phases.Select, s.metrics.selectSpan, clock)
-	s.tracePhase("select", t, phaseStart, clock)
-	fp = flight.BeginPhase("local_train")
+}
 
-	// Line 8: parallel local training across the worker pool.
-	// Each job's randomness derives from (seed, step, device) only, so
-	// results do not depend on scheduling.
+// trainCohorts is Algorithm 1's line 8: every job's local round, in
+// parallel across the worker pool. Each job's randomness derives from
+// (seed, step, device) only, so results do not depend on scheduling.
+func (s *Sim) trainCohorts(t int) {
 	jobs := s.jobs
 	s.fanOut(len(jobs), func(w, i int) { s.trainDevice(s.workers[w], &jobs[i], t) })
 	for i := range jobs {
@@ -359,142 +409,46 @@ func (s *Sim) StepOnce() int {
 		s.statUtil[j.device] = j.util
 		s.lastTrain[j.device] = int32(t)
 		s.store.noteTrained(j.device, t)
-	}
-	// Adversary harness: a seeded subset of devices sign-flips its upload
-	// after training around the cloud model, inverting the accumulated
-	// update Δw_m = w_m − w_c.
-	if s.cfg.Adversary.Enabled() {
-		for i := range jobs {
-			m := jobs[i].device
-			if s.cfg.Adversary.IsAdversary(m) {
-				s.cfg.Adversary.Corrupt(jobs[i].out, s.cloud)
-				s.corruptions++
-				s.metrics.advCorruptions.Inc()
-			}
+		// Adversary harness: a seeded subset of devices sign-flips its
+		// upload after training around the cloud model, inverting the
+		// accumulated update Δw_m = w_m − w_c.
+		if s.cfg.Adversary.IsAdversary(j.device) {
+			s.cfg.Adversary.Corrupt(j.out, s.cloud)
+			s.corruptions++
+			s.metrics.advCorruptions.Inc()
 		}
 	}
-	fp.End()
-	phaseStart = clock
-	clock = phase(&s.phases.Train, s.metrics.trainSpan, clock)
-	s.tracePhase("train", t, phaseStart, clock)
-	fp = flight.BeginPhase("edge_agg")
-
-	// Line 9: edge aggregation (Eq. 6), weighted by data sizes. The edge
-	// vector is overwritten in place (it never aliases a device vector).
-	// Gathering only collects slice headers; with the default mean and no
-	// validator the shared step is simil.WeightedAverageInto, bit for bit.
-	for n := 0; n < s.numEdges; n++ {
-		sel := selectedByEdge[n]
-		if len(sel) == 0 {
-			continue
-		}
-		vecs := s.aggVecs[:0]
-		weights := s.aggWeights[:0]
-		for _, m := range sel {
-			vecs = append(vecs, s.store.model(m))
-			weights = append(weights, float64(s.DataSize(m)))
-		}
-		s.aggVecs, s.aggWeights = vecs, weights
-		// Rejected updates are left out of Eq. 6; with every update
-		// rejected the edge carries its previous model.
-		s.edgeWeight[n] += s.aggregate(t, s.edges[n], vecs, weights)
-	}
-	fp.End()
-	phaseStart = clock
-	clock = phase(&s.phases.EdgeAgg, s.metrics.edgeAggSpan, clock)
-	s.tracePhase("edge_agg", t, phaseStart, clock)
-
-	// Lines 10–15: cloud aggregation (Eq. 7) every T_c steps, then push
-	// the new global model down to all edges and devices (copy into the
-	// existing vectors; their backing arrays are stable for the run).
-	if t%s.cfg.CloudInterval == 0 {
-		fp = flight.BeginPhase("cloud_sync")
-		vecs := s.aggVecs[:0]
-		weights := s.aggWeights[:0]
-		for n := 0; n < s.numEdges; n++ {
-			if s.edgeWeight[n] > 0 {
-				vecs = append(vecs, s.edges[n])
-				weights = append(weights, s.edgeWeight[n])
-			}
-		}
-		s.aggVecs, s.aggWeights = vecs, weights
-		s.commEdgeCloud += 2 * int64(len(vecs))
-		s.aggregate(t, s.cloud, vecs, weights)
-		for n := range s.edges {
-			copy(s.edges[n], s.cloud)
-			s.edgeWeight[n] = 0
-		}
-		s.store.cloudSynced()
-		s.metrics.cloudSyncs.Inc()
-		fp.End()
-		phaseStart = clock
-		clock = phase(&s.phases.CloudSync, s.metrics.cloudSyncSpan, clock)
-		s.tracePhase("cloud_sync", t, phaseStart, clock)
-	}
-
-	if s.cfg.EvalEvery > 0 && (t%s.cfg.EvalEvery == 0 || t == s.cfg.Steps) {
-		fp = flight.BeginPhase("eval")
-		s.recordEval(t)
-		s.metrics.evals.Inc()
-		fp.End()
-		phaseStart = clock
-		clock = phase(&s.phases.Eval, s.metrics.evalSpan, clock)
-		s.tracePhase("eval", t, phaseStart, clock)
-	}
-	draw.Wait()
-
-	s.store.endStep(t)
-	s.metrics.roundSpan.Observe(time.Since(roundStart))
-	s.metrics.steps.Inc()
-	s.metrics.selected.Add(int64(len(s.jobs)))
-	s.metrics.moves.Add(int64(s.moves - movesBefore))
-	s.metrics.moveOpp.Add(int64(s.numDevices))
-	s.tel.participants.Set(float64(len(s.jobs)))
-	if s.tel.fairness != nil {
-		s.tel.fairness.Set(s.tel.fairnessJain())
-	}
-	if tr := s.cfg.Trace; tr != nil {
-		end := time.Now()
-		tr.Complete("round", "hfl", 0, 0, roundStart, end.Sub(roundStart),
-			"r"+strconv.Itoa(t), "", map[string]any{"step": t, "selected": len(s.jobs)})
-	}
-	if em := s.cfg.Events; em != nil {
-		em.Emit("round",
-			"step", t,
-			"selected", len(s.jobs),
-			"sel_util_mean", meanOf(s.tel.roundSelUtilSum, s.tel.roundSelUtilN),
-			"upd_norm_mean", meanOf(s.tel.roundUpdNormSum, s.tel.roundSelUtilN),
-			"blend_util_mean", meanOf(s.tel.roundBlendUtilSum, s.tel.roundBlendUtilN),
-			"blend_events", s.tel.roundBlendUtilN,
-			"moves", s.moves-movesBefore)
-	}
-	return t
 }
 
-// tracePhase records one StepOnce phase as a child span of the round's
-// trace span. No-op (and allocation-free) when tracing is disabled.
-func (s *Sim) tracePhase(name string, t int, start, end time.Time) {
-	tr := s.cfg.Trace
-	if tr == nil {
-		return
+// cloudSync is Algorithm 1's lines 10–15: Eq. 7 over the edges with
+// weight since the last sync, in id order, then the global model copied
+// down into every edge's and device's vector.
+func (s *Sim) cloudSync(t int) {
+	for n, w := range s.edgeWeight {
+		s.agg.Offer(s.edges[n], w)
 	}
-	rid := "r" + strconv.Itoa(t)
-	tr.Complete(name, "hfl", 0, 0, start, end.Sub(start), rid+"."+name, rid, nil)
+	out := s.aggregate(t, s.cloud)
+	s.commEdgeCloud += 2 * int64(out.Kept+out.Rejects.Total())
+	for n := range s.edges {
+		copy(s.edges[n], s.cloud)
+		s.edgeWeight[n] = 0
+	}
+	s.store.cloudSynced()
+	s.metrics.cloudSyncs.Inc()
 }
 
-// aggregate runs the shared aggregate step on one aggregation point's
-// received updates, in place over model (which is also the pre-round
-// reference the validator measures against), and returns the weight that
-// entered it. Rejections additionally leave a robust_reject trace span.
-func (s *Sim) aggregate(t int, model []float64, vecs [][]float64, weights []float64) float64 {
-	out := s.agg.Combine(model, model, vecs, weights, 1)
+// aggregate combines the replies offered to s.agg in place over model,
+// also the screen's pre-round reference. A rejection leaves a
+// robust_reject trace span.
+func (s *Sim) aggregate(t int, model []float64) robust.Combined {
+	out := s.agg.Combine(model, model, 1)
 	if tr := s.cfg.Trace; tr != nil && out.Rejects.Total() > 0 {
 		rid := "r" + strconv.Itoa(t)
 		tr.Complete("robust_reject", "hfl", 0, 0, time.Now(), 0,
 			rid+".robust_reject", rid,
 			map[string]any{"nonfinite": out.Rejects.NonFinite, "norm": out.Rejects.Norm})
 	}
-	return out.Weight
+	return out
 }
 
 // fanOut runs fn(w, i) for every i in [0, n) on at most Parallelism

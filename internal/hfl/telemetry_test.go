@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"middle/internal/mobility"
 	"middle/internal/obs"
@@ -210,11 +211,13 @@ func TestTelemetryDisabledAllocFree(t *testing.T) {
 		t.Fatalf("disabled telemetry recording allocates %.1f/op", a)
 	}
 
-	var s Sim // zero cfg: nil trace
+	var s Sim // zero cfg: nil trace, nil phase spans
 	if a := testing.AllocsPerRun(200, func() {
-		s.tracePhase("select", 7, s.cfg.Trace.Now(), s.cfg.Trace.Now())
+		ph := phaseClock{s: &s, t: 7, start: time.Now()}
+		ph.enter(phaseTrain)
+		ph.enter(phaseNone)
 	}); a != 0 {
-		t.Fatalf("disabled tracePhase allocates %.1f/op", a)
+		t.Fatalf("disabled phase clock allocates %.1f/op", a)
 	}
 }
 

@@ -46,13 +46,6 @@ func (k AggregatorKind) MarshalText() ([]byte, error) { return []byte(k), nil }
 // DefaultTrimFrac is the trimmed mean's per-side trim fraction β.
 const DefaultTrimFrac = 0.2
 
-// AggStats reports what one aggregation did, for the robust_* metrics.
-type AggStats struct {
-	// TrimmedValues counts values dropped by the trimmed mean
-	// (2·⌊β·n⌋ per coordinate).
-	TrimmedValues int
-}
-
 // Aggregator combines a round's model vectors. Not safe for concurrent
 // use; each aggregation point owns one. The zero value aggregates with
 // the weighted mean.
@@ -63,28 +56,25 @@ type Aggregator struct {
 	col []float64 // scratch: one coordinate's values across updates
 }
 
-// IsMean reports whether the aggregator is the plain weighted mean.
-func (a *Aggregator) IsMean() bool {
-	return a == nil || a.Kind == "" || a.Kind == AggMean
-}
-
 // AggregateInto combines vecs into dst. For the mean this is exactly
 // simil.WeightedAverageInto — same panics, same floating-point result.
 // The trimmed mean writes coordinate by coordinate, so dst may be the
 // aggregation point's own model but must not alias any source vector,
 // and the same structural panics apply (no vectors, length mismatch).
-// The last argument, the point's pre-round model, is read by neither
-// combiner; the benchmark's robust.aggregate_us rung still passes it.
-func (a *Aggregator) AggregateInto(dst []float64, vecs [][]float64, weights []float64, _ []float64) AggStats {
-	if a.IsMean() {
+// It returns how many values the trimmed mean dropped (2·⌊β·n⌋ per
+// coordinate). The last argument, the point's pre-round model, is read by
+// neither combiner; the benchmark's robust.aggregate_us rung still passes
+// it.
+func (a *Aggregator) AggregateInto(dst []float64, vecs [][]float64, weights []float64, _ []float64) (trimmed int) {
+	switch a.Kind {
+	case "", AggMean:
 		simil.WeightedAverageInto(dst, vecs, weights)
-		return AggStats{}
+		return 0
+	case AggTrimmedMean:
+		checkShapes(dst, vecs, weights)
+		return a.trimmedMeanInto(dst, vecs)
 	}
-	checkShapes(dst, vecs, weights)
-	if a.Kind != AggTrimmedMean {
-		panic(fmt.Sprintf("robust: unknown aggregator kind %q", a.Kind))
-	}
-	return a.trimmedMeanInto(dst, vecs)
+	panic(fmt.Sprintf("robust: unknown aggregator kind %q", a.Kind))
 }
 
 func checkShapes(dst []float64, vecs [][]float64, weights []float64) {
@@ -111,7 +101,7 @@ func checkShapes(dst []float64, vecs [][]float64, weights []float64) {
 // trimmedMeanInto writes the β-trimmed coordinate-wise mean into dst.
 // With too few updates to trim (⌊β·n⌋ == 0) it degrades to the
 // unweighted mean.
-func (a *Aggregator) trimmedMeanInto(dst []float64, vecs [][]float64) AggStats {
+func (a *Aggregator) trimmedMeanInto(dst []float64, vecs [][]float64) int {
 	n := len(vecs)
 	t := int(DefaultTrimFrac * float64(n))
 	if 2*t >= n {
@@ -132,5 +122,5 @@ func (a *Aggregator) trimmedMeanInto(dst []float64, vecs [][]float64) AggStats {
 		}
 		dst[j] = s / float64(n-2*t)
 	}
-	return AggStats{TrimmedValues: 2 * t * len(dst)}
+	return 2 * t * len(dst)
 }

@@ -1,30 +1,23 @@
 // Package robust is the statistical-robustness layer for the MIDDLE
-// stack: update validation and Byzantine-robust alternatives to the
-// Eq. 6 / Eq. 7 weighted mean.
+// stack: update screening and Byzantine-robust alternatives to the Eq. 6 /
+// Eq. 7 weighted mean. A frame that decodes cleanly may still carry a
+// NaN/Inf model, an exploding update or a sign-flipped one, and without a
+// screen it flows straight into aggregation; mobility then carries it to
+// the next edge (Eq. 9), and the Eq. 12 selector prefers divergent
+// updates, i.e. attackers.
 //
-// PR 4 hardened the *transport* — a corrupted frame never decodes. This
-// package hardens the *values*: a frame that decodes cleanly may still
-// carry a NaN/Inf model, an exploding update, or an adversarial
-// (sign-flipped) model, and without validation it flows straight into
-// aggregation and poisons the global model. Worse, MIDDLE's mobility
-// carries a poisoned model into the next edge (Eq. 9) and the Eq. 12
-// selector prefers divergent updates, i.e. attackers.
+//   - Point (point.go): one aggregation point's whole aggregate step.
+//   - The screen (Point.screen), set by ValidatorConfig: rejects
+//     non-finite models and, optionally, updates whose norm exceeds
+//     c·median over the round's update norms, a per-round threshold that
+//     tracks the update magnitude as training anneals.
+//   - Aggregator: the combiner, the weighted mean (bit-identical to
+//     simil.WeightedAverageInto) or the β-trimmed mean.
+//   - Adversary (adversary.go): a seeded sign-flip attack for the hfl
+//     harness (fednet's poison fault negates payloads on the wire).
 //
-// Three pieces:
-//
-//   - Validator: rejects non-finite models and (optionally) updates
-//     whose norm exceeds c·median over the round's update norms — a
-//     per-round adaptive threshold, so the bound tracks the natural
-//     update magnitude as training anneals.
-//   - Aggregator: the Eq. 6/Eq. 7 combiner — weighted mean (default,
-//     bit-identical to simil.WeightedAverageInto) or β-trimmed mean.
-//   - Adversary (adversary.go): a seeded, deterministic sign-flip attack
-//     used by the hfl harness (fednet's poison fault kind negates
-//     payloads on the wire instead).
-//
-// Everything here is deterministic and allocation-free after warm-up:
-// scratch buffers live on the Validator/Aggregator and grow to the
-// high-water mark, matching the PR 1 hot-path discipline.
+// Everything here is deterministic and allocation-free once its scratch
+// has grown to a round's high-water mark.
 package robust
 
 import (
@@ -50,10 +43,7 @@ type ValidatorConfig struct {
 	NormBound float64
 }
 
-// Active reports whether any validation would run.
-func (c ValidatorConfig) Active() bool { return c.Enabled }
-
-// RejectCounts tallies one Filter call's rejections by reason.
+// RejectCounts tallies rejections by reason.
 type RejectCounts struct {
 	NonFinite int
 	Norm      int
@@ -61,25 +51,6 @@ type RejectCounts struct {
 
 // Total returns the number of rejected updates.
 func (r RejectCounts) Total() int { return r.NonFinite + r.Norm }
-
-// Validator screens a round's model updates before aggregation. Not
-// safe for concurrent use; each aggregation point owns one.
-type Validator struct {
-	cfg    ValidatorConfig
-	kept   [][]float64 // scratch: the surviving updates' headers, in order
-	keptW  []float64   // scratch: their weights
-	norms  []float64   // scratch: ‖vecs[i]−ref‖ for surviving updates
-	sorted []float64   // scratch: norms copy for the median
-}
-
-// NewValidator returns a validator for cfg, or nil when validation is
-// disabled — callers may invoke Filter on a nil receiver.
-func NewValidator(cfg ValidatorConfig) *Validator {
-	if !cfg.Active() {
-		return nil
-	}
-	return &Validator{cfg: cfg}
-}
 
 // IsFinite reports whether every element of v is finite (no NaN/±Inf).
 func IsFinite(v []float64) bool {
@@ -91,55 +62,47 @@ func IsFinite(v []float64) bool {
 	return true
 }
 
-// Filter screens the round's updates against ref (the aggregation
-// point's pre-round model). It returns the kept vectors and weights, in
-// order, in the validator's own scratch, valid until its next Filter: the
-// caller's slices are only read, never reordered, so a caller that walks
-// its own vecs afterwards still sees every update once. Nothing is
-// allocated once the scratch has grown to a round's updates. A nil
-// validator keeps everything and returns the caller's slices.
-//
-// Two passes: (1) drop non-finite vectors; (2) when NormBound > 0,
-// compute ‖v−ref‖₂ for the survivors, take their median, and drop
-// vectors beyond NormBound·median. The median adapts per round, so the
-// bound follows the natural decay of update magnitudes; with fewer than
-// 3 survivors the norm check is skipped (no meaningful median).
-func (v *Validator) Filter(ref []float64, vecs [][]float64, weights []float64) ([][]float64, []float64, RejectCounts) {
+// screen drops, in place and in order, the offered replies that p.cfg
+// rejects: (1) non-finite vectors; (2) when NormBound > 0, vectors whose
+// ‖v−ref‖₂ exceeds NormBound·median over the survivors, ref being the
+// point's pre-round model. The median adapts per round, so the bound
+// follows the decay of update magnitudes; below 3 survivors there is no
+// meaningful median and the norm check is skipped.
+func (p *Point) screen(ref []float64) RejectCounts {
 	var rc RejectCounts
-	if v == nil {
-		return vecs, weights, rc
+	if !p.cfg.Enabled {
+		return rc
 	}
-	kept, keptW := v.kept[:0], v.keptW[:0]
-	for i, vec := range vecs {
-		if !IsFinite(vec) {
-			rc.NonFinite++
-			continue
-		}
-		kept, keptW = append(kept, vec), append(keptW, weights[i])
+	rc.NonFinite = p.keep(func(vec []float64, _ int) bool { return IsFinite(vec) })
+	k := len(p.vecs)
+	if p.cfg.NormBound <= 0 || k < 3 {
+		return rc
 	}
-	v.kept, v.keptW = kept, keptW
-	if v.cfg.NormBound <= 0 || len(kept) < 3 {
-		return kept, keptW, rc
+	if cap(p.norms) < k {
+		p.norms, p.sorted = make([]float64, k), make([]float64, k)
 	}
-	if cap(v.norms) < len(kept) {
-		v.norms = make([]float64, len(kept))
-		v.sorted = make([]float64, len(kept))
-	}
-	norms := v.norms[:len(kept)]
-	for i, vec := range kept {
+	norms := p.norms[:k]
+	for i, vec := range p.vecs {
 		norms[i] = deltaNorm(vec, ref)
 	}
-	bound := v.cfg.NormBound * medianInto(v.sorted[:len(kept)], norms)
+	bound := p.cfg.NormBound * medianInto(p.sorted[:k], norms)
+	rc.Norm = p.keep(func(_ []float64, i int) bool { return norms[i] <= bound })
+	return rc
+}
+
+// keep compacts the offered replies to those ok accepts (given a reply and
+// its position) and returns how many it dropped.
+func (p *Point) keep(ok func(vec []float64, i int) bool) int {
 	k := 0
-	for i, vec := range kept {
-		if norms[i] > bound {
-			rc.Norm++
-			continue
+	for i, vec := range p.vecs {
+		if ok(vec, i) {
+			p.vecs[k], p.weights[k] = vec, p.weights[i]
+			k++
 		}
-		kept[k], keptW[k] = vec, keptW[i]
-		k++
 	}
-	return kept[:k], keptW[:k], rc
+	dropped := len(p.vecs) - k
+	p.vecs, p.weights = p.vecs[:k], p.weights[:k]
+	return dropped
 }
 
 // deltaNorm returns ‖v − ref‖₂ without materialising the delta.

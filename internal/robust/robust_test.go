@@ -62,8 +62,8 @@ func TestTrimmedMeanStats(t *testing.T) {
 	vecs := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	dst := make([]float64, 1)
 	st := a.AggregateInto(dst, vecs, []float64{1, 1, 1, 1, 1}, nil)
-	if st.TrimmedValues != 2 {
-		t.Errorf("TrimmedValues = %d, want 2", st.TrimmedValues)
+	if st != 2 {
+		t.Errorf("trimmed %d values, want 2", st)
 	}
 	if dst[0] != 3 {
 		t.Errorf("trimmed mean = %v, want 3", dst[0])
@@ -74,8 +74,8 @@ func TestTrimmedMeanStats(t *testing.T) {
 	if dst[0] != 5 {
 		t.Errorf("degraded trimmed mean = %v, want 5", dst[0])
 	}
-	if st.TrimmedValues != 0 {
-		t.Errorf("degraded TrimmedValues = %d, want 0", st.TrimmedValues)
+	if st != 0 {
+		t.Errorf("degraded trimmed mean dropped %d values, want 0", st)
 	}
 }
 
@@ -98,60 +98,59 @@ func TestMeanMatchesSimilBitwise(t *testing.T) {
 	}
 }
 
+// screened offers vecs with weights to a fresh point screening with vc
+// and returns the Combine result and the combined model.
+func screened(vc ValidatorConfig, vecs [][]float64, weights []float64) (Combined, []float64) {
+	p := NewPoint(AggMean, vc, nil)
+	for i, v := range vecs {
+		p.Offer(v, weights[i])
+	}
+	dst := make([]float64, len(vecs[0]))
+	return p.Combine(dst, make([]float64, len(dst)), 1), dst
+}
+
 func TestValidatorRejectsNonFinite(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Enabled: true})
-	ref := []float64{0, 0}
 	vecs := [][]float64{
 		{1, 2},
 		{math.NaN(), 0},
 		{3, 4},
 		{0, math.Inf(1)},
 	}
-	w := []float64{1, 2, 3, 4}
-	kept, keptW, rc := v.Filter(ref, vecs, w)
-	if rc.NonFinite != 2 || rc.Norm != 0 {
-		t.Fatalf("RejectCounts = %+v", rc)
+	out, dst := screened(ValidatorConfig{Enabled: true}, vecs, []float64{1, 2, 3, 4})
+	if out.Rejects.NonFinite != 2 || out.Rejects.Norm != 0 {
+		t.Fatalf("RejectCounts = %+v", out.Rejects)
 	}
-	if len(kept) != 2 || kept[0][0] != 1 || kept[1][0] != 3 {
-		t.Fatalf("kept = %v", kept)
-	}
-	if keptW[0] != 1 || keptW[1] != 3 {
-		t.Fatalf("keptW = %v", keptW)
+	// The survivors are {1, 2} at weight 1 and {3, 4} at weight 3.
+	if out.Kept != 2 || out.Weight != 4 || !almostEq(dst, []float64{2.5, 3.5}, 1e-12) {
+		t.Fatalf("kept %d at weight %v, combined %v", out.Kept, out.Weight, dst)
 	}
 }
 
 func TestValidatorNormBound(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Enabled: true, NormBound: 3})
-	ref := []float64{0}
-	vecs := [][]float64{{1}, {1.5}, {2}, {-100}}
-	w := []float64{1, 1, 1, 1}
 	// norms 1, 1.5, 2, 100; median 1.75; bound 5.25 → reject the 100.
-	kept, _, rc := v.Filter(ref, vecs, w)
-	if rc.Norm != 1 || rc.NonFinite != 0 {
-		t.Fatalf("RejectCounts = %+v", rc)
+	out, _ := screened(ValidatorConfig{Enabled: true, NormBound: 3}, [][]float64{{1}, {1.5}, {2}, {-100}}, []float64{1, 1, 1, 1})
+	if out.Rejects.Norm != 1 || out.Rejects.NonFinite != 0 {
+		t.Fatalf("RejectCounts = %+v", out.Rejects)
 	}
-	if len(kept) != 3 {
-		t.Fatalf("kept %d updates, want 3", len(kept))
+	if out.Kept != 3 {
+		t.Fatalf("kept %d updates, want 3", out.Kept)
 	}
 }
 
 func TestValidatorSkipsNormWithFewUpdates(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Enabled: true, NormBound: 1})
-	kept, _, rc := v.Filter([]float64{0}, [][]float64{{1}, {100}}, []float64{1, 1})
-	if len(kept) != 2 || rc.Total() != 0 {
-		t.Fatalf("norm check should be skipped below 3 survivors: kept=%d rc=%+v", len(kept), rc)
+	out, _ := screened(ValidatorConfig{Enabled: true, NormBound: 1}, [][]float64{{1}, {100}}, []float64{1, 1})
+	if out.Kept != 2 || out.Rejects.Total() != 0 {
+		t.Fatalf("norm check should be skipped below 3 survivors: %+v", out)
 	}
 }
 
 func TestNilValidatorKeepsAll(t *testing.T) {
-	var v *Validator
-	vecs := [][]float64{{math.NaN()}}
-	kept, _, rc := v.Filter([]float64{0}, vecs, []float64{1})
-	if len(kept) != 1 || rc.Total() != 0 {
-		t.Fatal("nil validator must keep everything")
+	out, _ := screened(ValidatorConfig{}, [][]float64{{math.NaN()}}, []float64{1})
+	if out.Kept != 1 || out.Rejects.Total() != 0 {
+		t.Fatal("a point without a screen must keep everything")
 	}
-	if NewValidator(ValidatorConfig{}) != nil {
-		t.Fatal("disabled config must yield nil validator")
+	if NewPoint(AggMean, ValidatorConfig{}, nil).Validating() {
+		t.Fatal("a disabled config must not screen")
 	}
 }
 
@@ -200,44 +199,62 @@ func TestCorruptModes(t *testing.T) {
 	}
 }
 
-// The shared aggregate step: rejections are tallied, a cohort below the
-// minimum leaves dst alone, and a sufficient one is combined.
+// The shared aggregate step: nil vectors and non-positive weights are never
+// offered, rejections are tallied, a cohort below the quorum leaves dst
+// alone and reports weight 0, and a sufficient one is combined in the
+// order it was offered.
 func TestPointCombine(t *testing.T) {
+	offer := func(p *Point, vecs [][]float64, weights []float64) {
+		for i, v := range vecs {
+			p.Offer(v, weights[i])
+		}
+	}
 	p := NewPoint(AggMean, ValidatorConfig{Enabled: true}, nil)
 	ref := []float64{0, 0}
 	dst := []float64{7, 7}
 	vecs := [][]float64{{2, 4}, {math.NaN(), 0}, {4, 8}}
-	out := p.Combine(dst, ref, vecs, []float64{1, 5, 3}, 3)
-	if out.Applied || out.Kept != 2 || out.Weight != 4 || out.Rejects.NonFinite != 1 || dst[0] != 7 {
-		t.Fatalf("below minimum: %+v, dst %v", out, dst)
+	offer(p, vecs, []float64{1, 5, 3})
+	out := p.Combine(dst, ref, 3)
+	if out.Applied || out.Kept != 2 || out.Weight != 0 || out.Rejects.NonFinite != 1 || dst[0] != 7 {
+		t.Fatalf("below quorum: %+v, dst %v", out, dst)
 	}
-	vecs = [][]float64{{2, 4}, {math.NaN(), 0}, {4, 8}}
-	out = p.Combine(dst, ref, vecs, []float64{1, 5, 3}, 2)
-	if !out.Applied || !almostEq(dst, []float64{3.5, 7}, 1e-12) {
+	// A dropped device (nil) and a zero or negative weight are left out of
+	// Eq. 6: they are neither seen nor rejected, and the weight is the
+	// rest's.
+	offer(p, append(vecs, nil, []float64{100, 100}, []float64{-100, 0}), []float64{1, 5, 3, 2, 0, -1})
+	out = p.Combine(dst, ref, 2)
+	if !out.Applied || out.Kept != 2 || out.Weight != 4 || !almostEq(dst, []float64{3.5, 7}, 1e-12) {
 		t.Fatalf("combine: %+v, dst %v", out, dst)
 	}
-	p.NoteNonFinite()
-	if p.Seen != 6 || p.Rejected.NonFinite != 3 || p.Rejected.Total() != 3 {
+	if p.Seen != 6 || p.Rejected.NonFinite != 2 || p.Rejected.Total() != 2 {
 		t.Fatalf("tallies: seen %d, rejected %+v", p.Seen, p.Rejected)
+	}
+	// Nothing offered is a cohort below any quorum.
+	if out := p.Combine(dst, ref, 1); out.Applied || out.Kept != 0 || p.Seen != 6 {
+		t.Fatalf("empty combine: %+v, seen %d", out, p.Seen)
 	}
 }
 
 // TestCombineLeavesCallerSlices: a Combine that rejects one NaN update
-// and one norm outlier screens a copy of the slice headers, so the
+// and one norm outlier compacts the point's own list of offers, so the
 // caller's vecs and weights hold, element by element, what they held
-// before; a caller that walks them afterwards (a fednet edge freeing
-// Eq. 6's inputs) sees every update once. The kept updates are still
-// the three in range, combined in order.
+// before, and no offered vector is written to; a caller that walks them
+// afterwards (a fednet edge freeing Eq. 6's inputs) sees every update
+// once. The kept updates are the three in range, combined in the order
+// offered.
 func TestCombineLeavesCallerSlices(t *testing.T) {
 	p := NewPoint(AggMean, ValidatorConfig{Enabled: true, NormBound: 3}, nil)
-	ref := []float64{0}
 	nan, far := []float64{math.NaN()}, []float64{-100}
 	vecs := [][]float64{{1}, nan, {1.5}, far, {2}}
 	weights := []float64{1, 2, 3, 4, 5}
 	wantVecs := append([][]float64(nil), vecs...)
+	wantVals := []float64{1, math.NaN(), 1.5, -100, 2}
 	wantWeights := append([]float64(nil), weights...)
+	for i, v := range vecs {
+		p.Offer(v, weights[i])
+	}
 	dst := []float64{0}
-	out := p.Combine(dst, ref, vecs, weights, 1)
+	out := p.Combine(dst, []float64{0}, 1)
 	if !out.Applied || out.Kept != 3 || out.Rejects.NonFinite != 1 || out.Rejects.Norm != 1 || out.Weight != 9 {
 		t.Fatalf("combine: %+v", out)
 	}
@@ -245,9 +262,28 @@ func TestCombineLeavesCallerSlices(t *testing.T) {
 		t.Fatalf("combined %v, want %v", dst[0], want)
 	}
 	for i := range vecs {
-		if &vecs[i][0] != &wantVecs[i][0] || weights[i] != wantWeights[i] {
+		same := vecs[i][0] == wantVals[i] || (math.IsNaN(vecs[i][0]) && math.IsNaN(wantVals[i]))
+		if &vecs[i][0] != &wantVecs[i][0] || !same || weights[i] != wantWeights[i] {
 			t.Fatalf("entry %d of the caller's slices changed: vec %v weight %v, was %v weight %v",
-				i, vecs[i], weights[i], wantVecs[i], wantWeights[i])
+				i, vecs[i], weights[i], wantVals[i], wantWeights[i])
 		}
+	}
+}
+
+// A steady round of offers and one Combine allocates nothing once the
+// point's offer buffer has grown to a round's replies.
+func TestPointOffersReuseStorage(t *testing.T) {
+	p := NewPoint(AggTrimmedMean, ValidatorConfig{Enabled: true, NormBound: 3}, nil)
+	vecs := [][]float64{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {50, 60}}
+	dst, ref := make([]float64, 2), make([]float64, 2)
+	round := func() {
+		for _, v := range vecs {
+			p.Offer(v, 1)
+		}
+		p.Combine(dst, ref, 1)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of offers allocates %v times, want 0", allocs)
 	}
 }
