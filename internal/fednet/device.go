@@ -60,11 +60,9 @@ type DeviceMuxConfig struct {
 	Seed int64
 	// Timeout bounds network operations (default 30 s).
 	Timeout time.Duration
-	// MaxRetries is how many times Connect (and the automatic reconnect
-	// after a non-deliberate connection loss) retries the dial+register
-	// handshake (default 3).
-	MaxRetries int
-	// RetryBase is the base retry backoff, grown exponentially with
+	// RetryBase is the base back-off of the client's retries — of the
+	// dial+register handshake of Connect and of the automatic reconnect,
+	// three each, and of an unechoed leave — grown exponentially with
 	// deterministic jitter (default 50 ms).
 	RetryBase time.Duration
 	// Faults, when set, injects faults on the client's device→edge links
@@ -272,7 +270,9 @@ func NewDeviceMux(cfg DeviceMuxConfig) (*DeviceMux, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
+	if cfg.RetryBase <= 0 {
+		cfg.RetryBase = retryBase
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -419,7 +419,7 @@ func (mx *DeviceMux) leave(cc *muxClientConn, v *virtualDevice) {
 // back-off: the leave is resent on the attach schedule, and only the last
 // try waits out the Timeout. cc.regMu must be held.
 func (mx *DeviceMux) withdraw(cc *muxClientConn, id int) error {
-	for attempt := 0; attempt <= mx.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		select {
 		case <-cc.left: // the late echo of an earlier leave
 		default:
@@ -428,7 +428,7 @@ func (mx *DeviceMux) withdraw(cc *muxClientConn, id int) error {
 			return err
 		}
 		wait := mx.cfg.Timeout
-		if attempt < mx.cfg.MaxRetries {
+		if attempt < maxRetries {
 			wait = retryBackoff(mx.cfg.RetryBase, attempt+1, mx.cfg.Seed, int64(id)*1_000_003+int64(cc.edgeID))
 		}
 		for expired := time.After(wait); expired != nil; {
@@ -454,7 +454,7 @@ func (mx *DeviceMux) withdraw(cc *muxClientConn, id int) error {
 // is nothing to do. A re-home registration takes exactly one rider.
 func (mx *DeviceMux) attach(edgeID int, addr string, riders []rider, rehome bool) error {
 	var err error
-	for attempt := 0; attempt <= mx.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			mx.m.retries.Inc()
 			select {

@@ -33,24 +33,24 @@ type EdgeConfig struct {
 	Strategy hfl.Strategy
 	// Seed derives the per-round selection tie-break randomness.
 	Seed int64
-	// Timeout bounds network operations (default 30 s).
+	// Timeout bounds one frame's I/O — a registration handshake, a
+	// request written to a device (cut sooner at its round's deadline),
+	// an exchange with the cloud — and an expiry counts in
+	// fednet_timeouts_total (default 30 s). A train RPC waiting for its
+	// reply is bounded by RoundDeadline alone.
 	Timeout time.Duration
 	// Quorum is the minimum number of responders a round needs before
 	// the edge aggregates Eq. 6 (default 1, clamped to ≤ K). Below
 	// quorum the edge carries its previous model forward and reports
 	// zero weight to the cloud.
 	Quorum int
-	// RoundDeadline bounds one round's device training; stragglers past
-	// it are excluded from aggregation and their connections closed
-	// (default Timeout).
+	// RoundDeadline bounds how long a round waits for its train RPCs
+	// (default Timeout). An RPC still open then ends with its round: the
+	// device is a straggler, excluded from Eq. 6 and counted in
+	// fednet_excluded_stragglers_total, its late reply is discarded, and
+	// a device alone on its connection is closed and dropped. A request
+	// still being written then fails its connection.
 	RoundDeadline time.Duration
-	// MaxRetries is how many times a failed train RPC is retried against
-	// a (possibly reconnected) device before the round gives up on it
-	// (default 3).
-	MaxRetries int
-	// RetryBase is the base retry backoff; successive attempts grow it
-	// exponentially, capped, with deterministic jitter (default 50 ms).
-	RetryBase time.Duration
 	// Faults, when set, injects faults on the edge→cloud link.
 	Faults *FaultInjector
 	// Aggregator selects the Eq. 6 combiner: "" or "mean" (the default
@@ -121,13 +121,22 @@ type Edge struct {
 	agg     *robust.Point // the Eq. 6 aggregate step
 	resumed bool          // state restored from a checkpoint by NewEdge
 	// rng is the selection generator, re-seeded to each round's stream by
-	// hfl.Cohort under mu. cands, sel and got are runRound's scratch — the
-	// candidate ids, the cohort and its replies by position in it — which
-	// only the Run goroutine touches.
+	// hfl.Cohort under mu. cands, sel, slots and due are runRound's
+	// scratch — the candidate ids, the cohort, its train RPCs by position
+	// in it and the round's deadline — which only the Run goroutine touches.
 	rng   *tensor.RNG
 	cands []int
 	sel   []int
-	got   []trainResult
+	slots []rpcSlot
+	due   time.Time
+	// inbox receives what ends an attempt of a train RPC — its reply or
+	// its connection's failure, from the demux readers — and the end of a
+	// retry's back-off. A cohort position has at most one post pending and
+	// a round ends with none, so a post never blocks. writers are the
+	// round's request writes, which it waits for: none reads the edge
+	// model after.
+	inbox   chan rpcResult
+	writers sync.WaitGroup
 
 	mu      sync.Mutex
 	devices map[int]*deviceState
@@ -143,14 +152,11 @@ type Edge struct {
 	replies vecList
 
 	// The fields below are guarded by mu: the Run loop writes them while
-	// acceptLoop goroutines read them to build registration acks.
+	// demux readers read them to build registration acks.
 	edgeModel []float64
-	// modelUsers counts the readers of edgeModel's buffer that run outside
-	// mu — train RPCs in flight. spareModel is the
-	// buffer of the edge model before this one if it had none left when it
-	// was replaced (nil otherwise): the next aggregate or global model is
-	// written into it, so the two swap from round to round.
-	modelUsers int
+	// spareModel is the buffer of the edge model before this one: the next
+	// aggregate or global model is written into it, so the two swap from
+	// round to round.
 	spareModel []float64
 	// cloudSeen is the last global model received (w_c for Eq. 12), in its
 	// own storage. Only the Run goroutine writes it, under mu, so a round
@@ -222,7 +228,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.RoundDeadline <= 0 {
 		cfg.RoundDeadline = cfg.Timeout
 	}
-	cfg.MaxRetries, cfg.RetryBase = retryPolicy(cfg.MaxRetries, cfg.RetryBase)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -237,6 +242,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		m:          newEdgeMetrics(cfg.Obs),
 		agg:        robust.NewPoint(cfg.Aggregator, cfg.Validate, cfg.Obs),
 		replies:    vecList{max: 2 * cfg.K},
+		inbox:      make(chan rpcResult, cfg.K),
 		devices:    map[int]*deviceState{},
 		rng:        tensor.NewRNG(0),
 		migrations: map[string]int{},
@@ -289,32 +295,16 @@ func (e *Edge) saveCheckpoint(round int) {
 // Addr returns the edge's device-facing listen address.
 func (e *Edge) Addr() string { return e.ln.Addr().String() }
 
-// acceptLoop admits device connections until the listener closes.
+// acceptLoop admits device connections until the listener closes, each
+// with its demux reader from the first frame.
 func (e *Edge) acceptLoop() {
 	for {
 		conn, err := e.ln.Accept()
 		if err != nil {
 			return
 		}
-		go func(conn net.Conn) {
-			// A device client: register what its first frame announces,
-			// then this goroutine becomes the connection's demux reader.
-			conn.SetDeadline(time.Now().Add(e.cfg.Timeout))
-			var reg RegisterMux
-			t, vec, err := e.m.deviceLink.readMsgInto(conn, &reg, e.replies.get)
-			if err != nil || t != MsgRegisterMux {
-				e.replies.put(vec)
-				conn.Close()
-				return
-			}
-			mx := &edgeMux{edge: e, conn: conn, waiters: map[int]chan trainResult{}, ids: map[int]bool{}}
-			if err := e.registerDevices(mx, reg.Devices, vec); err != nil {
-				mx.fail(err)
-				return
-			}
-			conn.SetDeadline(time.Time{})
-			mx.serve()
-		}(conn)
+		mx := &edgeMux{edge: e, conn: conn, open: map[int]rpcTag{}, ids: map[int]bool{}}
+		go mx.serve()
 	}
 }
 
@@ -400,11 +390,11 @@ func (e *Edge) dialCloud() (net.Conn, error) {
 		if err == nil {
 			break
 		}
-		if attempt >= e.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return nil, fmt.Errorf("fednet: edge %d dialing cloud: %w", e.cfg.EdgeID, err)
 		}
 		e.m.retries.Inc()
-		time.Sleep(retryBackoff(e.cfg.RetryBase, attempt+1, e.cfg.Seed, int64(e.cfg.EdgeID)))
+		time.Sleep(retryBackoff(retryBase, attempt+1, e.cfg.Seed, int64(e.cfg.EdgeID)))
 	}
 	cloud = e.cfg.Faults.WrapEdgeLink(cloud, e.cfg.EdgeID)
 	e.mu.Lock()
@@ -527,22 +517,11 @@ func (e *Edge) takeSpareModel(n int) []float64 {
 	return buf
 }
 
-// installModelLocked makes m the edge model. The buffer of the model it
-// replaces becomes the spare unless a reader outside mu may still hold it.
-// e.mu must be held.
+// installModelLocked makes m the edge model and the buffer of the model
+// it replaces the spare: no train RPC outlives its round, so nothing
+// reads that buffer any more. e.mu must be held.
 func (e *Edge) installModelLocked(m []float64) {
-	e.spareModel = nil
-	if e.modelUsers == 0 {
-		e.spareModel = e.edgeModel
-	}
-	e.edgeModel = m
-}
-
-// releaseModel ends one out-of-lock use of the edge model's buffer.
-func (e *Edge) releaseModel() {
-	e.mu.Lock()
-	e.modelUsers--
-	e.mu.Unlock()
+	e.spareModel, e.edgeModel = e.edgeModel, m
 }
 
 // vecList is a small free list of vectors; the zero value with max set is
@@ -638,88 +617,62 @@ type roundStats struct {
 	quorumMiss bool
 }
 
-// trainResult is one device's contribution to a round: the delivered (or
-// failed) round-trip, and the device's position in the round's cohort.
-type trainResult struct {
-	at    int
+// rpcResult is posted to the inbox when a train RPC ends — its reply, or
+// the error that failed it — or when a retry's back-off has passed,
+// tagged with the round and the cohort position.
+type rpcResult struct {
+	rpcTag
 	vec   []float64
 	reply TrainReply
 	err   error
 }
 
-// runRound executes one Algorithm 1 time step: selection, parallel
-// training on the selected devices with per-RPC retry, Eq. 6
-// aggregation over the devices that answered before the round deadline.
-// span is the edge's round trace span id ("" when tracing is off); each
-// train RPC records a child span and forwards its id to the device.
+// rpcSlot is one cohort position's train RPC across its attempts: the
+// connection the attempt in flight rides or the back-off before the next,
+// never both, when the request was sent, the retries spent, and what
+// ended the RPC — a reply or an error, neither for a straggler. Either of
+// the first two posts once to the inbox, so at most K posts are pending.
+type rpcSlot struct {
+	mx      *edgeMux
+	backoff *time.Timer
+	sent    time.Time
+	tries   int
+	res     rpcResult
+}
+
+// runRound executes one Algorithm 1 time step: selection, training on the
+// selected devices, Eq. 6 aggregation over the devices that answered
+// before the round deadline. The round owns its train RPCs: once it
+// returns none is open and no request is being written. span is the
+// edge's round trace span id ("" when tracing is off); each train RPC
+// records a child span and forwards its id to the device.
 func (e *Edge) runRound(round int, span string) roundStats {
 	sel, model := e.selectCohort(round)
 	if len(sel) == 0 {
 		return roundStats{}
 	}
-
-	// abort tells straggler goroutines the round has moved on, so a
-	// retry loop never sends a stale-round request after the deadline.
-	abort := make(chan struct{})
-	defer close(abort)
-	results := make(chan trainResult, len(sel))
-	for at, id := range sel {
-		go func() {
-			res := e.trainDevice(id, round, span, model, abort)
-			e.releaseModel()
-			res.at = at
-			results <- res
-		}()
-	}
-
-	// got[at] holds the reply of the device at position at in sel: its
-	// vector, or the error that failed it, or neither if it never arrived.
-	// Replies are offered to Eq. 6 in this order, not in arrival order: a
-	// float sum depends on its order.
-	got := slices.Grow(e.got[:0], len(sel))[:len(sel)]
-	clear(got)
-	e.got = got
-	deadline := time.NewTimer(e.cfg.RoundDeadline)
-	defer deadline.Stop()
-collect:
-	for arrived := 0; arrived < len(sel); arrived++ {
-		select {
-		case res := <-results:
-			id := sel[res.at]
-			if res.err == nil && len(res.vec) != len(model) {
-				res.err = fmt.Errorf("model of %d values, want %d", len(res.vec), len(model))
-			}
-			switch {
-			case res.err != nil:
-				e.cfg.Logf("edge %d: device %d failed round %d: %v", e.cfg.EdgeID, id, round, res.err)
-				e.m.drops.Inc()
-				res.vec = nil
-			case !e.agg.Validating() || robust.IsFinite(res.vec):
-				// A screened edge does not score a non-finite model for
-				// selection (NaN scores would poison Eq. 12); Eq. 6's
-				// screen rejects it.
-				e.acceptReply(id, round, res.reply.Utility, res.vec)
-			}
-			got[res.at] = res
-		case <-deadline.C:
-			break collect
-		}
-	}
+	e.slots = slices.Grow(e.slots[:0], len(sel))[:len(sel)]
+	clear(e.slots)
+	e.collect(round, span, model)
+	e.closeRPCs(round)
 	excluded := e.excludeStragglers(round, span)
+	e.writers.Wait() // each ends by the deadline (see send)
 
 	// The shared aggregate step: the screen, the quorum, Eq. 6. Below
 	// quorum a tiny, biased sample does not steer Eq. 6: the edge carries
 	// its previous model forward with zero weight, so the cloud skips it.
+	// Replies are offered in cohort order, not in arrival order: a float
+	// sum depends on its order.
 	fp := flight.BeginPhase("edge_agg")
-	for _, res := range got {
-		e.agg.Offer(res.vec, float64(res.reply.DataSize))
+	for _, s := range e.slots {
+		e.agg.Offer(s.res.vec, float64(s.res.reply.DataSize))
 	}
 	agg := e.takeSpareModel(len(model))
 	out := e.agg.Combine(agg, model, e.cfg.Quorum)
 	fp.End()
 	// Every reply, kept by Eq. 6 or rejected, goes back once.
-	for _, res := range got {
-		e.replies.put(res.vec)
+	for _, s := range e.slots {
+		e.replies.put(s.res.vec)
 	}
 	e.mu.Lock()
 	if out.Applied {
@@ -751,9 +704,167 @@ collect:
 	return st
 }
 
+// collect sends the cohort's train requests, then takes what the inbox
+// brings until every RPC has ended or the round deadline passes.
+func (e *Edge) collect(round int, span string, model []float64) {
+	e.due = time.Now().Add(e.cfg.RoundDeadline)
+	deadline := time.NewTimer(e.cfg.RoundDeadline)
+	defer deadline.Stop()
+	left := len(e.slots)
+	for at := range e.slots {
+		if !e.send(round, at, span, model) {
+			left--
+		}
+	}
+	for left > 0 {
+		select {
+		case res := <-e.inbox:
+			if e.receive(round, span, model, res) {
+				left--
+			}
+		case <-deadline.C:
+			return
+		}
+	}
+}
+
+// send starts an attempt of slot at's train RPC: it builds the request
+// from what the edge keeps of the device, records the RPC as open on the
+// device's connection and hands the request to a writer the round waits
+// for. The write must end by the round's deadline: one that fails or is
+// cut there fails the connection, which ends the RPC. A device that is not
+// registered, or whose connection has failed, fails the attempt at once.
+// It reports whether the RPC goes on.
+func (e *Edge) send(round, at int, span string, model []float64) bool {
+	id := e.sel[at]
+	req := TrainRequest{Round: round, DeviceID: id}
+	if span != "" {
+		req.Span = trainRPCSpan(span, id)
+	}
+	e.mu.Lock()
+	d, ok := e.devices[id]
+	if ok {
+		req.Moved = !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID
+		req.ResetLocal = !trainedSince(d.lastTrained, e.lastSync)
+	}
+	e.mu.Unlock()
+	switch {
+	case !ok:
+		return e.retry(round, at, fmt.Errorf("device %d not connected", id))
+	case !d.mux.openRPC(id, rpcTag{round, at}):
+		return e.retry(round, at, errConnLost)
+	}
+	s, mx, due := &e.slots[at], d.mux, e.due
+	s.mx, s.sent = mx, time.Now()
+	e.writers.Add(1)
+	go func() {
+		defer e.writers.Done()
+		fp := flight.BeginPhase("comm")
+		err := e.m.deviceLink.writeShared(&mx.wmu, mx.conn, min(e.cfg.Timeout, time.Until(due)), MsgTrainRequest, req, model)
+		fp.End()
+		if err != nil {
+			countTimeout(e.m.timeouts, err)
+			mx.fail(err)
+		}
+	}()
+	return true
+}
+
+// receive handles one post of the inbox and reports whether the slot's
+// RPC is over. A passed back-off sends the next attempt. A reply with the
+// edge model's size is the slot's result, scored for Eq. 12 on arrival;
+// one of another size fails the slot. An empty reply (the client did not
+// know the device) or a lost connection is a fault, retried.
+func (e *Edge) receive(round int, span string, model []float64, res rpcResult) bool {
+	s, id := &e.slots[res.at], e.sel[res.at]
+	if s.backoff != nil {
+		s.backoff = nil
+		return !e.send(round, res.at, span, model)
+	}
+	s.mx = nil
+	if res.err == nil && len(res.vec) == 0 {
+		res.err = fmt.Errorf("train reply of round %d carries no model", res.reply.Round)
+	}
+	if res.err != nil {
+		e.replies.put(res.vec)
+		return !e.retry(round, res.at, res.err)
+	}
+	e.m.trainSpan.Observe(time.Since(s.sent))
+	if tr := e.cfg.Trace; tr != nil {
+		tr.Complete("train_rpc", "fednet", tracePidEdgeBase+e.cfg.EdgeID, id,
+			s.sent, time.Since(s.sent), trainRPCSpan(span, id), span,
+			map[string]any{"round": round, "device": id, "attempt": s.tries})
+	}
+	if len(res.vec) != len(model) {
+		e.replies.put(res.vec)
+		e.failSlot(round, res.at, fmt.Errorf("model of %d values, want %d", len(res.vec), len(model)))
+		return true
+	}
+	s.res = res
+	if !e.agg.Validating() || robust.IsFinite(res.vec) {
+		// A screened edge does not score a non-finite model for selection
+		// (NaN scores would poison Eq. 12); Eq. 6's screen rejects it.
+		e.acceptReply(id, round, res.reply.Utility, res.vec)
+	}
+	return true
+}
+
+// retry handles a failed attempt of slot at. While the device is
+// registered and retries remain, the next attempt waits out a capped,
+// jittered back-off, whose end is posted to the inbox, and retry reports
+// true; otherwise the slot fails with err.
+func (e *Edge) retry(round, at int, err error) bool {
+	s, id := &e.slots[at], e.sel[at]
+	e.mu.Lock()
+	_, registered := e.devices[id]
+	e.mu.Unlock()
+	if s.tries == maxRetries || !registered {
+		e.failSlot(round, at, err)
+		return false
+	}
+	s.tries++
+	e.m.retries.Inc()
+	tag := rpcTag{round, at}
+	s.backoff = time.AfterFunc(retryBackoff(retryBase, s.tries, e.cfg.Seed,
+		int64(e.cfg.EdgeID)*1_000_003+int64(id)*31+int64(round)),
+		func() { e.inbox <- rpcResult{rpcTag: tag} })
+	return true
+}
+
+// failSlot ends slot at's RPC with err: the device is left out of Eq. 6.
+func (e *Edge) failSlot(round, at int, err error) {
+	e.slots[at].res.err = err
+	e.cfg.Logf("edge %d: device %d failed round %d: %v", e.cfg.EdgeID, e.sel[at], round, err)
+	e.m.drops.Inc()
+}
+
+// closeRPCs ends what is left of the round's RPCs when it stops waiting:
+// each open RPC is withdrawn from its connection and each back-off
+// stopped or, when a post won that race, the post is received here and
+// its vector goes back to the free list. A late reply never reaches a
+// later round.
+func (e *Edge) closeRPCs(round int) {
+	posted := 0
+	for at := range e.slots {
+		s := &e.slots[at]
+		if s.mx != nil {
+			if _, ok := s.mx.take(e.sel[at], round); !ok {
+				posted++
+			}
+		}
+		if s.backoff != nil && !s.backoff.Stop() {
+			posted++
+		}
+		s.mx, s.backoff = nil, nil
+	}
+	for ; posted > 0; posted-- {
+		e.replies.put((<-e.inbox).vec)
+	}
+}
+
 // selectCohort draws round's cohort from the registered devices (Algorithm
 // 1, line 2) and returns it with the edge model its train RPCs send, which
-// stays the edge's until each RPC has released it.
+// stays the edge model until the round returns.
 func (e *Edge) selectCohort(round int) (sel []int, model []float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -768,17 +879,18 @@ func (e *Edge) selectCohort(round int) (sel []int, model []float64) {
 	e.cands = cands
 	view := &edgeView{edge: e, round: round}
 	e.sel = hfl.Cohort(e.sel[:0], e.cfg.Strategy, view, e.cfg.EdgeID, round, e.cfg.K, cands, e.cfg.Seed, e.rng)
-	e.modelUsers += len(e.sel) // each train RPC sends the model, unlocked
 	return e.sel, e.edgeModel
 }
 
 // excludeStragglers counts the devices whose replies missed the round
-// deadline. One alone on its connection is closed and dropped; one that
-// shares it stays registered (see dropIfAlone).
+// deadline. One alone on its connection has it closed, which drops the
+// device; the client reconnects and resyncs via the registration ack.
+// One that shares it stays registered: the connection is healthy, and
+// closing it would take the siblings down too.
 func (e *Edge) excludeStragglers(round int, span string) int {
 	excluded, tr := 0, e.cfg.Trace
-	for at, res := range e.got {
-		if res.vec != nil || res.err != nil {
+	for at, s := range e.slots {
+		if s.res.vec != nil || s.res.err != nil {
 			continue
 		}
 		id := e.sel[at]
@@ -786,9 +898,10 @@ func (e *Edge) excludeStragglers(round int, span string) int {
 		e.m.stragglers.Inc()
 		e.mu.Lock()
 		d, ok := e.devices[id]
+		alone := ok && len(d.mux.ids) <= 1
 		e.mu.Unlock()
-		if ok {
-			e.dropIfAlone(d.mux)
+		if alone {
+			d.mux.fail(nil)
 		}
 		e.cfg.Logf("edge %d: excluded straggler device %d in round %d", e.cfg.EdgeID, id, round)
 		if tr != nil {
@@ -826,82 +939,6 @@ func (e *Edge) acceptReply(id, round int, util float64, vec []float64) {
 // finite reports whether both numbers of dr are finite.
 func finite(dr Drift) bool {
 	return !math.IsNaN(dr.U) && !math.IsInf(dr.U, 0) && !math.IsNaN(dr.DeltaNorm) && !math.IsInf(dr.DeltaNorm, 0)
-}
-
-// trainDevice runs one device's train RPC with capped-backoff retries.
-// The round-trip rides the device's connection, whose demux reader
-// matches the reply by device id; after a transport error the retry
-// addresses whatever connection the device re-registered with. A device
-// that is not registered (it left, or its connection failed and it has not
-// re-registered) ends the RPC at once: nothing remains to wait for.
-func (e *Edge) trainDevice(id, round int, span string, model []float64, abort <-chan struct{}) trainResult {
-	tr := e.cfg.Trace
-	var lastErr error
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if !e.hasDevice(id) {
-				break
-			}
-			e.m.retries.Inc()
-			time.Sleep(retryBackoff(e.cfg.RetryBase, attempt, e.cfg.Seed,
-				int64(e.cfg.EdgeID)*1_000_003+int64(id)*31+int64(round)))
-		}
-		select {
-		case <-abort:
-			return trainResult{err: lastErr}
-		default:
-		}
-		e.mu.Lock()
-		d, ok := e.devices[id]
-		var req TrainRequest
-		if ok {
-			req = TrainRequest{
-				Round:      round,
-				DeviceID:   id,
-				Moved:      !d.trainedHere && d.arrivedFrom >= 0 && d.arrivedFrom != e.cfg.EdgeID,
-				ResetLocal: !trainedSince(d.lastTrained, e.lastSync),
-			}
-			if span != "" {
-				req.Span = trainRPCSpan(span, id)
-			}
-		}
-		e.mu.Unlock()
-		if !ok {
-			lastErr = fmt.Errorf("device %d not connected", id)
-			break
-		}
-		rpcStart := tr.Now()
-		rpcTok := e.m.trainSpan.Begin()
-		fp := flight.BeginPhase("comm")
-		vec, reply, err := d.mux.roundTrip(id, req, model)
-		fp.End()
-		// An unknown device answers with an empty reply; either way the
-		// stream is intact, so the connection stays.
-		if err == nil && (reply.Round != round || len(vec) == 0) {
-			err = fmt.Errorf("train reply: round %d, %d values", reply.Round, len(vec))
-		}
-		if err != nil {
-			countTimeout(e.m.timeouts, err)
-			lastErr = err
-			continue
-		}
-		rpcTok.End()
-		if tr != nil {
-			tr.Complete("train_rpc", "fednet", tracePidEdgeBase+e.cfg.EdgeID, id,
-				rpcStart, tr.Now().Sub(rpcStart), req.Span, span,
-				map[string]any{"round": round, "device": id, "attempt": attempt})
-		}
-		return trainResult{vec: vec, reply: reply}
-	}
-	return trainResult{err: lastErr}
-}
-
-// hasDevice reports whether device id is in the candidate set.
-func (e *Edge) hasDevice(id int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.devices[id]
-	return ok
 }
 
 func (e *Edge) shutdownDevices() {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -300,7 +301,6 @@ func TestEdgeStragglerExclusion(t *testing.T) {
 			EdgeID: 0, K: 1, Strategy: core.NewGeneral(), Seed: 1,
 			Timeout:       3 * time.Second,
 			RoundDeadline: 250 * time.Millisecond,
-			MaxRetries:    -1, // single attempt: the deadline, not retries, must exclude
 			Obs:           reg,
 		})
 
@@ -353,6 +353,246 @@ func TestEdgeStragglerExclusion(t *testing.T) {
 		if err := <-edgeErr; err != nil {
 			t.Fatalf("edge exited with %v", err)
 		}
+	}
+}
+
+// rawClient registers devices ids at edge over one raw connection played
+// by the test and returns it, its registration acked.
+func rawClient(t *testing.T, edge *Edge, ids ...int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var hello RegisterMux
+	for _, id := range ids {
+		hello.Devices = append(hello.Devices, RegisterDevice{DeviceID: id, DataSize: 10, PrevEdge: -1})
+	}
+	if err := WriteMsg(conn, MsgRegisterMux, hello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := ReadMsg(conn, &RegisterAck{}); err != nil || mt != MsgRegisterAck {
+		t.Fatalf("register ack: type %d, %v", mt, err)
+	}
+	return conn
+}
+
+// readRequests reads the train requests of round that conn's devices ids
+// are sent, in whatever order they arrive, past the scores of the round
+// before.
+func readRequests(t *testing.T, conn net.Conn, round int, ids ...int) {
+	t.Helper()
+	want := map[int]bool{}
+	for _, id := range ids {
+		want[id] = true
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for len(want) > 0 {
+		var h frameHeaders
+		mt, _, _, err := readFrame(conn, &h, nil)
+		if err == nil && mt == MsgScores {
+			continue
+		}
+		if req := h.trainRequest; err != nil || mt != MsgTrainRequest || req.Round != round || !want[req.DeviceID] {
+			t.Fatalf("round %d: type %d, request %+v, %v; want a request to one of %v", round, mt, req, err, ids)
+		}
+		delete(want, h.trainRequest.DeviceID)
+	}
+}
+
+// reply answers device id's train request of round over conn with vec.
+func reply(t *testing.T, conn net.Conn, id, round int, vec []float64) {
+	t.Helper()
+	if err := WriteMsg(conn, MsgTrainReply, TrainReply{DeviceID: id, Round: round, DataSize: 10}, vec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// playRound starts round at the fake cloud, lets answer play the devices,
+// and returns the edge's report and how long the round took.
+func playRound(t *testing.T, cc net.Conn, round int, answer func()) (RoundDone, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: round}, nil); err != nil {
+		t.Fatal(err)
+	}
+	answer()
+	var done RoundDone
+	if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone || done.Round != round {
+		t.Fatalf("round %d done: type %d, %+v, %v", round, mt, done, err)
+	}
+	return done, time.Since(start)
+}
+
+// roundClosed fails the test unless the edge holds nothing of a round
+// that has reported: no train RPC open on mx, no result in the inbox, and
+// the edge model's previous buffer free for the next aggregate.
+func roundClosed(t *testing.T, edge *Edge, mx *edgeMux, round int) {
+	t.Helper()
+	mx.mu.Lock()
+	open := len(mx.open)
+	mx.mu.Unlock()
+	edge.mu.Lock()
+	spare := edge.spareModel != nil
+	edge.mu.Unlock()
+	if open != 0 || len(edge.inbox) != 0 || !spare {
+		t.Fatalf("after round %d reported: %d RPCs open, %d results in the inbox, spare model buffer %v; want 0, 0, true",
+			round, open, len(edge.inbox), spare)
+	}
+}
+
+// muxOf returns the connection device id is registered through.
+func muxOf(t *testing.T, edge *Edge, id int) *edgeMux {
+	t.Helper()
+	edge.mu.Lock()
+	defer edge.mu.Unlock()
+	d, ok := edge.devices[id]
+	if !ok {
+		t.Fatalf("device %d is not registered", id)
+	}
+	return d.mux
+}
+
+// TestStragglerOnSharedConnectionTrainsNextRound: a device that shares
+// its connection and stays silent through one round's deadline is out of
+// that round only. Its RPC ends with the round, so the next round sends
+// it a request at once, trains both devices without a retry and reports
+// long before its deadline; after each report nothing of the round is
+// left open.
+func TestStragglerOnSharedConnectionTrainsNextRound(t *testing.T) {
+	const deadline = 250 * time.Millisecond
+	reg := obs.NewRegistry()
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1,
+		Timeout: 3 * time.Second, RoundDeadline: deadline, Obs: reg,
+	})
+	dev := rawClient(t, edge, 0, 1)
+	mx := muxOf(t, edge, 0)
+
+	done, took := playRound(t, cc, 1, func() {
+		readRequests(t, dev, 1, 0, 1)
+		reply(t, dev, 1, 1, []float64{5, 5, 5}) // device 0 stays silent
+	})
+	if done.Trained != 1 || took < deadline {
+		t.Fatalf("round 1: trained %d in %v; want 1, at the %v deadline", done.Trained, took, deadline)
+	}
+	roundClosed(t, edge, mx, 1)
+
+	done, took = playRound(t, cc, 2, func() {
+		readRequests(t, dev, 2, 0, 1)
+		reply(t, dev, 0, 2, []float64{2, 2, 2})
+		reply(t, dev, 1, 2, []float64{4, 4, 4})
+	})
+	if done.Trained != 2 || took >= deadline/2 {
+		t.Fatalf("round 2: trained %d in %v; want 2, well before the %v deadline", done.Trained, took, deadline)
+	}
+	roundClosed(t, edge, mx, 2)
+	if got := reg.Counter("fednet_retries_total").Value(); got != 0 {
+		t.Fatalf("fednet_retries_total = %d, want 0", got)
+	}
+	if got := reg.Counter("fednet_excluded_stragglers_total").Value(); got != 1 {
+		t.Fatalf("fednet_excluded_stragglers_total = %d, want 1", got)
+	}
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
+	}
+}
+
+// TestLateReplyNeverReachesTheNextRound: a device answers round 1 after
+// its deadline, once between the rounds and once while its round-2 RPC is
+// open. Each late vector goes back to the edge's free list, and round 2
+// aggregates its own two replies only.
+func TestLateReplyNeverReachesTheNextRound(t *testing.T) {
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1,
+		Timeout: 3 * time.Second, RoundDeadline: 250 * time.Millisecond,
+	})
+	dev := rawClient(t, edge, 0, 1)
+	mx := muxOf(t, edge, 0)
+	late := []float64{1e6, 1e6, 1e6}
+
+	if done, _ := playRound(t, cc, 1, func() {
+		readRequests(t, dev, 1, 0, 1)
+		reply(t, dev, 1, 1, []float64{5, 5, 5})
+	}); done.Trained != 1 {
+		t.Fatalf("round 1 trained %d, want 1", done.Trained)
+	}
+	reply(t, dev, 0, 1, late)
+	waitFor(t, 5*time.Second, "the late reply on the free list", func() bool {
+		edge.replies.mu.Lock()
+		defer edge.replies.mu.Unlock()
+		return slices.ContainsFunc(edge.replies.free, func(v []float64) bool { return sameBits(v, late) })
+	})
+
+	done, _ := playRound(t, cc, 2, func() {
+		readRequests(t, dev, 2, 0, 1)
+		reply(t, dev, 0, 1, late)
+		reply(t, dev, 0, 2, []float64{2, 2, 2})
+		reply(t, dev, 1, 2, []float64{4, 4, 4})
+	})
+	roundClosed(t, edge, mx, 2)
+	edge.mu.Lock()
+	model := slices.Clone(edge.edgeModel)
+	edge.mu.Unlock()
+	if done.Trained != 2 || !sameBits(model, []float64{3, 3, 3}) {
+		t.Fatalf("round 2: trained %d, edge model %v; want 2 and the mean of its own replies, [3 3 3]", done.Trained, model)
+	}
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
+	}
+}
+
+// TestStuckRequestWriteEndsWithItsRound: a client that stops reading
+// leaves the edge's request writes stuck on a full socket. The round
+// still reports at its deadline, not the frame Timeout later: the write is
+// cut there and fails the connection, which drops both its devices.
+func TestStuckRequestWriteEndsWithItsRound(t *testing.T) {
+	const deadline = 250 * time.Millisecond
+	reg := obs.NewRegistry()
+	edge, cc, edgeErr := edgeUnderFakeCloud(t, EdgeConfig{
+		EdgeID: 0, K: 2, Strategy: core.NewGeneral(), Seed: 1,
+		Timeout: 5 * time.Second, RoundDeadline: deadline, Obs: reg,
+	})
+	// A sync round without devices installs a 4 MB global model, so two
+	// requests overfill the edge's send buffer (4 MB at most) once the
+	// client's receive buffer is a few KB.
+	big := make([]float64, 1<<19)
+	if err := WriteMsg(cc, MsgRoundStart, RoundStart{Round: 1, Sync: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var done RoundDone
+	if mt, _, err := ReadMsg(cc, &done); err != nil || mt != MsgRoundDone {
+		t.Fatalf("sync round done: type %d, %v", mt, err)
+	}
+	if err := WriteMsg(cc, MsgGlobalModel, struct{}{}, big); err != nil {
+		t.Fatal(err)
+	}
+	dev := rawClient(t, edge, 0, 1)
+	if err := dev.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+
+	done, took := playRound(t, cc, 2, func() {}) // the client reads nothing
+	if done.Trained != 0 || took >= 4*deadline {
+		t.Fatalf("round 2: trained %d in %v; want 0, at the %v deadline", done.Trained, took, deadline)
+	}
+	if got := reg.Counter("fednet_timeouts_total").Value(); got == 0 {
+		t.Fatal("fednet_timeouts_total = 0, want the cut write counted")
+	}
+	waitFor(t, 5*time.Second, "the stuck connection's devices dropped", func() bool { return len(registered(edge)) == 0 })
+	if err := WriteMsg(cc, MsgShutdown, struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge exited with %v", err)
 	}
 }
 

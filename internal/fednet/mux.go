@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -26,15 +25,19 @@ type edgeMux struct {
 	conn net.Conn
 	wmu  sync.Mutex // serialises frames onto the shared connection
 
-	mu      sync.Mutex
-	closed  bool
-	waiters map[int]chan trainResult // in-flight round-trips by device
+	mu     sync.Mutex
+	closed bool
+	open   map[int]rpcTag // the train RPCs in flight on this connection, by device
 
 	// ids is the set of devices registered through this connection.
 	// Guarded by edge.mu (not mu): registration and selection bookkeeping
 	// already run under it.
 	ids map[int]bool
 }
+
+// rpcTag names one open train RPC: the round that sent it and the
+// device's position in that round's cohort.
+type rpcTag struct{ round, at int }
 
 var errConnLost = errors.New("device connection lost")
 
@@ -44,55 +47,51 @@ func (mx *edgeMux) write(t MsgType, header any, vec []float64) error {
 	return mx.edge.m.deviceLink.writeShared(&mx.wmu, mx.conn, mx.edge.cfg.Timeout, t, header, vec)
 }
 
-// roundTrip sends one train request and waits for the demux reader to
-// deliver the matching reply. A connection that fails takes its devices'
-// registrations with it (fail); a retry finds the device only if it has
-// re-registered since. A reply that is merely late costs a device that
-// shares its connection only this round-trip: the stream itself may be
-// healthy (the client trains its devices one at a time), so it survives
-// and a stale delivery is simply discarded. A device alone on its
-// connection is closed and dropped, and reconnects.
-func (mx *edgeMux) roundTrip(id int, req TrainRequest, payload []float64) ([]float64, TrainReply, error) {
-	e := mx.edge
-	ch := make(chan trainResult, 1)
+// openRPC records a train RPC to device id as in flight on mx, so that
+// its reply, or the connection's failure, is posted to the edge's inbox
+// under tag. It reports false when the connection has already failed.
+func (mx *edgeMux) openRPC(id int, tag rpcTag) bool {
 	mx.mu.Lock()
-	_, busy := mx.waiters[id]
-	if !mx.closed && !busy {
-		mx.waiters[id] = ch
+	defer mx.mu.Unlock()
+	if mx.closed {
+		return false
 	}
-	closed := mx.closed
-	mx.mu.Unlock()
-	switch {
-	case closed:
-		return nil, TrainReply{}, errConnLost
-	case busy:
-		return nil, TrainReply{}, fmt.Errorf("device %d already has a request in flight", id)
-	}
-	if err := mx.write(MsgTrainRequest, req, payload); err != nil {
-		mx.fail(err)
-		return nil, TrainReply{}, err
-	}
-	timer := time.NewTimer(e.cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.vec, res.reply, res.err
-	case <-timer.C:
-		mx.mu.Lock()
-		delete(mx.waiters, id)
-		mx.mu.Unlock()
-		e.dropIfAlone(mx)
-		return nil, TrainReply{}, os.ErrDeadlineExceeded
-	}
+	mx.open[id] = tag
+	return true
 }
 
-// serve is the demultiplexing reader: one goroutine per connection.
+// take removes device id's open RPC of round and returns its tag. It
+// reports false when mx holds none: the round has closed it, the reply is
+// of another round, or a failure has taken it and posted its end.
+func (mx *edgeMux) take(id, round int) (rpcTag, bool) {
+	mx.mu.Lock()
+	defer mx.mu.Unlock()
+	tag, ok := mx.open[id]
+	if ok = ok && tag.round == round; ok {
+		delete(mx.open, id)
+	}
+	return tag, ok
+}
+
+// serve is the connection's one reader, from its first frame: a
+// registration, read under the Timeout handshake deadline (anything else
+// closes the connection), then train replies, which it posts to the
+// edge's inbox, further registrations and leave notices.
 func (mx *edgeMux) serve() {
 	e := mx.edge
 	replyBuf := e.replies.get
 	var h frameHeaders
-	for {
+	mx.conn.SetReadDeadline(time.Now().Add(e.cfg.Timeout))
+	for handshake := true; ; handshake = false {
 		t, vec, err := e.m.deviceLink.readMsgInto(mx.conn, &h, replyBuf)
+		if handshake {
+			if err != nil || t != MsgRegisterMux {
+				e.replies.put(vec)
+				mx.fail(nil) // not a device client
+				return
+			}
+			mx.conn.SetReadDeadline(time.Time{})
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				err = nil // the client closed (its last device left), or this edge did
@@ -102,19 +101,14 @@ func (mx *edgeMux) serve() {
 		}
 		switch t {
 		case MsgTrainReply:
-			reply := h.trainReply
-			mx.mu.Lock()
-			ch := mx.waiters[reply.DeviceID]
-			delete(mx.waiters, reply.DeviceID)
-			mx.mu.Unlock()
-			if ch != nil {
-				ch <- trainResult{vec: vec, reply: reply}
+			if tag, ok := mx.take(h.trainReply.DeviceID, h.trainReply.Round); ok {
+				e.inbox <- rpcResult{rpcTag: tag, vec: vec, reply: h.trainReply}
 			} else {
-				e.replies.put(vec) // late: its round-trip gave up
+				e.replies.put(vec) // late: its round closed the RPC
 			}
 		case MsgRegisterMux:
-			// Another device of the client arrived over the existing
-			// connection; ack so its Connect can return.
+			// A device of the client arrived over this connection; ack so
+			// its Connect can return.
 			if err := e.registerDevices(mx, h.registerMux.Devices, vec); err != nil {
 				mx.fail(err)
 				return
@@ -122,7 +116,9 @@ func (mx *edgeMux) serve() {
 		case MsgDeviceLeave:
 			// Echoed once the device is off the candidate set, so the
 			// client's move returns only after this edge let it go.
-			e.dropDevice(h.deviceLeave.DeviceID, mx)
+			e.mu.Lock()
+			e.deregisterLocked(h.deviceLeave.DeviceID, mx)
+			e.mu.Unlock()
 			if err := mx.write(MsgDeviceLeave, h.deviceLeave, nil); err != nil {
 				mx.fail(err)
 				return
@@ -137,13 +133,14 @@ func (mx *edgeMux) serve() {
 // fail closes the connection and deregisters the devices that rode it —
 // a client of one leaves by closing, and one whose connection was lost
 // re-registers by itself — so selection never sees a device that is not
-// there. In-flight round-trips then fail fast and later ones are refused.
+// there. Its open RPCs end with errConnLost, posted to the inbox, and
+// later ones are refused.
 func (mx *edgeMux) fail(err error) {
 	mx.mu.Lock()
 	already := mx.closed
 	mx.closed = true
-	waiters := mx.waiters
-	mx.waiters = nil
+	open := mx.open
+	mx.open = nil
 	mx.mu.Unlock()
 	if already {
 		return
@@ -155,8 +152,8 @@ func (mx *edgeMux) fail(err error) {
 		e.deregisterLocked(id, mx)
 	}
 	e.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- trainResult{err: errConnLost}
+	for _, tag := range open {
+		e.inbox <- rpcResult{rpcTag: tag, err: errConnLost}
 	}
 	if err != nil {
 		e.cfg.Logf("edge %d: device connection failed: %v", e.cfg.EdgeID, err)
@@ -256,13 +253,6 @@ func (e *Edge) adoptLocked(d *deviceState, rd RegisterDevice, vec []float64) {
 // U(w_c, Δw) ∈ [0, 1] and ‖Δw‖ ≥ 0, both finite.
 func plausible(dr Drift) bool { return dr.U >= 0 && dr.U <= 1 && dr.DeltaNorm >= 0 && finite(dr) }
 
-// dropDevice forgets one device that left mx.
-func (e *Edge) dropDevice(id int, mx *edgeMux) {
-	e.mu.Lock()
-	e.deregisterLocked(id, mx)
-	e.mu.Unlock()
-}
-
 // deregisterLocked takes device id off the candidate set as registered
 // through mx; a registration through another connection since stays.
 // e.mu must be held.
@@ -272,18 +262,4 @@ func (e *Edge) deregisterLocked(id int, mx *edgeMux) {
 		e.m.virtualDevices.Set(float64(len(e.devices)))
 	}
 	delete(mx.ids, id)
-}
-
-// dropIfAlone closes a late or silent device's connection, which drops
-// the device, when no other device rides that connection; the client
-// reconnects and resyncs via the registration ack. With siblings the
-// connection is healthy and closing it would take them down too, so the
-// device stays registered.
-func (e *Edge) dropIfAlone(mx *edgeMux) {
-	e.mu.Lock()
-	alone := len(mx.ids) <= 1
-	e.mu.Unlock()
-	if alone {
-		mx.fail(nil)
-	}
 }

@@ -29,157 +29,22 @@ const PhaseUnattributed = "unattributed"
 // both the profiler and middlediag stay dependency-free.
 func ParseCPUProfile(data []byte) (CPUByPhase, error) {
 	out := CPUByPhase{Phases: map[string]int64{}}
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(strings.NewReader(string(data)))
-		if err != nil {
-			return out, fmt.Errorf("flight: ungzip profile: %w", err)
-		}
-		raw, err := io.ReadAll(zr)
-		if err != nil {
-			return out, fmt.Errorf("flight: ungzip profile: %w", err)
-		}
-		data = raw
+	data, err := ungzip(data)
+	if err != nil {
+		return out, err
 	}
-
-	// Pass 1: string table and sample types.
-	var table []string
-	var sampleTypes [][]byte
-	var samples [][]byte
-	r := protoReader{b: data}
-	for !r.done() {
-		num, wire, err := r.tag()
-		if err != nil {
-			return out, err
-		}
-		switch {
-		case num == 1 && wire == 2: // sample_type: ValueType
-			b, err := r.bytes()
-			if err != nil {
-				return out, err
-			}
-			sampleTypes = append(sampleTypes, b)
-		case num == 2 && wire == 2: // sample: Sample
-			b, err := r.bytes()
-			if err != nil {
-				return out, err
-			}
-			samples = append(samples, b)
-		case num == 6 && wire == 2: // string_table
-			b, err := r.bytes()
-			if err != nil {
-				return out, err
-			}
-			table = append(table, string(b))
-		default:
-			if err := r.skip(wire); err != nil {
-				return out, err
-			}
-		}
+	p, err := readProfile(data)
+	if err != nil {
+		return out, err
 	}
-
-	str := func(i int64) string {
-		if i >= 0 && int(i) < len(table) {
-			return table[i]
-		}
-		return ""
-	}
-
-	// Find the value column measured in CPU nanoseconds ("cpu" /
-	// "nanoseconds"; falls back to the last column, which is where the
-	// runtime puts it).
-	cpuIdx := len(sampleTypes) - 1
-	for i, stb := range sampleTypes {
-		tr := protoReader{b: stb}
-		var typ, unit int64
-		for !tr.done() {
-			num, wire, err := tr.tag()
-			if err != nil {
-				break
-			}
-			switch {
-			case num == 1 && wire == 0:
-				v, _ := tr.varint()
-				typ = int64(v)
-			case num == 2 && wire == 0:
-				v, _ := tr.varint()
-				unit = int64(v)
-			default:
-				if tr.skip(wire) != nil {
-					break
-				}
-			}
-		}
-		if str(typ) == "cpu" && str(unit) == "nanoseconds" {
-			cpuIdx = i
-		}
-	}
+	cpuIdx := p.cpuColumn()
 	if cpuIdx < 0 {
 		return out, fmt.Errorf("flight: profile has no sample types")
 	}
-
-	// Pass 2: per-sample CPU value + "phase" label.
-	for _, sb := range samples {
-		sr := protoReader{b: sb}
-		var values []int64
-		phase := ""
-		for !sr.done() {
-			num, wire, err := sr.tag()
-			if err != nil {
-				return out, err
-			}
-			switch {
-			case num == 2 && wire == 2: // value: packed int64
-				b, err := sr.bytes()
-				if err != nil {
-					return out, err
-				}
-				vr := protoReader{b: b}
-				for !vr.done() {
-					v, err := vr.varint()
-					if err != nil {
-						return out, err
-					}
-					values = append(values, int64(v))
-				}
-			case num == 2 && wire == 0: // value: unpacked
-				v, err := sr.varint()
-				if err != nil {
-					return out, err
-				}
-				values = append(values, int64(v))
-			case num == 3 && wire == 2: // label: Label
-				b, err := sr.bytes()
-				if err != nil {
-					return out, err
-				}
-				lr := protoReader{b: b}
-				var key, sv int64
-				for !lr.done() {
-					lnum, lwire, err := lr.tag()
-					if err != nil {
-						return out, err
-					}
-					switch {
-					case lnum == 1 && lwire == 0:
-						v, _ := lr.varint()
-						key = int64(v)
-					case lnum == 2 && lwire == 0:
-						v, _ := lr.varint()
-						sv = int64(v)
-					default:
-						if err := lr.skip(lwire); err != nil {
-							return out, err
-						}
-					}
-				}
-				if str(key) == "phase" {
-					phase = str(sv)
-				}
-			default:
-				if err := sr.skip(wire); err != nil {
-					return out, err
-				}
-			}
+	for _, sb := range p.samples {
+		values, phase, err := p.readSample(sb)
+		if err != nil {
+			return out, err
 		}
 		if cpuIdx >= len(values) {
 			continue
@@ -198,6 +63,179 @@ func ParseCPUProfile(data []byte) (CPUByPhase, error) {
 		out.Phases[phase] += ns
 	}
 	return out, nil
+}
+
+// ungzip returns data inflated when it starts with the gzip magic, else
+// data itself.
+func ungzip(data []byte) ([]byte, error) {
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		return data, nil
+	}
+	zr, err := gzip.NewReader(strings.NewReader(string(data)))
+	if err != nil {
+		return nil, fmt.Errorf("flight: ungzip profile: %w", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, fmt.Errorf("flight: ungzip profile: %w", err)
+	}
+	return raw, nil
+}
+
+// profile is what ParseCPUProfile reads of a profile's top level: its
+// string table, and its sample types and samples still encoded.
+type profile struct {
+	table       []string
+	sampleTypes [][]byte
+	samples     [][]byte
+}
+
+// readProfile splits a decoded profile into its string table, sample
+// types and samples, skipping every other field.
+func readProfile(data []byte) (profile, error) {
+	var p profile
+	r := protoReader{b: data}
+	for !r.done() {
+		num, wire, err := r.tag()
+		if err != nil {
+			return p, err
+		}
+		var dst *[][]byte
+		switch {
+		case num == 1 && wire == 2: // sample_type: ValueType
+			dst = &p.sampleTypes
+		case num == 2 && wire == 2: // sample: Sample
+			dst = &p.samples
+		case num == 6 && wire == 2: // string_table
+		default:
+			if err := r.skip(wire); err != nil {
+				return p, err
+			}
+			continue
+		}
+		b, err := r.bytes()
+		if err != nil {
+			return p, err
+		}
+		if dst == nil {
+			p.table = append(p.table, string(b))
+		} else {
+			*dst = append(*dst, b)
+		}
+	}
+	return p, nil
+}
+
+// str returns string i of the table, "" when there is none.
+func (p *profile) str(i int64) string {
+	if i >= 0 && int(i) < len(p.table) {
+		return p.table[i]
+	}
+	return ""
+}
+
+// cpuColumn returns the index of the value column measured in CPU
+// nanoseconds ("cpu" / "nanoseconds"), falling back to the last column,
+// which is where the runtime puts it; -1 when there are no columns.
+func (p *profile) cpuColumn() int {
+	cpuIdx := len(p.sampleTypes) - 1
+	for i, stb := range p.sampleTypes {
+		tr := protoReader{b: stb}
+		var typ, unit int64
+		for !tr.done() {
+			num, wire, err := tr.tag()
+			if err != nil {
+				break
+			}
+			switch {
+			case num == 1 && wire == 0:
+				v, _ := tr.varint()
+				typ = int64(v)
+			case num == 2 && wire == 0:
+				v, _ := tr.varint()
+				unit = int64(v)
+			default:
+				_ = tr.skip(wire) // a bad field ends the scan at the next tag, if at all
+			}
+		}
+		if p.str(typ) == "cpu" && p.str(unit) == "nanoseconds" {
+			cpuIdx = i
+		}
+	}
+	return cpuIdx
+}
+
+// readSample decodes one sample's values and its "phase" label.
+func (p *profile) readSample(sb []byte) (values []int64, phase string, err error) {
+	sr := protoReader{b: sb}
+	for !sr.done() {
+		num, wire, err := sr.tag()
+		if err != nil {
+			return nil, "", err
+		}
+		switch {
+		case num == 2 && wire == 2: // value: packed int64
+			b, err := sr.bytes()
+			if err != nil {
+				return nil, "", err
+			}
+			vr := protoReader{b: b}
+			for !vr.done() {
+				v, err := vr.varint()
+				if err != nil {
+					return nil, "", err
+				}
+				values = append(values, int64(v))
+			}
+		case num == 2 && wire == 0: // value: unpacked
+			v, err := sr.varint()
+			if err != nil {
+				return nil, "", err
+			}
+			values = append(values, int64(v))
+		case num == 3 && wire == 2: // label: Label
+			b, err := sr.bytes()
+			if err != nil {
+				return nil, "", err
+			}
+			key, sv, err := readLabel(b)
+			if err != nil {
+				return nil, "", err
+			}
+			if p.str(key) == "phase" {
+				phase = p.str(sv)
+			}
+		default:
+			if err := sr.skip(wire); err != nil {
+				return nil, "", err
+			}
+		}
+	}
+	return values, phase, nil
+}
+
+// readLabel decodes a Label's key and string value (table indices).
+func readLabel(b []byte) (key, str int64, err error) {
+	lr := protoReader{b: b}
+	for !lr.done() {
+		num, wire, err := lr.tag()
+		if err != nil {
+			return 0, 0, err
+		}
+		switch {
+		case num == 1 && wire == 0:
+			v, _ := lr.varint()
+			key = int64(v)
+		case num == 2 && wire == 0:
+			v, _ := lr.varint()
+			str = int64(v)
+		default:
+			if err := lr.skip(wire); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	return key, str, nil
 }
 
 // protoReader is a minimal protobuf wire-format cursor.

@@ -188,63 +188,104 @@ func (r *Recorder) Capture(reason string) (string, error) {
 	name := fmt.Sprintf("bundle-%s-%03d-%s",
 		now.Format("20060102T150405"), r.seq, sanitizeReason(reason))
 	final := filepath.Join(r.cfg.Dir, name)
-	partial := final + ".partial"
-	if err := os.MkdirAll(partial, 0o755); err != nil {
+	bw := bundleWriter{dir: final + ".partial"}
+	if err := os.MkdirAll(bw.dir, 0o755); err != nil {
 		return "", fmt.Errorf("flight: creating bundle dir: %w", err)
 	}
-
-	var fileErrs []string
-	write := func(file string, fn func(io.Writer) error) {
-		f, err := os.Create(filepath.Join(partial, file))
-		if err != nil {
-			fileErrs = append(fileErrs, file+": "+err.Error())
-			return
-		}
-		err = fn(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fileErrs = append(fileErrs, file+": "+err.Error())
-		}
+	r.writeProfiles(&bw)
+	r.writeState(&bw)
+	// Manifest last, so its "errors" list covers every other file.
+	m := r.cfg.Manifest
+	if m.Build == (obs.Build{}) {
+		m.Build = obs.ReadBuild()
 	}
+	bw.writeJSON("manifest.json", map[string]any{
+		"reason":      reason,
+		"captured_at": now.Format(time.RFC3339Nano),
+		"manifest":    m,
+		"errors":      bw.errs,
+	})
+	if err := os.Rename(bw.dir, final); err != nil {
+		return "", fmt.Errorf("flight: finalizing bundle: %w", err)
+	}
+	r.captures.Inc()
+	r.pruneLocked()
+	return final, nil
+}
 
-	// Goroutine stacks (text, debug=2: full stacks with states).
-	write("goroutines.txt", func(w io.Writer) error {
+// bundleWriter writes the files of one bundle into dir, recording a file
+// that fails in errs instead of giving up on the bundle.
+type bundleWriter struct {
+	dir  string
+	errs []string
+}
+
+// write creates file and fills it with fn.
+func (bw *bundleWriter) write(file string, fn func(io.Writer) error) {
+	f, err := os.Create(filepath.Join(bw.dir, file))
+	if err != nil {
+		bw.errs = append(bw.errs, file+": "+err.Error())
+		return
+	}
+	err = fn(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		bw.errs = append(bw.errs, file+": "+err.Error())
+	}
+}
+
+// writeJSON writes v to file as indented JSON.
+func (bw *bundleWriter) writeJSON(file string, v any) {
+	bw.write(file, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
+// writeProfiles adds the goroutine stacks (text, debug=2: full stacks
+// with states), the heap profile and a CPU profile: the profiler's
+// current window when one is attached, else a fresh short capture
+// (skipped if the runtime slot is busy).
+func (r *Recorder) writeProfiles(bw *bundleWriter) {
+	bw.write("goroutines.txt", func(w io.Writer) error {
 		return pprof.Lookup("goroutine").WriteTo(w, 2)
 	})
-	// Heap profile (pprof proto).
-	write("heap.pprof", func(w io.Writer) error {
+	bw.write("heap.pprof", func(w io.Writer) error {
 		return pprof.Lookup("heap").WriteTo(w, 0)
 	})
-	// CPU profile: the profiler's current window when one is attached,
-	// else a fresh short capture (skipped if the runtime slot is busy).
-	if cpu := r.profiler.Snapshot(); len(cpu) > 0 {
-		write("cpu.pprof", func(w io.Writer) error {
-			_, err := w.Write(cpu)
-			return err
-		})
-	} else if r.profiler == nil {
-		var buf bytes.Buffer
-		if err := pprof.StartCPUProfile(&buf); err == nil {
-			time.Sleep(200 * time.Millisecond)
-			pprof.StopCPUProfile()
-			write("cpu.pprof", func(w io.Writer) error {
-				_, err := w.Write(buf.Bytes())
-				return err
-			})
-		} else {
-			fileErrs = append(fileErrs, "cpu.pprof: "+err.Error())
+	cpu := r.profiler.Snapshot()
+	if len(cpu) == 0 {
+		if r.profiler != nil {
+			return
 		}
+		var buf bytes.Buffer
+		if err := pprof.StartCPUProfile(&buf); err != nil {
+			bw.errs = append(bw.errs, "cpu.pprof: "+err.Error())
+			return
+		}
+		time.Sleep(200 * time.Millisecond)
+		pprof.StopCPUProfile()
+		cpu = buf.Bytes()
 	}
-	// tsdb history (fresh final scrape included).
+	bw.write("cpu.pprof", func(w io.Writer) error {
+		_, err := w.Write(cpu)
+		return err
+	})
+}
+
+// writeState adds what the configured sources hold: the tsdb history
+// (fresh final scrape included), the recent events, the trace spans, the
+// SLO state and a metrics snapshot.
+func (r *Recorder) writeState(bw *bundleWriter) {
 	if r.cfg.Store != nil {
 		r.cfg.Store.ScrapeOnce()
-		write("tsdb.json", r.cfg.Store.WriteDump)
+		bw.write("tsdb.json", r.cfg.Store.WriteDump)
 	}
-	// Recent events.
 	if r.cfg.Events != nil {
-		write("events.jsonl", func(w io.Writer) error {
+		bw.write("events.jsonl", func(w io.Writer) error {
 			for _, line := range r.cfg.Events.Snapshot() {
 				if _, err := w.Write(line); err != nil {
 					return err
@@ -253,51 +294,18 @@ func (r *Recorder) Capture(reason string) (string, error) {
 			return nil
 		})
 	}
-	// Trace spans.
 	if r.cfg.Trace != nil {
-		write("trace.json", r.cfg.Trace.WriteJSON)
+		bw.write("trace.json", r.cfg.Trace.WriteJSON)
 	}
-	// SLO state.
 	if r.cfg.Engine != nil {
-		write("slo.json", func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(map[string]any{
-				"alerts":   r.cfg.Engine.Alerts(),
-				"breached": r.cfg.Engine.Breached(),
-			})
+		bw.writeJSON("slo.json", map[string]any{
+			"alerts":   r.cfg.Engine.Alerts(),
+			"breached": r.cfg.Engine.Breached(),
 		})
 	}
-	// Metrics snapshot.
 	if r.cfg.Registry != nil {
-		write("metrics.json", func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(r.cfg.Registry.Snapshot())
-		})
+		bw.writeJSON("metrics.json", r.cfg.Registry.Snapshot())
 	}
-	// Manifest last, so its "errors" list covers every other file.
-	m := r.cfg.Manifest
-	if m.Build == (obs.Build{}) {
-		m.Build = obs.ReadBuild()
-	}
-	write("manifest.json", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]any{
-			"reason":      reason,
-			"captured_at": now.Format(time.RFC3339Nano),
-			"manifest":    m,
-			"errors":      fileErrs,
-		})
-	})
-
-	if err := os.Rename(partial, final); err != nil {
-		return "", fmt.Errorf("flight: finalizing bundle: %w", err)
-	}
-	r.captures.Inc()
-	r.pruneLocked()
-	return final, nil
 }
 
 // pruneLocked removes the oldest bundles beyond maxBundles (the

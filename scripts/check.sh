@@ -105,12 +105,15 @@ go test -race -count=3 \
     ./internal/hfl
 
 echo "== chaos smoke (-race) =="
-# Seeded fault injection against the full cluster; and the SLO-breach and
-# forensics gate: a cluster that misses quorum every round fires its
-# rule, leaves one flight bundle, and middlediag's report names the rule,
-# the counter and the phases.
+# Seeded fault injection against the full cluster; a train RPC that ends
+# with its round (a shared-connection straggler trains the next round, a
+# late reply never reaches it, a stuck request write is cut at the round's
+# deadline); and the SLO-breach and forensics gate: a
+# cluster that misses quorum every round fires its rule, leaves one flight
+# bundle, and middlediag's report names the rule, the counter and the
+# phases.
 go test -race -count=1 \
-    -run 'TestClusterChaosSoak|TestFaultPlanDeterministic|TestClusterQuorumFallback|TestQuorumBreachLeavesABundleMiddlediagExplains' \
+    -run 'TestClusterChaosSoak|TestFaultPlanDeterministic|TestClusterQuorumFallback|TestStragglerOnSharedConnectionTrainsNextRound|TestLateReplyNeverReachesTheNextRound|TestStuckRequestWriteEndsWithItsRound|TestQuorumBreachLeavesABundleMiddlediagExplains' \
     ./internal/fednet ./cmd/middlediag
 
 echo "== device client attachment gate (-race, 3x) =="
